@@ -1,8 +1,6 @@
-//! Unified-API overhead check: the `Query`/`Queryable` path against the
-//! legacy entry points it replaced, on the standard 10k×64-d workload.
-//! The unified path adds a `Query` clone-free dispatch, a per-hit global
-//! identity resolution, and (for top-k) the tie-inclusive boundary
-//! check — this bench pins all of that as within-noise.
+//! Unified-API timing: the `Query`/`Queryable` path on the standard
+//! 10k×64-d workload — `Query` clone-free dispatch, per-hit global
+//! identity resolution, and (for top-k) the tie-inclusive boundary check.
 //!
 //! Record a snapshot with:
 //! `BENCH_JSON=BENCH_query_api.json cargo bench -p pexeso-bench --bench bench_query_api`
@@ -64,22 +62,6 @@ fn workload() -> (ColumnSet, VectorStore) {
     (columns, query)
 }
 
-/// The designated shim-compat module: the one place outside
-/// `tests/shim_compat.rs` allowed to touch the deprecated entry points,
-/// exactly so this bench can time the unified path against them.
-mod shim_compat {
-    #![allow(deprecated)]
-    use super::*;
-
-    pub fn legacy_threshold(index: &PexesoIndex<Euclidean>, query: &VectorStore) -> usize {
-        index.search(query, TAU, T).unwrap().hits.len()
-    }
-
-    pub fn legacy_topk(index: &PexesoIndex<Euclidean>, query: &VectorStore) -> usize {
-        index.search_topk(query, TAU, K).unwrap().hits.len()
-    }
-}
-
 fn bench_query_api(c: &mut Criterion) {
     let (columns, query) = workload();
     let index = PexesoIndex::build(
@@ -98,21 +80,8 @@ fn bench_query_api(c: &mut Criterion) {
     let threshold_q = Query::threshold(TAU, T);
     let topk_q = Query::topk(TAU, K);
 
-    // Sanity: the two paths answer identically before we time them.
-    let unified = index.execute(&threshold_q, &query).unwrap();
-    assert!(unified.exact());
-    assert_eq!(
-        unified.hits.len(),
-        shim_compat::legacy_threshold(&index, &query)
-    );
-    assert_eq!(
-        index.execute(&topk_q, &query).unwrap().hits.len(),
-        shim_compat::legacy_topk(&index, &query)
-    );
+    assert!(index.execute(&threshold_q, &query).unwrap().exact());
 
-    c.bench_function("threshold_legacy_entry_10k_x64d", |b| {
-        b.iter(|| shim_compat::legacy_threshold(&index, black_box(&query)))
-    });
     c.bench_function("threshold_unified_query_10k_x64d", |b| {
         b.iter(|| {
             index
@@ -121,9 +90,6 @@ fn bench_query_api(c: &mut Criterion) {
                 .hits
                 .len()
         })
-    });
-    c.bench_function("topk_legacy_entry_10k_x64d", |b| {
-        b.iter(|| shim_compat::legacy_topk(&index, black_box(&query)))
     });
     c.bench_function("topk_unified_query_10k_x64d", |b| {
         b.iter(|| {

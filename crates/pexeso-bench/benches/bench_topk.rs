@@ -1,6 +1,6 @@
 //! Top-k search benchmarks: the best-first, adaptively-tightened
-//! [`PexesoIndex::search_topk`] against the "threshold search with an
-//! unreachable T, then sort" baseline ([`search_topk_exhaustive`]) on a
+//! [`TopkStrategy::BestFirst`] against the "threshold search with an
+//! unreachable T, then sort" baseline ([`TopkStrategy::Exhaustive`]) on a
 //! 10k×64-d repository — once skewed (a tenth of the columns share the
 //! query's region, the data-lake shape top-k is for) and once uniform
 //! (the worst case for bound-based pruning).

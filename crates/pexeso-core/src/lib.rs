@@ -21,9 +21,9 @@
 //! * [`block`] — Algorithm 1: dual-grid traversal + quick browsing;
 //! * [`invindex`] + [`verify`] — Algorithm 2: inverted-index verification
 //!   with joinable-skip and Lemma 7 early termination;
-//! * [`search`] — Algorithm 3 and the [`search::PexesoIndex`] entry point,
-//!   including the batched multi-query [`search::PexesoIndex::search_many`]
-//!   and the best-first top-k [`search::PexesoIndex::search_topk`];
+//! * [`search`] — Algorithm 3 and the [`search::PexesoIndex`] it runs on:
+//!   threshold and best-first top-k search, solo or batched, all through
+//!   [`query::Queryable`];
 //! * [`oracle`] — the brute-force ground truth every search mode is
 //!   differentially tested against;
 //! * [`cost`] — the Eq. 1/2 cost model choosing the grid depth `m`, plus
@@ -124,8 +124,7 @@ pub mod prelude {
         Exceeded, Query, QueryBudget, QueryMode, QueryOutcome, QueryResponse, Queryable,
     };
     pub use crate::search::{
-        naive_search, PexesoIndex, SearchHit, SearchOptions, SearchResult, TopkStrategy,
-        VerifyStrategy,
+        naive_search, PexesoIndex, SearchHit, SearchOptions, TopkStrategy, VerifyStrategy,
     };
     pub use crate::stats::SearchStats;
     pub use crate::trace::{QueryTrace, TraceLevel, TraceSpan};

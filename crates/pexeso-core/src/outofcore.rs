@@ -3,8 +3,8 @@
 //! When the repository exceeds main memory, columns are partitioned
 //! (see [`crate::partition`]), one PEXESO index is built and persisted per
 //! partition, and a search loads partitions one at a time, merging results.
-//! [`PartitionedLake::search_with_policy`] runs the same loop under the
-//! crate-wide [`ExecPolicy`]: partitions are coarse work units handed to a
+//! A parallel [`Query::policy`] runs the same loop under the crate-wide
+//! [`crate::config::ExecPolicy`]: partitions are coarse work units handed to a
 //! [`crate::exec::map_units`] work-stealing pool, overlapping partition
 //! loading with searching (an extension over the paper's sequential loop;
 //! the sequential mode is the default and is what the experiments time).
@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::column::ColumnSet;
-use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, Tau};
+use crate::config::IndexOptions;
 use crate::error::{PexesoError, Result};
 use crate::exec;
 use crate::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
@@ -25,7 +25,7 @@ use crate::query::{
     fold_outcome, rank_topk_hits, sort_threshold_hits, BudgetGuard, Exceeded, Query, QueryMode,
     QueryOutcome, QueryResponse, Queryable,
 };
-use crate::search::{PexesoIndex, SearchOptions};
+use crate::search::PexesoIndex;
 use crate::stats::SearchStats;
 use crate::vector::VectorStore;
 
@@ -281,9 +281,9 @@ impl PartitionedLake {
     }
 
     /// Typed execution under an explicit metric instance: the engine
-    /// behind both [`Queryable::execute`] (which resolves the metric from
-    /// the query/manifest) and the legacy typed shims.
-    pub(crate) fn execute_typed<M: Metric>(
+    /// behind [`Queryable::execute`], which resolves the metric from the
+    /// query/manifest.
+    fn execute_typed<M: Metric>(
         &self,
         metric: M,
         query: &Query,
@@ -298,7 +298,7 @@ impl PartitionedLake {
     /// Typed batch execution: the engine behind
     /// [`Queryable::execute_many`], sweeping partition-major so every
     /// partition file is loaded once for the whole batch.
-    pub(crate) fn execute_many_typed<M: Metric>(
+    fn execute_many_typed<M: Metric>(
         &self,
         metric: M,
         query: &Query,
@@ -329,110 +329,6 @@ impl PartitionedLake {
             (None, Some(m)) => Ok(m),
             (None, None) => Ok("euclidean".to_string()),
         }
-    }
-
-    /// Sequential out-of-core search: load each partition, search it, merge.
-    /// Load time is included in the stats' total time, mirroring the
-    /// paper's Table VII accounting ("includes the overhead of loading the
-    /// data from disks").
-    #[deprecated(note = "use `Queryable::execute` with `Query::threshold(tau, t)`")]
-    pub fn search<M: Metric>(
-        &self,
-        metric: M,
-        query: &VectorStore,
-        tau: Tau,
-        t: JoinThreshold,
-        opts: SearchOptions,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let q = Query::threshold(tau, t).with_options(opts);
-        let resp = self.execute_typed(metric, &q, query)?;
-        Ok((resp.hits, resp.stats))
-    }
-
-    /// Out-of-core search under an explicit [`ExecPolicy`]: each partition
-    /// (load + search + hit resolution) is one coarse work unit on the
-    /// policy's thread pool, so I/O and CPU overlap across partitions.
-    /// Results are identical to the sequential loop: per-partition results
-    /// are kept in partition order and merged deterministically.
-    #[deprecated(
-        note = "use `Queryable::execute` with `Query::threshold(tau, t).with_policy(policy)`"
-    )]
-    pub fn search_with_policy<M: Metric>(
-        &self,
-        metric: M,
-        query: &VectorStore,
-        tau: Tau,
-        t: JoinThreshold,
-        opts: SearchOptions,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let q = Query::threshold(tau, t)
-            .with_options(opts)
-            .with_policy(policy);
-        let resp = self.execute_typed(metric, &q, query)?;
-        Ok((resp.hits, resp.stats))
-    }
-
-    /// Out-of-core top-k: the (up to) `k` columns of the whole lake with
-    /// the most matching query records, ranked by count descending and
-    /// ties broken by ascending external id (internal column ids are not
-    /// stable across partitioning). Sequential partition loop; see
-    /// [`PartitionedLake::search_topk_with_policy`].
-    #[deprecated(note = "use `Queryable::execute` with `Query::topk(tau, k)`")]
-    pub fn search_topk<M: Metric>(
-        &self,
-        metric: M,
-        query: &VectorStore,
-        tau: Tau,
-        k: usize,
-        opts: SearchOptions,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let q = Query::topk(tau, k).with_options(opts);
-        let resp = self.execute_typed(metric, &q, query)?;
-        Ok((resp.hits, resp.stats))
-    }
-
-    /// Out-of-core top-k under an explicit [`ExecPolicy`]. Each partition
-    /// answers its *local* top-k exactly and **tie-inclusively** (see
-    /// `execute_on_index`); the per-partition lists are merged in
-    /// partition order and re-ranked deterministically (count descending,
-    /// external id ascending), making the result identical for every
-    /// policy.
-    #[deprecated(note = "use `Queryable::execute` with `Query::topk(tau, k).with_policy(policy)`")]
-    pub fn search_topk_with_policy<M: Metric>(
-        &self,
-        metric: M,
-        query: &VectorStore,
-        tau: Tau,
-        k: usize,
-        opts: SearchOptions,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let q = Query::topk(tau, k).with_options(opts).with_policy(policy);
-        let resp = self.execute_typed(metric, &q, query)?;
-        Ok((resp.hits, resp.stats))
-    }
-
-    /// Parallel variant with an explicit thread count; kept as a
-    /// convenience wrapper over the policy form.
-    #[deprecated(
-        note = "use `Queryable::execute` with `Query::threshold(tau, t).with_policy(ExecPolicy::Parallel { threads })`"
-    )]
-    pub fn search_parallel<M: Metric>(
-        &self,
-        metric: M,
-        query: &VectorStore,
-        tau: Tau,
-        t: JoinThreshold,
-        opts: SearchOptions,
-        threads: usize,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let threads = threads.max(1).min(self.partition_files.len().max(1));
-        let q = Query::threshold(tau, t)
-            .with_options(opts)
-            .with_policy(ExecPolicy::Parallel { threads });
-        let resp = self.execute_typed(metric, &q, query)?;
-        Ok((resp.hits, resp.stats))
     }
 }
 
@@ -906,7 +802,7 @@ where
 
 /// A partitioned deployment loaded fully into memory — the form a
 /// resident server keeps hot. Search semantics (per-partition algorithms,
-/// tie-inclusive top-k, merge order, [`ExecPolicy`] determinism) are
+/// tie-inclusive top-k, merge order, policy determinism) are
 /// identical to [`PartitionedLake`]; only the per-query `load_index`
 /// disappears, so queries never touch the filesystem and a concurrent
 /// re-index of the backing directory cannot affect answers already being
@@ -938,56 +834,6 @@ impl<M: Metric> ResidentPartitions<M> {
     pub fn partition(&self, i: usize) -> &PexesoIndex<M> {
         &self.indexes[i]
     }
-
-    /// The typed engine behind the resident [`Queryable`] impl and the
-    /// legacy shims: the same partition loop as the disk-backed lake,
-    /// minus the per-query `load_index`.
-    pub(crate) fn execute_resident(
-        &self,
-        query: &Query,
-        vectors: &VectorStore,
-    ) -> Result<QueryResponse> {
-        execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
-            execute_on_index(&self.indexes[i], inner, vectors, guard)
-        })
-    }
-
-    /// In-memory counterpart of [`PartitionedLake::search_with_policy`];
-    /// identical results for every policy.
-    #[deprecated(
-        note = "use `Queryable::execute` with `Query::threshold(tau, t).with_policy(policy)`"
-    )]
-    pub fn search_with_policy(
-        &self,
-        query: &VectorStore,
-        tau: Tau,
-        t: JoinThreshold,
-        opts: SearchOptions,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let q = Query::threshold(tau, t)
-            .with_options(opts)
-            .with_policy(policy);
-        let resp = self.execute_resident(&q, query)?;
-        Ok((resp.hits, resp.stats))
-    }
-
-    /// In-memory counterpart of
-    /// [`PartitionedLake::search_topk_with_policy`]; identical results for
-    /// every policy.
-    #[deprecated(note = "use `Queryable::execute` with `Query::topk(tau, k).with_policy(policy)`")]
-    pub fn search_topk_with_policy(
-        &self,
-        query: &VectorStore,
-        tau: Tau,
-        k: usize,
-        opts: SearchOptions,
-        policy: ExecPolicy,
-    ) -> Result<(Vec<GlobalHit>, SearchStats)> {
-        let q = Query::topk(tau, k).with_options(opts).with_policy(policy);
-        let resp = self.execute_resident(&q, query)?;
-        Ok((resp.hits, resp.stats))
-    }
 }
 
 /// Resident deployments answer the unified [`Query`] directly; the metric
@@ -1004,7 +850,11 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
                 )));
             }
         }
-        self.execute_resident(query, vectors)
+        // The same partition loop as the disk-backed lake, minus the
+        // per-query `load_index`.
+        execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
+            execute_on_index(&self.indexes[i], inner, vectors, guard)
+        })
     }
 
     /// Batch execution shares one partition-major sweep across all
@@ -1031,7 +881,7 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PivotSelection;
+    use crate::config::{ExecPolicy, JoinThreshold, PivotSelection, Tau};
     use crate::metric::Euclidean;
     use crate::partition::PartitionMethod;
     use crate::search::naive_search;

@@ -2,7 +2,7 @@
 //!
 //! [`PexesoIndex::build`] runs the offline phase: pivot selection, pivot
 //! mapping, `HG_RV` construction, and the inverted index.
-//! [`PexesoIndex::search`] runs the online phase: map the query column,
+//! [`Queryable::execute`] runs the online phase: map the query column,
 //! build `HG_Q`, quick-browse, block, verify. Results are exact — identical
 //! to the naive scan — for every lemma-flag combination.
 
@@ -35,25 +35,6 @@ pub struct SearchHit {
     /// Matched query vectors. A lower bound when the column was confirmed
     /// early (the search stops counting once `T` is reached).
     pub match_count: u32,
-}
-
-/// Joinable-column search result with instrumentation.
-#[derive(Debug, Clone)]
-pub struct SearchResult {
-    /// Joinable columns, ascending by column id.
-    pub hits: Vec<SearchHit>,
-    pub stats: SearchStats,
-}
-
-/// Map the top-k engine's internal ranking into legacy [`SearchHit`]s.
-fn ranked_to_hits(ranked: Vec<(u32, ColumnId)>) -> Vec<SearchHit> {
-    ranked
-        .into_iter()
-        .map(|(count, column)| SearchHit {
-            column,
-            match_count: count,
-        })
-        .collect()
 }
 
 /// One top-k engine answer: the internal `(count, column)` ranking, the
@@ -206,9 +187,9 @@ impl<M: Metric> PexesoIndex<M> {
         })
     }
 
-    /// The threshold scan shared by [`Queryable::execute`] and the legacy
-    /// shims: map, block, verify (optionally budgeted), and collect hits
-    /// in ascending internal-column-id order.
+    /// The threshold scan behind [`Queryable::execute`]: map, block,
+    /// verify (optionally budgeted), and collect hits in ascending
+    /// internal-column-id order.
     pub(crate) fn threshold_inner(
         &self,
         query: &VectorStore,
@@ -262,63 +243,6 @@ impl<M: Metric> PexesoIndex<M> {
             })
             .collect();
         Ok((hits, stats, exceeded))
-    }
-
-    /// Online search with default options.
-    #[deprecated(note = "use `Queryable::execute` with `Query::threshold(tau, t)`")]
-    pub fn search(&self, query: &VectorStore, tau: Tau, t: JoinThreshold) -> Result<SearchResult> {
-        let (hits, stats, _) =
-            self.threshold_inner(query, tau, t, SearchOptions::default(), None, None)?;
-        Ok(SearchResult { hits, stats })
-    }
-
-    /// Online search with explicit lemma flags / quick-browse control.
-    #[deprecated(
-        note = "use `Queryable::execute` with `Query::threshold(tau, t).with_options(opts)`"
-    )]
-    pub fn search_with(
-        &self,
-        query: &VectorStore,
-        tau: Tau,
-        t: JoinThreshold,
-        opts: SearchOptions,
-    ) -> Result<SearchResult> {
-        let (hits, stats, _) = self.threshold_inner(query, tau, t, opts, None, None)?;
-        Ok(SearchResult { hits, stats })
-    }
-
-    /// Batched multi-query search: answer many query columns against the
-    /// same index in one call, amortising index traversal state and — under
-    /// a parallel [`ExecPolicy`] — running whole queries concurrently.
-    ///
-    /// `results[i]` is exactly what `search_with(&queries[i], …)` returns
-    /// (queries are independent, so the outer parallelism cannot change
-    /// results). Each query itself runs sequentially when the outer policy
-    /// is parallel, avoiding nested thread fan-out; with
-    /// [`ExecPolicy::Sequential`] the per-query policy in `opts.exec` is
-    /// honoured instead.
-    #[deprecated(
-        note = "use `Queryable::execute_many` with `Query::threshold(tau, t).with_policy(policy)`"
-    )]
-    pub fn search_many<Q: AsRef<VectorStore> + Sync>(
-        &self,
-        queries: &[Q],
-        tau: Tau,
-        t: JoinThreshold,
-        opts: SearchOptions,
-        policy: ExecPolicy,
-    ) -> Result<Vec<SearchResult>> {
-        let inner_opts = opts.demoted_under(policy);
-        let shards = exec::map_ranges_min(policy, queries.len(), 2, |range| {
-            range
-                .map(|i| {
-                    let (hits, stats, _) =
-                        self.threshold_inner(queries[i].as_ref(), tau, t, inner_opts, None, None)?;
-                    Ok(SearchResult { hits, stats })
-                })
-                .collect::<Vec<Result<SearchResult>>>()
-        });
-        shards.into_iter().flatten().collect()
     }
 
     /// Shared query validation for every online entry point.
@@ -403,8 +327,8 @@ impl<M: Metric> PexesoIndex<M> {
         Ok((query_mapped, blocked))
     }
 
-    /// The top-k engine shared by [`Queryable::execute`] and the legacy
-    /// shims, ranking under the *internal* tie-break (count descending,
+    /// The top-k engine behind [`Queryable::execute`], ranking under the
+    /// *internal* tie-break (count descending,
     /// internal column id ascending). Dispatches on
     /// [`SearchOptions::topk_strategy`]; both strategies honour the
     /// optional budget (best-first checks per batch round, exhaustive per
@@ -477,118 +401,6 @@ impl<M: Metric> PexesoIndex<M> {
         stats.verify_time = verify_start.elapsed();
         stats.total_time = total_start.elapsed();
         Ok((ranked, stats, exceeded))
-    }
-
-    /// Top-k joinable-column search with default options: the (up to) `k`
-    /// non-deleted columns with the largest number of matching query
-    /// records. See [`PexesoIndex::search_topk_with`].
-    #[deprecated(note = "use `Queryable::execute` with `Query::topk(tau, k)`")]
-    pub fn search_topk(&self, query: &VectorStore, tau: Tau, k: usize) -> Result<SearchResult> {
-        let (ranked, stats, _) =
-            self.topk_inner(query, tau, k, SearchOptions::default(), None, None, None)?;
-        Ok(SearchResult {
-            hits: ranked_to_hits(ranked),
-            stats,
-        })
-    }
-
-    /// Best-first top-k joinable-column search.
-    ///
-    /// Ranks columns by exact match count, descending, with ties broken
-    /// by ascending column id (the same order the brute-force oracle
-    /// documents); columns with zero matches never appear, so fewer than
-    /// `k` hits may be returned, and `k == 0` returns no hits. An
-    /// extension beyond the paper's threshold-form query, convenient when
-    /// no good `T` is known a priori.
-    ///
-    /// Instead of exactly counting every column (see
-    /// [`PexesoIndex::search_topk_exhaustive`]), the search brackets every
-    /// column's join size with the cheap bounds pass of
-    /// [`crate::cost::column_match_bounds`], seeds the join-size threshold
-    /// from the k-th best lower bound ([`crate::cost::topk_seed`]), and
-    /// verifies columns best-first (probe evidence, then upper bound,
-    /// then density), tightening the threshold as the result heap fills:
-    /// a column is skipped once its own upper bound ranks below the
-    /// current k-th best, and an in-flight count aborts as soon as it
-    /// can no longer get there. Results are exact and — like every other
-    /// entry point — byte-identical for every [`ExecPolicy`].
-    ///
-    /// `opts.verify_strategy` is ignored (top-k has its own verifier);
-    /// `opts.flags` and `opts.quick_browse` behave as in
-    /// [`PexesoIndex::search_with`].
-    #[deprecated(note = "use `Queryable::execute` with `Query::topk(tau, k).with_options(opts)`")]
-    pub fn search_topk_with(
-        &self,
-        query: &VectorStore,
-        tau: Tau,
-        k: usize,
-        opts: SearchOptions,
-    ) -> Result<SearchResult> {
-        let opts = SearchOptions {
-            topk_strategy: TopkStrategy::BestFirst,
-            ..opts
-        };
-        let (ranked, stats, _) = self.topk_inner(query, tau, k, opts, None, None, None)?;
-        Ok(SearchResult {
-            hits: ranked_to_hits(ranked),
-            stats,
-        })
-    }
-
-    /// Reference top-k: exactly count every column (early termination
-    /// disabled), then sort and truncate — the "threshold search with an
-    /// unreachable T, then sort" baseline the best-first engine is
-    /// benchmarked against. Returns the identical hits
-    /// (`tests/differential.rs` pins both against the brute-force oracle).
-    #[deprecated(note = "use `Queryable::execute` with `Query::topk(tau, k)` and \
-                `SearchOptions { topk_strategy: TopkStrategy::Exhaustive, .. }`")]
-    pub fn search_topk_exhaustive(
-        &self,
-        query: &VectorStore,
-        tau: Tau,
-        k: usize,
-    ) -> Result<SearchResult> {
-        let opts = SearchOptions {
-            topk_strategy: TopkStrategy::Exhaustive,
-            ..Default::default()
-        };
-        let (ranked, stats, _) = self.topk_inner(query, tau, k, opts, None, None, None)?;
-        Ok(SearchResult {
-            hits: ranked_to_hits(ranked),
-            stats,
-        })
-    }
-
-    /// Batched multi-query top-k: answer many query columns against the
-    /// same index in one call, mirroring [`PexesoIndex::search_many`].
-    /// `results[i]` is exactly what `search_topk_with(&queries[i], …)`
-    /// returns; under a parallel outer `policy` each query runs
-    /// sequentially to avoid nested fan-out.
-    #[deprecated(
-        note = "use `Queryable::execute_many` with `Query::topk(tau, k).with_policy(policy)`"
-    )]
-    pub fn search_topk_many<Q: AsRef<VectorStore> + Sync>(
-        &self,
-        queries: &[Q],
-        tau: Tau,
-        k: usize,
-        opts: SearchOptions,
-        policy: ExecPolicy,
-    ) -> Result<Vec<SearchResult>> {
-        let inner_opts = opts.demoted_under(policy);
-        let shards = exec::map_ranges_min(policy, queries.len(), 2, |range| {
-            range
-                .map(|i| {
-                    let (ranked, stats, _) =
-                        self.topk_inner(queries[i].as_ref(), tau, k, inner_opts, None, None, None)?;
-                    Ok(SearchResult {
-                        hits: ranked_to_hits(ranked),
-                        stats,
-                    })
-                })
-                .collect::<Vec<Result<SearchResult>>>()
-        });
-        shards.into_iter().flatten().collect()
     }
 
     /// Append a new column online (Section III-E: O((|P|+m)·|s|) for the

@@ -5,10 +5,10 @@
 //! same frames, same verbs, same reply shapes — which is the point: the
 //! existing [`pexeso_serve::ServeClient`] / `pexeso query` tooling works
 //! against either, and promoting a deployment from one node to N shards
-//! changes an address, not a client. The threading model mirrors
-//! `pexeso-serve`'s server: one acceptor feeding a bounded connection
-//! queue, a fixed worker pool, explicit one-frame `BUSY` backpressure
-//! when the queue is full.
+//! changes an address, not a client. Connections, the worker pool,
+//! `BUSY` backpressure and shutdown are [`pexeso_serve::conn`] — the
+//! very core the shard daemon runs on; this module is the [`Handler`]
+//! that routes instead of searching.
 //!
 //! Differences from a shard daemon, all deliberate:
 //!
@@ -25,24 +25,27 @@
 //!   with `shard: Some(_)`): a router fans ingest to the owning shard's
 //!   replicas, and "apply... something, somewhere" is an error, not a
 //!   guess.
+//! * **No soft shed band.** The router sheds load at its own door with
+//!   `BUSY` instead of amplifying a spike N-fold onto the shards, which
+//!   run their own soft-watermark shedding.
 
-use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, PoisonError, RwLock};
+use std::time::Duration;
 
 use pexeso_core::error::Result;
 use pexeso_core::log::{self as plog, LogLevel, Value};
-use pexeso_core::query::{Query, QueryBudget, QueryMode};
-use pexeso_core::vector::VectorStore;
-use pexeso_serve::metrics::{write_histogram_series, EndpointMetrics, SlowQueryLog};
-use pexeso_serve::protocol::{
-    decode_request, encode_reply, read_frame, write_frame, BatchMode, HitsExt, HitsReply,
-    InfoReply, QueryBatch, QueryPayload, Reply, Request,
+use pexeso_core::query::QueryMode;
+use pexeso_serve::client::{hits_reply, query_from_wire};
+use pexeso_serve::conn::{
+    answer_query, error_reply, failed, serve, verb_of, ConnConfig, ConnHandle, Handler, RequestCtx,
 };
-use pexeso_serve::server::clamp_policy;
+use pexeso_serve::metrics::{EndpointMetrics, PromText, SlowQueryLog};
+use pexeso_serve::protocol::{
+    BatchMode, HitsReply, InfoReply, QueryBatch, QueryPayload, Reply, Request,
+};
 use pexeso_serve::ResilientConfig;
 
 use crate::router::{Router, RouterConfig};
@@ -92,7 +95,6 @@ struct RouterMetrics {
     /// INFO/STATS/METRICS/SLOW/RELOAD.
     admin: EndpointMetrics,
     apply: EndpointMetrics,
-    busy_rejections: AtomicU64,
 }
 
 impl RouterMetrics {
@@ -106,27 +108,15 @@ impl RouterMetrics {
     }
 }
 
-struct QueuedConn {
-    stream: TcpStream,
-    accepted_at: Instant,
-}
-
-struct Shared {
+/// What the router daemon serves: the hot-swappable routing table and
+/// the router-tier observability planes.
+pub struct RouterHandler {
     /// Hot-swapped on RELOAD; queries pin an `Arc` for their lifetime.
     router: RwLock<Arc<Router>>,
     map_path: PathBuf,
     config: RouterServeConfig,
     metrics: RouterMetrics,
     slow_log: SlowQueryLog,
-    started: Instant,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
-    /// Worker-owned connections, closed directly on shutdown so idle
-    /// keep-alive peers don't hold workers for a full `read_timeout`.
-    live_conns: Mutex<HashMap<u64, TcpStream>>,
-    conn_seq: AtomicU64,
 }
 
 /// The router daemon entry point.
@@ -141,242 +131,80 @@ impl RouterServer {
         addr: impl ToSocketAddrs,
         config: RouterServeConfig,
     ) -> Result<RouterServerHandle> {
-        let map = ShardMap::read(map_path)?;
-        let router = Router::new(
-            map,
-            RouterConfig {
-                client: config.client.clone(),
-            },
-        )?;
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
+        let router = load_router(map_path, &config.client)?;
+        let conn = ConnConfig {
+            component: "router",
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            queue_soft_watermark: None,
+            read_timeout: config.read_timeout,
+            reject_write_timeout: config.reject_write_timeout,
+        };
+        let handler = RouterHandler {
             router: RwLock::new(Arc::new(router)),
             map_path: map_path.to_path_buf(),
             metrics: RouterMetrics::default(),
             slow_log: SlowQueryLog::new(config.slow_log_capacity),
-            started: Instant::now(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            addr: local_addr,
-            live_conns: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
             config,
-        });
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || accept_loop(listener, &shared)));
-        }
-        for _ in 0..workers {
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        Ok(RouterServerHandle {
-            addr: local_addr,
-            threads,
-            shared,
-        })
+        };
+        Ok(RouterServerHandle(serve(addr, conn, handler)?))
     }
 }
 
-/// A running router daemon.
-pub struct RouterServerHandle {
-    addr: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    shared: Arc<Shared>,
+/// Read a shard map and build the routing table over it.
+fn load_router(map_path: &Path, client: &ResilientConfig) -> Result<Router> {
+    Router::new(
+        ShardMap::read(map_path)?,
+        RouterConfig {
+            client: client.clone(),
+        },
+    )
 }
+
+/// A running router daemon.
+pub struct RouterServerHandle(ConnHandle<RouterHandler>);
 
 impl RouterServerHandle {
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// The currently-routing [`Router`] (tests reach through this for
     /// generations and drain control).
     pub fn router(&self) -> Arc<Router> {
-        self.shared
-            .router
-            .read()
-            .expect("router lock poisoned")
-            .clone()
+        self.0.handler().current_router()
     }
 
     /// Initiate shutdown (idempotent) and join every thread.
-    pub fn shutdown(mut self) {
-        initiate_shutdown(&self.shared);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        self.0.shutdown()
     }
 
     /// Block until a protocol `SHUTDOWN` stops the daemon.
-    pub fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
+    pub fn join(self) {
+        self.0.join()
     }
 }
 
-fn initiate_shutdown(shared: &Shared) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return;
+impl Handler for RouterHandler {
+    fn endpoint(&self, req: &Request) -> Option<&EndpointMetrics> {
+        let m = &self.metrics;
+        Some(match req {
+            Request::Search { .. }
+            | Request::Batch(QueryBatch {
+                mode: BatchMode::Search(_),
+                ..
+            }) => &m.search,
+            Request::Topk { .. } | Request::Batch(_) => &m.topk,
+            Request::ApplyDelta { .. } => &m.apply,
+            Request::Shutdown => return None,
+            _ => &m.admin,
+        })
     }
-    shared.queue_cv.notify_all();
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
-    for conn in shared
-        .live_conns
-        .lock()
-        .expect("conn registry poisoned")
-        .values()
-    {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
-}
 
-/// RAII registration in the shutdown registry (mirrors the shard
-/// daemon): deregisters on every exit path out of `handle_connection`.
-struct ConnRegistration<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl Drop for ConnRegistration<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut conns) = self.shared.live_conns.lock() {
-            conns.remove(&self.id);
-        }
-    }
-}
-
-fn register_conn<'a>(shared: &'a Shared, stream: &TcpStream) -> Option<ConnRegistration<'a>> {
-    let clone = stream.try_clone().ok()?;
-    let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    shared
-        .live_conns
-        .lock()
-        .expect("conn registry poisoned")
-        .insert(id, clone);
-    Some(ConnRegistration { shared, id })
-}
-
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    for conn in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(mut stream) = conn else { continue };
-        let accepted_at = Instant::now();
-        let mut queue = shared.queue.lock().expect("connection queue poisoned");
-        if queue.len() >= shared.config.queue_capacity {
-            drop(queue);
-            // One BUSY frame, then hang up — the router sheds load at its
-            // own door instead of amplifying a spike N-fold onto the
-            // shards (which run their own soft-watermark shedding).
-            shared
-                .metrics
-                .busy_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            plog::log(
-                LogLevel::Warn,
-                "router",
-                "busy_rejected",
-                &[(
-                    "queue_capacity",
-                    Value::U64(shared.config.queue_capacity as u64),
-                )],
-            );
-            let _ = stream.set_write_timeout(Some(shared.config.reject_write_timeout));
-            let _ = write_frame(&mut stream, &encode_reply(&Reply::Busy));
-        } else {
-            queue.push_back(QueuedConn {
-                stream,
-                accepted_at,
-            });
-            drop(queue);
-            shared.queue_cv.notify_one();
-        }
-    }
-    shared.queue_cv.notify_all();
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().expect("connection queue poisoned");
-            loop {
-                if let Some(c) = queue.pop_front() {
-                    break Some(c);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .expect("connection queue poisoned");
-            }
-        };
-        match conn {
-            Some(conn) => handle_connection(shared, conn),
-            None => break,
-        }
-    }
-}
-
-fn handle_connection(shared: &Shared, conn: QueuedConn) {
-    let QueuedConn {
-        mut stream,
-        accepted_at,
-    } = conn;
-    let _ = stream.set_read_timeout(shared.config.read_timeout);
-    let _ = stream.set_nodelay(true);
-    let _registration = register_conn(shared, &stream);
-    // Only the first request on a connection waited in the accept queue.
-    let mut queue_wait = Some(accepted_at.elapsed());
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            Ok(None) | Err(_) => return,
-        };
-        match decode_request(&payload) {
-            Ok(req) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let reply = dispatch(shared, req, queue_wait.take());
-                if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
-                    return;
-                }
-                if is_shutdown {
-                    initiate_shutdown(shared);
-                    return;
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) => {
-                let reply = Reply::Err {
-                    message: format!("bad request: {e}"),
-                };
-                let _ = write_frame(&mut stream, &encode_reply(&reply));
-                return;
-            }
-        }
-    }
-}
-
-/// Pin the routing table for one request.
-fn current_router(shared: &Shared) -> Arc<Router> {
-    shared.router.read().expect("router lock poisoned").clone()
-}
-
-fn dispatch(shared: &Shared, req: Request, queue_wait: Option<Duration>) -> Reply {
-    let started = Instant::now();
-    match req {
-        Request::Info => {
-            let reply = match current_router(shared).info() {
+    fn handle(&self, req: Request, ctx: &RequestCtx<'_>) -> Reply {
+        match req {
+            Request::Info => match self.current_router().info() {
                 Ok(info) => Reply::Info(InfoReply {
                     dim: info.dim,
                     generation: info.generation,
@@ -384,115 +212,78 @@ fn dispatch(shared: &Shared, req: Request, queue_wait: Option<Duration>) -> Repl
                     partitions: info.partitions,
                     disk_bytes: info.disk_bytes,
                 }),
-                Err(e) => error_reply(&shared.metrics.admin, e.to_string()),
-            };
-            shared.metrics.admin.record(started.elapsed());
-            reply
-        }
-        Request::Stats => {
-            let text = render_stats(shared, &current_router(shared));
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Metrics => {
-            let text = render_prometheus(shared, &current_router(shared));
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::SlowLog => {
-            let text = shared.slow_log.render();
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Reload { dir } => {
-            // Re-read the shard map (an explicit payload names an
-            // alternative map file) and hot-swap the routing table.
-            let path = dir
-                .map(PathBuf::from)
-                .unwrap_or_else(|| shared.map_path.clone());
-            let reply = match ShardMap::read(&path).and_then(|map| {
-                Router::new(
-                    map,
-                    RouterConfig {
-                        client: shared.config.client.clone(),
-                    },
-                )
-            }) {
-                Ok(fresh) => {
-                    let shards = fresh.shard_count() as u32;
-                    let generation = fresh.generation();
-                    *shared.router.write().expect("router lock poisoned") = Arc::new(fresh);
-                    plog::log(
-                        LogLevel::Info,
-                        "router",
-                        "map_reloaded",
-                        &[
-                            ("generation", Value::U64(generation)),
-                            ("shards", Value::U64(shards as u64)),
-                        ],
-                    );
-                    // `partitions` reports shard count at this tier: the
-                    // router's units of spread are shards, not partition
-                    // files it cannot see.
-                    Reply::Reloaded {
-                        generation,
-                        partitions: shards,
+                Err(e) => error_reply(ctx, e.to_string()),
+            },
+            Request::Stats => Reply::Stats {
+                text: self.render_stats(ctx),
+            },
+            Request::Metrics => Reply::Stats {
+                text: self.render_prometheus(ctx),
+            },
+            Request::SlowLog => Reply::Stats {
+                text: self.slow_log.render(),
+            },
+            Request::Reload { dir } => {
+                // Re-read the shard map (an explicit payload names an
+                // alternative map file) and hot-swap the routing table.
+                let path = dir.map_or_else(|| self.map_path.clone(), PathBuf::from);
+                match load_router(&path, &self.config.client) {
+                    Ok(fresh) => {
+                        let shards = fresh.shard_count() as u32;
+                        let generation = fresh.generation();
+                        *self.router.write().unwrap_or_else(PoisonError::into_inner) =
+                            Arc::new(fresh);
+                        plog::log(
+                            LogLevel::Info,
+                            "router",
+                            "map_reloaded",
+                            &[
+                                ("generation", Value::U64(generation)),
+                                ("shards", Value::U64(shards as u64)),
+                            ],
+                        );
+                        // `partitions` reports shard count at this tier: the
+                        // router's units of spread are shards, not partition
+                        // files it cannot see.
+                        Reply::Reloaded {
+                            generation,
+                            partitions: shards,
+                        }
                     }
+                    // A failed reload keeps routing on the old table.
+                    Err(e) => failed(ctx, "map_reload_failed", e),
                 }
-                // A failed reload keeps routing on the old table.
-                Err(e) => {
-                    let message = e.to_string();
-                    plog::log(
-                        LogLevel::Error,
-                        "router",
-                        "map_reload_failed",
-                        &[("error", Value::Str(&message))],
-                    );
-                    error_reply(&shared.metrics.admin, message)
-                }
-            };
-            shared.metrics.admin.record(started.elapsed());
-            reply
-        }
-        Request::ApplyDelta { shard } => {
-            let reply = match shard {
-                Some(s) => match current_router(shared).apply_delta(s as usize) {
+            }
+            Request::ApplyDelta { shard: Some(s) } => {
+                match self.current_router().apply_delta(s as usize) {
                     Ok((generation, delta_columns, tombstones)) => Reply::Applied {
                         generation,
                         delta_columns,
                         tombstones,
                     },
-                    Err(e) => error_reply(&shared.metrics.apply, e.to_string()),
-                },
-                // A bare V3 APPLY is addressed at "the deployment"; a
-                // router has N of them and refuses to pick one silently.
-                None => error_reply(
-                    &shared.metrics.apply,
-                    "router APPLY requires the V5 shard tail (use --shard N)".into(),
-                ),
-            };
-            shared.metrics.apply.record(started.elapsed());
-            reply
-        }
-        Request::Inspect => {
-            let text = current_router(shared).inspect_text();
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Health => {
-            let draining = shared.shutting_down.load(Ordering::SeqCst);
-            let text = current_router(shared).health_text(draining);
-            shared.metrics.admin.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Drain { addr, drained } => {
-            let matched = current_router(shared).set_drained(&addr, drained);
-            let reply = if matched == 0 {
-                error_reply(
-                    &shared.metrics.admin,
-                    format!("no replica with address {addr} in the shard map"),
-                )
-            } else {
+                    Err(e) => error_reply(ctx, e.to_string()),
+                }
+            }
+            // A bare V3 APPLY is addressed at "the deployment"; a
+            // router has N of them and refuses to pick one silently.
+            Request::ApplyDelta { shard: None } => error_reply(
+                ctx,
+                "router APPLY requires the V5 shard tail (use --shard N)".into(),
+            ),
+            Request::Inspect => Reply::Stats {
+                text: self.current_router().inspect_text(),
+            },
+            Request::Health => Reply::Stats {
+                text: self.current_router().health_text(ctx.shutting_down()),
+            },
+            Request::Drain { addr, drained } => {
+                let matched = self.current_router().set_drained(&addr, drained);
+                if matched == 0 {
+                    return error_reply(
+                        ctx,
+                        format!("no replica with address {addr} in the shard map"),
+                    );
+                }
                 plog::log(
                     LogLevel::Info,
                     "router",
@@ -509,392 +300,204 @@ fn dispatch(shared: &Shared, req: Request, queue_wait: Option<Duration>) -> Repl
                         if drained { 1 } else { 0 }
                     ),
                 }
-            };
-            shared.metrics.admin.record(started.elapsed());
-            reply
-        }
-        Request::Shutdown => {
-            plog::log(LogLevel::Info, "router", "shutdown_requested", &[]);
-            Reply::ShuttingDown
-        }
-        Request::Search { .. } | Request::Topk { .. } => {
-            handle_query(shared, req, started, queue_wait)
-        }
-        Request::Batch(batch) => handle_batch(shared, batch, started, queue_wait),
-    }
-}
-
-fn error_reply(endpoint: &EndpointMetrics, message: String) -> Reply {
-    endpoint.record_error();
-    Reply::Err { message }
-}
-
-/// The deadline a query request carried, if any.
-fn payload_deadline(payload: &QueryPayload) -> Option<Duration> {
-    payload
-        .ext
-        .as_ref()
-        .and_then(|ext| ext.deadline_ms)
-        .map(Duration::from_millis)
-}
-
-fn handle_query(
-    shared: &Shared,
-    req: Request,
-    started: Instant,
-    queue_wait: Option<Duration>,
-) -> Reply {
-    let (payload, mode) = match &req {
-        Request::Search { query, t } => (query, QueryMode::Threshold(*t)),
-        Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
-        _ => unreachable!("handle_query only sees query verbs"),
-    };
-    let endpoint = match mode {
-        QueryMode::Threshold(_) => &shared.metrics.search,
-        QueryMode::Topk(_) => &shared.metrics.topk,
-    };
-    // Queue wait counts against the deadline, exactly as on a shard
-    // daemon: an answer computed after its deadline is overload evidence,
-    // not a result.
-    if let (Some(wait), Some(deadline)) = (queue_wait, payload_deadline(payload)) {
-        if wait >= deadline {
-            log_deadline_expired(payload.request_id, wait);
-            endpoint.record(started.elapsed());
-            return Reply::DeadlineExpired {
-                waited_ms: wait.as_millis() as u64,
-            };
-        }
-    }
-    let reply = match run_query(shared, payload, mode, queue_wait) {
-        Ok(hits) => Reply::Hits(hits),
-        Err(message) => error_reply(endpoint, message),
-    };
-    endpoint.record(started.elapsed());
-    reply
-}
-
-/// Reassemble the unified query and scatter it. The router does not know
-/// the deployment dimension (the shards do), so dimension mismatches
-/// surface as typed per-shard errors rather than a local precheck.
-fn run_query(
-    shared: &Shared,
-    payload: &QueryPayload,
-    mode: QueryMode,
-    queue_wait: Option<Duration>,
-) -> std::result::Result<HitsReply, String> {
-    let router = current_router(shared);
-    let store = VectorStore::from_raw(payload.dim as usize, payload.vectors.clone())
-        .map_err(|e| e.to_string())?;
-    let mut query = match mode {
-        QueryMode::Threshold(t) => Query::threshold(payload.tau, t),
-        QueryMode::Topk(k) => Query::topk(payload.tau, k),
-    }
-    .with_policy(clamp_policy(
-        payload.policy,
-        shared.config.max_request_threads,
-    ));
-    if !payload.metric.is_empty() {
-        query = query.expect_metric(&payload.metric);
-    }
-    query = query
-        .with_trace(payload.trace)
-        .with_explain(payload.explain);
-    if let Some(rid) = payload.request_id {
-        query = query.with_request_id(rid);
-    }
-    if let Some(ext) = &payload.ext {
-        query.options.flags = ext.flags;
-        query.options.quick_browse = ext.quick_browse;
-        query.budget = QueryBudget {
-            max_distance_computations: ext.max_distance_computations,
-            deadline: ext.deadline_ms.map(|ms| {
-                let full = Duration::from_millis(ms);
-                queue_wait.map_or(full, |w| full.saturating_sub(w))
-            }),
-        };
-    }
-    let (resp, meta) = router
-        .execute_routed(&query, &store)
-        .map_err(|e| e.to_string())?;
-    if payload.trace.enabled() {
-        let verb = match mode {
-            QueryMode::Threshold(_) => "search",
-            QueryMode::Topk(_) => "topk",
-        };
-        let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
-        shared.slow_log.offer_correlated(
-            verb,
-            resp.stats.total_time,
-            rendered,
-            meta.request_id,
-            meta.slowest_shard,
-        );
-    }
-    let v2 = payload.ext.is_some();
-    Ok(HitsReply {
-        generation: router.generation(),
-        cached: false,
-        hits: resp.hits.iter().map(Into::into).collect(),
-        ext: v2.then_some(HitsExt {
-            outcome: resp.outcome,
-            distance_computations: resp.stats.distance_computations,
-        }),
-        trace: payload.trace.enabled().then_some(resp.trace).flatten(),
-        explain: resp.explain.map(Box::new),
-    })
-}
-
-/// Warn (with the correlation id, when the frame carried one) that a
-/// request's deadline expired while it sat in the accept queue.
-fn log_deadline_expired(request_id: Option<u64>, wait: Duration) {
-    if !plog::enabled(LogLevel::Warn) {
-        return;
-    }
-    let mut fields: Vec<(&str, Value)> = Vec::with_capacity(2);
-    if let Some(rid) = request_id {
-        fields.push(("rid", Value::Rid(rid)));
-    }
-    fields.push(("waited_ms", Value::U64(wait.as_millis() as u64)));
-    plog::log(
-        LogLevel::Warn,
-        "router",
-        "deadline_expired_in_queue",
-        &fields,
-    );
-}
-
-/// Answer a V4 batch frame: one pinned routing table, per-column answers
-/// identical to the equivalent solo frames.
-fn handle_batch(
-    shared: &Shared,
-    batch: QueryBatch,
-    started: Instant,
-    queue_wait: Option<Duration>,
-) -> Reply {
-    let (endpoint, mode) = match batch.mode {
-        BatchMode::Search(t) => (&shared.metrics.search, QueryMode::Threshold(t)),
-        BatchMode::Topk(k) => (&shared.metrics.topk, QueryMode::Topk(k as usize)),
-    };
-    let deadline = batch
-        .ext
-        .as_ref()
-        .and_then(|ext| ext.deadline_ms)
-        .map(Duration::from_millis);
-    if let (Some(wait), Some(deadline)) = (queue_wait, deadline) {
-        if wait >= deadline {
-            log_deadline_expired(batch.request_id, wait);
-            endpoint.record(started.elapsed());
-            return Reply::DeadlineExpired {
-                waited_ms: wait.as_millis() as u64,
-            };
-        }
-    }
-    let mut replies = Vec::with_capacity(batch.columns.len());
-    for vectors in &batch.columns {
-        let solo = QueryPayload {
-            metric: batch.metric.clone(),
-            tau: batch.tau,
-            policy: batch.policy,
-            dim: batch.dim,
-            vectors: vectors.clone(),
-            ext: batch.ext,
-            trace: batch.trace,
-            request_id: batch.request_id,
-            explain: false,
-        };
-        match run_query(shared, &solo, mode, queue_wait) {
-            Ok(hits) => replies.push(hits),
-            Err(message) => {
-                endpoint.record(started.elapsed());
-                return error_reply(endpoint, message);
+            }
+            Request::Shutdown => Reply::ShuttingDown,
+            Request::Search { .. } | Request::Topk { .. } | Request::Batch(_) => {
+                // One pinned routing table per frame; batch columns answer
+                // exactly like the equivalent solo frames.
+                let router = self.current_router();
+                answer_query(req, ctx, |_, payload, mode| {
+                    self.run_query(&router, payload, mode, ctx.queue_wait)
+                })
             }
         }
     }
-    endpoint.record(started.elapsed());
-    Reply::HitsBatch(replies)
 }
 
-/// The `STATS` text plane: router-level counters plus per-shard and
-/// per-replica gauges (`shard<N>.…` keys, parseable with
-/// [`pexeso_serve::stat_value`]).
-fn render_stats(shared: &Shared, router: &Router) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(2048);
-    let _ = writeln!(out, "uptime_seconds={}", shared.started.elapsed().as_secs());
-    let _ = writeln!(out, "shards={}", router.shard_count());
-    let _ = writeln!(out, "generation={}", router.generation());
-    let _ = writeln!(
-        out,
-        "busy_rejections={}",
-        shared.metrics.busy_rejections.load(Ordering::Relaxed)
-    );
-    for (name, ep) in shared.metrics.endpoints() {
-        let (p50, p99) = ep.latency_quantiles_us();
-        let _ = writeln!(
-            out,
-            "{name}.requests={} {name}.errors={} {name}.p50_us={p50} {name}.p99_us={p99}",
-            ep.requests.load(Ordering::Relaxed),
-            ep.errors.load(Ordering::Relaxed),
-        );
+impl RouterHandler {
+    /// Pin the routing table for one request.
+    fn current_router(&self) -> Arc<Router> {
+        self.router
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
-    let q = router.query_latency();
-    let _ = writeln!(
-        out,
-        "query.p50_us={} query.p99_us={} query.count={}",
-        q.quantile(0.50),
-        q.quantile(0.99),
-        q.count
-    );
-    for (i, s) in router.shard_statuses().iter().enumerate() {
-        let hi = if s.hi == u64::MAX {
-            "*".to_string()
-        } else {
-            s.hi.to_string()
-        };
-        let _ = writeln!(
-            out,
-            "shard{i}.range=[{},{hi}) shard{i}.generation={} shard{i}.retries={} shard{i}.failovers={}",
-            s.lo, s.generation, s.retry.retries, s.retry.failovers,
-        );
-        for r in &s.replicas {
-            let _ = writeln!(
-                out,
-                "shard{i}.replica.{}.drained={} shard{i}.replica.{}.circuit_open={} shard{i}.replica.{}.failures={}",
-                r.addr, r.drained as u8, r.addr, r.circuit_open as u8, r.addr, r.consecutive_failures,
-            );
-        }
-    }
-    out
-}
 
-/// The `METRICS` Prometheus plane. Validated against
-/// [`pexeso_serve::validate_prometheus`] by the integration tests.
-fn render_prometheus(shared: &Shared, router: &Router) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(4096);
-    let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    gauge(
-        &mut out,
-        "pexeso_router_uptime_seconds",
-        "Seconds since the router started.",
-        shared.started.elapsed().as_secs_f64(),
-    );
-    gauge(
-        &mut out,
-        "pexeso_router_shards",
-        "Shards in the routing table.",
-        router.shard_count() as f64,
-    );
-    gauge(
-        &mut out,
-        "pexeso_router_generation",
-        "Sum of per-shard snapshot generations.",
-        router.generation() as f64,
-    );
-    let statuses = router.shard_statuses();
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_shard_generation Highest generation observed per shard."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_shard_generation gauge");
-    for (i, s) in statuses.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "pexeso_router_shard_generation{{shard=\"{i}\"}} {}",
-            s.generation
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_shard_retries_total Retries per shard client."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_shard_retries_total counter");
-    for (i, s) in statuses.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "pexeso_router_shard_retries_total{{shard=\"{i}\"}} {}",
-            s.retry.retries
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_replica_open Replica circuit state (1 = open) per shard replica."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_replica_open gauge");
-    for (i, s) in statuses.iter().enumerate() {
-        for r in &s.replicas {
-            let _ = writeln!(
-                out,
-                "pexeso_router_replica_open{{shard=\"{i}\",replica=\"{}\"}} {}",
-                r.addr, r.circuit_open as u8
+    /// Reassemble the unified query and scatter it. The router does not
+    /// know the deployment dimension (the shards do), so dimension
+    /// mismatches surface as typed per-shard errors rather than a local
+    /// precheck.
+    fn run_query(
+        &self,
+        router: &Router,
+        payload: &QueryPayload,
+        mode: QueryMode,
+        queue_wait: Option<Duration>,
+    ) -> std::result::Result<HitsReply, String> {
+        let (query, store) =
+            query_from_wire(payload, mode, self.config.max_request_threads, queue_wait)
+                .map_err(|e| e.to_string())?;
+        let (resp, meta) = router
+            .execute_routed(&query, &store)
+            .map_err(|e| e.to_string())?;
+        if payload.trace.enabled() {
+            let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
+            self.slow_log.offer_correlated(
+                verb_of(mode),
+                resp.stats.total_time,
+                rendered,
+                meta.request_id,
+                meta.slowest_shard,
             );
         }
+        Ok(hits_reply(payload, router.generation(), resp))
     }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_replica_drained Replica administrative drain state per shard replica."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_replica_drained gauge");
-    for (i, s) in statuses.iter().enumerate() {
-        for r in &s.replicas {
+
+    /// The `STATS` text plane: router-level counters plus per-shard and
+    /// per-replica gauges (`shard<N>.…` keys, parseable with
+    /// [`pexeso_serve::stat_value`]).
+    fn render_stats(&self, ctx: &RequestCtx<'_>) -> String {
+        let router = self.current_router();
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(2048);
+        let _ = writeln!(out, "uptime_seconds={}", ctx.uptime().as_secs());
+        let _ = writeln!(out, "shards={}", router.shard_count());
+        let _ = writeln!(out, "generation={}", router.generation());
+        let _ = writeln!(
+            out,
+            "busy_rejections={}",
+            ctx.counters().busy_rejections.load(Ordering::Relaxed)
+        );
+        for (name, ep) in self.metrics.endpoints() {
+            let (p50, p99) = ep.latency_quantiles_us();
             let _ = writeln!(
                 out,
-                "pexeso_router_replica_drained{{shard=\"{i}\",replica=\"{}\"}} {}",
-                r.addr, r.drained as u8
+                "{name}.requests={} {name}.errors={} {name}.p50_us={p50} {name}.p99_us={p99}",
+                ep.requests.load(Ordering::Relaxed),
+                ep.errors.load(Ordering::Relaxed),
             );
         }
-    }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_requests_total Requests served, per endpoint."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_requests_total counter");
-    for (name, ep) in shared.metrics.endpoints() {
+        let q = router.query_latency();
         let _ = writeln!(
             out,
-            "pexeso_router_requests_total{{endpoint=\"{name}\"}} {}",
-            ep.requests.load(Ordering::Relaxed)
+            "query.p50_us={} query.p99_us={} query.count={}",
+            q.quantile(0.50),
+            q.quantile(0.99),
+            q.count
         );
+        for (i, s) in router.shard_statuses().iter().enumerate() {
+            let hi = if s.hi == u64::MAX {
+                "*".to_string()
+            } else {
+                s.hi.to_string()
+            };
+            let _ = writeln!(
+                out,
+                "shard{i}.range=[{},{hi}) shard{i}.generation={} shard{i}.retries={} shard{i}.failovers={}",
+                s.lo, s.generation, s.retry.retries, s.retry.failovers,
+            );
+            for r in &s.replicas {
+                let _ = writeln!(
+                    out,
+                    "shard{i}.replica.{}.drained={} shard{i}.replica.{}.circuit_open={} shard{i}.replica.{}.failures={}",
+                    r.addr, r.drained as u8, r.addr, r.circuit_open as u8, r.addr, r.consecutive_failures,
+                );
+            }
+        }
+        out
     }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_errors_total Request errors, per endpoint."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_errors_total counter");
-    for (name, ep) in shared.metrics.endpoints() {
-        let _ = writeln!(
-            out,
-            "pexeso_router_errors_total{{endpoint=\"{name}\"}} {}",
-            ep.errors.load(Ordering::Relaxed)
+
+    /// The `METRICS` Prometheus plane. Validated against
+    /// [`pexeso_serve::validate_prometheus`] by the integration tests.
+    fn render_prometheus(&self, ctx: &RequestCtx<'_>) -> String {
+        let router = self.current_router();
+        let mut out = PromText::with_capacity(4096);
+        out.gauge(
+            "pexeso_router_uptime_seconds",
+            "Seconds since the router started.",
+            ctx.uptime().as_secs_f64(),
         );
+        out.gauge(
+            "pexeso_router_shards",
+            "Shards in the routing table.",
+            router.shard_count() as f64,
+        );
+        out.gauge(
+            "pexeso_router_generation",
+            "Sum of per-shard snapshot generations.",
+            router.generation() as f64,
+        );
+        let statuses = router.shard_statuses();
+        out.labelled(
+            "pexeso_router_shard_generation",
+            "Highest generation observed per shard.",
+            "gauge",
+            "shard",
+            statuses.iter().map(|s| s.generation).enumerate(),
+        );
+        out.labelled(
+            "pexeso_router_shard_retries_total",
+            "Retries per shard client.",
+            "counter",
+            "shard",
+            statuses.iter().map(|s| s.retry.retries).enumerate(),
+        );
+        out.family(
+            "pexeso_router_replica_open",
+            "Replica circuit state (1 = open) per shard replica.",
+            "gauge",
+        );
+        for (i, s) in statuses.iter().enumerate() {
+            for r in &s.replicas {
+                out.sample(
+                    "pexeso_router_replica_open",
+                    &format!("shard=\"{i}\",replica=\"{}\"", r.addr),
+                    r.circuit_open as u8,
+                );
+            }
+        }
+        out.family(
+            "pexeso_router_replica_drained",
+            "Replica administrative drain state per shard replica.",
+            "gauge",
+        );
+        for (i, s) in statuses.iter().enumerate() {
+            for r in &s.replicas {
+                out.sample(
+                    "pexeso_router_replica_drained",
+                    &format!("shard=\"{i}\",replica=\"{}\"", r.addr),
+                    r.drained as u8,
+                );
+            }
+        }
+        out.labelled(
+            "pexeso_router_requests_total",
+            "Requests served, per endpoint.",
+            "counter",
+            "endpoint",
+            self.metrics
+                .endpoints()
+                .map(|(name, ep)| (name, ep.requests.load(Ordering::Relaxed))),
+        );
+        out.labelled(
+            "pexeso_router_errors_total",
+            "Request errors, per endpoint.",
+            "counter",
+            "endpoint",
+            self.metrics
+                .endpoints()
+                .map(|(name, ep)| (name, ep.errors.load(Ordering::Relaxed))),
+        );
+        out.counter(
+            "pexeso_router_rejected_total",
+            "Connections rejected with BUSY.",
+            ctx.counters().busy_rejections.load(Ordering::Relaxed),
+        );
+        out.histogram(
+            "pexeso_router_query_latency_microseconds",
+            "End-to-end routed query latency (scatter + merge).",
+            &router.query_latency(),
+        );
+        out.finish()
     }
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_rejected_total Connections rejected with BUSY."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_router_rejected_total counter");
-    let _ = writeln!(
-        out,
-        "pexeso_router_rejected_total {}",
-        shared.metrics.busy_rejections.load(Ordering::Relaxed)
-    );
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_router_query_latency_microseconds End-to-end routed query latency (scatter + merge)."
-    );
-    let _ = writeln!(
-        out,
-        "# TYPE pexeso_router_query_latency_microseconds histogram"
-    );
-    write_histogram_series(
-        &mut out,
-        "pexeso_router_query_latency_microseconds",
-        "",
-        &router.query_latency(),
-    );
-    out
 }

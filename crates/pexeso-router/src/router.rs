@@ -54,9 +54,8 @@ use pexeso_core::query::{
 use pexeso_core::stats::SearchStats;
 use pexeso_core::trace::{QueryTrace, TraceSpan};
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::protocol::InfoReply;
 use pexeso_serve::resilient::ReplicaStatus;
-use pexeso_serve::{ResilientClient, ResilientConfig, RetryStats, ServeClient};
+use pexeso_serve::{ClientError, ResilientClient, ResilientConfig, RetryStats, ServeClient};
 
 use crate::shardmap::{ShardMap, ShardSpec};
 
@@ -218,7 +217,7 @@ impl Router {
         let mut partitions = 0u32;
         let mut disk_bytes = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
-            let info = shard_info(&shard.spec)?;
+            let info = first_replica(&shard.spec, "INFO", ServeClient::info)?;
             if let Some(d) = dim {
                 if d != info.dim {
                     return Err(PexesoError::InvalidParameter(format!(
@@ -571,7 +570,7 @@ impl Router {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (i, shard) in self.shards.iter().enumerate() {
-            match shard_inspect(&shard.spec) {
+            match first_replica(&shard.spec, "INSPECT", ServeClient::inspect_text) {
                 Ok(text) => {
                     for line in text.lines() {
                         let _ = writeln!(out, "shard{i}.{line}");
@@ -642,40 +641,25 @@ pub struct RoutedMeta {
     pub slowest_shard: Option<u32>,
 }
 
-/// INFO from the first reachable replica of a shard.
-fn shard_info(spec: &ShardSpec) -> Result<InfoReply> {
+/// One admin verb (`INFO`, `INSPECT`) answered by the first reachable
+/// replica of a shard.
+fn first_replica<T>(
+    spec: &ShardSpec,
+    verb: &str,
+    ask: impl Fn(&ServeClient) -> std::result::Result<T, ClientError>,
+) -> Result<T> {
     let mut last_err = None;
     for addr in &spec.replicas {
-        match ServeClient::connect(addr.as_str()).map_err(|e| e.to_string()) {
-            Ok(client) => match client.info() {
-                Ok(info) => return Ok(info),
-                Err(e) => last_err = Some(format!("{addr}: {e}")),
-            },
+        match ServeClient::connect(addr.as_str())
+            .map_err(|e| e.to_string())
+            .and_then(|client| ask(&client).map_err(|e| e.to_string()))
+        {
+            Ok(answer) => return Ok(answer),
             Err(e) => last_err = Some(format!("{addr}: {e}")),
         }
     }
     Err(PexesoError::Remote(format!(
-        "no replica of shard [{}, {}) answered INFO: {}",
-        spec.lo,
-        spec.hi,
-        last_err.unwrap_or_else(|| "no replicas".into())
-    )))
-}
-
-/// INSPECT from the first reachable replica of a shard.
-fn shard_inspect(spec: &ShardSpec) -> Result<String> {
-    let mut last_err = None;
-    for addr in &spec.replicas {
-        match ServeClient::connect(addr.as_str()).map_err(|e| e.to_string()) {
-            Ok(client) => match client.inspect_text() {
-                Ok(text) => return Ok(text),
-                Err(e) => last_err = Some(format!("{addr}: {e}")),
-            },
-            Err(e) => last_err = Some(format!("{addr}: {e}")),
-        }
-    }
-    Err(PexesoError::Remote(format!(
-        "no replica of shard [{}, {}) answered INSPECT: {}",
+        "no replica of shard [{}, {}) answered {verb}: {}",
         spec.lo,
         spec.hi,
         last_err.unwrap_or_else(|| "no replicas".into())

@@ -19,15 +19,18 @@ use std::time::Duration;
 use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
 use pexeso_core::error::PexesoError;
 use pexeso_core::outofcore::GlobalHit;
-use pexeso_core::query::{Exceeded, Query, QueryMode, QueryOutcome, QueryResponse, Queryable};
+use pexeso_core::query::{
+    Exceeded, Query, QueryBudget, QueryMode, QueryOutcome, QueryResponse, Queryable,
+};
 use pexeso_core::stats::SearchStats;
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 
 use crate::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, BatchMode, HitsReply, InfoReply,
-    QueryBatch, QueryExt, QueryPayload, Reply, Request, WireError,
+    decode_reply, encode_request, read_frame, write_frame, BatchMode, HitsExt, HitsReply,
+    InfoReply, QueryBatch, QueryExt, QueryPayload, Reply, Request, WireError, WireHit,
 };
+use crate::server::clamp_policy;
 
 /// Client-side failure modes.
 #[derive(Debug)]
@@ -126,9 +129,9 @@ pub fn query_payload(
 /// The wire request a unified [`Query`] translates to: every criterion —
 /// mode, τ, T/k, policy, metric expectation, lemma toggles, quick-browse,
 /// and budget — travels in the frame (the options/budget in the V2
-/// extension). This is the client half of the serve mapping; the server
-/// reassembles the same `Query` on the other side. Public so the
-/// round-trip can be property-tested against the frame codec.
+/// extension). This is the client half of the serve mapping;
+/// [`query_from_wire`] is its inverse on the daemon side
+/// (`tests/protocol_props.rs` pins the round trip).
 pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
     let payload = QueryPayload {
         // An empty metric string spells "no expectation": the server
@@ -167,6 +170,45 @@ fn wire_ext(query: &Query) -> QueryExt {
             .deadline
             .map(|d| d.as_nanos().div_ceil(1_000_000) as u64),
     }
+}
+
+/// The daemon half of the serve mapping, inverse of [`wire_request`]: the
+/// unified [`Query`] and query column a decoded frame describes. The wire
+/// policy is resolved under the daemon's thread ceiling
+/// ([`clamp_policy`]); an empty metric string spells "no expectation"
+/// (serve with the build metric, like every local backend does for
+/// `Query::metric = None`); a frame without the V2 extension gets the
+/// default options and an unlimited budget. `queue_wait` — the part of
+/// the deadline the request already spent in the accept queue — is
+/// subtracted, so execution gets only the remainder.
+pub fn query_from_wire(
+    payload: &QueryPayload,
+    mode: QueryMode,
+    max_request_threads: usize,
+    queue_wait: Option<Duration>,
+) -> pexeso_core::error::Result<(Query, VectorStore)> {
+    let store = VectorStore::from_raw(payload.dim as usize, payload.vectors.clone())?;
+    let mut query = match mode {
+        QueryMode::Threshold(t) => Query::threshold(payload.tau, t),
+        QueryMode::Topk(k) => Query::topk(payload.tau, k),
+    }
+    .with_policy(clamp_policy(payload.policy, max_request_threads))
+    .with_trace(payload.trace)
+    .with_explain(payload.explain);
+    query.metric = Some(payload.metric.clone()).filter(|m| !m.is_empty());
+    query.request_id = payload.request_id;
+    if let Some(ext) = &payload.ext {
+        query.options.flags = ext.flags;
+        query.options.quick_browse = ext.quick_browse;
+        query.budget = QueryBudget {
+            max_distance_computations: ext.max_distance_computations,
+            deadline: ext.deadline_ms.map(|ms| {
+                let full = Duration::from_millis(ms);
+                queue_wait.map_or(full, |w| full.saturating_sub(w))
+            }),
+        };
+    }
+    Ok((query, store))
 }
 
 /// The V4 batch frame a unified [`Query`] over many columns translates
@@ -388,12 +430,6 @@ impl ServeClient {
         }
     }
 
-    /// Old name of [`ServeClient::search_topk`].
-    #[deprecated(note = "renamed to `search_topk` to match the core verbs")]
-    pub fn topk(&self, query: QueryPayload, k: u64) -> ClientResult<HitsReply> {
-        self.search_topk(query, k)
-    }
-
     /// Execute a unified [`Query`] remotely and also return the serve-side
     /// metadata (snapshot generation, cache hit). [`Queryable::execute`]
     /// is this minus the metadata.
@@ -404,24 +440,7 @@ impl ServeClient {
     ) -> ClientResult<(QueryResponse, RemoteMeta)> {
         let reply = match self.roundtrip(&wire_request(query, vectors))? {
             Reply::Hits(hits) => hits,
-            // The deadline elapsed in the server's queue: the same typed
-            // partial outcome a local backend reports when its deadline
-            // trips before any work — empty hits, `Exceeded(Deadline)`.
-            Reply::DeadlineExpired { .. } => {
-                return Ok((
-                    QueryResponse {
-                        hits: Vec::new(),
-                        stats: SearchStats::new(),
-                        outcome: QueryOutcome::Exceeded(Exceeded::Deadline),
-                        trace: None,
-                        explain: None,
-                    },
-                    RemoteMeta {
-                        generation: 0,
-                        cached: false,
-                    },
-                ))
-            }
+            Reply::DeadlineExpired { .. } => return Ok(expired_in_queue()),
             other => return Err(unexpected("SEARCH/TOPK", &other)),
         };
         unwrap_hits_reply(reply)
@@ -444,24 +463,7 @@ impl ServeClient {
             // The whole frame expired in the server's queue; every column
             // gets the typed partial outcome a solo frame would.
             Reply::DeadlineExpired { .. } => {
-                return Ok(columns
-                    .iter()
-                    .map(|_| {
-                        (
-                            QueryResponse {
-                                hits: Vec::new(),
-                                stats: SearchStats::new(),
-                                outcome: QueryOutcome::Exceeded(Exceeded::Deadline),
-                                trace: None,
-                                explain: None,
-                            },
-                            RemoteMeta {
-                                generation: 0,
-                                cached: false,
-                            },
-                        )
-                    })
-                    .collect())
+                return Ok(columns.iter().map(|_| expired_in_queue()).collect())
             }
             other => return Err(unexpected("BATCH", &other)),
         };
@@ -617,6 +619,45 @@ impl Queryable for ServeClient {
             .into_iter()
             .map(|(resp, _meta)| resp)
             .collect())
+    }
+}
+
+/// What a `DeadlineExpired` refusal means to the caller: the deadline
+/// elapsed in the server's queue, so the answer is the same typed partial
+/// outcome a local backend reports when its deadline trips before any
+/// work — empty hits, `Exceeded(Deadline)`.
+fn expired_in_queue() -> (QueryResponse, RemoteMeta) {
+    (
+        QueryResponse {
+            hits: Vec::new(),
+            stats: SearchStats::new(),
+            outcome: QueryOutcome::Exceeded(Exceeded::Deadline),
+            trace: None,
+            explain: None,
+        },
+        RemoteMeta {
+            generation: 0,
+            cached: false,
+        },
+    )
+}
+
+/// The `HITS` entry a daemon answers `payload` with from an executed
+/// response — the daemon half of `unwrap_hits_reply` below. A request
+/// carrying the V2 extension gets the extended reply, and only a
+/// *requested* trace travels back: a daemon-sampled one exists for the
+/// slow-query log and never changes the reply shape.
+pub fn hits_reply(payload: &QueryPayload, generation: u64, resp: QueryResponse) -> HitsReply {
+    HitsReply {
+        generation,
+        cached: false,
+        hits: resp.hits.iter().map(WireHit::from).collect(),
+        ext: payload.ext.map(|_| HitsExt {
+            outcome: resp.outcome,
+            distance_computations: resp.stats.distance_computations,
+        }),
+        trace: resp.trace.filter(|_| payload.trace.enabled()),
+        explain: resp.explain.map(Box::new),
     }
 }
 

@@ -19,9 +19,14 @@
 //!   single partition;
 //! * [`cache`] — a sharded LRU result cache keyed on (query fingerprint,
 //!   τ, T/k, metric, snapshot generation), invalidated wholesale on swap;
-//! * [`server`] — a fixed worker pool over a bounded connection queue,
-//!   per-request [`pexeso_core::config::ExecPolicy`] selection (clamped by
-//!   the server), and a clean shutdown path;
+//! * [`conn`] — the connection/worker core: a fixed worker pool over a
+//!   bounded connection queue, `BUSY`/`SHED` backpressure, panic
+//!   isolation and a clean shutdown path, generic over a
+//!   [`conn::Handler`] — shared with the router daemon;
+//! * [`server`] — the shard daemon's handler over that core: pinned
+//!   snapshot, result cache, per-request
+//!   [`pexeso_core::config::ExecPolicy`] selection (clamped by the
+//!   server), admin verbs;
 //! * [`metrics`] — lock-free per-endpoint counters and log-bucketed
 //!   latency histograms ([`pexeso_core::hist::AtomicHistogram`]),
 //!   rendered as `key=value` text on the `STATS` verb and as Prometheus
@@ -34,12 +39,14 @@
 //!   own attempt/backoff spans into one correlated timeline.
 //!
 //! Served results are exact: a reply is byte-identical to what a direct
-//! [`pexeso_core::outofcore::PartitionedLake::search`] call returns, for
-//! every execution policy (the crate-wide determinism contract is also
+//! `Queryable::execute` on the served
+//! [`pexeso_core::outofcore::PartitionedLake`] returns, for every
+//! execution policy (the crate-wide determinism contract is also
 //! why a sequential and a parallel request may share one cache entry).
 
 pub mod cache;
 pub mod client;
+pub mod conn;
 pub mod metrics;
 pub mod protocol;
 pub mod resilient;
@@ -47,7 +54,9 @@ pub mod server;
 pub mod snapshot;
 
 pub use cache::{CacheStats, LruCache, ShardedCache};
-pub use client::{query_payload, wire_request, ClientError, RemoteMeta, ServeClient};
+pub use client::{
+    query_from_wire, query_payload, wire_request, ClientError, RemoteMeta, ServeClient,
+};
 pub use metrics::{stat_value, validate_prometheus, ServerMetrics, SlowQueryLog, SnapshotFacts};
 pub use protocol::{
     HitsExt, HitsReply, InfoReply, QueryExt, QueryPayload, Reply, Request, WireHit,

@@ -21,11 +21,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pexeso_core::hist::{self, bucket_upper_bound, AtomicHistogram, HistSnapshot, NUM_BUCKETS};
 
 use crate::cache::CacheStats;
+use crate::conn::ConnCounters;
 
 /// One endpoint's counters + latency histogram. Recording is atomics-only
 /// — safe to call from every worker without serialising them.
@@ -63,8 +64,11 @@ impl EndpointMetrics {
     }
 }
 
-/// All server metrics, grouped per endpoint plus daemon-wide counters
-/// and histograms.
+/// All shard-daemon metrics, grouped per endpoint plus daemon-wide
+/// counters and histograms. The backpressure counters and the queue-wait
+/// histogram live in the connection core ([`ConnCounters`]); the
+/// renderers read them from there.
+#[derive(Default)]
 pub struct ServerMetrics {
     pub search: EndpointMetrics,
     pub topk: EndpointMetrics,
@@ -74,8 +78,6 @@ pub struct ServerMetrics {
     /// Delta APPLY latency (ingest → published snapshot) rides on this
     /// endpoint's histogram.
     pub apply: EndpointMetrics,
-    /// Time a request sat in the accept queue before a worker popped it.
-    pub queue_wait: AtomicHistogram,
     /// Result-cache lookup time, split by outcome — a hit that costs as
     /// much as a miss is a sharding problem.
     pub cache_hit_lookup: AtomicHistogram,
@@ -84,14 +86,6 @@ pub struct ServerMetrics {
     pub phase_map: AtomicHistogram,
     pub phase_block: AtomicHistogram,
     pub phase_verify: AtomicHistogram,
-    /// Connections rejected with a BUSY reply (queue full).
-    pub busy_rejections: AtomicU64,
-    /// Connections rejected with a SHED reply (soft watermark crossed
-    /// before the hard BUSY limit — degradation beginning).
-    pub shed: AtomicU64,
-    /// Requests answered `DeadlineExpired`: their deadline budget
-    /// elapsed in the queue before a worker ever popped them.
-    pub expired: AtomicU64,
     /// Completed hot swaps.
     pub swaps: AtomicU64,
     /// Completed delta applies (live-ingest publishes).
@@ -101,33 +95,6 @@ pub struct ServerMetrics {
     /// cached query, which is how the tests prove a cache hit skipped the
     /// search entirely.
     pub distance_computations: AtomicU64,
-    started: Instant,
-}
-
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self {
-            search: EndpointMetrics::default(),
-            topk: EndpointMetrics::default(),
-            info: EndpointMetrics::default(),
-            stats: EndpointMetrics::default(),
-            reload: EndpointMetrics::default(),
-            apply: EndpointMetrics::default(),
-            queue_wait: AtomicHistogram::new(),
-            cache_hit_lookup: AtomicHistogram::new(),
-            cache_miss_lookup: AtomicHistogram::new(),
-            phase_map: AtomicHistogram::new(),
-            phase_block: AtomicHistogram::new(),
-            phase_verify: AtomicHistogram::new(),
-            busy_rejections: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            applies: AtomicU64::new(0),
-            distance_computations: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
 }
 
 /// The served-snapshot facts rendered into STATS alongside the counters.
@@ -165,10 +132,16 @@ impl ServerMetrics {
     }
 
     /// Render every counter as `key=value` lines (the `STATS` reply body).
-    pub fn render(&self, cache: &CacheStats, snap: &SnapshotFacts) -> String {
+    pub fn render(
+        &self,
+        uptime: Duration,
+        conn: &ConnCounters,
+        cache: &CacheStats,
+        snap: &SnapshotFacts,
+    ) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "uptime_us={}", self.started.elapsed().as_micros());
+        let _ = writeln!(out, "uptime_us={}", uptime.as_micros());
         let _ = writeln!(out, "snapshot.generation={}", snap.generation);
         let _ = writeln!(out, "snapshot.index_version={}", snap.index_version);
         let _ = writeln!(out, "snapshot.partitions={}", snap.partitions);
@@ -181,10 +154,10 @@ impl ServerMetrics {
         let _ = writeln!(
             out,
             "busy_rejections={}",
-            self.busy_rejections.load(Ordering::Relaxed)
+            conn.busy_rejections.load(Ordering::Relaxed)
         );
-        let _ = writeln!(out, "shed={}", self.shed.load(Ordering::Relaxed));
-        let _ = writeln!(out, "expired={}", self.expired.load(Ordering::Relaxed));
+        let _ = writeln!(out, "shed={}", conn.shed.load(Ordering::Relaxed));
+        let _ = writeln!(out, "expired={}", conn.expired.load(Ordering::Relaxed));
         let _ = writeln!(
             out,
             "distance_computations={}",
@@ -197,7 +170,7 @@ impl ServerMetrics {
         let _ = writeln!(out, "cache.misses={}", cache.misses);
         let _ = writeln!(out, "cache.insertions={}", cache.insertions);
         let _ = writeln!(out, "cache.evictions={}", cache.evictions);
-        let qw = self.queue_wait.snapshot();
+        let qw = conn.queue_wait.snapshot();
         let _ = writeln!(out, "queue_wait.p50_us={}", qw.quantile(0.50));
         let _ = writeln!(out, "queue_wait.p99_us={}", qw.quantile(0.99));
         for (name, ep) in self.endpoints() {
@@ -221,232 +194,244 @@ impl ServerMetrics {
     /// `+Inf`) — full resolution stays queryable via `STATS` quantiles,
     /// the scrape stays small. Output passes [`validate_prometheus`],
     /// which the CI smoke job asserts against a live daemon.
-    pub fn render_prometheus(&self, cache: &CacheStats, snap: &SnapshotFacts) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(8192);
-
-        let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        gauge(
-            &mut out,
+    pub fn render_prometheus(
+        &self,
+        uptime: Duration,
+        conn: &ConnCounters,
+        cache: &CacheStats,
+        snap: &SnapshotFacts,
+    ) -> String {
+        let mut out = PromText::with_capacity(8192);
+        out.gauge(
             "pexeso_uptime_seconds",
             "Seconds since the daemon started.",
-            self.started.elapsed().as_secs_f64(),
+            uptime.as_secs_f64(),
         );
-        gauge(
-            &mut out,
+        out.gauge(
             "pexeso_snapshot_generation",
             "Generation of the served snapshot.",
             snap.generation as f64,
         );
-        gauge(
-            &mut out,
+        out.gauge(
             "pexeso_snapshot_partitions",
             "Partitions in the served snapshot.",
             snap.partitions as f64,
         );
-        gauge(
-            &mut out,
+        out.gauge(
             "pexeso_delta_columns",
             "Live delta columns ingested since the base build.",
             snap.delta_columns as f64,
         );
-        gauge(
-            &mut out,
+        out.gauge(
             "pexeso_cache_len",
             "Entries in the result cache.",
             cache.len as f64,
         );
 
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_requests_total Requests served, per endpoint."
+        out.labelled(
+            "pexeso_requests_total",
+            "Requests served, per endpoint.",
+            "counter",
+            "endpoint",
+            self.endpoints()
+                .map(|(name, ep)| (name, ep.requests.load(Ordering::Relaxed))),
         );
-        let _ = writeln!(out, "# TYPE pexeso_requests_total counter");
-        for (name, ep) in self.endpoints() {
-            let _ = writeln!(
-                out,
-                "pexeso_requests_total{{endpoint=\"{name}\"}} {}",
-                ep.requests.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_errors_total Request errors, per endpoint."
+        out.labelled(
+            "pexeso_errors_total",
+            "Request errors, per endpoint.",
+            "counter",
+            "endpoint",
+            self.endpoints()
+                .map(|(name, ep)| (name, ep.errors.load(Ordering::Relaxed))),
         );
-        let _ = writeln!(out, "# TYPE pexeso_errors_total counter");
-        for (name, ep) in self.endpoints() {
-            let _ = writeln!(
-                out,
-                "pexeso_errors_total{{endpoint=\"{name}\"}} {}",
-                ep.errors.load(Ordering::Relaxed)
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_rejected_total Requests rejected before execution, by reason."
+        out.labelled(
+            "pexeso_rejected_total",
+            "Requests rejected before execution, by reason.",
+            "counter",
+            "reason",
+            [
+                ("busy", conn.busy_rejections.load(Ordering::Relaxed)),
+                ("shed", conn.shed.load(Ordering::Relaxed)),
+                ("expired", conn.expired.load(Ordering::Relaxed)),
+            ],
         );
-        let _ = writeln!(out, "# TYPE pexeso_rejected_total counter");
-        for (reason, v) in [
-            ("busy", &self.busy_rejections),
-            ("shed", &self.shed),
-            ("expired", &self.expired),
-        ] {
-            let _ = writeln!(
-                out,
-                "pexeso_rejected_total{{reason=\"{reason}\"}} {}",
-                v.load(Ordering::Relaxed)
-            );
-        }
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        counter(
-            &mut out,
+        out.counter(
             "pexeso_swaps_total",
             "Completed hot snapshot swaps.",
             self.swaps.load(Ordering::Relaxed),
         );
-        counter(
-            &mut out,
+        out.counter(
             "pexeso_applies_total",
             "Completed delta applies.",
             self.applies.load(Ordering::Relaxed),
         );
-        counter(
-            &mut out,
+        out.counter(
             "pexeso_distance_computations_total",
             "Exact distance computations across all served searches.",
             self.distance_computations.load(Ordering::Relaxed),
         );
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_cache_ops_total Result-cache operations, by kind."
+        out.labelled(
+            "pexeso_cache_ops_total",
+            "Result-cache operations, by kind.",
+            "counter",
+            "op",
+            [
+                ("hit", cache.hits),
+                ("miss", cache.misses),
+                ("insert", cache.insertions),
+                ("evict", cache.evictions),
+            ],
         );
-        let _ = writeln!(out, "# TYPE pexeso_cache_ops_total counter");
-        for (op, v) in [
-            ("hit", cache.hits),
-            ("miss", cache.misses),
-            ("insert", cache.insertions),
-            ("evict", cache.evictions),
-        ] {
-            let _ = writeln!(out, "pexeso_cache_ops_total{{op=\"{op}\"}} {v}");
-        }
-
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_request_latency_microseconds Request handling latency, per endpoint."
+        out.labelled_histograms(
+            "pexeso_request_latency_microseconds",
+            "Request handling latency, per endpoint.",
+            "endpoint",
+            self.endpoints()
+                .map(|(name, ep)| (name, ep.latency_snapshot())),
         );
-        let _ = writeln!(out, "# TYPE pexeso_request_latency_microseconds histogram");
-        for (name, ep) in self.endpoints() {
-            write_histogram_series(
-                &mut out,
-                "pexeso_request_latency_microseconds",
-                &format!("endpoint=\"{name}\""),
-                &ep.latency_snapshot(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_phase_microseconds Per-phase search time (Table VI breakdown)."
+        out.labelled_histograms(
+            "pexeso_phase_microseconds",
+            "Per-phase search time (Table VI breakdown).",
+            "phase",
+            [
+                ("map", self.phase_map.snapshot()),
+                ("block", self.phase_block.snapshot()),
+                ("verify", self.phase_verify.snapshot()),
+            ],
         );
-        let _ = writeln!(out, "# TYPE pexeso_phase_microseconds histogram");
-        for (phase, h) in [
-            ("map", &self.phase_map),
-            ("block", &self.phase_block),
-            ("verify", &self.phase_verify),
-        ] {
-            write_histogram_series(
-                &mut out,
-                "pexeso_phase_microseconds",
-                &format!("phase=\"{phase}\""),
-                &h.snapshot(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "# HELP pexeso_cache_lookup_microseconds Result-cache lookup time, by outcome."
+        out.labelled_histograms(
+            "pexeso_cache_lookup_microseconds",
+            "Result-cache lookup time, by outcome.",
+            "result",
+            [
+                ("hit", self.cache_hit_lookup.snapshot()),
+                ("miss", self.cache_miss_lookup.snapshot()),
+            ],
         );
-        let _ = writeln!(out, "# TYPE pexeso_cache_lookup_microseconds histogram");
-        for (result, h) in [
-            ("hit", &self.cache_hit_lookup),
-            ("miss", &self.cache_miss_lookup),
-        ] {
-            write_histogram_series(
-                &mut out,
-                "pexeso_cache_lookup_microseconds",
-                &format!("result=\"{result}\""),
-                &h.snapshot(),
-            );
-        }
-        let plain_hist = |out: &mut String, name: &str, help: &str, s: &HistSnapshot| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            write_histogram_series(out, name, "", s);
-        };
-        plain_hist(
-            &mut out,
+        out.histogram(
             "pexeso_queue_wait_microseconds",
             "Time requests waited in the accept queue.",
-            &self.queue_wait.snapshot(),
+            &conn.queue_wait.snapshot(),
         );
-        plain_hist(
-            &mut out,
+        out.histogram(
             "pexeso_wal_append_microseconds",
             "Delta WAL record append latency (write + flush).",
             &hist::global::WAL_APPEND.snapshot(),
         );
-        plain_hist(
-            &mut out,
+        out.histogram(
             "pexeso_wal_fsync_microseconds",
             "Delta WAL fsync latency.",
             &hist::global::WAL_FSYNC.snapshot(),
         );
-        out
+        out.finish()
     }
 }
 
-/// Append one labelled histogram series (`_bucket`s, `_sum`, `_count`) in
-/// Prometheus text format. `labels` is the inner label list without
-/// braces (may be empty); `le` is appended to it.
-/// Append one Prometheus histogram series (`_bucket`/`_sum`/`_count`) for
-/// a [`HistSnapshot`], sampled at octave boundaries. The caller owns the
-/// family's `# HELP`/`# TYPE` header; this is shared by the server's
-/// `METRICS` verb and the router tier's metrics plane so both render the
-/// same bucket layout.
-pub fn write_histogram_series(out: &mut String, name: &str, labels: &str, s: &HistSnapshot) {
-    use std::fmt::Write as _;
-    let sep = if labels.is_empty() { "" } else { "," };
-    let mut cumulative = 0u64;
-    let mut next_bound = 0usize;
-    for (i, &c) in s.buckets.iter().enumerate() {
-        cumulative += c;
-        // Emit at every octave boundary (every 8th bucket ends an octave).
-        if i == next_bound {
-            let le = bucket_upper_bound(i);
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cumulative}"
-            );
-            next_bound += 8;
+/// A Prometheus text-exposition writer: the one place the `# HELP` /
+/// `# TYPE` header and sample-line syntax is spelled, shared by the shard
+/// daemon's `METRICS` planes and the router tier's so every scrape
+/// renders the same layout. Output passes [`validate_prometheus`].
+pub struct PromText(String);
+
+impl PromText {
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self(String::with_capacity(capacity))
+    }
+
+    pub fn finish(self) -> String {
+        self.0
+    }
+
+    /// Open a metric family: its `# HELP` and `# TYPE` lines (`kind` is
+    /// `gauge`, `counter` or `histogram`). The family's samples follow.
+    pub fn family(&mut self, name: &str, help: &str, kind: &str) {
+        use std::fmt::Write as _;
+        let _ = writeln!(self.0, "# HELP {name} {help}");
+        let _ = writeln!(self.0, "# TYPE {name} {kind}");
+    }
+
+    /// One sample line. `labels` is the inner label list without braces
+    /// (may be empty — `name{}` is not universally accepted by Prometheus
+    /// text parsers, so the braces are omitted then).
+    pub fn sample(&mut self, name: &str, labels: &str, value: impl std::fmt::Display) {
+        use std::fmt::Write as _;
+        let _ = if labels.is_empty() {
+            writeln!(self.0, "{name} {value}")
+        } else {
+            writeln!(self.0, "{name}{{{labels}}} {value}")
+        };
+    }
+
+    /// A family whose samples differ in one label: the header plus one
+    /// `name{key="label"} value` line per item.
+    pub fn labelled<L: std::fmt::Display, V: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: &str,
+        key: &str,
+        samples: impl IntoIterator<Item = (L, V)>,
+    ) {
+        self.family(name, help, kind);
+        for (label, value) in samples {
+            self.sample(name, &format!("{key}=\"{label}\""), value);
         }
     }
-    debug_assert_eq!(next_bound, NUM_BUCKETS);
-    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", s.count);
-    // Omit the braces entirely on label-free series — `name{}` is not
-    // universally accepted by Prometheus text parsers.
-    let wrapped = if labels.is_empty() {
-        String::new()
-    } else {
-        format!("{{{labels}}}")
-    };
-    let _ = writeln!(out, "{name}_sum{wrapped} {}", s.sum);
-    let _ = writeln!(out, "{name}_count{wrapped} {}", s.count);
+
+    /// A histogram family with one series per value of one label.
+    pub fn labelled_histograms<L: std::fmt::Display>(
+        &mut self,
+        name: &str,
+        help: &str,
+        key: &str,
+        series: impl IntoIterator<Item = (L, HistSnapshot)>,
+    ) {
+        self.family(name, help, "histogram");
+        for (label, s) in series {
+            self.histogram_series(name, &format!("{key}=\"{label}\""), &s);
+        }
+    }
+
+    /// A label-free gauge family with its one sample.
+    pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
+        self.family(name, help, "gauge");
+        self.sample(name, "", value);
+    }
+
+    /// A label-free counter family with its one sample.
+    pub fn counter(&mut self, name: &str, help: &str, value: u64) {
+        self.family(name, help, "counter");
+        self.sample(name, "", value);
+    }
+
+    /// A label-free histogram family with its one series.
+    pub fn histogram(&mut self, name: &str, help: &str, s: &HistSnapshot) {
+        self.family(name, help, "histogram");
+        self.histogram_series(name, "", s);
+    }
+
+    /// One labelled histogram series (`_bucket`s, `_sum`, `_count`) of an
+    /// already-opened family, sampled at octave boundaries; `le` is
+    /// appended to `labels`.
+    pub fn histogram_series(&mut self, name: &str, labels: &str, s: &HistSnapshot) {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let bucket = format!("{name}_bucket");
+        let mut cumulative = 0u64;
+        let mut next_bound = 0usize;
+        for (i, &c) in s.buckets.iter().enumerate() {
+            cumulative += c;
+            // Emit at every octave boundary (every 8th bucket ends an octave).
+            if i == next_bound {
+                let le = bucket_upper_bound(i);
+                self.sample(&bucket, &format!("{labels}{sep}le=\"{le}\""), cumulative);
+                next_bound += 8;
+            }
+        }
+        debug_assert_eq!(next_bound, NUM_BUCKETS);
+        self.sample(&bucket, &format!("{labels}{sep}le=\"+Inf\""), s.count);
+        self.sample(&format!("{name}_sum"), labels, s.sum);
+        self.sample(&format!("{name}_count"), labels, s.count);
+    }
 }
 
 /// The introspection plane's Prometheus families: structural index
@@ -454,79 +439,54 @@ pub fn write_histogram_series(out: &mut String, name: &str, labels: &str, s: &Hi
 /// scrape by the daemon (per generation — the underlying walk is
 /// memoised snapshot-side). Passes [`validate_prometheus`].
 pub fn render_inspection_prometheus(insp: &pexeso_core::inspect::IndexInspection) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(2048);
-    let gauge = |out: &mut String, name: &str, help: &str, v: f64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {v}");
-    };
+    let mut out = PromText::with_capacity(2048);
     let (columns, deleted, vectors, cells, postings) = insp.totals();
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_columns",
         "Columns indexed across every partition (tombstoned included).",
         columns as f64,
     );
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_deleted_columns",
         "Tombstoned columns awaiting compaction.",
         deleted as f64,
     );
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_vectors",
         "Repository vectors indexed across every partition.",
         vectors as f64,
     );
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_cells",
         "Non-empty leaf cells of the repository grid.",
         cells as f64,
     );
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_postings",
         "Total inverted-index postings entries.",
         postings as f64,
     );
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_delta_vectors",
         "Vectors living in the delta overlay (unindexed by the base).",
         insp.delta_vectors as f64,
     );
-    gauge(
-        &mut out,
+    out.gauge(
         "pexeso_index_delta_records",
         "Delta-log records replayed into the overlay.",
         insp.delta_records as f64,
     );
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_index_postings_length Distinct columns per non-empty leaf cell."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_index_postings_length histogram");
-    write_histogram_series(
-        &mut out,
+    out.histogram(
         "pexeso_index_postings_length",
-        "",
+        "Distinct columns per non-empty leaf cell.",
         &insp.postings_len(),
     );
-    let _ = writeln!(
-        out,
-        "# HELP pexeso_index_cell_occupancy Vectors per non-empty leaf cell."
-    );
-    let _ = writeln!(out, "# TYPE pexeso_index_cell_occupancy histogram");
-    write_histogram_series(
-        &mut out,
+    out.histogram(
         "pexeso_index_cell_occupancy",
-        "",
+        "Vectors per non-empty leaf cell.",
         &insp.cell_occupancy(),
     );
-    out
+    out.finish()
 }
 
 /// Split a `name="value",…` label body into pairs, validating Prometheus
@@ -927,8 +887,9 @@ mod tests {
     #[test]
     fn render_and_parse_roundtrip() {
         let m = ServerMetrics::default();
+        let conn = ConnCounters::default();
         m.search.record(Duration::from_micros(250));
-        m.busy_rejections.fetch_add(3, Ordering::Relaxed);
+        conn.busy_rejections.fetch_add(3, Ordering::Relaxed);
         let cache = CacheStats {
             hits: 7,
             misses: 2,
@@ -937,6 +898,8 @@ mod tests {
             ..Default::default()
         };
         let text = m.render(
+            Duration::from_secs(1),
+            &conn,
             &cache,
             &SnapshotFacts {
                 generation: 2,
@@ -968,7 +931,8 @@ mod tests {
         let m = ServerMetrics::default();
         m.search.record(Duration::from_micros(250));
         m.topk.record(Duration::from_micros(42));
-        m.queue_wait.record(17);
+        let conn = ConnCounters::default();
+        conn.queue_wait.record(17);
         m.cache_hit_lookup.record(3);
         m.record_phases(&pexeso_core::stats::SearchStats {
             mapping_time: Duration::from_micros(10),
@@ -976,7 +940,12 @@ mod tests {
             verify_time: Duration::from_micros(30),
             ..Default::default()
         });
-        let text = m.render_prometheus(&CacheStats::default(), &SnapshotFacts::default());
+        let text = m.render_prometheus(
+            Duration::ZERO,
+            &conn,
+            &CacheStats::default(),
+            &SnapshotFacts::default(),
+        );
         validate_prometheus(&text).unwrap();
         assert!(text.contains("# TYPE pexeso_request_latency_microseconds histogram"));
         assert!(text.contains("pexeso_requests_total{endpoint=\"search\"} 1"));

@@ -1,25 +1,19 @@
-//! The serving daemon: listener, worker pool, dispatch.
+//! The shard daemon: a [`Handler`] serving one resident
+//! [`crate::snapshot::Snapshot`] behind the connection core in
+//! [`crate::conn`] (listener, bounded queue, worker pool, backpressure,
+//! shutdown — shared with the router daemon).
 //!
-//! One acceptor thread owns the listening socket and feeds accepted
-//! connections into a bounded queue; a fixed pool of worker threads pops
-//! connections and serves request frames until the peer closes. When the
-//! queue is full the acceptor answers the connection with a single BUSY
-//! frame and drops it — explicit backpressure instead of unbounded
-//! queueing, so a traffic spike degrades into fast rejections rather than
-//! ballooning latency for everyone.
-//!
-//! Each query request grabs the current [`crate::snapshot::Snapshot`] `Arc` once and uses
+//! Each query request grabs the current snapshot `Arc` once and uses
 //! it end-to-end; a concurrent `RELOAD` hot-swaps the cell without
 //! touching in-flight queries (they finish on the old snapshot, new
 //! arrivals see the new generation). Served results are memoised in the
 //! sharded result cache, keyed on the query fingerprint + snapshot
 //! generation and cleared wholesale on swap.
 
-use std::collections::{HashMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pexeso_core::config::ExecPolicy;
@@ -27,16 +21,19 @@ use pexeso_core::error::Result;
 use pexeso_core::fault;
 use pexeso_core::inspect::IndexInspection;
 use pexeso_core::log::{self as plog, LogLevel, Value};
-use pexeso_core::query::{Query, QueryBudget, QueryMode, QueryOutcome, Queryable};
-use pexeso_core::vector::VectorStore;
-
+use pexeso_core::query::{QueryMode, QueryOutcome, Queryable};
 use pexeso_core::trace::TraceLevel;
 
 use crate::cache::ShardedCache;
+use crate::client::{hits_reply, query_from_wire};
+use crate::conn::{
+    answer_query, error_reply, failed, lock_unpoisoned, serve, verb_of, ConnConfig, ConnHandle,
+    Handler, RequestCtx,
+};
 use crate::metrics::{EndpointMetrics, ServerMetrics, SlowQueryLog, SnapshotFacts};
 use crate::protocol::{
-    decode_request, encode_reply, query_fingerprint, read_frame, write_frame, BatchMode, HitsExt,
-    HitsReply, InfoReply, QueryBatch, QueryPayload, Reply, Request, WireHit,
+    query_fingerprint, BatchMode, HitsExt, HitsReply, InfoReply, QueryBatch, QueryPayload, Reply,
+    Request, WireHit,
 };
 use crate::snapshot::{Snapshot, SnapshotCell};
 
@@ -108,55 +105,23 @@ fn sample_stride(rate: f64) -> u64 {
     }
 }
 
-/// One accepted connection waiting for a worker, stamped with its accept
-/// time so queue wait can be charged against the request's deadline.
-struct QueuedConn {
-    stream: TcpStream,
-    accepted_at: Instant,
-}
-
-struct Shared {
+/// What a shard daemon serves: the snapshot cell, its result cache, and
+/// the shard-side observability planes.
+pub struct ShardHandler {
     snapshot: SnapshotCell,
     cache: ShardedCache<Arc<Vec<WireHit>>>,
     metrics: ServerMetrics,
     config: ServeConfig,
-    queue: Mutex<VecDeque<QueuedConn>>,
-    queue_cv: Condvar,
-    shutting_down: AtomicBool,
-    addr: SocketAddr,
-    /// Accept-sequence counter inside the soft-watermark band, driving
-    /// the deterministic every-other shed.
-    shed_seq: AtomicU64,
     /// Slowest sampled/traced requests with their phase trees.
     slow_log: SlowQueryLog,
     /// Untraced-request counter driving the deterministic 1-in-N trace
     /// sampler (`sample_stride` of the configured rate; 0 = off).
     sample_seq: AtomicU64,
     sample_every: u64,
-    /// Every connection currently owned by a worker, keyed by an
-    /// arbitrary id. Shutdown closes these sockets directly so an idle
-    /// keep-alive peer (e.g. a router's pooled connection) cannot hold
-    /// a worker hostage for a full `read_timeout`.
-    live_conns: Mutex<HashMap<u64, TcpStream>>,
-    conn_seq: AtomicU64,
     /// The `INSPECT` walk is a full pass over every resident partition;
     /// memoise it per generation so repeated scrapes (text verb and the
     /// Prometheus gauges) pay it once per publish.
     inspection: Mutex<Option<(u64, Arc<IndexInspection>)>>,
-}
-
-/// The memoised structural statistics of the snapshot's generation,
-/// computing (and caching) them on first use after a publish.
-fn inspection_of(shared: &Shared, snap: &Arc<Snapshot>) -> Arc<IndexInspection> {
-    let mut slot = shared.inspection.lock().expect("inspection cache poisoned");
-    if let Some((generation, insp)) = slot.as_ref() {
-        if *generation == snap.generation() {
-            return insp.clone();
-        }
-    }
-    let insp = Arc::new(snap.inspect());
-    *slot = Some((snap.generation(), insp.clone()));
-    insp
 }
 
 /// The daemon entry point.
@@ -171,717 +136,355 @@ impl Server {
         config: ServeConfig,
     ) -> Result<ServerHandle> {
         let snapshot = SnapshotCell::open(index_dir)?;
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
+        let conn = ConnConfig {
+            component: "serve",
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            queue_soft_watermark: config.queue_soft_watermark,
+            read_timeout: config.read_timeout,
+            reject_write_timeout: config.reject_write_timeout,
+        };
+        let handler = ShardHandler {
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
             metrics: ServerMetrics::default(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutting_down: AtomicBool::new(false),
-            addr: local_addr,
-            shed_seq: AtomicU64::new(0),
             slow_log: SlowQueryLog::new(config.slow_log_capacity),
             sample_seq: AtomicU64::new(0),
             sample_every: sample_stride(config.metrics_sample_rate),
-            live_conns: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
             inspection: Mutex::new(None),
             snapshot,
             config,
-        });
+        };
+        Ok(serve(addr, conn, handler)?)
+    }
+}
 
-        let mut threads = Vec::with_capacity(workers + 1);
-        {
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || accept_loop(listener, &shared)));
-        }
-        for _ in 0..workers {
-            let shared = shared.clone();
-            threads.push(std::thread::spawn(move || worker_loop(&shared)));
-        }
-        Ok(ServerHandle {
-            addr: local_addr,
-            threads,
-            shared,
+/// A running daemon: `addr()`, `shutdown()` (initiate and join; in-flight
+/// connections finish their current request, queued ones are still
+/// served) and `join()` (block until a protocol `SHUTDOWN`).
+pub type ServerHandle = ConnHandle<ShardHandler>;
+
+impl Handler for ShardHandler {
+    fn endpoint(&self, req: &Request) -> Option<&EndpointMetrics> {
+        let m = &self.metrics;
+        Some(match req {
+            Request::Search { .. }
+            | Request::Batch(QueryBatch {
+                mode: BatchMode::Search(_),
+                ..
+            }) => &m.search,
+            Request::Topk { .. } | Request::Batch(_) => &m.topk,
+            Request::Info => &m.info,
+            Request::Stats
+            | Request::Metrics
+            | Request::Inspect
+            | Request::Health
+            | Request::SlowLog => &m.stats,
+            Request::Reload { .. } => &m.reload,
+            Request::ApplyDelta { .. } => &m.apply,
+            Request::Drain { .. } | Request::Shutdown => return None,
         })
     }
-}
 
-/// A running daemon: its address plus the thread handles to join.
-pub struct ServerHandle {
-    addr: SocketAddr,
-    threads: Vec<std::thread::JoinHandle<()>>,
-    shared: Arc<Shared>,
-}
-
-impl ServerHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Initiate shutdown (idempotent) and join every server thread.
-    /// In-flight connections finish their current request; queued
-    /// connections are still served before workers exit.
-    pub fn shutdown(mut self) {
-        initiate_shutdown(&self.shared);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+    fn handle(&self, req: Request, ctx: &RequestCtx<'_>) -> Reply {
+        match req {
+            Request::Info => {
+                let snap = self.snapshot.current();
+                match snap.lake().disk_bytes() {
+                    Ok(disk_bytes) => Reply::Info(InfoReply {
+                        dim: snap.dim() as u32,
+                        generation: snap.generation(),
+                        index_version: snap.manifest().index_version,
+                        partitions: snap.lake().num_partitions() as u32,
+                        disk_bytes,
+                    }),
+                    Err(e) => error_reply(ctx, e.to_string()),
+                }
+            }
+            Request::Stats => {
+                let snap = self.snapshot.current();
+                Reply::Stats {
+                    text: self.metrics.render(
+                        ctx.uptime(),
+                        ctx.counters(),
+                        &self.cache.stats(),
+                        &facts_of(&snap),
+                    ),
+                }
+            }
+            Request::Metrics => {
+                let snap = self.snapshot.current();
+                let mut text = self.metrics.render_prometheus(
+                    ctx.uptime(),
+                    ctx.counters(),
+                    &self.cache.stats(),
+                    &facts_of(&snap),
+                );
+                // The introspection plane rides the same scrape: structural
+                // index gauges + cell-shape histograms per generation.
+                text.push_str(&crate::metrics::render_inspection_prometheus(
+                    &self.inspection_of(&snap),
+                ));
+                Reply::Stats { text }
+            }
+            Request::Inspect => {
+                let snap = self.snapshot.current();
+                let mut text = format!("generation={}\n", snap.generation());
+                text.push_str(&self.inspection_of(&snap).render_text());
+                Reply::Stats { text }
+            }
+            Request::Health => Reply::Stats {
+                text: self.render_health(ctx),
+            },
+            // A shard daemon owns no replica set; draining happens at the
+            // router tier (which rewrites its routing table) or by simply
+            // shutting the daemon down.
+            Request::Drain { .. } => Reply::Err {
+                message: "DRAIN is a router verb; a shard daemon has no replica set".into(),
+            },
+            Request::SlowLog => Reply::Stats {
+                text: self.slow_log.render(),
+            },
+            Request::Reload { dir } => {
+                let target: Option<PathBuf> = dir.map(PathBuf::from);
+                match self.snapshot.swap(target.as_deref()) {
+                    Ok(fresh) => {
+                        // Every cached entry keyed the old generation; release
+                        // the memory in one sweep.
+                        self.cache.clear();
+                        self.metrics.swaps.fetch_add(1, Ordering::Relaxed);
+                        plog::log(
+                            LogLevel::Info,
+                            "serve",
+                            "reloaded",
+                            &[
+                                ("generation", fresh.generation().into()),
+                                ("partitions", (fresh.lake().num_partitions() as u64).into()),
+                            ],
+                        );
+                        Reply::Reloaded {
+                            generation: fresh.generation(),
+                            partitions: fresh.lake().num_partitions() as u32,
+                        }
+                    }
+                    // A failed load leaves the served snapshot untouched.
+                    Err(e) => failed(ctx, "reload_failed", e),
+                }
+            }
+            // The routed-ingest shard tail is addressing for the router tier;
+            // a shard daemon owns exactly one deployment and applies it.
+            Request::ApplyDelta { shard: _ } => {
+                // Live ingest: republish from the delta log, sharing the
+                // resident base. Cached entries keyed the old generation;
+                // clear them so fresh queries see the new overlay. The fault
+                // point arms a deterministic window for kill-mid-APPLY tests.
+                match fault::check("serve.apply")
+                    .map_err(pexeso_core::error::PexesoError::Io)
+                    .and_then(|()| self.snapshot.apply_delta())
+                {
+                    Ok(fresh) => {
+                        self.cache.clear();
+                        self.metrics.applies.fetch_add(1, Ordering::Relaxed);
+                        plog::log(
+                            LogLevel::Info,
+                            "serve",
+                            "delta_applied",
+                            &[
+                                ("generation", fresh.generation().into()),
+                                ("delta_columns", (fresh.delta_columns() as u64).into()),
+                                ("tombstones", (fresh.delta_tombstones() as u64).into()),
+                            ],
+                        );
+                        Reply::Applied {
+                            generation: fresh.generation(),
+                            delta_columns: fresh.delta_columns() as u64,
+                            tombstones: fresh.delta_tombstones() as u64,
+                        }
+                    }
+                    // A failed apply leaves the served snapshot untouched.
+                    Err(e) => failed(ctx, "apply_failed", e),
+                }
+            }
+            Request::Shutdown => Reply::ShuttingDown,
+            Request::Search { .. } | Request::Topk { .. } | Request::Batch(_) => {
+                // Pin the snapshot for the whole frame: a concurrent hot swap
+                // must never split one query — or one batch — across two
+                // index states. Batch columns hit and fill the same cache
+                // lines as the equivalent solo queries.
+                let snap = self.snapshot.current();
+                answer_query(req, ctx, |solo, payload, mode| {
+                    self.run_query_on(&snap, solo, payload, mode, ctx.queue_wait)
+                })
+            }
         }
     }
+}
 
-    /// Block until the server shuts down via a protocol `SHUTDOWN`.
-    pub fn join(mut self) {
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+/// The served-snapshot facts STATS and METRICS render.
+fn facts_of(snap: &Snapshot) -> SnapshotFacts {
+    SnapshotFacts {
+        generation: snap.generation(),
+        index_version: snap.manifest().index_version,
+        partitions: snap.lake().num_partitions(),
+        dim: snap.dim(),
+        delta_columns: snap.delta_columns(),
+        delta_tombstones: snap.delta_tombstones(),
+        delta_records: snap.overlay().n_records(),
+    }
+}
+
+impl ShardHandler {
+    /// The memoised structural statistics of the snapshot's generation,
+    /// computing (and caching) them on first use after a publish.
+    fn inspection_of(&self, snap: &Arc<Snapshot>) -> Arc<IndexInspection> {
+        let mut slot = lock_unpoisoned(&self.inspection);
+        if let Some((generation, insp)) = slot.as_ref() {
+            if *generation == snap.generation() {
+                return insp.clone();
+            }
         }
+        let insp = Arc::new(snap.inspect());
+        *slot = Some((snap.generation(), insp.clone()));
+        insp
     }
-}
 
-fn initiate_shutdown(shared: &Shared) {
-    if shared.shutting_down.swap(true, Ordering::SeqCst) {
-        return; // already shutting down
-    }
-    shared.queue_cv.notify_all();
-    // The acceptor is parked in `accept`; poke it with a throwaway
-    // connection so it observes the flag.
-    let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
-    // Workers parked in `read_frame` on idle keep-alive connections
-    // would otherwise only notice the flag after `read_timeout`; close
-    // the sockets out from under them so they return immediately.
-    for conn in shared
-        .live_conns
-        .lock()
-        .expect("conn registry poisoned")
-        .values()
-    {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// RAII registration of a worker-owned connection in the shutdown
-/// registry; deregisters on every exit path out of `handle_connection`.
-struct ConnRegistration<'a> {
-    shared: &'a Shared,
-    id: u64,
-}
-
-impl Drop for ConnRegistration<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut conns) = self.shared.live_conns.lock() {
-            conns.remove(&self.id);
-        }
-    }
-}
-
-fn register_conn<'a>(shared: &'a Shared, stream: &TcpStream) -> Option<ConnRegistration<'a>> {
-    let clone = stream.try_clone().ok()?;
-    let id = shared.conn_seq.fetch_add(1, Ordering::Relaxed);
-    shared
-        .live_conns
-        .lock()
-        .expect("conn registry poisoned")
-        .insert(id, clone);
-    Some(ConnRegistration { shared, id })
-}
-
-fn accept_loop(listener: TcpListener, shared: &Shared) {
-    for conn in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let accepted_at = Instant::now();
-        let mut queue = shared.queue.lock().expect("connection queue poisoned");
-        let len = queue.len();
-        if len >= shared.config.queue_capacity {
-            drop(queue);
-            // Explicit backpressure: one BUSY frame, then hang up.
-            shared
-                .metrics
-                .busy_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            plog::log(
-                LogLevel::Warn,
-                "serve",
-                "busy_rejected",
-                &[("queue_depth", (len as u64).into())],
-            );
-            reject(shared, stream, &Reply::Busy);
-        } else if shared
+    /// The `HEALTH` verb body: one `status=` line an orchestrator can gate
+    /// on, plus the facts behind the verdict. `draining` while a shutdown is
+    /// in flight, `degraded` when the accept queue has crossed the soft
+    /// shed watermark (new arrivals are already being turned away), `ready`
+    /// otherwise.
+    fn render_health(&self, ctx: &RequestCtx<'_>) -> String {
+        let snap = self.snapshot.current();
+        let queue_depth = ctx.queue_depth();
+        let status = if ctx.shutting_down() {
+            "draining"
+        } else if self
             .config
             .queue_soft_watermark
-            .is_some_and(|soft| len >= soft)
-            // Deterministic every-other shed inside the soft band: half
-            // the arrivals are turned away early (so retry-capable
-            // clients back off before saturation), the other half still
-            // queue — the queue can reach the hard limit under sustained
-            // load, keeping BUSY reachable and the shed rate bounded.
-            && shared
-                .shed_seq
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(2)
+            .is_some_and(|soft| queue_depth >= soft)
         {
-            drop(queue);
-            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
-            plog::log(
-                LogLevel::Warn,
-                "serve",
-                "load_shed",
-                &[("queue_depth", (len as u64).into())],
-            );
-            reject(shared, stream, &Reply::Shed);
+            "degraded"
         } else {
-            queue.push_back(QueuedConn {
-                stream,
-                accepted_at,
-            });
-            drop(queue);
-            shared.queue_cv.notify_one();
-        }
-    }
-    // Unblock any workers still parked on the queue.
-    shared.queue_cv.notify_all();
-}
-
-/// Answer a rejected connection with one frame, bounded by the rejection
-/// write timeout: this runs on the acceptor thread, and a peer that
-/// never drains its receive buffer must not stall every accept behind
-/// it. A timed-out (or otherwise failed) write just drops the
-/// connection — the peer sees a hang-up, which it must treat as
-/// retryable anyway.
-fn reject(shared: &Shared, mut stream: TcpStream, reply: &Reply) {
-    let _ = stream.set_write_timeout(Some(shared.config.reject_write_timeout));
-    let _ = write_frame(&mut stream, &encode_reply(reply));
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let conn = {
-            let mut queue = shared.queue.lock().expect("connection queue poisoned");
-            loop {
-                if let Some(c) = queue.pop_front() {
-                    break Some(c);
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    break None;
-                }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .expect("connection queue poisoned");
-            }
+            "ready"
         };
-        match conn {
-            Some(conn) => handle_connection(shared, conn),
-            None => break,
-        }
+        format!(
+            "status={status}\ngeneration={}\npartitions={}\nqueue_depth={queue_depth}\n\
+             queue_capacity={}\nworkers={}\n",
+            snap.generation(),
+            snap.lake().num_partitions(),
+            self.config.queue_capacity,
+            self.config.workers.max(1),
+        )
     }
-}
 
-fn handle_connection(shared: &Shared, conn: QueuedConn) {
-    let QueuedConn {
-        mut stream,
-        accepted_at,
-    } = conn;
-    let _ = stream.set_read_timeout(shared.config.read_timeout);
-    let _ = stream.set_nodelay(true);
-    let _registration = register_conn(shared, &stream);
-    // The first request on a connection waited in the accept queue; that
-    // wait is charged against its deadline. Later requests on the same
-    // (interactive) connection never queued.
-    let mut queue_wait = Some(accepted_at.elapsed());
-    loop {
-        // Dev-only fault point: delay models a wedged server socket, an
-        // injected error a connection torn mid-stream.
-        if fault::check("serve.conn.read").is_err() {
-            return;
-        }
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(p)) => p,
-            // Clean close, read timeout, or garbage framing: hang up.
-            Ok(None) | Err(_) => return,
-        };
-        match decode_request(&payload) {
-            Ok(req) => {
-                let is_shutdown = matches!(req, Request::Shutdown);
-                let reply = dispatch(shared, req, queue_wait.take());
-                if fault::check("serve.conn.write").is_err() {
-                    return;
-                }
-                if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
-                    return;
-                }
-                if is_shutdown {
-                    initiate_shutdown(shared);
-                    return;
-                }
-                // A shutdown initiated elsewhere must not be held open by
-                // a chatty keep-alive peer: finish the current request,
-                // then close instead of reading the next frame.
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) => {
-                let reply = Reply::Err {
-                    message: format!("bad request: {e}"),
-                };
-                let _ = write_frame(&mut stream, &encode_reply(&reply));
-                return; // a peer speaking garbage gets one error, not a loop
-            }
-        }
-    }
-}
-
-fn dispatch(shared: &Shared, req: Request, queue_wait: Option<Duration>) -> Reply {
-    let started = Instant::now();
-    match req {
-        Request::Info => {
-            let snap = shared.snapshot.current();
-            let reply = match snap.lake().disk_bytes() {
-                Ok(disk_bytes) => Reply::Info(InfoReply {
-                    dim: snap.dim() as u32,
-                    generation: snap.generation(),
-                    index_version: snap.manifest().index_version,
-                    partitions: snap.lake().num_partitions() as u32,
-                    disk_bytes,
-                }),
-                Err(e) => error_reply(&shared.metrics.info, e.to_string()),
-            };
-            shared.metrics.info.record(started.elapsed());
-            reply
-        }
-        Request::Stats => {
-            let snap = shared.snapshot.current();
-            let text = shared.metrics.render(
-                &shared.cache.stats(),
-                &SnapshotFacts {
-                    generation: snap.generation(),
-                    index_version: snap.manifest().index_version,
-                    partitions: snap.lake().num_partitions(),
-                    dim: snap.dim(),
-                    delta_columns: snap.delta_columns(),
-                    delta_tombstones: snap.delta_tombstones(),
-                    delta_records: snap.overlay().n_records(),
-                },
-            );
-            shared.metrics.stats.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Metrics => {
-            let snap = shared.snapshot.current();
-            let mut text = shared.metrics.render_prometheus(
-                &shared.cache.stats(),
-                &SnapshotFacts {
-                    generation: snap.generation(),
-                    index_version: snap.manifest().index_version,
-                    partitions: snap.lake().num_partitions(),
-                    dim: snap.dim(),
-                    delta_columns: snap.delta_columns(),
-                    delta_tombstones: snap.delta_tombstones(),
-                    delta_records: snap.overlay().n_records(),
-                },
-            );
-            // The introspection plane rides the same scrape: structural
-            // index gauges + cell-shape histograms per generation.
-            text.push_str(&crate::metrics::render_inspection_prometheus(
-                &inspection_of(shared, &snap),
+    /// Answer one solo query verb against an already-pinned snapshot.
+    fn run_query_on(
+        &self,
+        snap: &Arc<Snapshot>,
+        req: &Request,
+        payload: &QueryPayload,
+        mode: QueryMode,
+        queue_wait: Option<Duration>,
+    ) -> std::result::Result<HitsReply, String> {
+        if payload.dim as usize != snap.dim() {
+            return Err(format!(
+                "query dimension {} does not match index dimension {}",
+                payload.dim,
+                snap.dim()
             ));
-            shared.metrics.stats.record(started.elapsed());
-            Reply::Stats { text }
         }
-        Request::Inspect => {
-            let snap = shared.snapshot.current();
-            let mut text = format!("generation={}\n", snap.generation());
-            text.push_str(&inspection_of(shared, &snap).render_text());
-            shared.metrics.stats.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Health => {
-            let snap = shared.snapshot.current();
-            let text = render_health(shared, &snap);
-            shared.metrics.stats.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        // A shard daemon owns no replica set; draining happens at the
-        // router tier (which rewrites its routing table) or by simply
-        // shutting the daemon down.
-        Request::Drain { .. } => Reply::Err {
-            message: "DRAIN is a router verb; a shard daemon has no replica set".into(),
-        },
-        Request::SlowLog => {
-            let text = shared.slow_log.render();
-            shared.metrics.stats.record(started.elapsed());
-            Reply::Stats { text }
-        }
-        Request::Reload { dir } => {
-            let target: Option<PathBuf> = dir.map(PathBuf::from);
-            let reply = match shared.snapshot.swap(target.as_deref()) {
-                Ok(fresh) => {
-                    // Every cached entry keyed the old generation; release
-                    // the memory in one sweep.
-                    shared.cache.clear();
-                    shared.metrics.swaps.fetch_add(1, Ordering::Relaxed);
-                    plog::log(
-                        LogLevel::Info,
-                        "serve",
-                        "reloaded",
-                        &[
-                            ("generation", fresh.generation().into()),
-                            ("partitions", (fresh.lake().num_partitions() as u64).into()),
-                        ],
-                    );
-                    Reply::Reloaded {
-                        generation: fresh.generation(),
-                        partitions: fresh.lake().num_partitions() as u32,
-                    }
-                }
-                // A failed load leaves the served snapshot untouched.
-                Err(e) => {
-                    let message = e.to_string();
-                    plog::log(
-                        LogLevel::Error,
-                        "serve",
-                        "reload_failed",
-                        &[("error", Value::Str(&message))],
-                    );
-                    error_reply(&shared.metrics.reload, message)
-                }
+        // A client-requested trace must describe *this* execution, so it
+        // bypasses the result-cache read (untraced traffic is untouched, and
+        // the executed result still populates the cache below); an EXPLAIN
+        // request likewise — its funnel must describe a real execution, not
+        // a memoised answer. Server-initiated sampling only traces requests
+        // that would execute anyway — a sampled cache hit stays a cache hit.
+        let requested = payload.trace;
+        let fingerprint = query_fingerprint(req, snap.generation())
+            .ok_or_else(|| "not a query verb".to_string())?;
+        if !requested.enabled() && !payload.explain {
+            let lookup_start = Instant::now();
+            let cached = self.cache.get(fingerprint);
+            let hist = if cached.is_some() {
+                &self.metrics.cache_hit_lookup
+            } else {
+                &self.metrics.cache_miss_lookup
             };
-            shared.metrics.reload.record(started.elapsed());
-            reply
-        }
-        // The routed-ingest shard tail is addressing for the router tier;
-        // a shard daemon owns exactly one deployment and applies it.
-        Request::ApplyDelta { shard: _ } => {
-            // Live ingest: republish from the delta log, sharing the
-            // resident base. Cached entries keyed the old generation;
-            // clear them so fresh queries see the new overlay. The fault
-            // point arms a deterministic window for kill-mid-APPLY tests.
-            let reply = match fault::check("serve.apply")
-                .map_err(pexeso_core::error::PexesoError::Io)
-                .and_then(|()| shared.snapshot.apply_delta())
-            {
-                Ok(fresh) => {
-                    shared.cache.clear();
-                    shared.metrics.applies.fetch_add(1, Ordering::Relaxed);
-                    plog::log(
-                        LogLevel::Info,
-                        "serve",
-                        "delta_applied",
-                        &[
-                            ("generation", fresh.generation().into()),
-                            ("delta_columns", (fresh.delta_columns() as u64).into()),
-                            ("tombstones", (fresh.delta_tombstones() as u64).into()),
-                        ],
-                    );
-                    Reply::Applied {
-                        generation: fresh.generation(),
-                        delta_columns: fresh.delta_columns() as u64,
-                        tombstones: fresh.delta_tombstones() as u64,
-                    }
-                }
-                // A failed apply leaves the served snapshot untouched.
-                Err(e) => {
-                    let message = e.to_string();
-                    plog::log(
-                        LogLevel::Error,
-                        "serve",
-                        "apply_failed",
-                        &[("error", Value::Str(&message))],
-                    );
-                    error_reply(&shared.metrics.apply, message)
-                }
-            };
-            shared.metrics.apply.record(started.elapsed());
-            reply
-        }
-        Request::Shutdown => {
-            plog::log(LogLevel::Info, "serve", "shutdown_requested", &[]);
-            Reply::ShuttingDown
-        }
-        Request::Search { .. } | Request::Topk { .. } => {
-            handle_query(shared, req, started, queue_wait)
-        }
-        Request::Batch(batch) => handle_batch(shared, batch, started, queue_wait),
-    }
-}
-
-fn error_reply(endpoint: &EndpointMetrics, message: String) -> Reply {
-    endpoint.record_error();
-    Reply::Err { message }
-}
-
-/// The `HEALTH` verb body: one `status=` line an orchestrator can gate
-/// on, plus the facts behind the verdict. `draining` while a shutdown is
-/// in flight, `degraded` when the accept queue has crossed the soft
-/// shed watermark (new arrivals are already being turned away), `ready`
-/// otherwise.
-fn render_health(shared: &Shared, snap: &Arc<Snapshot>) -> String {
-    let queue_depth = shared
-        .queue
-        .lock()
-        .expect("connection queue poisoned")
-        .len();
-    let status = if shared.shutting_down.load(Ordering::SeqCst) {
-        "draining"
-    } else if shared
-        .config
-        .queue_soft_watermark
-        .is_some_and(|soft| queue_depth >= soft)
-    {
-        "degraded"
-    } else {
-        "ready"
-    };
-    format!(
-        "status={status}\ngeneration={}\npartitions={}\nqueue_depth={queue_depth}\n\
-         queue_capacity={}\nworkers={}\n",
-        snap.generation(),
-        snap.lake().num_partitions(),
-        shared.config.queue_capacity,
-        shared.config.workers.max(1),
-    )
-}
-
-fn handle_query(
-    shared: &Shared,
-    req: Request,
-    started: Instant,
-    queue_wait: Option<Duration>,
-) -> Reply {
-    let endpoint = match &req {
-        Request::Search { .. } => &shared.metrics.search,
-        _ => &shared.metrics.topk,
-    };
-    if let Some(wait) = queue_wait {
-        shared.metrics.queue_wait.record_duration(wait);
-    }
-    // Queue wait counts against the request's deadline budget. A request
-    // whose whole deadline elapsed before a worker popped it gets a
-    // typed refusal immediately — computing (or even cache-serving) a
-    // dead answer would hide the overload the deadline exists to expose.
-    if let (Some(wait), Some(deadline)) = (queue_wait, request_deadline(&req)) {
-        if wait >= deadline {
-            shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
-            endpoint.record(started.elapsed());
-            let rid = match &req {
-                Request::Search { query, .. } | Request::Topk { query, .. } => query.request_id,
-                _ => None,
-            };
-            let mut fields: Vec<(&str, Value)> =
-                vec![("waited_ms", (wait.as_millis() as u64).into())];
-            if let Some(rid) = rid {
-                fields.push(("rid", Value::Rid(rid)));
+            hist.record_duration(lookup_start.elapsed());
+            if let Some(hits) = cached {
+                log_query_done(payload, mode, true, hits.len(), snap.generation(), 0);
+                return Ok(HitsReply {
+                    generation: snap.generation(),
+                    cached: true,
+                    hits: (*hits).clone(),
+                    // Only exact results are cached, and the cache charges the
+                    // requester no verification work.
+                    ext: payload.ext.map(|_| HitsExt {
+                        outcome: QueryOutcome::Exact,
+                        distance_computations: 0,
+                    }),
+                    trace: None,
+                    explain: None,
+                });
             }
-            plog::log(
-                LogLevel::Warn,
-                "serve",
-                "deadline_expired_in_queue",
-                &fields,
+        }
+        let sampled = !requested.enabled()
+            && self.sample_every > 0
+            && self
+                .sample_seq
+                .fetch_add(1, Ordering::Relaxed)
+                .is_multiple_of(self.sample_every);
+        let effective = if requested.enabled() {
+            requested
+        } else if sampled {
+            TraceLevel::Phases
+        } else {
+            TraceLevel::Off
+        };
+        // Reassemble the unified query the wire frame describes and hand it
+        // to the snapshot's `Queryable` impl — the same executor every local
+        // backend uses.
+        let (query, store) =
+            query_from_wire(payload, mode, self.config.max_request_threads, queue_wait)
+                .map_err(|e| e.to_string())?;
+        let query = query.with_trace(effective);
+        let resp = snap.execute(&query, &store).map_err(|e| e.to_string())?;
+        self.metrics
+            .distance_computations
+            .fetch_add(resp.stats.distance_computations, Ordering::Relaxed);
+        // Phase histograms cover every executed search — the breakdown does
+        // not depend on the request asking for a trace.
+        self.metrics.record_phases(&resp.stats);
+        if effective.enabled() {
+            let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
+            self.slow_log.offer_correlated(
+                verb_of(mode),
+                resp.stats.total_time,
+                rendered,
+                payload.request_id,
+                None,
             );
-            return Reply::DeadlineExpired {
-                waited_ms: wait.as_millis() as u64,
-            };
         }
-    }
-    let reply = match run_query(shared, &req, queue_wait) {
-        Ok(hits) => Reply::Hits(hits),
-        Err(message) => error_reply(endpoint, message),
-    };
-    endpoint.record(started.elapsed());
-    reply
-}
-
-/// The deadline a query request carried on the wire, if any.
-fn request_deadline(req: &Request) -> Option<Duration> {
-    let payload = match req {
-        Request::Search { query, .. } | Request::Topk { query, .. } => query,
-        _ => return None,
-    };
-    payload
-        .ext
-        .as_ref()
-        .and_then(|ext| ext.deadline_ms)
-        .map(Duration::from_millis)
-}
-
-fn run_query(
-    shared: &Shared,
-    req: &Request,
-    queue_wait: Option<Duration>,
-) -> std::result::Result<HitsReply, String> {
-    // Pin the snapshot for the whole request: a concurrent hot swap must
-    // never split one query across two index states.
-    let snap = shared.snapshot.current();
-    run_query_on(shared, &snap, req, queue_wait)
-}
-
-/// Answer one query verb against an already-pinned snapshot. Solo frames
-/// pin per request; batch frames pin once and answer every column here.
-fn run_query_on(
-    shared: &Shared,
-    snap: &Arc<Snapshot>,
-    req: &Request,
-    queue_wait: Option<Duration>,
-) -> std::result::Result<HitsReply, String> {
-    let (payload, mode) = match req {
-        Request::Search { query, t } => (query, QueryMode::Threshold(*t)),
-        Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
-        _ => unreachable!("run_query only sees query verbs"),
-    };
-    // Requests carrying the V2 extension get the extended reply.
-    let v2 = payload.ext.is_some();
-    if payload.dim as usize != snap.dim() {
-        return Err(format!(
-            "query dimension {} does not match index dimension {}",
-            payload.dim,
-            snap.dim()
-        ));
-    }
-    // A client-requested trace must describe *this* execution, so it
-    // bypasses the result-cache read (untraced traffic is untouched, and
-    // the executed result still populates the cache below); an EXPLAIN
-    // request likewise — its funnel must describe a real execution, not
-    // a memoised answer. Server-initiated sampling only traces requests
-    // that would execute anyway — a sampled cache hit stays a cache hit.
-    let requested = payload.trace;
-    let fingerprint =
-        query_fingerprint(req, snap.generation()).expect("query verbs always fingerprint");
-    if !requested.enabled() && !payload.explain {
-        let lookup_start = Instant::now();
-        let cached = shared.cache.get(fingerprint);
-        let hist = if cached.is_some() {
-            &shared.metrics.cache_hit_lookup
-        } else {
-            &shared.metrics.cache_miss_lookup
-        };
-        hist.record_duration(lookup_start.elapsed());
-        if let Some(hits) = cached {
-            log_query_done(payload, mode, true, hits.len(), snap.generation(), 0);
-            return Ok(HitsReply {
-                generation: snap.generation(),
-                cached: true,
-                hits: (*hits).clone(),
-                // Only exact results are cached, and the cache charges the
-                // requester no verification work.
-                ext: v2.then_some(HitsExt {
-                    outcome: QueryOutcome::Exact,
-                    distance_computations: 0,
-                }),
-                trace: None,
-                explain: None,
-            });
-        }
-    }
-    let sampled = !requested.enabled()
-        && shared.sample_every > 0
-        && shared
-            .sample_seq
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(shared.sample_every);
-    let effective = if requested.enabled() {
-        requested
-    } else if sampled {
-        TraceLevel::Phases
-    } else {
-        TraceLevel::Off
-    };
-    let store = VectorStore::from_raw(payload.dim as usize, payload.vectors.clone())
-        .map_err(|e| e.to_string())?;
-    // Reassemble the unified query the wire frame describes and hand it
-    // to the snapshot's `Queryable` impl — the same executor every local
-    // backend uses.
-    let mut query = match mode {
-        QueryMode::Threshold(t) => Query::threshold(payload.tau, t),
-        QueryMode::Topk(k) => Query::topk(payload.tau, k),
-    }
-    .with_policy(clamp_policy(
-        payload.policy,
-        shared.config.max_request_threads,
-    ));
-    // An empty metric string spells "no expectation" (the V2 client's
-    // encoding of `Query::metric = None`): serve with the build metric,
-    // exactly like every local backend does.
-    if !payload.metric.is_empty() {
-        query = query.expect_metric(&payload.metric);
-    }
-    query = query.with_trace(effective).with_explain(payload.explain);
-    if let Some(rid) = payload.request_id {
-        query = query.with_request_id(rid);
-    }
-    if let Some(ext) = &payload.ext {
-        query.options.flags = ext.flags;
-        query.options.quick_browse = ext.quick_browse;
-        query.budget = QueryBudget {
-            max_distance_computations: ext.max_distance_computations,
-            // Queue wait already spent part of the deadline; execution
-            // gets only the remainder (the caller checked it is > 0).
-            deadline: ext.deadline_ms.map(|ms| {
-                let full = Duration::from_millis(ms);
-                queue_wait.map_or(full, |w| full.saturating_sub(w))
-            }),
-        };
-    }
-    let resp = snap.execute(&query, &store).map_err(|e| e.to_string())?;
-    shared
-        .metrics
-        .distance_computations
-        .fetch_add(resp.stats.distance_computations, Ordering::Relaxed);
-    // Phase histograms cover every executed search — the breakdown does
-    // not depend on the request asking for a trace.
-    shared.metrics.record_phases(&resp.stats);
-    if effective.enabled() {
-        let verb = match mode {
-            QueryMode::Threshold(_) => "search",
-            QueryMode::Topk(_) => "topk",
-        };
-        let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
-        shared.slow_log.offer_correlated(
-            verb,
-            resp.stats.total_time,
-            rendered,
-            payload.request_id,
-            None,
+        log_query_done(
+            payload,
+            mode,
+            false,
+            resp.hits.len(),
+            snap.generation(),
+            resp.stats.total_time.as_micros() as u64,
         );
+        // A budget-limited partial answer must never masquerade as the exact
+        // one for a later (possibly unbudgeted) identical request: cache
+        // exact outcomes only. The fingerprint deliberately ignores the
+        // options/budget extension — flags and quick-browse never change
+        // results, and an exact answer is exact regardless of the budget that
+        // allowed it — so budgeted and unbudgeted requests share a line.
+        let exact = resp.outcome == QueryOutcome::Exact;
+        let reply = hits_reply(payload, snap.generation(), resp);
+        if exact {
+            self.cache.insert(fingerprint, Arc::new(reply.hits.clone()));
+        }
+        Ok(reply)
     }
-    log_query_done(
-        payload,
-        mode,
-        false,
-        resp.hits.len(),
-        snap.generation(),
-        resp.stats.total_time.as_micros() as u64,
-    );
-    let wire: Vec<WireHit> = resp.hits.iter().map(WireHit::from).collect();
-    // A budget-limited partial answer must never masquerade as the exact
-    // one for a later (possibly unbudgeted) identical request: cache
-    // exact outcomes only. The fingerprint deliberately ignores the
-    // options/budget extension — flags and quick-browse never change
-    // results, and an exact answer is exact regardless of the budget that
-    // allowed it — so budgeted and unbudgeted requests share a line.
-    if resp.outcome == QueryOutcome::Exact {
-        shared.cache.insert(fingerprint, Arc::new(wire.clone()));
-    }
-    Ok(HitsReply {
-        generation: snap.generation(),
-        cached: false,
-        hits: wire,
-        ext: v2.then_some(HitsExt {
-            outcome: resp.outcome,
-            distance_computations: resp.stats.distance_computations,
-        }),
-        // Only a *requested* trace travels back; sampled traces exist for
-        // the slow-query log and never change the reply shape.
-        trace: if requested.enabled() {
-            resp.trace
-        } else {
-            None
-        },
-        explain: resp.explain.map(Box::new),
-    })
 }
 
 /// One structured `query_done` line per answered query request, carrying
@@ -899,92 +502,16 @@ fn log_query_done(
     if !plog::enabled(LogLevel::Info) {
         return;
     }
-    let verb = match mode {
-        QueryMode::Threshold(_) => "search",
-        QueryMode::Topk(_) => "topk",
-    };
     let mut fields: Vec<(&str, Value)> = Vec::with_capacity(6);
     if let Some(rid) = payload.request_id {
         fields.push(("rid", Value::Rid(rid)));
     }
-    fields.push(("verb", Value::Str(verb)));
+    fields.push(("verb", Value::Str(verb_of(mode))));
     fields.push(("cached", cached.into()));
     fields.push(("hits", (hits as u64).into()));
     fields.push(("generation", generation.into()));
     fields.push(("latency_us", latency_us.into()));
     plog::log(LogLevel::Info, "serve", "query_done", &fields);
-}
-
-/// Answer a V4 batch frame: one pinned snapshot, one reply frame, and
-/// per-column answers that are byte-identical to what the equivalent solo
-/// frames would return (including result-cache interplay — a batch column
-/// hits and fills the same cache lines as a solo query).
-fn handle_batch(
-    shared: &Shared,
-    batch: QueryBatch,
-    started: Instant,
-    queue_wait: Option<Duration>,
-) -> Reply {
-    let endpoint = match batch.mode {
-        BatchMode::Search(_) => &shared.metrics.search,
-        BatchMode::Topk(_) => &shared.metrics.topk,
-    };
-    if let Some(wait) = queue_wait {
-        shared.metrics.queue_wait.record_duration(wait);
-    }
-    // Queue wait counts against the batch's deadline, exactly as for a
-    // solo query frame.
-    let deadline = batch
-        .ext
-        .as_ref()
-        .and_then(|ext| ext.deadline_ms)
-        .map(Duration::from_millis);
-    if let (Some(wait), Some(deadline)) = (queue_wait, deadline) {
-        if wait >= deadline {
-            shared.metrics.expired.fetch_add(1, Ordering::Relaxed);
-            endpoint.record(started.elapsed());
-            return Reply::DeadlineExpired {
-                waited_ms: wait.as_millis() as u64,
-            };
-        }
-    }
-    // Pin the snapshot once: every column answers against the same
-    // generation even if a hot swap lands mid-batch.
-    let snap = shared.snapshot.current();
-    let mut replies = Vec::with_capacity(batch.columns.len());
-    for vectors in &batch.columns {
-        let solo = solo_request(&batch, vectors.clone());
-        match run_query_on(shared, &snap, &solo, queue_wait) {
-            Ok(hits) => replies.push(hits),
-            Err(message) => {
-                endpoint.record(started.elapsed());
-                return error_reply(endpoint, message);
-            }
-        }
-    }
-    endpoint.record(started.elapsed());
-    Reply::HitsBatch(replies)
-}
-
-/// The solo request a batch column is equivalent to — used both for
-/// execution and for result-cache fingerprinting, so batch and solo
-/// traffic share cache lines.
-fn solo_request(batch: &QueryBatch, vectors: Vec<f32>) -> Request {
-    let query = QueryPayload {
-        metric: batch.metric.clone(),
-        tau: batch.tau,
-        policy: batch.policy,
-        dim: batch.dim,
-        vectors,
-        ext: batch.ext,
-        trace: batch.trace,
-        request_id: batch.request_id,
-        explain: false,
-    };
-    match batch.mode {
-        BatchMode::Search(t) => Request::Search { query, t },
-        BatchMode::Topk(k) => Request::Topk { query, k },
-    }
 }
 
 /// Resolve `Parallel {{ threads: 0 }}` to the machine size and clamp to the

@@ -1,0 +1,258 @@
+//! The connection/worker core against a fake [`Handler`]: backpressure,
+//! queue-wait accounting, framing errors, shutdown and panic isolation,
+//! pinned once here instead of once per daemon.
+
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
+
+use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
+use pexeso_core::trace::TraceLevel;
+use pexeso_serve::conn::{answer_query, serve, ConnConfig, ConnHandle, Handler, RequestCtx};
+use pexeso_serve::metrics::{stat_value, EndpointMetrics};
+use pexeso_serve::protocol::{
+    decode_reply, encode_request, read_frame, write_frame, HitsReply, QueryExt, QueryPayload,
+    Reply, Request,
+};
+
+/// Echoes a query frame back as an empty `HITS` (through the shared
+/// `answer_query` plumbing), answers `STATS` with the core's counters, and
+/// — when armed — panics on its first request.
+#[derive(Default)]
+struct Echo {
+    endpoint: EndpointMetrics,
+    panic_once: AtomicBool,
+}
+
+impl Handler for Echo {
+    fn endpoint(&self, _req: &Request) -> Option<&EndpointMetrics> {
+        Some(&self.endpoint)
+    }
+
+    fn handle(&self, req: Request, ctx: &RequestCtx<'_>) -> Reply {
+        if self.panic_once.swap(false, Ordering::SeqCst) {
+            panic!("echo handler armed to panic");
+        }
+        match req {
+            Request::Stats => {
+                let c = ctx.counters();
+                Reply::Stats {
+                    text: format!(
+                        "busy={}\nshed={}\nexpired={}\nqueue_wait_count={}\nerrors={}\n",
+                        c.busy_rejections.load(Ordering::Relaxed),
+                        c.shed.load(Ordering::Relaxed),
+                        c.expired.load(Ordering::Relaxed),
+                        c.queue_wait.count(),
+                        self.endpoint.errors.load(Ordering::Relaxed),
+                    ),
+                }
+            }
+            Request::Shutdown => Reply::ShuttingDown,
+            query => answer_query(query, ctx, |_, payload, _| {
+                Ok(HitsReply {
+                    generation: payload.dim as u64,
+                    cached: false,
+                    hits: Vec::new(),
+                    ext: None,
+                    trace: None,
+                    explain: None,
+                })
+            }),
+        }
+    }
+}
+
+fn start(
+    workers: usize,
+    queue_capacity: usize,
+    soft: Option<usize>,
+    handler: Echo,
+) -> ConnHandle<Echo> {
+    let config = ConnConfig {
+        component: "conntest",
+        workers,
+        queue_capacity,
+        queue_soft_watermark: soft,
+        read_timeout: Some(Duration::from_secs(30)),
+        reject_write_timeout: Duration::from_millis(100),
+    };
+    serve("127.0.0.1:0", config, handler).unwrap()
+}
+
+/// One raw protocol connection: no pooling, no retry — every frame the
+/// core sends is observed exactly as sent.
+struct Peer(TcpStream);
+
+impl Peer {
+    fn connect(handle: &ConnHandle<Echo>) -> Self {
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        Peer(stream)
+    }
+
+    fn send(&mut self, req: &Request) {
+        write_frame(&mut self.0, &encode_request(req)).unwrap();
+    }
+
+    /// The next reply frame, or `None` once the core hung up.
+    fn recv(&mut self) -> Option<Reply> {
+        let frame = read_frame(&mut self.0).ok().flatten()?;
+        Some(decode_reply(&frame).unwrap())
+    }
+
+    fn call(&mut self, req: &Request) -> Reply {
+        self.send(req);
+        self.recv().expect("the core answers a well-formed request")
+    }
+
+    fn stat(&mut self, key: &str) -> f64 {
+        match self.call(&Request::Stats) {
+            Reply::Stats { text } => stat_value(&text, key).unwrap(),
+            other => panic!("expected STATS, got {other:?}"),
+        }
+    }
+}
+
+fn search(deadline_ms: Option<u64>) -> Request {
+    Request::Search {
+        query: QueryPayload {
+            metric: String::new(),
+            tau: Tau::Ratio(0.1),
+            policy: ExecPolicy::Sequential,
+            dim: 2,
+            vectors: vec![0.0, 1.0],
+            ext: Some(QueryExt {
+                deadline_ms,
+                ..QueryExt::default()
+            }),
+            trace: TraceLevel::Off,
+            request_id: Some(7),
+            explain: false,
+        },
+        t: JoinThreshold::Count(1),
+    }
+}
+
+/// A peer whose round-trip completed is owned by a worker, which now
+/// sits in `read_frame` on it: with one worker, later arrivals queue.
+fn occupy_worker(handle: &ConnHandle<Echo>) -> Peer {
+    let mut peer = Peer::connect(handle);
+    assert!(matches!(peer.call(&search(None)), Reply::Hits(_)));
+    peer
+}
+
+#[test]
+fn full_queue_answers_one_busy_frame() {
+    let handle = start(1, 1, None, Echo::default());
+    let mut holder = occupy_worker(&handle);
+    let queued = Peer::connect(&handle);
+    // The acceptor takes connections in arrival order, so `queued` fills
+    // the one queue slot before this one is looked at.
+    let mut rejected = Peer::connect(&handle);
+    assert_eq!(rejected.recv(), Some(Reply::Busy));
+    assert_eq!(rejected.recv(), None, "BUSY is followed by a hang-up");
+    assert_eq!(holder.stat("busy"), 1.0);
+    drop((holder, queued));
+    handle.shutdown();
+}
+
+#[test]
+fn soft_band_sheds_every_other_arrival_and_busy_stays_reachable() {
+    let handle = start(1, 3, Some(1), Echo::default());
+    let mut holder = occupy_worker(&handle);
+    // Queue length below the watermark: queued silently.
+    let mut queued = vec![Peer::connect(&handle)];
+    // Inside the band [1, 3): shed, queue, shed, queue — which fills the
+    // queue to its hard limit, where the next arrival gets BUSY.
+    for round in 0..2 {
+        let mut shed = Peer::connect(&handle);
+        assert_eq!(shed.recv(), Some(Reply::Shed), "round {round}");
+        assert_eq!(shed.recv(), None);
+        queued.push(Peer::connect(&handle));
+    }
+    let mut busy = Peer::connect(&handle);
+    assert_eq!(busy.recv(), Some(Reply::Busy));
+    assert_eq!(holder.stat("shed"), 2.0);
+    assert_eq!(holder.stat("busy"), 1.0);
+    drop((holder, queued));
+    handle.shutdown();
+}
+
+#[test]
+fn queue_wait_is_charged_to_the_first_request_only() {
+    let handle = start(1, 8, None, Echo::default());
+    let holder = occupy_worker(&handle);
+    // `waiter` queues behind `holder` with a 1 ms deadline and waits far
+    // longer than that before the only worker is released to it.
+    let mut waiter = Peer::connect(&handle);
+    waiter.send(&search(Some(1)));
+    std::thread::sleep(Duration::from_millis(30));
+    drop(holder);
+    match waiter.recv() {
+        Some(Reply::DeadlineExpired { waited_ms }) => assert!(waited_ms >= 30, "{waited_ms}"),
+        other => panic!("expected DeadlineExpired, got {other:?}"),
+    }
+    // The same request again on the same connection never queued: it is
+    // answered, and neither the refusal counter nor the queue-wait
+    // histogram (holder's first + waiter's first) moves.
+    assert!(matches!(waiter.call(&search(Some(1))), Reply::Hits(_)));
+    assert_eq!(waiter.stat("expired"), 1.0);
+    assert_eq!(waiter.stat("queue_wait_count"), 2.0);
+    drop(waiter);
+    handle.shutdown();
+}
+
+#[test]
+fn garbage_frame_gets_one_bad_request_then_a_hang_up() {
+    let handle = start(1, 8, None, Echo::default());
+    let mut peer = Peer::connect(&handle);
+    write_frame(&mut peer.0, b"not a pexeso frame").unwrap();
+    match peer.recv() {
+        Some(Reply::Err { message }) => assert!(message.starts_with("bad request"), "{message}"),
+        other => panic!("expected a bad-request error, got {other:?}"),
+    }
+    assert_eq!(peer.recv(), None, "one error, then the core hangs up");
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_does_not_wait_for_an_idle_keep_alive_peer() {
+    let handle = start(2, 8, None, Echo::default());
+    let idle = occupy_worker(&handle);
+    let started = Instant::now();
+    handle.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?} with an idle peer attached (read_timeout is 30 s)",
+        started.elapsed()
+    );
+    drop(idle);
+}
+
+#[test]
+fn a_panicking_handler_costs_one_request_not_the_worker() {
+    let handle = start(
+        1,
+        8,
+        None,
+        Echo {
+            panic_once: AtomicBool::new(true),
+            ..Echo::default()
+        },
+    );
+    let mut first = Peer::connect(&handle);
+    match first.call(&search(None)) {
+        Reply::Err { message } => assert!(message.starts_with("internal error"), "{message}"),
+        other => panic!("expected a typed internal error, got {other:?}"),
+    }
+    drop(first);
+    // The only worker survived: a new connection is still answered, and
+    // the panic was charged to the endpoint's error counter.
+    let mut second = Peer::connect(&handle);
+    assert!(matches!(second.call(&search(None)), Reply::Hits(_)));
+    assert_eq!(second.stat("errors"), 1.0);
+    drop(second);
+    handle.shutdown();
+}

@@ -1,15 +1,21 @@
 //! Property tests for the serve frame encoding of the unified query API:
 //! any [`Query`] the builder can express survives the trip through
 //! [`wire_request`] → `encode_request` → `decode_request` with every
-//! criterion intact, and extension-less (V1) frames keep their layout.
+//! criterion intact, extension-less (V1) frames keep their layout, and
+//! the daemon-side [`query_from_wire`] inverts [`wire_request`] /
+//! [`wire_batch_request`] — the `Query` a backend executes behind a
+//! daemon is the `Query` the caller built.
 
 use std::time::Duration;
 
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
 use pexeso_core::query::{Query, QueryBudget, QueryMode};
+use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::protocol::{decode_request, encode_request, QueryExt, Request};
-use pexeso_serve::wire_request;
+use pexeso_serve::client::wire_batch_request;
+use pexeso_serve::protocol::{decode_request, encode_request, QueryExt, QueryPayload, Request};
+use pexeso_serve::server::clamp_policy;
+use pexeso_serve::{query_from_wire, wire_request};
 use proptest::prelude::*;
 
 /// Deterministically build a `Query` from primitive proptest inputs,
@@ -63,6 +69,11 @@ fn make_query(
         q = q.with_deadline(Duration::from_millis(deadline_ms));
     }
     q
+}
+
+/// The exact bit pattern of a column's vectors.
+fn bits(store: &VectorStore) -> Vec<u32> {
+    store.raw_data().iter().map(|v| v.to_bits()).collect()
 }
 
 fn sample_store(dim: usize, n: usize) -> VectorStore {
@@ -143,6 +154,118 @@ proptest! {
             deadline: ext.deadline_ms.map(Duration::from_millis),
         };
         prop_assert_eq!(budget, query.budget);
+    }
+
+    /// `query_from_wire(wire_request(q, v))` reproduces `q` and `v`, for a
+    /// solo frame and for every column of a batch frame: the only
+    /// differences are the ones the daemon applies on purpose — the
+    /// policy is clamped to its thread ceiling, the deadline is the
+    /// client's (ceiled to whole milliseconds) minus the queue wait — and
+    /// a batch frame carries no per-column explain.
+    #[test]
+    fn query_from_wire_inverts_wire_request(
+        topk in 0u8..2,
+        tau_ratio in 0u8..2,
+        tau in 0.0f32..1.0,
+        t_count in 0u8..2,
+        t in 0.0f64..1.0,
+        k in 0usize..100,
+        par in 0u8..2,
+        threads in 0usize..16,
+        lemma_mask in 0u8..16,
+        quick_browse in 0u8..2,
+        max_dist in 0u64..1_000_000,
+        deadline_us in 0u64..10_000_000,
+        expect_metric in 0u8..2,
+        trace in 0u8..3,
+        explain in 0u8..2,
+        rid in 0u64..3,
+        max_threads in 1usize..8,
+        queue_wait_ms in 0u64..20,
+        dim in 1usize..8,
+        n in 1usize..5,
+    ) {
+        let mut query = make_query(
+            topk != 0,
+            tau_ratio != 0,
+            tau,
+            t_count != 0,
+            t * 100.0,
+            k,
+            par != 0,
+            threads,
+            lemma_mask,
+            quick_browse != 0,
+            max_dist,
+            0,
+        )
+        .with_trace([TraceLevel::Off, TraceLevel::Phases, TraceLevel::Detail][trace as usize])
+        .with_explain(explain != 0);
+        if expect_metric == 0 {
+            query.metric = None;
+        }
+        if deadline_us > 0 {
+            // Sub-millisecond deadlines exercise the client's ceil.
+            query = query.with_deadline(Duration::from_micros(deadline_us));
+        }
+        if rid > 0 {
+            query = query.with_request_id(rid);
+        }
+        let queue_wait = (queue_wait_ms > 0).then(|| Duration::from_millis(queue_wait_ms));
+        let expected = |explain: bool| {
+            let mut q = query
+                .clone()
+                .with_policy(clamp_policy(query.policy, max_threads))
+                .with_explain(explain);
+            q.budget.deadline = query.budget.deadline.map(|d| {
+                let ceiled = Duration::from_millis(d.as_nanos().div_ceil(1_000_000) as u64);
+                ceiled.saturating_sub(queue_wait.unwrap_or_default())
+            });
+            q
+        };
+        let invert = |request: &Request| {
+            let decoded = decode_request(&encode_request(request)).unwrap();
+            let (payload, mode): (&QueryPayload, QueryMode) = match &decoded {
+                Request::Search { query, t } => (query, QueryMode::Threshold(*t)),
+                Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
+                other => panic!("query verbs only, got {other:?}"),
+            };
+            query_from_wire(payload, mode, max_threads, queue_wait).unwrap()
+        };
+
+        let store = sample_store(dim, n);
+        let (got, vectors) = invert(&wire_request(&query, &store));
+        prop_assert_eq!(got, expected(query.explain));
+        prop_assert_eq!(vectors.dim(), store.dim());
+        prop_assert_eq!(bits(&vectors), bits(&store));
+
+        // Each batch column maps back like the solo frame it stands for.
+        let other = sample_store(dim, n + 1);
+        let Request::Batch(batch) = wire_batch_request(&query, &[&store, &other]) else {
+            panic!("wire_batch_request builds a BATCH frame");
+        };
+        let decoded = decode_request(&encode_request(&Request::Batch(batch))).unwrap();
+        let Request::Batch(batch) = decoded else {
+            panic!("a BATCH frame decodes as one");
+        };
+        prop_assert_eq!(batch.columns.len(), 2);
+        for (column, sent) in batch.columns.iter().zip([&store, &other]) {
+            let payload = QueryPayload {
+                metric: batch.metric.clone(),
+                tau: batch.tau,
+                policy: batch.policy,
+                dim: batch.dim,
+                vectors: column.clone(),
+                ext: batch.ext,
+                trace: batch.trace,
+                request_id: batch.request_id,
+                explain: false,
+            };
+            let (got, vectors) =
+                query_from_wire(&payload, query.mode, max_threads, queue_wait).unwrap();
+            prop_assert_eq!(got, expected(false));
+            prop_assert_eq!(bits(&vectors), bits(sent));
+        }
     }
 
     /// V1 frames (no extension) also round-trip unchanged — the layout
