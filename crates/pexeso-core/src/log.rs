@@ -28,7 +28,7 @@
 //!
 //! Request ids are minted with [`mint_request_id`] at the *outermost*
 //! hop (CLI or router), rendered with [`fmt_request_id`], and carried
-//! over the wire by the v6 query tail so one grep correlates a query
+//! over the wire in every query frame so one grep correlates a query
 //! end-to-end.
 
 use std::collections::VecDeque;

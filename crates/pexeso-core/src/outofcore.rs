@@ -291,7 +291,7 @@ impl PartitionedLake {
     ) -> Result<QueryResponse> {
         execute_partitioned(self.partition_files.len(), query, |i, inner, guard| {
             let index = load_index(&self.partition_files[i], metric.clone())?;
-            execute_on_index(&index, inner, vectors, guard)
+            execute_on_index(&index, inner, vectors, guard, None)
         })
     }
 
@@ -385,6 +385,17 @@ fn resolve_global_hits<M: Metric>(
         .collect()
 }
 
+/// One column's answer from one partition (or any other single-index
+/// unit): global hits, that unit's stats, any budget limit the sweep
+/// tripped for it, and the top-k trajectory of an explained query (see
+/// [`execute_on_index`]; the multi-unit merges ignore it).
+pub type PartitionAnswer = (
+    Vec<GlobalHit>,
+    SearchStats,
+    Option<Exceeded>,
+    Option<crate::explain::TopkExplain>,
+);
+
 /// Execute one unified [`Query`] against one in-memory [`PexesoIndex`] —
 /// the per-partition building block of every backend (the single-index
 /// [`Queryable`] impl is this helper plus the final global ranking).
@@ -402,6 +413,20 @@ fn resolve_global_hits<M: Metric>(
 /// here, partitions in the callers); a tripped limit is returned so the
 /// caller can stop and flag the response.
 ///
+/// `premapped` is an optional pre-computed pivot mapping of the query
+/// column — the seam `PexesoIndex::execute_many` uses to share one
+/// batched mapping pass across many query columns. The mapping arena is
+/// policy-invariant, so passing `Some` is byte-identical to mapping inside
+/// (stats counters included).
+///
+/// The answer's last element is the best-first top-k trajectory
+/// ([`crate::explain::TopkExplain`]), present when the query asked for an
+/// explain report and ran the best-first engine. Recording is read-only
+/// over values the loop already computes, so hits, stats, and outcome are
+/// byte-identical whether or not `query.explain` is set
+/// (`tests/explain.rs` pins this). For a tie-driven re-query the
+/// trajectory reflects the final (answering) pass.
+///
 /// Public as a backend building block: out-of-crate backends (the
 /// delta-overlay executor in `pexeso-delta`) run exactly this engine per
 /// unit so their answers stay byte-identical to the built-in backends.
@@ -410,51 +435,8 @@ pub fn execute_on_index<M: Metric>(
     query: &Query,
     vectors: &VectorStore,
     guard: &mut Option<BudgetGuard>,
-) -> Result<(Vec<GlobalHit>, SearchStats, Option<Exceeded>)> {
-    execute_on_index_premapped(index, query, vectors, guard, None)
-}
-
-/// [`execute_on_index`] with an optional pre-computed pivot mapping of the
-/// query column — the seam `PexesoIndex::execute_many` uses to share one
-/// batched mapping pass across many query columns. The mapping arena is
-/// policy-invariant, so passing `Some` is byte-identical to mapping inside
-/// (stats counters included); `None` is exactly [`execute_on_index`].
-pub fn execute_on_index_premapped<M: Metric>(
-    index: &PexesoIndex<M>,
-    query: &Query,
-    vectors: &VectorStore,
-    guard: &mut Option<BudgetGuard>,
     premapped: Option<&crate::mapping::MappedVectors>,
-) -> Result<(Vec<GlobalHit>, SearchStats, Option<Exceeded>)> {
-    let (hits, stats, exceeded, _) =
-        execute_on_index_explained(index, query, vectors, guard, premapped)?;
-    Ok((hits, stats, exceeded))
-}
-
-/// What one explained single-index execution yields: hits, stats, the
-/// tripped budget (if any), and the best-first top-k trajectory when
-/// the query asked for an explain report.
-pub type ExplainedExecution = (
-    Vec<GlobalHit>,
-    SearchStats,
-    Option<Exceeded>,
-    Option<crate::explain::TopkExplain>,
-);
-
-/// [`execute_on_index_premapped`], additionally returning the best-first
-/// top-k trajectory ([`crate::explain::TopkExplain`]) when the query
-/// asked for an explain report and ran the best-first engine. Recording
-/// is read-only over values the loop already computes, so hits, stats,
-/// and outcome are byte-identical whether or not `query.explain` is set
-/// (`tests/explain.rs` pins this). For a tie-driven re-query the
-/// trajectory reflects the final (answering) pass.
-pub fn execute_on_index_explained<M: Metric>(
-    index: &PexesoIndex<M>,
-    query: &Query,
-    vectors: &VectorStore,
-    guard: &mut Option<BudgetGuard>,
-    premapped: Option<&crate::mapping::MappedVectors>,
-) -> Result<ExplainedExecution> {
+) -> Result<PartitionAnswer> {
     match query.mode {
         QueryMode::Threshold(t) => {
             let (hits, stats, exceeded) = index.threshold_inner(
@@ -549,12 +531,7 @@ pub fn execute_on_index_explained<M: Metric>(
 /// semantics unchanged.
 pub fn execute_partitioned<F>(n_partitions: usize, query: &Query, run: F) -> Result<QueryResponse>
 where
-    F: Fn(
-            usize,
-            &Query,
-            &mut Option<BudgetGuard>,
-        ) -> Result<(Vec<GlobalHit>, SearchStats, Option<Exceeded>)>
-        + Sync,
+    F: Fn(usize, &Query, &mut Option<BudgetGuard>) -> Result<PartitionAnswer> + Sync,
 {
     let started = Instant::now();
     if let QueryMode::Topk(0) = query.mode {
@@ -598,7 +575,7 @@ where
     let mut stats = SearchStats::new();
     let mut hits = Vec::new();
     let mut outcome = QueryOutcome::Exact;
-    for (i, (h, s, e)) in per_partition.into_iter().enumerate() {
+    for (i, (h, s, e, _)) in per_partition.into_iter().enumerate() {
         if query.trace == crate::trace::TraceLevel::Detail {
             unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
         }
@@ -670,10 +647,6 @@ fn empty_topk_response(query: &Query) -> QueryResponse {
 /// tripped limit. `responses[c]` therefore carries the same hits, outcome,
 /// and stats counters as `execute(query, columns[c])`; only wall-clock
 /// timings differ (they reflect the shared sweep).
-/// One column's answer from one partition: global hits, that partition's
-/// stats, and any budget limit the partition sweep tripped for it.
-type PartitionAnswer = (Vec<GlobalHit>, SearchStats, Option<Exceeded>);
-
 fn execute_partitioned_many<M, I, G>(
     n_partitions: usize,
     query: &Query,
@@ -716,7 +689,7 @@ where
                 if stopped[c] {
                     continue;
                 }
-                let part = execute_on_index(index, &inner, col, &mut guards[c])?;
+                let part = execute_on_index(index, &inner, col, &mut guards[c], None)?;
                 if part.2.is_some() {
                     stopped[c] = true;
                 }
@@ -735,7 +708,7 @@ where
                     .iter()
                     .map(|col| {
                         let mut unbudgeted = None;
-                        execute_on_index(index, &inner, col, &mut unbudgeted)
+                        execute_on_index(index, &inner, col, &mut unbudgeted, None)
                     })
                     .collect::<Result<Vec<_>>>()
             },
@@ -754,7 +727,7 @@ where
             let mut stats = SearchStats::new();
             let mut hits = Vec::new();
             let mut outcome = QueryOutcome::Exact;
-            for (i, (h, s, e)) in parts.into_iter().enumerate() {
+            for (i, (h, s, e, _)) in parts.into_iter().enumerate() {
                 if query.trace == crate::trace::TraceLevel::Detail {
                     unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
                 }
@@ -853,7 +826,7 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
         // The same partition loop as the disk-backed lake, minus the
         // per-query `load_index`.
         execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
-            execute_on_index(&self.indexes[i], inner, vectors, guard)
+            execute_on_index(&self.indexes[i], inner, vectors, guard, None)
         })
     }
 

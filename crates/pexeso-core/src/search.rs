@@ -665,9 +665,8 @@ impl<M: Metric> PexesoIndex<M> {
     ) -> Result<QueryResponse> {
         self.check_metric_expectation(query)?;
         let mut guard = BudgetGuard::start(&query.budget);
-        let (mut hits, stats, exceeded, trajectory) = crate::outofcore::execute_on_index_explained(
-            self, query, vectors, &mut guard, premapped,
-        )?;
+        let (mut hits, stats, exceeded, trajectory) =
+            crate::outofcore::execute_on_index(self, query, vectors, &mut guard, premapped)?;
         let mut outcome = QueryOutcome::Exact;
         fold_outcome(&mut outcome, exceeded);
         // The one branch the untraced path pays: no timer, no allocation

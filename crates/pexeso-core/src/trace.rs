@@ -51,14 +51,14 @@ impl TraceLevel {
         }
     }
 
-    /// Inverse of [`TraceLevel::as_u8`]; unknown bytes clamp to `Detail`
-    /// so a newer client's request degrades to "everything" rather than
-    /// to silence.
-    pub fn from_u8(v: u8) -> Self {
+    /// Inverse of [`TraceLevel::as_u8`]; `None` for a byte no level
+    /// encodes to.
+    pub fn from_u8(v: u8) -> Option<Self> {
         match v {
-            0 => TraceLevel::Off,
-            1 => TraceLevel::Phases,
-            _ => TraceLevel::Detail,
+            0 => Some(TraceLevel::Off),
+            1 => Some(TraceLevel::Phases),
+            2 => Some(TraceLevel::Detail),
+            _ => None,
         }
     }
 }
@@ -253,12 +253,11 @@ mod tests {
     #[test]
     fn level_encoding_roundtrips() {
         for l in [TraceLevel::Off, TraceLevel::Phases, TraceLevel::Detail] {
-            assert_eq!(TraceLevel::from_u8(l.as_u8()), l);
+            assert_eq!(TraceLevel::from_u8(l.as_u8()), Some(l));
         }
         assert!(!TraceLevel::Off.enabled());
         assert!(TraceLevel::Phases.enabled());
-        // Unknown future levels degrade to Detail, not Off.
-        assert_eq!(TraceLevel::from_u8(99), TraceLevel::Detail);
+        assert_eq!(TraceLevel::from_u8(3), None);
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl DeltaLake {
         let files = self.base.partition_files();
         overlay.execute_with_base(files.len(), query, vectors, |i, inner, guard| {
             let index = load_index(&files[i], metric.clone())?;
-            execute_on_index(&index, inner, vectors, guard)
+            execute_on_index(&index, inner, vectors, guard, None)
         })
     }
 }

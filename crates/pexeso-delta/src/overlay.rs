@@ -38,16 +38,16 @@ use std::collections::HashSet;
 use pexeso_core::config::IndexOptions;
 use pexeso_core::error::{PexesoError, Result};
 use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
-use pexeso_core::outofcore::{execute_on_index, execute_partitioned, GlobalHit};
-use pexeso_core::query::{BudgetGuard, Exceeded, Query, QueryMode, QueryResponse};
+use pexeso_core::outofcore::{execute_on_index, execute_partitioned, PartitionAnswer};
+use pexeso_core::query::{BudgetGuard, Query, QueryMode, QueryResponse};
 use pexeso_core::search::PexesoIndex;
 use pexeso_core::stats::SearchStats;
 use pexeso_core::vector::VectorStore;
 
 use crate::wal::DeltaState;
 
-/// The result triple every per-unit engine call produces.
-pub type UnitResult = Result<(Vec<GlobalHit>, SearchStats, Option<Exceeded>)>;
+/// What every per-unit engine call produces.
+pub type UnitResult = Result<PartitionAnswer>;
 
 /// The in-memory overlay for one metric: live delta columns indexed for
 /// search, plus the base tombstones.
@@ -155,7 +155,7 @@ impl<M: Metric> DeltaOverlay<M> {
                     .index
                     .as_ref()
                     .expect("delta unit only exists with an index");
-                execute_on_index(index, inner, vectors, guard)
+                execute_on_index(index, inner, vectors, guard, None)
             }
         })
     }
@@ -179,9 +179,9 @@ impl<M: Metric> DeltaOverlay<M> {
         }
         match inner.mode {
             QueryMode::Threshold(_) => {
-                let (mut hits, stats, exceeded) = run(inner, guard)?;
-                hits.retain(|h| !dropped.contains(&h.table_name));
-                Ok((hits, stats, exceeded))
+                let mut answer = run(inner, guard)?;
+                answer.0.retain(|h| !dropped.contains(&h.table_name));
+                Ok(answer)
             }
             QueryMode::Topk(k) => {
                 // One dropped *table* usually means one dropped column,
@@ -195,7 +195,7 @@ impl<M: Metric> DeltaOverlay<M> {
                         mode: QueryMode::Topk(ask),
                         ..inner.clone()
                     };
-                    let (raw, stats, exceeded) = run(&boosted, guard)?;
+                    let (raw, stats, exceeded, trajectory) = run(&boosted, guard)?;
                     total.merge(&stats);
                     let raw_len = raw.len();
                     let mut hits = raw;
@@ -206,7 +206,7 @@ impl<M: Metric> DeltaOverlay<M> {
                     // stayed within the slack, or when a budget tripped
                     // (the response is flagged partial anyway).
                     if raw_len < ask || removed <= ask - k || exceeded.is_some() {
-                        return Ok((hits, total, exceeded));
+                        return Ok((hits, total, exceeded, trajectory));
                     }
                     ask = k.saturating_add(removed).saturating_add(dropped.len());
                 }

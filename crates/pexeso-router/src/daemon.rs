@@ -21,8 +21,8 @@
 //!   router serves topology, and a map edit (add a replica, move a
 //!   boundary after a re-split) hot-swaps the routing table without
 //!   dropping queries in flight (they finish on the old table).
-//! * **`APPLY` requires the V5 shard tail** ([`Request::ApplyDelta`]
-//!   with `shard: Some(_)`): a router fans ingest to the owning shard's
+//! * **`APPLY` must name a shard** ([`Request::ApplyDelta`] with
+//!   `shard: Some(_)`): a router fans ingest to the owning shard's
 //!   replicas, and "apply... something, somewhere" is an error, not a
 //!   guess.
 //! * **No soft shed band.** The router sheds load at its own door with
@@ -264,12 +264,11 @@ impl Handler for RouterHandler {
                     Err(e) => error_reply(ctx, e.to_string()),
                 }
             }
-            // A bare V3 APPLY is addressed at "the deployment"; a
+            // A shard-less APPLY is addressed at "the deployment"; a
             // router has N of them and refuses to pick one silently.
-            Request::ApplyDelta { shard: None } => error_reply(
-                ctx,
-                "router APPLY requires the V5 shard tail (use --shard N)".into(),
-            ),
+            Request::ApplyDelta { shard: None } => {
+                error_reply(ctx, "router APPLY requires a shard (use --shard N)".into())
+            }
             Request::Inspect => Reply::Stats {
                 text: self.current_router().inspect_text(),
             },
@@ -340,7 +339,7 @@ impl RouterHandler {
         let (resp, meta) = router
             .execute_routed(&query, &store)
             .map_err(|e| e.to_string())?;
-        if payload.trace.enabled() {
+        if payload.criteria.trace.enabled() {
             let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
             self.slow_log.offer_correlated(
                 verb_of(mode),

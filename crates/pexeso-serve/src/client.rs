@@ -6,8 +6,8 @@
 //!
 //! The client is the *remote* [`Queryable`] backend: a unified
 //! [`Query`] executes over the wire exactly like it would against a local
-//! index, with the per-query options/budget travelling in the V2 frame
-//! extension and the outcome/stats coming back in the extended reply.
+//! index, with the per-query options/budget travelling in the request
+//! frame and the outcome/stats coming back in the reply.
 //! The stream is guarded by a mutex so the trait's `&self` surface stays
 //! sound; requests on one connection serialize.
 
@@ -28,7 +28,8 @@ use pexeso_core::vector::VectorStore;
 
 use crate::protocol::{
     decode_reply, encode_request, read_frame, write_frame, BatchMode, HitsExt, HitsReply,
-    InfoReply, QueryBatch, QueryExt, QueryPayload, Reply, Request, WireError, WireHit,
+    InfoReply, QueryBatch, QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireError,
+    WireHit,
 };
 use crate::server::clamp_policy;
 
@@ -114,37 +115,29 @@ pub fn query_payload(
     store: &VectorStore,
 ) -> QueryPayload {
     QueryPayload {
-        metric: metric.to_string(),
-        tau,
-        policy,
-        dim: store.dim() as u32,
+        criteria: QueryCriteria {
+            metric: metric.to_string(),
+            tau,
+            policy,
+            dim: store.dim() as u32,
+            ext: QueryExt::default(),
+            trace: TraceLevel::Off,
+            request_id: None,
+        },
         vectors: store.raw_data().to_vec(),
-        ext: None,
-        trace: TraceLevel::Off,
-        request_id: None,
         explain: false,
     }
 }
 
 /// The wire request a unified [`Query`] translates to: every criterion —
 /// mode, τ, T/k, policy, metric expectation, lemma toggles, quick-browse,
-/// and budget — travels in the frame (the options/budget in the V2
-/// extension). This is the client half of the serve mapping;
-/// [`query_from_wire`] is its inverse on the daemon side
+/// and budget — travels in the frame. This is the client half of the
+/// serve mapping; [`query_from_wire`] is its inverse on the daemon side
 /// (`tests/protocol_props.rs` pins the round trip).
 pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
     let payload = QueryPayload {
-        // An empty metric string spells "no expectation": the server
-        // answers with its own build metric, exactly like the local
-        // backends do for `Query::metric = None`.
-        metric: query.metric.clone().unwrap_or_default(),
-        tau: query.tau,
-        policy: query.policy,
-        dim: vectors.dim() as u32,
+        criteria: wire_criteria(query, vectors.dim()),
         vectors: vectors.raw_data().to_vec(),
-        ext: Some(wire_ext(query)),
-        trace: query.trace,
-        request_id: query.request_id,
         explain: query.explain,
     };
     match query.mode {
@@ -156,19 +149,30 @@ pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
     }
 }
 
-/// The V2 extension a unified [`Query`] travels with (shared by solo and
-/// batch frames).
-fn wire_ext(query: &Query) -> QueryExt {
-    QueryExt {
-        flags: query.options.flags,
-        quick_browse: query.options.quick_browse,
-        max_distance_computations: query.budget.max_distance_computations,
-        // Ceil to whole milliseconds: a sub-millisecond (but nonzero)
-        // deadline must not truncate to an instant trip server-side.
-        deadline_ms: query
-            .budget
-            .deadline
-            .map(|d| d.as_nanos().div_ceil(1_000_000) as u64),
+/// The criteria a unified [`Query`] over `dim`-dimensional columns
+/// travels with (shared by solo and batch frames).
+fn wire_criteria(query: &Query, dim: usize) -> QueryCriteria {
+    QueryCriteria {
+        // An empty metric string spells "no expectation": the server
+        // answers with its own build metric, exactly like the local
+        // backends do for `Query::metric = None`.
+        metric: query.metric.clone().unwrap_or_default(),
+        tau: query.tau,
+        policy: query.policy,
+        dim: dim as u32,
+        ext: QueryExt {
+            flags: query.options.flags,
+            quick_browse: query.options.quick_browse,
+            max_distance_computations: query.budget.max_distance_computations,
+            // Ceil to whole milliseconds: a sub-millisecond (but nonzero)
+            // deadline must not truncate to an instant trip server-side.
+            deadline_ms: query
+                .budget
+                .deadline
+                .map(|d| d.as_nanos().div_ceil(1_000_000) as u64),
+        },
+        trace: query.trace,
+        request_id: query.request_id,
     }
 }
 
@@ -177,60 +181,52 @@ fn wire_ext(query: &Query) -> QueryExt {
 /// policy is resolved under the daemon's thread ceiling
 /// ([`clamp_policy`]); an empty metric string spells "no expectation"
 /// (serve with the build metric, like every local backend does for
-/// `Query::metric = None`); a frame without the V2 extension gets the
-/// default options and an unlimited budget. `queue_wait` — the part of
-/// the deadline the request already spent in the accept queue — is
-/// subtracted, so execution gets only the remainder.
+/// `Query::metric = None`). `queue_wait` — the part of the deadline the
+/// request already spent in the accept queue — is subtracted, so
+/// execution gets only the remainder.
 pub fn query_from_wire(
     payload: &QueryPayload,
     mode: QueryMode,
     max_request_threads: usize,
     queue_wait: Option<Duration>,
 ) -> pexeso_core::error::Result<(Query, VectorStore)> {
-    let store = VectorStore::from_raw(payload.dim as usize, payload.vectors.clone())?;
+    let c = &payload.criteria;
+    let store = VectorStore::from_raw(c.dim as usize, payload.vectors.clone())?;
     let mut query = match mode {
-        QueryMode::Threshold(t) => Query::threshold(payload.tau, t),
-        QueryMode::Topk(k) => Query::topk(payload.tau, k),
+        QueryMode::Threshold(t) => Query::threshold(c.tau, t),
+        QueryMode::Topk(k) => Query::topk(c.tau, k),
     }
-    .with_policy(clamp_policy(payload.policy, max_request_threads))
-    .with_trace(payload.trace)
+    .with_policy(clamp_policy(c.policy, max_request_threads))
+    .with_trace(c.trace)
     .with_explain(payload.explain);
-    query.metric = Some(payload.metric.clone()).filter(|m| !m.is_empty());
-    query.request_id = payload.request_id;
-    if let Some(ext) = &payload.ext {
-        query.options.flags = ext.flags;
-        query.options.quick_browse = ext.quick_browse;
-        query.budget = QueryBudget {
-            max_distance_computations: ext.max_distance_computations,
-            deadline: ext.deadline_ms.map(|ms| {
-                let full = Duration::from_millis(ms);
-                queue_wait.map_or(full, |w| full.saturating_sub(w))
-            }),
-        };
-    }
+    query.metric = Some(c.metric.clone()).filter(|m| !m.is_empty());
+    query.request_id = c.request_id;
+    query.options.flags = c.ext.flags;
+    query.options.quick_browse = c.ext.quick_browse;
+    query.budget = QueryBudget {
+        max_distance_computations: c.ext.max_distance_computations,
+        deadline: c.ext.deadline_ms.map(|ms| {
+            let full = Duration::from_millis(ms);
+            queue_wait.map_or(full, |w| full.saturating_sub(w))
+        }),
+    };
     Ok((query, store))
 }
 
-/// The V4 batch frame a unified [`Query`] over many columns translates
+/// The batch frame a unified [`Query`] over many columns translates
 /// to: the criteria once, every column's vectors in one payload. All
 /// columns must share one dimension (the caller checks). Public so the
 /// round-trip can be property-tested against the frame codec.
 pub fn wire_batch_request(query: &Query, columns: &[&VectorStore]) -> Request {
-    let dim = columns.first().map_or(0, |c| c.dim()) as u32;
+    let dim = columns.first().map_or(0, |c| c.dim());
     let mode = match query.mode {
         QueryMode::Threshold(t) => BatchMode::Search(t),
         QueryMode::Topk(k) => BatchMode::Topk(k as u64),
     };
     Request::Batch(QueryBatch {
-        metric: query.metric.clone().unwrap_or_default(),
-        tau: query.tau,
-        policy: query.policy,
+        criteria: wire_criteria(query, dim),
         mode,
-        dim,
         columns: columns.iter().map(|c| c.raw_data().to_vec()).collect(),
-        ext: Some(wire_ext(query)),
-        trace: query.trace,
-        request_id: query.request_id,
     })
 }
 
@@ -362,7 +358,16 @@ impl ServeClient {
         // pipe error. (A pooled stream the server closed while idle fails
         // the same way and surfaces `Disconnected`, which retry-capable
         // callers treat as transient.)
-        let write_err = write_frame(&mut stream, &encode_request(req)).err();
+        let write_err = match write_frame(&mut stream, &encode_request(req)) {
+            // Over the frame cap: refused before a byte was written, so
+            // no reply is coming and the stream is still in sync. Not
+            // retryable — every replica would refuse it the same way.
+            Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+                self.checkin(stream);
+                return Err(ClientError::Protocol(e.to_string()));
+            }
+            result => result.err(),
+        };
         let payload = match read_frame(&mut stream) {
             Ok(Some(p)) => p,
             Ok(None) => {
@@ -413,7 +418,7 @@ impl ServeClient {
 
     /// Raw threshold search over an explicit wire payload. The unified
     /// path is [`Queryable::execute`]; this is the protocol-level escape
-    /// hatch (and what the V1-compat tests drive).
+    /// hatch.
     pub fn search(&self, query: QueryPayload, t: JoinThreshold) -> ClientResult<HitsReply> {
         match self.roundtrip(&Request::Search { query, t })? {
             Reply::Hits(hits) => Ok(hits),
@@ -447,7 +452,7 @@ impl ServeClient {
     }
 
     /// Execute one unified [`Query`] over many columns in a single
-    /// request frame (the V4 batch verb) and return each column's
+    /// request frame (the `BATCH` verb) and return each column's
     /// response plus its serve-side metadata.
     /// [`Queryable::execute_many`] is this minus the metadata.
     pub fn execute_many_detailed(
@@ -486,7 +491,7 @@ impl ServeClient {
         }
     }
 
-    /// The Prometheus text-format exposition (the V5 `METRICS` verb).
+    /// The Prometheus text-format exposition (the `METRICS` verb).
     /// Validates with [`crate::metrics::validate_prometheus`].
     pub fn metrics_text(&self) -> ClientResult<String> {
         match self.roundtrip(&Request::Metrics)? {
@@ -496,7 +501,7 @@ impl ServeClient {
     }
 
     /// The slow-query log: the slowest traced requests the daemon has
-    /// seen, slowest first, each with its rendered phase tree (the V5
+    /// seen, slowest first, each with its rendered phase tree (the
     /// `SLOW` verb). Empty until a traced or sampled query lands.
     pub fn slow_log_text(&self) -> ClientResult<String> {
         match self.roundtrip(&Request::SlowLog)? {
@@ -507,7 +512,7 @@ impl ServeClient {
 
     /// Index introspection: per-partition column/vector counts, postings
     /// and cell-occupancy histograms, pivot spread, and delta-overlay
-    /// depth as `key=value` text (the V6 `INSPECT` verb). A router
+    /// depth as `key=value` text (the `INSPECT` verb). A router
     /// answers with every shard's report, keys prefixed `shardN.`.
     pub fn inspect_text(&self) -> ClientResult<String> {
         match self.roundtrip(&Request::Inspect)? {
@@ -516,7 +521,7 @@ impl ServeClient {
         }
     }
 
-    /// Liveness/readiness summary as `key=value` text (the V6 `HEALTH`
+    /// Liveness/readiness summary as `key=value` text (the `HEALTH`
     /// verb): `status=ready|degraded|draining` plus supporting detail. A
     /// router rolls every shard's replica set into one fleet answer.
     pub fn health_text(&self) -> ClientResult<String> {
@@ -527,7 +532,7 @@ impl ServeClient {
     }
 
     /// Mark a replica drained (`true`) or back in rotation (`false`) on a
-    /// router (the V6 `DRAIN` verb). Returns the router's confirmation
+    /// router (the `DRAIN` verb). Returns the router's confirmation
     /// text; shard daemons reject the verb.
     pub fn drain(&self, addr: &str, drained: bool) -> ClientResult<String> {
         match self.roundtrip(&Request::Drain {
@@ -540,16 +545,15 @@ impl ServeClient {
     }
 
     /// Publish a new generation from the served directory's delta log
-    /// without reloading the base snapshot (the V3 live-ingest verb).
+    /// without reloading the base snapshot (the `APPLY` live-ingest verb).
     /// Returns (new generation, live delta columns, tombstoned tables).
     pub fn apply_delta(&self) -> ClientResult<(u64, u64, u64)> {
         self.apply_delta_shard(None)
     }
 
-    /// Routed live ingest: the V5 form of APPLY that names the shard
-    /// whose replicas should apply their delta log. Meaningful when the
-    /// peer is a router (a shard daemon ignores the tail); `None` sends
-    /// the historical bare V3 frame.
+    /// Routed live ingest: an APPLY that names the shard whose replicas
+    /// should apply their delta log. A router requires `Some`; a shard
+    /// daemon ignores the field.
     pub fn apply_delta_shard(&self, shard: Option<u32>) -> ClientResult<(u64, u64, u64)> {
         match self.roundtrip(&Request::ApplyDelta { shard })? {
             Reply::Applied {
@@ -643,20 +647,19 @@ fn expired_in_queue() -> (QueryResponse, RemoteMeta) {
 }
 
 /// The `HITS` entry a daemon answers `payload` with from an executed
-/// response — the daemon half of `unwrap_hits_reply` below. A request
-/// carrying the V2 extension gets the extended reply, and only a
+/// response — the daemon half of `unwrap_hits_reply` below. Only a
 /// *requested* trace travels back: a daemon-sampled one exists for the
-/// slow-query log and never changes the reply shape.
+/// slow-query log and never changes the reply.
 pub fn hits_reply(payload: &QueryPayload, generation: u64, resp: QueryResponse) -> HitsReply {
     HitsReply {
         generation,
         cached: false,
         hits: resp.hits.iter().map(WireHit::from).collect(),
-        ext: payload.ext.map(|_| HitsExt {
+        ext: Some(HitsExt {
             outcome: resp.outcome,
             distance_computations: resp.stats.distance_computations,
         }),
-        trace: resp.trace.filter(|_| payload.trace.enabled()),
+        trace: resp.trace.filter(|_| payload.criteria.trace.enabled()),
         explain: resp.explain.map(Box::new),
     }
 }
@@ -668,7 +671,7 @@ fn unwrap_hits_reply(reply: HitsReply) -> ClientResult<(QueryResponse, RemoteMet
         cached: reply.cached,
     };
     let ext = reply.ext.ok_or_else(|| {
-        ClientError::Protocol("server answered a V2 request without the reply extension".into())
+        ClientError::Protocol("server answered a query without the outcome extension".into())
     })?;
     let hits = reply
         .hits

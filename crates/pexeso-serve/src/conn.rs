@@ -33,7 +33,7 @@ use pexeso_core::query::QueryMode;
 use crate::metrics::EndpointMetrics;
 use crate::protocol::{
     decode_request, encode_reply, read_frame, write_frame, BatchMode, HitsReply, QueryBatch,
-    QueryPayload, Reply, Request,
+    QueryPayload, Reply, Request, MAX_FRAME_BYTES,
 };
 
 /// What the core needs to know about the daemon it carries.
@@ -381,11 +381,11 @@ fn handle_connection<H: Handler>(core: &Core, handler: &H, conn: QueuedConn) {
                         &[],
                     );
                 }
-                let reply = dispatch(core, handler, req, queue_wait.take());
+                let frame = dispatch(core, handler, req, queue_wait.take());
                 if fault::check(&core.fault_write).is_err() {
                     return;
                 }
-                if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
+                if write_frame(&mut stream, &frame).is_err() {
                     return;
                 }
                 if is_shutdown {
@@ -410,14 +410,15 @@ fn handle_connection<H: Handler>(core: &Core, handler: &H, conn: QueuedConn) {
     }
 }
 
-/// Run the handler on one request, record its endpoint latency, and turn
-/// a handler panic into a typed error on that request alone.
+/// Run the handler on one request, record its endpoint latency, and
+/// encode the reply frame. A handler panic, or a reply too large to
+/// frame, becomes a typed error on that request alone.
 fn dispatch<H: Handler>(
     core: &Core,
     handler: &H,
     req: Request,
     queue_wait: Option<Duration>,
-) -> Reply {
+) -> Vec<u8> {
     let ctx = RequestCtx {
         queue_wait,
         started: Instant::now(),
@@ -447,7 +448,16 @@ fn dispatch<H: Handler>(
     if let Some(endpoint) = ctx.endpoint {
         endpoint.record(ctx.started.elapsed());
     }
-    reply
+    let mut frame = encode_reply(&reply);
+    if frame.len() > MAX_FRAME_BYTES as usize {
+        // The peer's `read_frame` would refuse this and hang up.
+        let message = format!(
+            "reply of {} bytes exceeds the frame cap {MAX_FRAME_BYTES}",
+            frame.len()
+        );
+        frame = encode_reply(&error_reply(&ctx, message));
+    }
+    frame
 }
 
 /// The verb name a query mode is logged under.
@@ -492,21 +502,19 @@ pub fn answer_query<F>(req: Request, ctx: &RequestCtx<'_>, mut run: F) -> Reply
 where
     F: FnMut(&Request, &QueryPayload, QueryMode) -> std::result::Result<HitsReply, String>,
 {
-    let (ext, request_id) = match &req {
-        Request::Search { query, .. } | Request::Topk { query, .. } => {
-            (query.ext, query.request_id)
-        }
-        Request::Batch(batch) => (batch.ext, batch.request_id),
+    let criteria = match &req {
+        Request::Search { query, .. } | Request::Topk { query, .. } => &query.criteria,
+        Request::Batch(batch) => &batch.criteria,
         _ => return error_reply(ctx, "not a query verb".into()),
     };
     if let Some(wait) = ctx.queue_wait {
         ctx.core.counters.queue_wait.record_duration(wait);
-        let deadline = ext.and_then(|ext| ext.deadline_ms);
+        let deadline = criteria.ext.deadline_ms;
         if deadline.is_some_and(|ms| wait >= Duration::from_millis(ms)) {
             ctx.core.counters.expired.fetch_add(1, Ordering::Relaxed);
             let waited_ms = wait.as_millis() as u64;
             let mut fields: Vec<(&str, Value)> = vec![("waited_ms", waited_ms.into())];
-            if let Some(rid) = request_id {
+            if let Some(rid) = criteria.request_id {
                 fields.push(("rid", Value::Rid(rid)));
             }
             plog::log(
@@ -547,14 +555,8 @@ where
 /// traffic share cache lines.
 fn solo_request(batch: &QueryBatch, vectors: Vec<f32>) -> Request {
     let query = QueryPayload {
-        metric: batch.metric.clone(),
-        tau: batch.tau,
-        policy: batch.policy,
-        dim: batch.dim,
+        criteria: batch.criteria.clone(),
         vectors,
-        ext: batch.ext,
-        trace: batch.trace,
-        request_id: batch.request_id,
         explain: false,
     };
     match batch.mode {

@@ -14,7 +14,7 @@
 //!   directory and atomically publishes it under live traffic with zero
 //!   dropped queries (in-flight requests finish on the old snapshot);
 //!   snapshots also carry the deployment's replayed delta log
-//!   (`pexeso-delta`), and the V3 `APPLY` verb publishes a fresh overlay
+//!   (`pexeso-delta`), and the `APPLY` verb publishes a fresh overlay
 //!   over the *shared resident base* — live ingest without reloading a
 //!   single partition;
 //! * [`cache`] — a sharded LRU result cache keyed on (query fingerprint,
@@ -30,7 +30,7 @@
 //! * [`metrics`] — lock-free per-endpoint counters and log-bucketed
 //!   latency histograms ([`pexeso_core::hist::AtomicHistogram`]),
 //!   rendered as `key=value` text on the `STATS` verb and as Prometheus
-//!   text format on the V5 `METRICS` verb (validated in-repo by
+//!   text format on the `METRICS` verb (validated in-repo by
 //!   [`metrics::validate_prometheus`]), plus a slowest-N traced query
 //!   log behind the `SLOW` verb;
 //! * [`client`] — a synchronous client used by `pexeso query` and the
@@ -59,7 +59,7 @@ pub use client::{
 };
 pub use metrics::{stat_value, validate_prometheus, ServerMetrics, SlowQueryLog, SnapshotFacts};
 pub use protocol::{
-    HitsExt, HitsReply, InfoReply, QueryExt, QueryPayload, Reply, Request, WireHit,
+    HitsExt, HitsReply, InfoReply, QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireHit,
 };
 pub use resilient::{BackoffPolicy, ReplicaStatus, ResilientClient, ResilientConfig, RetryStats};
 pub use server::{ServeConfig, Server, ServerHandle};

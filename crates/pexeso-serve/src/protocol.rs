@@ -1,17 +1,78 @@
-//! The wire protocol between `pexeso serve` and its clients.
+//! The wire protocol between `pexeso serve` / `pexeso router` and their
+//! clients.
 //!
 //! Every message is one length-prefixed frame: a `u32` little-endian
-//! payload length followed by the payload. Request payloads start with the
-//! magic `PXSV`, a protocol version byte, and a verb byte; reply payloads
-//! start with a single kind byte. All integers are little-endian, strings
-//! are `u32` length + UTF-8 bytes, and query vectors travel as raw `f32`
-//! bits — the embedding happens client-side so the daemon stays agnostic
-//! to embedder implementations.
+//! payload length followed by the payload. All integers are
+//! little-endian, strings are `u32` length + UTF-8 bytes, a `bool` is one
+//! byte `0|1`, an `opt T` is a tag byte `0|1` followed by `T` when `1`,
+//! and query vectors travel as raw `f32` bits — the embedding happens
+//! client-side so the daemon stays agnostic to embedder implementations.
 //!
 //! The protocol is deliberately synchronous per connection: a client sends
 //! one request frame and reads one reply frame, any number of times, then
 //! closes. Backpressure is explicit — an overloaded server answers a
 //! connection with a [`Reply::Busy`] frame instead of queueing unboundedly.
+//!
+//! There is exactly one layout, [`PROTOCOL_VERSION`]. A request stamped
+//! with any other version is refused with one `Malformed` naming both
+//! versions (the daemon answers `ERR` and hangs up): router, shards and
+//! clients are deployed from one build. A decoder accepts exactly the
+//! bytes the encoder can produce — every field below is always present,
+//! nothing is inferred from "bytes remain", and any other tag, flag or
+//! trailing byte is `Malformed`.
+//!
+//! # Requests
+//!
+//! Payload = `PXSV`, version byte, verb byte, body.
+//!
+//! | verb | byte | body |
+//! |---|---|---|
+//! | `INFO` | 0 | — |
+//! | `SEARCH` | 1 | threshold, *query*(one column), explain: `bool` |
+//! | `TOPK` | 2 | k: `u64`, *query*(one column), explain: `bool` |
+//! | `STATS` | 3 | — |
+//! | `RELOAD` | 4 | dir: `str` (empty = the served directory) |
+//! | `SHUTDOWN` | 5 | — |
+//! | `APPLY` | 6 | shard: `opt u32` |
+//! | `BATCH` | 7 | mode tag `0`+threshold \| `1`+k, *query*(column count: `u32`, columns) |
+//! | `METRICS` | 8 | — |
+//! | `SLOW` | 9 | — |
+//! | `INSPECT` | 10 | — |
+//! | `HEALTH` | 11 | — |
+//! | `DRAIN` | 12 | addr: `str`, drained: `bool` |
+//!
+//! *query* = metric: `str`, τ (tag `0` absolute \| `1` ratio, `f32`),
+//! policy (tag `0` sequential \| `1` parallel \| `2` fixed, threads:
+//! `u32`), dim: `u32`, the vectors (per column: vector count `u32`, then
+//! `count × dim` × `f32`), options/budget ([`QueryExt`]: lemma mask `u8`,
+//! quick-browse `bool`, max distance computations `opt u64`, deadline ms
+//! `opt u64`), trace level `u8`, request id: `opt u64`. A threshold is tag
+//! `0` + count `u64` or tag `1` + ratio `f64`.
+//!
+//! # Replies
+//!
+//! Payload = kind byte, body.
+//!
+//! | kind | byte | body |
+//! |---|---|---|
+//! | `INFO` | 0 | dim `u32`, generation `u64`, index version `u64`, partitions `u32`, disk bytes `u64` |
+//! | `HITS` | 1 | *hits* |
+//! | `STATS` | 2 | text: `str` (also answers METRICS/SLOW/INSPECT/HEALTH/DRAIN) |
+//! | `RELOADED` | 3 | generation `u64`, partitions `u32` |
+//! | `SHUTTING_DOWN` | 4 | — |
+//! | `APPLIED` | 6 | generation `u64`, delta columns `u64`, tombstones `u64` |
+//! | `HITS_BATCH` | 7 | entry count `u32`, then that many *hits* |
+//! | `DEADLINE_EXPIRED` | 248 | waited ms `u64` |
+//! | `SHED` | 249 | — |
+//! | `BUSY` | 250 | — |
+//! | `ERR` | 251 | message: `str` |
+//!
+//! *hits* = generation `u64`, cached `bool`, ext: `opt` (outcome `u8`,
+//! distance computations `u64`), hit count `u32` + hits (external id
+//! `u64`, table `str`, column `str`, match count `u32`), trace: `opt` span
+//! tree, explain: `opt` report. The four refusal kinds (248–251) keep
+//! their bytes and layouts across versions, so a peer of any build can
+//! read a refusal.
 
 use std::io::{Read, Write};
 
@@ -23,50 +84,10 @@ use pexeso_core::trace::{QueryTrace, TraceLevel, TraceSpan};
 
 /// First bytes of every request payload.
 pub const MAGIC: &[u8; 4] = b"PXSV";
-/// Current protocol version. Version 2 adds the optional per-query
-/// options/budget extension to `SEARCH`/`TOPK` requests and the extended
-/// `HITS` reply; version 3 adds the `APPLY` verb (publish a new serve
-/// generation from the deployment's delta log without reloading the base
-/// snapshot); version 4 adds the `BATCH` verb (many query columns in one
-/// frame, answered by one `HITS_BATCH` reply) and the `fixed` execution
-/// policy tag; version 5 adds the observability plane — the per-query
-/// trace request (a trace-level tail on `SEARCH`/`TOPK`/`BATCH` frames,
-/// answered with a span tree in the `HITS_V3`/`HITS_BATCH_V2` reply
-/// kinds) and the `METRICS` (Prometheus text exposition) and `SLOW`
-/// (slow-query log dump) verbs; version 6 adds the introspection plane —
-/// a request-id/explain tail on query frames (fleet-wide correlation ids
-/// and the EXPLAIN funnel in the `HITS_V4` reply kind) and the `INSPECT`
-/// (index statistics), `HEALTH` (readiness/drain state), and `DRAIN`
-/// (router replica drain toggle) verbs. Frames are stamped with the
-/// lowest version that can carry them — extension-less queries stay V1
-/// and extended queries V2, so every pre-delta server and client keeps
-/// interoperating; only `APPLY` frames are V3, only batch/`fixed`-policy
-/// frames are V4, only traced queries and the V5 verbs are V5, and only
-/// correlated/explained queries and the new verbs are V6.
-pub const PROTOCOL_VERSION: u8 = 6;
-/// Version that introduced the query options/budget extension.
-pub const QUERY_EXT_VERSION: u8 = 2;
-/// Version that introduced the batch verb and the `fixed` policy tag.
-pub const BATCH_VERSION: u8 = 4;
-/// Version that introduced query tracing and the METRICS/SLOW verbs.
-///
-/// A V5 query frame swaps the tail-presence rule for an explicit layout:
-/// after the threshold/k field come an ext-presence byte, the extension
-/// if present, and a trace-level byte. Encoders only stamp V5 when the
-/// trace level is not `Off`, so untraced requests keep their old (V1–V4)
-/// shapes bit-for-bit and old servers keep answering them.
-pub const TRACE_VERSION: u8 = 5;
-/// Version that introduced the request-id/explain query tail and the
-/// INSPECT/HEALTH/DRAIN verbs.
-///
-/// A V6 query frame extends the V5 explicit tail with a request-id
-/// presence byte (plus the id), then an explain byte. Encoders only
-/// stamp V6 when a request id or the explain flag is actually carried,
-/// so uncorrelated requests keep their old (V1–V5) shapes bit-for-bit
-/// and old servers keep answering them.
-pub const REQUEST_ID_VERSION: u8 = 6;
-/// Oldest request version the server still parses.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
+/// The one protocol version this build speaks: every request frame is
+/// stamped with it and [`decode_request`] refuses any other. Bump it with
+/// any layout change (`golden_frames` pins the bytes).
+pub const PROTOCOL_VERSION: u8 = 7;
 /// Hard cap on a single frame; anything larger is treated as garbage
 /// framing rather than a legitimate request.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -79,19 +100,19 @@ const VERB_RELOAD: u8 = 4;
 const VERB_SHUTDOWN: u8 = 5;
 const VERB_APPLY: u8 = 6;
 const VERB_BATCH: u8 = 7;
-/// V5: Prometheus text exposition of the server metrics.
+/// Prometheus text exposition of the server metrics.
 const VERB_METRICS: u8 = 8;
-/// V5: dump the slow-query log (slowest traced requests + phase trees).
+/// Dump the slow-query log (slowest traced requests + phase trees).
 const VERB_SLOW: u8 = 9;
-/// V6: index-statistics inspection (per-partition shape, postings and
+/// Index-statistics inspection (per-partition shape, postings and
 /// cell-occupancy histograms, delta overlay depth) as text.
 const VERB_INSPECT: u8 = 10;
-/// V6: readiness/health probe (ready/degraded/draining, generation,
-/// queue facts; the router rolls shard replica health into one answer).
+/// Readiness/health probe (ready/degraded/draining, generation, queue
+/// facts; the router rolls shard replica health into one answer).
 const VERB_HEALTH: u8 = 11;
-/// V6: toggle the drain flag of one replica address (router only; a
-/// shard daemon answers `ERR` — drain a shard by draining its address
-/// on the router).
+/// Toggle the drain flag of one replica address (router only; a shard
+/// daemon answers `ERR` — drain a shard by draining its address on the
+/// router).
 const VERB_DRAIN: u8 = 12;
 
 const REPLY_INFO: u8 = 0;
@@ -99,25 +120,10 @@ const REPLY_HITS: u8 = 1;
 const REPLY_STATS: u8 = 2;
 const REPLY_RELOADED: u8 = 3;
 const REPLY_SHUTTING_DOWN: u8 = 4;
-/// V2 `HITS` reply carrying the outcome/stats extension. Only ever sent
-/// in answer to a V2 request, so V1 clients never see this kind byte.
-const REPLY_HITS_V2: u8 = 5;
-/// Reply to the V3 `APPLY` verb; never sent to older clients (they
-/// cannot encode the request).
 const REPLY_APPLIED: u8 = 6;
-/// Reply to the V4 `BATCH` verb: one `HITS`-shaped entry per query
-/// column, in request order. Never sent to older clients.
+/// Reply to `BATCH`: one `HITS`-shaped entry per query column, in
+/// request order.
 const REPLY_HITS_BATCH: u8 = 7;
-/// V5 `HITS` reply carrying a query trace (explicit-ext body + span
-/// tree). Only ever sent in answer to a traced (V5) request.
-const REPLY_HITS_V3: u8 = 8;
-/// V5 `HITS_BATCH` reply whose entries carry per-entry trace trees. Only
-/// ever sent in answer to a traced (V5) batch request.
-const REPLY_HITS_BATCH_V2: u8 = 9;
-/// V6 `HITS` reply carrying an EXPLAIN funnel (explicit-ext body, a
-/// trace-presence byte + tree, then the report). Only ever sent in
-/// answer to an explain-requesting (V6) request.
-const REPLY_HITS_V4: u8 = 10;
 /// A request popped off the queue after its own deadline already
 /// elapsed: answered typed instead of computing a dead result.
 const REPLY_DEADLINE_EXPIRED: u8 = 248;
@@ -152,9 +158,9 @@ impl From<std::io::Error> for WireError {
 
 type WireResult<T> = std::result::Result<T, WireError>;
 
-/// The version-2 per-query options/budget extension of `SEARCH`/`TOPK`
-/// frames. Its presence is what makes a request a V2 frame; V1 frames
-/// decode with `ext: None` and the server applies the defaults.
+/// The per-query options/budget every query frame carries. The default
+/// spells "no overrides": all lemmas on, quick browsing on, unlimited
+/// budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryExt {
     /// Lemma toggles (results never change; ablation/throughput knob).
@@ -178,76 +184,63 @@ impl Default for QueryExt {
     }
 }
 
+/// What a query frame says about *how* to search, whatever it searches
+/// with: carried once by `SEARCH`/`TOPK` (one column) and once by `BATCH`
+/// (many columns), and written/read by one codec for both.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryCriteria {
+    /// Distance metric name (`euclidean`, `manhattan`, `chebyshev`,
+    /// `angular`); must match the metric the index was built with. Empty
+    /// spells "no expectation".
+    pub metric: String,
+    pub tau: Tau,
+    /// Requested execution policy; the server clamps the thread count to
+    /// its own ceiling.
+    pub policy: ExecPolicy,
+    pub dim: u32,
+    /// Options/budget.
+    pub ext: QueryExt,
+    /// Trace request: anything but `Off` asks the server to return its
+    /// phase tree in the reply.
+    pub trace: TraceLevel,
+    /// Fleet-wide correlation id, minted at the outermost hop and
+    /// propagated unchanged. Never part of the cache fingerprint —
+    /// correlation must not split cache lines.
+    pub request_id: Option<u64>,
+}
+
 /// The query half shared by `SEARCH` and `TOPK`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryPayload {
-    /// Distance metric name (`euclidean`, `manhattan`, `chebyshev`,
-    /// `angular`); must match the metric the index was built with.
-    pub metric: String,
-    pub tau: Tau,
-    /// Requested execution policy for this query; the server clamps the
-    /// thread count to its own ceiling.
-    pub policy: ExecPolicy,
-    pub dim: u32,
+    pub criteria: QueryCriteria,
     /// Row-major query vectors, `len = n * dim`.
     pub vectors: Vec<f32>,
-    /// V2 options/budget extension; `None` encodes a V1 frame so old
-    /// servers and clients interoperate.
-    pub ext: Option<QueryExt>,
-    /// V5 trace request. Anything but `Off` makes the frame V5 and asks
-    /// the server to return its phase tree in the reply.
-    pub trace: TraceLevel,
-    /// V6 fleet-wide correlation id, minted at the outermost hop and
-    /// propagated unchanged; `Some` makes the frame V6. Never part of
-    /// the cache fingerprint — correlation must not split cache lines.
-    pub request_id: Option<u64>,
-    /// V6 explain request: `true` makes the frame V6 and asks the
-    /// server to return the candidate funnel in a `HITS_V4` reply.
+    /// Explain request: asks the server to return the candidate funnel
+    /// in the reply.
     pub explain: bool,
 }
 
-impl QueryPayload {
-    /// Number of query vectors carried.
-    pub fn n_vectors(&self) -> usize {
-        if self.dim == 0 {
-            0
-        } else {
-            self.vectors.len() / self.dim as usize
-        }
-    }
-}
-
-/// The ranking half of a V4 batch frame: one threshold or one k shared
-/// by every column in the batch.
+/// The ranking half of a batch frame: one threshold or one k shared by
+/// every column in the batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BatchMode {
     Search(JoinThreshold),
     Topk(u64),
 }
 
-/// A V4 batch request: the query criteria once, then many query columns.
+/// A batch request: the query criteria once, then many query columns.
 /// The server answers with one [`Reply::HitsBatch`] whose `i`-th entry is
 /// exactly what a solo `SEARCH`/`TOPK` over `columns[i]` would return —
 /// batching changes one round-trip and one snapshot pin, never results.
+/// Per-entry explain is not carried — explain solo queries instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryBatch {
-    /// Distance metric name; must match the index's metric.
-    pub metric: String,
-    pub tau: Tau,
-    /// Requested execution policy; the server clamps the thread count.
-    pub policy: ExecPolicy,
+    /// Shared by every column in the batch.
+    pub criteria: QueryCriteria,
     pub mode: BatchMode,
-    pub dim: u32,
     /// Row-major vectors per query column; `columns[i].len()` is a
-    /// multiple of `dim`.
+    /// multiple of `criteria.dim`.
     pub columns: Vec<Vec<f32>>,
-    /// Options/budget extension shared by every column in the batch.
-    pub ext: Option<QueryExt>,
-    /// V5 trace request, applied to every column in the batch.
-    pub trace: TraceLevel,
-    /// V6 correlation id for the whole batch (per-entry explain is not
-    /// carried — explain solo queries instead).
-    pub request_id: Option<u64>,
 }
 
 /// A client request.
@@ -265,39 +258,38 @@ pub enum Request {
     Topk { query: QueryPayload, k: u64 },
     /// Per-endpoint counters and latency quantiles as `key=value` text.
     Stats,
-    /// V5: the server metrics in Prometheus text exposition format.
+    /// The server metrics in Prometheus text exposition format.
     Metrics,
-    /// V5: the slow-query log — the slowest sampled/traced requests with
+    /// The slow-query log — the slowest sampled/traced requests with
     /// their phase trees, slowest first.
     SlowLog,
     /// Atomically hot-swap the served snapshot: re-open the given
     /// directory (`None` = the currently served one) and bump the
     /// generation. In-flight queries finish on the old snapshot.
     Reload { dir: Option<String> },
-    /// V3: replay the served directory's delta log over the *already
+    /// Replay the served directory's delta log over the *already
     /// resident* base snapshot and publish the result as a new
     /// generation — live ingest without reloading a single partition.
     /// Falls back to a full reload only if the base build itself changed
     /// underneath the daemon.
     ///
-    /// `shard` is the V5 routed-ingest tail: a router receiving
-    /// `Some(i)` forwards the APPLY to every replica of shard `i` only
-    /// (the owning shard), leaving every other shard's generation
-    /// untouched. A shard daemon ignores the field (it owns exactly one
-    /// deployment); `None` encodes byte-identically to the historical
-    /// bare V3 frame, so un-upgraded peers interoperate unchanged.
+    /// `shard` routes the ingest: a router receiving `Some(i)` forwards
+    /// the APPLY to every replica of shard `i` only (the owning shard),
+    /// leaving every other shard's generation untouched, and refuses
+    /// `None`. A shard daemon ignores the field (it owns exactly one
+    /// deployment).
     ApplyDelta { shard: Option<u32> },
-    /// V4: many query columns under one set of criteria, answered in one
+    /// Many query columns under one set of criteria, answered in one
     /// reply frame — `Queryable::execute_many` on the wire.
     Batch(QueryBatch),
-    /// V6: index-statistics inspection as `key=value` text (per-partition
+    /// Index-statistics inspection as `key=value` text (per-partition
     /// shape, postings/cell-occupancy histograms, delta overlay depth).
     Inspect,
-    /// V6: readiness probe — `status=ready|degraded|draining` plus
+    /// Readiness probe — `status=ready|degraded|draining` plus
     /// generation and queue facts; the router answers with the fleet
     /// roll-up.
     Health,
-    /// V6, router only: set/clear the drain flag of the replica at
+    /// Router only: set/clear the drain flag of the replica at
     /// `addr` across every shard that has it. A drained replica stops
     /// receiving routed queries but stays connected for un-drain.
     Drain { addr: String, drained: bool },
@@ -337,7 +329,7 @@ pub struct InfoReply {
     pub disk_bytes: u64,
 }
 
-/// The V2 `HITS` reply extension: the unified query outcome plus the
+/// The `HITS` reply extension: the unified query outcome plus the
 /// verification cost, so remote callers get the same exactness contract
 /// local backends report. Cached replies carry `QueryOutcome::Exact` and
 /// zero distance computations (only exact results are ever cached).
@@ -356,14 +348,14 @@ pub struct HitsReply {
     /// True when the reply was served from the result cache.
     pub cached: bool,
     pub hits: Vec<WireHit>,
-    /// Outcome/stats extension, present iff the request was a V2 frame.
+    /// Outcome/stats extension; the daemons always send it.
     pub ext: Option<HitsExt>,
-    /// Server-side phase tree, present iff the request asked for a trace
-    /// (V5). Cached replies carry no trace — traced requests bypass the
+    /// Server-side phase tree, present iff the request asked for a
+    /// trace. Cached replies carry no trace — traced requests bypass the
     /// result cache so the tree always describes *this* execution.
     pub trace: Option<QueryTrace>,
-    /// Server-side EXPLAIN funnel, present iff the request asked for one
-    /// (V6). Like traces, explain-requesting queries bypass the result
+    /// Server-side EXPLAIN funnel, present iff the request asked for
+    /// one. Like traces, explain-requesting queries bypass the result
     /// cache so the funnel always describes *this* execution. Boxed so
     /// the common explain-free reply doesn't pay the report's footprint.
     pub explain: Option<Box<ExplainReport>>,
@@ -415,9 +407,22 @@ pub enum Reply {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame. A payload [`read_frame`] would refuse
+/// (over [`MAX_FRAME_BYTES`]) is refused here with `InvalidInput`, before
+/// a byte is written, so the stream stays usable.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = payload.len() as u32;
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "frame of {} bytes exceeds cap {MAX_FRAME_BYTES}",
+                    payload.len()
+                ),
+            )
+        })?;
     w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.flush()
@@ -461,6 +466,9 @@ impl ByteWriter {
     }
     fn u8(&mut self, v: u8) {
         self.0.push(v);
+    }
+    fn bool(&mut self, v: bool) {
+        self.0.push(v as u8);
     }
     fn u32(&mut self, v: u32) {
         self.0.extend_from_slice(&v.to_le_bytes());
@@ -508,12 +516,13 @@ impl<'a> ByteReader<'a> {
     fn u8(&mut self) -> WireResult<u8> {
         Ok(self.bytes(1)?[0])
     }
-    /// Whether any payload bytes remain unread. The options/budget
-    /// extension sits at the tail of SEARCH/TOPK frames, so its presence
-    /// is "bytes remain" — the same prefix-layout rule that lets a V2
-    /// decoder accept a V1 frame.
-    fn has_remaining(&self) -> bool {
-        self.pos < self.buf.len()
+    /// A flag byte: exactly `0` or `1`, as the encoder writes it.
+    fn bool(&mut self) -> WireResult<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(WireError::Malformed(format!("flag byte {b} is not 0|1"))),
+        }
     }
     fn u32(&mut self) -> WireResult<u32> {
         Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
@@ -560,6 +569,28 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// An optional field: tag `0`, or tag `1` followed by the value.
+fn put_opt<T>(w: &mut ByteWriter, v: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
+    match v {
+        None => w.u8(0),
+        Some(x) => {
+            w.u8(1);
+            put(w, x);
+        }
+    }
+}
+
+fn take_opt<'a, T>(
+    r: &mut ByteReader<'a>,
+    take: impl FnOnce(&mut ByteReader<'a>) -> WireResult<T>,
+) -> WireResult<Option<T>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(take(r)?)),
+        t => Err(WireError::Malformed(format!("unknown option tag {t}"))),
+    }
+}
+
 fn put_tau(w: &mut ByteWriter, tau: Tau) {
     match tau {
         Tau::Absolute(v) => {
@@ -603,90 +634,102 @@ fn take_threshold(r: &mut ByteReader) -> WireResult<JoinThreshold> {
 }
 
 fn put_policy(w: &mut ByteWriter, p: ExecPolicy) {
-    match p {
-        ExecPolicy::Sequential => {
-            w.u8(0);
-            w.u32(0);
-        }
-        ExecPolicy::Parallel { threads } => {
-            w.u8(1);
-            w.u32(threads as u32);
-        }
-        // V4 tag: pre-V4 decoders reject it as an unknown tag, and the
-        // encoder stamps any frame carrying it with BATCH_VERSION so
-        // old servers refuse cleanly at the version check instead.
-        ExecPolicy::Fixed { threads } => {
-            w.u8(2);
-            w.u32(threads as u32);
-        }
-    }
+    let (tag, threads) = match p {
+        ExecPolicy::Sequential => (0, 0),
+        ExecPolicy::Parallel { threads } => (1, threads),
+        ExecPolicy::Fixed { threads } => (2, threads),
+    };
+    w.u8(tag);
+    w.u32(threads as u32);
 }
 
 fn take_policy(r: &mut ByteReader) -> WireResult<ExecPolicy> {
     let tag = r.u8()?;
     let threads = r.u32()? as usize;
-    match tag {
-        0 => Ok(ExecPolicy::Sequential),
-        1 => Ok(ExecPolicy::Parallel { threads }),
-        2 => Ok(ExecPolicy::Fixed {
-            threads: threads.max(1),
-        }),
-        t => Err(WireError::Malformed(format!("unknown policy tag {t}"))),
+    match (tag, threads) {
+        (0, 0) => Ok(ExecPolicy::Sequential),
+        // `Parallel { threads: 0 }` is "machine-sized".
+        (1, _) => Ok(ExecPolicy::Parallel { threads }),
+        (2, 1..) => Ok(ExecPolicy::Fixed { threads }),
+        (0 | 2, _) => Err(WireError::Malformed(format!(
+            "policy tag {tag} cannot carry thread count {threads}"
+        ))),
+        (t, _) => Err(WireError::Malformed(format!("unknown policy tag {t}"))),
     }
 }
 
-fn put_query(w: &mut ByteWriter, q: &QueryPayload) {
-    w.str(&q.metric);
-    put_tau(w, q.tau);
-    put_policy(w, q.policy);
-    w.u32(q.dim);
-    w.u32(q.n_vectors() as u32);
-    w.f32_slice(&q.vectors);
+fn put_column(w: &mut ByteWriter, column: &[f32], dim: u32) {
+    w.u32((column.len() / dim.max(1) as usize) as u32);
+    w.f32_slice(column);
 }
 
-fn take_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
+fn take_column(r: &mut ByteReader, dim: usize) -> WireResult<Vec<f32>> {
+    let n = r.u32()? as usize;
+    r.f32_vec(n * dim)
+}
+
+/// Write the part every query frame shares, in its one fixed order:
+/// metric, τ, policy, dim, the vectors (`put_vectors`: one column for
+/// `SEARCH`/`TOPK`, a counted list of columns for `BATCH`),
+/// options/budget, trace level, request id.
+fn put_query(w: &mut ByteWriter, c: &QueryCriteria, put_vectors: impl FnOnce(&mut ByteWriter)) {
+    w.str(&c.metric);
+    put_tau(w, c.tau);
+    put_policy(w, c.policy);
+    w.u32(c.dim);
+    put_vectors(w);
+    put_query_ext(w, &c.ext);
+    w.u8(c.trace.as_u8());
+    put_opt(w, c.request_id, ByteWriter::u64);
+}
+
+/// Decode what [`put_query`] wrote; `take_vectors` gets the reader and
+/// the (non-zero) dimension.
+fn take_query<V>(
+    r: &mut ByteReader,
+    take_vectors: impl FnOnce(&mut ByteReader, usize) -> WireResult<V>,
+) -> WireResult<(QueryCriteria, V)> {
     let metric = r.str(64)?;
     let tau = take_tau(r)?;
     let policy = take_policy(r)?;
     let dim = r.u32()?;
-    let n = r.u32()?;
     if dim == 0 {
         return Err(WireError::Malformed("query dimension is zero".into()));
     }
-    let vectors = r.f32_vec(n as usize * dim as usize)?;
-    Ok(QueryPayload {
+    let vectors = take_vectors(r, dim as usize)?;
+    let ext = take_query_ext(r)?;
+    let trace = r.u8()?;
+    let trace = TraceLevel::from_u8(trace)
+        .ok_or_else(|| WireError::Malformed(format!("unknown trace level {trace}")))?;
+    let criteria = QueryCriteria {
         metric,
         tau,
         policy,
         dim,
+        ext,
+        trace,
+        request_id: take_opt(r, ByteReader::u64)?,
+    };
+    Ok((criteria, vectors))
+}
+
+fn put_solo_query(w: &mut ByteWriter, q: &QueryPayload) {
+    put_query(w, &q.criteria, |w| {
+        put_column(w, &q.vectors, q.criteria.dim)
+    });
+    w.bool(q.explain);
+}
+
+fn take_solo_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
+    let (criteria, vectors) = take_query(r, take_column)?;
+    Ok(QueryPayload {
+        criteria,
         vectors,
-        ext: None,
-        trace: TraceLevel::Off,
-        request_id: None,
-        explain: false,
+        explain: r.bool()?,
     })
 }
 
-fn put_opt_u64(w: &mut ByteWriter, v: Option<u64>) {
-    match v {
-        None => w.u8(0),
-        Some(x) => {
-            w.u8(1);
-            w.u64(x);
-        }
-    }
-}
-
-fn take_opt_u64(r: &mut ByteReader) -> WireResult<Option<u64>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        t => Err(WireError::Malformed(format!("unknown option tag {t}"))),
-    }
-}
-
-/// The V2 options/budget extension, appended after the request's
-/// threshold/k field. Lemma flags travel as a 4-bit mask.
+/// Lemma flags travel as a 4-bit mask.
 fn put_query_ext(w: &mut ByteWriter, ext: &QueryExt) {
     let mut mask = 0u8;
     if ext.flags.lemma1_vector_filter {
@@ -702,9 +745,9 @@ fn put_query_ext(w: &mut ByteWriter, ext: &QueryExt) {
         mask |= 8;
     }
     w.u8(mask);
-    w.u8(ext.quick_browse as u8);
-    put_opt_u64(w, ext.max_distance_computations);
-    put_opt_u64(w, ext.deadline_ms);
+    w.bool(ext.quick_browse);
+    put_opt(w, ext.max_distance_computations, ByteWriter::u64);
+    put_opt(w, ext.deadline_ms, ByteWriter::u64);
 }
 
 fn take_query_ext(r: &mut ByteReader) -> WireResult<QueryExt> {
@@ -720,65 +763,15 @@ fn take_query_ext(r: &mut ByteReader) -> WireResult<QueryExt> {
         lemma34_cell_filter: mask & 4 != 0,
         lemma56_cell_match: mask & 8 != 0,
     };
-    let quick_browse = r.u8()? != 0;
-    let max_distance_computations = take_opt_u64(r)?;
-    let deadline_ms = take_opt_u64(r)?;
+    let quick_browse = r.bool()?;
+    let max_distance_computations = take_opt(r, ByteReader::u64)?;
+    let deadline_ms = take_opt(r, ByteReader::u64)?;
     Ok(QueryExt {
         flags,
         quick_browse,
         max_distance_computations,
         deadline_ms,
     })
-}
-
-/// The tail of a `SEARCH`/`TOPK` frame after the threshold/k field.
-/// Untraced frames keep the historical tail-presence layout (the
-/// extension simply is or isn't there, and its presence makes the frame
-/// V2+); traced frames are V5 and use the explicit layout: an
-/// ext-presence byte, the extension if present, then the trace level.
-/// Decode the tail written by [`put_query_tail`]. V5 frames carry the
-/// explicit ext-presence + trace-level layout; older frames keep the
-/// tail-presence rule (not version-implied: a V4 stamp can come from the
-/// `Fixed` policy tag alone, with no extension encoded).
-fn take_query_tail(r: &mut ByteReader, version: u8, query: &mut QueryPayload) -> WireResult<()> {
-    if version >= TRACE_VERSION {
-        match r.u8()? {
-            0 => {}
-            1 => query.ext = Some(take_query_ext(r)?),
-            t => return Err(WireError::Malformed(format!("unknown ext tag {t}"))),
-        }
-        query.trace = TraceLevel::from_u8(r.u8()?);
-        // The V6 request-id/explain tail. Presence-tolerant (mirroring
-        // the APPLY shard tail): a V6 stamp without the tail decodes as
-        // an uncorrelated, unexplained query.
-        if version >= REQUEST_ID_VERSION && r.has_remaining() {
-            query.request_id = take_opt_u64(r)?;
-            query.explain = r.u8()? != 0;
-        }
-    } else if version >= QUERY_EXT_VERSION && r.has_remaining() {
-        query.ext = Some(take_query_ext(r)?);
-    }
-    Ok(())
-}
-
-fn put_query_tail(w: &mut ByteWriter, q: &QueryPayload) {
-    let v6 = q.request_id.is_some() || q.explain;
-    if q.trace.enabled() || v6 {
-        match &q.ext {
-            None => w.u8(0),
-            Some(ext) => {
-                w.u8(1);
-                put_query_ext(w, ext);
-            }
-        }
-        w.u8(q.trace.as_u8());
-        if v6 {
-            put_opt_u64(w, q.request_id);
-            w.u8(q.explain as u8);
-        }
-    } else if let Some(ext) = &q.ext {
-        put_query_ext(w, ext);
-    }
 }
 
 /// Recursion/size limits for decoding a span tree from the wire: deeper
@@ -858,24 +851,6 @@ const MAX_EXPLAIN_DECISIONS: u32 = 256;
 const MAX_EXPLAIN_ROUNDS: u32 = 1 << 16;
 const MAX_EXPLAIN_COLUMNS: u32 = 4096;
 
-fn put_opt_u32(w: &mut ByteWriter, v: Option<u32>) {
-    match v {
-        None => w.u8(0),
-        Some(x) => {
-            w.u8(1);
-            w.u32(x);
-        }
-    }
-}
-
-fn take_opt_u32(r: &mut ByteReader) -> WireResult<Option<u32>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u32()?)),
-        t => Err(WireError::Malformed(format!("unknown option tag {t}"))),
-    }
-}
-
 fn put_explain(w: &mut ByteWriter, e: &ExplainReport) {
     w.str(&e.mode);
     w.u32(e.stages.len() as u32);
@@ -894,26 +869,22 @@ fn put_explain(w: &mut ByteWriter, e: &ExplainReport) {
     for d in &e.decisions {
         w.str(d);
     }
-    match &e.topk {
-        None => w.u8(0),
-        Some(t) => {
-            w.u8(1);
-            put_opt_u32(w, t.seed);
-            w.u64(t.survivors);
-            w.u32(t.rounds.len() as u32);
-            for round in &t.rounds {
-                put_opt_u32(w, round.bar);
-                w.u32(round.batch);
-                w.u32(round.pruned);
-            }
-            w.u32(t.pruned_columns.len() as u32);
-            for (c, ub) in &t.pruned_columns {
-                w.u32(*c);
-                w.u32(*ub);
-            }
-            w.u8(t.suffix_stop as u8);
+    put_opt(w, e.topk.as_ref(), |w, t| {
+        put_opt(w, t.seed, ByteWriter::u32);
+        w.u64(t.survivors);
+        w.u32(t.rounds.len() as u32);
+        for round in &t.rounds {
+            put_opt(w, round.bar, ByteWriter::u32);
+            w.u32(round.batch);
+            w.u32(round.pruned);
         }
-    }
+        w.u32(t.pruned_columns.len() as u32);
+        for (c, ub) in &t.pruned_columns {
+            w.u32(*c);
+            w.u32(*ub);
+        }
+        w.bool(t.suffix_stop);
+    });
 }
 
 fn take_explain(r: &mut ByteReader) -> WireResult<ExplainReport> {
@@ -956,44 +927,39 @@ fn take_explain(r: &mut ByteReader) -> WireResult<ExplainReport> {
     for _ in 0..n_decisions {
         decisions.push(r.str(4096)?);
     }
-    let topk = match r.u8()? {
-        0 => None,
-        1 => {
-            let seed = take_opt_u32(r)?;
-            let survivors = r.u64()?;
-            let n_rounds = r.u32()?;
-            if n_rounds > MAX_EXPLAIN_ROUNDS {
-                return Err(WireError::Malformed("too many explain rounds".into()));
-            }
-            let mut rounds = Vec::with_capacity(n_rounds.min(1 << 10) as usize);
-            for _ in 0..n_rounds {
-                rounds.push(TopkRound {
-                    bar: take_opt_u32(r)?,
-                    batch: r.u32()?,
-                    pruned: r.u32()?,
-                });
-            }
-            let n_cols = r.u32()?;
-            if n_cols > MAX_EXPLAIN_COLUMNS {
-                return Err(WireError::Malformed("too many explain columns".into()));
-            }
-            let mut pruned_columns = Vec::with_capacity(n_cols as usize);
-            for _ in 0..n_cols {
-                let c = r.u32()?;
-                let ub = r.u32()?;
-                pruned_columns.push((c, ub));
-            }
-            let suffix_stop = r.u8()? != 0;
-            Some(TopkExplain {
-                seed,
-                survivors,
-                rounds,
-                pruned_columns,
-                suffix_stop,
-            })
+    let topk = take_opt(r, |r| {
+        let seed = take_opt(r, ByteReader::u32)?;
+        let survivors = r.u64()?;
+        let n_rounds = r.u32()?;
+        if n_rounds > MAX_EXPLAIN_ROUNDS {
+            return Err(WireError::Malformed("too many explain rounds".into()));
         }
-        t => return Err(WireError::Malformed(format!("unknown explain tag {t}"))),
-    };
+        let mut rounds = Vec::with_capacity(n_rounds.min(1 << 10) as usize);
+        for _ in 0..n_rounds {
+            rounds.push(TopkRound {
+                bar: take_opt(r, ByteReader::u32)?,
+                batch: r.u32()?,
+                pruned: r.u32()?,
+            });
+        }
+        let n_cols = r.u32()?;
+        if n_cols > MAX_EXPLAIN_COLUMNS {
+            return Err(WireError::Malformed("too many explain columns".into()));
+        }
+        let mut pruned_columns = Vec::with_capacity(n_cols as usize);
+        for _ in 0..n_cols {
+            let c = r.u32()?;
+            let ub = r.u32()?;
+            pruned_columns.push((c, ub));
+        }
+        Ok(TopkExplain {
+            seed,
+            survivors,
+            rounds,
+            pruned_columns,
+            suffix_stop: r.bool()?,
+        })
+    })?;
     Ok(ExplainReport {
         mode,
         stages,
@@ -1019,20 +985,14 @@ fn take_outcome(r: &mut ByteReader) -> WireResult<QueryOutcome> {
     }
 }
 
-/// The shared body of a `HITS`-shaped reply. Solo replies signal the
-/// extension through the kind byte (`HITS` vs `HITS_V2`), so
-/// `explicit_ext` is false; batch entries have no per-entry kind byte and
-/// carry an explicit presence byte instead.
-fn put_hits_body(w: &mut ByteWriter, h: &HitsReply, explicit_ext: bool) {
+/// The body of a `HITS` reply and of each `HITS_BATCH` entry.
+fn put_hits_body(w: &mut ByteWriter, h: &HitsReply) {
     w.u64(h.generation);
-    w.u8(h.cached as u8);
-    if explicit_ext {
-        w.u8(h.ext.is_some() as u8);
-    }
-    if let Some(ext) = &h.ext {
+    w.bool(h.cached);
+    put_opt(w, h.ext, |w, ext| {
         put_outcome(w, ext.outcome);
         w.u64(ext.distance_computations);
-    }
+    });
     w.u32(h.hits.len() as u32);
     for hit in &h.hits {
         w.u64(hit.external_id);
@@ -1040,26 +1000,19 @@ fn put_hits_body(w: &mut ByteWriter, h: &HitsReply, explicit_ext: bool) {
         w.str(&hit.column_name);
         w.u32(hit.match_count);
     }
+    put_opt(w, h.trace.as_ref(), put_trace);
+    put_opt(w, h.explain.as_deref(), put_explain);
 }
 
-/// Decode the body written by [`put_hits_body`]. `known_ext` is
-/// `Some(has_ext)` when the kind byte already decided it (solo replies)
-/// and `None` when an explicit presence byte follows (batch entries).
-fn take_hits_body(r: &mut ByteReader, known_ext: Option<bool>) -> WireResult<HitsReply> {
+fn take_hits_body(r: &mut ByteReader) -> WireResult<HitsReply> {
     let generation = r.u64()?;
-    let cached = r.u8()? != 0;
-    let has_ext = match known_ext {
-        Some(b) => b,
-        None => r.u8()? != 0,
-    };
-    let ext = if has_ext {
-        Some(HitsExt {
+    let cached = r.bool()?;
+    let ext = take_opt(r, |r| {
+        Ok(HitsExt {
             outcome: take_outcome(r)?,
             distance_computations: r.u64()?,
         })
-    } else {
-        None
-    };
+    })?;
     let n = r.u32()? as usize;
     let mut hits = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
@@ -1075,8 +1028,8 @@ fn take_hits_body(r: &mut ByteReader, known_ext: Option<bool>) -> WireResult<Hit
         cached,
         hits,
         ext,
-        trace: None,
-        explain: None,
+        trace: take_opt(r, take_trace)?,
+        explain: take_opt(r, take_explain)?.map(Box::new),
     })
 }
 
@@ -1084,59 +1037,22 @@ fn take_hits_body(r: &mut ByteReader, known_ext: Option<bool>) -> WireResult<Hit
 // Request / reply codecs
 // ---------------------------------------------------------------------------
 
-/// Encode a request into a frame payload. Every frame is stamped with
-/// the lowest protocol version able to carry it: query verbs with the
-/// options/budget extension are version 2 (the V1 byte layout is a
-/// strict prefix of the V2 one), `APPLY` is version 3, `BATCH` and any
-/// frame carrying a `fixed` execution policy is version 4, and
-/// everything else — including extension-less query frames — stays
-/// version 1, so an un-upgraded server keeps answering everything it
-/// can.
+/// Encode a request into a frame payload stamped [`PROTOCOL_VERSION`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.0.extend_from_slice(MAGIC);
-    let version = match req {
-        Request::Search { query, .. } | Request::Topk { query, .. }
-            if query.request_id.is_some() || query.explain =>
-        {
-            REQUEST_ID_VERSION
-        }
-        Request::Search { query, .. } | Request::Topk { query, .. } if query.trace.enabled() => {
-            TRACE_VERSION
-        }
-        Request::Search { query, .. } | Request::Topk { query, .. }
-            if matches!(query.policy, ExecPolicy::Fixed { .. }) =>
-        {
-            BATCH_VERSION
-        }
-        Request::Search { query, .. } | Request::Topk { query, .. } if query.ext.is_some() => {
-            QUERY_EXT_VERSION
-        }
-        // A routed APPLY names its target shard in a V5 tail; the bare
-        // form stays the historical V3 frame, byte for byte.
-        Request::ApplyDelta { shard: Some(_) } => TRACE_VERSION,
-        Request::ApplyDelta { shard: None } => 3,
-        Request::Batch(b) if b.request_id.is_some() => REQUEST_ID_VERSION,
-        Request::Batch(b) if b.trace.enabled() => TRACE_VERSION,
-        Request::Batch(_) => BATCH_VERSION,
-        Request::Metrics | Request::SlowLog => TRACE_VERSION,
-        Request::Inspect | Request::Health | Request::Drain { .. } => REQUEST_ID_VERSION,
-        _ => MIN_PROTOCOL_VERSION,
-    };
-    w.u8(version);
+    w.u8(PROTOCOL_VERSION);
     match req {
         Request::Info => w.u8(VERB_INFO),
         Request::Search { query, t } => {
             w.u8(VERB_SEARCH);
-            put_query(&mut w, query);
             put_threshold(&mut w, *t);
-            put_query_tail(&mut w, query);
+            put_solo_query(&mut w, query);
         }
         Request::Topk { query, k } => {
             w.u8(VERB_TOPK);
-            put_query(&mut w, query);
             w.u64(*k);
-            put_query_tail(&mut w, query);
+            put_solo_query(&mut w, query);
         }
         Request::Stats => w.u8(VERB_STATS),
         Request::Metrics => w.u8(VERB_METRICS),
@@ -1146,7 +1062,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Drain { addr, drained } => {
             w.u8(VERB_DRAIN);
             w.str(addr);
-            w.u8(*drained as u8);
+            w.bool(*drained);
         }
         Request::Reload { dir } => {
             w.u8(VERB_RELOAD);
@@ -1154,15 +1070,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::ApplyDelta { shard } => {
             w.u8(VERB_APPLY);
-            if let Some(shard) = shard {
-                w.u32(*shard);
-            }
+            put_opt(&mut w, *shard, ByteWriter::u32);
         }
         Request::Batch(batch) => {
             w.u8(VERB_BATCH);
-            w.str(&batch.metric);
-            put_tau(&mut w, batch.tau);
-            put_policy(&mut w, batch.policy);
             match batch.mode {
                 BatchMode::Search(t) => {
                     w.u8(0);
@@ -1173,187 +1084,79 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                     w.u64(k);
                 }
             }
-            w.u32(batch.dim);
-            w.u32(batch.columns.len() as u32);
-            for col in &batch.columns {
-                w.u32((col.len() / batch.dim.max(1) as usize) as u32);
-                w.f32_slice(col);
-            }
-            // Batch frames are always V4+, so ext presence is an explicit
-            // byte rather than version-implied as in SEARCH/TOPK.
-            match &batch.ext {
-                None => w.u8(0),
-                Some(ext) => {
-                    w.u8(1);
-                    put_query_ext(&mut w, ext);
+            put_query(&mut w, &batch.criteria, |w| {
+                w.u32(batch.columns.len() as u32);
+                for col in &batch.columns {
+                    put_column(w, col, batch.criteria.dim);
                 }
-            }
-            // The V5 trace level rides at the tail; its presence is what
-            // made the frame V5 in the first place. A V6 (correlated)
-            // batch always writes the trace byte — even `Off` — so the
-            // request-id tail that follows is unambiguous.
-            if batch.trace.enabled() || batch.request_id.is_some() {
-                w.u8(batch.trace.as_u8());
-            }
-            if batch.request_id.is_some() {
-                put_opt_u64(&mut w, batch.request_id);
-            }
+            });
         }
         Request::Shutdown => w.u8(VERB_SHUTDOWN),
     }
     w.0
 }
 
-/// Decode a frame payload into a request. Accepts every version from
-/// [`MIN_PROTOCOL_VERSION`] to [`PROTOCOL_VERSION`]: V1 query frames
-/// decode with `ext: None`, V2 frames carry the trailing extension.
+/// Decode a frame payload into a request. Refuses every version but
+/// [`PROTOCOL_VERSION`].
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
     let mut r = ByteReader::new(payload);
     if r.bytes(4)? != MAGIC {
         return Err(WireError::Malformed("bad request magic".into()));
     }
     let version = r.u8()?;
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(WireError::Malformed(format!(
-            "protocol version {version} unsupported \
-             (want {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+            "protocol version {version} unsupported (this build speaks {PROTOCOL_VERSION})"
         )));
     }
     let req = match r.u8()? {
         VERB_INFO => Request::Info,
         VERB_SEARCH => {
-            let mut query = take_query(&mut r)?;
             let t = take_threshold(&mut r)?;
-            take_query_tail(&mut r, version, &mut query)?;
+            let query = take_solo_query(&mut r)?;
             Request::Search { query, t }
         }
         VERB_TOPK => {
-            let mut query = take_query(&mut r)?;
             let k = r.u64()?;
-            take_query_tail(&mut r, version, &mut query)?;
+            let query = take_solo_query(&mut r)?;
             Request::Topk { query, k }
         }
         VERB_STATS => Request::Stats,
-        VERB_METRICS => {
-            if version < TRACE_VERSION {
-                return Err(WireError::Malformed(format!(
-                    "METRICS verb requires protocol version {TRACE_VERSION}, \
-                     frame is version {version}"
-                )));
-            }
-            Request::Metrics
-        }
-        VERB_SLOW => {
-            if version < TRACE_VERSION {
-                return Err(WireError::Malformed(format!(
-                    "SLOW verb requires protocol version {TRACE_VERSION}, \
-                     frame is version {version}"
-                )));
-            }
-            Request::SlowLog
-        }
-        VERB_INSPECT => {
-            if version < REQUEST_ID_VERSION {
-                return Err(WireError::Malformed(format!(
-                    "INSPECT verb requires protocol version {REQUEST_ID_VERSION}, \
-                     frame is version {version}"
-                )));
-            }
-            Request::Inspect
-        }
-        VERB_HEALTH => {
-            if version < REQUEST_ID_VERSION {
-                return Err(WireError::Malformed(format!(
-                    "HEALTH verb requires protocol version {REQUEST_ID_VERSION}, \
-                     frame is version {version}"
-                )));
-            }
-            Request::Health
-        }
-        VERB_DRAIN => {
-            if version < REQUEST_ID_VERSION {
-                return Err(WireError::Malformed(format!(
-                    "DRAIN verb requires protocol version {REQUEST_ID_VERSION}, \
-                     frame is version {version}"
-                )));
-            }
-            let addr = r.str(4096)?;
-            let drained = r.u8()? != 0;
-            Request::Drain { addr, drained }
-        }
+        VERB_METRICS => Request::Metrics,
+        VERB_SLOW => Request::SlowLog,
+        VERB_INSPECT => Request::Inspect,
+        VERB_HEALTH => Request::Health,
+        VERB_DRAIN => Request::Drain {
+            addr: r.str(4096)?,
+            drained: r.bool()?,
+        },
         VERB_RELOAD => {
             let dir = r.str(4096)?;
             Request::Reload {
                 dir: if dir.is_empty() { None } else { Some(dir) },
             }
         }
-        VERB_APPLY => {
-            // Version-gated: an APPLY can only arrive in a frame that
-            // promises V3 semantics; in an older frame the byte is junk.
-            if version < 3 {
-                return Err(WireError::Malformed(format!(
-                    "APPLY verb requires protocol version 3, frame is version {version}"
-                )));
-            }
-            // Tail presence spells the routed form (V5 stamps it, but
-            // presence is what matters — mirroring the pre-V5 ext rule).
-            let shard = if r.has_remaining() {
-                Some(r.u32()?)
-            } else {
-                None
-            };
-            Request::ApplyDelta { shard }
-        }
+        VERB_APPLY => Request::ApplyDelta {
+            shard: take_opt(&mut r, ByteReader::u32)?,
+        },
         VERB_BATCH => {
-            if version < BATCH_VERSION {
-                return Err(WireError::Malformed(format!(
-                    "BATCH verb requires protocol version {BATCH_VERSION}, \
-                     frame is version {version}"
-                )));
-            }
-            let metric = r.str(64)?;
-            let tau = take_tau(&mut r)?;
-            let policy = take_policy(&mut r)?;
             let mode = match r.u8()? {
                 0 => BatchMode::Search(take_threshold(&mut r)?),
                 1 => BatchMode::Topk(r.u64()?),
                 t => return Err(WireError::Malformed(format!("unknown batch mode tag {t}"))),
             };
-            let dim = r.u32()?;
-            if dim == 0 {
-                return Err(WireError::Malformed("query dimension is zero".into()));
-            }
-            let n_columns = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(n_columns.min(1 << 16));
-            for _ in 0..n_columns {
-                let n = r.u32()? as usize;
-                columns.push(r.f32_vec(n * dim as usize)?);
-            }
-            let ext = match r.u8()? {
-                0 => None,
-                1 => Some(take_query_ext(&mut r)?),
-                t => return Err(WireError::Malformed(format!("unknown ext tag {t}"))),
-            };
-            let trace = if version >= TRACE_VERSION && r.has_remaining() {
-                TraceLevel::from_u8(r.u8()?)
-            } else {
-                TraceLevel::Off
-            };
-            let request_id = if version >= REQUEST_ID_VERSION && r.has_remaining() {
-                take_opt_u64(&mut r)?
-            } else {
-                None
-            };
+            let (criteria, columns) = take_query(&mut r, |r, dim| {
+                let n_columns = r.u32()? as usize;
+                let mut columns = Vec::with_capacity(n_columns.min(1 << 16));
+                for _ in 0..n_columns {
+                    columns.push(take_column(r, dim)?);
+                }
+                Ok(columns)
+            })?;
             Request::Batch(QueryBatch {
-                metric,
-                tau,
-                policy,
+                criteria,
                 mode,
-                dim,
                 columns,
-                ext,
-                trace,
-                request_id,
             })
         }
         VERB_SHUTDOWN => Request::Shutdown,
@@ -1376,57 +1179,14 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             w.u64(info.disk_bytes);
         }
         Reply::Hits(h) => {
-            // Kind bytes escalate with content: V4 only when an EXPLAIN
-            // report is present (answering a V6 request), V3 only when a
-            // trace is (answering a V5 request), V2 only when the
-            // extension is (answering a V2+ request) — old clients never
-            // receive a kind they cannot parse.
-            if let Some(explain) = &h.explain {
-                w.u8(REPLY_HITS_V4);
-                put_hits_body(&mut w, h, true);
-                match &h.trace {
-                    None => w.u8(0),
-                    Some(t) => {
-                        w.u8(1);
-                        put_trace(&mut w, t);
-                    }
-                }
-                put_explain(&mut w, explain);
-            } else if let Some(trace) = &h.trace {
-                w.u8(REPLY_HITS_V3);
-                put_hits_body(&mut w, h, true);
-                put_trace(&mut w, trace);
-            } else {
-                w.u8(if h.ext.is_some() {
-                    REPLY_HITS_V2
-                } else {
-                    REPLY_HITS
-                });
-                put_hits_body(&mut w, h, false);
-            }
+            w.u8(REPLY_HITS);
+            put_hits_body(&mut w, h);
         }
         Reply::HitsBatch(items) => {
-            // The V2 batch kind is only used when some entry carries a
-            // trace — again, never sent to a client that didn't ask.
-            if items.iter().any(|h| h.trace.is_some()) {
-                w.u8(REPLY_HITS_BATCH_V2);
-                w.u32(items.len() as u32);
-                for h in items {
-                    put_hits_body(&mut w, h, true);
-                    match &h.trace {
-                        None => w.u8(0),
-                        Some(t) => {
-                            w.u8(1);
-                            put_trace(&mut w, t);
-                        }
-                    }
-                }
-            } else {
-                w.u8(REPLY_HITS_BATCH);
-                w.u32(items.len() as u32);
-                for h in items {
-                    put_hits_body(&mut w, h, true);
-                }
+            w.u8(REPLY_HITS_BATCH);
+            w.u32(items.len() as u32);
+            for h in items {
+                put_hits_body(&mut w, h);
             }
         }
         Reply::Stats { text } => {
@@ -1477,39 +1237,12 @@ pub fn decode_reply(payload: &[u8]) -> WireResult<Reply> {
             partitions: r.u32()?,
             disk_bytes: r.u64()?,
         }),
-        kind @ (REPLY_HITS | REPLY_HITS_V2) => {
-            Reply::Hits(take_hits_body(&mut r, Some(kind == REPLY_HITS_V2))?)
-        }
-        REPLY_HITS_V3 => {
-            let mut h = take_hits_body(&mut r, None)?;
-            h.trace = Some(take_trace(&mut r)?);
-            Reply::Hits(h)
-        }
-        REPLY_HITS_V4 => {
-            let mut h = take_hits_body(&mut r, None)?;
-            if r.u8()? != 0 {
-                h.trace = Some(take_trace(&mut r)?);
-            }
-            h.explain = Some(Box::new(take_explain(&mut r)?));
-            Reply::Hits(h)
-        }
+        REPLY_HITS => Reply::Hits(take_hits_body(&mut r)?),
         REPLY_HITS_BATCH => {
             let n = r.u32()? as usize;
             let mut items = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                items.push(take_hits_body(&mut r, None)?);
-            }
-            Reply::HitsBatch(items)
-        }
-        REPLY_HITS_BATCH_V2 => {
-            let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let mut h = take_hits_body(&mut r, None)?;
-                if r.u8()? != 0 {
-                    h.trace = Some(take_trace(&mut r)?);
-                }
-                items.push(h);
+                items.push(take_hits_body(&mut r)?);
             }
             Reply::HitsBatch(items)
         }
@@ -1575,12 +1308,12 @@ pub fn query_fingerprint(req: &Request, generation: u64) -> Option<u64> {
     };
     let mut h = Fnv64::new();
     h.update(&[kind]);
-    h.update(query.metric.as_bytes());
+    h.update(query.criteria.metric.as_bytes());
     let mut w = ByteWriter::new();
-    put_tau(&mut w, query.tau);
+    put_tau(&mut w, query.criteria.tau);
     h.update(&w.0);
     h.update(&discriminator);
-    h.update(&query.dim.to_le_bytes());
+    h.update(&query.criteria.dim.to_le_bytes());
     for v in &query.vectors {
         h.update(&v.to_bits().to_le_bytes());
     }
@@ -1592,382 +1325,182 @@ pub fn query_fingerprint(req: &Request, generation: u64) -> Option<u64> {
 mod tests {
     use super::*;
 
-    fn sample_query() -> QueryPayload {
-        QueryPayload {
+    fn sample_criteria() -> QueryCriteria {
+        QueryCriteria {
             metric: "euclidean".into(),
             tau: Tau::Ratio(0.06),
             policy: ExecPolicy::Parallel { threads: 4 },
-            dim: 3,
-            vectors: vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-            ext: None,
+            dim: 2,
+            ext: QueryExt::default(),
             trace: TraceLevel::Off,
             request_id: None,
+        }
+    }
+
+    fn sample_query() -> QueryPayload {
+        QueryPayload {
+            criteria: sample_criteria(),
+            vectors: vec![1.0, -2.0, 0.5, 0.25],
             explain: false,
         }
     }
 
-    fn sample_ext() -> QueryExt {
-        QueryExt {
-            flags: LemmaFlags::without_lemma34(),
-            quick_browse: false,
-            max_distance_computations: Some(12345),
-            deadline_ms: Some(250),
+    /// Budgeted, fixed-policy, traced, correlated: every optional part of
+    /// the criteria switched on.
+    fn loaded_criteria() -> QueryCriteria {
+        QueryCriteria {
+            policy: ExecPolicy::Fixed { threads: 6 },
+            ext: QueryExt {
+                flags: LemmaFlags::without_lemma34(),
+                quick_browse: false,
+                max_distance_computations: Some(12345),
+                deadline_ms: Some(250),
+            },
+            trace: TraceLevel::Detail,
+            request_id: Some(0xDEAD_BEEF),
+            ..sample_criteria()
         }
     }
 
-    #[test]
-    fn request_roundtrip_all_verbs() {
-        let requests = [
+    fn sample_batch() -> QueryBatch {
+        QueryBatch {
+            criteria: loaded_criteria(),
+            mode: BatchMode::Topk(5),
+            columns: vec![vec![1.0, -2.0, 0.5, 0.25], vec![3.0, 4.0]],
+        }
+    }
+
+    /// All 13 verbs, the query verbs with and without budget, trace,
+    /// request id and explain. The first of each verb is its golden frame.
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Info,
+            Request::Search {
+                query: QueryPayload {
+                    criteria: loaded_criteria(),
+                    explain: true,
+                    ..sample_query()
+                },
+                t: JoinThreshold::Count(7),
+            },
             Request::Search {
                 query: sample_query(),
                 t: JoinThreshold::Ratio(0.5),
             },
-            Request::Search {
-                query: sample_query(),
-                t: JoinThreshold::Count(7),
-            },
-            Request::Search {
-                query: QueryPayload {
-                    ext: Some(sample_ext()),
-                    ..sample_query()
-                },
-                t: JoinThreshold::Count(7),
-            },
             Request::Topk {
                 query: sample_query(),
                 k: 10,
             },
             Request::Topk {
                 query: QueryPayload {
-                    ext: Some(QueryExt::default()),
+                    criteria: QueryCriteria {
+                        policy: ExecPolicy::Sequential,
+                        trace: TraceLevel::Phases,
+                        request_id: Some(7),
+                        ..sample_criteria()
+                    },
+                    explain: true,
                     ..sample_query()
                 },
-                k: 10,
+                k: 4,
             },
             Request::Stats,
-            Request::Reload { dir: None },
             Request::Reload {
-                dir: Some("/tmp/idx".into()),
+                dir: Some("/d".into()),
             },
-            Request::ApplyDelta { shard: None },
-            Request::ApplyDelta { shard: Some(2) },
+            Request::Reload { dir: None },
             Request::Shutdown,
-        ];
-        for req in &requests {
-            let bytes = encode_request(req);
-            let back = decode_request(&bytes).unwrap();
-            assert_eq!(&back, req);
-        }
-    }
-
-    #[test]
-    fn version_gating_is_backward_compatible() {
-        // An extension-less query encodes a V1 frame, byte-identical to
-        // what a pre-extension client produces — old servers still parse.
-        let v1 = encode_request(&Request::Search {
-            query: sample_query(),
-            t: JoinThreshold::Count(3),
-        });
-        assert_eq!(v1[4], MIN_PROTOCOL_VERSION);
-        // A V2 frame is the V1 layout plus the trailing extension.
-        let v2 = encode_request(&Request::Search {
-            query: QueryPayload {
-                ext: Some(sample_ext()),
-                ..sample_query()
-            },
-            t: JoinThreshold::Count(3),
-        });
-        assert_eq!(v2[4], QUERY_EXT_VERSION);
-        assert_eq!(&v2[5..v1.len()], &v1[5..], "V1 layout must be a prefix");
-        // The extension sits at the frame tail and its presence is "bytes
-        // remain" — a V4 stamp can come from the `Fixed` policy tag alone,
-        // so the version byte does not promise an extension. Truncating
-        // the whole extension off therefore yields the extension-less
-        // request; cutting it mid-field is still malformed.
-        let mut truncated = v2.clone();
-        truncated.truncate(v1.len());
-        assert_eq!(
-            decode_request(&truncated).unwrap(),
-            Request::Search {
-                query: sample_query(),
-                t: JoinThreshold::Count(3),
-            }
-        );
-        let mut partial = v2.clone();
-        partial.truncate(v1.len() + 1);
-        assert!(decode_request(&partial).is_err());
-        assert!(decode_request(&v1).is_ok());
-    }
-
-    #[test]
-    fn apply_verb_is_version_gated() {
-        let bytes = encode_request(&Request::ApplyDelta { shard: None });
-        assert_eq!(bytes[4], 3, "APPLY frames are V3");
-        assert_eq!(
-            decode_request(&bytes).unwrap(),
-            Request::ApplyDelta { shard: None }
-        );
-        // The same verb byte inside an older frame is junk, not a silent
-        // downgrade: a V2 peer never legitimately produced it.
-        for old in [1u8, 2] {
-            let mut downgraded = bytes.clone();
-            downgraded[4] = old;
-            assert!(decode_request(&downgraded).is_err(), "version {old}");
-        }
-    }
-
-    #[test]
-    fn routed_apply_rides_a_version_tail() {
-        // The bare form stays the historical frame: magic + version 3 +
-        // verb, nothing else — un-upgraded daemons keep decoding it.
-        let bare = encode_request(&Request::ApplyDelta { shard: None });
-        assert_eq!(bare.len(), 6, "bare APPLY must stay the 6-byte frame");
-        // The routed form stamps V5 and appends the shard index; it
-        // round-trips, and truncating the tail off yields the bare form
-        // (tail presence is the discriminator, as with the V2 ext).
-        let routed = encode_request(&Request::ApplyDelta { shard: Some(7) });
-        assert_eq!(routed[4], TRACE_VERSION, "routed APPLY frames are V5");
-        assert_eq!(&routed[5..6], &bare[5..6], "same verb byte");
-        assert_eq!(
-            decode_request(&routed).unwrap(),
-            Request::ApplyDelta { shard: Some(7) }
-        );
-        let mut truncated = routed.clone();
-        truncated.truncate(6);
-        assert!(matches!(
-            decode_request(&truncated).unwrap(),
-            Request::ApplyDelta { shard: None }
-        ));
-        // A tail cut mid-field is malformed, not silently bare.
-        let mut partial = routed.clone();
-        partial.truncate(8);
-        assert!(decode_request(&partial).is_err());
-    }
-
-    fn sample_batch(ext: Option<QueryExt>) -> QueryBatch {
-        QueryBatch {
-            metric: "euclidean".into(),
-            tau: Tau::Ratio(0.06),
-            policy: ExecPolicy::Parallel { threads: 4 },
-            mode: BatchMode::Search(JoinThreshold::Count(3)),
-            dim: 3,
-            columns: vec![vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6], vec![0.7, 0.8, 0.9]],
-            ext,
-            trace: TraceLevel::Off,
-            request_id: None,
-        }
-    }
-
-    #[test]
-    fn batch_verb_roundtrips_and_is_version_gated() {
-        for batch in [
-            sample_batch(None),
-            sample_batch(Some(sample_ext())),
-            QueryBatch {
-                mode: BatchMode::Topk(5),
+            Request::ApplyDelta { shard: Some(2) },
+            Request::ApplyDelta { shard: None },
+            Request::Batch(sample_batch()),
+            Request::Batch(QueryBatch {
+                criteria: sample_criteria(),
+                mode: BatchMode::Search(JoinThreshold::Ratio(0.5)),
                 columns: Vec::new(),
-                ..sample_batch(None)
+            }),
+            Request::Metrics,
+            Request::SlowLog,
+            Request::Inspect,
+            Request::Health,
+            Request::Drain {
+                addr: "a:1".into(),
+                drained: true,
             },
-        ] {
-            let req = Request::Batch(batch);
-            let bytes = encode_request(&req);
-            assert_eq!(bytes[4], BATCH_VERSION, "BATCH frames are V4");
-            assert_eq!(decode_request(&bytes).unwrap(), req);
-            // The verb byte inside an older frame is junk, not a silent
-            // downgrade.
-            for old in [1u8, 2, 3] {
-                let mut downgraded = bytes.clone();
-                downgraded[4] = old;
-                assert!(decode_request(&downgraded).is_err(), "version {old}");
-            }
-        }
-    }
-
-    #[test]
-    fn fixed_policy_roundtrips_as_v4() {
-        let query = QueryPayload {
-            policy: ExecPolicy::Fixed { threads: 6 },
-            ..sample_query()
-        };
-        let req = Request::Search {
-            query,
-            t: JoinThreshold::Count(3),
-        };
-        let bytes = encode_request(&req);
-        assert_eq!(bytes[4], BATCH_VERSION, "fixed-policy frames are V4");
-        assert_eq!(decode_request(&bytes).unwrap(), req);
-        let batch = Request::Batch(QueryBatch {
-            policy: ExecPolicy::Fixed { threads: 2 },
-            ..sample_batch(None)
-        });
-        let bytes = encode_request(&batch);
-        assert_eq!(decode_request(&bytes).unwrap(), batch);
-    }
-
-    #[test]
-    fn traced_requests_roundtrip_as_v5() {
-        for trace in [TraceLevel::Phases, TraceLevel::Detail] {
-            for ext in [None, Some(sample_ext())] {
-                let req = Request::Search {
-                    query: QueryPayload {
-                        ext,
-                        trace,
-                        ..sample_query()
-                    },
-                    t: JoinThreshold::Count(3),
-                };
-                let bytes = encode_request(&req);
-                assert_eq!(bytes[4], TRACE_VERSION, "traced frames are V5");
-                assert_eq!(decode_request(&bytes).unwrap(), req);
-                let req = Request::Topk {
-                    query: QueryPayload {
-                        ext,
-                        trace,
-                        ..sample_query()
-                    },
-                    k: 9,
-                };
-                let bytes = encode_request(&req);
-                assert_eq!(bytes[4], TRACE_VERSION);
-                assert_eq!(decode_request(&bytes).unwrap(), req);
-            }
-        }
-        // An untraced request never pays the V5 stamp: the frame stays
-        // bit-identical to what a pre-trace client emits.
-        let off = encode_request(&Request::Search {
-            query: sample_query(),
-            t: JoinThreshold::Count(3),
-        });
-        assert_eq!(off[4], MIN_PROTOCOL_VERSION);
-    }
-
-    #[test]
-    fn traced_batch_roundtrips_as_v5() {
-        let batch = QueryBatch {
-            trace: TraceLevel::Detail,
-            ..sample_batch(Some(sample_ext()))
-        };
-        let req = Request::Batch(batch);
-        let bytes = encode_request(&req);
-        assert_eq!(bytes[4], TRACE_VERSION, "traced BATCH frames are V5");
-        assert_eq!(decode_request(&bytes).unwrap(), req);
-        // Untraced batches keep the V4 stamp (checked in the V4 test);
-        // a V5 batch with no trailing trace byte decodes as Off.
-        let untraced = Request::Batch(sample_batch(None));
-        let mut bytes = encode_request(&untraced);
-        bytes[4] = TRACE_VERSION;
-        assert_eq!(decode_request(&bytes).unwrap(), untraced);
-    }
-
-    #[test]
-    fn metrics_and_slow_verbs_are_version_gated() {
-        for req in [Request::Metrics, Request::SlowLog] {
-            let bytes = encode_request(&req);
-            assert_eq!(bytes[4], TRACE_VERSION, "METRICS/SLOW frames are V5");
-            assert_eq!(decode_request(&bytes).unwrap(), req);
-            // The same verb byte inside an older frame is junk, not a
-            // silent downgrade.
-            for old in [1u8, 2, 3, 4] {
-                let mut downgraded = bytes.clone();
-                downgraded[4] = old;
-                assert!(decode_request(&downgraded).is_err(), "version {old}");
-            }
-        }
+            Request::Drain {
+                addr: "a:1".into(),
+                drained: false,
+            },
+        ]
     }
 
     fn sample_trace() -> QueryTrace {
         QueryTrace::new(
             TraceSpan::new("query", 0, 120)
-                .counter("distance_computations", 41)
-                .child(TraceSpan::new("map", 0, 30))
-                .child(TraceSpan::new("verify", 30, 80).counter("verify_batches", 2)),
+                .counter("dc", 41)
+                .child(TraceSpan::new("map", 0, 30)),
         )
     }
 
-    #[test]
-    fn traced_replies_roundtrip() {
-        let solo = Reply::Hits(HitsReply {
-            generation: 3,
-            cached: false,
-            hits: Vec::new(),
+    fn sample_explain() -> ExplainReport {
+        ExplainReport {
+            mode: "topk".into(),
+            stages: vec![FunnelStage {
+                name: "block".into(),
+                unit: "pairs".into(),
+                input: 100,
+                output: 60,
+                pruned: vec![("lemma3/4".into(), 40)],
+            }],
+            decisions: vec!["quick_browse=off".into()],
+            topk: Some(TopkExplain {
+                seed: Some(5),
+                survivors: 12,
+                rounds: vec![TopkRound {
+                    bar: None,
+                    batch: 4,
+                    pruned: 2,
+                }],
+                pruned_columns: vec![(3, 4)],
+                suffix_stop: true,
+            }),
+        }
+    }
+
+    /// What a daemon answers from its cache.
+    fn sample_hits() -> HitsReply {
+        HitsReply {
+            generation: 1,
+            cached: true,
+            hits: vec![WireHit {
+                external_id: 42,
+                table_name: "tab".into(),
+                column_name: "col".into(),
+                match_count: 9,
+            }],
             ext: Some(HitsExt {
                 outcome: QueryOutcome::Exact,
-                distance_computations: 41,
+                distance_computations: 0,
+            }),
+            trace: None,
+            explain: None,
+        }
+    }
+
+    /// All 11 reply kinds, the hits-shaped ones with and without the
+    /// extension, a trace and an explain report. The first of each kind
+    /// is its golden frame.
+    fn sample_replies() -> Vec<Reply> {
+        let full = HitsReply {
+            cached: false,
+            ext: Some(HitsExt {
+                outcome: QueryOutcome::Exceeded(Exceeded::Deadline),
+                distance_computations: 777,
             }),
             trace: Some(sample_trace()),
-            explain: None,
-        });
-        let bytes = encode_reply(&solo);
-        assert_eq!(decode_reply(&bytes).unwrap(), solo);
-        // A batch where only some entries carry a trace still roundtrips
-        // exactly (the V2 batch kind flags presence per entry).
-        let batch = Reply::HitsBatch(vec![
-            HitsReply {
-                generation: 3,
-                cached: false,
-                hits: Vec::new(),
-                ext: None,
-                trace: Some(sample_trace()),
-                explain: None,
-            },
-            HitsReply {
-                generation: 3,
-                cached: true,
-                hits: Vec::new(),
-                ext: None,
-                trace: None,
-                explain: None,
-            },
-        ]);
-        let bytes = encode_reply(&batch);
-        assert_eq!(decode_reply(&bytes).unwrap(), batch);
-    }
-
-    #[test]
-    fn trace_codec_rejects_absurd_depth() {
-        // A span tree nested past MAX_TRACE_DEPTH encodes (the writer is
-        // trusting) but must be rejected on decode — depth is attacker
-        // controlled.
-        let mut span = TraceSpan::new("leaf", 0, 1);
-        for i in 0..=MAX_TRACE_DEPTH {
-            span = TraceSpan::new(format!("level/{i}"), 0, 1).child(span);
-        }
-        let reply = Reply::Hits(HitsReply {
-            generation: 1,
-            cached: false,
-            hits: Vec::new(),
-            ext: None,
-            trace: Some(QueryTrace::new(span)),
-            explain: None,
-        });
-        let bytes = encode_reply(&reply);
-        assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
-    }
-
-    #[test]
-    fn fingerprint_ignores_trace_level() {
-        // A traced query must share its cache line with the untraced
-        // twin: tracing never changes the answer, only the envelope.
-        let fp = |trace| {
-            query_fingerprint(
-                &Request::Topk {
-                    query: QueryPayload {
-                        trace,
-                        ..sample_query()
-                    },
-                    k: 10,
-                },
-                1,
-            )
-            .unwrap()
+            explain: Some(Box::new(sample_explain())),
+            ..sample_hits()
         };
-        assert_eq!(fp(TraceLevel::Off), fp(TraceLevel::Detail));
-    }
-
-    #[test]
-    fn reply_roundtrip_all_kinds() {
-        let replies = [
+        vec![
             Reply::Info(InfoReply {
                 dim: 64,
                 generation: 3,
@@ -1975,59 +1508,26 @@ mod tests {
                 partitions: 4,
                 disk_bytes: 123456,
             }),
+            Reply::Hits(full.clone()),
+            Reply::Hits(sample_hits()),
+            // Explain alone (without a trajectory), and a trace alone.
             Reply::Hits(HitsReply {
-                generation: 1,
-                cached: true,
-                hits: vec![WireHit {
-                    external_id: 42,
-                    table_name: "tab".into(),
-                    column_name: "col".into(),
-                    match_count: 9,
-                }],
-                ext: None,
-                trace: None,
-                explain: None,
+                explain: Some(Box::new(ExplainReport {
+                    topk: None,
+                    ..sample_explain()
+                })),
+                ..sample_hits()
             }),
             Reply::Hits(HitsReply {
-                generation: 4,
-                cached: false,
                 hits: Vec::new(),
-                ext: Some(HitsExt {
-                    outcome: QueryOutcome::Exceeded(Exceeded::DistanceComputations),
-                    distance_computations: 777,
-                }),
-                trace: None,
-                explain: None,
+                ext: None,
+                trace: Some(sample_trace()),
+                ..sample_hits()
             }),
-            Reply::HitsBatch(vec![
-                HitsReply {
-                    generation: 2,
-                    cached: false,
-                    hits: vec![WireHit {
-                        external_id: 7,
-                        table_name: "t".into(),
-                        column_name: "c".into(),
-                        match_count: 3,
-                    }],
-                    ext: None,
-                    trace: None,
-                    explain: None,
-                },
-                HitsReply {
-                    generation: 2,
-                    cached: true,
-                    hits: Vec::new(),
-                    ext: Some(HitsExt {
-                        outcome: QueryOutcome::Exact,
-                        distance_computations: 12,
-                    }),
-                    trace: None,
-                    explain: None,
-                },
-            ]),
-            Reply::Stats {
-                text: "a=1\nb=2\n".into(),
-            },
+            // Presence of the extension, trace and report is per entry.
+            Reply::HitsBatch(vec![sample_hits(), full]),
+            Reply::HitsBatch(Vec::new()),
+            Reply::Stats { text: "a=1".into() },
             Reply::Reloaded {
                 generation: 2,
                 partitions: 3,
@@ -2044,12 +1544,267 @@ mod tests {
             Reply::Err {
                 message: "nope".into(),
             },
-        ];
-        for reply in &replies {
-            let bytes = encode_reply(reply);
-            let back = decode_reply(&bytes).unwrap();
-            assert_eq!(&back, reply);
+        ]
+    }
+
+    #[test]
+    fn request_roundtrip_all_verbs() {
+        for req in &sample_requests() {
+            let bytes = encode_request(req);
+            assert_eq!(bytes[4], PROTOCOL_VERSION, "{req:?}");
+            assert_eq!(&decode_request(&bytes).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn reply_roundtrip_all_kinds() {
+        for reply in &sample_replies() {
+            let bytes = encode_reply(reply);
+            assert_eq!(&decode_reply(&bytes).unwrap(), reply);
+        }
+    }
+
+    /// No field is inferred from "bytes remain": cutting a frame anywhere
+    /// never yields a different valid frame.
+    #[test]
+    fn strict_prefixes_never_decode() {
+        for req in &sample_requests() {
+            let bytes = encode_request(req);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode_request(&bytes[..cut]).is_err(),
+                    "{cut}-byte prefix of {req:?} decoded"
+                );
+            }
+        }
+        for reply in &sample_replies() {
+            let bytes = encode_reply(reply);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode_reply(&bytes[..cut]).is_err(),
+                    "{cut}-byte prefix of {reply:?} decoded"
+                );
+            }
+        }
+    }
+
+    /// The decoders accept only bytes the encoders produce: whatever a
+    /// corrupted frame still decodes to encodes back to the same bytes.
+    #[test]
+    fn decoding_is_canonical_under_byte_mutation() {
+        fn sweep<T: std::fmt::Debug>(
+            frame: Vec<u8>,
+            decode: fn(&[u8]) -> WireResult<T>,
+            encode: fn(&T) -> Vec<u8>,
+        ) {
+            let mut mutated = frame.clone();
+            for at in 0..frame.len() {
+                for value in 0..=u8::MAX {
+                    mutated[at] = value;
+                    if let Ok(decoded) = decode(&mutated) {
+                        assert_eq!(
+                            encode(&decoded),
+                            mutated,
+                            "byte {at} = {value} decodes to {decoded:?}"
+                        );
+                    }
+                }
+                mutated[at] = frame[at];
+            }
+        }
+        for req in &sample_requests() {
+            sweep(encode_request(req), decode_request, encode_request);
+        }
+        for reply in &sample_replies() {
+            sweep(encode_reply(reply), decode_reply, encode_reply);
+        }
+    }
+
+    #[test]
+    fn non_canonical_fields_rejected() {
+        let search = |criteria| {
+            encode_request(&Request::Search {
+                query: QueryPayload {
+                    criteria,
+                    ..sample_query()
+                },
+                t: JoinThreshold::Count(3),
+            })
+        };
+        let malformed =
+            |bytes: &[u8]| matches!(decode_request(bytes), Err(WireError::Malformed(_)));
+        // Sequential carries no thread count; Fixed carries at least one.
+        // (The policy sits after verb, threshold, metric and τ.)
+        let policy_at = 6 + 9 + (4 + "euclidean".len()) + 5;
+        let mut bytes = search(QueryCriteria {
+            policy: ExecPolicy::Sequential,
+            ..sample_criteria()
+        });
+        assert_eq!(bytes[policy_at], 0);
+        bytes[policy_at + 1] = 3;
+        assert!(malformed(&bytes));
+        let mut bytes = search(QueryCriteria {
+            policy: ExecPolicy::Fixed { threads: 1 },
+            ..sample_criteria()
+        });
+        assert_eq!(bytes[policy_at..policy_at + 2], [2, 1]);
+        bytes[policy_at + 1] = 0;
+        assert!(malformed(&bytes));
+        // The frame ends: …, trace level, request-id tag, explain flag.
+        let bytes = search(sample_criteria());
+        let n = bytes.len();
+        for (at, bad) in [(n - 1, 2), (n - 3, 3)] {
+            let mut bytes = bytes.clone();
+            bytes[at] = bad;
+            assert!(malformed(&bytes), "byte {at} = {bad}");
+        }
+        // A reply's `cached` flag.
+        let mut bytes = encode_reply(&Reply::Hits(sample_hits()));
+        assert_eq!(bytes[9], 1);
+        bytes[9] = 2;
+        assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
+    }
+
+    /// One frame per verb and per reply kind — the first sample of each —
+    /// byte for byte (`;` ends a frame, fields are spaced for reading): a
+    /// layout change that forgets to bump [`PROTOCOL_VERSION`] fails here.
+    #[test]
+    fn golden_frames() {
+        fn check(frames: impl Iterator<Item = Vec<u8>>, tag_at: usize, golden: &str) {
+            let mut tags = Vec::new();
+            let mut firsts = Vec::new();
+            for frame in frames {
+                if !tags.contains(&frame[tag_at]) {
+                    tags.push(frame[tag_at]);
+                    firsts.push(frame.iter().map(|b| format!("{b:02x}")).collect::<String>());
+                }
+            }
+            let golden: Vec<String> = golden
+                .split_terminator(';')
+                .map(|frame| frame.split_whitespace().collect())
+                .collect();
+            assert_eq!(firsts, golden);
+        }
+        check(
+            sample_requests().iter().map(encode_request),
+            5,
+            "50585356 07 00;
+             50585356 07 01  00 0700000000000000  09000000 6575636c696465616e  01 8fc2753d
+                02 06000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
+                0b 00 01 3930000000000000 01 fa00000000000000  02  01 efbeadde00000000  01;
+             50585356 07 02  0a00000000000000  09000000 6575636c696465616e  01 8fc2753d
+                01 04000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
+                0f 01 00 00  00  00  00;
+             50585356 07 03;
+             50585356 07 04  02000000 2f64;
+             50585356 07 05;
+             50585356 07 06  01 02000000;
+             50585356 07 07  01 0500000000000000  09000000 6575636c696465616e  01 8fc2753d
+                02 06000000  02000000
+                02000000  02000000 0000803f 000000c0 0000003f 0000803e  01000000 00004040 00008040
+                0b 00 01 3930000000000000 01 fa00000000000000  02  01 efbeadde00000000;
+             50585356 07 08;
+             50585356 07 09;
+             50585356 07 0a;
+             50585356 07 0b;
+             50585356 07 0c  03000000 613a31  01;",
+        );
+        check(
+            sample_replies().iter().map(encode_reply),
+            0,
+            "00  40000000 0300000000000000 0200000000000000 04000000 40e2010000000000;
+             01  0100000000000000 00  01 02 0903000000000000
+                01000000  2a00000000000000 03000000 746162 03000000 636f6c 09000000
+                01  05000000 7175657279 0000000000000000 7800000000000000
+                    01000000 02000000 6463 2900000000000000
+                    01000000 03000000 6d6170 0000000000000000 1e00000000000000 00000000 00000000
+                01  04000000 746f706b
+                    01000000 05000000 626c6f636b 05000000 7061697273 6400000000000000
+                        01000000 08000000 6c656d6d61332f34 2800000000000000 3c00000000000000
+                    01000000 10000000 717569636b5f62726f7773653d6f6666
+                    01 01 05000000 0c00000000000000 01000000 00 04000000 02000000
+                        01000000 03000000 04000000 01;
+             07  02000000
+                0100000000000000 01  01 00 0000000000000000
+                01000000  2a00000000000000 03000000 746162 03000000 636f6c 09000000  00  00
+                0100000000000000 00  01 02 0903000000000000
+                01000000  2a00000000000000 03000000 746162 03000000 636f6c 09000000
+                01  05000000 7175657279 0000000000000000 7800000000000000
+                    01000000 02000000 6463 2900000000000000
+                    01000000 03000000 6d6170 0000000000000000 1e00000000000000 00000000 00000000
+                01  04000000 746f706b
+                    01000000 05000000 626c6f636b 05000000 7061697273 6400000000000000
+                        01000000 08000000 6c656d6d61332f34 2800000000000000 3c00000000000000
+                    01000000 10000000 717569636b5f62726f7773653d6f6666
+                    01 01 05000000 0c00000000000000 01000000 00 04000000 02000000
+                        01000000 03000000 04000000 01;
+             02  03000000 613d31;
+             03  0200000000000000 03000000;
+             06  0500000000000000 0700000000000000 0200000000000000;
+             04;
+             fa;
+             f9;
+             f8  dc05000000000000;
+             fb  04000000 6e6f7065;",
+        );
+    }
+
+    /// The one version rule: equality with this build's.
+    #[test]
+    fn other_versions_are_refused() {
+        for req in &sample_requests() {
+            let mut bytes = encode_request(req);
+            for version in [0u8, 1, 2, 3, 4, 5, 6, 8, 255] {
+                bytes[4] = version;
+                let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {
+                    panic!("version {version} of {req:?} decoded");
+                };
+                assert_eq!(
+                    msg,
+                    format!("protocol version {version} unsupported (this build speaks 7)")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn trace_codec_rejects_absurd_depth() {
+        // A span tree nested past MAX_TRACE_DEPTH encodes (the writer is
+        // trusting) but must be rejected on decode — depth is attacker
+        // controlled.
+        let mut span = TraceSpan::new("leaf", 0, 1);
+        for i in 0..=MAX_TRACE_DEPTH {
+            span = TraceSpan::new(format!("level/{i}"), 0, 1).child(span);
+        }
+        let reply = Reply::Hits(HitsReply {
+            trace: Some(QueryTrace::new(span)),
+            ..sample_hits()
+        });
+        let bytes = encode_reply(&reply);
+        assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn explain_codec_rejects_absurd_cardinality() {
+        // The writer is trusting, the reader is not: a report with more
+        // stages than MAX_EXPLAIN_STAGES encodes but must not decode.
+        let mut report = sample_explain();
+        report.topk = None;
+        report.stages = (0..=MAX_EXPLAIN_STAGES)
+            .map(|i| FunnelStage {
+                name: format!("stage/{i}"),
+                unit: "rows".into(),
+                input: 1,
+                output: 1,
+                pruned: Vec::new(),
+            })
+            .collect();
+        let reply = Reply::Hits(HitsReply {
+            explain: Some(Box::new(report)),
+            ..sample_hits()
+        });
+        let bytes = encode_reply(&reply);
+        assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]
@@ -2081,25 +1836,48 @@ mod tests {
         ));
     }
 
+    /// The writer enforces the cap the reader enforces, and before the
+    /// first byte: the largest frame passes both, one byte more neither.
+    #[test]
+    fn write_frame_refuses_what_read_frame_would() {
+        let mut payload = vec![0u8; MAX_FRAME_BYTES as usize];
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        let back = read_frame(&mut std::io::Cursor::new(&buf))
+            .unwrap()
+            .unwrap();
+        assert_eq!(back.len(), payload.len());
+        payload.push(0);
+        buf.clear();
+        let err = write_frame(&mut buf, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(buf.is_empty(), "nothing may be written of a refused frame");
+    }
+
     #[test]
     fn malformed_payloads_rejected() {
         assert!(decode_request(b"JUNKxxxx").is_err());
-        // Right magic, wrong version.
-        let mut bytes = encode_request(&Request::Info);
-        bytes[4] = 99;
-        assert!(decode_request(&bytes).is_err());
         // Trailing bytes after a valid request.
         let mut bytes = encode_request(&Request::Info);
         bytes.push(0);
         assert!(decode_request(&bytes).is_err());
         assert!(decode_reply(&[77]).is_err());
+        // Retired reply kinds are unknown kinds.
+        for kind in [5u8, 8, 9, 10] {
+            let mut bytes = encode_reply(&Reply::Hits(sample_hits()));
+            bytes[0] = kind;
+            assert!(decode_reply(&bytes).is_err(), "kind {kind}");
+        }
     }
 
     #[test]
     fn fingerprint_sensitivity() {
         let req = |tau, k| Request::Topk {
             query: QueryPayload {
-                tau,
+                criteria: QueryCriteria {
+                    tau,
+                    ..sample_criteria()
+                },
                 ..sample_query()
             },
             k,
@@ -2123,203 +1901,36 @@ mod tests {
             base,
             query_fingerprint(&req(Tau::Ratio(0.06), 10), 2).unwrap()
         );
-        // The policy is *not* keyed: results are policy-independent.
-        let mut q = sample_query();
-        q.policy = ExecPolicy::Sequential;
-        let seq = query_fingerprint(&Request::Topk { query: q, k: 10 }, 1).unwrap();
-        assert_eq!(base, seq);
         // Non-query verbs have no fingerprint.
         assert!(query_fingerprint(&Request::Stats, 1).is_none());
     }
 
+    /// Policy, trace level, request id and explain are *not* keyed:
+    /// results are policy-independent, and the envelope never changes
+    /// the answer, so such a query shares its cache line with the plain
+    /// twin.
     #[test]
-    fn correlated_requests_roundtrip_as_v6() {
-        // Any combination of request id and explain rides the V6 tail,
-        // with or without the V2 ext and V5 trace sitting before it.
-        for (request_id, explain) in [(Some(0xDEAD_BEEF), false), (None, true), (Some(7), true)] {
-            for ext in [None, Some(sample_ext())] {
-                for trace in [TraceLevel::Off, TraceLevel::Detail] {
-                    let query = QueryPayload {
-                        ext,
-                        trace,
-                        request_id,
-                        explain,
-                        ..sample_query()
-                    };
-                    let req = Request::Search {
-                        query: query.clone(),
-                        t: JoinThreshold::Count(3),
-                    };
-                    let bytes = encode_request(&req);
-                    assert_eq!(bytes[4], REQUEST_ID_VERSION, "correlated frames are V6");
-                    assert_eq!(decode_request(&bytes).unwrap(), req);
-                    let req = Request::Topk { query, k: 4 };
-                    let bytes = encode_request(&req);
-                    assert_eq!(bytes[4], REQUEST_ID_VERSION);
-                    assert_eq!(decode_request(&bytes).unwrap(), req);
-                }
-            }
-        }
-        // An uncorrelated, unexplained query never pays the V6 stamp —
-        // the frame stays bit-identical to what an older client emits.
-        let plain = encode_request(&Request::Search {
-            query: sample_query(),
-            t: JoinThreshold::Count(3),
-        });
-        assert_eq!(plain[4], MIN_PROTOCOL_VERSION);
-    }
-
-    #[test]
-    fn correlated_batch_roundtrips_as_v6() {
-        let batch = QueryBatch {
-            request_id: Some(0xABCD),
-            ..sample_batch(Some(sample_ext()))
-        };
-        let req = Request::Batch(batch);
-        let bytes = encode_request(&req);
-        assert_eq!(
-            bytes[4], REQUEST_ID_VERSION,
-            "correlated BATCH frames are V6"
-        );
-        assert_eq!(decode_request(&bytes).unwrap(), req);
-        // Uncorrelated batches keep their old stamp; a V6 batch with no
-        // trailing id decodes as None.
-        let plain = Request::Batch(sample_batch(None));
-        let mut bytes = encode_request(&plain);
-        assert_eq!(bytes[4], BATCH_VERSION);
-        bytes[4] = REQUEST_ID_VERSION;
-        assert_eq!(decode_request(&bytes).unwrap(), plain);
-    }
-
-    #[test]
-    fn inspect_health_drain_verbs_are_version_gated() {
-        let requests = [
-            Request::Inspect,
-            Request::Health,
-            Request::Drain {
-                addr: "127.0.0.1:7878".into(),
-                drained: true,
-            },
-            Request::Drain {
-                addr: "127.0.0.1:7878".into(),
-                drained: false,
-            },
-        ];
-        for req in &requests {
-            let bytes = encode_request(req);
-            assert_eq!(
-                bytes[4], REQUEST_ID_VERSION,
-                "INSPECT/HEALTH/DRAIN frames are V6"
-            );
-            assert_eq!(&decode_request(&bytes).unwrap(), req);
-            // The same verb byte inside an older frame is junk, not a
-            // silent downgrade.
-            for old in [1u8, 2, 3, 4, 5] {
-                let mut downgraded = bytes.clone();
-                downgraded[4] = old;
-                assert!(decode_request(&downgraded).is_err(), "version {old}");
-            }
-        }
-    }
-
-    #[test]
-    fn fingerprint_ignores_request_id_and_explain() {
-        // A correlated or explained query must share its cache line with
-        // the plain twin: the id and the report never change the answer.
-        let fp = |request_id, explain| {
-            query_fingerprint(
-                &Request::Topk {
-                    query: QueryPayload {
-                        request_id,
-                        explain,
-                        ..sample_query()
-                    },
-                    k: 10,
-                },
-                1,
-            )
-            .unwrap()
-        };
-        assert_eq!(fp(None, false), fp(Some(42), false));
-        assert_eq!(fp(None, false), fp(None, true));
-        assert_eq!(fp(None, false), fp(Some(42), true));
-    }
-
-    fn sample_explain() -> ExplainReport {
-        ExplainReport {
-            mode: "topk".into(),
-            stages: vec![FunnelStage {
-                name: "block".into(),
-                unit: "pairs".into(),
-                input: 100,
-                output: 60,
-                pruned: vec![("lemma3/4".into(), 40)],
-            }],
-            decisions: vec!["quick_browse=off seeded_pairs=0".into()],
-            topk: Some(TopkExplain {
-                seed: Some(5),
-                survivors: 12,
-                rounds: vec![TopkRound {
-                    bar: Some(5),
-                    batch: 4,
-                    pruned: 2,
-                }],
-                pruned_columns: vec![(3, 4)],
-                suffix_stop: true,
-            }),
-        }
-    }
-
-    #[test]
-    fn explained_replies_roundtrip() {
-        // Explain alone, and explain + trace (the V4 reply kind carries
-        // both behind a presence byte).
-        for trace in [None, Some(sample_trace())] {
-            let reply = Reply::Hits(HitsReply {
-                generation: 9,
-                cached: false,
-                hits: vec![WireHit {
-                    external_id: 1,
-                    table_name: "t".into(),
-                    column_name: "c".into(),
-                    match_count: 2,
-                }],
-                ext: Some(HitsExt {
-                    outcome: QueryOutcome::Exact,
-                    distance_computations: 10,
-                }),
-                trace,
-                explain: Some(Box::new(sample_explain())),
-            });
-            let bytes = encode_reply(&reply);
-            assert_eq!(decode_reply(&bytes).unwrap(), reply);
-        }
-    }
-
-    #[test]
-    fn explain_codec_rejects_absurd_cardinality() {
-        // The writer is trusting, the reader is not: a report with more
-        // stages than MAX_EXPLAIN_STAGES encodes but must not decode.
-        let mut report = sample_explain();
-        report.topk = None;
-        report.stages = (0..=MAX_EXPLAIN_STAGES)
-            .map(|i| FunnelStage {
-                name: format!("stage/{i}"),
-                unit: "rows".into(),
-                input: 1,
-                output: 1,
-                pruned: Vec::new(),
+    fn fingerprint_ignores_policy_trace_request_id_and_explain() {
+        let fp = |query| query_fingerprint(&Request::Topk { query, k: 10 }, 1).unwrap();
+        let plain = fp(sample_query());
+        let with = |criteria, explain| {
+            fp(QueryPayload {
+                criteria,
+                explain,
+                ..sample_query()
             })
-            .collect();
-        let reply = Reply::Hits(HitsReply {
-            generation: 1,
-            cached: false,
-            hits: Vec::new(),
-            ext: None,
-            trace: None,
-            explain: Some(Box::new(report)),
-        });
-        let bytes = encode_reply(&reply);
-        assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
+        };
+        assert_eq!(plain, with(loaded_criteria(), true));
+        assert_eq!(plain, with(sample_criteria(), true));
+        assert_eq!(
+            plain,
+            with(
+                QueryCriteria {
+                    policy: ExecPolicy::Sequential,
+                    ..sample_criteria()
+                },
+                false
+            )
+        );
     }
 }

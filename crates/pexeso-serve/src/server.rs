@@ -385,10 +385,10 @@ impl ShardHandler {
         mode: QueryMode,
         queue_wait: Option<Duration>,
     ) -> std::result::Result<HitsReply, String> {
-        if payload.dim as usize != snap.dim() {
+        if payload.criteria.dim as usize != snap.dim() {
             return Err(format!(
                 "query dimension {} does not match index dimension {}",
-                payload.dim,
+                payload.criteria.dim,
                 snap.dim()
             ));
         }
@@ -398,7 +398,7 @@ impl ShardHandler {
         // request likewise — its funnel must describe a real execution, not
         // a memoised answer. Server-initiated sampling only traces requests
         // that would execute anyway — a sampled cache hit stays a cache hit.
-        let requested = payload.trace;
+        let requested = payload.criteria.trace;
         let fingerprint = query_fingerprint(req, snap.generation())
             .ok_or_else(|| "not a query verb".to_string())?;
         if !requested.enabled() && !payload.explain {
@@ -418,7 +418,7 @@ impl ShardHandler {
                     hits: (*hits).clone(),
                     // Only exact results are cached, and the cache charges the
                     // requester no verification work.
-                    ext: payload.ext.map(|_| HitsExt {
+                    ext: Some(HitsExt {
                         outcome: QueryOutcome::Exact,
                         distance_computations: 0,
                     }),
@@ -460,7 +460,7 @@ impl ShardHandler {
                 verb_of(mode),
                 resp.stats.total_time,
                 rendered,
-                payload.request_id,
+                payload.criteria.request_id,
                 None,
             );
         }
@@ -503,7 +503,7 @@ fn log_query_done(
         return;
     }
     let mut fields: Vec<(&str, Value)> = Vec::with_capacity(6);
-    if let Some(rid) = payload.request_id {
+    if let Some(rid) = payload.criteria.request_id {
         fields.push(("rid", Value::Rid(rid)));
     }
     fields.push(("verb", Value::Str(verb_of(mode))));

@@ -15,7 +15,7 @@
 //!
 //! * [`SnapshotCell::swap`] (the `RELOAD` verb) re-opens the directory
 //!   from scratch — partitions, manifest, and delta log;
-//! * [`SnapshotCell::apply_delta`] (the V3 `APPLY` verb) re-reads *only*
+//! * [`SnapshotCell::apply_delta`] (the `APPLY` verb) re-reads *only*
 //!   the delta log and publishes a new generation **sharing the resident
 //!   base via `Arc`** — live ingest in milliseconds, no partition
 //!   reloaded, no memory doubled. If the base build itself changed
@@ -201,7 +201,7 @@ impl Snapshot {
             resident.num_partitions(),
             query,
             vectors,
-            |i, inner, guard| execute_on_index(resident.partition(i), inner, vectors, guard),
+            |i, inner, guard| execute_on_index(resident.partition(i), inner, vectors, guard, None),
         )
     }
 }

@@ -1,6 +1,7 @@
 //! The connection/worker core against a fake [`Handler`]: backpressure,
-//! queue-wait accounting, framing errors, shutdown and panic isolation,
-//! pinned once here instead of once per daemon.
+//! queue-wait accounting, framing errors (garbage, another protocol
+//! version, frames over the cap in either direction), shutdown and panic
+//! isolation, pinned once here instead of once per daemon.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -11,13 +12,15 @@ use pexeso_core::trace::TraceLevel;
 use pexeso_serve::conn::{answer_query, serve, ConnConfig, ConnHandle, Handler, RequestCtx};
 use pexeso_serve::metrics::{stat_value, EndpointMetrics};
 use pexeso_serve::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, HitsReply, QueryExt, QueryPayload,
-    Reply, Request,
+    decode_reply, encode_request, read_frame, write_frame, HitsReply, QueryCriteria, QueryExt,
+    QueryPayload, Reply, Request, MAX_FRAME_BYTES,
 };
+use pexeso_serve::{ClientError, ServeClient};
 
 /// Echoes a query frame back as an empty `HITS` (through the shared
-/// `answer_query` plumbing), answers `STATS` with the core's counters, and
-/// — when armed — panics on its first request.
+/// `answer_query` plumbing), answers `STATS` with the core's counters and
+/// `INSPECT` with a text one byte too long to frame, and — when armed —
+/// panics on its first request.
 #[derive(Default)]
 struct Echo {
     endpoint: EndpointMetrics,
@@ -47,10 +50,13 @@ impl Handler for Echo {
                     ),
                 }
             }
+            Request::Inspect => Reply::Stats {
+                text: "x".repeat(MAX_FRAME_BYTES as usize),
+            },
             Request::Shutdown => Reply::ShuttingDown,
             query => answer_query(query, ctx, |_, payload, _| {
                 Ok(HitsReply {
-                    generation: payload.dim as u64,
+                    generation: payload.criteria.dim as u64,
                     cached: false,
                     hits: Vec::new(),
                     ext: None,
@@ -115,22 +121,28 @@ impl Peer {
     }
 }
 
-fn search(deadline_ms: Option<u64>) -> Request {
-    Request::Search {
-        query: QueryPayload {
+fn payload(deadline_ms: Option<u64>, vectors: Vec<f32>) -> QueryPayload {
+    QueryPayload {
+        criteria: QueryCriteria {
             metric: String::new(),
             tau: Tau::Ratio(0.1),
             policy: ExecPolicy::Sequential,
             dim: 2,
-            vectors: vec![0.0, 1.0],
-            ext: Some(QueryExt {
+            ext: QueryExt {
                 deadline_ms,
                 ..QueryExt::default()
-            }),
+            },
             trace: TraceLevel::Off,
             request_id: Some(7),
-            explain: false,
         },
+        vectors,
+        explain: false,
+    }
+}
+
+fn search(deadline_ms: Option<u64>) -> Request {
+    Request::Search {
+        query: payload(deadline_ms, vec![0.0, 1.0]),
         t: JoinThreshold::Count(1),
     }
 }
@@ -214,6 +226,67 @@ fn garbage_frame_gets_one_bad_request_then_a_hang_up() {
         other => panic!("expected a bad-request error, got {other:?}"),
     }
     assert_eq!(peer.recv(), None, "one error, then the core hangs up");
+    handle.shutdown();
+}
+
+#[test]
+fn another_protocol_version_gets_one_refusal_naming_both_then_a_hang_up() {
+    let handle = start(1, 8, None, Echo::default());
+    let mut peer = Peer::connect(&handle);
+    let mut frame = encode_request(&Request::Info);
+    frame[4] = 6;
+    write_frame(&mut peer.0, &frame).unwrap();
+    match peer.recv() {
+        Some(Reply::Err { message }) => {
+            assert!(message.starts_with("bad request"), "{message}");
+            assert!(
+                message.contains("protocol version 6 unsupported (this build speaks 7)"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a bad-request error, got {other:?}"),
+    }
+    assert_eq!(peer.recv(), None, "one refusal, then the core hangs up");
+    // The daemon is none the worse: the next connection is served.
+    let mut next = Peer::connect(&handle);
+    assert!(matches!(next.call(&search(None)), Reply::Hits(_)));
+    drop(next);
+    handle.shutdown();
+}
+
+#[test]
+fn a_reply_over_the_frame_cap_becomes_a_typed_error_on_a_live_connection() {
+    let handle = start(1, 8, None, Echo::default());
+    let mut peer = Peer::connect(&handle);
+    match peer.call(&Request::Inspect) {
+        Reply::Err { message } => assert!(message.contains("exceeds the frame cap"), "{message}"),
+        other => panic!("expected a typed error, got {other:?}"),
+    }
+    // Same connection, still in sync, and the error was counted.
+    assert!(matches!(peer.call(&search(None)), Reply::Hits(_)));
+    assert_eq!(peer.stat("errors"), 1.0);
+    drop(peer);
+    handle.shutdown();
+}
+
+#[test]
+fn a_request_over_the_frame_cap_is_refused_before_it_is_sent() {
+    let handle = start(1, 8, None, Echo::default());
+    let client = ServeClient::connect(handle.addr()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+    let giant = payload(None, vec![0.0; MAX_FRAME_BYTES as usize / 4]);
+    match client.search(giant, JoinThreshold::Count(1)) {
+        Err(ClientError::Protocol(message)) => {
+            assert!(message.contains("exceeds cap"), "{message}")
+        }
+        other => panic!("expected a refusal on the client side, got {other:?}"),
+    }
+    // Nothing reached the wire: the pooled connection answers the next
+    // request instead of waiting for a reply that is not coming.
+    assert_eq!(client.idle_connections(), 1);
+    let small = payload(None, vec![0.0, 1.0]);
+    assert!(client.search(small, JoinThreshold::Count(1)).is_ok());
+    drop(client);
     handle.shutdown();
 }
 

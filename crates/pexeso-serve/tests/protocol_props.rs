@@ -1,10 +1,10 @@
 //! Property tests for the serve frame encoding of the unified query API:
 //! any [`Query`] the builder can express survives the trip through
 //! [`wire_request`] → `encode_request` → `decode_request` with every
-//! criterion intact, extension-less (V1) frames keep their layout, and
-//! the daemon-side [`query_from_wire`] inverts [`wire_request`] /
-//! [`wire_batch_request`] — the `Query` a backend executes behind a
-//! daemon is the `Query` the caller built.
+//! criterion intact, a cut or corrupted frame decodes canonically or not
+//! at all, and the daemon-side [`query_from_wire`] inverts
+//! [`wire_request`] / [`wire_batch_request`] — the `Query` a backend
+//! executes behind a daemon is the `Query` the caller built.
 
 use std::time::Duration;
 
@@ -132,12 +132,13 @@ proptest! {
             other => panic!("query verbs only, got {other:?}"),
         };
         prop_assert_eq!(decoded_mode, query.mode);
-        prop_assert_eq!(payload.tau, query.tau);
-        prop_assert_eq!(payload.policy, query.policy);
-        prop_assert_eq!(payload.metric.as_str(), "euclidean");
-        prop_assert_eq!(payload.dim as usize, store.dim());
+        let criteria = &payload.criteria;
+        prop_assert_eq!(criteria.tau, query.tau);
+        prop_assert_eq!(criteria.policy, query.policy);
+        prop_assert_eq!(criteria.metric.as_str(), "euclidean");
+        prop_assert_eq!(criteria.dim as usize, store.dim());
         prop_assert_eq!(payload.vectors.len(), store.raw_data().len());
-        let ext = payload.ext.as_ref().expect("unified requests carry the ext");
+        let ext = &criteria.ext;
         prop_assert_eq!(ext.flags, query.options.flags);
         prop_assert_eq!(ext.quick_browse, query.options.quick_browse);
         prop_assert_eq!(
@@ -251,14 +252,8 @@ proptest! {
         prop_assert_eq!(batch.columns.len(), 2);
         for (column, sent) in batch.columns.iter().zip([&store, &other]) {
             let payload = QueryPayload {
-                metric: batch.metric.clone(),
-                tau: batch.tau,
-                policy: batch.policy,
-                dim: batch.dim,
+                criteria: batch.criteria.clone(),
                 vectors: column.clone(),
-                ext: batch.ext,
-                trace: batch.trace,
-                request_id: batch.request_id,
                 explain: false,
             };
             let (got, vectors) =
@@ -268,28 +263,45 @@ proptest! {
         }
     }
 
-    /// V1 frames (no extension) also round-trip unchanged — the layout
-    /// old clients emit keeps decoding forever.
+    /// Cut anywhere, a query frame never decodes (nothing is inferred
+    /// from "bytes remain"); with any one byte changed, it decodes — if
+    /// at all — to a request that encodes back to exactly those bytes.
     #[test]
-    fn v1_frames_roundtrip(t in 0.01f64..1.0, k in 0u64..50, dim in 1usize..6) {
-        let store = sample_store(dim, 2);
-        let payload = pexeso_serve::query_payload(
-            "euclidean",
-            Tau::Ratio(0.06),
-            ExecPolicy::Sequential,
-            &store,
-        );
-        prop_assert!(payload.ext.is_none(), "query_payload emits V1 frames");
-        for request in [
-            Request::Search {
-                query: payload.clone(),
-                t: JoinThreshold::Ratio(t),
-            },
-            Request::Topk { query: payload, k },
-        ] {
-            let bytes = encode_request(&request);
-            prop_assert_eq!(bytes[4], 1, "extension-less frames stay version 1");
-            prop_assert_eq!(&decode_request(&bytes).unwrap(), &request);
+    fn cut_or_corrupted_frames_decode_canonically_or_not_at_all(
+        topk in 0u8..2,
+        par in 0u8..2,
+        threads in 0usize..16,
+        lemma_mask in 0u8..16,
+        max_dist in 0u64..1_000_000,
+        deadline_ms in 0u64..10_000,
+        trace in 0u8..3,
+        rid in 0u64..3,
+        batch in 0u8..2,
+        dim in 1usize..8,
+        n in 1usize..5,
+        at in 0usize..4096,
+        value in 0u8..=255,
+    ) {
+        let mut query = make_query(
+            topk != 0, true, 0.06, true, 3.0, 5, par != 0, threads, lemma_mask, true, max_dist,
+            deadline_ms,
+        )
+        .with_trace([TraceLevel::Off, TraceLevel::Phases, TraceLevel::Detail][trace as usize]);
+        if rid > 0 {
+            query = query.with_request_id(rid);
+        }
+        let store = sample_store(dim, n);
+        let request = if batch != 0 {
+            wire_batch_request(&query, &[&store, &store])
+        } else {
+            wire_request(&query, &store)
+        };
+        let mut bytes = encode_request(&request);
+        let at = at % bytes.len();
+        prop_assert!(decode_request(&bytes[..at]).is_err(), "a {}-byte prefix decoded", at);
+        bytes[at] = value;
+        if let Ok(decoded) = decode_request(&bytes) {
+            prop_assert_eq!(encode_request(&decoded), bytes);
         }
     }
 }
@@ -302,7 +314,7 @@ fn default_ext_matches_default_query() {
     let store = sample_store(4, 1);
     match wire_request(&q, &store) {
         Request::Search { query, .. } => {
-            assert_eq!(query.ext, Some(QueryExt::default()));
+            assert_eq!(query.criteria.ext, QueryExt::default());
         }
         other => panic!("expected SEARCH, got {other:?}"),
     }

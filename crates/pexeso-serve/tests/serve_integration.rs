@@ -11,9 +11,9 @@ use pexeso_core::config::{ExecPolicy, IndexOptions, JoinThreshold, PivotSelectio
 use pexeso_core::metric::Euclidean;
 use pexeso_core::outofcore::{GlobalHit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
-use pexeso_core::query::{Query, Queryable};
+use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::protocol::{encode_reply, HitsReply, Reply, WireHit};
+use pexeso_serve::protocol::{encode_reply, HitsExt, HitsReply, Reply, WireHit};
 use pexeso_serve::{query_payload, stat_value, ClientError, ServeClient, ServeConfig, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,6 +95,27 @@ fn wire(hits: &[GlobalHit]) -> Vec<WireHit> {
     hits.iter().map(WireHit::from).collect()
 }
 
+/// The reply a daemon must send for `served`'s request, built from the
+/// direct call's response: same hits, same outcome, and the direct
+/// call's verification cost unless the result cache answered.
+fn reply_from_direct(served: &HitsReply, direct: &QueryResponse) -> Reply {
+    Reply::Hits(HitsReply {
+        generation: served.generation,
+        cached: served.cached,
+        hits: wire(&direct.hits),
+        ext: Some(HitsExt {
+            outcome: direct.outcome,
+            distance_computations: if served.cached {
+                0
+            } else {
+                direct.stats.distance_computations
+            },
+        }),
+        trace: None,
+        explain: None,
+    })
+}
+
 #[test]
 fn served_replies_byte_identical_to_direct_calls() {
     let dir = tempdir("exact");
@@ -118,24 +139,13 @@ fn served_replies_byte_identical_to_direct_calls() {
                 let served = client
                     .search(query_payload("euclidean", tau, policy, &query), t)
                     .unwrap();
-                let direct = lake
-                    .execute(&Query::threshold(tau, t), &query)
-                    .unwrap()
-                    .hits;
-                assert!(!direct.is_empty(), "workload must produce hits");
+                let direct = lake.execute(&Query::threshold(tau, t), &query).unwrap();
+                assert!(!direct.hits.is_empty(), "workload must produce hits");
                 // Byte-identical: the served reply re-encodes to exactly
                 // the bytes a reply built from the direct call encodes to.
-                let direct_reply = Reply::Hits(HitsReply {
-                    generation: served.generation,
-                    cached: served.cached,
-                    hits: wire(&direct),
-                    ext: None,
-                    trace: None,
-                    explain: None,
-                });
                 assert_eq!(
                     encode_reply(&Reply::Hits(served.clone())),
-                    encode_reply(&direct_reply),
+                    encode_reply(&reply_from_direct(&served, &direct)),
                     "tau={tau:?} t={t:?} policy={policy:?}"
                 );
             }
@@ -147,17 +157,10 @@ fn served_replies_byte_identical_to_direct_calls() {
                     k as u64,
                 )
                 .unwrap();
-            let direct = lake.execute(&Query::topk(tau, k), &query).unwrap().hits;
+            let direct = lake.execute(&Query::topk(tau, k), &query).unwrap();
             assert_eq!(
                 encode_reply(&Reply::Hits(served.clone())),
-                encode_reply(&Reply::Hits(HitsReply {
-                    generation: served.generation,
-                    cached: served.cached,
-                    hits: wire(&direct),
-                    ext: None,
-                    trace: None,
-                    explain: None,
-                })),
+                encode_reply(&reply_from_direct(&served, &direct)),
                 "tau={tau:?} k={k}"
             );
         }

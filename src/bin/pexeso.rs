@@ -982,15 +982,12 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         outcome_suffix(&resp)
     );
     print_hits(&resp.hits);
-    match &resp.explain {
-        Some(report) => {
-            println!("\nquery plan:");
-            print!("{}", report.render());
-        }
-        // The daemon answered a pre-explain frame (old server) — say so
-        // rather than printing an empty plan.
-        None => println!("\n(server returned no explain report; is it running an older build?)"),
-    }
+    let report = resp
+        .explain
+        .as_ref()
+        .ok_or("the answer carries no explain report")?;
+    println!("\nquery plan:");
+    print!("{}", report.render());
     print_trace(&resp);
     Ok(())
 }
@@ -1063,9 +1060,8 @@ fn run_admin_verb(
         return Ok(());
     }
     if flags.contains_key("apply") {
-        // `--shard N` rides the V5 APPLY tail: against a router it names
-        // the shard whose replicas should apply their delta log; a plain
-        // `--apply` stays the historical bare V3 frame.
+        // Against a router `--shard N` names the shard whose replicas
+        // should apply their delta log; a shard daemon ignores it.
         let shard: Option<u32> = match flags.get("shard") {
             None => None,
             Some(v) => Some(v.parse().map_err(|e| format!("bad --shard '{v}': {e}"))?),
