@@ -1,4 +1,4 @@
-//! Quick profile of the verify hot path on the bench_kernels workload:
+//! Quick profile of the verify hot path on a 10k×64-d uniform workload:
 //! prints the stats counters and a wall-clock per distance computation,
 //! so kernel work can be separated from loop bookkeeping when tuning.
 //!

@@ -243,6 +243,46 @@ impl Metric for Chebyshev {
     }
 }
 
+/// The one place a metric *name* (a manifest's `metric=` line, a
+/// [`crate::query::Query::metric`] expectation) becomes a metric *type*:
+/// evaluate `$body` — an expression of type `Result<_>` — with `$m` bound
+/// to the instance `$name` spells, or refuse the name. Adding a fifth
+/// metric means one `impl Metric` above and one arm here; the erased
+/// constructors in [`crate::outofcore`] are the only users.
+macro_rules! with_metric {
+    ($name:expr, |$m:ident| $body:expr) => {
+        match $name {
+            "euclidean" => {
+                let $m = $crate::metric::Euclidean;
+                $body
+            }
+            "manhattan" => {
+                let $m = $crate::metric::Manhattan;
+                $body
+            }
+            "chebyshev" => {
+                let $m = $crate::metric::Chebyshev;
+                $body
+            }
+            "angular" => {
+                let $m = $crate::metric::Angular;
+                $body
+            }
+            other => Err($crate::error::PexesoError::InvalidParameter(format!(
+                "unsupported metric '{other}'"
+            ))),
+        }
+    };
+}
+pub(crate) use with_metric;
+
+/// Refuse a metric name no index can be built or loaded under — for
+/// callers that must validate a manifest before they have anything to
+/// build (an empty delta log still belongs to a deployment).
+pub fn check_name(name: &str) -> crate::error::Result<()> {
+    with_metric!(name, |_m| Ok(()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

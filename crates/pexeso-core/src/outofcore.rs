@@ -9,23 +9,41 @@
 //! loading with searching (an extension over the paper's sequential loop;
 //! the sequential mode is the default and is what the experiments time).
 //! Results are identical for every policy.
+//!
+//! ## Units
+//!
+//! A deployment backend learns its metric from a string (the manifest's
+//! `metric=` line) while the index is generic over the [`Metric`] type.
+//! The two meet at the *index-unit boundary*: [`IndexUnit`] is the small
+//! object-safe face of one loaded `PexesoIndex<M>`, and [`load_unit`],
+//! [`build_unit`] and [`PartitionedLake::build_named`] are the only
+//! places a name picks the type (through the one match in
+//! [`crate::metric`]), so everything that holds units — this lake,
+//! `pexeso-delta`'s overlay, `pexeso-serve`'s snapshot, the shard
+//! splitter — is written once, not once per metric. The erased call is
+//! made once per (query, unit). Behind it mapping, blocking, verification
+//! and the kernels stay monomorphised: the metric itself is never a trait
+//! object, because a virtual call per distance would sit inside the loop
+//! that is ~99 % of search time.
 
 use std::fs;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::column::ColumnSet;
+use crate::column::{ColumnId, ColumnSet};
 use crate::config::IndexOptions;
 use crate::error::{PexesoError, Result};
 use crate::exec;
-use crate::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
+use crate::inspect::PartitionInspection;
+use crate::metric::{with_metric, Metric};
 use crate::partition::{partition_columns, split_column_set, PartitionConfig};
 use crate::persist::{load_index, save_index};
 use crate::query::{
     fold_outcome, rank_topk_hits, sort_threshold_hits, BudgetGuard, Exceeded, Query, QueryMode,
     QueryOutcome, QueryResponse, Queryable,
 };
-use crate::search::PexesoIndex;
+use crate::search::{EngineCtx, PexesoIndex};
 use crate::stats::SearchStats;
 use crate::vector::VectorStore;
 
@@ -189,7 +207,7 @@ impl LakeManifest {
 }
 
 /// A disk-resident, partitioned PEXESO deployment.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PartitionedLake {
     dir: PathBuf,
     partition_files: Vec<PathBuf>,
@@ -228,6 +246,23 @@ impl PartitionedLake {
             dir: dir.to_path_buf(),
             partition_files: files,
         })
+    }
+
+    /// [`Self::build`] under the metric a manifest names.
+    pub fn build_named(
+        columns: &ColumnSet,
+        metric_name: &str,
+        partition_config: &PartitionConfig,
+        index_options: &IndexOptions,
+        dir: &Path,
+    ) -> Result<Self> {
+        with_metric!(metric_name, |m| Self::build(
+            columns,
+            m,
+            partition_config,
+            index_options,
+            dir
+        ))
     }
 
     /// Open an existing deployment directory.
@@ -280,73 +315,37 @@ impl PartitionedLake {
         Ok(total)
     }
 
-    /// Typed execution under an explicit metric instance: the engine
-    /// behind [`Queryable::execute`], which resolves the metric from the
-    /// query/manifest.
-    fn execute_typed<M: Metric>(
-        &self,
-        metric: M,
-        query: &Query,
-        vectors: &VectorStore,
-    ) -> Result<QueryResponse> {
-        execute_partitioned(self.partition_files.len(), query, |i, inner, guard| {
-            let index = load_index(&self.partition_files[i], metric.clone())?;
-            execute_on_index(&index, inner, vectors, guard, None)
-        })
-    }
-
-    /// Typed batch execution: the engine behind
-    /// [`Queryable::execute_many`], sweeping partition-major so every
-    /// partition file is loaded once for the whole batch.
-    fn execute_many_typed<M: Metric>(
-        &self,
-        metric: M,
-        query: &Query,
-        columns: &[&VectorStore],
-    ) -> Result<Vec<QueryResponse>> {
-        execute_partitioned_many(self.partition_files.len(), query, columns, |i| {
-            load_index(&self.partition_files[i], metric.clone())
-        })
-    }
-
-    /// The metric this deployment must be queried with: an explicit
-    /// [`Query::metric`] expectation, cross-checked against the directory
-    /// manifest when one exists (a mismatch is a typed error — the
-    /// persisted pivot mappings are only valid under the build metric);
-    /// with neither, Euclidean, the only metric the offline pipeline
-    /// deploys.
+    /// The metric this deployment must be queried with: the directory
+    /// manifest's when one exists (an explicit [`Query::metric`]
+    /// expectation that disagrees is a typed error — the persisted pivot
+    /// mappings are only valid under the build metric); without a
+    /// manifest the query's expectation, else Euclidean, the only metric
+    /// the offline pipeline deploys.
     fn resolve_metric_name(&self, query: &Query) -> Result<String> {
-        let manifest_metric = match LakeManifest::read(&self.dir) {
-            Ok(m) => Some(m.metric),
-            Err(PexesoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        match (query.metric.clone(), manifest_metric) {
-            (Some(q), Some(m)) if q != m => Err(PexesoError::InvalidParameter(format!(
-                "deployment manifest names metric '{m}'; query expects '{q}'"
-            ))),
-            (Some(q), _) => Ok(q),
-            (None, Some(m)) => Ok(m),
-            (None, None) => Ok("euclidean".to_string()),
+        match LakeManifest::read(&self.dir) {
+            Ok(m) => {
+                query.check_metric("deployment", &m.metric)?;
+                Ok(m.metric)
+            }
+            Err(PexesoError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(query
+                .metric
+                .clone()
+                .unwrap_or_else(|| "euclidean".to_string())),
+            Err(e) => Err(e),
         }
     }
 }
 
 /// Out-of-core deployments answer the unified [`Query`] like every other
-/// backend. The metric is resolved from the query's expectation and the
-/// deployment manifest (see `resolve_metric_name`) and dispatched to the
-/// matching monomorphised engine.
+/// backend: the metric is resolved from the query's expectation and the
+/// deployment manifest (see `resolve_metric_name`), and each partition is
+/// loaded as an [`IndexUnit`] under it.
 impl Queryable for PartitionedLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
-        match self.resolve_metric_name(query)?.as_str() {
-            "euclidean" => self.execute_typed(Euclidean, query, vectors),
-            "manhattan" => self.execute_typed(Manhattan, query, vectors),
-            "chebyshev" => self.execute_typed(Chebyshev, query, vectors),
-            "angular" => self.execute_typed(Angular, query, vectors),
-            other => Err(PexesoError::InvalidParameter(format!(
-                "unsupported metric '{other}'"
-            ))),
-        }
+        let metric = self.resolve_metric_name(query)?;
+        execute_partitioned(self.partition_files.len(), query, |i, inner, guard| {
+            load_unit(&self.partition_files[i], &metric)?.answer(inner, vectors, guard)
+        })
     }
 
     /// Batch execution sweeps the lake partition-major, loading each
@@ -355,40 +354,108 @@ impl Queryable for PartitionedLake {
     /// outcomes, and stats counters per column are identical to solo
     /// [`Queryable::execute`] calls (see `execute_partitioned_many`).
     fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
-        match self.resolve_metric_name(query)?.as_str() {
-            "euclidean" => self.execute_many_typed(Euclidean, query, columns),
-            "manhattan" => self.execute_many_typed(Manhattan, query, columns),
-            "chebyshev" => self.execute_many_typed(Chebyshev, query, columns),
-            "angular" => self.execute_many_typed(Angular, query, columns),
-            other => Err(PexesoError::InvalidParameter(format!(
-                "unsupported metric '{other}'"
-            ))),
-        }
+        let metric = self.resolve_metric_name(query)?;
+        execute_partitioned_many(self.partition_files.len(), query, columns, |i| {
+            load_unit(&self.partition_files[i], &metric)
+        })
     }
 }
 
-/// Resolve a partition-local result into caller-stable global hits.
-fn resolve_global_hits<M: Metric>(
-    index: &PexesoIndex<M>,
-    hits: Vec<crate::search::SearchHit>,
-) -> Vec<GlobalHit> {
-    hits.into_iter()
-        .map(|h| {
-            let meta = index.columns().column(h.column);
-            GlobalHit {
-                external_id: meta.external_id,
-                table_name: meta.table_name.clone(),
-                column_name: meta.column_name.clone(),
-                match_count: h.match_count,
-            }
-        })
-        .collect()
+/// One loaded index with its metric type erased — what a deployment
+/// backend holds per partition (and per delta overlay) once the manifest
+/// has named the metric. See the [module docs](self#units).
+pub trait IndexUnit: Send + Sync {
+    /// Answer `query` for this unit alone (see [`PartitionAnswer`]): hits
+    /// in global identities, tie-inclusive in top-k mode, with `guard`
+    /// carrying the query's budget across units.
+    fn answer(
+        &self,
+        query: &Query,
+        vectors: &VectorStore,
+        guard: &mut Option<BudgetGuard>,
+    ) -> Result<PartitionAnswer>;
+
+    /// The unit's columns (metadata and raw vectors).
+    fn columns(&self) -> &ColumnSet;
+
+    /// Whether a column has been tombstoned in place.
+    fn is_deleted(&self, column: ColumnId) -> bool;
+
+    /// The build options persisted with the unit.
+    fn options(&self) -> &IndexOptions;
+
+    /// Structural statistics for the introspection plane.
+    fn inspect(&self) -> PartitionInspection;
+}
+
+impl std::fmt::Debug for dyn IndexUnit + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IndexUnit")
+            .field("columns", &self.columns().n_columns())
+            .finish_non_exhaustive()
+    }
+}
+
+impl<M: Metric> IndexUnit for PexesoIndex<M> {
+    fn answer(
+        &self,
+        query: &Query,
+        vectors: &VectorStore,
+        guard: &mut Option<BudgetGuard>,
+    ) -> Result<PartitionAnswer> {
+        execute_on_index(self, query, vectors, guard, None)
+    }
+
+    fn columns(&self) -> &ColumnSet {
+        PexesoIndex::columns(self)
+    }
+
+    fn is_deleted(&self, column: ColumnId) -> bool {
+        PexesoIndex::is_deleted(self, column)
+    }
+
+    fn options(&self) -> &IndexOptions {
+        PexesoIndex::options(self)
+    }
+
+    fn inspect(&self) -> PartitionInspection {
+        PexesoIndex::inspect(self)
+    }
+}
+
+/// Load the index persisted at `path` under the metric `metric_name`
+/// spells (the persisted-metric check of [`load_index`] applies).
+pub fn load_unit(path: &Path, metric_name: &str) -> Result<Box<dyn IndexUnit>> {
+    with_metric!(metric_name, |m| load_index(path, m)
+        .map(|index| Box::new(index) as Box<dyn IndexUnit>))
+}
+
+/// Build an in-memory index over `columns` under the metric
+/// `metric_name` spells.
+pub fn build_unit(
+    columns: ColumnSet,
+    metric_name: &str,
+    options: IndexOptions,
+) -> Result<Box<dyn IndexUnit>> {
+    with_metric!(metric_name, |m| PexesoIndex::build(columns, m, options)
+        .map(|index| Box::new(index) as Box<dyn IndexUnit>))
+}
+
+/// A partition-local `(column, count)` as a caller-stable global hit.
+fn global_hit<M: Metric>(index: &PexesoIndex<M>, column: ColumnId, match_count: u32) -> GlobalHit {
+    let meta = index.columns().column(column);
+    GlobalHit {
+        external_id: meta.external_id,
+        table_name: meta.table_name.clone(),
+        column_name: meta.column_name.clone(),
+        match_count,
+    }
 }
 
 /// One column's answer from one partition (or any other single-index
 /// unit): global hits, that unit's stats, any budget limit the sweep
 /// tripped for it, and the top-k trajectory of an explained query (see
-/// [`execute_on_index`]; the multi-unit merges ignore it).
+/// [`IndexUnit::answer`]; the multi-unit merges ignore it).
 pub type PartitionAnswer = (
     Vec<GlobalHit>,
     SearchStats,
@@ -427,10 +494,10 @@ pub type PartitionAnswer = (
 /// (`tests/explain.rs` pins this). For a tie-driven re-query the
 /// trajectory reflects the final (answering) pass.
 ///
-/// Public as a backend building block: out-of-crate backends (the
-/// delta-overlay executor in `pexeso-delta`) run exactly this engine per
-/// unit so their answers stay byte-identical to the built-in backends.
-pub fn execute_on_index<M: Metric>(
+/// Backends that hold erased units reach this through
+/// [`IndexUnit::answer`], so every unit of every backend runs exactly
+/// this engine.
+pub(crate) fn execute_on_index<M: Metric>(
     index: &PexesoIndex<M>,
     query: &Query,
     vectors: &VectorStore,
@@ -439,18 +506,20 @@ pub fn execute_on_index<M: Metric>(
 ) -> Result<PartitionAnswer> {
     match query.mode {
         QueryMode::Threshold(t) => {
-            let (hits, stats, exceeded) = index.threshold_inner(
-                vectors,
-                query.tau,
-                t,
-                query.options,
-                guard.as_ref(),
+            let ctx = EngineCtx {
+                query,
+                budget: guard.as_ref(),
                 premapped,
-            )?;
+            };
+            let (hits, stats, exceeded) = index.threshold_inner(vectors, &ctx, t)?;
             if let Some(g) = guard.as_mut() {
                 g.advance(stats.distance_computations);
             }
-            Ok((resolve_global_hits(index, hits), stats, exceeded, None))
+            let hits = hits
+                .into_iter()
+                .map(|h| global_hit(index, h.column, h.match_count))
+                .collect();
+            Ok((hits, stats, exceeded, None))
         }
         QueryMode::Topk(k) => {
             if k == 0 {
@@ -474,15 +543,13 @@ pub fn execute_on_index<M: Metric>(
                 if let Some(t) = trajectory.as_mut() {
                     *t = crate::explain::TopkExplain::default();
                 }
-                let (ranked, stats, exceeded) = index.topk_inner(
-                    vectors,
-                    query.tau,
-                    kk,
-                    query.options,
-                    guard.as_ref(),
+                let ctx = EngineCtx {
+                    query,
+                    budget: guard.as_ref(),
                     premapped,
-                    trajectory.as_mut(),
-                )?;
+                };
+                let (ranked, stats, exceeded) =
+                    index.topk_inner(vectors, &ctx, kk, trajectory.as_mut())?;
                 total.merge(&stats);
                 if let Some(g) = guard.as_mut() {
                     g.advance(stats.distance_computations);
@@ -494,15 +561,7 @@ pub fn execute_on_index<M: Metric>(
                 if !boundary_tied {
                     let hits = ranked
                         .into_iter()
-                        .map(|(count, col)| {
-                            let meta = index.columns().column(col);
-                            GlobalHit {
-                                external_id: meta.external_id,
-                                table_name: meta.table_name.clone(),
-                                column_name: meta.column_name.clone(),
-                                match_count: count,
-                            }
-                        })
+                        .map(|(count, col)| global_hit(index, col, count))
                         .collect();
                     return Ok((hits, total, exceeded, trajectory));
                 }
@@ -562,12 +621,29 @@ where
             query.policy,
             n_partitions,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
-            |i| {
-                let mut unbudgeted = None;
-                run(i, &inner, &mut unbudgeted)
-            },
+            |i| run(i, &inner, &mut None),
         )?
     };
+    Ok(merge_answers(query, started, per_partition, true))
+}
+
+/// The one response tail of every backend in this crate: fold the
+/// per-unit answers (in unit order) into one [`QueryResponse`] — merged
+/// stats, the sticky first-tripped outcome, the unified final ranking,
+/// and, when asked for, the phase trace and the explain report.
+///
+/// `partitioned` says the answers are the partitions of a multi-unit
+/// backend: a [`crate::trace::TraceLevel::Detail`] trace then carries one
+/// `partition/{i}` child per answer, and the per-unit top-k trajectories
+/// are dropped (each describes a local, possibly over-asked ranking, not
+/// the answer). A single [`PexesoIndex`] passes its one answer with
+/// `false` and keeps its trajectory.
+pub(crate) fn merge_answers(
+    query: &Query,
+    started: Instant,
+    answers: impl IntoIterator<Item = PartitionAnswer>,
+    partitioned: bool,
+) -> QueryResponse {
     // The one branch the untraced path pays; everything trace-related
     // below is behind it.
     let merge_start = query.trace.enabled().then(Instant::now);
@@ -575,13 +651,17 @@ where
     let mut stats = SearchStats::new();
     let mut hits = Vec::new();
     let mut outcome = QueryOutcome::Exact;
-    for (i, (h, s, e, _)) in per_partition.into_iter().enumerate() {
-        if query.trace == crate::trace::TraceLevel::Detail {
+    let mut trajectory = None;
+    for (i, (h, s, e, t)) in answers.into_iter().enumerate() {
+        if partitioned && query.trace == crate::trace::TraceLevel::Detail {
             unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
         }
         stats.merge(&s);
         hits.extend(h);
         fold_outcome(&mut outcome, e);
+        if !partitioned {
+            trajectory = t;
+        }
     }
     let hits = match query.mode {
         QueryMode::Threshold(_) => {
@@ -605,20 +685,28 @@ where
         crate::trace::QueryTrace::new(root)
     });
     let explain = query.explain.then(|| {
-        crate::explain::ExplainReport::from_stats(query, &stats, hits.len() as u64, outcome, None)
+        crate::explain::ExplainReport::from_stats(
+            query,
+            &stats,
+            hits.len() as u64,
+            outcome,
+            trajectory,
+        )
     });
-    Ok(QueryResponse {
+    QueryResponse {
         hits,
         stats,
         outcome,
         trace,
         explain,
-    })
+    }
 }
 
 /// A [`QueryResponse`] for the `Topk(0)` fast path: no hits, zeroed
-/// stats, and (when asked) an all-zero explain funnel.
-fn empty_topk_response(query: &Query) -> QueryResponse {
+/// stats, and (when asked) an all-zero explain funnel. Public so a
+/// backend that fans out by other means (the shard router) answers
+/// `k = 0` with the very same reply.
+pub fn empty_topk_response(query: &Query) -> QueryResponse {
     let stats = SearchStats::new();
     let explain = query.explain.then(|| {
         crate::explain::ExplainReport::from_stats(query, &stats, 0, QueryOutcome::Exact, None)
@@ -636,7 +724,7 @@ fn empty_topk_response(query: &Query) -> QueryResponse {
 /// columns in one partition-major sweep, materialising each partition
 /// **once** for all columns instead of once per column — for the
 /// disk-backed lake this turns `columns × partitions` index loads into
-/// `partitions` loads. `get_index(i)` materialises partition `i` (a disk
+/// `partitions` loads. `get_unit(i)` materialises partition `i` (a disk
 /// load for the lake, a borrow for the resident form).
 ///
 /// Per-column semantics mirror the solo loop exactly: `Topk(0)` answers
@@ -647,16 +735,15 @@ fn empty_topk_response(query: &Query) -> QueryResponse {
 /// tripped limit. `responses[c]` therefore carries the same hits, outcome,
 /// and stats counters as `execute(query, columns[c])`; only wall-clock
 /// timings differ (they reflect the shared sweep).
-fn execute_partitioned_many<M, I, G>(
+fn execute_partitioned_many<U, G>(
     n_partitions: usize,
     query: &Query,
     columns: &[&VectorStore],
-    get_index: G,
+    get_unit: G,
 ) -> Result<Vec<QueryResponse>>
 where
-    M: Metric,
-    I: std::borrow::Borrow<PexesoIndex<M>>,
-    G: Fn(usize) -> Result<I> + Sync,
+    U: Deref<Target = dyn IndexUnit>,
+    G: Fn(usize) -> Result<U> + Sync,
 {
     let started = Instant::now();
     if columns.is_empty() {
@@ -683,13 +770,12 @@ where
             if stopped.iter().all(|&s| s) {
                 break;
             }
-            let index = get_index(i)?;
-            let index = index.borrow();
+            let unit = get_unit(i)?;
             for (c, col) in columns.iter().enumerate() {
                 if stopped[c] {
                     continue;
                 }
-                let part = execute_on_index(index, &inner, col, &mut guards[c], None)?;
+                let part = unit.answer(&inner, col, &mut guards[c])?;
                 if part.2.is_some() {
                     stopped[c] = true;
                 }
@@ -702,14 +788,10 @@ where
             n_partitions,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
             |i| {
-                let index = get_index(i)?;
-                let index = index.borrow();
+                let unit = get_unit(i)?;
                 columns
                     .iter()
-                    .map(|col| {
-                        let mut unbudgeted = None;
-                        execute_on_index(index, &inner, col, &mut unbudgeted, None)
-                    })
+                    .map(|col| unit.answer(&inner, col, &mut None))
                     .collect::<Result<Vec<_>>>()
             },
         )?;
@@ -721,55 +803,7 @@ where
     }
     Ok(per_column
         .into_iter()
-        .map(|parts| {
-            let merge_start = query.trace.enabled().then(Instant::now);
-            let mut unit_spans = Vec::new();
-            let mut stats = SearchStats::new();
-            let mut hits = Vec::new();
-            let mut outcome = QueryOutcome::Exact;
-            for (i, (h, s, e, _)) in parts.into_iter().enumerate() {
-                if query.trace == crate::trace::TraceLevel::Detail {
-                    unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
-                }
-                stats.merge(&s);
-                hits.extend(h);
-                fold_outcome(&mut outcome, e);
-            }
-            let hits = match query.mode {
-                QueryMode::Threshold(_) => {
-                    sort_threshold_hits(&mut hits);
-                    hits
-                }
-                QueryMode::Topk(k) => rank_topk_hits(hits, k),
-            };
-            stats.total_time = started.elapsed();
-            let trace = merge_start.map(|m| {
-                let mut root = crate::trace::phase_tree(&stats, stats.total_time, m.elapsed());
-                let mut off = 0;
-                for mut s in unit_spans {
-                    s.start_us = off;
-                    off += s.duration_us;
-                    root.children.push(s);
-                }
-                crate::trace::QueryTrace::new(root)
-            });
-            let explain = query.explain.then(|| {
-                crate::explain::ExplainReport::from_stats(
-                    query,
-                    &stats,
-                    hits.len() as u64,
-                    outcome,
-                    None,
-                )
-            });
-            QueryResponse {
-                hits,
-                stats,
-                outcome,
-                trace,
-                explain,
-            }
-        })
+        .map(|parts| merge_answers(query, started, parts, true))
         .collect())
 }
 
@@ -800,10 +834,7 @@ impl<M: Metric> ResidentPartitions<M> {
         self.indexes.len()
     }
 
-    /// Borrow one resident partition index — the handle an overlay
-    /// backend (e.g. `pexeso-delta`'s serve-side delta snapshot) feeds to
-    /// [`execute_on_index`] so delta queries reuse the already-loaded
-    /// base without copying it.
+    /// Borrow one resident partition index.
     pub fn partition(&self, i: usize) -> &PexesoIndex<M> {
         &self.indexes[i]
     }
@@ -814,14 +845,8 @@ impl<M: Metric> ResidentPartitions<M> {
 /// verified against it.
 impl<M: Metric> Queryable for ResidentPartitions<M> {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
-        if let (Some(expected), Some(index)) = (query.metric.as_deref(), self.indexes.first()) {
-            let actual = index.metric().name();
-            if expected != actual {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "resident partitions were built with metric '{actual}'; \
-                     query expects '{expected}'"
-                )));
-            }
+        if let Some(index) = self.indexes.first() {
+            query.check_metric("resident partitions", index.metric().name())?;
         }
         // The same partition loop as the disk-backed lake, minus the
         // per-query `load_index`.
@@ -836,17 +861,11 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
     /// outcomes, and stats counters per column are identical to solo
     /// [`Queryable::execute`] calls.
     fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
-        if let (Some(expected), Some(index)) = (query.metric.as_deref(), self.indexes.first()) {
-            let actual = index.metric().name();
-            if expected != actual {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "resident partitions were built with metric '{actual}'; \
-                     query expects '{expected}'"
-                )));
-            }
+        if let Some(index) = self.indexes.first() {
+            query.check_metric("resident partitions", index.metric().name())?;
         }
         execute_partitioned_many(self.indexes.len(), query, columns, |i| {
-            Ok::<_, PexesoError>(&self.indexes[i])
+            Ok(&self.indexes[i] as &dyn IndexUnit)
         })
     }
 }

@@ -75,7 +75,7 @@
 use std::time::{Duration, Instant};
 
 use crate::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
-use crate::error::Result;
+use crate::error::{PexesoError, Result};
 use crate::explain::ExplainReport;
 use crate::outofcore::GlobalHit;
 use crate::search::SearchOptions;
@@ -251,6 +251,19 @@ impl Query {
     pub fn expect_metric(mut self, name: &str) -> Self {
         self.metric = Some(name.to_string());
         self
+    }
+
+    /// Reject a metric expectation other than the metric `what` (the
+    /// backend, named for the message) was built with: its persisted
+    /// pivot mappings are only valid under that metric, so answering
+    /// anyway would silently break exactness.
+    pub fn check_metric(&self, what: &str, built_with: &str) -> Result<()> {
+        match self.metric.as_deref() {
+            Some(expected) if expected != built_with => Err(PexesoError::InvalidParameter(
+                format!("{what} was built with metric '{built_with}'; query expects '{expected}'"),
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Replace the verification budget wholesale.

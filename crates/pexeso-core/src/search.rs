@@ -18,11 +18,9 @@ use crate::invindex::InvertedIndex;
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
+use crate::outofcore::{execute_on_index, merge_answers};
 use crate::pivot::select_pivots_with;
-use crate::query::{
-    fold_outcome, rank_topk_hits, sort_threshold_hits, BudgetGuard, Exceeded, Query, QueryMode,
-    QueryOutcome, QueryResponse, Queryable,
-};
+use crate::query::{BudgetGuard, Exceeded, Query, QueryResponse, Queryable};
 use crate::stats::SearchStats;
 use crate::util::FastMap;
 use crate::vector::{VectorId, VectorStore};
@@ -40,6 +38,16 @@ pub struct SearchHit {
 /// One top-k engine answer: the internal `(count, column)` ranking, the
 /// search stats, and any tripped budget limit.
 pub(crate) type RankedTopk = (Vec<(u32, ColumnId)>, SearchStats, Option<Exceeded>);
+
+/// What one engine call borrows from its only caller,
+/// [`crate::outofcore::execute_on_index`]: the query's criteria (τ and
+/// the per-query options), the budget carried across sub-executions, and
+/// the shared pivot mapping of a batched pass when there is one.
+pub(crate) struct EngineCtx<'a> {
+    pub query: &'a Query,
+    pub budget: Option<&'a BudgetGuard>,
+    pub premapped: Option<&'a MappedVectors>,
+}
 
 /// How candidate pairs are verified against the inverted index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -193,19 +201,17 @@ impl<M: Metric> PexesoIndex<M> {
     pub(crate) fn threshold_inner(
         &self,
         query: &VectorStore,
-        tau: Tau,
+        ctx: &EngineCtx<'_>,
         t: JoinThreshold,
-        opts: SearchOptions,
-        budget: Option<&BudgetGuard>,
-        premapped: Option<&MappedVectors>,
     ) -> Result<(Vec<SearchHit>, SearchStats, Option<Exceeded>)> {
+        let (opts, budget) = (ctx.query.options, ctx.budget);
         self.validate_query(query)?;
-        let tau = tau.resolve(&self.metric, self.columns.dim())?;
+        let tau = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
         let t_abs = t.resolve(query.len())?;
         let mut stats = SearchStats::new();
         let total_start = Instant::now();
         let (query_mapped, blocked) =
-            self.map_and_block(query, tau, opts, &mut stats, premapped)?;
+            self.map_and_block(query, tau, opts, &mut stats, ctx.premapped)?;
 
         // Verification.
         let verify_start = Instant::now();
@@ -333,26 +339,23 @@ impl<M: Metric> PexesoIndex<M> {
     /// [`SearchOptions::topk_strategy`]; both strategies honour the
     /// optional budget (best-first checks per batch round, exhaustive per
     /// query vector of its full scan).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn topk_inner(
         &self,
         query: &VectorStore,
-        tau: Tau,
+        ctx: &EngineCtx<'_>,
         k: usize,
-        opts: SearchOptions,
-        budget: Option<&BudgetGuard>,
-        premapped: Option<&MappedVectors>,
         explain: Option<&mut crate::explain::TopkExplain>,
     ) -> Result<RankedTopk> {
+        let (opts, budget) = (ctx.query.options, ctx.budget);
         self.validate_query(query)?;
-        let tau_abs = tau.resolve(&self.metric, self.columns.dim())?;
+        let tau_abs = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
         let mut stats = SearchStats::new();
         if k == 0 {
             return Ok((Vec::new(), stats, None));
         }
         let total_start = Instant::now();
         let (query_mapped, blocked) =
-            self.map_and_block(query, tau_abs, opts, &mut stats, premapped)?;
+            self.map_and_block(query, tau_abs, opts, &mut stats, ctx.premapped)?;
 
         let verify_start = Instant::now();
         let ctx = VerifyContext {
@@ -641,68 +644,22 @@ impl<M: Metric> PexesoIndex<M> {
 }
 
 impl<M: Metric> PexesoIndex<M> {
-    /// Reject a [`Query`] expecting a different metric than this index's.
-    fn check_metric_expectation(&self, query: &Query) -> Result<()> {
-        match query.metric.as_deref() {
-            Some(expected) if expected != self.metric.name() => {
-                Err(PexesoError::InvalidParameter(format!(
-                    "index was built with metric '{}'; query expects '{expected}'",
-                    self.metric.name()
-                )))
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// [`Queryable::execute`] with an optional pre-computed pivot mapping
     /// of the query column (see [`Self::premap_columns`]); `None` is
-    /// exactly `execute`.
+    /// exactly `execute`. The index is one unit: its answer goes through
+    /// the same merge tail as a partitioned backend's, which also passes
+    /// the top-k trajectory of an explained query through.
     fn execute_premapped(
         &self,
         query: &Query,
         vectors: &VectorStore,
         premapped: Option<&MappedVectors>,
     ) -> Result<QueryResponse> {
-        self.check_metric_expectation(query)?;
+        let started = Instant::now();
+        query.check_metric("index", self.metric.name())?;
         let mut guard = BudgetGuard::start(&query.budget);
-        let (mut hits, stats, exceeded, trajectory) =
-            crate::outofcore::execute_on_index(self, query, vectors, &mut guard, premapped)?;
-        let mut outcome = QueryOutcome::Exact;
-        fold_outcome(&mut outcome, exceeded);
-        // The one branch the untraced path pays: no timer, no allocation
-        // unless the query asked for a trace.
-        let merge_start = query.trace.enabled().then(Instant::now);
-        let hits = match query.mode {
-            QueryMode::Threshold(_) => {
-                sort_threshold_hits(&mut hits);
-                hits
-            }
-            QueryMode::Topk(k) => rank_topk_hits(hits, k),
-        };
-        let trace = merge_start.map(|m| {
-            let merge = m.elapsed();
-            crate::trace::QueryTrace::new(crate::trace::phase_tree(
-                &stats,
-                stats.total_time + merge,
-                merge,
-            ))
-        });
-        let explain = query.explain.then(|| {
-            crate::explain::ExplainReport::from_stats(
-                query,
-                &stats,
-                hits.len() as u64,
-                outcome,
-                trajectory,
-            )
-        });
-        Ok(QueryResponse {
-            hits,
-            stats,
-            outcome,
-            trace,
-            explain,
-        })
+        let answer = execute_on_index(self, query, vectors, &mut guard, premapped)?;
+        Ok(merge_answers(query, started, [answer], false))
     }
 
     /// The shared mapping pass behind [`Queryable::execute_many`]: map

@@ -2,21 +2,18 @@
 //! backend — and the lifecycle operations around it (ingest, drop,
 //! compact).
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::{ExecPolicy, IndexOptions};
 use pexeso_core::error::{PexesoError, Result};
 use pexeso_core::fault;
-use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
-use pexeso_core::outofcore::{execute_on_index, LakeManifest, PartitionedLake};
+use pexeso_core::outofcore::{load_unit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
-use pexeso_core::persist::load_index;
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
 
-use crate::overlay::{AnyOverlay, DeltaOverlay};
+use crate::overlay::{load_overlay, DeltaOverlay};
 use crate::wal::{
     append_records, check_header, read_log, remove_log, DeltaRecord, DeltaState, LogStatus,
 };
@@ -31,8 +28,7 @@ use crate::wal::{
 pub struct DeltaLake {
     base: PartitionedLake,
     manifest: LakeManifest,
-    overlay: AnyOverlay,
-    dir: PathBuf,
+    overlay: DeltaOverlay,
 }
 
 impl DeltaLake {
@@ -46,26 +42,17 @@ impl DeltaLake {
     /// delta would break the exactness contract.
     pub fn open(dir: &Path) -> Result<Self> {
         let manifest = LakeManifest::read(dir)?;
-        verify_no_crashed_compaction(dir, &manifest)?;
+        let overlay = load_overlay(dir, &manifest)?;
         let base = PartitionedLake::open(dir)?;
-        let state = match read_log(dir)? {
-            Some(contents) => match check_header(&contents.header, &manifest)? {
-                LogStatus::Current => DeltaState::replay(&contents.records),
-                LogStatus::Stale => DeltaState::default(),
-            },
-            None => DeltaState::default(),
-        };
-        let overlay = AnyOverlay::from_state(&state, &manifest.metric, manifest.dim)?;
         Ok(Self {
             base,
             manifest,
             overlay,
-            dir: dir.to_path_buf(),
         })
     }
 
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.base.dir()
     }
 
     pub fn base(&self) -> &PartitionedLake {
@@ -76,46 +63,24 @@ impl DeltaLake {
         &self.manifest
     }
 
-    pub fn overlay(&self) -> &AnyOverlay {
+    pub fn overlay(&self) -> &DeltaOverlay {
         &self.overlay
-    }
-
-    /// Typed execution: base partitions loaded from disk per query (the
-    /// out-of-core contract) plus the in-memory delta unit.
-    fn execute_typed<M: Metric>(
-        &self,
-        metric: M,
-        overlay: &DeltaOverlay<M>,
-        query: &Query,
-        vectors: &VectorStore,
-    ) -> Result<QueryResponse> {
-        let files = self.base.partition_files();
-        overlay.execute_with_base(files.len(), query, vectors, |i, inner, guard| {
-            let index = load_index(&files[i], metric.clone())?;
-            execute_on_index(&index, inner, vectors, guard, None)
-        })
     }
 }
 
 /// A [`DeltaLake`] answers the unified [`Query`] like every other
-/// backend; the metric is fixed by the manifest, and an explicit
-/// [`Query::metric`] expectation is verified against it.
+/// backend: base partitions loaded from disk per query (the out-of-core
+/// contract) plus the in-memory delta unit. The metric is fixed by the
+/// manifest, and an explicit [`Query::metric`] expectation is verified
+/// against it.
 impl Queryable for DeltaLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
-        if let Some(expected) = query.metric.as_deref() {
-            if expected != self.manifest.metric {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "deployment manifest names metric '{}'; query expects '{expected}'",
-                    self.manifest.metric
-                )));
-            }
-        }
-        match &self.overlay {
-            AnyOverlay::Euclidean(o) => self.execute_typed(Euclidean, o, query, vectors),
-            AnyOverlay::Manhattan(o) => self.execute_typed(Manhattan, o, query, vectors),
-            AnyOverlay::Chebyshev(o) => self.execute_typed(Chebyshev, o, query, vectors),
-            AnyOverlay::Angular(o) => self.execute_typed(Angular, o, query, vectors),
-        }
+        query.check_metric("deployment", &self.manifest.metric)?;
+        let files = self.base.partition_files();
+        self.overlay
+            .execute_with_base(files.len(), query, vectors, |i| {
+                load_unit(&files[i], &self.manifest.metric)
+            })
     }
 }
 
@@ -298,37 +263,10 @@ fn allocation_floor(dir: &Path, manifest: &LakeManifest, records: &[DeltaRecord]
     } else {
         let base = PartitionedLake::open(dir)?;
         let mut max_id = None::<u64>;
-        for i in 0..base.num_partitions() {
-            // External ids are metric-independent; load under the
-            // manifest metric to satisfy the persisted metric check.
-            let metas = match manifest.metric.as_str() {
-                "euclidean" => base
-                    .load_partition(i, Euclidean)?
-                    .columns()
-                    .columns()
-                    .to_vec(),
-                "manhattan" => base
-                    .load_partition(i, Manhattan)?
-                    .columns()
-                    .columns()
-                    .to_vec(),
-                "chebyshev" => base
-                    .load_partition(i, Chebyshev)?
-                    .columns()
-                    .columns()
-                    .to_vec(),
-                "angular" => base
-                    .load_partition(i, Angular)?
-                    .columns()
-                    .columns()
-                    .to_vec(),
-                other => {
-                    return Err(PexesoError::Corrupt(format!(
-                        "manifest names unsupported metric '{other}'"
-                    )))
-                }
-            };
-            max_id = metas.iter().map(|m| m.external_id).chain(max_id).max();
+        for file in base.partition_files() {
+            let unit = load_unit(file, &manifest.metric)?;
+            let ids = unit.columns().columns().iter().map(|m| m.external_id);
+            max_id = ids.chain(max_id).max();
         }
         max_id.map_or(0, |m| m + 1)
     };
@@ -474,9 +412,11 @@ pub fn compact_lake(
     let mut live: Vec<(u64, String, String, Vec<f32>)> = Vec::new();
     let mut columns_dropped = 0usize;
     let dim = manifest.dim;
-    let mut collect = |cs: &ColumnSet, dropped: &HashSet<String>| {
+    for file in base.partition_files() {
+        let unit = load_unit(file, &manifest.metric)?;
+        let cs = unit.columns();
         for meta in cs.columns() {
-            if dropped.contains(&meta.table_name) {
+            if state.dropped_tables.contains(&meta.table_name) {
                 columns_dropped += 1;
                 continue;
             }
@@ -491,34 +431,7 @@ pub fn compact_lake(
                 vectors,
             ));
         }
-    };
-    for i in 0..base.num_partitions() {
-        match manifest.metric.as_str() {
-            "euclidean" => collect(
-                base.load_partition(i, Euclidean)?.columns(),
-                &state.dropped_tables,
-            ),
-            "manhattan" => collect(
-                base.load_partition(i, Manhattan)?.columns(),
-                &state.dropped_tables,
-            ),
-            "chebyshev" => collect(
-                base.load_partition(i, Chebyshev)?.columns(),
-                &state.dropped_tables,
-            ),
-            "angular" => collect(
-                base.load_partition(i, Angular)?.columns(),
-                &state.dropped_tables,
-            ),
-            other => {
-                return Err(PexesoError::Corrupt(format!(
-                    "manifest names unsupported metric '{other}'"
-                )))
-            }
-        }
     }
-    #[allow(dropping_copy_types, clippy::drop_non_drop)]
-    drop(collect); // end the closure's mutable borrow of `live`
     for col in &state.live {
         live.push((
             col.external_id,
@@ -558,9 +471,9 @@ pub fn compact_lake(
     // in that window detectable instead of silently double-applying.
     write_compact_marker(dir, manifest.index_version)?;
     fault::check("lake.compact.build")?;
-    let rebuilt = build_typed(
-        &manifest.metric,
+    let rebuilt = PartitionedLake::build_named(
         &columns,
+        &manifest.metric,
         &partition_config,
         &index_options,
         dir,
@@ -586,35 +499,12 @@ pub fn compact_lake(
     })
 }
 
-fn build_typed(
-    metric_name: &str,
-    columns: &ColumnSet,
-    partition_config: &PartitionConfig,
-    index_options: &IndexOptions,
-    dir: &Path,
-) -> Result<PartitionedLake> {
-    match metric_name {
-        "euclidean" => {
-            PartitionedLake::build(columns, Euclidean, partition_config, index_options, dir)
-        }
-        "manhattan" => {
-            PartitionedLake::build(columns, Manhattan, partition_config, index_options, dir)
-        }
-        "chebyshev" => {
-            PartitionedLake::build(columns, Chebyshev, partition_config, index_options, dir)
-        }
-        "angular" => PartitionedLake::build(columns, Angular, partition_config, index_options, dir),
-        other => Err(PexesoError::Corrupt(format!(
-            "manifest names unsupported metric '{other}'"
-        ))),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wal::{delta_log_path, read_log};
     use pexeso_core::config::PivotSelection;
+    use pexeso_core::metric::Euclidean;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

@@ -1,8 +1,9 @@
 //! Exact query execution over base partitions + a delta overlay.
 //!
 //! A [`DeltaOverlay`] is the in-memory half of incremental maintenance:
-//! a small [`PexesoIndex`] over the live delta columns plus the set of
-//! tombstoned table names. [`DeltaOverlay::execute_with_base`] merges it
+//! a small index over the live delta columns (one more [`IndexUnit`],
+//! built under the manifest's metric) plus the set of tombstoned table
+//! names. [`DeltaOverlay::execute_with_base`] merges it
 //! with *any* base — disk partitions loaded per query or a shared
 //! resident snapshot — and answers the unified [`Query`] byte-identically
 //! to a full rebuild over the final table set.
@@ -34,74 +35,70 @@
 //! though its base namesake is tombstoned).
 
 use std::collections::HashSet;
+use std::ops::Deref;
+use std::path::Path;
 
 use pexeso_core::config::IndexOptions;
-use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
-use pexeso_core::outofcore::{execute_on_index, execute_partitioned, PartitionAnswer};
+use pexeso_core::error::Result;
+use pexeso_core::outofcore::{
+    build_unit, execute_partitioned, IndexUnit, LakeManifest, PartitionAnswer,
+};
 use pexeso_core::query::{BudgetGuard, Query, QueryMode, QueryResponse};
-use pexeso_core::search::PexesoIndex;
 use pexeso_core::stats::SearchStats;
 use pexeso_core::vector::VectorStore;
 
-use crate::wal::DeltaState;
+use crate::lake::verify_no_crashed_compaction;
+use crate::wal::{check_header, read_log, DeltaState, LogStatus};
 
-/// What every per-unit engine call produces.
-pub type UnitResult = Result<PartitionAnswer>;
-
-/// The in-memory overlay for one metric: live delta columns indexed for
-/// search, plus the base tombstones.
+/// The in-memory overlay: live delta columns indexed for search, plus
+/// the base tombstones.
 #[derive(Debug)]
-pub struct DeltaOverlay<M: Metric> {
+pub struct DeltaOverlay {
     /// Index over the live delta columns; `None` when the log holds no
     /// live column (tombstones only, or empty).
-    index: Option<PexesoIndex<M>>,
+    index: Option<Box<dyn IndexUnit>>,
     /// Base tables whose columns are dead.
     dropped_tables: HashSet<String>,
-    n_delta_columns: usize,
-    n_delta_vectors: usize,
     n_records: usize,
 }
 
-impl<M: Metric> DeltaOverlay<M> {
-    /// Build the overlay from a replayed log state. The delta index is a
-    /// normal PEXESO build over the delta columns — small by
-    /// construction, so this is the "seconds, not minutes" half of
-    /// ingest.
-    pub fn from_state(state: &DeltaState, metric: M, dim: usize) -> Result<Self> {
-        let (index, n_delta_vectors) = match state.to_column_set(dim)? {
-            Some(columns) => {
-                let n = columns.n_vectors();
-                (
-                    Some(PexesoIndex::build(
-                        columns,
-                        metric,
-                        IndexOptions::default(),
-                    )?),
-                    n,
-                )
+/// Read and replay `dir`'s delta log against `manifest` — the one
+/// log-replay prologue of every open path ([`crate::DeltaLake::open`],
+/// `pexeso-serve`'s snapshots). A log left stale by a compaction crash
+/// (its header names an older base build) reads as empty; a foreign or
+/// damaged one is a typed error — as is the debris of a compaction that
+/// crashed mid-rebuild (partitions possibly mixing old and new builds):
+/// replaying a still-current log over them would double-apply records.
+pub fn load_overlay(dir: &Path, manifest: &LakeManifest) -> Result<DeltaOverlay> {
+    verify_no_crashed_compaction(dir, manifest)?;
+    let state = match read_log(dir)? {
+        Some(contents) => match check_header(&contents.header, manifest)? {
+            LogStatus::Current => DeltaState::replay(&contents.records),
+            LogStatus::Stale => DeltaState::default(),
+        },
+        None => DeltaState::default(),
+    };
+    DeltaOverlay::from_state(&state, &manifest.metric, manifest.dim)
+}
+
+impl DeltaOverlay {
+    /// Build the overlay from a replayed log state under the metric a
+    /// manifest names. The delta index is a normal PEXESO build over the
+    /// delta columns — small by construction, so this is the "seconds,
+    /// not minutes" half of ingest.
+    pub fn from_state(state: &DeltaState, metric_name: &str, dim: usize) -> Result<Self> {
+        let index = match state.to_column_set(dim)? {
+            Some(columns) => Some(build_unit(columns, metric_name, IndexOptions::default())?),
+            None => {
+                pexeso_core::metric::check_name(metric_name)?;
+                None
             }
-            None => (None, 0),
         };
         Ok(Self {
             index,
             dropped_tables: state.dropped_tables.clone(),
-            n_delta_columns: state.live.len(),
-            n_delta_vectors,
             n_records: state.n_records,
         })
-    }
-
-    /// An empty overlay (no delta log): queries pass straight through to
-    /// the base.
-    pub fn empty() -> Self {
-        Self {
-            index: None,
-            dropped_tables: HashSet::new(),
-            n_delta_columns: 0,
-            n_delta_vectors: 0,
-            n_records: 0,
-        }
     }
 
     pub fn is_empty(&self) -> bool {
@@ -109,11 +106,11 @@ impl<M: Metric> DeltaOverlay<M> {
     }
 
     pub fn n_delta_columns(&self) -> usize {
-        self.n_delta_columns
+        self.index.as_ref().map_or(0, |u| u.columns().n_columns())
     }
 
     pub fn n_delta_vectors(&self) -> usize {
-        self.n_delta_vectors
+        self.index.as_ref().map_or(0, |u| u.columns().n_vectors())
     }
 
     pub fn n_tombstones(&self) -> usize {
@@ -129,33 +126,33 @@ impl<M: Metric> DeltaOverlay<M> {
     }
 
     /// Execute `query` over `n_base` base units plus this overlay.
-    /// `run_base(i, inner, guard)` must run the (possibly k-boosted)
-    /// `inner` query against base unit `i` with the shared engine
-    /// ([`execute_on_index`]) — the overlay drives tombstone filtering
-    /// and the top-k over-ask around it. Fan-out, budget semantics,
-    /// outcome folding, and the final ranking all come from the core
-    /// partition loop, so the response obeys the exact same contract as
-    /// every built-in backend.
-    pub fn execute_with_base<F>(
+    /// `base_unit(i)` materialises base unit `i` (a disk load for
+    /// [`crate::DeltaLake`], a borrow for a resident snapshot); the
+    /// overlay drives tombstone filtering and the top-k over-ask around
+    /// its [`IndexUnit::answer`]. Fan-out, budget semantics, outcome
+    /// folding, and the final ranking all come from the core partition
+    /// loop, so the response obeys the exact same contract as every
+    /// built-in backend.
+    pub fn execute_with_base<U, G>(
         &self,
         n_base: usize,
         query: &Query,
         vectors: &VectorStore,
-        run_base: F,
+        base_unit: G,
     ) -> Result<QueryResponse>
     where
-        F: Fn(usize, &Query, &mut Option<BudgetGuard>) -> UnitResult + Sync,
+        U: Deref<Target = dyn IndexUnit>,
+        G: Fn(usize) -> Result<U> + Sync,
     {
         let n_units = n_base + usize::from(self.index.is_some());
         execute_partitioned(n_units, query, |i, inner, guard| {
             if i < n_base {
-                self.run_base_filtered(inner, guard, |q, g| run_base(i, q, g))
+                self.run_base_filtered(&*base_unit(i)?, inner, vectors, guard)
             } else {
-                let index = self
-                    .index
+                self.index
                     .as_ref()
-                    .expect("delta unit only exists with an index");
-                execute_on_index(index, inner, vectors, guard, None)
+                    .expect("delta unit only exists with an index")
+                    .answer(inner, vectors, guard)
             }
         })
     }
@@ -164,22 +161,20 @@ impl<M: Metric> DeltaOverlay<M> {
     /// merge. Threshold mode filters and returns; top-k over-asks and
     /// re-asks until the surviving list provably contains the unit's live
     /// tie-inclusive top-k (see the module docs for the proof).
-    fn run_base_filtered<G>(
+    fn run_base_filtered(
         &self,
+        unit: &dyn IndexUnit,
         inner: &Query,
+        vectors: &VectorStore,
         guard: &mut Option<BudgetGuard>,
-        run: G,
-    ) -> UnitResult
-    where
-        G: Fn(&Query, &mut Option<BudgetGuard>) -> UnitResult,
-    {
+    ) -> Result<PartitionAnswer> {
         let dropped = &self.dropped_tables;
         if dropped.is_empty() {
-            return run(inner, guard);
+            return unit.answer(inner, vectors, guard);
         }
         match inner.mode {
             QueryMode::Threshold(_) => {
-                let mut answer = run(inner, guard)?;
+                let mut answer = unit.answer(inner, vectors, guard)?;
                 answer.0.retain(|h| !dropped.contains(&h.table_name));
                 Ok(answer)
             }
@@ -195,7 +190,8 @@ impl<M: Metric> DeltaOverlay<M> {
                         mode: QueryMode::Topk(ask),
                         ..inner.clone()
                     };
-                    let (raw, stats, exceeded, trajectory) = run(&boosted, guard)?;
+                    let (raw, stats, exceeded, trajectory) =
+                        unit.answer(&boosted, vectors, guard)?;
                     total.merge(&stats);
                     let raw_len = raw.len();
                     let mut hits = raw;
@@ -212,89 +208,5 @@ impl<M: Metric> DeltaOverlay<M> {
                 }
             }
         }
-    }
-}
-
-/// The overlay monomorphised over every supported metric, mirroring how
-/// resident snapshots fix their metric at load time from the manifest.
-#[derive(Debug)]
-pub enum AnyOverlay {
-    Euclidean(DeltaOverlay<Euclidean>),
-    Manhattan(DeltaOverlay<Manhattan>),
-    Chebyshev(DeltaOverlay<Chebyshev>),
-    Angular(DeltaOverlay<Angular>),
-}
-
-impl AnyOverlay {
-    /// Build the typed overlay named by a manifest's metric.
-    pub fn from_state(state: &DeltaState, metric_name: &str, dim: usize) -> Result<Self> {
-        Ok(match metric_name {
-            "euclidean" => AnyOverlay::Euclidean(DeltaOverlay::from_state(state, Euclidean, dim)?),
-            "manhattan" => AnyOverlay::Manhattan(DeltaOverlay::from_state(state, Manhattan, dim)?),
-            "chebyshev" => AnyOverlay::Chebyshev(DeltaOverlay::from_state(state, Chebyshev, dim)?),
-            "angular" => AnyOverlay::Angular(DeltaOverlay::from_state(state, Angular, dim)?),
-            other => {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "unsupported metric '{other}'"
-                )))
-            }
-        })
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.each(|o| o.is_empty())
-    }
-
-    pub fn n_delta_columns(&self) -> usize {
-        self.each(|o| o.n_delta_columns())
-    }
-
-    pub fn n_delta_vectors(&self) -> usize {
-        self.each(|o| o.n_delta_vectors())
-    }
-
-    pub fn n_tombstones(&self) -> usize {
-        self.each(|o| o.n_tombstones())
-    }
-
-    pub fn n_records(&self) -> usize {
-        self.each(|o| o.n_records())
-    }
-
-    fn each<T>(&self, f: impl Fn(&dyn OverlayFacts) -> T) -> T {
-        match self {
-            AnyOverlay::Euclidean(o) => f(o),
-            AnyOverlay::Manhattan(o) => f(o),
-            AnyOverlay::Chebyshev(o) => f(o),
-            AnyOverlay::Angular(o) => f(o),
-        }
-    }
-}
-
-/// Metric-independent overlay facts, so [`AnyOverlay`] accessors need no
-/// per-variant boilerplate.
-trait OverlayFacts {
-    fn is_empty(&self) -> bool;
-    fn n_delta_columns(&self) -> usize;
-    fn n_delta_vectors(&self) -> usize;
-    fn n_tombstones(&self) -> usize;
-    fn n_records(&self) -> usize;
-}
-
-impl<M: Metric> OverlayFacts for DeltaOverlay<M> {
-    fn is_empty(&self) -> bool {
-        DeltaOverlay::is_empty(self)
-    }
-    fn n_delta_columns(&self) -> usize {
-        DeltaOverlay::n_delta_columns(self)
-    }
-    fn n_delta_vectors(&self) -> usize {
-        DeltaOverlay::n_delta_vectors(self)
-    }
-    fn n_tombstones(&self) -> usize {
-        DeltaOverlay::n_tombstones(self)
-    }
-    fn n_records(&self) -> usize {
-        DeltaOverlay::n_records(self)
     }
 }

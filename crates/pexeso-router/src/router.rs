@@ -504,17 +504,7 @@ impl Router {
         // Topk(0) answers empty without touching a shard, exactly like
         // every local backend (including the zero-funnel explain).
         if let QueryMode::Topk(0) = query.mode {
-            let stats = SearchStats::new();
-            let explain = query
-                .explain
-                .then(|| ExplainReport::from_stats(query, &stats, 0, QueryOutcome::Exact, None));
-            let resp = QueryResponse {
-                hits: Vec::new(),
-                stats,
-                outcome: QueryOutcome::Exact,
-                trace: None,
-                explain,
-            };
+            let resp = pexeso_core::outofcore::empty_topk_response(query);
             let meta = RoutedMeta {
                 request_id: query.request_id,
                 slowest_shard: None,

@@ -29,8 +29,7 @@ use std::path::Path;
 
 use pexeso_core::column::ColumnSet;
 use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
-use pexeso_core::outofcore::{LakeManifest, PartitionedLake};
+use pexeso_core::outofcore::{load_unit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::PartitionConfig;
 use pexeso_delta::DeltaLake;
 
@@ -166,15 +165,7 @@ fn read_source(dir: &Path) -> Result<Source> {
     drop(delta);
     let lake = PartitionedLake::open(dir)?;
     let partitions = lake.num_partitions();
-    let (mut columns, options) = match manifest.metric.as_str() {
-        "euclidean" => extract_columns(&lake, Euclidean),
-        "manhattan" => extract_columns(&lake, Manhattan),
-        "chebyshev" => extract_columns(&lake, Chebyshev),
-        "angular" => extract_columns(&lake, Angular),
-        other => Err(PexesoError::InvalidParameter(format!(
-            "unsupported metric '{other}'"
-        ))),
-    }?;
+    let (mut columns, options) = extract_columns(&lake, &manifest.metric)?;
     columns.sort_by_key(|c| c.external_id);
     if columns
         .windows(2)
@@ -194,18 +185,18 @@ fn read_source(dir: &Path) -> Result<Source> {
     })
 }
 
-/// Partition files only yield columns through a typed index, so loading
-/// dispatches on the manifest metric even though extraction itself is
-/// metric-blind. Also returns the build options persisted in the first
-/// partition, which shards inherit.
-fn extract_columns<M: Metric>(
+/// Lift every live column out of the lake's partition files (loaded
+/// under the manifest metric; extraction itself is metric-blind). Also
+/// returns the build options persisted in the first partition, which
+/// shards inherit.
+fn extract_columns(
     lake: &PartitionedLake,
-    metric: M,
+    metric_name: &str,
 ) -> Result<(Vec<ExtractedColumn>, pexeso_core::config::IndexOptions)> {
     let mut out = Vec::new();
     let mut options = None;
-    for i in 0..lake.num_partitions() {
-        let index = lake.load_partition(i, metric.clone())?;
+    for file in lake.partition_files() {
+        let index = load_unit(file, metric_name)?;
         options.get_or_insert_with(|| index.options().clone());
         let set = index.columns();
         for (c, meta) in set.columns().iter().enumerate() {
@@ -250,17 +241,7 @@ fn build_shard(source: &Source, columns: &[&ExtractedColumn], dir: &Path) -> Res
         ..PartitionConfig::default()
     };
     let options = source.options.clone();
-    match source.manifest.metric.as_str() {
-        "euclidean" => PartitionedLake::build(&set, Euclidean, &config, &options, dir)?,
-        "manhattan" => PartitionedLake::build(&set, Manhattan, &config, &options, dir)?,
-        "chebyshev" => PartitionedLake::build(&set, Chebyshev, &config, &options, dir)?,
-        "angular" => PartitionedLake::build(&set, Angular, &config, &options, dir)?,
-        other => {
-            return Err(PexesoError::InvalidParameter(format!(
-                "unsupported metric '{other}'"
-            )))
-        }
-    };
+    PartitionedLake::build_named(&set, &source.manifest.metric, &config, &options, dir)?;
     let manifest = LakeManifest {
         format_version: source.manifest.format_version,
         embedder: source.manifest.embedder.clone(),

@@ -12,7 +12,7 @@ use std::time::Duration;
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::{IndexOptions, JoinThreshold, PivotSelection, Tau};
 use pexeso_core::error::PexesoError;
-use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan};
+use pexeso_core::metric::Euclidean;
 use pexeso_core::outofcore::{GlobalHit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryOutcome, Queryable};
@@ -117,14 +117,7 @@ fn deploy(dir: &Path, columns: &ColumnSet, metric: &str) -> PartitionedLake {
         seed: 7,
         ..Default::default()
     };
-    let lake = match metric {
-        "euclidean" => PartitionedLake::build(columns, Euclidean, &config, &options, dir),
-        "manhattan" => PartitionedLake::build(columns, Manhattan, &config, &options, dir),
-        "chebyshev" => PartitionedLake::build(columns, Chebyshev, &config, &options, dir),
-        "angular" => PartitionedLake::build(columns, Angular, &config, &options, dir),
-        other => panic!("unknown metric {other}"),
-    }
-    .unwrap();
+    let lake = PartitionedLake::build_named(columns, metric, &config, &options, dir).unwrap();
     let mut manifest = LakeManifest::next_build(dir, "test", DIM).unwrap();
     manifest.metric = metric.to_string();
     manifest.write(dir).unwrap();

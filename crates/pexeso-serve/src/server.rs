@@ -194,7 +194,7 @@ impl Handler for ShardHandler {
                         dim: snap.dim() as u32,
                         generation: snap.generation(),
                         index_version: snap.manifest().index_version,
-                        partitions: snap.lake().num_partitions() as u32,
+                        partitions: snap.num_partitions() as u32,
                         disk_bytes,
                     }),
                     Err(e) => error_reply(ctx, e.to_string()),
@@ -258,12 +258,12 @@ impl Handler for ShardHandler {
                             "reloaded",
                             &[
                                 ("generation", fresh.generation().into()),
-                                ("partitions", (fresh.lake().num_partitions() as u64).into()),
+                                ("partitions", (fresh.num_partitions() as u64).into()),
                             ],
                         );
                         Reply::Reloaded {
                             generation: fresh.generation(),
-                            partitions: fresh.lake().num_partitions() as u32,
+                            partitions: fresh.num_partitions() as u32,
                         }
                     }
                     // A failed load leaves the served snapshot untouched.
@@ -324,7 +324,7 @@ fn facts_of(snap: &Snapshot) -> SnapshotFacts {
     SnapshotFacts {
         generation: snap.generation(),
         index_version: snap.manifest().index_version,
-        partitions: snap.lake().num_partitions(),
+        partitions: snap.num_partitions(),
         dim: snap.dim(),
         delta_columns: snap.delta_columns(),
         delta_tombstones: snap.delta_tombstones(),
@@ -370,7 +370,7 @@ impl ShardHandler {
             "status={status}\ngeneration={}\npartitions={}\nqueue_depth={queue_depth}\n\
              queue_capacity={}\nworkers={}\n",
             snap.generation(),
-            snap.lake().num_partitions(),
+            snap.num_partitions(),
             self.config.queue_capacity,
             self.config.workers.max(1),
         )

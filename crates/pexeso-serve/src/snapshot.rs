@@ -1,10 +1,11 @@
 //! Arc-swapped immutable, fully-resident index snapshots.
 //!
 //! A [`Snapshot`] is one opened deployment loaded *entirely into memory*
-//! ([`ResidentPartitions`]) plus its manifest and — new with incremental
-//! maintenance — the deployment's replayed delta log as a
-//! [`pexeso_delta::AnyOverlay`], tagged with a serve-side *generation*
-//! that increases by one on every publish. Residency is what makes the
+//! — base units + optional overlay, the metric resolved once from the
+//! manifest: every partition as an [`IndexUnit`], the manifest, and the
+//! deployment's replayed delta log as a [`pexeso_delta::DeltaOverlay`] —
+//! tagged with a serve-side *generation* that increases by one on every
+//! publish. Residency is what makes the
 //! daemon worth running — queries never pay the partition load the
 //! one-shot CLI pays — and it is also what makes the swap safe: an
 //! operator can re-index or compact the backing directory *in place*
@@ -33,39 +34,28 @@
 //! queries requesting any other metric are rejected with a typed error
 //! instead of silently returning non-exact results.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock};
 
-use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
-use pexeso_core::outofcore::{execute_on_index, LakeManifest, PartitionedLake, ResidentPartitions};
+use pexeso_core::error::Result;
+use pexeso_core::outofcore::{load_unit, IndexUnit, LakeManifest, PartitionedLake};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
-use pexeso_delta::{check_header, read_log, AnyOverlay, DeltaOverlay, DeltaState, LogStatus};
-
-/// The resident indexes, monomorphised per supported metric (the metric
-/// type is fixed at load time by the manifest).
-#[derive(Debug)]
-enum ResidentLake {
-    Euclidean(ResidentPartitions<Euclidean>),
-    Manhattan(ResidentPartitions<Manhattan>),
-    Chebyshev(ResidentPartitions<Chebyshev>),
-    Angular(ResidentPartitions<Angular>),
-}
+use pexeso_delta::{load_overlay, DeltaOverlay};
 
 /// One immutable, memory-resident opened deployment plus its delta
 /// overlay.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// Path handles, kept for `disk_bytes` and same-dir reload.
+    /// Path handles of the resident partitions, kept for `disk_bytes`.
     lake: PartitionedLake,
-    /// Shared across delta generations: an `apply_delta` publish reuses
-    /// the previous snapshot's resident base untouched.
-    resident: Arc<ResidentLake>,
+    /// The resident base, one unit per partition file of `lake`. Shared
+    /// across delta generations: an `apply_delta` publish reuses the
+    /// previous snapshot's resident base untouched.
+    units: Arc<Vec<Box<dyn IndexUnit>>>,
     manifest: LakeManifest,
-    overlay: AnyOverlay,
+    overlay: DeltaOverlay,
     generation: u64,
-    dir: PathBuf,
 }
 
 impl Snapshot {
@@ -76,42 +66,41 @@ impl Snapshot {
     pub fn load(dir: &Path, generation: u64) -> Result<Self> {
         let manifest = LakeManifest::read(dir)?;
         let lake = PartitionedLake::open(dir)?;
-        let resident = match manifest.metric.as_str() {
-            "euclidean" => ResidentLake::Euclidean(ResidentPartitions::load(&lake, Euclidean)?),
-            "manhattan" => ResidentLake::Manhattan(ResidentPartitions::load(&lake, Manhattan)?),
-            "chebyshev" => ResidentLake::Chebyshev(ResidentPartitions::load(&lake, Chebyshev)?),
-            "angular" => ResidentLake::Angular(ResidentPartitions::load(&lake, Angular)?),
-            other => {
-                return Err(PexesoError::Corrupt(format!(
-                    "manifest names unsupported metric '{other}'"
-                )))
-            }
-        };
+        let units = lake
+            .partition_files()
+            .iter()
+            .map(|path| load_unit(path, &manifest.metric))
+            .collect::<Result<Vec<_>>>()?;
         let overlay = load_overlay(dir, &manifest)?;
         Ok(Self {
             lake,
-            resident: Arc::new(resident),
+            units: Arc::new(units),
             manifest,
             overlay,
             generation,
-            dir: dir.to_path_buf(),
         })
     }
 
     /// The `APPLY` fast path: a new snapshot serving the *same resident
-    /// base* as `prev` with a freshly replayed delta log. The caller
+    /// base* as `prev` (units and the file handles they were loaded
+    /// from) with a freshly replayed delta log. The caller
     /// (`SnapshotCell::apply_delta`) guarantees the manifest on disk
     /// still matches `prev`'s — otherwise the base must be reloaded.
     fn with_fresh_overlay(prev: &Snapshot, generation: u64) -> Result<Self> {
-        let overlay = load_overlay(&prev.dir, &prev.manifest)?;
+        let overlay = load_overlay(prev.dir(), &prev.manifest)?;
         Ok(Self {
-            lake: PartitionedLake::open(&prev.dir)?,
-            resident: prev.resident.clone(),
+            lake: prev.lake.clone(),
+            units: prev.units.clone(),
             manifest: prev.manifest.clone(),
             overlay,
             generation,
-            dir: prev.dir.clone(),
         })
+    }
+
+    /// The partitions being served: the resident units. (The directory
+    /// may already hold the files of an unpublished re-index.)
+    pub fn num_partitions(&self) -> usize {
+        self.units.len()
     }
 
     pub fn lake(&self) -> &PartitionedLake {
@@ -132,11 +121,11 @@ impl Snapshot {
     }
 
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.lake.dir()
     }
 
     /// The delta overlay served on top of the resident base.
-    pub fn overlay(&self) -> &AnyOverlay {
+    pub fn overlay(&self) -> &DeltaOverlay {
         &self.overlay
     }
 
@@ -154,105 +143,27 @@ impl Snapshot {
     /// resident partition walked read-only, plus the delta overlay's
     /// depth — for the `INSPECT` verb (see [`pexeso_core::inspect`]).
     pub fn inspect(&self) -> pexeso_core::inspect::IndexInspection {
-        fn partitions<M: Metric>(
-            r: &ResidentPartitions<M>,
-        ) -> Vec<pexeso_core::inspect::PartitionInspection> {
-            (0..r.num_partitions())
-                .map(|i| r.partition(i).inspect())
-                .collect()
-        }
-        let parts = match &*self.resident {
-            ResidentLake::Euclidean(r) => partitions(r),
-            ResidentLake::Manhattan(r) => partitions(r),
-            ResidentLake::Chebyshev(r) => partitions(r),
-            ResidentLake::Angular(r) => partitions(r),
-        };
         pexeso_core::inspect::IndexInspection {
-            partitions: parts,
+            partitions: self.units.iter().map(|u| u.inspect()).collect(),
             delta_columns: self.overlay.n_delta_columns() as u64,
             delta_vectors: self.overlay.n_delta_vectors() as u64,
             delta_tombstones: self.overlay.n_tombstones() as u64,
             delta_records: self.overlay.n_records() as u64,
         }
     }
-
-    /// Reject a query whose metric does not match the one the indexes
-    /// were built with — the pivot mappings would be invalid and results
-    /// silently wrong, violating the exactness contract.
-    fn check_metric(&self, requested: &str) -> Result<()> {
-        if requested == self.manifest.metric {
-            Ok(())
-        } else {
-            Err(PexesoError::InvalidParameter(format!(
-                "index was built with metric '{}'; cannot serve '{requested}'",
-                self.manifest.metric
-            )))
-        }
-    }
-
-    fn execute_overlaid<M: Metric>(
-        &self,
-        resident: &ResidentPartitions<M>,
-        overlay: &DeltaOverlay<M>,
-        query: &Query,
-        vectors: &VectorStore,
-    ) -> Result<QueryResponse> {
-        overlay.execute_with_base(
-            resident.num_partitions(),
-            query,
-            vectors,
-            |i, inner, guard| execute_on_index(resident.partition(i), inner, vectors, guard, None),
-        )
-    }
-}
-
-/// Read and replay `dir`'s delta log against `manifest`. Stale logs
-/// (compacted already) read as empty; the metric mismatch and damage
-/// cases are typed errors — as is the debris of a compaction that
-/// crashed mid-rebuild (partitions possibly mixing old and new builds):
-/// replaying a still-current log over them would double-apply records.
-fn load_overlay(dir: &Path, manifest: &LakeManifest) -> Result<AnyOverlay> {
-    pexeso_delta::verify_no_crashed_compaction(dir, manifest)?;
-    let state = match read_log(dir)? {
-        Some(contents) => match check_header(&contents.header, manifest)? {
-            LogStatus::Current => DeltaState::replay(&contents.records),
-            LogStatus::Stale => DeltaState::default(),
-        },
-        None => DeltaState::default(),
-    };
-    AnyOverlay::from_state(&state, &manifest.metric, manifest.dim)
 }
 
 /// A snapshot answers the unified [`Query`] by checking the metric
-/// expectation against its manifest and delegating to the matching
-/// monomorphised resident backend, overlaid with the delta — the serve
-/// dispatch runs the exact same engine every local backend uses, so a
+/// expectation against its manifest — the pivot mappings are only valid
+/// under the build metric — and running the resident units overlaid with
+/// the delta: the exact same engine every local backend uses, so a
 /// served reply is byte-identical to querying the deployment (base +
 /// delta log) directly.
 impl Queryable for Snapshot {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
-        if let Some(expected) = query.metric.as_deref() {
-            self.check_metric(expected)?;
-        }
-        match (&*self.resident, &self.overlay) {
-            (ResidentLake::Euclidean(r), AnyOverlay::Euclidean(o)) => {
-                self.execute_overlaid(r, o, query, vectors)
-            }
-            (ResidentLake::Manhattan(r), AnyOverlay::Manhattan(o)) => {
-                self.execute_overlaid(r, o, query, vectors)
-            }
-            (ResidentLake::Chebyshev(r), AnyOverlay::Chebyshev(o)) => {
-                self.execute_overlaid(r, o, query, vectors)
-            }
-            (ResidentLake::Angular(r), AnyOverlay::Angular(o)) => {
-                self.execute_overlaid(r, o, query, vectors)
-            }
-            // Both halves are built from the same manifest metric; a
-            // mismatch would mean the snapshot was assembled wrong.
-            _ => Err(PexesoError::InvalidParameter(
-                "snapshot base and delta overlay disagree on the metric".into(),
-            )),
-        }
+        query.check_metric("index", &self.manifest.metric)?;
+        self.overlay
+            .execute_with_base(self.units.len(), query, vectors, |i| Ok(&*self.units[i]))
     }
 }
 

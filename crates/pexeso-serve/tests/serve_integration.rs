@@ -14,7 +14,9 @@ use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
 use pexeso_serve::protocol::{encode_reply, HitsExt, HitsReply, Reply, WireHit};
-use pexeso_serve::{query_payload, stat_value, ClientError, ServeClient, ServeConfig, Server};
+use pexeso_serve::{
+    query_payload, stat_value, ClientError, ServeClient, ServeConfig, Server, SnapshotCell,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -592,6 +594,48 @@ fn live_ingest_applies_without_reloading_the_base() {
     let (compacted, meta) = client.execute_detailed(&q, &query).unwrap();
     assert_eq!(meta.generation, 4);
     assert_eq!(wire(&compacted.hits), wire(&dropped.hits));
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `partitions=` names what is being served, not what the directory
+/// holds. While an in-place re-index is under way (a new `part_*.pex`
+/// written, the manifest not yet bumped) an `APPLY` republishes the
+/// resident base, so the published snapshot — and `INFO`, `STATS` and
+/// `HEALTH` after it — must still count the resident partitions.
+#[test]
+fn apply_reports_the_partitions_it_serves_during_a_reindex() {
+    let dir = tempdir("apply_parts");
+    let (columns, _) = workload(31, 8, "a");
+    let lake = deploy(&dir, &columns);
+    let served = lake.num_partitions();
+    let cell = SnapshotCell::open(&dir).unwrap();
+    let handle = Server::start(&dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let client = ServeClient::connect(handle.addr()).unwrap();
+    assert_eq!(client.info().unwrap().partitions as usize, served);
+
+    let extra = dir.join(format!("part_{served:04}.pex"));
+    std::fs::copy(&lake.partition_files()[0], &extra).unwrap();
+
+    let fresh = cell.apply_delta().unwrap();
+    assert_eq!(fresh.generation(), 2);
+    assert_eq!(fresh.inspect().partitions.len(), served);
+    assert_eq!(fresh.num_partitions(), served);
+
+    let (generation, ..) = client.apply_delta().unwrap();
+    assert_eq!(generation, 2);
+    assert_eq!(client.info().unwrap().partitions as usize, served);
+    let stats = client.stats_text().unwrap();
+    assert_eq!(
+        stat_value(&stats, "snapshot.partitions"),
+        Some(served as f64)
+    );
+    let health = client.health_text().unwrap();
+    assert!(
+        health.contains(&format!("partitions={served}\n")),
+        "{health}"
+    );
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();

@@ -22,9 +22,12 @@ use pexeso::prelude::*;
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::PivotSelection;
 use pexeso_core::metric::{Angular, Chebyshev, Manhattan, Metric};
+use pexeso_core::oracle;
 use pexeso_core::outofcore::LakeManifest;
 use pexeso_core::partition::PartitionConfig;
+use pexeso_core::query::rank_topk_hits;
 use pexeso_delta::{drop_tables, ingest_columns, read_log, DeltaLake, DeltaState, IngestColumn};
+use pexeso_router::split::{shard_dir_name, split_lake};
 use pexeso_serve::Snapshot;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -67,9 +70,9 @@ fn deploy<M: Metric>(
     metric: M,
     next_external_id: u64,
 ) -> PartitionedLake {
-    let lake = PartitionedLake::build(
+    let lake = PartitionedLake::build_named(
         columns,
-        metric.clone(),
+        metric.name(),
         &PartitionConfig {
             k: 2,
             ..Default::default()
@@ -386,4 +389,161 @@ fn delta_lake_obeys_the_unified_contract() {
         )
         .is_ok());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The brute-force answers the metric-name table below checks against:
+/// threshold ids and the exact top-k `(external id, count)` ranking.
+type OracleAnswers = (Vec<u64>, Vec<(u64, u32)>);
+
+fn oracle_answers<M: Metric + Default>(
+    columns: &ColumnSet,
+    q: &VectorStore,
+    tau: Tau,
+    t: JoinThreshold,
+    k: usize,
+) -> OracleAnswers {
+    let ext = |c: ColumnId| columns.column(c).external_id;
+    let threshold = oracle::threshold_search(columns, &M::default(), q, tau, t, None).unwrap();
+    let topk = oracle::topk(columns, &M::default(), q, tau, k, None).unwrap();
+    (
+        threshold.iter().map(|h| ext(h.column)).collect(),
+        topk.iter()
+            .map(|h| (ext(h.column), h.match_count))
+            .collect(),
+    )
+}
+
+/// A metric name becomes a metric type in one place, so every deployment
+/// backend that reads its metric from a manifest agrees on the whole
+/// table: the four known names answer the oracle through
+/// `PartitionedLake`, `DeltaLake`, `Snapshot`, a shard split and a
+/// compaction; an unknown name is refused by all of them — build
+/// included — with one and the same typed error.
+#[test]
+fn every_backend_resolves_a_metric_name_the_same_way() {
+    type Oracle = fn(&ColumnSet, &VectorStore, Tau, JoinThreshold, usize) -> OracleAnswers;
+    let table: [(&str, Option<Oracle>); 5] = [
+        ("euclidean", Some(oracle_answers::<Euclidean>)),
+        ("manhattan", Some(oracle_answers::<Manhattan>)),
+        ("chebyshev", Some(oracle_answers::<Chebyshev>)),
+        ("angular", Some(oracle_answers::<Angular>)),
+        ("cosine", None),
+    ];
+    let base = base_columns(21, 6, 10);
+    // Query records copied out of three base columns (4, 3 and 2 of
+    // them), so every metric has exact matches to rank.
+    let mut q = VectorStore::new(DIM);
+    for (column, n) in [(0u32, 4usize), (2, 3), (4, 2)] {
+        for v in base.column(ColumnId(column)).vector_range().take(n) {
+            q.push(base.store().get_raw(v as usize)).unwrap();
+        }
+    }
+    let (tau, t, k) = (Tau::Ratio(0.3), JoinThreshold::Count(2), 100);
+    let config = PartitionConfig {
+        k: 2,
+        ..Default::default()
+    };
+    let check = |backend: &dyn Queryable, expected: &OracleAnswers, what: &str| {
+        let resp = backend.execute(&Query::threshold(tau, t), &q).unwrap();
+        let ids: Vec<u64> = resp.hits.iter().map(|h| h.external_id).collect();
+        assert_eq!(ids, expected.0, "{what}: threshold vs oracle");
+        let resp = backend.execute(&Query::topk(tau, k), &q).unwrap();
+        let ranked: Vec<(u64, u32)> = resp
+            .hits
+            .iter()
+            .map(|h| (h.external_id, h.match_count))
+            .collect();
+        assert_eq!(ranked, expected.1, "{what}: top-k vs oracle");
+    };
+    for (name, oracle_of) in table {
+        let dir = tempdir(&format!("names_{name}"));
+        let out = tempdir(&format!("names_{name}_shards"));
+        let built = PartitionedLake::build_named(&base, name, &config, &index_options(), &dir);
+        let write_manifest = || {
+            let manifest = LakeManifest {
+                metric: name.to_string(),
+                next_external_id: 6,
+                ..LakeManifest::new("hash", DIM)
+            };
+            manifest.write(&dir).unwrap();
+        };
+        let Some(oracle_of) = oracle_of else {
+            // The unknown name: a directory whose manifest spells it (the
+            // partitions themselves are a Euclidean build).
+            let mut refusals = vec![refusal(built)];
+            PartitionedLake::build(&base, Euclidean, &config, &index_options(), &dir).unwrap();
+            write_manifest();
+            let lake = PartitionedLake::open(&dir).unwrap();
+            refusals.push(refusal(lake.execute(&Query::threshold(tau, t), &q)));
+            refusals.push(refusal(DeltaLake::open(&dir)));
+            refusals.push(refusal(Snapshot::load(&dir, 1)));
+            refusals.push(refusal(compact_lake(&dir, None, ExecPolicy::Sequential)));
+            refusals.push(refusal(split_lake(&dir, 2, &out)));
+            for r in &refusals {
+                assert_eq!(r, &format!("unsupported metric '{name}'"));
+            }
+            continue;
+        };
+        let lake = built.unwrap();
+        write_manifest();
+        let expected = oracle_of(&base, &q, tau, t, k);
+        assert!(!expected.0.is_empty() && expected.1.len() > 2, "{name}");
+        check(&lake, &expected, &format!("{name}: PartitionedLake"));
+        check(
+            &DeltaLake::open(&dir).unwrap(),
+            &expected,
+            &format!("{name}: DeltaLake"),
+        );
+        check(
+            &Snapshot::load(&dir, 1).unwrap(),
+            &expected,
+            &format!("{name}: Snapshot"),
+        );
+        // A split is exact in union: merge the shards' answers under the
+        // unified ranking and the oracle's answer comes back.
+        split_lake(&dir, 2, &out).unwrap();
+        let mut merged = Vec::new();
+        for shard in 0..2 {
+            let shard_lake = PartitionedLake::open(&out.join(shard_dir_name(shard))).unwrap();
+            merged.extend(shard_lake.execute(&Query::topk(tau, k), &q).unwrap().hits);
+        }
+        let merged: Vec<(u64, u32)> = rank_topk_hits(merged, k)
+            .iter()
+            .map(|h| (h.external_id, h.match_count))
+            .collect();
+        assert_eq!(merged, expected.1, "{name}: split shards vs oracle");
+        // Compaction folds one ingested column in under the same metric.
+        let mut rng = StdRng::seed_from_u64(23);
+        let extra = column_floats(&mut rng, 7);
+        let mut after = base.clone();
+        after
+            .add_column("d0", "key", 6, extra.chunks_exact(DIM))
+            .unwrap();
+        ingest_columns(
+            &dir,
+            &[IngestColumn {
+                table_name: "d0".into(),
+                column_name: "key".into(),
+                vectors: extra,
+            }],
+        )
+        .unwrap();
+        compact_lake(&dir, None, ExecPolicy::Sequential).unwrap();
+        check(
+            &PartitionedLake::open(&dir).unwrap(),
+            &oracle_of(&after, &q, tau, t, k),
+            &format!("{name}: compacted"),
+        );
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&out).ok();
+    }
+}
+
+/// The message of the typed `InvalidParameter` refusal `result` must be.
+fn refusal<T>(result: pexeso_core::error::Result<T>) -> String {
+    match result {
+        Err(PexesoError::InvalidParameter(msg)) => msg,
+        Err(other) => panic!("expected an InvalidParameter refusal, got {other:?}"),
+        Ok(_) => panic!("expected a refusal, got an answer"),
+    }
 }

@@ -394,6 +394,81 @@ fn topk_trajectory_present_only_where_the_loop_ran() {
     backends.finish();
 }
 
+/// One response tail: a single index is a one-unit backend. Over the
+/// same columns, `PexesoIndex` and a one-partition `ResidentPartitions`
+/// return the same hits, outcome (budget trips included) and stats
+/// counters, the same trace spans — the resident form adds exactly its
+/// `partition/0` child at `Detail` — and the same explain funnel and
+/// decisions; only the index, which ran the loop itself, keeps the
+/// top-k trajectory.
+#[test]
+fn single_index_and_one_partition_deployment_share_one_response_tail() {
+    let (columns, query_vecs) = workload(42);
+    let dir = tempdir("tail");
+    let index = PexesoIndex::build(columns.clone(), Euclidean, index_options()).unwrap();
+    let lake = PartitionedLake::build(
+        &columns,
+        Euclidean,
+        &PartitionConfig {
+            k: 1,
+            ..Default::default()
+        },
+        &index_options(),
+        &dir,
+    )
+    .unwrap();
+    let resident = ResidentPartitions::load(&lake, Euclidean).unwrap();
+    assert_eq!(resident.num_partitions(), 1);
+    let mut queries = query_matrix();
+    queries.push(
+        Query::threshold(Tau::Ratio(0.25), JoinThreshold::Count(2))
+            .with_max_distance_computations(5),
+    );
+    queries.push(Query::topk(Tau::Ratio(0.25), 3).with_max_distance_computations(5));
+    let span_names = |resp: &QueryResponse| -> Vec<String> {
+        let root = &resp.trace.as_ref().expect("trace requested").root;
+        std::iter::once(&root.name)
+            .chain(root.children.iter().map(|c| &c.name))
+            .filter(|n| n.as_str() != "partition/0")
+            .cloned()
+            .collect()
+    };
+    let mut tripped = 0;
+    for q in &queries {
+        let q = q.clone().with_explain(true).with_trace(TraceLevel::Detail);
+        let solo = run(&index, &q, &query_vecs);
+        let unit = run(&resident, &q, &query_vecs);
+        assert_eq!(solo.hits, unit.hits, "hits for {q:?}");
+        assert_eq!(solo.outcome, unit.outcome, "outcome for {q:?}");
+        tripped += usize::from(!solo.exact());
+        assert_eq!(
+            scrub(solo.stats.clone()),
+            scrub(unit.stats.clone()),
+            "stats counters for {q:?}"
+        );
+        assert_eq!(span_names(&solo), span_names(&unit), "spans for {q:?}");
+        assert!(solo.trace.as_ref().unwrap().find("partition/0").is_none());
+        assert!(unit.trace.as_ref().unwrap().find("partition/0").is_some());
+        let (a, b) = (solo.explain.unwrap(), unit.explain.unwrap());
+        assert_eq!(
+            (&a.mode, &a.stages, &a.decisions),
+            (&b.mode, &b.stages, &b.decisions),
+            "explain funnel for {q:?}"
+        );
+        assert!(
+            b.topk.is_none(),
+            "a partition's trajectory is not the answer's"
+        );
+        assert_eq!(
+            a.topk.is_some(),
+            matches!(q.mode, QueryMode::Topk(_)),
+            "the index keeps its own trajectory for {q:?}"
+        );
+    }
+    assert_eq!(tripped, 2, "both budgeted queries must trip their cap");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// An explained remote query bypasses the result cache (the report must
 /// describe *this* execution), yet its executed result still lands in
 /// the cache for later plain repeats.
