@@ -207,6 +207,22 @@ impl ExecPolicy {
         }
     }
 
+    /// Share this policy between a loop over `items` independent work
+    /// items and the body that loop runs, as `(loop, inside)`: a loop with
+    /// at least two items takes the threads and its bodies run
+    /// sequentially; a loop of zero or one item runs sequentially and
+    /// passes the policy inward unchanged. Threads therefore go to the
+    /// outermost loop that can use them, and fan-out never nests. Every
+    /// place that runs queries inside a loop (batched columns,
+    /// partitions) shares threads through this one rule.
+    pub fn split(self, items: usize) -> (Self, Self) {
+        if items >= 2 {
+            (self, ExecPolicy::Sequential)
+        } else {
+            (ExecPolicy::Sequential, self)
+        }
+    }
+
     /// The number of worker threads this policy *requests* (≥ 1), before
     /// the adaptive clamp in [`crate::exec`] is applied.
     pub fn effective_threads(self) -> usize {
@@ -334,6 +350,28 @@ mod tests {
         assert_eq!(ExecPolicy::Fixed { threads: 0 }.effective_threads(), 1);
         assert!(ExecPolicy::auto().effective_threads() >= 1);
         assert_eq!(ExecPolicy::default(), ExecPolicy::Sequential);
+    }
+
+    #[test]
+    fn split_gives_the_threads_to_exactly_one_side() {
+        let seq = ExecPolicy::Sequential;
+        for policy in [
+            seq,
+            ExecPolicy::Parallel { threads: 0 },
+            ExecPolicy::Parallel { threads: 4 },
+            ExecPolicy::Fixed { threads: 3 },
+        ] {
+            for items in [0usize, 1, 2, 9] {
+                let (on_loop, inside) = policy.split(items);
+                assert!(on_loop == seq || inside == seq, "{policy:?} × {items}");
+                let expected = if items >= 2 {
+                    (policy, seq)
+                } else {
+                    (seq, policy)
+                };
+                assert_eq!((on_loop, inside), expected, "{policy:?} × {items}");
+            }
+        }
     }
 
     #[test]

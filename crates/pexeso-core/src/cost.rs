@@ -25,10 +25,10 @@ use crate::config::{ExecPolicy, LemmaFlags, MAX_LEVELS};
 use crate::error::Result;
 use crate::exec;
 use crate::grid::{GridParams, HierarchicalGrid};
-use crate::histogram::Histogram;
 use crate::invindex::InvertedIndex;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
+use crate::pdf::Pdf;
 use crate::stats::SearchStats;
 use crate::util::FastMap;
 
@@ -44,7 +44,7 @@ const WORKLOAD_TAUS: [f32; 3] = [0.02, 0.05, 0.08];
 
 /// Per-dimension PDFs of the mapped repository vectors.
 pub struct PivotSpacePdfs {
-    pub dims: Vec<Histogram>,
+    pub dims: Vec<Pdf>,
     pub n_vectors: usize,
 }
 
@@ -52,7 +52,7 @@ impl PivotSpacePdfs {
     pub fn build(mapped: &MappedVectors, span: f32) -> Self {
         let k = mapped.num_pivots();
         let dims = (0..k)
-            .map(|i| Histogram::from_values(mapped.iter().map(|mv| mv[i]), 0.0, span, PDF_BINS))
+            .map(|i| Pdf::from_values(mapped.iter().map(|mv| mv[i]), 0.0, span, PDF_BINS))
             .collect();
         Self {
             dims,

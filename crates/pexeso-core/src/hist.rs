@@ -16,9 +16,8 @@
 //! `METRICS` verb can expose them without plumbing a registry through
 //! every call site.
 //!
-//! This is distinct from [`crate::histogram::Histogram`], the fixed-range
-//! `f64` mass histogram used by the JSD partitioner and the cost model —
-//! that one models data distributions, this one counts events.
+//! Data distributions (the JSD partitioner's column summaries, the cost
+//! model's PDFs) are [`crate::pdf::Pdf`]s; this module only counts events.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

@@ -81,14 +81,12 @@ pub mod block;
 pub mod column;
 pub mod config;
 pub mod cost;
-pub mod daat;
 pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod fault;
 pub mod grid;
 pub mod hist;
-pub mod histogram;
 pub mod inspect;
 pub mod invindex;
 pub mod kernel;
@@ -99,6 +97,7 @@ pub mod metric;
 pub mod oracle;
 pub mod outofcore;
 pub mod partition;
+pub mod pdf;
 pub mod persist;
 pub mod pivot;
 pub mod query;
@@ -123,9 +122,7 @@ pub mod prelude {
     pub use crate::query::{
         Exceeded, Query, QueryBudget, QueryMode, QueryOutcome, QueryResponse, Queryable,
     };
-    pub use crate::search::{
-        naive_search, PexesoIndex, SearchHit, SearchOptions, TopkStrategy, VerifyStrategy,
-    };
+    pub use crate::search::{naive_search, PexesoIndex, SearchHit, SearchOptions, TopkStrategy};
     pub use crate::stats::SearchStats;
     pub use crate::trace::{QueryTrace, TraceLevel, TraceSpan};
     pub use crate::vector::{VectorId, VectorStore};

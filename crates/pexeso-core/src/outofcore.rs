@@ -8,7 +8,9 @@
 //! [`crate::exec::map_units`] work-stealing pool, overlapping partition
 //! loading with searching (an extension over the paper's sequential loop;
 //! the sequential mode is the default and is what the experiments time).
-//! Results are identical for every policy.
+//! A one-partition deployment spends the policy inside its one search
+//! instead ([`crate::config::ExecPolicy::split`]). Results are identical
+//! for every policy.
 //!
 //! ## Units
 //!
@@ -403,7 +405,7 @@ impl<M: Metric> IndexUnit for PexesoIndex<M> {
         vectors: &VectorStore,
         guard: &mut Option<BudgetGuard>,
     ) -> Result<PartitionAnswer> {
-        execute_on_index(self, query, vectors, guard, None)
+        execute_on_index(self, query, vectors, guard)
     }
 
     fn columns(&self) -> &ColumnSet {
@@ -480,12 +482,6 @@ pub type PartitionAnswer = (
 /// here, partitions in the callers); a tripped limit is returned so the
 /// caller can stop and flag the response.
 ///
-/// `premapped` is an optional pre-computed pivot mapping of the query
-/// column — the seam `PexesoIndex::execute_many` uses to share one
-/// batched mapping pass across many query columns. The mapping arena is
-/// policy-invariant, so passing `Some` is byte-identical to mapping inside
-/// (stats counters included).
-///
 /// The answer's last element is the best-first top-k trajectory
 /// ([`crate::explain::TopkExplain`]), present when the query asked for an
 /// explain report and ran the best-first engine. Recording is read-only
@@ -502,14 +498,12 @@ pub(crate) fn execute_on_index<M: Metric>(
     query: &Query,
     vectors: &VectorStore,
     guard: &mut Option<BudgetGuard>,
-    premapped: Option<&crate::mapping::MappedVectors>,
 ) -> Result<PartitionAnswer> {
     match query.mode {
         QueryMode::Threshold(t) => {
             let ctx = EngineCtx {
                 query,
                 budget: guard.as_ref(),
-                premapped,
             };
             let (hits, stats, exceeded) = index.threshold_inner(vectors, &ctx, t)?;
             if let Some(g) = guard.as_mut() {
@@ -546,7 +540,6 @@ pub(crate) fn execute_on_index<M: Metric>(
                 let ctx = EngineCtx {
                     query,
                     budget: guard.as_ref(),
-                    premapped,
                 };
                 let (ranked, stats, exceeded) =
                     index.topk_inner(vectors, &ctx, kk, trajectory.as_mut())?;
@@ -573,9 +566,10 @@ pub(crate) fn execute_on_index<M: Metric>(
 
 /// The shared partition loop behind the out-of-core and resident
 /// backends: fan `run(i, …)` over the partitions under `query.policy`
-/// (each partition's inner search demoted to sequential — the crate-wide
-/// no-nested-fan-out rule), merge per-partition results in partition
-/// order, and apply the unified final ranking.
+/// when there are at least two of them — each partition's search then
+/// runs sequentially — or hand the policy to the one partition's search
+/// ([`crate::config::ExecPolicy::split`]), merge per-partition results in
+/// partition order, and apply the unified final ranking.
 ///
 /// A budgeted query runs the partition loop sequentially instead: the
 /// guard carries the spent budget from one partition into the next, and
@@ -596,10 +590,8 @@ where
     if let QueryMode::Topk(0) = query.mode {
         return Ok(empty_topk_response(query));
     }
-    let inner = Query {
-        options: query.options.demoted_under(query.policy),
-        ..query.clone()
-    };
+    let (fan_out, inside) = query.policy.split(n_partitions);
+    let inner = query.clone().with_policy(inside);
     let mut guard = BudgetGuard::start(&query.budget);
     let per_partition = if guard.is_some() {
         let mut out = Vec::new();
@@ -618,7 +610,7 @@ where
         // a worker panic into a recoverable error instead of crashing a
         // long-running server.
         exec::try_map_units(
-            query.policy,
+            fan_out,
             n_partitions,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
             |i| run(i, &inner, &mut None),
@@ -728,8 +720,8 @@ pub fn empty_topk_response(query: &Query) -> QueryResponse {
 /// load for the lake, a borrow for the resident form).
 ///
 /// Per-column semantics mirror the solo loop exactly: `Topk(0)` answers
-/// empty without touching a partition, inner searches are demoted under
-/// the outer policy, per-partition results merge in partition order with
+/// empty without touching a partition, the policy is split between the
+/// loop and the searches alike, per-partition results merge in order with
 /// the unified final ranking, and a budgeted query carries each column's
 /// guard across partitions in order, stopping that column at the first
 /// tripped limit. `responses[c]` therefore carries the same hits, outcome,
@@ -752,10 +744,8 @@ where
     if let QueryMode::Topk(0) = query.mode {
         return Ok(columns.iter().map(|_| empty_topk_response(query)).collect());
     }
-    let inner = Query {
-        options: query.options.demoted_under(query.policy),
-        ..query.clone()
-    };
+    let (fan_out, inside) = query.policy.split(n_partitions);
+    let inner = query.clone().with_policy(inside);
     // per_column[c] accumulates column c's results in partition order.
     let mut per_column: Vec<Vec<PartitionAnswer>> = columns.iter().map(|_| Vec::new()).collect();
     let mut guards: Vec<Option<BudgetGuard>> = columns
@@ -784,7 +774,7 @@ where
         }
     } else {
         let parts = exec::try_map_units(
-            query.policy,
+            fan_out,
             n_partitions,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
             |i| {
@@ -851,7 +841,7 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
         // The same partition loop as the disk-backed lake, minus the
         // per-query `load_index`.
         execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
-            execute_on_index(&self.indexes[i], inner, vectors, guard, None)
+            execute_on_index(&self.indexes[i], inner, vectors, guard)
         })
     }
 

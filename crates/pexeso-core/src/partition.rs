@@ -13,8 +13,8 @@ use rand::{Rng, SeedableRng};
 
 use crate::column::ColumnSet;
 use crate::error::{PexesoError, Result};
-use crate::histogram::{jsd_paper, mean_distribution, Histogram};
 use crate::metric::{Euclidean, Metric};
+use crate::pdf::{jsd_paper, mean_distribution, Pdf};
 
 /// Clustering strategy for partitioning (Fig. 7b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +92,7 @@ fn column_histograms(columns: &ColumnSet, bins: usize, seed: u64) -> Vec<Vec<f64
                 let x = columns.store().get_raw(v as usize);
                 x.iter().zip(dir.iter()).map(|(a, b)| a * b).sum::<f32>()
             });
-            Histogram::from_values(projections, -1.0, 1.0, bins).smoothed(1e-6)
+            Pdf::from_values(projections, -1.0, 1.0, bins).smoothed(1e-6)
         })
         .collect()
 }

@@ -1,19 +1,20 @@
-//! 1-D histograms and divergences.
+//! 1-D probability mass functions and divergences.
 //!
 //! Used in two places: the cost model's per-dimension PDFs of mapped
-//! vectors (Eq. 2), and the column-distribution histograms that drive the
+//! vectors (Eq. 2), and the column-distribution summaries that drive the
 //! JSD partitioner (Section IV).
 
-/// A fixed-range histogram with mass normalised to 1 (when non-empty).
+/// A fixed-range, binned probability mass function: mass normalised to 1
+/// (when non-empty).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+pub struct Pdf {
     lo: f32,
     hi: f32,
     bins: Vec<f64>,
     count: u64,
 }
 
-impl Histogram {
+impl Pdf {
     /// Build over `[lo, hi]` with `nbins` bins; values outside the range
     /// clamp into the boundary bins.
     pub fn from_values(
@@ -79,7 +80,7 @@ impl Histogram {
 }
 
 /// KL divergence between two probability vectors (natural log). Assumes
-/// strictly positive entries (use [`Histogram::smoothed`]).
+/// strictly positive entries (use [`Pdf::smoothed`]).
 pub fn kl_divergence(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
@@ -124,7 +125,7 @@ mod tests {
 
     #[test]
     fn histogram_masses_sum_to_one() {
-        let h = Histogram::from_values([0.1f32, 0.2, 0.5, 0.9], 0.0, 1.0, 4);
+        let h = Pdf::from_values([0.1f32, 0.2, 0.5, 0.9], 0.0, 1.0, 4);
         let sum: f64 = h.masses().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert_eq!(h.count(), 4);
@@ -132,14 +133,14 @@ mod tests {
 
     #[test]
     fn out_of_range_values_clamp() {
-        let h = Histogram::from_values([-5.0f32, 5.0], 0.0, 1.0, 2);
+        let h = Pdf::from_values([-5.0f32, 5.0], 0.0, 1.0, 2);
         assert!((h.masses()[0] - 0.5).abs() < 1e-12);
         assert!((h.masses()[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn mass_in_covers_overlapping_bins() {
-        let h = Histogram::from_values([0.05f32, 0.15, 0.25, 0.35], 0.0, 0.4, 4);
+        let h = Pdf::from_values([0.05f32, 0.15, 0.25, 0.35], 0.0, 0.4, 4);
         assert!((h.mass_in(0.0, 0.09) - 0.25).abs() < 1e-12);
         assert!((h.mass_in(0.12, 0.28) - 0.5).abs() < 1e-12);
         assert_eq!(h.mass_in(0.3, 0.1), 0.0);
@@ -148,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_safe() {
-        let h = Histogram::from_values(std::iter::empty::<f32>(), 0.0, 1.0, 4);
+        let h = Pdf::from_values(std::iter::empty::<f32>(), 0.0, 1.0, 4);
         assert_eq!(h.mass_in(0.0, 1.0), 0.0);
         let s = h.smoothed(1e-6);
         assert!((s.iter().sum::<f64>() - 1.0).abs() < 1e-9);

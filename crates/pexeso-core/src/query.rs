@@ -10,8 +10,8 @@
 //! remote serving daemon. This module is the one surface they all share:
 //!
 //! * [`Query`] — a self-contained, backend-agnostic request: mode
-//!   (threshold or top-k), τ, per-query [`SearchOptions`], an outer
-//!   [`ExecPolicy`] for partition/batch fan-out, an optional metric
+//!   (threshold or top-k), τ, per-query [`SearchOptions`], the
+//!   [`ExecPolicy`] its executor may spend, an optional metric
 //!   expectation, and a per-query [`QueryBudget`];
 //! * [`QueryResponse`] — globally-identified hits
 //!   ([`crate::outofcore::GlobalHit`]), the familiar
@@ -160,12 +160,13 @@ pub struct Query {
     pub mode: QueryMode,
     /// Distance threshold τ.
     pub tau: Tau,
-    /// Per-query knobs: lemma toggles, quick browsing, verify strategy,
-    /// and the *inner* (per-query) execution policy.
+    /// Per-query knobs: lemma toggles, quick browsing, top-k strategy.
     pub options: SearchOptions,
-    /// Outer fan-out policy: how partitions (out-of-core/resident
-    /// backends) or whole queries ([`Queryable::execute_many`]) are spread
-    /// over threads. Results are policy-independent.
+    /// The threads whoever executes this query may spend. They go to the
+    /// outermost loop with at least two items — batched columns
+    /// ([`Queryable::execute_many`]), then partitions — and otherwise to
+    /// mapping, blocking and verification inside the one search
+    /// ([`ExecPolicy::split`]). Results are policy-independent.
     pub policy: ExecPolicy,
     /// Metric the backend is expected to have been built with (e.g.
     /// `"euclidean"`). Backends that know their metric reject a mismatch
@@ -235,13 +236,7 @@ impl Query {
         self
     }
 
-    /// Set the *inner* per-query execution policy.
-    pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.options.exec = exec;
-        self
-    }
-
-    /// Set the *outer* fan-out policy (partitions / batched queries).
+    /// Set the execution policy (see [`Query::policy`]).
     pub fn with_policy(mut self, policy: ExecPolicy) -> Self {
         self.policy = policy;
         self
@@ -440,7 +435,6 @@ mod tests {
         let q = Query::topk(Tau::Ratio(0.06), 7)
             .with_flags(LemmaFlags::without_lemma1())
             .quick_browse(false)
-            .with_exec(ExecPolicy::Parallel { threads: 2 })
             .with_policy(ExecPolicy::Parallel { threads: 3 })
             .expect_metric("manhattan")
             .with_max_distance_computations(1000)
@@ -458,7 +452,6 @@ mod tests {
         assert!(!default.explain);
         assert!(!q.options.flags.lemma1_vector_filter);
         assert!(!q.options.quick_browse);
-        assert_eq!(q.options.exec, ExecPolicy::Parallel { threads: 2 });
         assert_eq!(q.policy, ExecPolicy::Parallel { threads: 3 });
         assert_eq!(q.metric.as_deref(), Some("manhattan"));
         assert_eq!(q.budget.max_distance_computations, Some(1000));

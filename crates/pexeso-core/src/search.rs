@@ -40,25 +40,12 @@ pub struct SearchHit {
 pub(crate) type RankedTopk = (Vec<(u32, ColumnId)>, SearchStats, Option<Exceeded>);
 
 /// What one engine call borrows from its only caller,
-/// [`crate::outofcore::execute_on_index`]: the query's criteria (τ and
-/// the per-query options), the budget carried across sub-executions, and
-/// the shared pivot mapping of a batched pass when there is one.
+/// [`crate::outofcore::execute_on_index`]: the query's criteria (τ, the
+/// per-query options, the execution policy) and the budget carried across
+/// sub-executions.
 pub(crate) struct EngineCtx<'a> {
     pub query: &'a Query,
     pub budget: Option<&'a BudgetGuard>,
-    pub premapped: Option<&'a MappedVectors>,
-}
-
-/// How candidate pairs are verified against the inverted index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyStrategy {
-    /// Generation-stamp bookkeeping (default): same skip behaviour as the
-    /// paper's DaaT without the priority queue.
-    #[default]
-    Stamps,
-    /// The paper's literal document-at-a-time cursor merge with a
-    /// priority queue over per-cell postings cursors.
-    DaatHeap,
 }
 
 /// How a top-k query is answered. Results are identical either way; the
@@ -82,14 +69,8 @@ pub struct SearchOptions {
     pub flags: LemmaFlags,
     /// Enable the quick-browsing shortcut (Section III-C); on by default.
     pub quick_browse: bool,
-    /// Verification implementation; identical results either way.
-    pub verify_strategy: VerifyStrategy,
     /// Top-k implementation; identical results either way.
     pub topk_strategy: TopkStrategy,
-    /// Parallelism of the online path (query mapping, `HG_Q` build,
-    /// blocking, stamp verification). Results are identical either way;
-    /// [`VerifyStrategy::DaatHeap`] verification itself stays sequential.
-    pub exec: ExecPolicy,
 }
 
 impl Default for SearchOptions {
@@ -97,26 +78,7 @@ impl Default for SearchOptions {
         Self {
             flags: LemmaFlags::all(),
             quick_browse: true,
-            verify_strategy: VerifyStrategy::Stamps,
             topk_strategy: TopkStrategy::BestFirst,
-            exec: ExecPolicy::Sequential,
-        }
-    }
-}
-
-impl SearchOptions {
-    /// Per-query options under an outer batching `policy`: a parallel
-    /// outer fan-out owns the threads, so each inner query is demoted to
-    /// sequential (avoiding nested fan-out); a sequential outer loop
-    /// honours the per-query policy unchanged. Every batched entry point
-    /// (multi-query and out-of-core) must use this one rule.
-    pub(crate) fn demoted_under(self, policy: ExecPolicy) -> Self {
-        match policy {
-            ExecPolicy::Parallel { .. } | ExecPolicy::Fixed { .. } => SearchOptions {
-                exec: ExecPolicy::Sequential,
-                ..self
-            },
-            ExecPolicy::Sequential => self,
         }
     }
 }
@@ -204,14 +166,13 @@ impl<M: Metric> PexesoIndex<M> {
         ctx: &EngineCtx<'_>,
         t: JoinThreshold,
     ) -> Result<(Vec<SearchHit>, SearchStats, Option<Exceeded>)> {
-        let (opts, budget) = (ctx.query.options, ctx.budget);
+        let (opts, exec, budget) = (ctx.query.options, ctx.query.policy, ctx.budget);
         self.validate_query(query)?;
         let tau = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
         let t_abs = t.resolve(query.len())?;
         let mut stats = SearchStats::new();
         let total_start = Instant::now();
-        let (query_mapped, blocked) =
-            self.map_and_block(query, tau, opts, &mut stats, ctx.premapped)?;
+        let (query_mapped, blocked) = self.map_and_block(query, tau, opts, exec, &mut stats)?;
 
         // Verification.
         let verify_start = Instant::now();
@@ -228,15 +189,7 @@ impl<M: Metric> PexesoIndex<M> {
             flags: opts.flags,
             deleted: Some(&self.deleted),
         };
-        // A budgeted query always runs the stamp scan: it is the verifier
-        // with the per-query-vector budget checkpoint (the DaaT cursor
-        // merge is a strategy ablation, not a budget-aware path).
-        let (outcome, exceeded) = match opts.verify_strategy {
-            VerifyStrategy::DaatHeap if budget.is_none() => {
-                (crate::daat::verify_daat(&ctx, &blocked, &mut stats), None)
-            }
-            _ => verify_budgeted(&ctx, &blocked, &mut stats, opts.exec, budget),
-        };
+        let (outcome, exceeded) = verify_budgeted(&ctx, &blocked, &mut stats, exec, budget);
         stats.verify_time = verify_start.elapsed();
         stats.total_time = total_start.elapsed();
 
@@ -275,27 +228,17 @@ impl<M: Metric> PexesoIndex<M> {
         query: &VectorStore,
         tau_abs: f32,
         opts: SearchOptions,
+        exec: ExecPolicy,
         stats: &mut SearchStats,
-        premapped: Option<&MappedVectors>,
     ) -> Result<(MappedVectors, BlockOutput)> {
         let map_start = Instant::now();
-        let query_mapped = match premapped {
-            // A shared batched pass (`execute_many`) already mapped this
-            // column; the arena is policy-invariant, so reusing it is
-            // byte-identical to mapping here. Count the rows as if they
-            // were mapped now so batched and solo stats agree.
-            Some(m) => {
-                stats.mapping_distances += (self.pivots.len() * query.len()) as u64;
-                m.clone()
-            }
-            None => MappedVectors::build_with(
-                query,
-                &self.pivots,
-                &self.metric,
-                Some(&mut stats.mapping_distances),
-                opts.exec,
-            )?,
-        };
+        let query_mapped = MappedVectors::build_with(
+            query,
+            &self.pivots,
+            &self.metric,
+            Some(&mut stats.mapping_distances),
+            exec,
+        )?;
         if query_mapped.max_coord() > self.grid_params.span {
             return Err(PexesoError::InvalidParameter(format!(
                 "query vector maps outside the pivot space (coordinate {} > span {}); \
@@ -304,11 +247,9 @@ impl<M: Metric> PexesoIndex<M> {
                 self.grid_params.span
             )));
         }
-        let hgq = HierarchicalGrid::build_with(self.grid_params.clone(), &query_mapped, opts.exec)?;
+        let hgq = HierarchicalGrid::build_with(self.grid_params.clone(), &query_mapped, exec)?;
         // Mapping phase = pivot mapping + span check + HG_Q build: all the
-        // per-query work before the dual-grid traversal starts. A batched
-        // (premapped) query reports only the time actually spent here, so
-        // the crate-wide "only wall-clock timings differ" contract holds.
+        // per-query work before the dual-grid traversal starts.
         stats.mapping_time = map_start.elapsed();
         let block_start = Instant::now();
         let (handled, seeded) = if opts.quick_browse {
@@ -327,7 +268,7 @@ impl<M: Metric> PexesoIndex<M> {
             handled.as_ref(),
             seeded,
             stats,
-            opts.exec,
+            exec,
         );
         stats.block_time = block_start.elapsed();
         Ok((query_mapped, blocked))
@@ -346,7 +287,7 @@ impl<M: Metric> PexesoIndex<M> {
         k: usize,
         explain: Option<&mut crate::explain::TopkExplain>,
     ) -> Result<RankedTopk> {
-        let (opts, budget) = (ctx.query.options, ctx.budget);
+        let (opts, exec, budget) = (ctx.query.options, ctx.query.policy, ctx.budget);
         self.validate_query(query)?;
         let tau_abs = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
         let mut stats = SearchStats::new();
@@ -354,8 +295,7 @@ impl<M: Metric> PexesoIndex<M> {
             return Ok((Vec::new(), stats, None));
         }
         let total_start = Instant::now();
-        let (query_mapped, blocked) =
-            self.map_and_block(query, tau_abs, opts, &mut stats, ctx.premapped)?;
+        let (query_mapped, blocked) = self.map_and_block(query, tau_abs, opts, exec, &mut stats)?;
 
         let verify_start = Instant::now();
         let ctx = VerifyContext {
@@ -379,16 +319,15 @@ impl<M: Metric> PexesoIndex<M> {
                     self.columns.n_columns(),
                     query.len(),
                     Some(&self.deleted),
-                    opts.exec,
+                    exec,
                 );
                 let seed = crate::cost::topk_seed(&bounds, k);
                 verify_topk_budgeted(
-                    &ctx, &blocked, &bounds, seed, k, &mut stats, opts.exec, budget, explain,
+                    &ctx, &blocked, &bounds, seed, k, &mut stats, exec, budget, explain,
                 )
             }
             TopkStrategy::Exhaustive => {
-                let (outcome, exceeded) =
-                    verify_budgeted(&ctx, &blocked, &mut stats, opts.exec, budget);
+                let (outcome, exceeded) = verify_budgeted(&ctx, &blocked, &mut stats, exec, budget);
                 let mut ranked: Vec<(u32, ColumnId)> = outcome
                     .match_counts
                     .iter()
@@ -643,67 +582,6 @@ impl<M: Metric> PexesoIndex<M> {
     }
 }
 
-impl<M: Metric> PexesoIndex<M> {
-    /// [`Queryable::execute`] with an optional pre-computed pivot mapping
-    /// of the query column (see [`Self::premap_columns`]); `None` is
-    /// exactly `execute`. The index is one unit: its answer goes through
-    /// the same merge tail as a partitioned backend's, which also passes
-    /// the top-k trajectory of an explained query through.
-    fn execute_premapped(
-        &self,
-        query: &Query,
-        vectors: &VectorStore,
-        premapped: Option<&MappedVectors>,
-    ) -> Result<QueryResponse> {
-        let started = Instant::now();
-        query.check_metric("index", self.metric.name())?;
-        let mut guard = BudgetGuard::start(&query.budget);
-        let answer = execute_on_index(self, query, vectors, &mut guard, premapped)?;
-        Ok(merge_answers(query, started, [answer], false))
-    }
-
-    /// The shared mapping pass behind [`Queryable::execute_many`]: map
-    /// every query vector of every column in **one** batched kernel walk
-    /// (one pivot-arena flatten, one shardable fill) and slice the arena
-    /// back into per-column mappings. Rows are mapped independently, so
-    /// each slice is byte-identical to mapping that column alone.
-    ///
-    /// Returns `None` when the columns cannot share a pass (mixed or
-    /// mismatched dimensions, an empty column, no columns) — callers fall
-    /// back to per-column mapping, which also surfaces the per-column
-    /// validation errors in the contract order.
-    fn premap_columns(
-        &self,
-        policy: ExecPolicy,
-        columns: &[&VectorStore],
-    ) -> Option<Vec<MappedVectors>> {
-        if columns.is_empty()
-            || columns
-                .iter()
-                .any(|c| c.dim() != self.columns.dim() || c.is_empty())
-        {
-            return None;
-        }
-        let mut all = VectorStore::new(self.columns.dim());
-        for col in columns {
-            for v in 0..col.len() {
-                all.push(col.get_raw(v)).ok()?;
-            }
-        }
-        let mapped =
-            MappedVectors::build_with(&all, &self.pivots, &self.metric, None, policy).ok()?;
-        let k = self.pivots.len();
-        let mut out = Vec::with_capacity(columns.len());
-        let mut offset = 0usize;
-        for col in columns {
-            let rows = &mapped.raw_data()[offset * k..(offset + col.len()) * k];
-            out.push(MappedVectors::from_raw(k, rows.to_vec()).ok()?);
-            offset += col.len();
-        }
-        Some(out)
-    }
-}
-
 impl<M: Metric> Queryable for PexesoIndex<M> {
     /// Execute one unified [`Query`] against the in-memory index.
     ///
@@ -715,29 +593,28 @@ impl<M: Metric> Queryable for PexesoIndex<M> {
     /// tie-inclusively (the index is re-queried with a doubled `k` until
     /// every column tied with the boundary count is present) before the
     /// global re-rank — the same discipline the partitioned backends use.
+    /// The index is one unit: its answer goes through the same merge tail
+    /// as a partitioned backend's, which also passes the top-k trajectory
+    /// of an explained query through.
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
-        self.execute_premapped(query, vectors, None)
+        let started = Instant::now();
+        query.check_metric("index", self.metric.name())?;
+        let mut guard = BudgetGuard::start(&query.budget);
+        let answer = execute_on_index(self, query, vectors, &mut guard)?;
+        Ok(merge_answers(query, started, [answer], false))
     }
 
-    /// Batched execution: one shared pivot-mapping pass maps every query
-    /// vector of every column in a single batched kernel walk (see
-    /// `Self::premap_columns`), then `query.policy` fans whole query
-    /// columns across threads; each query itself is demoted to sequential
-    /// under a parallel outer policy (the crate-wide no-nested-fan-out
-    /// rule). The mapping arena is policy-invariant and rows are mapped
-    /// independently, so `responses[i]` is byte-identical to
-    /// `execute(query, columns[i])` — stats counters included.
+    /// Batched execution: `query.policy` fans whole query columns across
+    /// threads when there are at least two of them, and is spent inside
+    /// the one query otherwise ([`ExecPolicy::split`]). `responses[i]` is
+    /// byte-identical to `execute(query, columns[i])` — stats counters
+    /// included.
     fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
-        let inner = Query {
-            options: query.options.demoted_under(query.policy),
-            ..query.clone()
-        };
-        let premapped = self.premap_columns(query.policy, columns);
-        let shards = exec::map_ranges_min(query.policy, columns.len(), 2, |range| {
+        let (fan_out, inside) = query.policy.split(columns.len());
+        let inner = query.clone().with_policy(inside);
+        let shards = exec::map_ranges_min(fan_out, columns.len(), 2, |range| {
             range
-                .map(|i| {
-                    self.execute_premapped(&inner, columns[i], premapped.as_ref().map(|p| &p[i]))
-                })
+                .map(|i| self.execute(&inner, columns[i]))
                 .collect::<Vec<Result<QueryResponse>>>()
         });
         shards.into_iter().flatten().collect()

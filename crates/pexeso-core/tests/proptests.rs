@@ -8,10 +8,10 @@ use pexeso_core::grid::{CellKey, GridParams};
 use pexeso_core::hist::{
     bucket_index, bucket_upper_bound, bucket_width, AtomicHistogram, NUM_BUCKETS,
 };
-use pexeso_core::histogram::{jensen_shannon, jsd_paper, Histogram};
 use pexeso_core::lemmas;
 use pexeso_core::mapping::MappedVectors;
 use pexeso_core::metric::{Euclidean, Metric};
+use pexeso_core::pdf::{jensen_shannon, jsd_paper, Pdf};
 use pexeso_core::vector::VectorStore;
 
 fn unit_vec(dim: usize, seed: u64) -> Vec<f32> {
@@ -108,7 +108,7 @@ proptest! {
         a in 0.0f32..1.0,
         width in 0.0f32..0.5,
     ) {
-        let h = Histogram::from_values(values.iter().copied(), 0.0, 1.0, 16);
+        let h = Pdf::from_values(values.iter().copied(), 0.0, 1.0, 16);
         let b = (a + width).min(1.0);
         let actual = values.iter().filter(|&&v| v >= a && v <= b).count() as f64
             / values.len() as f64;

@@ -62,9 +62,6 @@ pub struct RouterServeConfig {
     pub queue_capacity: usize,
     /// Per-connection read timeout.
     pub read_timeout: Option<Duration>,
-    /// Ceiling on the per-request `ExecPolicy` thread count forwarded to
-    /// the shards.
-    pub max_request_threads: usize,
     /// Write timeout for the one-frame BUSY rejection.
     pub reject_write_timeout: Duration,
     /// Slowest-N capacity of the traced-query log behind `SLOW`.
@@ -79,7 +76,6 @@ impl Default for RouterServeConfig {
             workers: 4,
             queue_capacity: 64,
             read_timeout: Some(Duration::from_secs(30)),
-            max_request_threads: 16,
             reject_write_timeout: Duration::from_millis(100),
             slow_log_capacity: 8,
             client: ResilientConfig::default(),
@@ -334,8 +330,7 @@ impl RouterHandler {
         queue_wait: Option<Duration>,
     ) -> std::result::Result<HitsReply, String> {
         let (query, store) =
-            query_from_wire(payload, mode, self.config.max_request_threads, queue_wait)
-                .map_err(|e| e.to_string())?;
+            query_from_wire(payload, mode, queue_wait).map_err(|e| e.to_string())?;
         let (resp, meta) = router
             .execute_routed(&query, &store)
             .map_err(|e| e.to_string())?;

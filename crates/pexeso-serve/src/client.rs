@@ -31,7 +31,7 @@ use crate::protocol::{
     InfoReply, QueryBatch, QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireError,
     WireHit,
 };
-use crate::server::clamp_policy;
+use crate::server::{clamp_policy, MAX_REQUEST_THREADS};
 
 /// Client-side failure modes.
 #[derive(Debug)]
@@ -187,7 +187,6 @@ fn wire_criteria(query: &Query, dim: usize) -> QueryCriteria {
 pub fn query_from_wire(
     payload: &QueryPayload,
     mode: QueryMode,
-    max_request_threads: usize,
     queue_wait: Option<Duration>,
 ) -> pexeso_core::error::Result<(Query, VectorStore)> {
     let c = &payload.criteria;
@@ -196,7 +195,7 @@ pub fn query_from_wire(
         QueryMode::Threshold(t) => Query::threshold(c.tau, t),
         QueryMode::Topk(k) => Query::topk(c.tau, k),
     }
-    .with_policy(clamp_policy(c.policy, max_request_threads))
+    .with_policy(clamp_policy(c.policy, MAX_REQUEST_THREADS))
     .with_trace(c.trace)
     .with_explain(payload.explain);
     query.metric = Some(c.metric.clone()).filter(|m| !m.is_empty());
@@ -238,10 +237,10 @@ pub struct RemoteMeta {
     pub cached: bool,
 }
 
-/// Idle connections kept per daemon address when the caller doesn't ask
-/// for a different bound — enough for a router's per-shard fan-out to
-/// reuse warm streams across a query burst without hoarding sockets.
-pub const DEFAULT_POOL_CAPACITY: usize = 4;
+/// Idle connections kept per daemon address — enough for a router's
+/// per-shard fan-out to reuse warm streams across a query burst without
+/// hoarding sockets.
+const POOL_CAPACITY: usize = 4;
 
 /// One logical client for a `pexeso serve` daemon, backed by a small
 /// pool of TCP connections.
@@ -250,9 +249,7 @@ pub const DEFAULT_POOL_CAPACITY: usize = 4;
 /// (connecting a fresh one when it is empty), so a scatter-gather caller
 /// issuing N requests at once pays N× TCP setup only on the *first*
 /// burst; afterwards the streams are reused. The pool keeps at most
-/// [`DEFAULT_POOL_CAPACITY`] idle streams (see
-/// [`ServeClient::connect_with_capacity`]) — extras are closed on
-/// check-in.
+/// `POOL_CAPACITY` idle streams — extras are closed on check-in.
 ///
 /// A stream is discarded instead of returned whenever it can no longer
 /// be trusted: any failure to read a *whole* reply (timeout mid-frame,
@@ -266,24 +263,14 @@ pub struct ServeClient {
     /// Idle, trusted streams; a roundtrip pops one (or connects) and
     /// pushes it back only after reading a whole reply on it.
     pool: Mutex<Vec<TcpStream>>,
-    pool_capacity: usize,
     /// Remembered so reconnects inherit the caller's timeout.
     timeout: Mutex<Option<Duration>>,
 }
 
 impl ServeClient {
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::connect_with_capacity(addr, DEFAULT_POOL_CAPACITY)
-    }
-
-    /// Connect with an explicit idle-pool bound (`0` keeps no idle
-    /// streams: every request opens and closes its own connection). One
-    /// stream is established eagerly so an unreachable daemon fails
+    /// One stream is established eagerly so an unreachable daemon fails
     /// here, not on the first query.
-    pub fn connect_with_capacity(
-        addr: impl ToSocketAddrs,
-        pool_capacity: usize,
-    ) -> std::io::Result<Self> {
+    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         let addr = addr
             .to_socket_addrs()?
             .next()
@@ -292,12 +279,7 @@ impl ServeClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             addr,
-            pool: Mutex::new(if pool_capacity > 0 {
-                vec![stream]
-            } else {
-                Vec::new()
-            }),
-            pool_capacity,
+            pool: Mutex::new(vec![stream]),
             timeout: Mutex::new(None),
         })
     }
@@ -344,7 +326,7 @@ impl ServeClient {
     /// it is simply closed.
     fn checkin(&self, stream: TcpStream) {
         let mut pool = self.pool.lock().expect("client pool poisoned");
-        if pool.len() < self.pool_capacity {
+        if pool.len() < POOL_CAPACITY {
             pool.push(stream);
         }
     }

@@ -46,13 +46,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Total result-cache entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Result-cache shards.
-    pub cache_shards: usize,
     /// Per-connection read timeout; an idle or wedged peer releases its
     /// worker after this long.
     pub read_timeout: Option<Duration>,
-    /// Ceiling on the per-request `ExecPolicy` thread count.
-    pub max_request_threads: usize,
     /// Soft queue watermark: when the connection queue reaches this
     /// length, every other new connection is shed with a typed
     /// [`Reply::Shed`] — degradation begins *before* the hard
@@ -82,9 +78,7 @@ impl Default for ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 4096,
-            cache_shards: 8,
             read_timeout: Some(Duration::from_secs(30)),
-            max_request_threads: 16,
             queue_soft_watermark: None,
             reject_write_timeout: Duration::from_millis(100),
             metrics_sample_rate: 0.0,
@@ -92,6 +86,9 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Result-cache shards.
+const CACHE_SHARDS: usize = 8;
 
 /// The 1-in-N sampling stride a rate maps to: `0` = never, else trace
 /// every `N`-th untraced request.
@@ -145,7 +142,7 @@ impl Server {
             reject_write_timeout: config.reject_write_timeout,
         };
         let handler = ShardHandler {
-            cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
+            cache: ShardedCache::new(config.cache_capacity, CACHE_SHARDS),
             metrics: ServerMetrics::default(),
             slow_log: SlowQueryLog::new(config.slow_log_capacity),
             sample_seq: AtomicU64::new(0),
@@ -444,8 +441,7 @@ impl ShardHandler {
         // to the snapshot's `Queryable` impl — the same executor every local
         // backend uses.
         let (query, store) =
-            query_from_wire(payload, mode, self.config.max_request_threads, queue_wait)
-                .map_err(|e| e.to_string())?;
+            query_from_wire(payload, mode, queue_wait).map_err(|e| e.to_string())?;
         let query = query.with_trace(effective);
         let resp = snap.execute(&query, &store).map_err(|e| e.to_string())?;
         self.metrics
@@ -513,6 +509,10 @@ fn log_query_done(
     fields.push(("latency_us", latency_us.into()));
     plog::log(LogLevel::Info, "serve", "query_done", &fields);
 }
+
+/// Ceiling on the thread count of a per-request `ExecPolicy`, on the
+/// shard daemon and (for what it forwards to the shards) the router.
+pub const MAX_REQUEST_THREADS: usize = 16;
 
 /// Resolve `Parallel {{ threads: 0 }}` to the machine size and clamp to the
 /// server's per-request ceiling. Shared with the router tier so routed

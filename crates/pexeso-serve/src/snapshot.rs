@@ -35,13 +35,15 @@
 //! instead of silently returning non-exact results.
 
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 use pexeso_core::error::Result;
 use pexeso_core::outofcore::{load_unit, IndexUnit, LakeManifest, PartitionedLake};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
 use pexeso_delta::{load_overlay, DeltaOverlay};
+
+use crate::conn::lock_unpoisoned;
 
 /// One immutable, memory-resident opened deployment plus its delta
 /// overlay.
@@ -173,7 +175,9 @@ pub struct SnapshotCell {
     /// Serializes whole publishes (load + publish). Without it two
     /// concurrent reloads could both read generation G and both publish
     /// G+1 — duplicate generations would alias result-cache keys across
-    /// deployments.
+    /// deployments. It guards no data, so a publish that panicked while
+    /// holding it (the connection core answers that one request with an
+    /// error) must not disable every later one: poisoning is ignored.
     swap_lock: Mutex<()>,
 }
 
@@ -190,7 +194,10 @@ impl SnapshotCell {
     /// The snapshot new requests should use. Cheap (`Arc` clone under a
     /// read lock); call once per request and reuse the `Arc`.
     pub fn current(&self) -> Arc<Snapshot> {
-        self.current.read().expect("snapshot cell poisoned").clone()
+        self.current
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Hot swap: load `dir` (or re-load the currently served directory),
@@ -199,7 +206,7 @@ impl SnapshotCell {
     /// takes down live traffic. Publishes serialize; generations are
     /// strictly increasing.
     pub fn swap(&self, dir: Option<&Path>) -> Result<Arc<Snapshot>> {
-        let _swapping = self.swap_lock.lock().expect("swap lock poisoned");
+        let _swapping = lock_unpoisoned(&self.swap_lock);
         let old = self.current();
         let target = dir.unwrap_or_else(|| old.dir());
         // Expensive directory scan + full resident load happens outside
@@ -217,7 +224,7 @@ impl SnapshotCell {
     /// log now describes a different base). On any error the served
     /// snapshot is untouched.
     pub fn apply_delta(&self) -> Result<Arc<Snapshot>> {
-        let _swapping = self.swap_lock.lock().expect("swap lock poisoned");
+        let _swapping = lock_unpoisoned(&self.swap_lock);
         let old = self.current();
         let disk_manifest = LakeManifest::read(old.dir())?;
         let fresh = if disk_manifest.index_version == old.manifest().index_version {
@@ -230,6 +237,50 @@ impl SnapshotCell {
     }
 
     fn publish(&self, fresh: Arc<Snapshot>) {
-        *self.current.write().expect("snapshot cell poisoned") = fresh;
+        // The slot holds one `Arc`, whole in every state a panic can
+        // leave it.
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = fresh;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pexeso_core::prelude::*;
+
+    #[test]
+    fn a_publish_that_panicked_does_not_disable_later_ones() {
+        let dir = std::env::temp_dir().join(format!("pexeso_snap_poison_{}", std::process::id()));
+        let mut columns = ColumnSet::new(2);
+        for c in 0..4u64 {
+            let v = [1.0, c as f32];
+            columns.add_column("t", "c", c, vec![&v[..]]).unwrap();
+        }
+        PartitionedLake::build(
+            &columns,
+            Euclidean,
+            &PartitionConfig::default(),
+            &IndexOptions::default(),
+            &dir,
+        )
+        .unwrap();
+        LakeManifest::new("test", 2).write(&dir).unwrap();
+        let cell = SnapshotCell::open(&dir).unwrap();
+
+        // What a `Snapshot::load` panicking inside RELOAD/APPLY leaves
+        // behind: the swap lock poisoned by the unwinding holder.
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = cell.swap_lock.lock().unwrap();
+                panic!("publish panicked while holding the swap lock");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cell.swap_lock.is_poisoned());
+
+        assert_eq!(cell.apply_delta().unwrap().generation(), 2);
+        assert_eq!(cell.swap(None).unwrap().generation(), 3);
+        assert_eq!(cell.current().generation(), 3);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

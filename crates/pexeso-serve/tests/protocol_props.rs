@@ -14,7 +14,7 @@ use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 use pexeso_serve::client::wire_batch_request;
 use pexeso_serve::protocol::{decode_request, encode_request, QueryExt, QueryPayload, Request};
-use pexeso_serve::server::clamp_policy;
+use pexeso_serve::server::{clamp_policy, MAX_REQUEST_THREADS};
 use pexeso_serve::{query_from_wire, wire_request};
 use proptest::prelude::*;
 
@@ -172,7 +172,7 @@ proptest! {
         t in 0.0f64..1.0,
         k in 0usize..100,
         par in 0u8..2,
-        threads in 0usize..16,
+        threads in 0usize..40,
         lemma_mask in 0u8..16,
         quick_browse in 0u8..2,
         max_dist in 0u64..1_000_000,
@@ -181,7 +181,6 @@ proptest! {
         trace in 0u8..3,
         explain in 0u8..2,
         rid in 0u64..3,
-        max_threads in 1usize..8,
         queue_wait_ms in 0u64..20,
         dim in 1usize..8,
         n in 1usize..5,
@@ -216,7 +215,7 @@ proptest! {
         let expected = |explain: bool| {
             let mut q = query
                 .clone()
-                .with_policy(clamp_policy(query.policy, max_threads))
+                .with_policy(clamp_policy(query.policy, MAX_REQUEST_THREADS))
                 .with_explain(explain);
             q.budget.deadline = query.budget.deadline.map(|d| {
                 let ceiled = Duration::from_millis(d.as_nanos().div_ceil(1_000_000) as u64);
@@ -231,7 +230,7 @@ proptest! {
                 Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
                 other => panic!("query verbs only, got {other:?}"),
             };
-            query_from_wire(payload, mode, max_threads, queue_wait).unwrap()
+            query_from_wire(payload, mode, queue_wait).unwrap()
         };
 
         let store = sample_store(dim, n);
@@ -256,8 +255,7 @@ proptest! {
                 vectors: column.clone(),
                 explain: false,
             };
-            let (got, vectors) =
-                query_from_wire(&payload, query.mode, max_threads, queue_wait).unwrap();
+            let (got, vectors) = query_from_wire(&payload, query.mode, queue_wait).unwrap();
             prop_assert_eq!(got, expected(false));
             prop_assert_eq!(bits(&vectors), bits(sent));
         }

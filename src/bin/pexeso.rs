@@ -556,7 +556,6 @@ fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
     let query = embed_query(&embedder, &values);
 
     let q = Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
-        .with_exec(policy)
         .with_policy(policy)
         .expect_metric(&manifest.metric)
         .with_budget(parse_budget(flags)?)
@@ -586,7 +585,6 @@ fn cmd_topk(flags: &HashMap<String, String>) -> CliResult<()> {
     // Per-partition exact top-k, merged globally (count descending,
     // external id ascending) by the lake's unified executor.
     let q = Query::topk(Tau::Ratio(tau), k)
-        .with_exec(policy)
         .with_policy(policy)
         .expect_metric(&manifest.metric)
         .with_budget(parse_budget(flags)?)
@@ -956,7 +954,7 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         let manifest = lake.manifest().clone();
         let (values, embedder) = load_query(flags, manifest.dim)?;
         let query = embed_query(&embedder, &values);
-        let q = build_query(&manifest.metric)?.with_exec(policy);
+        let q = build_query(&manifest.metric)?;
         lake.execute(&q, query.store()).map_err(|e| e.to_string())?
     } else {
         let addr = flags.get("addr").expect("checked above").clone();

@@ -4,7 +4,9 @@
 //!
 //! * threshold and top-k, across τ / T / k,
 //! * all four metrics (Euclidean, Manhattan, Chebyshev, Angular),
-//! * both `ExecPolicy` variants,
+//! * every `ExecPolicy` variant, on multi-partition builds (the policy
+//!   fans the units out) and one-partition builds (it is spent inside the
+//!   one search),
 //! * through `&dyn Queryable` (the only surface callers use),
 //! * on both delta-capable backends: the disk-backed [`DeltaLake`] and
 //!   the resident serve [`Snapshot`] (base shared, overlay applied), and
@@ -16,6 +18,7 @@
 //! dominant column, re-adding a dropped table.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use pexeso::pipeline::compact_lake;
 use pexeso::prelude::*;
@@ -62,19 +65,21 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Build a deployment over `columns` under `metric_name` and write the
-/// manifest (the pipeline only deploys Euclidean; tests deploy all four).
+/// Build a deployment of `partitions` partitions over `columns` under
+/// `metric_name` and write the manifest (the pipeline only deploys
+/// Euclidean; tests deploy all four).
 fn deploy<M: Metric>(
     dir: &Path,
     columns: &ColumnSet,
     metric: M,
     next_external_id: u64,
+    partitions: usize,
 ) -> PartitionedLake {
     let lake = PartitionedLake::build_named(
         columns,
         metric.name(),
         &PartitionConfig {
-            k: 2,
+            k: partitions,
             ..Default::default()
         },
         &index_options(),
@@ -87,6 +92,7 @@ fn deploy<M: Metric>(
         ..LakeManifest::new("hash", DIM)
     };
     manifest.write(dir).unwrap();
+    assert_eq!(lake.num_partitions(), partitions);
     lake
 }
 
@@ -153,10 +159,18 @@ fn final_live_columns(dir: &Path, base: &ColumnSet) -> ColumnSet {
     columns
 }
 
+/// `Fixed` bypasses the adaptive clamp, so the sharded code runs even on
+/// hosts where `Parallel` plans down to inline.
+const POLICIES: [ExecPolicy; 3] = [
+    ExecPolicy::Sequential,
+    ExecPolicy::Parallel { threads: 3 },
+    ExecPolicy::Fixed { threads: 3 },
+];
+
 /// Pin two backends byte-identical through `&dyn Queryable` across
-/// modes, τ / T / k, and both policies.
+/// modes, τ / T / k, and every policy.
 fn assert_equivalent(a: &dyn Queryable, b: &dyn Queryable, q: &VectorStore, tag: &str) {
-    for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { threads: 3 }] {
+    for policy in POLICIES {
         for (tau, t) in [
             (Tau::Ratio(0.1), JoinThreshold::Count(1)),
             (Tau::Ratio(0.25), JoinThreshold::Ratio(0.3)),
@@ -188,6 +202,37 @@ fn assert_equivalent(a: &dyn Queryable, b: &dyn Queryable, q: &VectorStore, tag:
     }
 }
 
+/// One backend answers the same under every policy: hits, outcome, and
+/// every counter (timings are the only policy-dependent part of the
+/// stats).
+fn assert_policy_invariant(backend: &dyn Queryable, q: &VectorStore, tag: &str) {
+    let counters = |s: &SearchStats| SearchStats {
+        mapping_time: Duration::ZERO,
+        block_time: Duration::ZERO,
+        verify_time: Duration::ZERO,
+        total_time: Duration::ZERO,
+        ..s.clone()
+    };
+    for base in [
+        Query::threshold(Tau::Ratio(0.25), JoinThreshold::Ratio(0.3)),
+        Query::topk(Tau::Ratio(0.4), 3),
+    ] {
+        let seq = backend.execute(&base, q).unwrap();
+        for policy in POLICIES {
+            let got = backend
+                .execute(&base.clone().with_policy(policy), q)
+                .unwrap();
+            assert_eq!(got.hits, seq.hits, "{tag}: hits under {policy:?}");
+            assert_eq!(got.outcome, seq.outcome, "{tag}: outcome under {policy:?}");
+            assert_eq!(
+                counters(&got.stats),
+                counters(&seq.stats),
+                "{tag}: counters under {policy:?}"
+            );
+        }
+    }
+}
+
 /// One full lifecycle under a given metric: deploy → ingest → drop →
 /// delta answers ≡ rebuild (DeltaLake *and* resident serve Snapshot) →
 /// compact → compacted deployment ≡ rebuild deployment byte-identically.
@@ -195,7 +240,7 @@ fn lifecycle_under_metric<M: Metric>(metric: M, seed: u64) {
     let name = metric.name();
     let dir = tempdir(&format!("life_{name}"));
     let base = base_columns(seed, 6, 10);
-    deploy(&dir, &base, metric.clone(), 6);
+    deploy(&dir, &base, metric.clone(), 6, 2);
 
     // Ingest three tables, drop one base table and one ingested table.
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
@@ -206,25 +251,25 @@ fn lifecycle_under_metric<M: Metric>(metric: M, seed: u64) {
             vectors: column_floats(&mut rng, 6 + i),
         })
         .collect();
-    let report = ingest_columns(&dir, &cols).unwrap();
-    assert_eq!(report.first_external_id, 6);
-    assert_eq!(report.next_external_id, 9);
-    drop_tables(&dir, &["b1".into(), "d0".into()]).unwrap();
-    // Re-add the dropped base table: only the new column must be live.
-    ingest_columns(
-        &dir,
-        &[IngestColumn {
-            table_name: "b1".into(),
-            column_name: "key".into(),
-            vectors: column_floats(&mut rng, 7),
-        }],
-    )
-    .unwrap();
+    let readded = IngestColumn {
+        table_name: "b1".into(),
+        column_name: "key".into(),
+        vectors: column_floats(&mut rng, 7),
+    };
+    let write_log = |dir: &Path| {
+        let report = ingest_columns(dir, &cols).unwrap();
+        assert_eq!(report.first_external_id, 6);
+        assert_eq!(report.next_external_id, 9);
+        drop_tables(dir, &["b1".into(), "d0".into()]).unwrap();
+        // Re-add the dropped base table: only the new column must be live.
+        ingest_columns(dir, std::slice::from_ref(&readded)).unwrap();
+    };
+    write_log(&dir);
 
     // Rebuild oracle over the final live set, same external ids.
     let rebuild_dir = tempdir(&format!("life_{name}_rebuild"));
     let live = final_live_columns(&dir, &base);
-    deploy(&rebuild_dir, &live, metric.clone(), 10);
+    deploy(&rebuild_dir, &live, metric.clone(), 10, 2);
     let rebuilt = PartitionedLake::open(&rebuild_dir).unwrap();
 
     let q = query_store(seed ^ 0x71, 6);
@@ -247,6 +292,39 @@ fn lifecycle_under_metric<M: Metric>(metric: M, seed: u64) {
         &q,
         &format!("{name}: Snapshot vs rebuild"),
     );
+
+    // The same base as ONE partition. With only a tombstone in the log the
+    // overlay adds no unit, so the deployment is a single unit and a
+    // parallel policy is spent inside its one search — mapping, blocking
+    // and verification — under the tombstone filter and the top-k
+    // over-ask. With the whole log there are two units (base + delta
+    // index) and the policy fans them out. Either way: the sequential
+    // answer, counter for counter, and the rebuild's hits.
+    let one_dir = tempdir(&format!("life_{name}_one"));
+    deploy(&one_dir, &base, metric.clone(), 6, 1);
+    drop_tables(&one_dir, &["b1".into()]).unwrap();
+    for whole_log in [false, true] {
+        if whole_log {
+            write_log(&one_dir);
+        }
+        let lake = DeltaLake::open(&one_dir).unwrap();
+        let snapshot = Snapshot::load(&one_dir, 1).unwrap();
+        assert_eq!(
+            lake.overlay().n_delta_columns(),
+            if whole_log { 3 } else { 0 }
+        );
+        for (backend, what) in [
+            (&lake as &dyn Queryable, "DeltaLake"),
+            (&snapshot, "Snapshot"),
+        ] {
+            let tag = format!("{name}: one-partition {what}, whole log: {whole_log}");
+            assert_policy_invariant(backend, &q, &tag);
+            if whole_log {
+                assert_equivalent(backend, &rebuilt, &q, &tag);
+            }
+        }
+    }
+    std::fs::remove_dir_all(&one_dir).ok();
 
     // Compact: the folded deployment answers identically, the manifest
     // version bumps, the log is gone — and because compaction presents
@@ -324,7 +402,7 @@ fn topk_boundary_ties_with_tombstones() {
             .add_column(&format!("w{c}"), "key", c, floats.chunks_exact(DIM))
             .unwrap();
     }
-    deploy(&dir, &columns, Euclidean, 13);
+    deploy(&dir, &columns, Euclidean, 13, 2);
     // Drop seven of the ten mirrors: every local top-k list was full of
     // tombstoned entries.
     let dropped: Vec<String> = (0..7).map(|c| format!("m{c}")).collect();
@@ -334,7 +412,7 @@ fn topk_boundary_ties_with_tombstones() {
     let base_for_final = columns.clone();
     let live = final_live_columns(&dir, &base_for_final);
     assert_eq!(live.n_columns(), 6);
-    deploy(&rebuild_dir, &live, Euclidean, 13);
+    deploy(&rebuild_dir, &live, Euclidean, 13, 2);
     let rebuilt = PartitionedLake::open(&rebuild_dir).unwrap();
     let delta_lake = DeltaLake::open(&dir).unwrap();
     assert_equivalent(&delta_lake, &rebuilt, &q, "boundary ties");
@@ -357,7 +435,7 @@ fn topk_boundary_ties_with_tombstones() {
 fn delta_lake_obeys_the_unified_contract() {
     let dir = tempdir("contract");
     let base = base_columns(7, 4, 8);
-    deploy(&dir, &base, Euclidean, 4);
+    deploy(&dir, &base, Euclidean, 4, 2);
     let mut rng = StdRng::seed_from_u64(8);
     ingest_columns(
         &dir,

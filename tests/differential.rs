@@ -98,7 +98,6 @@ fn check_threshold<M: Metric>(metric: M, seed: u64) {
                     .collect();
             for policy in POLICIES {
                 let q = Query::threshold(tau, t)
-                    .with_exec(policy)
                     .with_policy(policy)
                     .expect_metric(metric.name());
                 let got: Vec<u32> = index
@@ -147,7 +146,7 @@ fn check_topk<M: Metric>(metric: M, seed: u64) {
                 metric.name()
             );
             for policy in POLICIES {
-                let q = Query::topk(tau, k).with_exec(policy).with_policy(policy);
+                let q = Query::topk(tau, k).with_policy(policy);
                 let got = gpairs(&index.execute(&q, &query).unwrap().hits);
                 assert_eq!(
                     got,
@@ -254,7 +253,7 @@ fn duplicate_columns_tie_break_deterministically() {
     assert_eq!(expected[c6].1, expected[c7].1);
     assert!(c2 < c6 && c6 < c7, "tie-break must order by ascending id");
     for policy in POLICIES {
-        let q = Query::topk(tau, columns.n_columns()).with_exec(policy);
+        let q = Query::topk(tau, columns.n_columns()).with_policy(policy);
         let got = gpairs(&index.execute(&q, &query).unwrap().hits);
         assert_eq!(got, expected, "policy={policy:?}");
     }
@@ -392,7 +391,7 @@ fn weak_probe_high_count_column_is_not_pruned() {
         let expected = pairs(&oracle::topk(&columns, &Euclidean, &query, tau, k, None).unwrap());
         assert_eq!(expected[0], (17, 10), "test instance lost its shape");
         for policy in POLICIES {
-            let q = Query::topk(tau, k).with_exec(policy);
+            let q = Query::topk(tau, k).with_policy(policy);
             let got = gpairs(&index.execute(&q, &query).unwrap().hits);
             assert_eq!(got, expected, "k={k} policy={policy:?}");
         }

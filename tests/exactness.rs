@@ -243,27 +243,6 @@ fn exactness_on_adversarial_layouts() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
-
-    /// The DaaT-heap verification strategy returns the same answer set as
-    /// the default stamp-based one on full end-to-end searches.
-    #[test]
-    fn daat_strategy_is_exact(seed in 0u64..5_000, tau_pct in 0.03f32..0.25) {
-        let (columns, query) = instance(seed, 9, 12, 6, 10);
-        let tau = Tau::Ratio(tau_pct);
-        let t = JoinThreshold::Ratio(0.5);
-        let expected = expected_ids(&columns, &query, tau, t);
-        let index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
-        let opts = SearchOptions { verify_strategy: VerifyStrategy::DaatHeap, ..Default::default() };
-        let got: Vec<ColumnId> = index
-            .execute(&Query::threshold(tau, t).with_options(opts), &query)
-            .unwrap()
-            .hits.iter().map(|h| ColumnId(h.external_id as u32)).collect();
-        prop_assert_eq!(got, expected);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Differential tests: ExecPolicy::Parallel and the batched early-exit
 // distance kernels must be byte-identical to the sequential scalar path.
@@ -309,7 +288,7 @@ proptest! {
             ExecPolicy::Fixed { threads },
         ] {
             let par = par_index.execute(
-                &Query::threshold(tau, t).with_exec(policy),
+                &Query::threshold(tau, t).with_policy(policy),
                 &query,
             ).unwrap();
             prop_assert_eq!(&seq.hits, &par.hits, "policy={:?}", policy);

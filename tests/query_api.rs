@@ -94,6 +94,13 @@ struct Backends {
 
 impl Backends {
     fn build(seed: u64, tag: &str) -> (Self, VectorStore) {
+        Self::build_partitioned(seed, tag, 3)
+    }
+
+    /// The same four backends over a deployment of (up to) `partitions`
+    /// partitions; `1` is the one-unit deployment, whose execution policy
+    /// is spent inside the search instead of across partitions.
+    fn build_partitioned(seed: u64, tag: &str, partitions: usize) -> (Self, VectorStore) {
         let (columns, query) = workload(seed);
         let dir = tempdir(tag);
         let index = PexesoIndex::build(columns.clone(), Euclidean, index_options()).unwrap();
@@ -101,7 +108,7 @@ impl Backends {
             &columns,
             Euclidean,
             &PartitionConfig {
-                k: 3,
+                k: partitions,
                 method: PartitionMethod::JsdKmeans,
                 ..Default::default()
             },
@@ -109,7 +116,11 @@ impl Backends {
             &dir,
         )
         .unwrap();
-        assert!(lake.num_partitions() > 1, "need a real partition merge");
+        assert_eq!(
+            lake.num_partitions() > 1,
+            partitions > 1,
+            "need a real partition merge exactly when asked for one"
+        );
         LakeManifest::next_build(&dir, "test", DIM)
             .unwrap()
             .write(&dir)
@@ -203,6 +214,51 @@ fn one_query_four_backends_byte_identical() {
         }
     }
     assert!(nonempty > queries.len() / 2, "workload must produce hits");
+    backends.finish();
+}
+
+/// One policy, spent where it can be: a one-partition deployment has no
+/// partition loop to fan out, so a parallel policy reaches the parallel
+/// mapping, blocking and verification code of its one search — on disk,
+/// resident, and served over loopback — and must answer exactly like the
+/// sequential run: hits, outcome, every counter, and the explain funnel.
+#[test]
+fn one_partition_deployment_is_policy_invariant() {
+    let (backends, query_vecs) = Backends::build_partitioned(42, "onepart", 1);
+    // Timings are the only policy-dependent part of the stats.
+    let counters = |s: &SearchStats| SearchStats {
+        mapping_time: Duration::ZERO,
+        block_time: Duration::ZERO,
+        verify_time: Duration::ZERO,
+        total_time: Duration::ZERO,
+        ..s.clone()
+    };
+    // Explained queries bypass the daemon's result cache, so every served
+    // run is a real execution.
+    let queries = [
+        Query::threshold(Tau::Ratio(0.25), JoinThreshold::Ratio(0.5)).with_explain(true),
+        Query::topk(Tau::Ratio(0.25), 4).with_explain(true),
+    ];
+    for q in &queries {
+        for (name, backend) in backends.as_dyn() {
+            let seq = run(backend, q, &query_vecs);
+            assert!(!seq.hits.is_empty(), "workload must produce hits");
+            for policy in [
+                ExecPolicy::Parallel { threads: 3 },
+                ExecPolicy::Fixed { threads: 3 },
+            ] {
+                let par = run(backend, &q.clone().with_policy(policy), &query_vecs);
+                assert_eq!(par.hits, seq.hits, "{name} hits under {policy:?}");
+                assert_eq!(par.outcome, seq.outcome, "{name} outcome under {policy:?}");
+                assert_eq!(
+                    counters(&par.stats),
+                    counters(&seq.stats),
+                    "{name} counters under {policy:?}"
+                );
+                assert_eq!(par.explain, seq.explain, "{name} funnel under {policy:?}");
+            }
+        }
+    }
     backends.finish();
 }
 
