@@ -212,9 +212,9 @@ impl ExecPolicy {
     /// at least two items takes the threads and its bodies run
     /// sequentially; a loop of zero or one item runs sequentially and
     /// passes the policy inward unchanged. Threads therefore go to the
-    /// outermost loop that can use them, and fan-out never nests. Every
-    /// place that runs queries inside a loop (batched columns,
-    /// partitions) shares threads through this one rule.
+    /// outermost loop that can use them, and fan-out never nests. The
+    /// partition loop of a deployment — the one place that runs a query
+    /// inside a loop — shares threads through this rule.
     pub fn split(self, items: usize) -> (Self, Self) {
         if items >= 2 {
             (self, ExecPolicy::Sequential)

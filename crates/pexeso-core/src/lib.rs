@@ -22,8 +22,7 @@
 //! * [`invindex`] + [`verify`] — Algorithm 2: inverted-index verification
 //!   with joinable-skip and Lemma 7 early termination;
 //! * [`search`] — Algorithm 3 and the [`search::PexesoIndex`] it runs on:
-//!   threshold and best-first top-k search, solo or batched, all through
-//!   [`query::Queryable`];
+//!   threshold and best-first top-k search through [`query::Queryable`];
 //! * [`oracle`] — the brute-force ground truth every search mode is
 //!   differentially tested against;
 //! * [`cost`] — the Eq. 1/2 cost model choosing the grid depth `m`, plus

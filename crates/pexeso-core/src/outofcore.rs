@@ -29,7 +29,6 @@
 //! that is ~99 % of search time.
 
 use std::fs;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -347,18 +346,6 @@ impl Queryable for PartitionedLake {
         let metric = self.resolve_metric_name(query)?;
         execute_partitioned(self.partition_files.len(), query, |i, inner, guard| {
             load_unit(&self.partition_files[i], &metric)?.answer(inner, vectors, guard)
-        })
-    }
-
-    /// Batch execution sweeps the lake partition-major, loading each
-    /// partition file once for all columns instead of once per column —
-    /// `partitions` disk loads instead of `columns × partitions`. Hits,
-    /// outcomes, and stats counters per column are identical to solo
-    /// [`Queryable::execute`] calls (see `execute_partitioned_many`).
-    fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
-        let metric = self.resolve_metric_name(query)?;
-        execute_partitioned_many(self.partition_files.len(), query, columns, |i| {
-            load_unit(&self.partition_files[i], &metric)
         })
     }
 }
@@ -712,91 +699,6 @@ pub fn empty_topk_response(query: &Query) -> QueryResponse {
     }
 }
 
-/// The batched counterpart of [`execute_partitioned`]: answer many query
-/// columns in one partition-major sweep, materialising each partition
-/// **once** for all columns instead of once per column — for the
-/// disk-backed lake this turns `columns × partitions` index loads into
-/// `partitions` loads. `get_unit(i)` materialises partition `i` (a disk
-/// load for the lake, a borrow for the resident form).
-///
-/// Per-column semantics mirror the solo loop exactly: `Topk(0)` answers
-/// empty without touching a partition, the policy is split between the
-/// loop and the searches alike, per-partition results merge in order with
-/// the unified final ranking, and a budgeted query carries each column's
-/// guard across partitions in order, stopping that column at the first
-/// tripped limit. `responses[c]` therefore carries the same hits, outcome,
-/// and stats counters as `execute(query, columns[c])`; only wall-clock
-/// timings differ (they reflect the shared sweep).
-fn execute_partitioned_many<U, G>(
-    n_partitions: usize,
-    query: &Query,
-    columns: &[&VectorStore],
-    get_unit: G,
-) -> Result<Vec<QueryResponse>>
-where
-    U: Deref<Target = dyn IndexUnit>,
-    G: Fn(usize) -> Result<U> + Sync,
-{
-    let started = Instant::now();
-    if columns.is_empty() {
-        return Ok(Vec::new());
-    }
-    if let QueryMode::Topk(0) = query.mode {
-        return Ok(columns.iter().map(|_| empty_topk_response(query)).collect());
-    }
-    let (fan_out, inside) = query.policy.split(n_partitions);
-    let inner = query.clone().with_policy(inside);
-    // per_column[c] accumulates column c's results in partition order.
-    let mut per_column: Vec<Vec<PartitionAnswer>> = columns.iter().map(|_| Vec::new()).collect();
-    let mut guards: Vec<Option<BudgetGuard>> = columns
-        .iter()
-        .map(|_| BudgetGuard::start(&query.budget))
-        .collect();
-    if guards[0].is_some() {
-        // Budgeted: a deterministic sequential sweep, each column's guard
-        // carried across partitions exactly as the solo loop carries it.
-        let mut stopped = vec![false; columns.len()];
-        for i in 0..n_partitions {
-            if stopped.iter().all(|&s| s) {
-                break;
-            }
-            let unit = get_unit(i)?;
-            for (c, col) in columns.iter().enumerate() {
-                if stopped[c] {
-                    continue;
-                }
-                let part = unit.answer(&inner, col, &mut guards[c])?;
-                if part.2.is_some() {
-                    stopped[c] = true;
-                }
-                per_column[c].push(part);
-            }
-        }
-    } else {
-        let parts = exec::try_map_units(
-            fan_out,
-            n_partitions,
-            || PexesoError::InvalidParameter("partition query worker panicked".into()),
-            |i| {
-                let unit = get_unit(i)?;
-                columns
-                    .iter()
-                    .map(|col| unit.answer(&inner, col, &mut None))
-                    .collect::<Result<Vec<_>>>()
-            },
-        )?;
-        for part in parts {
-            for (c, r) in part.into_iter().enumerate() {
-                per_column[c].push(r);
-            }
-        }
-    }
-    Ok(per_column
-        .into_iter()
-        .map(|parts| merge_answers(query, started, parts, true))
-        .collect())
-}
-
 /// A partitioned deployment loaded fully into memory — the form a
 /// resident server keeps hot. Search semantics (per-partition algorithms,
 /// tie-inclusive top-k, merge order, policy determinism) are
@@ -842,20 +744,6 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
         // per-query `load_index`.
         execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
             execute_on_index(&self.indexes[i], inner, vectors, guard)
-        })
-    }
-
-    /// Batch execution shares one partition-major sweep across all
-    /// columns (partitions are already resident, so the win here is cache
-    /// locality and one policy fan-out instead of one per column). Hits,
-    /// outcomes, and stats counters per column are identical to solo
-    /// [`Queryable::execute`] calls.
-    fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
-        if let Some(index) = self.indexes.first() {
-            query.check_metric("resident partitions", index.metric().name())?;
-        }
-        execute_partitioned_many(self.indexes.len(), query, columns, |i| {
-            Ok(&self.indexes[i] as &dyn IndexUnit)
         })
     }
 }

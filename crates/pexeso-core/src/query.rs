@@ -163,10 +163,9 @@ pub struct Query {
     /// Per-query knobs: lemma toggles, quick browsing, top-k strategy.
     pub options: SearchOptions,
     /// The threads whoever executes this query may spend. They go to the
-    /// outermost loop with at least two items — batched columns
-    /// ([`Queryable::execute_many`]), then partitions — and otherwise to
-    /// mapping, blocking and verification inside the one search
-    /// ([`ExecPolicy::split`]). Results are policy-independent.
+    /// partition loop of a deployment with at least two partitions, and
+    /// otherwise to mapping, blocking and verification inside the one
+    /// search ([`ExecPolicy::split`]). Results are policy-independent.
     pub policy: ExecPolicy,
     /// Metric the backend is expected to have been built with (e.g.
     /// `"euclidean"`). Backends that know their metric reject a mismatch
@@ -327,8 +326,8 @@ impl QueryResponse {
 }
 
 /// An executor of [`Query`]s. Object-safe: backends are usable as
-/// `&dyn Queryable`, so batch drivers, servers, and tests can be written
-/// once against the trait.
+/// `&dyn Queryable`, so drivers, servers, and tests can be written once
+/// against the trait.
 ///
 /// Implementations answer the same query with byte-identical rankings
 /// (the differential test `tests/query_api.rs` pins in-memory, disk,
@@ -337,10 +336,10 @@ pub trait Queryable {
     /// Answer one query column.
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse>;
 
-    /// Answer many query columns against the same backend.
-    /// `responses[i]` is exactly what `execute(query, columns[i])`
-    /// returns; `query.policy` may fan whole queries across threads
-    /// (backends override the default per-column loop where that pays).
+    /// Answer many query columns against the same backend, one
+    /// [`Queryable::execute`] per column: `responses[i]` is exactly what
+    /// `execute(query, columns[i])` returns. No backend overrides this
+    /// loop — a query runs one column at a time at every layer.
     fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
         columns.iter().map(|c| self.execute(query, c)).collect()
     }

@@ -12,7 +12,6 @@ use crate::block::{block_with, quick_browse, BlockOutput};
 use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, Tau};
 use crate::error::{PexesoError, Result};
-use crate::exec;
 use crate::grid::{GridParams, HierarchicalGrid};
 use crate::invindex::InvertedIndex;
 use crate::lemmas;
@@ -602,22 +601,6 @@ impl<M: Metric> Queryable for PexesoIndex<M> {
         let mut guard = BudgetGuard::start(&query.budget);
         let answer = execute_on_index(self, query, vectors, &mut guard)?;
         Ok(merge_answers(query, started, [answer], false))
-    }
-
-    /// Batched execution: `query.policy` fans whole query columns across
-    /// threads when there are at least two of them, and is spent inside
-    /// the one query otherwise ([`ExecPolicy::split`]). `responses[i]` is
-    /// byte-identical to `execute(query, columns[i])` — stats counters
-    /// included.
-    fn execute_many(&self, query: &Query, columns: &[&VectorStore]) -> Result<Vec<QueryResponse>> {
-        let (fan_out, inside) = query.policy.split(columns.len());
-        let inner = query.clone().with_policy(inside);
-        let shards = exec::map_ranges_min(fan_out, columns.len(), 2, |range| {
-            range
-                .map(|i| self.execute(&inner, columns[i]))
-                .collect::<Vec<Result<QueryResponse>>>()
-        });
-        shards.into_iter().flatten().collect()
     }
 }
 

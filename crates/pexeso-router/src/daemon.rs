@@ -43,9 +43,7 @@ use pexeso_serve::conn::{
     answer_query, error_reply, failed, serve, verb_of, ConnConfig, ConnHandle, Handler, RequestCtx,
 };
 use pexeso_serve::metrics::{EndpointMetrics, PromText, SlowQueryLog};
-use pexeso_serve::protocol::{
-    BatchMode, HitsReply, InfoReply, QueryBatch, QueryPayload, Reply, Request,
-};
+use pexeso_serve::protocol::{HitsReply, InfoReply, QueryPayload, Reply, Request};
 use pexeso_serve::ResilientConfig;
 
 use crate::router::{Router, RouterConfig};
@@ -186,12 +184,8 @@ impl Handler for RouterHandler {
     fn endpoint(&self, req: &Request) -> Option<&EndpointMetrics> {
         let m = &self.metrics;
         Some(match req {
-            Request::Search { .. }
-            | Request::Batch(QueryBatch {
-                mode: BatchMode::Search(_),
-                ..
-            }) => &m.search,
-            Request::Topk { .. } | Request::Batch(_) => &m.topk,
+            Request::Search { .. } => &m.search,
+            Request::Topk { .. } => &m.topk,
             Request::ApplyDelta { .. } => &m.apply,
             Request::Shutdown => return None,
             _ => &m.admin,
@@ -297,9 +291,8 @@ impl Handler for RouterHandler {
                 }
             }
             Request::Shutdown => Reply::ShuttingDown,
-            Request::Search { .. } | Request::Topk { .. } | Request::Batch(_) => {
-                // One pinned routing table per frame; batch columns answer
-                // exactly like the equivalent solo frames.
+            Request::Search { .. } | Request::Topk { .. } => {
+                // One pinned routing table per query.
                 let router = self.current_router();
                 answer_query(req, ctx, |_, payload, mode| {
                     self.run_query(&router, payload, mode, ctx.queue_wait)

@@ -217,7 +217,7 @@ impl Router {
         let mut partitions = 0u32;
         let mut disk_bytes = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
-            let info = first_replica(&shard.spec, "INFO", ServeClient::info)?;
+            let info = first_replica(shard, "INFO", ServeClient::info)?;
             if let Some(d) = dim {
                 if d != info.dim {
                     return Err(PexesoError::InvalidParameter(format!(
@@ -265,12 +265,11 @@ impl Router {
             ))
         })?;
         let mut best: Option<(u64, u64, u64)> = None;
-        for addr in &s.spec.replicas {
-            let client = ServeClient::connect(addr.as_str())
-                .map_err(|e| PexesoError::Remote(format!("shard {shard} replica {addr}: {e}")))?;
-            let (generation, delta_columns, tombstones) = client
-                .apply_delta()
-                .map_err(|e| PexesoError::Remote(format!("shard {shard} replica {addr}: {e}")))?;
+        for (i, addr) in s.spec.replicas.iter().enumerate() {
+            let (generation, delta_columns, tombstones) =
+                ask_replica(&s.client, i, ServeClient::apply_delta).map_err(|e| {
+                    PexesoError::Remote(format!("shard {shard} replica {addr}: {e}"))
+                })?;
             if best.is_none_or(|(g, _, _)| generation > g) {
                 best = Some((generation, delta_columns, tombstones));
             }
@@ -560,7 +559,7 @@ impl Router {
         use std::fmt::Write as _;
         let mut out = String::new();
         for (i, shard) in self.shards.iter().enumerate() {
-            match first_replica(&shard.spec, "INSPECT", ServeClient::inspect_text) {
+            match first_replica(shard, "INSPECT", ServeClient::inspect_text) {
                 Ok(text) => {
                     for line in text.lines() {
                         let _ = writeln!(out, "shard{i}.{line}");
@@ -631,19 +630,39 @@ pub struct RoutedMeta {
     pub slowest_shard: Option<u32>,
 }
 
+/// One admin verb on replica `idx` of a shard, over the stream pool the
+/// shard's query client already holds — the shard's workers are parked
+/// on those streams, so a freshly dialed connection would wait in its
+/// accept queue until one of them timed out. A pooled stream the shard
+/// closed while idle costs its call a hang-up (`Disconnected`, or the
+/// broken pipe of the write) and is dropped by it; ask again, at most
+/// once per stream that was pooled. Every admin verb is idempotent.
+fn ask_replica<T>(
+    client: &ResilientClient,
+    idx: usize,
+    ask: impl Fn(&ServeClient) -> std::result::Result<T, ClientError>,
+) -> std::result::Result<T, ClientError> {
+    let replica = client.replica_client(idx)?;
+    let mut stale = replica.idle_connections();
+    loop {
+        match ask(&replica) {
+            Err(ClientError::Disconnected | ClientError::Io(_)) if stale > 0 => stale -= 1,
+            answer => return answer,
+        }
+    }
+}
+
 /// One admin verb (`INFO`, `INSPECT`) answered by the first reachable
 /// replica of a shard.
 fn first_replica<T>(
-    spec: &ShardSpec,
+    shard: &Shard,
     verb: &str,
     ask: impl Fn(&ServeClient) -> std::result::Result<T, ClientError>,
 ) -> Result<T> {
+    let spec = &shard.spec;
     let mut last_err = None;
-    for addr in &spec.replicas {
-        match ServeClient::connect(addr.as_str())
-            .map_err(|e| e.to_string())
-            .and_then(|client| ask(&client).map_err(|e| e.to_string()))
-        {
+    for (i, addr) in spec.replicas.iter().enumerate() {
+        match ask_replica(&shard.client, i, &ask) {
             Ok(answer) => return Ok(answer),
             Err(e) => last_err = Some(format!("{addr}: {e}")),
         }

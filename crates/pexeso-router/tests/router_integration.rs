@@ -7,7 +7,7 @@
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::{IndexOptions, JoinThreshold, PivotSelection, Tau};
@@ -143,17 +143,22 @@ fn fast_client() -> ResilientConfig {
 /// Split `src` into `shards` deployments, start one daemon per shard,
 /// and build the router over the live addresses.
 fn start_cluster(src: &Path, shards: usize, name: &str) -> (Vec<ServerHandle>, Router) {
+    start_cluster_with(src, shards, name, ServeConfig::default())
+}
+
+fn start_cluster_with(
+    src: &Path,
+    shards: usize,
+    name: &str,
+    config: ServeConfig,
+) -> (Vec<ServerHandle>, Router) {
     let out = tempdir(&format!("{name}_shards"));
     let map = split_lake(src, shards, &out).unwrap();
     let mut daemons = Vec::new();
     let mut specs = Vec::new();
     for (i, spec) in map.shards().iter().enumerate() {
-        let handle = Server::start(
-            &out.join(shard_dir_name(i)),
-            "127.0.0.1:0",
-            ServeConfig::default(),
-        )
-        .unwrap();
+        let handle =
+            Server::start(&out.join(shard_dir_name(i)), "127.0.0.1:0", config.clone()).unwrap();
         specs.push(ShardSpec {
             lo: spec.lo,
             hi: spec.hi,
@@ -495,6 +500,51 @@ fn routed_apply_bumps_only_the_owning_shard() {
 
     d0.shutdown();
     d1.shutdown();
+}
+
+/// Satellite regression: the router's admin verbs ride the streams its
+/// per-shard query client already holds. A one-worker shard's only
+/// worker is parked on that pooled stream after a routed query, so a
+/// freshly dialed APPLY used to wait in the accept queue for the shard's
+/// whole read timeout. And a pooled stream the shard has since closed
+/// (its read timeout elapsed on the idle peer) costs the verb a re-ask,
+/// not a failure.
+#[test]
+fn routed_admin_verbs_reuse_the_query_streams() {
+    let dir = tempdir("admin_src");
+    let (columns, query) = workload(97, 8, "a");
+    deploy(&dir, &columns, "euclidean");
+    let one_worker = |read_timeout| ServeConfig {
+        workers: 1,
+        read_timeout: Some(read_timeout),
+        ..ServeConfig::default()
+    };
+    let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.9));
+
+    let (daemons, router) =
+        start_cluster_with(&dir, 1, "admin_busy", one_worker(Duration::from_secs(3)));
+    router.execute(&q, &query).unwrap();
+    let started = Instant::now();
+    router.apply_delta(0).unwrap();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "routed APPLY waited {elapsed:?} behind the parked worker"
+    );
+    for d in daemons {
+        d.shutdown();
+    }
+
+    let idle = Duration::from_millis(200);
+    let (daemons, router) = start_cluster_with(&dir, 1, "admin_idle", one_worker(idle));
+    router.execute(&q, &query).unwrap();
+    std::thread::sleep(3 * idle);
+    assert_eq!(router.info().unwrap().dim as usize, DIM);
+    router.apply_delta(0).unwrap();
+    assert!(!router.inspect_text().contains(".error="));
+    for d in daemons {
+        d.shutdown();
+    }
 }
 
 #[test]

@@ -27,9 +27,8 @@ use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 
 use crate::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, BatchMode, HitsExt, HitsReply,
-    InfoReply, QueryBatch, QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireError,
-    WireHit,
+    decode_reply, encode_request, read_frame, write_frame, HitsExt, HitsReply, InfoReply,
+    QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireError, WireHit,
 };
 use crate::server::{clamp_policy, MAX_REQUEST_THREADS};
 
@@ -149,8 +148,8 @@ pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
     }
 }
 
-/// The criteria a unified [`Query`] over `dim`-dimensional columns
-/// travels with (shared by solo and batch frames).
+/// The criteria a unified [`Query`] over a `dim`-dimensional column
+/// travels with.
 fn wire_criteria(query: &Query, dim: usize) -> QueryCriteria {
     QueryCriteria {
         // An empty metric string spells "no expectation": the server
@@ -210,23 +209,6 @@ pub fn query_from_wire(
         }),
     };
     Ok((query, store))
-}
-
-/// The batch frame a unified [`Query`] over many columns translates
-/// to: the criteria once, every column's vectors in one payload. All
-/// columns must share one dimension (the caller checks). Public so the
-/// round-trip can be property-tested against the frame codec.
-pub fn wire_batch_request(query: &Query, columns: &[&VectorStore]) -> Request {
-    let dim = columns.first().map_or(0, |c| c.dim());
-    let mode = match query.mode {
-        QueryMode::Threshold(t) => BatchMode::Search(t),
-        QueryMode::Topk(k) => BatchMode::Topk(k as u64),
-    };
-    Request::Batch(QueryBatch {
-        criteria: wire_criteria(query, dim),
-        mode,
-        columns: columns.iter().map(|c| c.raw_data().to_vec()).collect(),
-    })
 }
 
 /// Serve-side facts accompanying a remote [`QueryResponse`]: which
@@ -433,37 +415,6 @@ impl ServeClient {
         unwrap_hits_reply(reply)
     }
 
-    /// Execute one unified [`Query`] over many columns in a single
-    /// request frame (the `BATCH` verb) and return each column's
-    /// response plus its serve-side metadata.
-    /// [`Queryable::execute_many`] is this minus the metadata.
-    pub fn execute_many_detailed(
-        &self,
-        query: &Query,
-        columns: &[&VectorStore],
-    ) -> ClientResult<Vec<(QueryResponse, RemoteMeta)>> {
-        if columns.is_empty() {
-            return Ok(Vec::new());
-        }
-        let replies = match self.roundtrip(&wire_batch_request(query, columns))? {
-            Reply::HitsBatch(replies) => replies,
-            // The whole frame expired in the server's queue; every column
-            // gets the typed partial outcome a solo frame would.
-            Reply::DeadlineExpired { .. } => {
-                return Ok(columns.iter().map(|_| expired_in_queue()).collect())
-            }
-            other => return Err(unexpected("BATCH", &other)),
-        };
-        if replies.len() != columns.len() {
-            return Err(ClientError::Protocol(format!(
-                "batch reply carries {} entries for {} columns",
-                replies.len(),
-                columns.len()
-            )));
-        }
-        replies.into_iter().map(unwrap_hits_reply).collect()
-    }
-
     /// The raw `key=value` stats body (see
     /// [`crate::metrics::stat_value`] for parsing single entries).
     pub fn stats_text(&self) -> ClientResult<String> {
@@ -582,29 +533,6 @@ impl Queryable for ServeClient {
         // keep the type honest if a budget was set and tripped remotely.
         debug_assert!(query.budget.is_limited() || resp.outcome == QueryOutcome::Exact);
         Ok(resp)
-    }
-
-    /// One request frame for the whole batch instead of N round-trips.
-    /// Results are byte-identical to per-column [`Queryable::execute`]
-    /// (the server answers each column independently over one pinned
-    /// snapshot).
-    fn execute_many(
-        &self,
-        query: &Query,
-        columns: &[&VectorStore],
-    ) -> pexeso_core::error::Result<Vec<QueryResponse>> {
-        // Mixed-dimension batches cannot share one frame; fall back to
-        // the solo path so each column still gets its own typed error or
-        // answer, exactly as the default impl would produce.
-        let dim = columns.first().map(|c| c.dim());
-        if columns.iter().any(|c| Some(c.dim()) != dim) {
-            return columns.iter().map(|c| self.execute(query, c)).collect();
-        }
-        Ok(self
-            .execute_many_detailed(query, columns)?
-            .into_iter()
-            .map(|(resp, _meta)| resp)
-            .collect())
     }
 }
 

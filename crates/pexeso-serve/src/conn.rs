@@ -15,8 +15,7 @@
 //! one decoded [`Request`] plus a [`RequestCtx`] and returns a [`Reply`];
 //! a handler that panics costs its request a typed error, not the worker
 //! thread. The query plumbing both handlers share — the
-//! deadline-expired-in-queue refusal and the batch → solo expansion —
-//! lives in [`answer_query`].
+//! deadline-expired-in-queue refusal — lives in [`answer_query`].
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -32,8 +31,8 @@ use pexeso_core::query::QueryMode;
 
 use crate::metrics::EndpointMetrics;
 use crate::protocol::{
-    decode_request, encode_reply, read_frame, write_frame, BatchMode, HitsReply, QueryBatch,
-    QueryPayload, Reply, Request, MAX_FRAME_BYTES,
+    decode_request, encode_reply, read_frame, write_frame, HitsReply, QueryPayload, Reply, Request,
+    MAX_FRAME_BYTES,
 };
 
 /// What the core needs to know about the daemon it carries.
@@ -488,33 +487,29 @@ pub fn error_reply(ctx: &RequestCtx<'_>, message: String) -> Reply {
     Reply::Err { message }
 }
 
-/// Answer a `SEARCH` / `TOPK` / `BATCH` request with `run`, called once
-/// per query column with the solo request it is equivalent to.
+/// Answer a `SEARCH` / `TOPK` request with `run`.
 ///
 /// Queue wait counts against the request's deadline budget. A request
 /// whose whole deadline elapsed before a worker popped it gets a typed
 /// refusal immediately — computing (or even cache-serving) a dead answer
-/// would hide the overload the deadline exists to expose. A batch frame
-/// answers every column through the same `run` a solo frame uses, so its
-/// per-column answers are byte-identical to the equivalent solo frames;
-/// the first failing column fails the frame.
-pub fn answer_query<F>(req: Request, ctx: &RequestCtx<'_>, mut run: F) -> Reply
+/// would hide the overload the deadline exists to expose.
+pub fn answer_query<F>(req: Request, ctx: &RequestCtx<'_>, run: F) -> Reply
 where
-    F: FnMut(&Request, &QueryPayload, QueryMode) -> std::result::Result<HitsReply, String>,
+    F: FnOnce(&Request, &QueryPayload, QueryMode) -> std::result::Result<HitsReply, String>,
 {
-    let criteria = match &req {
-        Request::Search { query, .. } | Request::Topk { query, .. } => &query.criteria,
-        Request::Batch(batch) => &batch.criteria,
+    let (query, mode) = match &req {
+        Request::Search { query, t } => (query, QueryMode::Threshold(*t)),
+        Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
         _ => return error_reply(ctx, "not a query verb".into()),
     };
     if let Some(wait) = ctx.queue_wait {
         ctx.core.counters.queue_wait.record_duration(wait);
-        let deadline = criteria.ext.deadline_ms;
+        let deadline = query.criteria.ext.deadline_ms;
         if deadline.is_some_and(|ms| wait >= Duration::from_millis(ms)) {
             ctx.core.counters.expired.fetch_add(1, Ordering::Relaxed);
             let waited_ms = wait.as_millis() as u64;
             let mut fields: Vec<(&str, Value)> = vec![("waited_ms", waited_ms.into())];
-            if let Some(rid) = criteria.request_id {
+            if let Some(rid) = query.criteria.request_id {
                 fields.push(("rid", Value::Rid(rid)));
             }
             plog::log(
@@ -526,41 +521,8 @@ where
             return Reply::DeadlineExpired { waited_ms };
         }
     }
-    let mut run_solo = |solo: &Request| match solo {
-        Request::Search { query, t } => run(solo, query, QueryMode::Threshold(*t)),
-        Request::Topk { query, k } => run(solo, query, QueryMode::Topk(*k as usize)),
-        _ => Err("not a query verb".into()),
-    };
-    match req {
-        Request::Batch(mut batch) => {
-            let columns = std::mem::take(&mut batch.columns);
-            let mut replies = Vec::with_capacity(columns.len());
-            for vectors in columns {
-                match run_solo(&solo_request(&batch, vectors)) {
-                    Ok(hits) => replies.push(hits),
-                    Err(message) => return error_reply(ctx, message),
-                }
-            }
-            Reply::HitsBatch(replies)
-        }
-        solo => match run_solo(&solo) {
-            Ok(hits) => Reply::Hits(hits),
-            Err(message) => error_reply(ctx, message),
-        },
-    }
-}
-
-/// The solo request a batch column is equivalent to — used both for
-/// execution and for result-cache fingerprinting, so batch and solo
-/// traffic share cache lines.
-fn solo_request(batch: &QueryBatch, vectors: Vec<f32>) -> Request {
-    let query = QueryPayload {
-        criteria: batch.criteria.clone(),
-        vectors,
-        explain: false,
-    };
-    match batch.mode {
-        BatchMode::Search(t) => Request::Search { query, t },
-        BatchMode::Topk(k) => Request::Topk { query, k },
+    match run(&req, query, mode) {
+        Ok(hits) => Reply::Hits(hits),
+        Err(message) => error_reply(ctx, message),
     }
 }

@@ -28,13 +28,12 @@
 //! | verb | byte | body |
 //! |---|---|---|
 //! | `INFO` | 0 | — |
-//! | `SEARCH` | 1 | threshold, *query*(one column), explain: `bool` |
-//! | `TOPK` | 2 | k: `u64`, *query*(one column), explain: `bool` |
+//! | `SEARCH` | 1 | threshold, *query*, explain: `bool` |
+//! | `TOPK` | 2 | k: `u64`, *query*, explain: `bool` |
 //! | `STATS` | 3 | — |
 //! | `RELOAD` | 4 | dir: `str` (empty = the served directory) |
 //! | `SHUTDOWN` | 5 | — |
 //! | `APPLY` | 6 | shard: `opt u32` |
-//! | `BATCH` | 7 | mode tag `0`+threshold \| `1`+k, *query*(column count: `u32`, columns) |
 //! | `METRICS` | 8 | — |
 //! | `SLOW` | 9 | — |
 //! | `INSPECT` | 10 | — |
@@ -43,7 +42,7 @@
 //!
 //! *query* = metric: `str`, τ (tag `0` absolute \| `1` ratio, `f32`),
 //! policy (tag `0` sequential \| `1` parallel \| `2` fixed, threads:
-//! `u32`), dim: `u32`, the vectors (per column: vector count `u32`, then
+//! `u32`), dim: `u32`, the vectors (vector count `u32`, then
 //! `count × dim` × `f32`), options/budget ([`QueryExt`]: lemma mask `u8`,
 //! quick-browse `bool`, max distance computations `opt u64`, deadline ms
 //! `opt u64`), trace level `u8`, request id: `opt u64`. A threshold is tag
@@ -61,7 +60,6 @@
 //! | `RELOADED` | 3 | generation `u64`, partitions `u32` |
 //! | `SHUTTING_DOWN` | 4 | — |
 //! | `APPLIED` | 6 | generation `u64`, delta columns `u64`, tombstones `u64` |
-//! | `HITS_BATCH` | 7 | entry count `u32`, then that many *hits* |
 //! | `DEADLINE_EXPIRED` | 248 | waited ms `u64` |
 //! | `SHED` | 249 | — |
 //! | `BUSY` | 250 | — |
@@ -99,7 +97,6 @@ const VERB_STATS: u8 = 3;
 const VERB_RELOAD: u8 = 4;
 const VERB_SHUTDOWN: u8 = 5;
 const VERB_APPLY: u8 = 6;
-const VERB_BATCH: u8 = 7;
 /// Prometheus text exposition of the server metrics.
 const VERB_METRICS: u8 = 8;
 /// Dump the slow-query log (slowest traced requests + phase trees).
@@ -121,9 +118,6 @@ const REPLY_STATS: u8 = 2;
 const REPLY_RELOADED: u8 = 3;
 const REPLY_SHUTTING_DOWN: u8 = 4;
 const REPLY_APPLIED: u8 = 6;
-/// Reply to `BATCH`: one `HITS`-shaped entry per query column, in
-/// request order.
-const REPLY_HITS_BATCH: u8 = 7;
 /// A request popped off the queue after its own deadline already
 /// elapsed: answered typed instead of computing a dead result.
 const REPLY_DEADLINE_EXPIRED: u8 = 248;
@@ -184,9 +178,8 @@ impl Default for QueryExt {
     }
 }
 
-/// What a query frame says about *how* to search, whatever it searches
-/// with: carried once by `SEARCH`/`TOPK` (one column) and once by `BATCH`
-/// (many columns), and written/read by one codec for both.
+/// What a `SEARCH`/`TOPK` frame says about *how* to search, whatever it
+/// searches with.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryCriteria {
     /// Distance metric name (`euclidean`, `manhattan`, `chebyshev`,
@@ -218,29 +211,6 @@ pub struct QueryPayload {
     /// Explain request: asks the server to return the candidate funnel
     /// in the reply.
     pub explain: bool,
-}
-
-/// The ranking half of a batch frame: one threshold or one k shared by
-/// every column in the batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchMode {
-    Search(JoinThreshold),
-    Topk(u64),
-}
-
-/// A batch request: the query criteria once, then many query columns.
-/// The server answers with one [`Reply::HitsBatch`] whose `i`-th entry is
-/// exactly what a solo `SEARCH`/`TOPK` over `columns[i]` would return —
-/// batching changes one round-trip and one snapshot pin, never results.
-/// Per-entry explain is not carried — explain solo queries instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryBatch {
-    /// Shared by every column in the batch.
-    pub criteria: QueryCriteria,
-    pub mode: BatchMode,
-    /// Row-major vectors per query column; `columns[i].len()` is a
-    /// multiple of `criteria.dim`.
-    pub columns: Vec<Vec<f32>>,
 }
 
 /// A client request.
@@ -279,9 +249,6 @@ pub enum Request {
     /// `None`. A shard daemon ignores the field (it owns exactly one
     /// deployment).
     ApplyDelta { shard: Option<u32> },
-    /// Many query columns under one set of criteria, answered in one
-    /// reply frame — `Queryable::execute_many` on the wire.
-    Batch(QueryBatch),
     /// Index-statistics inspection as `key=value` text (per-partition
     /// shape, postings/cell-occupancy histograms, delta overlay depth).
     Inspect,
@@ -366,9 +333,6 @@ pub struct HitsReply {
 pub enum Reply {
     Info(InfoReply),
     Hits(HitsReply),
-    /// Reply to [`Request::Batch`]: one [`HitsReply`] per query column,
-    /// in request order.
-    HitsBatch(Vec<HitsReply>),
     Stats {
         text: String,
     },
@@ -658,37 +622,25 @@ fn take_policy(r: &mut ByteReader) -> WireResult<ExecPolicy> {
     }
 }
 
-fn put_column(w: &mut ByteWriter, column: &[f32], dim: u32) {
-    w.u32((column.len() / dim.max(1) as usize) as u32);
-    w.f32_slice(column);
-}
-
-fn take_column(r: &mut ByteReader, dim: usize) -> WireResult<Vec<f32>> {
-    let n = r.u32()? as usize;
-    r.f32_vec(n * dim)
-}
-
-/// Write the part every query frame shares, in its one fixed order:
-/// metric, τ, policy, dim, the vectors (`put_vectors`: one column for
-/// `SEARCH`/`TOPK`, a counted list of columns for `BATCH`),
-/// options/budget, trace level, request id.
-fn put_query(w: &mut ByteWriter, c: &QueryCriteria, put_vectors: impl FnOnce(&mut ByteWriter)) {
+/// Write the query half of a `SEARCH`/`TOPK` frame in its one fixed
+/// order: metric, τ, policy, dim, the vectors, options/budget, trace
+/// level, request id, then the explain flag.
+fn put_query(w: &mut ByteWriter, q: &QueryPayload) {
+    let c = &q.criteria;
     w.str(&c.metric);
     put_tau(w, c.tau);
     put_policy(w, c.policy);
     w.u32(c.dim);
-    put_vectors(w);
+    w.u32((q.vectors.len() / c.dim.max(1) as usize) as u32);
+    w.f32_slice(&q.vectors);
     put_query_ext(w, &c.ext);
     w.u8(c.trace.as_u8());
     put_opt(w, c.request_id, ByteWriter::u64);
+    w.bool(q.explain);
 }
 
-/// Decode what [`put_query`] wrote; `take_vectors` gets the reader and
-/// the (non-zero) dimension.
-fn take_query<V>(
-    r: &mut ByteReader,
-    take_vectors: impl FnOnce(&mut ByteReader, usize) -> WireResult<V>,
-) -> WireResult<(QueryCriteria, V)> {
+/// Decode what [`put_query`] wrote.
+fn take_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
     let metric = r.str(64)?;
     let tau = take_tau(r)?;
     let policy = take_policy(r)?;
@@ -696,7 +648,8 @@ fn take_query<V>(
     if dim == 0 {
         return Err(WireError::Malformed("query dimension is zero".into()));
     }
-    let vectors = take_vectors(r, dim as usize)?;
+    let n = r.u32()? as usize;
+    let vectors = r.f32_vec(n * dim as usize)?;
     let ext = take_query_ext(r)?;
     let trace = r.u8()?;
     let trace = TraceLevel::from_u8(trace)
@@ -710,18 +663,6 @@ fn take_query<V>(
         trace,
         request_id: take_opt(r, ByteReader::u64)?,
     };
-    Ok((criteria, vectors))
-}
-
-fn put_solo_query(w: &mut ByteWriter, q: &QueryPayload) {
-    put_query(w, &q.criteria, |w| {
-        put_column(w, &q.vectors, q.criteria.dim)
-    });
-    w.bool(q.explain);
-}
-
-fn take_solo_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
-    let (criteria, vectors) = take_query(r, take_column)?;
     Ok(QueryPayload {
         criteria,
         vectors,
@@ -985,7 +926,7 @@ fn take_outcome(r: &mut ByteReader) -> WireResult<QueryOutcome> {
     }
 }
 
-/// The body of a `HITS` reply and of each `HITS_BATCH` entry.
+/// The body of a `HITS` reply.
 fn put_hits_body(w: &mut ByteWriter, h: &HitsReply) {
     w.u64(h.generation);
     w.bool(h.cached);
@@ -1047,12 +988,12 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Search { query, t } => {
             w.u8(VERB_SEARCH);
             put_threshold(&mut w, *t);
-            put_solo_query(&mut w, query);
+            put_query(&mut w, query);
         }
         Request::Topk { query, k } => {
             w.u8(VERB_TOPK);
             w.u64(*k);
-            put_solo_query(&mut w, query);
+            put_query(&mut w, query);
         }
         Request::Stats => w.u8(VERB_STATS),
         Request::Metrics => w.u8(VERB_METRICS),
@@ -1071,25 +1012,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::ApplyDelta { shard } => {
             w.u8(VERB_APPLY);
             put_opt(&mut w, *shard, ByteWriter::u32);
-        }
-        Request::Batch(batch) => {
-            w.u8(VERB_BATCH);
-            match batch.mode {
-                BatchMode::Search(t) => {
-                    w.u8(0);
-                    put_threshold(&mut w, t);
-                }
-                BatchMode::Topk(k) => {
-                    w.u8(1);
-                    w.u64(k);
-                }
-            }
-            put_query(&mut w, &batch.criteria, |w| {
-                w.u32(batch.columns.len() as u32);
-                for col in &batch.columns {
-                    put_column(w, col, batch.criteria.dim);
-                }
-            });
         }
         Request::Shutdown => w.u8(VERB_SHUTDOWN),
     }
@@ -1113,12 +1035,12 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
         VERB_INFO => Request::Info,
         VERB_SEARCH => {
             let t = take_threshold(&mut r)?;
-            let query = take_solo_query(&mut r)?;
+            let query = take_query(&mut r)?;
             Request::Search { query, t }
         }
         VERB_TOPK => {
             let k = r.u64()?;
-            let query = take_solo_query(&mut r)?;
+            let query = take_query(&mut r)?;
             Request::Topk { query, k }
         }
         VERB_STATS => Request::Stats,
@@ -1139,26 +1061,6 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
         VERB_APPLY => Request::ApplyDelta {
             shard: take_opt(&mut r, ByteReader::u32)?,
         },
-        VERB_BATCH => {
-            let mode = match r.u8()? {
-                0 => BatchMode::Search(take_threshold(&mut r)?),
-                1 => BatchMode::Topk(r.u64()?),
-                t => return Err(WireError::Malformed(format!("unknown batch mode tag {t}"))),
-            };
-            let (criteria, columns) = take_query(&mut r, |r, dim| {
-                let n_columns = r.u32()? as usize;
-                let mut columns = Vec::with_capacity(n_columns.min(1 << 16));
-                for _ in 0..n_columns {
-                    columns.push(take_column(r, dim)?);
-                }
-                Ok(columns)
-            })?;
-            Request::Batch(QueryBatch {
-                criteria,
-                mode,
-                columns,
-            })
-        }
         VERB_SHUTDOWN => Request::Shutdown,
         v => return Err(WireError::Malformed(format!("unknown verb {v}"))),
     };
@@ -1181,13 +1083,6 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
         Reply::Hits(h) => {
             w.u8(REPLY_HITS);
             put_hits_body(&mut w, h);
-        }
-        Reply::HitsBatch(items) => {
-            w.u8(REPLY_HITS_BATCH);
-            w.u32(items.len() as u32);
-            for h in items {
-                put_hits_body(&mut w, h);
-            }
         }
         Reply::Stats { text } => {
             w.u8(REPLY_STATS);
@@ -1238,14 +1133,6 @@ pub fn decode_reply(payload: &[u8]) -> WireResult<Reply> {
             disk_bytes: r.u64()?,
         }),
         REPLY_HITS => Reply::Hits(take_hits_body(&mut r)?),
-        REPLY_HITS_BATCH => {
-            let n = r.u32()? as usize;
-            let mut items = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                items.push(take_hits_body(&mut r)?);
-            }
-            Reply::HitsBatch(items)
-        }
         REPLY_STATS => Reply::Stats {
             text: r.str(1 << 20)?,
         },
@@ -1362,15 +1249,7 @@ mod tests {
         }
     }
 
-    fn sample_batch() -> QueryBatch {
-        QueryBatch {
-            criteria: loaded_criteria(),
-            mode: BatchMode::Topk(5),
-            columns: vec![vec![1.0, -2.0, 0.5, 0.25], vec![3.0, 4.0]],
-        }
-    }
-
-    /// All 13 verbs, the query verbs with and without budget, trace,
+    /// All 12 verbs, the query verbs with and without budget, trace,
     /// request id and explain. The first of each verb is its golden frame.
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1412,12 +1291,6 @@ mod tests {
             Request::Shutdown,
             Request::ApplyDelta { shard: Some(2) },
             Request::ApplyDelta { shard: None },
-            Request::Batch(sample_batch()),
-            Request::Batch(QueryBatch {
-                criteria: sample_criteria(),
-                mode: BatchMode::Search(JoinThreshold::Ratio(0.5)),
-                columns: Vec::new(),
-            }),
             Request::Metrics,
             Request::SlowLog,
             Request::Inspect,
@@ -1486,7 +1359,7 @@ mod tests {
         }
     }
 
-    /// All 11 reply kinds, the hits-shaped ones with and without the
+    /// All 10 reply kinds, the hits-shaped ones with and without the
     /// extension, a trace and an explain report. The first of each kind
     /// is its golden frame.
     fn sample_replies() -> Vec<Reply> {
@@ -1524,9 +1397,6 @@ mod tests {
                 trace: Some(sample_trace()),
                 ..sample_hits()
             }),
-            // Presence of the extension, trace and report is per entry.
-            Reply::HitsBatch(vec![sample_hits(), full]),
-            Reply::HitsBatch(Vec::new()),
             Reply::Stats { text: "a=1".into() },
             Reply::Reloaded {
                 generation: 2,
@@ -1699,10 +1569,6 @@ mod tests {
              50585356 07 04  02000000 2f64;
              50585356 07 05;
              50585356 07 06  01 02000000;
-             50585356 07 07  01 0500000000000000  09000000 6575636c696465616e  01 8fc2753d
-                02 06000000  02000000
-                02000000  02000000 0000803f 000000c0 0000003f 0000803e  01000000 00004040 00008040
-                0b 00 01 3930000000000000 01 fa00000000000000  02  01 efbeadde00000000;
              50585356 07 08;
              50585356 07 09;
              50585356 07 0a;
@@ -1714,20 +1580,6 @@ mod tests {
             0,
             "00  40000000 0300000000000000 0200000000000000 04000000 40e2010000000000;
              01  0100000000000000 00  01 02 0903000000000000
-                01000000  2a00000000000000 03000000 746162 03000000 636f6c 09000000
-                01  05000000 7175657279 0000000000000000 7800000000000000
-                    01000000 02000000 6463 2900000000000000
-                    01000000 03000000 6d6170 0000000000000000 1e00000000000000 00000000 00000000
-                01  04000000 746f706b
-                    01000000 05000000 626c6f636b 05000000 7061697273 6400000000000000
-                        01000000 08000000 6c656d6d61332f34 2800000000000000 3c00000000000000
-                    01000000 10000000 717569636b5f62726f7773653d6f6666
-                    01 01 05000000 0c00000000000000 01000000 00 04000000 02000000
-                        01000000 03000000 04000000 01;
-             07  02000000
-                0100000000000000 01  01 00 0000000000000000
-                01000000  2a00000000000000 03000000 746162 03000000 636f6c 09000000  00  00
-                0100000000000000 00  01 02 0903000000000000
                 01000000  2a00000000000000 03000000 746162 03000000 636f6c 09000000
                 01  05000000 7175657279 0000000000000000 7800000000000000
                     01000000 02000000 6463 2900000000000000
@@ -1863,11 +1715,21 @@ mod tests {
         assert!(decode_request(&bytes).is_err());
         assert!(decode_reply(&[77]).is_err());
         // Retired reply kinds are unknown kinds.
-        for kind in [5u8, 8, 9, 10] {
+        for kind in [5u8, 7, 8, 9, 10] {
             let mut bytes = encode_reply(&Reply::Hits(sample_hits()));
             bytes[0] = kind;
-            assert!(decode_reply(&bytes).is_err(), "kind {kind}");
+            let Err(WireError::Malformed(msg)) = decode_reply(&bytes) else {
+                panic!("kind {kind} decoded");
+            };
+            assert_eq!(msg, format!("unknown reply kind {kind}"));
         }
+        // So is the retired verb 7, under this build's own version.
+        let mut bytes = encode_request(&Request::Info);
+        bytes[5] = 7;
+        let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {
+            panic!("verb 7 decoded");
+        };
+        assert_eq!(msg, "unknown verb 7");
     }
 
     #[test]

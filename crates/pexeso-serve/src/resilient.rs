@@ -30,7 +30,7 @@
 //! in `tests/resilient.rs`).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::{Rng, SeedableRng};
@@ -171,9 +171,11 @@ struct Counters {
     circuit_opens: AtomicU64,
 }
 
-/// Per-replica connection + circuit-breaker state.
+/// Per-replica connection + circuit-breaker state. The lock around it
+/// covers handing the client out and the breaker bookkeeping, never a
+/// round trip: callers share the client's own stream pool.
 struct ReplicaState {
-    client: Option<ServeClient>,
+    client: Option<Arc<ServeClient>>,
     consecutive_failures: u32,
     /// `Some(t)`: circuit open until `t`; after `t` the next pick is a
     /// half-open probe.
@@ -347,6 +349,25 @@ impl ResilientClient {
         fallback.unwrap_or(start % n)
     }
 
+    /// The client of replica `idx` (configuration order, see
+    /// [`Self::addrs`]), connected on first use with
+    /// [`ResilientConfig::timeout`]. Queries and admin verbs alike go
+    /// through it, so they reuse the streams a daemon's workers are
+    /// already parked on instead of queueing a fresh connection behind
+    /// them. Panics when `idx` is out of range.
+    pub fn replica_client(&self, idx: usize) -> Result<Arc<ServeClient>, ClientError> {
+        let replica = &self.replicas[idx];
+        if let Some(client) = &replica.state.lock().expect("replica poisoned").client {
+            return Ok(client.clone());
+        }
+        // Dial outside the lock (an unreachable host must not block
+        // status readers); of two racing first users one client wins.
+        let client = ServeClient::connect(replica.addr.as_str())?;
+        client.set_timeout(self.config.timeout)?;
+        let mut state = replica.state.lock().expect("replica poisoned");
+        Ok(state.client.get_or_insert_with(|| Arc::new(client)).clone())
+    }
+
     /// One attempt against one replica, updating its breaker state.
     fn try_replica(
         &self,
@@ -355,25 +376,16 @@ impl ResilientClient {
         vectors: &VectorStore,
     ) -> Result<QueryResponse, ClientError> {
         let replica = &self.replicas[idx];
+        let client = self.replica_client(idx)?;
+        let result = client.execute_detailed(query, vectors).map(|(resp, meta)| {
+            // Track the freshest generation seen across replicas (max,
+            // not last: a lagging replica must not roll the gauge
+            // backwards).
+            self.last_generation
+                .fetch_max(meta.generation, Ordering::Relaxed);
+            resp
+        });
         let mut state = replica.state.lock().expect("replica poisoned");
-        if state.client.is_none() {
-            let client = ServeClient::connect(replica.addr.as_str())?;
-            client.set_timeout(self.config.timeout)?;
-            state.client = Some(client);
-        }
-        let result = state
-            .client
-            .as_ref()
-            .expect("client just ensured")
-            .execute_detailed(query, vectors)
-            .map(|(resp, meta)| {
-                // Track the freshest generation seen across replicas
-                // (max, not last: a lagging replica must not roll the
-                // gauge backwards).
-                self.last_generation
-                    .fetch_max(meta.generation, Ordering::Relaxed);
-                resp
-            });
         match &result {
             Ok(_) => {
                 state.consecutive_failures = 0;
@@ -381,11 +393,16 @@ impl ResilientClient {
             }
             Err(e) => {
                 // Connection-level failures make the cached client
-                // suspect; drop it so the next attempt reconnects.
+                // suspect; drop it so the next attempt reconnects —
+                // unless a concurrent attempt already replaced it.
                 if matches!(
                     e,
                     ClientError::Io(_) | ClientError::Desynced(_) | ClientError::Disconnected
-                ) {
+                ) && state
+                    .client
+                    .as_ref()
+                    .is_some_and(|c| Arc::ptr_eq(c, &client))
+                {
                     state.client = None;
                 }
                 state.consecutive_failures += 1;

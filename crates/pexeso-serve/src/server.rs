@@ -32,8 +32,7 @@ use crate::conn::{
 };
 use crate::metrics::{EndpointMetrics, ServerMetrics, SlowQueryLog, SnapshotFacts};
 use crate::protocol::{
-    query_fingerprint, BatchMode, HitsExt, HitsReply, InfoReply, QueryBatch, QueryPayload, Reply,
-    Request, WireHit,
+    query_fingerprint, HitsExt, HitsReply, InfoReply, QueryPayload, Reply, Request, WireHit,
 };
 use crate::snapshot::{Snapshot, SnapshotCell};
 
@@ -164,12 +163,8 @@ impl Handler for ShardHandler {
     fn endpoint(&self, req: &Request) -> Option<&EndpointMetrics> {
         let m = &self.metrics;
         Some(match req {
-            Request::Search { .. }
-            | Request::Batch(QueryBatch {
-                mode: BatchMode::Search(_),
-                ..
-            }) => &m.search,
-            Request::Topk { .. } | Request::Batch(_) => &m.topk,
+            Request::Search { .. } => &m.search,
+            Request::Topk { .. } => &m.topk,
             Request::Info => &m.info,
             Request::Stats
             | Request::Metrics
@@ -302,14 +297,12 @@ impl Handler for ShardHandler {
                 }
             }
             Request::Shutdown => Reply::ShuttingDown,
-            Request::Search { .. } | Request::Topk { .. } | Request::Batch(_) => {
-                // Pin the snapshot for the whole frame: a concurrent hot swap
-                // must never split one query — or one batch — across two
-                // index states. Batch columns hit and fill the same cache
-                // lines as the equivalent solo queries.
+            Request::Search { .. } | Request::Topk { .. } => {
+                // Pin the snapshot for the whole query: a concurrent hot
+                // swap must never split it across two index states.
                 let snap = self.snapshot.current();
-                answer_query(req, ctx, |solo, payload, mode| {
-                    self.run_query_on(&snap, solo, payload, mode, ctx.queue_wait)
+                answer_query(req, ctx, |req, payload, mode| {
+                    self.run_query_on(&snap, req, payload, mode, ctx.queue_wait)
                 })
             }
         }
@@ -373,7 +366,7 @@ impl ShardHandler {
         )
     }
 
-    /// Answer one solo query verb against an already-pinned snapshot.
+    /// Answer one query verb against an already-pinned snapshot.
     fn run_query_on(
         &self,
         snap: &Arc<Snapshot>,

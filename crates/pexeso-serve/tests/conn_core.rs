@@ -229,29 +229,38 @@ fn garbage_frame_gets_one_bad_request_then_a_hang_up() {
     handle.shutdown();
 }
 
-#[test]
-fn another_protocol_version_gets_one_refusal_naming_both_then_a_hang_up() {
+/// An `INFO` frame with the byte at `at` replaced by `value` gets one
+/// `bad request` containing `refusal` and a hang-up, and the daemon is
+/// none the worse: the next connection is served.
+fn one_refusal_then_a_hang_up(at: usize, value: u8, refusal: &str) {
     let handle = start(1, 8, None, Echo::default());
     let mut peer = Peer::connect(&handle);
     let mut frame = encode_request(&Request::Info);
-    frame[4] = 6;
+    frame[at] = value;
     write_frame(&mut peer.0, &frame).unwrap();
     match peer.recv() {
         Some(Reply::Err { message }) => {
             assert!(message.starts_with("bad request"), "{message}");
-            assert!(
-                message.contains("protocol version 6 unsupported (this build speaks 7)"),
-                "{message}"
-            );
+            assert!(message.contains(refusal), "{message}");
         }
         other => panic!("expected a bad-request error, got {other:?}"),
     }
     assert_eq!(peer.recv(), None, "one refusal, then the core hangs up");
-    // The daemon is none the worse: the next connection is served.
     let mut next = Peer::connect(&handle);
     assert!(matches!(next.call(&search(None)), Reply::Hits(_)));
     drop(next);
     handle.shutdown();
+}
+
+#[test]
+fn another_protocol_version_gets_one_refusal_naming_both_then_a_hang_up() {
+    one_refusal_then_a_hang_up(4, 6, "protocol version 6 unsupported (this build speaks 7)");
+}
+
+/// Verb 7 (a parent build's `BATCH`) is an unknown verb like any other.
+#[test]
+fn the_retired_batch_verb_gets_one_refusal_naming_it_then_a_hang_up() {
+    one_refusal_then_a_hang_up(5, 7, "unknown verb 7");
 }
 
 #[test]

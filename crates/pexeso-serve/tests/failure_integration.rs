@@ -20,7 +20,9 @@ use pexeso_core::outofcore::{LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Exceeded, Query, QueryOutcome, Queryable};
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::protocol::{encode_reply, read_frame, write_frame, InfoReply, Reply};
+use pexeso_serve::protocol::{
+    encode_reply, read_frame, write_frame, HitsExt, HitsReply, InfoReply, Reply,
+};
 use pexeso_serve::{
     stat_value, ClientError, ResilientClient, ResilientConfig, ServeClient, ServeConfig, Server,
 };
@@ -258,6 +260,86 @@ fn resilient_client_never_retries_past_the_deadline() {
     let stats = resilient.stats();
     assert_eq!(stats.deadline_stops, 1, "{stats:?}");
     assert!(stats.retries >= 1, "{stats:?}");
+}
+
+/// Satellite regression: a replica's lock covers handing its client out
+/// and the breaker bookkeeping, never the round trip. Against a daemon
+/// that takes 400 ms per query, `replica_status()` (the router's
+/// STATS/METRICS/HEALTH) answers while a query is in flight instead of
+/// after it, and two overlapping queries overlap on the client's stream
+/// pool instead of running back to back.
+#[test]
+fn replica_lock_is_not_held_across_the_round_trip() {
+    let _guard = fault::test_lock();
+    fault::disarm_all();
+    const SERVICE: Duration = Duration::from_millis(400);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (received_tx, received_rx) = std::sync::mpsc::channel();
+    // Two connections: the one the client dials first, and the one its
+    // pool adds for the second concurrent query.
+    let daemon = std::thread::spawn(move || {
+        let connections: Vec<_> = (0..2)
+            .map(|_| {
+                let (mut stream, _) = listener.accept().unwrap();
+                let received = received_tx.clone();
+                std::thread::spawn(move || {
+                    while let Ok(Some(_)) = read_frame(&mut stream) {
+                        received.send(()).unwrap();
+                        std::thread::sleep(SERVICE);
+                        let reply = Reply::Hits(HitsReply {
+                            generation: 1,
+                            cached: false,
+                            hits: Vec::new(),
+                            ext: Some(HitsExt {
+                                outcome: QueryOutcome::Exact,
+                                distance_computations: 0,
+                            }),
+                            trace: None,
+                            explain: None,
+                        });
+                        write_frame(&mut stream, &encode_reply(&reply)).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for c in connections {
+            c.join().unwrap();
+        }
+    });
+
+    let resilient = ResilientClient::new(&[addr], ResilientConfig::default()).unwrap();
+    let q = Query::threshold(Tau::Ratio(0.1), JoinThreshold::Count(1));
+    let mut store = VectorStore::new(DIM);
+    store.push(&[0.1; DIM]).unwrap();
+
+    std::thread::scope(|s| {
+        let in_flight = s.spawn(|| resilient.execute(&q, &store).unwrap());
+        received_rx.recv().unwrap();
+        let asked = Instant::now();
+        let status = resilient.replica_status();
+        let waited = asked.elapsed();
+        assert!(status[0].connected, "{status:?}");
+        assert!(
+            waited < Duration::from_millis(150),
+            "status waited {waited:?} behind an in-flight query"
+        );
+        in_flight.join().unwrap();
+    });
+
+    let started = Instant::now();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| resilient.execute(&q, &store).unwrap());
+        }
+    });
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(700),
+        "two overlapping {SERVICE:?} queries took {elapsed:?}"
+    );
+    drop(resilient);
+    daemon.join().unwrap();
 }
 
 /// Graceful degradation: above the soft watermark the acceptor sheds

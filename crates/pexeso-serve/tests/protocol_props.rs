@@ -3,8 +3,8 @@
 //! [`wire_request`] → `encode_request` → `decode_request` with every
 //! criterion intact, a cut or corrupted frame decodes canonically or not
 //! at all, and the daemon-side [`query_from_wire`] inverts
-//! [`wire_request`] / [`wire_batch_request`] — the `Query` a backend
-//! executes behind a daemon is the `Query` the caller built.
+//! [`wire_request`] — the `Query` a backend executes behind a daemon is
+//! the `Query` the caller built.
 
 use std::time::Duration;
 
@@ -12,7 +12,6 @@ use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
 use pexeso_core::query::{Query, QueryBudget, QueryMode};
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::client::wire_batch_request;
 use pexeso_serve::protocol::{decode_request, encode_request, QueryExt, QueryPayload, Request};
 use pexeso_serve::server::{clamp_policy, MAX_REQUEST_THREADS};
 use pexeso_serve::{query_from_wire, wire_request};
@@ -157,12 +156,10 @@ proptest! {
         prop_assert_eq!(budget, query.budget);
     }
 
-    /// `query_from_wire(wire_request(q, v))` reproduces `q` and `v`, for a
-    /// solo frame and for every column of a batch frame: the only
-    /// differences are the ones the daemon applies on purpose — the
+    /// `query_from_wire(wire_request(q, v))` reproduces `q` and `v`: the
+    /// only differences are the ones the daemon applies on purpose — the
     /// policy is clamped to its thread ceiling, the deadline is the
-    /// client's (ceiled to whole milliseconds) minus the queue wait — and
-    /// a batch frame carries no per-column explain.
+    /// client's (ceiled to whole milliseconds) minus the queue wait.
     #[test]
     fn query_from_wire_inverts_wire_request(
         topk in 0u8..2,
@@ -212,17 +209,13 @@ proptest! {
             query = query.with_request_id(rid);
         }
         let queue_wait = (queue_wait_ms > 0).then(|| Duration::from_millis(queue_wait_ms));
-        let expected = |explain: bool| {
-            let mut q = query
-                .clone()
-                .with_policy(clamp_policy(query.policy, MAX_REQUEST_THREADS))
-                .with_explain(explain);
-            q.budget.deadline = query.budget.deadline.map(|d| {
-                let ceiled = Duration::from_millis(d.as_nanos().div_ceil(1_000_000) as u64);
-                ceiled.saturating_sub(queue_wait.unwrap_or_default())
-            });
-            q
-        };
+        let mut expected = query
+            .clone()
+            .with_policy(clamp_policy(query.policy, MAX_REQUEST_THREADS));
+        expected.budget.deadline = query.budget.deadline.map(|d| {
+            let ceiled = Duration::from_millis(d.as_nanos().div_ceil(1_000_000) as u64);
+            ceiled.saturating_sub(queue_wait.unwrap_or_default())
+        });
         let invert = |request: &Request| {
             let decoded = decode_request(&encode_request(request)).unwrap();
             let (payload, mode): (&QueryPayload, QueryMode) = match &decoded {
@@ -235,30 +228,9 @@ proptest! {
 
         let store = sample_store(dim, n);
         let (got, vectors) = invert(&wire_request(&query, &store));
-        prop_assert_eq!(got, expected(query.explain));
+        prop_assert_eq!(got, expected);
         prop_assert_eq!(vectors.dim(), store.dim());
         prop_assert_eq!(bits(&vectors), bits(&store));
-
-        // Each batch column maps back like the solo frame it stands for.
-        let other = sample_store(dim, n + 1);
-        let Request::Batch(batch) = wire_batch_request(&query, &[&store, &other]) else {
-            panic!("wire_batch_request builds a BATCH frame");
-        };
-        let decoded = decode_request(&encode_request(&Request::Batch(batch))).unwrap();
-        let Request::Batch(batch) = decoded else {
-            panic!("a BATCH frame decodes as one");
-        };
-        prop_assert_eq!(batch.columns.len(), 2);
-        for (column, sent) in batch.columns.iter().zip([&store, &other]) {
-            let payload = QueryPayload {
-                criteria: batch.criteria.clone(),
-                vectors: column.clone(),
-                explain: false,
-            };
-            let (got, vectors) = query_from_wire(&payload, query.mode, queue_wait).unwrap();
-            prop_assert_eq!(got, expected(false));
-            prop_assert_eq!(bits(&vectors), bits(sent));
-        }
     }
 
     /// Cut anywhere, a query frame never decodes (nothing is inferred
@@ -274,7 +246,6 @@ proptest! {
         deadline_ms in 0u64..10_000,
         trace in 0u8..3,
         rid in 0u64..3,
-        batch in 0u8..2,
         dim in 1usize..8,
         n in 1usize..5,
         at in 0usize..4096,
@@ -289,12 +260,7 @@ proptest! {
             query = query.with_request_id(rid);
         }
         let store = sample_store(dim, n);
-        let request = if batch != 0 {
-            wire_batch_request(&query, &[&store, &store])
-        } else {
-            wire_request(&query, &store)
-        };
-        let mut bytes = encode_request(&request);
+        let mut bytes = encode_request(&wire_request(&query, &store));
         let at = at % bytes.len();
         prop_assert!(decode_request(&bytes[..at]).is_err(), "a {}-byte prefix decoded", at);
         bytes[at] = value;

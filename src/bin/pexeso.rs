@@ -347,6 +347,36 @@ fn parse_trace(flags: &HashMap<String, String>) -> TraceLevel {
     }
 }
 
+/// The [`Query`] that `--tau`, `--t` | `--k`, `--policy`, `--budget`,
+/// `--deadline-ms` and `--trace` spell, expecting `metric`, plus τ and T
+/// as given (the result headers print them). It ranks when `--k` is
+/// present or the subcommand always ranks (`default_k`); otherwise it is
+/// a threshold search.
+fn query_from_flags(
+    flags: &HashMap<String, String>,
+    metric: &str,
+    default_k: Option<usize>,
+) -> CliResult<(Query, f32, f64)> {
+    if flags.contains_key("t") && flags.contains_key("k") {
+        return Err("--t (threshold search) and --k (top-k) are mutually exclusive".into());
+    }
+    let tau: f32 = parse_or(flags, "tau", 0.06)?;
+    let t: f64 = parse_or(flags, "t", 0.5)?;
+    let k = match flags.get("k") {
+        None => default_k,
+        Some(k) => Some(k.parse().map_err(|e| format!("bad --k '{k}': {e}"))?),
+    };
+    let q = match k {
+        Some(k) => Query::topk(Tau::Ratio(tau), k),
+        None => Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t)),
+    }
+    .with_policy(parse_policy(flags)?)
+    .expect_metric(metric)
+    .with_budget(parse_budget(flags)?)
+    .with_trace(parse_trace(flags));
+    Ok((q, tau, t))
+}
+
 /// Print a response's span tree, if one was requested and attached.
 fn print_trace(resp: &QueryResponse) {
     if let Some(trace) = &resp.trace {
@@ -545,21 +575,14 @@ fn print_hits<'a>(hits: impl IntoIterator<Item = &'a GlobalHit>) {
 
 fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
     let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
-    let tau: f32 = parse_or(flags, "tau", 0.06)?;
-    let t: f64 = parse_or(flags, "t", 0.5)?;
-    let policy = parse_policy(flags)?;
     // Delta-aware open: tables ingested since the last build are part of
     // the answer, tombstoned ones are not.
     let lake = open_delta_lake(&index_dir).map_err(|e| e.to_string())?;
     let manifest = lake.manifest().clone();
+    let (q, tau, t) = query_from_flags(flags, &manifest.metric, None)?;
     let (values, embedder) = load_query(flags, manifest.dim)?;
     let query = embed_query(&embedder, &values);
 
-    let q = Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
-        .with_policy(policy)
-        .expect_metric(&manifest.metric)
-        .with_budget(parse_budget(flags)?)
-        .with_trace(parse_trace(flags));
     let resp = lake.execute(&q, query.store()).map_err(|e| e.to_string())?;
     println!(
         "\n{} joinable columns (tau={tau}, T={t}) in {:?}{}:",
@@ -574,22 +597,18 @@ fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
 
 fn cmd_topk(flags: &HashMap<String, String>) -> CliResult<()> {
     let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
-    let tau: f32 = parse_or(flags, "tau", 0.06)?;
-    let k: usize = parse_or(flags, "k", 10)?;
-    let policy = parse_policy(flags)?;
     let lake = open_delta_lake(&index_dir).map_err(|e| e.to_string())?;
     let manifest = lake.manifest().clone();
+    let (q, tau, _) = query_from_flags(flags, &manifest.metric, Some(10))?;
     let (values, embedder) = load_query(flags, manifest.dim)?;
     let query = embed_query(&embedder, &values);
 
     // Per-partition exact top-k, merged globally (count descending,
     // external id ascending) by the lake's unified executor.
-    let q = Query::topk(Tau::Ratio(tau), k)
-        .with_policy(policy)
-        .expect_metric(&manifest.metric)
-        .with_budget(parse_budget(flags)?)
-        .with_trace(parse_trace(flags));
     let resp = lake.execute(&q, query.store()).map_err(|e| e.to_string())?;
+    let QueryMode::Topk(k) = q.mode else {
+        unreachable!("a default k always ranks");
+    };
     println!(
         "\ntop-{k} joinable columns (tau={tau}){}:",
         outcome_suffix(&resp)
@@ -802,9 +821,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
             }
         }
     }
-    if flags.contains_key("t") && flags.contains_key("k") {
-        return Err("--t (threshold search) and --k (top-k) are mutually exclusive".into());
-    }
     if flags.contains_key("shard") && !flags.contains_key("apply") {
         return Err("--shard only addresses routed ingest; combine it with --apply".into());
     }
@@ -821,24 +837,11 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
         return run_admin_verb(flags, addr, &client);
     }
 
-    let tau: f32 = parse_or(flags, "tau", 0.06)?;
-    let policy = parse_policy(flags)?;
-    let budget = parse_budget(flags)?;
+    let (q, tau, t) = query_from_flags(flags, "euclidean", None)?;
     let info = probe_info(&addrs)?;
     let (values, embedder) = load_query(flags, info.dim as usize)?;
     let query = embed_query(&embedder, &values);
 
-    let t: f64 = parse_or(flags, "t", 0.5)?;
-    let q = if let Some(k) = flags.get("k") {
-        let k: usize = k.parse().map_err(|e| format!("bad --k '{k}': {e}"))?;
-        Query::topk(Tau::Ratio(tau), k)
-    } else {
-        Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
-    }
-    .with_policy(policy)
-    .expect_metric("euclidean")
-    .with_budget(budget)
-    .with_trace(parse_trace(flags));
     // A traced query is someone debugging: mint the correlation id at the
     // outermost hop and print it, so the operator can grep the same rid
     // out of the router log, every shard log, and the SLOW entry.
@@ -928,34 +931,18 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         }
         _ => {}
     }
-    if flags.contains_key("t") && flags.contains_key("k") {
-        return Err("--t (threshold search) and --k (top-k) are mutually exclusive".into());
-    }
-    let tau: f32 = parse_or(flags, "tau", 0.06)?;
-    let t: f64 = parse_or(flags, "t", 0.5)?;
-    let policy = parse_policy(flags)?;
-    let build_query = |metric: &str| -> CliResult<Query> {
-        let q = if let Some(k) = flags.get("k") {
-            let k: usize = k.parse().map_err(|e| format!("bad --k '{k}': {e}"))?;
-            Query::topk(Tau::Ratio(tau), k)
-        } else {
-            Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t))
-        }
-        .with_policy(policy)
-        .expect_metric(metric)
-        .with_budget(parse_budget(flags)?)
-        .with_trace(parse_trace(flags))
-        .with_explain(true);
-        Ok(q)
-    };
+    // A daemon or router serves what the pipeline deploys, Euclidean; a
+    // local lake is asked under its own manifest's metric below.
+    let (q, tau, _) = query_from_flags(flags, "euclidean", None)?;
+    let q = q.with_explain(true);
 
     let resp = if let Some(index) = flags.get("index") {
         let lake = open_delta_lake(Path::new(index)).map_err(|e| e.to_string())?;
         let manifest = lake.manifest().clone();
         let (values, embedder) = load_query(flags, manifest.dim)?;
         let query = embed_query(&embedder, &values);
-        let q = build_query(&manifest.metric)?;
-        lake.execute(&q, query.store()).map_err(|e| e.to_string())?
+        lake.execute(&q.expect_metric(&manifest.metric), query.store())
+            .map_err(|e| e.to_string())?
     } else {
         let addr = flags.get("addr").expect("checked above").clone();
         let info = probe_info(std::slice::from_ref(&addr))?;
@@ -965,11 +952,10 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
         // this side, the log lines on the server side, one handle.
         let rid = pexeso_core::log::mint_request_id();
         println!("request id: {}", pexeso_core::log::fmt_request_id(rid));
-        let q = build_query("euclidean")?.with_request_id(rid);
         let client = ServeClient::connect(addr.as_str())
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         let (resp, _meta) = client
-            .execute_detailed(&q, query.store())
+            .execute_detailed(&q.with_request_id(rid), query.store())
             .map_err(|e| e.to_string())?;
         resp
     };

@@ -34,8 +34,8 @@
 //! explicit exactness outcome, and optional per-query budgets. Every
 //! stage also accepts a [`pexeso_core::config::ExecPolicy`]
 //! (`Sequential`, the default, or `Parallel { threads }`) and produces
-//! identical results either way; [`pipeline::run_queries`] is the
-//! batched multi-user entry point over any `&dyn Queryable`.
+//! identical results either way; [`pipeline::run_queries`] answers many
+//! query columns, one at a time, over any `&dyn Queryable`.
 //!
 //! ## Quickstart
 //!

@@ -10,13 +10,13 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use pexeso_core::column::{ColumnId, ColumnSet};
-use pexeso_core::config::{ExecPolicy, IndexOptions, JoinThreshold, Tau};
+use pexeso_core::config::{ExecPolicy, IndexOptions, Tau};
 use pexeso_core::error::{PexesoError, Result};
 use pexeso_core::metric::{Euclidean, Metric};
 use pexeso_core::outofcore::{LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
-use pexeso_core::search::{PexesoIndex, SearchOptions};
+use pexeso_core::search::PexesoIndex;
 use pexeso_core::vector::VectorStore;
 use pexeso_delta::{ingest_columns, CompactReport, DeltaLake, IngestColumn, IngestReport};
 use pexeso_embed::Embedder;
@@ -372,16 +372,14 @@ pub fn compact_lake(
     pexeso_delta::compact_lake(index_dir, partitions, policy)
 }
 
-/// The batched multi-user entry point, written once against the unified
-/// executor trait: embed many string query columns and answer them all
-/// with one [`Query`] against *any* backend — an in-memory index, a
-/// disk-backed or resident partitioned lake, or a remote `pexeso serve`
-/// daemon. `responses[i]` pairs with `query_columns[i]` and is exactly
-/// what `backend.execute(query, …)` returns for that column;
-/// [`Query::policy`] may fan whole queries across threads on backends
-/// that support it (results are policy-independent). Query columns with
-/// no embeddable value yield the same `EmptyInput` error a direct
-/// execution would (failing the batch).
+/// The multi-user entry point, written once against the unified
+/// executor trait: embed many string query columns and answer them, one
+/// at a time, with one [`Query`] against *any* backend — an in-memory
+/// index, a disk-backed or resident partitioned lake, or a remote
+/// `pexeso serve` daemon. `responses[i]` pairs with `query_columns[i]`
+/// and is exactly what `backend.execute(query, …)` returns for that
+/// column. Query columns with no embeddable value yield the same
+/// `EmptyInput` error a direct execution would (failing the call).
 pub fn run_queries(
     backend: &dyn Queryable,
     embedder: &dyn Embedder,
@@ -395,38 +393,6 @@ pub fn run_queries(
     let stores: Vec<&VectorStore> = embedded.iter().map(|q| &q.store).collect();
     let results = backend.execute_many(query, &stores)?;
     Ok(embedded.into_iter().zip(results).collect())
-}
-
-/// Threshold form of [`run_queries`], kept as a named convenience: embed
-/// many query columns and find every joinable column for each.
-pub fn search_many_queries(
-    backend: &dyn Queryable,
-    embedder: &dyn Embedder,
-    query_columns: &[Vec<String>],
-    tau: Tau,
-    t: JoinThreshold,
-    opts: SearchOptions,
-    policy: ExecPolicy,
-) -> Result<Vec<(EmbeddedQuery, QueryResponse)>> {
-    let query = Query::threshold(tau, t)
-        .with_options(opts)
-        .with_policy(policy);
-    run_queries(backend, embedder, query_columns, &query)
-}
-
-/// Top-k form of [`run_queries`] — [`search_many_queries`]' ranking twin
-/// for users who have no good `T` in mind.
-pub fn search_topk_queries(
-    backend: &dyn Queryable,
-    embedder: &dyn Embedder,
-    query_columns: &[Vec<String>],
-    tau: Tau,
-    k: usize,
-    opts: SearchOptions,
-    policy: ExecPolicy,
-) -> Result<Vec<(EmbeddedQuery, QueryResponse)>> {
-    let query = Query::topk(tau, k).with_options(opts).with_policy(policy);
-    run_queries(backend, embedder, query_columns, &query)
 }
 
 /// Resolve search hits into the record-level [`JoinMapping`] the paper
@@ -630,7 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn search_many_queries_matches_individual_searches() {
+    fn run_queries_matches_individual_searches() {
         let mut lexicon = Lexicon::new();
         lexicon.add_synonym_set(["Hawaiian/Guamanian/Samoan", "Pacific Islander"]);
         let e = SemanticEmbedder::new(64, lexicon);
@@ -659,18 +625,10 @@ mod tests {
             pexeso_core::config::ExecPolicy::Sequential,
             pexeso_core::config::ExecPolicy::Parallel { threads: 4 },
         ] {
-            let batched = search_many_queries(
-                &index,
-                &e,
-                &query_columns,
-                tau,
-                t,
-                pexeso_core::search::SearchOptions::default(),
-                policy,
-            )
-            .unwrap();
-            assert_eq!(batched.len(), 2);
-            for (values, (embedded, result)) in query_columns.iter().zip(&batched) {
+            let query = Query::threshold(tau, t).with_policy(policy);
+            let answered = run_queries(&index, &e, &query_columns, &query).unwrap();
+            assert_eq!(answered.len(), 2);
+            for (values, (embedded, result)) in query_columns.iter().zip(&answered) {
                 let solo = index
                     .execute(&Query::threshold(tau, t), embedded.store())
                     .unwrap();
