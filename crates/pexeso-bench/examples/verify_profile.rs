@@ -1,6 +1,9 @@
-//! Quick profile of the verify hot path on a 10k×64-d uniform workload:
-//! prints the stats counters and a wall-clock per distance computation,
-//! so kernel work can be separated from loop bookkeeping when tuning.
+//! Quick profile of the verify hot path on a 10k×64-d uniform workload,
+//! once per candidate-scan branch: all lemmas on (the flat two-stage scan
+//! the daemon serves), then both vector-level lemmas off (the
+//! `dist_le_first` gather). Prints ms per run, the distance computations
+//! and a wall-clock per distance computation for each, so kernel work can
+//! be separated from loop bookkeeping when tuning.
 //!
 //! Run with: `cargo run --release -p pexeso-bench --example verify_profile`
 
@@ -45,11 +48,12 @@ fn main() {
     }
     let tau = 0.12f32;
     let t_abs = query.len() + 1;
-    let flags = LemmaFlags {
+    // The cell-level lemmas stay on in both runs, so both scan the same
+    // blocked pairs.
+    let gather_flags = LemmaFlags {
         lemma1_vector_filter: false,
         lemma2_vector_match: false,
-        lemma34_cell_filter: true,
-        lemma56_cell_match: true,
+        ..LemmaFlags::all()
     };
     let metric = Euclidean;
     let pivots = select_pivots(
@@ -75,44 +79,50 @@ fn main() {
         &hgrv,
         &q_mapped,
         tau,
-        flags,
+        LemmaFlags::all(),
         Some(&handled),
         seeded,
         &mut stats,
     );
-    let ctx = VerifyContext {
-        columns: &columns,
-        vec_col: &vec_col,
-        rv_mapped: &rv_mapped,
-        inv: &inv,
-        metric: &metric,
-        query: &query,
-        query_mapped: &q_mapped,
-        tau,
-        t_abs,
-        flags,
-        deleted: None,
-    };
     let n_cand: usize = blocked.candidates.iter().map(|(_, c)| c.len()).sum();
     println!("candidate cells (all q): {n_cand}");
-    // Warm up, then time.
-    for _ in 0..3 {
-        let mut s = SearchStats::new();
-        verify_with(&ctx, &blocked, &mut s, ExecPolicy::Sequential);
+    for (label, flags) in [
+        ("all lemmas (flat scan)", LemmaFlags::all()),
+        ("vector lemmas off (gather)", gather_flags),
+    ] {
+        let ctx = VerifyContext {
+            columns: &columns,
+            vec_col: &vec_col,
+            rv_mapped: &rv_mapped,
+            inv: &inv,
+            metric: &metric,
+            query: &query,
+            query_mapped: &q_mapped,
+            tau,
+            t_abs,
+            flags,
+            deleted: None,
+        };
+        // Warm up, then time.
+        for _ in 0..3 {
+            let mut s = SearchStats::new();
+            verify_with(&ctx, &blocked, &mut s, ExecPolicy::Sequential);
+        }
+        let reps = 20;
+        let started = Instant::now();
+        let mut last = SearchStats::new();
+        for _ in 0..reps {
+            let mut s = SearchStats::new();
+            verify_with(&ctx, &blocked, &mut s, ExecPolicy::Sequential);
+            last = s;
+        }
+        let per_rep = started.elapsed() / reps;
+        println!("{label}:");
+        println!("  ms per run: {:.3}", per_rep.as_secs_f64() * 1e3);
+        println!("  distance_computations: {}", last.distance_computations);
+        println!(
+            "  ns per distance computation (incl. loop): {:.2}",
+            per_rep.as_nanos() as f64 / last.distance_computations as f64
+        );
     }
-    let reps = 20;
-    let started = Instant::now();
-    let mut last = SearchStats::new();
-    for _ in 0..reps {
-        let mut s = SearchStats::new();
-        verify_with(&ctx, &blocked, &mut s, ExecPolicy::Sequential);
-        last = s;
-    }
-    let per_rep = started.elapsed() / reps;
-    println!("verify_with: {per_rep:?} per run");
-    println!("distance_computations: {}", last.distance_computations);
-    println!(
-        "ns per distance computation (incl. loop): {:.2}",
-        per_rep.as_nanos() as f64 / last.distance_computations as f64
-    );
 }

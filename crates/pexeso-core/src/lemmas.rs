@@ -15,13 +15,19 @@ pub const EPS: f32 = 1e-5;
 
 /// Lemma 1 (pivot filtering): `q` cannot match `x` if some pivot dimension
 /// has `|d(q,p) − d(x,p)| > τ`. Returns `true` when `x` is safely pruned.
+///
+/// A branch-free fold over the pivot dimensions, not a short-circuiting
+/// `any`: |P| is a handful, and verification calls this once per live
+/// candidate row, where an unpredictable early exit costs more than the
+/// comparisons it saves.
 #[inline]
 pub fn lemma1_filter(q_mapped: &[f32], x_mapped: &[f32], tau: f32) -> bool {
     debug_assert_eq!(q_mapped.len(), x_mapped.len());
+    let bound = tau + EPS;
     q_mapped
         .iter()
         .zip(x_mapped.iter())
-        .any(|(q, x)| (q - x).abs() > tau + EPS)
+        .fold(false, |out, (q, x)| out | ((q - x).abs() > bound))
 }
 
 /// Lemma 2 (pivot matching): `q` surely matches `x` if some pivot `p` has

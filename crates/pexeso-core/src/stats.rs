@@ -4,6 +4,11 @@
 //! contribution of each lemma; Table VI splits blocking from verification
 //! time. [`SearchStats`] captures all of it in one pass-through struct so
 //! experiments don't need a second instrumented code path.
+//!
+//! Every counter is a property of the query and the index alone: each
+//! parallel stage shards its work so that the per-shard counters sum to
+//! the sequential ones, so a [`SearchStats`] is identical for every
+//! [`crate::config::ExecPolicy`].
 
 use std::time::Duration;
 
@@ -15,7 +20,13 @@ pub struct SearchStats {
     pub distance_computations: u64,
     /// Distances computed while pivot-mapping the query column.
     pub mapping_distances: u64,
-    /// Target vectors discarded by Lemma 1 during verification.
+    /// Target vectors discarded by Lemma 1 during verification. The
+    /// threshold scan filters a candidate cell before it tests any row of
+    /// it, so this counts every Lemma-1-rejected row of every column that
+    /// was live (not joinable, pruned, tombstoned or already matched by
+    /// the query vector) when the cell was entered — including rows behind
+    /// the row that then matches the column in that cell, which a
+    /// stop-at-first-match walk would not have looked at.
     pub lemma1_filtered: u64,
     /// Target vectors accepted by Lemma 2 during verification.
     pub lemma2_matched: u64,

@@ -1,41 +1,76 @@
 //! Verification: Algorithm 2 over the inverted index.
 //!
-//! Matching pairs increment the match map directly; candidate pairs walk
-//! the postings of their leaf cells, filtering vectors with Lemma 1,
-//! accepting with Lemma 2, and paying an exact distance computation only
-//! for the survivors. Two early-termination rules apply per column:
+//! Matching pairs increment the match map directly; candidate pairs scan
+//! the vectors of their leaf cells, filtering with Lemma 1, accepting with
+//! Lemma 2, and paying an exact distance computation only for the
+//! survivors. Two early-termination rules apply per column:
 //!
 //! * **joinable-skip** — once a column's match count reaches `T`, it is
-//!   marked joinable and never touched again;
+//!   joinable and never touched again;
 //! * **Lemma 7** — once a column has accumulated so many definite
 //!   mismatches that even matching every remaining query vector cannot
 //!   reach `T` (`|Q| − mismatch < T`), it is pruned.
 //!
+//! ## The state word
+//!
 //! The paper realises the per-column ordering with a document-at-a-time
-//! cursor merge; we achieve the identical skip behaviour with per-query
-//! generation stamps (`matched`/`seen`), which avoids the priority queue
-//! while still touching each (query vector, column) group once.
+//! cursor merge; the scan gets the identical skip behaviour from one `u32`
+//! per column. `state[c]` is `u32::MAX` once the column is dead (joinable,
+//! pruned or tombstoned), otherwise the generation (`q + 1`) of the last
+//! query vector that matched it. Generations only grow and never reach
+//! `u32::MAX`, so `state[c] >= gen` — one load, one compare — says "dead,
+//! or already matched by this query vector": the only two reasons to skip
+//! a row.
+//!
+//! ## The candidate scan: two stages per cell
+//!
+//! A candidate cell's `vecs` are walked as one flat slice, not as column
+//! groups (groups average barely more than one vector, so per-group
+//! bookkeeping costs more than the distance tests it guards).
+//!
+//! 1. **Filter.** Two compaction passes over a buffer reused across
+//!    cells, neither with a data-dependent branch (every row is written,
+//!    the cursor advances by `n += pass`). The first takes each vector's
+//!    column from `vec_col` and keeps the row if the column's state word
+//!    says it is live and unmatched; the second applies a branch-free
+//!    Lemma 1 to the rows that remain. A dead column's row therefore costs
+//!    two small loads, and its mapped coordinates are never touched.
+//! 2. **Test.** Lemma 2 / [`Metric::dist_le`] over the survivors, rows
+//!    prefetched four ahead. The state word is re-checked, so once a row
+//!    matches, the column's remaining survivors in the cell are skipped —
+//!    exactly the rows a per-column first-match `break` would skip.
+//!
+//! With both vector-level lemmas off Lemma 1 filters nothing and the
+//! per-row test is a bare early-exit distance check; that configuration
+//! (the `gather` branch) instead hands each column group to
+//! [`Metric::dist_le_first`], which amortises one dispatch and one bound
+//! over the group and is measurably faster there than the flat scan.
+//!
+//! ## Complete Lemma 7
+//!
+//! Blocking is lossless: every repository vector within `τ` of query
+//! vector `q` lies in one of `q`'s matching or candidate cells (the
+//! argument [`crate::cost::column_match_bounds`] relies on for `upper`).
+//! So after `q`'s cells are scanned, **every** live column that did not
+//! match `q` — visited in a candidate cell or not — has a definite
+//! mismatch. Charging all of them lets Lemma 7 fire for columns the query
+//! vector never reaches, needs no record of which columns were seen, and
+//! ends the scan as soon as no live column remains.
 //!
 //! ## Parallel verification
 //!
-//! All per-column state (match/mismatch counts, stamps, joinable/pruned
-//! flags) is independent across columns: a column's outcome depends only on
-//! the query-vector order, never on other columns. [`verify_with`]
-//! therefore shards the column id space into contiguous ranges, runs the
-//! identical scan per shard (each shard skipping postings entries outside
-//! its range), and concatenates shard results in range order — making
-//! [`ExecPolicy::Parallel`] output byte-identical to
-//! [`ExecPolicy::Sequential`]. Exact distances go through the early-exit
-//! [`Metric::dist_le`] kernel, which answers `d ≤ τ` without a `sqrt` and
-//! usually without touching every dimension.
-//!
-//! Trade-off: every shard walks the full blocked pair lists and skips
-//! postings entries outside its column range, so the cheap postings
-//! traversal is repeated once per shard while the expensive per-vector
-//! work is split. Speedup is therefore sublinear in threads on
-//! postings-heavy/verification-light workloads; pre-partitioning the
-//! postings by column shard would remove the rescan if that ever
-//! dominates.
+//! All per-column state (match/mismatch counts, state word) is independent
+//! across columns: a column's outcome depends only on the query-vector
+//! order, never on other columns. [`verify_with`] therefore shards the
+//! column id space into contiguous ranges, runs the identical scan per
+//! shard, and concatenates shard results in range order — making
+//! [`ExecPolicy::Parallel`] output (and every [`SearchStats`] counter)
+//! byte-identical to [`ExecPolicy::Sequential`]. A cell's `cols` and `vecs`
+//! are ascending and columns own contiguous vector-id ranges, so a shard
+//! takes its part of a cell as a sub-slice found by binary search; the
+//! inner loops carry no range check. Exact distances go through the
+//! early-exit [`Metric::dist_le`] kernel, which answers `d ≤ τ` without a
+//! `sqrt` and usually without touching every dimension.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -58,7 +93,10 @@ use crate::vector::VectorStore;
 /// Everything verification needs to resolve a candidate pair.
 pub struct VerifyContext<'a, M: Metric> {
     pub columns: &'a ColumnSet,
-    /// Flat vector id → column id map.
+    /// Flat vector id → column id map, one entry per repository vector.
+    /// The candidate scan resolves every visited vector's column through
+    /// it (cells are walked as flat vector lists, not column groups), so
+    /// it must cover exactly the vectors of `columns`.
     pub vec_col: &'a [u32],
     /// Mapped repository vectors (for Lemma 1/2 checks).
     pub rv_mapped: &'a MappedVectors,
@@ -123,6 +161,7 @@ pub fn verify_budgeted<M: Metric>(
     policy: ExecPolicy,
     budget: Option<&BudgetGuard>,
 ) -> (VerifyOutcome, Option<Exceeded>) {
+    debug_assert_eq!(ctx.vec_col.len(), ctx.columns.n_vectors());
     let n_cols = ctx.columns.n_columns();
     let threads = policy.effective_threads();
     if budget.is_some() || threads <= 1 || n_cols < 2 {
@@ -154,6 +193,116 @@ pub fn verify_budgeted<M: Metric>(
     )
 }
 
+/// `state` word of a column the scan is finished with.
+const DEAD: u32 = u32::MAX;
+
+/// Per-column state of one shard's scan, indexed by shard-local slot.
+struct ShardColumns {
+    /// [`DEAD`], or the generation of the last query vector that matched
+    /// the column (see the module header).
+    state: Vec<u32>,
+    match_counts: Vec<u32>,
+    mismatch_counts: Vec<u32>,
+    /// Shard-local slots in the order they reached `t`.
+    joinable: Vec<u32>,
+    /// Columns not yet [`DEAD`].
+    live: usize,
+    /// Matches that make a column joinable; `u32::MAX` (never reached, a
+    /// column matches at most `|Q|` times) when T exceeds `|Q|`.
+    t: u32,
+    /// Definite mismatches a column can take and still reach `t`:
+    /// `|Q| − T`, or `u32::MAX` when T exceeds `|Q|` and the scan produces
+    /// exact counts instead of terminating early.
+    slack: u32,
+}
+
+impl ShardColumns {
+    /// Query vector `gen − 1` matched the live column `c`.
+    #[inline(always)]
+    fn record_match(&mut self, c: usize, gen: u32, stats: &mut SearchStats) {
+        self.state[c] = gen;
+        self.match_counts[c] += 1;
+        if self.match_counts[c] >= self.t {
+            self.state[c] = DEAD;
+            self.live -= 1;
+            self.joinable.push(c as u32);
+            stats.early_joinable += 1;
+        }
+    }
+
+    /// Complete Lemma 7: every live column that query vector `gen − 1` did
+    /// not match takes a definite mismatch, and is pruned once it has more
+    /// of them than `slack`.
+    fn charge_mismatches(&mut self, gen: u32, stats: &mut SearchStats) {
+        for (state, mismatches) in self.state.iter_mut().zip(&mut self.mismatch_counts) {
+            if *state < gen {
+                *mismatches += 1;
+                if *mismatches > self.slack {
+                    *state = DEAD;
+                    self.live -= 1;
+                    stats.lemma7_pruned += 1;
+                }
+            }
+        }
+    }
+}
+
+/// The part of an ascending id slice that falls in `lo..hi`.
+#[inline]
+fn id_window(ids: &[u32], lo: u32, hi: u32) -> Range<usize> {
+    match (ids.first(), ids.last()) {
+        (Some(&first), Some(&last)) if first >= lo && last < hi => 0..ids.len(),
+        _ => {
+            let a = ids.partition_point(|&id| id < lo);
+            a..a + ids[a..].partition_point(|&id| id < hi)
+        }
+    }
+}
+
+/// Stage 1 of the candidate scan over one cell's (shard window of)
+/// vectors: two compaction passes over `buf`, neither with a
+/// data-dependent branch — every row is written, the write cursor advances
+/// only past rows that stay. The first keeps the rows of live columns not
+/// yet matched by this query vector, reading only `vec_col` and the state
+/// word; the second, when Lemma 1 is on, keeps those it cannot reject, so
+/// the mapped coordinates of a dead column's rows are never loaded.
+/// Returns the survivors `(vector id, shard-local column slot)` in cell
+/// order and the number of rows Lemma 1 rejected.
+fn filter_cell<'a>(
+    vids: &[u32],
+    vec_col: &[u32],
+    c_lo: u32,
+    state: &[u32],
+    gen: u32,
+    lemma1: Option<(&[f32], &MappedVectors, f32)>,
+    buf: &'a mut Vec<(u32, u32)>,
+) -> (&'a [(u32, u32)], u64) {
+    // Grown to the largest cell seen, never shrunk.
+    if buf.len() < vids.len() {
+        buf.resize(vids.len(), (0, 0));
+    }
+    let mut live = 0usize;
+    for &vid in vids {
+        let c = vec_col[vid as usize] - c_lo;
+        buf[live] = (vid, c);
+        live += usize::from(state[c as usize] < gen);
+    }
+    let Some((qm, rv_mapped, tau)) = lemma1 else {
+        return (&buf[..live], 0);
+    };
+    let mut kept = 0usize;
+    for i in 0..live {
+        let row = buf[i];
+        buf[kept] = row;
+        kept += usize::from(!lemmas::lemma1_filter(
+            qm,
+            rv_mapped.get(row.0 as usize),
+            tau,
+        ));
+    }
+    (&buf[..kept], (live - kept) as u64)
+}
+
 /// The Algorithm 2 scan restricted to columns in `cols`. Per-column state
 /// never crosses column boundaries, so running disjoint ranges (in any
 /// interleaving) and concatenating equals one full sequential run. The
@@ -169,36 +318,66 @@ fn verify_range<M: Metric>(
     let (lo, hi) = (cols.start, cols.end);
     let width = hi - lo;
     let n_q = ctx.query.len();
+    let n_cols = ctx.columns.n_columns();
     // T beyond |Q| can never be reached: early termination stays off and
     // the loop produces exact per-column counts (top-k mode).
     let terminable = ctx.t_abs <= n_q;
-    let mut match_counts = vec![0u32; width];
-    let mut mismatch_counts = vec![0u32; width];
-    let mut joinable = vec![false; width];
-    let mut pruned = vec![false; width];
+    let mut state = vec![0u32; width];
     if let Some(deleted) = ctx.deleted {
-        debug_assert_eq!(deleted.len(), ctx.columns.n_columns());
-        for (p, &d) in pruned.iter_mut().zip(&deleted[lo..hi]) {
-            *p = d;
+        debug_assert_eq!(deleted.len(), n_cols);
+        for (s, &d) in state.iter_mut().zip(&deleted[lo..hi]) {
+            if d {
+                *s = DEAD;
+            }
         }
     }
-    // Generation stamps: gen = q + 1 marks "this query vector".
-    let mut matched_stamp = vec![0u32; width];
-    let mut seen_stamp = vec![0u32; width];
-    let mut seen_list: Vec<u32> = Vec::new();
+    let mut shard = ShardColumns {
+        live: state.iter().filter(|&&s| s != DEAD).count(),
+        state,
+        match_counts: vec![0u32; width],
+        mismatch_counts: vec![0u32; width],
+        joinable: Vec::new(),
+        t: if terminable {
+            ctx.t_abs as u32
+        } else {
+            u32::MAX
+        },
+        slack: if terminable {
+            (n_q - ctx.t_abs) as u32
+        } else {
+            u32::MAX
+        },
+    };
+
+    // The shard's window in column-id space and — columns own contiguous,
+    // ascending vector-id ranges — in vector-id space.
+    let (c_lo, c_hi) = (lo as u32, hi as u32);
+    let first_vector = |c: usize| match ctx.columns.columns().get(c) {
+        Some(meta) => meta.start,
+        None => ctx.columns.n_vectors() as u32,
+    };
+    let (v_lo, v_hi) = (first_vector(lo), first_vector(hi));
 
     // Cursors into the two (query-sorted) pair lists.
     let mut mi = 0usize;
     let mut ci = 0usize;
     let mut exceeded = None;
 
+    let lemma1 = ctx.flags.lemma1_vector_filter;
+    let lemma2 = ctx.flags.lemma2_vector_match;
     // With both vector-level lemmas off the candidate inner loop is a pure
     // distance gather, eligible for `Metric::dist_le_first`.
-    let gather = !ctx.flags.lemma1_vector_filter && !ctx.flags.lemma2_vector_match;
-    let arena = ctx.columns.store().raw_data();
-    let dim = ctx.columns.store().dim();
+    let gather = !lemma1 && !lemma2;
+    let store = ctx.columns.store();
+    let arena = store.raw_data();
+    let dim = store.dim();
+    // Stage-1 buffer, reused across cells.
+    let mut cell_buf: Vec<(u32, u32)> = Vec::new();
 
     for q in 0..n_q as u32 {
+        if shard.live == 0 {
+            break;
+        }
         if let Some(guard) = budget {
             if let Some(e) = guard.check(stats.distance_computations) {
                 exceeded = Some(e);
@@ -213,25 +392,17 @@ fn verify_range<M: Metric>(
                 let Some(postings) = ctx.inv.postings(cell) else {
                     continue;
                 };
-                for &col in &postings.cols {
-                    let Some(c) = shard_slot(col, lo, hi) else {
-                        continue;
-                    };
-                    if joinable[c] || pruned[c] || matched_stamp[c] == gen {
-                        continue;
-                    }
-                    matched_stamp[c] = gen;
-                    match_counts[c] += 1;
-                    if terminable && match_counts[c] as usize >= ctx.t_abs {
-                        joinable[c] = true;
-                        stats.early_joinable += 1;
+                for &col in &postings.cols[id_window(&postings.cols, c_lo, c_hi)] {
+                    let c = col as usize - lo;
+                    if shard.state[c] < gen {
+                        shard.record_match(c, gen, stats);
                     }
                 }
             }
             mi += 1;
         }
 
-        // 2. Candidate pairs: verify cell contents column by column.
+        // 2. Candidate pairs: verify cell contents.
         if ci < blocked.candidates.len() && blocked.candidates[ci].0 == q {
             let qm = ctx.query_mapped.get(q as usize);
             let qv = ctx.query.get_raw(q as usize);
@@ -239,114 +410,87 @@ fn verify_range<M: Metric>(
                 let Some(postings) = ctx.inv.postings(cell) else {
                     continue;
                 };
-                for (i, &col) in postings.cols.iter().enumerate() {
-                    let Some(c) = shard_slot(col, lo, hi) else {
-                        continue;
-                    };
-                    if joinable[c] || pruned[c] || matched_stamp[c] == gen {
-                        continue;
-                    }
-                    if seen_stamp[c] != gen {
-                        seen_stamp[c] = gen;
-                        seen_list.push(col);
-                    }
-                    let vids = postings.vectors_of(i);
-                    // With both vector-level lemmas off, the per-row test is
-                    // a plain early-exit distance check, so the whole
-                    // postings group can go through the metric's gather
-                    // kernel — one dispatch and one bound for the group,
-                    // rows prefetched ahead. `rows_tested` keeps the counter
-                    // identical to the per-row loop it replaces.
-                    let matched = if gather {
-                        let (tested, first) =
-                            ctx.metric.dist_le_first(qv, arena, dim, vids, ctx.tau);
+                if gather {
+                    // The per-row test is a plain early-exit distance
+                    // check, so each column group goes through the
+                    // metric's gather kernel — one dispatch and one bound
+                    // for the group, rows prefetched ahead. `tested` keeps
+                    // the counter identical to a per-row loop.
+                    for i in id_window(&postings.cols, c_lo, c_hi) {
+                        let c = postings.cols[i] as usize - lo;
+                        if shard.state[c] >= gen {
+                            continue;
+                        }
+                        let (tested, first) = ctx.metric.dist_le_first(
+                            qv,
+                            arena,
+                            dim,
+                            postings.vectors_of(i),
+                            ctx.tau,
+                        );
                         stats.distance_computations += tested as u64;
-                        first.is_some()
+                        if first.is_some() {
+                            shard.record_match(c, gen, stats);
+                        }
+                    }
+                    continue;
+                }
+
+                // Stage 1: drop rows of dead or already-matched columns
+                // and rows Lemma 1 rejects.
+                let (survivors, rejected) = filter_cell(
+                    &postings.vecs[id_window(&postings.vecs, v_lo, v_hi)],
+                    ctx.vec_col,
+                    c_lo,
+                    &shard.state,
+                    gen,
+                    lemma1.then_some((qm, ctx.rv_mapped, ctx.tau)),
+                    &mut cell_buf,
+                );
+                stats.lemma1_filtered += rejected;
+
+                // Stage 2: Lemma 2, then the exact test. A column matched
+                // by an earlier survivor of this cell is skipped.
+                for (i, &(vid, c)) in survivors.iter().enumerate() {
+                    // Hide the gather latency of an upcoming row behind
+                    // the tests before it (semantics-free).
+                    if let Some(&(ahead, _)) = survivors.get(i + 4) {
+                        crate::kernel::prefetch(store.get_raw(ahead as usize));
+                    }
+                    let c = c as usize;
+                    if shard.state[c] >= gen {
+                        continue;
+                    }
+                    let is_match = if lemma2
+                        && lemmas::lemma2_match(qm, ctx.rv_mapped.get(vid as usize), ctx.tau)
+                    {
+                        stats.lemma2_matched += 1;
+                        true
                     } else {
-                        let mut found = false;
-                        for (vi, &vid) in vids.iter().enumerate() {
-                            // Hide the gather latency of the next candidate
-                            // row behind this one's test (semantics-free).
-                            if let Some(&next) = vids.get(vi + 1) {
-                                crate::kernel::prefetch(ctx.columns.store().get_raw(next as usize));
-                            }
-                            let xm = ctx.rv_mapped.get(vid as usize);
-                            if ctx.flags.lemma1_vector_filter
-                                && lemmas::lemma1_filter(qm, xm, ctx.tau)
-                            {
-                                stats.lemma1_filtered += 1;
-                                continue;
-                            }
-                            let is_match = if ctx.flags.lemma2_vector_match
-                                && lemmas::lemma2_match(qm, xm, ctx.tau)
-                            {
-                                stats.lemma2_matched += 1;
-                                true
-                            } else {
-                                stats.distance_computations += 1;
-                                let xv = ctx.columns.store().get_raw(vid as usize);
-                                ctx.metric.dist_le(qv, xv, ctx.tau)
-                            };
-                            if is_match {
-                                found = true;
-                                break;
-                            }
-                        }
-                        found
+                        stats.distance_computations += 1;
+                        ctx.metric.dist_le(qv, store.get_raw(vid as usize), ctx.tau)
                     };
-                    if matched {
-                        matched_stamp[c] = gen;
-                        match_counts[c] += 1;
-                        if terminable && match_counts[c] as usize >= ctx.t_abs {
-                            joinable[c] = true;
-                            stats.early_joinable += 1;
-                        }
+                    if is_match {
+                        shard.record_match(c, gen, stats);
                     }
                 }
             }
             ci += 1;
         }
 
-        // 3. Definite mismatches for q: columns seen in candidates with no
-        //    match found. Blocking guarantees all potentially-matching
-        //    vectors of the column were in the candidate cells, so q can
-        //    never match this column — Lemma 7 may now prune it.
-        for col in seen_list.drain(..) {
-            let c = (col as usize) - lo;
-            if matched_stamp[c] != gen && !joinable[c] && !pruned[c] {
-                mismatch_counts[c] += 1;
-                if terminable && n_q - (mismatch_counts[c] as usize) < ctx.t_abs {
-                    pruned[c] = true;
-                    stats.lemma7_pruned += 1;
-                }
-            }
-        }
+        // 3. Definite mismatches for q (complete Lemma 7).
+        shard.charge_mismatches(gen, stats);
     }
 
-    let joinable_ids = (0..width)
-        .filter(|&c| joinable[c])
-        .map(|c| ColumnId((lo + c) as u32))
-        .collect();
+    shard.joinable.sort_unstable();
     (
         VerifyOutcome {
-            joinable: joinable_ids,
-            match_counts,
-            mismatch_counts,
+            joinable: shard.joinable.iter().map(|&c| ColumnId(c_lo + c)).collect(),
+            match_counts: shard.match_counts,
+            mismatch_counts: shard.mismatch_counts,
         },
         exceeded,
     )
-}
-
-/// Shard-local slot of a global column id, or `None` when the column
-/// belongs to another shard.
-#[inline(always)]
-fn shard_slot(col: u32, lo: usize, hi: usize) -> Option<usize> {
-    let c = col as usize;
-    if c >= lo && c < hi {
-        Some(c - lo)
-    } else {
-        None
-    }
 }
 
 /// Resolve the ⟨vec_col⟩ lookup for callers that track it separately.
@@ -1148,8 +1292,36 @@ mod tests {
         tau: f32,
     }
 
+    impl TopkSetup {
+        fn ctx<'a>(
+            &'a self,
+            t_abs: usize,
+            deleted: Option<&'a [bool]>,
+        ) -> VerifyContext<'a, Euclidean> {
+            VerifyContext {
+                columns: &self.columns,
+                vec_col: &self.vec_col,
+                rv_mapped: &self.rv_mapped,
+                inv: &self.inv,
+                metric: &Euclidean,
+                query: &self.query,
+                query_mapped: &self.q_mapped,
+                tau: self.tau,
+                t_abs,
+                flags: LemmaFlags::all(),
+                deleted,
+            }
+        }
+    }
+
     fn topk_setup(seed: u64, tau: f32) -> TopkSetup {
         let (query, columns) = random_instance(seed, 14, 22, 9);
+        blocked_setup(query, columns, tau)
+    }
+
+    /// Map, grid, index and block one instance (pivots: three spread
+    /// repository rows).
+    fn blocked_setup(query: VectorStore, columns: ColumnSet, tau: f32) -> TopkSetup {
         let metric = Euclidean;
         let pivots: Vec<Vec<f32>> = (0..3)
             .map(|i| {
@@ -1461,5 +1633,85 @@ mod tests {
         let outcome = verify(&ctx, &blocked, &mut stats);
         assert_eq!(outcome.match_counts, naive_counts);
         assert!(outcome.joinable.is_empty());
+    }
+
+    /// Unit vector along axis 0 (`sign` = ±1), tilted a little along axis
+    /// `k` so the rows of a column are distinct.
+    fn near_axis0(sign: f32, k: usize) -> Vec<f32> {
+        let mut v = vec![0.0f32; 10];
+        v[0] = sign;
+        v[1 + k % 9] = 0.02;
+        let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        v.iter_mut().for_each(|x| *x /= n);
+        v
+    }
+
+    /// Complete Lemma 7: a column that lies outside every matching and
+    /// candidate cell of the query is charged a mismatch per query vector
+    /// all the same (blocking is lossless) and pruned at the `|Q| − T + 1`th,
+    /// without a single distance computation.
+    #[test]
+    fn lemma7_prunes_a_column_no_candidate_cell_reaches() {
+        let (n_q, t_abs) = (6usize, 4usize);
+        let rows = |sign: f32, n: usize| -> Vec<Vec<f32>> {
+            (0..n).map(|k| near_axis0(sign, k)).collect()
+        };
+        let mut columns = ColumnSet::new(10);
+        for (name, vecs) in [("near", rows(1.0, n_q)), ("far", rows(-1.0, 8))] {
+            let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+            columns.add_column("t", name, 0, refs).unwrap();
+        }
+        let mut query = VectorStore::new(10);
+        for v in rows(1.0, n_q) {
+            query.push(&v).unwrap();
+        }
+        let s = blocked_setup(query, columns, 0.2);
+        let (near, far) = (0usize, 1usize);
+        for (_, cells) in s.blocked.candidates.iter().chain(&s.blocked.matching) {
+            for &cell in cells {
+                let reached = s.inv.postings(cell).is_some_and(|p| p.cols.contains(&1));
+                assert!(!reached, "the far column must be out of the query's reach");
+            }
+        }
+
+        let mut stats = SearchStats::new();
+        let outcome = verify(&s.ctx(t_abs, None), &s.blocked, &mut stats);
+        assert_eq!(outcome.joinable, vec![ColumnId(near as u32)]);
+        assert_eq!(outcome.mismatch_counts[far] as usize, n_q - t_abs + 1);
+        assert_eq!(stats.lemma7_pruned, 1);
+
+        // With the near column tombstoned, nothing is left to test.
+        let mut stats = SearchStats::new();
+        let outcome = verify(&s.ctx(t_abs, Some(&[true, false])), &s.blocked, &mut stats);
+        assert!(outcome.joinable.is_empty());
+        assert_eq!(outcome.mismatch_counts[far] as usize, n_q - t_abs + 1);
+        assert_eq!(stats.lemma7_pruned, 1);
+        assert_eq!(stats.distance_computations, 0);
+    }
+
+    /// In exact-count mode (`T > |Q|`) nothing terminates early, so every
+    /// query vector ends up as either a match or a definite mismatch of
+    /// every live column — including the columns it never reaches.
+    #[test]
+    fn exact_counts_account_for_every_query_vector() {
+        // Short columns and a tight τ leave most columns outside most query
+        // vectors' candidate cells; the loose τ reaches them all.
+        for (seed, tau) in [(11u64, 0.1f32), (12, 0.3), (13, 0.9)] {
+            let (query, columns) = random_instance(seed, 14, 4, 9);
+            let s = blocked_setup(query, columns, tau);
+            let n_q = s.query.len();
+            let deleted: Vec<bool> = (0..s.columns.n_columns()).map(|c| c % 5 == 2).collect();
+            for policy in [ExecPolicy::Sequential, ExecPolicy::Fixed { threads: 3 }] {
+                let mut stats = SearchStats::new();
+                let ctx = s.ctx(n_q + 1, Some(&deleted));
+                let outcome = verify_with(&ctx, &s.blocked, &mut stats, policy);
+                for (c, &gone) in deleted.iter().enumerate() {
+                    let seen = outcome.match_counts[c] + outcome.mismatch_counts[c];
+                    let want = if gone { 0 } else { n_q as u32 };
+                    assert_eq!(seen, want, "seed={seed} tau={tau} col={c} {policy:?}");
+                }
+                assert_eq!(stats.lemma7_pruned + stats.early_joinable, 0);
+            }
+        }
     }
 }

@@ -243,6 +243,148 @@ fn exactness_on_adversarial_layouts() {
     }
 }
 
+/// Long columns packed into one leaf cell with a high match rate: most
+/// rows of a cell belong to a column an earlier row of the same cell has
+/// already matched, and the cells differ in size by two orders of
+/// magnitude. Every lemma ablation, every policy and a budgeted cut must
+/// agree with the naive scan.
+#[test]
+fn dense_cells_stay_exact_under_every_ablation_and_policy() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let dim = 12;
+    let mut rng = StdRng::seed_from_u64(2021);
+    let mut near = |centre: &[f32], spread: f32| -> Vec<f32> {
+        let mut v: Vec<f32> = centre
+            .iter()
+            .map(|x| x + spread * rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        v.iter_mut().for_each(|x| *x /= n);
+        v
+    };
+    let hub: Vec<f32> = (0..dim).map(|i| if i == 0 { 1.0 } else { 0.0 }).collect();
+    let elsewhere: Vec<f32> = (0..dim).map(|i| if i == 5 { 1.0 } else { 0.0 }).collect();
+    let mut columns = ColumnSet::new(dim);
+    // (rows around the hub, their spread, rows elsewhere)
+    let shapes = [
+        (220, 0.004, 0),
+        (240, 0.012, 0),
+        (200, 0.03, 20),
+        (12, 0.004, 230),
+        (3, 0.012, 0),
+        (0, 0.0, 4),
+    ];
+    for (c, &(n_hub, spread, n_else)) in shapes.iter().enumerate() {
+        let vecs: Vec<Vec<f32>> = (0..n_hub + n_else)
+            .map(|i| {
+                if i < n_hub {
+                    near(&hub, spread)
+                } else {
+                    near(&elsewhere, 0.01)
+                }
+            })
+            .collect();
+        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+        columns
+            .add_column("t", &format!("c{c}"), c as u64, refs)
+            .unwrap();
+    }
+    let mut query = VectorStore::new(dim);
+    for i in 0..10 {
+        let v = if i < 8 {
+            near(&hub, 0.012)
+        } else {
+            near(&elsewhere, 0.3)
+        };
+        query.push(&v).unwrap();
+    }
+    let tau = Tau::Absolute(0.03);
+    let t = JoinThreshold::Ratio(0.5);
+    let expected = expected_ids(&columns, &query, tau, t);
+    assert!(
+        !expected.is_empty() && expected.len() < shapes.len(),
+        "the instance must separate joinable from non-joinable columns: {expected:?}"
+    );
+    let index = PexesoIndex::build(
+        columns,
+        Euclidean,
+        IndexOptions {
+            num_pivots: 3,
+            levels: Some(4),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let ids = |resp: &QueryResponse| -> Vec<ColumnId> {
+        resp.hits
+            .iter()
+            .map(|h| ColumnId(h.external_id as u32))
+            .collect()
+    };
+    let counters = |s: &SearchStats| {
+        (
+            s.distance_computations,
+            s.lemma1_filtered,
+            s.lemma2_matched,
+            s.early_joinable,
+            s.lemma7_pruned,
+        )
+    };
+    let policies = [
+        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { threads: 3 },
+        ExecPolicy::Fixed { threads: 3 },
+    ];
+    for bits in 0u8..16 {
+        let flags = LemmaFlags {
+            lemma1_vector_filter: bits & 1 != 0,
+            lemma2_vector_match: bits & 2 != 0,
+            lemma34_cell_filter: bits & 4 != 0,
+            lemma56_cell_match: bits & 8 != 0,
+        };
+        let base = Query::threshold(tau, t).with_flags(flags);
+        let seq = index.execute(&base, &query).unwrap();
+        assert_eq!(ids(&seq), expected, "flags={flags:?}");
+        // Half the distance work of the full scan: a cut mid-scan.
+        let cap = seq.stats.distance_computations / 2;
+        let mut cut: Option<QueryResponse> = None;
+        for policy in policies {
+            let full = index
+                .execute(&base.clone().with_policy(policy), &query)
+                .unwrap();
+            assert_eq!(full.hits, seq.hits, "flags={flags:?} {policy:?}");
+            assert_eq!(
+                counters(&full.stats),
+                counters(&seq.stats),
+                "flags={flags:?} {policy:?}"
+            );
+            let budgeted = base
+                .clone()
+                .with_policy(policy)
+                .with_max_distance_computations(cap);
+            let part = index.execute(&budgeted, &query).unwrap();
+            assert!(
+                !part.exact(),
+                "flags={flags:?} {policy:?}: cap {cap} never tripped"
+            );
+            assert!(
+                ids(&part).iter().all(|c| expected.contains(c)),
+                "flags={flags:?} {policy:?}: a budgeted cut may only lose hits"
+            );
+            if let Some(first) = &cut {
+                assert_eq!(part.hits, first.hits, "flags={flags:?} {policy:?}");
+                assert_eq!(
+                    part.stats.distance_computations, first.stats.distance_computations,
+                    "flags={flags:?} {policy:?}"
+                );
+            } else {
+                cut = Some(part);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Differential tests: ExecPolicy::Parallel and the batched early-exit
 // distance kernels must be byte-identical to the sequential scalar path.
