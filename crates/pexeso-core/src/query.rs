@@ -37,8 +37,9 @@
 //!
 //! A [`QueryBudget`] bounds the *verification* work of one query: a cap on
 //! exact distance computations and/or a wall-clock deadline. The limits
-//! are checked inside the verification loops (per query vector for the
-//! threshold scan, per batch for the best-first top-k loop); when one
+//! are checked inside the verification loops (before each scheduled query
+//! vector of the threshold scan — cheapest candidate cells first, see
+//! [`crate::verify`] — and per batch for the best-first top-k loop); when one
 //! trips, the query returns the hits found so far with
 //! [`QueryOutcome::Exceeded`] instead of silently presenting a partial
 //! answer as exact. The distance cap cuts off deterministically: a

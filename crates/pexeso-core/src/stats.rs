@@ -5,9 +5,12 @@
 //! time. [`SearchStats`] captures all of it in one pass-through struct so
 //! experiments don't need a second instrumented code path.
 //!
-//! Every counter is a property of the query and the index alone: each
-//! parallel stage shards its work so that the per-shard counters sum to
-//! the sequential ones, so a [`SearchStats`] is identical for every
+//! Every counter is a property of the query, the index and the order the
+//! threshold scan takes the query vectors in — its schedule
+//! ([`crate::verify`]), which is itself computed from the query and the
+//! index alone. Each parallel stage shards its work so that the per-shard
+//! counters sum to the sequential ones, and every shard runs the same
+//! schedule, so a [`SearchStats`] is identical for every
 //! [`crate::config::ExecPolicy`].
 
 use std::time::Duration;
@@ -26,7 +29,11 @@ pub struct SearchStats {
     /// was live (not joinable, pruned, tombstoned or already matched by
     /// the query vector) when the cell was entered — including rows behind
     /// the row that then matches the column in that cell, which a
-    /// stop-at-first-match walk would not have looked at.
+    /// stop-at-first-match walk would not have looked at. Rows of dead
+    /// columns are never put to Lemma 1, so the count follows the schedule:
+    /// the sooner the columns die, the fewer rows are left to reject, and a
+    /// lower count beside fewer distance computations means less work, not
+    /// a weaker filter.
     pub lemma1_filtered: u64,
     /// Target vectors accepted by Lemma 2 during verification.
     pub lemma2_matched: u64,

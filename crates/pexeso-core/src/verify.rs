@@ -16,11 +16,33 @@
 //! The paper realises the per-column ordering with a document-at-a-time
 //! cursor merge; the scan gets the identical skip behaviour from one `u32`
 //! per column. `state[c]` is `u32::MAX` once the column is dead (joinable,
-//! pruned or tombstoned), otherwise the generation (`q + 1`) of the last
-//! query vector that matched it. Generations only grow and never reach
-//! `u32::MAX`, so `state[c] >= gen` — one load, one compare — says "dead,
-//! or already matched by this query vector": the only two reasons to skip
-//! a row.
+//! pruned or tombstoned), otherwise the generation (`step + 1`) of the last
+//! scheduled query vector that matched it. Generations only grow and never
+//! reach `u32::MAX`, so `state[c] >= gen` — one load, one compare — says
+//! "dead, or already matched by this query vector": the only two reasons to
+//! skip a row.
+//!
+//! ## Schedule
+//!
+//! Lemma 7 prunes a column at its `|Q| − T + 1`th definite mismatch and
+//! does not care which query vectors supply them: a column's match count
+//! is a sum over query vectors, so the joinable set, and the count of
+//! every hit (`T` when the scan can terminate, exact when `T > |Q|`), are
+//! the same for every order. What the order decides is the price: on a
+//! lake where most columns share no value with the query, nearly all of
+//! them die together at step `|Q| − T + 1`, and every step before that
+//! walks its candidate cells at full width. So the scan takes the query
+//! vectors cheapest first. The schedule is built once per scan, before
+//! any shard runs: each query vector's cells are resolved to their
+//! postings (the cell map is hit once per ⟨vector, cell⟩ pair) and the
+//! vector's cost is the number of repository rows in its candidate cells,
+//! `Σ postings.vecs.len()`. Costs are of **whole cells, never of a
+//! shard's window of them**, so every shard of every [`ExecPolicy`] steps
+//! through the same vectors in the same order — the budget cut and every
+//! counter stay policy-independent. Steps are sorted by `(cost, id)`; the
+//! id breaks ties so that equal costs cannot make the order (and with it
+//! the counters) depend on the sort. The live set only shrinks, so the
+//! expensive vectors meet the fewest live columns.
 //!
 //! ## The candidate scan: two stages per cell
 //!
@@ -29,12 +51,19 @@
 //! bookkeeping costs more than the distance tests it guards).
 //!
 //! 1. **Filter.** Two compaction passes over a buffer reused across
-//!    cells, neither with a data-dependent branch (every row is written,
-//!    the cursor advances by `n += pass`). The first takes each vector's
-//!    column from `vec_col` and keeps the row if the column's state word
-//!    says it is live and unmatched; the second applies a branch-free
-//!    Lemma 1 to the rows that remain. A dead column's row therefore costs
-//!    two small loads, and its mapped coordinates are never touched.
+//!    cells. The first collects the rows of columns whose state word says
+//!    live and unmatched, by one of two enumerations that produce the same
+//!    rows in the same order. *By row*: take each vector's column from
+//!    `vec_col` and keep the row if the column qualifies — no
+//!    data-dependent branch (every row is written, the cursor advances by
+//!    `n += pass`), so a dead column's row costs two small loads. *By live
+//!    column*: once few columns are left the shard keeps their slots as an
+//!    ascending list, and a cell with many more rows than the list has
+//!    entries is enumerated by binary-searching its ascending `cols` for
+//!    each listed column and copying that column's vectors — the dead
+//!    rows are never looked at. The second pass applies a branch-free
+//!    Lemma 1 to the rows that remain, so a dead column's mapped
+//!    coordinates are never touched.
 //! 2. **Test.** Lemma 2 / [`Metric::dist_le`] over the survivors, rows
 //!    prefetched four ahead. The state word is re-checked, so once a row
 //!    matches, the column's remaining survivors in the cell are skipped —
@@ -55,13 +84,14 @@
 //! match `q` — visited in a candidate cell or not — has a definite
 //! mismatch. Charging all of them lets Lemma 7 fire for columns the query
 //! vector never reaches, needs no record of which columns were seen, and
-//! ends the scan as soon as no live column remains.
+//! ends the scan as soon as no live column remains. A query vector with no
+//! candidate cell at all costs nothing and is scheduled first.
 //!
 //! ## Parallel verification
 //!
 //! All per-column state (match/mismatch counts, state word) is independent
-//! across columns: a column's outcome depends only on the query-vector
-//! order, never on other columns. [`verify_with`] therefore shards the
+//! across columns: a column's outcome depends only on the schedule, never
+//! on other columns. [`verify_with`] therefore shards the
 //! column id space into contiguous ranges, runs the identical scan per
 //! shard, and concatenates shard results in range order — making
 //! [`ExecPolicy::Parallel`] output (and every [`SearchStats`] counter)
@@ -82,6 +112,7 @@ use crate::config::{ExecPolicy, LemmaFlags};
 use crate::cost::ColumnMatchBounds;
 use crate::exec;
 use crate::explain::TopkExplain;
+use crate::grid::CellKey;
 use crate::invindex::{CellPostings, InvertedIndex};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
@@ -147,8 +178,8 @@ pub fn verify_with<M: Metric>(
     verify_budgeted(ctx, blocked, stats, policy, None).0
 }
 
-/// [`verify_with`] under an optional per-query budget, checked at the top
-/// of every query-vector iteration of the scan. A budgeted scan runs
+/// [`verify_with`] under an optional per-query budget, checked before each
+/// scheduled query vector of the scan. A budgeted scan runs
 /// sequentially regardless of `policy` so the cutoff point — and therefore
 /// the partial outcome — is deterministic: column shards would otherwise
 /// each trip the cap at a thread-dependent place. When a limit trips, the
@@ -164,12 +195,13 @@ pub fn verify_budgeted<M: Metric>(
     debug_assert_eq!(ctx.vec_col.len(), ctx.columns.n_vectors());
     let n_cols = ctx.columns.n_columns();
     let threads = policy.effective_threads();
+    let schedule = Schedule::build(ctx.inv, blocked, ctx.query.len());
     if budget.is_some() || threads <= 1 || n_cols < 2 {
-        return verify_range(ctx, blocked, 0..n_cols, stats, budget);
+        return verify_range(ctx, &schedule, 0..n_cols, stats, budget);
     }
     let shards = exec::map_ranges_min(policy, n_cols, 2, |cols| {
         let mut shard_stats = SearchStats::new();
-        let (outcome, _) = verify_range(ctx, blocked, cols, &mut shard_stats, None);
+        let (outcome, _) = verify_range(ctx, &schedule, cols, &mut shard_stats, None);
         (outcome, shard_stats)
     });
     let mut joinable = Vec::new();
@@ -193,11 +225,77 @@ pub fn verify_budgeted<M: Metric>(
     )
 }
 
+/// One scheduled query vector.
+struct Step {
+    /// Repository rows in the vector's candidate cells (whole cells).
+    cost: u64,
+    /// The query vector's id.
+    q: u32,
+    /// Its matching and candidate cells, as ranges of [`Schedule::cells`],
+    /// each in blocking's order.
+    matching: Range<usize>,
+    candidates: Range<usize>,
+}
+
+/// The order one scan takes the query vectors in — cheapest candidate
+/// cells first, see the module header — with every cell resolved to its
+/// postings. Shared by all shards of the scan.
+struct Schedule<'a> {
+    steps: Vec<Step>,
+    cells: Vec<&'a CellPostings>,
+}
+
+impl<'a> Schedule<'a> {
+    fn build(inv: &'a InvertedIndex, blocked: &BlockOutput, n_q: usize) -> Self {
+        let mut cells: Vec<&CellPostings> = Vec::new();
+        // A vector blocking found no cell for keeps its empty step: it
+        // still charges every live column a mismatch.
+        let mut steps: Vec<Step> = (0..n_q as u32)
+            .map(|q| Step {
+                cost: 0,
+                q,
+                matching: 0..0,
+                candidates: 0..0,
+            })
+            .collect();
+        let mut resolve = |keys: &[CellKey]| {
+            let start = cells.len();
+            cells.extend(keys.iter().filter_map(|&key| inv.postings(key)));
+            start..cells.len()
+        };
+        for (q, keys) in &blocked.matching {
+            steps[*q as usize].matching = resolve(keys);
+        }
+        for (q, keys) in &blocked.candidates {
+            steps[*q as usize].candidates = resolve(keys);
+        }
+        for step in &mut steps {
+            let rows = |p: &&CellPostings| p.vecs.len() as u64;
+            step.cost = cells[step.candidates.clone()].iter().map(rows).sum();
+        }
+        steps.sort_unstable_by_key(|step| (step.cost, step.q));
+        Self { steps, cells }
+    }
+}
+
 /// `state` word of a column the scan is finished with.
 const DEAD: u32 = u32::MAX;
 
+/// How much smaller the live side must be before the scan enumerates by
+/// live column instead of by row: a shard starts listing its live slots
+/// once `live × 8 ≤ width`, and a cell is probed through the list when
+/// `listed × 8 ≤ rows` in the shard's window of it. A probe is a binary
+/// search over the cell's `cols` against two loads per row, so the list
+/// has to be several times shorter than the cell to win. Measured on the
+/// benchmark's `wdc_threshold` (`query_p50_ms`, three alternating 25 s runs
+/// each, 2 cores): never listing 2.74 ms, ratio 4 2.47, 8 2.44, 16 2.48 —
+/// flat from 4 to 16, so the middle one.
+const LISTED_RATIO: usize = 8;
+
 /// Per-column state of one shard's scan, indexed by shard-local slot.
 struct ShardColumns {
+    /// Column id of slot 0.
+    c_lo: u32,
     /// [`DEAD`], or the generation of the last query vector that matched
     /// the column (see the module header).
     state: Vec<u32>,
@@ -207,6 +305,11 @@ struct ShardColumns {
     joinable: Vec<u32>,
     /// Columns not yet [`DEAD`].
     live: usize,
+    /// Once `live × LISTED_RATIO ≤ width`: the slots that were live after
+    /// the last [`ShardColumns::charge_mismatches`], ascending. Columns
+    /// that became joinable since are still listed, so readers check the
+    /// state word all the same.
+    listed: Option<Vec<u32>>,
     /// Matches that make a column joinable; `u32::MAX` (never reached, a
     /// column matches at most `|Q|` times) when T exceeds `|Q|`.
     t: u32,
@@ -217,7 +320,7 @@ struct ShardColumns {
 }
 
 impl ShardColumns {
-    /// Query vector `gen − 1` matched the live column `c`.
+    /// Query vector `gen − 1` of the schedule matched the live column `c`.
     #[inline(always)]
     fn record_match(&mut self, c: usize, gen: u32, stats: &mut SearchStats) {
         self.state[c] = gen;
@@ -230,19 +333,39 @@ impl ShardColumns {
         }
     }
 
-    /// Complete Lemma 7: every live column that query vector `gen − 1` did
-    /// not match takes a definite mismatch, and is pruned once it has more
-    /// of them than `slack`.
+    /// Complete Lemma 7: every live column that query vector `gen − 1` of
+    /// the schedule did not match takes a definite mismatch, and is pruned
+    /// once it has more of them than `slack`. Walks the live list when
+    /// there is one (dropping what died during the step), else every slot.
     fn charge_mismatches(&mut self, gen: u32, stats: &mut SearchStats) {
-        for (state, mismatches) in self.state.iter_mut().zip(&mut self.mismatch_counts) {
+        let slack = self.slack;
+        let mut pruned = 0usize;
+        let mut charge = |state: &mut u32, mismatches: &mut u32| {
             if *state < gen {
                 *mismatches += 1;
-                if *mismatches > self.slack {
+                if *mismatches > slack {
                     *state = DEAD;
-                    self.live -= 1;
-                    stats.lemma7_pruned += 1;
+                    pruned += 1;
                 }
             }
+        };
+        if let Some(listed) = &mut self.listed {
+            listed.retain(|&c| {
+                let c = c as usize;
+                charge(&mut self.state[c], &mut self.mismatch_counts[c]);
+                self.state[c] != DEAD
+            });
+        } else {
+            for (state, mismatches) in self.state.iter_mut().zip(&mut self.mismatch_counts) {
+                charge(state, mismatches);
+            }
+        }
+        self.live -= pruned;
+        stats.lemma7_pruned += pruned as u64;
+        if self.listed.is_none() && self.live * LISTED_RATIO <= self.state.len() {
+            let live_slots =
+                (0..self.state.len() as u32).filter(|&c| self.state[c as usize] != DEAD);
+            self.listed = Some(live_slots.collect());
         }
     }
 }
@@ -259,34 +382,103 @@ fn id_window(ids: &[u32], lo: u32, hi: u32) -> Range<usize> {
     }
 }
 
-/// Stage 1 of the candidate scan over one cell's (shard window of)
-/// vectors: two compaction passes over `buf`, neither with a
-/// data-dependent branch — every row is written, the write cursor advances
-/// only past rows that stay. The first keeps the rows of live columns not
-/// yet matched by this query vector, reading only `vec_col` and the state
-/// word; the second, when Lemma 1 is on, keeps those it cannot reject, so
-/// the mapped coordinates of a dead column's rows are never loaded.
-/// Returns the survivors `(vector id, shard-local column slot)` in cell
-/// order and the number of rows Lemma 1 rejected.
-fn filter_cell<'a>(
+/// First pass of stage 1, by row: every row of `vids` (the shard's window
+/// of a cell's vectors) whose column is live and not yet matched by this
+/// query vector, as `(vector id, shard-local column slot)` at the front of
+/// `buf`, in cell order. No data-dependent branch — every row is written,
+/// the write cursor advances only past rows that stay. Returns how many
+/// stayed; `buf` must hold `vids.len()` rows.
+fn live_rows_scanned(
     vids: &[u32],
     vec_col: &[u32],
     c_lo: u32,
     state: &[u32],
     gen: u32,
-    lemma1: Option<(&[f32], &MappedVectors, f32)>,
-    buf: &'a mut Vec<(u32, u32)>,
-) -> (&'a [(u32, u32)], u64) {
-    // Grown to the largest cell seen, never shrunk.
-    if buf.len() < vids.len() {
-        buf.resize(vids.len(), (0, 0));
-    }
+    buf: &mut [(u32, u32)],
+) -> usize {
     let mut live = 0usize;
     for &vid in vids {
         let c = vec_col[vid as usize] - c_lo;
         buf[live] = (vid, c);
         live += usize::from(state[c as usize] < gen);
     }
+    live
+}
+
+/// First pass of stage 1, by live column: the same rows in the same order
+/// as [`live_rows_scanned`] over the shard's window of `postings`, found
+/// by probing the cell's ascending `cols` for each slot of `listed` (the
+/// shard's ascending live list, which may hold slots that died since) and
+/// copying that column's vectors. Each probe resumes behind the previous
+/// one. `buf` must hold the window's rows.
+fn live_rows_listed(
+    postings: &CellPostings,
+    listed: &[u32],
+    c_lo: u32,
+    state: &[u32],
+    gen: u32,
+    buf: &mut [(u32, u32)],
+) -> usize {
+    debug_assert!(
+        postings.cols.windows(2).all(|w| w[0] < w[1])
+            && postings.vecs.windows(2).all(|w| w[0] < w[1]),
+        "a cell's cols and vecs are ascending"
+    );
+    let cols = &postings.cols;
+    let (mut live, mut from) = (0usize, 0usize);
+    for &c in listed {
+        if state[c as usize] >= gen {
+            continue;
+        }
+        let col = c_lo + c;
+        from += cols[from..].partition_point(|&other| other < col);
+        if from == cols.len() {
+            break;
+        }
+        if cols[from] == col {
+            for &vid in postings.vectors_of(from) {
+                buf[live] = (vid, c);
+                live += 1;
+            }
+        }
+    }
+    live
+}
+
+/// Stage 1 of the candidate scan over one cell's rows `rows` (the shard's
+/// window of `postings.vecs`): two compaction passes over `buf`. The first
+/// keeps the rows of live columns not yet matched by this query vector —
+/// by live column when the shard's list is [`LISTED_RATIO`] times shorter
+/// than the window, else by row; the second, when Lemma 1 is on, keeps
+/// those it cannot reject, so the mapped coordinates of a dead column's
+/// rows are never loaded. Returns the survivors `(vector id, shard-local
+/// column slot)` in cell order and the number of rows Lemma 1 rejected.
+fn filter_cell<'a>(
+    postings: &CellPostings,
+    rows: Range<usize>,
+    vec_col: &[u32],
+    shard: &ShardColumns,
+    gen: u32,
+    lemma1: Option<(&[f32], &MappedVectors, f32)>,
+    buf: &'a mut Vec<(u32, u32)>,
+) -> (&'a [(u32, u32)], u64) {
+    // Grown to the largest cell seen, never shrunk.
+    if buf.len() < rows.len() {
+        buf.resize(rows.len(), (0, 0));
+    }
+    let live = match &shard.listed {
+        Some(listed) if listed.len() * LISTED_RATIO <= rows.len() => {
+            live_rows_listed(postings, listed, shard.c_lo, &shard.state, gen, buf)
+        }
+        _ => live_rows_scanned(
+            &postings.vecs[rows],
+            vec_col,
+            shard.c_lo,
+            &shard.state,
+            gen,
+            buf,
+        ),
+    };
     let Some((qm, rv_mapped, tau)) = lemma1 else {
         return (&buf[..live], 0);
     };
@@ -303,14 +495,15 @@ fn filter_cell<'a>(
     (&buf[..kept], (live - kept) as u64)
 }
 
-/// The Algorithm 2 scan restricted to columns in `cols`. Per-column state
-/// never crosses column boundaries, so running disjoint ranges (in any
-/// interleaving) and concatenating equals one full sequential run. The
-/// optional budget is checked once per query vector — the verify loop's
-/// natural checkpoint — and a trip ends the scan there.
+/// The Algorithm 2 scan restricted to columns in `cols`, one step per
+/// scheduled query vector. Per-column state never crosses column
+/// boundaries and every shard takes the same schedule, so running disjoint
+/// ranges (in any interleaving) and concatenating equals one full
+/// sequential run. The optional budget is checked once per step — the
+/// verify loop's natural checkpoint — and a trip ends the scan there.
 fn verify_range<M: Metric>(
     ctx: &VerifyContext<'_, M>,
-    blocked: &BlockOutput,
+    schedule: &Schedule<'_>,
     cols: Range<usize>,
     stats: &mut SearchStats,
     budget: Option<&BudgetGuard>,
@@ -331,8 +524,18 @@ fn verify_range<M: Metric>(
             }
         }
     }
+    // The shard's window in column-id space and — columns own contiguous,
+    // ascending vector-id ranges — in vector-id space.
+    let (c_lo, c_hi) = (lo as u32, hi as u32);
+    let first_vector = |c: usize| match ctx.columns.columns().get(c) {
+        Some(meta) => meta.start,
+        None => ctx.columns.n_vectors() as u32,
+    };
+    let (v_lo, v_hi) = (first_vector(lo), first_vector(hi));
     let mut shard = ShardColumns {
+        c_lo,
         live: state.iter().filter(|&&s| s != DEAD).count(),
+        listed: None,
         state,
         match_counts: vec![0u32; width],
         mismatch_counts: vec![0u32; width],
@@ -348,19 +551,6 @@ fn verify_range<M: Metric>(
             u32::MAX
         },
     };
-
-    // The shard's window in column-id space and — columns own contiguous,
-    // ascending vector-id ranges — in vector-id space.
-    let (c_lo, c_hi) = (lo as u32, hi as u32);
-    let first_vector = |c: usize| match ctx.columns.columns().get(c) {
-        Some(meta) => meta.start,
-        None => ctx.columns.n_vectors() as u32,
-    };
-    let (v_lo, v_hi) = (first_vector(lo), first_vector(hi));
-
-    // Cursors into the two (query-sorted) pair lists.
-    let mut mi = 0usize;
-    let mut ci = 0usize;
     let mut exceeded = None;
 
     let lemma1 = ctx.flags.lemma1_vector_filter;
@@ -374,7 +564,11 @@ fn verify_range<M: Metric>(
     // Stage-1 buffer, reused across cells.
     let mut cell_buf: Vec<(u32, u32)> = Vec::new();
 
-    for q in 0..n_q as u32 {
+    debug_assert!(
+        schedule.steps.len() < u32::MAX as usize,
+        "a generation must stay below DEAD"
+    );
+    for (step, scheduled) in schedule.steps.iter().enumerate() {
         if shard.live == 0 {
             break;
         }
@@ -384,98 +578,83 @@ fn verify_range<M: Metric>(
                 break;
             }
         }
-        let gen = q + 1;
+        let gen = step as u32 + 1;
+        let q = scheduled.q as usize;
 
         // 1. Matching pairs: all postings columns of the cells match q.
-        if mi < blocked.matching.len() && blocked.matching[mi].0 == q {
-            for &cell in &blocked.matching[mi].1 {
-                let Some(postings) = ctx.inv.postings(cell) else {
-                    continue;
-                };
-                for &col in &postings.cols[id_window(&postings.cols, c_lo, c_hi)] {
-                    let c = col as usize - lo;
-                    if shard.state[c] < gen {
-                        shard.record_match(c, gen, stats);
-                    }
+        for postings in &schedule.cells[scheduled.matching.clone()] {
+            for &col in &postings.cols[id_window(&postings.cols, c_lo, c_hi)] {
+                let c = col as usize - lo;
+                if shard.state[c] < gen {
+                    shard.record_match(c, gen, stats);
                 }
             }
-            mi += 1;
         }
 
         // 2. Candidate pairs: verify cell contents.
-        if ci < blocked.candidates.len() && blocked.candidates[ci].0 == q {
-            let qm = ctx.query_mapped.get(q as usize);
-            let qv = ctx.query.get_raw(q as usize);
-            for &cell in &blocked.candidates[ci].1 {
-                let Some(postings) = ctx.inv.postings(cell) else {
-                    continue;
-                };
-                if gather {
-                    // The per-row test is a plain early-exit distance
-                    // check, so each column group goes through the
-                    // metric's gather kernel — one dispatch and one bound
-                    // for the group, rows prefetched ahead. `tested` keeps
-                    // the counter identical to a per-row loop.
-                    for i in id_window(&postings.cols, c_lo, c_hi) {
-                        let c = postings.cols[i] as usize - lo;
-                        if shard.state[c] >= gen {
-                            continue;
-                        }
-                        let (tested, first) = ctx.metric.dist_le_first(
-                            qv,
-                            arena,
-                            dim,
-                            postings.vectors_of(i),
-                            ctx.tau,
-                        );
-                        stats.distance_computations += tested as u64;
-                        if first.is_some() {
-                            shard.record_match(c, gen, stats);
-                        }
-                    }
-                    continue;
-                }
-
-                // Stage 1: drop rows of dead or already-matched columns
-                // and rows Lemma 1 rejects.
-                let (survivors, rejected) = filter_cell(
-                    &postings.vecs[id_window(&postings.vecs, v_lo, v_hi)],
-                    ctx.vec_col,
-                    c_lo,
-                    &shard.state,
-                    gen,
-                    lemma1.then_some((qm, ctx.rv_mapped, ctx.tau)),
-                    &mut cell_buf,
-                );
-                stats.lemma1_filtered += rejected;
-
-                // Stage 2: Lemma 2, then the exact test. A column matched
-                // by an earlier survivor of this cell is skipped.
-                for (i, &(vid, c)) in survivors.iter().enumerate() {
-                    // Hide the gather latency of an upcoming row behind
-                    // the tests before it (semantics-free).
-                    if let Some(&(ahead, _)) = survivors.get(i + 4) {
-                        crate::kernel::prefetch(store.get_raw(ahead as usize));
-                    }
-                    let c = c as usize;
+        let qm = ctx.query_mapped.get(q);
+        let qv = ctx.query.get_raw(q);
+        for postings in &schedule.cells[scheduled.candidates.clone()] {
+            if gather {
+                // The per-row test is a plain early-exit distance
+                // check, so each column group goes through the
+                // metric's gather kernel — one dispatch and one bound
+                // for the group, rows prefetched ahead. `tested` keeps
+                // the counter identical to a per-row loop.
+                for i in id_window(&postings.cols, c_lo, c_hi) {
+                    let c = postings.cols[i] as usize - lo;
                     if shard.state[c] >= gen {
                         continue;
                     }
-                    let is_match = if lemma2
-                        && lemmas::lemma2_match(qm, ctx.rv_mapped.get(vid as usize), ctx.tau)
-                    {
-                        stats.lemma2_matched += 1;
-                        true
-                    } else {
-                        stats.distance_computations += 1;
-                        ctx.metric.dist_le(qv, store.get_raw(vid as usize), ctx.tau)
-                    };
-                    if is_match {
+                    let (tested, first) =
+                        ctx.metric
+                            .dist_le_first(qv, arena, dim, postings.vectors_of(i), ctx.tau);
+                    stats.distance_computations += tested as u64;
+                    if first.is_some() {
                         shard.record_match(c, gen, stats);
                     }
                 }
+                continue;
             }
-            ci += 1;
+
+            // Stage 1: drop rows of dead or already-matched columns
+            // and rows Lemma 1 rejects.
+            let (survivors, rejected) = filter_cell(
+                postings,
+                id_window(&postings.vecs, v_lo, v_hi),
+                ctx.vec_col,
+                &shard,
+                gen,
+                lemma1.then_some((qm, ctx.rv_mapped, ctx.tau)),
+                &mut cell_buf,
+            );
+            stats.lemma1_filtered += rejected;
+
+            // Stage 2: Lemma 2, then the exact test. A column matched
+            // by an earlier survivor of this cell is skipped.
+            for (i, &(vid, c)) in survivors.iter().enumerate() {
+                // Hide the gather latency of an upcoming row behind
+                // the tests before it (semantics-free).
+                if let Some(&(ahead, _)) = survivors.get(i + 4) {
+                    crate::kernel::prefetch(store.get_raw(ahead as usize));
+                }
+                let c = c as usize;
+                if shard.state[c] >= gen {
+                    continue;
+                }
+                let is_match = if lemma2
+                    && lemmas::lemma2_match(qm, ctx.rv_mapped.get(vid as usize), ctx.tau)
+                {
+                    stats.lemma2_matched += 1;
+                    true
+                } else {
+                    stats.distance_computations += 1;
+                    ctx.metric.dist_le(qv, store.get_raw(vid as usize), ctx.tau)
+                };
+                if is_match {
+                    shard.record_match(c, gen, stats);
+                }
+            }
         }
 
         // 3. Definite mismatches for q (complete Lemma 7).
@@ -1687,6 +1866,121 @@ mod tests {
         assert_eq!(outcome.mismatch_counts[far] as usize, n_q - t_abs + 1);
         assert_eq!(stats.lemma7_pruned, 1);
         assert_eq!(stats.distance_computations, 0);
+    }
+
+    /// The schedule orders query vectors by candidate-row cost, not by
+    /// input position: a query column and its reversal are verified in the
+    /// same order of vectors, so outcome and counters are equal. The lake
+    /// is random columns the query shares nothing with — they all die at
+    /// step `|Q| − T + 1` — plus a copy of the query column, the one hit.
+    #[test]
+    fn reversing_the_query_changes_neither_outcome_nor_counters() {
+        let (n_q, t_abs) = (9usize, 6usize);
+        let (query, mut columns) = random_instance(21, 40, 12, n_q);
+        let rows: Vec<&[f32]> = (0..n_q).map(|i| query.get_raw(i)).collect();
+        columns.add_column("t", "mirror", 40, rows.clone()).unwrap();
+        let mirror = ColumnId(40);
+        let mut reversed = VectorStore::new(10);
+        for v in rows.iter().rev() {
+            reversed.push(v).unwrap();
+        }
+        let n_cols = columns.n_columns();
+
+        let run = |query: VectorStore| {
+            let s = blocked_setup(query, columns.clone(), 0.25);
+            let schedule = Schedule::build(&s.inv, &s.blocked, n_q);
+            let mut costs: Vec<u64> = schedule.steps.iter().map(|step| step.cost).collect();
+            let order: Vec<u32> = schedule.steps.iter().map(|step| step.q).collect();
+            assert!(costs.windows(2).all(|w| w[0] <= w[1]), "cheapest first");
+            costs.dedup();
+            assert_eq!(costs.len(), n_q, "the fixture needs distinct costs");
+            let mut stats = SearchStats::new();
+            let outcome = verify(&s.ctx(t_abs, None), &s.blocked, &mut stats);
+            (outcome, stats, order)
+        };
+        let (forward, forward_stats, forward_order) = run(query.clone());
+        let (backward, backward_stats, backward_order) = run(reversed);
+
+        let flipped: Vec<u32> = backward_order.iter().map(|&q| n_q as u32 - 1 - q).collect();
+        assert_eq!(forward_order, flipped, "same vectors in the same order");
+        assert_ne!(
+            forward_order,
+            (0..n_q as u32).collect::<Vec<_>>(),
+            "the fixture's schedule must differ from input order"
+        );
+        assert_eq!(forward.joinable, vec![mirror]);
+        assert_eq!(forward.match_counts[40] as usize, t_abs);
+        let died_together = forward
+            .mismatch_counts
+            .iter()
+            .filter(|&&m| m as usize == n_q - t_abs + 1)
+            .count();
+        assert!(died_together * 10 >= n_cols * 9, "{died_together}/{n_cols}");
+        assert_eq!(forward, backward);
+        assert_eq!(forward_stats, backward_stats);
+        assert!(forward_stats.distance_computations > 0);
+    }
+
+    /// Both first passes of stage 1 produce the same `(vid, slot)` rows in
+    /// the same order, for a shard window that cuts the cell, listed
+    /// columns absent from the cell, listed columns that died or matched
+    /// since the list was made, and every state in between.
+    #[test]
+    fn both_stage1_enumerations_agree() {
+        // 16 columns of 3 vectors each; the cell holds some rows of some.
+        let vec_col: Vec<u32> = (0..48u32).map(|v| v / 3).collect();
+        let postings = CellPostings {
+            cols: vec![2, 3, 5, 8, 9, 12, 15],
+            offsets: vec![0, 2, 3, 6, 7, 9, 11, 12],
+            vecs: vec![6, 8, 9, 15, 16, 17, 24, 28, 29, 36, 38, 47],
+        };
+        let gen = 5u32;
+        let enumerate = |c_lo: u32, c_hi: u32, state: &[u32], listed: &[u32]| {
+            let rows = id_window(&postings.vecs, c_lo * 3, c_hi * 3);
+            let mut scanned = vec![(0u32, 0u32); rows.len()];
+            let n = live_rows_scanned(
+                &postings.vecs[rows.clone()],
+                &vec_col,
+                c_lo,
+                state,
+                gen,
+                &mut scanned,
+            );
+            scanned.truncate(n);
+            let mut probed = vec![(0u32, 0u32); rows.len()];
+            let n = live_rows_listed(&postings, listed, c_lo, state, gen, &mut probed);
+            probed.truncate(n);
+            assert_eq!(scanned, probed, "window {c_lo}..{c_hi} state {state:?}");
+            scanned
+        };
+
+        // Window 3..10 cuts columns 2, 12 and 15 off the cell. Slots: 0 (col
+        // 3) live; 1 (col 4) live, absent; 2 (col 5) matched by this query
+        // vector; 3 (col 6) long dead, unlisted; 4 (col 7) live, absent;
+        // 5 (col 8) matched by an earlier one; 6 (col 9) dead since listing.
+        let state = [0, 0, gen, DEAD, 2, 3, DEAD];
+        let rows = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6]);
+        assert_eq!(rows, vec![(9, 0), (24, 5)]);
+
+        // Every window, with states and lists drawn at random: a listed
+        // slot may be dead, an unlisted one never live.
+        let mut rng = StdRng::seed_from_u64(9);
+        for _ in 0..500 {
+            let c_lo = rng.gen_range(0u32..16);
+            let c_hi = rng.gen_range(c_lo..17);
+            let width = (c_hi - c_lo) as usize;
+            let mut listed = Vec::new();
+            let state: Vec<u32> = (0..width as u32)
+                .map(|slot| {
+                    let word = [0, 2, gen - 1, gen, DEAD][rng.gen_range(0..5usize)];
+                    if word != DEAD || rng.gen_range(0..3u32) == 0 {
+                        listed.push(slot);
+                    }
+                    word
+                })
+                .collect();
+            enumerate(c_lo, c_hi, &state, &listed);
+        }
     }
 
     /// In exact-count mode (`T > |Q|`) nothing terminates early, so every

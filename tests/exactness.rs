@@ -243,6 +243,107 @@ fn exactness_on_adversarial_layouts() {
     }
 }
 
+/// One threshold query under every lemma ablation, every policy and a
+/// half-budget cut: hits and counts equal `expected` (the oracle's
+/// `(external id, count)` pairs, ascending), counters equal across
+/// policies, and the cut trips, only loses hits, and gives the same partial
+/// outcome on repeat and for every policy.
+fn assert_exact_under_every_ablation_and_policy(
+    index: &PexesoIndex<Euclidean>,
+    query: &VectorStore,
+    tau: Tau,
+    t: JoinThreshold,
+    expected: &[(u64, u32)],
+    what: &str,
+) {
+    let hits_of = |resp: &QueryResponse| -> Vec<(u64, u32)> {
+        let mut hits: Vec<(u64, u32)> = resp
+            .hits
+            .iter()
+            .map(|h| (h.external_id, h.match_count))
+            .collect();
+        hits.sort_unstable();
+        hits
+    };
+    let counters = |s: &SearchStats| {
+        (
+            s.distance_computations,
+            s.lemma1_filtered,
+            s.lemma2_matched,
+            s.early_joinable,
+            s.lemma7_pruned,
+        )
+    };
+    let policies = [
+        ExecPolicy::Sequential,
+        ExecPolicy::Parallel { threads: 3 },
+        ExecPolicy::Fixed { threads: 3 },
+    ];
+    for bits in 0u8..16 {
+        let flags = LemmaFlags {
+            lemma1_vector_filter: bits & 1 != 0,
+            lemma2_vector_match: bits & 2 != 0,
+            lemma34_cell_filter: bits & 4 != 0,
+            lemma56_cell_match: bits & 8 != 0,
+        };
+        let what = format!("{what} flags={flags:?}");
+        let base = Query::threshold(tau, t).with_flags(flags);
+        let seq = index.execute(&base, query).unwrap();
+        assert_eq!(hits_of(&seq), expected, "{what}");
+        // Half the distance work of the full scan: a cut mid-scan.
+        let cap = seq.stats.distance_computations / 2;
+        let mut cut: Option<QueryResponse> = None;
+        for policy in policies {
+            let full = index
+                .execute(&base.clone().with_policy(policy), query)
+                .unwrap();
+            assert_eq!(full.hits, seq.hits, "{what} {policy:?}");
+            assert_eq!(
+                counters(&full.stats),
+                counters(&seq.stats),
+                "{what} {policy:?}"
+            );
+            let budgeted = base
+                .clone()
+                .with_policy(policy)
+                .with_max_distance_computations(cap);
+            for _repeat in 0..2 {
+                let part = index.execute(&budgeted, query).unwrap();
+                assert!(
+                    matches!(part.outcome, QueryOutcome::Exceeded(_)),
+                    "{what} {policy:?}: cap {cap} never tripped"
+                );
+                assert!(
+                    hits_of(&part).iter().all(|h| expected.contains(h)),
+                    "{what} {policy:?}: a budgeted cut may only lose hits"
+                );
+                let first = cut.get_or_insert_with(|| part.clone());
+                assert_eq!(part.hits, first.hits, "{what} {policy:?}");
+                assert_eq!(part.outcome, first.outcome, "{what} {policy:?}");
+                assert_eq!(
+                    counters(&part.stats),
+                    counters(&first.stats),
+                    "{what} {policy:?}"
+                );
+            }
+        }
+    }
+}
+
+/// The oracle's hits as `(external id, count)`, counting stopped at `T` as
+/// the search stops it. Columns are added with their index as external id.
+fn oracle_hits(
+    columns: &ColumnSet,
+    query: &VectorStore,
+    tau: Tau,
+    t: JoinThreshold,
+) -> Vec<(u64, u32)> {
+    let (hits, _) = naive_search(columns, &Euclidean, query, tau, t, true).unwrap();
+    hits.iter()
+        .map(|h| (u64::from(h.column.0), h.match_count))
+        .collect()
+}
+
 /// Long columns packed into one leaf cell with a high match rate: most
 /// rows of a cell belong to a column an earlier row of the same cell has
 /// already matched, and the cells differ in size by two orders of
@@ -301,7 +402,7 @@ fn dense_cells_stay_exact_under_every_ablation_and_policy() {
     }
     let tau = Tau::Absolute(0.03);
     let t = JoinThreshold::Ratio(0.5);
-    let expected = expected_ids(&columns, &query, tau, t);
+    let expected = oracle_hits(&columns, &query, tau, t);
     assert!(
         !expected.is_empty() && expected.len() < shapes.len(),
         "the instance must separate joinable from non-joinable columns: {expected:?}"
@@ -316,72 +417,108 @@ fn dense_cells_stay_exact_under_every_ablation_and_policy() {
         },
     )
     .unwrap();
-    let ids = |resp: &QueryResponse| -> Vec<ColumnId> {
-        resp.hits
-            .iter()
-            .map(|h| ColumnId(h.external_id as u32))
-            .collect()
+    assert_exact_under_every_ablation_and_policy(&index, &query, tau, t, &expected, "dense");
+}
+
+/// A clustered lake where nine columns in ten share no value with the
+/// query and are pruned together at step `|Q| − T + 1`, and the few that
+/// survive sit unevenly in the id space: with three shards, one keeps
+/// enough live columns to go on walking cells by row while the others (and
+/// the unsharded scan) list theirs. The scan schedules query vectors by
+/// candidate-row cost, so every permutation of the query column, every
+/// lemma ablation and every policy must give the oracle's hits and counts,
+/// policy-independent counters, and one deterministic budgeted cut.
+#[test]
+fn scheduled_scan_is_exact_for_every_query_order_and_policy() {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    let dim = 12;
+    let mut rng = StdRng::seed_from_u64(722);
+    let mut near = |axis: usize, spread: f32| -> Vec<f32> {
+        let mut v: Vec<f32> = (0..dim)
+            .map(|i| f32::from(i == axis) + spread * rng.gen_range(-1.0f32..1.0))
+            .collect();
+        let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        v.iter_mut().for_each(|x| *x /= n);
+        v
     };
-    let counters = |s: &SearchStats| {
-        (
-            s.distance_computations,
-            s.lemma1_filtered,
-            s.lemma2_matched,
-            s.early_joinable,
-            s.lemma7_pruned,
-        )
-    };
-    let policies = [
-        ExecPolicy::Sequential,
-        ExecPolicy::Parallel { threads: 3 },
-        ExecPolicy::Fixed { threads: 3 },
-    ];
-    for bits in 0u8..16 {
-        let flags = LemmaFlags {
-            lemma1_vector_filter: bits & 1 != 0,
-            lemma2_vector_match: bits & 2 != 0,
-            lemma34_cell_filter: bits & 4 != 0,
-            lemma56_cell_match: bits & 8 != 0,
-        };
-        let base = Query::threshold(tau, t).with_flags(flags);
-        let seq = index.execute(&base, &query).unwrap();
-        assert_eq!(ids(&seq), expected, "flags={flags:?}");
-        // Half the distance work of the full scan: a cut mid-scan.
-        let cap = seq.stats.distance_computations / 2;
-        let mut cut: Option<QueryResponse> = None;
-        for policy in policies {
-            let full = index
-                .execute(&base.clone().with_policy(policy), &query)
-                .unwrap();
-            assert_eq!(full.hits, seq.hits, "flags={flags:?} {policy:?}");
-            assert_eq!(
-                counters(&full.stats),
-                counters(&seq.stats),
-                "flags={flags:?} {policy:?}"
-            );
-            let budgeted = base
-                .clone()
-                .with_policy(policy)
-                .with_max_distance_computations(cap);
-            let part = index.execute(&budgeted, &query).unwrap();
-            assert!(
-                !part.exact(),
-                "flags={flags:?} {policy:?}: cap {cap} never tripped"
-            );
-            assert!(
-                ids(&part).iter().all(|c| expected.contains(c)),
-                "flags={flags:?} {policy:?}: a budgeted cut may only lose hits"
-            );
-            if let Some(first) = &cut {
-                assert_eq!(part.hits, first.hits, "flags={flags:?} {policy:?}");
-                assert_eq!(
-                    part.stats.distance_computations, first.stats.distance_computations,
-                    "flags={flags:?} {policy:?}"
-                );
-            } else {
-                cut = Some(part);
-            }
+    // Query vectors around four centres, unevenly, so that their candidate
+    // cells — and costs — differ.
+    let n_q = 12usize;
+    let q_vecs: Vec<Vec<f32>> = (0..n_q)
+        .map(|i| near([0, 0, 0, 0, 0, 1, 1, 1, 2, 2, 3, 3][i], 0.03))
+        .collect();
+    let tau = Tau::Absolute(0.03);
+    let t = JoinThreshold::Ratio(0.5);
+    // How many of the query's values a column repeats (within a hair);
+    // everything else in it lies around the same centres, out of τ's reach.
+    let n_cols = 60usize;
+    let shared = |c: usize| -> usize {
+        match c {
+            1 | 4 | 7 | 11 | 16 => 9, // joinable, all in the first shard
+            2 | 9 | 14 => 4,          // linger past the die-off, then pruned
+            33 => 8,
+            52 => 3,
+            _ => 0,
         }
+    };
+    let mut columns = ColumnSet::new(dim);
+    for c in 0..n_cols {
+        let mut vecs: Vec<Vec<f32>> = (0..shared(c))
+            .map(|i| {
+                let source = &q_vecs[(i * 5 + c) % n_q];
+                let mut v: Vec<f32> = source.clone();
+                v[5] += 0.002;
+                v
+            })
+            .collect();
+        let filler = 24 + c % 7;
+        vecs.extend((0..filler).map(|i| near(i % 4, 0.08)));
+        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+        columns
+            .add_column("t", &format!("c{c}"), c as u64, refs)
+            .unwrap();
+    }
+    let store_of = |order: &[usize]| {
+        let mut query = VectorStore::new(dim);
+        for &i in order {
+            query.push(&q_vecs[i]).unwrap();
+        }
+        query
+    };
+    let identity: Vec<usize> = (0..n_q).collect();
+    let expected = oracle_hits(&columns, &store_of(&identity), tau, t);
+    assert!(
+        expected.len() >= 3 && expected.len() * 10 <= n_cols,
+        "a few hits in a lake of misses: {expected:?}"
+    );
+    let index = PexesoIndex::build(
+        columns,
+        Euclidean,
+        IndexOptions {
+            num_pivots: 3,
+            levels: Some(4),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut orders = vec![identity.clone(), identity.iter().rev().copied().collect()];
+    for _ in 0..3 {
+        let mut order = identity.clone();
+        order.shuffle(&mut rng);
+        orders.push(order);
+    }
+    for order in &orders {
+        let what = format!("order={order:?}");
+        assert_exact_under_every_ablation_and_policy(
+            &index,
+            &store_of(order),
+            tau,
+            t,
+            &expected,
+            &what,
+        );
     }
 }
 
