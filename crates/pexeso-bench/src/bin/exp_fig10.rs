@@ -12,6 +12,7 @@ use pexeso::prelude::*;
 use pexeso_baselines::pexeso_h::PexesoHIndex;
 use pexeso_baselines::VectorJoinSearch;
 use pexeso_bench::fmt::{secs, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -29,7 +30,7 @@ fn avg_search(
 
     let start = Instant::now();
     for q in queries {
-        let _ = pex.execute(&Query::threshold(tau, t), q.store());
+        let _ = pex.execute(&sequential_query(tau, t), q.store());
     }
     let pex_time = start.elapsed() / queries.len() as u32;
     let start = Instant::now();

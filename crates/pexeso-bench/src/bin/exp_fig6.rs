@@ -9,6 +9,7 @@ use pexeso_baselines::ept::EptIndex;
 use pexeso_baselines::pexeso_h::PexesoHIndex;
 use pexeso_baselines::VectorJoinSearch;
 use pexeso_bench::fmt::TablePrinter;
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 
 /// Per-method (distance-computation count, index size) measurements.
@@ -47,7 +48,7 @@ fn run(w: &Workload, n_queries: usize) -> Fig6Numbers {
         h.search(q.store(), tau, t).unwrap().1.distance_computations
     });
     count("PEXESO", &|q| {
-        pex.execute(&Query::threshold(tau, t), q.store())
+        pex.execute(&sequential_query(tau, t), q.store())
             .unwrap()
             .stats
             .distance_computations

@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use pexeso::prelude::*;
 use pexeso_bench::fmt::{secs, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::pivot::select_pivots;
@@ -44,7 +45,7 @@ fn fig7a(w: &Workload, n_queries: usize) {
             let start = Instant::now();
             for q in &queries {
                 let _ = index.execute(
-                    &Query::threshold(Tau::Ratio(0.06), JoinThreshold::Ratio(0.6)),
+                    &sequential_query(Tau::Ratio(0.06), JoinThreshold::Ratio(0.6)),
                     q.store(),
                 );
             }
@@ -113,7 +114,7 @@ fn fig7b(w: &Workload, n_queries: usize) {
             let start = Instant::now();
             for q in &queries {
                 let _ = lake.execute(
-                    &Query::threshold(Tau::Ratio(0.06), JoinThreshold::Ratio(0.6)),
+                    &sequential_query(Tau::Ratio(0.06), JoinThreshold::Ratio(0.6)),
                     q.store(),
                 );
             }

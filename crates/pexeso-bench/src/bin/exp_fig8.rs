@@ -9,6 +9,7 @@ use pexeso::prelude::*;
 use pexeso_baselines::pq::{PqConfig, PqIndex};
 use pexeso_baselines::VectorJoinSearch;
 use pexeso_bench::fmt::{secs, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 
 fn main() {
@@ -66,7 +67,7 @@ fn main() {
             ),
             avg(
                 &|q, tau, t| {
-                    let _ = pex.execute(&Query::threshold(tau, t), q.store());
+                    let _ = pex.execute(&sequential_query(tau, t), q.store());
                 },
                 tau,
                 0.6,
@@ -96,7 +97,7 @@ fn main() {
             ),
             avg(
                 &|q, tau, tt| {
-                    let _ = pex.execute(&Query::threshold(tau, tt), q.store());
+                    let _ = pex.execute(&sequential_query(tau, tt), q.store());
                 },
                 0.06,
                 t,

@@ -9,6 +9,7 @@ use std::time::Instant;
 
 use pexeso::prelude::*;
 use pexeso_bench::fmt::{secs, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 
 fn run(w: &Workload, n_queries: usize) -> Vec<String> {
@@ -37,7 +38,7 @@ fn run(w: &Workload, n_queries: usize) -> Vec<String> {
         let mut last_result = Vec::new();
         for q in &queries {
             let r = index
-                .execute(&Query::threshold(tau, t).with_options(opts), q.store())
+                .execute(&sequential_query(tau, t).with_options(opts), q.store())
                 .expect("search");
             last_result = r.hits.iter().map(|h| h.external_id).collect();
         }

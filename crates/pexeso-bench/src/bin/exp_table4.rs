@@ -19,6 +19,7 @@ use pexeso_baselines::stringjoin::{
 use pexeso_baselines::VectorJoinSearch;
 use pexeso_bench::eval::PrAccumulator;
 use pexeso_bench::fmt::{ratio, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use pexeso_core::column::ColumnId;
 
@@ -183,7 +184,7 @@ fn run_dataset(w: &Workload, n_queries: usize, query_rows: usize) -> Vec<(String
             for (emb, truth) in queries.embedded.iter().zip(&queries.truths) {
                 let result = index
                     .execute(
-                        &Query::threshold(Tau::Ratio(tau_pct), JoinThreshold::Ratio(T_RATIO)),
+                        &sequential_query(Tau::Ratio(tau_pct), JoinThreshold::Ratio(T_RATIO)),
                         emb.store(),
                     )
                     .expect("search");

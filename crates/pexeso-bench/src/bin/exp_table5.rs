@@ -17,6 +17,7 @@ use pexeso_baselines::stringjoin::{
     StringMatcher, TfIdfJoin,
 };
 use pexeso_bench::fmt::TablePrinter;
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use pexeso_core::column::ColumnId;
 use pexeso_ml::augment::{AugmentConfig, JoinMapping};
@@ -95,7 +96,7 @@ fn pexeso_mapping(
     let query = embed_query(&w.embedder, task.query.key_values());
     let result = index
         .execute(
-            &Query::threshold(tau, JoinThreshold::Ratio(T_RATIO)),
+            &sequential_query(tau, JoinThreshold::Ratio(T_RATIO)),
             query.store(),
         )
         .expect("search");

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use pexeso::prelude::*;
 use pexeso_bench::fmt::{secs, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use pexeso_core::cost::analyze_levels;
 use pexeso_core::mapping::MappedVectors;
@@ -43,7 +44,7 @@ fn run_dataset(w: &Workload, n_queries: usize) {
             let mut search_total = Duration::ZERO;
             for q in &queries {
                 let r = index
-                    .execute(&Query::threshold(tau, t), q.store())
+                    .execute(&sequential_query(tau, t), q.store())
                     .expect("search");
                 block_total += r.stats.block_time;
                 search_total += r.stats.block_time + r.stats.verify_time;

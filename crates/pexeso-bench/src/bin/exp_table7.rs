@@ -13,6 +13,7 @@ use pexeso_baselines::ept::EptIndex;
 use pexeso_baselines::pexeso_h::PexesoHIndex;
 use pexeso_baselines::VectorJoinSearch;
 use pexeso_bench::fmt::{secs, TablePrinter};
+use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 
@@ -73,7 +74,7 @@ fn run_in_memory(w: &Workload, n_queries: usize) {
                 let _ = h.search(q.store(), tau, t);
             });
             let p = time_method(&|q, tau, t| {
-                let _ = pex.execute(&Query::threshold(tau, t), q.store());
+                let _ = pex.execute(&sequential_query(tau, t), q.store());
             });
             table.row(vec![
                 format!("{:.0}%", t * 100.0),
@@ -148,7 +149,7 @@ fn run_out_of_core(w: &Workload, n_queries: usize, k: usize) {
                 let _ = h.search(q.store(), tau, t);
             });
             let p = time_method(&|q, tau, t| {
-                let _ = lake.execute(&Query::threshold(tau, t), q.store());
+                let _ = lake.execute(&sequential_query(tau, t), q.store());
             });
             table.row(vec![
                 format!("{:.0}%", t * 100.0),

@@ -15,6 +15,17 @@ pub mod eval;
 pub mod fmt;
 pub mod workloads;
 
+use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
+use pexeso_core::query::Query;
+
+/// The threshold query every `exp_*` binary runs: single-threaded, which
+/// is what the paper's experiments time — its tables and figures report
+/// one core's search time, so the reproduction must not pick up the
+/// machine-sized default a [`Query`] otherwise carries.
+pub fn sequential_query(tau: Tau, t: JoinThreshold) -> Query {
+    Query::threshold(tau, t).with_policy(ExecPolicy::Sequential)
+}
+
 /// Read the global scale multiplier from the environment.
 pub fn scale() -> f64 {
     std::env::var("PEXESO_SCALE")

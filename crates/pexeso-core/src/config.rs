@@ -150,7 +150,8 @@ impl LemmaFlags {
 /// policy would (correctly) stay sequential.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecPolicy {
-    /// Single-threaded; the default, and what the paper's experiments time.
+    /// Single-threaded. The default of [`IndexOptions::exec`] (builds);
+    /// a [`crate::query::Query`] defaults to [`ExecPolicy::auto`].
     #[default]
     Sequential,
     /// Shard work across *up to* `threads` OS threads
@@ -165,7 +166,9 @@ pub enum ExecPolicy {
 }
 
 impl ExecPolicy {
-    /// Parallel with as many threads as the machine offers.
+    /// Parallel with as many threads as the machine offers — the machine
+    /// that executes, which for a served query is the daemon's. What a
+    /// [`crate::query::Query`] carries unless told otherwise.
     pub fn auto() -> Self {
         ExecPolicy::Parallel { threads: 0 }
     }
@@ -228,9 +231,9 @@ impl ExecPolicy {
     pub fn effective_threads(self) -> usize {
         match self {
             ExecPolicy::Sequential => 1,
-            ExecPolicy::Parallel { threads: 0 } => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            // Resolved once per process: the query default lands here on
+            // every execution, and asking the OS reads cgroup files.
+            ExecPolicy::Parallel { threads: 0 } => crate::exec::hardware_threads(),
             ExecPolicy::Parallel { threads } => threads,
             ExecPolicy::Fixed { threads } => threads.max(1),
         }

@@ -27,6 +27,22 @@
 //! [`ExecPolicy::Fixed`] bypasses the clamp and shards exactly as asked —
 //! it keeps the sharded merge code exercised by differential tests on
 //! machines where the adaptive policy would (correctly) never shard.
+//! That clamp is what lets a query default to [`ExecPolicy::auto`]: it
+//! costs nothing where it cannot help.
+//!
+//! ## The unit loop
+//!
+//! A deployment's partitions are not a contiguous range of equal items
+//! but a handful of *units* of very uneven cost, so they get their own
+//! loop, [`try_map_units`] — the only one. Each unit carries a weight;
+//! the loop hands units out heaviest first from one atomic cursor (with
+//! the largest partition started last, one thread ends up holding most
+//! of the query), the calling thread claims units alongside the
+//! `threads − 1` helpers it spawns, and the fan-out is capped at
+//! `total weight / (MIN_PARALLEL_ITEMS × spawn cost)` threads — the
+//! break-even of every other stage, in the unit's currency. Results
+//! come back in unit order and an error is the lowest-indexed one,
+//! whatever the claim order was.
 
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -95,18 +111,32 @@ fn plan_threads(policy: ExecPolicy, n: usize, min_items: usize) -> usize {
     }
 }
 
-/// Thread count for *coarse, I/O-overlapping* units (one disk partition
-/// per unit): clamped to twice the core count rather than the compute
-/// break-even, because a waiting thread costs nothing while another
-/// unit's disk read is in flight — overlap pays even on a single core.
-fn plan_unit_threads(policy: ExecPolicy, n: usize) -> usize {
+/// Thread count for the *coarse* unit loop ([`try_map_units`]), one
+/// entry of `weights` per unit. `Parallel` is clamped to the unit count,
+/// to twice the core count — a unit that loads its partition from disk
+/// waits on I/O, and a waiting thread costs nothing while another unit's
+/// read is in flight, so overlap pays even on a single core — and to the
+/// same break-even every other stage uses: no more threads than
+/// `total weight / (MIN_PARALLEL_ITEMS × spawn cost)`, so a smoke-sized
+/// lake never pays a spawn for microseconds of work. The weight is
+/// vectors for resident units; a disk-backed unit's is its file bytes,
+/// which clears the floor for any file worth overlapping. `Fixed` is
+/// clamped to the unit count only.
+fn plan_unit_threads(policy: ExecPolicy, weights: &[u64]) -> usize {
+    let n = weights.len().max(1);
     match policy {
         ExecPolicy::Sequential => 1,
-        ExecPolicy::Fixed { threads } => threads.max(1).min(n.max(1)),
-        ExecPolicy::Parallel { .. } => policy
-            .effective_threads()
-            .min(hardware_threads() * 2)
-            .min(n.max(1)),
+        ExecPolicy::Fixed { threads } => threads.max(1).min(n),
+        ExecPolicy::Parallel { .. } => {
+            let requested = policy.effective_threads().min(n);
+            if requested <= 1 {
+                return 1;
+            }
+            let floor = MIN_PARALLEL_ITEMS.saturating_mul(spawn_cost_factor()) as u64;
+            let total = weights.iter().fold(0u64, |a, &w| a.saturating_add(w));
+            let paid_for = usize::try_from(total / floor).unwrap_or(usize::MAX);
+            requested.min(hardware_threads() * 2).min(paid_for.max(1))
+        }
     }
 }
 
@@ -198,49 +228,39 @@ where
     });
 }
 
-/// Dynamic work-stealing loop for *coarse* units of uneven cost (e.g. one
-/// disk partition per unit). `f(i)` runs once for every `i in 0..n`;
-/// results are returned in unit order. Unlike [`map_ranges`] the
-/// assignment of units to threads is dynamic, which is safe exactly
-/// because each unit's result is independent of every other.
-pub fn map_units<T, F>(policy: ExecPolicy, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let threads = plan_unit_threads(policy, n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let slots = std::sync::Mutex::new(&mut out);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (next, slots, f) = (&next, &slots, &f);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = f(i);
-                slots.lock().expect("result lock poisoned")[i] = Some(r);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|s| s.expect("every unit produced a result"))
-        .collect()
+/// The order [`try_map_units`] hands units out in: heaviest first, equal
+/// weights in index order.
+fn claim_order(weights: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
+    order
 }
 
-/// Fallible [`map_units`]: stops handing out new units after the first
-/// `Err` (or worker panic, converted to the supplied error) and returns
-/// the lowest-indexed failure, like a sequential `?` loop would. Units
-/// already in flight on other threads still run to completion; their
-/// results are discarded when an earlier unit failed.
+/// The one loop for *coarse* units of uneven cost (one partition of a
+/// deployment per unit, `weights[i]` an estimate of unit `i`'s cost).
+/// `f(i)` runs at most once per unit and the results come back in unit
+/// order, so a caller merging them cannot tell the policy.
+///
+/// Units are claimed from one atomic cursor in descending
+/// `(weight, then index)` order — largest first, so the biggest unit
+/// starts at time zero instead of landing on whichever thread happens to
+/// reach its index last (the longest-processing-time rule; assignment of
+/// units to threads is dynamic, which is safe exactly because each
+/// unit's result is independent of every other). The calling thread
+/// claims units like any helper: `threads − 1` helpers are spawned, and
+/// a plan of one thread runs `f` inline in index order.
+///
+/// Failure is a sequential `?` loop's: the error returned is the
+/// lowest-indexed failing unit's. Once a unit has failed, units above it
+/// are no longer started (units in flight run to completion and are
+/// discarded); units below it still run, because one of them failing is
+/// what a sequential loop would have reported. A panic inside `f` — on a
+/// helper or on the calling thread — is that unit failing with
+/// `on_panic()`, so a long-running server answers one error instead of
+/// dying.
 pub fn try_map_units<T, E, F>(
     policy: ExecPolicy,
-    n: usize,
+    weights: &[u64],
     on_panic: impl Fn() -> E + Sync,
     f: F,
 ) -> Result<Vec<T>, E>
@@ -249,50 +269,45 @@ where
     E: Send,
     F: Fn(usize) -> Result<T, E> + Sync,
 {
-    let threads = plan_unit_threads(policy, n);
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    let n = weights.len();
+    let threads = plan_unit_threads(policy, weights);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let abort = std::sync::atomic::AtomicBool::new(false);
+    let order = claim_order(weights);
+    let next = AtomicUsize::new(0);
+    // Lowest failed unit so far. Relaxed: it publishes nothing (results
+    // travel through the mutex), and a stale read only starts a unit
+    // whose result is then discarded.
+    let first_err = AtomicUsize::new(usize::MAX);
     let mut out: Vec<Option<Result<T, E>>> = (0..n).map(|_| None).collect();
     let slots = std::sync::Mutex::new(&mut out);
+    let claim = || {
+        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+            if i > first_err.load(Ordering::Relaxed) {
+                continue;
+            }
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
+                .unwrap_or_else(|_| Err(on_panic()));
+            if r.is_err() {
+                first_err.fetch_min(i, Ordering::Relaxed);
+            }
+            slots.lock().expect("result lock poisoned")[i] = Some(r);
+        }
+    };
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let (next, abort, slots, f, on_panic) = (&next, &abort, &slots, &f, &on_panic);
-            scope.spawn(move || loop {
-                if abort.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)))
-                    .unwrap_or_else(|_| Err(on_panic()));
-                if r.is_err() {
-                    abort.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                slots.lock().expect("result lock poisoned")[i] = Some(r);
-            });
+        for _ in 1..threads {
+            scope.spawn(claim);
         }
+        claim();
     });
-    // Surface the lowest-indexed error (matching a sequential loop); a
-    // trailing `None` can only follow an abort.
-    let mut done = Vec::with_capacity(n);
-    for slot in out {
-        match slot {
-            Some(Ok(v)) => done.push(v),
-            Some(Err(e)) => return Err(e),
-            None => break,
-        }
-    }
-    if done.len() == n {
-        Ok(done)
-    } else {
-        // Aborted: some later unit failed before earlier ones ran.
-        Err(on_panic())
-    }
+    // A unit is skipped only above a failed one, so in unit order the
+    // error comes first and `collect` stops there.
+    out.into_iter()
+        .map(|slot| slot.expect("a unit is skipped only after a lower one failed"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -361,19 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn map_units_preserves_order() {
-        let seq = map_units(ExecPolicy::Sequential, 20, |i| i * i);
-        for policy in [
-            ExecPolicy::Fixed { threads: 4 },
-            ExecPolicy::Parallel { threads: 4 },
-        ] {
-            let par = map_units(policy, 20, |i| i * i);
-            assert_eq!(seq, par, "{policy:?}");
-        }
-        assert_eq!(seq[3], 9);
-    }
-
-    #[test]
     fn adaptive_clamp_bounds_parallel_but_not_fixed() {
         let hw = hardware_threads();
         assert!(hw >= 1);
@@ -397,54 +399,183 @@ mod tests {
             64
         );
         assert_eq!(plan_threads(ExecPolicy::Sequential, 1 << 20, 1), 1);
-        // Unit planning stays within 2× cores for Parallel, exact for Fixed.
-        assert!(plan_unit_threads(ExecPolicy::Parallel { threads: 64 }, 64) <= hw * 2);
-        assert_eq!(plan_unit_threads(ExecPolicy::Fixed { threads: 6 }, 64), 6);
-        assert_eq!(plan_unit_threads(ExecPolicy::Fixed { threads: 6 }, 3), 3);
     }
 
     #[test]
-    fn try_map_units_short_circuits_and_reports_lowest_error() {
-        for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { threads: 4 }] {
-            let ok = try_map_units(policy, 10, || "panic", |i| Ok::<_, &str>(i * 2));
-            assert_eq!(ok.unwrap(), (0..10).map(|i| i * 2).collect::<Vec<_>>());
+    fn unit_planning_clamps_parallel_to_cores_and_weight_but_not_fixed() {
+        let hw = hardware_threads();
+        let heavy = [u64::MAX / 64; 64];
+        let par = ExecPolicy::Parallel { threads: 64 };
+        // Within 2× cores and the unit count for Parallel, exact for Fixed.
+        let t = plan_unit_threads(par, &heavy);
+        assert!(t >= 1 && t <= hw * 2, "{t}");
+        assert!(plan_unit_threads(par, &heavy[..3]) <= 3);
+        assert_eq!(
+            plan_unit_threads(ExecPolicy::Fixed { threads: 6 }, &heavy),
+            6
+        );
+        assert_eq!(
+            plan_unit_threads(ExecPolicy::Fixed { threads: 6 }, &heavy[..3]),
+            3
+        );
+        assert_eq!(plan_unit_threads(ExecPolicy::Sequential, &heavy), 1);
+        // Below the weight floor a Parallel fan-out is one thread however
+        // many units and cores there are; two floors' worth pays for at
+        // most two. Fixed ignores the weights.
+        let floor = (MIN_PARALLEL_ITEMS * spawn_cost_factor()) as u64;
+        let light = [floor / 8; 4];
+        assert_eq!(plan_unit_threads(par, &light), 1);
+        assert_eq!(plan_unit_threads(ExecPolicy::auto(), &light), 1);
+        assert!(plan_unit_threads(par, &[floor / 2; 4]) <= 2);
+        assert_eq!(plan_unit_threads(par, &[0; 4]), 1);
+        assert_eq!(
+            plan_unit_threads(ExecPolicy::Fixed { threads: 3 }, &light),
+            3
+        );
+        assert_eq!(plan_unit_threads(ExecPolicy::Fixed { threads: 3 }, &[]), 1);
+    }
 
-            let err = try_map_units(
-                policy,
-                10,
-                || "panic".to_string(),
+    /// Weights far above any calibrated floor, so `Parallel` fans out
+    /// wherever there is a second core.
+    const HEAVY: u64 = 1 << 40;
+
+    #[test]
+    fn try_map_units_claims_largest_first_and_returns_unit_order() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        assert_eq!(claim_order(&[1, 1, 1, 10]), vec![3, 0, 1, 2]);
+        assert_eq!(claim_order(&[5, 7, 5, 7]), vec![1, 3, 0, 2]);
+        for threads in [2, 3] {
+            // The first claim is unit 3's; every other unit waits for it
+            // to be recorded, so the record shows the claim order however
+            // the threads are scheduled (and a loop that claimed in index
+            // order would run into the timeout and fail the assert).
+            let heavy_started = AtomicBool::new(false);
+            let started = std::sync::Mutex::new(Vec::new());
+            let out = try_map_units(
+                ExecPolicy::Fixed { threads },
+                &[1, 1, 1, 10],
+                || "panic",
                 |i| {
-                    if i >= 3 {
-                        Err(format!("unit {i} failed"))
-                    } else {
-                        Ok(i)
+                    let waiting = std::time::Instant::now();
+                    while i != 3
+                        && !heavy_started.load(Ordering::SeqCst)
+                        && waiting.elapsed() < std::time::Duration::from_secs(2)
+                    {
+                        std::thread::yield_now();
                     }
+                    started.lock().unwrap().push(i);
+                    heavy_started.store(true, Ordering::SeqCst);
+                    Ok::<_, &str>(i * 2)
                 },
             );
-            // Lowest-indexed failure, like a sequential `?` loop.
-            assert_eq!(err.unwrap_err(), "unit 3 failed", "{policy:?}");
+            assert_eq!(out.unwrap(), vec![0, 2, 4, 6], "results in unit order");
+            let mut started = started.into_inner().unwrap();
+            assert_eq!(started[0], 3, "the heaviest unit is claimed first");
+            started.sort_unstable();
+            assert_eq!(started, vec![0, 1, 2, 3], "every unit ran exactly once");
+        }
+        // One thread is the plain loop: index order, whatever the weights.
+        let order = std::sync::Mutex::new(Vec::new());
+        try_map_units(
+            ExecPolicy::Sequential,
+            &[1, 1, 1, 10],
+            || (),
+            |i| {
+                order.lock().unwrap().push(i);
+                Ok::<_, ()>(())
+            },
+        )
+        .unwrap();
+        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn try_map_units_reports_lowest_error() {
+        for policy in [
+            ExecPolicy::Sequential,
+            ExecPolicy::Parallel { threads: 4 },
+            ExecPolicy::Fixed { threads: 3 },
+        ] {
+            let ok = try_map_units(policy, &[HEAVY; 10], || "panic", |i| Ok::<_, &str>(i * 2));
+            assert_eq!(ok.unwrap(), (0..10).map(|i| i * 2).collect::<Vec<_>>());
+
+            // Whether the failing units are claimed before every unit
+            // below them (ascending weights) or after (descending), the
+            // answer is the lowest-indexed failure, like a sequential `?`
+            // loop's.
+            let ascending: Vec<u64> = (0..10).map(|i| HEAVY + i).collect();
+            let descending: Vec<u64> = (0..10).map(|i| HEAVY - i).collect();
+            for weights in [&ascending, &descending] {
+                let err = try_map_units(
+                    policy,
+                    weights,
+                    || "panic".to_string(),
+                    |i| {
+                        if i == 3 || i >= 6 {
+                            Err(format!("unit {i} failed"))
+                        } else {
+                            Ok(i)
+                        }
+                    },
+                );
+                assert_eq!(err.unwrap_err(), "unit 3 failed", "{policy:?}");
+            }
         }
     }
 
     #[test]
-    fn try_map_units_converts_worker_panics_to_errors() {
+    fn try_map_units_converts_panics_on_helper_and_caller_to_errors() {
+        // Fixed{2} over two units: the caller and the one helper each
+        // claim exactly one (the barrier holds the first claimer inside
+        // its unit until the other thread has claimed the second), so
+        // with both units panicking one panic is on the calling thread
+        // and one on the helper.
+        let caller = std::thread::current().id();
+        let on_caller = std::sync::Mutex::new(Vec::new());
+        let gate = std::sync::Barrier::new(2);
         let err = try_map_units(
-            ExecPolicy::Parallel { threads: 3 },
-            6,
+            ExecPolicy::Fixed { threads: 2 },
+            &[2, 1],
             || "worker panicked",
-            |i| {
-                if i == 2 {
-                    panic!("boom");
-                }
-                Ok::<_, &str>(i)
+            |i| -> Result<usize, &str> {
+                on_caller
+                    .lock()
+                    .unwrap()
+                    .push(std::thread::current().id() == caller);
+                gate.wait();
+                panic!("boom in unit {i}");
             },
         );
         assert_eq!(err.unwrap_err(), "worker panicked");
+        let mut on_caller = on_caller.into_inner().unwrap();
+        on_caller.sort_unstable();
+        assert_eq!(on_caller, vec![false, true]);
+
+        // And one panicking unit among healthy ones (2× cores keeps
+        // `Parallel` at two threads or more on any machine).
+        for policy in [
+            ExecPolicy::Parallel { threads: 3 },
+            ExecPolicy::Fixed { threads: 3 },
+        ] {
+            let err = try_map_units(
+                policy,
+                &[HEAVY; 6],
+                || "worker panicked",
+                |i| {
+                    if i == 2 {
+                        panic!("boom");
+                    }
+                    Ok::<_, &str>(i)
+                },
+            );
+            assert_eq!(err.unwrap_err(), "worker panicked", "{policy:?}");
+        }
     }
 
     #[test]
     fn empty_inputs_are_fine() {
-        assert_eq!(map_units(ExecPolicy::auto(), 0, |i| i).len(), 0);
+        let none = try_map_units(ExecPolicy::auto(), &[], || (), Ok::<usize, ()>);
+        assert_eq!(none.unwrap().len(), 0);
         let v = map_ranges(ExecPolicy::auto(), 0, |r| r.len());
         assert_eq!(v.into_iter().sum::<usize>(), 0);
         let mut empty: [u8; 0] = [];

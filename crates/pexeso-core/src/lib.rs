@@ -35,8 +35,9 @@
 //! ## Execution policy and kernels
 //!
 //! Every stage of the pipeline accepts an [`config::ExecPolicy`]:
-//! `Sequential` (the default; what the paper's experiments time) or
-//! `Parallel { threads }` (`threads == 0` = all cores). Parallel execution
+//! `Sequential` (a build's default) or `Parallel { threads }`
+//! (`threads == 0` = all cores of the executing host, a query's default).
+//! Parallel execution
 //! is **deterministic** — work is sharded so results never depend on the
 //! thread count, and `tests/exactness.rs` pins `Parallel ≡ Sequential`
 //! byte-for-byte. The distance layer exposes batched early-exit kernels

@@ -3,11 +3,12 @@
 //! When the repository exceeds main memory, columns are partitioned
 //! (see [`crate::partition`]), one PEXESO index is built and persisted per
 //! partition, and a search loads partitions one at a time, merging results.
-//! A parallel [`Query::policy`] runs the same loop under the crate-wide
-//! [`crate::config::ExecPolicy`]: partitions are coarse work units handed to a
-//! [`crate::exec::map_units`] work-stealing pool, overlapping partition
-//! loading with searching (an extension over the paper's sequential loop;
-//! the sequential mode is the default and is what the experiments time).
+//! A parallel [`Query::policy`] — a query's default — runs the same loop
+//! under the crate-wide [`crate::config::ExecPolicy`]: partitions are
+//! coarse work units handed out largest first by
+//! [`crate::exec::try_map_units`], overlapping partition loading with
+//! searching (an extension over the paper's sequential loop, which
+//! [`crate::config::ExecPolicy::Sequential`] still is).
 //! A one-partition deployment spends the policy inside its one search
 //! instead ([`crate::config::ExecPolicy::split`]). Results are identical
 //! for every policy.
@@ -344,7 +345,15 @@ impl PartitionedLake {
 impl Queryable for PartitionedLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         let metric = self.resolve_metric_name(query)?;
-        execute_partitioned(self.partition_files.len(), query, |i, inner, guard| {
+        // A disk-backed partition's weight is its file's bytes — what is
+        // known of its size before loading it. An unreadable file weighs
+        // nothing here and fails with a typed error when loaded.
+        let weights: Vec<u64> = self
+            .partition_files
+            .iter()
+            .map(|f| fs::metadata(f).map_or(0, |m| m.len()))
+            .collect();
+        execute_partitioned(&weights, query, |i, inner, guard| {
             load_unit(&self.partition_files[i], &metric)?.answer(inner, vectors, guard)
         })
     }
@@ -552,11 +561,18 @@ pub(crate) fn execute_on_index<M: Metric>(
 }
 
 /// The shared partition loop behind the out-of-core and resident
-/// backends: fan `run(i, …)` over the partitions under `query.policy`
-/// when there are at least two of them — each partition's search then
-/// runs sequentially — or hand the policy to the one partition's search
-/// ([`crate::config::ExecPolicy::split`]), merge per-partition results in
-/// partition order, and apply the unified final ranking.
+/// backends, over `weights.len()` partitions: fan `run(i, …)` over them
+/// under `query.policy` when there are at least two — each partition's
+/// search then runs sequentially — or hand the policy to the one
+/// partition's search ([`crate::config::ExecPolicy::split`]), merge
+/// per-partition results in partition order, and apply the unified final
+/// ranking.
+///
+/// `weights[i]` estimates partition `i`'s cost — its vectors when it is
+/// resident, its file's bytes when `run` loads it from disk. The fan-out
+/// starts the heaviest partition first and spawns no thread the total
+/// weight cannot pay for ([`exec::try_map_units`]); weights never reach
+/// the answer.
 ///
 /// A budgeted query runs the partition loop sequentially instead: the
 /// guard carries the spent budget from one partition into the next, and
@@ -569,7 +585,7 @@ pub(crate) fn execute_on_index<M: Metric>(
 /// closures that filter tombstoned hits and fold an in-memory delta index
 /// in as one extra unit, inheriting the fan-out, budget, and ranking
 /// semantics unchanged.
-pub fn execute_partitioned<F>(n_partitions: usize, query: &Query, run: F) -> Result<QueryResponse>
+pub fn execute_partitioned<F>(weights: &[u64], query: &Query, run: F) -> Result<QueryResponse>
 where
     F: Fn(usize, &Query, &mut Option<BudgetGuard>) -> Result<PartitionAnswer> + Sync,
 {
@@ -577,6 +593,7 @@ where
     if let QueryMode::Topk(0) = query.mode {
         return Ok(empty_topk_response(query));
     }
+    let n_partitions = weights.len();
     let (fan_out, inside) = query.policy.split(n_partitions);
     let inner = query.clone().with_policy(inside);
     let mut guard = BudgetGuard::start(&query.budget);
@@ -592,13 +609,12 @@ where
         }
         out
     } else {
-        // `try_map_units` stops handing out partitions after the first
-        // failure (like the sequential `?` loop always did) and converts
-        // a worker panic into a recoverable error instead of crashing a
-        // long-running server.
+        // `try_map_units` reports the failure the sequential `?` loop
+        // would have, and converts a panic in any claiming thread into a
+        // recoverable error instead of crashing a long-running server.
         exec::try_map_units(
             fan_out,
-            n_partitions,
+            weights,
             || PexesoError::InvalidParameter("partition query worker panicked".into()),
             |i| run(i, &inner, &mut None),
         )?
@@ -742,7 +758,12 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
         }
         // The same partition loop as the disk-backed lake, minus the
         // per-query `load_index`.
-        execute_partitioned(self.indexes.len(), query, |i, inner, guard| {
+        let weights: Vec<u64> = self
+            .indexes
+            .iter()
+            .map(|index| index.columns().n_vectors() as u64)
+            .collect();
+        execute_partitioned(&weights, query, |i, inner, guard| {
             execute_on_index(&self.indexes[i], inner, vectors, guard)
         })
     }
@@ -854,6 +875,50 @@ mod tests {
             .unwrap();
         assert_eq!(seq.hits, par.hits);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An empty answer from a unit that was never really searched.
+    fn no_hits() -> Result<PartitionAnswer> {
+        Ok((Vec::new(), SearchStats::new(), None, None))
+    }
+
+    #[test]
+    fn a_panicking_unit_is_one_typed_error_on_any_claiming_thread() {
+        let q = Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1))
+            .with_policy(ExecPolicy::Fixed { threads: 2 });
+        // The barrier holds whoever claims first inside its unit until the
+        // other thread has claimed the second, so one panic is the
+        // caller's and one a helper's.
+        let gate = std::sync::Barrier::new(2);
+        let err = execute_partitioned(&[7, 3], &q, |_, _, _| {
+            gate.wait();
+            panic!("unit blew up")
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, PexesoError::InvalidParameter(m) if m.contains("panicked")),
+            "{err:?}"
+        );
+        // The same loop answers the next query.
+        assert!(execute_partitioned(&[7, 3], &q, |_, _, _| no_hits()).is_ok());
+    }
+
+    #[test]
+    fn budgeted_sweep_ignores_weights_and_threads() {
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let q = Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1))
+            .with_policy(ExecPolicy::Fixed { threads: 3 })
+            .with_max_distance_computations(1_000);
+        execute_partitioned(&[1, 1, 10], &q, |i, inner, guard| {
+            assert_eq!(std::thread::current().id(), caller);
+            assert_eq!(inner.policy, ExecPolicy::Sequential);
+            assert!(guard.is_some(), "the guard travels from unit to unit");
+            order.lock().unwrap().push(i);
+            no_hits()
+        })
+        .unwrap();
+        assert_eq!(order.into_inner().unwrap(), vec![0, 1, 2]);
     }
 
     #[test]

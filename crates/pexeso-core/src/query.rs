@@ -167,6 +167,12 @@ pub struct Query {
     /// partition loop of a deployment with at least two partitions, and
     /// otherwise to mapping, blocking and verification inside the one
     /// search ([`ExecPolicy::split`]). Results are policy-independent.
+    ///
+    /// The default is [`ExecPolicy::auto`]: as many threads as the host
+    /// that *executes* the query has cores — a daemon resolves it, not
+    /// the client that sent it — and only where the work pays for them
+    /// ([`crate::exec`]); a query that must stay on one thread says
+    /// [`ExecPolicy::Sequential`].
     pub policy: ExecPolicy,
     /// Metric the backend is expected to have been built with (e.g.
     /// `"euclidean"`). Backends that know their metric reject a mismatch
@@ -199,7 +205,7 @@ impl Query {
             mode,
             tau,
             options: SearchOptions::default(),
-            policy: ExecPolicy::Sequential,
+            policy: ExecPolicy::auto(),
             metric: None,
             budget: QueryBudget::default(),
             trace: TraceLevel::Off,
@@ -447,6 +453,7 @@ mod tests {
         assert_eq!(q.request_id, Some(0xabcd));
         assert!(q.explain);
         let default = Query::topk(Tau::Ratio(0.06), 7);
+        assert_eq!(default.policy, ExecPolicy::auto());
         assert_eq!(default.trace, TraceLevel::Off);
         assert_eq!(default.request_id, None);
         assert!(!default.explain);

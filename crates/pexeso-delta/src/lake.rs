@@ -77,8 +77,14 @@ impl Queryable for DeltaLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         query.check_metric("deployment", &self.manifest.metric)?;
         let files = self.base.partition_files();
+        // File bytes, like `PartitionedLake`: all a disk-backed unit
+        // knows of its size before it is loaded.
+        let weights: Vec<u64> = files
+            .iter()
+            .map(|f| std::fs::metadata(f).map_or(0, |m| m.len()))
+            .collect();
         self.overlay
-            .execute_with_base(files.len(), query, vectors, |i| {
+            .execute_with_base(&weights, query, vectors, |i| {
                 load_unit(&files[i], &self.manifest.metric)
             })
     }

@@ -125,9 +125,13 @@ impl DeltaOverlay {
         &self.dropped_tables
     }
 
-    /// Execute `query` over `n_base` base units plus this overlay.
-    /// `base_unit(i)` materialises base unit `i` (a disk load for
-    /// [`crate::DeltaLake`], a borrow for a resident snapshot); the
+    /// Execute `query` over `base_weights.len()` base units plus this
+    /// overlay. `base_unit(i)` materialises base unit `i` (a disk load
+    /// for [`crate::DeltaLake`], a borrow for a resident snapshot) and
+    /// `base_weights[i]` is its weight in the partition loop — its
+    /// file's bytes, resp. its vectors (see [`execute_partitioned`]).
+    /// The delta unit weighs its vectors: small by construction, it is
+    /// handed out after the base units in either currency. The
     /// overlay drives tombstone filtering and the top-k over-ask around
     /// its [`IndexUnit::answer`]. Fan-out, budget semantics, outcome
     /// folding, and the final ranking all come from the core partition
@@ -135,7 +139,7 @@ impl DeltaOverlay {
     /// built-in backend.
     pub fn execute_with_base<U, G>(
         &self,
-        n_base: usize,
+        base_weights: &[u64],
         query: &Query,
         vectors: &VectorStore,
         base_unit: G,
@@ -144,8 +148,12 @@ impl DeltaOverlay {
         U: Deref<Target = dyn IndexUnit>,
         G: Fn(usize) -> Result<U> + Sync,
     {
-        let n_units = n_base + usize::from(self.index.is_some());
-        execute_partitioned(n_units, query, |i, inner, guard| {
+        let n_base = base_weights.len();
+        let mut weights = base_weights.to_vec();
+        if self.index.is_some() {
+            weights.push(self.n_delta_vectors() as u64);
+        }
+        execute_partitioned(&weights, query, |i, inner, guard| {
             if i < n_base {
                 self.run_base_filtered(&*base_unit(i)?, inner, vectors, guard)
             } else {

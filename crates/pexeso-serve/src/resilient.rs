@@ -376,15 +376,22 @@ impl ResilientClient {
         vectors: &VectorStore,
     ) -> Result<QueryResponse, ClientError> {
         let replica = &self.replicas[idx];
-        let client = self.replica_client(idx)?;
-        let result = client.execute_detailed(query, vectors).map(|(resp, meta)| {
-            // Track the freshest generation seen across replicas (max,
-            // not last: a lagging replica must not roll the gauge
-            // backwards).
-            self.last_generation
-                .fetch_max(meta.generation, Ordering::Relaxed);
-            resp
-        });
+        // A replica that cannot be dialled has failed this attempt like
+        // one that hung up mid-reply: both reach the breaker below.
+        let (client, result) = match self.replica_client(idx) {
+            Ok(client) => {
+                let result = client.execute_detailed(query, vectors).map(|(resp, meta)| {
+                    // Track the freshest generation seen across replicas
+                    // (max, not last: a lagging replica must not roll the
+                    // gauge backwards).
+                    self.last_generation
+                        .fetch_max(meta.generation, Ordering::Relaxed);
+                    resp
+                });
+                (Some(client), result)
+            }
+            Err(e) => (None, Err(e)),
+        };
         let mut state = replica.state.lock().expect("replica poisoned");
         match &result {
             Ok(_) => {
@@ -398,10 +405,9 @@ impl ResilientClient {
                 if matches!(
                     e,
                     ClientError::Io(_) | ClientError::Desynced(_) | ClientError::Disconnected
-                ) && state
-                    .client
+                ) && client
                     .as_ref()
-                    .is_some_and(|c| Arc::ptr_eq(c, &client))
+                    .is_some_and(|mine| state.client.as_ref().is_some_and(|c| Arc::ptr_eq(c, mine)))
                 {
                     state.client = None;
                 }

@@ -164,8 +164,13 @@ impl Snapshot {
 impl Queryable for Snapshot {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         query.check_metric("index", &self.manifest.metric)?;
+        let weights: Vec<u64> = self
+            .units
+            .iter()
+            .map(|u| u.columns().n_vectors() as u64)
+            .collect();
         self.overlay
-            .execute_with_base(self.units.len(), query, vectors, |i| Ok(&*self.units[i]))
+            .execute_with_base(&weights, query, vectors, |i| Ok(&*self.units[i]))
     }
 }
 

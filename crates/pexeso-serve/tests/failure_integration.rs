@@ -262,6 +262,87 @@ fn resilient_client_never_retries_past_the_deadline() {
     assert!(stats.retries >= 1, "{stats:?}");
 }
 
+/// Satellite regression: a replica that refuses the *dial* fails the
+/// attempt through the same breaker bookkeeping as one that fails the
+/// round trip. With a closed port as the only replica, `failure_threshold`
+/// attempts open its circuit (before the fix the dial error returned
+/// ahead of the bookkeeping: no failure was ever counted and the circuit
+/// never opened). With a healthy replica beside it, the open circuit then
+/// keeps attempts off the dead one without dialling it again.
+#[test]
+fn refused_dials_count_as_failures_and_open_the_circuit() {
+    let _guard = fault::test_lock();
+    fault::disarm_all();
+    let dead_addr = {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        l.local_addr().unwrap().to_string()
+    };
+    let config = ResilientConfig {
+        backoff: pexeso_serve::BackoffPolicy {
+            base: Duration::from_millis(1),
+            cap: Duration::from_millis(5),
+            multiplier: 2,
+            max_retries: 0, // one attempt per call
+        },
+        failure_threshold: 3,
+        open_for: Duration::from_secs(600),
+        ..Default::default()
+    };
+    let q = Query::threshold(Tau::Ratio(0.1), JoinThreshold::Count(1));
+    let mut store = VectorStore::new(DIM);
+    store.push(&[0.1; DIM]).unwrap();
+
+    let alone = ResilientClient::new(std::slice::from_ref(&dead_addr), config.clone()).unwrap();
+    for attempt in 1..=3u32 {
+        assert_eq!(alone.stats().circuit_opens, 0, "before attempt {attempt}");
+        assert!(alone.execute(&q, &store).is_err(), "nothing listens there");
+        let status = &alone.replica_status()[0];
+        assert_eq!(status.consecutive_failures, attempt);
+        assert!(!status.connected);
+    }
+    assert_eq!(alone.stats().circuit_opens, 1);
+    assert!(alone.replica_status()[0].circuit_open);
+
+    // Beside a live daemon: once the dead replica's circuit is open,
+    // every call goes straight to the survivor — no attempt, retry or
+    // failover is spent on the dead one.
+    let dir = tempdir("dial_breaker");
+    let (columns, query) = workload(97, 9);
+    let lake = deploy(&dir, &columns);
+    let handle = Server::start(&dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let pair = ResilientClient::new(
+        &[dead_addr, handle.addr().to_string()],
+        ResilientConfig {
+            backoff: pexeso_serve::BackoffPolicy {
+                max_retries: 5,
+                ..config.backoff
+            },
+            ..config
+        },
+    )
+    .unwrap();
+    let q = &battery()[0];
+    let expect = lake.execute(q, &query).unwrap().hits;
+    let mut calls = 0;
+    while pair.stats().circuit_opens == 0 {
+        assert_eq!(pair.execute(q, &query).unwrap().hits, expect);
+        calls += 1;
+        assert!(calls <= 16, "the dead replica's circuit never opened");
+    }
+    let opened = pair.stats();
+    assert_eq!(opened.retries, 3, "one per refused dial: {opened:?}");
+    for _ in 0..6 {
+        assert_eq!(pair.execute(q, &query).unwrap().hits, expect);
+    }
+    assert_eq!(pair.stats(), opened, "an open circuit is not dialled");
+    let status = pair.replica_status();
+    assert!(status[0].circuit_open && !status[0].connected);
+    assert!(!status[1].circuit_open && status[1].connected);
+
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Satellite regression: a replica's lock covers handing its client out
 /// and the breaker bookkeeping, never the round trip. Against a daemon
 /// that takes 400 ms per query, `replica_status()` (the router's

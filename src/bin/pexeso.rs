@@ -30,6 +30,10 @@
 //! without reloading its base snapshot), `drop` tombstones tables, and
 //! `compact` folds the log into fresh base partitions.
 //!
+//! `--policy` defaults to `seq` for the builds (`index`, `compact`) and
+//! to `par` for a query — machine-sized on the host that executes it: the
+//! daemon resolves it for `query`, this process for `search`/`topk`.
+//!
 //! `query` accepts a comma-separated replica list in `--addr`: queries
 //! then go through the retrying, failover-capable client, and the reply
 //! is byte-identical whichever replica answered. `serve --fault-profile`
@@ -308,12 +312,14 @@ where
     }
 }
 
-/// The `--policy seq|par|par:N` flag shared by every subcommand.
-fn parse_policy(flags: &HashMap<String, String>) -> CliResult<ExecPolicy> {
-    match flags.get("policy") {
-        None => Ok(ExecPolicy::Sequential),
-        Some(v) => ExecPolicy::parse(v).map_err(|e| e.to_string()),
-    }
+/// The `--policy seq|par|par:N` flag shared by every subcommand. Absent,
+/// the subcommand's own default applies: `seq` for the builds
+/// (`index`, `compact`), the [`Query`] default (`par`) for a query.
+fn parse_policy(flags: &HashMap<String, String>) -> CliResult<Option<ExecPolicy>> {
+    flags
+        .get("policy")
+        .map(|v| ExecPolicy::parse(v).map_err(|e| e.to_string()))
+        .transpose()
 }
 
 /// The optional `--budget <max-distances>` / `--deadline-ms <ms>` pair
@@ -366,14 +372,16 @@ fn query_from_flags(
         None => default_k,
         Some(k) => Some(k.parse().map_err(|e| format!("bad --k '{k}': {e}"))?),
     };
-    let q = match k {
+    let mut q = match k {
         Some(k) => Query::topk(Tau::Ratio(tau), k),
         None => Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t)),
     }
-    .with_policy(parse_policy(flags)?)
     .expect_metric(metric)
     .with_budget(parse_budget(flags)?)
     .with_trace(parse_trace(flags));
+    if let Some(policy) = parse_policy(flags)? {
+        q = q.with_policy(policy);
+    }
     Ok((q, tau, t))
 }
 
@@ -425,7 +433,7 @@ fn cmd_index(flags: &HashMap<String, String>) -> CliResult<()> {
     let out_dir = PathBuf::from(flags.get("out").ok_or("--out is required")?);
     let dim: usize = parse_or(flags, "dim", 64)?;
     let partitions: usize = parse_or(flags, "partitions", 4)?;
-    let policy = parse_policy(flags)?;
+    let policy = parse_policy(flags)?.unwrap_or_default();
 
     let tables = load_csv_tables(lake_dir)?;
     println!("loaded {} tables from {lake_dir}", tables.len());
@@ -518,7 +526,7 @@ fn cmd_compact(flags: &HashMap<String, String>) -> CliResult<()> {
                 .map_err(|e| format!("bad --partitions '{v}': {e}"))?,
         ),
     };
-    let policy = parse_policy(flags)?;
+    let policy = parse_policy(flags)?.unwrap_or_default();
     let report = pexeso::pipeline::compact_lake(&index_dir, partitions, policy)
         .map_err(|e| e.to_string())?;
     println!(

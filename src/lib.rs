@@ -33,7 +33,8 @@
 //! across in-memory, out-of-core, resident, and remote execution, an
 //! explicit exactness outcome, and optional per-query budgets. Every
 //! stage also accepts a [`pexeso_core::config::ExecPolicy`]
-//! (`Sequential`, the default, or `Parallel { threads }`) and produces
+//! (`Sequential`, or `Parallel { threads }` — machine-sized by default
+//! for a query, sequential by default for a build) and produces
 //! identical results either way; [`pipeline::run_queries`] answers many
 //! query columns, one at a time, over any `&dyn Queryable`.
 //!

@@ -159,10 +159,13 @@ fn final_live_columns(dir: &Path, base: &ColumnSet) -> ColumnSet {
     columns
 }
 
-/// `Fixed` bypasses the adaptive clamp, so the sharded code runs even on
-/// hosts where `Parallel` plans down to inline.
-const POLICIES: [ExecPolicy; 3] = [
+/// `Parallel { threads: 0 }` is `ExecPolicy::auto()`, what a query that
+/// names no policy carries. `Fixed` bypasses the adaptive clamp, so the
+/// sharded code and the largest-first unit loop run even on hosts (and
+/// lakes this small) where `Parallel` plans down to inline.
+const POLICIES: [ExecPolicy; 4] = [
     ExecPolicy::Sequential,
+    ExecPolicy::Parallel { threads: 0 },
     ExecPolicy::Parallel { threads: 3 },
     ExecPolicy::Fixed { threads: 3 },
 ];
@@ -217,7 +220,10 @@ fn assert_policy_invariant(backend: &dyn Queryable, q: &VectorStore, tag: &str) 
         Query::threshold(Tau::Ratio(0.25), JoinThreshold::Ratio(0.3)),
         Query::topk(Tau::Ratio(0.4), 3),
     ] {
-        let seq = backend.execute(&base, q).unwrap();
+        assert_eq!(base.policy, POLICIES[1], "the default policy is auto");
+        let seq = backend
+            .execute(&base.clone().with_policy(ExecPolicy::Sequential), q)
+            .unwrap();
         for policy in POLICIES {
             let got = backend
                 .execute(&base.clone().with_policy(policy), q)

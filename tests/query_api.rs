@@ -102,25 +102,26 @@ impl Backends {
     /// is spent inside the search instead of across partitions.
     fn build_partitioned(seed: u64, tag: &str, partitions: usize) -> (Self, VectorStore) {
         let (columns, query) = workload(seed);
-        let dir = tempdir(tag);
-        let index = PexesoIndex::build(columns.clone(), Euclidean, index_options()).unwrap();
-        let lake = PartitionedLake::build(
-            &columns,
-            Euclidean,
-            &PartitionConfig {
-                k: partitions,
-                method: PartitionMethod::JsdKmeans,
-                ..Default::default()
-            },
-            &index_options(),
-            &dir,
-        )
-        .unwrap();
+        let config = PartitionConfig {
+            k: partitions,
+            method: PartitionMethod::JsdKmeans,
+            ..Default::default()
+        };
+        let backends = Self::build_over(&columns, tag, &config);
         assert_eq!(
-            lake.num_partitions() > 1,
+            backends.lake.num_partitions() > 1,
             partitions > 1,
             "need a real partition merge exactly when asked for one"
         );
+        (backends, query)
+    }
+
+    /// The four backends over `columns`, deployed under `config`.
+    fn build_over(columns: &ColumnSet, tag: &str, config: &PartitionConfig) -> Self {
+        let dir = tempdir(tag);
+        let index = PexesoIndex::build(columns.clone(), Euclidean, index_options()).unwrap();
+        let lake =
+            PartitionedLake::build(columns, Euclidean, config, &index_options(), &dir).unwrap();
         LakeManifest::next_build(&dir, "test", DIM)
             .unwrap()
             .write(&dir)
@@ -128,17 +129,14 @@ impl Backends {
         let resident = ResidentPartitions::load(&lake, Euclidean).unwrap();
         let handle = Server::start(&dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
         let client = ServeClient::connect(handle.addr()).unwrap();
-        (
-            Self {
-                index,
-                lake,
-                resident,
-                client,
-                handle: Some(handle),
-                dir,
-            },
-            query,
-        )
+        Self {
+            index,
+            lake,
+            resident,
+            client,
+            handle: Some(handle),
+            dir,
+        }
     }
 
     /// The four backends as trait objects — the object-safety check is
@@ -164,6 +162,43 @@ impl Backends {
 /// Run one query through a trait object.
 fn run(backend: &dyn Queryable, query: &Query, vectors: &VectorStore) -> QueryResponse {
     backend.execute(query, vectors).unwrap()
+}
+
+/// `q` answers under each of `policies` exactly like under `Sequential`,
+/// on every backend: hits, outcome, every counter (timings are the only
+/// policy-dependent part of the stats) and the explain funnel.
+fn assert_policy_invariant(
+    backends: &Backends,
+    vectors: &VectorStore,
+    q: &Query,
+    policies: &[ExecPolicy],
+) {
+    let counters = |s: &SearchStats| SearchStats {
+        mapping_time: Duration::ZERO,
+        block_time: Duration::ZERO,
+        verify_time: Duration::ZERO,
+        total_time: Duration::ZERO,
+        ..s.clone()
+    };
+    for (name, backend) in backends.as_dyn() {
+        let seq = run(
+            backend,
+            &q.clone().with_policy(ExecPolicy::Sequential),
+            vectors,
+        );
+        assert!(!seq.hits.is_empty(), "workload must produce hits");
+        for &policy in policies {
+            let par = run(backend, &q.clone().with_policy(policy), vectors);
+            assert_eq!(par.hits, seq.hits, "{name} hits under {policy:?}");
+            assert_eq!(par.outcome, seq.outcome, "{name} outcome under {policy:?}");
+            assert_eq!(
+                counters(&par.stats),
+                counters(&seq.stats),
+                "{name} counters under {policy:?}"
+            );
+            assert_eq!(par.explain, seq.explain, "{name} funnel under {policy:?}");
+        }
+    }
 }
 
 /// The acceptance-criterion test: one `Query` through `&dyn Queryable`
@@ -225,39 +260,94 @@ fn one_query_four_backends_byte_identical() {
 #[test]
 fn one_partition_deployment_is_policy_invariant() {
     let (backends, query_vecs) = Backends::build_partitioned(42, "onepart", 1);
-    // Timings are the only policy-dependent part of the stats.
-    let counters = |s: &SearchStats| SearchStats {
-        mapping_time: Duration::ZERO,
-        block_time: Duration::ZERO,
-        verify_time: Duration::ZERO,
-        total_time: Duration::ZERO,
-        ..s.clone()
-    };
     // Explained queries bypass the daemon's result cache, so every served
     // run is a real execution.
     let queries = [
         Query::threshold(Tau::Ratio(0.25), JoinThreshold::Ratio(0.5)).with_explain(true),
         Query::topk(Tau::Ratio(0.25), 4).with_explain(true),
     ];
+    let policies = [
+        ExecPolicy::auto(),
+        ExecPolicy::Parallel { threads: 3 },
+        ExecPolicy::Fixed { threads: 3 },
+    ];
     for q in &queries {
-        for (name, backend) in backends.as_dyn() {
-            let seq = run(backend, q, &query_vecs);
-            assert!(!seq.hits.is_empty(), "workload must produce hits");
-            for policy in [
-                ExecPolicy::Parallel { threads: 3 },
-                ExecPolicy::Fixed { threads: 3 },
-            ] {
-                let par = run(backend, &q.clone().with_policy(policy), &query_vecs);
-                assert_eq!(par.hits, seq.hits, "{name} hits under {policy:?}");
-                assert_eq!(par.outcome, seq.outcome, "{name} outcome under {policy:?}");
-                assert_eq!(
-                    counters(&par.stats),
-                    counters(&seq.stats),
-                    "{name} counters under {policy:?}"
-                );
-                assert_eq!(par.explain, seq.explain, "{name} funnel under {policy:?}");
+        assert_policy_invariant(&backends, &query_vecs, q, &policies);
+    }
+    backends.finish();
+}
+
+/// A query that names no policy runs under `ExecPolicy::auto()` — the
+/// partition loop fans out on whatever cores the executing host has,
+/// heaviest partition first — and answers exactly like the sequential
+/// run on every backend: hits, outcome, every counter, the explain
+/// funnel. The deployment is the claim order's adversarial case (the
+/// largest partition is stored *last*, so index order would start it
+/// last) and large enough to clear the fan-out's weight floor wherever
+/// there is a second core; `Fixed` forces the same loop everywhere else.
+#[test]
+fn default_policy_is_auto_and_answers_like_sequential() {
+    use pexeso_core::partition::partition_columns;
+    use rand::SeedableRng;
+    let config = PartitionConfig {
+        k: 3,
+        method: PartitionMethod::Random,
+        ..Default::default()
+    };
+    // Random assignment depends on the column count and seed only, so a
+    // probe of empty-ish columns tells which columns the last partition
+    // gets; those are the long ones.
+    let n_cols = 24usize;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let query_vecs: Vec<Vec<f32>> = (0..6).map(|_| unit(&mut rng)).collect();
+    let lake_of = |len: &dyn Fn(usize) -> usize, rng: &mut rand::rngs::StdRng| {
+        let mut columns = ColumnSet::new(DIM);
+        for c in 0..n_cols {
+            let mut vecs: Vec<Vec<f32>> = (0..len(c)).map(|_| unit(rng)).collect();
+            if c % 5 == 0 {
+                for (slot, q) in vecs.iter_mut().zip(&query_vecs) {
+                    slot.clone_from(q);
+                }
             }
+            let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+            columns
+                .add_column(&format!("tab{c}"), "key", c as u64, refs)
+                .unwrap();
         }
+        columns
+    };
+    let probe = lake_of(&|_| 6, &mut rng);
+    let assignments = partition_columns(&probe, &config).unwrap().assignments;
+    let last = *assignments.iter().max().unwrap();
+    let columns = lake_of(&|c| if assignments[c] == last { 900 } else { 60 }, &mut rng);
+    let mut query_store = VectorStore::new(DIM);
+    for q in &query_vecs {
+        query_store.push(q).unwrap();
+    }
+
+    let backends = Backends::build_over(&columns, "default_policy", &config);
+    let sizes: Vec<usize> = (0..backends.resident.num_partitions())
+        .map(|i| backends.resident.partition(i).columns().n_vectors())
+        .collect();
+    assert!(sizes.len() >= 2, "need a partition loop: {sizes:?}");
+    let (largest_at, _) = sizes.iter().enumerate().max_by_key(|&(_, n)| *n).unwrap();
+    assert_eq!(
+        largest_at,
+        sizes.len() - 1,
+        "largest partition last: {sizes:?}"
+    );
+    assert!(sizes.iter().sum::<usize>() >= 4096, "{sizes:?}");
+
+    // Explained queries bypass the daemon's result cache, so every served
+    // run is a real execution.
+    let queries = [
+        Query::threshold(Tau::Ratio(0.2), JoinThreshold::Ratio(0.5)).with_explain(true),
+        Query::topk(Tau::Ratio(0.2), 4).with_explain(true),
+    ];
+    for q in &queries {
+        assert_eq!(q.policy, ExecPolicy::auto(), "the default policy");
+        let policies = [q.policy, ExecPolicy::Fixed { threads: 2 }];
+        assert_policy_invariant(&backends, &query_store, q, &policies);
     }
     backends.finish();
 }
