@@ -1,14 +1,13 @@
-//! Quick profile of the verify hot path, three runs of 10k×64-d vectors in
-//! 100 columns. On a uniform lake in exact-count mode (`T > |Q|`), once per
-//! candidate-scan branch: all lemmas on (the flat two-stage scan the daemon
-//! serves), then both vector-level lemmas off (the `dist_le_first` gather).
-//! Then a terminable scan (`T = 60 %`) of a clustered lake whose query
+//! Quick profile of the verify hot path, two runs of 10k×64-d vectors in
+//! 100 columns. On a uniform lake in exact-count mode (`T > |Q|`, what an
+//! unseeded top-k runs), the flat two-stage scan with all lemmas on. Then
+//! a terminable scan (`T = 60 %`) of a clustered lake whose query
 //! vectors differ widely in candidate rows and whose columns nearly all die
 //! at step `|Q| − T + 1` — the case the cheapest-first schedule and the
 //! by-live-column cell enumeration exist for. Each run prints ms per run,
 //! the distance computations and a wall-clock per distance computation, so
 //! kernel work can be separated from loop bookkeeping when tuning; the
-//! third also prints what the schedule saves before any distance is
+//! second also prints what the schedule saves before any distance is
 //! computed: the candidate rows under the first `|Q| − T + 1` query vectors
 //! in input order and in schedule order, read off the blocked output.
 //!
@@ -176,22 +175,11 @@ fn main() {
         .map(|(_, c)| c.len())
         .sum();
     println!("candidate cells (all q): {n_cand}");
-    let gather_flags = LemmaFlags {
-        lemma1_vector_filter: false,
-        lemma2_vector_match: false,
-        ..LemmaFlags::all()
-    };
     profile(
         "all lemmas (flat scan)",
         &uniform,
         N_QUERY + 1,
         LemmaFlags::all(),
-    );
-    profile(
-        "vector lemmas off (gather)",
-        &uniform,
-        N_QUERY + 1,
-        gather_flags,
     );
 
     // Clustered lake: cluster k holds a share of every column that grows

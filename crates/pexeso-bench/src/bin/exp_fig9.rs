@@ -32,7 +32,6 @@ fn run(w: &Workload, n_queries: usize) -> Vec<String> {
         let opts = SearchOptions {
             flags,
             quick_browse: true,
-            ..Default::default()
         };
         let start = Instant::now();
         let mut last_result = Vec::new();

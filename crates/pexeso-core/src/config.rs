@@ -56,6 +56,9 @@ impl JoinThreshold {
     /// Resolve to an absolute count for a query of `query_len` records.
     /// Ratios round up (a strict fraction must be reached) and are clamped
     /// to at least 1 so "joinable" always requires at least one match.
+    /// The product is binary — `0.55 × 100` is `55.000000000000007` — so it
+    /// is nudged down by far less than any real fraction before the `ceil`;
+    /// 55 % of 100 records is 55, not 56.
     pub fn resolve(self, query_len: usize) -> Result<usize> {
         match self {
             JoinThreshold::Count(c) => Ok(c.max(1)),
@@ -65,7 +68,7 @@ impl JoinThreshold {
                         "joinability ratio {r} outside (0, 1]"
                     )));
                 }
-                Ok(((r * query_len as f64).ceil() as usize).max(1))
+                Ok(((r * query_len as f64 - 1e-9).ceil() as usize).max(1))
             }
         }
     }
@@ -329,6 +332,12 @@ mod tests {
         assert_eq!(JoinThreshold::Count(3).resolve(10).unwrap(), 3);
         assert_eq!(JoinThreshold::Count(0).resolve(10).unwrap(), 1); // clamped
         assert_eq!(JoinThreshold::Ratio(0.01).resolve(10).unwrap(), 1);
+        // Products that land a hair above an integer in binary.
+        assert_eq!(JoinThreshold::Ratio(0.55).resolve(100).unwrap(), 55);
+        assert_eq!(JoinThreshold::Ratio(0.56).resolve(25).unwrap(), 14);
+        assert_eq!(JoinThreshold::Ratio(0.28).resolve(25).unwrap(), 7);
+        assert_eq!(JoinThreshold::Ratio(0.6).resolve(19).unwrap(), 12);
+        assert_eq!(JoinThreshold::Ratio(1.0).resolve(19).unwrap(), 19);
     }
 
     #[test]

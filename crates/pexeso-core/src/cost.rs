@@ -198,63 +198,36 @@ pub fn analyze_levels<M: Metric>(
     })
 }
 
-/// Cheap per-column bounds on the number of matching query records,
-/// derived from the blocking output alone (no exact distances).
-///
-/// For a column `S` and query column `Q`:
-///
-/// * `lower[S]` counts query vectors whose *matching* cells (Lemma 5/6)
-///   contain `S` — each is a definite match, so the exact count is at
-///   least `lower[S]`;
-/// * `upper[S]` counts query vectors whose matching **or** candidate
-///   cells contain `S` — blocking is lossless, so a query vector that
-///   appears in neither can never match `S` and the exact count is at
-///   most `upper[S]`.
-///
-/// This is the top-k analogue of the Eq. 1 cost estimate: the same cheap
-/// postings-walk that prices verification also brackets every column's
-/// join size, which [`crate::verify::verify_topk`] uses to seed and then
-/// adaptively tighten the k-th-best threshold.
+/// Cheap per-column lower bounds on the number of matching query
+/// records, derived from the blocking output alone (no exact distances):
+/// `lower[S]` counts query vectors whose *matching* cells (Lemma 5/6)
+/// contain column `S` — each is a definite match, so the exact count is at
+/// least `lower[S]`. [`topk_seed`] turns them into the threshold a top-k
+/// scan starts from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnMatchBounds {
     /// Definite matches per column (exact count is ≥ this).
     pub lower: Vec<u32>,
-    /// Possible matches per column (exact count is ≤ this).
-    pub upper: Vec<u32>,
-    /// Total vector appearances of the column across the query's matching
-    /// and candidate cells — a density heuristic (columns saturate the
-    /// per-query upper bound long before they differ in it, but a column
-    /// with many vectors inside the query's cells is far more likely to
-    /// match every query vector). Ordering only; never used for pruning.
-    pub weight: Vec<u64>,
 }
 
-/// Compute [`ColumnMatchBounds`] with one postings walk. Deleted columns
-/// get `(0, 0)`. The column space is sharded across the policy's threads
-/// exactly like verification, so the result is identical for every policy.
+/// Compute [`ColumnMatchBounds`] with one walk over the matching cells'
+/// postings. Deleted columns get 0. The column space is sharded across the
+/// policy's threads exactly like verification, so the result is identical
+/// for every policy. `_n_q` is not read; the parameter stays for the
+/// benchmark ladder's call.
 pub fn column_match_bounds(
     blocked: &BlockOutput,
     inv: &InvertedIndex,
     n_cols: usize,
-    n_q: usize,
+    _n_q: usize,
     deleted: Option<&[bool]>,
     policy: ExecPolicy,
 ) -> ColumnMatchBounds {
     let shards = exec::map_ranges_min(policy, n_cols, 2, |cols| {
-        bounds_range(blocked, inv, cols, n_q, deleted)
+        bounds_range(blocked, inv, cols, deleted)
     });
-    let mut lower = Vec::with_capacity(n_cols);
-    let mut upper = Vec::with_capacity(n_cols);
-    let mut weight = Vec::with_capacity(n_cols);
-    for (lo, up, w) in shards {
-        lower.extend(lo);
-        upper.extend(up);
-        weight.extend(w);
-    }
     ColumnMatchBounds {
-        lower,
-        upper,
-        weight,
+        lower: shards.into_iter().flatten().collect(),
     }
 }
 
@@ -263,80 +236,44 @@ fn bounds_range(
     blocked: &BlockOutput,
     inv: &InvertedIndex,
     cols: std::ops::Range<usize>,
-    n_q: usize,
     deleted: Option<&[bool]>,
-) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+) -> Vec<u32> {
     let (lo, hi) = (cols.start, cols.end);
-    let width = hi - lo;
-    let mut lower = vec![0u32; width];
-    let mut upper = vec![0u32; width];
-    let mut weight = vec![0u64; width];
-    // Generation stamps, one per query vector (gen = q + 1).
-    let mut def_stamp = vec![0u32; width];
-    let mut any_stamp = vec![0u32; width];
+    let mut lower = vec![0u32; hi - lo];
+    // Generation stamps, one per query vector (gen = q + 1): a column in
+    // several of one vector's matching cells counts once.
+    let mut stamp = vec![0u32; hi - lo];
     let skip = |col: u32| -> bool { deleted.is_some_and(|d| d[col as usize]) };
-    let mut mi = 0usize;
-    let mut ci = 0usize;
-    for q in 0..n_q as u32 {
+    for (q, cells) in &blocked.matching {
         let gen = q + 1;
-        if mi < blocked.matching.len() && blocked.matching[mi].0 == q {
-            for &cell in &blocked.matching[mi].1 {
-                let Some(postings) = inv.postings(cell) else {
+        for &cell in cells {
+            let Some(postings) = inv.postings(cell) else {
+                continue;
+            };
+            for &col in &postings.cols {
+                let c = col as usize;
+                if c < lo || c >= hi || skip(col) {
                     continue;
-                };
-                for (slot, &col) in postings.cols.iter().enumerate() {
-                    let c = col as usize;
-                    if c < lo || c >= hi || skip(col) {
-                        continue;
-                    }
-                    let s = c - lo;
-                    weight[s] += postings.vectors_of(slot).len() as u64;
-                    if def_stamp[s] != gen {
-                        def_stamp[s] = gen;
-                        lower[s] += 1;
-                    }
-                    if any_stamp[s] != gen {
-                        any_stamp[s] = gen;
-                        upper[s] += 1;
-                    }
+                }
+                if stamp[c - lo] != gen {
+                    stamp[c - lo] = gen;
+                    lower[c - lo] += 1;
                 }
             }
-            mi += 1;
-        }
-        if ci < blocked.candidates.len() && blocked.candidates[ci].0 == q {
-            for &cell in &blocked.candidates[ci].1 {
-                let Some(postings) = inv.postings(cell) else {
-                    continue;
-                };
-                for (slot, &col) in postings.cols.iter().enumerate() {
-                    let c = col as usize;
-                    if c < lo || c >= hi || skip(col) {
-                        continue;
-                    }
-                    let s = c - lo;
-                    weight[s] += postings.vectors_of(slot).len() as u64;
-                    if any_stamp[s] != gen {
-                        any_stamp[s] = gen;
-                        upper[s] += 1;
-                    }
-                }
-            }
-            ci += 1;
         }
     }
-    (lower, upper, weight)
+    lower
 }
 
-/// Seed for the adaptive top-k threshold: the k-th best `(lower bound,
-/// column id)` entry under the documented tie-break (count descending,
-/// then id ascending). Because at least k columns reach their lower
-/// bounds exactly or better, the final k-th best *exact* entry can never
-/// rank below this seed — so any column whose upper-bound entry ranks
-/// strictly below it is safely pruned before exact verification.
+/// Seed for the top-k threshold: the k-th best `(lower bound, column id)`
+/// entry under the documented tie-break (count descending, then id
+/// ascending). Because at least k columns reach their lower bounds exactly
+/// or better, the final k-th best *exact* entry can never rank below this
+/// seed — so [`crate::verify::verify_topk`] prunes any column that can no
+/// longer reach the seed's count.
 ///
 /// Returns `None` when fewer than `k` columns have a positive lower
-/// bound (no sound seed exists yet; the threshold then grows only as the
-/// result heap fills).
+/// bound (no sound seed exists; the scan then counts every column out).
 pub fn topk_seed(bounds: &ColumnMatchBounds, k: usize) -> Option<(u32, u32)> {
     if k == 0 {
         return None;
@@ -451,8 +388,6 @@ mod tests {
     fn topk_seed_picks_kth_best_lower_bound() {
         let bounds = ColumnMatchBounds {
             lower: vec![0, 5, 3, 5, 1],
-            upper: vec![2, 8, 6, 7, 4],
-            weight: vec![0; 5],
         };
         // Beat order over positive lower bounds: (5,1), (5,3), (3,2), (1,4).
         assert_eq!(topk_seed(&bounds, 1), Some((5, 1)));

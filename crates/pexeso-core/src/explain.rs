@@ -2,18 +2,16 @@
 //!
 //! PEXESO's contribution is a cascade of pruning stages — grid blocking
 //! (Lemmas 3–6), inverted-index verification (Lemmas 1/2), and
-//! column-level early termination (Lemma 7 / best-first top-k bounds).
-//! The trace plane ([`crate::trace`]) reports how *long* each phase
-//! took; this module reports *why* the work was what it was: how many
-//! candidates each stage admitted, which lemma killed how many, and —
-//! for best-first top-k — how the adaptive threshold tightened round by
-//! round and which columns were pruned by their own upper bounds.
+//! column-level early termination (Lemma 7, under `T` or under a top-k
+//! seed). The trace plane ([`crate::trace`]) reports how *long* each
+//! phase took; this module reports *why* the work was what it was: how
+//! many candidates each stage admitted and which lemma killed how many.
 //!
 //! An [`ExplainReport`] is a pure function of the query's final
-//! [`SearchStats`] (plus an optional [`TopkExplain`] recorded inside
-//! the best-first loop), so the explain-off path costs nothing and
-//! explain-on provably cannot change results: the differential suite in
-//! `tests/explain.rs` pins hits and stats byte-identical either way.
+//! [`SearchStats`] (plus the seed count of each unit's top-k scan), so
+//! the explain-off path costs nothing and explain-on provably cannot
+//! change results: the differential suite in `tests/explain.rs` pins
+//! hits and stats byte-identical either way.
 //!
 //! ## Funnel semantics
 //!
@@ -65,53 +63,8 @@ impl FunnelStage {
     }
 }
 
-/// Per-column prune records kept in a [`TopkExplain`] are capped so an
-/// explain report stays small no matter the repository size.
-pub const MAX_PRUNED_COLUMNS: usize = 32;
-
-/// One best-first verification round as the top-k loop saw it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopkRound {
-    /// The frozen threshold count of this round (`None` until the heap
-    /// holds `k` exact entries and no seed exists).
-    pub bar: Option<u32>,
-    /// Columns exactly verified this round.
-    pub batch: u32,
-    /// Columns pruned this round by their own upper bound.
-    pub pruned: u32,
-}
-
-/// The best-first top-k loop's own story: the seeded threshold, the
-/// bound trajectory round by round, and (a capped sample of) the
-/// columns pruned without exact verification.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TopkExplain {
-    /// The sound initial threshold count seeded by the cost model.
-    pub seed: Option<u32>,
-    /// Columns whose upper bound survived the seed.
-    pub survivors: u64,
-    /// One entry per batch round, in execution order.
-    pub rounds: Vec<TopkRound>,
-    /// `(column, upper bound)` of bound-pruned columns, first
-    /// [`MAX_PRUNED_COLUMNS`] only.
-    pub pruned_columns: Vec<(u32, u32)>,
-    /// Whether the loop stopped outright because the suffix maximum of
-    /// the remaining upper bounds fell below the threshold.
-    pub suffix_stop: bool,
-}
-
-impl TopkExplain {
-    /// Record a bound-pruned column (capped; the aggregate counter in
-    /// [`SearchStats::topk_pruned`] is never capped).
-    pub fn record_pruned_column(&mut self, column: u32, upper_bound: u32) {
-        if self.pruned_columns.len() < MAX_PRUNED_COLUMNS {
-            self.pruned_columns.push((column, upper_bound));
-        }
-    }
-}
-
-/// The full explain answer for one query: the candidate funnel, the
-/// scalar decisions, and the top-k trajectory when applicable.
+/// The full explain answer for one query: the candidate funnel and the
+/// scalar decisions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplainReport {
     /// `threshold` or `topk`.
@@ -119,56 +72,46 @@ pub struct ExplainReport {
     /// The candidate funnel, outermost stage first.
     pub stages: Vec<FunnelStage>,
     /// Human-readable scalar decisions (quick-browse, budget outcome,
-    /// definite-match counts, …).
+    /// definite-match counts, the top-k seed, …).
     pub decisions: Vec<String>,
-    /// Best-first trajectory; present for locally-executed top-k
-    /// queries, absent for threshold queries and router-merged reports
-    /// (per-shard trajectories don't compose).
-    pub topk: Option<TopkExplain>,
 }
 
 impl ExplainReport {
-    /// Build the report from a query's final stats. Pure: calling this
-    /// (or not) can never change hits or stats, which is exactly what
-    /// the explain differential tests pin.
+    /// Build the report from a query's final stats and, for top-k, the
+    /// seed count each unit's scan started from (`None` = unseeded), in
+    /// unit order. Pure: calling this (or not) can never change hits or
+    /// stats, which is exactly what the explain differential tests pin.
     pub fn from_stats(
         query: &Query,
         stats: &SearchStats,
         hits: u64,
         outcome: QueryOutcome,
-        topk: Option<TopkExplain>,
+        topk_seeds: &[Option<u32>],
     ) -> Self {
         let (mode, is_topk) = match query.mode {
             QueryMode::Threshold(_) => ("threshold", false),
             QueryMode::Topk(_) => ("topk", true),
         };
-        let mut stages = Vec::with_capacity(3);
-        stages.push(FunnelStage::derive(
-            "block",
-            "pairs",
-            stats.candidate_pairs + stats.matching_pairs,
-            vec![("lemma3/4".to_string(), stats.cell_pairs_filtered)],
-        ));
-        stages.push(FunnelStage::derive(
-            "verify",
-            "rows",
-            stats.lemma2_matched + stats.distance_computations,
-            vec![("lemma1".to_string(), stats.lemma1_filtered)],
-        ));
-        let column_prunes = if is_topk {
-            vec![
-                ("upper_bound".to_string(), stats.topk_pruned),
-                ("aborted".to_string(), stats.topk_aborted),
-            ]
-        } else {
-            vec![("lemma7".to_string(), stats.lemma7_pruned)]
-        };
-        stages.push(FunnelStage::derive(
-            "columns",
-            "columns",
-            hits,
-            column_prunes,
-        ));
+        let stages = vec![
+            FunnelStage::derive(
+                "block",
+                "pairs",
+                stats.candidate_pairs + stats.matching_pairs,
+                vec![("lemma3/4".to_string(), stats.cell_pairs_filtered)],
+            ),
+            FunnelStage::derive(
+                "verify",
+                "rows",
+                stats.lemma2_matched + stats.distance_computations,
+                vec![("lemma1".to_string(), stats.lemma1_filtered)],
+            ),
+            FunnelStage::derive(
+                "columns",
+                "columns",
+                hits,
+                vec![("lemma7".to_string(), stats.lemma7_pruned)],
+            ),
+        ];
 
         let mut decisions = Vec::new();
         decisions.push(format!(
@@ -189,7 +132,11 @@ impl ExplainReport {
             stats.distance_computations, stats.mapping_distances
         ));
         if is_topk {
-            decisions.push(format!("verify_batches={}", stats.verify_batches));
+            let seeds: Vec<String> = topk_seeds
+                .iter()
+                .map(|seed| seed.map_or("none".to_string(), |count| count.to_string()))
+                .collect();
+            decisions.push(format!("topk_seed={}", seeds.join(",")));
         } else {
             decisions.push(format!("early_joinable_columns={}", stats.early_joinable));
         }
@@ -202,15 +149,12 @@ impl ExplainReport {
             mode: mode.to_string(),
             stages,
             decisions,
-            topk: topk.filter(|_| is_topk),
         }
     }
 
     /// Merge another report into this one, stage-wise by name (the
     /// router folds shard reports this way). Prune reasons merge by
-    /// name too; unmatched stages/reasons are appended. Top-k
-    /// trajectories don't compose across shards, so the merged report
-    /// drops them when both sides carry one.
+    /// name too; unmatched stages/reasons are appended.
     pub fn merge(&mut self, other: &ExplainReport) {
         for stage in &other.stages {
             if let Some(mine) = self.stages.iter_mut().find(|s| s.name == stage.name) {
@@ -231,9 +175,6 @@ impl ExplainReport {
             if !self.decisions.contains(d) {
                 self.decisions.push(d.clone());
             }
-        }
-        if other.topk.is_some() {
-            self.topk = None;
         }
     }
 
@@ -260,34 +201,6 @@ impl ExplainReport {
         for d in &self.decisions {
             let _ = writeln!(out, "    {d}");
         }
-        if let Some(t) = &self.topk {
-            let _ = writeln!(out, "  topk:");
-            let _ = writeln!(
-                out,
-                "    seed={} survivors={} suffix_stop={}",
-                t.seed.map_or("none".to_string(), |s| s.to_string()),
-                t.survivors,
-                t.suffix_stop
-            );
-            for (i, r) in t.rounds.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "    round {}: bar={} batch={} pruned={}",
-                    i + 1,
-                    r.bar.map_or("none".to_string(), |b| b.to_string()),
-                    r.batch,
-                    r.pruned
-                );
-            }
-            if !t.pruned_columns.is_empty() {
-                let cols: Vec<String> = t
-                    .pruned_columns
-                    .iter()
-                    .map(|(c, ub)| format!("{c}(ub={ub})"))
-                    .collect();
-                let _ = writeln!(out, "    pruned_columns: {}", cols.join(" "));
-            }
-        }
         out
     }
 }
@@ -309,9 +222,6 @@ mod tests {
             quick_browse_pairs: 2,
             early_joinable: 1,
             lemma7_pruned: 6,
-            topk_pruned: 9,
-            topk_aborted: 2,
-            verify_batches: 3,
             ..Default::default()
         }
     }
@@ -319,7 +229,7 @@ mod tests {
     #[test]
     fn threshold_funnel_balances_and_mirrors_stats() {
         let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.5));
-        let r = ExplainReport::from_stats(&q, &stats(), 11, QueryOutcome::Exact, None);
+        let r = ExplainReport::from_stats(&q, &stats(), 11, QueryOutcome::Exact, &[None]);
         assert!(r.consistent());
         assert_eq!(r.mode, "threshold");
         let block = &r.stages[0];
@@ -332,73 +242,35 @@ mod tests {
         let cols = &r.stages[2];
         assert_eq!(cols.output, 11);
         assert_eq!(cols.pruned, vec![("lemma7".to_string(), 6)]);
-        assert!(r.topk.is_none());
         assert!(r.decisions.iter().any(|d| d.contains("outcome=exact")));
+        assert!(!r.decisions.iter().any(|d| d.contains("topk_seed")));
     }
 
     #[test]
-    fn topk_funnel_carries_trajectory() {
+    fn topk_funnel_prunes_by_lemma7_and_prints_the_seeds() {
         let q = Query::topk(Tau::Ratio(0.05), 3);
-        let mut t = TopkExplain {
-            seed: Some(4),
-            survivors: 12,
-            ..Default::default()
-        };
-        t.rounds.push(TopkRound {
-            bar: Some(4),
-            batch: 8,
-            pruned: 1,
-        });
-        t.record_pruned_column(5, 2);
-        let r = ExplainReport::from_stats(&q, &stats(), 3, QueryOutcome::Exact, Some(t));
+        let seeds = [Some(4), None];
+        let r = ExplainReport::from_stats(&q, &stats(), 3, QueryOutcome::Exact, &seeds);
         assert!(r.consistent());
-        let cols = &r.stages[2];
-        assert_eq!(
-            cols.pruned,
-            vec![("upper_bound".to_string(), 9), ("aborted".to_string(), 2)]
-        );
+        assert_eq!(r.stages[2].pruned, vec![("lemma7".to_string(), 6)]);
         let rendered = r.render();
         assert!(rendered.contains("EXPLAIN (topk)"));
-        assert!(rendered.contains("upper_bound=-9"));
-        assert!(rendered.contains("round 1: bar=4 batch=8 pruned=1"));
-        assert!(rendered.contains("5(ub=2)"));
+        assert!(rendered.contains("lemma7=-6"));
+        assert!(rendered.contains("topk_seed=4,none"));
     }
 
     #[test]
-    fn merge_is_stagewise_and_drops_trajectories() {
+    fn merge_is_stagewise() {
         let q = Query::topk(Tau::Ratio(0.05), 3);
-        let mut a = ExplainReport::from_stats(
-            &q,
-            &stats(),
-            3,
-            QueryOutcome::Exact,
-            Some(TopkExplain::default()),
-        );
-        let b = ExplainReport::from_stats(
-            &q,
-            &stats(),
-            2,
-            QueryOutcome::Exact,
-            Some(TopkExplain::default()),
-        );
+        let mut a = ExplainReport::from_stats(&q, &stats(), 3, QueryOutcome::Exact, &[Some(2)]);
+        let b = ExplainReport::from_stats(&q, &stats(), 2, QueryOutcome::Exact, &[None]);
         let single_input = a.stages[0].input;
         a.merge(&b);
         assert!(a.consistent());
         assert_eq!(a.stages[0].input, 2 * single_input);
         assert_eq!(a.stages[2].output, 5);
-        assert_eq!(
-            a.stages[2].pruned,
-            vec![("upper_bound".to_string(), 18), ("aborted".to_string(), 4)]
-        );
-        assert!(a.topk.is_none(), "shard trajectories must not compose");
-    }
-
-    #[test]
-    fn pruned_column_records_are_capped() {
-        let mut t = TopkExplain::default();
-        for c in 0..(MAX_PRUNED_COLUMNS as u32 + 10) {
-            t.record_pruned_column(c, 1);
-        }
-        assert_eq!(t.pruned_columns.len(), MAX_PRUNED_COLUMNS);
+        assert_eq!(a.stages[2].pruned, vec![("lemma7".to_string(), 12)]);
+        let seeds = |d: &&String| d.starts_with("topk_seed=");
+        assert_eq!(a.decisions.iter().filter(seeds).count(), 2);
     }
 }

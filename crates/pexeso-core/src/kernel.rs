@@ -61,11 +61,6 @@ const EXIT_BLOCK: usize = 16;
 /// though each check pays a horizontal reduction.
 const SIMD_EXIT_BLOCK: usize = 8;
 
-/// How many rows ahead the gather loops ([`l2_le_first`]) prefetch: far
-/// enough to cover an L3 round-trip behind one early-exiting distance
-/// test, near enough that the lines survive in L1.
-const PF_AHEAD: usize = 2;
-
 /// The instruction tier answering kernel calls in this process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
@@ -219,27 +214,6 @@ pub fn l2_le_scalar(a: &[f32], b: &[f32], tau: f32) -> bool {
     (sum8(&lanes) + l2_tail(a, b, blocks * LANES)).sqrt() <= tau
 }
 
-/// Scalar tier of [`l2_le_first`]: the same per-row test as
-/// [`l2_le_scalar`], in row order, stopping at the first match.
-pub fn l2_le_first_scalar(
-    q: &[f32],
-    arena: &[f32],
-    dim: usize,
-    vids: &[u32],
-    tau: f32,
-) -> (usize, Option<usize>) {
-    for (i, &vid) in vids.iter().enumerate() {
-        if let Some(&next) = vids.get(i + PF_AHEAD) {
-            prefetch(&arena[next as usize * dim..]);
-        }
-        let start = vid as usize * dim;
-        if l2_le_scalar(q, &arena[start..start + dim], tau) {
-            return (i + 1, Some(i));
-        }
-    }
-    (vids.len(), None)
-}
-
 /// Manhattan distance, scalar tier.
 pub fn l1_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
@@ -389,14 +363,7 @@ mod avx2 {
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn l2_le(a: &[f32], b: &[f32], tau: f32) -> bool {
-        l2_le_bounded(a, b, inflated_sq_bound(tau), tau)
-    }
-
-    /// [`l2_le`] with the threshold bound precomputed, so gather loops
-    /// ([`l2_le_first`]) hoist it out of their row loop. `#[inline(always)]`
-    /// into AVX2-enabled callers only.
-    #[inline(always)]
-    unsafe fn l2_le_bounded(a: &[f32], b: &[f32], bound: f64, tau: f32) -> bool {
+        let bound = inflated_sq_bound(tau);
         let blocks = a.len() / LANES;
         let mut acc = _mm256_setzero_ps();
         let mut i = 0;
@@ -416,31 +383,6 @@ mod avx2 {
             }
         }
         (reduce_sum(acc) + l2_tail(a, b, blocks * LANES)).sqrt() <= tau
-    }
-
-    /// AVX2 gather form of [`l2_le`] (see [`super::l2_le_first`]): one
-    /// bound computation and one dispatched call for the whole row list,
-    /// with the distance body inlined into the loop and rows prefetched
-    /// [`PF_AHEAD`] iterations early.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn l2_le_first(
-        q: &[f32],
-        arena: &[f32],
-        dim: usize,
-        vids: &[u32],
-        tau: f32,
-    ) -> (usize, Option<usize>) {
-        let bound = inflated_sq_bound(tau);
-        for (i, &vid) in vids.iter().enumerate() {
-            if let Some(&next) = vids.get(i + PF_AHEAD) {
-                prefetch(&arena[next as usize * dim..]);
-            }
-            let start = vid as usize * dim;
-            if l2_le_bounded(q, &arena[start..start + dim], bound, tau) {
-                return (i + 1, Some(i));
-            }
-        }
-        (vids.len(), None)
     }
 
     #[target_feature(enable = "avx2")]
@@ -620,29 +562,6 @@ mod neon {
         (reduce_sum(acc0, acc1) + l2_tail(a, b, blocks * LANES)).sqrt() <= tau
     }
 
-    /// NEON tier of [`super::l2_le_first`]: row-order gather over `vids`
-    /// with the same per-row test as [`l2_le`], stopping at the first
-    /// match. Dispatch is hoisted out of the row loop.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn l2_le_first(
-        q: &[f32],
-        arena: &[f32],
-        dim: usize,
-        vids: &[u32],
-        tau: f32,
-    ) -> (usize, Option<usize>) {
-        for (i, &vid) in vids.iter().enumerate() {
-            if let Some(&next) = vids.get(i + PF_AHEAD) {
-                prefetch(&arena[next as usize * dim..]);
-            }
-            let start = vid as usize * dim;
-            if l2_le(q, &arena[start..start + dim], tau) {
-                return (i + 1, Some(i));
-            }
-        }
-        (vids.len(), None)
-    }
-
     #[target_feature(enable = "neon")]
     pub unsafe fn l1(a: &[f32], b: &[f32]) -> f32 {
         let blocks = a.len() / LANES;
@@ -803,40 +722,6 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
 pub fn l2_le(a: &[f32], b: &[f32], tau: f32) -> bool {
     debug_assert_eq!(a.len(), b.len());
     dispatch!(l2_le_scalar, l2_le, (a, b, tau))
-}
-
-/// Gather form of [`l2_le`]: test the rows named by `vids` (each a row
-/// index into `arena`, `dim` floats per row) against `q` in order,
-/// stopping at the first match. Returns `(rows_tested, first_match)`
-/// where `first_match` is the index *into `vids`* of the matching row.
-///
-/// Exactly equals calling `l2_le(q, row)` per row with an early break —
-/// same tier, same per-row result, and `rows_tested` equals the number
-/// of calls the plain loop would have made, so callers can keep
-/// distance-computation counters bit-identical. The win is mechanical:
-/// tier dispatch and the early-exit bound are hoisted out of the row
-/// loop, the SIMD body inlines into one function, and upcoming rows are
-/// prefetched while the current one is tested.
-#[inline]
-pub fn l2_le_first(
-    q: &[f32],
-    arena: &[f32],
-    dim: usize,
-    vids: &[u32],
-    tau: f32,
-) -> (usize, Option<usize>) {
-    debug_assert_eq!(q.len(), dim);
-    match tier() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Tier::Avx2 is only ever detected when the CPU
-        // reports AVX2 support at runtime.
-        Tier::Avx2 => unsafe { avx2::l2_le_first(q, arena, dim, vids, tau) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: Tier::Neon is only ever detected when the CPU
-        // reports NEON support at runtime.
-        Tier::Neon => unsafe { neon::l2_le_first(q, arena, dim, vids, tau) },
-        Tier::Scalar => l2_le_first_scalar(q, arena, dim, vids, tau),
-    }
 }
 
 /// Manhattan distance `‖a−b‖₁` on the active tier.

@@ -22,11 +22,11 @@
 //! * [`invindex`] + [`verify`] — Algorithm 2: inverted-index verification
 //!   with joinable-skip and Lemma 7 early termination;
 //! * [`search`] — Algorithm 3 and the [`search::PexesoIndex`] it runs on:
-//!   threshold and best-first top-k search through [`query::Queryable`];
+//!   threshold and top-k search through [`query::Queryable`];
 //! * [`oracle`] — the brute-force ground truth every search mode is
 //!   differentially tested against;
 //! * [`cost`] — the Eq. 1/2 cost model choosing the grid depth `m`, plus
-//!   the per-column match-count bounds that seed the top-k threshold;
+//!   the per-column match-count lower bounds that seed the top-k threshold;
 //! * [`partition`] / [`persist`] / [`outofcore`] — JSD-clustered disk
 //!   partitions for lakes that exceed main memory;
 //! * [`exec`] — the deterministic parallel execution layer behind
@@ -115,14 +115,14 @@ pub mod prelude {
         ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, PivotSelection, Tau,
     };
     pub use crate::error::{PexesoError, Result};
-    pub use crate::explain::{ExplainReport, FunnelStage, TopkExplain};
+    pub use crate::explain::{ExplainReport, FunnelStage};
     pub use crate::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
     pub use crate::outofcore::{GlobalHit, LakeManifest, PartitionedLake, ResidentPartitions};
     pub use crate::partition::{PartitionConfig, PartitionMethod};
     pub use crate::query::{
         Exceeded, Query, QueryBudget, QueryMode, QueryOutcome, QueryResponse, Queryable,
     };
-    pub use crate::search::{naive_search, PexesoIndex, SearchHit, SearchOptions, TopkStrategy};
+    pub use crate::search::{naive_search, PexesoIndex, SearchHit, SearchOptions};
     pub use crate::stats::SearchStats;
     pub use crate::trace::{QueryTrace, TraceLevel, TraceSpan};
     pub use crate::vector::{VectorId, VectorStore};

@@ -66,38 +66,6 @@ pub trait Metric: Send + Sync + Clone + 'static {
         }
     }
 
-    /// Gather form of [`Metric::dist_le`] for the verification inner loop:
-    /// test the rows named by `vids` (each a row index into the contiguous
-    /// `arena`, `dim` floats per row) against `q` in order, stopping at the
-    /// first row within `tau`. Returns `(rows_tested, first_match)`, where
-    /// `first_match` indexes into `vids`.
-    ///
-    /// Must agree exactly with looping `dist_le` over the rows and breaking
-    /// at the first `true` — same outcome and the same number of rows
-    /// tested, so callers can keep distance-computation counters identical
-    /// across implementations. Overrides may only hoist per-call overhead
-    /// and prefetch ahead, never change which rows are tested.
-    fn dist_le_first(
-        &self,
-        q: &[f32],
-        arena: &[f32],
-        dim: usize,
-        vids: &[u32],
-        tau: f32,
-    ) -> (usize, Option<usize>) {
-        debug_assert_eq!(q.len(), dim);
-        for (i, &vid) in vids.iter().enumerate() {
-            if let Some(&next) = vids.get(i + 1) {
-                kernel::prefetch(&arena[next as usize * dim..]);
-            }
-            let start = vid as usize * dim;
-            if self.dist_le(q, &arena[start..start + dim], tau) {
-                return (i + 1, Some(i));
-            }
-        }
-        (vids.len(), None)
-    }
-
     /// Upper bound on the distance between two L2-unit vectors of the given
     /// dimensionality. Used to resolve ratio-form thresholds (Section V of
     /// the paper) and to bound pivot-space coordinates.
@@ -127,18 +95,6 @@ impl Metric for Euclidean {
         for (row, o) in flat.chunks_exact(q.len()).zip(out.iter_mut()) {
             *o = kernel::l2_sq(q, row).sqrt();
         }
-    }
-
-    #[inline]
-    fn dist_le_first(
-        &self,
-        q: &[f32],
-        arena: &[f32],
-        dim: usize,
-        vids: &[u32],
-        tau: f32,
-    ) -> (usize, Option<usize>) {
-        kernel::l2_le_first(q, arena, dim, vids, tau)
     }
 
     fn max_dist_unit(&self, _dim: usize) -> f32 {

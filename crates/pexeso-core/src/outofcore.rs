@@ -452,14 +452,10 @@ fn global_hit<M: Metric>(index: &PexesoIndex<M>, column: ColumnId, match_count: 
 
 /// One column's answer from one partition (or any other single-index
 /// unit): global hits, that unit's stats, any budget limit the sweep
-/// tripped for it, and the top-k trajectory of an explained query (see
-/// [`IndexUnit::answer`]; the multi-unit merges ignore it).
-pub type PartitionAnswer = (
-    Vec<GlobalHit>,
-    SearchStats,
-    Option<Exceeded>,
-    Option<crate::explain::TopkExplain>,
-);
+/// tripped for it, and the count the unit's top-k scan was seeded with
+/// (`None` for an unseeded scan and for a threshold query) — the one thing
+/// an explain report says that the stats do not.
+pub type PartitionAnswer = (Vec<GlobalHit>, SearchStats, Option<Exceeded>, Option<u32>);
 
 /// Execute one unified [`Query`] against one in-memory [`PexesoIndex`] —
 /// the per-partition building block of every backend (the single-index
@@ -468,23 +464,14 @@ pub type PartitionAnswer = (
 /// Threshold mode returns the joinable hits resolved to global identities
 /// (caller sorts). Top-k mode answers exactly and **tie-inclusively**:
 /// the in-index tie-break runs on internal column ids (insertion order),
-/// which need not agree with the global external-id order, so when the
-/// k-th best count extends past the local cut the index is re-queried
-/// with a doubled k until every column tied with the boundary count is
-/// present — the returned list may therefore hold more than `k` entries,
-/// and any member of the global top-k is necessarily in it.
+/// which need not agree with the global external-id order, so the engine
+/// returns every column whose count reaches the k-th best — the list may
+/// therefore hold more than `k` entries, and any member of the global
+/// top-k is necessarily in it.
 ///
-/// `guard` carries the query's budget across sub-executions (re-queries
-/// here, partitions in the callers); a tripped limit is returned so the
-/// caller can stop and flag the response.
-///
-/// The answer's last element is the best-first top-k trajectory
-/// ([`crate::explain::TopkExplain`]), present when the query asked for an
-/// explain report and ran the best-first engine. Recording is read-only
-/// over values the loop already computes, so hits, stats, and outcome are
-/// byte-identical whether or not `query.explain` is set
-/// (`tests/explain.rs` pins this). For a tie-driven re-query the
-/// trajectory reflects the final (answering) pass.
+/// `guard` carries the query's budget across sub-executions (partitions
+/// in the callers); a tripped limit is returned so the caller can stop
+/// and flag the response.
 ///
 /// Backends that hold erased units reach this through
 /// [`IndexUnit::answer`], so every unit of every backend runs exactly
@@ -495,69 +482,33 @@ pub(crate) fn execute_on_index<M: Metric>(
     vectors: &VectorStore,
     guard: &mut Option<BudgetGuard>,
 ) -> Result<PartitionAnswer> {
-    match query.mode {
+    let ctx = EngineCtx {
+        query,
+        budget: guard.as_ref(),
+    };
+    let (hits, stats, exceeded, seed) = match query.mode {
         QueryMode::Threshold(t) => {
-            let ctx = EngineCtx {
-                query,
-                budget: guard.as_ref(),
-            };
             let (hits, stats, exceeded) = index.threshold_inner(vectors, &ctx, t)?;
-            if let Some(g) = guard.as_mut() {
-                g.advance(stats.distance_computations);
-            }
             let hits = hits
                 .into_iter()
                 .map(|h| global_hit(index, h.column, h.match_count))
                 .collect();
-            Ok((hits, stats, exceeded, None))
+            (hits, stats, exceeded, None)
         }
+        QueryMode::Topk(0) => return Ok((Vec::new(), SearchStats::new(), None, None)),
         QueryMode::Topk(k) => {
-            if k == 0 {
-                return Ok((Vec::new(), SearchStats::new(), None, None));
-            }
-            let mut total = SearchStats::new();
-            let mut trajectory = query
-                .explain
-                .then(crate::explain::TopkExplain::default)
-                .filter(|_| query.options.topk_strategy == crate::search::TopkStrategy::BestFirst);
-            // Ask for one extra slot up front: when the (k+1)-th entry's
-            // count falls strictly below the k-th's, every column tied
-            // with the boundary is provably already in the list (any
-            // excluded column counts at most the last entry's count), so
-            // the common tie-free case answers in a single pass instead
-            // of a doubling re-query.
-            let mut kk = k.saturating_add(1);
-            loop {
-                // A re-query's trajectory replaces the previous pass's:
-                // the report describes the pass that produced the answer.
-                if let Some(t) = trajectory.as_mut() {
-                    *t = crate::explain::TopkExplain::default();
-                }
-                let ctx = EngineCtx {
-                    query,
-                    budget: guard.as_ref(),
-                };
-                let (ranked, stats, exceeded) =
-                    index.topk_inner(vectors, &ctx, kk, trajectory.as_mut())?;
-                total.merge(&stats);
-                if let Some(g) = guard.as_mut() {
-                    g.advance(stats.distance_computations);
-                }
-                let boundary_tied = exceeded.is_none()
-                    && ranked.len() == kk
-                    && kk < index.live_columns()
-                    && ranked.last().map(|r| r.0) == ranked.get(k - 1).map(|r| r.0);
-                if !boundary_tied {
-                    let hits = ranked
-                        .into_iter()
-                        .map(|(count, col)| global_hit(index, col, count))
-                        .collect();
-                    return Ok((hits, total, exceeded, trajectory));
-                }
-                kk = kk.saturating_mul(2);
-            }
+            let (ranked, stats, exceeded, seed) = index.topk_inner(vectors, &ctx, k)?;
+            let hits = ranked
+                .into_iter()
+                .map(|(count, col)| global_hit(index, col, count))
+                .collect();
+            (hits, stats, exceeded, seed)
         }
+    };
+    if let Some(g) = guard.as_mut() {
+        g.advance(stats.distance_computations);
     }
+    Ok((hits, stats, exceeded, seed))
 }
 
 /// The shared partition loop behind the out-of-core and resident
@@ -629,10 +580,8 @@ where
 ///
 /// `partitioned` says the answers are the partitions of a multi-unit
 /// backend: a [`crate::trace::TraceLevel::Detail`] trace then carries one
-/// `partition/{i}` child per answer, and the per-unit top-k trajectories
-/// are dropped (each describes a local, possibly over-asked ranking, not
-/// the answer). A single [`PexesoIndex`] passes its one answer with
-/// `false` and keeps its trajectory.
+/// `partition/{i}` child per answer. A single [`PexesoIndex`] passes its
+/// one answer with `false`.
 pub(crate) fn merge_answers(
     query: &Query,
     started: Instant,
@@ -646,17 +595,15 @@ pub(crate) fn merge_answers(
     let mut stats = SearchStats::new();
     let mut hits = Vec::new();
     let mut outcome = QueryOutcome::Exact;
-    let mut trajectory = None;
-    for (i, (h, s, e, t)) in answers.into_iter().enumerate() {
+    let mut seeds = Vec::new();
+    for (i, (h, s, e, seed)) in answers.into_iter().enumerate() {
         if partitioned && query.trace == crate::trace::TraceLevel::Detail {
             unit_spans.push(crate::trace::unit_span(format!("partition/{i}"), &s));
         }
         stats.merge(&s);
         hits.extend(h);
         fold_outcome(&mut outcome, e);
-        if !partitioned {
-            trajectory = t;
-        }
+        seeds.push(seed);
     }
     let hits = match query.mode {
         QueryMode::Threshold(_) => {
@@ -680,13 +627,7 @@ pub(crate) fn merge_answers(
         crate::trace::QueryTrace::new(root)
     });
     let explain = query.explain.then(|| {
-        crate::explain::ExplainReport::from_stats(
-            query,
-            &stats,
-            hits.len() as u64,
-            outcome,
-            trajectory,
-        )
+        crate::explain::ExplainReport::from_stats(query, &stats, hits.len() as u64, outcome, &seeds)
     });
     QueryResponse {
         hits,
@@ -704,7 +645,7 @@ pub(crate) fn merge_answers(
 pub fn empty_topk_response(query: &Query) -> QueryResponse {
     let stats = SearchStats::new();
     let explain = query.explain.then(|| {
-        crate::explain::ExplainReport::from_stats(query, &stats, 0, QueryOutcome::Exact, None)
+        crate::explain::ExplainReport::from_stats(query, &stats, 0, QueryOutcome::Exact, &[])
     });
     QueryResponse {
         hits: Vec::new(),

@@ -37,15 +37,13 @@
 //!
 //! A [`QueryBudget`] bounds the *verification* work of one query: a cap on
 //! exact distance computations and/or a wall-clock deadline. The limits
-//! are checked inside the verification loops (before each scheduled query
-//! vector of the threshold scan — cheapest candidate cells first, see
-//! [`crate::verify`] — and per batch for the best-first top-k loop); when one
-//! trips, the query returns the hits found so far with
-//! [`QueryOutcome::Exceeded`] instead of silently presenting a partial
-//! answer as exact. The distance cap cuts off deterministically: a
-//! budgeted threshold scan runs sequentially and the top-k loop's batch
-//! boundaries are policy-independent, so the same budget yields the same
-//! partial result every time. Deadlines are inherently wall-clock-bound
+//! are checked inside the verification loop (before each scheduled query
+//! vector of the scan, threshold or top-k — cheapest candidate cells
+//! first, see [`crate::verify`]); when one trips, the query returns the
+//! hits found so far with [`QueryOutcome::Exceeded`] instead of silently
+//! presenting a partial answer as exact. The distance cap cuts off
+//! deterministically: a budgeted scan runs sequentially, so the same
+//! budget yields the same partial result every time. Deadlines are inherently wall-clock-bound
 //! and therefore best-effort.
 //!
 //! ```
@@ -161,7 +159,7 @@ pub struct Query {
     pub mode: QueryMode,
     /// Distance threshold τ.
     pub tau: Tau,
-    /// Per-query knobs: lemma toggles, quick browsing, top-k strategy.
+    /// Per-query knobs: lemma toggles, quick browsing.
     pub options: SearchOptions,
     /// The threads whoever executes this query may spend. They go to the
     /// partition loop of a deployment with at least two partitions, and

@@ -23,7 +23,7 @@ use crate::query::{BudgetGuard, Exceeded, Query, QueryResponse, Queryable};
 use crate::stats::SearchStats;
 use crate::util::FastMap;
 use crate::vector::{VectorId, VectorStore};
-use crate::verify::{verify_budgeted, verify_topk_budgeted, VerifyContext};
+use crate::verify::{verify_budgeted, verify_ranked, VerifyContext};
 
 /// One joinable column in a search result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,8 +35,14 @@ pub struct SearchHit {
 }
 
 /// One top-k engine answer: the internal `(count, column)` ranking, the
-/// search stats, and any tripped budget limit.
-pub(crate) type RankedTopk = (Vec<(u32, ColumnId)>, SearchStats, Option<Exceeded>);
+/// search stats, any tripped budget limit, and the count the scan was
+/// seeded with.
+pub(crate) type RankedTopk = (
+    Vec<(u32, ColumnId)>,
+    SearchStats,
+    Option<Exceeded>,
+    Option<u32>,
+);
 
 /// What one engine call borrows from its only caller,
 /// [`crate::outofcore::execute_on_index`]: the query's criteria (τ, the
@@ -47,29 +53,12 @@ pub(crate) struct EngineCtx<'a> {
     pub budget: Option<&'a BudgetGuard>,
 }
 
-/// How a top-k query is answered. Results are identical either way; the
-/// exhaustive form exists as the benchmark baseline the best-first engine
-/// is measured against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopkStrategy {
-    /// Best-first verification with an adaptively tightened threshold
-    /// (the default; see [`crate::verify::verify_topk`]).
-    #[default]
-    BestFirst,
-    /// Exactly count every column (early termination disabled), then sort
-    /// and truncate — the "threshold search with an unreachable T, then
-    /// sort" baseline.
-    Exhaustive,
-}
-
 /// Per-search knobs beyond the thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchOptions {
     pub flags: LemmaFlags,
     /// Enable the quick-browsing shortcut (Section III-C); on by default.
     pub quick_browse: bool,
-    /// Top-k implementation; identical results either way.
-    pub topk_strategy: TopkStrategy,
 }
 
 impl Default for SearchOptions {
@@ -77,7 +66,6 @@ impl Default for SearchOptions {
         Self {
             flags: LemmaFlags::all(),
             quick_browse: true,
-            topk_strategy: TopkStrategy::BestFirst,
         }
     }
 }
@@ -274,24 +262,24 @@ impl<M: Metric> PexesoIndex<M> {
     }
 
     /// The top-k engine behind [`Queryable::execute`], ranking under the
-    /// *internal* tie-break (count descending,
-    /// internal column id ascending). Dispatches on
-    /// [`SearchOptions::topk_strategy`]; both strategies honour the
-    /// optional budget (best-first checks per batch round, exhaustive per
-    /// query vector of its full scan).
+    /// *internal* tie-break (count descending, internal column id
+    /// ascending): seed the threshold from the matching cells
+    /// ([`crate::cost::topk_seed`]), run the scan to exact counts under it
+    /// ([`crate::verify::verify_topk`]'s ranking, budgeted), and return the
+    /// **tie-inclusive** prefix — every entry whose count reaches the k-th
+    /// best, so the caller can re-rank boundary ties by external id.
     pub(crate) fn topk_inner(
         &self,
         query: &VectorStore,
         ctx: &EngineCtx<'_>,
         k: usize,
-        explain: Option<&mut crate::explain::TopkExplain>,
     ) -> Result<RankedTopk> {
         let (opts, exec, budget) = (ctx.query.options, ctx.query.policy, ctx.budget);
         self.validate_query(query)?;
         let tau_abs = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
         let mut stats = SearchStats::new();
         if k == 0 {
-            return Ok((Vec::new(), stats, None));
+            return Ok((Vec::new(), stats, None, None));
         }
         let total_start = Instant::now();
         let (query_mapped, blocked) = self.map_and_block(query, tau_abs, opts, exec, &mut stats)?;
@@ -310,38 +298,22 @@ impl<M: Metric> PexesoIndex<M> {
             flags: opts.flags,
             deleted: Some(&self.deleted),
         };
-        let (ranked, exceeded) = match opts.topk_strategy {
-            TopkStrategy::BestFirst => {
-                let bounds = crate::cost::column_match_bounds(
-                    &blocked,
-                    &self.inv,
-                    self.columns.n_columns(),
-                    query.len(),
-                    Some(&self.deleted),
-                    exec,
-                );
-                let seed = crate::cost::topk_seed(&bounds, k);
-                verify_topk_budgeted(
-                    &ctx, &blocked, &bounds, seed, k, &mut stats, exec, budget, explain,
-                )
-            }
-            TopkStrategy::Exhaustive => {
-                let (outcome, exceeded) = verify_budgeted(&ctx, &blocked, &mut stats, exec, budget);
-                let mut ranked: Vec<(u32, ColumnId)> = outcome
-                    .match_counts
-                    .iter()
-                    .enumerate()
-                    .filter(|&(c, &count)| count > 0 && !self.deleted[c])
-                    .map(|(c, &count)| (count, ColumnId(c as u32)))
-                    .collect();
-                ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-                ranked.truncate(k);
-                (ranked, exceeded)
-            }
-        };
+        let bounds = crate::cost::column_match_bounds(
+            &blocked,
+            &self.inv,
+            self.columns.n_columns(),
+            query.len(),
+            Some(&self.deleted),
+            exec,
+        );
+        let seed = crate::cost::topk_seed(&bounds, k);
+        let (mut ranked, exceeded) = verify_ranked(&ctx, &blocked, seed, &mut stats, exec, budget);
+        if let Some(&(kth, _)) = ranked.get(k - 1) {
+            ranked.truncate(ranked.partition_point(|&(count, _)| count >= kth));
+        }
         stats.verify_time = verify_start.elapsed();
         stats.total_time = total_start.elapsed();
-        Ok((ranked, stats, exceeded))
+        Ok((ranked, stats, exceeded, seed.map(|(count, _)| count)))
     }
 
     /// Append a new column online (Section III-E: O((|P|+m)·|s|) for the
@@ -589,12 +561,10 @@ impl<M: Metric> Queryable for PexesoIndex<M> {
     /// ascending `external_id`. The internal top-k tie-break runs on
     /// insertion-order column ids, which need not agree with the
     /// caller-chosen external ids, so boundary ties are resolved
-    /// tie-inclusively (the index is re-queried with a doubled `k` until
-    /// every column tied with the boundary count is present) before the
-    /// global re-rank — the same discipline the partitioned backends use.
-    /// The index is one unit: its answer goes through the same merge tail
-    /// as a partitioned backend's, which also passes the top-k trajectory
-    /// of an explained query through.
+    /// tie-inclusively (the engine returns every column tied with the
+    /// boundary count) before the global re-rank — the same discipline the
+    /// partitioned backends use. The index is one unit: its answer goes
+    /// through the same merge tail as a partitioned backend's.
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         let started = Instant::now();
         query.check_metric("index", self.metric.name())?;

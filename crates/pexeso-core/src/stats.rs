@@ -49,17 +49,16 @@ pub struct SearchStats {
     pub quick_browse_pairs: u64,
     /// Columns skipped mid-verification because they reached T.
     pub early_joinable: u64,
-    /// Columns pruned mid-verification by Lemma 7.
+    /// Columns pruned mid-verification by Lemma 7 — under `T` in a
+    /// threshold search, under the seed count in a top-k search.
     pub lemma7_pruned: u64,
-    /// Top-k search: columns eliminated by the cheap match-count upper
-    /// bound without any exact verification.
+    /// No longer written (always 0): top-k prunes through
+    /// [`SearchStats::lemma7_pruned`]. The field stays until the benchmark
+    /// ladder stops reading it.
     pub topk_pruned: u64,
-    /// Top-k search: exact per-column scans aborted early because the
-    /// column could no longer beat the adaptive k-th-best threshold.
+    /// No longer written (always 0); see [`SearchStats::topk_pruned`].
     pub topk_aborted: u64,
-    /// Top-k search: best-first verification rounds executed. Batch
-    /// membership is policy-independent, so this counter is too;
-    /// threshold searches verify in one pass and leave it at zero.
+    /// No longer written (always 0); see [`SearchStats::topk_pruned`].
     pub verify_batches: u64,
     /// Wall-clock time spent pivot-mapping the query column (plus the
     /// span check and the query-grid build that immediately follow it) —

@@ -227,8 +227,7 @@ pub fn phase_tree(
             TraceSpan::new("verify", map_us + block_us, verify_us)
                 .counter("distance_computations", stats.distance_computations)
                 .counter("early_joinable", stats.early_joinable)
-                .counter("lemma7_pruned", stats.lemma7_pruned)
-                .counter("verify_batches", stats.verify_batches),
+                .counter("lemma7_pruned", stats.lemma7_pruned),
         )
         .child(TraceSpan::new(
             "merge",

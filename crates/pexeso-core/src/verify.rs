@@ -69,23 +69,28 @@
 //!    matches, the column's remaining survivors in the cell are skipped —
 //!    exactly the rows a per-column first-match `break` would skip.
 //!
-//! With both vector-level lemmas off Lemma 1 filters nothing and the
-//! per-row test is a bare early-exit distance check; that configuration
-//! (the `gather` branch) instead hands each column group to
-//! [`Metric::dist_le_first`], which amortises one dispatch and one bound
-//! over the group and is measurably faster there than the flat scan.
-//!
 //! ## Complete Lemma 7
 //!
 //! Blocking is lossless: every repository vector within `τ` of query
-//! vector `q` lies in one of `q`'s matching or candidate cells (the
-//! argument [`crate::cost::column_match_bounds`] relies on for `upper`).
-//! So after `q`'s cells are scanned, **every** live column that did not
-//! match `q` — visited in a candidate cell or not — has a definite
-//! mismatch. Charging all of them lets Lemma 7 fire for columns the query
+//! vector `q` lies in one of `q`'s matching or candidate cells. So after
+//! `q`'s cells are scanned, **every** live column that did not match `q` —
+//! visited in a candidate cell or not — has a definite mismatch. Charging all of them lets Lemma 7 fire for columns the query
 //! vector never reaches, needs no record of which columns were seen, and
 //! ends the scan as soon as no live column remains. A query vector with no
 //! candidate cell at all costs nothing and is scheduled first.
+//!
+//! ## Top-k: the same scan, `t` never, slack from the seed
+//!
+//! The scan keeps "matches that make a column joinable" (`t`) apart from
+//! "mismatches a column can take" (`slack`). [`verify_topk`] runs it with
+//! `t` out of reach, so no column stops counting, and a slack of
+//! `|Q| − s` where `s` is the seed count of [`crate::cost::topk_seed`] —
+//! at least k columns are known to match `s` query vectors, so a column
+//! with more than `|Q| − s` definite mismatches cannot rank among the k
+//! best and Lemma 7 prunes it like any other hopeless column. Without a
+//! seed the slack is unbounded. Every column the scan leaves unpruned has
+//! its exact count; ranking them by `(count desc, column id asc)` is the
+//! answer.
 //!
 //! ## Parallel verification
 //!
@@ -102,8 +107,6 @@
 //! early-exit [`Metric::dist_le`] kernel, which answers `d ≤ τ` without a
 //! `sqrt` and usually without touching every dimension.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 
 use crate::block::BlockOutput;
@@ -111,7 +114,6 @@ use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, LemmaFlags};
 use crate::cost::ColumnMatchBounds;
 use crate::exec;
-use crate::explain::TopkExplain;
 use crate::grid::CellKey;
 use crate::invindex::{CellPostings, InvertedIndex};
 use crate::lemmas;
@@ -192,16 +194,35 @@ pub fn verify_budgeted<M: Metric>(
     policy: ExecPolicy,
     budget: Option<&BudgetGuard>,
 ) -> (VerifyOutcome, Option<Exceeded>) {
+    // Lemma 7's allowance, `|Q| − T`. T beyond |Q| can never be reached:
+    // nothing is pruned and the scan produces exact per-column counts.
+    let slack = match ctx.query.len().checked_sub(ctx.t_abs) {
+        Some(slack) => slack as u32,
+        None => u32::MAX,
+    };
+    scan(ctx, blocked, slack, stats, policy, budget)
+}
+
+/// The scan behind [`verify_budgeted`] and [`verify_topk`]: a column is
+/// pruned once it has more than `slack` definite mismatches.
+fn scan<M: Metric>(
+    ctx: &VerifyContext<'_, M>,
+    blocked: &BlockOutput,
+    slack: u32,
+    stats: &mut SearchStats,
+    policy: ExecPolicy,
+    budget: Option<&BudgetGuard>,
+) -> (VerifyOutcome, Option<Exceeded>) {
     debug_assert_eq!(ctx.vec_col.len(), ctx.columns.n_vectors());
     let n_cols = ctx.columns.n_columns();
     let threads = policy.effective_threads();
     let schedule = Schedule::build(ctx.inv, blocked, ctx.query.len());
     if budget.is_some() || threads <= 1 || n_cols < 2 {
-        return verify_range(ctx, &schedule, 0..n_cols, stats, budget);
+        return verify_range(ctx, &schedule, 0..n_cols, slack, stats, budget);
     }
     let shards = exec::map_ranges_min(policy, n_cols, 2, |cols| {
         let mut shard_stats = SearchStats::new();
-        let (outcome, _) = verify_range(ctx, &schedule, cols, &mut shard_stats, None);
+        let (outcome, _) = verify_range(ctx, &schedule, cols, slack, &mut shard_stats, None);
         (outcome, shard_stats)
     });
     let mut joinable = Vec::new();
@@ -313,9 +334,9 @@ struct ShardColumns {
     /// Matches that make a column joinable; `u32::MAX` (never reached, a
     /// column matches at most `|Q|` times) when T exceeds `|Q|`.
     t: u32,
-    /// Definite mismatches a column can take and still reach `t`:
-    /// `|Q| − T`, or `u32::MAX` when T exceeds `|Q|` and the scan produces
-    /// exact counts instead of terminating early.
+    /// Definite mismatches a column can take before Lemma 7 prunes it:
+    /// `|Q| − T` for a threshold, `|Q| −` the seed count for a seeded
+    /// top-k, `u32::MAX` when nothing is to be pruned.
     slack: u32,
 }
 
@@ -505,16 +526,13 @@ fn verify_range<M: Metric>(
     ctx: &VerifyContext<'_, M>,
     schedule: &Schedule<'_>,
     cols: Range<usize>,
+    slack: u32,
     stats: &mut SearchStats,
     budget: Option<&BudgetGuard>,
 ) -> (VerifyOutcome, Option<Exceeded>) {
     let (lo, hi) = (cols.start, cols.end);
     let width = hi - lo;
-    let n_q = ctx.query.len();
     let n_cols = ctx.columns.n_columns();
-    // T beyond |Q| can never be reached: early termination stays off and
-    // the loop produces exact per-column counts (top-k mode).
-    let terminable = ctx.t_abs <= n_q;
     let mut state = vec![0u32; width];
     if let Some(deleted) = ctx.deleted {
         debug_assert_eq!(deleted.len(), n_cols);
@@ -540,27 +558,18 @@ fn verify_range<M: Metric>(
         match_counts: vec![0u32; width],
         mismatch_counts: vec![0u32; width],
         joinable: Vec::new(),
-        t: if terminable {
+        t: if ctx.t_abs <= ctx.query.len() {
             ctx.t_abs as u32
         } else {
             u32::MAX
         },
-        slack: if terminable {
-            (n_q - ctx.t_abs) as u32
-        } else {
-            u32::MAX
-        },
+        slack,
     };
     let mut exceeded = None;
 
     let lemma1 = ctx.flags.lemma1_vector_filter;
     let lemma2 = ctx.flags.lemma2_vector_match;
-    // With both vector-level lemmas off the candidate inner loop is a pure
-    // distance gather, eligible for `Metric::dist_le_first`.
-    let gather = !lemma1 && !lemma2;
     let store = ctx.columns.store();
-    let arena = store.raw_data();
-    let dim = store.dim();
     // Stage-1 buffer, reused across cells.
     let mut cell_buf: Vec<(u32, u32)> = Vec::new();
 
@@ -595,28 +604,6 @@ fn verify_range<M: Metric>(
         let qm = ctx.query_mapped.get(q);
         let qv = ctx.query.get_raw(q);
         for postings in &schedule.cells[scheduled.candidates.clone()] {
-            if gather {
-                // The per-row test is a plain early-exit distance
-                // check, so each column group goes through the
-                // metric's gather kernel — one dispatch and one bound
-                // for the group, rows prefetched ahead. `tested` keeps
-                // the counter identical to a per-row loop.
-                for i in id_window(&postings.cols, c_lo, c_hi) {
-                    let c = postings.cols[i] as usize - lo;
-                    if shard.state[c] >= gen {
-                        continue;
-                    }
-                    let (tested, first) =
-                        ctx.metric
-                            .dist_le_first(qv, arena, dim, postings.vectors_of(i), ctx.tau);
-                    stats.distance_computations += tested as u64;
-                    if first.is_some() {
-                        shard.record_match(c, gen, stats);
-                    }
-                }
-                continue;
-            }
-
             // Stage 1: drop rows of dead or already-matched columns
             // and rows Lemma 1 rejects.
             let (survivors, rejected) = filter_cell(
@@ -672,514 +659,59 @@ fn verify_range<M: Metric>(
     )
 }
 
-/// Resolve the ⟨vec_col⟩ lookup for callers that track it separately.
-#[inline]
-pub fn column_of(vec_col: &[u32], vid: u32) -> ColumnId {
-    ColumnId(vec_col[vid as usize])
-}
-
-// ---------------------------------------------------------------------------
-// Top-k verification
-// ---------------------------------------------------------------------------
-
-/// Columns exactly verified per round of the best-first loop. Fixed (not
-/// derived from the thread count) so the adaptive threshold is frozen at
-/// identical points for every [`ExecPolicy`] — the batch is *what* gets
-/// verified, the policy only decides how many threads verify it.
-const TOPK_BATCH: usize = 16;
-
-/// Query-vector groups counted during the probe pass. The cheap bounds
-/// saturate on clustered lakes (every column reachable by every query
-/// vector), so a sliver of real evidence — the exact count over the first
-/// few query vectors — is what actually ranks strong columns first. The
-/// probed prefix is not re-scanned: exact verification resumes behind it.
-const TOPK_PROBE: usize = 2;
-
-/// Strict ranking of `(match count, column id)` entries: `a` outranks `b`
-/// iff it has more matches, or equally many and a smaller column id. This
-/// is the documented top-k tie-break, shared with the oracle.
-#[inline]
-pub(crate) fn beats(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && a.1 < b.1)
-}
-
-/// Heap entry ordered so the *worst* entry (fewest matches, then largest
-/// column id) surfaces at the top of the max-[`BinaryHeap`].
-#[derive(Debug, PartialEq, Eq)]
-struct WorstFirst(u32, u32);
-
-impl Ord for WorstFirst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.cmp(&self.0).then(self.1.cmp(&other.1))
-    }
-}
-
-impl PartialOrd for WorstFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Verification plan of one column: its per-query-vector work, in query
-/// order. A *definite* group needs no distance work (a matching cell
-/// contained the column); a candidate group carries the cells' postings
-/// (and the column's slot within each) to scan until the first match.
-#[derive(Debug, Default)]
-struct ColumnPlan<'a> {
-    /// `(query vector, start into entries, definitely matched)`; group
-    /// `i`'s entries end where group `i + 1`'s start (or at the vec end).
-    groups: Vec<(u32, u32, bool)>,
-    /// `(candidate cell's postings, slot of this column within them)` —
-    /// the postings reference is resolved at plan time so the hot scan
-    /// never touches the cell hash map.
-    entries: Vec<(&'a CellPostings, u32)>,
-}
-
-/// Best-first top-k verification.
+/// Top-k verification: the scan run to exact counts, ranked.
 ///
-/// `bounds` is the cheap bracketing pass of
-/// [`crate::cost::column_match_bounds`] and `seed` the sound initial
-/// threshold of [`crate::cost::topk_seed`]. Columns are verified exactly
-/// in best-first order (probe evidence, then upper bound, then density),
-/// in fixed batches of `TOPK_BATCH` (16); after each batch the threshold is
-/// re-tightened to the current k-th best exact entry. Pruning never
-/// trusts the heuristic order: each column is skipped by its **own**
-/// upper bound ranking below the threshold, the loop stops outright only
-/// once the suffix maximum of the remaining upper bounds falls strictly
-/// below the threshold count, and an in-flight column aborts as soon as
-/// even matching every remaining query vector could not reach the
-/// threshold — the adaptive-T analogue of the Lemma 7 rule.
+/// `seed` is the sound initial threshold of [`crate::cost::topk_seed`]:
+/// the scan prunes a column once it has more than `|Q| −` the seed count
+/// definite mismatches (see the module header) and prunes nothing without
+/// one. `ctx.t_abs` must exceed `|Q|` so that no column stops counting.
+/// `bounds` is not read; the parameter stays for the benchmark ladder's
+/// call.
 ///
 /// Returns the k best `(exact match count, column)` entries in rank
 /// order (count descending, then column id ascending). The result — and
-/// every counter in `stats` — is byte-identical for every policy:
-/// batches and their frozen thresholds are policy-independent, so the
-/// thread pool only changes wall-clock.
+/// every counter in `stats` — is byte-identical for every policy.
 pub fn verify_topk<M: Metric>(
     ctx: &VerifyContext<'_, M>,
     blocked: &BlockOutput,
-    bounds: &ColumnMatchBounds,
+    _bounds: &ColumnMatchBounds,
     seed: Option<(u32, u32)>,
     k: usize,
     stats: &mut SearchStats,
     policy: ExecPolicy,
 ) -> Vec<(u32, ColumnId)> {
-    verify_topk_budgeted(ctx, blocked, bounds, seed, k, stats, policy, None, None).0
+    let (mut ranked, _) = verify_ranked(ctx, blocked, seed, stats, policy, None);
+    ranked.truncate(k);
+    ranked
 }
 
-/// [`verify_topk`] under an optional per-query budget. The limits are
-/// checked at the loop's deterministic checkpoints — before the probe
-/// pass and at the top of every best-first batch round; batch membership
-/// and the frozen thresholds are policy-independent, so a distance-cap
-/// cutoff lands at the same round for every [`ExecPolicy`]. On a trip the
-/// ranking over the columns verified so far is returned together with the
-/// tripped limit.
-///
-/// `explain`, when present, records the loop's story — seeded threshold,
-/// survivors, per-round bound trajectory, (a capped sample of) the
-/// bound-pruned columns — into a [`TopkExplain`]. Recording reads values
-/// the loop already computes, so it can never change the ranking or any
-/// [`SearchStats`] counter; `None` costs one branch per round.
-#[allow(clippy::too_many_arguments)]
-pub fn verify_topk_budgeted<M: Metric>(
+/// The whole ranking behind [`verify_topk`], under an optional per-query
+/// budget: every column with a match that the seeded scan did not prune,
+/// with its exact count, best first. A tripped budget ends the scan where
+/// [`verify_budgeted`] would; the ranking is then over the counts so far.
+pub(crate) fn verify_ranked<M: Metric>(
     ctx: &VerifyContext<'_, M>,
     blocked: &BlockOutput,
-    bounds: &ColumnMatchBounds,
     seed: Option<(u32, u32)>,
-    k: usize,
     stats: &mut SearchStats,
     policy: ExecPolicy,
     budget: Option<&BudgetGuard>,
-    mut explain: Option<&mut TopkExplain>,
 ) -> (Vec<(u32, ColumnId)>, Option<Exceeded>) {
-    let n_cols = ctx.columns.n_columns();
-    if k == 0 {
-        return (Vec::new(), None);
-    }
-    let mut exceeded = None;
-    // Survivors: live columns that can match at all and whose best case
-    // is not already below the seeded threshold.
-    let mut survivor = vec![false; n_cols];
-    let mut order: Vec<u32> = Vec::new();
-    for (c, alive) in survivor.iter_mut().enumerate() {
-        let ub = bounds.upper[c];
-        if ub == 0 {
-            continue; // unreachable by any query vector (or deleted)
-        }
-        if let Some(bar) = seed {
-            if beats(bar, (ub, c as u32)) {
-                stats.topk_pruned += 1;
-                if let Some(ex) = explain.as_deref_mut() {
-                    ex.record_pruned_column(c as u32, ub);
-                }
-                continue;
-            }
-        }
-        *alive = true;
-        order.push(c as u32);
-    }
-    if let Some(ex) = explain.as_deref_mut() {
-        ex.seed = seed.map(|(count, _)| count);
-        ex.survivors = order.len() as u64;
-    }
-    let plans = build_plans(ctx.inv, blocked, &survivor, ctx.query.len(), policy);
-
-    // Probe: when there are more candidates than slots, exactly count the
-    // first TOPK_PROBE query groups of every survivor. The bounds
-    // saturate on clustered data, so this sliver of evidence is what
-    // ranks genuinely joinable columns ahead of near-misses; exact
-    // verification later resumes where the probe stopped.
-    let mut probe_of = vec![0u32; n_cols];
-    let probed = order.len() > k;
-    if let Some(guard) = budget {
-        exceeded = guard.check(stats.distance_computations);
-    }
-    if probed && exceeded.is_none() {
-        let shards = exec::map_ranges_min(policy, order.len(), 2, |r| {
-            let mut out = Vec::with_capacity(r.len());
-            for j in r {
-                let c = order[j];
-                let mut s = SearchStats::new();
-                let p = probe_column(ctx, &plans[c as usize], &mut s);
-                out.push((c, p, s));
-            }
-            out
-        });
-        for (c, p, s) in shards.into_iter().flatten() {
-            probe_of[c as usize] = p;
-            stats.merge(&s);
-        }
-    }
-
-    // Best-first order: strongest probe evidence first, then tightest
-    // upper bound, then densest column (most vectors inside the query's
-    // cells), then id. The order is a pure heuristic: any order yields
-    // the same result, only how early the threshold tightens changes —
-    // the pruning below never assumes anything about it.
-    order.sort_unstable_by(|&a, &b| {
-        let (a_idx, b_idx) = (a as usize, b as usize);
-        probe_of[b_idx]
-            .cmp(&probe_of[a_idx])
-            .then(bounds.upper[b_idx].cmp(&bounds.upper[a_idx]))
-            .then(bounds.weight[b_idx].cmp(&bounds.weight[a_idx]))
-            .then(a.cmp(&b))
-    });
-    // Largest upper bound among order[j..]: the sound whole-loop stopping
-    // rule (the order itself is probe-first, not upper-bound-descending,
-    // so one column's bound says nothing about its successors').
-    let mut suffix_max_ub = vec![0u32; order.len() + 1];
-    for j in (0..order.len()).rev() {
-        suffix_max_ub[j] = suffix_max_ub[j + 1].max(bounds.upper[order[j] as usize]);
-    }
-
-    let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
-    let mut i = 0usize;
-    while exceeded.is_none() && i < order.len() {
-        if let Some(guard) = budget {
-            if let Some(e) = guard.check(stats.distance_computations) {
-                exceeded = Some(e);
-                break;
-            }
-        }
-        // Threshold as of this batch: the stronger of the seed and the
-        // current k-th best exact entry. Frozen per batch so abort
-        // decisions never depend on scheduling.
-        let bar = effective_bar(&heap, seed, k);
-        // No remaining column can reach the bar count at all: stop.
-        if let Some((bc, _)) = bar {
-            if suffix_max_ub[i] < bc {
-                stats.topk_pruned += (order.len() - i) as u64;
-                if let Some(ex) = explain.as_deref_mut() {
-                    ex.suffix_stop = true;
-                }
-                break;
-            }
-        }
-        let end = (i + TOPK_BATCH).min(order.len());
-        // Keep only batch members whose own best case can still rank at
-        // or above the bar; the rest are pruned individually.
-        let mut batch: Vec<u32> = Vec::with_capacity(end - i);
-        let mut round_pruned = 0u32;
-        for &c in &order[i..end] {
-            match bar {
-                Some(b) if beats(b, (bounds.upper[c as usize], c)) => {
-                    stats.topk_pruned += 1;
-                    round_pruned += 1;
-                    if let Some(ex) = explain.as_deref_mut() {
-                        ex.record_pruned_column(c, bounds.upper[c as usize]);
-                    }
-                }
-                _ => batch.push(c),
-            }
-        }
-        i = end;
-        if let Some(ex) = explain.as_deref_mut() {
-            ex.rounds.push(crate::explain::TopkRound {
-                bar: bar.map(|(count, _)| count),
-                batch: batch.len() as u32,
-                pruned: round_pruned,
-            });
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        stats.verify_batches += 1;
-        let shard_results = exec::map_ranges_min(policy, batch.len(), 2, |r| {
-            let mut out = Vec::with_capacity(r.len());
-            for j in r {
-                let c = batch[j];
-                debug_assert_eq!(
-                    plans[c as usize].groups.len(),
-                    bounds.upper[c as usize] as usize
-                );
-                let mut s = SearchStats::new();
-                let plan = &plans[c as usize];
-                let start_group = if probed {
-                    TOPK_PROBE.min(plan.groups.len())
-                } else {
-                    0
-                };
-                let cnt = verify_column_exact(
-                    ctx,
-                    plan,
-                    c,
-                    bar,
-                    start_group,
-                    probe_of[c as usize],
-                    &mut s,
-                );
-                out.push((c, cnt, s));
-            }
-            out
-        });
-        for (c, cnt, s) in shard_results.into_iter().flatten() {
-            stats.merge(&s);
-            match cnt {
-                Some(n) if n > 0 => {
-                    heap.push(WorstFirst(n, c));
-                    if heap.len() > k {
-                        heap.pop();
-                    }
-                }
-                Some(_) => {}
-                None => stats.topk_aborted += 1,
-            }
-        }
-    }
-    let mut hits: Vec<(u32, ColumnId)> = heap
-        .into_iter()
-        .map(|WorstFirst(n, c)| (n, ColumnId(c)))
+    let n_q = ctx.query.len();
+    debug_assert!(ctx.t_abs > n_q, "top-k counts to the end");
+    let slack = seed.map_or(u32::MAX, |(count, _)| (n_q as u32).saturating_sub(count));
+    let (outcome, exceeded) = scan(ctx, blocked, slack, stats, policy, budget);
+    // A tombstoned column never matches, so `count > 0` drops it too.
+    let mut ranked: Vec<(u32, ColumnId)> = outcome
+        .match_counts
+        .iter()
+        .zip(&outcome.mismatch_counts)
+        .enumerate()
+        .filter(|&(_, (&count, &mismatches))| count > 0 && mismatches <= slack)
+        .map(|(c, (&count, _))| (count, ColumnId(c as u32)))
         .collect();
-    hits.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    (hits, exceeded)
-}
-
-/// The stronger of the seed threshold and the heap's k-th best entry.
-fn effective_bar(
-    heap: &BinaryHeap<WorstFirst>,
-    seed: Option<(u32, u32)>,
-    k: usize,
-) -> Option<(u32, u32)> {
-    let worst = if heap.len() >= k {
-        heap.peek().map(|w| (w.0, w.1))
-    } else {
-        None
-    };
-    match (seed, worst) {
-        (s, None) => s,
-        (None, w) => w,
-        (Some(s), Some(w)) => Some(if beats(s, w) { s } else { w }),
-    }
-}
-
-/// Does query group `gi` of this column's plan match (definite, or a
-/// candidate vector within τ)?
-#[inline]
-fn group_matches<M: Metric>(
-    ctx: &VerifyContext<'_, M>,
-    plan: &ColumnPlan<'_>,
-    gi: usize,
-    stats: &mut SearchStats,
-) -> bool {
-    let (q, start, definite) = plan.groups[gi];
-    if definite {
-        return true;
-    }
-    let qm = ctx.query_mapped.get(q as usize);
-    let qv = ctx.query.get_raw(q as usize);
-    let end = plan
-        .groups
-        .get(gi + 1)
-        .map(|g| g.1)
-        .unwrap_or(plan.entries.len() as u32);
-    for &(postings, slot) in &plan.entries[start as usize..end as usize] {
-        for &vid in postings.vectors_of(slot as usize) {
-            let xm = ctx.rv_mapped.get(vid as usize);
-            if ctx.flags.lemma1_vector_filter && lemmas::lemma1_filter(qm, xm, ctx.tau) {
-                stats.lemma1_filtered += 1;
-                continue;
-            }
-            let is_match = if ctx.flags.lemma2_vector_match && lemmas::lemma2_match(qm, xm, ctx.tau)
-            {
-                stats.lemma2_matched += 1;
-                true
-            } else {
-                stats.distance_computations += 1;
-                let xv = ctx.columns.store().get_raw(vid as usize);
-                ctx.metric.dist_le(qv, xv, ctx.tau)
-            };
-            if is_match {
-                return true;
-            }
-        }
-    }
-    false
-}
-
-/// Exact match count over the first [`TOPK_PROBE`] query groups — the
-/// ordering evidence, never used for pruning.
-fn probe_column<M: Metric>(
-    ctx: &VerifyContext<'_, M>,
-    plan: &ColumnPlan<'_>,
-    stats: &mut SearchStats,
-) -> u32 {
-    let upto = TOPK_PROBE.min(plan.groups.len());
-    (0..upto)
-        .filter(|&gi| group_matches(ctx, plan, gi, stats))
-        .count() as u32
-}
-
-/// Exact match count of one column, resuming behind an already-counted
-/// probe prefix (`start_group` groups contributing `start_count`
-/// matches), or `None` once even matching every remaining query vector
-/// could not lift the column's entry to the bar. `None` is returned only
-/// from a genuine mid-scan exit — a fully-scanned column always yields
-/// its exact `Some(count)`, even when that count misses the bar (the
-/// heap push/pop discards it; `topk_aborted` stays an honest count of
-/// scans that actually terminated early).
-fn verify_column_exact<M: Metric>(
-    ctx: &VerifyContext<'_, M>,
-    plan: &ColumnPlan<'_>,
-    col: u32,
-    bar: Option<(u32, u32)>,
-    start_group: usize,
-    start_count: u32,
-    stats: &mut SearchStats,
-) -> Option<u32> {
-    // Smallest count whose entry does not rank strictly below the bar
-    // (the bar's own column may tie it; larger ids must exceed it).
-    let needed = match bar {
-        None => 1,
-        Some((bc, bcol)) => {
-            if col <= bcol {
-                bc.max(1)
-            } else {
-                bc + 1
-            }
-        }
-    };
-    let mut remaining = (plan.groups.len() - start_group) as u32;
-    let mut count = start_count;
-    for gi in start_group..plan.groups.len() {
-        if count + remaining < needed {
-            return None;
-        }
-        remaining -= 1;
-        if group_matches(ctx, plan, gi, stats) {
-            count += 1;
-        }
-    }
-    Some(count)
-}
-
-/// Build the per-column verification plans for the surviving columns in
-/// one walk over the blocked pairs, sharded by column range (plan content
-/// is independent of the sharding).
-///
-/// This walk deliberately mirrors [`crate::cost::bounds_range`]'s cursor
-/// and stamp structure rather than sharing it: the bounds pass must run
-/// *first* over every column so its seed can shrink the survivor set,
-/// while this pass allocates plan storage only for the survivors — the
-/// two passes must stay in lockstep (`groups.len() == bounds.upper[c]`
-/// for every survivor, asserted at verification time).
-fn build_plans<'a>(
-    inv: &'a InvertedIndex,
-    blocked: &BlockOutput,
-    survivor: &[bool],
-    n_q: usize,
-    policy: ExecPolicy,
-) -> Vec<ColumnPlan<'a>> {
-    let n_cols = survivor.len();
-    let shards = exec::map_ranges_min(policy, n_cols, 2, |cols| {
-        plans_range(inv, blocked, survivor, cols, n_q)
-    });
-    shards.into_iter().flatten().collect()
-}
-
-/// The plan-building walk restricted to columns in `cols`.
-fn plans_range<'a>(
-    inv: &'a InvertedIndex,
-    blocked: &BlockOutput,
-    survivor: &[bool],
-    cols: Range<usize>,
-    n_q: usize,
-) -> Vec<ColumnPlan<'a>> {
-    let (lo, hi) = (cols.start, cols.end);
-    let width = hi - lo;
-    let mut plans: Vec<ColumnPlan> = (0..width).map(|_| ColumnPlan::default()).collect();
-    let mut def_stamp = vec![0u32; width];
-    let mut any_stamp = vec![0u32; width];
-    let mut mi = 0usize;
-    let mut ci = 0usize;
-    for q in 0..n_q as u32 {
-        let gen = q + 1;
-        if mi < blocked.matching.len() && blocked.matching[mi].0 == q {
-            for &cell in &blocked.matching[mi].1 {
-                let Some(postings) = inv.postings(cell) else {
-                    continue;
-                };
-                for &col in &postings.cols {
-                    let c = col as usize;
-                    if c < lo || c >= hi || !survivor[c] {
-                        continue;
-                    }
-                    let s = c - lo;
-                    if def_stamp[s] != gen {
-                        def_stamp[s] = gen;
-                        any_stamp[s] = gen;
-                        let start = plans[s].entries.len() as u32;
-                        plans[s].groups.push((q, start, true));
-                    }
-                }
-            }
-            mi += 1;
-        }
-        if ci < blocked.candidates.len() && blocked.candidates[ci].0 == q {
-            for &cell in &blocked.candidates[ci].1 {
-                let Some(postings) = inv.postings(cell) else {
-                    continue;
-                };
-                for (slot, &col) in postings.cols.iter().enumerate() {
-                    let c = col as usize;
-                    if c < lo || c >= hi || !survivor[c] {
-                        continue;
-                    }
-                    let s = c - lo;
-                    if def_stamp[s] == gen {
-                        continue; // already a definite match for this q
-                    }
-                    if any_stamp[s] != gen {
-                        any_stamp[s] = gen;
-                        let start = plans[s].entries.len() as u32;
-                        plans[s].groups.push((q, start, false));
-                    }
-                    plans[s].entries.push((postings, slot as u32));
-                }
-            }
-            ci += 1;
-        }
-    }
-    plans
+    ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    (ranked, exceeded)
 }
 
 #[cfg(test)]
@@ -1560,7 +1092,7 @@ mod tests {
     }
 
     #[test]
-    fn column_bounds_bracket_exact_counts() {
+    fn column_lower_bounds_never_exceed_exact_counts() {
         for seed in 0..4u64 {
             for tau in [0.2f32, 0.5, 0.9] {
                 let s = topk_setup(seed, tau);
@@ -1575,10 +1107,9 @@ mod tests {
                 );
                 for (c, &cnt) in exact.iter().enumerate() {
                     assert!(
-                        bounds.lower[c] <= cnt && cnt <= bounds.upper[c],
-                        "seed={seed} tau={tau} col={c}: {} <= {cnt} <= {} violated",
-                        bounds.lower[c],
-                        bounds.upper[c]
+                        bounds.lower[c] <= cnt,
+                        "seed={seed} tau={tau} col={c}: {} <= {cnt} violated",
+                        bounds.lower[c]
                     );
                 }
                 for threads in [2usize, 5, 32] {
@@ -1602,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn verify_topk_equals_exhaustive_ranking_for_every_policy() {
+    fn verify_topk_equals_naive_ranking_for_every_policy() {
         for seed in 0..4u64 {
             for tau in [0.15f32, 0.4, 0.8] {
                 let s = topk_setup(seed * 3 + 1, tau);
@@ -1673,8 +1204,7 @@ mod tests {
                                 seq_stats.distance_computations, par_stats.distance_computations,
                                 "topk distance counter diverged (threads={threads})"
                             );
-                            assert_eq!(seq_stats.topk_pruned, par_stats.topk_pruned);
-                            assert_eq!(seq_stats.topk_aborted, par_stats.topk_aborted);
+                            assert_eq!(seq_stats.lemma7_pruned, par_stats.lemma7_pruned);
                         }
                     }
                 }
@@ -1682,77 +1212,39 @@ mod tests {
         }
     }
 
+    /// A seed `(s, _)` gives the scan a slack of `|Q| − s`: exactly the
+    /// columns whose exact count is below `s` are pruned, and the rest keep
+    /// their exact counts.
     #[test]
-    fn verify_topk_prunes_on_skewed_instances() {
-        // Skewed lake: 40 random columns plus one mirror of the query
-        // column. With k = 1 the mirror fills the heap at |Q| matches in
-        // the first batch and every later column's upper bound falls
-        // below the tightened threshold — the batches after the first
-        // must be pruned wholesale, never exactly verified.
-        let (query, mut columns) = random_instance(3, 40, 15, 9);
-        let q_refs: Vec<&[f32]> = (0..query.len()).map(|i| query.get_raw(i)).collect();
-        columns.add_column("t", "mirror", 40, q_refs).unwrap();
-        let metric = Euclidean;
-        let pivots: Vec<Vec<f32>> = (0..3)
-            .map(|i| columns.store().get_raw(i * 11).to_vec())
-            .collect();
-        let rv_mapped = MappedVectors::build(columns.store(), &pivots, &metric, None).unwrap();
-        let q_mapped = MappedVectors::build(&query, &pivots, &metric, None).unwrap();
-        let params = GridParams::new(3, 4, 2.0 + 1e-4).unwrap();
-        let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
-        let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
-        let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col).unwrap();
-        let tau = 0.05f32;
-        let mut stats = SearchStats::new();
-        let mut seeded = FastMap::default();
-        let handled = quick_browse(&hgq, &inv, &mut seeded, &mut stats);
-        let blocked = block(
-            &hgq,
-            &hgrv,
-            &q_mapped,
-            tau,
-            LemmaFlags::all(),
-            Some(&handled),
-            seeded,
-            &mut stats,
-        );
-        let ctx = VerifyContext {
-            columns: &columns,
-            vec_col: &vec_col,
-            rv_mapped: &rv_mapped,
-            inv: &inv,
-            metric: &metric,
-            query: &query,
-            query_mapped: &q_mapped,
-            tau,
-            t_abs: query.len() + 1,
-            flags: LemmaFlags::all(),
-            deleted: None,
+    fn a_seed_prunes_exactly_the_columns_counting_below_it() {
+        let s = topk_setup(4, 0.8);
+        let exact = naive_counts(&s);
+        let n_cols = s.columns.n_columns();
+        let n_q = s.query.len();
+        let ctx = s.ctx(n_q + 1, None);
+        let bounds = ColumnMatchBounds {
+            lower: vec![0; n_cols],
         };
-        let bounds = crate::cost::column_match_bounds(
-            &blocked,
-            &inv,
-            columns.n_columns(),
-            query.len(),
-            None,
-            crate::config::ExecPolicy::Sequential,
-        );
-        let seed_bar = crate::cost::topk_seed(&bounds, 1);
-        let hits = verify_topk(
-            &ctx,
-            &blocked,
-            &bounds,
-            seed_bar,
-            1,
-            &mut stats,
-            crate::config::ExecPolicy::Sequential,
-        );
-        assert_eq!(hits, vec![(query.len() as u32, ColumnId(40))]);
-        assert!(
-            stats.topk_pruned > 0 || stats.topk_aborted > 0,
-            "adaptive threshold never pruned anything: {stats:?}"
-        );
+        let mut distinct_cuts = 0;
+        for bar in 1..=n_q as u32 {
+            let below = exact.iter().filter(|&&cnt| cnt < bar).count();
+            distinct_cuts += usize::from(below > 0 && below < n_cols);
+            let mut expected: Vec<(u32, ColumnId)> = exact
+                .iter()
+                .enumerate()
+                .filter(|&(_, &cnt)| cnt >= bar)
+                .map(|(c, &cnt)| (cnt, ColumnId(c as u32)))
+                .collect();
+            expected.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            for policy in [ExecPolicy::Sequential, ExecPolicy::Fixed { threads: 3 }] {
+                let mut stats = SearchStats::new();
+                let seed = Some((bar, 0));
+                let got = verify_topk(&ctx, &s.blocked, &bounds, seed, n_cols, &mut stats, policy);
+                assert_eq!(got, expected, "bar={bar} {policy:?}");
+                assert_eq!(stats.lemma7_pruned, below as u64, "bar={bar} {policy:?}");
+            }
+        }
+        assert!(distinct_cuts >= 2, "the fixture needs a spread of counts");
     }
 
     #[test]

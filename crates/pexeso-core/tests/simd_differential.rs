@@ -210,84 +210,3 @@ fn dist_batch_matches_per_row_dist_bitwise() {
         check!(Angular);
     }
 }
-
-/// Reference for the gather kernel: the plain per-row loop it replaces.
-fn first_match_reference<M: Metric>(
-    m: &M,
-    q: &[f32],
-    arena: &[f32],
-    dim: usize,
-    vids: &[u32],
-    tau: f32,
-) -> (usize, Option<usize>) {
-    for (i, &vid) in vids.iter().enumerate() {
-        let start = vid as usize * dim;
-        if m.dist_le(q, &arena[start..start + dim], tau) {
-            return (i + 1, Some(i));
-        }
-    }
-    (vids.len(), None)
-}
-
-#[test]
-fn gather_first_match_equals_per_row_loop() {
-    let mut rng = StdRng::seed_from_u64(0xF157);
-    for &dim in &[1usize, 4, 8, 17, 64, 96] {
-        for _ in 0..30 {
-            let n_rows = rng.gen_range(1usize..40);
-            let arena: Vec<f32> = (0..n_rows)
-                .flat_map(|_| random_vec(&mut rng, dim))
-                .collect();
-            let q = random_vec(&mut rng, dim);
-            // Random gather order with repeats — postings lists are
-            // sorted in practice, but the kernel must not care.
-            let vids: Vec<u32> = (0..rng.gen_range(0usize..60))
-                .map(|_| rng.gen_range(0..n_rows as u32))
-                .collect();
-            for tau in [0.0f32, 0.5, 1.0, 2.0, 5.0] {
-                let expect = first_match_reference(&Euclidean, &q, &arena, dim, &vids, tau);
-                assert_eq!(
-                    Euclidean.dist_le_first(&q, &arena, dim, &vids, tau),
-                    expect,
-                    "dist_le_first dim={dim} tau={tau} vids={vids:?}"
-                );
-                assert_eq!(
-                    kernel::l2_le_first(&q, &arena, dim, &vids, tau),
-                    expect,
-                    "l2_le_first dim={dim} tau={tau}"
-                );
-                assert_eq!(
-                    kernel::l2_le_first_scalar(&q, &arena, dim, &vids, tau),
-                    expect,
-                    "l2_le_first_scalar dim={dim} tau={tau}"
-                );
-                // Default trait implementation (what non-Euclidean
-                // metrics use) against the same reference.
-                assert_eq!(
-                    Manhattan.dist_le_first(&q, &arena, dim, &vids, tau),
-                    first_match_reference(&Manhattan, &q, &arena, dim, &vids, tau),
-                    "manhattan default dist_le_first dim={dim} tau={tau}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn gather_first_match_empty_and_exhausted() {
-    let arena = vec![0.0f32; 64];
-    let q = vec![1.0f32; 8];
-    assert_eq!(kernel::l2_le_first(&q, &arena, 8, &[], 0.5), (0, None));
-    // No row within tau: every row tested, no match.
-    let vids: Vec<u32> = (0..8).collect();
-    assert_eq!(
-        kernel::l2_le_first(&q, &arena, 8, &vids, 0.5),
-        (8, None),
-        "all rows at distance sqrt(8)"
-    );
-    // Every row matches: exactly one row tested.
-    assert_eq!(
-        kernel::l2_le_first(&q, &arena, 8, &vids, 10.0),
-        (1, Some(0))
-    );
-}

@@ -198,8 +198,7 @@ impl DeltaOverlay {
                         mode: QueryMode::Topk(ask),
                         ..inner.clone()
                     };
-                    let (raw, stats, exceeded, trajectory) =
-                        unit.answer(&boosted, vectors, guard)?;
+                    let (raw, stats, exceeded, seed) = unit.answer(&boosted, vectors, guard)?;
                     total.merge(&stats);
                     let raw_len = raw.len();
                     let mut hits = raw;
@@ -210,7 +209,7 @@ impl DeltaOverlay {
                     // stayed within the slack, or when a budget tripped
                     // (the response is flagged partial anyway).
                     if raw_len < ask || removed <= ask - k || exceeded.is_some() {
-                        return Ok((hits, total, exceeded, trajectory));
+                        return Ok((hits, total, exceeded, seed));
                     }
                     ask = k.saturating_add(removed).saturating_add(dropped.len());
                 }

@@ -26,6 +26,7 @@ use pexeso_core::stats::SearchStats;
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 
+use crate::conn::lock_unpoisoned;
 use crate::protocol::{
     decode_reply, encode_request, read_frame, write_frame, HitsExt, HitsReply, InfoReply,
     QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireError, WireHit,
@@ -273,14 +274,14 @@ impl ServeClient {
 
     /// Idle streams currently pooled (diagnostics; races with use).
     pub fn idle_connections(&self) -> usize {
-        self.pool.lock().expect("client pool poisoned").len()
+        lock_unpoisoned(&self.pool).len()
     }
 
     /// Bound how long any single reply may take. Applies to every pooled
     /// connection and every future reconnect.
     pub fn set_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        *self.timeout.lock().expect("client timeout poisoned") = timeout;
-        for stream in self.pool.lock().expect("client pool poisoned").iter() {
+        *lock_unpoisoned(&self.timeout) = timeout;
+        for stream in lock_unpoisoned(&self.pool).iter() {
             stream.set_read_timeout(timeout)?;
             stream.set_write_timeout(timeout)?;
         }
@@ -290,7 +291,7 @@ impl ServeClient {
     fn reconnect(&self) -> std::io::Result<TcpStream> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        let timeout = *self.timeout.lock().expect("client timeout poisoned");
+        let timeout = *lock_unpoisoned(&self.timeout);
         stream.set_read_timeout(timeout)?;
         stream.set_write_timeout(timeout)?;
         Ok(stream)
@@ -298,7 +299,7 @@ impl ServeClient {
 
     /// Pop an idle stream or dial a fresh one.
     fn checkout(&self) -> std::io::Result<TcpStream> {
-        if let Some(stream) = self.pool.lock().expect("client pool poisoned").pop() {
+        if let Some(stream) = lock_unpoisoned(&self.pool).pop() {
             return Ok(stream);
         }
         self.reconnect()
@@ -307,7 +308,7 @@ impl ServeClient {
     /// Return a still-trusted stream to the idle pool; beyond the bound
     /// it is simply closed.
     fn checkin(&self, stream: TcpStream) {
-        let mut pool = self.pool.lock().expect("client pool poisoned");
+        let mut pool = lock_unpoisoned(&self.pool);
         if pool.len() < POOL_CAPACITY {
             pool.push(stream);
         }
@@ -622,4 +623,31 @@ fn unwrap_hits_reply(reply: HitsReply) -> ClientResult<(QueryResponse, RemoteMet
 
 fn unexpected(verb: &str, reply: &Reply) -> ClientError {
     ClientError::Protocol(format!("unexpected reply to {verb}: {reply:?}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A thread that panics while holding the pool lock costs itself, not
+    /// every later call through the client.
+    #[test]
+    fn a_poisoned_pool_lock_is_recovered() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = ServeClient::connect(listener.local_addr().unwrap()).unwrap();
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _pool = client.pool.lock().unwrap();
+                let _timeout = client.timeout.lock().unwrap();
+                panic!("while holding both client locks");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && client.pool.is_poisoned() && client.timeout.is_poisoned());
+        assert_eq!(client.idle_connections(), 1);
+        client.set_timeout(Some(Duration::from_secs(1))).unwrap();
+        let stream = client.checkout().unwrap();
+        client.checkin(stream);
+        assert_eq!(client.idle_connections(), 1);
+    }
 }

@@ -75,7 +75,7 @@
 use std::io::{Read, Write};
 
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
-use pexeso_core::explain::{ExplainReport, FunnelStage, TopkExplain, TopkRound};
+use pexeso_core::explain::{ExplainReport, FunnelStage};
 use pexeso_core::outofcore::GlobalHit;
 use pexeso_core::query::{Exceeded, QueryOutcome};
 use pexeso_core::trace::{QueryTrace, TraceLevel, TraceSpan};
@@ -85,7 +85,7 @@ pub const MAGIC: &[u8; 4] = b"PXSV";
 /// The one protocol version this build speaks: every request frame is
 /// stamped with it and [`decode_request`] refuses any other. Bump it with
 /// any layout change (`golden_frames` pins the bytes).
-pub const PROTOCOL_VERSION: u8 = 7;
+pub const PROTOCOL_VERSION: u8 = 8;
 /// Hard cap on a single frame; anything larger is treated as garbage
 /// framing rather than a legitimate request.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -789,8 +789,6 @@ fn take_trace(r: &mut ByteReader) -> WireResult<QueryTrace> {
 const MAX_EXPLAIN_STAGES: u32 = 64;
 const MAX_EXPLAIN_REASONS: u32 = 64;
 const MAX_EXPLAIN_DECISIONS: u32 = 256;
-const MAX_EXPLAIN_ROUNDS: u32 = 1 << 16;
-const MAX_EXPLAIN_COLUMNS: u32 = 4096;
 
 fn put_explain(w: &mut ByteWriter, e: &ExplainReport) {
     w.str(&e.mode);
@@ -810,22 +808,6 @@ fn put_explain(w: &mut ByteWriter, e: &ExplainReport) {
     for d in &e.decisions {
         w.str(d);
     }
-    put_opt(w, e.topk.as_ref(), |w, t| {
-        put_opt(w, t.seed, ByteWriter::u32);
-        w.u64(t.survivors);
-        w.u32(t.rounds.len() as u32);
-        for round in &t.rounds {
-            put_opt(w, round.bar, ByteWriter::u32);
-            w.u32(round.batch);
-            w.u32(round.pruned);
-        }
-        w.u32(t.pruned_columns.len() as u32);
-        for (c, ub) in &t.pruned_columns {
-            w.u32(*c);
-            w.u32(*ub);
-        }
-        w.bool(t.suffix_stop);
-    });
 }
 
 fn take_explain(r: &mut ByteReader) -> WireResult<ExplainReport> {
@@ -868,44 +850,10 @@ fn take_explain(r: &mut ByteReader) -> WireResult<ExplainReport> {
     for _ in 0..n_decisions {
         decisions.push(r.str(4096)?);
     }
-    let topk = take_opt(r, |r| {
-        let seed = take_opt(r, ByteReader::u32)?;
-        let survivors = r.u64()?;
-        let n_rounds = r.u32()?;
-        if n_rounds > MAX_EXPLAIN_ROUNDS {
-            return Err(WireError::Malformed("too many explain rounds".into()));
-        }
-        let mut rounds = Vec::with_capacity(n_rounds.min(1 << 10) as usize);
-        for _ in 0..n_rounds {
-            rounds.push(TopkRound {
-                bar: take_opt(r, ByteReader::u32)?,
-                batch: r.u32()?,
-                pruned: r.u32()?,
-            });
-        }
-        let n_cols = r.u32()?;
-        if n_cols > MAX_EXPLAIN_COLUMNS {
-            return Err(WireError::Malformed("too many explain columns".into()));
-        }
-        let mut pruned_columns = Vec::with_capacity(n_cols as usize);
-        for _ in 0..n_cols {
-            let c = r.u32()?;
-            let ub = r.u32()?;
-            pruned_columns.push((c, ub));
-        }
-        Ok(TopkExplain {
-            seed,
-            survivors,
-            rounds,
-            pruned_columns,
-            suffix_stop: r.bool()?,
-        })
-    })?;
     Ok(ExplainReport {
         mode,
         stages,
         decisions,
-        topk,
     })
 }
 
@@ -1325,17 +1273,6 @@ mod tests {
                 pruned: vec![("lemma3/4".into(), 40)],
             }],
             decisions: vec!["quick_browse=off".into()],
-            topk: Some(TopkExplain {
-                seed: Some(5),
-                survivors: 12,
-                rounds: vec![TopkRound {
-                    bar: None,
-                    batch: 4,
-                    pruned: 2,
-                }],
-                pruned_columns: vec![(3, 4)],
-                suffix_stop: true,
-            }),
         }
     }
 
@@ -1383,12 +1320,9 @@ mod tests {
             }),
             Reply::Hits(full.clone()),
             Reply::Hits(sample_hits()),
-            // Explain alone (without a trajectory), and a trace alone.
+            // Explain alone, and a trace alone.
             Reply::Hits(HitsReply {
-                explain: Some(Box::new(ExplainReport {
-                    topk: None,
-                    ..sample_explain()
-                })),
+                explain: Some(Box::new(sample_explain())),
                 ..sample_hits()
             }),
             Reply::Hits(HitsReply {
@@ -1558,22 +1492,22 @@ mod tests {
         check(
             sample_requests().iter().map(encode_request),
             5,
-            "50585356 07 00;
-             50585356 07 01  00 0700000000000000  09000000 6575636c696465616e  01 8fc2753d
+            "50585356 08 00;
+             50585356 08 01  00 0700000000000000  09000000 6575636c696465616e  01 8fc2753d
                 02 06000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
                 0b 00 01 3930000000000000 01 fa00000000000000  02  01 efbeadde00000000  01;
-             50585356 07 02  0a00000000000000  09000000 6575636c696465616e  01 8fc2753d
+             50585356 08 02  0a00000000000000  09000000 6575636c696465616e  01 8fc2753d
                 01 04000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
                 0f 01 00 00  00  00  00;
-             50585356 07 03;
-             50585356 07 04  02000000 2f64;
-             50585356 07 05;
-             50585356 07 06  01 02000000;
-             50585356 07 08;
-             50585356 07 09;
-             50585356 07 0a;
-             50585356 07 0b;
-             50585356 07 0c  03000000 613a31  01;",
+             50585356 08 03;
+             50585356 08 04  02000000 2f64;
+             50585356 08 05;
+             50585356 08 06  01 02000000;
+             50585356 08 08;
+             50585356 08 09;
+             50585356 08 0a;
+             50585356 08 0b;
+             50585356 08 0c  03000000 613a31  01;",
         );
         check(
             sample_replies().iter().map(encode_reply),
@@ -1587,9 +1521,7 @@ mod tests {
                 01  04000000 746f706b
                     01000000 05000000 626c6f636b 05000000 7061697273 6400000000000000
                         01000000 08000000 6c656d6d61332f34 2800000000000000 3c00000000000000
-                    01000000 10000000 717569636b5f62726f7773653d6f6666
-                    01 01 05000000 0c00000000000000 01000000 00 04000000 02000000
-                        01000000 03000000 04000000 01;
+                    01000000 10000000 717569636b5f62726f7773653d6f6666;
              02  03000000 613d31;
              03  0200000000000000 03000000;
              06  0500000000000000 0700000000000000 0200000000000000;
@@ -1606,14 +1538,14 @@ mod tests {
     fn other_versions_are_refused() {
         for req in &sample_requests() {
             let mut bytes = encode_request(req);
-            for version in [0u8, 1, 2, 3, 4, 5, 6, 8, 255] {
+            for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 9, 255] {
                 bytes[4] = version;
                 let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {
                     panic!("version {version} of {req:?} decoded");
                 };
                 assert_eq!(
                     msg,
-                    format!("protocol version {version} unsupported (this build speaks 7)")
+                    format!("protocol version {version} unsupported (this build speaks 8)")
                 );
             }
         }
@@ -1641,7 +1573,6 @@ mod tests {
         // The writer is trusting, the reader is not: a report with more
         // stages than MAX_EXPLAIN_STAGES encodes but must not decode.
         let mut report = sample_explain();
-        report.topk = None;
         report.stages = (0..=MAX_EXPLAIN_STAGES)
             .map(|i| FunnelStage {
                 name: format!("stage/{i}"),

@@ -254,7 +254,7 @@ fn one_refusal_then_a_hang_up(at: usize, value: u8, refusal: &str) {
 
 #[test]
 fn another_protocol_version_gets_one_refusal_naming_both_then_a_hang_up() {
-    one_refusal_then_a_hang_up(4, 6, "protocol version 6 unsupported (this build speaks 7)");
+    one_refusal_then_a_hang_up(4, 7, "protocol version 7 unsupported (this build speaks 8)");
 }
 
 /// Verb 7 (a parent build's `BATCH`) is an unknown verb like any other.

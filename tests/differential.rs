@@ -2,8 +2,8 @@
 //!
 //! `pexeso_core::oracle` is an independent O(|Q|·|R|) matcher with no
 //! pivots, grids, lemmas, kernels, or early termination. This suite pins
-//! the accelerated paths — threshold search, batched search, best-first
-//! top-k, exhaustive top-k, and out-of-core search — against it on
+//! the accelerated paths — threshold search, batched search, top-k
+//! (unseeded and seeded), and out-of-core search — against it on
 //! randomized workloads across metrics, thresholds, k values, and both
 //! [`ExecPolicy`] variants. Unlike `tests/exactness.rs` (which pins
 //! Parallel ≡ Sequential and index ≡ naive-with-the-same-kernels), the
@@ -125,8 +125,7 @@ fn check_threshold<M: Metric>(metric: M, seed: u64) {
 
 /// Top-k equals the oracle exactly — same columns, same exact counts,
 /// same order under the documented tie-break — for several metrics, τ,
-/// k, and both execution policies; the exhaustive baseline and the
-/// batched form must agree too.
+/// k, and both execution policies; the batched form must agree too.
 fn check_topk<M: Metric>(metric: M, seed: u64) {
     let (columns, query) = instance(seed, 14, 20, 9, 12);
     let n_cols = columns.n_columns();
@@ -134,25 +133,13 @@ fn check_topk<M: Metric>(metric: M, seed: u64) {
     for tau in [Tau::Ratio(0.1), Tau::Ratio(0.3), Tau::Ratio(0.6)] {
         for k in [0usize, 1, 3, 7, n_cols, n_cols * 2] {
             let expected = pairs(&oracle::topk(&columns, &metric, &query, tau, k, None).unwrap());
-            let exhaustive_q = Query::topk(tau, k).with_options(SearchOptions {
-                topk_strategy: TopkStrategy::Exhaustive,
-                ..Default::default()
-            });
-            let exhaustive = gpairs(&index.execute(&exhaustive_q, &query).unwrap().hits);
-            assert_eq!(
-                exhaustive,
-                expected,
-                "exhaustive top-k vs oracle (metric={} seed={seed} tau={tau:?} k={k})",
-                metric.name()
-            );
             for policy in POLICIES {
                 let q = Query::topk(tau, k).with_policy(policy);
                 let got = gpairs(&index.execute(&q, &query).unwrap().hits);
                 assert_eq!(
                     got,
                     expected,
-                    "best-first top-k vs oracle (metric={} seed={seed} tau={tau:?} k={k} \
-                     policy={policy:?})",
+                    "top-k vs oracle (metric={} seed={seed} tau={tau:?} k={k} policy={policy:?})",
                     metric.name()
                 );
                 let batched = index.execute_many(&q, &[&query, &query]).unwrap();
@@ -350,12 +337,9 @@ fn out_of_core_matches_oracle() {
 }
 
 /// Adversarial ordering: a column whose first few reachable query
-/// vectors are *near misses* (so the probe scores it 0) but which
-/// matches many later query vectors must still win — pruning may never
-/// trust the best-first heuristic order. Seventeen decoy columns match
-/// only the first two query vectors (strong probes, small upper bounds),
-/// pushing the strong column past the first verification batch with a
-/// tightened threshold in force.
+/// vectors are *near misses* but which matches many later query vectors
+/// must still win — no prefix of the query may decide a column's fate.
+/// Seventeen decoy columns match only the first two query vectors.
 #[test]
 fn weak_probe_high_count_column_is_not_pruned() {
     let dim = 4;
@@ -367,7 +351,7 @@ fn weak_probe_high_count_column_is_not_pruned() {
         query.push(&v(0.5 * i as f32)).unwrap();
     }
     let mut columns = ColumnSet::new(dim);
-    // Decoys 0..=16: exact copies of q0 and q1 only (count 2, probe 2).
+    // Decoys 0..=16: exact copies of q0 and q1 only (count 2).
     for c in 0..17u64 {
         let vecs = [v(0.0), v(0.5)];
         let refs: Vec<&[f32]> = vecs.iter().map(|x| x.as_slice()).collect();
@@ -377,7 +361,7 @@ fn weak_probe_high_count_column_is_not_pruned() {
     }
     // Strong column 17: near misses for q0/q1 (chord ≈ 0.15 > τ = 0.1,
     // close enough to stay blocked as candidates) plus exact matches for
-    // q2..=q11 (count 10, probe 0).
+    // q2..=q11 (count 10).
     let mut strong = vec![v(0.15), v(0.65)];
     for i in 2..12 {
         strong.push(v(0.5 * i as f32));
@@ -396,6 +380,209 @@ fn weak_probe_high_count_column_is_not_pruned() {
             assert_eq!(got, expected, "k={k} policy={policy:?}");
         }
     }
+}
+
+/// The seed `PexesoIndex` hands its top-k scan, recomputed from the public
+/// pieces: map and block the query, bound the columns from the matching
+/// cells, take the k-th best bound.
+fn topk_seed_of<M: Metric>(
+    index: &PexesoIndex<M>,
+    query: &VectorStore,
+    tau: Tau,
+    k: usize,
+    deleted: &[bool],
+    quick: bool,
+) -> Option<(u32, u32)> {
+    use pexeso::core::block::{block, quick_browse};
+    use pexeso::core::cost::{column_match_bounds, topk_seed};
+    use pexeso::core::grid::HierarchicalGrid;
+    use pexeso::core::mapping::MappedVectors;
+    let tau = tau.resolve(index.metric(), query.dim()).unwrap();
+    let params = index.grid_params().clone();
+    let mapped = MappedVectors::build(query, index.pivots(), index.metric(), None).unwrap();
+    let hgq = HierarchicalGrid::build(params.clone(), &mapped).unwrap();
+    let hgrv = HierarchicalGrid::build_keys_only(params, index.rv_mapped()).unwrap();
+    let inv = index.inverted_index();
+    let mut stats = SearchStats::new();
+    let mut seeded = Default::default();
+    let handled = quick.then(|| quick_browse(&hgq, inv, &mut seeded, &mut stats));
+    let flags = LemmaFlags::all();
+    let blocked = block(
+        &hgq,
+        &hgrv,
+        &mapped,
+        tau,
+        flags,
+        handled.as_ref(),
+        seeded,
+        &mut stats,
+    );
+    let bounds = column_match_bounds(
+        &blocked,
+        inv,
+        deleted.len(),
+        query.len(),
+        Some(deleted),
+        ExecPolicy::Sequential,
+    );
+    topk_seed(&bounds, k)
+}
+
+/// A duplicate-heavy lake: every column is a draw from one small pool of
+/// vectors, copied exactly or jittered a little, so the pivots sit on pool
+/// vectors, the query — the whole pool, plus a few far-jittered vectors
+/// that mostly miss — sits on the pivots, and Lemma 5/6 hand most columns
+/// definite matches: the top-k scan runs seeded. Fuller columns come first
+/// and external ids run against insertion order, so the in-index tie-break
+/// keeps the wrong end of every tie. Checked against the oracle for k = 1,
+/// a k that cuts through a tie, every column and more, with and without
+/// tombstones, under every kind of policy; a budgeted run trips at the same
+/// place with the same partial ranking for every policy.
+fn check_seeded_topk<M: Metric>(metric: M, seed: u64) {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let (dim, n_pool, n_cols) = (10usize, 12usize, 24usize);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let normalised = |mut v: Vec<f32>| {
+        let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+        v.iter_mut().for_each(|x| *x /= n.max(1e-9));
+        v
+    };
+    let unit =
+        |rng: &mut StdRng| normalised((0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
+    let near = |rng: &mut StdRng, v: &[f32], eps: f32| {
+        let jitter = unit(rng);
+        normalised(v.iter().zip(&jitter).map(|(x, j)| x + eps * j).collect())
+    };
+    let pool: Vec<Vec<f32>> = (0..n_pool).map(|_| unit(&mut rng)).collect();
+    let mut columns = ColumnSet::new(dim);
+    for c in 0..n_cols {
+        // Column c keeps each pool vector with a probability that falls
+        // from 0.95 to nothing over the lake: counts spread and tie, and
+        // the last columns hold little but their one sure vector.
+        let keep = 0.95 * (1.0 - c as f64 / (n_cols - 1) as f64);
+        let mut vecs = vec![pool[c % n_pool].clone()];
+        for v in &pool {
+            if rng.gen_bool(keep) {
+                let jittered = rng.gen_bool(0.25);
+                vecs.push(if jittered {
+                    near(&mut rng, v, 0.05)
+                } else {
+                    v.clone()
+                });
+            }
+        }
+        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+        let ext = (n_cols - 1 - c) as u64;
+        columns
+            .add_column("t", &format!("c{c}"), ext, refs)
+            .unwrap();
+    }
+    let mut query = VectorStore::new(dim);
+    for v in &pool {
+        query.push(v).unwrap();
+    }
+    for v in pool.iter().take(4) {
+        query.push(&near(&mut rng, v, 0.5)).unwrap();
+    }
+    let mut index = build(columns.clone(), metric.clone(), 4, 4);
+    let tau = Tau::Ratio(0.2);
+    let name = metric.name();
+
+    // The oracle ranks by column id; the product by external id.
+    let expected = |k: usize, deleted: &[bool]| -> Vec<(u64, u32)> {
+        let all = oracle::topk(&columns, &metric, &query, tau, usize::MAX, Some(deleted)).unwrap();
+        let mut ranked: Vec<(u64, u32)> = all
+            .iter()
+            .map(|h| ((n_cols - 1) as u64 - h.column.0 as u64, h.match_count))
+            .collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.truncate(k);
+        ranked
+    };
+    let got = |resp: &QueryResponse| -> Vec<(u64, u32)> {
+        resp.hits
+            .iter()
+            .map(|h| (h.external_id, h.match_count))
+            .collect()
+    };
+
+    let policies = [
+        ExecPolicy::Sequential,
+        ExecPolicy::auto(),
+        ExecPolicy::Parallel { threads: 4 },
+        ExecPolicy::Fixed { threads: 3 },
+    ];
+    let mut deleted = vec![false; n_cols];
+    for tombstoned in [false, true] {
+        if tombstoned {
+            // The best column, one from the middle, one from the tail.
+            for c in [0usize, n_cols / 2, n_cols - 2] {
+                index.remove_column(ColumnId(c as u32)).unwrap();
+                deleted[c] = true;
+            }
+        }
+        let full = expected(usize::MAX, &deleted);
+        let k_tied = (2..full.len())
+            .find(|&k| full[k - 1].1 == full[k].1)
+            .expect("the lake must tie somewhere");
+        // Quick browsing turns the query's own leaf cells into candidate
+        // pairs before Lemma 5/6 see them, which leaves little to seed
+        // from; with it off the seed is there and high enough to prune.
+        let mut pruned = 0;
+        for (quick, k) in [true, false]
+            .into_iter()
+            .flat_map(|quick| [1, k_tied, n_cols, 2 * n_cols].map(|k| (quick, k)))
+        {
+            if !quick && k <= k_tied {
+                assert!(
+                    topk_seed_of(&index, &query, tau, k, &deleted, quick).is_some(),
+                    "{name}: top-{k} must run seeded (tombstoned={tombstoned} quick={quick})"
+                );
+            }
+            let want = expected(k, &deleted);
+            let mut stats: Option<SearchStats> = None;
+            for policy in policies {
+                let q = Query::topk(tau, k).with_policy(policy).quick_browse(quick);
+                let resp = index.execute(&q, &query).unwrap();
+                assert!(resp.exact());
+                assert_eq!(
+                    got(&resp),
+                    want,
+                    "{name} k={k} tombstoned={tombstoned} quick={quick} {policy:?}"
+                );
+                let mut counters = resp.stats.clone();
+                counters.mapping_time = Default::default();
+                counters.block_time = Default::default();
+                counters.verify_time = Default::default();
+                counters.total_time = Default::default();
+                let first = stats.get_or_insert_with(|| counters.clone());
+                assert_eq!(*first, counters, "{name} k={k} counters under {policy:?}");
+            }
+            pruned += stats.unwrap().lemma7_pruned;
+        }
+        assert!(pruned > 0, "{name}: no seed ever pruned a column");
+
+        let mut partial: Option<(Vec<(u64, u32)>, QueryOutcome)> = None;
+        for policy in policies {
+            let q = Query::topk(tau, k_tied)
+                .with_policy(policy)
+                .with_max_distance_computations(1);
+            let resp = index.execute(&q, &query).unwrap();
+            assert!(!resp.exact(), "{name}: a one-distance budget must trip");
+            let answer = (got(&resp), resp.outcome);
+            let first = partial.get_or_insert_with(|| answer.clone());
+            assert_eq!(*first, answer, "{name} budgeted under {policy:?}");
+        }
+    }
+}
+
+#[test]
+fn seeded_topk_matches_oracle_on_a_duplicate_heavy_lake() {
+    check_seeded_topk(Euclidean, 31);
+    check_seeded_topk(Manhattan, 32);
+    check_seeded_topk(Chebyshev, 33);
+    check_seeded_topk(Angular, 34);
 }
 
 /// Out-of-core boundary ties: the in-partition tie-break runs on

@@ -273,27 +273,26 @@ fn check_funnel(name: &str, q: &Query, resp: &QueryResponse) {
         vec![("lemma1".to_string(), s.lemma1_filtered)],
         "{name} verify prunes"
     );
-    match q.mode {
-        QueryMode::Threshold(_) => {
-            assert_eq!(report.mode, "threshold");
-            assert_eq!(
-                columns.pruned,
-                vec![("lemma7".to_string(), s.lemma7_pruned)],
-                "{name} threshold column prunes"
-            );
-        }
-        QueryMode::Topk(_) => {
-            assert_eq!(report.mode, "topk");
-            assert_eq!(
-                columns.pruned,
-                vec![
-                    ("upper_bound".to_string(), s.topk_pruned),
-                    ("aborted".to_string(), s.topk_aborted),
-                ],
-                "{name} topk column prunes"
-            );
-        }
-    }
+    let mode = match q.mode {
+        QueryMode::Threshold(_) => "threshold",
+        QueryMode::Topk(_) => "topk",
+    };
+    assert_eq!(report.mode, mode);
+    // Both modes prune columns by Lemma 7: under T, or under the seed.
+    assert_eq!(
+        columns.pruned,
+        vec![("lemma7".to_string(), s.lemma7_pruned)],
+        "{name} {mode} column prunes"
+    );
+    let seed_lines = report
+        .decisions
+        .iter()
+        .filter(|d| d.starts_with("topk_seed="));
+    assert_eq!(
+        seed_lines.count(),
+        usize::from(mode == "topk"),
+        "{name}: a top-k report, and only that, prints its seed"
+    );
 }
 
 /// The funnel-consistency property: on the local backends (whose wire
@@ -331,76 +330,12 @@ fn explain_funnel_mirrors_search_stats() {
     backends.finish();
 }
 
-/// The best-first trajectory rides only on the single-index engine (the
-/// one that actually runs the adaptive loop); partitioned and threshold
-/// reports carry none, and where present it agrees with the batch
-/// counter and the aggregate prune counter.
-#[test]
-fn topk_trajectory_present_only_where_the_loop_ran() {
-    let (backends, query_vecs) = Backends::build(7, "topk");
-    let topk = Query::topk(Tau::Ratio(0.25), 3)
-        .with_explain(true)
-        .expect_metric("euclidean");
-    let threshold = Query::threshold(Tau::Ratio(0.25), JoinThreshold::Count(2))
-        .with_explain(true)
-        .expect_metric("euclidean");
-
-    let resp = run(&backends.index, &topk, &query_vecs);
-    let report = resp.explain.as_ref().unwrap();
-    let trajectory = report
-        .topk
-        .as_ref()
-        .expect("in-memory top-k must carry its trajectory");
-    // Rounds whose batch actually verified are exactly the counted
-    // verify batches (all-pruned rounds are recorded but cost nothing).
-    assert_eq!(
-        trajectory.rounds.iter().filter(|r| r.batch > 0).count() as u64,
-        resp.stats.verify_batches,
-        "one counted batch per non-empty trajectory round"
-    );
-    // Every survivor is accounted for round by round: verified or
-    // bound-pruned. An exact run without a suffix stop consumes them all.
-    let consumed: u64 = trajectory
-        .rounds
-        .iter()
-        .map(|r| u64::from(r.batch) + u64::from(r.pruned))
-        .sum();
-    assert!(consumed <= trajectory.survivors);
-    if resp.exact() && !trajectory.suffix_stop {
-        assert_eq!(consumed, trajectory.survivors, "survivors unaccounted for");
-    }
-    // Round-wise prunes are a subset of the aggregate counter (the seed
-    // phase and a suffix stop prune outside any round).
-    let pruned_in_rounds: u64 = trajectory.rounds.iter().map(|r| u64::from(r.pruned)).sum();
-    assert!(pruned_in_rounds <= resp.stats.topk_pruned);
-
-    for (name, backend) in backends.as_dyn() {
-        let resp = run(backend, &threshold, &query_vecs);
-        assert!(
-            resp.explain.as_ref().unwrap().topk.is_none(),
-            "{name} threshold report must not carry a trajectory"
-        );
-    }
-    for (name, backend) in [
-        ("lake", &backends.lake as &dyn Queryable),
-        ("resident", &backends.resident),
-    ] {
-        let resp = run(backend, &topk, &query_vecs);
-        assert!(
-            resp.explain.as_ref().unwrap().topk.is_none(),
-            "{name} merged report must not carry a per-partition trajectory"
-        );
-    }
-    backends.finish();
-}
-
 /// One response tail: a single index is a one-unit backend. Over the
 /// same columns, `PexesoIndex` and a one-partition `ResidentPartitions`
 /// return the same hits, outcome (budget trips included) and stats
 /// counters, the same trace spans — the resident form adds exactly its
-/// `partition/0` child at `Detail` — and the same explain funnel and
-/// decisions; only the index, which ran the loop itself, keeps the
-/// top-k trajectory.
+/// `partition/0` child at `Detail` — and the same explain report,
+/// top-k seed included.
 #[test]
 fn single_index_and_one_partition_deployment_share_one_response_tail() {
     let (columns, query_vecs) = workload(42);
@@ -449,21 +384,7 @@ fn single_index_and_one_partition_deployment_share_one_response_tail() {
         assert_eq!(span_names(&solo), span_names(&unit), "spans for {q:?}");
         assert!(solo.trace.as_ref().unwrap().find("partition/0").is_none());
         assert!(unit.trace.as_ref().unwrap().find("partition/0").is_some());
-        let (a, b) = (solo.explain.unwrap(), unit.explain.unwrap());
-        assert_eq!(
-            (&a.mode, &a.stages, &a.decisions),
-            (&b.mode, &b.stages, &b.decisions),
-            "explain funnel for {q:?}"
-        );
-        assert!(
-            b.topk.is_none(),
-            "a partition's trajectory is not the answer's"
-        );
-        assert_eq!(
-            a.topk.is_some(),
-            matches!(q.mode, QueryMode::Topk(_)),
-            "the index keeps its own trajectory for {q:?}"
-        );
+        assert_eq!(solo.explain, unit.explain, "explain report for {q:?}");
     }
     assert_eq!(tripped, 2, "both budgeted queries must trip their cap");
     std::fs::remove_dir_all(&dir).ok();
