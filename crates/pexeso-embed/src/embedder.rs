@@ -89,21 +89,17 @@ impl HashEmbedder {
         });
     }
 
-    /// Expanded lowercase tokens of a raw value.
-    fn expanded_tokens(&self, value: &str) -> Vec<String> {
-        tokenize(&self.expander.expand(value))
-    }
-
     /// Character-level embedding shared by both embedders: mean of
-    /// per-token normalised n-gram vectors, then normalised.
-    fn char_embed_into(&self, value: &str, out: &mut [f32]) -> bool {
+    /// per-token normalised n-gram vectors, then normalised. `tokens` are
+    /// the value's expanded lowercase tokens, so a caller that also needs
+    /// them expands the value once.
+    fn char_embed_into(&self, tokens: &[String], out: &mut [f32]) -> bool {
         out.iter_mut().for_each(|x| *x = 0.0);
-        let tokens = self.expanded_tokens(value);
         if tokens.is_empty() {
             return false;
         }
         let mut token_vec = vec![0.0f32; self.dim];
-        for t in &tokens {
+        for t in tokens {
             token_vec.iter_mut().for_each(|x| *x = 0.0);
             self.add_token(t, &mut token_vec);
             l2_normalize(&mut token_vec);
@@ -123,7 +119,7 @@ impl Embedder for HashEmbedder {
 
     fn embed_into(&self, value: &str, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim, "output buffer has wrong dimension");
-        self.char_embed_into(value, out);
+        self.char_embed_into(&tokenize(&self.expander.expand(value)), out);
     }
 }
 
@@ -195,7 +191,8 @@ impl Embedder for SemanticEmbedder {
     fn embed_into(&self, value: &str, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim(), "output buffer has wrong dimension");
         let expanded = self.base.expander.expand(value);
-        let has_char = self.base.char_embed_into(value, out);
+        let tokens = tokenize(&expanded);
+        let has_char = self.base.char_embed_into(&tokens, out);
 
         // Full-string lookup first (exact, then fuzzy for misspellings);
         // else average the concepts of the tokens that are individually
@@ -206,8 +203,8 @@ impl Embedder for SemanticEmbedder {
             concept_acc = concept_vector(c, self.dim());
             concept_hits = 1;
         } else {
-            for t in tokenize(&expanded) {
-                if let Some(c) = self.lexicon.lookup_normalized(&t) {
+            for t in &tokens {
+                if let Some(c) = self.lexicon.lookup_normalized(t) {
                     let v = concept_vector(c, self.dim());
                     for (a, b) in concept_acc.iter_mut().zip(v.iter()) {
                         *a += b;

@@ -12,7 +12,10 @@
 //! the embedding of the most literally similar word"): when an exact lookup
 //! misses, [`Lexicon::lookup_fuzzy`] finds the most edit-similar registered
 //! surface via a character-trigram index — this is what makes misspelled
-//! cells land next to their clean forms.
+//! cells land next to their clean forms. A miss is the dear case of lake
+//! embedding, so the shortlist is counted with dense per-entry counters
+//! and only its best few are sorted; which surface wins depends on the
+//! shortlist's order alone, not on how it was computed.
 
 use std::collections::HashMap;
 
@@ -27,8 +30,10 @@ pub struct ConceptId(pub u64);
 /// lookup for out-of-vocabulary strings.
 #[derive(Debug, Default, Clone)]
 pub struct Lexicon {
-    surface_to_concept: HashMap<String, ConceptId>,
-    /// Registered surfaces in insertion order (fuzzy-lookup candidates).
+    /// Normalised surface → its index in `entries`.
+    surface_to_entry: HashMap<String, u32>,
+    /// Registered surfaces in insertion order, one entry per surface with
+    /// its current concept (the fuzzy-lookup candidates).
     entries: Vec<(String, ConceptId)>,
     /// Character trigram → indices into `entries`.
     trigrams: HashMap<[char; 3], Vec<u32>>,
@@ -50,8 +55,16 @@ fn surface_trigrams(key: &str) -> Vec<[char; 3]> {
     padded.windows(3).map(|w| [w[0], w[1], w[2]]).collect()
 }
 
-/// Bounded Levenshtein distance over chars; `None` when > `max`.
-fn edit_distance_bounded(a: &[char], b: &[char], max: usize) -> Option<usize> {
+/// Bounded Levenshtein distance over chars; `None` when > `max`. `prev`
+/// and `cur` are the two DP rows, passed in so a caller comparing many
+/// candidates allocates them once.
+fn edit_distance_bounded(
+    a: &[char],
+    b: &[char],
+    max: usize,
+    prev: &mut Vec<usize>,
+    cur: &mut Vec<usize>,
+) -> Option<usize> {
     let (n, m) = (a.len(), b.len());
     if n.abs_diff(m) > max {
         return None;
@@ -63,8 +76,10 @@ fn edit_distance_bounded(a: &[char], b: &[char], max: usize) -> Option<usize> {
         return Some(n);
     }
     let inf = usize::MAX / 2;
-    let mut prev: Vec<usize> = (0..=m).map(|j| if j <= max { j } else { inf }).collect();
-    let mut cur = vec![inf; m + 1];
+    prev.clear();
+    prev.extend((0..=m).map(|j| if j <= max { j } else { inf }));
+    cur.clear();
+    cur.resize(m + 1, inf);
     for i in 1..=n {
         let lo = i.saturating_sub(max).max(1);
         let hi = (i + max).min(m);
@@ -82,7 +97,7 @@ fn edit_distance_bounded(a: &[char], b: &[char], max: usize) -> Option<usize> {
         if row_min > max {
             return None;
         }
-        std::mem::swap(&mut prev, &mut cur);
+        std::mem::swap(prev, cur);
     }
     (prev[m] <= max).then_some(prev[m])
 }
@@ -94,22 +109,24 @@ impl Lexicon {
 
     /// Number of registered surface forms.
     pub fn len(&self) -> usize {
-        self.surface_to_concept.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.surface_to_concept.is_empty()
+        self.entries.is_empty()
     }
 
     /// Register `surface` as a form of `concept`. The surface form is
     /// normalised (tokenised + lowercased) before storage, so lookups are
-    /// robust to case/punctuation differences.
+    /// robust to case/punctuation differences. Re-registering a surface
+    /// moves it to the new concept, for exact and fuzzy lookups alike.
     pub fn register(&mut self, surface: &str, concept: ConceptId) {
         let key = normalize(surface);
-        if key.is_empty() || self.surface_to_concept.contains_key(&key) {
-            if !key.is_empty() {
-                self.surface_to_concept.insert(key, concept);
-            }
+        if key.is_empty() {
+            return;
+        }
+        if let Some(&idx) = self.surface_to_entry.get(&key) {
+            self.entries[idx as usize].1 = concept;
             return;
         }
         let idx = self.entries.len() as u32;
@@ -117,7 +134,7 @@ impl Lexicon {
             self.trigrams.entry(tg).or_default().push(idx);
         }
         self.entries.push((key.clone(), concept));
-        self.surface_to_concept.insert(key, concept);
+        self.surface_to_entry.insert(key, idx);
     }
 
     /// Create a fresh concept and register all given surface forms for it.
@@ -136,51 +153,79 @@ impl Lexicon {
 
     /// Look up the concept of a (raw) surface string, if known.
     pub fn lookup(&self, surface: &str) -> Option<ConceptId> {
-        self.surface_to_concept.get(&normalize(surface)).copied()
+        self.lookup_normalized(&normalize(surface))
     }
 
     /// Look up an already-normalised key without re-normalising.
     pub fn lookup_normalized(&self, key: &str) -> Option<ConceptId> {
-        self.surface_to_concept.get(key).copied()
+        self.surface_to_entry
+            .get(key)
+            .map(|&idx| self.entries[idx as usize].1)
     }
 
     /// Fuzzy lookup for out-of-vocabulary strings: the registered surface
     /// with the highest normalised edit similarity ≥ `min_sim`, shortlisted
     /// by shared character trigrams. `key` must be normalised.
+    ///
+    /// An entry's overlap is the sum, over the key's trigram occurrences,
+    /// of its occurrences in that trigram's posting list; the shortlist is
+    /// the 48 best by `(overlap desc, entry index asc)`, examined in that
+    /// order, and the answer is the first with the strictly highest
+    /// similarity. Overlaps are counted into a dense per-entry array (with
+    /// the list of entries touched), the shortlist is selected before it
+    /// is sorted, and the edit distances share their buffers — a miss
+    /// costs the postings of its trigrams plus one zeroed counter per
+    /// entry.
     pub fn lookup_fuzzy(&self, key: &str, min_sim: f64) -> Option<ConceptId> {
         if key.is_empty() {
             return None;
         }
-        if let Some(&c) = self.surface_to_concept.get(key) {
+        if let Some(c) = self.lookup_normalized(key) {
             return Some(c);
         }
         // Shortlist by trigram overlap.
-        let mut overlap: HashMap<u32, u32> = HashMap::new();
+        let mut overlap = vec![0u32; self.entries.len()];
+        let mut touched: Vec<u32> = Vec::new();
         for tg in surface_trigrams(key) {
             if let Some(posting) = self.trigrams.get(&tg) {
                 for &e in posting {
-                    *overlap.entry(e).or_insert(0) += 1;
+                    let count = &mut overlap[e as usize];
+                    if *count == 0 {
+                        touched.push(e);
+                    }
+                    *count += 1;
                 }
             }
         }
-        if overlap.is_empty() {
+        if touched.is_empty() {
             return None;
         }
-        let mut candidates: Vec<(u32, u32)> = overlap.into_iter().collect();
-        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        candidates.truncate(FUZZY_CANDIDATES);
+        let mut candidates: Vec<(u32, u32)> = touched
+            .into_iter()
+            .map(|e| (e, overlap[e as usize]))
+            .collect();
+        let best_first = |a: &(u32, u32), b: &(u32, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        if candidates.len() > FUZZY_CANDIDATES {
+            candidates.select_nth_unstable_by(FUZZY_CANDIDATES - 1, best_first);
+            candidates.truncate(FUZZY_CANDIDATES);
+        }
+        candidates.sort_unstable_by(best_first);
 
         let key_chars: Vec<char> = key.chars().collect();
+        let (mut cand_chars, mut prev, mut cur) = (Vec::new(), Vec::new(), Vec::new());
         let mut best: Option<(f64, ConceptId)> = None;
         for (entry_idx, _) in candidates {
             let (surface, concept) = &self.entries[entry_idx as usize];
-            let cand_chars: Vec<char> = surface.chars().collect();
+            cand_chars.clear();
+            cand_chars.extend(surface.chars());
             let longest = key_chars.len().max(cand_chars.len());
             if longest == 0 {
                 continue;
             }
             let max_errors = ((1.0 - min_sim) * longest as f64).floor() as usize;
-            if let Some(d) = edit_distance_bounded(&key_chars, &cand_chars, max_errors) {
+            if let Some(d) =
+                edit_distance_bounded(&key_chars, &cand_chars, max_errors, &mut prev, &mut cur)
+            {
                 let sim = 1.0 - d as f64 / longest as f64;
                 if sim >= min_sim && best.is_none_or(|(s, _)| sim > s) {
                     best = Some((sim, *concept));
@@ -194,9 +239,9 @@ impl Lexicon {
     /// and tests only).
     pub fn surfaces_of(&self, concept: ConceptId) -> Vec<&str> {
         let mut v: Vec<&str> = self
-            .surface_to_concept
+            .entries
             .iter()
-            .filter(|(_, &c)| c == concept)
+            .filter(|(_, c)| *c == concept)
             .map(|(s, _)| s.as_str())
             .collect();
         v.sort_unstable();
@@ -235,6 +280,8 @@ pub fn concept_vector(concept: ConceptId, dim: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn register_and_lookup_is_normalised() {
@@ -325,5 +372,197 @@ mod tests {
         let mut lex = Lexicon::new();
         let id = lex.add_synonym_set(["ab"]);
         assert_eq!(lex.lookup_fuzzy("ab", 0.9), Some(id));
+    }
+
+    #[test]
+    fn reregistering_moves_the_surface_for_exact_and_fuzzy_lookups() {
+        let mut lex = Lexicon::new();
+        lex.register("acme corp", ConceptId(1));
+        lex.register("Acme Corp", ConceptId(2));
+        assert_eq!(lex.len(), 1);
+        assert_eq!(lex.lookup("acme corp"), Some(ConceptId(2)));
+        assert_eq!(lex.lookup_fuzzy("acme corpp", 0.75), Some(ConceptId(2)));
+        assert!(lex.surfaces_of(ConceptId(1)).is_empty());
+        assert_eq!(lex.surfaces_of(ConceptId(2)), vec!["acme corp"]);
+    }
+
+    /// The parent's `edit_distance_bounded`, verbatim: two fresh rows per
+    /// call.
+    fn reference_edit_distance_bounded(a: &[char], b: &[char], max: usize) -> Option<usize> {
+        let (n, m) = (a.len(), b.len());
+        if n.abs_diff(m) > max {
+            return None;
+        }
+        if n == 0 {
+            return Some(m);
+        }
+        if m == 0 {
+            return Some(n);
+        }
+        let inf = usize::MAX / 2;
+        let mut prev: Vec<usize> = (0..=m).map(|j| if j <= max { j } else { inf }).collect();
+        let mut cur = vec![inf; m + 1];
+        for i in 1..=n {
+            let lo = i.saturating_sub(max).max(1);
+            let hi = (i + max).min(m);
+            cur[lo - 1] = if lo == 1 { i } else { inf };
+            let mut row_min = cur[lo - 1];
+            for j in lo..=hi {
+                let cost = usize::from(a[i - 1] != b[j - 1]);
+                let v = (prev[j] + 1).min(cur[j - 1] + 1).min(prev[j - 1] + cost);
+                cur[j] = v;
+                row_min = row_min.min(v);
+            }
+            if hi < m {
+                cur[hi + 1..].iter_mut().for_each(|x| *x = inf);
+            }
+            if row_min > max {
+                return None;
+            }
+            std::mem::swap(&mut prev, &mut cur);
+        }
+        (prev[m] <= max).then_some(prev[m])
+    }
+
+    /// The parent's `lookup_fuzzy` body, verbatim but for reaching the
+    /// fields through `lex` (and the exact hit through the public lookup):
+    /// a hashed overlap map, a full sort, allocations per candidate.
+    fn reference_lookup_fuzzy(lex: &Lexicon, key: &str, min_sim: f64) -> Option<ConceptId> {
+        if key.is_empty() {
+            return None;
+        }
+        if let Some(c) = lex.lookup_normalized(key) {
+            return Some(c);
+        }
+        // Shortlist by trigram overlap.
+        let mut overlap: HashMap<u32, u32> = HashMap::new();
+        for tg in surface_trigrams(key) {
+            if let Some(posting) = lex.trigrams.get(&tg) {
+                for &e in posting {
+                    *overlap.entry(e).or_insert(0) += 1;
+                }
+            }
+        }
+        if overlap.is_empty() {
+            return None;
+        }
+        let mut candidates: Vec<(u32, u32)> = overlap.into_iter().collect();
+        candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        candidates.truncate(FUZZY_CANDIDATES);
+
+        let key_chars: Vec<char> = key.chars().collect();
+        let mut best: Option<(f64, ConceptId)> = None;
+        for (entry_idx, _) in candidates {
+            let (surface, concept) = &lex.entries[entry_idx as usize];
+            let cand_chars: Vec<char> = surface.chars().collect();
+            let longest = key_chars.len().max(cand_chars.len());
+            if longest == 0 {
+                continue;
+            }
+            let max_errors = ((1.0 - min_sim) * longest as f64).floor() as usize;
+            if let Some(d) = reference_edit_distance_bounded(&key_chars, &cand_chars, max_errors) {
+                let sim = 1.0 - d as f64 / longest as f64;
+                if sim >= min_sim && best.is_none_or(|(s, _)| sim > s) {
+                    best = Some((sim, *concept));
+                }
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+
+    /// Descending overlaps of every entry sharing a trigram with `key`.
+    fn overlaps_desc(lex: &Lexicon, key: &str) -> Vec<u32> {
+        let mut overlap = vec![0u32; lex.entries.len()];
+        for tg in surface_trigrams(key) {
+            for &e in lex.trigrams.get(&tg).into_iter().flatten() {
+                overlap[e as usize] += 1;
+            }
+        }
+        let mut v: Vec<u32> = overlap.into_iter().filter(|&o| o > 0).collect();
+        v.sort_unstable_by(|a, b| b.cmp(a));
+        v
+    }
+
+    /// A random string of 1..=max_len chars from `alphabet`, words split
+    /// by single spaces now and then.
+    fn random_surface(rng: &mut StdRng, alphabet: &[char], max_len: usize) -> String {
+        let len = rng.gen_range(1..=max_len);
+        let mut s = String::new();
+        for i in 0..len {
+            if i > 0 && i + 1 < len && rng.gen_range(0..6) == 0 {
+                s.push(' ');
+            }
+            s.push(alphabet[rng.gen_range(0..alphabet.len())]);
+        }
+        s
+    }
+
+    #[test]
+    fn dense_shortlist_matches_the_reference_lookup() {
+        // A small alphabet makes hundreds of entries share trigrams and
+        // their overlaps tie at the truncation point; 'é' and 'ß' are
+        // multi-byte chars, "aaaa"-style surfaces repeat a trigram so
+        // posting multiplicity counts, and 1–2-char keys take the padded
+        // trigram path.
+        let alphabet = ['a', 'b', 'c', 'é', 'ß'];
+        let mut ties_at_cut = 0usize;
+        let mut answered = 0usize;
+        let mut checked = 0usize;
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut lex = Lexicon::new();
+            for surface in ["a", "aa", "aaaa", "aaaaaa", "abab abab", "ééé", "ßa"] {
+                lex.register(surface, ConceptId(rng.gen_range(0..40)));
+            }
+            for _ in 0..300 {
+                let surface = random_surface(&mut rng, &alphabet, 9);
+                lex.register(&surface, ConceptId(rng.gen_range(0..40)));
+            }
+            let mut keys: Vec<String> = ["a", "b", "ab", "é", "ßß", "aaaaa", "abab abab c"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            keys.extend((0..80).map(|_| normalize(&random_surface(&mut rng, &alphabet, 11))));
+            for key in &keys {
+                let overlaps = overlaps_desc(&lex, key);
+                if overlaps.len() > FUZZY_CANDIDATES
+                    && overlaps[FUZZY_CANDIDATES - 1] == overlaps[FUZZY_CANDIDATES]
+                {
+                    ties_at_cut += 1;
+                }
+                for min_sim in [0.0, 0.5, 0.75, 1.0] {
+                    let want = reference_lookup_fuzzy(&lex, key, min_sim);
+                    assert_eq!(
+                        lex.lookup_fuzzy(key, min_sim),
+                        want,
+                        "seed {seed} key {key:?} min_sim {min_sim}"
+                    );
+                    answered += usize::from(want.is_some());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(ties_at_cut >= 50, "only {ties_at_cut} keys tie at the cut");
+        assert!(
+            answered > checked / 4 && answered < checked,
+            "{answered} of {checked} lookups answered"
+        );
+    }
+
+    #[test]
+    fn reused_dp_rows_match_fresh_rows() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let alphabet = ['x', 'y', 'z', 'ü'];
+        let (mut prev, mut cur) = (Vec::new(), Vec::new());
+        for _ in 0..2000 {
+            let a: Vec<char> = random_surface(&mut rng, &alphabet, 12).chars().collect();
+            let b: Vec<char> = random_surface(&mut rng, &alphabet, 12).chars().collect();
+            let max = rng.gen_range(0..8);
+            assert_eq!(
+                edit_distance_bounded(&a, &b, max, &mut prev, &mut cur),
+                reference_edit_distance_bounded(&a, &b, max),
+                "{a:?} {b:?} {max}"
+            );
+        }
     }
 }

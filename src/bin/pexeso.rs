@@ -428,10 +428,27 @@ fn load_csv_tables(lake_dir: &str) -> CliResult<Vec<pexeso_lake::table::Table>> 
     Ok(tables)
 }
 
+/// The smallest embedding dimensionality [`HashEmbedder::new`] accepts.
+const MIN_DIM: usize = 4;
+
+/// The query/ingest embedder of a deployment, refusing a manifest whose
+/// dimensionality no embedder can produce instead of panicking on it.
+fn deployment_embedder(dim: usize) -> CliResult<HashEmbedder> {
+    if dim < MIN_DIM {
+        return Err(format!(
+            "the deployment's manifest says dim={dim}; embeddings need at least {MIN_DIM} dimensions"
+        ));
+    }
+    Ok(HashEmbedder::new(dim))
+}
+
 fn cmd_index(flags: &HashMap<String, String>) -> CliResult<()> {
     let lake_dir = flags.get("lake").ok_or("--lake is required")?;
     let out_dir = PathBuf::from(flags.get("out").ok_or("--out is required")?);
     let dim: usize = parse_or(flags, "dim", 64)?;
+    if dim < MIN_DIM {
+        return Err(format!("bad --dim '{dim}': must be at least {MIN_DIM}"));
+    }
     let partitions: usize = parse_or(flags, "partitions", 4)?;
     let policy = parse_policy(flags)?.unwrap_or_default();
 
@@ -482,7 +499,7 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> CliResult<()> {
     let tables = load_csv_tables(lake_dir)?;
     let manifest = pexeso_core::outofcore::LakeManifest::read(&index_dir)
         .map_err(|e| format!("cannot read manifest in {}: {e}", index_dir.display()))?;
-    let embedder = HashEmbedder::new(manifest.dim);
+    let embedder = deployment_embedder(manifest.dim)?;
     let report = pexeso::pipeline::ingest_tables(
         &index_dir,
         &tables,
@@ -547,6 +564,7 @@ fn load_query(
     flags: &HashMap<String, String>,
     dim: usize,
 ) -> CliResult<(Vec<String>, HashEmbedder)> {
+    let embedder = deployment_embedder(dim)?;
     let query_path = flags.get("query").ok_or("--query is required")?;
     let table = read_table_file(Path::new(query_path)).map_err(|e| e.to_string())?;
     let col = match flags.get("column") {
@@ -569,7 +587,7 @@ fn load_query(
         table.name(),
         table.headers()[col]
     );
-    Ok((table.column(col).to_vec(), HashEmbedder::new(dim)))
+    Ok((table.column(col).to_vec(), embedder))
 }
 
 fn print_hits<'a>(hits: impl IntoIterator<Item = &'a GlobalHit>) {

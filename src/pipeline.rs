@@ -5,6 +5,14 @@
 //! component extracts key columns, embeds their string values, and indexes
 //! the vectors; the online component embeds the query column, searches, and
 //! presents each joinable table together with the record-level mapping.
+//!
+//! Offline embedding is one loop over the tables ([`embed_tables`],
+//! [`embed_synthetic_lake`] and [`ingest_tables`] all run it): each
+//! table's key column is embedded on its own, tables are shared out over
+//! the cores, and the columns are assembled in table order — so the
+//! vectors, names, external ids and provenance do not depend on how many
+//! cores did the work. [`embed_query`] embeds one column on the caller's
+//! thread.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -12,6 +20,7 @@ use std::path::Path;
 use pexeso_core::column::{ColumnId, ColumnSet};
 use pexeso_core::config::{ExecPolicy, IndexOptions, Tau};
 use pexeso_core::error::{PexesoError, Result};
+use pexeso_core::exec;
 use pexeso_core::metric::{Euclidean, Metric};
 use pexeso_core::outofcore::{LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
@@ -69,24 +78,82 @@ impl EmbeddedQuery {
     }
 }
 
-/// Embed the non-empty values of a column; returns (vectors, row indices).
-fn embed_values(embedder: &dyn Embedder, values: &[String]) -> (Vec<Vec<f32>>, Vec<u32>) {
-    let mut vecs = Vec::with_capacity(values.len());
+/// Embed the non-empty values of a column; returns the vectors (flat,
+/// `dim` floats each) and the row of each.
+fn embed_values(embedder: &dyn Embedder, values: &[String]) -> (Vec<f32>, Vec<u32>) {
+    let dim = embedder.dim();
+    let mut vectors = Vec::with_capacity(values.len() * dim);
     let mut rows = Vec::with_capacity(values.len());
     for (ri, v) in values.iter().enumerate() {
         if v.trim().is_empty() {
             continue;
         }
-        let e = embedder.embed(v);
+        let start = vectors.len();
+        vectors.resize(start + dim, 0.0);
+        embedder.embed_into(v, &mut vectors[start..]);
         // Zero vectors (no usable tokens) carry no signal; skip them like
         // empty cells.
-        if e.iter().all(|&x| x == 0.0) {
+        if vectors[start..].iter().all(|&x| x == 0.0) {
+            vectors.truncate(start);
             continue;
         }
-        vecs.push(e);
         rows.push(ri as u32);
     }
-    (vecs, rows)
+    (vectors, rows)
+}
+
+/// Tables per shard below which a second thread does not pay for itself:
+/// a generated key column (~19 values) embeds in about 0.1 ms, and a
+/// spawn wants a millisecond or more of work behind it.
+const MIN_TABLES_PER_SHARD: usize = 16;
+
+/// The offline embedding loop: embed the key column `key_column` names
+/// for each table (`None` skips the table) over contiguous runs of tables
+/// under `policy`, then assemble the columns in table order — external
+/// ids dense in that order, tables whose key column embeds to nothing
+/// skipped — so the result is the sequential fold's whatever the policy.
+fn embed_key_columns<T: Sync>(
+    embedder: &dyn Embedder,
+    tables: &[T],
+    key_column: impl Fn(&T) -> Option<(&Table, usize)> + Sync,
+    policy: ExecPolicy,
+    none_embedded: &'static str,
+) -> Result<EmbeddedLake> {
+    let shards = exec::map_ranges_min(policy, tables.len(), MIN_TABLES_PER_SHARD, |range| {
+        range
+            .filter_map(|table_idx| {
+                let (table, key_col) = key_column(&tables[table_idx])?;
+                let (vectors, rows) = embed_values(embedder, table.column(key_col));
+                Some((table_idx, table, key_col, vectors, rows))
+            })
+            .collect::<Vec<_>>()
+    });
+    let mut columns = ColumnSet::new(embedder.dim());
+    let mut provenance = Vec::new();
+    for (table_idx, table, key_col, vectors, rows) in shards.into_iter().flatten() {
+        if rows.is_empty() {
+            continue;
+        }
+        let external_id = provenance.len() as u64;
+        columns.add_column(
+            table.name(),
+            &table.headers()[key_col],
+            external_id,
+            vectors.chunks_exact(embedder.dim()),
+        )?;
+        provenance.push(ColumnProvenance {
+            table_idx,
+            key_col,
+            rows,
+        });
+    }
+    if columns.n_columns() == 0 {
+        return Err(PexesoError::EmptyInput(none_embedded));
+    }
+    Ok(EmbeddedLake {
+        columns,
+        provenance,
+    })
 }
 
 /// Incremental builder for an [`EmbeddedLake`].
@@ -108,15 +175,19 @@ impl<'a> EmbeddedLakeBuilder<'a> {
     /// Add one key column's values as a repository column. Table index is
     /// assigned in insertion order.
     pub fn add_column(mut self, table_name: &str, column_name: &str, values: &[String]) -> Self {
-        let (vecs, rows) = embed_values(self.embedder, values);
-        if vecs.is_empty() {
+        let (vectors, rows) = embed_values(self.embedder, values);
+        if rows.is_empty() {
             return self; // nothing embeddable; skip the column entirely
         }
         let table_idx = self.provenance.len();
         let external_id = self.provenance.len() as u64;
-        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
         self.columns
-            .add_column(table_name, column_name, external_id, refs)
+            .add_column(
+                table_name,
+                column_name,
+                external_id,
+                vectors.chunks_exact(self.embedder.dim()),
+            )
             .expect("embedder produces fixed-dim vectors");
         self.provenance.push(ColumnProvenance {
             table_idx,
@@ -139,85 +210,41 @@ impl<'a> EmbeddedLakeBuilder<'a> {
 
 /// Offline ingestion of arbitrary tables: detect each table's key column
 /// (SATO stand-in) and embed it. Tables without a usable key column are
-/// skipped, like the paper drops tables lacking key information.
+/// skipped, like the paper drops tables lacking key information. Tables
+/// are embedded in parallel and assembled in table order.
 pub fn embed_tables(
     embedder: &dyn Embedder,
     tables: &[Table],
     key_cfg: &KeyColumnConfig,
 ) -> Result<EmbeddedLake> {
-    let mut columns = ColumnSet::new(embedder.dim());
-    let mut provenance = Vec::new();
-    for (ti, table) in tables.iter().enumerate() {
-        let Some(key_col) = detect_key_column(table, key_cfg) else {
-            continue;
-        };
-        let (vecs, rows) = embed_values(embedder, table.column(key_col));
-        if vecs.is_empty() {
-            continue;
-        }
-        let external_id = provenance.len() as u64;
-        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
-        columns.add_column(table.name(), &table.headers()[key_col], external_id, refs)?;
-        provenance.push(ColumnProvenance {
-            table_idx: ti,
-            key_col,
-            rows,
-        });
-    }
-    if columns.n_columns() == 0 {
-        return Err(PexesoError::EmptyInput(
-            "no table with a detectable key column",
-        ));
-    }
-    Ok(EmbeddedLake {
-        columns,
-        provenance,
-    })
+    embed_key_columns(
+        embedder,
+        tables,
+        |table| detect_key_column(table, key_cfg).map(|key_col| (table, key_col)),
+        ExecPolicy::auto(),
+        "no table with a detectable key column",
+    )
 }
 
 /// Offline ingestion of a generated lake, using the planted key columns
-/// (what the WDC corpus's key annotations provide in the paper).
+/// (what the WDC corpus's key annotations provide in the paper). Tables
+/// are embedded in parallel and assembled in table order.
 pub fn embed_synthetic_lake(embedder: &dyn Embedder, lake: &SyntheticLake) -> Result<EmbeddedLake> {
-    let mut columns = ColumnSet::new(embedder.dim());
-    let mut provenance = Vec::new();
-    for (ti, gt) in lake.tables.iter().enumerate() {
-        let (vecs, rows) = embed_values(embedder, gt.key_values());
-        if vecs.is_empty() {
-            continue;
-        }
-        let external_id = provenance.len() as u64;
-        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
-        columns.add_column(
-            gt.table.name(),
-            &gt.table.headers()[gt.key_col],
-            external_id,
-            refs,
-        )?;
-        provenance.push(ColumnProvenance {
-            table_idx: ti,
-            key_col: gt.key_col,
-            rows,
-        });
-    }
-    if columns.n_columns() == 0 {
-        return Err(PexesoError::EmptyInput(
-            "generated lake had no embeddable tables",
-        ));
-    }
-    Ok(EmbeddedLake {
-        columns,
-        provenance,
-    })
+    embed_key_columns(
+        embedder,
+        &lake.tables,
+        |gt| Some((&gt.table, gt.key_col)),
+        ExecPolicy::auto(),
+        "generated lake had no embeddable tables",
+    )
 }
 
 /// Online: embed a query column's values (empty cells skipped but row
-/// alignment retained for join mappings).
+/// alignment retained for join mappings), on the caller's thread.
 pub fn embed_query(embedder: &dyn Embedder, values: &[String]) -> EmbeddedQuery {
-    let (vecs, rows) = embed_values(embedder, values);
-    let mut store = VectorStore::new(embedder.dim());
-    for v in &vecs {
-        store.push(v).expect("embedder produces fixed-dim vectors");
-    }
+    let (vectors, rows) = embed_values(embedder, values);
+    let store = VectorStore::from_raw(embedder.dim(), vectors)
+        .expect("embedder produces fixed-dim vectors");
     EmbeddedQuery {
         store,
         rows,
@@ -326,32 +353,26 @@ pub fn ingest_tables(
             manifest.dim
         )));
     }
-    let mut columns = Vec::new();
-    for table in tables {
-        let Some(key_col) = detect_key_column(table, key_cfg) else {
-            continue;
-        };
-        let (vecs, _rows) = embed_values(embedder, table.column(key_col));
-        if vecs.is_empty() {
-            continue;
-        }
-        let mut store = VectorStore::new(embedder.dim());
-        for v in &vecs {
-            store.push(v)?;
-        }
-        store.normalize_all();
-        columns.push(IngestColumn {
-            table_name: table.name().to_string(),
-            column_name: table.headers()[key_col].clone(),
-            vectors: store.raw_data().to_vec(),
-        });
-    }
-    if columns.is_empty() {
-        return Err(PexesoError::EmptyInput(
-            "no table with a detectable key column",
-        ));
-    }
-    ingest_columns(index_dir, &columns)
+    let lake = embed_tables(embedder, tables, key_cfg)?;
+    ingest_columns(index_dir, &normalized_ingest_columns(lake))
+}
+
+/// An embedded lake's columns as the delta log takes them: each vector
+/// normalised like the offline build normalises it.
+fn normalized_ingest_columns(mut lake: EmbeddedLake) -> Vec<IngestColumn> {
+    lake.columns.store_mut().normalize_all();
+    let dim = lake.columns.dim();
+    let data = lake.columns.store().raw_data();
+    lake.columns
+        .columns()
+        .iter()
+        .map(|meta| IngestColumn {
+            table_name: meta.table_name.clone(),
+            column_name: meta.column_name.clone(),
+            vectors: data[meta.start as usize * dim..(meta.start + meta.len) as usize * dim]
+                .to_vec(),
+        })
+        .collect()
 }
 
 /// Tombstone tables by name in the deployment's delta log; space is
@@ -729,6 +750,158 @@ mod tests {
         .unwrap();
         assert_eq!(again.manifest.index_version, 2);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Key values for the loop tests: lexicon surfaces, misspellings (the
+    /// fuzzy path), token-level hits and unknown strings.
+    const KEY_VALUES: [&str; 12] = [
+        "Pacific Islander",
+        "Pacific Islandr",
+        "Mainland Indigenous",
+        "Nintendo Switch",
+        "Population",
+        "Populaton",
+        "Sony PlayStation",
+        "12 Main St",
+        "Hawaiian/Guamanian/Samoan",
+        "Mainland Indigenus",
+        "Łódź Café",
+        "Atlantic Salmon Run",
+    ];
+
+    fn loop_embedder() -> SemanticEmbedder {
+        let mut lexicon = Lexicon::new();
+        lexicon.add_synonym_set(["Hawaiian/Guamanian/Samoan", "Pacific Islander"]);
+        lexicon.add_synonym_set(["Mainland Indigenous"]);
+        lexicon.add_synonym_set(["nintendo"]);
+        lexicon.add_synonym_set(["population"]);
+        SemanticEmbedder::new(32, lexicon)
+    }
+
+    /// Enough tables for three shards, among them tables with no key
+    /// column (too few rows) and tables whose key column embeds to
+    /// nothing (emoji only), both of which the loop skips.
+    fn loop_tables() -> Vec<Table> {
+        (0..40)
+            .map(|t| {
+                let rows: Vec<Vec<String>> = match t % 5 {
+                    3 => (0..8)
+                        .map(|i| vec!["🦀".repeat(i + 1), format!("{i}")])
+                        .collect(),
+                    4 => (0..3)
+                        .map(|i| vec![format!("Short {t} {i}"), format!("{i}")])
+                        .collect(),
+                    _ => (0..8 + t % 7)
+                        .map(|i| {
+                            let key = if i % 4 == 3 {
+                                String::new()
+                            } else {
+                                KEY_VALUES[(t + i) % KEY_VALUES.len()].to_string()
+                            };
+                            vec![key, format!("{}", 1990 + i)]
+                        })
+                        .collect(),
+                };
+                Table::from_rows(format!("t{t}"), vec!["Name", "Year"], rows)
+            })
+            .collect()
+    }
+
+    /// `embed_tables`' loop under an explicit policy.
+    fn embed_tables_under(
+        e: &dyn Embedder,
+        tables: &[Table],
+        cfg: &KeyColumnConfig,
+        policy: ExecPolicy,
+    ) -> EmbeddedLake {
+        embed_key_columns(
+            e,
+            tables,
+            |table| detect_key_column(table, cfg).map(|key_col| (table, key_col)),
+            policy,
+            "none",
+        )
+        .unwrap()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn parallel_embed_tables_equals_the_sequential_fold() {
+        let e = loop_embedder();
+        let tables = loop_tables();
+        let cfg = KeyColumnConfig::default();
+        let seq = embed_tables_under(&e, &tables, &cfg, ExecPolicy::Sequential);
+        let public = embed_tables(&e, &tables, &cfg).unwrap();
+        for par in [
+            embed_tables_under(&e, &tables, &cfg, ExecPolicy::Fixed { threads: 3 }),
+            public,
+        ] {
+            assert_eq!(par.columns, seq.columns);
+            assert_eq!(
+                bits(par.columns.store().raw_data()),
+                bits(seq.columns.store().raw_data())
+            );
+            assert_eq!(par.provenance, seq.provenance);
+        }
+        // The fixture skips both kinds of table, and what survives has
+        // dense external ids in table order.
+        let kept: Vec<usize> = seq.provenance.iter().map(|p| p.table_idx).collect();
+        let no_key = (0..tables.len())
+            .filter(|&t| detect_key_column(&tables[t], &cfg).is_none())
+            .count();
+        let embeds_to_nothing = (0..tables.len())
+            .filter(|&t| detect_key_column(&tables[t], &cfg).is_some() && !kept.contains(&t))
+            .count();
+        assert_eq!((no_key, embeds_to_nothing), (8, 8));
+        assert!(kept.windows(2).all(|w| w[0] < w[1]));
+        for (i, (meta, prov)) in seq
+            .columns
+            .columns()
+            .iter()
+            .zip(&seq.provenance)
+            .enumerate()
+        {
+            assert_eq!(meta.external_id, i as u64);
+            assert_eq!(meta.table_name, tables[prov.table_idx].name());
+            assert_eq!(meta.column_name, "Name");
+            assert_eq!(meta.len as usize, prov.rows.len());
+        }
+    }
+
+    #[test]
+    fn parallel_ingest_columns_equal_the_sequential_fold() {
+        let e = loop_embedder();
+        let tables = loop_tables();
+        let cfg = KeyColumnConfig::default();
+        let seq = normalized_ingest_columns(embed_tables_under(
+            &e,
+            &tables,
+            &cfg,
+            ExecPolicy::Sequential,
+        ));
+        let par = normalized_ingest_columns(embed_tables_under(
+            &e,
+            &tables,
+            &cfg,
+            ExecPolicy::Fixed { threads: 3 },
+        ));
+        assert_eq!(seq.len(), 24);
+        assert_eq!(par.len(), seq.len());
+        for (p, s) in par.iter().zip(&seq) {
+            assert_eq!(
+                (&p.table_name, &p.column_name),
+                (&s.table_name, &s.column_name)
+            );
+            assert_eq!(bits(&p.vectors), bits(&s.vectors));
+            // Normalised one vector at a time, like the offline build.
+            for v in s.vectors.chunks_exact(32) {
+                let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+                assert!((norm - 1.0).abs() < 1e-5);
+            }
+        }
     }
 
     #[test]

@@ -223,3 +223,47 @@ fn partitioning_single_column_lake() {
     .unwrap();
     assert_eq!(p.assignments.len(), 1);
 }
+
+#[test]
+fn cli_refuses_embedding_dimensions_below_four() {
+    use std::process::Command;
+    let dir = std::env::temp_dir().join(format!("pexeso_rob_dim_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let lake = dir.join("lake");
+    std::fs::create_dir_all(&lake).unwrap();
+    let mut csv = String::from("City,Pop\n");
+    for city in [
+        "New York", "Chicago", "Houston", "Phoenix", "Seattle", "Denver",
+    ] {
+        csv.push_str(&format!("{city},1\n"));
+    }
+    std::fs::write(lake.join("a.csv"), csv).unwrap();
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_pexeso"))
+            .args(args)
+            .output()
+            .expect("spawn pexeso");
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    };
+    let lake = lake.to_str().unwrap();
+    let idx = dir.join("idx");
+    let idx = idx.to_str().unwrap();
+
+    let (code, stderr) = run(&["index", "--lake", lake, "--out", idx, "--dim", "2"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("--dim"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    // A deployment whose manifest says dim=2 is refused the same way by
+    // the verbs that embed against it.
+    std::fs::create_dir_all(idx).unwrap();
+    std::fs::write(dir.join("idx").join("manifest.txt"), "version=1\ndim=2\n").unwrap();
+    let (code, stderr) = run(&["ingest", "--index", idx, "--lake", lake]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("dim=2"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
