@@ -1,10 +1,11 @@
 //! # pexeso-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (`src/bin/exp_*.rs`) plus
-//! criterion micro/macro benchmarks (`benches/`). This library holds the
-//! shared pieces: dataset profiles shaped like the paper's OPEN / SWDC /
-//! LWDC corpora, embedding + indexing plumbing, precision/recall scoring,
-//! and aligned table printing.
+//! One binary per table/figure of the paper (`src/bin/exp_*.rs`) plus the
+//! `verify_profile` example (`examples/`). Timed benchmarks live in the
+//! separate `bench/` package at the repository root. This library holds
+//! the shared pieces: dataset profiles shaped like the paper's OPEN /
+//! SWDC / LWDC corpora, embedding + indexing plumbing, precision/recall
+//! scoring, and aligned table printing.
 //!
 //! Scale control: every harness reads `PEXESO_SCALE` (default `1.0`) and
 //! multiplies workload sizes, so `PEXESO_SCALE=0.2 cargo run --release

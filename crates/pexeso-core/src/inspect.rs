@@ -29,9 +29,11 @@ pub struct PivotSpread {
 /// Structural statistics of one partition's PEXESO index.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionInspection {
-    /// Columns in the partition, live tombstoned ones included.
+    /// Columns in the partition, dropped ones included.
     pub columns: u64,
-    /// Columns lazily deleted (tombstoned) but not yet compacted away.
+    /// Columns whose table a delta tombstone dropped: never scanned, but
+    /// stored until the next compaction. Filled by the owner of the
+    /// tombstones (the serve snapshot); a bare index reports 0.
     pub deleted_columns: u64,
     /// Repository vectors indexed.
     pub vectors: u64,
@@ -67,11 +69,11 @@ pub struct IndexInspection {
 
 impl PartitionInspection {
     /// Derive the statistics of one partition by walking its inverted
-    /// index and mapped coordinates. `deleted` marks tombstoned columns;
-    /// `mapped_iter` yields each vector's pivot-space coordinates.
+    /// index and mapped coordinates. `mapped_iter` yields each vector's
+    /// pivot-space coordinates.
     pub fn derive<'a>(
         inv: &crate::invindex::InvertedIndex,
-        deleted: &[bool],
+        num_columns: u64,
         num_vectors: u64,
         mapped_iter: impl Iterator<Item = &'a [f32]>,
         num_pivots: usize,
@@ -108,8 +110,8 @@ impl PartitionInspection {
             })
             .collect();
         Self {
-            columns: deleted.len() as u64,
-            deleted_columns: deleted.iter().filter(|&&d| d).count() as u64,
+            columns: num_columns,
+            deleted_columns: 0,
             vectors: num_vectors,
             cells: inv.num_cells() as u64,
             postings,
@@ -226,9 +228,9 @@ mod tests {
     #[test]
     fn partition_inspection_counts_cells_and_postings() {
         let (inv, mapped) = tiny_index();
-        let p = PartitionInspection::derive(&inv, &[false, true], 3, mapped.iter(), 2);
+        let p = PartitionInspection::derive(&inv, 2, 3, mapped.iter(), 2);
         assert_eq!(p.columns, 2);
-        assert_eq!(p.deleted_columns, 1);
+        assert_eq!(p.deleted_columns, 0);
         assert_eq!(p.vectors, 3);
         assert_eq!(p.cells, 2);
         // Cell (0,0) holds one column, cell (1,0) one column.
@@ -245,18 +247,24 @@ mod tests {
     #[test]
     fn inspection_totals_and_render() {
         let (inv, mapped) = tiny_index();
-        let p = PartitionInspection::derive(&inv, &[false, false], 3, mapped.iter(), 2);
+        let p = PartitionInspection::derive(&inv, 2, 3, mapped.iter(), 2);
+        let dropped = PartitionInspection {
+            deleted_columns: 1,
+            ..p.clone()
+        };
         let insp = IndexInspection {
-            partitions: vec![p.clone(), p],
+            partitions: vec![p, dropped],
             delta_columns: 4,
             delta_vectors: 9,
             delta_tombstones: 1,
             delta_records: 5,
         };
-        assert_eq!(insp.totals(), (4, 0, 6, 4, 4));
+        assert_eq!(insp.totals(), (4, 1, 6, 4, 4));
         assert_eq!(insp.postings_len().count, 4);
         let text = insp.render_text();
         assert!(text.contains("partitions=2"), "{text}");
+        assert!(text.contains("deleted_columns=1"), "{text}");
+        assert!(text.contains("partition1.deleted=1"), "{text}");
         assert!(text.contains("vectors=6"), "{text}");
         assert!(text.contains("delta_columns=4"), "{text}");
         assert!(text.contains("partition1.cells=2"), "{text}");

@@ -27,8 +27,8 @@ use crate::search::SearchHit;
 use crate::vector::VectorStore;
 
 /// Exact per-column match counts (`counts[c]` = matching query vectors of
-/// column `c`). `deleted` masks tombstoned columns to zero so callers can
-/// mirror an index with lazy deletions.
+/// column `c`). `deleted` masks dropped columns to zero so callers can
+/// mirror an index answering under a dead mask.
 pub fn match_counts<M: Metric>(
     columns: &ColumnSet,
     metric: &M,

@@ -33,7 +33,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::column::{ColumnId, ColumnSet};
+use crate::column::ColumnSet;
 use crate::config::IndexOptions;
 use crate::error::{PexesoError, Result};
 use crate::exec;
@@ -45,7 +45,7 @@ use crate::query::{
     fold_outcome, rank_topk_hits, sort_threshold_hits, BudgetGuard, Exceeded, Query, QueryMode,
     QueryOutcome, QueryResponse, Queryable,
 };
-use crate::search::{EngineCtx, PexesoIndex};
+use crate::search::PexesoIndex;
 use crate::stats::SearchStats;
 use crate::vector::VectorStore;
 
@@ -354,7 +354,7 @@ impl Queryable for PartitionedLake {
             .map(|f| fs::metadata(f).map_or(0, |m| m.len()))
             .collect();
         execute_partitioned(&weights, query, |i, inner, guard| {
-            load_unit(&self.partition_files[i], &metric)?.answer(inner, vectors, guard)
+            load_unit(&self.partition_files[i], &metric)?.answer(inner, vectors, None, guard)
         })
     }
 }
@@ -364,20 +364,20 @@ impl Queryable for PartitionedLake {
 /// has named the metric. See the [module docs](self#units).
 pub trait IndexUnit: Send + Sync {
     /// Answer `query` for this unit alone (see [`PartitionAnswer`]): hits
-    /// in global identities, tie-inclusive in top-k mode, with `guard`
-    /// carrying the query's budget across units.
+    /// in global identities, tie-inclusive in top-k mode, the columns
+    /// flagged in `dead` (one flag per column of the unit) never scanned,
+    /// and `guard` carrying the query's budget across units. The one
+    /// implementation is `PexesoIndex`'s, in [`crate::search`].
     fn answer(
         &self,
         query: &Query,
         vectors: &VectorStore,
+        dead: Option<&[bool]>,
         guard: &mut Option<BudgetGuard>,
     ) -> Result<PartitionAnswer>;
 
     /// The unit's columns (metadata and raw vectors).
     fn columns(&self) -> &ColumnSet;
-
-    /// Whether a column has been tombstoned in place.
-    fn is_deleted(&self, column: ColumnId) -> bool;
 
     /// The build options persisted with the unit.
     fn options(&self) -> &IndexOptions;
@@ -391,33 +391,6 @@ impl std::fmt::Debug for dyn IndexUnit + '_ {
         f.debug_struct("IndexUnit")
             .field("columns", &self.columns().n_columns())
             .finish_non_exhaustive()
-    }
-}
-
-impl<M: Metric> IndexUnit for PexesoIndex<M> {
-    fn answer(
-        &self,
-        query: &Query,
-        vectors: &VectorStore,
-        guard: &mut Option<BudgetGuard>,
-    ) -> Result<PartitionAnswer> {
-        execute_on_index(self, query, vectors, guard)
-    }
-
-    fn columns(&self) -> &ColumnSet {
-        PexesoIndex::columns(self)
-    }
-
-    fn is_deleted(&self, column: ColumnId) -> bool {
-        PexesoIndex::is_deleted(self, column)
-    }
-
-    fn options(&self) -> &IndexOptions {
-        PexesoIndex::options(self)
-    }
-
-    fn inspect(&self) -> PartitionInspection {
-        PexesoIndex::inspect(self)
     }
 }
 
@@ -439,77 +412,12 @@ pub fn build_unit(
         .map(|index| Box::new(index) as Box<dyn IndexUnit>))
 }
 
-/// A partition-local `(column, count)` as a caller-stable global hit.
-fn global_hit<M: Metric>(index: &PexesoIndex<M>, column: ColumnId, match_count: u32) -> GlobalHit {
-    let meta = index.columns().column(column);
-    GlobalHit {
-        external_id: meta.external_id,
-        table_name: meta.table_name.clone(),
-        column_name: meta.column_name.clone(),
-        match_count,
-    }
-}
-
 /// One column's answer from one partition (or any other single-index
 /// unit): global hits, that unit's stats, any budget limit the sweep
 /// tripped for it, and the count the unit's top-k scan was seeded with
 /// (`None` for an unseeded scan and for a threshold query) — the one thing
 /// an explain report says that the stats do not.
 pub type PartitionAnswer = (Vec<GlobalHit>, SearchStats, Option<Exceeded>, Option<u32>);
-
-/// Execute one unified [`Query`] against one in-memory [`PexesoIndex`] —
-/// the per-partition building block of every backend (the single-index
-/// [`Queryable`] impl is this helper plus the final global ranking).
-///
-/// Threshold mode returns the joinable hits resolved to global identities
-/// (caller sorts). Top-k mode answers exactly and **tie-inclusively**:
-/// the in-index tie-break runs on internal column ids (insertion order),
-/// which need not agree with the global external-id order, so the engine
-/// returns every column whose count reaches the k-th best — the list may
-/// therefore hold more than `k` entries, and any member of the global
-/// top-k is necessarily in it.
-///
-/// `guard` carries the query's budget across sub-executions (partitions
-/// in the callers); a tripped limit is returned so the caller can stop
-/// and flag the response.
-///
-/// Backends that hold erased units reach this through
-/// [`IndexUnit::answer`], so every unit of every backend runs exactly
-/// this engine.
-pub(crate) fn execute_on_index<M: Metric>(
-    index: &PexesoIndex<M>,
-    query: &Query,
-    vectors: &VectorStore,
-    guard: &mut Option<BudgetGuard>,
-) -> Result<PartitionAnswer> {
-    let ctx = EngineCtx {
-        query,
-        budget: guard.as_ref(),
-    };
-    let (hits, stats, exceeded, seed) = match query.mode {
-        QueryMode::Threshold(t) => {
-            let (hits, stats, exceeded) = index.threshold_inner(vectors, &ctx, t)?;
-            let hits = hits
-                .into_iter()
-                .map(|h| global_hit(index, h.column, h.match_count))
-                .collect();
-            (hits, stats, exceeded, None)
-        }
-        QueryMode::Topk(0) => return Ok((Vec::new(), SearchStats::new(), None, None)),
-        QueryMode::Topk(k) => {
-            let (ranked, stats, exceeded, seed) = index.topk_inner(vectors, &ctx, k)?;
-            let hits = ranked
-                .into_iter()
-                .map(|(count, col)| global_hit(index, col, count))
-                .collect();
-            (hits, stats, exceeded, seed)
-        }
-    };
-    if let Some(g) = guard.as_mut() {
-        g.advance(stats.distance_computations);
-    }
-    Ok((hits, stats, exceeded, seed))
-}
 
 /// The shared partition loop behind the out-of-core and resident
 /// backends, over `weights.len()` partitions: fan `run(i, …)` over them
@@ -533,9 +441,9 @@ pub(crate) fn execute_on_index<M: Metric>(
 ///
 /// Public as a backend building block: a unit need not be a plain
 /// partition — the delta-overlay executor in `pexeso-delta` passes
-/// closures that filter tombstoned hits and fold an in-memory delta index
-/// in as one extra unit, inheriting the fan-out, budget, and ranking
-/// semantics unchanged.
+/// closures that hand each base unit its tombstones as the dead mask and
+/// fold an in-memory delta index in as one extra unit, inheriting the
+/// fan-out, budget, and ranking semantics unchanged.
 pub fn execute_partitioned<F>(weights: &[u64], query: &Query, run: F) -> Result<QueryResponse>
 where
     F: Fn(usize, &Query, &mut Option<BudgetGuard>) -> Result<PartitionAnswer> + Sync,
@@ -705,7 +613,7 @@ impl<M: Metric> Queryable for ResidentPartitions<M> {
             .map(|index| index.columns().n_vectors() as u64)
             .collect();
         execute_partitioned(&weights, query, |i, inner, guard| {
-            execute_on_index(&self.indexes[i], inner, vectors, guard)
+            self.indexes[i].answer(inner, vectors, None, guard)
         })
     }
 }

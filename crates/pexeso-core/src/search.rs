@@ -2,28 +2,31 @@
 //!
 //! [`PexesoIndex::build`] runs the offline phase: pivot selection, pivot
 //! mapping, `HG_RV` construction, and the inverted index.
-//! [`Queryable::execute`] runs the online phase: map the query column,
-//! build `HG_Q`, quick-browse, block, verify. Results are exact — identical
-//! to the naive scan — for every lemma-flag combination.
+//! [`IndexUnit::answer`] runs the online phase — map the query column,
+//! build `HG_Q`, quick-browse, block, verify — for every backend, the
+//! index's own [`Queryable::execute`] included. Results are exact —
+//! identical to the naive scan — for every lemma-flag combination.
 
 use std::time::{Duration, Instant};
 
 use crate::block::{block_with, quick_browse, BlockOutput};
 use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, Tau};
+use crate::cost::{column_match_bounds, topk_seed};
 use crate::error::{PexesoError, Result};
 use crate::grid::{GridParams, HierarchicalGrid};
+use crate::inspect::PartitionInspection;
 use crate::invindex::InvertedIndex;
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
-use crate::outofcore::{execute_on_index, merge_answers};
+use crate::outofcore::{merge_answers, GlobalHit, IndexUnit, PartitionAnswer};
 use crate::pivot::select_pivots_with;
-use crate::query::{BudgetGuard, Exceeded, Query, QueryResponse, Queryable};
+use crate::query::{BudgetGuard, Query, QueryMode, QueryResponse, Queryable};
 use crate::stats::SearchStats;
 use crate::util::FastMap;
 use crate::vector::{VectorId, VectorStore};
-use crate::verify::{verify_budgeted, verify_ranked, VerifyContext};
+use crate::verify::{self, VerifyContext};
 
 /// One joinable column in a search result.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,25 +35,6 @@ pub struct SearchHit {
     /// Matched query vectors. A lower bound when the column was confirmed
     /// early (the search stops counting once `T` is reached).
     pub match_count: u32,
-}
-
-/// One top-k engine answer: the internal `(count, column)` ranking, the
-/// search stats, any tripped budget limit, and the count the scan was
-/// seeded with.
-pub(crate) type RankedTopk = (
-    Vec<(u32, ColumnId)>,
-    SearchStats,
-    Option<Exceeded>,
-    Option<u32>,
-);
-
-/// What one engine call borrows from its only caller,
-/// [`crate::outofcore::execute_on_index`]: the query's criteria (τ, the
-/// per-query options, the execution policy) and the budget carried across
-/// sub-executions.
-pub(crate) struct EngineCtx<'a> {
-    pub query: &'a Query,
-    pub budget: Option<&'a BudgetGuard>,
 }
 
 /// Per-search knobs beyond the thresholds.
@@ -82,8 +66,6 @@ pub struct PexesoIndex<M: Metric> {
     vec_col: Vec<u32>,
     hgrv: HierarchicalGrid,
     inv: InvertedIndex,
-    /// Tombstones for lazily-deleted columns (Section III-E maintenance).
-    deleted: Vec<bool>,
     build_time: Duration,
 }
 
@@ -128,7 +110,6 @@ impl<M: Metric> PexesoIndex<M> {
             HierarchicalGrid::build_keys_only_with(grid_params.clone(), &rv_mapped, options.exec)?;
         let vec_col = columns.vector_to_column();
         let inv = InvertedIndex::build_with(&grid_params, &rv_mapped, &vec_col, options.exec)?;
-        let deleted = vec![false; columns.n_columns()];
         Ok(Self {
             metric,
             options,
@@ -139,56 +120,8 @@ impl<M: Metric> PexesoIndex<M> {
             vec_col,
             hgrv,
             inv,
-            deleted,
             build_time: started.elapsed(),
         })
-    }
-
-    /// The threshold scan behind [`Queryable::execute`]: map, block,
-    /// verify (optionally budgeted), and collect hits in ascending
-    /// internal-column-id order.
-    pub(crate) fn threshold_inner(
-        &self,
-        query: &VectorStore,
-        ctx: &EngineCtx<'_>,
-        t: JoinThreshold,
-    ) -> Result<(Vec<SearchHit>, SearchStats, Option<Exceeded>)> {
-        let (opts, exec, budget) = (ctx.query.options, ctx.query.policy, ctx.budget);
-        self.validate_query(query)?;
-        let tau = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
-        let t_abs = t.resolve(query.len())?;
-        let mut stats = SearchStats::new();
-        let total_start = Instant::now();
-        let (query_mapped, blocked) = self.map_and_block(query, tau, opts, exec, &mut stats)?;
-
-        // Verification.
-        let verify_start = Instant::now();
-        let ctx = VerifyContext {
-            columns: &self.columns,
-            vec_col: &self.vec_col,
-            rv_mapped: &self.rv_mapped,
-            inv: &self.inv,
-            metric: &self.metric,
-            query,
-            query_mapped: &query_mapped,
-            tau,
-            t_abs,
-            flags: opts.flags,
-            deleted: Some(&self.deleted),
-        };
-        let (outcome, exceeded) = verify_budgeted(&ctx, &blocked, &mut stats, exec, budget);
-        stats.verify_time = verify_start.elapsed();
-        stats.total_time = total_start.elapsed();
-
-        let hits = outcome
-            .joinable
-            .iter()
-            .map(|&c| SearchHit {
-                column: c,
-                match_count: outcome.match_counts[c.0 as usize],
-            })
-            .collect();
-        Ok((hits, stats, exceeded))
     }
 
     /// Shared query validation for every online entry point.
@@ -261,61 +194,6 @@ impl<M: Metric> PexesoIndex<M> {
         Ok((query_mapped, blocked))
     }
 
-    /// The top-k engine behind [`Queryable::execute`], ranking under the
-    /// *internal* tie-break (count descending, internal column id
-    /// ascending): seed the threshold from the matching cells
-    /// ([`crate::cost::topk_seed`]), run the scan to exact counts under it
-    /// ([`crate::verify::verify_topk`]'s ranking, budgeted), and return the
-    /// **tie-inclusive** prefix — every entry whose count reaches the k-th
-    /// best, so the caller can re-rank boundary ties by external id.
-    pub(crate) fn topk_inner(
-        &self,
-        query: &VectorStore,
-        ctx: &EngineCtx<'_>,
-        k: usize,
-    ) -> Result<RankedTopk> {
-        let (opts, exec, budget) = (ctx.query.options, ctx.query.policy, ctx.budget);
-        self.validate_query(query)?;
-        let tau_abs = ctx.query.tau.resolve(&self.metric, self.columns.dim())?;
-        let mut stats = SearchStats::new();
-        if k == 0 {
-            return Ok((Vec::new(), stats, None, None));
-        }
-        let total_start = Instant::now();
-        let (query_mapped, blocked) = self.map_and_block(query, tau_abs, opts, exec, &mut stats)?;
-
-        let verify_start = Instant::now();
-        let ctx = VerifyContext {
-            columns: &self.columns,
-            vec_col: &self.vec_col,
-            rv_mapped: &self.rv_mapped,
-            inv: &self.inv,
-            metric: &self.metric,
-            query,
-            query_mapped: &query_mapped,
-            tau: tau_abs,
-            t_abs: query.len() + 1, // top-k never early-terminates on T
-            flags: opts.flags,
-            deleted: Some(&self.deleted),
-        };
-        let bounds = crate::cost::column_match_bounds(
-            &blocked,
-            &self.inv,
-            self.columns.n_columns(),
-            query.len(),
-            Some(&self.deleted),
-            exec,
-        );
-        let seed = crate::cost::topk_seed(&bounds, k);
-        let (mut ranked, exceeded) = verify_ranked(&ctx, &blocked, seed, &mut stats, exec, budget);
-        if let Some(&(kth, _)) = ranked.get(k - 1) {
-            ranked.truncate(ranked.partition_point(|&(count, _)| count >= kth));
-        }
-        stats.verify_time = verify_start.elapsed();
-        stats.total_time = total_start.elapsed();
-        Ok((ranked, stats, exceeded, seed.map(|(count, _)| count)))
-    }
-
     /// Append a new column online (Section III-E: O((|P|+m)·|s|) for the
     /// pivot mapping and grid insertions, O(1) per posting). The appended
     /// vectors must map inside the existing pivot-space span (guaranteed
@@ -346,68 +224,21 @@ impl<M: Metric> PexesoIndex<M> {
             self.inv.append_vector(leaf, col_id.0, vid)?;
             self.vec_col.push(col_id.0);
         }
-        self.deleted.push(false);
         Ok(col_id)
-    }
-
-    /// Delete a column lazily: O(1), the paper's deletion mode. Postings
-    /// and grid cells are skipped at query time; call
-    /// [`PexesoIndex::compact`] to reclaim space.
-    pub fn remove_column(&mut self, column: ColumnId) -> Result<()> {
-        let c = column.0 as usize;
-        if c >= self.deleted.len() {
-            return Err(PexesoError::InvalidParameter(format!("no column {c}")));
-        }
-        self.deleted[c] = true;
-        Ok(())
-    }
-
-    /// Whether a column has been tombstoned.
-    pub fn is_deleted(&self, column: ColumnId) -> bool {
-        self.deleted
-            .get(column.0 as usize)
-            .copied()
-            .unwrap_or(false)
-    }
-
-    /// Number of live (non-deleted) columns.
-    pub fn live_columns(&self) -> usize {
-        self.deleted.iter().filter(|&&d| !d).count()
     }
 
     /// Structural statistics of this index — column/vector counts, cell
     /// histograms, pivot spread — for the introspection plane (see
     /// [`crate::inspect`]). One read-only walk over the inverted index
     /// and mapped coordinates.
-    pub fn inspect(&self) -> crate::inspect::PartitionInspection {
-        crate::inspect::PartitionInspection::derive(
+    pub fn inspect(&self) -> PartitionInspection {
+        PartitionInspection::derive(
             &self.inv,
-            &self.deleted,
+            self.columns.n_columns() as u64,
             self.rv_mapped.len() as u64,
             self.rv_mapped.iter(),
             self.pivots.len(),
         )
-    }
-
-    /// Rebuild without tombstoned columns, reclaiming their space.
-    pub fn compact(self) -> Result<Self> {
-        if self.deleted.iter().all(|&d| !d) {
-            return Ok(self);
-        }
-        let mut fresh = ColumnSet::new(self.columns.dim());
-        for (c, meta) in self.columns.columns().iter().enumerate() {
-            if self.deleted[c] {
-                continue;
-            }
-            fresh.add_column(
-                &meta.table_name,
-                &meta.column_name,
-                meta.external_id,
-                meta.vector_range()
-                    .map(|v| self.columns.store().get_raw(v as usize)),
-            )?;
-        }
-        Self::build(fresh, self.metric.clone(), self.options.clone())
     }
 
     /// All (query vector, target vector) matching pairs between the query
@@ -536,7 +367,6 @@ impl<M: Metric> PexesoIndex<M> {
         let hgrv = HierarchicalGrid::build_keys_only(grid_params.clone(), &rv_mapped)?;
         let vec_col = columns.vector_to_column();
         let inv = InvertedIndex::build(&grid_params, &rv_mapped, &vec_col)?;
-        let deleted = vec![false; columns.n_columns()];
         Ok(Self {
             metric,
             options,
@@ -547,29 +377,131 @@ impl<M: Metric> PexesoIndex<M> {
             vec_col,
             hgrv,
             inv,
-            deleted,
             build_time: started.elapsed(),
         })
     }
 }
 
-impl<M: Metric> Queryable for PexesoIndex<M> {
-    /// Execute one unified [`Query`] against the in-memory index.
+/// The one engine: every backend answers for one index through
+/// [`IndexUnit::answer`] — partitions, resident units, the delta overlay's
+/// base and delta units, and the index's own [`Queryable::execute`].
+impl<M: Metric> IndexUnit for PexesoIndex<M> {
+    /// Validate → map and block → seed (top-k only) → one candidate scan
+    /// → hits.
     ///
-    /// Hits follow the unified contract: threshold hits ascend by
-    /// `external_id`; top-k ranks by count descending with ties broken by
-    /// ascending `external_id`. The internal top-k tie-break runs on
-    /// insertion-order column ids, which need not agree with the
-    /// caller-chosen external ids, so boundary ties are resolved
-    /// tie-inclusively (the engine returns every column tied with the
-    /// boundary count) before the global re-rank — the same discipline the
-    /// partitioned backends use. The index is one unit: its answer goes
-    /// through the same merge tail as a partitioned backend's.
+    /// The scan ([`crate::verify`]) runs with Lemma 7's slack worked out
+    /// from `T`, or for top-k from the seed [`topk_seed`] takes off the
+    /// matching cells, with `T` out of reach so every surviving column
+    /// counts to the end. Threshold hits are the joinable columns (the
+    /// caller sorts). Top-k hits are ranked by count descending, internal
+    /// column id ascending, and cut **tie-inclusively** at the k-th,
+    /// because internal ids need not agree with the external ids the
+    /// global ranking breaks ties by. `Topk(0)` answers empty before
+    /// anything is validated — the unified `k = 0` contract.
+    ///
+    /// `dead` marks columns the caller has dropped (the delta overlay's
+    /// tombstones). They are dead from step 0, the state Lemma 7 and `T`
+    /// leave a column in: never verified, never a hit, bounded by 0 for
+    /// the seed — so the answer is the answer without them.
+    fn answer(
+        &self,
+        query: &Query,
+        vectors: &VectorStore,
+        dead: Option<&[bool]>,
+        guard: &mut Option<BudgetGuard>,
+    ) -> Result<PartitionAnswer> {
+        if let QueryMode::Topk(0) = query.mode {
+            return Ok((Vec::new(), SearchStats::new(), None, None));
+        }
+        self.validate_query(vectors)?;
+        let tau = query.tau.resolve(&self.metric, self.columns.dim())?;
+        let n_q = vectors.len();
+        let t_abs = match query.mode {
+            QueryMode::Threshold(t) => t.resolve(n_q)?,
+            QueryMode::Topk(_) => n_q + 1,
+        };
+        let (opts, exec) = (query.options, query.policy);
+        let mut stats = SearchStats::new();
+        let total_start = Instant::now();
+        let (query_mapped, blocked) = self.map_and_block(vectors, tau, opts, exec, &mut stats)?;
+
+        let verify_start = Instant::now();
+        let n_cols = self.columns.n_columns();
+        let seed = match query.mode {
+            QueryMode::Topk(k) => {
+                let bounds = column_match_bounds(&blocked, &self.inv, n_cols, n_q, dead, exec);
+                topk_seed(&bounds, k)
+            }
+            QueryMode::Threshold(_) => None,
+        };
+        let ctx = VerifyContext {
+            columns: &self.columns,
+            vec_col: &self.vec_col,
+            rv_mapped: &self.rv_mapped,
+            inv: &self.inv,
+            metric: &self.metric,
+            query: vectors,
+            query_mapped: &query_mapped,
+            tau,
+            t_abs,
+            flags: opts.flags,
+            deleted: dead,
+        };
+        let slack = verify::slack(&ctx, seed);
+        let (outcome, exceeded) =
+            verify::scan(&ctx, &blocked, slack, &mut stats, exec, guard.as_ref());
+        let found: Vec<(u32, ColumnId)> = match query.mode {
+            QueryMode::Threshold(_) => outcome
+                .joinable
+                .iter()
+                .map(|&c| (outcome.match_counts[c.0 as usize], c))
+                .collect(),
+            QueryMode::Topk(k) => verify::ranked(&outcome, slack, k),
+        };
+        stats.verify_time = verify_start.elapsed();
+        stats.total_time = total_start.elapsed();
+
+        if let Some(g) = guard.as_mut() {
+            g.advance(stats.distance_computations);
+        }
+        let hits = found.into_iter().map(|(match_count, c)| {
+            let meta = self.columns.column(c);
+            GlobalHit {
+                external_id: meta.external_id,
+                table_name: meta.table_name.clone(),
+                column_name: meta.column_name.clone(),
+                match_count,
+            }
+        });
+        let seed = seed.map(|(count, _)| count);
+        Ok((hits.collect(), stats, exceeded, seed))
+    }
+
+    fn columns(&self) -> &ColumnSet {
+        PexesoIndex::columns(self)
+    }
+
+    fn options(&self) -> &IndexOptions {
+        PexesoIndex::options(self)
+    }
+
+    fn inspect(&self) -> PartitionInspection {
+        PexesoIndex::inspect(self)
+    }
+}
+
+impl<M: Metric> Queryable for PexesoIndex<M> {
+    /// Execute one unified [`Query`] against the in-memory index: the
+    /// index is one unit, answered by [`IndexUnit::answer`] with nothing
+    /// dropped, and its answer goes through the same merge tail as a
+    /// partitioned backend's. Threshold hits ascend by `external_id`;
+    /// top-k ranks by count descending with ties broken by ascending
+    /// `external_id`, re-ranked from the engine's tie-inclusive list.
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         let started = Instant::now();
         query.check_metric("index", self.metric.name())?;
         let mut guard = BudgetGuard::start(&query.budget);
-        let answer = execute_on_index(self, query, vectors, &mut guard)?;
+        let answer = self.answer(query, vectors, None, &mut guard)?;
         Ok(merge_answers(query, started, [answer], false))
     }
 }

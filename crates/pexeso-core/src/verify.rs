@@ -16,11 +16,13 @@
 //! The paper realises the per-column ordering with a document-at-a-time
 //! cursor merge; the scan gets the identical skip behaviour from one `u32`
 //! per column. `state[c]` is `u32::MAX` once the column is dead (joinable,
-//! pruned or tombstoned), otherwise the generation (`step + 1`) of the last
+//! pruned, or dropped by the caller — [`VerifyContext::deleted`], dead
+//! from step 0), otherwise the generation (`step + 1`) of the last
 //! scheduled query vector that matched it. Generations only grow and never
 //! reach `u32::MAX`, so `state[c] >= gen` — one load, one compare — says
 //! "dead, or already matched by this query vector": the only two reasons to
-//! skip a row.
+//! skip a row. A dropped column therefore costs no distance computation
+//! and no Lemma 1 test; once every column is dead the scan stops.
 //!
 //! ## Schedule
 //!
@@ -82,7 +84,7 @@
 //! ## Top-k: the same scan, `t` never, slack from the seed
 //!
 //! The scan keeps "matches that make a column joinable" (`t`) apart from
-//! "mismatches a column can take" (`slack`). [`verify_topk`] runs it with
+//! "mismatches a column can take" (`slack`). A top-k scan runs it with
 //! `t` out of reach, so no column stops counting, and a slack of
 //! `|Q| − s` where `s` is the seed count of [`crate::cost::topk_seed`] —
 //! at least k columns are known to match `s` query vectors, so a column
@@ -143,7 +145,8 @@ pub struct VerifyContext<'a, M: Metric> {
     /// counts for every column (used by top-k search).
     pub t_abs: usize,
     pub flags: LemmaFlags,
-    /// Tombstoned columns to skip entirely (lazy deletion).
+    /// Columns dead from the first step (the delta overlay's dropped
+    /// tables): never verified, never joinable, never ranked.
     pub deleted: Option<&'a [bool]>,
 }
 
@@ -159,15 +162,6 @@ pub struct VerifyOutcome {
     pub mismatch_counts: Vec<u32>,
 }
 
-/// Run Algorithm 2 single-threaded.
-pub fn verify<M: Metric>(
-    ctx: &VerifyContext<'_, M>,
-    blocked: &BlockOutput,
-    stats: &mut SearchStats,
-) -> VerifyOutcome {
-    verify_with(ctx, blocked, stats, ExecPolicy::Sequential)
-}
-
 /// Run Algorithm 2, sharding the column space across the policy's threads.
 /// The outcome (and every counter in `stats`) is identical for every
 /// policy; only wall-clock changes.
@@ -177,35 +171,29 @@ pub fn verify_with<M: Metric>(
     stats: &mut SearchStats,
     policy: ExecPolicy,
 ) -> VerifyOutcome {
-    verify_budgeted(ctx, blocked, stats, policy, None).0
+    scan(ctx, blocked, slack(ctx, None), stats, policy, None).0
 }
 
-/// [`verify_with`] under an optional per-query budget, checked before each
-/// scheduled query vector of the scan. A budgeted scan runs
-/// sequentially regardless of `policy` so the cutoff point — and therefore
-/// the partial outcome — is deterministic: column shards would otherwise
-/// each trip the cap at a thread-dependent place. When a limit trips, the
-/// outcome reflects the scan up to that query vector and the tripped limit
-/// is returned alongside it.
-pub fn verify_budgeted<M: Metric>(
-    ctx: &VerifyContext<'_, M>,
-    blocked: &BlockOutput,
-    stats: &mut SearchStats,
-    policy: ExecPolicy,
-    budget: Option<&BudgetGuard>,
-) -> (VerifyOutcome, Option<Exceeded>) {
-    // Lemma 7's allowance, `|Q| − T`. T beyond |Q| can never be reached:
-    // nothing is pruned and the scan produces exact per-column counts.
-    let slack = match ctx.query.len().checked_sub(ctx.t_abs) {
-        Some(slack) => slack as u32,
-        None => u32::MAX,
-    };
-    scan(ctx, blocked, slack, stats, policy, budget)
+/// Lemma 7's allowance: `|Q| −` the seed count for a seeded top-k (see
+/// the module header), else `|Q| − T`. A `T` beyond `|Q|` can never be
+/// reached: nothing is pruned and the scan produces exact counts.
+pub(crate) fn slack<M: Metric>(ctx: &VerifyContext<'_, M>, seed: Option<(u32, u32)>) -> u32 {
+    let n_q = ctx.query.len();
+    match seed {
+        Some((count, _)) => (n_q as u32).saturating_sub(count),
+        None => n_q.checked_sub(ctx.t_abs).map_or(u32::MAX, |s| s as u32),
+    }
 }
 
-/// The scan behind [`verify_budgeted`] and [`verify_topk`]: a column is
-/// pruned once it has more than `slack` definite mismatches.
-fn scan<M: Metric>(
+/// The one candidate scan: a column is pruned once it has more than
+/// `slack` definite mismatches. An optional per-query budget is checked
+/// before each scheduled query vector; a budgeted scan runs sequentially
+/// regardless of `policy` so the cutoff point — and therefore the partial
+/// outcome — is deterministic (column shards would otherwise each trip the
+/// cap at a thread-dependent place). When a limit trips, the outcome
+/// reflects the scan up to that query vector and the tripped limit is
+/// returned alongside it.
+pub(crate) fn scan<M: Metric>(
     ctx: &VerifyContext<'_, M>,
     blocked: &BlockOutput,
     slack: u32,
@@ -680,28 +668,20 @@ pub fn verify_topk<M: Metric>(
     stats: &mut SearchStats,
     policy: ExecPolicy,
 ) -> Vec<(u32, ColumnId)> {
-    let (mut ranked, _) = verify_ranked(ctx, blocked, seed, stats, policy, None);
+    debug_assert!(ctx.t_abs > ctx.query.len(), "top-k counts to the end");
+    let slack = slack(ctx, seed);
+    let (outcome, _) = scan(ctx, blocked, slack, stats, policy, None);
+    let mut ranked = ranked(&outcome, slack, k);
     ranked.truncate(k);
     ranked
 }
 
-/// The whole ranking behind [`verify_topk`], under an optional per-query
-/// budget: every column with a match that the seeded scan did not prune,
-/// with its exact count, best first. A tripped budget ends the scan where
-/// [`verify_budgeted`] would; the ranking is then over the counts so far.
-pub(crate) fn verify_ranked<M: Metric>(
-    ctx: &VerifyContext<'_, M>,
-    blocked: &BlockOutput,
-    seed: Option<(u32, u32)>,
-    stats: &mut SearchStats,
-    policy: ExecPolicy,
-    budget: Option<&BudgetGuard>,
-) -> (Vec<(u32, ColumnId)>, Option<Exceeded>) {
-    let n_q = ctx.query.len();
-    debug_assert!(ctx.t_abs > n_q, "top-k counts to the end");
-    let slack = seed.map_or(u32::MAX, |(count, _)| (n_q as u32).saturating_sub(count));
-    let (outcome, exceeded) = scan(ctx, blocked, slack, stats, policy, budget);
-    // A tombstoned column never matches, so `count > 0` drops it too.
+/// The ranking of a top-k scan run under `slack` — every column with a
+/// match that the scan did not prune, with its count, best first — cut
+/// **tie-inclusively** at the k-th: every column whose count reaches the
+/// k-th best stays. After a tripped budget it ranks the counts so far.
+pub(crate) fn ranked(outcome: &VerifyOutcome, slack: u32, k: usize) -> Vec<(u32, ColumnId)> {
+    // A dead column never matches, so `count > 0` drops it too.
     let mut ranked: Vec<(u32, ColumnId)> = outcome
         .match_counts
         .iter()
@@ -711,7 +691,10 @@ pub(crate) fn verify_ranked<M: Metric>(
         .map(|(c, (&count, _))| (count, ColumnId(c as u32)))
         .collect();
     ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    (ranked, exceeded)
+    if let Some(&(kth, _)) = k.checked_sub(1).and_then(|i| ranked.get(i)) {
+        ranked.truncate(ranked.partition_point(|&(count, _)| count >= kth));
+    }
+    ranked
 }
 
 #[cfg(test)]
@@ -836,7 +819,7 @@ mod tests {
             flags,
             deleted: None,
         };
-        let outcome = verify(&ctx, &blocked, &mut stats);
+        let outcome = verify_with(&ctx, &blocked, &mut stats, ExecPolicy::Sequential);
         (outcome.joinable, stats)
     }
 
@@ -905,7 +888,7 @@ mod tests {
                         deleted: None,
                     };
                     let mut seq_stats = SearchStats::new();
-                    let seq = verify(&ctx, &blocked, &mut seq_stats);
+                    let seq = verify_with(&ctx, &blocked, &mut seq_stats, ExecPolicy::Sequential);
                     // `Fixed` bypasses the adaptive clamp, so real thread
                     // fan-out is exercised even on single-core hosts where
                     // `Parallel` plans down to the inline path.
@@ -1301,7 +1284,7 @@ mod tests {
             flags: LemmaFlags::all(),
             deleted: None,
         };
-        let outcome = verify(&ctx, &blocked, &mut stats);
+        let outcome = verify_with(&ctx, &blocked, &mut stats, ExecPolicy::Sequential);
         assert_eq!(outcome.match_counts, naive_counts);
         assert!(outcome.joinable.is_empty());
     }
@@ -1346,14 +1329,16 @@ mod tests {
         }
 
         let mut stats = SearchStats::new();
-        let outcome = verify(&s.ctx(t_abs, None), &s.blocked, &mut stats);
+        let ctx = s.ctx(t_abs, None);
+        let outcome = verify_with(&ctx, &s.blocked, &mut stats, ExecPolicy::Sequential);
         assert_eq!(outcome.joinable, vec![ColumnId(near as u32)]);
         assert_eq!(outcome.mismatch_counts[far] as usize, n_q - t_abs + 1);
         assert_eq!(stats.lemma7_pruned, 1);
 
-        // With the near column tombstoned, nothing is left to test.
+        // With the near column dropped, nothing is left to test.
         let mut stats = SearchStats::new();
-        let outcome = verify(&s.ctx(t_abs, Some(&[true, false])), &s.blocked, &mut stats);
+        let ctx = s.ctx(t_abs, Some(&[true, false]));
+        let outcome = verify_with(&ctx, &s.blocked, &mut stats, ExecPolicy::Sequential);
         assert!(outcome.joinable.is_empty());
         assert_eq!(outcome.mismatch_counts[far] as usize, n_q - t_abs + 1);
         assert_eq!(stats.lemma7_pruned, 1);
@@ -1387,7 +1372,8 @@ mod tests {
             costs.dedup();
             assert_eq!(costs.len(), n_q, "the fixture needs distinct costs");
             let mut stats = SearchStats::new();
-            let outcome = verify(&s.ctx(t_abs, None), &s.blocked, &mut stats);
+            let ctx = s.ctx(t_abs, None);
+            let outcome = verify_with(&ctx, &s.blocked, &mut stats, ExecPolicy::Sequential);
             (outcome, stats, order)
         };
         let (forward, forward_stats, forward_order) = run(query.clone());

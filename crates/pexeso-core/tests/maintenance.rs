@@ -1,6 +1,6 @@
 //! Index maintenance (Section III-E) and top-k search: appending a column
-//! must be indistinguishable from a fresh build; deletion must hide
-//! columns; compaction must preserve the live answer set.
+//! must be indistinguishable from a fresh build. Dropping columns is the
+//! delta overlay's job, covered by `tests/delta_differential.rs`.
 
 use pexeso_core::prelude::*;
 
@@ -92,43 +92,6 @@ fn append_then_topk_sees_new_column() {
 }
 
 #[test]
-fn removed_columns_disappear_and_compact_preserves() {
-    let dim = 10;
-    let columns = make_columns(dim, 10, 12, 50);
-    let mut index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
-    let q = query(dim, 6, 3);
-    let tau = Tau::Ratio(0.3);
-    let t = JoinThreshold::Count(1);
-
-    let before = index.execute(&Query::threshold(tau, t), &q).unwrap();
-    assert!(!before.hits.is_empty(), "need hits to delete");
-    let victim = ColumnId(before.hits[0].external_id as u32);
-    index.remove_column(victim).unwrap();
-    assert!(index.is_deleted(victim));
-    assert_eq!(index.live_columns(), 9);
-
-    let after = index.execute(&Query::threshold(tau, t), &q).unwrap();
-    assert!(
-        !ids(&after.hits).contains(&victim.0),
-        "deleted column still returned"
-    );
-    let expected_rest: Vec<u32> = ids(&before.hits)
-        .into_iter()
-        .filter(|&c| c != victim.0)
-        .collect();
-    assert_eq!(ids(&after.hits), expected_rest);
-
-    // Compaction rebuilds without the victim; results on live columns
-    // (identified by external id) are unchanged.
-    let externals_before: Vec<u64> = after.hits.iter().map(|h| h.external_id).collect();
-    let compacted = index.compact().unwrap();
-    assert_eq!(compacted.columns().n_columns(), 9);
-    let res = compacted.execute(&Query::threshold(tau, t), &q).unwrap();
-    let externals_after: Vec<u64> = res.hits.iter().map(|h| h.external_id).collect();
-    assert_eq!(externals_after, externals_before);
-}
-
-#[test]
 fn topk_matches_naive_ranking() {
     let dim = 10;
     let columns = make_columns(dim, 12, 14, 11);
@@ -181,25 +144,6 @@ fn topk_edge_inputs() {
     assert!(index
         .execute(&Query::topk(Tau::Ratio(0.1), 3), &empty)
         .is_err());
-}
-
-#[test]
-fn remove_out_of_range_errors() {
-    let columns = make_columns(8, 3, 5, 2);
-    let mut index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
-    assert!(index.remove_column(ColumnId(99)).is_err());
-}
-
-#[test]
-fn compact_without_deletions_is_identity() {
-    let columns = make_columns(8, 4, 6, 3);
-    let index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
-    let q = query(8, 4, 4);
-    let probe = Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1));
-    let before = index.execute(&probe, &q).unwrap();
-    let compacted = index.compact().unwrap();
-    let after = compacted.execute(&probe, &q).unwrap();
-    assert_eq!(ids(&before.hits), ids(&after.hits));
 }
 
 #[test]

@@ -22,8 +22,8 @@ use crate::wal::{
 /// [`PartitionedLake`] partitions stay untouched on disk while adds and
 /// drops live in the replayed in-memory overlay. Answers are
 /// byte-identical to a full rebuild over the final table set (same
-/// tie-break contract as the base backends; tombstones are filtered
-/// before the merge).
+/// tie-break contract as the base backends; dropped columns are dead
+/// inside each base unit's scan).
 #[derive(Debug)]
 pub struct DeltaLake {
     base: PartitionedLake,
@@ -84,8 +84,10 @@ impl Queryable for DeltaLake {
             .map(|f| std::fs::metadata(f).map_or(0, |m| m.len()))
             .collect();
         self.overlay
-            .execute_with_base(&weights, query, vectors, |i| {
-                load_unit(&files[i], &self.manifest.metric)
+            .execute_with_base(&weights, query, vectors, |i, inner, guard| {
+                let unit = load_unit(&files[i], &self.manifest.metric)?;
+                let dead = self.overlay.dead_columns(unit.columns());
+                unit.answer(inner, vectors, dead.as_deref(), guard)
             })
     }
 }

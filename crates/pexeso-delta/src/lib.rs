@@ -15,8 +15,7 @@
 //!   PEXESO index over the live delta columns plus the tombstone set,
 //!   with an exact merged executor ([`DeltaOverlay::execute_with_base`])
 //!   that answers the unified `Query` byte-identically to a full rebuild
-//!   (tombstones filtered before the merge; tie-inclusive top-k preserved
-//!   by an adaptive over-ask);
+//!   (each base unit scans with its dropped columns dead from step 0);
 //! * [`lake`] — [`DeltaLake`] (disk-backed base + overlay, a `Queryable`
 //!   like every other backend), [`ingest_columns`] / [`drop_tables`]
 //!   (cheap checksummed appends), and [`compact_lake`] (fold the log into

@@ -10,41 +10,32 @@
 //!
 //! ## Why the merge is exact
 //!
-//! Threshold mode is easy: match counts are per-column and independent,
-//! so dropping tombstoned hits from each base partition's result leaves
-//! exactly the hit set a rebuild (where those columns simply don't exist)
-//! would produce, and the unified external-id sort is shared.
+//! A base unit is not filtered after it answers: its dropped columns go
+//! into the scan as the dead mask ([`DeltaOverlay::dead_columns`]), so
+//! they are dead from step 0 — the state a column Lemma 7 pruned or `T`
+//! made joinable is in. A dead column is never verified, never a hit, and
+//! bounded by 0 when a top-k scan takes its seed, while every live
+//! column's count is a per-column fact the mask cannot touch. So each
+//! base unit answers exactly what it would answer without its dropped
+//! columns — threshold hits and the tie-inclusive top-k list alike — and
+//! the shared merge ranks the same candidate lists a rebuild would have
+//! produced. No unit is ever asked twice.
 //!
-//! Top-k needs care. Each unit answers its *local* top-k tie-inclusively
-//! and the global ranking merges those lists; a tombstoned column sitting
-//! in a local top-k could push a live column off the list, which a
-//! post-merge filter could then never recover. The overlay therefore
-//! **over-asks**: a base unit is queried for the top `k + d` (d = dropped
-//! tables) and re-queried with a larger ask in the rare case more than
-//! `d` hits were actually filtered from a truncated list. The surviving
-//! list provably contains the unit's live tie-inclusive top-k: the live
-//! k-th column ranks at worst `k + removed ≤ ask` in the unfiltered
-//! order, so it (and, via the tie-inclusive boundary closure, every
-//! column tied with it) is present before filtering. Tombstones are
-//! filtered **before** the merge, so the global `rank_topk_hits` sees
-//! exactly the candidate lists a rebuild would have produced.
-//!
-//! The filter never needs to touch delta hits: replay already drops
-//! delta columns killed by a later tombstone, so the delta index only
-//! ever contains live columns (a re-added table lives in the delta even
-//! though its base namesake is tombstoned).
+//! The delta unit needs no mask: replay already drops delta columns
+//! killed by a later tombstone, so the delta index only ever contains
+//! live columns (a re-added table lives in the delta even though its base
+//! namesake is dropped).
 
 use std::collections::HashSet;
-use std::ops::Deref;
 use std::path::Path;
 
+use pexeso_core::column::ColumnSet;
 use pexeso_core::config::IndexOptions;
 use pexeso_core::error::Result;
 use pexeso_core::outofcore::{
     build_unit, execute_partitioned, IndexUnit, LakeManifest, PartitionAnswer,
 };
-use pexeso_core::query::{BudgetGuard, Query, QueryMode, QueryResponse};
-use pexeso_core::stats::SearchStats;
+use pexeso_core::query::{BudgetGuard, Query, QueryResponse};
 use pexeso_core::vector::VectorStore;
 
 use crate::lake::verify_no_crashed_compaction;
@@ -125,95 +116,50 @@ impl DeltaOverlay {
         &self.dropped_tables
     }
 
+    /// The dead mask of one base unit with columns `base`: one flag per
+    /// column, set where this overlay has dropped the column's table.
+    /// `None` when no column of the unit is dropped — without tombstones
+    /// nothing is built at all.
+    pub fn dead_columns(&self, base: &ColumnSet) -> Option<Vec<bool>> {
+        if self.dropped_tables.is_empty() {
+            return None;
+        }
+        let dead: Vec<bool> = base
+            .columns()
+            .iter()
+            .map(|meta| self.dropped_tables.contains(&meta.table_name))
+            .collect();
+        dead.contains(&true).then_some(dead)
+    }
+
     /// Execute `query` over `base_weights.len()` base units plus this
-    /// overlay. `base_unit(i)` materialises base unit `i` (a disk load
-    /// for [`crate::DeltaLake`], a borrow for a resident snapshot) and
-    /// `base_weights[i]` is its weight in the partition loop — its
-    /// file's bytes, resp. its vectors (see [`execute_partitioned`]).
-    /// The delta unit weighs its vectors: small by construction, it is
-    /// handed out after the base units in either currency. The
-    /// overlay drives tombstone filtering and the top-k over-ask around
-    /// its [`IndexUnit::answer`]. Fan-out, budget semantics, outcome
-    /// folding, and the final ranking all come from the core partition
-    /// loop, so the response obeys the exact same contract as every
-    /// built-in backend.
-    pub fn execute_with_base<U, G>(
+    /// overlay. `base_answer(i, …)` answers base unit `i` — a disk load
+    /// for [`crate::DeltaLake`], a borrow for a resident snapshot — under
+    /// its [`Self::dead_columns`] mask, and `base_weights[i]` is its
+    /// weight in the partition loop: its file's bytes, resp. its vectors
+    /// (see [`execute_partitioned`]). The delta unit weighs its vectors:
+    /// small by construction, it is handed out after the base units in
+    /// either currency. Fan-out, budget semantics, outcome folding, and
+    /// the final ranking all come from the core partition loop, so the
+    /// response obeys the exact same contract as every built-in backend.
+    pub fn execute_with_base<G>(
         &self,
         base_weights: &[u64],
         query: &Query,
         vectors: &VectorStore,
-        base_unit: G,
+        base_answer: G,
     ) -> Result<QueryResponse>
     where
-        U: Deref<Target = dyn IndexUnit>,
-        G: Fn(usize) -> Result<U> + Sync,
+        G: Fn(usize, &Query, &mut Option<BudgetGuard>) -> Result<PartitionAnswer> + Sync,
     {
         let n_base = base_weights.len();
         let mut weights = base_weights.to_vec();
         if self.index.is_some() {
             weights.push(self.n_delta_vectors() as u64);
         }
-        execute_partitioned(&weights, query, |i, inner, guard| {
-            if i < n_base {
-                self.run_base_filtered(&*base_unit(i)?, inner, vectors, guard)
-            } else {
-                self.index
-                    .as_ref()
-                    .expect("delta unit only exists with an index")
-                    .answer(inner, vectors, guard)
-            }
+        execute_partitioned(&weights, query, |i, inner, guard| match &self.index {
+            Some(delta) if i == n_base => delta.answer(inner, vectors, None, guard),
+            _ => base_answer(i, inner, guard),
         })
-    }
-
-    /// Run one base unit with tombstone filtering applied *before* the
-    /// merge. Threshold mode filters and returns; top-k over-asks and
-    /// re-asks until the surviving list provably contains the unit's live
-    /// tie-inclusive top-k (see the module docs for the proof).
-    fn run_base_filtered(
-        &self,
-        unit: &dyn IndexUnit,
-        inner: &Query,
-        vectors: &VectorStore,
-        guard: &mut Option<BudgetGuard>,
-    ) -> Result<PartitionAnswer> {
-        let dropped = &self.dropped_tables;
-        if dropped.is_empty() {
-            return unit.answer(inner, vectors, guard);
-        }
-        match inner.mode {
-            QueryMode::Threshold(_) => {
-                let mut answer = unit.answer(inner, vectors, guard)?;
-                answer.0.retain(|h| !dropped.contains(&h.table_name));
-                Ok(answer)
-            }
-            QueryMode::Topk(k) => {
-                // One dropped *table* usually means one dropped column,
-                // so the first ask almost always suffices; the loop only
-                // grows the ask when a unit actually lost more hits than
-                // the slack covered off a truncated list.
-                let mut ask = k.saturating_add(dropped.len());
-                let mut total = SearchStats::new();
-                loop {
-                    let boosted = Query {
-                        mode: QueryMode::Topk(ask),
-                        ..inner.clone()
-                    };
-                    let (raw, stats, exceeded, seed) = unit.answer(&boosted, vectors, guard)?;
-                    total.merge(&stats);
-                    let raw_len = raw.len();
-                    let mut hits = raw;
-                    hits.retain(|h| !dropped.contains(&h.table_name));
-                    let removed = raw_len - hits.len();
-                    // Exact when the list was exhaustive (shorter than the
-                    // ask ⇒ every candidate enumerated), when filtering
-                    // stayed within the slack, or when a budget tripped
-                    // (the response is flagged partial anyway).
-                    if raw_len < ask || removed <= ask - k || exceeded.is_some() {
-                        return Ok((hits, total, exceeded, seed));
-                    }
-                    ask = k.saturating_add(removed).saturating_add(dropped.len());
-                }
-            }
-        }
     }
 }

@@ -22,12 +22,12 @@
 //! a *top-k* reply that lost entries to the filter may have been
 //! truncated below `k` in-range columns. The router then re-asks that
 //! shard with a larger `k`, growing by the observed number of
-//! out-of-range entries — the same adaptive over-ask the delta
-//! overlay's `k + |tombstones|` slack uses (`pexeso-delta`'s
-//! `run_base_filtered`), generalized to "whatever the filter removed".
-//! When daemons serve exactly their range (the common case) the filter
-//! removes nothing and no re-ask ever happens: ask = k, one round trip
-//! per shard.
+//! out-of-range entries. This is the stack's only over-ask: the filter
+//! runs on replies that have already crossed the wire, where no scan can
+//! be told which columns to skip (the delta overlay, by contrast, hands
+//! its dropped columns to the scan as dead). When daemons serve exactly
+//! their range (the common case) the filter removes nothing and no
+//! re-ask ever happens: ask = k, one round trip per shard.
 //!
 //! ## Failure semantics
 //!

@@ -50,7 +50,8 @@ struct ExtractedColumn {
 /// What a split needs to know about the source deployment.
 struct Source {
     manifest: LakeManifest,
-    /// Live (non-tombstoned) columns, sorted by external id.
+    /// Every column of the partition files (a split refuses a live delta
+    /// log, so none is dropped), sorted by external id.
     columns: Vec<ExtractedColumn>,
     /// Partition count of the source (sizes per-shard partitioning).
     partitions: usize,
@@ -185,7 +186,7 @@ fn read_source(dir: &Path) -> Result<Source> {
     })
 }
 
-/// Lift every live column out of the lake's partition files (loaded
+/// Lift every column out of the lake's partition files (loaded
 /// under the manifest metric; extraction itself is metric-blind). Also
 /// returns the build options persisted in the first partition, which
 /// shards inherit.
@@ -199,12 +200,7 @@ fn extract_columns(
         let index = load_unit(file, metric_name)?;
         options.get_or_insert_with(|| index.options().clone());
         let set = index.columns();
-        for (c, meta) in set.columns().iter().enumerate() {
-            // Tombstoned columns are semantically gone; resurrecting one
-            // in a shard would change answers.
-            if index.is_deleted(pexeso_core::column::ColumnId(c as u32)) {
-                continue;
-            }
+        for meta in set.columns() {
             out.push(ExtractedColumn {
                 table_name: meta.table_name.clone(),
                 column_name: meta.column_name.clone(),

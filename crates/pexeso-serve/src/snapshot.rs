@@ -57,6 +57,9 @@ pub struct Snapshot {
     units: Arc<Vec<Box<dyn IndexUnit>>>,
     manifest: LakeManifest,
     overlay: DeltaOverlay,
+    /// Each unit's dead mask under `overlay` ([`DeltaOverlay::dead_columns`]),
+    /// built once per publish so no query builds one.
+    dead: Vec<Option<Vec<bool>>>,
     generation: u64,
 }
 
@@ -76,6 +79,7 @@ impl Snapshot {
         let overlay = load_overlay(dir, &manifest)?;
         Ok(Self {
             lake,
+            dead: dead_masks(&units, &overlay),
             units: Arc::new(units),
             manifest,
             overlay,
@@ -94,6 +98,7 @@ impl Snapshot {
             lake: prev.lake.clone(),
             units: prev.units.clone(),
             manifest: prev.manifest.clone(),
+            dead: dead_masks(&prev.units, &overlay),
             overlay,
             generation,
         })
@@ -142,17 +147,32 @@ impl Snapshot {
     }
 
     /// Structural statistics of the whole served deployment — every
-    /// resident partition walked read-only, plus the delta overlay's
-    /// depth — for the `INSPECT` verb (see [`pexeso_core::inspect`]).
+    /// resident partition walked read-only, its dropped columns counted
+    /// off its dead mask, plus the delta overlay's depth — for the
+    /// `INSPECT` verb (see [`pexeso_core::inspect`]).
     pub fn inspect(&self) -> pexeso_core::inspect::IndexInspection {
+        let partitions = self.units.iter().zip(&self.dead).map(|(unit, dead)| {
+            pexeso_core::inspect::PartitionInspection {
+                deleted_columns: dead.iter().flatten().filter(|&&d| d).count() as u64,
+                ..unit.inspect()
+            }
+        });
         pexeso_core::inspect::IndexInspection {
-            partitions: self.units.iter().map(|u| u.inspect()).collect(),
+            partitions: partitions.collect(),
             delta_columns: self.overlay.n_delta_columns() as u64,
             delta_vectors: self.overlay.n_delta_vectors() as u64,
             delta_tombstones: self.overlay.n_tombstones() as u64,
             delta_records: self.overlay.n_records() as u64,
         }
     }
+}
+
+/// Each base unit's dead mask under `overlay`.
+fn dead_masks(units: &[Box<dyn IndexUnit>], overlay: &DeltaOverlay) -> Vec<Option<Vec<bool>>> {
+    units
+        .iter()
+        .map(|u| overlay.dead_columns(u.columns()))
+        .collect()
 }
 
 /// A snapshot answers the unified [`Query`] by checking the metric
@@ -170,7 +190,9 @@ impl Queryable for Snapshot {
             .map(|u| u.columns().n_vectors() as u64)
             .collect();
         self.overlay
-            .execute_with_base(&weights, query, vectors, |i| Ok(&*self.units[i]))
+            .execute_with_base(&weights, query, vectors, |i, inner, guard| {
+                self.units[i].answer(inner, vectors, self.dead[i].as_deref(), guard)
+            })
     }
 }
 
@@ -286,6 +308,41 @@ mod tests {
         assert_eq!(cell.apply_delta().unwrap().generation(), 2);
         assert_eq!(cell.swap(None).unwrap().generation(), 3);
         assert_eq!(cell.current().generation(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// INSPECT counts the base columns a dropped table owns, from the
+    /// moment the drop is applied.
+    #[test]
+    fn inspect_counts_the_columns_of_a_dropped_table() {
+        let dir = std::env::temp_dir().join(format!("pexeso_snap_inspect_{}", std::process::id()));
+        let mut columns = ColumnSet::new(2);
+        // Table `a` owns three columns, table `b` two.
+        for (c, table) in ["a", "b", "a", "b", "a"].into_iter().enumerate() {
+            let v = [1.0, c as f32];
+            let name = format!("c{c}");
+            columns
+                .add_column(table, &name, c as u64, vec![&v[..]])
+                .unwrap();
+        }
+        PartitionedLake::build(
+            &columns,
+            Euclidean,
+            &PartitionConfig::default(),
+            &IndexOptions::default(),
+            &dir,
+        )
+        .unwrap();
+        LakeManifest::new("test", 2).write(&dir).unwrap();
+        let cell = SnapshotCell::open(&dir).unwrap();
+        assert_eq!(cell.current().inspect().totals().1, 0);
+
+        pexeso_delta::drop_tables(&dir, &["a".to_string()]).unwrap();
+        let inspection = cell.apply_delta().unwrap().inspect();
+        assert_eq!(inspection.totals().0, 5);
+        assert_eq!(inspection.totals().1, 3);
+        let text = inspection.render_text();
+        assert!(text.contains("\ndeleted_columns=3\n"), "{text}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -14,8 +14,9 @@
 //!   rebuild *deployment* itself (same partitioning, same answers).
 //!
 //! Adversarial cases: boundary count-ties interacting with tombstones
-//! (the top-k over-ask must keep tie-inclusiveness), dropping the
-//! dominant column, re-adding a dropped table.
+//! (the masked scan must keep tie-inclusiveness), dropping the dominant
+//! column, re-adding a dropped table, dropping everything (no distance
+//! computed), and budgets over tombstones.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -120,7 +121,7 @@ fn query_store(seed: u64, n: usize) -> VectorStore {
 /// The final live set of (base ∪ delta log) with original external ids,
 /// as one ColumnSet in canonical (ascending-id) order — what a rebuild
 /// over the final tables indexes.
-fn final_live_columns(dir: &Path, base: &ColumnSet) -> ColumnSet {
+fn final_table_set(dir: &Path, base: &ColumnSet) -> ColumnSet {
     let state = match read_log(dir).unwrap() {
         Some(log) => DeltaState::replay(&log.records),
         None => DeltaState::default(),
@@ -274,7 +275,7 @@ fn lifecycle_under_metric<M: Metric>(metric: M, seed: u64) {
 
     // Rebuild oracle over the final live set, same external ids.
     let rebuild_dir = tempdir(&format!("life_{name}_rebuild"));
-    let live = final_live_columns(&dir, &base);
+    let live = final_table_set(&dir, &base);
     deploy(&rebuild_dir, &live, metric.clone(), 10, 2);
     let rebuilt = PartitionedLake::open(&rebuild_dir).unwrap();
 
@@ -302,8 +303,8 @@ fn lifecycle_under_metric<M: Metric>(metric: M, seed: u64) {
     // The same base as ONE partition. With only a tombstone in the log the
     // overlay adds no unit, so the deployment is a single unit and a
     // parallel policy is spent inside its one search — mapping, blocking
-    // and verification — under the tombstone filter and the top-k
-    // over-ask. With the whole log there are two units (base + delta
+    // and verification — with the dropped table dead in the scan. With
+    // the whole log there are two units (base + delta
     // index) and the policy fans them out. Either way: the sequential
     // answer, counter for counter, and the rebuild's hits.
     let one_dir = tempdir(&format!("life_{name}_one"));
@@ -386,7 +387,7 @@ fn lifecycle_angular() {
 
 /// Adversarial top-k: columns exactly tied with the query compete at the
 /// boundary while tombstones knock out the strongest candidates — the
-/// over-ask must keep the surviving tie group intact so the merged
+/// masked scan must keep the surviving tie group intact so the merged
 /// ranking stays identical to the rebuild's.
 #[test]
 fn topk_boundary_ties_with_tombstones() {
@@ -416,7 +417,7 @@ fn topk_boundary_ties_with_tombstones() {
 
     let rebuild_dir = tempdir("ties_rebuild");
     let base_for_final = columns.clone();
-    let live = final_live_columns(&dir, &base_for_final);
+    let live = final_table_set(&dir, &base_for_final);
     assert_eq!(live.n_columns(), 6);
     deploy(&rebuild_dir, &live, Euclidean, 13, 2);
     let rebuilt = PartitionedLake::open(&rebuild_dir).unwrap();
@@ -433,6 +434,110 @@ fn topk_boundary_ties_with_tombstones() {
     assert_eq!(resp.hits[0].match_count as usize, q.len());
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&rebuild_dir).ok();
+}
+
+/// A dropped column costs nothing: with every base table dropped and
+/// nothing added, both delta-capable backends answer empty without a
+/// single distance computation — each base unit's scan starts with every
+/// column dead instead of verifying them and filtering the hits.
+#[test]
+fn dropped_columns_cost_no_verification() {
+    let dir = tempdir("all_dropped");
+    let base = base_columns(41, 6, 10);
+    let lake = deploy(&dir, &base, Euclidean, 6, 2);
+    let q = query_store(42, 6);
+    let tau = Tau::Ratio(0.4);
+    let queries = [
+        Query::threshold(tau, JoinThreshold::Count(1)),
+        Query::topk(tau, 3),
+    ];
+    for query in &queries {
+        let before = lake.execute(query, &q).unwrap();
+        assert!(
+            !before.hits.is_empty(),
+            "{:?} must find columns",
+            query.mode
+        );
+        assert!(before.stats.distance_computations > 0);
+    }
+    let tables: Vec<String> = base
+        .columns()
+        .iter()
+        .map(|m| m.table_name.clone())
+        .collect();
+    drop_tables(&dir, &tables).unwrap();
+    let delta_lake = DeltaLake::open(&dir).unwrap();
+    let snapshot = Snapshot::load(&dir, 1).unwrap();
+    for (backend, what) in [
+        (&delta_lake as &dyn Queryable, "DeltaLake"),
+        (&snapshot, "Snapshot"),
+    ] {
+        for query in &queries {
+            let resp = backend.execute(query, &q).unwrap();
+            assert!(
+                resp.hits.is_empty() && resp.exact(),
+                "{what} {:?}",
+                query.mode
+            );
+            assert_eq!(
+                resp.stats.distance_computations, 0,
+                "{what} {:?}",
+                query.mode
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Budgets over tombstones, threshold and top-k: a cap one above what the
+/// unbudgeted query spends answers exactly like no cap, and a cap of one
+/// distance trips typed without ever surfacing a dropped table — base or
+/// delta.
+#[test]
+fn budgets_hold_over_tombstones() {
+    let dir = tempdir("budget");
+    let base = base_columns(31, 8, 10);
+    deploy(&dir, &base, Euclidean, 8, 2);
+    let mut rng = StdRng::seed_from_u64(32);
+    let added: Vec<IngestColumn> = (0..2)
+        .map(|i| IngestColumn {
+            table_name: format!("d{i}"),
+            column_name: "key".into(),
+            vectors: column_floats(&mut rng, 6),
+        })
+        .collect();
+    ingest_columns(&dir, &added).unwrap();
+    let dropped = ["b0", "b3", "b5", "d1"].map(String::from);
+    drop_tables(&dir, &dropped).unwrap();
+    let lake = DeltaLake::open(&dir).unwrap();
+    let q = query_store(33, 6);
+    let tau = Tau::Ratio(0.4);
+    for query in [
+        Query::threshold(tau, JoinThreshold::Count(1)),
+        Query::topk(tau, 4),
+    ] {
+        let mode = query.mode;
+        let free = lake.execute(&query, &q).unwrap();
+        assert!(free.exact() && !free.hits.is_empty(), "{mode:?}");
+        let spent = free.stats.distance_computations;
+        let generous = query.clone().with_max_distance_computations(spent + 1);
+        let resp = lake.execute(&generous, &q).unwrap();
+        assert_eq!(resp.outcome, free.outcome, "{mode:?}");
+        assert_eq!(resp.hits, free.hits, "{mode:?}");
+        assert_eq!(resp.stats.distance_computations, spent, "{mode:?}");
+
+        let capped = query.with_max_distance_computations(1);
+        let resp = lake.execute(&capped, &q).unwrap();
+        assert_eq!(
+            resp.outcome,
+            QueryOutcome::Exceeded(Exceeded::DistanceComputations),
+            "{mode:?}"
+        );
+        for hit in &resp.hits {
+            assert!(!dropped.contains(&hit.table_name), "{mode:?}: {hit:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `k = 0`, invalid metric expectations, and dimension mismatches behave

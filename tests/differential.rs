@@ -77,6 +77,21 @@ fn gpairs(hits: &[GlobalHit]) -> Vec<(u32, u32)> {
 
 const POLICIES: [ExecPolicy; 2] = [ExecPolicy::Sequential, ExecPolicy::Parallel { threads: 4 }];
 
+/// `q` over `index` as a one-unit deployment whose columns flagged in
+/// `dead` are dropped — the mask the delta overlay hands a base unit.
+fn execute_masked<M: Metric>(
+    index: &PexesoIndex<M>,
+    q: &Query,
+    query: &VectorStore,
+    dead: &[bool],
+) -> QueryResponse {
+    use pexeso::core::outofcore::{execute_partitioned, IndexUnit};
+    execute_partitioned(&[1], q, |_, inner, guard| {
+        index.answer(inner, query, Some(dead), guard)
+    })
+    .unwrap()
+}
+
 /// Threshold search (and its batched form) equals the oracle: same
 /// columns, in ascending id order, for several metrics, τ, T, and both
 /// execution policies. Match counts are lower bounds under early
@@ -251,18 +266,20 @@ fn duplicate_columns_tie_break_deterministically() {
 #[test]
 fn topk_respects_deletions() {
     let (columns, query) = instance(8, 10, 15, 8, 10);
-    let mut index = build(columns.clone(), Euclidean, 3, 4);
+    let index = build(columns.clone(), Euclidean, 3, 4);
     let tau = Tau::Ratio(0.3);
     let full = index.execute(&Query::topk(tau, 5), &query).unwrap();
     assert!(!full.hits.is_empty(), "need a hit to delete");
     let victim = ColumnId(full.hits[0].external_id as u32);
-    index.remove_column(victim).unwrap();
     let mut deleted = vec![false; columns.n_columns()];
     deleted[victim.0 as usize] = true;
     let expected =
         pairs(&oracle::topk(&columns, &Euclidean, &query, tau, 5, Some(&deleted)).unwrap());
-    let got = gpairs(&index.execute(&Query::topk(tau, 5), &query).unwrap().hits);
-    assert_eq!(got, expected);
+    for policy in POLICIES {
+        let q = Query::topk(tau, 5).with_policy(policy);
+        let got = gpairs(&execute_masked(&index, &q, &query, &deleted).hits);
+        assert_eq!(got, expected, "{policy:?}");
+    }
 }
 
 /// Out-of-core threshold and top-k search equal the oracle on external
@@ -485,7 +502,7 @@ fn check_seeded_topk<M: Metric>(metric: M, seed: u64) {
     for v in pool.iter().take(4) {
         query.push(&near(&mut rng, v, 0.5)).unwrap();
     }
-    let mut index = build(columns.clone(), metric.clone(), 4, 4);
+    let index = build(columns.clone(), metric.clone(), 4, 4);
     let tau = Tau::Ratio(0.2);
     let name = metric.name();
 
@@ -518,10 +535,17 @@ fn check_seeded_topk<M: Metric>(metric: M, seed: u64) {
         if tombstoned {
             // The best column, one from the middle, one from the tail.
             for c in [0usize, n_cols / 2, n_cols - 2] {
-                index.remove_column(ColumnId(c as u32)).unwrap();
                 deleted[c] = true;
             }
         }
+        // The tombstoned half drops its columns through the engine's mask.
+        let run = |q: &Query| {
+            if tombstoned {
+                execute_masked(&index, q, &query, &deleted)
+            } else {
+                index.execute(q, &query).unwrap()
+            }
+        };
         let full = expected(usize::MAX, &deleted);
         let k_tied = (2..full.len())
             .find(|&k| full[k - 1].1 == full[k].1)
@@ -544,7 +568,7 @@ fn check_seeded_topk<M: Metric>(metric: M, seed: u64) {
             let mut stats: Option<SearchStats> = None;
             for policy in policies {
                 let q = Query::topk(tau, k).with_policy(policy).quick_browse(quick);
-                let resp = index.execute(&q, &query).unwrap();
+                let resp = run(&q);
                 assert!(resp.exact());
                 assert_eq!(
                     got(&resp),
@@ -568,7 +592,7 @@ fn check_seeded_topk<M: Metric>(metric: M, seed: u64) {
             let q = Query::topk(tau, k_tied)
                 .with_policy(policy)
                 .with_max_distance_computations(1);
-            let resp = index.execute(&q, &query).unwrap();
+            let resp = run(&q);
             assert!(!resp.exact(), "{name}: a one-distance budget must trip");
             let answer = (got(&resp), resp.outcome);
             let first = partial.get_or_insert_with(|| answer.clone());
