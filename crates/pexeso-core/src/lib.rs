@@ -29,6 +29,8 @@
 //!   the per-column match-count lower bounds that seed the top-k threshold;
 //! * [`partition`] / [`persist`] / [`outofcore`] — JSD-clustered disk
 //!   partitions for lakes that exceed main memory;
+//! * [`codec`] — the little-endian byte codec the index file, the delta
+//!   log and the wire protocol share;
 //! * [`exec`] — the deterministic parallel execution layer behind
 //!   [`config::ExecPolicy`].
 //!
@@ -78,6 +80,7 @@
 //! ```
 
 pub mod block;
+pub mod codec;
 pub mod column;
 pub mod config;
 pub mod cost;

@@ -167,7 +167,10 @@ impl LakeManifest {
     /// temporary file first and are published with an atomic rename, so a
     /// torn write (crash, full disk, SIGKILL mid-`write`) can never leave
     /// a half-written manifest over a working deployment — readers see
-    /// either the old manifest or the new one, nothing in between.
+    /// either the old manifest or the new one, nothing in between. The
+    /// temporary file is synced before the rename, so the name never
+    /// points at bytes still only in the page cache; making the rename
+    /// itself durable (a sync of `dir`) is the caller's call.
     pub fn write(&self, dir: &Path) -> Result<()> {
         let target = Self::path(dir);
         let tmp = dir.join("manifest.txt.tmp");
@@ -183,6 +186,7 @@ impl LakeManifest {
         {
             let mut file = fs::File::create(&tmp)?;
             crate::fault::write_all(&mut file, body.as_bytes(), "manifest.write.tmp")?;
+            file.sync_all()?;
         }
         crate::fault::check("manifest.rename")?;
         fs::rename(&tmp, &target)?;

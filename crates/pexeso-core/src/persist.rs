@@ -6,16 +6,25 @@
 //! grid and inverted index deterministically on load (both are O(|RV|)
 //! hash-map constructions, far cheaper than re-mapping).
 //!
-//! Layout (little-endian):
-//! `magic "PEXIDX01" · metric name · options · grid params · pivots ·
-//!  column metas · raw vectors · mapped vectors · fnv64 checksum`.
-//! No CRC dependency: a running FNV-1a over the payload detects
-//! truncation/corruption.
+//! Layout ([`crate::codec`] primitives, little-endian):
+//!
+//! ```text
+//! magic "PEXIDX01" · metric: str ·
+//! options: num_pivots u32 · levels u32 (0 = auto) · selection u8 · seed u64 ·
+//! grid: pivots u32 · levels u32 · span f32 ·
+//! pivots: count u32 · dim u32 · count × dim × f32 ·
+//! columns: count u32 · (table str · column str · external id u64 · start u32 · len u32)* ·
+//! raw vectors: count u64 · count × dim × f32 ·
+//! mapped vectors: pivots u32 · count u64 · count × pivots × f32 ·
+//! fnv64 of every byte before it: u64
+//! ```
+//!
+//! No CRC dependency: the FNV-1a checksum detects truncation/corruption,
+//! and nothing may follow it.
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::codec::{fnv64, Dec, Enc, MAX_NAME_BYTES};
 use crate::column::{ColumnMeta, ColumnSet};
 use crate::config::{IndexOptions, PivotSelection};
 use crate::error::{PexesoError, Result};
@@ -26,141 +35,6 @@ use crate::search::PexesoIndex;
 use crate::vector::VectorStore;
 
 const MAGIC: &[u8; 8] = b"PEXIDX01";
-
-/// Incremental FNV-1a 64 used as a payload checksum.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf29ce484222325)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
-/// Checksumming writer adapter.
-struct Sink<W: Write> {
-    inner: W,
-    hash: Fnv64,
-}
-
-impl<W: Write> Sink<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            hash: Fnv64::new(),
-        }
-    }
-    fn put(&mut self, bytes: &[u8]) -> Result<()> {
-        self.hash.update(bytes);
-        self.inner.write_all(bytes)?;
-        Ok(())
-    }
-    fn put_u8(&mut self, v: u8) -> Result<()> {
-        self.put(&[v])
-    }
-    fn put_u32(&mut self, v: u32) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-    fn put_u64(&mut self, v: u64) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-    fn put_f32(&mut self, v: f32) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-    fn put_str(&mut self, s: &str) -> Result<()> {
-        self.put_u32(s.len() as u32)?;
-        self.put(s.as_bytes())
-    }
-    fn put_f32_slice(&mut self, data: &[f32]) -> Result<()> {
-        // Chunked conversion keeps allocations bounded for large arenas.
-        let mut buf = [0u8; 4096];
-        for chunk in data.chunks(1024) {
-            let mut n = 0;
-            for v in chunk {
-                buf[n..n + 4].copy_from_slice(&v.to_le_bytes());
-                n += 4;
-            }
-            self.put(&buf[..n])?;
-        }
-        Ok(())
-    }
-}
-
-/// Checksumming reader adapter.
-struct Source<R: Read> {
-    inner: R,
-    hash: Fnv64,
-}
-
-impl<R: Read> Source<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            hash: Fnv64::new(),
-        }
-    }
-    fn take(&mut self, buf: &mut [u8]) -> Result<()> {
-        self.inner
-            .read_exact(buf)
-            .map_err(|e| PexesoError::Corrupt(format!("truncated file: {e}")))?;
-        self.hash.update(buf);
-        Ok(())
-    }
-    fn take_u8(&mut self) -> Result<u8> {
-        let mut b = [0u8; 1];
-        self.take(&mut b)?;
-        Ok(b[0])
-    }
-    fn take_u32(&mut self) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.take(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-    fn take_u64(&mut self) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.take(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-    fn take_f32(&mut self) -> Result<f32> {
-        let mut b = [0u8; 4];
-        self.take(&mut b)?;
-        Ok(f32::from_le_bytes(b))
-    }
-    fn take_str(&mut self, limit: u32) -> Result<String> {
-        let len = self.take_u32()?;
-        if len > limit {
-            return Err(PexesoError::Corrupt(format!(
-                "string length {len} exceeds limit {limit}"
-            )));
-        }
-        let mut buf = vec![0u8; len as usize];
-        self.take(&mut buf)?;
-        String::from_utf8(buf).map_err(|e| PexesoError::Corrupt(format!("invalid utf-8: {e}")))
-    }
-    fn take_f32_vec(&mut self, n: usize) -> Result<Vec<f32>> {
-        // Cap the capacity *hint* (not the read) so a corrupted length
-        // field fails with a typed truncation error at EOF instead of
-        // aborting on a multi-terabyte allocation.
-        let mut out = Vec::with_capacity(n.min(1 << 22));
-        let mut buf = [0u8; 4096];
-        let mut remaining = n;
-        while remaining > 0 {
-            let take_n = remaining.min(1024);
-            let bytes = &mut buf[..take_n * 4];
-            self.take(bytes)?;
-            for c in bytes.chunks_exact(4) {
-                out.push(f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-            }
-            remaining -= take_n;
-        }
-        Ok(out)
-    }
-}
 
 fn selection_tag(s: PivotSelection) -> u8 {
     match s {
@@ -187,72 +61,69 @@ fn selection_from_tag(t: u8) -> Result<PivotSelection> {
 /// one — readers see the old index or the new one, never a fragment.
 pub fn save_index<M: Metric>(index: &PexesoIndex<M>, path: &Path) -> Result<()> {
     let tmp = path.with_extension("pex.tmp");
-    save_index_to(index, &tmp)?;
+    std::fs::write(&tmp, encode_index(index))?;
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
 
-fn save_index_to<M: Metric>(index: &PexesoIndex<M>, path: &Path) -> Result<()> {
-    let file = File::create(path)?;
-    let mut sink = Sink::new(BufWriter::new(file));
-    sink.put(MAGIC)?;
-    sink.put_str(index.metric().name())?;
+fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Vec<u8> {
+    let store = index.columns().store();
+    let mapped = index.rv_mapped();
+    let floats = store.raw_data().len() + mapped.raw_data().len();
+    let mut w = Enc::with_capacity(4 * floats + 4096);
+    w.bytes(MAGIC);
+    w.str(index.metric().name());
 
     let opts = index.options();
-    sink.put_u32(opts.num_pivots as u32)?;
-    sink.put_u32(opts.levels.unwrap_or(0) as u32)?;
-    sink.put_u8(selection_tag(opts.pivot_selection))?;
-    sink.put_u64(opts.seed)?;
+    w.u32(opts.num_pivots as u32);
+    w.u32(opts.levels.unwrap_or(0) as u32);
+    w.u8(selection_tag(opts.pivot_selection));
+    w.u64(opts.seed);
 
     let gp = index.grid_params();
-    sink.put_u32(gp.num_pivots as u32)?;
-    sink.put_u32(gp.levels as u32)?;
-    sink.put_f32(gp.span)?;
+    w.u32(gp.num_pivots as u32);
+    w.u32(gp.levels as u32);
+    w.f32(gp.span);
 
     let pivots = index.pivots();
-    sink.put_u32(pivots.len() as u32)?;
-    sink.put_u32(index.columns().dim() as u32)?;
+    w.u32(pivots.len() as u32);
+    w.u32(index.columns().dim() as u32);
     for p in pivots {
-        sink.put_f32_slice(p)?;
+        w.f32s(p);
     }
 
     let cols = index.columns().columns();
-    sink.put_u32(cols.len() as u32)?;
+    w.u32(cols.len() as u32);
     for c in cols {
-        sink.put_str(&c.table_name)?;
-        sink.put_str(&c.column_name)?;
-        sink.put_u64(c.external_id)?;
-        sink.put_u32(c.start)?;
-        sink.put_u32(c.len)?;
+        w.str(&c.table_name);
+        w.str(&c.column_name);
+        w.u64(c.external_id);
+        w.u32(c.start);
+        w.u32(c.len);
     }
 
-    let store = index.columns().store();
-    sink.put_u64(store.len() as u64)?;
-    sink.put_f32_slice(store.raw_data())?;
+    w.u64(store.len() as u64);
+    w.f32s(store.raw_data());
 
-    let mapped = index.rv_mapped();
-    sink.put_u32(mapped.num_pivots() as u32)?;
-    sink.put_u64(mapped.len() as u64)?;
-    sink.put_f32_slice(mapped.raw_data())?;
+    w.u32(mapped.num_pivots() as u32);
+    w.u64(mapped.len() as u64);
+    w.f32s(mapped.raw_data());
 
-    let checksum = sink.hash.0;
-    sink.inner.write_all(&checksum.to_le_bytes())?;
-    sink.inner.flush()?;
-    Ok(())
+    let checksum = fnv64(w.as_bytes());
+    w.u64(checksum);
+    w.into_bytes()
 }
 
 /// Load an index from `path`, validating magic, metric, structure, and
 /// checksum. The grid and inverted index are rebuilt deterministically.
 pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
-    let file = File::open(path)?;
-    let mut src = Source::new(BufReader::new(file));
+    let bytes = std::fs::read(path)?;
+    let mut r = Dec::new(&bytes);
 
-    let mut magic = [0u8; 8];
-    src.take(&mut magic)?;
-    if &magic != MAGIC {
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(PexesoError::Corrupt("bad magic".into()));
     }
-    let metric_name = src.take_str(64)?;
+    let metric_name = r.str(64)?;
     if metric_name != metric.name() {
         return Err(PexesoError::Corrupt(format!(
             "index built with metric '{metric_name}' but loaded with '{}'",
@@ -260,10 +131,10 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
         )));
     }
 
-    let num_pivots = src.take_u32()? as usize;
-    let levels_raw = src.take_u32()? as usize;
-    let selection = selection_from_tag(src.take_u8()?)?;
-    let seed = src.take_u64()?;
+    let num_pivots = r.u32()? as usize;
+    let levels_raw = r.u32()? as usize;
+    let selection = selection_from_tag(r.u8()?)?;
+    let seed = r.u64()?;
     // The execution policy is a runtime throughput knob, not part of the
     // persisted index identity; loaded indexes start sequential.
     let options = IndexOptions {
@@ -278,13 +149,13 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
         ..Default::default()
     };
 
-    let gp_pivots = src.take_u32()? as usize;
-    let gp_levels = src.take_u32()? as usize;
-    let gp_span = src.take_f32()?;
+    let gp_pivots = r.u32()? as usize;
+    let gp_levels = r.u32()? as usize;
+    let gp_span = r.f32()?;
     let grid_params = GridParams::new(gp_pivots, gp_levels, gp_span)?;
 
-    let k = src.take_u32()? as usize;
-    let dim = src.take_u32()? as usize;
+    let k = r.u32()? as usize;
+    let dim = r.u32()? as usize;
     if dim == 0 || dim > 1 << 20 {
         return Err(PexesoError::Corrupt(format!(
             "implausible dimensionality {dim}"
@@ -295,36 +166,30 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
     }
     let mut pivots = Vec::with_capacity(k);
     for _ in 0..k {
-        pivots.push(src.take_f32_vec(dim)?);
+        pivots.push(r.f32_vec(dim)?);
     }
 
-    let n_cols = src.take_u32()? as usize;
+    let n_cols = r.u32()? as usize;
     let mut metas = Vec::with_capacity(n_cols.min(1 << 16));
     for _ in 0..n_cols {
-        let table_name = src.take_str(1 << 16)?;
-        let column_name = src.take_str(1 << 16)?;
-        let external_id = src.take_u64()?;
-        let start = src.take_u32()?;
-        let len = src.take_u32()?;
         metas.push(ColumnMeta {
-            table_name,
-            column_name,
-            external_id,
-            start,
-            len,
+            table_name: r.str(MAX_NAME_BYTES)?,
+            column_name: r.str(MAX_NAME_BYTES)?,
+            external_id: r.u64()?,
+            start: r.u32()?,
+            len: r.u32()?,
         });
     }
 
-    let n_vecs = src.take_u64()? as usize;
+    let n_vecs = r.u64()? as usize;
     let n_floats = n_vecs.checked_mul(dim).ok_or_else(|| {
         PexesoError::Corrupt(format!("vector count {n_vecs} x dim {dim} overflows"))
     })?;
-    let data = src.take_f32_vec(n_floats)?;
-    let store = VectorStore::from_raw(dim, data)?;
+    let store = VectorStore::from_raw(dim, r.f32_vec(n_floats)?)?;
     let columns = ColumnSet::from_parts(store, metas)?;
 
-    let mk = src.take_u32()? as usize;
-    let mn = src.take_u64()? as usize;
+    let mk = r.u32()? as usize;
+    let mn = r.u64()? as usize;
     if mk != gp_pivots || mn != n_vecs {
         return Err(PexesoError::Corrupt(format!(
             "mapped shape {mn}x{mk} inconsistent with {n_vecs}x{gp_pivots}"
@@ -333,26 +198,18 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
     let m_floats = mn
         .checked_mul(mk)
         .ok_or_else(|| PexesoError::Corrupt(format!("mapped shape {mn}x{mk} overflows")))?;
-    let mapped_data = src.take_f32_vec(m_floats)?;
-    let rv_mapped = MappedVectors::from_raw(mk, mapped_data)?;
+    let rv_mapped = MappedVectors::from_raw(mk, r.f32_vec(m_floats)?)?;
 
-    let computed = src.hash.0;
-    let mut csum = [0u8; 8];
-    src.inner
-        .read_exact(&mut csum)
-        .map_err(|e| PexesoError::Corrupt(format!("missing checksum: {e}")))?;
-    if u64::from_le_bytes(csum) != computed {
-        return Err(PexesoError::Corrupt("checksum mismatch".into()));
-    }
+    let body = r.consumed();
+    let checksum = r.u64()?;
     // The checksum must be the last bytes of the file: trailing garbage
     // means the writer and reader disagree about the layout (or the file
     // was concatenated/overwritten), which a checksum-only validation
     // would silently accept.
-    let mut trailing = [0u8; 1];
-    match src.inner.read(&mut trailing) {
-        Ok(0) => {}
-        Ok(_) => return Err(PexesoError::Corrupt("trailing bytes after checksum".into())),
-        Err(e) => return Err(PexesoError::Io(e)),
+    r.finish()
+        .map_err(|e| PexesoError::Corrupt(format!("{e} after checksum")))?;
+    if checksum != fnv64(body) {
+        return Err(PexesoError::Corrupt("checksum mismatch".into()));
     }
 
     PexesoIndex::from_parts(columns, pivots, rv_mapped, options, grid_params, metric)
@@ -528,6 +385,57 @@ mod tests {
                 }
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A hand-built index — fixed pivots, two columns, `dim` 2, so no
+    /// floating-point pivot choice is involved — byte for byte, one
+    /// section per line: a layout change that keeps the magic fails here.
+    #[test]
+    fn golden_index_file() {
+        let mut columns = ColumnSet::new(2);
+        columns
+            .add_column("t", "a", 7, [&[1.0f32, 0.0][..], &[0.0, 1.0]])
+            .unwrap();
+        columns
+            .add_column("u", "b", 9, [&[0.5f32, 0.5][..]])
+            .unwrap();
+        let index = PexesoIndex::from_parts(
+            columns,
+            vec![vec![1.0, 0.0], vec![0.0, 1.0]],
+            MappedVectors::from_raw(2, vec![0.0, 1.5, 1.5, 0.0, 0.75, 0.75]).unwrap(),
+            IndexOptions {
+                num_pivots: 2,
+                levels: Some(2),
+                pivot_selection: PivotSelection::FarthestFirst,
+                seed: 42,
+                ..Default::default()
+            },
+            GridParams::new(2, 2, 2.0).unwrap(),
+            Euclidean,
+        )
+        .unwrap();
+        let path = tmpfile("golden.pex");
+        save_index(&index, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = "5045584944583031  09000000 6575636c696465616e
+            02000000 02000000 02 2a00000000000000
+            02000000 02000000 00000040
+            02000000 02000000 0000803f 00000000 00000000 0000803f
+            02000000  01000000 74 01000000 61 0700000000000000 00000000 02000000
+                      01000000 75 01000000 62 0900000000000000 02000000 01000000
+            0300000000000000 0000803f 00000000 00000000 0000803f 0000003f 0000003f
+            02000000 0300000000000000 00000000 0000c03f 0000c03f 00000000 0000403f 0000403f
+            acd7345c5ce53dd6";
+        assert_eq!(hex, golden.split_whitespace().collect::<String>());
+        let loaded = load_index(&path, Euclidean).unwrap();
+        assert_eq!(loaded.columns().columns(), index.columns().columns());
+        assert_eq!(loaded.pivots(), index.pivots());
+        assert_eq!(
+            loaded.options().pivot_selection,
+            PivotSelection::FarthestFirst
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -392,13 +392,15 @@ pub struct CompactReport {
 /// log. External ids are preserved — queries answer identically before
 /// and after (`DeltaLake` overlay ≡ compacted base), only faster.
 ///
-/// Crash safety: the manifest bump is an atomic rename and happens
-/// *before* the log deletion, so a crash in between leaves a log whose
-/// header names the old build — which every reader recognises as already
-/// folded and ignores. The rebuild itself happens *in place*, so a crash
-/// mid-rebuild leaves partitions that may mix the old and new builds
-/// under the old manifest; the [`COMPACT_MARKER_FILE`] written before
-/// the first partition byte makes that state a typed
+/// Crash safety: the rebuilt partitions, the manifest and the directory
+/// are synced before the log is deleted, so no acknowledged ingest is
+/// ever held only in the page cache. The manifest bump is an atomic
+/// rename and happens *before* the log deletion, so a crash in between
+/// leaves a log whose header names the old build — which every reader
+/// recognises as already folded and ignores. The rebuild itself happens
+/// *in place*, so a crash mid-rebuild leaves partitions that may mix the
+/// old and new builds under the old manifest; the [`COMPACT_MARKER_FILE`]
+/// written before the first partition byte makes that state a typed
 /// [`PexesoError::Corrupt`] on every open path instead of a silent
 /// double-apply of the delta log. (Serving daemons are unaffected either
 /// way — they answer from resident memory.)
@@ -486,6 +488,12 @@ pub fn compact_lake(
         &index_options,
         dir,
     )?;
+    // Until these syncs and the directory's below, the log is the only
+    // durable copy of the ingests it folds.
+    for file in rebuilt.partition_files() {
+        fault::check("lake.compact.sync")?;
+        std::fs::File::open(file)?.sync_all()?;
+    }
     let new_manifest = LakeManifest {
         index_version: manifest.index_version + 1,
         next_external_id,
@@ -495,6 +503,7 @@ pub fn compact_lake(
     new_manifest.write(dir)?; // atomic: the point of no return
     fault::check("lake.compact.clear_marker")?;
     clear_stale_compact_marker(dir)?; // marker's version is behind the manifest now
+    std::fs::File::open(dir)?.sync_all()?;
     fault::check("lake.compact.remove_log")?;
     remove_log(dir)?; // stale now even if this line never runs
     Ok(CompactReport {
@@ -511,7 +520,9 @@ pub fn compact_lake(
 mod tests {
     use super::*;
     use crate::wal::{delta_log_path, read_log};
+    use pexeso_core::codec::MAX_NAME_BYTES;
     use pexeso_core::config::PivotSelection;
+    use pexeso_core::fault::{FaultAction, FaultRule};
     use pexeso_core::metric::Euclidean;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -574,6 +585,7 @@ mod tests {
 
     #[test]
     fn maintenance_lock_serializes_writers_and_releases() {
+        let _guard = fault::test_lock(); // another test arms a fault inside compaction
         let dir = tempdir("lock");
         deploy_small(&dir);
         // A held lock makes every write operation fail typed...
@@ -604,6 +616,7 @@ mod tests {
 
     #[test]
     fn crashed_compaction_marker_fails_typed_until_stale() {
+        let _guard = fault::test_lock(); // another test arms a fault inside compaction
         let dir = tempdir("marker");
         deploy_small(&dir);
         ingest_columns(&dir, &[one_column(9, "d0")]).unwrap();
@@ -661,6 +674,53 @@ mod tests {
         let log = read_log(&dir).unwrap().unwrap();
         assert_eq!(log.header.base_index_version, manifest.index_version);
         assert_eq!(log.records.len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The name limit readers enforce is enforced before the append, so
+    /// an over-long name fails its one request instead of bricking the
+    /// log for every later reader.
+    #[test]
+    fn over_long_names_are_refused_before_the_write() {
+        let dir = tempdir("long_name");
+        deploy_small(&dir);
+        ingest_columns(&dir, &[one_column(1, "d0")]).unwrap();
+        let long = "n".repeat(MAX_NAME_BYTES as usize + 1);
+        let mut column = one_column(2, "d1");
+        column.column_name = long.clone();
+        for result in [
+            ingest_columns(&dir, &[one_column(3, &long)]).map(|_| ()),
+            ingest_columns(&dir, &[column]).map(|_| ()),
+            drop_tables(&dir, &[long]).map(|_| ()),
+        ] {
+            match result {
+                Err(PexesoError::InvalidParameter(msg)) => {
+                    assert!(msg.contains("name limit"), "{msg}")
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        let log = read_log(&dir).unwrap().unwrap();
+        assert_eq!(log.records.len(), 1);
+        DeltaLake::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A failed sync of a rebuilt partition stops compaction before the
+    /// manifest bump: the log, the only durable copy of the ingest, stays.
+    #[test]
+    fn compaction_syncs_before_the_log_goes() {
+        let _guard = fault::test_lock();
+        let dir = tempdir("compact_sync");
+        deploy_small(&dir);
+        ingest_columns(&dir, &[one_column(4, "d0")]).unwrap();
+        let version = LakeManifest::read(&dir).unwrap().index_version;
+        fault::arm("lake.compact.sync", FaultRule::nth(0, FaultAction::Error));
+        let result = compact_lake(&dir, None, ExecPolicy::Sequential);
+        fault::disarm_all();
+        assert!(result.is_err());
+        assert_eq!(LakeManifest::read(&dir).unwrap().index_version, version);
+        assert!(delta_log_path(&dir).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

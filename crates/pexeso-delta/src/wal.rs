@@ -14,20 +14,26 @@
 //!
 //! ## Format
 //!
-//! Everything is little-endian. The file opens with a checksummed header
+//! Everything is little-endian, in the primitives of
+//! [`pexeso_core::codec`]. The file opens with a checksummed header
 //! binding the log to one specific base build:
 //!
 //! ```text
-//! magic "PXDELTA1" · u32 format version · str metric · u32 dim ·
-//! u64 base_index_version · u64 fnv64(header bytes)
+//! magic "PXDELTA1" · u32 format version · str metric (≤ 64 bytes) ·
+//! u32 dim · u64 base_index_version · u64 fnv64(header bytes)
 //! ```
 //!
 //! followed by zero or more length-prefixed, individually checksummed
-//! records:
+//! records of at most [`MAX_RECORD_BYTES`]:
 //!
 //! ```text
 //! u32 payload_len · payload · u64 fnv64(payload)
+//! payload = u8 1 · str table · str column · u64 external_id ·
+//!             u32 float count · f32s                        (AddColumn)
+//!         | u8 2 · str table                                (DropTable)
 //! ```
+//!
+//! Names are at most [`MAX_NAME_BYTES`] long.
 //!
 //! Per-record checksums make the failure mode of a torn append precise: a
 //! truncated or bit-flipped tail fails with a typed
@@ -48,6 +54,7 @@ use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use pexeso_core::codec::{fnv64, read_len_prefix, Dec, Enc, MAX_NAME_BYTES};
 use pexeso_core::column::ColumnSet;
 use pexeso_core::error::{PexesoError, Result};
 use pexeso_core::fault;
@@ -56,30 +63,11 @@ use pexeso_core::outofcore::LakeManifest;
 
 const MAGIC: &[u8; 8] = b"PXDELTA1";
 const FORMAT_VERSION: u32 = 1;
+/// Longest metric name a header may carry.
+const MAX_METRIC_BYTES: u32 = 64;
 
 const REC_ADD_COLUMN: u8 = 1;
 const REC_DROP_TABLE: u8 = 2;
-
-/// Incremental FNV-1a 64, the same checksum the index files use.
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf29ce484222325)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.0
-}
 
 /// Location of the delta log inside a deployment directory.
 pub fn delta_log_path(dir: &Path) -> PathBuf {
@@ -134,80 +122,16 @@ pub struct LogContents {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| PexesoError::Corrupt("truncated delta record payload".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self, limit: u32) -> Result<String> {
-        let len = self.u32()?;
-        if len > limit {
-            return Err(PexesoError::Corrupt(format!(
-                "delta log string of {len} bytes exceeds limit {limit}"
-            )));
-        }
-        let bytes = self.bytes(len as usize)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| PexesoError::Corrupt(format!("delta log invalid utf-8: {e}")))
-    }
-    fn finish(&self) -> Result<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(PexesoError::Corrupt(format!(
-                "{} trailing bytes in delta record",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
 fn encode_header(h: &LogHeader) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    put_u32(&mut out, h.format_version);
-    put_str(&mut out, &h.metric);
-    put_u32(&mut out, h.dim);
-    put_u64(&mut out, h.base_index_version);
-    let checksum = fnv64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    let mut w = Enc::new();
+    w.bytes(MAGIC);
+    w.u32(h.format_version);
+    w.str(&h.metric);
+    w.u32(h.dim);
+    w.u64(h.base_index_version);
+    let checksum = fnv64(w.as_bytes());
+    w.u64(checksum);
+    w.into_bytes()
 }
 
 /// Exact payload size [`encode_record`] will produce — computed without
@@ -224,8 +148,11 @@ fn record_payload_len(rec: &DeltaRecord) -> usize {
     }
 }
 
+/// One framed record: `u32` payload length, payload, `fnv64(payload)`.
 fn encode_record(rec: &DeltaRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
+    let len = record_payload_len(rec);
+    let mut w = Enc::with_capacity(4 + len + 8);
+    w.u32(len as u32);
     match rec {
         DeltaRecord::AddColumn {
             table_name,
@@ -233,36 +160,31 @@ fn encode_record(rec: &DeltaRecord) -> Vec<u8> {
             external_id,
             vectors,
         } => {
-            payload.push(REC_ADD_COLUMN);
-            put_str(&mut payload, table_name);
-            put_str(&mut payload, column_name);
-            put_u64(&mut payload, *external_id);
-            put_u32(&mut payload, vectors.len() as u32);
-            payload.reserve(vectors.len() * 4);
-            for v in vectors {
-                payload.extend_from_slice(&v.to_le_bytes());
-            }
+            w.u8(REC_ADD_COLUMN);
+            w.str(table_name);
+            w.str(column_name);
+            w.u64(*external_id);
+            w.u32(vectors.len() as u32);
+            w.f32s(vectors);
         }
         DeltaRecord::DropTable { table_name } => {
-            payload.push(REC_DROP_TABLE);
-            put_str(&mut payload, table_name);
+            w.u8(REC_DROP_TABLE);
+            w.str(table_name);
         }
     }
-    debug_assert_eq!(payload.len(), record_payload_len(rec));
-    let mut out = Vec::with_capacity(payload.len() + 12);
-    put_u32(&mut out, payload.len() as u32);
-    let checksum = fnv64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    let payload = &w.as_bytes()[4..];
+    debug_assert_eq!(payload.len(), len);
+    let checksum = fnv64(payload);
+    w.u64(checksum);
+    w.into_bytes()
 }
 
 fn decode_record(payload: &[u8], dim: u32) -> Result<DeltaRecord> {
-    let mut r = Cursor::new(payload);
+    let mut r = Dec::new(payload);
     let rec = match r.u8()? {
         REC_ADD_COLUMN => {
-            let table_name = r.str(1 << 16)?;
-            let column_name = r.str(1 << 16)?;
+            let table_name = r.str(MAX_NAME_BYTES)?;
+            let column_name = r.str(MAX_NAME_BYTES)?;
             let external_id = r.u64()?;
             let n_floats = r.u32()? as usize;
             if dim == 0 || !n_floats.is_multiple_of(dim as usize) {
@@ -270,22 +192,15 @@ fn decode_record(payload: &[u8], dim: u32) -> Result<DeltaRecord> {
                     "delta record vector length {n_floats} is not a multiple of dim {dim}"
                 )));
             }
-            let raw = r.bytes(n_floats.checked_mul(4).ok_or_else(|| {
-                PexesoError::Corrupt(format!("delta record vector length {n_floats} overflows"))
-            })?)?;
-            let vectors = raw
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-                .collect();
             DeltaRecord::AddColumn {
                 table_name,
                 column_name,
                 external_id,
-                vectors,
+                vectors: r.f32_vec(n_floats)?,
             }
         }
         REC_DROP_TABLE => DeltaRecord::DropTable {
-            table_name: r.str(1 << 16)?,
+            table_name: r.str(MAX_NAME_BYTES)?,
         },
         t => {
             return Err(PexesoError::Corrupt(format!(
@@ -313,40 +228,35 @@ fn read_exact_or(src: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> 
         .map_err(|e| PexesoError::Corrupt(format!("truncated delta log ({what}): {e}")))
 }
 
+/// Read exactly the header's bytes: the fixed part up to the metric
+/// length first, then the rest that length sizes.
 fn read_header(src: &mut impl Read) -> Result<LogHeader> {
-    let mut hashed = Vec::new();
-    let mut take = |src: &mut dyn Read, n: usize| -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; n];
-        src.read_exact(&mut buf)
-            .map_err(|e| PexesoError::Corrupt(format!("truncated delta log (header): {e}")))?;
-        hashed.extend_from_slice(&buf);
-        Ok(buf)
-    };
-    let magic = take(src, 8)?;
-    if magic != MAGIC {
+    const FIXED: usize = 8 + 4 + 4;
+    let mut buf = vec![0u8; FIXED];
+    read_exact_or(src, &mut buf, "header")?;
+    let mut r = Dec::new(&buf);
+    if r.bytes(MAGIC.len())? != MAGIC {
         return Err(PexesoError::Corrupt("bad delta log magic".into()));
     }
-    let format_version = u32::from_le_bytes(take(src, 4)?.try_into().unwrap());
+    let format_version = r.u32()?;
     if format_version != FORMAT_VERSION {
         return Err(PexesoError::Corrupt(format!(
             "unsupported delta log format version {format_version}"
         )));
     }
-    let metric_len = u32::from_le_bytes(take(src, 4)?.try_into().unwrap());
-    if metric_len > 64 {
+    let metric_len = r.u32()?;
+    if metric_len > MAX_METRIC_BYTES {
         return Err(PexesoError::Corrupt(format!(
             "delta log metric name of {metric_len} bytes"
         )));
     }
-    let metric = String::from_utf8(take(src, metric_len as usize)?)
-        .map_err(|e| PexesoError::Corrupt(format!("delta log metric not utf-8: {e}")))?;
-    let dim = u32::from_le_bytes(take(src, 4)?.try_into().unwrap());
-    let base_index_version = u64::from_le_bytes(take(src, 8)?.try_into().unwrap());
-    #[allow(dropping_copy_types, clippy::drop_non_drop)]
-    drop(take); // end the closure's mutable borrow of `hashed`
-    let mut csum = [0u8; 8];
-    read_exact_or(src, &mut csum, "header checksum")?;
-    if u64::from_le_bytes(csum) != fnv64(&hashed) {
+    buf.resize(FIXED + metric_len as usize + 4 + 8 + 8, 0);
+    read_exact_or(src, &mut buf[FIXED..], "header")?;
+    let mut r = Dec::new(&buf[FIXED - 4..]); // from the metric's length on
+    let metric = r.str(MAX_METRIC_BYTES)?;
+    let dim = r.u32()?;
+    let base_index_version = r.u64()?;
+    if r.u64()? != fnv64(&buf[..buf.len() - 8]) {
         return Err(PexesoError::Corrupt(
             "delta log header checksum mismatch".into(),
         ));
@@ -364,47 +274,50 @@ fn read_header(src: &mut impl Read) -> Result<LogHeader> {
     })
 }
 
-fn read_records(src: &mut impl Read, dim: u32) -> Result<Vec<DeltaRecord>> {
+/// Read framed records up to a clean end of log. Returns every record
+/// before the first damage, and the damage (if any) as the error.
+fn read_records(src: &mut impl Read, dim: u32) -> (Vec<DeltaRecord>, Result<()>) {
     let mut records = Vec::new();
     loop {
-        let mut len_bytes = [0u8; 4];
-        let mut got = 0;
-        while got < 4 {
-            match src.read(&mut len_bytes[got..]) {
-                Ok(0) if got == 0 => return Ok(records), // clean end of log
-                Ok(0) => {
-                    return Err(PexesoError::Corrupt(format!(
-                        "truncated delta log: eof inside record {} length",
-                        records.len()
-                    )))
-                }
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(PexesoError::Io(e)),
-            }
+        match read_record(src, dim, records.len()) {
+            Ok(Some(rec)) => records.push(rec),
+            Ok(None) => return (records, Ok(())),
+            Err(e) => return (records, Err(e)),
         }
-        let len = u32::from_le_bytes(len_bytes);
-        if len > MAX_RECORD_BYTES {
-            return Err(PexesoError::Corrupt(format!(
-                "delta record of {len} bytes exceeds cap {MAX_RECORD_BYTES}"
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        read_exact_or(src, &mut payload, &format!("record {} body", records.len()))?;
-        let mut csum = [0u8; 8];
-        read_exact_or(
-            src,
-            &mut csum,
-            &format!("record {} checksum", records.len()),
-        )?;
-        if u64::from_le_bytes(csum) != fnv64(&payload) {
-            return Err(PexesoError::Corrupt(format!(
-                "delta record {} checksum mismatch",
-                records.len()
-            )));
-        }
-        records.push(decode_record(&payload, dim)?);
     }
+}
+
+fn read_record(src: &mut impl Read, dim: u32, i: usize) -> Result<Option<DeltaRecord>> {
+    let Some(len) = read_len_prefix::<PexesoError>(src)? else {
+        return Ok(None); // clean end of log
+    };
+    if len > MAX_RECORD_BYTES {
+        return Err(PexesoError::Corrupt(format!(
+            "delta record {i} of {len} bytes exceeds cap {MAX_RECORD_BYTES}"
+        )));
+    }
+    let mut frame = vec![0u8; len as usize + 8];
+    read_exact_or(src, &mut frame, &format!("record {i}"))?;
+    let mut r = Dec::new(&frame);
+    let payload = r.bytes(len as usize)?;
+    if r.u64()? != fnv64(payload) {
+        return Err(PexesoError::Corrupt(format!(
+            "delta record {i} checksum mismatch"
+        )));
+    }
+    decode_record(payload, dim).map(Some)
+}
+
+/// Open `dir`'s delta log and read its header; `Ok(None)` when no log
+/// exists.
+fn open_log(dir: &Path) -> Result<Option<(LogHeader, BufReader<File>)>> {
+    let file = match File::open(delta_log_path(dir)) {
+        Ok(f) => f,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(PexesoError::Io(e)),
+    };
+    let mut src = BufReader::new(file);
+    Ok(Some((read_header(&mut src)?, src)))
 }
 
 /// Read only `dir`'s delta log header — cheap (a few dozen bytes) no
@@ -412,14 +325,7 @@ fn read_records(src: &mut impl Read, dim: u32) -> Result<Vec<DeltaRecord>> {
 /// This is the validation [`append_records`] runs, so repeated ingests
 /// stay O(records appended), not O(log size).
 pub fn read_log_header(dir: &Path) -> Result<Option<LogHeader>> {
-    let path = delta_log_path(dir);
-    let file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(PexesoError::Io(e)),
-    };
-    let mut src = BufReader::new(file);
-    Ok(Some(read_header(&mut src)?))
+    Ok(open_log(dir)?.map(|(header, _)| header))
 }
 
 /// Read `dir`'s delta log in full. `Ok(None)` when no log exists; a log
@@ -427,16 +333,12 @@ pub fn read_log_header(dir: &Path) -> Result<Option<LogHeader>> {
 /// typed [`PexesoError::Corrupt`] (strict mode: replayers must not
 /// silently serve a partial view of an ingest they cannot prove complete).
 pub fn read_log(dir: &Path) -> Result<Option<LogContents>> {
-    let path = delta_log_path(dir);
     fault::check("wal.read.open")?;
-    let file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(PexesoError::Io(e)),
+    let Some((header, mut src)) = open_log(dir)? else {
+        return Ok(None);
     };
-    let mut src = BufReader::new(file);
-    let header = read_header(&mut src)?;
-    let records = read_records(&mut src, header.dim)?;
+    let (records, end) = read_records(&mut src, header.dim);
+    end?;
     Ok(Some(LogContents { header, records }))
 }
 
@@ -446,49 +348,11 @@ pub fn read_log(dir: &Path) -> Result<Option<LogContents>> {
 /// to is unusable. Recovery tooling uses this; query paths use the strict
 /// [`read_log`].
 pub fn read_log_prefix(dir: &Path) -> Result<Option<(LogContents, bool)>> {
-    let path = delta_log_path(dir);
-    let file = match File::open(&path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(PexesoError::Io(e)),
+    let Some((header, mut src)) = open_log(dir)? else {
+        return Ok(None);
     };
-    let mut src = BufReader::new(file);
-    let header = read_header(&mut src)?;
-    let mut records = Vec::new();
-    let damaged = loop {
-        match read_one(&mut src, header.dim) {
-            Ok(Some(rec)) => records.push(rec),
-            Ok(None) => break false,
-            Err(_) => break true,
-        }
-    };
-    Ok(Some((LogContents { header, records }, damaged)))
-}
-
-fn read_one(src: &mut impl Read, dim: u32) -> Result<Option<DeltaRecord>> {
-    let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match src.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(PexesoError::Corrupt("eof inside record length".into())),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(PexesoError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_RECORD_BYTES {
-        return Err(PexesoError::Corrupt("record length over cap".into()));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_or(src, &mut payload, "record body")?;
-    let mut csum = [0u8; 8];
-    read_exact_or(src, &mut csum, "record checksum")?;
-    if u64::from_le_bytes(csum) != fnv64(&payload) {
-        return Err(PexesoError::Corrupt("record checksum mismatch".into()));
-    }
-    Ok(Some(decode_record(&payload, dim)?))
+    let (records, end) = read_records(&mut src, header.dim);
+    Ok(Some((LogContents { header, records }, end.is_err())))
 }
 
 // ---------------------------------------------------------------------------
@@ -538,9 +402,10 @@ pub fn check_header(header: &LogHeader, manifest: &LakeManifest) -> Result<LogSt
 /// is validated first (cheap — the body is the reader's job, and the
 /// ingest path strict-reads it under the same maintenance lock anyway):
 /// appending to a stale or foreign log is refused, and so is any record
-/// larger than [`MAX_RECORD_BYTES`] — acknowledging a record every
-/// reader would reject would brick the log. Appends are flushed and
-/// fsynced before returning — an acknowledged ingest survives a crash.
+/// larger than [`MAX_RECORD_BYTES`] or carrying a name longer than
+/// [`MAX_NAME_BYTES`] — acknowledging a record every reader would reject
+/// would brick the log. Appends are flushed and fsynced before returning
+/// — an acknowledged ingest survives a crash.
 pub fn append_records(dir: &Path, manifest: &LakeManifest, records: &[DeltaRecord]) -> Result<()> {
     let path = delta_log_path(dir);
     let existing = match read_log_header(dir)? {
@@ -557,6 +422,20 @@ pub fn append_records(dir: &Path, manifest: &LakeManifest, records: &[DeltaRecor
         None => false,
     };
     for (i, rec) in records.iter().enumerate() {
+        let longest_name = match rec {
+            DeltaRecord::AddColumn {
+                table_name,
+                column_name,
+                ..
+            } => table_name.len().max(column_name.len()),
+            DeltaRecord::DropTable { table_name } => table_name.len(),
+        };
+        if longest_name > MAX_NAME_BYTES as usize {
+            return Err(PexesoError::InvalidParameter(format!(
+                "delta record {i} carries a name of {longest_name} bytes, over \
+                 the {MAX_NAME_BYTES}-byte name limit"
+            )));
+        }
         let payload_len = record_payload_len(rec);
         if payload_len > MAX_RECORD_BYTES as usize {
             return Err(PexesoError::InvalidParameter(format!(
@@ -763,6 +642,26 @@ mod tests {
         assert_eq!(s1.live[0].table_name, "t2");
         assert!(s1.dropped_tables.contains("t1"));
         assert_eq!(DeltaState::next_external_id_after(&log.records, 10), 12);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A header, one `AddColumn` and one `DropTable`, byte for byte: a
+    /// layout change that keeps [`FORMAT_VERSION`] fails here.
+    #[test]
+    fn golden_log_file() {
+        let dir = tempdir("golden");
+        append_records(&dir, &manifest(1), &[add("t1", 10), drop_t("t1")]).unwrap();
+        let bytes = std::fs::read(delta_log_path(&dir)).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        let golden = "505844454c544131 01000000 09000000 6575636c696465616e 04000000
+                0100000000000000 856ff97b18779d9b
+            3a000000  01 02000000 7431 03000000 6b6579 0a00000000000000 08000000
+                0000003f 0000003f 0000003f 0000003f cdcccc3d cdcc4c3e 9a99993e cdcccc3e
+                8f8655de1fc8002b
+            07000000  02 02000000 7431  385c35368fb085bb";
+        assert_eq!(hex, golden.split_whitespace().collect::<String>());
+        let log = read_log(&dir).unwrap().unwrap();
+        assert_eq!(log.records, vec![add("t1", 10), drop_t("t1")]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -298,6 +298,7 @@ fn crash_sweep_compaction() {
             must_cross: &[
                 "lake.compact.marker",
                 "lake.compact.build",
+                "lake.compact.sync",
                 "lake.compact.manifest",
                 "manifest.write.tmp",
                 "manifest.rename",

@@ -14,6 +14,7 @@
 
 use std::collections::HashMap;
 
+use pexeso_embed::fnv1a64;
 use pexeso_lake::table::Table;
 
 use crate::dataset::Dataset;
@@ -57,12 +58,7 @@ fn cell_to_f32(s: &str) -> Option<f32> {
         return Some(v);
     }
     // Stable categorical encoding.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in t.to_lowercase().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    Some((h % 1024) as f32)
+    Some((fnv1a64(t.to_lowercase().as_bytes()) % 1024) as f32)
 }
 
 /// Options for augmentation.

@@ -48,7 +48,7 @@ struct ExtractedColumn {
 }
 
 /// What a split needs to know about the source deployment.
-struct Source {
+struct SourceLake {
     manifest: LakeManifest,
     /// Every column of the partition files (a split refuses a live delta
     /// log, so none is dropped), sorted by external id.
@@ -152,7 +152,7 @@ fn plan_from_ids(sorted_ids: &[u64], shards: usize) -> Result<ShardMap> {
 }
 
 /// Load the manifest and lift every live column out of the source lake.
-fn read_source(dir: &Path) -> Result<Source> {
+fn read_source(dir: &Path) -> Result<SourceLake> {
     let manifest = LakeManifest::read(dir)?;
     let delta = DeltaLake::open(dir)?;
     let pending = delta.overlay().n_records();
@@ -178,7 +178,7 @@ fn read_source(dir: &Path) -> Result<Source> {
             dir.display()
         )));
     }
-    Ok(Source {
+    Ok(SourceLake {
         manifest,
         columns,
         partitions,
@@ -220,7 +220,7 @@ fn extract_columns(
 /// `index_version` and `next_external_id` (new ids must stay globally
 /// unique *across* shards, so every shard allocates from the same
 /// watermark).
-fn build_shard(source: &Source, columns: &[&ExtractedColumn], dir: &Path) -> Result<()> {
+fn build_shard(source: &SourceLake, columns: &[&ExtractedColumn], dir: &Path) -> Result<()> {
     let mut set = ColumnSet::new(source.manifest.dim);
     for c in columns {
         set.add_column(

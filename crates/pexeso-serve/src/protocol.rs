@@ -2,11 +2,12 @@
 //! clients.
 //!
 //! Every message is one length-prefixed frame: a `u32` little-endian
-//! payload length followed by the payload. All integers are
-//! little-endian, strings are `u32` length + UTF-8 bytes, a `bool` is one
-//! byte `0|1`, an `opt T` is a tag byte `0|1` followed by `T` when `1`,
-//! and query vectors travel as raw `f32` bits — the embedding happens
-//! client-side so the daemon stays agnostic to embedder implementations.
+//! payload length followed by the payload. Fields are the primitives of
+//! [`pexeso_core::codec`]: little-endian integers, strings as `u32`
+//! length + UTF-8 bytes, a `bool` as one byte `0|1`, an `opt T` as a tag
+//! byte `0|1` followed by `T` when `1`. Query vectors travel as raw `f32`
+//! bits — the embedding happens client-side so the daemon stays agnostic
+//! to embedder implementations.
 //!
 //! The protocol is deliberately synchronous per connection: a client sends
 //! one request frame and reads one reply frame, any number of times, then
@@ -74,6 +75,7 @@
 
 use std::io::{Read, Write};
 
+use pexeso_core::codec::{fnv64, read_len_prefix, Dec, DecodeError, Enc, MAX_NAME_BYTES};
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
 use pexeso_core::explain::{ExplainReport, FunnelStage};
 use pexeso_core::outofcore::GlobalHit;
@@ -147,6 +149,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> Self {
+        WireError::Malformed(e.to_string())
     }
 }
 
@@ -395,18 +403,9 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// Read one length-prefixed frame. `Ok(None)` means the peer closed the
 /// connection cleanly before starting a new frame.
 pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < 4 {
-        match r.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(WireError::Malformed("eof inside frame length".into())),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(WireError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes);
+    let Some(len) = read_len_prefix::<WireError>(r)? else {
+        return Ok(None);
+    };
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Malformed(format!(
             "frame of {len} bytes exceeds cap {MAX_FRAME_BYTES}"
@@ -419,143 +418,10 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Option<Vec<u8>>> {
 }
 
 // ---------------------------------------------------------------------------
-// Payload encoding primitives
+// Payload fields
 // ---------------------------------------------------------------------------
 
-struct ByteWriter(Vec<u8>);
-
-impl ByteWriter {
-    fn new() -> Self {
-        ByteWriter(Vec::new())
-    }
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    fn bool(&mut self, v: bool) {
-        self.0.push(v as u8);
-    }
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.0.extend_from_slice(s.as_bytes());
-    }
-    fn f32_slice(&mut self, data: &[f32]) {
-        self.0.reserve(data.len() * 4);
-        for v in data {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-}
-
-struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
-    }
-    fn bytes(&mut self, n: usize) -> WireResult<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| WireError::Malformed("truncated payload".into()))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-    fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.bytes(1)?[0])
-    }
-    /// A flag byte: exactly `0` or `1`, as the encoder writes it.
-    fn bool(&mut self) -> WireResult<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed(format!("flag byte {b} is not 0|1"))),
-        }
-    }
-    fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    fn f32(&mut self) -> WireResult<f32> {
-        Ok(f32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> WireResult<f64> {
-        Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self, limit: u32) -> WireResult<String> {
-        let len = self.u32()?;
-        if len > limit {
-            return Err(WireError::Malformed(format!(
-                "string of {len} bytes exceeds limit {limit}"
-            )));
-        }
-        let bytes = self.bytes(len as usize)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| WireError::Malformed(format!("invalid utf-8: {e}")))
-    }
-    fn f32_vec(&mut self, n: usize) -> WireResult<Vec<f32>> {
-        let raw = self
-            .bytes(n.checked_mul(4).ok_or_else(|| {
-                WireError::Malformed(format!("f32 vector length {n} overflows"))
-            })?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-    fn finish(&self) -> WireResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(WireError::Malformed(format!(
-                "{} trailing bytes in payload",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-/// An optional field: tag `0`, or tag `1` followed by the value.
-fn put_opt<T>(w: &mut ByteWriter, v: Option<T>, put: impl FnOnce(&mut ByteWriter, T)) {
-    match v {
-        None => w.u8(0),
-        Some(x) => {
-            w.u8(1);
-            put(w, x);
-        }
-    }
-}
-
-fn take_opt<'a, T>(
-    r: &mut ByteReader<'a>,
-    take: impl FnOnce(&mut ByteReader<'a>) -> WireResult<T>,
-) -> WireResult<Option<T>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(take(r)?)),
-        t => Err(WireError::Malformed(format!("unknown option tag {t}"))),
-    }
-}
-
-fn put_tau(w: &mut ByteWriter, tau: Tau) {
+fn put_tau(w: &mut Enc, tau: Tau) {
     match tau {
         Tau::Absolute(v) => {
             w.u8(0);
@@ -568,7 +434,7 @@ fn put_tau(w: &mut ByteWriter, tau: Tau) {
     }
 }
 
-fn take_tau(r: &mut ByteReader) -> WireResult<Tau> {
+fn take_tau(r: &mut Dec) -> WireResult<Tau> {
     match r.u8()? {
         0 => Ok(Tau::Absolute(r.f32()?)),
         1 => Ok(Tau::Ratio(r.f32()?)),
@@ -576,7 +442,7 @@ fn take_tau(r: &mut ByteReader) -> WireResult<Tau> {
     }
 }
 
-fn put_threshold(w: &mut ByteWriter, t: JoinThreshold) {
+fn put_threshold(w: &mut Enc, t: JoinThreshold) {
     match t {
         JoinThreshold::Count(c) => {
             w.u8(0);
@@ -589,7 +455,7 @@ fn put_threshold(w: &mut ByteWriter, t: JoinThreshold) {
     }
 }
 
-fn take_threshold(r: &mut ByteReader) -> WireResult<JoinThreshold> {
+fn take_threshold(r: &mut Dec) -> WireResult<JoinThreshold> {
     match r.u8()? {
         0 => Ok(JoinThreshold::Count(r.u64()? as usize)),
         1 => Ok(JoinThreshold::Ratio(r.f64()?)),
@@ -597,7 +463,7 @@ fn take_threshold(r: &mut ByteReader) -> WireResult<JoinThreshold> {
     }
 }
 
-fn put_policy(w: &mut ByteWriter, p: ExecPolicy) {
+fn put_policy(w: &mut Enc, p: ExecPolicy) {
     let (tag, threads) = match p {
         ExecPolicy::Sequential => (0, 0),
         ExecPolicy::Parallel { threads } => (1, threads),
@@ -607,7 +473,7 @@ fn put_policy(w: &mut ByteWriter, p: ExecPolicy) {
     w.u32(threads as u32);
 }
 
-fn take_policy(r: &mut ByteReader) -> WireResult<ExecPolicy> {
+fn take_policy(r: &mut Dec) -> WireResult<ExecPolicy> {
     let tag = r.u8()?;
     let threads = r.u32()? as usize;
     match (tag, threads) {
@@ -625,22 +491,22 @@ fn take_policy(r: &mut ByteReader) -> WireResult<ExecPolicy> {
 /// Write the query half of a `SEARCH`/`TOPK` frame in its one fixed
 /// order: metric, τ, policy, dim, the vectors, options/budget, trace
 /// level, request id, then the explain flag.
-fn put_query(w: &mut ByteWriter, q: &QueryPayload) {
+fn put_query(w: &mut Enc, q: &QueryPayload) {
     let c = &q.criteria;
     w.str(&c.metric);
     put_tau(w, c.tau);
     put_policy(w, c.policy);
     w.u32(c.dim);
     w.u32((q.vectors.len() / c.dim.max(1) as usize) as u32);
-    w.f32_slice(&q.vectors);
+    w.f32s(&q.vectors);
     put_query_ext(w, &c.ext);
     w.u8(c.trace.as_u8());
-    put_opt(w, c.request_id, ByteWriter::u64);
+    w.opt(c.request_id, Enc::u64);
     w.bool(q.explain);
 }
 
 /// Decode what [`put_query`] wrote.
-fn take_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
+fn take_query(r: &mut Dec) -> WireResult<QueryPayload> {
     let metric = r.str(64)?;
     let tau = take_tau(r)?;
     let policy = take_policy(r)?;
@@ -661,7 +527,7 @@ fn take_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
         dim,
         ext,
         trace,
-        request_id: take_opt(r, ByteReader::u64)?,
+        request_id: r.opt(Dec::u64)?,
     };
     Ok(QueryPayload {
         criteria,
@@ -671,7 +537,7 @@ fn take_query(r: &mut ByteReader) -> WireResult<QueryPayload> {
 }
 
 /// Lemma flags travel as a 4-bit mask.
-fn put_query_ext(w: &mut ByteWriter, ext: &QueryExt) {
+fn put_query_ext(w: &mut Enc, ext: &QueryExt) {
     let mut mask = 0u8;
     if ext.flags.lemma1_vector_filter {
         mask |= 1;
@@ -687,11 +553,11 @@ fn put_query_ext(w: &mut ByteWriter, ext: &QueryExt) {
     }
     w.u8(mask);
     w.bool(ext.quick_browse);
-    put_opt(w, ext.max_distance_computations, ByteWriter::u64);
-    put_opt(w, ext.deadline_ms, ByteWriter::u64);
+    w.opt(ext.max_distance_computations, Enc::u64);
+    w.opt(ext.deadline_ms, Enc::u64);
 }
 
-fn take_query_ext(r: &mut ByteReader) -> WireResult<QueryExt> {
+fn take_query_ext(r: &mut Dec) -> WireResult<QueryExt> {
     let mask = r.u8()?;
     if mask & !0xf != 0 {
         return Err(WireError::Malformed(format!(
@@ -705,8 +571,8 @@ fn take_query_ext(r: &mut ByteReader) -> WireResult<QueryExt> {
         lemma56_cell_match: mask & 8 != 0,
     };
     let quick_browse = r.bool()?;
-    let max_distance_computations = take_opt(r, ByteReader::u64)?;
-    let deadline_ms = take_opt(r, ByteReader::u64)?;
+    let max_distance_computations = r.opt(Dec::u64)?;
+    let deadline_ms = r.opt(Dec::u64)?;
     Ok(QueryExt {
         flags,
         quick_browse,
@@ -721,7 +587,7 @@ fn take_query_ext(r: &mut ByteReader) -> WireResult<QueryExt> {
 const MAX_TRACE_DEPTH: usize = 16;
 const MAX_TRACE_SPANS: u32 = 4096;
 
-fn put_span(w: &mut ByteWriter, s: &TraceSpan) {
+fn put_span(w: &mut Enc, s: &TraceSpan) {
     w.str(&s.name);
     w.u64(s.start_us);
     w.u64(s.duration_us);
@@ -736,7 +602,7 @@ fn put_span(w: &mut ByteWriter, s: &TraceSpan) {
     }
 }
 
-fn take_span(r: &mut ByteReader, depth: usize, budget: &mut u32) -> WireResult<TraceSpan> {
+fn take_span(r: &mut Dec, depth: usize, budget: &mut u32) -> WireResult<TraceSpan> {
     if depth > MAX_TRACE_DEPTH {
         return Err(WireError::Malformed("trace tree too deep".into()));
     }
@@ -773,11 +639,11 @@ fn take_span(r: &mut ByteReader, depth: usize, budget: &mut u32) -> WireResult<T
     })
 }
 
-fn put_trace(w: &mut ByteWriter, t: &QueryTrace) {
+fn put_trace(w: &mut Enc, t: &QueryTrace) {
     put_span(w, &t.root);
 }
 
-fn take_trace(r: &mut ByteReader) -> WireResult<QueryTrace> {
+fn take_trace(r: &mut Dec) -> WireResult<QueryTrace> {
     let mut budget = MAX_TRACE_SPANS;
     Ok(QueryTrace {
         root: take_span(r, 0, &mut budget)?,
@@ -790,7 +656,7 @@ const MAX_EXPLAIN_STAGES: u32 = 64;
 const MAX_EXPLAIN_REASONS: u32 = 64;
 const MAX_EXPLAIN_DECISIONS: u32 = 256;
 
-fn put_explain(w: &mut ByteWriter, e: &ExplainReport) {
+fn put_explain(w: &mut Enc, e: &ExplainReport) {
     w.str(&e.mode);
     w.u32(e.stages.len() as u32);
     for s in &e.stages {
@@ -810,7 +676,7 @@ fn put_explain(w: &mut ByteWriter, e: &ExplainReport) {
     }
 }
 
-fn take_explain(r: &mut ByteReader) -> WireResult<ExplainReport> {
+fn take_explain(r: &mut Dec) -> WireResult<ExplainReport> {
     let mode = r.str(64)?;
     let n_stages = r.u32()?;
     if n_stages > MAX_EXPLAIN_STAGES {
@@ -857,7 +723,7 @@ fn take_explain(r: &mut ByteReader) -> WireResult<ExplainReport> {
     })
 }
 
-fn put_outcome(w: &mut ByteWriter, outcome: QueryOutcome) {
+fn put_outcome(w: &mut Enc, outcome: QueryOutcome) {
     w.u8(match outcome {
         QueryOutcome::Exact => 0,
         QueryOutcome::Exceeded(Exceeded::DistanceComputations) => 1,
@@ -865,7 +731,7 @@ fn put_outcome(w: &mut ByteWriter, outcome: QueryOutcome) {
     })
 }
 
-fn take_outcome(r: &mut ByteReader) -> WireResult<QueryOutcome> {
+fn take_outcome(r: &mut Dec) -> WireResult<QueryOutcome> {
     match r.u8()? {
         0 => Ok(QueryOutcome::Exact),
         1 => Ok(QueryOutcome::Exceeded(Exceeded::DistanceComputations)),
@@ -875,10 +741,10 @@ fn take_outcome(r: &mut ByteReader) -> WireResult<QueryOutcome> {
 }
 
 /// The body of a `HITS` reply.
-fn put_hits_body(w: &mut ByteWriter, h: &HitsReply) {
+fn put_hits_body(w: &mut Enc, h: &HitsReply) {
     w.u64(h.generation);
     w.bool(h.cached);
-    put_opt(w, h.ext, |w, ext| {
+    w.opt(h.ext, |w, ext| {
         put_outcome(w, ext.outcome);
         w.u64(ext.distance_computations);
     });
@@ -889,14 +755,14 @@ fn put_hits_body(w: &mut ByteWriter, h: &HitsReply) {
         w.str(&hit.column_name);
         w.u32(hit.match_count);
     }
-    put_opt(w, h.trace.as_ref(), put_trace);
-    put_opt(w, h.explain.as_deref(), put_explain);
+    w.opt(h.trace.as_ref(), put_trace);
+    w.opt(h.explain.as_deref(), put_explain);
 }
 
-fn take_hits_body(r: &mut ByteReader) -> WireResult<HitsReply> {
+fn take_hits_body(r: &mut Dec) -> WireResult<HitsReply> {
     let generation = r.u64()?;
     let cached = r.bool()?;
-    let ext = take_opt(r, |r| {
+    let ext = r.opt(|r| -> WireResult<HitsExt> {
         Ok(HitsExt {
             outcome: take_outcome(r)?,
             distance_computations: r.u64()?,
@@ -907,8 +773,8 @@ fn take_hits_body(r: &mut ByteReader) -> WireResult<HitsReply> {
     for _ in 0..n {
         hits.push(WireHit {
             external_id: r.u64()?,
-            table_name: r.str(1 << 16)?,
-            column_name: r.str(1 << 16)?,
+            table_name: r.str(MAX_NAME_BYTES)?,
+            column_name: r.str(MAX_NAME_BYTES)?,
             match_count: r.u32()?,
         });
     }
@@ -917,8 +783,8 @@ fn take_hits_body(r: &mut ByteReader) -> WireResult<HitsReply> {
         cached,
         hits,
         ext,
-        trace: take_opt(r, take_trace)?,
-        explain: take_opt(r, take_explain)?.map(Box::new),
+        trace: r.opt(take_trace)?,
+        explain: r.opt(take_explain)?.map(Box::new),
     })
 }
 
@@ -928,8 +794,8 @@ fn take_hits_body(r: &mut ByteReader) -> WireResult<HitsReply> {
 
 /// Encode a request into a frame payload stamped [`PROTOCOL_VERSION`].
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.0.extend_from_slice(MAGIC);
+    let mut w = Enc::new();
+    w.bytes(MAGIC);
     w.u8(PROTOCOL_VERSION);
     match req {
         Request::Info => w.u8(VERB_INFO),
@@ -959,17 +825,17 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::ApplyDelta { shard } => {
             w.u8(VERB_APPLY);
-            put_opt(&mut w, *shard, ByteWriter::u32);
+            w.opt(*shard, Enc::u32);
         }
         Request::Shutdown => w.u8(VERB_SHUTDOWN),
     }
-    w.0
+    w.into_bytes()
 }
 
 /// Decode a frame payload into a request. Refuses every version but
 /// [`PROTOCOL_VERSION`].
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
-    let mut r = ByteReader::new(payload);
+    let mut r = Dec::new(payload);
     if r.bytes(4)? != MAGIC {
         return Err(WireError::Malformed("bad request magic".into()));
     }
@@ -1007,7 +873,7 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
             }
         }
         VERB_APPLY => Request::ApplyDelta {
-            shard: take_opt(&mut r, ByteReader::u32)?,
+            shard: r.opt(Dec::u32)?,
         },
         VERB_SHUTDOWN => Request::Shutdown,
         v => return Err(WireError::Malformed(format!("unknown verb {v}"))),
@@ -1018,7 +884,7 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
 
 /// Encode a reply into a frame payload.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = Enc::new();
     match reply {
         Reply::Info(info) => {
             w.u8(REPLY_INFO);
@@ -1066,12 +932,12 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             w.str(message);
         }
     }
-    w.0
+    w.into_bytes()
 }
 
 /// Decode a frame payload into a reply.
 pub fn decode_reply(payload: &[u8]) -> WireResult<Reply> {
-    let mut r = ByteReader::new(payload);
+    let mut r = Dec::new(payload);
     let reply = match r.u8()? {
         REPLY_INFO => Reply::Info(InfoReply {
             dim: r.u32()?,
@@ -1112,48 +978,34 @@ pub fn decode_reply(payload: &[u8]) -> WireResult<Reply> {
 // Cache fingerprinting
 // ---------------------------------------------------------------------------
 
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf29ce484222325)
-    }
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-}
-
 /// Cache key for a query against one snapshot generation: FNV-1a over the
 /// request kind, metric, τ, T (or k), the raw query bits, and the
 /// generation. The execution policy is deliberately *excluded* — results
 /// are policy-independent by the crate-wide determinism contract, so a
 /// sequential and a parallel request share one cache line.
 pub fn query_fingerprint(req: &Request, generation: u64) -> Option<u64> {
-    let (kind, query, discriminator) = match req {
+    let mut discriminator = Enc::new();
+    let (kind, query) = match req {
         Request::Search { query, t } => {
-            let mut w = ByteWriter::new();
-            put_threshold(&mut w, *t);
-            (1u8, query, w.0)
+            put_threshold(&mut discriminator, *t);
+            (1u8, query)
         }
-        Request::Topk { query, k } => (2u8, query, k.to_le_bytes().to_vec()),
+        Request::Topk { query, k } => {
+            discriminator.u64(*k);
+            (2u8, query)
+        }
         _ => return None,
     };
-    let mut h = Fnv64::new();
-    h.update(&[kind]);
-    h.update(query.criteria.metric.as_bytes());
-    let mut w = ByteWriter::new();
-    put_tau(&mut w, query.criteria.tau);
-    h.update(&w.0);
-    h.update(&discriminator);
-    h.update(&query.criteria.dim.to_le_bytes());
-    for v in &query.vectors {
-        h.update(&v.to_bits().to_le_bytes());
-    }
-    h.update(&generation.to_le_bytes());
-    Some(h.0)
+    let c = &query.criteria;
+    let mut w = Enc::with_capacity(64 + 4 * query.vectors.len());
+    w.u8(kind);
+    w.bytes(c.metric.as_bytes());
+    put_tau(&mut w, c.tau);
+    w.bytes(discriminator.as_bytes());
+    w.u32(c.dim);
+    w.f32s(&query.vectors);
+    w.u64(generation);
+    Some(fnv64(w.as_bytes()))
 }
 
 #[cfg(test)]
