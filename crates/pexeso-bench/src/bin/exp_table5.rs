@@ -20,7 +20,8 @@ use pexeso_bench::fmt::TablePrinter;
 use pexeso_bench::sequential_query;
 use pexeso_bench::workloads::Workload;
 use pexeso_core::column::ColumnId;
-use pexeso_ml::augment::{AugmentConfig, JoinMapping};
+use pexeso_lake::JoinMapping;
+use pexeso_ml::augment::AugmentConfig;
 use pexeso_ml::tasks::{evaluate_with_mapping, make_task, MlTask, TaskKind, TaskSpec};
 
 const T_RATIO: f64 = 0.5;

@@ -127,11 +127,6 @@ impl ColumnSet {
         map
     }
 
-    /// Decompose into parts (persistence).
-    pub fn into_parts(self) -> (VectorStore, Vec<ColumnMeta>) {
-        (self.store, self.columns)
-    }
-
     /// Reassemble from parts, validating range contiguity and bounds.
     pub fn from_parts(store: VectorStore, columns: Vec<ColumnMeta>) -> Result<Self> {
         let mut expected_start = 0u32;
@@ -196,7 +191,7 @@ mod tests {
     #[test]
     fn parts_roundtrip() {
         let cs = set_with(2, &[&[&[0.0, 1.0]], &[&[2.0, 3.0]]]);
-        let (store, cols) = cs.clone().into_parts();
+        let (store, cols) = (cs.store.clone(), cs.columns.clone());
         let back = ColumnSet::from_parts(store, cols).unwrap();
         assert_eq!(back, cs);
     }
@@ -204,7 +199,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_gaps() {
         let cs = set_with(1, &[&[&[0.0]], &[&[1.0]]]);
-        let (store, mut cols) = cs.into_parts();
+        let (store, mut cols) = (cs.store, cs.columns);
         cols[1].start = 5;
         assert!(ColumnSet::from_parts(store, cols).is_err());
     }
@@ -212,7 +207,7 @@ mod tests {
     #[test]
     fn from_parts_rejects_uncovered_store() {
         let cs = set_with(1, &[&[&[0.0]], &[&[1.0]]]);
-        let (store, mut cols) = cs.into_parts();
+        let (store, mut cols) = (cs.store, cs.columns);
         cols.pop();
         assert!(ColumnSet::from_parts(store, cols).is_err());
     }

@@ -43,7 +43,7 @@ const PDF_BINS: usize = 64;
 const WORKLOAD_TAUS: [f32; 3] = [0.02, 0.05, 0.08];
 
 /// Per-dimension PDFs of the mapped repository vectors.
-pub struct PivotSpacePdfs {
+pub(crate) struct PivotSpacePdfs {
     pub dims: Vec<Pdf>,
     pub n_vectors: usize,
 }
@@ -62,7 +62,7 @@ impl PivotSpacePdfs {
 
     /// Eq. 2: upper bound on the vectors inside `SQR(q', τ)` when the leaf
     /// cell width is `w`.
-    pub fn n_max(&self, q_mapped: &[f32], tau: f32, cell_width: f32) -> f64 {
+    pub(crate) fn n_max(&self, q_mapped: &[f32], tau: f32, cell_width: f32) -> f64 {
         let half = cell_width / 2.0;
         let frac = q_mapped
             .iter()

@@ -54,7 +54,7 @@ use crate::config::ExecPolicy;
 /// and joining a thread costs on the order of tens of microseconds, so a
 /// shard needs roughly a millisecond of work to pay for itself; stages
 /// with very cheap per-item cost pass a larger `min_items` of their own.
-pub const MIN_PARALLEL_ITEMS: usize = 2048;
+pub(crate) const MIN_PARALLEL_ITEMS: usize = 2048;
 
 /// Spawn+join cost (ns) the `min_items` floors are written against. The
 /// calibration below scales the floors up when the machine is slower.

@@ -77,7 +77,7 @@ impl FaultRule {
     }
 
     /// Fire on every hit from ordinal `after` onward.
-    pub fn from_nth(after: u64, action: FaultAction) -> Self {
+    pub(crate) fn from_nth(after: u64, action: FaultAction) -> Self {
         Self {
             after,
             action,
@@ -163,14 +163,14 @@ pub fn traced_points() -> Vec<(String, u64)> {
 /// Whether any rule is armed (or tracing is on). The inline fast path
 /// every hook takes first.
 #[inline]
-pub fn armed() -> bool {
+pub(crate) fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
 /// Record a hit at `point` and return the action to perform, if a rule
 /// fires on this ordinal. Never allocates or locks when disarmed.
 #[inline]
-pub fn fire(point: &str) -> Option<FaultAction> {
+pub(crate) fn fire(point: &str) -> Option<FaultAction> {
     if !armed() {
         return None;
     }
@@ -198,7 +198,7 @@ fn fire_slow(point: &str) -> Option<FaultAction> {
 /// The injected error every firing `Error`/`Tear` rule produces;
 /// recognisable by message so tests can distinguish injected failures
 /// from real ones.
-pub fn injected_error(point: &str) -> io::Error {
+pub(crate) fn injected_error(point: &str) -> io::Error {
     io::Error::other(format!("fault-injected at {point}"))
 }
 
@@ -240,7 +240,7 @@ pub fn write_all<W: Write>(w: &mut W, buf: &[u8], point: &str) -> io::Result<()>
 /// `point:after:action[:param]` with actions `error`, `tear:<keep>`,
 /// `delay:<ms>`, `delay-from:<ms>` (recurring delay). Example:
 /// `wal.append.fsync:0:error,serve.apply:0:delay:2000`.
-pub fn parse_profile(profile: &str) -> Result<Vec<(String, FaultRule)>, String> {
+pub(crate) fn parse_profile(profile: &str) -> Result<Vec<(String, FaultRule)>, String> {
     let mut rules = Vec::new();
     for spec in profile.split(',').filter(|s| !s.trim().is_empty()) {
         let parts: Vec<&str> = spec.trim().split(':').collect();

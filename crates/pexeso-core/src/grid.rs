@@ -281,10 +281,6 @@ impl HierarchicalGrid {
         keys
     }
 
-    pub fn num_leaves(&self) -> usize {
-        self.leaf_vectors.len()
-    }
-
     /// Total number of materialised cells over all levels: the level-1
     /// cells plus every child listed at deeper levels (which covers levels
     /// 2..m, leaves included).
@@ -426,7 +422,7 @@ mod tests {
         let p = GridParams::new(2, 2, 4.0).unwrap();
         let m = mapped(&[&[0.5, 0.5], &[0.6, 0.4], &[3.5, 3.5], &[2.5, 0.5]]);
         let g = HierarchicalGrid::build(p, &m).unwrap();
-        assert_eq!(g.num_leaves(), 3, "two vectors share a leaf");
+        assert_eq!(g.leaf_vectors.len(), 3, "two vectors share a leaf");
         assert_eq!(g.root_children().len(), 3);
         let mut total = 0;
         for &r in g.root_children() {
@@ -463,7 +459,7 @@ mod tests {
         let p = GridParams::new(1, 2, 4.0).unwrap();
         let m = mapped(&[&[0.5], &[3.5]]);
         let g = HierarchicalGrid::build_keys_only(p, &m).unwrap();
-        assert_eq!(g.num_leaves(), 2);
+        assert_eq!(g.leaf_vectors.len(), 2);
         assert_eq!(g.leaf_keys().len(), 2);
     }
 

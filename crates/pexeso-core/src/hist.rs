@@ -53,7 +53,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 }
 
 /// Inclusive lower bound of bucket `i`.
-pub fn bucket_lower_bound(i: usize) -> u64 {
+pub(crate) fn bucket_lower_bound(i: usize) -> u64 {
     if i < SUB {
         return i as u64;
     }

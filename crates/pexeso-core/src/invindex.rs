@@ -151,12 +151,6 @@ impl InvertedIndex {
         self.cells.iter()
     }
 
-    /// Total postings entries (Σ per-cell distinct columns) — the paper's
-    /// `D` in the construction complexity.
-    pub fn total_postings(&self) -> usize {
-        self.cells.values().map(|p| p.cols.len()).sum()
-    }
-
     /// Estimated resident size in bytes (Fig. 6b index-size accounting).
     pub fn approx_bytes(&self) -> usize {
         let mut total = 0usize;
@@ -208,8 +202,6 @@ mod tests {
         assert_eq!(p1.cols, vec![1, 3]);
         assert_eq!(p1.vectors_of(0), &[2]);
         assert_eq!(p1.vectors_of(1), &[6]);
-
-        assert_eq!(inv.total_postings(), 2 + 2 + 1 + 1);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use std::sync::OnceLock;
 
 /// Canonical accumulator width: eight independent f32 lanes.
-pub const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 
 /// Dimensions per early-exit bound check in the scalar tier: enough work
 /// between checks to amortise the branch, small enough to exit within a

@@ -11,7 +11,7 @@
 use crate::grid::CellBounds;
 
 /// Safety margin for boundary comparisons in pivot space.
-pub const EPS: f32 = 1e-5;
+pub(crate) const EPS: f32 = 1e-5;
 
 /// Lemma 1 (pivot filtering): `q` cannot match `x` if some pivot dimension
 /// has `|d(q,p) − d(x,p)| > τ`. Returns `true` when `x` is safely pruned.

@@ -42,11 +42,12 @@
 //! Parallel execution
 //! is **deterministic** — work is sharded so results never depend on the
 //! thread count, and `tests/exactness.rs` pins `Parallel ≡ Sequential`
-//! byte-for-byte. The distance layer exposes batched early-exit kernels
-//! ([`metric::Metric::dist_le`], [`metric::Metric::dist_batch`]) that the
-//! verification and pivot-mapping hot paths use instead of scalar
-//! [`metric::Metric::dist`]; overrides are required to agree exactly with
-//! the scalar path, so they are pure throughput knobs too.
+//! byte-for-byte. The distance layer exposes an early-exit threshold
+//! test ([`metric::Metric::dist_le`]) that verification uses instead of
+//! scalar [`metric::Metric::dist`], and a one-query-many-rows loop
+//! ([`metric::Metric::dist_batch`]) for pivot mapping. The built-in
+//! metrics override at most `dist_le`, and an override must agree exactly
+//! with the scalar path, so it is a pure throughput knob too.
 //!
 //! ## The unified query API
 //!

@@ -20,7 +20,7 @@
 //!   once the writer catches up.
 //!
 //! Every line is a single JSON object (JSON-lines), hand-rendered by
-//! [`format_line`] so the core crate stays dependency-free:
+//! `format_line` so the core crate stays dependency-free:
 //!
 //! ```json
 //! {"ts_us":1723111845123456,"level":"info","target":"server","event":"request_done","rid":"00f3a2...","latency_us":1421}
@@ -153,7 +153,7 @@ fn escape_json_into(out: &mut String, s: &str) {
 /// Pure so it can be unit-tested away from the global logger. The fixed
 /// keys `ts_us`, `level`, `target`, and `event` come first, then the
 /// caller's fields in order.
-pub fn format_line(
+pub(crate) fn format_line(
     ts_us: u64,
     level: LogLevel,
     target: &str,
@@ -242,15 +242,9 @@ impl Logger {
         self.level.load(Ordering::Relaxed) >= level as u8
     }
 
-    /// Change the admitted level at runtime (0 via [`Logger::disable`]).
-    pub fn set_level(&self, level: LogLevel) {
+    /// Change the admitted level at runtime.
+    pub(crate) fn set_level(&self, level: LogLevel) {
         self.level.store(level as u8, Ordering::Relaxed);
-    }
-
-    /// Turn the logger off; [`Logger::enabled`] answers `false` for
-    /// every level until [`Logger::set_level`] re-arms it.
-    pub fn disable(&self) {
-        self.level.store(0, Ordering::Relaxed);
     }
 
     /// Format and enqueue one record; drops (and counts) when the ring
@@ -284,7 +278,7 @@ impl Logger {
     /// Start the detached writer thread draining this logger into
     /// `sink`. Called once per logger; the thread runs for the life of
     /// the process.
-    pub fn spawn_writer(self: &Arc<Self>, sink: Box<dyn Write + Send>) {
+    pub(crate) fn spawn_writer(self: &Arc<Self>, sink: Box<dyn Write + Send>) {
         let logger = Arc::clone(self);
         let _ = std::thread::Builder::new()
             .name("pexeso-log".into())
@@ -350,7 +344,7 @@ static GLOBAL_LEVEL: AtomicU8 = AtomicU8::new(0);
 static GLOBAL: OnceLock<Arc<Logger>> = OnceLock::new();
 
 /// Default ring capacity for the process-global logger.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// Install the process-global logger writing JSON lines to `sink` and
 /// admitting `level`. The first call wins the sink and spawns the
@@ -508,16 +502,13 @@ mod tests {
     }
 
     #[test]
-    fn disabled_logger_accepts_nothing() {
+    fn levels_below_the_logger_level_are_ignored() {
         let logger = Logger::new(LogLevel::Warn, 8);
         logger.log(LogLevel::Info, "t", "ignored", &[]);
         logger.log(LogLevel::Debug, "t", "ignored", &[]);
         assert_eq!(logger.pending(), 0);
         logger.log(LogLevel::Warn, "t", "kept", &[]);
         logger.log(LogLevel::Error, "t", "kept", &[]);
-        assert_eq!(logger.pending(), 2);
-        logger.disable();
-        logger.log(LogLevel::Error, "t", "ignored", &[]);
         assert_eq!(logger.pending(), 2);
     }
 

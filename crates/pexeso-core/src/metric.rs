@@ -26,7 +26,9 @@
 //!   in registers/cache across rows.
 //!
 //! Both have default implementations in terms of `dist`, so custom metrics
-//! stay one-method simple; the built-in metrics override them.
+//! stay one-method simple. The built-in metrics override `dist_le` with an
+//! early-exit kernel (Angular excepted: a dot product has no early exit);
+//! `dist_batch` is the default everywhere, one inlined `dist` per row.
 //!
 //! The arithmetic itself lives in [`crate::kernel`]: explicit SIMD inner
 //! loops (AVX2 on x86-64, NEON on aarch64, runtime-detected) over an
@@ -90,13 +92,6 @@ impl Metric for Euclidean {
         kernel::l2_le(a, b, tau)
     }
 
-    fn dist_batch(&self, q: &[f32], flat: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(flat.len(), q.len() * out.len());
-        for (row, o) in flat.chunks_exact(q.len()).zip(out.iter_mut()) {
-            *o = kernel::l2_sq(q, row).sqrt();
-        }
-    }
-
     fn max_dist_unit(&self, _dim: usize) -> f32 {
         2.0
     }
@@ -119,13 +114,6 @@ impl Metric for Manhattan {
     #[inline]
     fn dist_le(&self, a: &[f32], b: &[f32], tau: f32) -> bool {
         kernel::l1_le(a, b, tau)
-    }
-
-    fn dist_batch(&self, q: &[f32], flat: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(flat.len(), q.len() * out.len());
-        for (row, o) in flat.chunks_exact(q.len()).zip(out.iter_mut()) {
-            *o = kernel::l1(q, row);
-        }
     }
 
     fn max_dist_unit(&self, dim: usize) -> f32 {
@@ -181,13 +169,6 @@ impl Metric for Chebyshev {
     #[inline]
     fn dist_le(&self, a: &[f32], b: &[f32], tau: f32) -> bool {
         kernel::linf_le(a, b, tau)
-    }
-
-    fn dist_batch(&self, q: &[f32], flat: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(flat.len(), q.len() * out.len());
-        for (row, o) in flat.chunks_exact(q.len()).zip(out.iter_mut()) {
-            *o = kernel::linf(q, row);
-        }
     }
 
     fn max_dist_unit(&self, _dim: usize) -> f32 {

@@ -30,6 +30,7 @@
 //! that is ~99 % of search time.
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -87,6 +88,12 @@ pub struct LakeManifest {
     /// Legacy manifests (written before incremental maintenance existed)
     /// default to 0, which spells "unknown — scan the partitions".
     pub next_external_id: u64,
+    /// The external ids this deployment owns when it is one shard of a
+    /// split lake (`shard-split` records each shard's `[lo, hi)`); `None`,
+    /// what every other deployment has, is unbounded. A router drops every
+    /// reply entry outside its shard's range, so ingest refuses to
+    /// allocate an id outside this one.
+    pub id_range: Option<Range<u64>>,
 }
 
 impl LakeManifest {
@@ -105,11 +112,13 @@ impl LakeManifest {
             metric: "euclidean".to_string(),
             index_version: 1,
             next_external_id: 0,
+            id_range: None,
         }
     }
 
     /// Read and parse `dir`'s manifest. Manifests written before
-    /// `index_version`/`metric` existed default them to 1 / `euclidean`.
+    /// `index_version`/`metric` existed default them to 1 / `euclidean`;
+    /// one without the two `id_range_*` lines is unbounded.
     pub fn read(dir: &Path) -> Result<Self> {
         let text = fs::read_to_string(Self::path(dir))?;
         let mut format_version = 1u32;
@@ -118,6 +127,13 @@ impl LakeManifest {
         let mut metric = String::from("euclidean");
         let mut index_version = 1u64;
         let mut next_external_id = 0u64;
+        let (mut id_lo, mut id_hi) = (None, None);
+        let parse_id = |key: &str, value: &str| {
+            value
+                .trim()
+                .parse::<u64>()
+                .map_err(|_| PexesoError::Corrupt(format!("bad manifest {key} '{value}'")))
+        };
         for line in text.lines() {
             let Some((key, value)) = line.split_once('=') else {
                 continue;
@@ -146,6 +162,8 @@ impl LakeManifest {
                         PexesoError::Corrupt(format!("bad manifest next_external_id '{value}'"))
                     })?
                 }
+                "id_range_lo" => id_lo = Some(parse_id("id_range_lo", value)?),
+                "id_range_hi" => id_hi = Some(parse_id("id_range_hi", value)?),
                 _ => {} // forward-compatible: ignore unknown keys
             }
         }
@@ -153,6 +171,15 @@ impl LakeManifest {
         if dim == 0 {
             return Err(PexesoError::Corrupt("manifest dim must be positive".into()));
         }
+        let id_range = match (id_lo, id_hi) {
+            (None, None) => None,
+            (Some(lo), Some(hi)) if lo < hi => Some(lo..hi),
+            _ => {
+                return Err(PexesoError::Corrupt(format!(
+                    "manifest id range needs id_range_lo < id_range_hi, got {id_lo:?} / {id_hi:?}"
+                )))
+            }
+        };
         Ok(Self {
             format_version,
             embedder,
@@ -160,6 +187,7 @@ impl LakeManifest {
             metric,
             index_version,
             next_external_id,
+            id_range,
         })
     }
 
@@ -174,7 +202,7 @@ impl LakeManifest {
     pub fn write(&self, dir: &Path) -> Result<()> {
         let target = Self::path(dir);
         let tmp = dir.join("manifest.txt.tmp");
-        let body = format!(
+        let mut body = format!(
             "version={}\nembedder={}\ndim={}\nmetric={}\nindex_version={}\nnext_external_id={}\n",
             self.format_version,
             self.embedder,
@@ -183,6 +211,9 @@ impl LakeManifest {
             self.index_version,
             self.next_external_id,
         );
+        if let Some(range) = &self.id_range {
+            body += &format!("id_range_lo={}\nid_range_hi={}\n", range.start, range.end);
+        }
         {
             let mut file = fs::File::create(&tmp)?;
             crate::fault::write_all(&mut file, body.as_bytes(), "manifest.write.tmp")?;
@@ -872,6 +903,36 @@ mod tests {
             LakeManifest::read(&dir),
             Err(PexesoError::Corrupt(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_roundtrips_the_shard_id_range() {
+        let dir = tempdir("manifest_id_range");
+        let unbounded = LakeManifest::new("hash", 32);
+        unbounded.write(&dir).unwrap();
+        let text = std::fs::read_to_string(LakeManifest::path(&dir)).unwrap();
+        assert!(!text.contains("id_range"), "no range, no lines: {text}");
+        assert_eq!(LakeManifest::read(&dir).unwrap().id_range, None);
+
+        let shard = LakeManifest {
+            id_range: Some(5..12),
+            ..unbounded
+        };
+        shard.write(&dir).unwrap();
+        assert_eq!(LakeManifest::read(&dir).unwrap(), shard);
+        // Half a range, an empty one or a garbled bound is corruption.
+        for bad in [
+            "id_range_lo=5\n",
+            "id_range_lo=5\nid_range_hi=5\n",
+            "id_range_lo=x\nid_range_hi=9\n",
+        ] {
+            std::fs::write(LakeManifest::path(&dir), format!("dim=32\n{bad}")).unwrap();
+            assert!(
+                matches!(LakeManifest::read(&dir), Err(PexesoError::Corrupt(_))),
+                "{bad:?}"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -60,7 +60,7 @@ pub struct Partitioning {
 
 impl Partitioning {
     /// Column indices per partition.
-    pub fn groups(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn groups(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.k];
         for (col, &p) in self.assignments.iter().enumerate() {
             groups[p].push(col);

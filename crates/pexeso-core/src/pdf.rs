@@ -44,17 +44,8 @@ impl Pdf {
         }
     }
 
-    pub fn nbins(&self) -> usize {
-        self.bins.len()
-    }
-
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Normalised bin masses.
-    pub fn masses(&self) -> &[f64] {
-        &self.bins
     }
 
     /// Fraction of mass in `[a, b]` (bins overlapping the range count
@@ -81,7 +72,7 @@ impl Pdf {
 
 /// KL divergence between two probability vectors (natural log). Assumes
 /// strictly positive entries (use [`Pdf::smoothed`]).
-pub fn kl_divergence(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn kl_divergence(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
         .zip(b.iter())
@@ -126,7 +117,7 @@ mod tests {
     #[test]
     fn histogram_masses_sum_to_one() {
         let h = Pdf::from_values([0.1f32, 0.2, 0.5, 0.9], 0.0, 1.0, 4);
-        let sum: f64 = h.masses().iter().sum();
+        let sum: f64 = h.bins.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         assert_eq!(h.count(), 4);
     }
@@ -134,8 +125,8 @@ mod tests {
     #[test]
     fn out_of_range_values_clamp() {
         let h = Pdf::from_values([-5.0f32, 5.0], 0.0, 1.0, 2);
-        assert!((h.masses()[0] - 0.5).abs() < 1e-12);
-        assert!((h.masses()[1] - 0.5).abs() < 1e-12);
+        assert!((h.bins[0] - 0.5).abs() < 1e-12);
+        assert!((h.bins[1] - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -107,11 +107,6 @@ pub struct QueryBudget {
 }
 
 impl QueryBudget {
-    /// The unlimited budget (what [`Default`] also yields).
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-
     /// Whether any limit is set at all.
     pub fn is_limited(&self) -> bool {
         self.max_distance_computations.is_some() || self.deadline.is_some()
@@ -462,7 +457,7 @@ mod tests {
         assert_eq!(q.budget.max_distance_computations, Some(1000));
         assert!(q.budget.deadline.is_some());
         assert!(q.budget.is_limited());
-        assert!(!QueryBudget::unlimited().is_limited());
+        assert!(!QueryBudget::default().is_limited());
     }
 
     #[test]
@@ -477,7 +472,7 @@ mod tests {
         guard.advance(6);
         assert_eq!(guard.check(3), None);
         assert_eq!(guard.check(4), Some(Exceeded::DistanceComputations));
-        assert!(BudgetGuard::start(&QueryBudget::unlimited()).is_none());
+        assert!(BudgetGuard::start(&QueryBudget::default()).is_none());
     }
 
     #[test]

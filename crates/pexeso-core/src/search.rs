@@ -313,10 +313,6 @@ impl<M: Metric> PexesoIndex<M> {
         &self.pivots
     }
 
-    pub fn num_levels(&self) -> usize {
-        self.grid_params.levels
-    }
-
     pub fn build_time(&self) -> Duration {
         self.build_time
     }

@@ -159,7 +159,7 @@ impl Drop for MaintenanceLock {
 /// created (and fsynced) before the rebuild starts, stamped with the
 /// manifest version being folded, and removed only after the manifest
 /// bump publishes the new build.
-pub const COMPACT_MARKER_FILE: &str = "compact.inprogress";
+pub(crate) const COMPACT_MARKER_FILE: &str = "compact.inprogress";
 
 fn compact_marker_path(dir: &Path) -> PathBuf {
     dir.join(COMPACT_MARKER_FILE)
@@ -299,7 +299,8 @@ fn current_records(dir: &Path, manifest: &LakeManifest) -> Result<Vec<DeltaRecor
 /// Append new columns to `dir`'s delta log, assigning fresh external ids
 /// above everything the deployment has ever used. This is the cheap half
 /// of incremental maintenance: no re-embed, no re-partition — one
-/// checksummed, fsynced append.
+/// checksummed, fsynced append. A shard whose manifest records an id
+/// range refuses, before writing a byte, ids outside it.
 pub fn ingest_columns(dir: &Path, columns: &[IngestColumn]) -> Result<IngestReport> {
     if columns.is_empty() {
         return Err(PexesoError::EmptyInput("no columns to ingest"));
@@ -321,18 +322,26 @@ pub fn ingest_columns(dir: &Path, columns: &[IngestColumn]) -> Result<IngestRepo
     }
     let existing = current_records(dir, &manifest)?;
     let first = allocation_floor(dir, &manifest, &existing)?;
-    let mut next = first;
+    let next = first + columns.len() as u64;
+    if let Some(range) = &manifest.id_range {
+        if first < range.start || next > range.end {
+            return Err(PexesoError::InvalidParameter(format!(
+                "{}: this shard owns external ids {}..{}, but the ingest would assign \
+                 {first}..{next} — new tables go to the shard whose range is unbounded",
+                dir.display(),
+                range.start,
+                range.end
+            )));
+        }
+    }
     let records: Vec<DeltaRecord> = columns
         .iter()
-        .map(|col| {
-            let rec = DeltaRecord::AddColumn {
-                table_name: col.table_name.clone(),
-                column_name: col.column_name.clone(),
-                external_id: next,
-                vectors: col.vectors.clone(),
-            };
-            next += 1;
-            rec
+        .zip(first..)
+        .map(|(col, external_id)| DeltaRecord::AddColumn {
+            table_name: col.table_name.clone(),
+            column_name: col.column_name.clone(),
+            external_id,
+            vectors: col.vectors.clone(),
         })
         .collect();
     append_records(dir, &manifest, &records)?;
@@ -399,7 +408,7 @@ pub struct CompactReport {
 /// leaves a log whose header names the old build — which every reader
 /// recognises as already folded and ignores. The rebuild itself happens
 /// *in place*, so a crash mid-rebuild leaves partitions that may mix the
-/// old and new builds under the old manifest; the [`COMPACT_MARKER_FILE`]
+/// old and new builds under the old manifest; the `COMPACT_MARKER_FILE`
 /// written before the first partition byte makes that state a typed
 /// [`PexesoError::Corrupt`] on every open path instead of a silent
 /// double-apply of the delta log. (Serving daemons are unaffected either

@@ -31,11 +31,10 @@ pub mod wal;
 
 pub use lake::{
     compact_lake, drop_tables, ingest_columns, verify_no_crashed_compaction, CompactReport,
-    DeltaLake, IngestColumn, IngestReport, COMPACT_MARKER_FILE,
+    DeltaLake, IngestColumn, IngestReport,
 };
 pub use overlay::{load_overlay, DeltaOverlay};
 pub use wal::{
-    append_records, check_header, delta_log_path, read_log, read_log_header, read_log_prefix,
-    remove_log, DeltaColumn, DeltaRecord, DeltaState, LogContents, LogHeader, LogStatus,
-    MAX_RECORD_BYTES,
+    append_records, check_header, delta_log_path, read_log, remove_log, DeltaColumn, DeltaRecord,
+    DeltaState, LogContents, LogHeader, LogStatus,
 };

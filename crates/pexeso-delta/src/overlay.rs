@@ -77,7 +77,7 @@ impl DeltaOverlay {
     /// manifest names. The delta index is a normal PEXESO build over the
     /// delta columns — small by construction, so this is the "seconds,
     /// not minutes" half of ingest.
-    pub fn from_state(state: &DeltaState, metric_name: &str, dim: usize) -> Result<Self> {
+    pub(crate) fn from_state(state: &DeltaState, metric_name: &str, dim: usize) -> Result<Self> {
         let index = match state.to_column_set(dim)? {
             Some(columns) => Some(build_unit(columns, metric_name, IndexOptions::default())?),
             None => {

@@ -24,7 +24,7 @@
 //! ```
 //!
 //! followed by zero or more length-prefixed, individually checksummed
-//! records of at most [`MAX_RECORD_BYTES`]:
+//! records of at most `MAX_RECORD_BYTES`:
 //!
 //! ```text
 //! u32 payload_len · payload · u64 fnv64(payload)
@@ -37,9 +37,7 @@
 //!
 //! Per-record checksums make the failure mode of a torn append precise: a
 //! truncated or bit-flipped tail fails with a typed
-//! [`PexesoError::Corrupt`] naming the record, never a panic, and every
-//! record before the damage is still recovered by [`read_log`]'s strict
-//! sibling [`read_log_prefix`].
+//! [`PexesoError::Corrupt`] naming the record, never a panic.
 //!
 //! `base_index_version` is the crash-safety hinge of compaction: the
 //! manifest version bump and the log deletion cannot be atomic together,
@@ -221,7 +219,7 @@ fn decode_record(payload: &[u8], dim: u32) -> Result<DeltaRecord> {
 /// refuses to write a record it knows every reader would reject — an
 /// oversized ingest must fail the one request, not permanently brick
 /// the log behind an acknowledged append.
-pub const MAX_RECORD_BYTES: u32 = 256 << 20;
+pub(crate) const MAX_RECORD_BYTES: u32 = 256 << 20;
 
 fn read_exact_or(src: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()> {
     src.read_exact(buf)
@@ -274,17 +272,14 @@ fn read_header(src: &mut impl Read) -> Result<LogHeader> {
     })
 }
 
-/// Read framed records up to a clean end of log. Returns every record
-/// before the first damage, and the damage (if any) as the error.
-fn read_records(src: &mut impl Read, dim: u32) -> (Vec<DeltaRecord>, Result<()>) {
+/// Read framed records up to a clean end of log; the first damaged record
+/// is the error.
+fn read_records(src: &mut impl Read, dim: u32) -> Result<Vec<DeltaRecord>> {
     let mut records = Vec::new();
-    loop {
-        match read_record(src, dim, records.len()) {
-            Ok(Some(rec)) => records.push(rec),
-            Ok(None) => return (records, Ok(())),
-            Err(e) => return (records, Err(e)),
-        }
+    while let Some(rec) = read_record(src, dim, records.len())? {
+        records.push(rec);
     }
+    Ok(records)
 }
 
 fn read_record(src: &mut impl Read, dim: u32, i: usize) -> Result<Option<DeltaRecord>> {
@@ -324,7 +319,7 @@ fn open_log(dir: &Path) -> Result<Option<(LogHeader, BufReader<File>)>> {
 /// matter how large the log has grown. `Ok(None)` when no log exists.
 /// This is the validation [`append_records`] runs, so repeated ingests
 /// stay O(records appended), not O(log size).
-pub fn read_log_header(dir: &Path) -> Result<Option<LogHeader>> {
+pub(crate) fn read_log_header(dir: &Path) -> Result<Option<LogHeader>> {
     Ok(open_log(dir)?.map(|(header, _)| header))
 }
 
@@ -337,22 +332,8 @@ pub fn read_log(dir: &Path) -> Result<Option<LogContents>> {
     let Some((header, mut src)) = open_log(dir)? else {
         return Ok(None);
     };
-    let (records, end) = read_records(&mut src, header.dim);
-    end?;
+    let records = read_records(&mut src, header.dim)?;
     Ok(Some(LogContents { header, records }))
-}
-
-/// Like [`read_log`] but salvage what a torn tail left: every record up to
-/// the first damage, plus whether the tail was damaged. The header must
-/// still be intact — a log that cannot even prove which build it belongs
-/// to is unusable. Recovery tooling uses this; query paths use the strict
-/// [`read_log`].
-pub fn read_log_prefix(dir: &Path) -> Result<Option<(LogContents, bool)>> {
-    let Some((header, mut src)) = open_log(dir)? else {
-        return Ok(None);
-    };
-    let (records, end) = read_records(&mut src, header.dim);
-    Ok(Some((LogContents { header, records }, end.is_err())))
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +383,7 @@ pub fn check_header(header: &LogHeader, manifest: &LakeManifest) -> Result<LogSt
 /// is validated first (cheap — the body is the reader's job, and the
 /// ingest path strict-reads it under the same maintenance lock anyway):
 /// appending to a stale or foreign log is refused, and so is any record
-/// larger than [`MAX_RECORD_BYTES`] or carrying a name longer than
+/// larger than `MAX_RECORD_BYTES` or carrying a name longer than
 /// [`MAX_NAME_BYTES`] — acknowledging a record every reader would reject
 /// would brick the log. Appends are flushed and fsynced before returning
 /// — an acknowledged ingest survives a crash.
@@ -675,7 +656,7 @@ mod tests {
     }
 
     #[test]
-    fn truncated_tail_fails_typed_and_prefix_recovers() {
+    fn truncated_tail_fails_typed() {
         let dir = tempdir("trunc");
         let m = manifest(1);
         append_records(&dir, &m, &[add("t1", 10), add("t2", 11)]).unwrap();
@@ -687,12 +668,6 @@ mod tests {
                 other => panic!("cut {cut}: expected Corrupt, got {other:?}"),
             }
         }
-        // A torn tail that only damages the last record still yields the
-        // first record through the salvage reader.
-        std::fs::write(delta_log_path(&dir), &clean[..clean.len() - 3]).unwrap();
-        let (salvaged, damaged) = read_log_prefix(&dir).unwrap().unwrap();
-        assert!(damaged);
-        assert_eq!(salvaged.records, vec![add("t1", 10)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -36,53 +36,41 @@ pub trait Embedder: Send + Sync {
     }
 }
 
+/// Shortest and longest character n-gram (inclusive) a token hashes.
+const NGRAM_MIN: usize = 3;
+const NGRAM_MAX: usize = 4;
+
+/// Seed of the n-gram feature hash.
+const NGRAM_SALT: u64 = 0x9a3c_e5f1_70b2_d84e;
+
 /// Character n-gram feature-hashing embedder.
 ///
-/// Every n-gram hashes to a dimension and a sign; a token is the normalised
-/// sum of its n-gram features; a multi-token value is the normalised mean of
-/// its token vectors. Misspellings share most n-grams, hence land nearby.
+/// Every 3- and 4-gram hashes to a dimension and a sign; a token is the
+/// normalised sum of its n-gram features; a multi-token value is the
+/// normalised mean of its token vectors. Misspellings share most n-grams,
+/// hence land nearby. Values pass through the built-in abbreviation
+/// dictionary first.
 #[derive(Debug, Clone)]
 pub struct HashEmbedder {
     dim: usize,
-    nmin: usize,
-    nmax: usize,
     expander: AbbrevExpander,
-    salt: u64,
 }
 
 impl HashEmbedder {
-    /// Standard configuration: `dim`-dimensional, 3–4 grams, built-in
-    /// abbreviation dictionary.
+    /// A `dim`-dimensional embedder.
     pub fn new(dim: usize) -> Self {
         assert!(dim >= 4, "embedding dimension must be at least 4");
         Self {
             dim,
-            nmin: 3,
-            nmax: 4,
             expander: AbbrevExpander::with_builtin(),
-            salt: 0x9a3c_e5f1_70b2_d84e,
         }
-    }
-
-    /// Override the n-gram range (inclusive).
-    pub fn with_ngram_range(mut self, nmin: usize, nmax: usize) -> Self {
-        assert!(nmin >= 1 && nmin <= nmax);
-        self.nmin = nmin;
-        self.nmax = nmax;
-        self
-    }
-
-    /// Replace the abbreviation dictionary.
-    pub fn with_expander(mut self, expander: AbbrevExpander) -> Self {
-        self.expander = expander;
-        self
     }
 
     /// Accumulate the (unnormalised) character vector of one token.
     fn add_token(&self, token: &str, out: &mut [f32]) {
         let dim = self.dim as u64;
-        for_each_ngram(token, self.nmin, self.nmax, |gram| {
-            let h = hash_str(gram, self.salt);
+        for_each_ngram(token, NGRAM_MIN, NGRAM_MAX, |gram| {
+            let h = hash_str(gram, NGRAM_SALT);
             let idx = (h % dim) as usize;
             let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
             out[idx] += sign;
@@ -123,63 +111,37 @@ impl Embedder for HashEmbedder {
     }
 }
 
-/// Semantic embedder: `normalize(α · concept + (1 − α) · char)`.
+/// Weight α of the concept component. It places synonym pairs within
+/// roughly 4 % of the maximum unit-vector distance — inside the paper's τ
+/// range (2–8 %), the regime its experiments operate in.
+const ALPHA: f32 = 0.95;
+
+/// Minimum edit similarity for a fuzzy (out-of-vocabulary) lexicon hit.
+const FUZZY_MIN_SIM: f64 = 0.75;
+
+/// Semantic embedder: `normalize(α · concept + (1 − α) · char)`, α = 0.95.
 ///
 /// When the (expanded, normalised) value — or failing that, an individual
 /// token — is found in the lexicon, its concept vector dominates, pulling
 /// synonyms together. Unknown strings degrade gracefully to the pure
-/// character embedding, exactly like out-of-vocabulary words fall back to
-/// subword embeddings in fastText.
+/// character embedding of [`HashEmbedder`], exactly like out-of-vocabulary
+/// words fall back to subword embeddings in fastText.
 #[derive(Debug, Clone)]
 pub struct SemanticEmbedder {
     base: HashEmbedder,
     lexicon: Lexicon,
-    /// Weight of the concept component, in [0, 1].
-    alpha: f32,
-    /// Minimum edit similarity for fuzzy (out-of-vocabulary) lexicon hits.
-    fuzzy_min_sim: f64,
 }
 
 impl SemanticEmbedder {
-    /// The default concept weight places synonym pairs within roughly 4 %
-    /// of the maximum unit-vector distance — inside the paper's τ range
-    /// (2–8 %), the regime its experiments operate in.
     pub fn new(dim: usize, lexicon: Lexicon) -> Self {
         Self {
             base: HashEmbedder::new(dim),
             lexicon,
-            alpha: 0.95,
-            fuzzy_min_sim: 0.75,
         }
-    }
-
-    /// Adjust the semantic mixing weight (0 = purely character-level).
-    pub fn with_alpha(mut self, alpha: f32) -> Self {
-        assert!((0.0..=1.0).contains(&alpha));
-        self.alpha = alpha;
-        self
-    }
-
-    /// Replace the character-level base embedder.
-    pub fn with_base(mut self, base: HashEmbedder) -> Self {
-        self.base = base;
-        self
-    }
-
-    /// Adjust the fuzzy-lookup similarity floor (0 disables fuzziness by
-    /// matching everything; 1 requires exact hits).
-    pub fn with_fuzzy_min_sim(mut self, min_sim: f64) -> Self {
-        assert!((0.0..=1.0).contains(&min_sim));
-        self.fuzzy_min_sim = min_sim;
-        self
     }
 
     pub fn lexicon(&self) -> &Lexicon {
         &self.lexicon
-    }
-
-    pub fn lexicon_mut(&mut self) -> &mut Lexicon {
-        &mut self.lexicon
     }
 }
 
@@ -199,7 +161,7 @@ impl Embedder for SemanticEmbedder {
         // known.
         let mut concept_acc = vec![0.0f32; self.dim()];
         let mut concept_hits = 0usize;
-        if let Some(c) = self.lexicon.lookup_fuzzy(&expanded, self.fuzzy_min_sim) {
+        if let Some(c) = self.lexicon.lookup_fuzzy(&expanded, FUZZY_MIN_SIM) {
             concept_acc = concept_vector(c, self.dim());
             concept_hits = 1;
         } else {
@@ -220,7 +182,7 @@ impl Embedder for SemanticEmbedder {
         match (concept_hits > 0, has_char) {
             (true, true) => {
                 for (o, c) in out.iter_mut().zip(concept_acc.iter()) {
-                    *o = self.alpha * c + (1.0 - self.alpha) * *o;
+                    *o = ALPHA * c + (1.0 - ALPHA) * *o;
                 }
                 l2_normalize(out);
             }
@@ -321,23 +283,12 @@ mod tests {
     #[test]
     fn unknown_strings_fall_back_to_char_level() {
         let lex = Lexicon::new();
-        let sem = SemanticEmbedder::new(128, lex).with_alpha(0.7);
+        let sem = SemanticEmbedder::new(128, lex);
         let base = HashEmbedder::new(128);
         assert_eq!(
             sem.embed("completely unknown thing"),
             base.embed("completely unknown thing")
         );
-    }
-
-    #[test]
-    fn alpha_zero_equals_char_embedding_direction() {
-        let mut lex = Lexicon::new();
-        lex.add_synonym_set(["alpha test"]);
-        let sem = SemanticEmbedder::new(64, lex).with_alpha(0.0);
-        let base = HashEmbedder::new(64);
-        let a = sem.embed("alpha test");
-        let b = base.embed("alpha test");
-        assert!(euclidean(&a, &b) < 1e-5);
     }
 
     #[test]

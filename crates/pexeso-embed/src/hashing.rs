@@ -63,7 +63,7 @@ impl GaussianStream {
     }
 
     /// Approximately N(0, 1) distributed value.
-    pub fn next_gaussian(&mut self) -> f32 {
+    pub(crate) fn next_gaussian(&mut self) -> f32 {
         // Irwin–Hall with n = 4: sum of 4 uniforms has mean 2, var 1/3.
         let s: f64 = (0..4).map(|_| self.next_unit_f64()).sum();
         (((s - 2.0) * (3.0f64).sqrt()) as f32).clamp(-6.0, 6.0)

@@ -120,7 +120,7 @@ impl Lexicon {
     /// normalised (tokenised + lowercased) before storage, so lookups are
     /// robust to case/punctuation differences. Re-registering a surface
     /// moves it to the new concept, for exact and fuzzy lookups alike.
-    pub fn register(&mut self, surface: &str, concept: ConceptId) {
+    pub(crate) fn register(&mut self, surface: &str, concept: ConceptId) {
         let key = normalize(surface);
         if key.is_empty() {
             return;
@@ -234,19 +234,6 @@ impl Lexicon {
         }
         best.map(|(_, c)| c)
     }
-
-    /// All surface forms registered for a concept (linear scan; diagnostics
-    /// and tests only).
-    pub fn surfaces_of(&self, concept: ConceptId) -> Vec<&str> {
-        let mut v: Vec<&str> = self
-            .entries
-            .iter()
-            .filter(|(_, c)| *c == concept)
-            .map(|(s, _)| s.as_str())
-            .collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Number of latent topics concept vectors cluster around. Real
@@ -359,11 +346,23 @@ mod tests {
         assert_eq!(lex.lookup_fuzzy("", 0.8), None);
     }
 
+    /// All surface forms registered for a concept, sorted.
+    fn surfaces_of(lex: &Lexicon, concept: ConceptId) -> Vec<&str> {
+        let mut v: Vec<&str> = lex
+            .entries
+            .iter()
+            .filter(|(_, c)| *c == concept)
+            .map(|(s, _)| s.as_str())
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn surfaces_of_lists_all() {
         let mut lex = Lexicon::new();
         let id = lex.add_synonym_set(["White", "Caucasian"]);
-        let s = lex.surfaces_of(id);
+        let s = surfaces_of(&lex, id);
         assert_eq!(s, vec!["caucasian", "white"]);
     }
 
@@ -382,8 +381,8 @@ mod tests {
         assert_eq!(lex.len(), 1);
         assert_eq!(lex.lookup("acme corp"), Some(ConceptId(2)));
         assert_eq!(lex.lookup_fuzzy("acme corpp", 0.75), Some(ConceptId(2)));
-        assert!(lex.surfaces_of(ConceptId(1)).is_empty());
-        assert_eq!(lex.surfaces_of(ConceptId(2)), vec!["acme corp"]);
+        assert!(surfaces_of(&lex, ConceptId(1)).is_empty());
+        assert_eq!(surfaces_of(&lex, ConceptId(2)), vec!["acme corp"]);
     }
 
     /// The parent's `edit_distance_bounded`, verbatim: two fresh rows per

@@ -8,13 +8,19 @@
 //! properties the paper's evaluation relies on:
 //!
 //! 1. **Misspelling tolerance** (fastText subwords): strings are embedded by
-//!    pooling hashed character n-grams, so a one-edit misspelling shares most
-//!    n-grams with the original and lands nearby ([`HashEmbedder`]).
+//!    pooling hashed character 3- and 4-grams, so a one-edit misspelling
+//!    shares most n-grams with the original and lands nearby
+//!    ([`HashEmbedder`]).
 //! 2. **Semantic proximity** (distributional similarity): a
 //!    [`lexicon::Lexicon`] maps surface forms to concepts; the
 //!    [`SemanticEmbedder`] mixes a concept-derived vector into the character
-//!    vector so synonyms ("American Indian/Alaska Native" vs. "Mainland
-//!    Indigenous") land nearby even with disjoint characters.
+//!    vector with weight α = 0.95, so synonyms ("American Indian/Alaska
+//!    Native" vs. "Mainland Indigenous") land nearby even with disjoint
+//!    characters. A value missing from the lexicon still hits a concept
+//!    whose surface form it matches with edit similarity ≥ 0.75.
+//!
+//! The n-gram range, α and the fuzzy floor are fixed: the vectors every
+//! deployment stores depend on them, so they are not settings.
 //!
 //! Abbreviation/date handling from the paper's offline component ("Mar" →
 //! "March", "St" → "Street") lives in [`abbrev`].

@@ -38,16 +38,15 @@ pub fn for_each_ngram(token: &str, nmin: usize, nmax: usize, mut f: impl FnMut(&
     }
 }
 
-/// Collect n-grams into a vector (convenience for tests and diagnostics).
-pub fn ngrams(token: &str, nmin: usize, nmax: usize) -> Vec<String> {
-    let mut out = Vec::new();
-    for_each_ngram(token, nmin, nmax, |g| out.push(g.to_string()));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ngrams(token: &str, nmin: usize, nmax: usize) -> Vec<String> {
+        let mut out = Vec::new();
+        for_each_ngram(token, nmin, nmax, |g| out.push(g.to_string()));
+        out
+    }
 
     #[test]
     fn trigram_of_short_word() {

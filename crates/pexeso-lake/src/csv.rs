@@ -8,7 +8,6 @@
 
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 use crate::table::Table;
@@ -209,13 +208,6 @@ pub fn read_table_file(path: &Path) -> Result<Table, CsvError> {
     read_table(&name, &text)
 }
 
-/// Write a table to a CSV file on disk.
-pub fn write_table_file(table: &Table, path: &Path) -> Result<(), CsvError> {
-    let mut f = fs::File::create(path).map_err(|e| CsvError::Io(e.to_string()))?;
-    f.write_all(write_table(table).as_bytes())
-        .map_err(|e| CsvError::Io(e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,19 +305,6 @@ mod tests {
                 got: 1
             }
         ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("pexeso_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        let mut t = Table::new("t", vec!["a"]);
-        t.push_row(vec!["hello".into()]);
-        write_table_file(&t, &path).unwrap();
-        let t2 = read_table_file(&path).unwrap();
-        assert_eq!(t2.cell(0, 0), "hello");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

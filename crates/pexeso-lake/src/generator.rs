@@ -25,7 +25,7 @@ use crate::noise::NoiseModel;
 use crate::table::Table;
 
 /// Index of an entity in the [`Vocabulary`].
-pub type EntityIdx = usize;
+pub(crate) type EntityIdx = usize;
 
 /// One real-world thing that can appear in key columns under several names.
 #[derive(Debug, Clone)]

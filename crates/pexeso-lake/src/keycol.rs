@@ -38,14 +38,14 @@ impl Default for KeyColumnConfig {
 
 /// A column considered joinable-key material, with its score.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KeyCandidate {
+pub(crate) struct KeyCandidate {
     pub column: usize,
     pub column_type: ColumnType,
     pub score: f64,
 }
 
 /// Score every eligible column of `table`, best first.
-pub fn key_candidates(table: &Table, cfg: &KeyColumnConfig) -> Vec<KeyCandidate> {
+pub(crate) fn key_candidates(table: &Table, cfg: &KeyColumnConfig) -> Vec<KeyCandidate> {
     if table.n_rows() < cfg.min_rows {
         return Vec::new();
     }

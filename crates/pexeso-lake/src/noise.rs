@@ -75,7 +75,7 @@ const ABBREVIATIONS: &[(&str, &str)] = &[
 
 /// Replace the first abbreviatable token with its short form, preserving
 /// simple capitalisation.
-pub fn abbreviate(s: &str) -> String {
+pub(crate) fn abbreviate(s: &str) -> String {
     let mut result: Vec<String> = Vec::new();
     let mut replaced = false;
     for word in s.split(' ') {
@@ -141,7 +141,7 @@ pub fn misspell(rng: &mut impl Rng, s: &str) -> String {
 }
 
 /// Random re-casing: all-lower, all-upper, or title case.
-pub fn case_noise(rng: &mut impl Rng, s: &str) -> String {
+pub(crate) fn case_noise(rng: &mut impl Rng, s: &str) -> String {
     match rng.gen_range(0..3u8) {
         0 => s.to_lowercase(),
         1 => s.to_uppercase(),

@@ -111,7 +111,7 @@ fn is_date(s: &str) -> bool {
 }
 
 /// Infer the type of a single value.
-pub fn infer_value(s: &str) -> ColumnType {
+pub(crate) fn infer_value(s: &str) -> ColumnType {
     let t = s.trim();
     if t.is_empty() {
         ColumnType::Empty

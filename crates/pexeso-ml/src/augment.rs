@@ -16,36 +16,9 @@ use std::collections::HashMap;
 
 use pexeso_embed::fnv1a64;
 use pexeso_lake::table::Table;
+use pexeso_lake::JoinMapping;
 
 use crate::dataset::Dataset;
-
-/// Per-query-row matches into lake tables: `(table index, row index)`.
-#[derive(Debug, Clone, Default)]
-pub struct JoinMapping {
-    pub matches: Vec<Vec<(usize, usize)>>,
-}
-
-impl JoinMapping {
-    pub fn new(n_query_rows: usize) -> Self {
-        Self {
-            matches: vec![Vec::new(); n_query_rows],
-        }
-    }
-
-    /// Fraction of query rows with at least one match.
-    pub fn row_match_rate(&self) -> f64 {
-        if self.matches.is_empty() {
-            return 0.0;
-        }
-        self.matches.iter().filter(|m| !m.is_empty()).count() as f64 / self.matches.len() as f64
-    }
-
-    /// Total matched (query row, lake row) pairs — the paper's "# Match"
-    /// when normalised by the lake size.
-    pub fn total_pairs(&self) -> usize {
-        self.matches.iter().map(|m| m.len()).sum()
-    }
-}
 
 /// Parse a cell into a numeric feature value: numbers parse directly;
 /// categorical strings hash into a stable small range.
@@ -293,15 +266,5 @@ mod tests {
         assert_eq!(cell_to_f32("12.5"), Some(12.5));
         assert_eq!(cell_to_f32("1,234"), Some(1234.0));
         assert_eq!(cell_to_f32("  "), None);
-    }
-
-    #[test]
-    fn match_rate_accounting() {
-        let mut m = JoinMapping::new(4);
-        m.matches[0].push((0, 0));
-        m.matches[0].push((0, 1));
-        m.matches[2].push((0, 0));
-        assert_eq!(m.row_match_rate(), 0.5);
-        assert_eq!(m.total_pairs(), 3);
     }
 }

@@ -15,8 +15,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pexeso_lake::generator::{GenTable, SyntheticLake};
+use pexeso_lake::JoinMapping;
 
-use crate::augment::{augment, AugmentConfig, JoinMapping};
+use crate::augment::{augment, AugmentConfig};
 use crate::dataset::{Dataset, Labels};
 use crate::forest::{ForestConfig, RandomForest};
 use crate::metrics::{mean_std, micro_f1, mse};

@@ -104,7 +104,7 @@ impl RouterMetrics {
 
 /// What the router daemon serves: the hot-swappable routing table and
 /// the router-tier observability planes.
-pub struct RouterHandler {
+pub(crate) struct RouterHandler {
     /// Hot-swapped on RELOAD; queries pin an `Arc` for their lifetime.
     router: RwLock<Arc<Router>>,
     map_path: PathBuf,

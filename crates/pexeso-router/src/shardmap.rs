@@ -97,13 +97,6 @@ impl ShardMap {
         self.shards.is_empty()
     }
 
-    /// The index of the shard owning `id`, if any (gaps own nothing).
-    pub fn owner_of(&self, id: u64) -> Option<usize> {
-        // Ranges are sorted: binary-search the candidate, then confirm.
-        let i = self.shards.partition_point(|s| s.hi <= id);
-        (i < self.shards.len() && self.shards[i].owns(id)).then_some(i)
-    }
-
     /// Parse the text format described in the module docs.
     pub fn parse(text: &str) -> Result<Self> {
         let mut shards = Vec::new();
@@ -200,23 +193,6 @@ mod tests {
         assert_eq!(map.shards()[0], spec(0, 1000, &["a:1", "b:2"]));
         assert_eq!(map.shards()[2], spec(5000, u64::MAX, &[]));
         assert_eq!(ShardMap::parse(&map.render()).unwrap(), map);
-    }
-
-    #[test]
-    fn owner_respects_ranges_and_gaps() {
-        let map = ShardMap::new(vec![
-            spec(0, 10, &["a:1"]),
-            spec(10, 20, &["b:1"]),
-            spec(30, u64::MAX, &["c:1"]),
-        ])
-        .unwrap();
-        assert_eq!(map.owner_of(0), Some(0));
-        assert_eq!(map.owner_of(9), Some(0));
-        assert_eq!(map.owner_of(10), Some(1));
-        assert_eq!(map.owner_of(19), Some(1));
-        assert_eq!(map.owner_of(25), None, "gap ids are owned by nobody");
-        assert_eq!(map.owner_of(30), Some(2));
-        assert_eq!(map.owner_of(u64::MAX - 1), Some(2));
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn split_lake(dir: &Path, shards: usize, out: &Path) -> Result<ShardMap> {
             .filter(|c| spec.owns(c.external_id))
             .collect();
         taken += shard_cols.len();
-        build_shard(&source, &shard_cols, &out.join(shard_dir_name(i)))?;
+        build_shard(&source, spec, &shard_cols, &out.join(shard_dir_name(i)))?;
     }
     debug_assert_eq!(
         taken,
@@ -217,10 +217,17 @@ fn extract_columns(
 
 /// Build one shard's deployment directory: re-partition and re-index its
 /// column subset, then write a manifest inheriting the source's
-/// `index_version` and `next_external_id` (new ids must stay globally
-/// unique *across* shards, so every shard allocates from the same
-/// watermark).
-fn build_shard(source: &SourceLake, columns: &[&ExtractedColumn], dir: &Path) -> Result<()> {
+/// `index_version` and `next_external_id` and recording the shard's id
+/// range. Every fresh id lies at or above the source's watermark, which
+/// only the last shard's unbounded range owns, so ingest refuses to
+/// allocate ids in any other shard: the router would drop every reply
+/// entry such an id produced.
+fn build_shard(
+    source: &SourceLake,
+    spec: &ShardSpec,
+    columns: &[&ExtractedColumn],
+    dir: &Path,
+) -> Result<()> {
     let mut set = ColumnSet::new(source.manifest.dim);
     for c in columns {
         set.add_column(
@@ -245,6 +252,7 @@ fn build_shard(source: &SourceLake, columns: &[&ExtractedColumn], dir: &Path) ->
         metric: source.manifest.metric.clone(),
         index_version: source.manifest.index_version,
         next_external_id: source.manifest.next_external_id,
+        id_range: Some(spec.lo..spec.hi),
     };
     manifest.write(dir)?;
     Ok(())

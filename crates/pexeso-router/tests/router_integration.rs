@@ -18,7 +18,7 @@ use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryOutcome, Queryable};
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
-use pexeso_delta::{ingest_columns, IngestColumn};
+use pexeso_delta::{delta_log_path, ingest_columns, IngestColumn};
 use pexeso_router::daemon::{RouterServeConfig, RouterServer};
 use pexeso_router::router::{Router, RouterConfig};
 use pexeso_router::shardmap::{ShardMap, ShardSpec};
@@ -433,28 +433,27 @@ fn routed_apply_bumps_only_the_owning_shard() {
     deploy(&dir, &columns, "euclidean");
     let out = tempdir("apply_shards");
     split_lake(&dir, 2, &out).unwrap();
+    let shard0_dir = out.join(shard_dir_name(0));
     let shard1_dir = out.join(shard_dir_name(1));
-    // Ingest a guaranteed-match column into the LAST shard's delta log:
-    // fresh external ids allocate above the watermark, which the last
-    // shard's unbounded range owns.
-    let planted: Vec<f32> = (0..query.len())
-        .flat_map(|i| query.get(pexeso_core::vector::VectorId(i as u32)).to_vec())
-        .collect();
-    ingest_columns(
-        &shard1_dir,
-        &[IngestColumn {
-            table_name: "ingested".into(),
-            column_name: "key".into(),
-            vectors: planted,
-        }],
-    )
-    .unwrap();
-    let d0 = Server::start(
-        &out.join(shard_dir_name(0)),
-        "127.0.0.1:0",
-        ServeConfig::default(),
-    )
-    .unwrap();
+    let planted = IngestColumn {
+        table_name: "ingested".into(),
+        column_name: "key".into(),
+        vectors: (0..query.len())
+            .flat_map(|i| query.get(pexeso_core::vector::VectorId(i as u32)).to_vec())
+            .collect(),
+    };
+    // Fresh external ids allocate above the source's watermark, which
+    // only the last shard's unbounded range owns: the router would drop
+    // a column ingested anywhere else, so the first shard refuses it
+    // before writing a byte.
+    match ingest_columns(&shard0_dir, std::slice::from_ref(&planted)) {
+        Err(PexesoError::InvalidParameter(msg)) => assert!(msg.contains("unbounded"), "{msg}"),
+        other => panic!("ingest into a bounded shard must be refused, got {other:?}"),
+    }
+    assert!(!delta_log_path(&shard0_dir).exists());
+    // The last shard takes it.
+    ingest_columns(&shard1_dir, &[planted]).unwrap();
+    let d0 = Server::start(&shard0_dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let d1 = Server::start(&shard1_dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let map = split_lake(&dir, 2, &tempdir("apply_ranges")).unwrap();
     let specs = vec![

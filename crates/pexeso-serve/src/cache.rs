@@ -15,7 +15,9 @@
 //! of 0 disables caching entirely.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+use crate::conn::lock_unpoisoned;
 
 const NIL: usize = usize::MAX;
 
@@ -229,24 +231,32 @@ impl<V: Clone> ShardedCache<V> {
         &self.shards[(mixed >> 48) as usize % self.shards.len()]
     }
 
+    /// Lock one shard. A thread that panicked while holding it may have
+    /// left the recency links half-updated, so a poisoned shard is emptied
+    /// before reuse: the cache may forget, but it never answers wrong.
+    fn lock_shard(shard: &Mutex<LruCache<V>>) -> MutexGuard<'_, LruCache<V>> {
+        let mut guard = lock_unpoisoned(shard);
+        // Only a guard dropped by a panic poisons, and this thread holds
+        // the guard: the flag cannot change under the check.
+        if shard.is_poisoned() {
+            guard.clear();
+            shard.clear_poison();
+        }
+        guard
+    }
+
     pub fn get(&self, key: u64) -> Option<V> {
-        self.shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(key)
+        Self::lock_shard(self.shard(key)).get(key)
     }
 
     pub fn insert(&self, key: u64, value: V) {
-        self.shard(key)
-            .lock()
-            .expect("cache shard poisoned")
-            .insert(key, value)
+        Self::lock_shard(self.shard(key)).insert(key, value)
     }
 
     /// Wholesale invalidation (hot swap).
     pub fn clear(&self) {
         for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
+            Self::lock_shard(shard).clear();
         }
     }
 
@@ -256,7 +266,7 @@ impl<V: Clone> ShardedCache<V> {
             ..Default::default()
         };
         for shard in &self.shards {
-            let s = shard.lock().expect("cache shard poisoned");
+            let s = Self::lock_shard(shard);
             let (h, m, i, e) = s.counters();
             out.hits += h;
             out.misses += m;
@@ -340,6 +350,44 @@ mod tests {
         assert_eq!(stats.insertions, 64);
         assert_eq!(stats.len, 64);
         assert_eq!(stats.shards, 8);
+        cache.clear();
+        assert_eq!(cache.stats().len, 0);
+    }
+
+    /// A thread that panics while holding one shard costs that shard's
+    /// entries, not every later request that lands on it.
+    #[test]
+    fn a_poisoned_shard_is_emptied_and_reused() {
+        let cache = ShardedCache::new(512, 8);
+        for key in 0..64u64 {
+            cache.insert(key << 48 | key, key);
+        }
+        let victim = cache.shard(5 << 48 | 5);
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _shard = victim.lock().unwrap();
+                panic!("while holding a cache shard");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && victim.is_poisoned());
+        let lost = (0..64u64)
+            .filter(|&key| std::ptr::eq(cache.shard(key << 48 | key), victim))
+            .count();
+        assert!(lost > 0);
+
+        // `stats` is the first to take the poisoned lock: it empties it.
+        let stats = cache.stats();
+        assert!(!victim.is_poisoned());
+        assert_eq!(stats.len, 64 - lost);
+        assert_eq!(stats.insertions, 64);
+        for key in 0..64u64 {
+            let k = key << 48 | key;
+            let in_victim = std::ptr::eq(cache.shard(k), victim);
+            assert_eq!(cache.get(k), (!in_victim).then_some(key), "key {key}");
+        }
+        cache.insert(5 << 48 | 5, 55);
+        assert_eq!(cache.get(5 << 48 | 5), Some(55));
         cache.clear();
         assert_eq!(cache.stats().len, 0);
     }

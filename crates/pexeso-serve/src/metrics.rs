@@ -26,7 +26,7 @@ use std::time::Duration;
 use pexeso_core::hist::{self, bucket_upper_bound, AtomicHistogram, HistSnapshot, NUM_BUCKETS};
 
 use crate::cache::CacheStats;
-use crate::conn::ConnCounters;
+use crate::conn::{lock_unpoisoned, ConnCounters};
 
 /// One endpoint's counters + latency histogram. Recording is atomics-only
 /// — safe to call from every worker without serialising them.
@@ -59,7 +59,7 @@ impl EndpointMetrics {
     }
 
     /// Snapshot of the latency histogram (for exposition / merging).
-    pub fn latency_snapshot(&self) -> HistSnapshot {
+    pub(crate) fn latency_snapshot(&self) -> HistSnapshot {
         self.latency.snapshot()
     }
 }
@@ -379,7 +379,7 @@ impl PromText {
     }
 
     /// A histogram family with one series per value of one label.
-    pub fn labelled_histograms<L: std::fmt::Display>(
+    pub(crate) fn labelled_histograms<L: std::fmt::Display>(
         &mut self,
         name: &str,
         help: &str,
@@ -413,7 +413,7 @@ impl PromText {
     /// One labelled histogram series (`_bucket`s, `_sum`, `_count`) of an
     /// already-opened family, sampled at octave boundaries; `le` is
     /// appended to `labels`.
-    pub fn histogram_series(&mut self, name: &str, labels: &str, s: &HistSnapshot) {
+    pub(crate) fn histogram_series(&mut self, name: &str, labels: &str, s: &HistSnapshot) {
         let sep = if labels.is_empty() { "" } else { "," };
         let bucket = format!("{name}_bucket");
         let mut cumulative = 0u64;
@@ -713,7 +713,7 @@ pub fn stat_value(text: &str, key: &str) -> Option<f64> {
 /// One entry of the slow-query log: the request's latency and its
 /// rendered phase tree.
 #[derive(Debug, Clone)]
-pub struct SlowQuery {
+pub(crate) struct SlowQuery {
     pub verb: &'static str,
     pub latency_us: u64,
     /// The rendered [`pexeso_core::trace::QueryTrace`] of the request.
@@ -728,7 +728,9 @@ pub struct SlowQuery {
 
 /// A slowest-N ring of traced requests. Insertion takes a mutex, but only
 /// sampled requests (see `--metrics-sample-rate`) ever reach it — the
-/// unsampled hot path never touches this structure.
+/// unsampled hot path never touches this structure. Every entry is whole
+/// before it enters the ring, so a panic under the lock cannot leave a
+/// torn one and a poisoned lock is simply taken again.
 pub struct SlowQueryLog {
     capacity: usize,
     entries: Mutex<Vec<SlowQuery>>,
@@ -743,14 +745,9 @@ impl SlowQueryLog {
     }
 
     /// Offer a traced request. Kept if the log has room or the request is
-    /// slower than the current fastest entry (which it evicts).
-    pub fn offer(&self, verb: &'static str, latency: Duration, trace: String) {
-        self.offer_correlated(verb, latency, trace, None, None);
-    }
-
-    /// [`SlowQueryLog::offer`] with correlation detail: the wire request
-    /// id (if the frame carried one) and, on the router tier, the shard
-    /// the latency is attributed to.
+    /// slower than the current fastest entry (which it evicts). The entry
+    /// carries the wire request id (if the frame carried one) and, on the
+    /// router tier, the shard the latency is attributed to.
     pub fn offer_correlated(
         &self,
         verb: &'static str,
@@ -770,7 +767,7 @@ impl SlowQueryLog {
             request_id,
             shard,
         };
-        let mut entries = self.entries.lock().expect("slow log poisoned");
+        let mut entries = lock_unpoisoned(&self.entries);
         if entries.len() < self.capacity {
             entries.push(entry);
             return;
@@ -787,7 +784,7 @@ impl SlowQueryLog {
     }
 
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("slow log poisoned").len()
+        lock_unpoisoned(&self.entries).len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -798,7 +795,7 @@ impl SlowQueryLog {
     /// header line per entry followed by its indented phase tree.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
-        let mut entries = self.entries.lock().expect("slow log poisoned").clone();
+        let mut entries = lock_unpoisoned(&self.entries).clone();
         entries.sort_by_key(|e| std::cmp::Reverse(e.latency_us));
         let mut out = String::new();
         for e in &entries {
@@ -1029,6 +1026,11 @@ mod tests {
         assert!(text.contains("# TYPE pexeso_index_postings_length histogram"));
     }
 
+    /// Offer an uncorrelated entry of `us` microseconds.
+    fn offer(log: &SlowQueryLog, verb: &'static str, us: u64, trace: &str) {
+        log.offer_correlated(verb, Duration::from_micros(us), trace.into(), None, None);
+    }
+
     #[test]
     fn slow_log_renders_request_id_and_shard() {
         let log = SlowQueryLog::new(4);
@@ -1039,7 +1041,7 @@ mod tests {
             Some(0xABCD),
             Some(3),
         );
-        log.offer("search", Duration::from_micros(100), "t".into());
+        offer(&log, "search", 100, "t");
         let text = log.render();
         assert!(text.contains("rid=000000000000abcd"), "{text}");
         assert!(text.contains("shard=3"), "{text}");
@@ -1055,12 +1057,12 @@ mod tests {
     #[test]
     fn slow_log_keeps_the_slowest() {
         let log = SlowQueryLog::new(2);
-        log.offer("search", Duration::from_micros(100), "t100".into());
-        log.offer("search", Duration::from_micros(300), "t300".into());
+        offer(&log, "search", 100, "t100");
+        offer(&log, "search", 300, "t300");
         // Faster than everything kept: dropped.
-        log.offer("search", Duration::from_micros(50), "t50".into());
+        offer(&log, "search", 50, "t50");
         // Slower than the fastest kept: evicts it.
-        log.offer("topk", Duration::from_micros(200), "t200".into());
+        offer(&log, "topk", 200, "t200");
         assert_eq!(log.len(), 2);
         let text = log.render();
         assert!(text.contains("latency_us=300"));
@@ -1071,5 +1073,27 @@ mod tests {
         let first = text.lines().next().unwrap();
         assert!(first.contains("latency_us=300"), "{first}");
         assert!(text.contains("  t300"));
+    }
+
+    /// A thread that panics while holding the slow log costs itself, not
+    /// every later SLOW request.
+    #[test]
+    fn a_poisoned_slow_log_keeps_working() {
+        let log = SlowQueryLog::new(2);
+        offer(&log, "search", 100, "t100");
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _entries = log.entries.lock().unwrap();
+                panic!("while holding the slow log");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && log.entries.is_poisoned());
+        offer(&log, "topk", 200, "t200");
+        assert_eq!(log.len(), 2);
+        let text = log.render();
+        let first = text.lines().next().unwrap();
+        assert!(first.contains("latency_us=200"), "{text}");
+        assert!(text.contains("latency_us=100"), "{text}");
     }
 }

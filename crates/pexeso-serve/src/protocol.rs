@@ -14,7 +14,7 @@
 //! closes. Backpressure is explicit — an overloaded server answers a
 //! connection with a [`Reply::Busy`] frame instead of queueing unboundedly.
 //!
-//! There is exactly one layout, [`PROTOCOL_VERSION`]. A request stamped
+//! There is exactly one layout, `PROTOCOL_VERSION`. A request stamped
 //! with any other version is refused with one `Malformed` naming both
 //! versions (the daemon answers `ERR` and hangs up): router, shards and
 //! clients are deployed from one build. A decoder accepts exactly the
@@ -87,7 +87,7 @@ pub const MAGIC: &[u8; 4] = b"PXSV";
 /// The one protocol version this build speaks: every request frame is
 /// stamped with it and [`decode_request`] refuses any other. Bump it with
 /// any layout change (`golden_frames` pins the bytes).
-pub const PROTOCOL_VERSION: u8 = 8;
+pub(crate) const PROTOCOL_VERSION: u8 = 8;
 /// Hard cap on a single frame; anything larger is treated as garbage
 /// framing rather than a legitimate request.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -792,7 +792,7 @@ fn take_hits_body(r: &mut Dec) -> WireResult<HitsReply> {
 // Request / reply codecs
 // ---------------------------------------------------------------------------
 
-/// Encode a request into a frame payload stamped [`PROTOCOL_VERSION`].
+/// Encode a request into a frame payload stamped `PROTOCOL_VERSION`.
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut w = Enc::new();
     w.bytes(MAGIC);
@@ -833,7 +833,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 }
 
 /// Decode a frame payload into a request. Refuses every version but
-/// [`PROTOCOL_VERSION`].
+/// `PROTOCOL_VERSION`.
 pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
     let mut r = Dec::new(payload);
     if r.bytes(4)? != MAGIC {
@@ -1323,7 +1323,7 @@ mod tests {
 
     /// One frame per verb and per reply kind — the first sample of each —
     /// byte for byte (`;` ends a frame, fields are spaced for reading): a
-    /// layout change that forgets to bump [`PROTOCOL_VERSION`] fails here.
+    /// layout change that forgets to bump `PROTOCOL_VERSION` fails here.
     #[test]
     fn golden_frames() {
         fn check(frames: impl Iterator<Item = Vec<u8>>, tag_at: usize, golden: &str) {

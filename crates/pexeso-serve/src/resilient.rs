@@ -43,6 +43,7 @@ use pexeso_core::trace::{QueryTrace, TraceSpan};
 use pexeso_core::vector::VectorStore;
 
 use crate::client::{ClientError, ServeClient};
+use crate::conn::lock_unpoisoned;
 
 /// Capped exponential backoff with decorrelated jitter (each delay is
 /// drawn uniformly from `[base, min(cap, prev · multiplier)]`, so
@@ -173,7 +174,9 @@ struct Counters {
 
 /// Per-replica connection + circuit-breaker state. The lock around it
 /// covers handing the client out and the breaker bookkeeping, never a
-/// round trip: callers share the client's own stream pool.
+/// round trip: callers share the client's own stream pool. Every field is
+/// valid on its own, so a panic under the lock leaves a usable state and
+/// the lock is taken through [`lock_unpoisoned`].
 struct ReplicaState {
     client: Option<Arc<ServeClient>>,
     consecutive_failures: u32,
@@ -296,7 +299,7 @@ impl ResilientClient {
         self.replicas
             .iter()
             .map(|r| {
-                let state = r.state.lock().expect("replica poisoned");
+                let state = lock_unpoisoned(&r.state);
                 ReplicaStatus {
                     addr: r.addr.clone(),
                     drained: r.drained.load(Ordering::Relaxed),
@@ -340,7 +343,7 @@ impl ResilientClient {
                 continue;
             }
             fallback.get_or_insert(i);
-            let state = replica.state.lock().expect("replica poisoned");
+            let state = lock_unpoisoned(&replica.state);
             let open = state.open_until.is_some_and(|until| now < until);
             if !open {
                 return i;
@@ -357,14 +360,14 @@ impl ResilientClient {
     /// them. Panics when `idx` is out of range.
     pub fn replica_client(&self, idx: usize) -> Result<Arc<ServeClient>, ClientError> {
         let replica = &self.replicas[idx];
-        if let Some(client) = &replica.state.lock().expect("replica poisoned").client {
+        if let Some(client) = &lock_unpoisoned(&replica.state).client {
             return Ok(client.clone());
         }
         // Dial outside the lock (an unreachable host must not block
         // status readers); of two racing first users one client wins.
         let client = ServeClient::connect(replica.addr.as_str())?;
         client.set_timeout(self.config.timeout)?;
-        let mut state = replica.state.lock().expect("replica poisoned");
+        let mut state = lock_unpoisoned(&replica.state);
         Ok(state.client.get_or_insert_with(|| Arc::new(client)).clone())
     }
 
@@ -392,7 +395,7 @@ impl ResilientClient {
             }
             Err(e) => (None, Err(e)),
         };
-        let mut state = replica.state.lock().expect("replica poisoned");
+        let mut state = lock_unpoisoned(&replica.state);
         match &result {
             Ok(_) => {
                 state.consecutive_failures = 0;
@@ -535,7 +538,7 @@ impl Queryable for ResilientClient {
             retry += 1;
             let remaining = deadline.map(|d| d.saturating_sub(started.elapsed()));
             let plan = {
-                let mut rng = self.rng.lock().expect("rng poisoned");
+                let mut rng = lock_unpoisoned(&self.rng);
                 plan_retry(
                     &self.config.backoff,
                     retry,
@@ -721,5 +724,22 @@ mod tests {
         assert_eq!(c.pick(0, now), 2);
         assert!(c.set_drained("127.0.0.1:3", true));
         assert_eq!(c.pick(0, now), 1);
+    }
+
+    /// A thread that panics while holding a replica's state costs itself,
+    /// not every later routed query.
+    #[test]
+    fn a_poisoned_replica_lock_is_recovered() {
+        let c = three_replicas();
+        let holder = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _state = c.replicas[0].state.lock().unwrap();
+                panic!("while holding a replica's state");
+            })
+            .join()
+        });
+        assert!(holder.is_err() && c.replicas[0].state.is_poisoned());
+        assert_eq!(c.pick(0, Instant::now()), 0);
+        assert_eq!(c.replica_status().len(), 3);
     }
 }

@@ -7,9 +7,9 @@
 //! cargo run --release --example census_join
 //! ```
 
-use pexeso::baselines::stringjoin::{string_join_search, EquiMatcher, StringColumns};
 use pexeso::pipeline::{dedupe_mapping, embed_query, join_mapping, EmbeddedLakeBuilder};
 use pexeso::prelude::*;
+use pexeso_baselines::stringjoin::{string_join_search, EquiMatcher, StringColumns};
 
 fn main() -> Result<()> {
     // Table Ia: Population (the query table).

@@ -7,11 +7,12 @@
 //! cargo run --release --example data_enrichment
 //! ```
 
-use pexeso::baselines::stringjoin::{EquiJoinIndex, StringColumns};
-use pexeso::ml::augment::{AugmentConfig, JoinMapping};
-use pexeso::ml::tasks::{evaluate_with_mapping, make_task, TaskKind, TaskSpec};
 use pexeso::pipeline::{dedupe_mapping, embed_query, embed_synthetic_lake, join_mapping};
 use pexeso::prelude::*;
+use pexeso_baselines::stringjoin::{EquiJoinIndex, StringColumns};
+use pexeso_lake::JoinMapping;
+use pexeso_ml::augment::AugmentConfig;
+use pexeso_ml::tasks::{evaluate_with_mapping, make_task, TaskKind, TaskSpec};
 
 fn main() -> Result<()> {
     // A WDC-like lake with planted latent signal.

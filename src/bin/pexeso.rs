@@ -66,12 +66,13 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use pexeso::pipeline::{build_lake_index, embed_query, open_delta_lake};
+use pexeso::pipeline::{build_lake_index, embed_query};
 use pexeso::prelude::*;
 use std::time::Duration;
 
 /// Shadow the crate's `Result` alias: CLI errors are plain strings.
 type CliResult<T> = std::result::Result<T, String>;
+use pexeso_delta::DeltaLake;
 use pexeso_lake::csv::read_table_file;
 use pexeso_lake::keycol::KeyColumnConfig;
 use pexeso_serve::{
@@ -525,7 +526,7 @@ fn cmd_ingest(flags: &HashMap<String, String>) -> CliResult<()> {
 fn cmd_drop(flags: &HashMap<String, String>) -> CliResult<()> {
     let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
     let table = flags.get("table").ok_or("--table is required")?;
-    let n = pexeso::pipeline::drop_lake_tables(&index_dir, std::slice::from_ref(table))
+    let n = pexeso_delta::drop_tables(&index_dir, std::slice::from_ref(table))
         .map_err(|e| e.to_string())?;
     println!("tombstoned {n} table(s); space reclaimed at the next compact");
     if let Some(addr) = flags.get("addr") {
@@ -544,8 +545,8 @@ fn cmd_compact(flags: &HashMap<String, String>) -> CliResult<()> {
         ),
     };
     let policy = parse_policy(flags)?.unwrap_or_default();
-    let report = pexeso::pipeline::compact_lake(&index_dir, partitions, policy)
-        .map_err(|e| e.to_string())?;
+    let report =
+        pexeso_delta::compact_lake(&index_dir, partitions, policy).map_err(|e| e.to_string())?;
     println!(
         "compacted {} records into {} partitions: {} columns / {} vectors live \
          ({} dropped), index_version={}",
@@ -603,7 +604,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
     let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
     // Delta-aware open: tables ingested since the last build are part of
     // the answer, tombstoned ones are not.
-    let lake = open_delta_lake(&index_dir).map_err(|e| e.to_string())?;
+    let lake = DeltaLake::open(&index_dir).map_err(|e| e.to_string())?;
     let manifest = lake.manifest().clone();
     let (q, tau, t) = query_from_flags(flags, &manifest.metric, None)?;
     let (values, embedder) = load_query(flags, manifest.dim)?;
@@ -623,7 +624,7 @@ fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
 
 fn cmd_topk(flags: &HashMap<String, String>) -> CliResult<()> {
     let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
-    let lake = open_delta_lake(&index_dir).map_err(|e| e.to_string())?;
+    let lake = DeltaLake::open(&index_dir).map_err(|e| e.to_string())?;
     let manifest = lake.manifest().clone();
     let (q, tau, _) = query_from_flags(flags, &manifest.metric, Some(10))?;
     let (values, embedder) = load_query(flags, manifest.dim)?;
@@ -963,7 +964,7 @@ fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
     let q = q.with_explain(true);
 
     let resp = if let Some(index) = flags.get("index") {
-        let lake = open_delta_lake(Path::new(index)).map_err(|e| e.to_string())?;
+        let lake = DeltaLake::open(Path::new(index)).map_err(|e| e.to_string())?;
         let manifest = lake.manifest().clone();
         let (values, embedder) = load_query(flags, manifest.dim)?;
         let query = embed_query(&embedder, &values);

@@ -7,25 +7,26 @@
 //! predicate — string values are embedded as high-dimensional vectors and
 //! two records match when their distance is within τ.
 //!
-//! This facade crate re-exports the member crates and adds the
+//! This facade crate re-exports the product crates and adds the
 //! [`pipeline`] that wires them together:
 //!
 //! * [`embed`] *(pexeso-embed)* — deterministic character-level +
 //!   semantic-lexicon embeddings (the offline substitute for
 //!   fastText/GloVe);
 //! * [`lake`] *(pexeso-lake)* — CSV ingestion, tables, key-column
-//!   detection, and a ground-truth synthetic lake generator;
+//!   detection, join mappings, and a ground-truth synthetic lake
+//!   generator;
 //! * [`core`] *(pexeso-core)* — the PEXESO index: pivot-based filtering,
 //!   hierarchical grids, inverted-index verification, cost model, JSD
 //!   partitioning, out-of-core search;
-//! * [`baselines`] *(pexeso-baselines)* — equi/Jaccard/edit/fuzzy/TF-IDF
-//!   joins, cover tree, extreme pivot table, product quantization,
-//!   PEXESO-H;
-//! * [`ml`] *(pexeso-ml)* — random forests and join-based feature
-//!   augmentation for the data-enrichment experiments;
 //! * [`serve`] *(pexeso-serve)* — a resident TCP query-serving daemon
 //!   over a persisted [`pexeso_core::outofcore::PartitionedLake`]:
 //!   result caching, atomic hot index swap, explicit backpressure.
+//!
+//! The delta log (`pexeso-delta`) and the shard router (`pexeso-router`)
+//! are used by name. The paper's competitor baselines (`pexeso-baselines`)
+//! and ML enrichment (`pexeso-ml`) are experiments: they are not part of
+//! this crate's build, and `crates/pexeso-bench` runs them.
 //!
 //! Every backend answers one request type —
 //! [`pexeso_core::query::Query`] — through the object-safe
@@ -66,11 +67,9 @@
 //! assert_eq!(result.hits.len(), 1); // semantically joinable
 //! ```
 
-pub use pexeso_baselines as baselines;
 pub use pexeso_core as core;
 pub use pexeso_embed as embed;
 pub use pexeso_lake as lake;
-pub use pexeso_ml as ml;
 pub use pexeso_serve as serve;
 
 pub mod pipeline;

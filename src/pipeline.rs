@@ -14,7 +14,6 @@
 //! cores did the work. [`embed_query`] embeds one column on the caller's
 //! thread.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use pexeso_core::column::{ColumnId, ColumnSet};
@@ -27,12 +26,12 @@ use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::search::PexesoIndex;
 use pexeso_core::vector::VectorStore;
-use pexeso_delta::{ingest_columns, CompactReport, DeltaLake, IngestColumn, IngestReport};
+use pexeso_delta::{ingest_columns, IngestColumn, IngestReport};
 use pexeso_embed::Embedder;
 use pexeso_lake::generator::SyntheticLake;
 use pexeso_lake::keycol::{detect_key_column, KeyColumnConfig};
 use pexeso_lake::table::Table;
-use pexeso_ml::augment::JoinMapping;
+use pexeso_lake::JoinMapping;
 
 /// Where an embedded repository column came from, and which table row each
 /// of its vectors represents (empty cells are skipped during embedding, so
@@ -314,31 +313,13 @@ pub fn build_lake_index(
     })
 }
 
-/// Open a persisted deployment for querying: the partitioned lake plus
-/// the manifest that tells the query side which embedding dimensionality
-/// to use.
-pub fn open_lake_index(index_dir: &Path) -> Result<(PartitionedLake, LakeManifest)> {
-    let manifest = LakeManifest::read(index_dir)?;
-    let lake = PartitionedLake::open(index_dir)?;
-    Ok((lake, manifest))
-}
-
-/// Open a deployment *with* its delta log replayed: the backend the
-/// online CLI verbs use, so queries between an ingest and the next
-/// compaction see the ingested tables. Answers are byte-identical to a
-/// full rebuild over the final table set; with no delta log this is just
-/// the base lake plus an empty overlay.
-pub fn open_delta_lake(index_dir: &Path) -> Result<DeltaLake> {
-    DeltaLake::open(index_dir)
-}
-
 /// Incremental ingest: detect and embed each table's key column exactly
 /// like [`build_lake_index`] does (same embedder, same per-vector
 /// normalization — the WAL stores the same `f32` bits a rebuild would
 /// index), then append the columns to the deployment's delta log with
 /// fresh external ids. Seconds instead of the minutes a full re-embed +
 /// re-partition costs; queries pick the columns up through
-/// [`open_delta_lake`] or a serving daemon's delta-apply.
+/// [`pexeso_delta::DeltaLake::open`] or a serving daemon's delta-apply.
 pub fn ingest_tables(
     index_dir: &Path,
     tables: &[Table],
@@ -373,24 +354,6 @@ fn normalized_ingest_columns(mut lake: EmbeddedLake) -> Vec<IngestColumn> {
                 .to_vec(),
         })
         .collect()
-}
-
-/// Tombstone tables by name in the deployment's delta log; space is
-/// reclaimed at the next [`compact_lake`].
-pub fn drop_lake_tables(index_dir: &Path, table_names: &[String]) -> Result<usize> {
-    pexeso_delta::drop_tables(index_dir, table_names)
-}
-
-/// Fold the delta log into fresh base partitions, bump the manifest
-/// version atomically, and delete the log (see
-/// [`pexeso_delta::compact_lake`] for the crash-safety argument).
-/// `partitions = None` keeps the current partition count.
-pub fn compact_lake(
-    index_dir: &Path,
-    partitions: Option<usize>,
-    policy: ExecPolicy,
-) -> Result<CompactReport> {
-    pexeso_delta::compact_lake(index_dir, partitions, policy)
 }
 
 /// The multi-user entry point, written once against the unified
@@ -447,82 +410,6 @@ pub fn dedupe_mapping(mapping: &mut JoinMapping) {
         m.sort_unstable();
         m.dedup();
     }
-}
-
-/// How the query column is chosen from a query table (Section II-A lists
-/// exactly these three options).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryColumnChoice {
-    /// Option 1 (the paper's default, in line with JOSIE): the user names
-    /// the column.
-    Specified(usize),
-    /// Option 2: the embeddable column with the most distinct values.
-    MostDistinct,
-    /// Option 3: treat every embeddable column as a query column in turn.
-    IterateAll,
-}
-
-/// Resolve the query-column choice for a table into concrete column
-/// indices (one for the first two options, possibly several for
-/// [`QueryColumnChoice::IterateAll`]).
-pub fn select_query_columns(
-    table: &Table,
-    choice: QueryColumnChoice,
-    key_cfg: &KeyColumnConfig,
-) -> Result<Vec<usize>> {
-    use pexeso_lake::keycol::key_candidates;
-    match choice {
-        QueryColumnChoice::Specified(c) => {
-            if c >= table.n_cols() {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "query column {c} out of range for table with {} columns",
-                    table.n_cols()
-                )));
-            }
-            Ok(vec![c])
-        }
-        QueryColumnChoice::MostDistinct => {
-            let mut cands = key_candidates(table, key_cfg);
-            if cands.is_empty() {
-                return Err(PexesoError::EmptyInput(
-                    "no embeddable query-column candidate",
-                ));
-            }
-            // Rank purely by distinct count, as the paper words option 2.
-            cands.sort_by(|a, b| {
-                table
-                    .distinct_ratio(b.column)
-                    .total_cmp(&table.distinct_ratio(a.column))
-            });
-            Ok(vec![cands[0].column])
-        }
-        QueryColumnChoice::IterateAll => {
-            let cands = key_candidates(table, key_cfg);
-            if cands.is_empty() {
-                return Err(PexesoError::EmptyInput(
-                    "no embeddable query-column candidate",
-                ));
-            }
-            let mut cols: Vec<usize> = cands.into_iter().map(|k| k.column).collect();
-            cols.sort_unstable();
-            Ok(cols)
-        }
-    }
-}
-
-/// Group hit columns by source table for presentation.
-pub fn hits_by_table<'a>(
-    index: &PexesoIndex<impl Metric>,
-    lake: &'a EmbeddedLake,
-    hit_columns: &[ColumnId],
-) -> HashMap<usize, Vec<&'a ColumnProvenance>> {
-    let mut map: HashMap<usize, Vec<&ColumnProvenance>> = HashMap::new();
-    for &col in hit_columns {
-        let meta = index.columns().column(col);
-        let prov = &lake.provenance[meta.external_id as usize];
-        map.entry(prov.table_idx).or_default().push(prov);
-    }
-    map
 }
 
 #[cfg(test)]
@@ -661,46 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn query_column_choice_strategies() {
-        use pexeso_lake::table::Table;
-        let t = Table::from_rows(
-            "games",
-            vec!["Name", "Year", "Publisher"],
-            (0..10)
-                .map(|i| {
-                    vec![
-                        format!("Unique Game {i}"),
-                        format!("{}", 1990 + i),
-                        if i < 5 {
-                            "Nintendo".into()
-                        } else {
-                            "Sega".into()
-                        },
-                    ]
-                })
-                .collect(),
-        );
-        let cfg = KeyColumnConfig {
-            min_distinct: 0.1,
-            ..Default::default()
-        };
-        assert_eq!(
-            select_query_columns(&t, QueryColumnChoice::Specified(2), &cfg).unwrap(),
-            vec![2]
-        );
-        assert!(select_query_columns(&t, QueryColumnChoice::Specified(9), &cfg).is_err());
-        // Name has 10 distinct values, Publisher 2 -> MostDistinct picks 0.
-        assert_eq!(
-            select_query_columns(&t, QueryColumnChoice::MostDistinct, &cfg).unwrap(),
-            vec![0]
-        );
-        // IterateAll returns every embeddable candidate (Year is numeric).
-        let all = select_query_columns(&t, QueryColumnChoice::IterateAll, &cfg).unwrap();
-        assert!(all.contains(&0));
-        assert!(!all.contains(&1));
-    }
-
-    #[test]
     fn build_and_open_lake_index_roundtrip() {
         use pexeso_lake::table::Table;
         let e = HashEmbedder::new(32);
@@ -733,9 +580,9 @@ mod tests {
         assert_eq!(deployed.n_columns, 3);
         assert_eq!(deployed.n_vectors, 30);
 
-        let (opened, manifest) = open_lake_index(&dir).unwrap();
+        let opened = PartitionedLake::open(&dir).unwrap();
         assert_eq!(opened.num_partitions(), deployed.lake.num_partitions());
-        assert_eq!(manifest, deployed.manifest);
+        assert_eq!(LakeManifest::read(&dir).unwrap(), deployed.manifest);
 
         // Re-indexing the same directory bumps the manifest version.
         let again = build_lake_index(

@@ -21,7 +21,6 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use pexeso::pipeline::compact_lake;
 use pexeso::prelude::*;
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::PivotSelection;
@@ -30,7 +29,9 @@ use pexeso_core::oracle;
 use pexeso_core::outofcore::LakeManifest;
 use pexeso_core::partition::PartitionConfig;
 use pexeso_core::query::rank_topk_hits;
-use pexeso_delta::{drop_tables, ingest_columns, read_log, DeltaLake, DeltaState, IngestColumn};
+use pexeso_delta::{
+    compact_lake, drop_tables, ingest_columns, read_log, DeltaLake, DeltaState, IngestColumn,
+};
 use pexeso_router::split::{shard_dir_name, split_lake};
 use pexeso_serve::Snapshot;
 use rand::rngs::StdRng;

@@ -8,8 +8,10 @@ use pexeso::pipeline::{
     dedupe_mapping, embed_query, embed_synthetic_lake, embed_tables, join_mapping,
 };
 use pexeso::prelude::*;
+use pexeso_baselines::stringjoin::{EquiJoinIndex, StringColumns};
 use pexeso_lake::generator::GeneratorConfig;
 use pexeso_lake::keycol::KeyColumnConfig;
+use pexeso_lake::JoinMapping;
 use pexeso_ml::augment::AugmentConfig;
 use pexeso_ml::tasks::{evaluate_with_mapping, make_task, TaskKind, TaskSpec};
 
@@ -39,11 +41,11 @@ fn discovery_recall_beats_equi_join_on_noisy_lake() {
     let mut pexeso_recalls = Vec::new();
     let mut equi_recalls = Vec::new();
     let equi_repo = {
-        let mut repo = pexeso::baselines::stringjoin::StringColumns::default();
+        let mut repo = StringColumns::default();
         for t in &lake.tables {
             repo.add(t.table.name(), t.key_values().to_vec());
         }
-        pexeso::baselines::stringjoin::EquiJoinIndex::build(&repo)
+        EquiJoinIndex::build(&repo)
     };
 
     let mut evaluated = 0;
@@ -132,7 +134,7 @@ fn full_enrichment_pipeline_improves_model() {
         min_coverage: 8,
         ..Default::default()
     };
-    let empty = pexeso_ml::augment::JoinMapping::new(80);
+    let empty = JoinMapping::new(80);
     let (no_join, _) = evaluate_with_mapping(&task, &lake, &empty, &aug_cfg);
     let (with_join, n_features) = evaluate_with_mapping(&task, &lake, &mapping, &aug_cfg);
     assert!(n_features > 0, "augmentation must add features");

@@ -5,11 +5,11 @@
 
 use proptest::prelude::*;
 
-use pexeso::baselines::covertree::CoverTreeIndex;
-use pexeso::baselines::ept::EptIndex;
-use pexeso::baselines::pexeso_h::PexesoHIndex;
-use pexeso::baselines::VectorJoinSearch;
 use pexeso::prelude::*;
+use pexeso_baselines::covertree::CoverTreeIndex;
+use pexeso_baselines::ept::EptIndex;
+use pexeso_baselines::pexeso_h::PexesoHIndex;
+use pexeso_baselines::VectorJoinSearch;
 
 /// Build a unit-normalised random repository + query from a seed.
 fn instance(
