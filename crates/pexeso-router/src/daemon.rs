@@ -29,6 +29,7 @@
 //!   `BUSY` instead of amplifying a spike N-fold onto the shards, which
 //!   run their own soft-watermark shedding.
 
+use std::fmt::Display;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -44,7 +45,7 @@ use pexeso_serve::conn::{
 };
 use pexeso_serve::metrics::{EndpointMetrics, PromText, SlowQueryLog};
 use pexeso_serve::protocol::{HitsReply, InfoReply, QueryPayload, Reply, Request};
-use pexeso_serve::ResilientConfig;
+use pexeso_serve::{ReplicaStatus, ResilientConfig};
 
 use crate::router::{Router, RouterConfig};
 use crate::shardmap::ShardMap;
@@ -86,7 +87,7 @@ impl Default for RouterServeConfig {
 struct RouterMetrics {
     search: EndpointMetrics,
     topk: EndpointMetrics,
-    /// INFO/STATS/METRICS/SLOW/RELOAD.
+    /// INFO/METRICS/SLOW/INSPECT/HEALTH/DRAIN/RELOAD.
     admin: EndpointMetrics,
     apply: EndpointMetrics,
 }
@@ -204,13 +205,10 @@ impl Handler for RouterHandler {
                 }),
                 Err(e) => error_reply(ctx, e.to_string()),
             },
-            Request::Stats => Reply::Stats {
-                text: self.render_stats(ctx),
-            },
-            Request::Metrics => Reply::Stats {
+            Request::Metrics => Reply::Text {
                 text: self.render_prometheus(ctx),
             },
-            Request::SlowLog => Reply::Stats {
+            Request::SlowLog => Reply::Text {
                 text: self.slow_log.render(),
             },
             Request::Reload { dir } => {
@@ -259,10 +257,10 @@ impl Handler for RouterHandler {
             Request::ApplyDelta { shard: None } => {
                 error_reply(ctx, "router APPLY requires a shard (use --shard N)".into())
             }
-            Request::Inspect => Reply::Stats {
+            Request::Inspect => Reply::Text {
                 text: self.current_router().inspect_text(),
             },
-            Request::Health => Reply::Stats {
+            Request::Health => Reply::Text {
                 text: self.current_router().health_text(ctx.shutting_down()),
             },
             Request::Drain { addr, drained } => {
@@ -283,7 +281,7 @@ impl Handler for RouterHandler {
                         ("replicas", Value::U64(matched as u64)),
                     ],
                 );
-                Reply::Stats {
+                Reply::Text {
                     text: format!(
                         "drained={} addr={addr} replicas={matched}\n",
                         if drained { 1 } else { 0 }
@@ -340,64 +338,13 @@ impl RouterHandler {
         Ok(hits_reply(payload, router.generation(), resp))
     }
 
-    /// The `STATS` text plane: router-level counters plus per-shard and
-    /// per-replica gauges (`shard<N>.…` keys, parseable with
-    /// [`pexeso_serve::stat_value`]).
-    fn render_stats(&self, ctx: &RequestCtx<'_>) -> String {
-        let router = self.current_router();
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(2048);
-        let _ = writeln!(out, "uptime_seconds={}", ctx.uptime().as_secs());
-        let _ = writeln!(out, "shards={}", router.shard_count());
-        let _ = writeln!(out, "generation={}", router.generation());
-        let _ = writeln!(
-            out,
-            "busy_rejections={}",
-            ctx.counters().busy_rejections.load(Ordering::Relaxed)
-        );
-        for (name, ep) in self.metrics.endpoints() {
-            let (p50, p99) = ep.latency_quantiles_us();
-            let _ = writeln!(
-                out,
-                "{name}.requests={} {name}.errors={} {name}.p50_us={p50} {name}.p99_us={p99}",
-                ep.requests.load(Ordering::Relaxed),
-                ep.errors.load(Ordering::Relaxed),
-            );
-        }
-        let q = router.query_latency();
-        let _ = writeln!(
-            out,
-            "query.p50_us={} query.p99_us={} query.count={}",
-            q.quantile(0.50),
-            q.quantile(0.99),
-            q.count
-        );
-        for (i, s) in router.shard_statuses().iter().enumerate() {
-            let hi = if s.hi == u64::MAX {
-                "*".to_string()
-            } else {
-                s.hi.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "shard{i}.range=[{},{hi}) shard{i}.generation={} shard{i}.retries={} shard{i}.failovers={}",
-                s.lo, s.generation, s.retry.retries, s.retry.failovers,
-            );
-            for r in &s.replicas {
-                let _ = writeln!(
-                    out,
-                    "shard{i}.replica.{}.drained={} shard{i}.replica.{}.circuit_open={} shard{i}.replica.{}.failures={}",
-                    r.addr, r.drained as u8, r.addr, r.circuit_open as u8, r.addr, r.consecutive_failures,
-                );
-            }
-        }
-        out
-    }
-
-    /// The `METRICS` Prometheus plane. Validated against
+    /// The `METRICS` Prometheus plane: every router-tier counter, plus
+    /// per-shard and per-replica gauges. Validated against
     /// [`pexeso_serve::validate_prometheus`] by the integration tests.
     fn render_prometheus(&self, ctx: &RequestCtx<'_>) -> String {
         let router = self.current_router();
+        let statuses = router.shard_statuses();
+        let query_latency = router.query_latency();
         let mut out = PromText::with_capacity(4096);
         out.gauge(
             "pexeso_router_uptime_seconds",
@@ -414,7 +361,19 @@ impl RouterHandler {
             "Sum of per-shard snapshot generations.",
             router.generation() as f64,
         );
-        let statuses = router.shard_statuses();
+        out.family(
+            "pexeso_router_shard_range",
+            "External-id range [lo, hi) each shard owns (hi=\"*\": unbounded).",
+            "gauge",
+        );
+        for (i, s) in statuses.iter().enumerate() {
+            let hi: &dyn Display = if s.hi == u64::MAX { &"*" } else { &s.hi };
+            out.sample(
+                "pexeso_router_shard_range",
+                &[("shard", &i), ("lo", &s.lo), ("hi", hi)],
+                1,
+            );
+        }
         out.labelled(
             "pexeso_router_shard_generation",
             "Highest generation observed per shard.",
@@ -429,34 +388,40 @@ impl RouterHandler {
             "shard",
             statuses.iter().map(|s| s.retry.retries).enumerate(),
         );
-        out.family(
+        out.labelled(
+            "pexeso_router_shard_failovers_total",
+            "Attempts moved to another replica, per shard client.",
+            "counter",
+            "shard",
+            statuses.iter().map(|s| s.retry.failovers).enumerate(),
+        );
+        let per_replica =
+            |out: &mut PromText, name: &str, help: &str, value: fn(&ReplicaStatus) -> u32| {
+                out.family(name, help, "gauge");
+                for (i, s) in statuses.iter().enumerate() {
+                    for r in &s.replicas {
+                        out.sample(name, &[("shard", &i), ("replica", &r.addr)], value(r));
+                    }
+                }
+            };
+        per_replica(
+            &mut out,
             "pexeso_router_replica_open",
             "Replica circuit state (1 = open) per shard replica.",
-            "gauge",
+            |r| r.circuit_open.into(),
         );
-        for (i, s) in statuses.iter().enumerate() {
-            for r in &s.replicas {
-                out.sample(
-                    "pexeso_router_replica_open",
-                    &format!("shard=\"{i}\",replica=\"{}\"", r.addr),
-                    r.circuit_open as u8,
-                );
-            }
-        }
-        out.family(
+        per_replica(
+            &mut out,
             "pexeso_router_replica_drained",
             "Replica administrative drain state per shard replica.",
-            "gauge",
+            |r| r.drained.into(),
         );
-        for (i, s) in statuses.iter().enumerate() {
-            for r in &s.replicas {
-                out.sample(
-                    "pexeso_router_replica_drained",
-                    &format!("shard=\"{i}\",replica=\"{}\"", r.addr),
-                    r.drained as u8,
-                );
-            }
-        }
+        per_replica(
+            &mut out,
+            "pexeso_router_replica_failures",
+            "Consecutive failures per shard replica.",
+            |r| r.consecutive_failures,
+        );
         out.labelled(
             "pexeso_router_requests_total",
             "Requests served, per endpoint.",
@@ -483,7 +448,16 @@ impl RouterHandler {
         out.histogram(
             "pexeso_router_query_latency_microseconds",
             "End-to-end routed query latency (scatter + merge).",
-            &router.query_latency(),
+            &query_latency,
+        );
+        out.quantiles(
+            "pexeso_router_latency_quantile_microseconds",
+            "Request latency per endpoint and routed query latency, at full bucket resolution.",
+            self.metrics
+                .endpoints()
+                .map(|(name, ep)| (name, ep.latency_snapshot()))
+                .into_iter()
+                .chain([("query", query_latency)]),
         );
         out.finish()
     }

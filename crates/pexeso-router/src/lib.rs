@@ -21,7 +21,7 @@
 //!   when a shard is unreachable, correlated `shard/N` trace spans.
 //! * [`daemon`] — the router behind the same wire protocol shard
 //!   daemons speak, so every existing client works unchanged; its own
-//!   STATS/METRICS/SLOW observability plane with per-shard gauges.
+//!   METRICS/SLOW observability plane with per-shard gauges.
 //!
 //! The exactness argument is spelled out in [`router`]; the short
 //! version: blocking-complete matching makes a column's match count a

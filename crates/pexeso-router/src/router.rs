@@ -107,7 +107,7 @@ pub struct RouterInfo {
     pub shards: u32,
 }
 
-/// Per-shard health as the STATS plane reports it.
+/// Per-shard health as the METRICS plane reports it.
 #[derive(Debug, Clone)]
 pub struct ShardStatus {
     pub lo: u64,
@@ -183,7 +183,7 @@ impl Router {
         self.query_latency.snapshot()
     }
 
-    /// Per-shard health gauges for the STATS/METRICS plane.
+    /// Per-shard health gauges for the METRICS plane.
     pub fn shard_statuses(&self) -> Vec<ShardStatus> {
         self.shards
             .iter()

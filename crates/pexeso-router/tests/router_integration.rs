@@ -609,15 +609,50 @@ fn router_daemon_speaks_the_serve_protocol() {
     assert!(rendered.contains("shard/0"), "per-shard spans: {rendered}");
     assert!(rendered.contains("shard/1"), "per-shard spans: {rendered}");
 
-    // STATS plane: router-level and per-shard gauges.
-    let stats = client.stats_text().unwrap();
-    assert_eq!(stat_value(&stats, "shards"), Some(2.0));
-    assert!(stats.contains("shard0.range="), "per-shard gauges: {stats}");
-
-    // METRICS plane: well-formed Prometheus exposition.
+    // METRICS: one well-formed Prometheus plane carrying the router-level,
+    // per-shard and per-replica series and the p50/p99 gauges.
     let metrics = client.metrics_text().unwrap();
-    validate_prometheus(&metrics).expect("router metrics must be valid Prometheus text");
-    assert!(metrics.contains("pexeso_router_shards 2"));
+    validate_prometheus(&metrics).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
+    let (s0, s1) = (&map.shards()[0], &map.shards()[1]);
+    let replica0 = daemons[0].addr();
+    for (series, value) in [
+        ("pexeso_router_shards".to_string(), 2.0),
+        (
+            format!(
+                "pexeso_router_shard_range{{shard=\"0\",lo=\"{}\",hi=\"{}\"}}",
+                s0.lo, s0.hi
+            ),
+            1.0,
+        ),
+        (
+            format!(
+                "pexeso_router_shard_range{{shard=\"1\",lo=\"{}\",hi=\"*\"}}",
+                s1.lo
+            ),
+            1.0,
+        ),
+        ("pexeso_router_shard_generation{shard=\"1\"}".into(), 1.0),
+        (
+            "pexeso_router_shard_failovers_total{shard=\"0\"}".into(),
+            0.0,
+        ),
+        (
+            format!("pexeso_router_replica_failures{{shard=\"0\",replica=\"{replica0}\"}}"),
+            0.0,
+        ),
+        (
+            "pexeso_router_requests_total{endpoint=\"topk\"}".into(),
+            4.0,
+        ),
+    ] {
+        assert_eq!(stat_value(&metrics, &series), Some(value), "{series}");
+    }
+    for series in ["topk", "query"] {
+        let p99 = format!(
+            "pexeso_router_latency_quantile_microseconds{{series=\"{series}\",quantile=\"0.99\"}}"
+        );
+        assert!(stat_value(&metrics, &p99).unwrap() > 0.0, "{p99}");
+    }
     assert!(metrics.contains("pexeso_router_query_latency_microseconds_bucket"));
 
     // SLOW plane: the traced query above fed the log.
@@ -635,6 +670,28 @@ fn router_daemon_speaks_the_serve_protocol() {
     for d in daemons {
         d.shutdown();
     }
+}
+
+/// A replica address is whatever token the shard-map file holds, and the
+/// router dials nobody at start: the scrape stays valid Prometheus text
+/// whatever the address contains, and names it escaped.
+#[test]
+fn metrics_escape_replica_addresses_from_the_shard_map() {
+    let dir = tempdir("escape");
+    let map_path = dir.join(SHARD_MAP_FILE);
+    std::fs::write(&map_path, "shard 0 * a\"b:7001\n").unwrap();
+    let handle =
+        RouterServer::start(&map_path, "127.0.0.1:0", RouterServeConfig::default()).unwrap();
+    let client = ServeClient::connect(handle.addr()).unwrap();
+    let metrics = client.metrics_text().unwrap();
+    validate_prometheus(&metrics).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
+    for family in ["open", "drained", "failures"] {
+        let series = format!(r#"pexeso_router_replica_{family}{{shard="0",replica="a\"b:7001"}}"#);
+        assert_eq!(stat_value(&metrics, &series), Some(0.0), "{metrics}");
+    }
+    drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

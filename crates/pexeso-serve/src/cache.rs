@@ -30,7 +30,6 @@ pub struct CacheStats {
     pub evictions: u64,
     pub len: usize,
     pub capacity: usize,
-    pub shards: usize,
 }
 
 struct Entry<V> {
@@ -261,10 +260,7 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     pub fn stats(&self) -> CacheStats {
-        let mut out = CacheStats {
-            shards: self.shards.len(),
-            ..Default::default()
-        };
+        let mut out = CacheStats::default();
         for shard in &self.shards {
             let s = Self::lock_shard(shard);
             let (h, m, i, e) = s.counters();
@@ -349,7 +345,6 @@ mod tests {
         assert_eq!(stats.hits, 64);
         assert_eq!(stats.insertions, 64);
         assert_eq!(stats.len, 64);
-        assert_eq!(stats.shards, 8);
         cache.clear();
         assert_eq!(cache.stats().len, 0);
     }

@@ -416,32 +416,27 @@ impl ServeClient {
         unwrap_hits_reply(reply)
     }
 
-    /// The raw `key=value` stats body (see
-    /// [`crate::metrics::stat_value`] for parsing single entries).
-    pub fn stats_text(&self) -> ClientResult<String> {
-        match self.roundtrip(&Request::Stats)? {
-            Reply::Stats { text } => Ok(text),
-            other => Err(unexpected("STATS", &other)),
+    /// The body of a text verb's reply.
+    fn text(&self, req: &Request, verb: &str) -> ClientResult<String> {
+        match self.roundtrip(req)? {
+            Reply::Text { text } => Ok(text),
+            other => Err(unexpected(verb, &other)),
         }
     }
 
-    /// The Prometheus text-format exposition (the `METRICS` verb).
-    /// Validates with [`crate::metrics::validate_prometheus`].
+    /// The Prometheus text-format exposition (the `METRICS` verb): every
+    /// counter the daemon keeps. Validates with
+    /// [`crate::metrics::validate_prometheus`]; [`crate::metrics::stat_value`]
+    /// reads one sample.
     pub fn metrics_text(&self) -> ClientResult<String> {
-        match self.roundtrip(&Request::Metrics)? {
-            Reply::Stats { text } => Ok(text),
-            other => Err(unexpected("METRICS", &other)),
-        }
+        self.text(&Request::Metrics, "METRICS")
     }
 
     /// The slow-query log: the slowest traced requests the daemon has
     /// seen, slowest first, each with its rendered phase tree (the
     /// `SLOW` verb). Empty until a traced or sampled query lands.
     pub fn slow_log_text(&self) -> ClientResult<String> {
-        match self.roundtrip(&Request::SlowLog)? {
-            Reply::Stats { text } => Ok(text),
-            other => Err(unexpected("SLOW", &other)),
-        }
+        self.text(&Request::SlowLog, "SLOW")
     }
 
     /// Index introspection: per-partition column/vector counts, postings
@@ -449,33 +444,25 @@ impl ServeClient {
     /// depth as `key=value` text (the `INSPECT` verb). A router
     /// answers with every shard's report, keys prefixed `shardN.`.
     pub fn inspect_text(&self) -> ClientResult<String> {
-        match self.roundtrip(&Request::Inspect)? {
-            Reply::Stats { text } => Ok(text),
-            other => Err(unexpected("INSPECT", &other)),
-        }
+        self.text(&Request::Inspect, "INSPECT")
     }
 
     /// Liveness/readiness summary as `key=value` text (the `HEALTH`
     /// verb): `status=ready|degraded|draining` plus supporting detail. A
     /// router rolls every shard's replica set into one fleet answer.
     pub fn health_text(&self) -> ClientResult<String> {
-        match self.roundtrip(&Request::Health)? {
-            Reply::Stats { text } => Ok(text),
-            other => Err(unexpected("HEALTH", &other)),
-        }
+        self.text(&Request::Health, "HEALTH")
     }
 
     /// Mark a replica drained (`true`) or back in rotation (`false`) on a
     /// router (the `DRAIN` verb). Returns the router's confirmation
     /// text; shard daemons reject the verb.
     pub fn drain(&self, addr: &str, drained: bool) -> ClientResult<String> {
-        match self.roundtrip(&Request::Drain {
+        let req = Request::Drain {
             addr: addr.to_string(),
             drained,
-        })? {
-            Reply::Stats { text } => Ok(text),
-            other => Err(unexpected("DRAIN", &other)),
-        }
+        };
+        self.text(&req, "DRAIN")
     }
 
     /// Publish a new generation from the served directory's delta log

@@ -52,7 +52,7 @@ pub struct ConnConfig {
 }
 
 /// Backpressure counters and the queue-wait histogram: written here,
-/// read by each daemon's STATS/METRICS renderer.
+/// read by each daemon's METRICS renderer.
 #[derive(Default)]
 pub struct ConnCounters {
     /// Connections rejected with a BUSY reply (queue full).

@@ -7,8 +7,8 @@
 //! TCP daemon (`std::net` only; no external runtime):
 //!
 //! * [`protocol`] — a small length-prefixed binary protocol
-//!   (`INFO`/`SEARCH`/`TOPK`/`STATS`/`RELOAD`/`SHUTDOWN`), query vectors
-//!   on the wire as raw `f32`s, explicit `BUSY` backpressure;
+//!   (`INFO`/`SEARCH`/`TOPK`/`METRICS`/`RELOAD`/`SHUTDOWN`, …), query
+//!   vectors on the wire as raw `f32`s, explicit `BUSY` backpressure;
 //! * [`snapshot`] — `Arc`-swapped immutable index snapshots with a
 //!   versioned-manifest reload path: `RELOAD` re-opens the deployment
 //!   directory and atomically publishes it under live traffic with zero
@@ -29,10 +29,9 @@
 //!   server), admin verbs;
 //! * [`metrics`] — lock-free per-endpoint counters and log-bucketed
 //!   latency histograms ([`pexeso_core::hist::AtomicHistogram`]),
-//!   rendered as `key=value` text on the `STATS` verb and as Prometheus
-//!   text format on the `METRICS` verb (validated in-repo by
-//!   [`metrics::validate_prometheus`]), plus a slowest-N traced query
-//!   log behind the `SLOW` verb;
+//!   rendered as Prometheus text format on the `METRICS` verb (validated
+//!   in-repo by [`metrics::validate_prometheus`]), plus a slowest-N
+//!   traced query log behind the `SLOW` verb;
 //! * [`client`] — a synchronous client used by `pexeso query` and the
 //!   integration tests; queries can request a server-side phase trace
 //!   ([`pexeso_core::trace`]) that [`ResilientClient`] merges with its
@@ -57,7 +56,7 @@ pub use cache::{CacheStats, LruCache, ShardedCache};
 pub use client::{
     query_from_wire, query_payload, wire_request, ClientError, RemoteMeta, ServeClient,
 };
-pub use metrics::{stat_value, validate_prometheus, ServerMetrics, SlowQueryLog, SnapshotFacts};
+pub use metrics::{stat_value, validate_prometheus, ServerMetrics, SlowQueryLog};
 pub use protocol::{
     HitsExt, HitsReply, InfoReply, QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireHit,
 };

@@ -1,24 +1,24 @@
 //! Server instrumentation: lock-free counters, latency histograms, and
-//! the two exposition formats.
+//! their one exposition format.
 //!
 //! Every hot-path record is a handful of relaxed atomic adds into a
 //! [`pexeso_core::hist::AtomicHistogram`] — no mutex, no sampling ring,
 //! no lost samples under contention (pinned by the hammer test below).
-//! Two renderings exist:
-//!
-//! * [`ServerMetrics::render`] — the historical `key=value` lines behind
-//!   the `STATS` verb, grep-friendly and stable;
-//! * [`ServerMetrics::render_prometheus`] — Prometheus text exposition
-//!   (`# TYPE`/`# HELP`, `_bucket`/`_sum`/`_count` series) behind the
-//!   `METRICS` verb, scrapeable by a stock Prometheus. The in-repo
-//!   [`validate_prometheus`] checker keeps the format honest without a
-//!   new dependency.
+//! [`ServerMetrics::render_prometheus`] renders them as Prometheus text
+//! exposition (`# TYPE`/`# HELP`, `_bucket`/`_sum`/`_count` series and
+//! p50/p99 gauges) behind the `METRICS` verb — the one counter plane of
+//! both daemon tiers, written through [`PromText`] and scrapeable by a
+//! stock Prometheus. The in-repo [`validate_prometheus`] checker keeps
+//! the format honest without a new dependency; [`stat_value`] reads one
+//! sample back.
 //!
 //! The daemon also keeps a [`SlowQueryLog`]: a small slowest-N ring of
 //! traced requests (fed by the `--metrics-sample-rate` sampler) dumped by
 //! the `SLOW` verb, so a p99 spike comes with the phase tree that caused
 //! it.
 
+use std::borrow::Borrow;
+use std::fmt::{Display, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -27,6 +27,7 @@ use pexeso_core::hist::{self, bucket_upper_bound, AtomicHistogram, HistSnapshot,
 
 use crate::cache::CacheStats;
 use crate::conn::{lock_unpoisoned, ConnCounters};
+use crate::snapshot::Snapshot;
 
 /// One endpoint's counters + latency histogram. Recording is atomics-only
 /// — safe to call from every worker without serialising them.
@@ -49,17 +50,8 @@ impl EndpointMetrics {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// (p50, p99) of the latency histogram, in microseconds. Zero when no
-    /// request has been served yet. Estimates are conservative: the upper
-    /// bound of the bucket holding the rank, at most one bucket width
-    /// (~12.5%) above the true quantile.
-    pub fn latency_quantiles_us(&self) -> (f64, f64) {
-        let s = self.latency.snapshot();
-        (s.quantile(0.50) as f64, s.quantile(0.99) as f64)
-    }
-
     /// Snapshot of the latency histogram (for exposition / merging).
-    pub(crate) fn latency_snapshot(&self) -> HistSnapshot {
+    pub fn latency_snapshot(&self) -> HistSnapshot {
         self.latency.snapshot()
     }
 }
@@ -73,7 +65,8 @@ pub struct ServerMetrics {
     pub search: EndpointMetrics,
     pub topk: EndpointMetrics,
     pub info: EndpointMetrics,
-    pub stats: EndpointMetrics,
+    /// METRICS/SLOW/INSPECT/HEALTH.
+    pub admin: EndpointMetrics,
     pub reload: EndpointMetrics,
     /// Delta APPLY latency (ingest → published snapshot) rides on this
     /// endpoint's histogram.
@@ -97,28 +90,13 @@ pub struct ServerMetrics {
     pub distance_computations: AtomicU64,
 }
 
-/// The served-snapshot facts rendered into STATS alongside the counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SnapshotFacts {
-    pub generation: u64,
-    pub index_version: u64,
-    pub partitions: usize,
-    pub dim: usize,
-    /// Live columns ingested since the base build.
-    pub delta_columns: usize,
-    /// Tables tombstoned since the base build.
-    pub delta_tombstones: usize,
-    /// Records in the replayed delta log.
-    pub delta_records: usize,
-}
-
 impl ServerMetrics {
     fn endpoints(&self) -> [(&'static str, &EndpointMetrics); 6] {
         [
             ("search", &self.search),
             ("topk", &self.topk),
             ("info", &self.info),
-            ("stats", &self.stats),
+            ("admin", &self.admin),
             ("reload", &self.reload),
             ("apply", &self.apply),
         ]
@@ -131,76 +109,25 @@ impl ServerMetrics {
         self.phase_verify.record_duration(stats.verify_time);
     }
 
-    /// Render every counter as `key=value` lines (the `STATS` reply body).
-    pub fn render(
-        &self,
-        uptime: Duration,
-        conn: &ConnCounters,
-        cache: &CacheStats,
-        snap: &SnapshotFacts,
-    ) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(1024);
-        let _ = writeln!(out, "uptime_us={}", uptime.as_micros());
-        let _ = writeln!(out, "snapshot.generation={}", snap.generation);
-        let _ = writeln!(out, "snapshot.index_version={}", snap.index_version);
-        let _ = writeln!(out, "snapshot.partitions={}", snap.partitions);
-        let _ = writeln!(out, "snapshot.dim={}", snap.dim);
-        let _ = writeln!(out, "delta.columns={}", snap.delta_columns);
-        let _ = writeln!(out, "delta.tombstones={}", snap.delta_tombstones);
-        let _ = writeln!(out, "delta.records={}", snap.delta_records);
-        let _ = writeln!(out, "applies={}", self.applies.load(Ordering::Relaxed));
-        let _ = writeln!(out, "swaps={}", self.swaps.load(Ordering::Relaxed));
-        let _ = writeln!(
-            out,
-            "busy_rejections={}",
-            conn.busy_rejections.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "shed={}", conn.shed.load(Ordering::Relaxed));
-        let _ = writeln!(out, "expired={}", conn.expired.load(Ordering::Relaxed));
-        let _ = writeln!(
-            out,
-            "distance_computations={}",
-            self.distance_computations.load(Ordering::Relaxed)
-        );
-        let _ = writeln!(out, "cache.capacity={}", cache.capacity);
-        let _ = writeln!(out, "cache.len={}", cache.len);
-        let _ = writeln!(out, "cache.shards={}", cache.shards);
-        let _ = writeln!(out, "cache.hits={}", cache.hits);
-        let _ = writeln!(out, "cache.misses={}", cache.misses);
-        let _ = writeln!(out, "cache.insertions={}", cache.insertions);
-        let _ = writeln!(out, "cache.evictions={}", cache.evictions);
-        let qw = conn.queue_wait.snapshot();
-        let _ = writeln!(out, "queue_wait.p50_us={}", qw.quantile(0.50));
-        let _ = writeln!(out, "queue_wait.p99_us={}", qw.quantile(0.99));
-        for (name, ep) in self.endpoints() {
-            let (p50, p99) = ep.latency_quantiles_us();
-            let _ = writeln!(
-                out,
-                "{name}.requests={}",
-                ep.requests.load(Ordering::Relaxed)
-            );
-            let _ = writeln!(out, "{name}.errors={}", ep.errors.load(Ordering::Relaxed));
-            let _ = writeln!(out, "{name}.p50_us={p50:.0}");
-            let _ = writeln!(out, "{name}.p99_us={p99:.0}");
-        }
-        out
-    }
-
     /// Render the Prometheus text exposition (the `METRICS` reply body).
     ///
     /// Histogram families render cumulative `_bucket{le=…}` series at
     /// every octave boundary of the log-bucketed layout (24 bounds +
-    /// `+Inf`) — full resolution stays queryable via `STATS` quantiles,
-    /// the scrape stays small. Output passes [`validate_prometheus`],
+    /// `+Inf`), which keeps the scrape small; the p50/p99 gauges of
+    /// `pexeso_latency_quantile_microseconds` read the same snapshots at
+    /// full bucket resolution. Output passes [`validate_prometheus`],
     /// which the CI smoke job asserts against a live daemon.
     pub fn render_prometheus(
         &self,
         uptime: Duration,
         conn: &ConnCounters,
         cache: &CacheStats,
-        snap: &SnapshotFacts,
+        snap: &Snapshot,
     ) -> String {
+        let latencies = self
+            .endpoints()
+            .map(|(name, ep)| (name, ep.latency_snapshot()));
+        let queue_wait = conn.queue_wait.snapshot();
         let mut out = PromText::with_capacity(8192);
         out.gauge(
             "pexeso_uptime_seconds",
@@ -210,22 +137,37 @@ impl ServerMetrics {
         out.gauge(
             "pexeso_snapshot_generation",
             "Generation of the served snapshot.",
-            snap.generation as f64,
+            snap.generation() as f64,
+        );
+        out.gauge(
+            "pexeso_snapshot_index_version",
+            "Build generation (manifest index_version) of the served base.",
+            snap.manifest().index_version as f64,
         );
         out.gauge(
             "pexeso_snapshot_partitions",
             "Partitions in the served snapshot.",
-            snap.partitions as f64,
+            snap.num_partitions() as f64,
         );
         out.gauge(
             "pexeso_delta_columns",
             "Live delta columns ingested since the base build.",
-            snap.delta_columns as f64,
+            snap.delta_columns() as f64,
+        );
+        out.gauge(
+            "pexeso_delta_tombstones",
+            "Tables tombstoned since the base build.",
+            snap.delta_tombstones() as f64,
         );
         out.gauge(
             "pexeso_cache_len",
             "Entries in the result cache.",
             cache.len as f64,
+        );
+        out.gauge(
+            "pexeso_cache_capacity",
+            "Result-cache entry budget across all shards.",
+            cache.capacity as f64,
         );
 
         out.labelled(
@@ -286,8 +228,7 @@ impl ServerMetrics {
             "pexeso_request_latency_microseconds",
             "Request handling latency, per endpoint.",
             "endpoint",
-            self.endpoints()
-                .map(|(name, ep)| (name, ep.latency_snapshot())),
+            latencies.iter().map(|(name, s)| (*name, s)),
         );
         out.labelled_histograms(
             "pexeso_phase_microseconds",
@@ -311,7 +252,15 @@ impl ServerMetrics {
         out.histogram(
             "pexeso_queue_wait_microseconds",
             "Time requests waited in the accept queue.",
-            &conn.queue_wait.snapshot(),
+            &queue_wait,
+        );
+        out.quantiles(
+            "pexeso_latency_quantile_microseconds",
+            "Request latency per endpoint and accept-queue wait, at full bucket resolution.",
+            latencies
+                .iter()
+                .map(|(name, s)| (*name, s))
+                .chain([("queue_wait", &queue_wait)]),
         );
         out.histogram(
             "pexeso_wal_append_microseconds",
@@ -345,26 +294,40 @@ impl PromText {
     /// Open a metric family: its `# HELP` and `# TYPE` lines (`kind` is
     /// `gauge`, `counter` or `histogram`). The family's samples follow.
     pub fn family(&mut self, name: &str, help: &str, kind: &str) {
-        use std::fmt::Write as _;
         let _ = writeln!(self.0, "# HELP {name} {help}");
         let _ = writeln!(self.0, "# TYPE {name} {kind}");
     }
 
-    /// One sample line. `labels` is the inner label list without braces
-    /// (may be empty — `name{}` is not universally accepted by Prometheus
-    /// text parsers, so the braces are omitted then).
-    pub fn sample(&mut self, name: &str, labels: &str, value: impl std::fmt::Display) {
-        use std::fmt::Write as _;
-        let _ = if labels.is_empty() {
-            writeln!(self.0, "{name} {value}")
-        } else {
-            writeln!(self.0, "{name}{{{labels}}} {value}")
-        };
+    /// One sample line, `name{key="value",…} value`. Every label value of
+    /// every scrape is written here, escaped (`\` → `\\`, `"` → `\"`,
+    /// newline → `\n`), so any text — a replica address read from a
+    /// shard-map file — stays one well-formed label. Without labels the
+    /// braces are omitted (`name{}` is not universally accepted by
+    /// Prometheus text parsers).
+    pub fn sample(&mut self, name: &str, labels: &[(&str, &dyn Display)], value: impl Display) {
+        self.0.push_str(name);
+        for (i, (key, label)) in labels.iter().enumerate() {
+            let open = if i == 0 { '{' } else { ',' };
+            let _ = write!(self.0, "{open}{key}=\"");
+            for c in label.to_string().chars() {
+                match c {
+                    '\\' => self.0.push_str("\\\\"),
+                    '"' => self.0.push_str("\\\""),
+                    '\n' => self.0.push_str("\\n"),
+                    c => self.0.push(c),
+                }
+            }
+            self.0.push('"');
+        }
+        if !labels.is_empty() {
+            self.0.push('}');
+        }
+        let _ = writeln!(self.0, " {value}");
     }
 
     /// A family whose samples differ in one label: the header plus one
     /// `name{key="label"} value` line per item.
-    pub fn labelled<L: std::fmt::Display, V: std::fmt::Display>(
+    pub fn labelled<L: Display, V: Display>(
         &mut self,
         name: &str,
         help: &str,
@@ -374,61 +337,84 @@ impl PromText {
     ) {
         self.family(name, help, kind);
         for (label, value) in samples {
-            self.sample(name, &format!("{key}=\"{label}\""), value);
+            self.sample(name, &[(key, &label)], value);
         }
     }
 
     /// A histogram family with one series per value of one label.
-    pub(crate) fn labelled_histograms<L: std::fmt::Display>(
+    fn labelled_histograms<L: Display, S: Borrow<HistSnapshot>>(
         &mut self,
         name: &str,
         help: &str,
         key: &str,
-        series: impl IntoIterator<Item = (L, HistSnapshot)>,
+        series: impl IntoIterator<Item = (L, S)>,
     ) {
         self.family(name, help, "histogram");
         for (label, s) in series {
-            self.histogram_series(name, &format!("{key}=\"{label}\""), &s);
+            self.histogram_series(name, &[(key, &label)], s.borrow());
+        }
+    }
+
+    /// A gauge family of each series' p50 and p99,
+    /// `name{series="…",quantile="0.5"|"0.99"}`, from
+    /// [`HistSnapshot::quantile`] at full bucket resolution: the upper
+    /// bound of the bucket holding the rank, at most one bucket width
+    /// (~12.5%) above the true quantile, and 0 for an empty series.
+    pub fn quantiles<L: Display, S: Borrow<HistSnapshot>>(
+        &mut self,
+        name: &str,
+        help: &str,
+        series: impl IntoIterator<Item = (L, S)>,
+    ) {
+        self.family(name, help, "gauge");
+        for (label, s) in series {
+            for q in [0.5, 0.99] {
+                let value = s.borrow().quantile(q);
+                self.sample(name, &[("series", &label), ("quantile", &q)], value);
+            }
         }
     }
 
     /// A label-free gauge family with its one sample.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
         self.family(name, help, "gauge");
-        self.sample(name, "", value);
+        self.sample(name, &[], value);
     }
 
     /// A label-free counter family with its one sample.
     pub fn counter(&mut self, name: &str, help: &str, value: u64) {
         self.family(name, help, "counter");
-        self.sample(name, "", value);
+        self.sample(name, &[], value);
     }
 
     /// A label-free histogram family with its one series.
     pub fn histogram(&mut self, name: &str, help: &str, s: &HistSnapshot) {
         self.family(name, help, "histogram");
-        self.histogram_series(name, "", s);
+        self.histogram_series(name, &[], s);
     }
 
     /// One labelled histogram series (`_bucket`s, `_sum`, `_count`) of an
     /// already-opened family, sampled at octave boundaries; `le` is
     /// appended to `labels`.
-    pub(crate) fn histogram_series(&mut self, name: &str, labels: &str, s: &HistSnapshot) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let bucket = format!("{name}_bucket");
+    fn histogram_series(&mut self, name: &str, labels: &[(&str, &dyn Display)], s: &HistSnapshot) {
+        let bucket_name = format!("{name}_bucket");
+        let bucket = |out: &mut Self, le: &dyn Display, cumulative: u64| {
+            let mut with_le = labels.to_vec();
+            with_le.push(("le", le));
+            out.sample(&bucket_name, &with_le, cumulative);
+        };
         let mut cumulative = 0u64;
         let mut next_bound = 0usize;
         for (i, &c) in s.buckets.iter().enumerate() {
             cumulative += c;
             // Emit at every octave boundary (every 8th bucket ends an octave).
             if i == next_bound {
-                let le = bucket_upper_bound(i);
-                self.sample(&bucket, &format!("{labels}{sep}le=\"{le}\""), cumulative);
+                bucket(self, &bucket_upper_bound(i), cumulative);
                 next_bound += 8;
             }
         }
         debug_assert_eq!(next_bound, NUM_BUCKETS);
-        self.sample(&bucket, &format!("{labels}{sep}le=\"+Inf\""), s.count);
+        bucket(self, &"+Inf", s.count);
         self.sample(&format!("{name}_sum"), labels, s.sum);
         self.sample(&format!("{name}_count"), labels, s.count);
     }
@@ -702,12 +688,13 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse one counter back out of a rendered STATS body (client-side
-/// convenience for tests and tooling).
-pub fn stat_value(text: &str, key: &str) -> Option<f64> {
+/// The value of one sample of a `METRICS` scrape, looked up exactly:
+/// `series` is `name` or `name{labels}` as rendered, e.g.
+/// `pexeso_cache_ops_total{op="hit"}`. `None` when no line carries it.
+pub fn stat_value(text: &str, series: &str) -> Option<f64> {
     text.lines()
-        .find_map(|l| l.strip_prefix(key)?.strip_prefix('='))
-        .and_then(|v| v.trim().parse().ok())
+        .find_map(|l| l.rsplit_once(' ').filter(|(s, _)| *s == series))
+        .and_then(|(_, v)| v.parse().ok())
 }
 
 /// One entry of the slow-query log: the request's latency and its
@@ -794,7 +781,6 @@ impl SlowQueryLog {
     /// The log as text, slowest first: a `slow_query verb=… latency_us=…`
     /// header line per entry followed by its indented phase tree.
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut entries = lock_unpoisoned(&self.entries).clone();
         entries.sort_by_key(|e| std::cmp::Reverse(e.latency_us));
         let mut out = String::new();
@@ -822,35 +808,43 @@ impl SlowQueryLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pexeso_core::hist::{bucket_index, bucket_width};
 
-    #[test]
-    fn quantiles_bracket_the_distribution() {
-        let ep = EndpointMetrics::default();
-        // 1000 samples: 98% at ~100us, 2% at ~10000us — the slow 2% must
-        // pull p99 into the slow region while p50 stays fast.
-        for _ in 0..980 {
-            ep.record(Duration::from_micros(100));
+    /// A snapshot served as generation 2 of a base built as index version
+    /// 5, with four ingested delta columns and one dropped base table, in
+    /// a fresh directory named after `tag`.
+    fn served_snapshot(tag: &str) -> (std::path::PathBuf, Snapshot) {
+        use pexeso_core::prelude::*;
+        use pexeso_delta::{drop_tables, ingest_columns, IngestColumn};
+        let dir = std::env::temp_dir().join(format!("pexeso_metrics_{tag}_{}", std::process::id()));
+        let mut columns = ColumnSet::new(2);
+        for c in 0..4u64 {
+            let v = [1.0, c as f32];
+            columns
+                .add_column(&format!("t{c}"), "c", c, vec![&v[..]])
+                .unwrap();
         }
-        for _ in 0..20 {
-            ep.record(Duration::from_micros(10_000));
-        }
-        let (p50, p99) = ep.latency_quantiles_us();
-        assert!(
-            p50 >= 100.0 && p50 <= (100 + bucket_width(bucket_index(100))) as f64,
-            "p50={p50}"
-        );
-        assert!(
-            p99 >= 10_000.0 && p99 <= (10_000 + bucket_width(bucket_index(10_000))) as f64,
-            "p99={p99}"
-        );
-        assert_eq!(ep.requests.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn empty_endpoint_reports_zero() {
-        let ep = EndpointMetrics::default();
-        assert_eq!(ep.latency_quantiles_us(), (0.0, 0.0));
+        PartitionedLake::build(
+            &columns,
+            Euclidean,
+            &PartitionConfig::default(),
+            &IndexOptions::default(),
+            &dir,
+        )
+        .unwrap();
+        let mut manifest = LakeManifest::new("test", 2);
+        manifest.index_version = 5;
+        manifest.write(&dir).unwrap();
+        let fresh: Vec<IngestColumn> = (0..4)
+            .map(|c| IngestColumn {
+                table_name: format!("fresh{c}"),
+                column_name: "c".into(),
+                vectors: vec![0.5, c as f32],
+            })
+            .collect();
+        ingest_columns(&dir, &fresh).unwrap();
+        drop_tables(&dir, &["t0".into()]).unwrap();
+        let snap = Snapshot::load(&dir, 2).unwrap();
+        (dir, snap)
     }
 
     #[test]
@@ -883,6 +877,7 @@ mod tests {
 
     #[test]
     fn render_and_parse_roundtrip() {
+        let (dir, snap) = served_snapshot("roundtrip");
         let m = ServerMetrics::default();
         let conn = ConnCounters::default();
         m.search.record(Duration::from_micros(250));
@@ -891,45 +886,47 @@ mod tests {
             hits: 7,
             misses: 2,
             capacity: 100,
-            shards: 4,
             ..Default::default()
         };
-        let text = m.render(
-            Duration::from_secs(1),
-            &conn,
-            &cache,
-            &SnapshotFacts {
-                generation: 2,
-                index_version: 5,
-                partitions: 3,
-                dim: 64,
-                delta_columns: 4,
-                delta_tombstones: 1,
-                delta_records: 6,
-            },
-        );
-        assert_eq!(stat_value(&text, "snapshot.generation"), Some(2.0));
-        assert_eq!(stat_value(&text, "snapshot.index_version"), Some(5.0));
-        assert_eq!(stat_value(&text, "delta.columns"), Some(4.0));
-        assert_eq!(stat_value(&text, "delta.tombstones"), Some(1.0));
-        assert_eq!(stat_value(&text, "delta.records"), Some(6.0));
-        assert_eq!(stat_value(&text, "applies"), Some(0.0));
-        assert_eq!(stat_value(&text, "cache.hits"), Some(7.0));
-        assert_eq!(stat_value(&text, "busy_rejections"), Some(3.0));
-        assert_eq!(stat_value(&text, "shed"), Some(0.0));
-        assert_eq!(stat_value(&text, "expired"), Some(0.0));
-        assert_eq!(stat_value(&text, "search.requests"), Some(1.0));
-        assert!(stat_value(&text, "search.p99_us").unwrap() > 0.0);
-        assert_eq!(stat_value(&text, "no.such.key"), None);
+        let mut text = m.render_prometheus(Duration::from_secs(1), &conn, &cache, &snap);
+        text.push_str(&render_inspection_prometheus(&snap.inspect()));
+        validate_prometheus(&text).unwrap();
+        for (series, value) in [
+            ("pexeso_snapshot_generation", 2.0),
+            ("pexeso_snapshot_index_version", 5.0),
+            ("pexeso_snapshot_partitions", snap.num_partitions() as f64),
+            ("pexeso_delta_columns", 4.0),
+            ("pexeso_delta_tombstones", 1.0),
+            (
+                "pexeso_index_delta_records",
+                snap.overlay().n_records() as f64,
+            ),
+            ("pexeso_applies_total", 0.0),
+            ("pexeso_cache_capacity", 100.0),
+            ("pexeso_cache_ops_total{op=\"hit\"}", 7.0),
+            ("pexeso_rejected_total{reason=\"busy\"}", 3.0),
+            ("pexeso_rejected_total{reason=\"shed\"}", 0.0),
+            ("pexeso_rejected_total{reason=\"expired\"}", 0.0),
+            ("pexeso_requests_total{endpoint=\"search\"}", 1.0),
+        ] {
+            assert_eq!(stat_value(&text, series), Some(value), "{series}");
+        }
+        let p99 = "pexeso_latency_quantile_microseconds{series=\"search\",quantile=\"0.99\"}";
+        assert!(stat_value(&text, p99).unwrap() >= 250.0);
+        assert_eq!(stat_value(&text, "pexeso_no_such_series"), None);
+        // Exact: a name alone never matches its labelled samples.
+        assert_eq!(stat_value(&text, "pexeso_requests_total"), None);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn prometheus_output_is_valid() {
+        let (dir, snap) = served_snapshot("valid");
         let m = ServerMetrics::default();
         m.search.record(Duration::from_micros(250));
         m.topk.record(Duration::from_micros(42));
         let conn = ConnCounters::default();
-        conn.queue_wait.record(17);
+        conn.queue_wait.record(20);
         m.cache_hit_lookup.record(3);
         m.record_phases(&pexeso_core::stats::SearchStats {
             mapping_time: Duration::from_micros(10),
@@ -937,16 +934,27 @@ mod tests {
             verify_time: Duration::from_micros(30),
             ..Default::default()
         });
-        let text = m.render_prometheus(
-            Duration::ZERO,
-            &conn,
-            &CacheStats::default(),
-            &SnapshotFacts::default(),
-        );
+        let text = m.render_prometheus(Duration::ZERO, &conn, &CacheStats::default(), &snap);
         validate_prometheus(&text).unwrap();
         assert!(text.contains("# TYPE pexeso_request_latency_microseconds histogram"));
         assert!(text.contains("pexeso_requests_total{endpoint=\"search\"} 1"));
         assert!(text.contains("le=\"+Inf\""));
+        // The gauges keep full bucket resolution, finer than the octave
+        // boundaries the `_bucket` lines sample.
+        let qw = "pexeso_latency_quantile_microseconds{series=\"queue_wait\",quantile=\"0.5\"}";
+        let p50 = hist::bucket_upper_bound(hist::bucket_index(20));
+        assert_eq!(stat_value(&text, qw), Some(p50 as f64));
+        assert!(!text.contains(&format!("le=\"{p50}\"")), "{text}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        let mut out = PromText::with_capacity(128);
+        out.labelled("h", "doc", "gauge", "replica", [("a\"b\\c\nd", 1)]);
+        let text = out.finish();
+        validate_prometheus(&text).unwrap();
+        assert_eq!(stat_value(&text, r#"h{replica="a\"b\\c\nd"}"#), Some(1.0));
     }
 
     #[test]

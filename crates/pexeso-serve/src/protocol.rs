@@ -31,7 +31,6 @@
 //! | `INFO` | 0 | — |
 //! | `SEARCH` | 1 | threshold, *query*, explain: `bool` |
 //! | `TOPK` | 2 | k: `u64`, *query*, explain: `bool` |
-//! | `STATS` | 3 | — |
 //! | `RELOAD` | 4 | dir: `str` (empty = the served directory) |
 //! | `SHUTDOWN` | 5 | — |
 //! | `APPLY` | 6 | shard: `opt u32` |
@@ -40,6 +39,9 @@
 //! | `INSPECT` | 10 | — |
 //! | `HEALTH` | 11 | — |
 //! | `DRAIN` | 12 | addr: `str`, drained: `bool` |
+//!
+//! Verb bytes 3 (`STATS`) and 7 (`BATCH`) are retired: they decode as
+//! `unknown verb`.
 //!
 //! *query* = metric: `str`, τ (tag `0` absolute \| `1` ratio, `f32`),
 //! policy (tag `0` sequential \| `1` parallel \| `2` fixed, threads:
@@ -57,7 +59,7 @@
 //! |---|---|---|
 //! | `INFO` | 0 | dim `u32`, generation `u64`, index version `u64`, partitions `u32`, disk bytes `u64` |
 //! | `HITS` | 1 | *hits* |
-//! | `STATS` | 2 | text: `str` (also answers METRICS/SLOW/INSPECT/HEALTH/DRAIN) |
+//! | `TEXT` | 2 | text: `str` (answers METRICS/SLOW/INSPECT/HEALTH/DRAIN) |
 //! | `RELOADED` | 3 | generation `u64`, partitions `u32` |
 //! | `SHUTTING_DOWN` | 4 | — |
 //! | `APPLIED` | 6 | generation `u64`, delta columns `u64`, tombstones `u64` |
@@ -95,7 +97,6 @@ pub const MAX_FRAME_BYTES: u32 = 64 << 20;
 const VERB_INFO: u8 = 0;
 const VERB_SEARCH: u8 = 1;
 const VERB_TOPK: u8 = 2;
-const VERB_STATS: u8 = 3;
 const VERB_RELOAD: u8 = 4;
 const VERB_SHUTDOWN: u8 = 5;
 const VERB_APPLY: u8 = 6;
@@ -116,7 +117,7 @@ const VERB_DRAIN: u8 = 12;
 
 const REPLY_INFO: u8 = 0;
 const REPLY_HITS: u8 = 1;
-const REPLY_STATS: u8 = 2;
+const REPLY_TEXT: u8 = 2;
 const REPLY_RELOADED: u8 = 3;
 const REPLY_SHUTTING_DOWN: u8 = 4;
 const REPLY_APPLIED: u8 = 6;
@@ -234,9 +235,8 @@ pub enum Request {
     },
     /// Top-k search: the k columns with the most matching query records.
     Topk { query: QueryPayload, k: u64 },
-    /// Per-endpoint counters and latency quantiles as `key=value` text.
-    Stats,
-    /// The server metrics in Prometheus text exposition format.
+    /// Every counter, histogram and p50/p99 gauge of the daemon in
+    /// Prometheus text exposition format.
     Metrics,
     /// The slow-query log — the slowest sampled/traced requests with
     /// their phase trees, slowest first.
@@ -341,7 +341,8 @@ pub struct HitsReply {
 pub enum Reply {
     Info(InfoReply),
     Hits(HitsReply),
-    Stats {
+    /// The body of a text verb: METRICS, SLOW, INSPECT, HEALTH, DRAIN.
+    Text {
         text: String,
     },
     Reloaded {
@@ -809,7 +810,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             w.u64(*k);
             put_query(&mut w, query);
         }
-        Request::Stats => w.u8(VERB_STATS),
         Request::Metrics => w.u8(VERB_METRICS),
         Request::SlowLog => w.u8(VERB_SLOW),
         Request::Inspect => w.u8(VERB_INSPECT),
@@ -857,7 +857,6 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
             let query = take_query(&mut r)?;
             Request::Topk { query, k }
         }
-        VERB_STATS => Request::Stats,
         VERB_METRICS => Request::Metrics,
         VERB_SLOW => Request::SlowLog,
         VERB_INSPECT => Request::Inspect,
@@ -898,8 +897,8 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             w.u8(REPLY_HITS);
             put_hits_body(&mut w, h);
         }
-        Reply::Stats { text } => {
-            w.u8(REPLY_STATS);
+        Reply::Text { text } => {
+            w.u8(REPLY_TEXT);
             w.str(text);
         }
         Reply::Reloaded {
@@ -947,7 +946,7 @@ pub fn decode_reply(payload: &[u8]) -> WireResult<Reply> {
             disk_bytes: r.u64()?,
         }),
         REPLY_HITS => Reply::Hits(take_hits_body(&mut r)?),
-        REPLY_STATS => Reply::Stats {
+        REPLY_TEXT => Reply::Text {
             text: r.str(1 << 20)?,
         },
         REPLY_RELOADED => Reply::Reloaded {
@@ -1049,7 +1048,7 @@ mod tests {
         }
     }
 
-    /// All 12 verbs, the query verbs with and without budget, trace,
+    /// All 11 verbs, the query verbs with and without budget, trace,
     /// request id and explain. The first of each verb is its golden frame.
     fn sample_requests() -> Vec<Request> {
         vec![
@@ -1083,7 +1082,6 @@ mod tests {
                 },
                 k: 4,
             },
-            Request::Stats,
             Request::Reload {
                 dir: Some("/d".into()),
             },
@@ -1183,7 +1181,7 @@ mod tests {
                 trace: Some(sample_trace()),
                 ..sample_hits()
             }),
-            Reply::Stats { text: "a=1".into() },
+            Reply::Text { text: "a=1".into() },
             Reply::Reloaded {
                 generation: 2,
                 partitions: 3,
@@ -1351,7 +1349,6 @@ mod tests {
              50585356 08 02  0a00000000000000  09000000 6575636c696465616e  01 8fc2753d
                 01 04000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
                 0f 01 00 00  00  00  00;
-             50585356 08 03;
              50585356 08 04  02000000 2f64;
              50585356 08 05;
              50585356 08 06  01 02000000;
@@ -1506,13 +1503,15 @@ mod tests {
             };
             assert_eq!(msg, format!("unknown reply kind {kind}"));
         }
-        // So is the retired verb 7, under this build's own version.
-        let mut bytes = encode_request(&Request::Info);
-        bytes[5] = 7;
-        let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {
-            panic!("verb 7 decoded");
-        };
-        assert_eq!(msg, "unknown verb 7");
+        // So are the retired verbs 3 and 7, under this build's own version.
+        for verb in [3u8, 7] {
+            let mut bytes = encode_request(&Request::Info);
+            bytes[5] = verb;
+            let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {
+                panic!("verb {verb} decoded");
+            };
+            assert_eq!(msg, format!("unknown verb {verb}"));
+        }
     }
 
     #[test]
@@ -1547,7 +1546,7 @@ mod tests {
             query_fingerprint(&req(Tau::Ratio(0.06), 10), 2).unwrap()
         );
         // Non-query verbs have no fingerprint.
-        assert!(query_fingerprint(&Request::Stats, 1).is_none());
+        assert!(query_fingerprint(&Request::Metrics, 1).is_none());
     }
 
     /// Policy, trace level, request id and explain are *not* keyed:

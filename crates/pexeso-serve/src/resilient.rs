@@ -141,8 +141,8 @@ impl Default for ResilientConfig {
 }
 
 /// A live snapshot of the client's failure-handling counters — what
-/// `pexeso query --stats` prints so operators see degradation without
-/// reading code.
+/// `pexeso query` over a replica list prints so operators see
+/// degradation without reading code.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Attempts beyond the first, across all operations.
@@ -196,7 +196,7 @@ struct Replica {
 }
 
 /// One replica's health as seen by this client — the per-shard gauge a
-/// router's STATS plane reports.
+/// router's METRICS plane reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStatus {
     pub addr: String,

@@ -30,7 +30,7 @@ use crate::conn::{
     answer_query, error_reply, failed, lock_unpoisoned, serve, verb_of, ConnConfig, ConnHandle,
     Handler, RequestCtx,
 };
-use crate::metrics::{EndpointMetrics, ServerMetrics, SlowQueryLog, SnapshotFacts};
+use crate::metrics::{EndpointMetrics, ServerMetrics, SlowQueryLog};
 use crate::protocol::{
     query_fingerprint, HitsExt, HitsReply, InfoReply, QueryPayload, Reply, Request, WireHit,
 };
@@ -166,11 +166,7 @@ impl Handler for ShardHandler {
             Request::Search { .. } => &m.search,
             Request::Topk { .. } => &m.topk,
             Request::Info => &m.info,
-            Request::Stats
-            | Request::Metrics
-            | Request::Inspect
-            | Request::Health
-            | Request::SlowLog => &m.stats,
+            Request::Metrics | Request::Inspect | Request::Health | Request::SlowLog => &m.admin,
             Request::Reload { .. } => &m.reload,
             Request::ApplyDelta { .. } => &m.apply,
             Request::Drain { .. } | Request::Shutdown => return None,
@@ -192,39 +188,28 @@ impl Handler for ShardHandler {
                     Err(e) => error_reply(ctx, e.to_string()),
                 }
             }
-            Request::Stats => {
-                let snap = self.snapshot.current();
-                Reply::Stats {
-                    text: self.metrics.render(
-                        ctx.uptime(),
-                        ctx.counters(),
-                        &self.cache.stats(),
-                        &facts_of(&snap),
-                    ),
-                }
-            }
             Request::Metrics => {
                 let snap = self.snapshot.current();
                 let mut text = self.metrics.render_prometheus(
                     ctx.uptime(),
                     ctx.counters(),
                     &self.cache.stats(),
-                    &facts_of(&snap),
+                    &snap,
                 );
                 // The introspection plane rides the same scrape: structural
                 // index gauges + cell-shape histograms per generation.
                 text.push_str(&crate::metrics::render_inspection_prometheus(
                     &self.inspection_of(&snap),
                 ));
-                Reply::Stats { text }
+                Reply::Text { text }
             }
             Request::Inspect => {
                 let snap = self.snapshot.current();
                 let mut text = format!("generation={}\n", snap.generation());
                 text.push_str(&self.inspection_of(&snap).render_text());
-                Reply::Stats { text }
+                Reply::Text { text }
             }
-            Request::Health => Reply::Stats {
+            Request::Health => Reply::Text {
                 text: self.render_health(ctx),
             },
             // A shard daemon owns no replica set; draining happens at the
@@ -233,7 +218,7 @@ impl Handler for ShardHandler {
             Request::Drain { .. } => Reply::Err {
                 message: "DRAIN is a router verb; a shard daemon has no replica set".into(),
             },
-            Request::SlowLog => Reply::Stats {
+            Request::SlowLog => Reply::Text {
                 text: self.slow_log.render(),
             },
             Request::Reload { dir } => {
@@ -306,19 +291,6 @@ impl Handler for ShardHandler {
                 })
             }
         }
-    }
-}
-
-/// The served-snapshot facts STATS and METRICS render.
-fn facts_of(snap: &Snapshot) -> SnapshotFacts {
-    SnapshotFacts {
-        generation: snap.generation(),
-        index_version: snap.manifest().index_version,
-        partitions: snap.num_partitions(),
-        dim: snap.dim(),
-        delta_columns: snap.delta_columns(),
-        delta_tombstones: snap.delta_tombstones(),
-        delta_records: snap.overlay().n_records(),
     }
 }
 

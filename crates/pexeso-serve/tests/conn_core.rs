@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
 use pexeso_core::trace::TraceLevel;
 use pexeso_serve::conn::{answer_query, serve, ConnConfig, ConnHandle, Handler, RequestCtx};
-use pexeso_serve::metrics::{stat_value, EndpointMetrics};
+use pexeso_serve::metrics::{stat_value, validate_prometheus, EndpointMetrics, PromText};
 use pexeso_serve::protocol::{
     decode_reply, encode_request, read_frame, write_frame, HitsReply, QueryCriteria, QueryExt,
     QueryPayload, Reply, Request, MAX_FRAME_BYTES,
@@ -18,9 +18,9 @@ use pexeso_serve::protocol::{
 use pexeso_serve::{ClientError, ServeClient};
 
 /// Echoes a query frame back as an empty `HITS` (through the shared
-/// `answer_query` plumbing), answers `STATS` with the core's counters and
-/// `INSPECT` with a text one byte too long to frame, and — when armed —
-/// panics on its first request.
+/// `answer_query` plumbing), answers `METRICS` with the core's counters
+/// and `INSPECT` with a text one byte too long to frame, and — when armed
+/// — panics on its first request.
 #[derive(Default)]
 struct Echo {
     endpoint: EndpointMetrics,
@@ -37,20 +37,22 @@ impl Handler for Echo {
             panic!("echo handler armed to panic");
         }
         match req {
-            Request::Stats => {
+            Request::Metrics => {
                 let c = ctx.counters();
-                Reply::Stats {
-                    text: format!(
-                        "busy={}\nshed={}\nexpired={}\nqueue_wait_count={}\nerrors={}\n",
-                        c.busy_rejections.load(Ordering::Relaxed),
-                        c.shed.load(Ordering::Relaxed),
-                        c.expired.load(Ordering::Relaxed),
-                        c.queue_wait.count(),
-                        self.endpoint.errors.load(Ordering::Relaxed),
-                    ),
-                }
+                let mut out = PromText::with_capacity(2048);
+                let load = |n: &std::sync::atomic::AtomicU64| n.load(Ordering::Relaxed);
+                out.counter("busy", "BUSY rejections.", load(&c.busy_rejections));
+                out.counter("shed", "SHED rejections.", load(&c.shed));
+                out.counter(
+                    "expired",
+                    "Deadlines expired in the queue.",
+                    load(&c.expired),
+                );
+                out.histogram("queue_wait", "Accept-queue wait.", &c.queue_wait.snapshot());
+                out.counter("errors", "Request errors.", load(&self.endpoint.errors));
+                Reply::Text { text: out.finish() }
             }
-            Request::Inspect => Reply::Stats {
+            Request::Inspect => Reply::Text {
                 text: "x".repeat(MAX_FRAME_BYTES as usize),
             },
             Request::Shutdown => Reply::ShuttingDown,
@@ -113,10 +115,14 @@ impl Peer {
         self.recv().expect("the core answers a well-formed request")
     }
 
-    fn stat(&mut self, key: &str) -> f64 {
-        match self.call(&Request::Stats) {
-            Reply::Stats { text } => stat_value(&text, key).unwrap(),
-            other => panic!("expected STATS, got {other:?}"),
+    /// One sample of the handler's `METRICS` scrape, which must be valid.
+    fn stat(&mut self, series: &str) -> f64 {
+        match self.call(&Request::Metrics) {
+            Reply::Text { text } => {
+                validate_prometheus(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+                stat_value(&text, series).unwrap()
+            }
+            other => panic!("expected METRICS text, got {other:?}"),
         }
     }
 }
@@ -261,6 +267,12 @@ fn another_protocol_version_gets_one_refusal_naming_both_then_a_hang_up() {
 #[test]
 fn the_retired_batch_verb_gets_one_refusal_naming_it_then_a_hang_up() {
     one_refusal_then_a_hang_up(5, 7, "unknown verb 7");
+}
+
+/// So is verb 3 (an earlier build's `STATS`).
+#[test]
+fn the_retired_stats_verb_gets_one_refusal_naming_it_then_a_hang_up() {
+    one_refusal_then_a_hang_up(5, 3, "unknown verb 3");
 }
 
 #[test]

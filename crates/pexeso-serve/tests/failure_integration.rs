@@ -24,7 +24,8 @@ use pexeso_serve::protocol::{
     encode_reply, read_frame, write_frame, HitsExt, HitsReply, InfoReply, Reply,
 };
 use pexeso_serve::{
-    stat_value, ClientError, ResilientClient, ResilientConfig, ServeClient, ServeConfig, Server,
+    stat_value, validate_prometheus, ClientError, ResilientClient, ResilientConfig, ServeClient,
+    ServeConfig, Server,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -346,7 +347,7 @@ fn refused_dials_count_as_failures_and_open_the_circuit() {
 /// Satellite regression: a replica's lock covers handing its client out
 /// and the breaker bookkeeping, never the round trip. Against a daemon
 /// that takes 400 ms per query, `replica_status()` (the router's
-/// STATS/METRICS/HEALTH) answers while a query is in flight instead of
+/// METRICS/HEALTH) answers while a query is in flight instead of
 /// after it, and two overlapping queries overlap on the client's stream
 /// pool instead of running back to back.
 #[test]
@@ -427,7 +428,7 @@ fn replica_lock_is_not_held_across_the_round_trip() {
 /// every other connection with a typed SHED reply, and a request whose
 /// deadline elapsed while it sat in the accept queue gets the typed
 /// `DeadlineExpired` reply (surfacing as the standard partial outcome)
-/// instead of a full — and pointless — search. Both show up in STATS.
+/// instead of a full — and pointless — search. Both show up in METRICS.
 #[test]
 fn soft_watermark_sheds_and_queue_wait_expires_deadlines() {
     let _guard = fault::test_lock();
@@ -496,9 +497,12 @@ fn soft_watermark_sheds_and_queue_wait_expires_deadlines() {
     drop(conn_c);
     let info = conn_e.info().expect("queued connection must be served");
     assert_eq!(info.generation, 1);
-    let stats = conn_e.stats_text().unwrap();
-    assert_eq!(stat_value(&stats, "shed"), Some(2.0), "{stats}");
-    assert_eq!(stat_value(&stats, "expired"), Some(1.0), "{stats}");
+    let metrics = conn_e.metrics_text().unwrap();
+    validate_prometheus(&metrics).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
+    for (reason, count) in [("shed", 2.0), ("expired", 1.0)] {
+        let series = format!("pexeso_rejected_total{{reason=\"{reason}\"}}");
+        assert_eq!(stat_value(&metrics, &series), Some(count), "{metrics}");
+    }
 
     drop(conn_e);
     handle.shutdown();

@@ -15,7 +15,8 @@ use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
 use pexeso_serve::protocol::{encode_reply, HitsExt, HitsReply, Reply, WireHit};
 use pexeso_serve::{
-    query_payload, stat_value, ClientError, ServeClient, ServeConfig, Server, SnapshotCell,
+    query_payload, stat_value, validate_prometheus, ClientError, ServeClient, ServeConfig, Server,
+    SnapshotCell,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -95,6 +96,13 @@ fn deploy(dir: &Path, columns: &ColumnSet) -> PartitionedLake {
 
 fn wire(hits: &[GlobalHit]) -> Vec<WireHit> {
     hits.iter().map(WireHit::from).collect()
+}
+
+/// One `METRICS` scrape, checked to be valid Prometheus text.
+fn scrape(client: &ServeClient) -> String {
+    let text = client.metrics_text().unwrap();
+    validate_prometheus(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{text}"));
+    text
 }
 
 /// The reply a daemon must send for `served`'s request, built from the
@@ -219,27 +227,25 @@ fn warm_cache_serves_repeats_without_search_work() {
     let payload = || query_payload("euclidean", Tau::Ratio(0.2), ExecPolicy::Sequential, &query);
     let cold = client.search(payload(), JoinThreshold::Ratio(0.5)).unwrap();
     assert!(!cold.cached);
-    let stats_after_cold = client.stats_text().unwrap();
-    let dc_cold = stat_value(&stats_after_cold, "distance_computations").unwrap();
+    let (dc, hits) = (
+        "pexeso_distance_computations_total",
+        "pexeso_cache_ops_total{op=\"hit\"}",
+    );
+    let after_cold = scrape(&client);
+    let dc_cold = stat_value(&after_cold, dc).unwrap();
     assert!(dc_cold > 0.0, "cold query must verify with real distances");
-    let hits_cold = stat_value(&stats_after_cold, "cache.hits").unwrap();
+    let hits_cold = stat_value(&after_cold, hits).unwrap();
 
     let warm = client.search(payload(), JoinThreshold::Ratio(0.5)).unwrap();
     assert!(warm.cached, "repeat query must come from cache");
     assert_eq!(warm.hits, cold.hits);
     assert_eq!(warm.generation, cold.generation);
 
-    let stats_after_warm = client.stats_text().unwrap();
+    let after_warm = scrape(&client);
     // The hit counter moved...
-    assert_eq!(
-        stat_value(&stats_after_warm, "cache.hits").unwrap(),
-        hits_cold + 1.0
-    );
+    assert_eq!(stat_value(&after_warm, hits).unwrap(), hits_cold + 1.0);
     // ...and no verify-stage distance computation happened for the repeat.
-    assert_eq!(
-        stat_value(&stats_after_warm, "distance_computations").unwrap(),
-        dc_cold
-    );
+    assert_eq!(stat_value(&after_warm, dc).unwrap(), dc_cold);
     // A different T is a different cache key.
     let other = client.search(payload(), JoinThreshold::Ratio(0.9)).unwrap();
     assert!(!other.cached);
@@ -350,9 +356,12 @@ fn hot_swap_under_concurrent_load_drops_nothing() {
         .unwrap();
     assert_eq!(final_reply.generation, 2);
     assert_eq!(final_reply.hits, expect_b);
-    let stats = admin.stats_text().unwrap();
-    assert_eq!(stat_value(&stats, "swaps"), Some(1.0));
-    assert_eq!(stat_value(&stats, "snapshot.generation"), Some(2.0));
+    let metrics = scrape(&admin);
+    assert_eq!(stat_value(&metrics, "pexeso_swaps_total"), Some(1.0));
+    assert_eq!(
+        stat_value(&metrics, "pexeso_snapshot_generation"),
+        Some(2.0)
+    );
 
     drop(admin);
     handle.shutdown();
@@ -402,8 +411,11 @@ fn busy_backpressure_rejects_beyond_queue() {
     drop(conn_a);
     let info = conn_b.info().unwrap();
     assert_eq!(info.generation, 1);
-    let stats = conn_b.stats_text().unwrap();
-    assert_eq!(stat_value(&stats, "busy_rejections"), Some(1.0));
+    let metrics = scrape(&conn_b);
+    assert_eq!(
+        stat_value(&metrics, "pexeso_rejected_total{reason=\"busy\"}"),
+        Some(1.0)
+    );
 
     drop(conn_b);
     handle.shutdown();
@@ -573,13 +585,17 @@ fn live_ingest_applies_without_reloading_the_base() {
     assert!(!dropped.hits.iter().any(|h| h.table_name == "a_tab0"));
     assert!(dropped.hits.iter().any(|h| h.table_name == "fresh_tab"));
 
-    // STATS exposes the delta shape and the apply counter.
-    let stats = client.stats_text().unwrap();
-    assert_eq!(stat_value(&stats, "delta.columns"), Some(1.0));
-    assert_eq!(stat_value(&stats, "delta.tombstones"), Some(1.0));
-    assert_eq!(stat_value(&stats, "delta.records"), Some(2.0));
-    assert_eq!(stat_value(&stats, "applies"), Some(2.0));
-    assert_eq!(stat_value(&stats, "apply.requests"), Some(2.0));
+    // METRICS exposes the delta shape and the apply counter.
+    let metrics = scrape(&client);
+    for (series, value) in [
+        ("pexeso_delta_columns", 1.0),
+        ("pexeso_delta_tombstones", 1.0),
+        ("pexeso_index_delta_records", 2.0),
+        ("pexeso_applies_total", 2.0),
+        ("pexeso_requests_total{endpoint=\"apply\"}", 2.0),
+    ] {
+        assert_eq!(stat_value(&metrics, series), Some(value), "{series}");
+    }
 
     // Compact the directory underneath the daemon, then APPLY again: the
     // manifest version moved, so the apply falls back to a full load of
@@ -602,7 +618,7 @@ fn live_ingest_applies_without_reloading_the_base() {
 /// `partitions=` names what is being served, not what the directory
 /// holds. While an in-place re-index is under way (a new `part_*.pex`
 /// written, the manifest not yet bumped) an `APPLY` republishes the
-/// resident base, so the published snapshot — and `INFO`, `STATS` and
+/// resident base, so the published snapshot — and `INFO`, `METRICS` and
 /// `HEALTH` after it — must still count the resident partitions.
 #[test]
 fn apply_reports_the_partitions_it_serves_during_a_reindex() {
@@ -626,9 +642,8 @@ fn apply_reports_the_partitions_it_serves_during_a_reindex() {
     let (generation, ..) = client.apply_delta().unwrap();
     assert_eq!(generation, 2);
     assert_eq!(client.info().unwrap().partitions as usize, served);
-    let stats = client.stats_text().unwrap();
     assert_eq!(
-        stat_value(&stats, "snapshot.partitions"),
+        stat_value(&scrape(&client), "pexeso_snapshot_partitions"),
         Some(served as f64)
     );
     let health = client.health_text().unwrap();
@@ -649,7 +664,7 @@ fn apply_reports_the_partitions_it_serves_during_a_reindex() {
 #[test]
 fn trace_metrics_and_slow_log_over_loopback() {
     use pexeso_core::trace::TraceLevel;
-    use pexeso_serve::{validate_prometheus, ResilientClient, ResilientConfig};
+    use pexeso_serve::{ResilientClient, ResilientConfig};
 
     let dir = tempdir("observability");
     let (columns, query) = workload(29, 8, "obs");
@@ -726,8 +741,7 @@ fn trace_metrics_and_slow_log_over_loopback() {
     // METRICS: valid Prometheus exposition carrying the request and
     // phase histogram families (the validator checks bucket monotonicity
     // and the +Inf == _count invariant for every series).
-    let metrics = client.metrics_text().unwrap();
-    validate_prometheus(&metrics).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
+    let metrics = scrape(&client);
     for family in [
         "pexeso_requests_total",
         "pexeso_request_latency_microseconds_bucket",
@@ -746,10 +760,13 @@ fn trace_metrics_and_slow_log_over_loopback() {
         "entries carry the span tree:\n{slow}"
     );
 
-    // STATS still answers alongside METRICS, and the queue-wait
-    // histogram has observations.
-    let stats = client.stats_text().unwrap();
-    assert!(stat_value(&stats, "queue_wait.p99_us").is_some());
+    // The p50/p99 gauges cover every endpoint and the queue wait.
+    for series in ["search", "topk", "admin", "queue_wait"] {
+        let p99 = format!(
+            "pexeso_latency_quantile_microseconds{{series=\"{series}\",quantile=\"0.99\"}}"
+        );
+        assert!(stat_value(&metrics, &p99).is_some(), "missing {p99}");
+    }
 
     // Close both client connections before joining: a worker parked in
     // a read on a live keep-alive stream only notices shutdown at the
@@ -763,7 +780,6 @@ fn trace_metrics_and_slow_log_over_loopback() {
 #[test]
 fn inspect_health_and_correlated_slow_log_over_loopback() {
     use pexeso_core::trace::TraceLevel;
-    use pexeso_serve::validate_prometheus;
 
     let dir = tempdir("introspect");
     let (columns, query) = workload(53, 8, "ins");
@@ -793,8 +809,7 @@ fn inspect_health_and_correlated_slow_log_over_loopback() {
 
     // The same numbers ride the METRICS exposition as gauges and
     // histograms, and the whole exposition stays schema-valid.
-    let metrics = client.metrics_text().unwrap();
-    validate_prometheus(&metrics).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{metrics}"));
+    let metrics = scrape(&client);
     for family in [
         "pexeso_index_columns 8",
         "pexeso_index_vectors",

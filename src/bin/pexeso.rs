@@ -9,7 +9,7 @@
 //! pexeso topk    --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy ...] [--trace]
 //! pexeso serve   --index <index-dir> [--addr 127.0.0.1:7878 | --port <p>] [--workers 4] [--queue 64] [--soft-queue <n>] [--cache 4096] [--metrics-sample-rate 0.01] [--slow-log 8] [--log <level>] [--fault-profile <spec>]
 //! pexeso query   --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy ...] [--trace]
-//! pexeso query   --addr <host:port> --stats | --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
+//! pexeso query   --addr <host:port> --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
 //! pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy ...] [--trace]
 //! pexeso inspect --addr <host:port>
 //! pexeso shard-plan  --index <index-dir> --shards <n>
@@ -52,7 +52,8 @@
 //! tree (`map → block → verify → merge`, plus per-partition children);
 //! against a daemon the server-side trace is requested over the wire and
 //! merged with the client's attempt timeline. `query --metrics` scrapes
-//! the Prometheus exposition, `query --slow` dumps the slow-query log,
+//! every counter of a daemon or router as Prometheus text (p50/p99
+//! gauges included), `query --slow` dumps the slow-query log,
 //! and `serve --metrics-sample-rate` self-samples traces into that log.
 //! `explain` runs one query with the plan plane on and prints the
 //! candidate funnel; `inspect` dumps index statistics; `query --health`
@@ -169,7 +170,6 @@ const QUERY_FLAGS: &[FlagSpec] = &[
     val("drain"),
     val("undrain"),
     switch("trace"),
-    switch("stats"),
     switch("metrics"),
     switch("slow"),
     switch("health"),
@@ -229,7 +229,7 @@ fn usage_text(cmd: &str) -> &'static str {
         }
         "query" => {
             "pexeso query --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]\n\
-             pexeso query --addr <host:port> --stats | --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
+             pexeso query --addr <host:port> --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
         }
         "explain" => {
             "pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
@@ -808,7 +808,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
     let addr = &addrs[0];
     // Exactly one mode: at most one admin verb, no silently-ignored flags.
     let admin_verbs: Vec<&str> = [
-        "stats",
         "metrics",
         "slow",
         "health",
@@ -1014,17 +1013,13 @@ fn cmd_inspect(flags: &HashMap<String, String>) -> CliResult<()> {
     Ok(())
 }
 
-/// Dispatch one admin verb (`--stats`, `--shutdown`, `--reload`,
-/// `--apply`) on a connected daemon.
+/// Dispatch one admin verb (`--metrics`, `--shutdown`, `--reload`,
+/// `--apply`, …) on a connected daemon.
 fn run_admin_verb(
     flags: &HashMap<String, String>,
     addr: &str,
     client: &ServeClient,
 ) -> CliResult<()> {
-    if flags.contains_key("stats") {
-        print!("{}", client.stats_text().map_err(|e| e.to_string())?);
-        return Ok(());
-    }
     if flags.contains_key("metrics") {
         print!("{}", client.metrics_text().map_err(|e| e.to_string())?);
         return Ok(());
