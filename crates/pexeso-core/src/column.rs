@@ -5,6 +5,7 @@
 //! by the builder API, which lets the inverted index address vectors with
 //! plain `u32` offsets and makes `vector → column` resolution a flat lookup.
 
+use crate::codec::MAX_NAME_BYTES;
 use crate::error::{PexesoError, Result};
 use crate::vector::{VectorId, VectorStore};
 
@@ -51,7 +52,9 @@ impl ColumnSet {
         }
     }
 
-    /// Append a column given its vectors. Returns its [`ColumnId`].
+    /// Append a column given its vectors. Returns its [`ColumnId`]. A
+    /// table or column name over [`MAX_NAME_BYTES`] is refused: the index
+    /// file could store it, but no load would read it back.
     pub fn add_column<'a>(
         &mut self,
         table_name: &str,
@@ -59,6 +62,15 @@ impl ColumnSet {
         external_id: u64,
         vectors: impl IntoIterator<Item = &'a [f32]>,
     ) -> Result<ColumnId> {
+        if let Some(name) = [table_name, column_name]
+            .into_iter()
+            .find(|name| name.len() > MAX_NAME_BYTES as usize)
+        {
+            return Err(PexesoError::InvalidParameter(format!(
+                "name of {} bytes exceeds the {MAX_NAME_BYTES}-byte name limit",
+                name.len()
+            )));
+        }
         let start = self.store.len() as u32;
         let mut len = 0u32;
         for v in vectors {

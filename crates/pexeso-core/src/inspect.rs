@@ -155,8 +155,9 @@ impl IndexInspection {
         out
     }
 
-    /// The `key=value` text body the `INSPECT` verb answers with: totals,
-    /// overlay depth, histogram quantiles, and per-partition lines.
+    /// The `key=value` text body the `INSPECT` verb answers with, one
+    /// pair per line: totals, overlay depth, histogram quantiles, and
+    /// per-partition keys.
     pub fn render_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -179,23 +180,19 @@ impl IndexInspection {
         hist_lines("postings_len", &self.postings_len());
         hist_lines("cell_occupancy", &self.cell_occupancy());
         for (i, p) in self.partitions.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "partition{i}.columns={} partition{i}.deleted={} partition{i}.vectors={} \
-                 partition{i}.cells={} partition{i}.postings={}",
-                p.columns, p.deleted_columns, p.vectors, p.cells, p.postings
-            );
+            let _ = writeln!(out, "partition{i}.columns={}", p.columns);
+            let _ = writeln!(out, "partition{i}.deleted={}", p.deleted_columns);
+            let _ = writeln!(out, "partition{i}.vectors={}", p.vectors);
+            let _ = writeln!(out, "partition{i}.cells={}", p.cells);
+            let _ = writeln!(out, "partition{i}.postings={}", p.postings);
             if !p.pivot_spread.is_empty() {
                 let widths: Vec<f32> = p.pivot_spread.iter().map(|s| s.max - s.min).collect();
                 let min_w = widths.iter().copied().fold(f32::INFINITY, f32::min);
                 let max_w = widths.iter().copied().fold(f32::NEG_INFINITY, f32::max);
                 let mean_w = widths.iter().sum::<f32>() / widths.len() as f32;
-                let _ = writeln!(
-                    out,
-                    "partition{i}.pivot_spread.min={min_w:.4} \
-                     partition{i}.pivot_spread.max={max_w:.4} \
-                     partition{i}.pivot_spread.mean={mean_w:.4}"
-                );
+                let _ = writeln!(out, "partition{i}.pivot_spread.min={min_w:.4}");
+                let _ = writeln!(out, "partition{i}.pivot_spread.max={max_w:.4}");
+                let _ = writeln!(out, "partition{i}.pivot_spread.mean={mean_w:.4}");
             }
         }
         out

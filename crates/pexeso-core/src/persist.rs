@@ -275,6 +275,37 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A name of exactly `MAX_NAME_BYTES` persists and loads back; one
+    /// byte more never enters a column set, so no index file can hold a
+    /// name its load would refuse.
+    #[test]
+    fn names_up_to_the_limit_roundtrip_and_longer_ones_are_refused() {
+        let longest = "n".repeat(MAX_NAME_BYTES as usize);
+        let mut columns = ColumnSet::new(2);
+        columns
+            .add_column(&longest, &longest, 7, vec![&[1.0, 0.0][..], &[0.0, 1.0]])
+            .unwrap();
+        let index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
+        let path = tmpfile("longest_name.pex");
+        save_index(&index, &path).unwrap();
+        let loaded = load_index(&path, Euclidean).unwrap();
+        assert_eq!(loaded.columns().columns(), index.columns().columns());
+        std::fs::remove_file(&path).ok();
+
+        let over = format!("{longest}n");
+        let mut columns = ColumnSet::new(2);
+        for (table, column) in [(over.as_str(), "c"), ("t", over.as_str())] {
+            let err = columns
+                .add_column(table, column, 0, vec![&[1.0, 0.0][..]])
+                .unwrap_err();
+            assert!(
+                matches!(&err, PexesoError::InvalidParameter(m) if m.contains("65536-byte name limit")),
+                "{err}"
+            );
+        }
+        assert_eq!((columns.n_columns(), columns.n_vectors()), (0, 0));
+    }
+
     #[test]
     fn wrong_metric_rejected() {
         let (index, _) = build_small(2);

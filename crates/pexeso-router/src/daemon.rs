@@ -38,13 +38,14 @@ use std::time::Duration;
 
 use pexeso_core::error::Result;
 use pexeso_core::log::{self as plog, LogLevel, Value};
-use pexeso_core::query::QueryMode;
-use pexeso_serve::client::{hits_reply, query_from_wire};
+use pexeso_core::query::{Query, QueryMode};
+use pexeso_core::vector::VectorStore;
+use pexeso_serve::client::hits_reply;
 use pexeso_serve::conn::{
     answer_query, error_reply, failed, serve, verb_of, ConnConfig, ConnHandle, Handler, RequestCtx,
 };
 use pexeso_serve::metrics::{EndpointMetrics, PromText, SlowQueryLog};
-use pexeso_serve::protocol::{HitsReply, InfoReply, QueryPayload, Reply, Request};
+use pexeso_serve::protocol::{HitsReply, InfoReply, Reply, Request};
 use pexeso_serve::{ReplicaStatus, ResilientConfig};
 
 use crate::router::{Router, RouterConfig};
@@ -185,8 +186,10 @@ impl Handler for RouterHandler {
     fn endpoint(&self, req: &Request) -> Option<&EndpointMetrics> {
         let m = &self.metrics;
         Some(match req {
-            Request::Search { .. } => &m.search,
-            Request::Topk { .. } => &m.topk,
+            Request::Query { query, .. } => match query.mode {
+                QueryMode::Threshold(_) => &m.search,
+                QueryMode::Topk(_) => &m.topk,
+            },
             Request::ApplyDelta { .. } => &m.apply,
             Request::Shutdown => return None,
             _ => &m.admin,
@@ -289,11 +292,11 @@ impl Handler for RouterHandler {
                 }
             }
             Request::Shutdown => Reply::ShuttingDown,
-            Request::Search { .. } | Request::Topk { .. } => {
+            Request::Query { query, vectors } => {
                 // One pinned routing table per query.
                 let router = self.current_router();
-                answer_query(req, ctx, |_, payload, mode| {
-                    self.run_query(&router, payload, mode, ctx.queue_wait)
+                answer_query(query, &vectors, ctx, |query, vectors| {
+                    self.run_query(&router, query, vectors)
                 })
             }
         }
@@ -309,33 +312,29 @@ impl RouterHandler {
             .clone()
     }
 
-    /// Reassemble the unified query and scatter it. The router does not
-    /// know the deployment dimension (the shards do), so dimension
-    /// mismatches surface as typed per-shard errors rather than a local
-    /// precheck.
+    /// Scatter one query. The router does not know the deployment
+    /// dimension (the shards do), so dimension mismatches surface as typed
+    /// per-shard errors rather than a local precheck.
     fn run_query(
         &self,
         router: &Router,
-        payload: &QueryPayload,
-        mode: QueryMode,
-        queue_wait: Option<Duration>,
+        query: &Query,
+        vectors: &VectorStore,
     ) -> std::result::Result<HitsReply, String> {
-        let (query, store) =
-            query_from_wire(payload, mode, queue_wait).map_err(|e| e.to_string())?;
         let (resp, meta) = router
-            .execute_routed(&query, &store)
+            .execute_routed(query, vectors)
             .map_err(|e| e.to_string())?;
-        if payload.criteria.trace.enabled() {
+        if query.trace.enabled() {
             let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
             self.slow_log.offer_correlated(
-                verb_of(mode),
+                verb_of(query.mode),
                 resp.stats.total_time,
                 rendered,
                 meta.request_id,
                 meta.slowest_shard,
             );
         }
-        Ok(hits_reply(payload, router.generation(), resp))
+        Ok(hits_reply(query, router.generation(), resp))
     }
 
     /// The `METRICS` Prometheus plane: every router-tier counter, plus

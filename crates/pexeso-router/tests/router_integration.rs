@@ -888,6 +888,13 @@ fn router_daemon_observability_verbs_end_to_end() {
     assert!(inspect.contains("shard0.partitions="), "{inspect}");
     assert!(inspect.contains("shard1.vectors="), "{inspect}");
     assert!(!inspect.contains(".error="), "healthy fleet: {inspect}");
+    // One `shard<N>.<key>=<value>` per line: no key escapes its shard.
+    for line in inspect.lines() {
+        let (shard, rest) = line.split_once('.').unwrap_or_else(|| panic!("{line}"));
+        assert!(["shard0", "shard1"].contains(&shard), "{line}");
+        assert_eq!(rest.matches('=').count(), 1, "{line}");
+        assert!(!rest.starts_with('='), "{line}");
+    }
 
     // SLOW: a traced + correlated query lands with its id and the
     // owning-shard attribution.

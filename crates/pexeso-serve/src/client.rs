@@ -6,8 +6,8 @@
 //!
 //! The client is the *remote* [`Queryable`] backend: a unified
 //! [`Query`] executes over the wire exactly like it would against a local
-//! index, with the per-query options/budget travelling in the request
-//! frame and the outcome/stats coming back in the reply.
+//! index — the request frame carries the `Query` itself, and the
+//! outcome/stats come back in the reply.
 //! The stream is guarded by a mutex so the trait's `&self` surface stays
 //! sound; requests on one connection serialize.
 
@@ -16,22 +16,17 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
 use pexeso_core::error::PexesoError;
 use pexeso_core::outofcore::GlobalHit;
-use pexeso_core::query::{
-    Exceeded, Query, QueryBudget, QueryMode, QueryOutcome, QueryResponse, Queryable,
-};
+use pexeso_core::query::{Exceeded, Query, QueryOutcome, QueryResponse, Queryable};
 use pexeso_core::stats::SearchStats;
-use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 
 use crate::conn::lock_unpoisoned;
 use crate::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, HitsExt, HitsReply, InfoReply,
-    QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireError, WireHit,
+    decode_reply, encode_request, read_frame, write_frame, HitsExt, HitsReply, InfoReply, Reply,
+    Request, WireError, WireHit,
 };
-use crate::server::{clamp_policy, MAX_REQUEST_THREADS};
 
 /// Client-side failure modes.
 #[derive(Debug)]
@@ -107,109 +102,15 @@ impl From<ClientError> for PexesoError {
 
 type ClientResult<T> = std::result::Result<T, ClientError>;
 
-/// Build the query half of a request from an embedded column.
-pub fn query_payload(
-    metric: &str,
-    tau: Tau,
-    policy: ExecPolicy,
-    store: &VectorStore,
-) -> QueryPayload {
-    QueryPayload {
-        criteria: QueryCriteria {
-            metric: metric.to_string(),
-            tau,
-            policy,
-            dim: store.dim() as u32,
-            ext: QueryExt::default(),
-            trace: TraceLevel::Off,
-            request_id: None,
-        },
-        vectors: store.raw_data().to_vec(),
-        explain: false,
-    }
-}
-
-/// The wire request a unified [`Query`] translates to: every criterion —
-/// mode, τ, T/k, policy, metric expectation, lemma toggles, quick-browse,
-/// and budget — travels in the frame. This is the client half of the
-/// serve mapping; [`query_from_wire`] is its inverse on the daemon side
-/// (`tests/protocol_props.rs` pins the round trip).
+/// The wire request a unified [`Query`] over one column travels as: the
+/// frame carries the query itself — mode, τ, T/k, policy, metric
+/// expectation, lemma toggles, quick-browse, budget, trace level, request
+/// id and explain flag — and the column's raw vectors.
 pub fn wire_request(query: &Query, vectors: &VectorStore) -> Request {
-    let payload = QueryPayload {
-        criteria: wire_criteria(query, vectors.dim()),
-        vectors: vectors.raw_data().to_vec(),
-        explain: query.explain,
-    };
-    match query.mode {
-        QueryMode::Threshold(t) => Request::Search { query: payload, t },
-        QueryMode::Topk(k) => Request::Topk {
-            query: payload,
-            k: k as u64,
-        },
+    Request::Query {
+        query: query.clone(),
+        vectors: vectors.clone(),
     }
-}
-
-/// The criteria a unified [`Query`] over a `dim`-dimensional column
-/// travels with.
-fn wire_criteria(query: &Query, dim: usize) -> QueryCriteria {
-    QueryCriteria {
-        // An empty metric string spells "no expectation": the server
-        // answers with its own build metric, exactly like the local
-        // backends do for `Query::metric = None`.
-        metric: query.metric.clone().unwrap_or_default(),
-        tau: query.tau,
-        policy: query.policy,
-        dim: dim as u32,
-        ext: QueryExt {
-            flags: query.options.flags,
-            quick_browse: query.options.quick_browse,
-            max_distance_computations: query.budget.max_distance_computations,
-            // Ceil to whole milliseconds: a sub-millisecond (but nonzero)
-            // deadline must not truncate to an instant trip server-side.
-            deadline_ms: query
-                .budget
-                .deadline
-                .map(|d| d.as_nanos().div_ceil(1_000_000) as u64),
-        },
-        trace: query.trace,
-        request_id: query.request_id,
-    }
-}
-
-/// The daemon half of the serve mapping, inverse of [`wire_request`]: the
-/// unified [`Query`] and query column a decoded frame describes. The wire
-/// policy is resolved under the daemon's thread ceiling
-/// ([`clamp_policy`]); an empty metric string spells "no expectation"
-/// (serve with the build metric, like every local backend does for
-/// `Query::metric = None`). `queue_wait` — the part of the deadline the
-/// request already spent in the accept queue — is subtracted, so
-/// execution gets only the remainder.
-pub fn query_from_wire(
-    payload: &QueryPayload,
-    mode: QueryMode,
-    queue_wait: Option<Duration>,
-) -> pexeso_core::error::Result<(Query, VectorStore)> {
-    let c = &payload.criteria;
-    let store = VectorStore::from_raw(c.dim as usize, payload.vectors.clone())?;
-    let mut query = match mode {
-        QueryMode::Threshold(t) => Query::threshold(c.tau, t),
-        QueryMode::Topk(k) => Query::topk(c.tau, k),
-    }
-    .with_policy(clamp_policy(c.policy, MAX_REQUEST_THREADS))
-    .with_trace(c.trace)
-    .with_explain(payload.explain);
-    query.metric = Some(c.metric.clone()).filter(|m| !m.is_empty());
-    query.request_id = c.request_id;
-    query.options.flags = c.ext.flags;
-    query.options.quick_browse = c.ext.quick_browse;
-    query.budget = QueryBudget {
-        max_distance_computations: c.ext.max_distance_computations,
-        deadline: c.ext.deadline_ms.map(|ms| {
-            let full = Duration::from_millis(ms);
-            queue_wait.map_or(full, |w| full.saturating_sub(w))
-        }),
-    };
-    Ok((query, store))
 }
 
 /// Serve-side facts accompanying a remote [`QueryResponse`]: which
@@ -381,25 +282,6 @@ impl ServeClient {
         }
     }
 
-    /// Raw threshold search over an explicit wire payload. The unified
-    /// path is [`Queryable::execute`]; this is the protocol-level escape
-    /// hatch.
-    pub fn search(&self, query: QueryPayload, t: JoinThreshold) -> ClientResult<HitsReply> {
-        match self.roundtrip(&Request::Search { query, t })? {
-            Reply::Hits(hits) => Ok(hits),
-            other => Err(unexpected("SEARCH", &other)),
-        }
-    }
-
-    /// Raw top-k search over an explicit wire payload; named to match the
-    /// core `search_topk` verb. See [`ServeClient::search`].
-    pub fn search_topk(&self, query: QueryPayload, k: u64) -> ClientResult<HitsReply> {
-        match self.roundtrip(&Request::Topk { query, k })? {
-            Reply::Hits(hits) => Ok(hits),
-            other => Err(unexpected("TOPK", &other)),
-        }
-    }
-
     /// Execute a unified [`Query`] remotely and also return the serve-side
     /// metadata (snapshot generation, cache hit). [`Queryable::execute`]
     /// is this minus the metadata.
@@ -544,11 +426,11 @@ fn expired_in_queue() -> (QueryResponse, RemoteMeta) {
     )
 }
 
-/// The `HITS` entry a daemon answers `payload` with from an executed
-/// response — the daemon half of `unwrap_hits_reply` below. Only a
-/// *requested* trace travels back: a daemon-sampled one exists for the
-/// slow-query log and never changes the reply.
-pub fn hits_reply(payload: &QueryPayload, generation: u64, resp: QueryResponse) -> HitsReply {
+/// The `HITS` entry a daemon answers `requested` with from an executed
+/// response — the daemon half of `unwrap_hits_reply` below. Only a trace
+/// the decoded query asked for travels back: one the daemon's sampler
+/// added exists for the slow-query log and never changes the reply.
+pub fn hits_reply(requested: &Query, generation: u64, resp: QueryResponse) -> HitsReply {
     HitsReply {
         generation,
         cached: false,
@@ -557,7 +439,7 @@ pub fn hits_reply(payload: &QueryPayload, generation: u64, resp: QueryResponse) 
             outcome: resp.outcome,
             distance_computations: resp.stats.distance_computations,
         }),
-        trace: resp.trace.filter(|_| payload.criteria.trace.enabled()),
+        trace: resp.trace.filter(|_| requested.trace.enabled()),
         explain: resp.explain.map(Box::new),
     }
 }

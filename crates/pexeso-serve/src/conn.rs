@@ -15,7 +15,8 @@
 //! one decoded [`Request`] plus a [`RequestCtx`] and returns a [`Reply`];
 //! a handler that panics costs its request a typed error, not the worker
 //! thread. The query plumbing both handlers share — the
-//! deadline-expired-in-queue refusal — lives in [`answer_query`].
+//! deadline-expired-in-queue refusal and the daemon's view of a decoded
+//! query ([`admit_query`]) — lives in [`answer_query`].
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -24,14 +25,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use pexeso_core::config::ExecPolicy;
 use pexeso_core::fault;
 use pexeso_core::hist::AtomicHistogram;
 use pexeso_core::log::{self as plog, LogLevel, Value};
-use pexeso_core::query::QueryMode;
+use pexeso_core::query::{Query, QueryMode};
+use pexeso_core::vector::VectorStore;
 
 use crate::metrics::EndpointMetrics;
 use crate::protocol::{
-    decode_request, encode_reply, read_frame, write_frame, HitsReply, QueryPayload, Reply, Request,
+    decode_request, encode_reply, read_frame, write_frame, HitsReply, Reply, Request,
     MAX_FRAME_BYTES,
 };
 
@@ -354,7 +357,7 @@ fn handle_connection<H: Handler>(core: &Core, handler: &H, conn: QueuedConn) {
     } = conn;
     let _ = stream.set_read_timeout(core.config.read_timeout);
     let _ = stream.set_nodelay(true);
-    let _registration = register_conn(core, &stream);
+    let registration = register_conn(core, &stream);
     // The first request on a connection waited in the accept queue; that
     // wait is charged against its deadline.
     let mut queue_wait = Some(accepted_at.elapsed());
@@ -381,14 +384,20 @@ fn handle_connection<H: Handler>(core: &Core, handler: &H, conn: QueuedConn) {
                     );
                 }
                 let frame = dispatch(core, handler, req, queue_wait.take());
+                if is_shutdown {
+                    // Close every other connection before the requester
+                    // reads SHUTTING_DOWN: no peer is answered after it.
+                    drop(registration);
+                    initiate_shutdown(core);
+                    if fault::check(&core.fault_write).is_ok() {
+                        let _ = write_frame(&mut stream, &frame);
+                    }
+                    return;
+                }
                 if fault::check(&core.fault_write).is_err() {
                     return;
                 }
                 if write_frame(&mut stream, &frame).is_err() {
-                    return;
-                }
-                if is_shutdown {
-                    initiate_shutdown(core);
                     return;
                 }
                 // A shutdown initiated elsewhere must not be held open by
@@ -487,29 +496,64 @@ pub fn error_reply(ctx: &RequestCtx<'_>, message: String) -> Reply {
     Reply::Err { message }
 }
 
-/// Answer a `SEARCH` / `TOPK` request with `run`.
+/// Ceiling on the thread count of a per-request `ExecPolicy`, on the
+/// shard daemon and (for what it forwards to the shards) the router.
+pub const MAX_REQUEST_THREADS: usize = 16;
+
+/// Resolve `Parallel { threads: 0 }` to the machine size and clamp to the
+/// daemon's per-request ceiling, so routed and direct requests resolve a
+/// wire policy identically.
+pub fn clamp_policy(policy: ExecPolicy, max_threads: usize) -> ExecPolicy {
+    match policy {
+        ExecPolicy::Sequential => ExecPolicy::Sequential,
+        ExecPolicy::Parallel { .. } => ExecPolicy::Parallel {
+            threads: policy.effective_threads().clamp(1, max_threads.max(1)),
+        },
+        // Fixed bypasses the adaptive break-even clamp in the core but
+        // still honours the daemon's resource ceiling.
+        ExecPolicy::Fixed { threads } => ExecPolicy::Fixed {
+            threads: threads.clamp(1, max_threads.max(1)),
+        },
+    }
+}
+
+/// The query a daemon executes for a decoded one: the policy clamped to
+/// [`MAX_REQUEST_THREADS`], and the deadline reduced by `queue_wait`, the
+/// part of it the request already spent in the accept queue.
+pub fn admit_query(query: &mut Query, queue_wait: Option<Duration>) {
+    query.policy = clamp_policy(query.policy, MAX_REQUEST_THREADS);
+    if let (Some(deadline), Some(wait)) = (&mut query.budget.deadline, queue_wait) {
+        *deadline = deadline.saturating_sub(wait);
+    }
+}
+
+/// Answer a query request with `run`, handing it the query as
+/// [`admit_query`] adjusts it.
 ///
 /// Queue wait counts against the request's deadline budget. A request
 /// whose whole deadline elapsed before a worker popped it gets a typed
 /// refusal immediately — computing (or even cache-serving) a dead answer
 /// would hide the overload the deadline exists to expose.
-pub fn answer_query<F>(req: Request, ctx: &RequestCtx<'_>, run: F) -> Reply
+pub fn answer_query<F>(
+    mut query: Query,
+    vectors: &VectorStore,
+    ctx: &RequestCtx<'_>,
+    run: F,
+) -> Reply
 where
-    F: FnOnce(&Request, &QueryPayload, QueryMode) -> std::result::Result<HitsReply, String>,
+    F: FnOnce(&Query, &VectorStore) -> std::result::Result<HitsReply, String>,
 {
-    let (query, mode) = match &req {
-        Request::Search { query, t } => (query, QueryMode::Threshold(*t)),
-        Request::Topk { query, k } => (query, QueryMode::Topk(*k as usize)),
-        _ => return error_reply(ctx, "not a query verb".into()),
-    };
     if let Some(wait) = ctx.queue_wait {
         ctx.core.counters.queue_wait.record_duration(wait);
-        let deadline = query.criteria.ext.deadline_ms;
-        if deadline.is_some_and(|ms| wait >= Duration::from_millis(ms)) {
+        if query
+            .budget
+            .deadline
+            .is_some_and(|deadline| wait >= deadline)
+        {
             ctx.core.counters.expired.fetch_add(1, Ordering::Relaxed);
             let waited_ms = wait.as_millis() as u64;
             let mut fields: Vec<(&str, Value)> = vec![("waited_ms", waited_ms.into())];
-            if let Some(rid) = query.criteria.request_id {
+            if let Some(rid) = query.request_id {
                 fields.push(("rid", Value::Rid(rid)));
             }
             plog::log(
@@ -521,8 +565,43 @@ where
             return Reply::DeadlineExpired { waited_ms };
         }
     }
-    match run(&req, query, mode) {
+    admit_query(&mut query, ctx.queue_wait);
+    match run(&query, vectors) {
         Ok(hits) => Reply::Hits(hits),
         Err(message) => error_reply(ctx, message),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn policy_clamping() {
+        assert_eq!(
+            clamp_policy(ExecPolicy::Sequential, 4),
+            ExecPolicy::Sequential
+        );
+        assert_eq!(
+            clamp_policy(ExecPolicy::Parallel { threads: 99 }, 4),
+            ExecPolicy::Parallel { threads: 4 }
+        );
+        let auto = clamp_policy(ExecPolicy::Parallel { threads: 0 }, 8);
+        match auto {
+            ExecPolicy::Parallel { threads } => assert!((1..=8).contains(&threads)),
+            _ => panic!("auto must stay parallel"),
+        }
+        assert_eq!(
+            clamp_policy(ExecPolicy::Fixed { threads: 99 }, 4),
+            ExecPolicy::Fixed { threads: 4 }
+        );
+        assert_eq!(
+            clamp_policy(ExecPolicy::Fixed { threads: 2 }, 4),
+            ExecPolicy::Fixed { threads: 2 }
+        );
+        assert_eq!(
+            clamp_policy(ExecPolicy::Fixed { threads: 0 }, 4),
+            ExecPolicy::Fixed { threads: 1 }
+        );
     }
 }

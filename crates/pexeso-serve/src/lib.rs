@@ -7,8 +7,9 @@
 //! TCP daemon (`std::net` only; no external runtime):
 //!
 //! * [`protocol`] — a small length-prefixed binary protocol
-//!   (`INFO`/`SEARCH`/`TOPK`/`METRICS`/`RELOAD`/`SHUTDOWN`, …), query
-//!   vectors on the wire as raw `f32`s, explicit `BUSY` backpressure;
+//!   (`INFO`/`SEARCH`/`TOPK`/`METRICS`/`RELOAD`/`SHUTDOWN`, …) whose query
+//!   request carries the unified [`pexeso_core::query::Query`] itself and
+//!   the query vectors as raw `f32`s, explicit `BUSY` backpressure;
 //! * [`snapshot`] — `Arc`-swapped immutable index snapshots with a
 //!   versioned-manifest reload path: `RELOAD` re-opens the deployment
 //!   directory and atomically publishes it under live traffic with zero
@@ -22,11 +23,12 @@
 //! * [`conn`] — the connection/worker core: a fixed worker pool over a
 //!   bounded connection queue, `BUSY`/`SHED` backpressure, panic
 //!   isolation and a clean shutdown path, generic over a
-//!   [`conn::Handler`] — shared with the router daemon;
+//!   [`conn::Handler`] — shared with the router daemon, and with it the
+//!   daemons' one view of a decoded query ([`conn::admit_query`]: the
+//!   [`pexeso_core::config::ExecPolicy`] clamped, queue wait charged to
+//!   the deadline);
 //! * [`server`] — the shard daemon's handler over that core: pinned
-//!   snapshot, result cache, per-request
-//!   [`pexeso_core::config::ExecPolicy`] selection (clamped by the
-//!   server), admin verbs;
+//!   snapshot, result cache, admin verbs;
 //! * [`metrics`] — lock-free per-endpoint counters and log-bucketed
 //!   latency histograms ([`pexeso_core::hist::AtomicHistogram`]),
 //!   rendered as Prometheus text format on the `METRICS` verb (validated
@@ -53,13 +55,9 @@ pub mod server;
 pub mod snapshot;
 
 pub use cache::{CacheStats, LruCache, ShardedCache};
-pub use client::{
-    query_from_wire, query_payload, wire_request, ClientError, RemoteMeta, ServeClient,
-};
+pub use client::{wire_request, ClientError, RemoteMeta, ServeClient};
 pub use metrics::{stat_value, validate_prometheus, ServerMetrics, SlowQueryLog};
-pub use protocol::{
-    HitsExt, HitsReply, InfoReply, QueryCriteria, QueryExt, QueryPayload, Reply, Request, WireHit,
-};
+pub use protocol::{HitsExt, HitsReply, InfoReply, Reply, Request, WireHit};
 pub use resilient::{BackoffPolicy, ReplicaStatus, ResilientClient, ResilientConfig, RetryStats};
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use snapshot::{Snapshot, SnapshotCell};

@@ -20,36 +20,39 @@
 //! clients are deployed from one build. A decoder accepts exactly the
 //! bytes the encoder can produce — every field below is always present,
 //! nothing is inferred from "bytes remain", and any other tag, flag or
-//! trailing byte is `Malformed`.
+//! trailing byte is `Malformed` — and the encoder produces bytes the
+//! decoder accepts for every [`Query`] the builder can express.
 //!
 //! # Requests
 //!
 //! Payload = `PXSV`, version byte, verb byte, body.
 //!
-//! | verb | byte | body |
-//! |---|---|---|
-//! | `INFO` | 0 | — |
-//! | `SEARCH` | 1 | threshold, *query*, explain: `bool` |
-//! | `TOPK` | 2 | k: `u64`, *query*, explain: `bool` |
-//! | `RELOAD` | 4 | dir: `str` (empty = the served directory) |
-//! | `SHUTDOWN` | 5 | — |
-//! | `APPLY` | 6 | shard: `opt u32` |
-//! | `METRICS` | 8 | — |
-//! | `SLOW` | 9 | — |
-//! | `INSPECT` | 10 | — |
-//! | `HEALTH` | 11 | — |
-//! | `DRAIN` | 12 | addr: `str`, drained: `bool` |
+//! | request | verb | byte | body |
+//! |---|---|---|---|
+//! | `Info` | `INFO` | 0 | — |
+//! | `Query` (threshold mode) | `SEARCH` | 1 | threshold, *query* |
+//! | `Query` (top-k mode) | `TOPK` | 2 | k: `u64`, *query* |
+//! | `Reload` | `RELOAD` | 4 | dir: `str` (empty = the served directory) |
+//! | `Shutdown` | `SHUTDOWN` | 5 | — |
+//! | `ApplyDelta` | `APPLY` | 6 | shard: `opt u32` |
+//! | `Metrics` | `METRICS` | 8 | — |
+//! | `SlowLog` | `SLOW` | 9 | — |
+//! | `Inspect` | `INSPECT` | 10 | — |
+//! | `Health` | `HEALTH` | 11 | — |
+//! | `Drain` | `DRAIN` | 12 | addr: `str`, drained: `bool` |
 //!
 //! Verb bytes 3 (`STATS`) and 7 (`BATCH`) are retired: they decode as
 //! `unknown verb`.
 //!
-//! *query* = metric: `str`, τ (tag `0` absolute \| `1` ratio, `f32`),
-//! policy (tag `0` sequential \| `1` parallel \| `2` fixed, threads:
-//! `u32`), dim: `u32`, the vectors (vector count `u32`, then
-//! `count × dim` × `f32`), options/budget ([`QueryExt`]: lemma mask `u8`,
-//! quick-browse `bool`, max distance computations `opt u64`, deadline ms
-//! `opt u64`), trace level `u8`, request id: `opt u64`. A threshold is tag
-//! `0` + count `u64` or tag `1` + ratio `f64`.
+//! *query* = [`Query`]'s fields and the query column in wire order:
+//! metric (`str`, empty = `None`), τ (tag `0` absolute \| `1` ratio,
+//! `f32`), policy (tag `0` sequential \| `1` parallel \| `2` fixed,
+//! threads: `u32`), the column's dim `u32`, vector count `u32` and
+//! `count × dim` × `f32`, the lemma mask `u8` and quick-browse `bool` of
+//! the options, the budget's max distance computations `opt u64` and
+//! deadline `opt u64` (whole milliseconds, rounded up), trace level
+//! `u8`, request id `opt u64`, explain `bool`. A threshold is tag `0` +
+//! count `u64` or tag `1` + ratio `f64`.
 //!
 //! # Replies
 //!
@@ -76,13 +79,16 @@
 //! read a refusal.
 
 use std::io::{Read, Write};
+use std::time::Duration;
 
 use pexeso_core::codec::{fnv64, read_len_prefix, Dec, DecodeError, Enc, MAX_NAME_BYTES};
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
 use pexeso_core::explain::{ExplainReport, FunnelStage};
 use pexeso_core::outofcore::GlobalHit;
-use pexeso_core::query::{Exceeded, QueryOutcome};
+use pexeso_core::query::{Exceeded, Query, QueryBudget, QueryMode, QueryOutcome};
+use pexeso_core::search::SearchOptions;
 use pexeso_core::trace::{QueryTrace, TraceLevel, TraceSpan};
+use pexeso_core::vector::VectorStore;
 
 /// First bytes of every request payload.
 pub const MAGIC: &[u8; 4] = b"PXSV";
@@ -161,80 +167,17 @@ impl From<DecodeError> for WireError {
 
 type WireResult<T> = std::result::Result<T, WireError>;
 
-/// The per-query options/budget every query frame carries. The default
-/// spells "no overrides": all lemmas on, quick browsing on, unlimited
-/// budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryExt {
-    /// Lemma toggles (results never change; ablation/throughput knob).
-    pub flags: LemmaFlags,
-    /// Quick-browsing shortcut toggle.
-    pub quick_browse: bool,
-    /// Cap on exact distance computations; `None` = unlimited.
-    pub max_distance_computations: Option<u64>,
-    /// Wall-clock allowance in milliseconds; `None` = unlimited.
-    pub deadline_ms: Option<u64>,
-}
-
-impl Default for QueryExt {
-    fn default() -> Self {
-        Self {
-            flags: LemmaFlags::all(),
-            quick_browse: true,
-            max_distance_computations: None,
-            deadline_ms: None,
-        }
-    }
-}
-
-/// What a `SEARCH`/`TOPK` frame says about *how* to search, whatever it
-/// searches with.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryCriteria {
-    /// Distance metric name (`euclidean`, `manhattan`, `chebyshev`,
-    /// `angular`); must match the metric the index was built with. Empty
-    /// spells "no expectation".
-    pub metric: String,
-    pub tau: Tau,
-    /// Requested execution policy; the server clamps the thread count to
-    /// its own ceiling.
-    pub policy: ExecPolicy,
-    pub dim: u32,
-    /// Options/budget.
-    pub ext: QueryExt,
-    /// Trace request: anything but `Off` asks the server to return its
-    /// phase tree in the reply.
-    pub trace: TraceLevel,
-    /// Fleet-wide correlation id, minted at the outermost hop and
-    /// propagated unchanged. Never part of the cache fingerprint —
-    /// correlation must not split cache lines.
-    pub request_id: Option<u64>,
-}
-
-/// The query half shared by `SEARCH` and `TOPK`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QueryPayload {
-    pub criteria: QueryCriteria,
-    /// Row-major query vectors, `len = n * dim`.
-    pub vectors: Vec<f32>,
-    /// Explain request: asks the server to return the candidate funnel
-    /// in the reply.
-    pub explain: bool,
-}
-
 /// A client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Deployment facts a client needs before it can query (dimension,
     /// snapshot generation, partition count).
     Info,
-    /// Threshold search: every column with ≥ T matching query records.
-    Search {
-        query: QueryPayload,
-        t: JoinThreshold,
-    },
-    /// Top-k search: the k columns with the most matching query records.
-    Topk { query: QueryPayload, k: u64 },
+    /// One query column under one [`Query`] — `SEARCH` on the wire in
+    /// threshold mode, `TOPK` in top-k mode. The daemon clamps the
+    /// policy to its own thread ceiling and charges queue wait against
+    /// the deadline ([`crate::conn::admit_query`]).
+    Query { query: Query, vectors: VectorStore },
     /// Every counter, histogram and p50/p99 gauge of the daemon in
     /// Prometheus text exposition format.
     Metrics,
@@ -314,7 +257,7 @@ pub struct HitsExt {
     pub distance_computations: u64,
 }
 
-/// Reply to [`Request::Search`] / [`Request::Topk`].
+/// Reply to [`Request::Query`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HitsReply {
     /// Generation of the snapshot that answered (or populated the cached
@@ -479,107 +422,110 @@ fn take_policy(r: &mut Dec) -> WireResult<ExecPolicy> {
     let threads = r.u32()? as usize;
     match (tag, threads) {
         (0, 0) => Ok(ExecPolicy::Sequential),
-        // `Parallel { threads: 0 }` is "machine-sized".
+        // `Parallel { threads: 0 }` is "machine-sized"; `Fixed` with zero
+        // threads runs on one, like it does locally.
         (1, _) => Ok(ExecPolicy::Parallel { threads }),
-        (2, 1..) => Ok(ExecPolicy::Fixed { threads }),
-        (0 | 2, _) => Err(WireError::Malformed(format!(
-            "policy tag {tag} cannot carry thread count {threads}"
+        (2, _) => Ok(ExecPolicy::Fixed { threads }),
+        (0, _) => Err(WireError::Malformed(format!(
+            "policy tag 0 cannot carry thread count {threads}"
         ))),
         (t, _) => Err(WireError::Malformed(format!("unknown policy tag {t}"))),
     }
 }
 
-/// Write the query half of a `SEARCH`/`TOPK` frame in its one fixed
-/// order: metric, τ, policy, dim, the vectors, options/budget, trace
-/// level, request id, then the explain flag.
-fn put_query(w: &mut Enc, q: &QueryPayload) {
-    let c = &q.criteria;
-    w.str(&c.metric);
-    put_tau(w, c.tau);
-    put_policy(w, c.policy);
-    w.u32(c.dim);
-    w.u32((q.vectors.len() / c.dim.max(1) as usize) as u32);
-    w.f32s(&q.vectors);
-    put_query_ext(w, &c.ext);
-    w.u8(c.trace.as_u8());
-    w.opt(c.request_id, Enc::u64);
-    w.bool(q.explain);
-}
-
-/// Decode what [`put_query`] wrote.
-fn take_query(r: &mut Dec) -> WireResult<QueryPayload> {
-    let metric = r.str(64)?;
-    let tau = take_tau(r)?;
-    let policy = take_policy(r)?;
-    let dim = r.u32()?;
-    if dim == 0 {
-        return Err(WireError::Malformed("query dimension is zero".into()));
-    }
-    let n = r.u32()? as usize;
-    let vectors = r.f32_vec(n * dim as usize)?;
-    let ext = take_query_ext(r)?;
-    let trace = r.u8()?;
-    let trace = TraceLevel::from_u8(trace)
-        .ok_or_else(|| WireError::Malformed(format!("unknown trace level {trace}")))?;
-    let criteria = QueryCriteria {
-        metric,
-        tau,
-        policy,
-        dim,
-        ext,
-        trace,
-        request_id: r.opt(Dec::u64)?,
-    };
-    Ok(QueryPayload {
-        criteria,
-        vectors,
-        explain: r.bool()?,
-    })
-}
-
 /// Lemma flags travel as a 4-bit mask.
-fn put_query_ext(w: &mut Enc, ext: &QueryExt) {
-    let mut mask = 0u8;
-    if ext.flags.lemma1_vector_filter {
-        mask |= 1;
-    }
-    if ext.flags.lemma2_vector_match {
-        mask |= 2;
-    }
-    if ext.flags.lemma34_cell_filter {
-        mask |= 4;
-    }
-    if ext.flags.lemma56_cell_match {
-        mask |= 8;
-    }
-    w.u8(mask);
-    w.bool(ext.quick_browse);
-    w.opt(ext.max_distance_computations, Enc::u64);
-    w.opt(ext.deadline_ms, Enc::u64);
+fn put_flags(w: &mut Enc, flags: LemmaFlags) {
+    w.u8(flags.lemma1_vector_filter as u8
+        | (flags.lemma2_vector_match as u8) << 1
+        | (flags.lemma34_cell_filter as u8) << 2
+        | (flags.lemma56_cell_match as u8) << 3);
 }
 
-fn take_query_ext(r: &mut Dec) -> WireResult<QueryExt> {
+fn take_flags(r: &mut Dec) -> WireResult<LemmaFlags> {
     let mask = r.u8()?;
     if mask & !0xf != 0 {
         return Err(WireError::Malformed(format!(
             "unknown lemma bits {mask:#x}"
         )));
     }
-    let flags = LemmaFlags {
+    Ok(LemmaFlags {
         lemma1_vector_filter: mask & 1 != 0,
         lemma2_vector_match: mask & 2 != 0,
         lemma34_cell_filter: mask & 4 != 0,
         lemma56_cell_match: mask & 8 != 0,
-    };
-    let quick_browse = r.bool()?;
-    let max_distance_computations = r.opt(Dec::u64)?;
-    let deadline_ms = r.opt(Dec::u64)?;
-    Ok(QueryExt {
-        flags,
-        quick_browse,
-        max_distance_computations,
-        deadline_ms,
     })
+}
+
+/// Write a query frame from the verb byte on: the verb and T or k follow
+/// from the mode, then every other field of the query and the column in
+/// their one fixed order (the module doc's *query*).
+fn put_query(w: &mut Enc, q: &Query, vectors: &VectorStore) {
+    match q.mode {
+        QueryMode::Threshold(t) => {
+            w.u8(VERB_SEARCH);
+            put_threshold(w, t);
+        }
+        QueryMode::Topk(k) => {
+            w.u8(VERB_TOPK);
+            w.u64(k as u64);
+        }
+    }
+    w.str(q.metric.as_deref().unwrap_or_default());
+    put_tau(w, q.tau);
+    put_policy(w, q.policy);
+    w.u32(vectors.dim() as u32);
+    w.u32(vectors.len() as u32);
+    w.f32s(vectors.raw_data());
+    put_flags(w, q.options.flags);
+    w.bool(q.options.quick_browse);
+    w.opt(q.budget.max_distance_computations, Enc::u64);
+    // Ceil to whole milliseconds: a sub-millisecond (but nonzero)
+    // deadline must not truncate to an instant trip on the daemon.
+    let deadline_ms = q
+        .budget
+        .deadline
+        .map(|d| d.as_nanos().div_ceil(1_000_000) as u64);
+    w.opt(deadline_ms, Enc::u64);
+    w.u8(q.trace.as_u8());
+    w.opt(q.request_id, Enc::u64);
+    w.bool(q.explain);
+}
+
+/// Decode what [`put_query`] wrote after the verb and T or k.
+fn take_query(r: &mut Dec, mode: QueryMode) -> WireResult<Request> {
+    let metric = r.str(MAX_NAME_BYTES)?;
+    let tau = take_tau(r)?;
+    let policy = take_policy(r)?;
+    let dim = r.u32()? as usize;
+    if dim == 0 {
+        return Err(WireError::Malformed("query dimension is zero".into()));
+    }
+    let n = r.u32()? as usize;
+    let vectors = VectorStore::from_raw(dim, r.f32_vec(n * dim)?)
+        .map_err(|e| WireError::Malformed(e.to_string()))?;
+    let options = SearchOptions {
+        flags: take_flags(r)?,
+        quick_browse: r.bool()?,
+    };
+    let budget = QueryBudget {
+        max_distance_computations: r.opt(Dec::u64)?,
+        deadline: r.opt(Dec::u64)?.map(Duration::from_millis),
+    };
+    let trace = r.u8()?;
+    let trace = TraceLevel::from_u8(trace)
+        .ok_or_else(|| WireError::Malformed(format!("unknown trace level {trace}")))?;
+    let query = Query {
+        mode,
+        tau,
+        options,
+        policy,
+        metric: Some(metric).filter(|m| !m.is_empty()),
+        budget,
+        trace,
+        request_id: r.opt(Dec::u64)?,
+        explain: r.bool()?,
+    };
+    Ok(Request::Query { query, vectors })
 }
 
 /// Recursion/size limits for decoding a span tree from the wire: deeper
@@ -800,16 +746,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     w.u8(PROTOCOL_VERSION);
     match req {
         Request::Info => w.u8(VERB_INFO),
-        Request::Search { query, t } => {
-            w.u8(VERB_SEARCH);
-            put_threshold(&mut w, *t);
-            put_query(&mut w, query);
-        }
-        Request::Topk { query, k } => {
-            w.u8(VERB_TOPK);
-            w.u64(*k);
-            put_query(&mut w, query);
-        }
+        Request::Query { query, vectors } => put_query(&mut w, query, vectors),
         Request::Metrics => w.u8(VERB_METRICS),
         Request::SlowLog => w.u8(VERB_SLOW),
         Request::Inspect => w.u8(VERB_INSPECT),
@@ -849,13 +786,11 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
         VERB_INFO => Request::Info,
         VERB_SEARCH => {
             let t = take_threshold(&mut r)?;
-            let query = take_query(&mut r)?;
-            Request::Search { query, t }
+            take_query(&mut r, QueryMode::Threshold(t))?
         }
         VERB_TOPK => {
-            let k = r.u64()?;
-            let query = take_query(&mut r)?;
-            Request::Topk { query, k }
+            let k = r.u64()? as usize;
+            take_query(&mut r, QueryMode::Topk(k))?
         }
         VERB_METRICS => Request::Metrics,
         VERB_SLOW => Request::SlowLog,
@@ -978,110 +913,98 @@ pub fn decode_reply(payload: &[u8]) -> WireResult<Reply> {
 // ---------------------------------------------------------------------------
 
 /// Cache key for a query against one snapshot generation: FNV-1a over the
-/// request kind, metric, τ, T (or k), the raw query bits, and the
+/// verb byte, metric, τ, T (or k), the raw query bits, and the
 /// generation. The execution policy is deliberately *excluded* — results
 /// are policy-independent by the crate-wide determinism contract, so a
-/// sequential and a parallel request share one cache line.
-pub fn query_fingerprint(req: &Request, generation: u64) -> Option<u64> {
-    let mut discriminator = Enc::new();
-    let (kind, query) = match req {
-        Request::Search { query, t } => {
-            put_threshold(&mut discriminator, *t);
-            (1u8, query)
-        }
-        Request::Topk { query, k } => {
-            discriminator.u64(*k);
-            (2u8, query)
-        }
-        _ => return None,
-    };
-    let c = &query.criteria;
-    let mut w = Enc::with_capacity(64 + 4 * query.vectors.len());
-    w.u8(kind);
-    w.bytes(c.metric.as_bytes());
-    put_tau(&mut w, c.tau);
-    w.bytes(discriminator.as_bytes());
-    w.u32(c.dim);
-    w.f32s(&query.vectors);
+/// sequential and a parallel request share one cache line — and so are
+/// the options, budget, trace level, request id and explain flag, none
+/// of which changes an exact answer.
+pub fn query_fingerprint(query: &Query, vectors: &VectorStore, generation: u64) -> u64 {
+    let raw = vectors.raw_data();
+    let mut w = Enc::with_capacity(64 + 4 * raw.len());
+    w.u8(match query.mode {
+        QueryMode::Threshold(_) => VERB_SEARCH,
+        QueryMode::Topk(_) => VERB_TOPK,
+    });
+    w.bytes(query.metric.as_deref().unwrap_or_default().as_bytes());
+    put_tau(&mut w, query.tau);
+    match query.mode {
+        QueryMode::Threshold(t) => put_threshold(&mut w, t),
+        QueryMode::Topk(k) => w.u64(k as u64),
+    }
+    w.u32(vectors.dim() as u32);
+    w.f32s(raw);
     w.u64(generation);
-    Some(fnv64(w.as_bytes()))
+    fnv64(w.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_criteria() -> QueryCriteria {
-        QueryCriteria {
-            metric: "euclidean".into(),
-            tau: Tau::Ratio(0.06),
-            policy: ExecPolicy::Parallel { threads: 4 },
-            dim: 2,
-            ext: QueryExt::default(),
-            trace: TraceLevel::Off,
-            request_id: None,
-        }
+    fn sample_vectors() -> VectorStore {
+        VectorStore::from_raw(2, vec![1.0, -2.0, 0.5, 0.25]).unwrap()
     }
 
-    fn sample_query() -> QueryPayload {
-        QueryPayload {
-            criteria: sample_criteria(),
-            vectors: vec![1.0, -2.0, 0.5, 0.25],
-            explain: false,
-        }
+    /// `query` over τ = 6 % with a metric expectation and four threads,
+    /// everything else at its default.
+    fn plain(query: Query) -> Query {
+        query
+            .expect_metric("euclidean")
+            .with_policy(ExecPolicy::Parallel { threads: 4 })
     }
 
-    /// Budgeted, fixed-policy, traced, correlated: every optional part of
-    /// the criteria switched on.
-    fn loaded_criteria() -> QueryCriteria {
-        QueryCriteria {
-            policy: ExecPolicy::Fixed { threads: 6 },
-            ext: QueryExt {
-                flags: LemmaFlags::without_lemma34(),
-                quick_browse: false,
-                max_distance_computations: Some(12345),
-                deadline_ms: Some(250),
-            },
-            trace: TraceLevel::Detail,
-            request_id: Some(0xDEAD_BEEF),
-            ..sample_criteria()
+    fn sample_query(mode: QueryMode) -> Query {
+        plain(match mode {
+            QueryMode::Threshold(t) => Query::threshold(Tau::Ratio(0.06), t),
+            QueryMode::Topk(k) => Query::topk(Tau::Ratio(0.06), k),
+        })
+    }
+
+    /// Budgeted, fixed-policy, traced, correlated, explained: every
+    /// optional part of a query switched on.
+    fn loaded(query: Query) -> Query {
+        query
+            .with_policy(ExecPolicy::Fixed { threads: 6 })
+            .with_flags(LemmaFlags::without_lemma34())
+            .quick_browse(false)
+            .with_max_distance_computations(12345)
+            .with_deadline(Duration::from_millis(250))
+            .with_trace(TraceLevel::Detail)
+            .with_request_id(0xDEAD_BEEF)
+            .with_explain(true)
+    }
+
+    fn request(query: Query) -> Request {
+        Request::Query {
+            query,
+            vectors: sample_vectors(),
         }
     }
 
     /// All 11 verbs, the query verbs with and without budget, trace,
-    /// request id and explain. The first of each verb is its golden frame.
+    /// request id, explain and metric expectation. The first of each verb
+    /// is its golden frame.
     fn sample_requests() -> Vec<Request> {
         vec![
             Request::Info,
-            Request::Search {
-                query: QueryPayload {
-                    criteria: loaded_criteria(),
-                    explain: true,
-                    ..sample_query()
-                },
-                t: JoinThreshold::Count(7),
-            },
-            Request::Search {
-                query: sample_query(),
-                t: JoinThreshold::Ratio(0.5),
-            },
-            Request::Topk {
-                query: sample_query(),
-                k: 10,
-            },
-            Request::Topk {
-                query: QueryPayload {
-                    criteria: QueryCriteria {
-                        policy: ExecPolicy::Sequential,
-                        trace: TraceLevel::Phases,
-                        request_id: Some(7),
-                        ..sample_criteria()
-                    },
-                    explain: true,
-                    ..sample_query()
-                },
-                k: 4,
-            },
+            request(loaded(sample_query(QueryMode::Threshold(
+                JoinThreshold::Count(7),
+            )))),
+            request(sample_query(QueryMode::Threshold(JoinThreshold::Ratio(
+                0.5,
+            )))),
+            request(sample_query(QueryMode::Topk(10))),
+            request(
+                sample_query(QueryMode::Topk(4))
+                    .with_policy(ExecPolicy::Sequential)
+                    .with_trace(TraceLevel::Phases)
+                    .with_request_id(7)
+                    .with_explain(true),
+            ),
+            request(
+                Query::topk(Tau::Absolute(0.5), 0).with_policy(ExecPolicy::Fixed { threads: 0 }),
+            ),
             Request::Reload {
                 dir: Some("/d".into()),
             },
@@ -1276,36 +1199,34 @@ mod tests {
 
     #[test]
     fn non_canonical_fields_rejected() {
-        let search = |criteria| {
-            encode_request(&Request::Search {
-                query: QueryPayload {
-                    criteria,
-                    ..sample_query()
-                },
-                t: JoinThreshold::Count(3),
-            })
+        let search = |policy| {
+            encode_request(&request(
+                sample_query(QueryMode::Threshold(JoinThreshold::Count(3))).with_policy(policy),
+            ))
         };
         let malformed =
             |bytes: &[u8]| matches!(decode_request(bytes), Err(WireError::Malformed(_)));
-        // Sequential carries no thread count; Fixed carries at least one.
-        // (The policy sits after verb, threshold, metric and τ.)
+        // Sequential carries no thread count; Parallel and Fixed carry any,
+        // zero included. (The policy sits after verb, threshold, metric
+        // and τ.)
         let policy_at = 6 + 9 + (4 + "euclidean".len()) + 5;
-        let mut bytes = search(QueryCriteria {
-            policy: ExecPolicy::Sequential,
-            ..sample_criteria()
-        });
+        let mut bytes = search(ExecPolicy::Sequential);
         assert_eq!(bytes[policy_at], 0);
         bytes[policy_at + 1] = 3;
         assert!(malformed(&bytes));
-        let mut bytes = search(QueryCriteria {
-            policy: ExecPolicy::Fixed { threads: 1 },
-            ..sample_criteria()
-        });
-        assert_eq!(bytes[policy_at..policy_at + 2], [2, 1]);
-        bytes[policy_at + 1] = 0;
-        assert!(malformed(&bytes));
+        for policy in [
+            ExecPolicy::Fixed { threads: 0 },
+            ExecPolicy::Parallel { threads: 0 },
+        ] {
+            let bytes = search(policy);
+            assert_eq!(bytes[policy_at + 1..policy_at + 5], [0; 4]);
+            let Ok(Request::Query { query, .. }) = decode_request(&bytes) else {
+                panic!("{policy:?} did not decode");
+            };
+            assert_eq!(query.policy, policy);
+        }
         // The frame ends: …, trace level, request-id tag, explain flag.
-        let bytes = search(sample_criteria());
+        let bytes = search(ExecPolicy::Parallel { threads: 4 });
         let n = bytes.len();
         for (at, bad) in [(n - 1, 2), (n - 3, 3)] {
             let mut bytes = bytes.clone();
@@ -1516,65 +1437,54 @@ mod tests {
 
     #[test]
     fn fingerprint_sensitivity() {
-        let req = |tau, k| Request::Topk {
-            query: QueryPayload {
-                criteria: QueryCriteria {
-                    tau,
-                    ..sample_criteria()
-                },
-                ..sample_query()
-            },
-            k,
+        let fp = |tau, k, generation| {
+            query_fingerprint(&plain(Query::topk(tau, k)), &sample_vectors(), generation)
         };
-        let base = query_fingerprint(&req(Tau::Ratio(0.06), 10), 1).unwrap();
+        let base = fp(Tau::Ratio(0.06), 10, 1);
         // Same request, same generation: stable.
-        assert_eq!(
-            base,
-            query_fingerprint(&req(Tau::Ratio(0.06), 10), 1).unwrap()
-        );
+        assert_eq!(base, fp(Tau::Ratio(0.06), 10, 1));
         // Any keyed field changing changes the fingerprint.
-        assert_ne!(
-            base,
-            query_fingerprint(&req(Tau::Ratio(0.07), 10), 1).unwrap()
-        );
-        assert_ne!(
-            base,
-            query_fingerprint(&req(Tau::Ratio(0.06), 11), 1).unwrap()
-        );
-        assert_ne!(
-            base,
-            query_fingerprint(&req(Tau::Ratio(0.06), 10), 2).unwrap()
-        );
-        // Non-query verbs have no fingerprint.
-        assert!(query_fingerprint(&Request::Metrics, 1).is_none());
+        assert_ne!(base, fp(Tau::Ratio(0.07), 10, 1));
+        assert_ne!(base, fp(Tau::Ratio(0.06), 11, 1));
+        assert_ne!(base, fp(Tau::Ratio(0.06), 10, 2));
     }
 
-    /// Policy, trace level, request id and explain are *not* keyed:
-    /// results are policy-independent, and the envelope never changes
-    /// the answer, so such a query shares its cache line with the plain
-    /// twin.
+    /// The key hashes the bytes it always has — a build that changed
+    /// them would re-key every cache line for no reason.
     #[test]
-    fn fingerprint_ignores_policy_trace_request_id_and_explain() {
-        let fp = |query| query_fingerprint(&Request::Topk { query, k: 10 }, 1).unwrap();
-        let plain = fp(sample_query());
-        let with = |criteria, explain| {
-            fp(QueryPayload {
-                criteria,
-                explain,
-                ..sample_query()
-            })
-        };
-        assert_eq!(plain, with(loaded_criteria(), true));
-        assert_eq!(plain, with(sample_criteria(), true));
-        assert_eq!(
-            plain,
-            with(
-                QueryCriteria {
-                    policy: ExecPolicy::Sequential,
-                    ..sample_criteria()
-                },
-                false
+    fn golden_fingerprints() {
+        let fp = |query: Query, generation| {
+            format!(
+                "{:#018x}",
+                query_fingerprint(&query, &sample_vectors(), generation)
             )
+        };
+        let search = |t| Query::threshold(Tau::Ratio(0.06), t);
+        assert_eq!(
+            fp(sample_query(QueryMode::Topk(10)), 1),
+            "0x93e95229e970cd3e"
         );
+        assert_eq!(
+            fp(plain(search(JoinThreshold::Count(7))), 3),
+            "0xeb6792c9b60cc004"
+        );
+        assert_eq!(
+            fp(search(JoinThreshold::Ratio(0.5)), 2),
+            "0x816b1f84075d15ec"
+        );
+    }
+
+    /// Policy, options, budget, trace level, request id and explain are
+    /// *not* keyed: results are policy-independent, and the envelope
+    /// never changes an exact answer, so such a query shares its cache
+    /// line with the plain twin.
+    #[test]
+    fn fingerprint_ignores_policy_options_budget_trace_request_id_and_explain() {
+        let fp = |query: Query| query_fingerprint(&query, &sample_vectors(), 1);
+        let base = sample_query(QueryMode::Topk(10));
+        let plain = fp(base.clone());
+        assert_eq!(plain, fp(loaded(base.clone())));
+        assert_eq!(plain, fp(base.clone().with_explain(true)));
+        assert_eq!(plain, fp(base.with_policy(ExecPolicy::Sequential)));
     }
 }

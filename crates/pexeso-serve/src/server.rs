@@ -16,24 +16,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pexeso_core::config::ExecPolicy;
 use pexeso_core::error::Result;
 use pexeso_core::fault;
 use pexeso_core::inspect::IndexInspection;
 use pexeso_core::log::{self as plog, LogLevel, Value};
-use pexeso_core::query::{QueryMode, QueryOutcome, Queryable};
+use pexeso_core::query::{Query, QueryMode, QueryOutcome, Queryable};
 use pexeso_core::trace::TraceLevel;
+use pexeso_core::vector::VectorStore;
 
 use crate::cache::ShardedCache;
-use crate::client::{hits_reply, query_from_wire};
+use crate::client::hits_reply;
 use crate::conn::{
     answer_query, error_reply, failed, lock_unpoisoned, serve, verb_of, ConnConfig, ConnHandle,
     Handler, RequestCtx,
 };
 use crate::metrics::{EndpointMetrics, ServerMetrics, SlowQueryLog};
-use crate::protocol::{
-    query_fingerprint, HitsExt, HitsReply, InfoReply, QueryPayload, Reply, Request, WireHit,
-};
+use crate::protocol::{query_fingerprint, HitsExt, HitsReply, InfoReply, Reply, Request, WireHit};
 use crate::snapshot::{Snapshot, SnapshotCell};
 
 /// Daemon tuning knobs.
@@ -163,8 +161,10 @@ impl Handler for ShardHandler {
     fn endpoint(&self, req: &Request) -> Option<&EndpointMetrics> {
         let m = &self.metrics;
         Some(match req {
-            Request::Search { .. } => &m.search,
-            Request::Topk { .. } => &m.topk,
+            Request::Query { query, .. } => match query.mode {
+                QueryMode::Threshold(_) => &m.search,
+                QueryMode::Topk(_) => &m.topk,
+            },
             Request::Info => &m.info,
             Request::Metrics | Request::Inspect | Request::Health | Request::SlowLog => &m.admin,
             Request::Reload { .. } => &m.reload,
@@ -282,12 +282,12 @@ impl Handler for ShardHandler {
                 }
             }
             Request::Shutdown => Reply::ShuttingDown,
-            Request::Search { .. } | Request::Topk { .. } => {
+            Request::Query { query, vectors } => {
                 // Pin the snapshot for the whole query: a concurrent hot
                 // swap must never split it across two index states.
                 let snap = self.snapshot.current();
-                answer_query(req, ctx, |req, payload, mode| {
-                    self.run_query_on(&snap, req, payload, mode, ctx.queue_wait)
+                answer_query(query, &vectors, ctx, |query, vectors| {
+                    self.run_query_on(&snap, query, vectors)
                 })
             }
         }
@@ -338,19 +338,17 @@ impl ShardHandler {
         )
     }
 
-    /// Answer one query verb against an already-pinned snapshot.
+    /// Answer one query against an already-pinned snapshot.
     fn run_query_on(
         &self,
         snap: &Arc<Snapshot>,
-        req: &Request,
-        payload: &QueryPayload,
-        mode: QueryMode,
-        queue_wait: Option<Duration>,
+        query: &Query,
+        vectors: &VectorStore,
     ) -> std::result::Result<HitsReply, String> {
-        if payload.criteria.dim as usize != snap.dim() {
+        if vectors.dim() != snap.dim() {
             return Err(format!(
                 "query dimension {} does not match index dimension {}",
-                payload.criteria.dim,
+                vectors.dim(),
                 snap.dim()
             ));
         }
@@ -360,10 +358,9 @@ impl ShardHandler {
         // request likewise — its funnel must describe a real execution, not
         // a memoised answer. Server-initiated sampling only traces requests
         // that would execute anyway — a sampled cache hit stays a cache hit.
-        let requested = payload.criteria.trace;
-        let fingerprint = query_fingerprint(req, snap.generation())
-            .ok_or_else(|| "not a query verb".to_string())?;
-        if !requested.enabled() && !payload.explain {
+        let requested = query.trace;
+        let fingerprint = query_fingerprint(query, vectors, snap.generation());
+        if !requested.enabled() && !query.explain {
             let lookup_start = Instant::now();
             let cached = self.cache.get(fingerprint);
             let hist = if cached.is_some() {
@@ -373,7 +370,7 @@ impl ShardHandler {
             };
             hist.record_duration(lookup_start.elapsed());
             if let Some(hits) = cached {
-                log_query_done(payload, mode, true, hits.len(), snap.generation(), 0);
+                log_query_done(query, true, hits.len(), snap.generation(), 0);
                 return Ok(HitsReply {
                     generation: snap.generation(),
                     cached: true,
@@ -395,39 +392,32 @@ impl ShardHandler {
                 .sample_seq
                 .fetch_add(1, Ordering::Relaxed)
                 .is_multiple_of(self.sample_every);
-        let effective = if requested.enabled() {
-            requested
-        } else if sampled {
-            TraceLevel::Phases
+        // Hand the query to the snapshot's `Queryable` impl — the same
+        // executor every local backend uses — traced if sampled.
+        let resp = if sampled {
+            snap.execute(&query.clone().with_trace(TraceLevel::Phases), vectors)
         } else {
-            TraceLevel::Off
-        };
-        // Reassemble the unified query the wire frame describes and hand it
-        // to the snapshot's `Queryable` impl — the same executor every local
-        // backend uses.
-        let (query, store) =
-            query_from_wire(payload, mode, queue_wait).map_err(|e| e.to_string())?;
-        let query = query.with_trace(effective);
-        let resp = snap.execute(&query, &store).map_err(|e| e.to_string())?;
+            snap.execute(query, vectors)
+        }
+        .map_err(|e| e.to_string())?;
         self.metrics
             .distance_computations
             .fetch_add(resp.stats.distance_computations, Ordering::Relaxed);
         // Phase histograms cover every executed search — the breakdown does
         // not depend on the request asking for a trace.
         self.metrics.record_phases(&resp.stats);
-        if effective.enabled() {
+        if requested.enabled() || sampled {
             let rendered = resp.trace.as_ref().map(|t| t.render()).unwrap_or_default();
             self.slow_log.offer_correlated(
-                verb_of(mode),
+                verb_of(query.mode),
                 resp.stats.total_time,
                 rendered,
-                payload.criteria.request_id,
+                query.request_id,
                 None,
             );
         }
         log_query_done(
-            payload,
-            mode,
+            query,
             false,
             resp.hits.len(),
             snap.generation(),
@@ -436,11 +426,11 @@ impl ShardHandler {
         // A budget-limited partial answer must never masquerade as the exact
         // one for a later (possibly unbudgeted) identical request: cache
         // exact outcomes only. The fingerprint deliberately ignores the
-        // options/budget extension — flags and quick-browse never change
-        // results, and an exact answer is exact regardless of the budget that
+        // options and budget — flags and quick-browse never change results,
+        // and an exact answer is exact regardless of the budget that
         // allowed it — so budgeted and unbudgeted requests share a line.
         let exact = resp.outcome == QueryOutcome::Exact;
-        let reply = hits_reply(payload, snap.generation(), resp);
+        let reply = hits_reply(query, snap.generation(), resp);
         if exact {
             self.cache.insert(fingerprint, Arc::new(reply.hits.clone()));
         }
@@ -452,22 +442,15 @@ impl ShardHandler {
 /// the request id (when the frame had one) so the shard's log joins the
 /// router's on a single grep. Free when logging is off: the only cost is
 /// the `enabled` atomic load.
-fn log_query_done(
-    payload: &QueryPayload,
-    mode: QueryMode,
-    cached: bool,
-    hits: usize,
-    generation: u64,
-    latency_us: u64,
-) {
+fn log_query_done(query: &Query, cached: bool, hits: usize, generation: u64, latency_us: u64) {
     if !plog::enabled(LogLevel::Info) {
         return;
     }
     let mut fields: Vec<(&str, Value)> = Vec::with_capacity(6);
-    if let Some(rid) = payload.criteria.request_id {
+    if let Some(rid) = query.request_id {
         fields.push(("rid", Value::Rid(rid)));
     }
-    fields.push(("verb", Value::Str(verb_of(mode))));
+    fields.push(("verb", Value::Str(verb_of(query.mode))));
     fields.push(("cached", cached.into()));
     fields.push(("hits", (hits as u64).into()));
     fields.push(("generation", generation.into()));
@@ -475,55 +458,9 @@ fn log_query_done(
     plog::log(LogLevel::Info, "serve", "query_done", &fields);
 }
 
-/// Ceiling on the thread count of a per-request `ExecPolicy`, on the
-/// shard daemon and (for what it forwards to the shards) the router.
-pub const MAX_REQUEST_THREADS: usize = 16;
-
-/// Resolve `Parallel {{ threads: 0 }}` to the machine size and clamp to the
-/// server's per-request ceiling. Shared with the router tier so routed
-/// and direct requests resolve a wire policy identically.
-pub fn clamp_policy(policy: ExecPolicy, max_threads: usize) -> ExecPolicy {
-    match policy {
-        ExecPolicy::Sequential => ExecPolicy::Sequential,
-        ExecPolicy::Parallel { .. } => ExecPolicy::Parallel {
-            threads: policy.effective_threads().clamp(1, max_threads.max(1)),
-        },
-        // Fixed bypasses the adaptive break-even clamp in the core but
-        // still honours the server's resource ceiling.
-        ExecPolicy::Fixed { threads } => ExecPolicy::Fixed {
-            threads: threads.clamp(1, max_threads.max(1)),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_clamping() {
-        assert_eq!(
-            clamp_policy(ExecPolicy::Sequential, 4),
-            ExecPolicy::Sequential
-        );
-        assert_eq!(
-            clamp_policy(ExecPolicy::Parallel { threads: 99 }, 4),
-            ExecPolicy::Parallel { threads: 4 }
-        );
-        let auto = clamp_policy(ExecPolicy::Parallel { threads: 0 }, 8);
-        match auto {
-            ExecPolicy::Parallel { threads } => assert!((1..=8).contains(&threads)),
-            _ => panic!("auto must stay parallel"),
-        }
-        assert_eq!(
-            clamp_policy(ExecPolicy::Fixed { threads: 99 }, 4),
-            ExecPolicy::Fixed { threads: 4 }
-        );
-        assert_eq!(
-            clamp_policy(ExecPolicy::Fixed { threads: 2 }, 4),
-            ExecPolicy::Fixed { threads: 2 }
-        );
-    }
 
     #[test]
     fn sample_stride_maps_rates_to_strides() {

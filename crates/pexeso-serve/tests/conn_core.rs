@@ -8,17 +8,19 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use pexeso_core::config::{ExecPolicy, JoinThreshold, Tau};
-use pexeso_core::trace::TraceLevel;
+use pexeso_core::query::{Query, QueryOutcome};
+use pexeso_core::vector::VectorStore;
 use pexeso_serve::conn::{answer_query, serve, ConnConfig, ConnHandle, Handler, RequestCtx};
 use pexeso_serve::metrics::{stat_value, validate_prometheus, EndpointMetrics, PromText};
 use pexeso_serve::protocol::{
-    decode_reply, encode_request, read_frame, write_frame, HitsReply, QueryCriteria, QueryExt,
-    QueryPayload, Reply, Request, MAX_FRAME_BYTES,
+    decode_reply, encode_request, read_frame, write_frame, HitsExt, HitsReply, Reply, Request,
+    MAX_FRAME_BYTES,
 };
 use pexeso_serve::{ClientError, ServeClient};
 
-/// Echoes a query frame back as an empty `HITS` (through the shared
-/// `answer_query` plumbing), answers `METRICS` with the core's counters
+/// Echoes a query frame back as an empty exact `HITS` whose generation is
+/// the column's dimension (through the shared `answer_query` plumbing),
+/// answers `METRICS` with the core's counters
 /// and `INSPECT` with a text one byte too long to frame, and — when armed
 /// — panics on its first request.
 #[derive(Default)]
@@ -56,16 +58,24 @@ impl Handler for Echo {
                 text: "x".repeat(MAX_FRAME_BYTES as usize),
             },
             Request::Shutdown => Reply::ShuttingDown,
-            query => answer_query(query, ctx, |_, payload, _| {
-                Ok(HitsReply {
-                    generation: payload.criteria.dim as u64,
-                    cached: false,
-                    hits: Vec::new(),
-                    ext: None,
-                    trace: None,
-                    explain: None,
+            Request::Query { query, vectors } => {
+                answer_query(query, &vectors, ctx, |_, vectors| {
+                    Ok(HitsReply {
+                        generation: vectors.dim() as u64,
+                        cached: false,
+                        hits: Vec::new(),
+                        ext: Some(HitsExt {
+                            outcome: QueryOutcome::Exact,
+                            distance_computations: 0,
+                        }),
+                        trace: None,
+                        explain: None,
+                    })
                 })
-            }),
+            }
+            other => Reply::Err {
+                message: format!("echo does not answer {other:?}"),
+            },
         }
     }
 }
@@ -127,29 +137,26 @@ impl Peer {
     }
 }
 
-fn payload(deadline_ms: Option<u64>, vectors: Vec<f32>) -> QueryPayload {
-    QueryPayload {
-        criteria: QueryCriteria {
-            metric: String::new(),
-            tau: Tau::Ratio(0.1),
-            policy: ExecPolicy::Sequential,
-            dim: 2,
-            ext: QueryExt {
-                deadline_ms,
-                ..QueryExt::default()
-            },
-            trace: TraceLevel::Off,
-            request_id: Some(7),
-        },
-        vectors,
-        explain: false,
+/// A sequential, correlated threshold query, with a deadline if given.
+fn query(deadline_ms: Option<u64>) -> Query {
+    let query = Query::threshold(Tau::Ratio(0.1), JoinThreshold::Count(1))
+        .with_policy(ExecPolicy::Sequential)
+        .with_request_id(7);
+    match deadline_ms {
+        Some(ms) => query.with_deadline(Duration::from_millis(ms)),
+        None => query,
     }
 }
 
+/// `n` two-dimensional vectors.
+fn column(n: usize) -> VectorStore {
+    VectorStore::from_raw(2, vec![0.5; 2 * n]).unwrap()
+}
+
 fn search(deadline_ms: Option<u64>) -> Request {
-    Request::Search {
-        query: payload(deadline_ms, vec![0.0, 1.0]),
-        t: JoinThreshold::Count(1),
+    Request::Query {
+        query: query(deadline_ms),
+        vectors: column(1),
     }
 }
 
@@ -295,8 +302,8 @@ fn a_request_over_the_frame_cap_is_refused_before_it_is_sent() {
     let handle = start(1, 8, None, Echo::default());
     let client = ServeClient::connect(handle.addr()).unwrap();
     client.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    let giant = payload(None, vec![0.0; MAX_FRAME_BYTES as usize / 4]);
-    match client.search(giant, JoinThreshold::Count(1)) {
+    let giant = column(MAX_FRAME_BYTES as usize / 8);
+    match client.execute_detailed(&query(None), &giant) {
         Err(ClientError::Protocol(message)) => {
             assert!(message.contains("exceeds cap"), "{message}")
         }
@@ -305,8 +312,9 @@ fn a_request_over_the_frame_cap_is_refused_before_it_is_sent() {
     // Nothing reached the wire: the pooled connection answers the next
     // request instead of waiting for a reply that is not coming.
     assert_eq!(client.idle_connections(), 1);
-    let small = payload(None, vec![0.0, 1.0]);
-    assert!(client.search(small, JoinThreshold::Count(1)).is_ok());
+    let (resp, meta) = client.execute_detailed(&query(None), &column(1)).unwrap();
+    assert!(resp.exact() && resp.hits.is_empty());
+    assert_eq!(meta.generation, 2, "the echo's generation is the dimension");
     drop(client);
     handle.shutdown();
 }

@@ -9,13 +9,12 @@ use std::time::Duration;
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::{ExecPolicy, IndexOptions, JoinThreshold, PivotSelection, Tau};
 use pexeso_core::metric::Euclidean;
-use pexeso_core::outofcore::{GlobalHit, LakeManifest, PartitionedLake};
+use pexeso_core::outofcore::{LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
-use pexeso_serve::protocol::{encode_reply, HitsExt, HitsReply, Reply, WireHit};
 use pexeso_serve::{
-    query_payload, stat_value, validate_prometheus, ClientError, ServeClient, ServeConfig, Server,
+    stat_value, validate_prometheus, ClientError, RemoteMeta, ServeClient, ServeConfig, Server,
     SnapshotCell,
 };
 use rand::rngs::StdRng;
@@ -94,10 +93,6 @@ fn deploy(dir: &Path, columns: &ColumnSet) -> PartitionedLake {
     lake
 }
 
-fn wire(hits: &[GlobalHit]) -> Vec<WireHit> {
-    hits.iter().map(WireHit::from).collect()
-}
-
 /// One `METRICS` scrape, checked to be valid Prometheus text.
 fn scrape(client: &ServeClient) -> String {
     let text = client.metrics_text().unwrap();
@@ -105,29 +100,30 @@ fn scrape(client: &ServeClient) -> String {
     text
 }
 
-/// The reply a daemon must send for `served`'s request, built from the
-/// direct call's response: same hits, same outcome, and the direct
-/// call's verification cost unless the result cache answered.
-fn reply_from_direct(served: &HitsReply, direct: &QueryResponse) -> Reply {
-    Reply::Hits(HitsReply {
-        generation: served.generation,
-        cached: served.cached,
-        hits: wire(&direct.hits),
-        ext: Some(HitsExt {
-            outcome: direct.outcome,
-            distance_computations: if served.cached {
-                0
-            } else {
-                direct.stats.distance_computations
-            },
-        }),
-        trace: None,
-        explain: None,
-    })
+/// A query that expects the deployments' metric, on the given policy.
+fn euclidean(query: Query, policy: ExecPolicy) -> Query {
+    query.expect_metric("euclidean").with_policy(policy)
+}
+
+/// A served answer is the direct call's: same hits, same outcome, and the
+/// direct call's verification cost unless the result cache answered.
+fn assert_served_is_direct(
+    (served, meta): &(QueryResponse, RemoteMeta),
+    direct: &QueryResponse,
+    what: &str,
+) {
+    assert_eq!(served.hits, direct.hits, "{what}");
+    assert_eq!(served.outcome, direct.outcome, "{what}");
+    let cost = if meta.cached {
+        0
+    } else {
+        direct.stats.distance_computations
+    };
+    assert_eq!(served.stats.distance_computations, cost, "{what}");
 }
 
 #[test]
-fn served_replies_byte_identical_to_direct_calls() {
+fn served_answers_equal_direct_calls() {
     let dir = tempdir("exact");
     let (columns, query) = workload(11, 10, "a");
     let lake = deploy(&dir, &columns);
@@ -145,50 +141,62 @@ fn served_replies_byte_identical_to_direct_calls() {
             JoinThreshold::Ratio(0.9),
             JoinThreshold::Count(2),
         ] {
-            for policy in [ExecPolicy::Sequential, ExecPolicy::Parallel { threads: 4 }] {
+            // The policy is not part of the cache key: the parallel
+            // repeat is the sequential run's cached answer.
+            for (policy, cached) in [
+                (ExecPolicy::Sequential, false),
+                (ExecPolicy::Parallel { threads: 4 }, true),
+            ] {
                 let served = client
-                    .search(query_payload("euclidean", tau, policy, &query), t)
+                    .execute_detailed(&euclidean(Query::threshold(tau, t), policy), &query)
                     .unwrap();
+                assert_eq!(
+                    served.1,
+                    RemoteMeta {
+                        generation: 1,
+                        cached
+                    }
+                );
                 let direct = lake.execute(&Query::threshold(tau, t), &query).unwrap();
                 assert!(!direct.hits.is_empty(), "workload must produce hits");
-                // Byte-identical: the served reply re-encodes to exactly
-                // the bytes a reply built from the direct call encodes to.
-                assert_eq!(
-                    encode_reply(&Reply::Hits(served.clone())),
-                    encode_reply(&reply_from_direct(&served, &direct)),
-                    "tau={tau:?} t={t:?} policy={policy:?}"
+                assert_served_is_direct(
+                    &served,
+                    &direct,
+                    &format!("tau={tau:?} t={t:?} policy={policy:?}"),
                 );
             }
         }
         for k in [1usize, 3, 8] {
             let served = client
-                .search_topk(
-                    query_payload("euclidean", tau, ExecPolicy::Sequential, &query),
-                    k as u64,
+                .execute_detailed(
+                    &euclidean(Query::topk(tau, k), ExecPolicy::Sequential),
+                    &query,
                 )
                 .unwrap();
-            let direct = lake.execute(&Query::topk(tau, k), &query).unwrap();
             assert_eq!(
-                encode_reply(&Reply::Hits(served.clone())),
-                encode_reply(&reply_from_direct(&served, &direct)),
-                "tau={tau:?} k={k}"
+                served.1,
+                RemoteMeta {
+                    generation: 1,
+                    cached: false
+                }
             );
+            let direct = lake.execute(&Query::topk(tau, k), &query).unwrap();
+            assert_served_is_direct(&served, &direct, &format!("tau={tau:?} k={k}"));
         }
     }
 
     // Typed server-side errors come back as ClientError::Server.
-    let bad_metric = client.search(
-        query_payload("cosine", Tau::Ratio(0.1), ExecPolicy::Sequential, &query),
-        JoinThreshold::Count(1),
-    );
+    let expecting = |metric: &str| {
+        Query::threshold(Tau::Ratio(0.1), JoinThreshold::Count(1))
+            .expect_metric(metric)
+            .with_policy(ExecPolicy::Sequential)
+    };
+    let bad_metric = client.execute_detailed(&expecting("cosine"), &query);
     assert!(matches!(bad_metric, Err(ClientError::Server(_))));
     // A *known* metric that differs from the build metric must also be
     // rejected — running Manhattan over Euclidean pivot mappings would
     // silently return non-exact results.
-    let wrong_metric = client.search(
-        query_payload("manhattan", Tau::Ratio(0.1), ExecPolicy::Sequential, &query),
-        JoinThreshold::Count(1),
-    );
+    let wrong_metric = client.execute_detailed(&expecting("manhattan"), &query);
     match wrong_metric {
         Err(ClientError::Server(msg)) => {
             assert!(
@@ -200,16 +208,54 @@ fn served_replies_byte_identical_to_direct_calls() {
     }
     let mut wrong_dim = VectorStore::new(DIM + 1);
     wrong_dim.push(&[0.0; DIM + 1]).unwrap();
-    let bad_dim = client.search(
-        query_payload(
-            "euclidean",
-            Tau::Ratio(0.1),
-            ExecPolicy::Sequential,
-            &wrong_dim,
-        ),
-        JoinThreshold::Count(1),
-    );
+    let bad_dim = client.execute_detailed(&expecting("euclidean"), &wrong_dim);
     assert!(matches!(bad_dim, Err(ClientError::Server(_))));
+
+    drop(client);
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every query a local backend answers is decoded by the daemon too:
+/// `Fixed { threads: 0 }` runs on one thread locally and is clamped to
+/// one served; a metric expectation longer than any metric name gets
+/// the same typed refusal it gets locally. Neither costs the client its
+/// pooled connection: the next query on it is answered.
+#[test]
+fn every_local_query_is_decoded_and_keeps_the_connection() {
+    let dir = tempdir("any_query");
+    let (columns, query) = workload(77, 8, "a");
+    let lake = deploy(&dir, &columns);
+    let handle = Server::start(&dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let client = ServeClient::connect(handle.addr()).unwrap();
+
+    let fixed0 = Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1))
+        .with_policy(ExecPolicy::Fixed { threads: 0 });
+    let direct = lake.execute(&fixed0, &query).unwrap();
+    assert!(!direct.hits.is_empty(), "workload must produce hits");
+    let served = client.execute_detailed(&fixed0, &query).unwrap();
+    assert_served_is_direct(&served, &direct, "fixed:0");
+
+    let long = "m".repeat(100);
+    let local = lake.execute(&fixed0.clone().expect_metric(&long), &query);
+    let remote = client.execute_detailed(&fixed0.expect_metric(&long), &query);
+    match (local, remote) {
+        (Err(local), Err(ClientError::Server(remote))) => {
+            let refusal = format!("built with metric 'euclidean'; query expects '{long}'");
+            assert!(local.to_string().contains(&refusal), "{local}");
+            assert!(remote.contains(&refusal), "{remote}");
+        }
+        other => panic!("expected the local refusal remotely, got {other:?}"),
+    }
+
+    let next = Query::topk(Tau::Ratio(0.2), 3);
+    let served = client.execute_detailed(&next, &query).unwrap();
+    assert_served_is_direct(&served, &lake.execute(&next, &query).unwrap(), "next");
+    assert_eq!(
+        client.idle_connections(),
+        1,
+        "one stream, reused throughout"
+    );
 
     drop(client);
     handle.shutdown();
@@ -224,9 +270,14 @@ fn warm_cache_serves_repeats_without_search_work() {
     let handle = Server::start(&dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
     let client = ServeClient::connect(handle.addr()).unwrap();
 
-    let payload = || query_payload("euclidean", Tau::Ratio(0.2), ExecPolicy::Sequential, &query);
-    let cold = client.search(payload(), JoinThreshold::Ratio(0.5)).unwrap();
-    assert!(!cold.cached);
+    let search = |t| {
+        client.execute_detailed(
+            &euclidean(Query::threshold(Tau::Ratio(0.2), t), ExecPolicy::Sequential),
+            &query,
+        )
+    };
+    let (cold, cold_meta) = search(JoinThreshold::Ratio(0.5)).unwrap();
+    assert!(!cold_meta.cached);
     let (dc, hits) = (
         "pexeso_distance_computations_total",
         "pexeso_cache_ops_total{op=\"hit\"}",
@@ -236,10 +287,10 @@ fn warm_cache_serves_repeats_without_search_work() {
     assert!(dc_cold > 0.0, "cold query must verify with real distances");
     let hits_cold = stat_value(&after_cold, hits).unwrap();
 
-    let warm = client.search(payload(), JoinThreshold::Ratio(0.5)).unwrap();
-    assert!(warm.cached, "repeat query must come from cache");
+    let (warm, warm_meta) = search(JoinThreshold::Ratio(0.5)).unwrap();
+    assert!(warm_meta.cached, "repeat query must come from cache");
     assert_eq!(warm.hits, cold.hits);
-    assert_eq!(warm.generation, cold.generation);
+    assert_eq!(warm_meta.generation, cold_meta.generation);
 
     let after_warm = scrape(&client);
     // The hit counter moved...
@@ -247,7 +298,7 @@ fn warm_cache_serves_repeats_without_search_work() {
     // ...and no verify-stage distance computation happened for the repeat.
     assert_eq!(stat_value(&after_warm, dc).unwrap(), dc_cold);
     // A different T is a different cache key.
-    let other = client.search(payload(), JoinThreshold::Ratio(0.9)).unwrap();
+    let (_, other) = search(JoinThreshold::Ratio(0.9)).unwrap();
     assert!(!other.cached);
 
     drop(client);
@@ -275,8 +326,9 @@ fn hot_swap_under_concurrent_load_drops_nothing() {
         .execute(&Query::threshold(tau, t), &query)
         .unwrap()
         .hits;
-    let (expect_a, expect_b) = (wire(&direct_a), wire(&direct_b));
+    let (expect_a, expect_b) = (&direct_a, &direct_b);
     assert_ne!(expect_a, expect_b, "swap must be observable in results");
+    let served_query = euclidean(Query::threshold(tau, t), ExecPolicy::Sequential);
 
     let handle = Server::start(
         &dir_a,
@@ -294,26 +346,22 @@ fn hot_swap_under_concurrent_load_drops_nothing() {
     let swap_result = std::thread::scope(|scope| {
         let mut client_threads = Vec::new();
         for _ in 0..CLIENTS {
-            let (stop, query) = (&stop, &query);
-            let (expect_a, expect_b) = (&expect_a, &expect_b);
+            let (stop, query, served_query) = (&stop, &query, &served_query);
             client_threads.push(scope.spawn(move || {
                 let client = ServeClient::connect(addr).unwrap();
                 let mut generations: Vec<u64> = Vec::new();
                 let mut served = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    let reply = client
-                        .search(
-                            query_payload("euclidean", tau, ExecPolicy::Sequential, query),
-                            t,
-                        )
+                    let (reply, meta) = client
+                        .execute_detailed(served_query, query)
                         .expect("no query may be dropped during a hot swap");
                     // Replies must match the snapshot they claim to be from.
-                    match reply.generation {
+                    match meta.generation {
                         1 => assert_eq!(&reply.hits, expect_a),
                         2 => assert_eq!(&reply.hits, expect_b),
                         g => panic!("unexpected generation {g}"),
                     }
-                    generations.push(reply.generation);
+                    generations.push(meta.generation);
                     served += 1;
                 }
                 (generations, served)
@@ -348,14 +396,9 @@ fn hot_swap_under_concurrent_load_drops_nothing() {
     assert!(saw_gen[1] && saw_gen[2], "load must straddle the swap");
 
     // After the swap the daemon serves B, and the swap was counted.
-    let final_reply = admin
-        .search(
-            query_payload("euclidean", tau, ExecPolicy::Sequential, &query),
-            t,
-        )
-        .unwrap();
-    assert_eq!(final_reply.generation, 2);
-    assert_eq!(final_reply.hits, expect_b);
+    let (final_reply, meta) = admin.execute_detailed(&served_query, &query).unwrap();
+    assert_eq!(meta.generation, 2);
+    assert_eq!(&final_reply.hits, expect_b);
     let metrics = scrape(&admin);
     assert_eq!(stat_value(&metrics, "pexeso_swaps_total"), Some(1.0));
     assert_eq!(
@@ -400,12 +443,11 @@ fn busy_backpressure_rejects_beyond_queue() {
     assert!(matches!(busy, Err(ClientError::Busy)), "got {busy:?}");
 
     // A's worker was never stolen: it still serves its held connection.
-    let reply = conn_a
-        .search(
-            query_payload("euclidean", Tau::Ratio(0.2), ExecPolicy::Sequential, &query),
-            JoinThreshold::Count(1),
-        )
-        .unwrap();
+    let one_match = euclidean(
+        Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1)),
+        ExecPolicy::Sequential,
+    );
+    let (reply, _) = conn_a.execute_detailed(&one_match, &query).unwrap();
     assert!(!reply.hits.is_empty());
     // Releasing A lets the queued B be served.
     drop(conn_a);
@@ -459,28 +501,24 @@ fn reload_same_dir_picks_up_reindex_and_failures_keep_serving() {
     // still answers from the old build, exactly.
     let (columns2, _) = workload(56, 9, "a2");
     deploy(&dir, &columns2);
-    let payload = || query_payload("euclidean", Tau::Ratio(0.2), ExecPolicy::Sequential, &query);
-    let during = client.search(payload(), JoinThreshold::Count(3)).unwrap();
-    assert_eq!(during.generation, 1);
-    assert!(!during.cached);
-    assert_eq!(
-        during.hits,
-        wire(&direct_a),
-        "must keep serving the old build"
-    );
+    let search = |t| {
+        client.execute_detailed(
+            &euclidean(Query::threshold(Tau::Ratio(0.2), t), ExecPolicy::Sequential),
+            &query,
+        )
+    };
+    let (during, meta) = search(JoinThreshold::Count(3)).unwrap();
+    assert_eq!(meta.generation, 1);
+    assert!(!meta.cached);
+    assert_eq!(during.hits, direct_a, "must keep serving the old build");
 
     // Now pick the re-index up (manifest bumps to 2).
     let (generation, _) = client.reload(None).unwrap();
     assert_eq!(generation, 2);
     let info = client.info().unwrap();
     assert_eq!(info.index_version, 2, "manifest version travels in INFO");
-    let reply = client
-        .search(
-            query_payload("euclidean", Tau::Ratio(0.2), ExecPolicy::Sequential, &query),
-            JoinThreshold::Count(1),
-        )
-        .unwrap();
-    assert_eq!(reply.generation, 2);
+    let (_, meta) = search(JoinThreshold::Count(1)).unwrap();
+    assert_eq!(meta.generation, 2);
 
     drop(client);
     handle.shutdown();
@@ -574,7 +612,7 @@ fn live_ingest_applies_without_reloading_the_base() {
     assert!(after.hits.iter().any(|h| h.table_name == "fresh_tab"));
     let direct = DeltaLake::open(&dir).unwrap();
     let local = direct.execute(&q, &query).unwrap();
-    assert_eq!(wire(&local.hits), wire(&after.hits));
+    assert_eq!(local.hits, after.hits);
 
     // Tombstone one of the planted base tables; the next apply hides it.
     drop_tables(&dir, &["a_tab0".into()]).unwrap();
@@ -609,7 +647,7 @@ fn live_ingest_applies_without_reloading_the_base() {
     assert_eq!(info.index_version, 2);
     let (compacted, meta) = client.execute_detailed(&q, &query).unwrap();
     assert_eq!(meta.generation, 4);
-    assert_eq!(wire(&compacted.hits), wire(&dropped.hits));
+    assert_eq!(compacted.hits, dropped.hits);
 
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
@@ -691,7 +729,7 @@ fn trace_metrics_and_slow_log_over_loopback() {
     let wall = started.elapsed();
     // Tracing never changes the answer (and bypasses the cache so the
     // trace reflects a real execution).
-    assert_eq!(wire(&traced.hits), wire(&untraced.hits));
+    assert_eq!(traced.hits, untraced.hits);
     assert!(!meta.cached, "traced queries bypass the cache read");
     let trace = traced.trace.as_ref().expect("requested trace must arrive");
     for phase in ["map", "block", "verify", "merge"] {
@@ -725,7 +763,7 @@ fn trace_metrics_and_slow_log_over_loopback() {
     let resilient =
         ResilientClient::new(&[handle.addr().to_string()], ResilientConfig::default()).unwrap();
     let merged = resilient.execute(&traced_q, &query).unwrap();
-    assert_eq!(wire(&merged.hits), wire(&untraced.hits));
+    assert_eq!(merged.hits, untraced.hits);
     let mtrace = merged.trace.as_ref().expect("merged trace must arrive");
     assert_eq!(mtrace.root.name, "client");
     let attempt = mtrace.find("attempt/0").expect("attempt span");
@@ -805,6 +843,13 @@ fn inspect_health_and_correlated_slow_log_over_loopback() {
         "delta_columns=0",
     ] {
         assert!(inspect.contains(key), "missing {key} in:\n{inspect}");
+    }
+    for line in inspect.lines() {
+        assert_eq!(
+            line.matches('=').count(),
+            1,
+            "one key=value per line: {line}"
+        );
     }
 
     // The same numbers ride the METRICS exposition as gauges and
