@@ -34,13 +34,13 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use crate::column::ColumnSet;
+use crate::column::{ColumnId, ColumnSet};
 use crate::config::IndexOptions;
 use crate::error::{PexesoError, Result};
 use crate::exec;
 use crate::inspect::PartitionInspection;
 use crate::metric::{with_metric, Metric};
-use crate::partition::{partition_columns, split_column_set, PartitionConfig};
+use crate::partition::{partition_columns, sub_column_set, PartitionConfig};
 use crate::persist::{load_index, save_index};
 use crate::query::{
     fold_outcome, rank_topk_hits, sort_threshold_hits, BudgetGuard, Exceeded, Query, QueryMode,
@@ -254,6 +254,18 @@ impl PartitionedLake {
     /// Partition `columns`, build one index per partition, and persist
     /// everything under `dir` (created if missing; existing `part_*.pex`
     /// files are replaced).
+    ///
+    /// The partitions are built and saved as units of
+    /// [`exec::try_map_units`] under `index_options.exec`, weighted by
+    /// their vectors, with the policy split as a query splits it
+    /// ([`crate::config::ExecPolicy::split`]): with two or more partitions
+    /// they fan out and each builds sequentially, a single one gets the
+    /// whole policy. File numbering does not depend on the policy: empty
+    /// partitions are dropped and the others are numbered `part_0000.pex`,
+    /// `part_0001.pex`, … in partition order, and every file's bytes are
+    /// the same under every policy. Nothing is synced to disk; a caller
+    /// about to publish a manifest over the files calls
+    /// [`Self::sync_files`] first.
     pub fn build<M: Metric>(
         columns: &ColumnSet,
         metric: M,
@@ -270,15 +282,35 @@ impl PartitionedLake {
                 fs::remove_file(&path)?;
             }
         }
-        let partitioning = partition_columns(columns, partition_config)?;
-        let parts = split_column_set(columns, &partitioning);
-        let mut files = Vec::with_capacity(parts.len());
-        for (i, (sub, _)) in parts.into_iter().enumerate() {
-            let index = PexesoIndex::build(sub, metric.clone(), index_options.clone())?;
-            let path = dir.join(format!("part_{i:04}.pex"));
-            save_index(&index, &path)?;
-            files.push(path);
-        }
+        let groups: Vec<Vec<usize>> = partition_columns(columns, partition_config)?
+            .groups()
+            .into_iter()
+            .filter(|group| !group.is_empty())
+            .collect();
+        let weights: Vec<u64> = groups
+            .iter()
+            .map(|group| {
+                let len = |&c: &usize| columns.column(ColumnId(c as u32)).len as u64;
+                group.iter().map(len).sum()
+            })
+            .collect();
+        let (fan_out, inside) = index_options.exec.split(groups.len());
+        let options = IndexOptions {
+            exec: inside,
+            ..index_options.clone()
+        };
+        let files = exec::try_map_units(
+            fan_out,
+            &weights,
+            || PexesoError::InvalidParameter("partition build worker panicked".into()),
+            |i| {
+                let sub = sub_column_set(columns, &groups[i]);
+                let index = PexesoIndex::build(sub, metric.clone(), options.clone())?;
+                let path = dir.join(format!("part_{i:04}.pex"));
+                save_index(&index, &path)?;
+                Ok(path)
+            },
+        )?;
         Ok(Self {
             dir: dir.to_path_buf(),
             partition_files: files,
@@ -343,6 +375,31 @@ impl PartitionedLake {
         load_index(path, metric)
     }
 
+    /// Each partition's weight for [`exec::try_map_units`]: its file's
+    /// bytes, all that is known of a disk-backed partition's size before
+    /// it is loaded. An unreadable file weighs nothing here and fails
+    /// with a typed error when loaded.
+    pub fn file_weights(&self) -> Vec<u64> {
+        self.partition_files
+            .iter()
+            .map(|f| fs::metadata(f).map_or(0, |m| m.len()))
+            .collect()
+    }
+
+    /// Make the partition files durable before a manifest names them:
+    /// `sync_all` every file, then the directory (for their names).
+    /// [`save_index`] syncs nothing and [`LakeManifest::write`] syncs only
+    /// its own bytes, so without this a power loss can leave a published
+    /// manifest over partition bytes that never reached the disk. Each
+    /// sync first crosses the caller's fault point `fault_point`.
+    pub fn sync_files(&self, fault_point: &str) -> Result<()> {
+        for path in self.partition_files.iter().chain([&self.dir]) {
+            crate::fault::check(fault_point)?;
+            fs::File::open(path)?.sync_all()?;
+        }
+        Ok(())
+    }
+
     /// Total bytes on disk across partition files.
     pub fn disk_bytes(&self) -> Result<u64> {
         let mut total = 0;
@@ -380,15 +437,7 @@ impl PartitionedLake {
 impl Queryable for PartitionedLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         let metric = self.resolve_metric_name(query)?;
-        // A disk-backed partition's weight is its file's bytes — what is
-        // known of its size before loading it. An unreadable file weighs
-        // nothing here and fails with a typed error when loaded.
-        let weights: Vec<u64> = self
-            .partition_files
-            .iter()
-            .map(|f| fs::metadata(f).map_or(0, |m| m.len()))
-            .collect();
-        execute_partitioned(&weights, query, |i, inner, guard| {
+        execute_partitioned(&self.file_weights(), query, |i, inner, guard| {
             load_unit(&self.partition_files[i], &metric)?.answer(inner, vectors, None, guard)
         })
     }
@@ -1028,6 +1077,75 @@ mod tests {
         let mut sorted = files.to_vec();
         sorted.sort();
         assert_eq!(files, sorted.as_slice(), "files must stay in search order");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The partition fan-out changes nothing on disk: every policy writes
+    /// the same files with the same bytes.
+    #[test]
+    fn build_writes_the_same_bytes_under_every_policy() {
+        let (columns, _) = instance(8, 24, 30, 1);
+        let policies = [
+            ExecPolicy::Sequential,
+            ExecPolicy::Fixed { threads: 3 },
+            ExecPolicy::auto(),
+        ];
+        let builds: Vec<Vec<(PathBuf, Vec<u8>)>> = policies
+            .iter()
+            .enumerate()
+            .map(|(n, &exec)| {
+                let dir = tempdir(&format!("policy{n}"));
+                let options = IndexOptions { exec, ..opts() };
+                let config = PartitionConfig {
+                    k: 4,
+                    ..Default::default()
+                };
+                let lake =
+                    PartitionedLake::build(&columns, Euclidean, &config, &options, &dir).unwrap();
+                let files = lake
+                    .partition_files()
+                    .iter()
+                    .map(|f| (f.file_name().unwrap().into(), std::fs::read(f).unwrap()))
+                    .collect();
+                std::fs::remove_dir_all(&dir).ok();
+                files
+            })
+            .collect();
+        assert!(builds[0].len() > 1, "the fan-out needs partitions");
+        assert_eq!(builds[0], builds[1]);
+        assert_eq!(builds[0], builds[2]);
+    }
+
+    /// Identical columns leave k-means with one non-empty cluster: the
+    /// empty ones are dropped and the one survivor is numbered 0.
+    #[test]
+    fn identical_columns_build_one_partition_file() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let vecs: Vec<Vec<f32>> = (0..6).map(|_| unit(&mut rng, 10)).collect();
+        let mut columns = ColumnSet::new(10);
+        for c in 0..12u64 {
+            columns
+                .add_column("tab", &format!("col{c}"), c, vecs.iter().map(Vec::as_slice))
+                .unwrap();
+        }
+        let dir = tempdir("identical");
+        let lake = PartitionedLake::build(
+            &columns,
+            Euclidean,
+            &PartitionConfig {
+                k: 4,
+                ..Default::default()
+            },
+            &opts(),
+            &dir,
+        )
+        .unwrap();
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["part_0000.pex"]);
+        assert_eq!(lake.partition_files(), [dir.join("part_0000.pex")]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

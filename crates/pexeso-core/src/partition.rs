@@ -6,6 +6,18 @@
 //! (seeded) random direction; partitions are then found by k-means-style
 //! clustering under the paper's symmetrised-KL "JSD". Random assignment
 //! and average-vector k-means are included as the Fig. 7b baselines.
+//!
+//! The JSD `(KL(a‖b) + KL(b‖a)) / 2` equals `½·Σ(aᵢ − bᵢ)(ln aᵢ − ln bᵢ)`,
+//! so the k-means loop clusters histograms paired with their logarithms
+//! (`LogHistogram`): a column's are taken once, a centroid's once per
+//! pass, and the distance itself ([`crate::pdf::jsd_from_logs`]) needs no
+//! logarithm. The work is O(columns × k × passes × bins) multiply-adds.
+//! The KL form in [`crate::pdf`] stays the reference definition the tests
+//! compare this form against; it takes a logarithm per term, so this
+//! module does not call it. In floating point the two forms agree to
+//! about 1e-14, not bit for bit, so a column almost equidistant from two
+//! centroids may be assigned differently than under the KL form. Query
+//! answers are exact under any partitioning.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -14,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use crate::column::ColumnSet;
 use crate::error::{PexesoError, Result};
 use crate::metric::{Euclidean, Metric};
-use crate::pdf::{jsd_paper, mean_distribution, Pdf};
+use crate::pdf::{jsd_from_logs, mean_distribution, Pdf};
 
 /// Clustering strategy for partitioning (Fig. 7b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +107,29 @@ fn column_histograms(columns: &ColumnSet, bins: usize, seed: u64) -> Vec<Vec<f64
             Pdf::from_values(projections, -1.0, 1.0, bins).smoothed(1e-6)
         })
         .collect()
+}
+
+/// A probability vector paired with its element-wise natural logarithms —
+/// the JsdKmeans item and centroid.
+#[derive(Clone)]
+struct LogHistogram {
+    p: Vec<f64>,
+    ln: Vec<f64>,
+}
+
+impl LogHistogram {
+    /// Every entry of `p` is strictly positive: a column's histogram is
+    /// [`Pdf::smoothed`] (Laplace ε > 0), and a centroid is a mean of such
+    /// histograms. So each logarithm is finite.
+    fn new(p: Vec<f64>) -> Self {
+        debug_assert!(p.iter().all(|&x| x > 0.0), "JSD needs positive mass");
+        let ln = p.iter().map(|x| x.ln()).collect();
+        Self { p, ln }
+    }
+
+    fn jsd(&self, other: &Self) -> f64 {
+        jsd_from_logs(&self.p, &self.ln, &other.p, &other.ln)
+    }
 }
 
 /// Per-column mean vectors (the AvgKmeans representation).
@@ -202,16 +237,19 @@ pub fn partition_columns(columns: &ColumnSet, config: &PartitionConfig) -> Resul
             (0..n).map(|_| rng.gen_range(0..k)).collect()
         }
         PartitionMethod::JsdKmeans => {
-            let hists = column_histograms(columns, config.bins, config.seed);
+            let hists: Vec<LogHistogram> = column_histograms(columns, config.bins, config.seed)
+                .into_iter()
+                .map(LogHistogram::new)
+                .collect();
             kmeans(
                 &hists,
                 k,
                 config.iterations,
                 config.seed,
-                |a, b| jsd_paper(a, b),
+                LogHistogram::jsd,
                 |members| {
-                    let slices: Vec<&[f64]> = members.iter().map(|m| m.as_slice()).collect();
-                    mean_distribution(&slices)
+                    let slices: Vec<&[f64]> = members.iter().map(|m| m.p.as_slice()).collect();
+                    LogHistogram::new(mean_distribution(&slices))
                 },
             )
         }
@@ -241,36 +279,24 @@ pub fn partition_columns(columns: &ColumnSet, config: &PartitionConfig) -> Resul
     Ok(Partitioning { assignments, k })
 }
 
-/// Materialise per-partition repositories (copying vectors). Empty
-/// partitions are dropped; the returned vector pairs each sub-repository
-/// with the original column indices it contains.
-pub fn split_column_set(
-    columns: &ColumnSet,
-    partitioning: &Partitioning,
-) -> Vec<(ColumnSet, Vec<usize>)> {
-    let groups = partitioning.groups();
-    let mut out = Vec::new();
-    for group in groups {
-        if group.is_empty() {
-            continue;
-        }
-        let mut sub = ColumnSet::new(columns.dim());
-        for &ci in &group {
-            let meta = columns.column(crate::column::ColumnId(ci as u32));
-            let vectors = meta
-                .vector_range()
-                .map(|v| columns.store().get_raw(v as usize));
-            sub.add_column(
-                &meta.table_name,
-                &meta.column_name,
-                meta.external_id,
-                vectors,
-            )
-            .expect("copying a valid column cannot fail");
-        }
-        out.push((sub, group));
+/// Materialise one partition's repository: the columns at `group` (indices
+/// into `columns`), in that order, vectors copied.
+pub(crate) fn sub_column_set(columns: &ColumnSet, group: &[usize]) -> ColumnSet {
+    let mut sub = ColumnSet::new(columns.dim());
+    for &ci in group {
+        let meta = columns.column(crate::column::ColumnId(ci as u32));
+        let vectors = meta
+            .vector_range()
+            .map(|v| columns.store().get_raw(v as usize));
+        sub.add_column(
+            &meta.table_name,
+            &meta.column_name,
+            meta.external_id,
+            vectors,
+        )
+        .expect("copying a valid column cannot fail");
     }
-    out
+    sub
 }
 
 #[cfg(test)]
@@ -381,7 +407,11 @@ mod tests {
             },
         )
         .unwrap();
-        let parts = split_column_set(&columns, &p);
+        let parts: Vec<(ColumnSet, Vec<usize>)> = p
+            .groups()
+            .into_iter()
+            .map(|group| (sub_column_set(&columns, &group), group))
+            .collect();
         let total_cols: usize = parts.iter().map(|(cs, _)| cs.n_columns()).sum();
         let total_vecs: usize = parts.iter().map(|(cs, _)| cs.n_vectors()).sum();
         assert_eq!(total_cols, columns.n_columns());
@@ -410,6 +440,78 @@ mod tests {
         let a = partition_columns(&columns, &cfg).unwrap();
         let b = partition_columns(&columns, &cfg).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// A seeded lake of 600 random unit-vector columns: 150 originals,
+    /// each followed by three near-duplicates (every vector nudged by at
+    /// most 0.02 per coordinate, then renormalised).
+    fn near_duplicate_lake(seed: u64) -> ColumnSet {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = 8;
+        let unit = |v: &mut Vec<f32>| {
+            let n: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
+            v.iter_mut().for_each(|x| *x /= n);
+        };
+        let mut columns = ColumnSet::new(dim);
+        for base in 0..150 {
+            let len = rng.gen_range(5..30);
+            let original: Vec<Vec<f32>> = (0..len)
+                .map(|_| {
+                    let mut v: Vec<f32> = (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                    unit(&mut v);
+                    v
+                })
+                .collect();
+            for copy in 0..4 {
+                let vecs: Vec<Vec<f32>> = original
+                    .iter()
+                    .map(|v| {
+                        let mut w: Vec<f32> = v
+                            .iter()
+                            .map(|x| {
+                                if copy == 0 {
+                                    *x
+                                } else {
+                                    x + rng.gen_range(-0.02f32..0.02)
+                                }
+                            })
+                            .collect();
+                        unit(&mut w);
+                        w
+                    })
+                    .collect();
+                let id = columns.n_columns() as u64;
+                columns
+                    .add_column(
+                        "t",
+                        &format!("c{base}_{copy}"),
+                        id,
+                        vecs.iter().map(Vec::as_slice),
+                    )
+                    .unwrap();
+            }
+        }
+        columns
+    }
+
+    /// The JSD partitioner's assignments on a fixed lake, pinned: any
+    /// rewrite of the k-means loop must reproduce them exactly (the
+    /// partition files, and every count downstream, depend on them).
+    #[test]
+    fn jsd_kmeans_assignments_are_pinned() {
+        let columns = near_duplicate_lake(17);
+        assert_eq!(columns.n_columns(), 600);
+        let p = partition_columns(&columns, &PartitionConfig::default()).unwrap();
+        let got: String = p.assignments.iter().map(|a| a.to_string()).collect();
+        let pinned = concat!(
+            "0000202230311111030233332222330300003333330333032223222211112232001133330000223333333333000033331111",
+            "3333002022232222222221220230333333333023000022230030111133333330222222223333333333303322111111111111",
+            "2222002200011111000022220000000021221111010100002233333300003333113011210000222222220000000022320000",
+            "3333303222222222330200003303333333332222333333333333222222213333111122220000333300000110333300001111",
+            "3033222233330102000000002222111100002222222223230000111100032222222200001111222233331313000033331111",
+            "3333111132330020220233330210020120021101333322220000110133332332232200002220222211113131222222222222",
+        );
+        assert_eq!(got, pinned);
     }
 
     #[test]

@@ -81,9 +81,28 @@ pub(crate) fn kl_divergence(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// The divergence the paper calls JSD (Section IV): the symmetrised KL
-/// `(KL(A‖B) + KL(B‖A)) / 2`.
+/// `(KL(A‖B) + KL(B‖A)) / 2`. The two KL sums share their terms, so the
+/// same value is `½·Σ(aᵢ − bᵢ)(ln aᵢ − ln bᵢ)` — the form
+/// [`jsd_from_logs`] evaluates from precomputed logarithms, and the one
+/// the partitioner's k-means loop uses. This function stays the reference
+/// definition the tests compare that form against.
 pub fn jsd_paper(a: &[f64], b: &[f64]) -> f64 {
     (kl_divergence(a, b) + kl_divergence(b, a)) / 2.0
+}
+
+/// [`jsd_paper`] as `½·Σ(aᵢ − bᵢ)(ln aᵢ − ln bᵢ)`, with `ln_a` and `ln_b`
+/// the element-wise natural logarithms of `a` and `b`: a caller that
+/// compares each vector against many others takes its logarithms once,
+/// and the sum itself needs none.
+pub fn jsd_from_logs(a: &[f64], ln_a: &[f64], b: &[f64], ln_b: &[f64]) -> f64 {
+    debug_assert!(a.len() == ln_a.len() && b.len() == ln_b.len() && a.len() == b.len());
+    let sum: f64 = a
+        .iter()
+        .zip(ln_a)
+        .zip(b.iter().zip(ln_b))
+        .map(|((&pa, &la), (&pb, &lb))| (pa - pb) * (la - lb))
+        .sum();
+    sum / 2.0
 }
 
 /// The standard Jensen–Shannon divergence (bounded by ln 2), provided for

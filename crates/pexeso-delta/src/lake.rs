@@ -77,12 +77,7 @@ impl Queryable for DeltaLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         query.check_metric("deployment", &self.manifest.metric)?;
         let files = self.base.partition_files();
-        // File bytes, like `PartitionedLake`: all a disk-backed unit
-        // knows of its size before it is loaded.
-        let weights: Vec<u64> = files
-            .iter()
-            .map(|f| std::fs::metadata(f).map_or(0, |m| m.len()))
-            .collect();
+        let weights = self.base.file_weights();
         self.overlay
             .execute_with_base(&weights, query, vectors, |i, inner, guard| {
                 let unit = load_unit(&files[i], &self.manifest.metric)?;
@@ -497,12 +492,10 @@ pub fn compact_lake(
         &index_options,
         dir,
     )?;
-    // Until these syncs and the directory's below, the log is the only
-    // durable copy of the ingests it folds.
-    for file in rebuilt.partition_files() {
-        fault::check("lake.compact.sync")?;
-        std::fs::File::open(file)?.sync_all()?;
-    }
+    // The log is the only durable copy of the ingests it folds until
+    // `sync_files` has synced the partition files and the directory,
+    // before the manifest names them.
+    rebuilt.sync_files("lake.compact.sync")?;
     let new_manifest = LakeManifest {
         index_version: manifest.index_version + 1,
         next_external_id,
@@ -511,7 +504,10 @@ pub fn compact_lake(
     fault::check("lake.compact.manifest")?;
     new_manifest.write(dir)?; // atomic: the point of no return
     fault::check("lake.compact.clear_marker")?;
-    clear_stale_compact_marker(dir)?; // marker's version is behind the manifest now
+    // The marker's version is behind the manifest now. The directory sync
+    // makes its removal (and the manifest's rename) durable before the
+    // log goes.
+    clear_stale_compact_marker(dir)?;
     std::fs::File::open(dir)?.sync_all()?;
     fault::check("lake.compact.remove_log")?;
     remove_log(dir)?; // stale now even if this line never runs

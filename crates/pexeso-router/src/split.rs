@@ -244,7 +244,8 @@ fn build_shard(
         ..PartitionConfig::default()
     };
     let options = source.options.clone();
-    PartitionedLake::build_named(&set, &source.manifest.metric, &config, &options, dir)?;
+    PartitionedLake::build_named(&set, &source.manifest.metric, &config, &options, dir)?
+        .sync_files("split.sync")?;
     let manifest = LakeManifest {
         format_version: source.manifest.format_version,
         embedder: source.manifest.embedder.clone(),

@@ -24,6 +24,15 @@
 //!   compaction or re-index finished), `apply_delta` falls back to a full
 //!   load: the delta log belongs to the new base, not the resident one.
 //!
+//! A load reads every partition file, checks its checksum and rebuilds
+//! its grid. The partitions load concurrently through the deployment's
+//! unit loop ([`pexeso_core::exec::try_map_units`] under
+//! [`ExecPolicy::auto`]: the daemon owns the machine), largest file
+//! first. The units keep partition order, and a failure is the
+//! lowest-indexed partition's, as a sequential load would report it. A
+//! failed load publishes nothing: a RELOAD onto a damaged directory
+//! leaves the served snapshot untouched.
+//!
 //! Publishes are serialized by a dedicated swap mutex so generations are
 //! strictly increasing — two racing operators can never mint the same
 //! generation (which would let the result cache serve one deployment's
@@ -37,7 +46,9 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use pexeso_core::error::Result;
+use pexeso_core::config::ExecPolicy;
+use pexeso_core::error::{PexesoError, Result};
+use pexeso_core::exec;
 use pexeso_core::outofcore::{load_unit, IndexUnit, LakeManifest, PartitionedLake};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
@@ -68,14 +79,20 @@ impl Snapshot {
     /// `generation` and load every partition into memory under the
     /// manifest's metric. A delta log left stale by a compaction crash
     /// (older base version) is ignored; a damaged one is a typed error.
+    ///
+    /// The partitions load concurrently, largest file first; the error of
+    /// a failed load is the lowest-indexed failing partition's (see the
+    /// [module docs](self)).
     pub fn load(dir: &Path, generation: u64) -> Result<Self> {
         let manifest = LakeManifest::read(dir)?;
         let lake = PartitionedLake::open(dir)?;
-        let units = lake
-            .partition_files()
-            .iter()
-            .map(|path| load_unit(path, &manifest.metric))
-            .collect::<Result<Vec<_>>>()?;
+        let files = lake.partition_files();
+        let units = exec::try_map_units(
+            ExecPolicy::auto(),
+            &lake.file_weights(),
+            || PexesoError::InvalidParameter("partition load worker panicked".into()),
+            |i| load_unit(&files[i], &manifest.metric),
+        )?;
         let overlay = load_overlay(dir, &manifest)?;
         Ok(Self {
             lake,
@@ -308,6 +325,55 @@ mod tests {
         assert_eq!(cell.apply_delta().unwrap().generation(), 2);
         assert_eq!(cell.swap(None).unwrap().generation(), 3);
         assert_eq!(cell.current().generation(), 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Partitions load concurrently, but a failure is still the
+    /// lowest-indexed partition's, and a RELOAD that fails leaves the
+    /// served generation in place.
+    #[test]
+    fn a_failed_load_reports_the_first_bad_partition() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let dir = std::env::temp_dir().join(format!("pexeso_snap_corrupt_{}", std::process::id()));
+        let mut rng = StdRng::seed_from_u64(3);
+        let dim = 16;
+        let mut columns = ColumnSet::new(dim);
+        for c in 0..40u64 {
+            let vecs: Vec<Vec<f32>> = (0..20)
+                .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+                .collect();
+            columns
+                .add_column("t", &format!("c{c}"), c, vecs.iter().map(Vec::as_slice))
+                .unwrap();
+        }
+        let lake = PartitionedLake::build(
+            &columns,
+            Euclidean,
+            &PartitionConfig::default(),
+            &IndexOptions::default(),
+            &dir,
+        )
+        .unwrap();
+        LakeManifest::new("test", dim).write(&dir).unwrap();
+        let cell = SnapshotCell::open(&dir).unwrap();
+        let files = lake.partition_files();
+        assert_eq!(files.len(), 4);
+        // Partition 1: a flipped checksum byte. Partition 3: a trailing
+        // byte, which fails differently.
+        let mut bytes = std::fs::read(&files[1]).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xff;
+        std::fs::write(&files[1], bytes).unwrap();
+        let mut bytes = std::fs::read(&files[3]).unwrap();
+        bytes.push(0);
+        std::fs::write(&files[3], bytes).unwrap();
+
+        let err = Snapshot::load(&dir, 2).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        let err = cell.swap(None).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        assert_eq!(cell.current().generation(), 1);
+        assert_eq!(cell.current().num_partitions(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 

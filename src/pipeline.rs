@@ -298,6 +298,7 @@ pub fn build_lake_index(
         },
         out_dir,
     )?;
+    lake.sync_files("index.sync")?;
     let mut manifest = LakeManifest::next_build(out_dir, embedder_name, embedder.dim())?;
     // Record the id-allocation high-water mark so incremental ingest can
     // assign fresh external ids without scanning the partitions. (The
@@ -547,11 +548,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn build_and_open_lake_index_roundtrip() {
-        use pexeso_lake::table::Table;
-        let e = HashEmbedder::new(32);
-        let tables: Vec<Table> = (0..3)
+    /// Three ten-row tables with a detectable key column each.
+    fn index_tables() -> Vec<Table> {
+        (0..3)
             .map(|t| {
                 Table::from_rows(
                     format!("tab{t}"),
@@ -561,7 +560,15 @@ mod tests {
                         .collect(),
                 )
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn build_and_open_lake_index_roundtrip() {
+        // Crosses `index.sync`, which the next test arms.
+        let _guard = pexeso_core::fault::test_lock();
+        let e = HashEmbedder::new(32);
+        let tables = index_tables();
         let dir = std::env::temp_dir().join(format!("pexeso_pipeline_idx_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
@@ -596,6 +603,30 @@ mod tests {
         )
         .unwrap();
         assert_eq!(again.manifest.index_version, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// No manifest is published over partition files whose sync failed:
+    /// the manifest would name bytes a power loss can take away.
+    #[test]
+    fn no_manifest_over_unsynced_partitions() {
+        use pexeso_core::fault::{self, FaultAction, FaultRule};
+        let _guard = fault::test_lock();
+        let dir = std::env::temp_dir().join(format!("pexeso_pipeline_sync_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        fault::arm("index.sync", FaultRule::nth(0, FaultAction::Error));
+        let result = build_lake_index(
+            &index_tables(),
+            &HashEmbedder::new(32),
+            "hash",
+            &KeyColumnConfig::default(),
+            &dir,
+            2,
+            ExecPolicy::Sequential,
+        );
+        fault::disarm_all();
+        assert!(result.is_err());
+        assert!(!LakeManifest::path(&dir).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
