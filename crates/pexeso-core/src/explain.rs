@@ -57,6 +57,13 @@ impl FunnelStage {
         }
     }
 
+    /// The last stage: the `hits` columns answered plus the columns
+    /// Lemma 7 pruned. A router re-derives it for its merged answer.
+    pub fn columns(hits: u64, stats: &SearchStats) -> Self {
+        let pruned = vec![("lemma7".to_string(), stats.lemma7_pruned)];
+        Self::derive("columns", "columns", hits, pruned)
+    }
+
     /// Whether this stage's arithmetic balances.
     pub fn consistent(&self) -> bool {
         self.input == self.output + self.pruned.iter().map(|(_, n)| *n).sum::<u64>()
@@ -105,12 +112,7 @@ impl ExplainReport {
                 stats.lemma2_matched + stats.distance_computations,
                 vec![("lemma1".to_string(), stats.lemma1_filtered)],
             ),
-            FunnelStage::derive(
-                "columns",
-                "columns",
-                hits,
-                vec![("lemma7".to_string(), stats.lemma7_pruned)],
-            ),
+            FunnelStage::columns(hits, stats),
         ];
 
         let mut decisions = Vec::new();

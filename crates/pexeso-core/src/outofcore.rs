@@ -21,9 +21,10 @@
 //! object-safe face of one loaded `PexesoIndex<M>`, and [`load_unit`],
 //! [`build_unit`] and [`PartitionedLake::build_named`] are the only
 //! places a name picks the type (through the one match in
-//! [`crate::metric`]), so everything that holds units — this lake,
-//! `pexeso-delta`'s overlay, `pexeso-serve`'s snapshot, the shard
-//! splitter — is written once, not once per metric. The erased call is
+//! [`crate::metric`]), so everything that holds units — this lake, and
+//! `pexeso-delta`'s lake module and overlay, which `pexeso-serve`'s
+//! snapshot and the shard splitter go through — is written once, not
+//! once per metric. The erased call is
 //! made once per (query, unit). Behind it mapping, blocking, verification
 //! and the kernels stay monomorphised: the metric itself is never a trait
 //! object, because a virtual call per distance would sit inside the loop
@@ -363,16 +364,6 @@ impl PartitionedLake {
     /// immutable handle set a resident server snapshots.
     pub fn partition_files(&self) -> &[PathBuf] {
         &self.partition_files
-    }
-
-    /// Load one partition's index into memory (e.g. for top-k merging or
-    /// inspection).
-    pub fn load_partition<M: Metric>(&self, i: usize, metric: M) -> Result<PexesoIndex<M>> {
-        let path = self
-            .partition_files
-            .get(i)
-            .ok_or_else(|| PexesoError::InvalidParameter(format!("no partition {i}")))?;
-        load_index(path, metric)
     }
 
     /// Each partition's weight for [`exec::try_map_units`]: its file's

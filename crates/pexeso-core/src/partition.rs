@@ -281,7 +281,7 @@ pub fn partition_columns(columns: &ColumnSet, config: &PartitionConfig) -> Resul
 
 /// Materialise one partition's repository: the columns at `group` (indices
 /// into `columns`), in that order, vectors copied.
-pub(crate) fn sub_column_set(columns: &ColumnSet, group: &[usize]) -> ColumnSet {
+pub fn sub_column_set(columns: &ColumnSet, group: &[usize]) -> ColumnSet {
     let mut sub = ColumnSet::new(columns.dim());
     for &ci in group {
         let meta = columns.column(crate::column::ColumnId(ci as u32));

@@ -1,15 +1,23 @@
 //! [`DeltaLake`]: a deployed lake plus its delta log, queryable as one
 //! backend — and the lifecycle operations around it (ingest, drop,
 //! compact).
+//!
+//! This module is the one place that opens and reads a deployment
+//! directory: [`DeltaLake::open`] is the open prologue of every reader
+//! (the CLI, `pexeso-serve`'s resident snapshot, the shard splitter),
+//! [`read_lake_columns`] is the one column reader behind compaction and
+//! shard-split, and one loader turns a partition file into an
+//! [`IndexUnit`] for all of them.
 
 use std::path::{Path, PathBuf};
 
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::{ExecPolicy, IndexOptions};
 use pexeso_core::error::{PexesoError, Result};
+use pexeso_core::exec;
 use pexeso_core::fault;
-use pexeso_core::outofcore::{load_unit, LakeManifest, PartitionedLake};
-use pexeso_core::partition::{PartitionConfig, PartitionMethod};
+use pexeso_core::outofcore::{load_unit, IndexUnit, LakeManifest, PartitionedLake};
+use pexeso_core::partition::{sub_column_set, PartitionConfig, PartitionMethod};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
 
@@ -51,6 +59,32 @@ impl DeltaLake {
         })
     }
 
+    /// The same base and manifest with the delta log re-read and
+    /// replayed — the `APPLY` path of a serving daemon, which must not
+    /// touch a partition file. The caller checks that the manifest on
+    /// disk still names this base build.
+    pub fn with_fresh_log(&self) -> Result<Self> {
+        Ok(Self {
+            base: self.base.clone(),
+            manifest: self.manifest.clone(),
+            overlay: load_overlay(self.dir(), &self.manifest)?,
+        })
+    }
+
+    /// Load every base partition into memory, in partition order. The
+    /// files load concurrently as units of [`exec::try_map_units`] under
+    /// [`ExecPolicy::auto`], largest file first; a failure is the
+    /// lowest-indexed failing partition's, as a sequential load would
+    /// report it.
+    pub fn load_base(&self) -> Result<Vec<Box<dyn IndexUnit>>> {
+        exec::try_map_units(
+            ExecPolicy::auto(),
+            &self.base.file_weights(),
+            || PexesoError::InvalidParameter("partition load worker panicked".into()),
+            |i| load_base_unit(&self.base, &self.manifest.metric, i),
+        )
+    }
+
     pub fn dir(&self) -> &Path {
         self.base.dir()
     }
@@ -68,6 +102,13 @@ impl DeltaLake {
     }
 }
 
+/// The one partition-file loader: partition `i` of `base` as an
+/// [`IndexUnit`] under the manifest's metric `metric` (the
+/// persisted-metric check of the index file applies).
+fn load_base_unit(base: &PartitionedLake, metric: &str, i: usize) -> Result<Box<dyn IndexUnit>> {
+    load_unit(&base.partition_files()[i], metric)
+}
+
 /// A [`DeltaLake`] answers the unified [`Query`] like every other
 /// backend: base partitions loaded from disk per query (the out-of-core
 /// contract) plus the in-memory delta unit. The metric is fixed by the
@@ -76,15 +117,85 @@ impl DeltaLake {
 impl Queryable for DeltaLake {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
         query.check_metric("deployment", &self.manifest.metric)?;
-        let files = self.base.partition_files();
         let weights = self.base.file_weights();
         self.overlay
             .execute_with_base(&weights, query, vectors, |i, inner, guard| {
-                let unit = load_unit(&files[i], &self.manifest.metric)?;
+                let unit = load_base_unit(&self.base, &self.manifest.metric, i)?;
                 let dead = self.overlay.dead_columns(unit.columns());
                 unit.answer(inner, vectors, dead.as_deref(), guard)
             })
     }
+}
+
+/// A deployment's columns the way a rebuild indexes them
+/// ([`read_lake_columns`]).
+#[derive(Debug)]
+pub struct LakeColumns {
+    /// The base columns whose table is not tombstoned plus the delta's
+    /// live columns, in ascending external id.
+    pub columns: ColumnSet,
+    /// The build options stored in the partitions (`exec` is
+    /// [`ExecPolicy::Sequential`]: the policy is not stored).
+    pub options: IndexOptions,
+    /// Base columns left out because their table is tombstoned.
+    pub dropped: usize,
+}
+
+/// Read the columns of the deployment `base` (under `manifest`) with the
+/// replayed delta `state` applied: every base partition is loaded once,
+/// in turn, and nothing is built. Ascending external id is the order a
+/// from-scratch build over the same table set uses, so a rebuild over
+/// these columns — the (seeded, deterministic) partitioning included —
+/// is byte-identical to one. An external id that appears twice is a
+/// typed [`PexesoError::Corrupt`]: a rebuild would index the column twice
+/// and a shard range would own it ambiguously.
+pub fn read_lake_columns(
+    base: &PartitionedLake,
+    manifest: &LakeManifest,
+    state: &DeltaState,
+) -> Result<LakeColumns> {
+    let dim = manifest.dim;
+    let mut gathered = ColumnSet::new(dim);
+    let mut options = None;
+    let mut dropped = 0usize;
+    for i in 0..base.num_partitions() {
+        let unit = load_base_unit(base, &manifest.metric, i)?;
+        options.get_or_insert_with(|| unit.options().clone());
+        let cs = unit.columns();
+        for meta in cs.columns() {
+            if state.dropped_tables.contains(&meta.table_name) {
+                dropped += 1;
+                continue;
+            }
+            let vectors = meta.vector_range().map(|v| cs.store().get_raw(v as usize));
+            gathered.add_column(
+                &meta.table_name,
+                &meta.column_name,
+                meta.external_id,
+                vectors,
+            )?;
+        }
+    }
+    for col in &state.live {
+        let vectors = col.vectors.chunks_exact(dim);
+        gathered.add_column(&col.table_name, &col.column_name, col.external_id, vectors)?;
+    }
+    let ids: Vec<u64> = gathered.columns().iter().map(|m| m.external_id).collect();
+    let mut order: Vec<usize> = (0..ids.len()).collect();
+    order.sort_by_key(|&c| ids[c]);
+    if let Some(pair) = order.windows(2).find(|w| ids[w[0]] == ids[w[1]]) {
+        return Err(PexesoError::Corrupt(format!(
+            "{}: external id {} appears twice — a rebuild would index it twice and \
+             range ownership would be ambiguous",
+            base.dir().display(),
+            ids[pair[0]]
+        )));
+    }
+    Ok(LakeColumns {
+        columns: sub_column_set(&gathered, &order),
+        options: options.unwrap_or_default(),
+        dropped,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -194,16 +305,15 @@ fn read_compact_marker(dir: &Path) -> Result<Option<u64>> {
 /// In that state the partitions may mix the old and new builds under the
 /// old manifest, and the delta log still reads as current: replaying it
 /// would double-apply every record. There is no safe way to serve, so
-/// every open path (including `pexeso-serve`'s resident snapshots, which
-/// bypass [`DeltaLake::open`]) must call this before trusting the
-/// directory.
+/// every open path ([`DeltaLake::open`] and the write operations) calls
+/// this before trusting the directory.
 ///
 /// A marker stamped with a version *older* than the manifest is stale:
 /// the compaction reached its point of no return (the manifest bump) and
 /// crashed before cleanup, so the directory is the fully-published new
 /// build. Read paths ignore it (read-only mounts must keep working);
 /// write paths clean it up (`clear_stale_compact_marker`).
-pub fn verify_no_crashed_compaction(dir: &Path, manifest: &LakeManifest) -> Result<()> {
+pub(crate) fn verify_no_crashed_compaction(dir: &Path, manifest: &LakeManifest) -> Result<()> {
     match read_compact_marker(dir)? {
         None => Ok(()),
         Some(v) if v < manifest.index_version => Ok(()), // stale: bump published
@@ -266,8 +376,8 @@ fn allocation_floor(dir: &Path, manifest: &LakeManifest, records: &[DeltaRecord]
     } else {
         let base = PartitionedLake::open(dir)?;
         let mut max_id = None::<u64>;
-        for file in base.partition_files() {
-            let unit = load_unit(file, &manifest.metric)?;
+        for i in 0..base.num_partitions() {
+            let unit = load_base_unit(&base, &manifest.metric, i)?;
             let ids = unit.columns().columns().iter().map(|m| m.external_id);
             max_id = ids.chain(max_id).max();
         }
@@ -390,11 +500,15 @@ pub struct CompactReport {
     pub columns_dropped: usize,
 }
 
-/// Fold `dir`'s delta log into fresh base partitions: gather every live
-/// column (base columns not tombstoned, plus the replayed delta), rebuild
-/// the partitioning, bump the manifest version atomically, and delete the
-/// log. External ids are preserved — queries answer identically before
-/// and after (`DeltaLake` overlay ≡ compacted base), only faster.
+/// Fold `dir`'s delta log into fresh base partitions: read every live
+/// column with [`read_lake_columns`] (base columns not tombstoned, plus
+/// the replayed delta, in ascending external id), rebuild the
+/// partitioning under the build options stored in the partitions (with
+/// `policy` as their `exec`), bump the manifest version atomically, and
+/// delete the log. External ids and build options are preserved —
+/// queries answer identically before and after (`DeltaLake` overlay ≡
+/// compacted base), only faster. A deployment whose columns repeat an
+/// external id is refused before anything is written.
 ///
 /// Crash safety: the rebuilt partitions, the manifest and the directory
 /// are synced before the log is deleted, so no acknowledged ingest is
@@ -419,57 +533,18 @@ pub fn compact_lake(
     clear_stale_compact_marker(dir)?;
     let base = PartitionedLake::open(dir)?;
     let records = current_records(dir, &manifest)?;
-    let state = DeltaState::replay(&records);
     let next_external_id = allocation_floor(dir, &manifest, &records)?;
-
-    // Gather live columns: (external_id, table, column, vectors).
-    let mut live: Vec<(u64, String, String, Vec<f32>)> = Vec::new();
-    let mut columns_dropped = 0usize;
-    let dim = manifest.dim;
-    for file in base.partition_files() {
-        let unit = load_unit(file, &manifest.metric)?;
-        let cs = unit.columns();
-        for meta in cs.columns() {
-            if state.dropped_tables.contains(&meta.table_name) {
-                columns_dropped += 1;
-                continue;
-            }
-            let mut vectors = Vec::with_capacity(meta.len as usize * dim);
-            for v in meta.vector_range() {
-                vectors.extend_from_slice(cs.store().get_raw(v as usize));
-            }
-            live.push((
-                meta.external_id,
-                meta.table_name.clone(),
-                meta.column_name.clone(),
-                vectors,
-            ));
-        }
-    }
-    for col in &state.live {
-        live.push((
-            col.external_id,
-            col.table_name.clone(),
-            col.column_name.clone(),
-            col.vectors.clone(),
-        ));
-    }
-    if live.is_empty() {
+    let LakeColumns {
+        columns,
+        options,
+        dropped,
+    } = read_lake_columns(&base, &manifest, &DeltaState::replay(&records))?;
+    let (n_columns, n_vectors) = (columns.n_columns(), columns.n_vectors());
+    if n_columns == 0 {
         return Err(PexesoError::EmptyInput(
             "compaction would leave no live column",
         ));
     }
-    // Canonical order — ascending external id — matches what a
-    // from-scratch build over the same table set produces, keeping the
-    // (seeded, deterministic) partitioning and all downstream answers
-    // byte-identical to a full rebuild.
-    live.sort_by_key(|(id, ..)| *id);
-    let mut columns = ColumnSet::new(dim);
-    for (id, table, column, vectors) in &live {
-        columns.add_column(table, column, *id, vectors.chunks_exact(dim))?;
-    }
-    let n_columns = columns.n_columns();
-    let n_vectors = columns.n_vectors();
 
     let partition_config = PartitionConfig {
         k: partitions.unwrap_or_else(|| base.num_partitions()),
@@ -478,7 +553,7 @@ pub fn compact_lake(
     };
     let index_options = IndexOptions {
         exec: policy,
-        ..Default::default()
+        ..options
     };
     // From here on the directory is transiently inconsistent (new
     // partition bytes under the old manifest). The marker makes a crash
@@ -517,7 +592,7 @@ pub fn compact_lake(
         n_partitions: rebuilt.num_partitions(),
         index_version: new_manifest.index_version,
         records_folded: records.len(),
-        columns_dropped,
+        columns_dropped: dropped,
     })
 }
 
@@ -708,6 +783,27 @@ mod tests {
         let log = read_log(&dir).unwrap().unwrap();
         assert_eq!(log.records.len(), 1);
         DeltaLake::open(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Compaction rebuilds under the build options stored in the
+    /// partitions (3 pivots, 3 levels, seed 7 here), not the defaults.
+    #[test]
+    fn compaction_keeps_the_stored_index_options() {
+        let _guard = fault::test_lock(); // another test arms a fault inside compaction
+        let dir = tempdir("compact_options");
+        deploy_small(&dir);
+        ingest_columns(&dir, &[one_column(6, "d0")]).unwrap();
+        drop_tables(&dir, &["b1".into()]).unwrap();
+        let report = compact_lake(&dir, None, ExecPolicy::Sequential).unwrap();
+        assert_eq!((report.n_columns, report.columns_dropped), (3, 1));
+        let units = DeltaLake::open(&dir).unwrap().load_base().unwrap();
+        assert!(!units.is_empty());
+        for unit in &units {
+            let o = unit.options();
+            let options = (o.num_pivots, o.levels, o.pivot_selection, o.seed);
+            assert_eq!(options, (3, Some(3), PivotSelection::Pca, 7));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,23 +17,27 @@
 //!   that answers the unified `Query` byte-identically to a full rebuild
 //!   (each base unit scans with its dropped columns dead from step 0);
 //! * [`lake`] — [`DeltaLake`] (disk-backed base + overlay, a `Queryable`
-//!   like every other backend), [`ingest_columns`] / [`drop_tables`]
-//!   (cheap checksummed appends), and [`compact_lake`] (fold the log into
-//!   fresh base partitions, bump the manifest atomically, delete the log).
+//!   like every other backend, and the one way to open a deployment),
+//!   [`read_lake_columns`] (a deployment's columns as a rebuild indexes
+//!   them), [`ingest_columns`] / [`drop_tables`] (cheap checksummed
+//!   appends), and [`compact_lake`] (fold the log into fresh base
+//!   partitions, bump the manifest atomically, delete the log).
 //!
-//! `pexeso-serve` builds its live-ingest path on the same pieces: the
-//! daemon replays the log over its already-resident base snapshot and
-//! publishes a new generation without reloading a single partition.
+//! `pexeso-serve`'s resident snapshot holds the [`DeltaLake`] it serves
+//! and loads its base through it; its live-ingest path re-reads only the
+//! log ([`DeltaLake::with_fresh_log`]) and publishes a new generation
+//! without reloading a single partition. `pexeso-router`'s shard split
+//! reads its columns through [`read_lake_columns`].
 
 pub mod lake;
 pub mod overlay;
 pub mod wal;
 
 pub use lake::{
-    compact_lake, drop_tables, ingest_columns, verify_no_crashed_compaction, CompactReport,
-    DeltaLake, IngestColumn, IngestReport,
+    compact_lake, drop_tables, ingest_columns, read_lake_columns, CompactReport, DeltaLake,
+    IngestColumn, IngestReport, LakeColumns,
 };
-pub use overlay::{load_overlay, DeltaOverlay};
+pub use overlay::DeltaOverlay;
 pub use wal::{
     append_records, check_header, delta_log_path, read_log, remove_log, DeltaColumn, DeltaRecord,
     DeltaState, LogContents, LogHeader, LogStatus,

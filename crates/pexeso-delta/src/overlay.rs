@@ -53,14 +53,15 @@ pub struct DeltaOverlay {
     n_records: usize,
 }
 
-/// Read and replay `dir`'s delta log against `manifest` — the one
-/// log-replay prologue of every open path ([`crate::DeltaLake::open`],
-/// `pexeso-serve`'s snapshots). A log left stale by a compaction crash
-/// (its header names an older base build) reads as empty; a foreign or
-/// damaged one is a typed error — as is the debris of a compaction that
-/// crashed mid-rebuild (partitions possibly mixing old and new builds):
-/// replaying a still-current log over them would double-apply records.
-pub fn load_overlay(dir: &Path, manifest: &LakeManifest) -> Result<DeltaOverlay> {
+/// Read and replay `dir`'s delta log against `manifest` — the log-replay
+/// half of [`crate::DeltaLake::open`] and of its `APPLY` path
+/// ([`crate::DeltaLake::with_fresh_log`]). A log left stale by a
+/// compaction crash (its header names an older base build) reads as
+/// empty; a foreign or damaged one is a typed error — as is the debris of
+/// a compaction that crashed mid-rebuild (partitions possibly mixing old
+/// and new builds): replaying a still-current log over them would
+/// double-apply records.
+pub(crate) fn load_overlay(dir: &Path, manifest: &LakeManifest) -> Result<DeltaOverlay> {
     verify_no_crashed_compaction(dir, manifest)?;
     let state = match read_log(dir)? {
         Some(contents) => match check_header(&contents.header, manifest)? {

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::explain::ExplainReport;
+use pexeso_core::explain::{ExplainReport, FunnelStage};
 use pexeso_core::hist::{AtomicHistogram, HistSnapshot};
 use pexeso_core::log::{self as plog, LogLevel, Value};
 use pexeso_core::outofcore::GlobalHit;
@@ -471,6 +471,15 @@ impl Router {
             }
             QueryMode::Topk(k) => rank_topk_hits(hits, k),
         };
+        // Each shard's `columns` stage ends at its own answer (its top-k
+        // list, entries the range filter dropped included); the routed one
+        // ends at the merged answer.
+        if let Some(stage) = explain
+            .as_mut()
+            .and_then(|report| report.stages.iter_mut().find(|s| s.name == "columns"))
+        {
+            *stage = FunnelStage::columns(hits.len() as u64, &stats);
+        }
         stats.total_time = started.elapsed();
         let trace = merge_start.map(|m| {
             let mut root = TraceSpan::new("router", 0, stats.total_time.as_micros() as u64)

@@ -14,11 +14,18 @@
 //! Shards are *re-partitioned and re-indexed* from their column subsets
 //! rather than carved out of the source's partition files: a shard's
 //! columns are a different distribution than the whole lake's, so the
-//! k-means partitioning and pivot mappings are rebuilt per shard. This
+//! k-means partitioning and pivot mappings are rebuilt per shard, under
+//! the build options stored in the source's partitions. This
 //! does not perturb answers — match counts are partition-structure
 //! independent (the delta suite pins the same property for compaction
 //! rebuilds) — and it keeps every shard a first-class deployment
 //! instead of a franken-directory of foreign partitions.
+//!
+//! The source is opened with [`DeltaLake::open`] and its columns read
+//! with [`read_lake_columns`], the column reader compaction uses: every
+//! column in ascending external id, a repeated id refused as
+//! [`PexesoError::Corrupt`]. A shard's columns are a contiguous run of
+//! that order, copied out with [`sub_column_set`].
 //!
 //! Splitting refuses a lake with a **live delta log**: unapplied delta
 //! columns and tombstones live outside the partition files, and a split
@@ -27,38 +34,15 @@
 
 use std::path::Path;
 
-use pexeso_core::column::ColumnSet;
 use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::outofcore::{load_unit, LakeManifest, PartitionedLake};
-use pexeso_core::partition::PartitionConfig;
-use pexeso_delta::DeltaLake;
+use pexeso_core::outofcore::{LakeManifest, PartitionedLake};
+use pexeso_core::partition::{sub_column_set, PartitionConfig};
+use pexeso_delta::{read_lake_columns, DeltaLake, DeltaState, LakeColumns};
 
 use crate::shardmap::{ShardMap, ShardSpec};
 
 /// File name of the map a split writes next to its shard directories.
 pub const SHARD_MAP_FILE: &str = "shardmap.txt";
-
-/// One column lifted out of the source lake, vectors and all.
-struct ExtractedColumn {
-    table_name: String,
-    column_name: String,
-    external_id: u64,
-    /// Row-major vectors (each `dim` long).
-    rows: Vec<Vec<f32>>,
-}
-
-/// What a split needs to know about the source deployment.
-struct SourceLake {
-    manifest: LakeManifest,
-    /// Every column of the partition files (a split refuses a live delta
-    /// log, so none is dropped), sorted by external id.
-    columns: Vec<ExtractedColumn>,
-    /// Partition count of the source (sizes per-shard partitioning).
-    partitions: usize,
-    /// Index options the source was built with (persisted per partition);
-    /// shards inherit them so re-indexing preserves build knobs.
-    options: pexeso_core::config::IndexOptions,
-}
 
 /// Directory name of shard `i` under the split output directory.
 pub fn shard_dir_name(i: usize) -> String {
@@ -70,44 +54,27 @@ pub fn shard_dir_name(i: usize) -> String {
 /// `[0, u64::MAX)` (so future ids land somewhere), and carry the `-`
 /// unassigned-replica placeholder for the operator to fill in.
 pub fn plan_shards(dir: &Path, shards: usize) -> Result<ShardMap> {
-    let source = read_source(dir)?;
-    plan_from_ids(
-        &source
-            .columns
-            .iter()
-            .map(|c| c.external_id)
-            .collect::<Vec<_>>(),
-        shards,
-    )
+    let (_, source) = read_source(dir)?;
+    plan_from_ids(&external_ids(&source), shards)
 }
 
 /// Split the lake at `dir` into `shards` deployment directories under
 /// `out` (`out/shard_00`, `out/shard_01`, …), write the shard map to
 /// `out/shardmap.txt`, and return it. Refuses a live delta log.
 pub fn split_lake(dir: &Path, shards: usize, out: &Path) -> Result<ShardMap> {
-    let source = read_source(dir)?;
-    let map = plan_from_ids(
-        &source
-            .columns
-            .iter()
-            .map(|c| c.external_id)
-            .collect::<Vec<_>>(),
-        shards,
-    )?;
+    let (lake, source) = read_source(dir)?;
+    let ids = external_ids(&source);
+    let map = plan_from_ids(&ids, shards)?;
     std::fs::create_dir_all(out)?;
     let mut taken = 0usize;
     for (i, spec) in map.shards().iter().enumerate() {
-        let shard_cols: Vec<&ExtractedColumn> = source
-            .columns
-            .iter()
-            .filter(|c| spec.owns(c.external_id))
-            .collect();
-        taken += shard_cols.len();
-        build_shard(&source, spec, &shard_cols, &out.join(shard_dir_name(i)))?;
+        let group: Vec<usize> = (0..ids.len()).filter(|&c| spec.owns(ids[c])).collect();
+        taken += group.len();
+        build_shard(&lake, &source, spec, &group, &out.join(shard_dir_name(i)))?;
     }
     debug_assert_eq!(
         taken,
-        source.columns.len(),
+        ids.len(),
         "disjoint covering ranges must take every column exactly once"
     );
     map.write(&out.join(SHARD_MAP_FILE))?;
@@ -151,11 +118,10 @@ fn plan_from_ids(sorted_ids: &[u64], shards: usize) -> Result<ShardMap> {
     ShardMap::new(specs)
 }
 
-/// Load the manifest and lift every live column out of the source lake.
-fn read_source(dir: &Path) -> Result<SourceLake> {
-    let manifest = LakeManifest::read(dir)?;
-    let delta = DeltaLake::open(dir)?;
-    let pending = delta.overlay().n_records();
+/// Open the source lake and read its columns, refusing a live delta log.
+fn read_source(dir: &Path) -> Result<(DeltaLake, LakeColumns)> {
+    let lake = DeltaLake::open(dir)?;
+    let pending = lake.overlay().n_records();
     if pending > 0 {
         return Err(PexesoError::InvalidParameter(format!(
             "{}: delta log has {pending} unapplied record(s); a split would drop them — \
@@ -163,97 +129,43 @@ fn read_source(dir: &Path) -> Result<SourceLake> {
             dir.display()
         )));
     }
-    drop(delta);
-    let lake = PartitionedLake::open(dir)?;
-    let partitions = lake.num_partitions();
-    let (mut columns, options) = extract_columns(&lake, &manifest.metric)?;
-    columns.sort_by_key(|c| c.external_id);
-    if columns
-        .windows(2)
-        .any(|w| w[0].external_id == w[1].external_id)
-    {
-        return Err(PexesoError::Corrupt(format!(
-            "{}: duplicate external ids across partitions — \
-             range ownership would be ambiguous",
-            dir.display()
-        )));
-    }
-    Ok(SourceLake {
-        manifest,
-        columns,
-        partitions,
-        options,
-    })
+    let source = read_lake_columns(lake.base(), lake.manifest(), &DeltaState::default())?;
+    Ok((lake, source))
 }
 
-/// Lift every column out of the lake's partition files (loaded
-/// under the manifest metric; extraction itself is metric-blind). Also
-/// returns the build options persisted in the first partition, which
-/// shards inherit.
-fn extract_columns(
-    lake: &PartitionedLake,
-    metric_name: &str,
-) -> Result<(Vec<ExtractedColumn>, pexeso_core::config::IndexOptions)> {
-    let mut out = Vec::new();
-    let mut options = None;
-    for file in lake.partition_files() {
-        let index = load_unit(file, metric_name)?;
-        options.get_or_insert_with(|| index.options().clone());
-        let set = index.columns();
-        for meta in set.columns() {
-            out.push(ExtractedColumn {
-                table_name: meta.table_name.clone(),
-                column_name: meta.column_name.clone(),
-                external_id: meta.external_id,
-                rows: meta
-                    .vector_range()
-                    .map(|v| set.vector(pexeso_core::vector::VectorId(v)).to_vec())
-                    .collect(),
-            });
-        }
-    }
-    Ok((out, options.unwrap_or_default()))
+/// The source's external ids, ascending.
+fn external_ids(source: &LakeColumns) -> Vec<u64> {
+    let columns = source.columns.columns();
+    columns.iter().map(|meta| meta.external_id).collect()
 }
 
-/// Build one shard's deployment directory: re-partition and re-index its
-/// column subset, then write a manifest inheriting the source's
-/// `index_version` and `next_external_id` and recording the shard's id
-/// range. Every fresh id lies at or above the source's watermark, which
-/// only the last shard's unbounded range owns, so ingest refuses to
-/// allocate ids in any other shard: the router would drop every reply
-/// entry such an id produced.
+/// Build one shard's deployment directory: re-partition and re-index the
+/// source columns at `group`, then write a manifest inheriting the
+/// source's `index_version` and `next_external_id` and recording the
+/// shard's id range. Every fresh id lies at or above the source's
+/// watermark, which only the last shard's unbounded range owns, so ingest
+/// refuses to allocate ids in any other shard: the router would drop
+/// every reply entry such an id produced.
 fn build_shard(
-    source: &SourceLake,
+    lake: &DeltaLake,
+    source: &LakeColumns,
     spec: &ShardSpec,
-    columns: &[&ExtractedColumn],
+    group: &[usize],
     dir: &Path,
 ) -> Result<()> {
-    let mut set = ColumnSet::new(source.manifest.dim);
-    for c in columns {
-        set.add_column(
-            &c.table_name,
-            &c.column_name,
-            c.external_id,
-            c.rows.iter().map(Vec::as_slice),
-        )?;
-    }
+    let set = sub_column_set(&source.columns, group);
     // A shard holds a fraction of the corpus: keep the source's partition
     // granularity where possible, but never more partitions than columns.
     let config = PartitionConfig {
-        k: source.partitions.min(columns.len()).max(1),
+        k: lake.base().num_partitions().min(group.len()).max(1),
         ..PartitionConfig::default()
     };
-    let options = source.options.clone();
-    PartitionedLake::build_named(&set, &source.manifest.metric, &config, &options, dir)?
+    let metric = &lake.manifest().metric;
+    PartitionedLake::build_named(&set, metric, &config, &source.options, dir)?
         .sync_files("split.sync")?;
     let manifest = LakeManifest {
-        format_version: source.manifest.format_version,
-        embedder: source.manifest.embedder.clone(),
-        dim: source.manifest.dim,
-        metric: source.manifest.metric.clone(),
-        index_version: source.manifest.index_version,
-        next_external_id: source.manifest.next_external_id,
         id_range: Some(spec.lo..spec.hi),
+        ..lake.manifest().clone()
     };
     manifest.write(dir)?;
     Ok(())

@@ -10,15 +10,16 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use pexeso_core::column::ColumnSet;
-use pexeso_core::config::{IndexOptions, JoinThreshold, PivotSelection, Tau};
+use pexeso_core::config::{ExecPolicy, IndexOptions, JoinThreshold, PivotSelection, Tau};
 use pexeso_core::error::PexesoError;
 use pexeso_core::metric::Euclidean;
 use pexeso_core::outofcore::{GlobalHit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
+use pexeso_core::persist::load_index;
 use pexeso_core::query::{Query, QueryOutcome, Queryable};
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
-use pexeso_delta::{delta_log_path, ingest_columns, IngestColumn};
+use pexeso_delta::{compact_lake, delta_log_path, ingest_columns, IngestColumn};
 use pexeso_router::daemon::{RouterServeConfig, RouterServer};
 use pexeso_router::router::{Router, RouterConfig};
 use pexeso_router::shardmap::{ShardMap, ShardSpec};
@@ -728,6 +729,73 @@ fn explain_through_the_router_changes_nothing_and_merges() {
     }
 }
 
+/// Every shard answers its own top-k, so the shards' `columns` stages
+/// add up to more than the routed answer; the routed report ends at the
+/// answer's own hit count.
+#[test]
+fn routed_explain_columns_stage_ends_at_the_routed_answer() {
+    let counts = [3u32, 1, 2, 3, 2, 1, 3, 2, 1];
+    let dir = tempdir("explain_k_src");
+    let (columns, query) = tie_workload(41, &counts, "xk");
+    deploy(&dir, &columns, "euclidean");
+    let (daemons, router) = start_cluster(&dir, 3, "explain_k");
+    let q = Query::topk(Tau::Ratio(0.01), 2).with_explain(true);
+    let shard_hits: usize = daemons
+        .iter()
+        .map(|d| {
+            let client = ServeClient::connect(d.addr()).unwrap();
+            client.execute(&q, &query).unwrap().hits.len()
+        })
+        .sum();
+    let resp = router.execute(&q, &query).unwrap();
+    assert_eq!(resp.hits.len(), 2);
+    assert!(shard_hits > resp.hits.len(), "shards answered {shard_hits}");
+    let report = resp.explain.expect("explained");
+    let columns = report.stages.iter().find(|s| s.name == "columns").unwrap();
+    assert_eq!(columns.output, resp.hits.len() as u64);
+    assert!(report.consistent(), "{}", report.render());
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// Compaction and split read a deployment's columns through the same
+/// reader, which refuses a repeated external id before anything is
+/// written.
+#[test]
+fn duplicate_external_ids_are_refused_by_compaction_and_split() {
+    let dir = tempdir("dup_src");
+    let (mut columns, _) = workload(17, 6, "dup");
+    let v = unit(&mut StdRng::seed_from_u64(1));
+    columns
+        .add_column("dup_again", "key", 2, vec![v.as_slice()])
+        .unwrap();
+    deploy(&dir, &columns, "euclidean");
+    let listing = |dir: &Path| {
+        let mut files: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    };
+    let before = listing(&dir);
+    let out = tempdir("dup_out");
+    std::fs::remove_dir_all(&out).unwrap();
+    for result in [
+        compact_lake(&dir, None, ExecPolicy::Sequential).map(|_| ()),
+        split_lake(&dir, 2, &out).map(|_| ()),
+    ] {
+        match result {
+            Err(PexesoError::Corrupt(msg)) => assert!(msg.contains("external id 2"), "{msg}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+    assert!(listing(&dir) == before, "the source changed");
+    assert!(!out.exists(), "split wrote its output directory");
+}
+
 #[test]
 fn routed_meta_carries_request_id_and_slowest_shard() {
     let dir = tempdir("meta_src");
@@ -935,8 +1003,12 @@ fn shard_plan_is_deterministic_and_matches_split() {
     let mut seen = Vec::new();
     for i in 0..3 {
         let shard = PartitionedLake::open(&out.join(shard_dir_name(i))).unwrap();
-        for p in 0..shard.num_partitions() {
-            let idx = shard.load_partition(p, Euclidean).unwrap();
+        for file in shard.partition_files() {
+            let idx = load_index(file, Euclidean).unwrap();
+            // Shards are rebuilt under the source's stored build options.
+            let o = idx.options();
+            let options = (o.num_pivots, o.levels, o.pivot_selection, o.seed);
+            assert_eq!(options, (3, Some(3), PivotSelection::Pca, 7));
             for meta in idx.columns().columns() {
                 assert!(
                     split.shards()[i].owns(meta.external_id),

@@ -142,7 +142,7 @@ impl ServerMetrics {
         out.gauge(
             "pexeso_snapshot_index_version",
             "Build generation (manifest index_version) of the served base.",
-            snap.manifest().index_version as f64,
+            snap.lake().manifest().index_version as f64,
         );
         out.gauge(
             "pexeso_snapshot_partitions",
@@ -152,12 +152,12 @@ impl ServerMetrics {
         out.gauge(
             "pexeso_delta_columns",
             "Live delta columns ingested since the base build.",
-            snap.delta_columns() as f64,
+            snap.lake().overlay().n_delta_columns() as f64,
         );
         out.gauge(
             "pexeso_delta_tombstones",
             "Tables tombstoned since the base build.",
-            snap.delta_tombstones() as f64,
+            snap.lake().overlay().n_tombstones() as f64,
         );
         out.gauge(
             "pexeso_cache_len",
@@ -899,7 +899,7 @@ mod tests {
             ("pexeso_delta_tombstones", 1.0),
             (
                 "pexeso_index_delta_records",
-                snap.overlay().n_records() as f64,
+                snap.lake().overlay().n_records() as f64,
             ),
             ("pexeso_applies_total", 0.0),
             ("pexeso_cache_capacity", 100.0),

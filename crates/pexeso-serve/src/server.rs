@@ -177,11 +177,12 @@ impl Handler for ShardHandler {
         match req {
             Request::Info => {
                 let snap = self.snapshot.current();
-                match snap.lake().disk_bytes() {
+                let manifest = snap.lake().manifest();
+                match snap.lake().base().disk_bytes() {
                     Ok(disk_bytes) => Reply::Info(InfoReply {
-                        dim: snap.dim() as u32,
+                        dim: manifest.dim as u32,
                         generation: snap.generation(),
-                        index_version: snap.manifest().index_version,
+                        index_version: manifest.index_version,
                         partitions: snap.num_partitions() as u32,
                         disk_bytes,
                     }),
@@ -261,20 +262,23 @@ impl Handler for ShardHandler {
                     Ok(fresh) => {
                         self.cache.clear();
                         self.metrics.applies.fetch_add(1, Ordering::Relaxed);
+                        let overlay = fresh.lake().overlay();
+                        let delta_columns = overlay.n_delta_columns() as u64;
+                        let tombstones = overlay.n_tombstones() as u64;
                         plog::log(
                             LogLevel::Info,
                             "serve",
                             "delta_applied",
                             &[
                                 ("generation", fresh.generation().into()),
-                                ("delta_columns", (fresh.delta_columns() as u64).into()),
-                                ("tombstones", (fresh.delta_tombstones() as u64).into()),
+                                ("delta_columns", delta_columns.into()),
+                                ("tombstones", tombstones.into()),
                             ],
                         );
                         Reply::Applied {
                             generation: fresh.generation(),
-                            delta_columns: fresh.delta_columns() as u64,
-                            tombstones: fresh.delta_tombstones() as u64,
+                            delta_columns,
+                            tombstones,
                         }
                     }
                     // A failed apply leaves the served snapshot untouched.
@@ -345,11 +349,12 @@ impl ShardHandler {
         query: &Query,
         vectors: &VectorStore,
     ) -> std::result::Result<HitsReply, String> {
-        if vectors.dim() != snap.dim() {
+        let dim = snap.lake().manifest().dim;
+        if vectors.dim() != dim {
             return Err(format!(
                 "query dimension {} does not match index dimension {}",
                 vectors.dim(),
-                snap.dim()
+                dim
             ));
         }
         // A client-requested trace must describe *this* execution, so it

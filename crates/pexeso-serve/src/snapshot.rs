@@ -1,9 +1,9 @@
 //! Arc-swapped immutable, fully-resident index snapshots.
 //!
-//! A [`Snapshot`] is one opened deployment loaded *entirely into memory*
-//! — base units + optional overlay, the metric resolved once from the
-//! manifest: every partition as an [`IndexUnit`], the manifest, and the
-//! deployment's replayed delta log as a [`pexeso_delta::DeltaOverlay`] —
+//! A [`Snapshot`] is one opened deployment — a [`DeltaLake`]: manifest,
+//! partition files and replayed delta overlay, opened by
+//! [`DeltaLake::open`] like every other reader — with its base loaded
+//! *entirely into memory*, every partition as an [`IndexUnit`], and
 //! tagged with a serve-side *generation* that increases by one on every
 //! publish. Residency is what makes the
 //! daemon worth running — queries never pay the partition load the
@@ -17,21 +17,21 @@
 //! * [`SnapshotCell::swap`] (the `RELOAD` verb) re-opens the directory
 //!   from scratch — partitions, manifest, and delta log;
 //! * [`SnapshotCell::apply_delta`] (the `APPLY` verb) re-reads *only*
-//!   the delta log and publishes a new generation **sharing the resident
-//!   base via `Arc`** — live ingest in milliseconds, no partition
-//!   reloaded, no memory doubled. If the base build itself changed
-//!   underneath the daemon (manifest `index_version` moved, e.g. a
-//!   compaction or re-index finished), `apply_delta` falls back to a full
-//!   load: the delta log belongs to the new base, not the resident one.
+//!   the delta log ([`DeltaLake::with_fresh_log`]) and publishes a new
+//!   generation **sharing the resident base via `Arc`** — live ingest in
+//!   milliseconds, no partition reloaded, no memory doubled. If the base
+//!   build itself changed underneath the daemon (manifest `index_version`
+//!   moved, e.g. a compaction or re-index finished), `apply_delta` falls
+//!   back to a full load: the delta log belongs to the new base, not the
+//!   resident one.
 //!
 //! A load reads every partition file, checks its checksum and rebuilds
-//! its grid. The partitions load concurrently through the deployment's
-//! unit loop ([`pexeso_core::exec::try_map_units`] under
-//! [`ExecPolicy::auto`]: the daemon owns the machine), largest file
-//! first. The units keep partition order, and a failure is the
-//! lowest-indexed partition's, as a sequential load would report it. A
-//! failed load publishes nothing: a RELOAD onto a damaged directory
-//! leaves the served snapshot untouched.
+//! its grid, through [`DeltaLake::load_base`]: the partitions load
+//! concurrently (the daemon owns the machine), largest file first. The
+//! units keep partition order, and a failure is the lowest-indexed
+//! partition's, as a sequential load would report it. A failed load
+//! publishes nothing: a RELOAD onto a damaged directory leaves the served
+//! snapshot untouched.
 //!
 //! Publishes are serialized by a dedicated swap mutex so generations are
 //! strictly increasing — two racing operators can never mint the same
@@ -46,13 +46,11 @@
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-use pexeso_core::config::ExecPolicy;
-use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::exec;
-use pexeso_core::outofcore::{load_unit, IndexUnit, LakeManifest, PartitionedLake};
+use pexeso_core::error::Result;
+use pexeso_core::outofcore::{IndexUnit, LakeManifest};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::vector::VectorStore;
-use pexeso_delta::{load_overlay, DeltaOverlay};
+use pexeso_delta::DeltaLake;
 
 use crate::conn::lock_unpoisoned;
 
@@ -60,16 +58,16 @@ use crate::conn::lock_unpoisoned;
 /// overlay.
 #[derive(Debug)]
 pub struct Snapshot {
-    /// Path handles of the resident partitions, kept for `disk_bytes`.
-    lake: PartitionedLake,
+    /// The deployment served: manifest, delta overlay, and the partition
+    /// files `units` were loaded from.
+    lake: DeltaLake,
     /// The resident base, one unit per partition file of `lake`. Shared
     /// across delta generations: an `apply_delta` publish reuses the
     /// previous snapshot's resident base untouched.
     units: Arc<Vec<Box<dyn IndexUnit>>>,
-    manifest: LakeManifest,
-    overlay: DeltaOverlay,
-    /// Each unit's dead mask under `overlay` ([`DeltaOverlay::dead_columns`]),
-    /// built once per publish so no query builds one.
+    /// Each unit's dead mask under the overlay
+    /// ([`pexeso_delta::DeltaOverlay::dead_columns`]), built once per
+    /// publish so no query builds one.
     dead: Vec<Option<Vec<bool>>>,
     generation: u64,
 }
@@ -84,41 +82,31 @@ impl Snapshot {
     /// a failed load is the lowest-indexed failing partition's (see the
     /// [module docs](self)).
     pub fn load(dir: &Path, generation: u64) -> Result<Self> {
-        let manifest = LakeManifest::read(dir)?;
-        let lake = PartitionedLake::open(dir)?;
-        let files = lake.partition_files();
-        let units = exec::try_map_units(
-            ExecPolicy::auto(),
-            &lake.file_weights(),
-            || PexesoError::InvalidParameter("partition load worker panicked".into()),
-            |i| load_unit(&files[i], &manifest.metric),
-        )?;
-        let overlay = load_overlay(dir, &manifest)?;
-        Ok(Self {
-            lake,
-            dead: dead_masks(&units, &overlay),
-            units: Arc::new(units),
-            manifest,
-            overlay,
-            generation,
-        })
+        let lake = DeltaLake::open(dir)?;
+        let units = Arc::new(lake.load_base()?);
+        Ok(Self::serving(lake, units, generation))
     }
 
     /// The `APPLY` fast path: a new snapshot serving the *same resident
-    /// base* as `prev` (units and the file handles they were loaded
-    /// from) with a freshly replayed delta log. The caller
+    /// base* as `prev` with a freshly replayed delta log. The caller
     /// (`SnapshotCell::apply_delta`) guarantees the manifest on disk
     /// still matches `prev`'s — otherwise the base must be reloaded.
     fn with_fresh_overlay(prev: &Snapshot, generation: u64) -> Result<Self> {
-        let overlay = load_overlay(prev.dir(), &prev.manifest)?;
-        Ok(Self {
-            lake: prev.lake.clone(),
-            units: prev.units.clone(),
-            manifest: prev.manifest.clone(),
-            dead: dead_masks(&prev.units, &overlay),
-            overlay,
+        let lake = prev.lake.with_fresh_log()?;
+        Ok(Self::serving(lake, prev.units.clone(), generation))
+    }
+
+    fn serving(lake: DeltaLake, units: Arc<Vec<Box<dyn IndexUnit>>>, generation: u64) -> Self {
+        let dead = units
+            .iter()
+            .map(|u| lake.overlay().dead_columns(u.columns()))
+            .collect();
+        Self {
+            lake,
+            units,
+            dead,
             generation,
-        })
+        }
     }
 
     /// The partitions being served: the resident units. (The directory
@@ -127,40 +115,15 @@ impl Snapshot {
         self.units.len()
     }
 
-    pub fn lake(&self) -> &PartitionedLake {
+    /// The deployment being served: its manifest, delta overlay and
+    /// partition files.
+    pub fn lake(&self) -> &DeltaLake {
         &self.lake
-    }
-
-    pub fn manifest(&self) -> &LakeManifest {
-        &self.manifest
-    }
-
-    pub fn dim(&self) -> usize {
-        self.manifest.dim
     }
 
     /// Serve-side generation; bumps on every publish (reload or apply).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    pub fn dir(&self) -> &Path {
-        self.lake.dir()
-    }
-
-    /// The delta overlay served on top of the resident base.
-    pub fn overlay(&self) -> &DeltaOverlay {
-        &self.overlay
-    }
-
-    /// Live columns ingested since the base build.
-    pub fn delta_columns(&self) -> usize {
-        self.overlay.n_delta_columns()
-    }
-
-    /// Dropped tables tombstoned since the base build.
-    pub fn delta_tombstones(&self) -> usize {
-        self.overlay.n_tombstones()
     }
 
     /// Structural statistics of the whole served deployment — every
@@ -174,22 +137,15 @@ impl Snapshot {
                 ..unit.inspect()
             }
         });
+        let overlay = self.lake.overlay();
         pexeso_core::inspect::IndexInspection {
             partitions: partitions.collect(),
-            delta_columns: self.overlay.n_delta_columns() as u64,
-            delta_vectors: self.overlay.n_delta_vectors() as u64,
-            delta_tombstones: self.overlay.n_tombstones() as u64,
-            delta_records: self.overlay.n_records() as u64,
+            delta_columns: overlay.n_delta_columns() as u64,
+            delta_vectors: overlay.n_delta_vectors() as u64,
+            delta_tombstones: overlay.n_tombstones() as u64,
+            delta_records: overlay.n_records() as u64,
         }
     }
-}
-
-/// Each base unit's dead mask under `overlay`.
-fn dead_masks(units: &[Box<dyn IndexUnit>], overlay: &DeltaOverlay) -> Vec<Option<Vec<bool>>> {
-    units
-        .iter()
-        .map(|u| overlay.dead_columns(u.columns()))
-        .collect()
 }
 
 /// A snapshot answers the unified [`Query`] by checking the metric
@@ -200,13 +156,14 @@ fn dead_masks(units: &[Box<dyn IndexUnit>], overlay: &DeltaOverlay) -> Vec<Optio
 /// delta log) directly.
 impl Queryable for Snapshot {
     fn execute(&self, query: &Query, vectors: &VectorStore) -> Result<QueryResponse> {
-        query.check_metric("index", &self.manifest.metric)?;
+        query.check_metric("index", &self.lake.manifest().metric)?;
         let weights: Vec<u64> = self
             .units
             .iter()
             .map(|u| u.columns().n_vectors() as u64)
             .collect();
-        self.overlay
+        self.lake
+            .overlay()
             .execute_with_base(&weights, query, vectors, |i, inner, guard| {
                 self.units[i].answer(inner, vectors, self.dead[i].as_deref(), guard)
             })
@@ -252,7 +209,7 @@ impl SnapshotCell {
     pub fn swap(&self, dir: Option<&Path>) -> Result<Arc<Snapshot>> {
         let _swapping = lock_unpoisoned(&self.swap_lock);
         let old = self.current();
-        let target = dir.unwrap_or_else(|| old.dir());
+        let target = dir.unwrap_or_else(|| old.lake().dir());
         // Expensive directory scan + full resident load happens outside
         // the write lock, so readers never block behind a slow disk.
         let fresh = Arc::new(Snapshot::load(target, old.generation() + 1)?);
@@ -270,11 +227,11 @@ impl SnapshotCell {
     pub fn apply_delta(&self) -> Result<Arc<Snapshot>> {
         let _swapping = lock_unpoisoned(&self.swap_lock);
         let old = self.current();
-        let disk_manifest = LakeManifest::read(old.dir())?;
-        let fresh = if disk_manifest.index_version == old.manifest().index_version {
+        let (dir, resident) = (old.lake().dir(), old.lake().manifest().index_version);
+        let fresh = if LakeManifest::read(dir)?.index_version == resident {
             Arc::new(Snapshot::with_fresh_overlay(&old, old.generation() + 1)?)
         } else {
-            Arc::new(Snapshot::load(old.dir(), old.generation() + 1)?)
+            Arc::new(Snapshot::load(dir, old.generation() + 1)?)
         };
         self.publish(fresh.clone());
         Ok(fresh)
