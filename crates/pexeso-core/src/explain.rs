@@ -185,8 +185,8 @@ impl ExplainReport {
         self.stages.iter().all(FunnelStage::consistent)
     }
 
-    /// Render the report as an indented text funnel (what the
-    /// `pexeso explain` CLI prints).
+    /// Render the report as an indented text funnel (what
+    /// `pexeso query --explain` prints).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -1,5 +1,5 @@
 //! Index introspection: the structural statistics behind the `INSPECT`
-//! verb and the `pexeso inspect` CLI.
+//! verb and `pexeso query --inspect`.
 //!
 //! Where [`crate::stats::SearchStats`] describes one *query*, an
 //! [`IndexInspection`] describes the *index itself*: how many columns and

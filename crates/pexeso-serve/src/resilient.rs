@@ -36,7 +36,6 @@ use std::time::{Duration, Instant};
 use rand::{Rng, SeedableRng};
 
 use pexeso_core::error::PexesoError;
-use pexeso_core::hist::{AtomicHistogram, HistSnapshot};
 use pexeso_core::log::{self as plog, LogLevel, Value};
 use pexeso_core::query::{Query, QueryResponse, Queryable};
 use pexeso_core::trace::{QueryTrace, TraceSpan};
@@ -220,10 +219,6 @@ pub struct ResilientClient {
     counters: Counters,
     /// Rotates the starting replica so load spreads when healthy.
     cursor: AtomicUsize,
-    /// Per-attempt wall-clock latency (every attempt, failed or not) —
-    /// the client-side complement of the server's request histogram, so
-    /// retries and backoff show up as a fatter tail here than there.
-    attempt_latency: AtomicHistogram,
     /// Highest snapshot generation any replica has reported — the
     /// freshness gauge a router exposes per shard (0 until the first
     /// successful query).
@@ -255,7 +250,6 @@ impl ResilientClient {
             counters: Counters::default(),
             config,
             cursor: AtomicUsize::new(0),
-            attempt_latency: AtomicHistogram::new(),
             last_generation: AtomicU64::new(0),
         })
     }
@@ -263,12 +257,6 @@ impl ResilientClient {
     /// The replica addresses, in configuration order.
     pub fn addrs(&self) -> Vec<&str> {
         self.replicas.iter().map(|r| r.addr.as_str()).collect()
-    }
-
-    /// Snapshot the per-attempt latency histogram (microsecond buckets;
-    /// every attempt counts, including failed ones).
-    pub fn attempt_latency(&self) -> HistSnapshot {
-        self.attempt_latency.snapshot()
     }
 
     /// The highest snapshot generation any replica has reported on a
@@ -493,7 +481,6 @@ impl Queryable for ResilientClient {
             let attempt_start = started.elapsed();
             let result = self.try_replica(idx, &attempt_query, vectors);
             let attempt_dur = started.elapsed() - attempt_start;
-            self.attempt_latency.record_duration(attempt_dur);
             let err = match result {
                 Ok(mut resp) => {
                     if tracing {

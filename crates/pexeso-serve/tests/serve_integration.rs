@@ -774,7 +774,6 @@ fn trace_metrics_and_slow_log_over_loopback() {
         "nesting must shift the server trace onto the client clock"
     );
     assert!(mtrace.find("verify").is_some());
-    assert!(resilient.attempt_latency().count >= 1);
 
     // METRICS: valid Prometheus exposition carrying the request and
     // phase histogram families (the validator checks bucket monotonicity

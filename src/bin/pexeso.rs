@@ -5,13 +5,9 @@
 //! pexeso ingest  --index <index-dir> --lake <dir-of-csvs> [--addr <host:port>]
 //! pexeso drop    --index <index-dir> --table <name> [--addr <host:port>]
 //! pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N]
-//! pexeso search  --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5] [--policy ...] [--trace]
-//! pexeso topk    --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy ...] [--trace]
 //! pexeso serve   --index <index-dir> [--addr 127.0.0.1:7878 | --port <p>] [--workers 4] [--queue 64] [--soft-queue <n>] [--cache 4096] [--metrics-sample-rate 0.01] [--slow-log 8] [--log <level>] [--fault-profile <spec>]
-//! pexeso query   --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy ...] [--trace]
-//! pexeso query   --addr <host:port> --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
-//! pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy ...] [--trace]
-//! pexeso inspect --addr <host:port>
+//! pexeso query   (--index <index-dir> | --addr <host:port>[,<host:port>...]) --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k <k>] [--policy ...] [--budget <n>] [--deadline-ms <ms>] [--trace] [--explain]
+//! pexeso query   --addr <host:port> --metrics | --slow | --health | --inspect | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
 //! pexeso shard-plan  --index <index-dir> --shards <n>
 //! pexeso shard-split --index <index-dir> --shards <n> --out <dir>
 //! pexeso router  --map <shardmap.txt> [--addr 127.0.0.1:7900 | --port <p>] [--workers 4] [--queue 64] [--log <level>]
@@ -19,12 +15,14 @@
 //!
 //! The offline step detects each table's key column, embeds it with the
 //! deterministic character-level embedder, JSD-partitions the columns, and
-//! persists one PEXESO index per partition plus a versioned manifest. The
-//! online steps embed the query column with the same embedder and either
-//! stream the partitions locally (`search`/`topk`, delta log included) or
-//! talk to a resident `pexeso serve` daemon (`query`), which keeps the
+//! persists one PEXESO index per partition plus a versioned manifest.
+//! `query` embeds the query column with the same embedder and asks one
+//! [`Queryable`]: the deployment itself (`--index`, delta log included),
+//! a resident `pexeso serve` daemon or router (`--addr`), which keeps the
 //! partitions hot, caches results, and supports zero-downtime re-index via
-//! `--reload`. Between full builds the lake stays maintainable online:
+//! `--reload`, or a replica list of them. `--t` asks a threshold search,
+//! `--k` a top-k ranking; every backend checks the query against its own
+//! manifest's metric. Between full builds the lake stays maintainable online:
 //! `ingest` appends new tables to the deployment's write-ahead delta log
 //! in seconds (and, with `--addr`, tells a live daemon to publish them
 //! without reloading its base snapshot), `drop` tombstones tables, and
@@ -32,7 +30,7 @@
 //!
 //! `--policy` defaults to `seq` for the builds (`index`, `compact`) and
 //! to `par` for a query — machine-sized on the host that executes it: the
-//! daemon resolves it for `query`, this process for `search`/`topk`.
+//! daemon resolves it for `query --addr`, this process for `query --index`.
 //!
 //! `query` accepts a comma-separated replica list in `--addr`: queries
 //! then go through the retrying, failover-capable client, and the reply
@@ -48,15 +46,15 @@
 //! unchanged — including `--apply --shard N` for routed live ingest
 //! addressed at one shard's replicas.
 //!
-//! Observability: `--trace` on any online verb prints the per-phase span
+//! Observability: `query --trace` prints the per-phase span
 //! tree (`map → block → verify → merge`, plus per-partition children);
 //! against a daemon the server-side trace is requested over the wire and
 //! merged with the client's attempt timeline. `query --metrics` scrapes
 //! every counter of a daemon or router as Prometheus text (p50/p99
 //! gauges included), `query --slow` dumps the slow-query log,
 //! and `serve --metrics-sample-rate` self-samples traces into that log.
-//! `explain` runs one query with the plan plane on and prints the
-//! candidate funnel; `inspect` dumps index statistics; `query --health`
+//! `query --explain` runs the query with the plan plane on and prints the
+//! candidate funnel; `query --inspect` dumps index statistics; `query --health`
 //! reports readiness (a router rolls its shards into one fleet answer,
 //! steerable with `--drain`/`--undrain`). `serve --log`/`router --log`
 //! turn on JSON-lines structured logging on stderr; traced and explained
@@ -117,30 +115,6 @@ const COMPACT_FLAGS: &[FlagSpec] = &[
     val("policy"),
     switch("help"),
 ];
-const SEARCH_FLAGS: &[FlagSpec] = &[
-    val("index"),
-    val("query"),
-    val("column"),
-    val("tau"),
-    val("t"),
-    val("policy"),
-    val("budget"),
-    val("deadline-ms"),
-    switch("trace"),
-    switch("help"),
-];
-const TOPK_FLAGS: &[FlagSpec] = &[
-    val("index"),
-    val("query"),
-    val("column"),
-    val("tau"),
-    val("k"),
-    val("policy"),
-    val("budget"),
-    val("deadline-ms"),
-    switch("trace"),
-    switch("help"),
-];
 const SERVE_FLAGS: &[FlagSpec] = &[
     val("index"),
     val("addr"),
@@ -156,6 +130,7 @@ const SERVE_FLAGS: &[FlagSpec] = &[
     switch("help"),
 ];
 const QUERY_FLAGS: &[FlagSpec] = &[
+    val("index"),
     val("addr"),
     val("query"),
     val("column"),
@@ -170,29 +145,16 @@ const QUERY_FLAGS: &[FlagSpec] = &[
     val("drain"),
     val("undrain"),
     switch("trace"),
+    switch("explain"),
     switch("metrics"),
     switch("slow"),
     switch("health"),
+    switch("inspect"),
     switch("reload"),
     switch("apply"),
     switch("shutdown"),
     switch("help"),
 ];
-const EXPLAIN_FLAGS: &[FlagSpec] = &[
-    val("index"),
-    val("addr"),
-    val("query"),
-    val("column"),
-    val("tau"),
-    val("t"),
-    val("k"),
-    val("policy"),
-    val("budget"),
-    val("deadline-ms"),
-    switch("trace"),
-    switch("help"),
-];
-const INSPECT_FLAGS: &[FlagSpec] = &[val("addr"), switch("help")];
 const SHARD_PLAN_FLAGS: &[FlagSpec] = &[val("index"), val("shards"), switch("help")];
 const SHARD_SPLIT_FLAGS: &[FlagSpec] = &[val("index"), val("shards"), val("out"), switch("help")];
 const ROUTER_FLAGS: &[FlagSpec] = &[
@@ -218,23 +180,13 @@ fn usage_text(cmd: &str) -> &'static str {
         "compact" => {
             "pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N]"
         }
-        "search" => {
-            "pexeso search --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
-        }
-        "topk" => {
-            "pexeso topk --index <index-dir> --query <csv> [--column <name>] [--tau 0.06] [--k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
-        }
         "serve" => {
             "pexeso serve --index <index-dir> [--addr 127.0.0.1:7878 | --port <p>] [--workers 4] [--queue 64] [--soft-queue <n>] [--cache 4096] [--metrics-sample-rate <0..=1>] [--slow-log <n>] [--log error|warn|info|debug] [--fault-profile <point:after:action[:param],...>]"
         }
         "query" => {
-            "pexeso query --addr <host:port>[,<host:port>...] --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]\n\
-             pexeso query --addr <host:port> --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
+            "pexeso query (--index <index-dir> | --addr <host:port>[,<host:port>...]) --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k <k>] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace] [--explain]\n\
+             pexeso query --addr <host:port> --metrics | --slow | --health | --inspect | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
         }
-        "explain" => {
-            "pexeso explain --index <index-dir> | --addr <host:port> --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k 10] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace]"
-        }
-        "inspect" => "pexeso inspect --addr <host:port>",
         "shard-plan" => "pexeso shard-plan --index <index-dir> --shards <n>",
         "shard-split" => "pexeso shard-split --index <index-dir> --shards <n> --out <dir>",
         "router" => {
@@ -244,23 +196,24 @@ fn usage_text(cmd: &str) -> &'static str {
     }
 }
 
+/// Every subcommand, in the order `usage` lists them.
+const SUBCOMMANDS: [&str; 9] = [
+    "index",
+    "ingest",
+    "drop",
+    "compact",
+    "serve",
+    "query",
+    "shard-plan",
+    "shard-split",
+    "router",
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}\n  {}",
-        usage_text("index"),
-        usage_text("ingest"),
-        usage_text("drop"),
-        usage_text("compact"),
-        usage_text("search"),
-        usage_text("topk"),
-        usage_text("serve"),
-        usage_text("query"),
-        usage_text("explain"),
-        usage_text("inspect"),
-        usage_text("shard-plan"),
-        usage_text("shard-split"),
-        usage_text("router"),
-    );
+    eprintln!("usage:");
+    for cmd in SUBCOMMANDS {
+        eprintln!("  {}", usage_text(cmd).replace('\n', "\n  "));
+    }
     ExitCode::from(2)
 }
 
@@ -355,55 +308,72 @@ fn parse_trace(flags: &HashMap<String, String>) -> TraceLevel {
 }
 
 /// The [`Query`] that `--tau`, `--t` | `--k`, `--policy`, `--budget`,
-/// `--deadline-ms` and `--trace` spell, expecting `metric`, plus τ and T
-/// as given (the result headers print them). It ranks when `--k` is
-/// present or the subcommand always ranks (`default_k`); otherwise it is
-/// a threshold search.
-fn query_from_flags(
-    flags: &HashMap<String, String>,
-    metric: &str,
-    default_k: Option<usize>,
-) -> CliResult<(Query, f32, f64)> {
+/// `--deadline-ms`, `--trace` and `--explain` spell, plus τ and T as
+/// given (the result header prints them). It ranks when `--k` is present;
+/// otherwise it is a threshold search. It names no metric: every backend
+/// checks it against its own manifest's.
+fn query_from_flags(flags: &HashMap<String, String>) -> CliResult<(Query, f32, f64)> {
     if flags.contains_key("t") && flags.contains_key("k") {
         return Err("--t (threshold search) and --k (top-k) are mutually exclusive".into());
     }
     let tau: f32 = parse_or(flags, "tau", 0.06)?;
     let t: f64 = parse_or(flags, "t", 0.5)?;
-    let k = match flags.get("k") {
-        None => default_k,
-        Some(k) => Some(k.parse().map_err(|e| format!("bad --k '{k}': {e}"))?),
-    };
-    let mut q = match k {
-        Some(k) => Query::topk(Tau::Ratio(tau), k),
+    let mut q = match flags.get("k") {
+        Some(k) => Query::topk(
+            Tau::Ratio(tau),
+            k.parse().map_err(|e| format!("bad --k '{k}': {e}"))?,
+        ),
         None => Query::threshold(Tau::Ratio(tau), JoinThreshold::Ratio(t)),
     }
-    .expect_metric(metric)
     .with_budget(parse_budget(flags)?)
-    .with_trace(parse_trace(flags));
+    .with_trace(parse_trace(flags))
+    .with_explain(flags.contains_key("explain"));
     if let Some(policy) = parse_policy(flags)? {
         q = q.with_policy(policy);
     }
     Ok((q, tau, t))
 }
 
-/// Print a response's span tree, if one was requested and attached.
-fn print_trace(resp: &QueryResponse) {
-    if let Some(trace) = &resp.trace {
-        println!("\ntrace (offsets/durations in us):");
-        print!("{}", trace.render());
-    }
-}
-
-/// Flag a budget-limited partial answer so it is never mistaken for the
-/// exact one.
-fn outcome_suffix(resp: &QueryResponse) -> &'static str {
-    match resp.outcome {
+/// Print one query's answer: a header naming the query and `source` (what
+/// answered), the hits, the candidate funnel when the query was explained,
+/// and the span tree when it was traced. A budget-limited partial answer
+/// says so in the header, so it is never mistaken for the exact one.
+fn print_answer(q: &Query, tau: f32, t: f64, source: &str, resp: &QueryResponse) -> CliResult<()> {
+    let partial = match resp.outcome {
         QueryOutcome::Exact => "",
         QueryOutcome::Exceeded(Exceeded::DistanceComputations) => {
             ", PARTIAL: distance budget exceeded"
         }
         QueryOutcome::Exceeded(Exceeded::Deadline) => ", PARTIAL: deadline exceeded",
+    };
+    match q.mode {
+        QueryMode::Topk(k) => {
+            println!("\ntop-{k} joinable columns (tau={tau}, {source}{partial}):")
+        }
+        QueryMode::Threshold(_) => println!(
+            "\n{} joinable columns (tau={tau}, T={t}, {source}{partial}):",
+            resp.hits.len()
+        ),
     }
+    for h in &resp.hits {
+        println!(
+            "  {} . {}  ({} records matched)",
+            h.table_name, h.column_name, h.match_count
+        );
+    }
+    if q.explain {
+        let report = resp
+            .explain
+            .as_ref()
+            .ok_or("the answer carries no explain report")?;
+        println!("\nquery plan:");
+        print!("{}", report.render());
+    }
+    if let Some(trace) = &resp.trace {
+        println!("\ntrace (offsets/durations in us):");
+        print!("{}", trace.render());
+    }
+    Ok(())
 }
 
 /// Read every CSV under `lake_dir` (sorted, unreadable files skipped with
@@ -591,60 +561,6 @@ fn load_query(
     Ok((table.column(col).to_vec(), embedder))
 }
 
-fn print_hits<'a>(hits: impl IntoIterator<Item = &'a GlobalHit>) {
-    for h in hits {
-        println!(
-            "  {} . {}  ({} records matched)",
-            h.table_name, h.column_name, h.match_count
-        );
-    }
-}
-
-fn cmd_search(flags: &HashMap<String, String>) -> CliResult<()> {
-    let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
-    // Delta-aware open: tables ingested since the last build are part of
-    // the answer, tombstoned ones are not.
-    let lake = DeltaLake::open(&index_dir).map_err(|e| e.to_string())?;
-    let manifest = lake.manifest().clone();
-    let (q, tau, t) = query_from_flags(flags, &manifest.metric, None)?;
-    let (values, embedder) = load_query(flags, manifest.dim)?;
-    let query = embed_query(&embedder, &values);
-
-    let resp = lake.execute(&q, query.store()).map_err(|e| e.to_string())?;
-    println!(
-        "\n{} joinable columns (tau={tau}, T={t}) in {:?}{}:",
-        resp.hits.len(),
-        resp.stats.total_time,
-        outcome_suffix(&resp)
-    );
-    print_hits(&resp.hits);
-    print_trace(&resp);
-    Ok(())
-}
-
-fn cmd_topk(flags: &HashMap<String, String>) -> CliResult<()> {
-    let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
-    let lake = DeltaLake::open(&index_dir).map_err(|e| e.to_string())?;
-    let manifest = lake.manifest().clone();
-    let (q, tau, _) = query_from_flags(flags, &manifest.metric, Some(10))?;
-    let (values, embedder) = load_query(flags, manifest.dim)?;
-    let query = embed_query(&embedder, &values);
-
-    // Per-partition exact top-k, merged globally (count descending,
-    // external id ascending) by the lake's unified executor.
-    let resp = lake.execute(&q, query.store()).map_err(|e| e.to_string())?;
-    let QueryMode::Topk(k) = q.mode else {
-        unreachable!("a default k always ranks");
-    };
-    println!(
-        "\ntop-{k} joinable columns (tau={tau}){}:",
-        outcome_suffix(&resp)
-    );
-    print_hits(&resp.hits);
-    print_trace(&resp);
-    Ok(())
-}
-
 /// Arm the process-wide structured logger from a `--log <level>` flag
 /// (no flag and `--log off` leave it disabled: one relaxed load per
 /// would-be call site).
@@ -661,14 +577,20 @@ fn init_logging(flags: &HashMap<String, String>) -> CliResult<()> {
     Ok(())
 }
 
+/// The address a daemon listens on: `--addr`, or `--port` on loopback,
+/// or loopback on `default_port`.
+fn listen_addr(flags: &HashMap<String, String>, default_port: u16) -> CliResult<String> {
+    match (flags.get("addr"), flags.get("port")) {
+        (Some(_), Some(_)) => Err("--addr and --port are mutually exclusive".into()),
+        (Some(addr), None) => Ok(addr.clone()),
+        (None, Some(port)) => Ok(format!("127.0.0.1:{port}")),
+        (None, None) => Ok(format!("127.0.0.1:{default_port}")),
+    }
+}
+
 fn cmd_serve(flags: &HashMap<String, String>) -> CliResult<()> {
     let index_dir = PathBuf::from(flags.get("index").ok_or("--index is required")?);
-    let addr = match (flags.get("addr"), flags.get("port")) {
-        (Some(_), Some(_)) => return Err("--addr and --port are mutually exclusive".into()),
-        (Some(addr), None) => addr.clone(),
-        (None, Some(port)) => format!("127.0.0.1:{port}"),
-        (None, None) => "127.0.0.1:7878".to_string(),
-    };
+    let addr = listen_addr(flags, 7878)?;
     let soft_watermark: Option<usize> = match flags.get("soft-queue") {
         None => None,
         Some(v) => Some(
@@ -744,12 +666,7 @@ fn cmd_shard_split(flags: &HashMap<String, String>) -> CliResult<()> {
 /// Run the scatter-gather router daemon over a shard map.
 fn cmd_router(flags: &HashMap<String, String>) -> CliResult<()> {
     let map_path = PathBuf::from(flags.get("map").ok_or("--map is required")?);
-    let addr = match (flags.get("addr"), flags.get("port")) {
-        (Some(_), Some(_)) => return Err("--addr and --port are mutually exclusive".into()),
-        (Some(addr), None) => addr.clone(),
-        (None, Some(port)) => format!("127.0.0.1:{port}"),
-        (None, None) => "127.0.0.1:7900".to_string(),
-    };
+    let addr = listen_addr(flags, 7900)?;
     let default = pexeso_router::RouterServeConfig::default();
     let config = pexeso_router::RouterServeConfig {
         workers: parse_or(flags, "workers", default.workers)?,
@@ -792,25 +709,64 @@ fn probe_info(addrs: &[String]) -> CliResult<pexeso_serve::InfoReply> {
     Err(format!("no replica reachable ({last})"))
 }
 
+/// What answers a `query`: the deployment itself, one daemon or router
+/// (which also reports its snapshot generation and whether the answer
+/// came from its result cache), or a replica set behind the retrying,
+/// failover-capable client.
+enum Backend {
+    Local(DeltaLake),
+    Daemon(ServeClient),
+    Replicas(ResilientClient),
+}
+
+impl Backend {
+    /// Run `q` and name what answered, for the answer's header.
+    fn execute(&self, q: &Query, vectors: &VectorStore) -> CliResult<(QueryResponse, String)> {
+        let (queryable, source): (&dyn Queryable, String) = match self {
+            Backend::Daemon(client) => {
+                let (resp, meta) = client
+                    .execute_detailed(q, vectors)
+                    .map_err(|e| e.to_string())?;
+                let cached = if meta.cached { ", cached" } else { "" };
+                let source = format!("snapshot generation {}{cached}", meta.generation);
+                return Ok((resp, source));
+            }
+            Backend::Local(lake) => (lake, "local".into()),
+            Backend::Replicas(replicas) => {
+                (replicas, format!("{} replicas", replicas.addrs().len()))
+            }
+        };
+        let resp = queryable.execute(q, vectors).map_err(|e| e.to_string())?;
+        Ok((resp, source))
+    }
+}
+
 fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
     // `--addr` takes a comma-separated replica list; queries fail over
     // between them, admin verbs address exactly one daemon.
     let addrs: Vec<String> = flags
         .get("addr")
-        .ok_or("--addr is required")?
-        .split(',')
+        .into_iter()
+        .flat_map(|list| list.split(','))
         .map(|a| a.trim().to_string())
         .filter(|a| !a.is_empty())
         .collect();
-    if addrs.is_empty() {
-        return Err("--addr needs at least one host:port".into());
+    match (flags.get("index"), flags.get("addr")) {
+        (Some(_), Some(_)) => return Err("--index and --addr are mutually exclusive".into()),
+        (None, None) => {
+            return Err("pass --index <dir> (local) or --addr <host:port> (daemon/router)".into())
+        }
+        (None, Some(_)) if addrs.is_empty() => {
+            return Err("--addr needs at least one host:port".into())
+        }
+        _ => {}
     }
-    let addr = &addrs[0];
     // Exactly one mode: at most one admin verb, no silently-ignored flags.
     let admin_verbs: Vec<&str> = [
         "metrics",
         "slow",
         "health",
+        "inspect",
         "drain",
         "undrain",
         "shutdown",
@@ -827,7 +783,10 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
             admin_verbs[0], admin_verbs[1]
         ));
     }
-    if !admin_verbs.is_empty() {
+    if flags.contains_key("shard") && !flags.contains_key("apply") {
+        return Err("--shard only addresses routed ingest; combine it with --apply".into());
+    }
+    if let Some(verb) = admin_verbs.first() {
         for q in [
             "query",
             "column",
@@ -838,40 +797,65 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
             "budget",
             "deadline-ms",
             "trace",
+            "explain",
         ] {
             if flags.contains_key(q) {
-                return Err(format!(
-                    "--{q} cannot be combined with --{}",
-                    admin_verbs[0]
-                ));
+                return Err(format!("--{q} cannot be combined with --{verb}"));
             }
         }
-    }
-    if flags.contains_key("shard") && !flags.contains_key("apply") {
-        return Err("--shard only addresses routed ingest; combine it with --apply".into());
-    }
-    if !admin_verbs.is_empty() && addrs.len() > 1 {
-        return Err(format!(
-            "--{} addresses one daemon; pass a single --addr",
-            admin_verbs[0]
-        ));
-    }
-
-    if !admin_verbs.is_empty() {
+        if flags.contains_key("index") {
+            return Err(format!(
+                "--{verb} addresses a daemon or router; pass --addr"
+            ));
+        }
+        if addrs.len() > 1 {
+            return Err(format!(
+                "--{verb} addresses one daemon; pass a single --addr"
+            ));
+        }
+        let addr = &addrs[0];
         let client = ServeClient::connect(addr.as_str())
             .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
         return run_admin_verb(flags, addr, &client);
     }
 
-    let (q, tau, t) = query_from_flags(flags, "euclidean", None)?;
-    let info = probe_info(&addrs)?;
-    let (values, embedder) = load_query(flags, info.dim as usize)?;
+    let (q, tau, t) = query_from_flags(flags)?;
+    let (backend, dim) = match flags.get("index") {
+        Some(dir) => {
+            // Delta-aware open: tables ingested since the last build are
+            // part of the answer, tombstoned ones are not.
+            let lake = DeltaLake::open(Path::new(dir)).map_err(|e| e.to_string())?;
+            let dim = lake.manifest().dim;
+            (Backend::Local(lake), dim)
+        }
+        None => {
+            let dim = probe_info(&addrs)?.dim as usize;
+            let backend = match addrs.as_slice() {
+                [addr] => Backend::Daemon(
+                    ServeClient::connect(addr.as_str())
+                        .map_err(|e| format!("cannot connect to {addr}: {e}"))?,
+                ),
+                // The resilient client retries with jittered backoff and
+                // never past the deadline. Exactness makes the failover
+                // invisible: every replica serves the same deployment, so
+                // the reply is byte-identical whichever one answered.
+                _ => Backend::Replicas(
+                    ResilientClient::new(&addrs, ResilientConfig::default())
+                        .map_err(|e| e.to_string())?,
+                ),
+            };
+            (backend, dim)
+        }
+    };
+    let (values, embedder) = load_query(flags, dim)?;
     let query = embed_query(&embedder, &values);
 
-    // A traced query is someone debugging: mint the correlation id at the
-    // outermost hop and print it, so the operator can grep the same rid
-    // out of the router log, every shard log, and the SLOW entry.
-    let q = if q.trace.enabled() {
+    // A traced or explained remote query is someone debugging: mint the
+    // correlation id at the outermost hop and print it, so the operator
+    // can grep the same rid out of the router log, every shard log, and
+    // the SLOW entry.
+    let remote = !matches!(backend, Backend::Local(_));
+    let q = if remote && (q.trace.enabled() || q.explain) {
         let rid = pexeso_core::log::mint_request_id();
         println!("request id: {}", pexeso_core::log::fmt_request_id(rid));
         q.with_request_id(rid)
@@ -879,137 +863,24 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
         q
     };
 
-    if addrs.len() == 1 {
-        // One daemon: the detailed client surfaces the serve-side
-        // generation and cache-hit flag alongside the unified reply.
-        let client = ServeClient::connect(addr.as_str())
-            .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        let (resp, meta) = client
-            .execute_detailed(&q, query.store())
-            .map_err(|e| e.to_string())?;
-        match q.mode {
-            QueryMode::Topk(k) => println!(
-                "\ntop-{k} joinable columns (tau={tau}, snapshot generation {}{}{}):",
-                meta.generation,
-                if meta.cached { ", cached" } else { "" },
-                outcome_suffix(&resp)
-            ),
-            QueryMode::Threshold(_) => println!(
-                "\n{} joinable columns (tau={tau}, T={t}, snapshot generation {}{}{}):",
-                resp.hits.len(),
-                meta.generation,
-                if meta.cached { ", cached" } else { "" },
-                outcome_suffix(&resp)
-            ),
+    let (resp, source) = backend.execute(&q, query.store())?;
+    print_answer(&q, tau, t, &source, &resp)?;
+    if let Backend::Replicas(resilient) = &backend {
+        let s = resilient.stats();
+        if s != RetryStats::default() {
+            println!(
+                "client resilience: retries={} failovers={} busy={} shed={} \
+                 desyncs={} deadline_stops={} circuit_opens={}",
+                s.retries,
+                s.failovers,
+                s.busy,
+                s.shed,
+                s.desyncs,
+                s.deadline_stops,
+                s.circuit_opens
+            );
         }
-        print_hits(&resp.hits);
-        print_trace(&resp);
-        return Ok(());
     }
-
-    // Replica set: the resilient client retries with jittered backoff,
-    // fails over between addresses, and never retries past the deadline.
-    // Exactness makes the failover invisible: every replica serves the
-    // same deployment, so the reply is byte-identical regardless of which
-    // one answered.
-    let resilient =
-        ResilientClient::new(&addrs, ResilientConfig::default()).map_err(|e| e.to_string())?;
-    let remote: &dyn Queryable = &resilient;
-    let resp = remote
-        .execute(&q, query.store())
-        .map_err(|e| e.to_string())?;
-    match q.mode {
-        QueryMode::Topk(k) => println!(
-            "\ntop-{k} joinable columns (tau={tau}, {} replicas{}):",
-            addrs.len(),
-            outcome_suffix(&resp)
-        ),
-        QueryMode::Threshold(_) => println!(
-            "\n{} joinable columns (tau={tau}, T={t}, {} replicas{}):",
-            resp.hits.len(),
-            addrs.len(),
-            outcome_suffix(&resp)
-        ),
-    }
-    print_hits(&resp.hits);
-    print_trace(&resp);
-    let s = resilient.stats();
-    if s != RetryStats::default() {
-        println!(
-            "client resilience: retries={} failovers={} busy={} shed={} \
-             desyncs={} deadline_stops={} circuit_opens={}",
-            s.retries, s.failovers, s.busy, s.shed, s.desyncs, s.deadline_stops, s.circuit_opens
-        );
-    }
-    Ok(())
-}
-
-/// Run one query with the explain plane on and print the candidate
-/// funnel alongside the hits. Local (`--index`) runs explain the
-/// delta-aware lake; remote (`--addr`) ones carry the report back over
-/// the wire from the daemon or router that executed — a router's report
-/// is the stage-wise fold of every shard's funnel.
-fn cmd_explain(flags: &HashMap<String, String>) -> CliResult<()> {
-    match (flags.get("index"), flags.get("addr")) {
-        (Some(_), Some(_)) => return Err("--index and --addr are mutually exclusive".into()),
-        (None, None) => {
-            return Err("pass --index <dir> (local) or --addr <host:port> (daemon/router)".into())
-        }
-        _ => {}
-    }
-    // A daemon or router serves what the pipeline deploys, Euclidean; a
-    // local lake is asked under its own manifest's metric below.
-    let (q, tau, _) = query_from_flags(flags, "euclidean", None)?;
-    let q = q.with_explain(true);
-
-    let resp = if let Some(index) = flags.get("index") {
-        let lake = DeltaLake::open(Path::new(index)).map_err(|e| e.to_string())?;
-        let manifest = lake.manifest().clone();
-        let (values, embedder) = load_query(flags, manifest.dim)?;
-        let query = embed_query(&embedder, &values);
-        lake.execute(&q.expect_metric(&manifest.metric), query.store())
-            .map_err(|e| e.to_string())?
-    } else {
-        let addr = flags.get("addr").expect("checked above").clone();
-        let info = probe_info(std::slice::from_ref(&addr))?;
-        let (values, embedder) = load_query(flags, info.dim as usize)?;
-        let query = embed_query(&embedder, &values);
-        // Explained queries always get a correlation id: the funnel on
-        // this side, the log lines on the server side, one handle.
-        let rid = pexeso_core::log::mint_request_id();
-        println!("request id: {}", pexeso_core::log::fmt_request_id(rid));
-        let client = ServeClient::connect(addr.as_str())
-            .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-        let (resp, _meta) = client
-            .execute_detailed(&q.with_request_id(rid), query.store())
-            .map_err(|e| e.to_string())?;
-        resp
-    };
-
-    println!(
-        "\n{} joinable columns (tau={tau}){}:",
-        resp.hits.len(),
-        outcome_suffix(&resp)
-    );
-    print_hits(&resp.hits);
-    let report = resp
-        .explain
-        .as_ref()
-        .ok_or("the answer carries no explain report")?;
-    println!("\nquery plan:");
-    print!("{}", report.render());
-    print_trace(&resp);
-    Ok(())
-}
-
-/// Dump index statistics (`INSPECT`) from a daemon or router: partition
-/// occupancy histograms, pivot spread, delta-overlay depth — the same
-/// numbers METRICS exposes as `pexeso_index_*` gauges, as text.
-fn cmd_inspect(flags: &HashMap<String, String>) -> CliResult<()> {
-    let addr = flags.get("addr").ok_or("--addr is required")?;
-    let client = ServeClient::connect(addr.as_str())
-        .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    print!("{}", client.inspect_text().map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -1038,6 +909,10 @@ fn run_admin_verb(
     }
     if flags.contains_key("health") {
         print!("{}", client.health_text().map_err(|e| e.to_string())?);
+        return Ok(());
+    }
+    if flags.contains_key("inspect") {
+        print!("{}", client.inspect_text().map_err(|e| e.to_string())?);
         return Ok(());
     }
     if let Some(replica) = flags.get("drain") {
@@ -1088,20 +963,17 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    let specs = match cmd.as_str() {
-        "index" => INDEX_FLAGS,
-        "ingest" => INGEST_FLAGS,
-        "drop" => DROP_FLAGS,
-        "compact" => COMPACT_FLAGS,
-        "search" => SEARCH_FLAGS,
-        "topk" => TOPK_FLAGS,
-        "serve" => SERVE_FLAGS,
-        "query" => QUERY_FLAGS,
-        "explain" => EXPLAIN_FLAGS,
-        "inspect" => INSPECT_FLAGS,
-        "shard-plan" => SHARD_PLAN_FLAGS,
-        "shard-split" => SHARD_SPLIT_FLAGS,
-        "router" => ROUTER_FLAGS,
+    type Run = fn(&HashMap<String, String>) -> CliResult<()>;
+    let (specs, run): (&[FlagSpec], Run) = match cmd.as_str() {
+        "index" => (INDEX_FLAGS, cmd_index),
+        "ingest" => (INGEST_FLAGS, cmd_ingest),
+        "drop" => (DROP_FLAGS, cmd_drop),
+        "compact" => (COMPACT_FLAGS, cmd_compact),
+        "serve" => (SERVE_FLAGS, cmd_serve),
+        "query" => (QUERY_FLAGS, cmd_query),
+        "shard-plan" => (SHARD_PLAN_FLAGS, cmd_shard_plan),
+        "shard-split" => (SHARD_SPLIT_FLAGS, cmd_shard_split),
+        "router" => (ROUTER_FLAGS, cmd_router),
         _ => return usage(),
     };
     let flags = match parse_flags(cmd, specs, &args[1..]) {
@@ -1115,23 +987,7 @@ fn main() -> ExitCode {
         println!("usage: {}", usage_text(cmd));
         return ExitCode::SUCCESS;
     }
-    let result = match cmd.as_str() {
-        "index" => cmd_index(&flags),
-        "ingest" => cmd_ingest(&flags),
-        "drop" => cmd_drop(&flags),
-        "compact" => cmd_compact(&flags),
-        "search" => cmd_search(&flags),
-        "topk" => cmd_topk(&flags),
-        "serve" => cmd_serve(&flags),
-        "query" => cmd_query(&flags),
-        "explain" => cmd_explain(&flags),
-        "inspect" => cmd_inspect(&flags),
-        "shard-plan" => cmd_shard_plan(&flags),
-        "shard-split" => cmd_shard_split(&flags),
-        "router" => cmd_router(&flags),
-        _ => unreachable!("subcommand validated above"),
-    };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

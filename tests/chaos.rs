@@ -168,7 +168,7 @@ fn daemon_killed_mid_apply_recovers_on_restart() {
         "0.5",
     ]);
     let local = run(&[
-        "search",
+        "query",
         "--index",
         idx.to_str().unwrap(),
         "--query",
