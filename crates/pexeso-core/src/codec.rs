@@ -10,7 +10,17 @@
 //! * an `opt T` is a tag byte `0|1`, followed by `T` when `1`;
 //! * an `f32` array is its elements back to back, its length stored (or
 //!   implied) by the format that owns it;
-//! * [`fnv64`] is the FNV-1a checksum every format stamps on its bytes.
+//! * two checksums, each stamped by the formats it suits:
+//!   - [`crc32c`] (Castagnoli, RFC 3720) closes the index file. A
+//!     partition file runs to megabytes and is checked on every load, so
+//!     its checksum must run at memory speed: one `crc32` instruction per
+//!     8 bytes where SSE4.2 is present, a slicing-by-8 table otherwise.
+//!     CRC32C also detects every burst of up to 32 bits and, in a file
+//!     under 256 MiB, every error of up to 3 bits.
+//!   - [`fnv64`] (FNV-1a 64) closes the delta log's header and each of
+//!     its records, and keys the daemon's result cache
+//!     (`query_fingerprint`). Those inputs are a few hundred bytes, where
+//!     FNV's serial chain costs nothing, and their golden tests pin it.
 //!
 //! Magic numbers, versions, field order and caps belong to each format.
 //! [`Dec`] treats its input as hostile: every read is bounds-checked
@@ -22,6 +32,8 @@
 
 use std::fmt;
 use std::io::{self, Read};
+#[cfg(target_arch = "x86_64")]
+use std::sync::OnceLock;
 
 use crate::error::PexesoError;
 
@@ -35,6 +47,112 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x100000001b3)
     })
+}
+
+/// CRC32C (Castagnoli, RFC 3720) of `bytes`: the reflected polynomial
+/// `0x82f63b78`, initial value and final xor `0xffffffff`. Runs the SSE4.2
+/// `crc32` instruction where the CPU has it (detected once and cached;
+/// `PEXESO_FORCE_SCALAR` turns it off), else a bit-identical
+/// slicing-by-8 table loop.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if crc32c_hw() {
+        // SAFETY: `crc32c_hw` holds only where the CPU reports SSE4.2.
+        return unsafe { crc32c_sse42(bytes) };
+    }
+    crc32c_table(bytes)
+}
+
+/// Whether [`crc32c`] takes the hardware path in this process.
+#[cfg(target_arch = "x86_64")]
+fn crc32c_hw() -> bool {
+    static HW: OnceLock<bool> = OnceLock::new();
+    *HW.get_or_init(|| {
+        !crate::kernel::force_scalar() && std::arch::is_x86_feature_detected!("sse4.2")
+    })
+}
+
+/// The hardware path: one stream of `crc32` over 8-byte words, then over
+/// the tail bytes.
+///
+/// # Safety
+///
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_sse42(bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = bytes.chunks_exact(8);
+    let mut crc = u64::from(!0u32);
+    for w in &mut words {
+        crc = _mm_crc32_u64(
+            crc,
+            u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")),
+        );
+    }
+    let mut crc = crc as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}
+
+/// `CRC32C_TABLES[0]` is the byte-at-a-time table; `CRC32C_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes, so eight lookups
+/// advance the register by a whole 8-byte word.
+static CRC32C_TABLES: [[u32; 256]; 8] = crc32c_tables();
+
+const fn crc32c_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ 0x82f63b78
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// The portable path: slicing-by-8.
+fn crc32c_table(bytes: &[u8]) -> u32 {
+    let t = &CRC32C_TABLES;
+    let mut words = bytes.chunks_exact(8);
+    let mut crc = !0u32;
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    !crc
 }
 
 /// A `Vec<u8>`-backed encoder. Encoding never fails: a format's caps are
@@ -328,6 +446,47 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    /// RFC 3720, appendix B.4.
+    #[test]
+    fn crc32c_matches_the_rfc_3720_vectors() {
+        let up: Vec<u8> = (0..32).collect();
+        let down: Vec<u8> = (0..32).rev().collect();
+        let cases: [(&[u8], u32); 6] = [
+            (&[], 0),
+            (&[0x00; 32], 0x8A9136AA),
+            (&[0xFF; 32], 0x62A8AB43),
+            (&up, 0x46DD794E),
+            (&down, 0x113FDB5C),
+            (b"123456789", 0xE3069283),
+        ];
+        for (bytes, want) in cases {
+            assert_eq!(crc32c(bytes), want, "{bytes:02x?}");
+            assert_eq!(crc32c_table(bytes), want, "{bytes:02x?}");
+        }
+    }
+
+    /// Both paths are called directly, so this means the same whether or
+    /// not `PEXESO_FORCE_SCALAR` is set. Every length up to 1024 at every
+    /// start offset in a word covers each tail length and alignment.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32c_hardware_path_equals_table_path() {
+        if !std::arch::is_x86_feature_detected!("sse4.2") {
+            return;
+        }
+        let data: Vec<u8> = (0u32..1032)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for off in 0..8 {
+            for len in 0..=1024 {
+                let s = &data[off..off + len];
+                // SAFETY: the CPU reports SSE4.2 (checked above).
+                let hw = unsafe { crc32c_sse42(s) };
+                assert_eq!(hw, crc32c_table(s), "offset {off}, length {len}");
+            }
+        }
     }
 
     /// Hands out one byte per `read`, failing once with `Interrupted`.

@@ -126,7 +126,8 @@ impl GridParams {
 }
 
 /// Leaf keys for every mapped vector, sharded across the policy's threads.
-/// Exposed to [`crate::invindex`] so both structures share one kernel.
+/// An index computes them once and builds both `HG_RV`
+/// ([`HierarchicalGrid::from_leaf_keys`]) and the inverted index from them.
 pub(crate) fn compute_leaf_keys(
     params: &GridParams,
     mapped: &MappedVectors,
@@ -146,7 +147,7 @@ pub(crate) fn compute_leaf_keys(
 
 /// A sparse hierarchical grid, optionally holding the vector ids of each
 /// leaf cell (needed for `HG_Q`; `HG_RV` keeps them in the inverted index).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalGrid {
     params: GridParams,
     /// Keys of the non-empty level-1 cells, sorted.
@@ -182,15 +183,6 @@ impl HierarchicalGrid {
         Self::build_inner(params, mapped, false, ExecPolicy::Sequential)
     }
 
-    /// [`HierarchicalGrid::build_keys_only`] with explicit parallelism.
-    pub fn build_keys_only_with(
-        params: GridParams,
-        mapped: &MappedVectors,
-        policy: ExecPolicy,
-    ) -> Result<Self> {
-        Self::build_inner(params, mapped, false, policy)
-    }
-
     fn build_inner(
         params: GridParams,
         mapped: &MappedVectors,
@@ -203,10 +195,14 @@ impl HierarchicalGrid {
                 got: mapped.num_pivots(),
             });
         }
-        // Leaf keys are per-vector independent: compute them sharded, then
-        // aggregate into the sparse map in id order (same order as a
-        // sequential scan, so the map contents are identical).
         let keys = compute_leaf_keys(&params, mapped, policy);
+        Ok(Self::from_leaf_keys(params, &keys, with_vectors))
+    }
+
+    /// Build from the leaf key of every vector, in id order. Keys are
+    /// aggregated into the sparse map in id order, as a sequential scan
+    /// would, so the grid is the same whichever policy computed them.
+    pub(crate) fn from_leaf_keys(params: GridParams, keys: &[CellKey], with_vectors: bool) -> Self {
         let mut leaf_vectors: FastMap<CellKey, Vec<u32>> = FastMap::default();
         for (i, &key) in keys.iter().enumerate() {
             let entry = leaf_vectors.entry(key).or_default();
@@ -235,13 +231,13 @@ impl HierarchicalGrid {
             current.sort_unstable();
             children[l - 1] = parents;
         }
-        Ok(Self {
+        Self {
             params,
             root_children: current,
             children,
             leaf_vectors,
             with_vectors,
-        })
+        }
     }
 
     pub fn params(&self) -> &GridParams {

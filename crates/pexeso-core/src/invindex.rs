@@ -32,7 +32,7 @@ impl CellPostings {
 }
 
 /// The inverted index: leaf cell → column postings.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvertedIndex {
     cells: FastMap<CellKey, CellPostings>,
 }
@@ -41,28 +41,25 @@ impl InvertedIndex {
     /// Build from the mapped repository vectors and the flat vector→column
     /// map.
     pub fn build(params: &GridParams, mapped: &MappedVectors, vec_col: &[u32]) -> Result<Self> {
-        Self::build_with(params, mapped, vec_col, ExecPolicy::Sequential)
+        Self::from_leaf_keys(
+            &compute_leaf_keys(params, mapped, ExecPolicy::Sequential),
+            vec_col,
+        )
     }
 
-    /// [`InvertedIndex::build`] with explicit parallelism: leaf keys are
-    /// computed sharded, the CSR assembly stays in id order so the postings
-    /// are identical for every policy.
-    pub fn build_with(
-        params: &GridParams,
-        mapped: &MappedVectors,
-        vec_col: &[u32],
-        policy: ExecPolicy,
-    ) -> Result<Self> {
-        if mapped.len() != vec_col.len() {
+    /// Build from the leaf key of every vector, in id order. The CSR
+    /// assembly follows id order, so the postings are the same whichever
+    /// policy computed the keys.
+    pub(crate) fn from_leaf_keys(keys: &[CellKey], vec_col: &[u32]) -> Result<Self> {
+        if keys.len() != vec_col.len() {
             return Err(PexesoError::Corrupt(format!(
                 "mapped {} vectors but vec_col has {}",
-                mapped.len(),
+                keys.len(),
                 vec_col.len()
             )));
         }
         // Vectors arrive in id order and columns own contiguous id ranges,
         // so per-cell (column, vector) pairs accumulate already sorted.
-        let keys = compute_leaf_keys(params, mapped, policy);
         let mut raw: FastMap<CellKey, Vec<(u32, u32)>> = FastMap::default();
         for (i, &key) in keys.iter().enumerate() {
             raw.entry(key).or_default().push((vec_col[i], i as u32));

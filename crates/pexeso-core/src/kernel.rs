@@ -95,8 +95,15 @@ pub fn tier() -> Tier {
     *TIER.get_or_init(detect_tier)
 }
 
+/// Whether `PEXESO_FORCE_SCALAR` (any value but `0`) turns every
+/// runtime-detected instruction path off: the kernel tier here and the
+/// hardware CRC32C of [`crate::codec::crc32c`].
+pub(crate) fn force_scalar() -> bool {
+    std::env::var_os("PEXESO_FORCE_SCALAR").is_some_and(|v| v != *"0")
+}
+
 fn detect_tier() -> Tier {
-    if std::env::var_os("PEXESO_FORCE_SCALAR").is_some_and(|v| v != *"0") {
+    if force_scalar() {
         return Tier::Scalar;
     }
     #[cfg(target_arch = "x86_64")]

@@ -9,22 +9,24 @@
 //! Layout ([`crate::codec`] primitives, little-endian):
 //!
 //! ```text
-//! magic "PEXIDX01" · metric: str ·
+//! magic "PEXIDX02" · metric: str ·
 //! options: num_pivots u32 · levels u32 (0 = auto) · selection u8 · seed u64 ·
 //! grid: pivots u32 · levels u32 · span f32 ·
 //! pivots: count u32 · dim u32 · count × dim × f32 ·
 //! columns: count u32 · (table str · column str · external id u64 · start u32 · len u32)* ·
 //! raw vectors: count u64 · count × dim × f32 ·
 //! mapped vectors: pivots u32 · count u64 · count × pivots × f32 ·
-//! fnv64 of every byte before it: u64
+//! crc32c of every byte before it: u32
 //! ```
 //!
-//! No CRC dependency: the FNV-1a checksum detects truncation/corruption,
-//! and nothing may follow it.
+//! Nothing may follow the checksum ([`crate::codec::crc32c`]). Format 1
+//! (`PEXIDX01`) had the same layout closed by an FNV-1a `u64`; it is
+//! refused with a typed error that says to rebuild, not read by a second
+//! reader.
 
 use std::path::Path;
 
-use crate::codec::{fnv64, Dec, Enc, MAX_NAME_BYTES};
+use crate::codec::{crc32c, Dec, Enc, MAX_NAME_BYTES};
 use crate::column::{ColumnMeta, ColumnSet};
 use crate::config::{IndexOptions, PivotSelection};
 use crate::error::{PexesoError, Result};
@@ -34,7 +36,9 @@ use crate::metric::Metric;
 use crate::search::PexesoIndex;
 use crate::vector::VectorStore;
 
-const MAGIC: &[u8; 8] = b"PEXIDX01";
+const MAGIC: &[u8; 8] = b"PEXIDX02";
+/// Format 1, which no longer loads.
+const MAGIC_V1: &[u8; 8] = b"PEXIDX01";
 
 fn selection_tag(s: PivotSelection) -> u8 {
     match s {
@@ -109,8 +113,8 @@ fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Vec<u8> {
     w.u64(mapped.len() as u64);
     w.f32s(mapped.raw_data());
 
-    let checksum = fnv64(w.as_bytes());
-    w.u64(checksum);
+    let checksum = crc32c(w.as_bytes());
+    w.u32(checksum);
     w.into_bytes()
 }
 
@@ -120,8 +124,16 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
     let bytes = std::fs::read(path)?;
     let mut r = Dec::new(&bytes);
 
-    if r.bytes(MAGIC.len())? != MAGIC {
-        return Err(PexesoError::Corrupt("bad magic".into()));
+    match r.bytes(MAGIC.len())? {
+        m if m == MAGIC => {}
+        m if m == MAGIC_V1 => {
+            return Err(PexesoError::Corrupt(
+                "index format 1 (PEXIDX01, FNV-1a checksum) is no longer read; \
+                 rebuild the deployment with `pexeso index`"
+                    .into(),
+            ))
+        }
+        _ => return Err(PexesoError::Corrupt("bad magic".into())),
     }
     let metric_name = r.str(64)?;
     if metric_name != metric.name() {
@@ -201,14 +213,14 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
     let rv_mapped = MappedVectors::from_raw(mk, r.f32_vec(m_floats)?)?;
 
     let body = r.consumed();
-    let checksum = r.u64()?;
+    let checksum = r.u32()?;
     // The checksum must be the last bytes of the file: trailing garbage
     // means the writer and reader disagree about the layout (or the file
     // was concatenated/overwritten), which a checksum-only validation
     // would silently accept.
     r.finish()
         .map_err(|e| PexesoError::Corrupt(format!("{e} after checksum")))?;
-    if checksum != fnv64(body) {
+    if checksum != crc32c(body) {
         return Err(PexesoError::Corrupt("checksum mismatch".into()));
     }
 
@@ -381,33 +393,26 @@ mod tests {
     }
 
     #[test]
-    fn flipped_byte_in_every_section_yields_typed_error() {
+    fn flipped_bit_at_every_byte_yields_typed_error() {
         let (index, query) = build_small(6);
         let path = tmpfile("flip_all.pex");
         save_index(&index, &path).unwrap();
         let clean = std::fs::read(&path).unwrap();
-        // Walk the whole file (stride keeps the test fast) flipping one
-        // byte at a time: every position must surface as a typed
-        // `Corrupt` error or — when the flip lands on a section that only
-        // changes values, not structure — fail the final checksum. No
-        // position may panic or silently load with altered search results.
+        // One flipped bit at every byte of the file, the bit cycling with
+        // the position: CRC32C detects every 1-bit error, so no position
+        // may load. Which typed error surfaces depends on the field hit
+        // (structure checks fire before the checksum); the invariant is a
+        // typed error — never a panic, an allocation abort, or a load.
         let probe = Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(1));
         let baseline = index.execute(&probe, &query).unwrap();
-        for pos in (0..clean.len()).step_by(97) {
+        for pos in 0..clean.len() {
             let mut bytes = clean.clone();
-            bytes[pos] ^= 0x5a;
+            bytes[pos] ^= 1 << (pos % 8);
             std::fs::write(&path, &bytes).unwrap();
             match load_index(&path, Euclidean) {
-                // Which typed variant surfaces depends on the field hit
-                // (structure checks fire before the final checksum); the
-                // invariant is a typed error — never a panic, an
-                // allocation abort, or a silent load.
                 Err(PexesoError::Io(e)) => panic!("byte {pos}: untyped io error {e}"),
                 Err(_) => {}
                 Ok(loaded) => {
-                    // from_parts revalidates structure; a flip that loads
-                    // must have been caught by the checksum — so this is
-                    // unreachable unless validation regressed.
                     let got = loaded.execute(&probe, &query).unwrap();
                     panic!(
                         "byte {pos}: corrupted file loaded (results equal: {})",
@@ -415,6 +420,28 @@ mod tests {
                     );
                 }
             }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A format 1 file names its format and the command that rebuilds it.
+    #[test]
+    fn format_1_file_is_refused_with_a_rebuild_hint() {
+        let (index, _) = build_small(8);
+        let path = tmpfile("format1.pex");
+        save_index(&index, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..8].copy_from_slice(b"PEXIDX01");
+        std::fs::write(&path, &bytes).unwrap();
+        match load_index(&path, Euclidean) {
+            Err(PexesoError::Corrupt(msg)) => {
+                assert!(msg.contains("PEXIDX01"), "{msg}");
+                assert!(
+                    msg.contains("rebuild the deployment with `pexeso index`"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected Corrupt(format 1), got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -450,7 +477,7 @@ mod tests {
         save_index(&index, &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        let golden = "5045584944583031  09000000 6575636c696465616e
+        let golden = "5045584944583032  09000000 6575636c696465616e
             02000000 02000000 02 2a00000000000000
             02000000 02000000 00000040
             02000000 02000000 0000803f 00000000 00000000 0000803f
@@ -458,7 +485,7 @@ mod tests {
                       01000000 75 01000000 62 0900000000000000 02000000 01000000
             0300000000000000 0000803f 00000000 00000000 0000803f 0000003f 0000003f
             02000000 0300000000000000 00000000 0000c03f 0000c03f 00000000 0000403f 0000403f
-            acd7345c5ce53dd6";
+            4b69c615";
         assert_eq!(hex, golden.split_whitespace().collect::<String>());
         let loaded = load_index(&path, Euclidean).unwrap();
         assert_eq!(loaded.columns().columns(), index.columns().columns());
@@ -476,7 +503,7 @@ mod tests {
         let path = tmpfile("trunc_all.pex");
         save_index(&index, &path).unwrap();
         let clean = std::fs::read(&path).unwrap();
-        // Truncating mid-section (including mid-checksum: the last 8
+        // Truncating mid-section (including mid-checksum: the last 4
         // bytes) must always produce a typed Corrupt error, never a panic
         // or a partial load.
         for keep in (0..clean.len()).step_by(61).chain([clean.len() - 1]) {

@@ -14,7 +14,7 @@ use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, Tau};
 use crate::cost::{column_match_bounds, topk_seed};
 use crate::error::{PexesoError, Result};
-use crate::grid::{GridParams, HierarchicalGrid};
+use crate::grid::{compute_leaf_keys, GridParams, HierarchicalGrid};
 use crate::inspect::PartitionInspection;
 use crate::invindex::InvertedIndex;
 use crate::lemmas;
@@ -106,10 +106,8 @@ impl<M: Metric> PexesoIndex<M> {
             )?,
         };
         let grid_params = GridParams::new(pivots.len(), levels, span)?;
-        let hgrv =
-            HierarchicalGrid::build_keys_only_with(grid_params.clone(), &rv_mapped, options.exec)?;
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build_with(&grid_params, &rv_mapped, &vec_col, options.exec)?;
+        let (hgrv, inv) = rv_structures(&grid_params, &rv_mapped, &vec_col, options.exec)?;
         Ok(Self {
             metric,
             options,
@@ -360,9 +358,9 @@ impl<M: Metric> PexesoIndex<M> {
             )));
         }
         let started = Instant::now();
-        let hgrv = HierarchicalGrid::build_keys_only(grid_params.clone(), &rv_mapped)?;
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(&grid_params, &rv_mapped, &vec_col)?;
+        let (hgrv, inv) =
+            rv_structures(&grid_params, &rv_mapped, &vec_col, ExecPolicy::Sequential)?;
         Ok(Self {
             metric,
             options,
@@ -376,6 +374,27 @@ impl<M: Metric> PexesoIndex<M> {
             build_time: started.elapsed(),
         })
     }
+}
+
+/// `HG_RV` (keys only) and the inverted index, both from one pass of leaf
+/// keys over the mapped repository vectors.
+fn rv_structures(
+    grid_params: &GridParams,
+    rv_mapped: &MappedVectors,
+    vec_col: &[u32],
+    policy: ExecPolicy,
+) -> Result<(HierarchicalGrid, InvertedIndex)> {
+    if rv_mapped.num_pivots() != grid_params.num_pivots {
+        return Err(PexesoError::DimensionMismatch {
+            expected: grid_params.num_pivots,
+            got: rv_mapped.num_pivots(),
+        });
+    }
+    let keys = compute_leaf_keys(grid_params, rv_mapped, policy);
+    Ok((
+        HierarchicalGrid::from_leaf_keys(grid_params.clone(), &keys, false),
+        InvertedIndex::from_leaf_keys(&keys, vec_col)?,
+    ))
 }
 
 /// The one engine: every backend answers for one index through
@@ -607,6 +626,41 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// One pass of leaf keys builds the same `HG_RV` and postings as the
+    /// grid and the inverted index built each on their own, under either
+    /// policy and on reassembly from the persisted parts.
+    #[test]
+    fn shared_leaf_keys_build_the_same_grid_and_postings() {
+        let (columns, _) = instance(11, 40, 30, 1);
+        for exec in [ExecPolicy::Sequential, ExecPolicy::Fixed { threads: 3 }] {
+            let options = IndexOptions {
+                num_pivots: 4,
+                levels: Some(4),
+                seed: 7,
+                exec,
+                ..Default::default()
+            };
+            let index = PexesoIndex::build(columns.clone(), Euclidean, options).unwrap();
+            let params = index.grid_params().clone();
+            let hgrv =
+                HierarchicalGrid::build_keys_only(params.clone(), index.rv_mapped()).unwrap();
+            let inv = InvertedIndex::build(&params, index.rv_mapped(), &index.vec_col).unwrap();
+            assert_eq!(index.hgrv, hgrv);
+            assert_eq!(index.inv, inv);
+            let reassembled = PexesoIndex::from_parts(
+                index.columns.clone(),
+                index.pivots.clone(),
+                index.rv_mapped.clone(),
+                index.options.clone(),
+                params,
+                Euclidean,
+            )
+            .unwrap();
+            assert_eq!(reassembled.hgrv, hgrv);
+            assert_eq!(reassembled.inv, inv);
+        }
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //! branch per execution: backends build the span tree after the fact
 //! from the [`SearchStats`](crate::stats::SearchStats) phase timings they
 //! already collect, so no timer or allocation is added to an untraced
-//! query (pinned by the `trace_disabled` bench row). Span offsets are
+//! query (the bench ladder's `trace_overhead_pct` row reads what tracing
+//! adds: traced over untraced `op` p50). Span offsets are
 //! therefore *monotonic phase offsets* — each phase starts where the
 //! previous one ended — not independent wall-clock stamps; durations are
 //! the measured ones.

@@ -25,8 +25,9 @@
 //!   back to a full load: the delta log belongs to the new base, not the
 //!   resident one.
 //!
-//! A load reads every partition file, checks its checksum and rebuilds
-//! its grid, through [`DeltaLake::load_base`]: the partitions load
+//! A load reads every partition file, checks its CRC32C (a corrupt file
+//! is a typed "checksum mismatch", a format 1 file a typed refusal that
+//! says to rebuild) and rebuilds its grid, through [`DeltaLake::load_base`]: the partitions load
 //! concurrently (the daemon owns the machine), largest file first. The
 //! units keep partition order, and a failure is the lowest-indexed
 //! partition's, as a sequential load would report it. A failed load
