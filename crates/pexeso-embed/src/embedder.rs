@@ -25,7 +25,9 @@ pub trait Embedder: Send + Sync {
 
     /// Embed `value` into `out` (length must equal [`Embedder::dim`]).
     /// The result is L2-normalised unless the value carries no signal, in
-    /// which case `out` is the zero vector.
+    /// which case `out` is the zero vector. It depends on `value` alone:
+    /// the offline embedding loop embeds each distinct value once and
+    /// copies the vector to its repeats.
     fn embed_into(&self, value: &str, out: &mut [f32]);
 
     /// Convenience allocating wrapper around [`Embedder::embed_into`].

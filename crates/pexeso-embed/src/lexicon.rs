@@ -13,9 +13,13 @@
 //! misses, [`Lexicon::lookup_fuzzy`] finds the most edit-similar registered
 //! surface via a character-trigram index — this is what makes misspelled
 //! cells land next to their clean forms. A miss is the dear case of lake
-//! embedding, so the shortlist is counted with dense per-entry counters
-//! and only its best few are sorted; which surface wins depends on the
-//! shortlist's order alone, not on how it was computed.
+//! embedding, so its three stages are each made cheap: trigram overlaps
+//! are counted into dense per-entry counters without a branch on the
+//! count, the shortlist is found by counting overlap values (a histogram
+//! gives the cut) so only its 48 entries are ever sorted, and the edit
+//! distances run bit-parallel (Myers, J. ACM 1999) for keys of up to 64
+//! chars. Which surface wins depends on the shortlist's order alone, not
+//! on how it was computed.
 
 use std::collections::HashMap;
 
@@ -42,6 +46,13 @@ pub struct Lexicon {
 
 /// Most trigram-sharing candidates examined per fuzzy lookup.
 const FUZZY_CANDIDATES: usize = 48;
+
+/// An overlap most shortlists reach: entries that reach it are listed
+/// apart, and a lookup with 48 of them picks its shortlist from that
+/// short list instead of from every entry touched. (On a generated WDC
+/// lake a miss touches ≈ 4,300 entries and ≈ 340 reach 4; four in five
+/// misses have 48 that do.)
+const SHORTLIST_LEVEL: u32 = 4;
 
 fn surface_trigrams(key: &str) -> Vec<[char; 3]> {
     // Pad so short strings still produce trigrams.
@@ -171,11 +182,17 @@ impl Lexicon {
     /// of its occurrences in that trigram's posting list; the shortlist is
     /// the 48 best by `(overlap desc, entry index asc)`, examined in that
     /// order, and the answer is the first with the strictly highest
-    /// similarity. Overlaps are counted into a dense per-entry array (with
-    /// the list of entries touched), the shortlist is selected before it
-    /// is sorted, and the edit distances share their buffers — a miss
-    /// costs the postings of its trigrams plus one zeroed counter per
-    /// entry.
+    /// similarity. Overlaps are counted into a dense per-entry array; an
+    /// entry joins the list of those touched on its first posting, and
+    /// the list of those reaching `SHORTLIST_LEVEL` on the posting that
+    /// lifts it there, both without a branch. The shortlist is counted,
+    /// not sorted: a histogram of the overlaps over the shorter list that
+    /// holds it gives the cut, and only the 48 entries picked are
+    /// ordered. The edit distances run bit-parallel against the key —
+    /// Myers' algorithm, a few word operations per candidate char — for
+    /// keys of up to 64 chars, and as banded dynamic programming beyond;
+    /// a candidate passes under the same `d ≤ max_errors` bound either
+    /// way.
     pub fn lookup_fuzzy(&self, key: &str, min_sim: f64) -> Option<ConceptId> {
         if key.is_empty() {
             return None;
@@ -183,49 +200,48 @@ impl Lexicon {
         if let Some(c) = self.lookup_normalized(key) {
             return Some(c);
         }
-        // Shortlist by trigram overlap.
-        let mut overlap = vec![0u32; self.entries.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        for tg in surface_trigrams(key) {
-            if let Some(posting) = self.trigrams.get(&tg) {
-                for &e in posting {
-                    let count = &mut overlap[e as usize];
-                    if *count == 0 {
-                        touched.push(e);
-                    }
-                    *count += 1;
-                }
-            }
-        }
-        if touched.is_empty() {
+        let postings: Vec<&[u32]> = surface_trigrams(key)
+            .iter()
+            .filter_map(|tg| self.trigrams.get(tg).map(Vec::as_slice))
+            .collect();
+        let walked: usize = postings.iter().map(|p| p.len()).sum();
+        if walked == 0 {
             return None;
         }
-        let mut candidates: Vec<(u32, u32)> = touched
-            .into_iter()
-            .map(|e| (e, overlap[e as usize]))
-            .collect();
-        let best_first = |a: &(u32, u32), b: &(u32, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
-        if candidates.len() > FUZZY_CANDIDATES {
-            candidates.select_nth_unstable_by(FUZZY_CANDIDATES - 1, best_first);
-            candidates.truncate(FUZZY_CANDIDATES);
+        // Every posting writes its entry to the next slot of both lists;
+        // a list keeps it (its length advances) only on the entry's first
+        // posting, or on the posting that lifts its overlap to
+        // `SHORTLIST_LEVEL` — no branch on the count. Before the `k`-th
+        // posting `touched` holds at most `min(k, entries)` entries and
+        // `reached` at most `k / SHORTLIST_LEVEL`, so neither overflows.
+        let mut overlap = vec![0u32; self.entries.len()];
+        let mut touched = vec![0u32; walked.min(self.entries.len() + 1)];
+        let mut reached = vec![0u32; walked / SHORTLIST_LEVEL as usize + 1];
+        let (mut n_touched, mut n_reached) = (0, 0);
+        for &e in postings.into_iter().flatten() {
+            let count = &mut overlap[e as usize];
+            touched[n_touched] = e;
+            reached[n_reached] = e;
+            n_touched += usize::from(*count == 0);
+            *count += 1;
+            n_reached += usize::from(*count == SHORTLIST_LEVEL);
         }
-        candidates.sort_unstable_by(best_first);
+        // When 48 entries reached the level, the shortlist is among them.
+        let pool = if n_reached >= FUZZY_CANDIDATES {
+            &reached[..n_reached]
+        } else {
+            &touched[..n_touched]
+        };
 
         let key_chars: Vec<char> = key.chars().collect();
-        let (mut cand_chars, mut prev, mut cur) = (Vec::new(), Vec::new(), Vec::new());
+        let mut distance = KeyDistance::new(&key_chars);
         let mut best: Option<(f64, ConceptId)> = None;
-        for (entry_idx, _) in candidates {
+        for (entry_idx, _) in shortlist(pool, &overlap) {
             let (surface, concept) = &self.entries[entry_idx as usize];
-            cand_chars.clear();
-            cand_chars.extend(surface.chars());
-            let longest = key_chars.len().max(cand_chars.len());
-            if longest == 0 {
-                continue;
-            }
+            let surface_len = surface.chars().count();
+            let longest = key_chars.len().max(surface_len);
             let max_errors = ((1.0 - min_sim) * longest as f64).floor() as usize;
-            if let Some(d) =
-                edit_distance_bounded(&key_chars, &cand_chars, max_errors, &mut prev, &mut cur)
-            {
+            if let Some(d) = distance.bounded(surface, surface_len, max_errors) {
                 let sim = 1.0 - d as f64 / longest as f64;
                 if sim >= min_sim && best.is_none_or(|(s, _)| sim > s) {
                     best = Some((sim, *concept));
@@ -233,6 +249,170 @@ impl Lexicon {
             }
         }
         best.map(|(_, c)| c)
+    }
+}
+
+/// The `FUZZY_CANDIDATES` best of `pool` by `(overlap desc, entry index
+/// asc)`, in that order. A histogram of the overlaps gives `cut`, the
+/// overlap of the last place: every entry above it is in, and the
+/// lowest-index entries at it fill the places left.
+fn shortlist(pool: &[u32], overlap: &[u32]) -> Vec<(u32, u32)> {
+    let mut picked: Vec<(u32, u32)> = if pool.len() <= FUZZY_CANDIDATES {
+        pool.iter().map(|&e| (e, overlap[e as usize])).collect()
+    } else {
+        let mut hist: Vec<usize> = Vec::new();
+        for &e in pool {
+            let o = overlap[e as usize] as usize;
+            if o >= hist.len() {
+                hist.resize(o + 1, 0);
+            }
+            hist[o] += 1;
+        }
+        let (mut cut, mut above) = (hist.len() - 1, 0);
+        while above + hist[cut] < FUZZY_CANDIDATES {
+            above += hist[cut];
+            cut -= 1;
+        }
+        let cut = cut as u32;
+        let mut picked = Vec::with_capacity(FUZZY_CANDIDATES);
+        let mut at_cut = Vec::new();
+        for &e in pool {
+            let o = overlap[e as usize];
+            if o > cut {
+                picked.push((e, o));
+            } else if o == cut {
+                at_cut.push(e);
+            }
+        }
+        let places = FUZZY_CANDIDATES - above;
+        if at_cut.len() > places {
+            at_cut.select_nth_unstable(places - 1);
+            at_cut.truncate(places);
+        }
+        picked.extend(at_cut.into_iter().map(|e| (e, cut)));
+        picked
+    };
+    picked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    picked
+}
+
+/// Bit `i` of a char's mask is set when the key's `i`-th char is that
+/// char: the pattern of Myers' bit-parallel edit distance (J. ACM 1999),
+/// built once per lookup for a key of at most 64 chars.
+struct KeyMasks {
+    ascii: [u64; 128],
+    /// The key's other chars with their masks.
+    other: Vec<(char, u64)>,
+    len: usize,
+}
+
+impl KeyMasks {
+    fn new(key: &[char]) -> Option<Self> {
+        if key.len() > 64 {
+            return None;
+        }
+        let mut masks = KeyMasks {
+            ascii: [0; 128],
+            other: Vec::new(),
+            len: key.len(),
+        };
+        for (i, &c) in key.iter().enumerate() {
+            let bit = 1u64 << i;
+            if c.is_ascii() {
+                masks.ascii[c as usize] |= bit;
+            } else if let Some((_, m)) = masks.other.iter_mut().find(|(o, _)| *o == c) {
+                *m |= bit;
+            } else {
+                masks.other.push((c, bit));
+            }
+        }
+        Some(masks)
+    }
+
+    fn mask(&self, c: char) -> u64 {
+        if c.is_ascii() {
+            self.ascii[c as usize]
+        } else {
+            self.other
+                .iter()
+                .find(|(o, _)| *o == c)
+                .map_or(0, |&(_, m)| m)
+        }
+    }
+
+    /// Levenshtein distance from the key to `text`: Myers' column
+    /// recurrence in Hyyrö's form, with a `+1` shifted into row 0 so the
+    /// distance is global rather than a search.
+    fn distance(&self, text: &str) -> usize {
+        if self.len == 0 {
+            return text.chars().count();
+        }
+        let last = 1u64 << (self.len - 1);
+        let (mut vp, mut vn) = (!0u64, 0u64);
+        let mut dist = self.len;
+        for c in text.chars() {
+            let eq = self.mask(c);
+            let d0 = ((eq & vp).wrapping_add(vp) ^ vp) | eq | vn;
+            let hp = vn | !(d0 | vp);
+            let hn = d0 & vp;
+            dist += usize::from(hp & last != 0);
+            dist -= usize::from(hn & last != 0);
+            let hp = (hp << 1) | 1;
+            let hn = hn << 1;
+            vp = hn | !(d0 | hp);
+            vn = hp & d0;
+        }
+        dist
+    }
+}
+
+/// The edit distances of one fuzzy lookup, from its key to each
+/// candidate: bit-parallel for a key of at most 64 chars, else
+/// [`edit_distance_bounded`] with buffers shared across candidates.
+enum KeyDistance<'k> {
+    BitParallel(Box<KeyMasks>),
+    Banded {
+        key: &'k [char],
+        cand: Vec<char>,
+        prev: Vec<usize>,
+        cur: Vec<usize>,
+    },
+}
+
+impl<'k> KeyDistance<'k> {
+    fn new(key: &'k [char]) -> Self {
+        match KeyMasks::new(key) {
+            Some(masks) => KeyDistance::BitParallel(Box::new(masks)),
+            None => KeyDistance::Banded {
+                key,
+                cand: Vec::new(),
+                prev: Vec::new(),
+                cur: Vec::new(),
+            },
+        }
+    }
+
+    /// The edit distance from the key to `cand` (of `cand_len` chars)
+    /// when it is at most `max`.
+    fn bounded(&mut self, cand: &str, cand_len: usize, max: usize) -> Option<usize> {
+        match self {
+            KeyDistance::BitParallel(masks) => {
+                if masks.len.abs_diff(cand_len) > max {
+                    return None;
+                }
+                Some(masks.distance(cand)).filter(|&d| d <= max)
+            }
+            KeyDistance::Banded {
+                key,
+                cand: chars,
+                prev,
+                cur,
+            } => {
+                chars.clear();
+                chars.extend(cand.chars());
+                edit_distance_bounded(key, chars, max, prev, cur)
+            }
+        }
     }
 }
 
@@ -485,7 +665,16 @@ mod tests {
     /// A random string of 1..=max_len chars from `alphabet`, words split
     /// by single spaces now and then.
     fn random_surface(rng: &mut StdRng, alphabet: &[char], max_len: usize) -> String {
-        let len = rng.gen_range(1..=max_len);
+        random_surface_in(rng, alphabet, 1..=max_len)
+    }
+
+    /// [`random_surface`] with a length drawn from `lens`.
+    fn random_surface_in(
+        rng: &mut StdRng,
+        alphabet: &[char],
+        lens: std::ops::RangeInclusive<usize>,
+    ) -> String {
+        let len = rng.gen_range(lens);
         let mut s = String::new();
         for i in 0..len {
             if i > 0 && i + 1 < len && rng.gen_range(0..6) == 0 {
@@ -502,9 +691,12 @@ mod tests {
         // their overlaps tie at the truncation point; 'é' and 'ß' are
         // multi-byte chars, "aaaa"-style surfaces repeat a trigram so
         // posting multiplicity counts, and 1–2-char keys take the padded
-        // trigram path.
+        // trigram path. Keys of 65–80 chars take the banded edit distance;
+        // half of them are two edits away from a long surface, so they
+        // are answered.
         let alphabet = ['a', 'b', 'c', 'é', 'ß'];
         let mut ties_at_cut = 0usize;
+        let mut pools = [0usize; 2];
         let mut answered = 0usize;
         let mut checked = 0usize;
         for seed in 0..12u64 {
@@ -517,11 +709,28 @@ mod tests {
                 let surface = random_surface(&mut rng, &alphabet, 9);
                 lex.register(&surface, ConceptId(rng.gen_range(0..40)));
             }
+            let long: Vec<String> = (0..8)
+                .map(|_| normalize(&random_surface_in(&mut rng, &alphabet, 65..=80)))
+                .collect();
+            for surface in &long {
+                lex.register(surface, ConceptId(rng.gen_range(0..40)));
+            }
             let mut keys: Vec<String> = ["a", "b", "ab", "é", "ßß", "aaaaa", "abab abab c"]
                 .iter()
                 .map(|s| s.to_string())
                 .collect();
             keys.extend((0..80).map(|_| normalize(&random_surface(&mut rng, &alphabet, 11))));
+            keys.extend(
+                (0..4).map(|_| normalize(&random_surface_in(&mut rng, &alphabet, 65..=80))),
+            );
+            for surface in &long[..4] {
+                let mut chars: Vec<char> = surface.chars().collect();
+                for _ in 0..2 {
+                    let at = rng.gen_range(0..chars.len());
+                    chars[at] = alphabet[rng.gen_range(0..alphabet.len())];
+                }
+                keys.push(normalize(&chars.into_iter().collect::<String>()));
+            }
             for key in &keys {
                 let overlaps = overlaps_desc(&lex, key);
                 if overlaps.len() > FUZZY_CANDIDATES
@@ -529,6 +738,10 @@ mod tests {
                 {
                     ties_at_cut += 1;
                 }
+                // Which list the shortlist is picked from.
+                let from_reached = overlaps.len() >= FUZZY_CANDIDATES
+                    && overlaps[FUZZY_CANDIDATES - 1] >= SHORTLIST_LEVEL;
+                pools[usize::from(from_reached)] += 1;
                 for min_sim in [0.0, 0.5, 0.75, 1.0] {
                     let want = reference_lookup_fuzzy(&lex, key, min_sim);
                     assert_eq!(
@@ -542,6 +755,10 @@ mod tests {
             }
         }
         assert!(ties_at_cut >= 50, "only {ties_at_cut} keys tie at the cut");
+        assert!(
+            pools.iter().all(|&n| n >= 50),
+            "{pools:?} keys shortlisted from (touched, reached)"
+        );
         assert!(
             answered > checked / 4 && answered < checked,
             "{answered} of {checked} lookups answered"
@@ -563,5 +780,67 @@ mod tests {
                 "{a:?} {b:?} {max}"
             );
         }
+    }
+
+    #[test]
+    fn bit_parallel_distance_matches_the_banded_and_the_reference() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let alphabet = ['a', 'b', 'c', 'é', 'ß'];
+        let random = |rng: &mut StdRng| -> Vec<char> {
+            let len = rng.gen_range(0..=70);
+            (0..len)
+                .map(|_| alphabet[rng.gen_range(0..alphabet.len())])
+                .collect()
+        };
+        let (mut prev, mut cur) = (Vec::new(), Vec::new());
+        let mut over_64 = 0;
+        for _ in 0..160 {
+            let a = random(&mut rng);
+            // Half the pairs are a few edits apart, so small bounds pass.
+            let b = if rng.gen_bool(0.5) {
+                random(&mut rng)
+            } else {
+                let mut b = a.clone();
+                for _ in 0..rng.gen_range(0..=4) {
+                    match rng.gen_range(0..3) {
+                        0 => b.insert(rng.gen_range(0..=b.len()), 'é'),
+                        1 if !b.is_empty() => {
+                            b.remove(rng.gen_range(0..b.len()));
+                        }
+                        _ if !b.is_empty() => {
+                            let at = rng.gen_range(0..b.len());
+                            b[at] = alphabet[rng.gen_range(0..alphabet.len())];
+                        }
+                        _ => {}
+                    }
+                }
+                b
+            };
+            let text: String = b.iter().collect();
+            assert_eq!(KeyMasks::new(&a).is_some(), a.len() <= 64);
+            over_64 += usize::from(a.len() > 64);
+            let mut distance = KeyDistance::new(&a);
+            for max in 0..=a.len().max(b.len()) {
+                let want = reference_edit_distance_bounded(&a, &b, max);
+                assert_eq!(
+                    edit_distance_bounded(&a, &b, max, &mut prev, &mut cur),
+                    want,
+                    "{a:?} {b:?} {max}"
+                );
+                assert_eq!(
+                    distance.bounded(&text, b.len(), max),
+                    want,
+                    "{a:?} {b:?} {max}"
+                );
+                if let Some(masks) = KeyMasks::new(&a) {
+                    assert_eq!(
+                        Some(masks.distance(&text)).filter(|&d| d <= max),
+                        want,
+                        "{a:?} {b:?} {max}"
+                    );
+                }
+            }
+        }
+        assert!(over_64 >= 5, "only {over_64} keys longer than 64 chars");
     }
 }

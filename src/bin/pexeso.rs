@@ -62,6 +62,7 @@
 //! with every log line the request produced on the way down.
 
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -334,11 +335,29 @@ fn query_from_flags(flags: &HashMap<String, String>) -> CliResult<(Query, f32, f
     Ok((q, tau, t))
 }
 
+/// Write `print`'s output through one locked stdout. A reader that
+/// stopped reading (`pexeso query … | head`) ends the output quietly; any
+/// other write error fails the command.
+fn write_stdout(print: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> CliResult<()> {
+    let mut out = io::stdout().lock();
+    match print(&mut out).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(e.to_string()),
+        _ => Ok(()),
+    }
+}
+
 /// Print one query's answer: a header naming the query and `source` (what
 /// answered), the hits, the candidate funnel when the query was explained,
 /// and the span tree when it was traced. A budget-limited partial answer
 /// says so in the header, so it is never mistaken for the exact one.
-fn print_answer(q: &Query, tau: f32, t: f64, source: &str, resp: &QueryResponse) -> CliResult<()> {
+fn print_answer(
+    out: &mut dyn Write,
+    q: &Query,
+    tau: f32,
+    t: f64,
+    source: &str,
+    resp: &QueryResponse,
+) -> io::Result<()> {
     let partial = match resp.outcome {
         QueryOutcome::Exact => "",
         QueryOutcome::Exceeded(Exceeded::DistanceComputations) => {
@@ -347,31 +366,36 @@ fn print_answer(q: &Query, tau: f32, t: f64, source: &str, resp: &QueryResponse)
         QueryOutcome::Exceeded(Exceeded::Deadline) => ", PARTIAL: deadline exceeded",
     };
     match q.mode {
-        QueryMode::Topk(k) => {
-            println!("\ntop-{k} joinable columns (tau={tau}, {source}{partial}):")
-        }
-        QueryMode::Threshold(_) => println!(
+        QueryMode::Topk(k) => writeln!(
+            out,
+            "\ntop-{k} joinable columns (tau={tau}, {source}{partial}):"
+        )?,
+        QueryMode::Threshold(_) => writeln!(
+            out,
             "\n{} joinable columns (tau={tau}, T={t}, {source}{partial}):",
             resp.hits.len()
-        ),
+        )?,
     }
     for h in &resp.hits {
-        println!(
+        writeln!(
+            out,
             "  {} . {}  ({} records matched)",
             h.table_name, h.column_name, h.match_count
-        );
+        )?;
     }
     if q.explain {
         let report = resp
             .explain
             .as_ref()
-            .ok_or("the answer carries no explain report")?;
-        println!("\nquery plan:");
-        print!("{}", report.render());
+            .ok_or_else(|| io::Error::other("the answer carries no explain report"))?;
+        write!(out, "\nquery plan:\n{}", report.render())?;
     }
     if let Some(trace) = &resp.trace {
-        println!("\ntrace (offsets/durations in us):");
-        print!("{}", trace.render());
+        write!(
+            out,
+            "\ntrace (offsets/durations in us):\n{}",
+            trace.render()
+        )?;
     }
     Ok(())
 }
@@ -552,12 +576,15 @@ fn load_query(
                 .ok_or("no key column detected; pass --column")?
         }
     };
-    println!(
-        "query: {} rows of {}.{}",
-        table.n_rows(),
-        table.name(),
-        table.headers()[col]
-    );
+    write_stdout(|out| {
+        writeln!(
+            out,
+            "query: {} rows of {}.{}",
+            table.n_rows(),
+            table.name(),
+            table.headers()[col]
+        )
+    })?;
     Ok((table.column(col).to_vec(), embedder))
 }
 
@@ -857,90 +884,70 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
     let remote = !matches!(backend, Backend::Local(_));
     let q = if remote && (q.trace.enabled() || q.explain) {
         let rid = pexeso_core::log::mint_request_id();
-        println!("request id: {}", pexeso_core::log::fmt_request_id(rid));
+        write_stdout(|out| writeln!(out, "request id: {}", pexeso_core::log::fmt_request_id(rid)))?;
         q.with_request_id(rid)
     } else {
         q
     };
 
     let (resp, source) = backend.execute(&q, query.store())?;
-    print_answer(&q, tau, t, &source, &resp)?;
-    if let Backend::Replicas(resilient) = &backend {
-        let s = resilient.stats();
-        if s != RetryStats::default() {
-            println!(
-                "client resilience: retries={} failovers={} busy={} shed={} \
-                 desyncs={} deadline_stops={} circuit_opens={}",
-                s.retries,
-                s.failovers,
-                s.busy,
-                s.shed,
-                s.desyncs,
-                s.deadline_stops,
-                s.circuit_opens
-            );
+    write_stdout(|out| {
+        print_answer(out, &q, tau, t, &source, &resp)?;
+        if let Backend::Replicas(resilient) = &backend {
+            let s = resilient.stats();
+            if s != RetryStats::default() {
+                writeln!(
+                    out,
+                    "client resilience: retries={} failovers={} busy={} shed={} \
+                     desyncs={} deadline_stops={} circuit_opens={}",
+                    s.retries,
+                    s.failovers,
+                    s.busy,
+                    s.shed,
+                    s.desyncs,
+                    s.deadline_stops,
+                    s.circuit_opens
+                )?;
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 /// Dispatch one admin verb (`--metrics`, `--shutdown`, `--reload`,
-/// `--apply`, …) on a connected daemon.
+/// `--apply`, …) on a connected daemon and print its answer.
 fn run_admin_verb(
     flags: &HashMap<String, String>,
     addr: &str,
     client: &ServeClient,
 ) -> CliResult<()> {
-    if flags.contains_key("metrics") {
-        print!("{}", client.metrics_text().map_err(|e| e.to_string())?);
-        return Ok(());
-    }
-    if flags.contains_key("slow") {
+    let text = if flags.contains_key("metrics") {
+        client.metrics_text().map_err(|e| e.to_string())?
+    } else if flags.contains_key("slow") {
         let text = client.slow_log_text().map_err(|e| e.to_string())?;
         if text.is_empty() {
-            println!(
-                "slow-query log is empty (traced or sampled queries feed it; \
-                 see serve --metrics-sample-rate)"
-            );
+            "slow-query log is empty (traced or sampled queries feed it; \
+             see serve --metrics-sample-rate)\n"
+                .to_string()
         } else {
-            print!("{text}");
+            text
         }
-        return Ok(());
-    }
-    if flags.contains_key("health") {
-        print!("{}", client.health_text().map_err(|e| e.to_string())?);
-        return Ok(());
-    }
-    if flags.contains_key("inspect") {
-        print!("{}", client.inspect_text().map_err(|e| e.to_string())?);
-        return Ok(());
-    }
-    if let Some(replica) = flags.get("drain") {
-        print!(
-            "{}",
-            client.drain(replica, true).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
-    if let Some(replica) = flags.get("undrain") {
-        print!(
-            "{}",
-            client.drain(replica, false).map_err(|e| e.to_string())?
-        );
-        return Ok(());
-    }
-    if flags.contains_key("shutdown") {
+    } else if flags.contains_key("health") {
+        client.health_text().map_err(|e| e.to_string())?
+    } else if flags.contains_key("inspect") {
+        client.inspect_text().map_err(|e| e.to_string())?
+    } else if let Some(replica) = flags.get("drain") {
+        client.drain(replica, true).map_err(|e| e.to_string())?
+    } else if let Some(replica) = flags.get("undrain") {
+        client.drain(replica, false).map_err(|e| e.to_string())?
+    } else if flags.contains_key("shutdown") {
         client.shutdown().map_err(|e| e.to_string())?;
-        println!("server at {addr} is shutting down");
-        return Ok(());
-    }
-    if flags.contains_key("reload") || flags.contains_key("reload-dir") {
+        format!("server at {addr} is shutting down\n")
+    } else if flags.contains_key("reload") || flags.contains_key("reload-dir") {
         let dir = flags.get("reload-dir").map(PathBuf::from);
         let (generation, partitions) = client.reload(dir.as_deref()).map_err(|e| e.to_string())?;
-        println!("reloaded: generation {generation}, {partitions} partitions");
-        return Ok(());
-    }
-    if flags.contains_key("apply") {
+        format!("reloaded: generation {generation}, {partitions} partitions\n")
+    } else if flags.contains_key("apply") {
         // Against a router `--shard N` names the shard whose replicas
         // should apply their delta log; a shard daemon ignores it.
         let shard: Option<u32> = match flags.get("shard") {
@@ -949,13 +956,14 @@ fn run_admin_verb(
         };
         let (generation, delta_columns, tombstones) =
             client.apply_delta_shard(shard).map_err(|e| e.to_string())?;
-        println!(
+        format!(
             "applied delta log: generation {generation}, \
-             {delta_columns} delta columns, {tombstones} tombstoned tables"
-        );
-        return Ok(());
-    }
-    unreachable!("caller dispatches here only with an admin verb present")
+             {delta_columns} delta columns, {tombstones} tombstoned tables\n"
+        )
+    } else {
+        unreachable!("caller dispatches here only with an admin verb present")
+    };
+    write_stdout(|out| out.write_all(text.as_bytes()))
 }
 
 fn main() -> ExitCode {

@@ -7,13 +7,17 @@
 //! presents each joinable table together with the record-level mapping.
 //!
 //! Offline embedding is one loop over the tables ([`embed_tables`],
-//! [`embed_synthetic_lake`] and [`ingest_tables`] all run it): each
-//! table's key column is embedded on its own, tables are shared out over
-//! the cores, and the columns are assembled in table order — so the
-//! vectors, names, external ids and provenance do not depend on how many
-//! cores did the work. [`embed_query`] embeds one column on the caller's
-//! thread.
+//! [`embed_synthetic_lake`] and [`ingest_tables`] all run it): contiguous
+//! runs of tables are shared out over the cores, each run embeds every
+//! distinct cell value once (a lake repeats its values: a generated WDC
+//! lake has about seven key cells per distinct value), and the columns
+//! are assembled in table order — so the vectors, names, external ids and
+//! provenance do not depend on how many cores did the work. The embedder
+//! is a pure function of the value, so a remembered vector is the bits a
+//! fresh embedding would give. [`embed_query`] embeds one column on the
+//! caller's thread.
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use pexeso_core::column::{ColumnId, ColumnSet};
@@ -77,6 +81,17 @@ impl EmbeddedQuery {
     }
 }
 
+/// Embed one cell into `out`; false when the cell carries no signal — it
+/// is blank, or it embeds to the zero vector (no usable tokens) — and is
+/// skipped.
+fn embed_cell(embedder: &dyn Embedder, value: &str, out: &mut [f32]) -> bool {
+    if value.trim().is_empty() {
+        return false;
+    }
+    embedder.embed_into(value, out);
+    out.iter().any(|&x| x != 0.0)
+}
+
 /// Embed the non-empty values of a column; returns the vectors (flat,
 /// `dim` floats each) and the row of each.
 fn embed_values(embedder: &dyn Embedder, values: &[String]) -> (Vec<f32>, Vec<u32>) {
@@ -84,33 +99,72 @@ fn embed_values(embedder: &dyn Embedder, values: &[String]) -> (Vec<f32>, Vec<u3
     let mut vectors = Vec::with_capacity(values.len() * dim);
     let mut rows = Vec::with_capacity(values.len());
     for (ri, v) in values.iter().enumerate() {
-        if v.trim().is_empty() {
-            continue;
-        }
         let start = vectors.len();
         vectors.resize(start + dim, 0.0);
-        embedder.embed_into(v, &mut vectors[start..]);
-        // Zero vectors (no usable tokens) carry no signal; skip them like
-        // empty cells.
-        if vectors[start..].iter().all(|&x| x == 0.0) {
+        if embed_cell(embedder, v, &mut vectors[start..]) {
+            rows.push(ri as u32);
+        } else {
             vectors.truncate(start);
-            continue;
         }
-        rows.push(ri as u32);
     }
     (vectors, rows)
 }
 
+/// [`embed_values`] with a memory: each distinct value is embedded once,
+/// and a repeat copies the remembered vector (or is skipped again).
+struct ValueMemo<'a> {
+    embedder: &'a dyn Embedder,
+    /// Value → index of its vector in `vectors`, `None` for a skipped cell.
+    slots: HashMap<&'a str, Option<usize>>,
+    vectors: Vec<f32>,
+}
+
+impl<'a> ValueMemo<'a> {
+    fn new(embedder: &'a dyn Embedder) -> Self {
+        Self {
+            embedder,
+            slots: HashMap::new(),
+            vectors: Vec::new(),
+        }
+    }
+
+    fn embed_values(&mut self, values: &'a [String]) -> (Vec<f32>, Vec<u32>) {
+        let dim = self.embedder.dim();
+        let mut vectors = Vec::with_capacity(values.len() * dim);
+        let mut rows = Vec::with_capacity(values.len());
+        for (ri, v) in values.iter().enumerate() {
+            let slot = *self.slots.entry(v.as_str()).or_insert_with(|| {
+                let start = self.vectors.len();
+                self.vectors.resize(start + dim, 0.0);
+                if embed_cell(self.embedder, v, &mut self.vectors[start..]) {
+                    Some(start)
+                } else {
+                    self.vectors.truncate(start);
+                    None
+                }
+            });
+            if let Some(start) = slot {
+                vectors.extend_from_slice(&self.vectors[start..start + dim]);
+                rows.push(ri as u32);
+            }
+        }
+        (vectors, rows)
+    }
+}
+
 /// Tables per shard below which a second thread does not pay for itself:
-/// a generated key column (~19 values) embeds in about 0.1 ms, and a
-/// spawn wants a millisecond or more of work behind it.
+/// a generated key column (~19 values) embeds in about 90 µs while its
+/// values are new to the shard (about 30 µs on average over a whole
+/// generated lake, where most values repeat), and a spawn wants a
+/// millisecond or more of work behind it.
 const MIN_TABLES_PER_SHARD: usize = 16;
 
 /// The offline embedding loop: embed the key column `key_column` names
 /// for each table (`None` skips the table) over contiguous runs of tables
-/// under `policy`, then assemble the columns in table order — external
-/// ids dense in that order, tables whose key column embeds to nothing
-/// skipped — so the result is the sequential fold's whatever the policy.
+/// under `policy`, each run with its own [`ValueMemo`], then assemble the
+/// columns in table order — external ids dense in that order, tables
+/// whose key column embeds to nothing skipped — so the result is the
+/// sequential fold of [`embed_values`] whatever the policy.
 fn embed_key_columns<T: Sync>(
     embedder: &dyn Embedder,
     tables: &[T],
@@ -119,10 +173,11 @@ fn embed_key_columns<T: Sync>(
     none_embedded: &'static str,
 ) -> Result<EmbeddedLake> {
     let shards = exec::map_ranges_min(policy, tables.len(), MIN_TABLES_PER_SHARD, |range| {
+        let mut memo = ValueMemo::new(embedder);
         range
             .filter_map(|table_idx| {
                 let (table, key_col) = key_column(&tables[table_idx])?;
-                let (vectors, rows) = embed_values(embedder, table.column(key_col));
+                let (vectors, rows) = memo.embed_values(table.column(key_col));
                 Some((table_idx, table, key_col, vectors, rows))
             })
             .collect::<Vec<_>>()
@@ -658,7 +713,10 @@ mod tests {
 
     /// Enough tables for three shards, among them tables with no key
     /// column (too few rows) and tables whose key column embeds to
-    /// nothing (emoji only), both of which the loop skips.
+    /// nothing (emoji only), both of which the loop skips. Key values
+    /// repeat within and across tables, and every fourth key cell is
+    /// blank, whitespace or `---` (which embeds to zero), so its row is
+    /// skipped.
     fn loop_tables() -> Vec<Table> {
         (0..40)
             .map(|t| {
@@ -672,7 +730,7 @@ mod tests {
                     _ => (0..8 + t % 7)
                         .map(|i| {
                             let key = if i % 4 == 3 {
-                                String::new()
+                                ["", "  ", "---"][(t + i) % 3].to_string()
                             } else {
                                 KEY_VALUES[(t + i) % KEY_VALUES.len()].to_string()
                             };
@@ -747,6 +805,84 @@ mod tests {
             assert_eq!(meta.column_name, "Name");
             assert_eq!(meta.len as usize, prov.rows.len());
         }
+    }
+
+    /// The loop without its memo: [`embed_values`] per table, the
+    /// columns assembled in table order.
+    fn fold_of_embed_values(
+        e: &dyn Embedder,
+        tables: &[Table],
+        cfg: &KeyColumnConfig,
+    ) -> EmbeddedLake {
+        let mut columns = ColumnSet::new(e.dim());
+        let mut provenance = Vec::new();
+        for (table_idx, table) in tables.iter().enumerate() {
+            let Some(key_col) = detect_key_column(table, cfg) else {
+                continue;
+            };
+            let (vectors, rows) = embed_values(e, table.column(key_col));
+            if rows.is_empty() {
+                continue;
+            }
+            columns
+                .add_column(
+                    table.name(),
+                    &table.headers()[key_col],
+                    provenance.len() as u64,
+                    vectors.chunks_exact(e.dim()),
+                )
+                .unwrap();
+            provenance.push(ColumnProvenance {
+                table_idx,
+                key_col,
+                rows,
+            });
+        }
+        EmbeddedLake {
+            columns,
+            provenance,
+        }
+    }
+
+    #[test]
+    fn memoised_loop_equals_a_fold_of_embed_values() {
+        let e = loop_embedder();
+        let tables = loop_tables();
+        let cfg = KeyColumnConfig::default();
+        let want = fold_of_embed_values(&e, &tables, &cfg);
+        for policy in [ExecPolicy::Sequential, ExecPolicy::Fixed { threads: 3 }] {
+            let got = embed_tables_under(&e, &tables, &cfg, policy);
+            assert_eq!(got.columns, want.columns, "{policy:?}");
+            assert_eq!(
+                bits(got.columns.store().raw_data()),
+                bits(want.columns.store().raw_data()),
+                "{policy:?}"
+            );
+            assert_eq!(got.provenance, want.provenance, "{policy:?}");
+            let ids: Vec<u64> = got
+                .columns
+                .columns()
+                .iter()
+                .map(|m| m.external_id)
+                .collect();
+            assert_eq!(ids, (0..want.provenance.len() as u64).collect::<Vec<_>>());
+        }
+        // The fixture repeats values and skips blank, whitespace and
+        // zero-embedding cells inside kept columns.
+        let key_cells: Vec<&str> = want
+            .provenance
+            .iter()
+            .flat_map(|p| tables[p.table_idx].column(p.key_col))
+            .map(String::as_str)
+            .collect();
+        let distinct: std::collections::HashSet<&str> = key_cells.iter().copied().collect();
+        assert!(key_cells.len() > 10 * distinct.len());
+        for skipped in ["", "  ", "---"] {
+            assert!(key_cells.contains(&skipped), "{skipped:?}");
+        }
+        let kept_rows: usize = want.provenance.iter().map(|p| p.rows.len()).sum();
+        assert_eq!(kept_rows, want.columns.n_vectors());
+        assert!(kept_rows < key_cells.len());
     }
 
     #[test]

@@ -250,3 +250,35 @@ fn a_served_query_answers_under_the_deployments_metric() {
     drop(daemon);
     std::fs::remove_dir_all(&root).ok();
 }
+
+/// A reader that stops reading (`pexeso query … | head`) ends the answer
+/// quietly: the command exits 0 instead of panicking on the closed pipe.
+#[test]
+fn a_closed_stdout_ends_the_answer_quietly() {
+    let (root, lake, query) = csv_lake("pipe");
+    let idx = root.join("idx");
+    let (idx_s, query_s) = (idx.to_str().unwrap(), query.to_str().unwrap());
+    run(&[
+        "index",
+        "--lake",
+        lake.to_str().unwrap(),
+        "--out",
+        idx_s,
+        "--dim",
+        "32",
+    ]);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pexeso"))
+        .args(["query", "--index", idx_s, "--query", query_s, "--explain"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn pexeso");
+    // Close the read end at once: the child loads the deployment and
+    // embeds the query before it prints its first line.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for pexeso");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&root).ok();
+}
