@@ -1,5 +1,5 @@
-//! Index introspection: the structural statistics behind the `INSPECT`
-//! verb and `pexeso query --inspect`.
+//! Index introspection: the structural statistics behind the shard
+//! daemon's `pexeso_index_*` METRICS families.
 //!
 //! Where [`crate::stats::SearchStats`] describes one *query*, an
 //! [`IndexInspection`] describes the *index itself*: how many columns and
@@ -12,7 +12,8 @@
 //!
 //! The histograms reuse the log-bucketed [`crate::hist`] layout so the
 //! serve tier can expose them through the same Prometheus rendering as
-//! its latency histograms.
+//! its latency histograms; every other number is one labelled sample per
+//! partition there.
 
 use crate::hist::{AtomicHistogram, HistSnapshot};
 
@@ -57,12 +58,8 @@ pub struct PartitionInspection {
 #[derive(Debug, Clone, Default)]
 pub struct IndexInspection {
     pub partitions: Vec<PartitionInspection>,
-    /// Live columns ingested into the delta overlay since the base build.
-    pub delta_columns: u64,
-    /// Vectors those delta columns hold.
+    /// Vectors the live delta columns hold.
     pub delta_vectors: u64,
-    /// Tables tombstoned in the delta log.
-    pub delta_tombstones: u64,
     /// Raw delta-log records replayed (appends + tombstones).
     pub delta_records: u64,
 }
@@ -120,23 +117,22 @@ impl PartitionInspection {
             pivot_spread,
         }
     }
+
+    /// The spread of the pivots' coordinate widths (`max − min` per
+    /// pivot): the narrowest, the widest and their mean. `None` without
+    /// pivots.
+    pub fn pivot_width(&self) -> Option<PivotSpread> {
+        let widths = self.pivot_spread.iter().map(|s| s.max - s.min);
+        let n = self.pivot_spread.len();
+        (n > 0).then(|| PivotSpread {
+            min: widths.clone().fold(f32::INFINITY, f32::min),
+            max: widths.clone().fold(f32::NEG_INFINITY, f32::max),
+            mean: widths.sum::<f32>() / n as f32,
+        })
+    }
 }
 
 impl IndexInspection {
-    /// Merge the per-partition statistics into whole-deployment totals:
-    /// (columns, deleted, vectors, cells, postings).
-    pub fn totals(&self) -> (u64, u64, u64, u64, u64) {
-        let mut t = (0, 0, 0, 0, 0);
-        for p in &self.partitions {
-            t.0 += p.columns;
-            t.1 += p.deleted_columns;
-            t.2 += p.vectors;
-            t.3 += p.cells;
-            t.4 += p.postings;
-        }
-        t
-    }
-
     /// Postings-length histogram summed over every partition.
     pub fn postings_len(&self) -> HistSnapshot {
         self.merged(|p| &p.postings_len)
@@ -151,49 +147,6 @@ impl IndexInspection {
         let mut out = AtomicHistogram::new().snapshot();
         for p in &self.partitions {
             out.merge(pick(p));
-        }
-        out
-    }
-
-    /// The `key=value` text body the `INSPECT` verb answers with, one
-    /// pair per line: totals, overlay depth, histogram quantiles, and
-    /// per-partition keys.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let (columns, deleted, vectors, cells, postings) = self.totals();
-        let _ = writeln!(out, "partitions={}", self.partitions.len());
-        let _ = writeln!(out, "columns={columns}");
-        let _ = writeln!(out, "deleted_columns={deleted}");
-        let _ = writeln!(out, "vectors={vectors}");
-        let _ = writeln!(out, "cells={cells}");
-        let _ = writeln!(out, "postings={postings}");
-        let _ = writeln!(out, "delta_columns={}", self.delta_columns);
-        let _ = writeln!(out, "delta_vectors={}", self.delta_vectors);
-        let _ = writeln!(out, "delta_tombstones={}", self.delta_tombstones);
-        let _ = writeln!(out, "delta_records={}", self.delta_records);
-        let mut hist_lines = |name: &str, h: &HistSnapshot| {
-            let _ = writeln!(out, "{name}.p50={}", h.quantile(0.5));
-            let _ = writeln!(out, "{name}.p99={}", h.quantile(0.99));
-            let _ = writeln!(out, "{name}.mean={:.2}", h.mean());
-        };
-        hist_lines("postings_len", &self.postings_len());
-        hist_lines("cell_occupancy", &self.cell_occupancy());
-        for (i, p) in self.partitions.iter().enumerate() {
-            let _ = writeln!(out, "partition{i}.columns={}", p.columns);
-            let _ = writeln!(out, "partition{i}.deleted={}", p.deleted_columns);
-            let _ = writeln!(out, "partition{i}.vectors={}", p.vectors);
-            let _ = writeln!(out, "partition{i}.cells={}", p.cells);
-            let _ = writeln!(out, "partition{i}.postings={}", p.postings);
-            if !p.pivot_spread.is_empty() {
-                let widths: Vec<f32> = p.pivot_spread.iter().map(|s| s.max - s.min).collect();
-                let min_w = widths.iter().copied().fold(f32::INFINITY, f32::min);
-                let max_w = widths.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let mean_w = widths.iter().sum::<f32>() / widths.len() as f32;
-                let _ = writeln!(out, "partition{i}.pivot_spread.min={min_w:.4}");
-                let _ = writeln!(out, "partition{i}.pivot_spread.max={max_w:.4}");
-                let _ = writeln!(out, "partition{i}.pivot_spread.mean={mean_w:.4}");
-            }
         }
         out
     }
@@ -242,37 +195,20 @@ mod tests {
     }
 
     #[test]
-    fn inspection_totals_and_render() {
+    fn merged_histograms_and_pivot_width() {
         let (inv, mapped) = tiny_index();
         let p = PartitionInspection::derive(&inv, 2, 3, mapped.iter(), 2);
-        let dropped = PartitionInspection {
-            deleted_columns: 1,
-            ..p.clone()
-        };
+        // Pivot 0 spans [0.5, 3.0], pivot 1 [0.4, 0.5].
+        let w = p.pivot_width().unwrap();
+        assert!((w.min - 0.1).abs() < 1e-6, "{w:?}");
+        assert!((w.max - 2.5).abs() < 1e-6, "{w:?}");
+        assert!((w.mean - 1.3).abs() < 1e-6, "{w:?}");
+        assert_eq!(PartitionInspection::default().pivot_width(), None);
         let insp = IndexInspection {
-            partitions: vec![p, dropped],
-            delta_columns: 4,
-            delta_vectors: 9,
-            delta_tombstones: 1,
-            delta_records: 5,
+            partitions: vec![p.clone(), p],
+            ..Default::default()
         };
-        assert_eq!(insp.totals(), (4, 1, 6, 4, 4));
         assert_eq!(insp.postings_len().count, 4);
-        let text = insp.render_text();
-        assert!(text.contains("partitions=2"), "{text}");
-        assert!(text.contains("deleted_columns=1"), "{text}");
-        assert!(text.contains("partition1.deleted=1"), "{text}");
-        assert!(text.contains("vectors=6"), "{text}");
-        assert!(text.contains("delta_columns=4"), "{text}");
-        assert!(text.contains("partition1.cells=2"), "{text}");
-        assert!(text.contains("postings_len.p50="), "{text}");
-    }
-
-    #[test]
-    fn empty_inspection_renders_zeros() {
-        let insp = IndexInspection::default();
-        let text = insp.render_text();
-        assert!(text.contains("partitions=0"), "{text}");
-        assert!(text.contains("columns=0"), "{text}");
+        assert_eq!(insp.cell_occupancy().sum, 6);
     }
 }

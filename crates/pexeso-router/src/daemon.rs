@@ -58,7 +58,8 @@ use crate::shardmap::ShardMap;
 pub struct RouterServeConfig {
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Accepted connections waiting for a worker before BUSY kicks in.
+    /// Accepted connections waiting for a worker before BUSY kicks in
+    /// (at least 1).
     pub queue_capacity: usize,
     /// Per-connection read timeout.
     pub read_timeout: Option<Duration>,
@@ -88,7 +89,7 @@ impl Default for RouterServeConfig {
 struct RouterMetrics {
     search: EndpointMetrics,
     topk: EndpointMetrics,
-    /// INFO/METRICS/SLOW/INSPECT/HEALTH/DRAIN/RELOAD.
+    /// INFO/METRICS/SLOW/HEALTH/DRAIN/RELOAD.
     admin: EndpointMetrics,
     apply: EndpointMetrics,
 }
@@ -260,9 +261,6 @@ impl Handler for RouterHandler {
             Request::ApplyDelta { shard: None } => {
                 error_reply(ctx, "router APPLY requires a shard (use --shard N)".into())
             }
-            Request::Inspect => Reply::Text {
-                text: self.current_router().inspect_text(),
-            },
             Request::Health => Reply::Text {
                 text: self.current_router().health_text(ctx.shutting_down()),
             },

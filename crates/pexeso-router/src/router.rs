@@ -559,29 +559,6 @@ impl Router {
         Ok((resp, meta))
     }
 
-    /// Scatter INSPECT across the shards (first reachable replica of
-    /// each) and gather the answers with every line prefixed
-    /// `shard<N>.`. A shard that cannot answer contributes a
-    /// `shard<N>.error=` line instead of failing the whole verb —
-    /// inspection is diagnostics, and a partial picture beats none.
-    pub fn inspect_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (i, shard) in self.shards.iter().enumerate() {
-            match first_replica(shard, "INSPECT", ServeClient::inspect_text) {
-                Ok(text) => {
-                    for line in text.lines() {
-                        let _ = writeln!(out, "shard{i}.{line}");
-                    }
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "shard{i}.error={e}");
-                }
-            }
-        }
-        out
-    }
-
     /// Roll per-shard replica state into one fleet health answer. A
     /// shard with every replica available (neither drained nor
     /// circuit-open) is `ready`; with some but not all available it is
@@ -661,8 +638,8 @@ fn ask_replica<T>(
     }
 }
 
-/// One admin verb (`INFO`, `INSPECT`) answered by the first reachable
-/// replica of a shard.
+/// One admin verb (`INFO`) answered by the first reachable replica of
+/// a shard.
 fn first_replica<T>(
     shard: &Shard,
     verb: &str,

@@ -541,7 +541,6 @@ fn routed_admin_verbs_reuse_the_query_streams() {
     std::thread::sleep(3 * idle);
     assert_eq!(router.info().unwrap().dim as usize, DIM);
     router.apply_delta(0).unwrap();
-    assert!(!router.inspect_text().contains(".error="));
     for d in daemons {
         d.shutdown();
     }
@@ -692,6 +691,27 @@ fn metrics_escape_replica_addresses_from_the_shard_map() {
     }
     drop(client);
     handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A router daemon whose queue would turn every connection away as BUSY
+/// is refused before it binds.
+#[test]
+fn a_router_with_no_queue_is_refused() {
+    let dir = tempdir("no_queue");
+    let map_path = dir.join(SHARD_MAP_FILE);
+    std::fs::write(&map_path, "shard 0 * 127.0.0.1:1\n").unwrap();
+    let config = RouterServeConfig {
+        queue_capacity: 0,
+        ..RouterServeConfig::default()
+    };
+    let Err(err) = RouterServer::start(&map_path, "127.0.0.1:0", config) else {
+        panic!("a router with no queue was served");
+    };
+    assert!(
+        err.to_string().contains("queue capacity 0 is out of range"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -950,19 +970,6 @@ fn router_daemon_observability_verbs_end_to_end() {
     assert!(client.health_text().unwrap().starts_with("status=ready"));
     // Draining an unknown address is a typed refusal.
     assert!(client.drain("10.255.0.1:9", true).is_err());
-
-    // INSPECT: shard-prefixed structural statistics from every shard.
-    let inspect = client.inspect_text().unwrap();
-    assert!(inspect.contains("shard0.partitions="), "{inspect}");
-    assert!(inspect.contains("shard1.vectors="), "{inspect}");
-    assert!(!inspect.contains(".error="), "healthy fleet: {inspect}");
-    // One `shard<N>.<key>=<value>` per line: no key escapes its shard.
-    for line in inspect.lines() {
-        let (shard, rest) = line.split_once('.').unwrap_or_else(|| panic!("{line}"));
-        assert!(["shard0", "shard1"].contains(&shard), "{line}");
-        assert_eq!(rest.matches('=').count(), 1, "{line}");
-        assert!(!rest.starts_with('='), "{line}");
-    }
 
     // SLOW: a traced + correlated query lands with its id and the
     // owning-shard attribution.

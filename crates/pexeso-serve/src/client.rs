@@ -321,14 +321,6 @@ impl ServeClient {
         self.text(&Request::SlowLog, "SLOW")
     }
 
-    /// Index introspection: per-partition column/vector counts, postings
-    /// and cell-occupancy histograms, pivot spread, and delta-overlay
-    /// depth as `key=value` text (the `INSPECT` verb). A router
-    /// answers with every shard's report, keys prefixed `shardN.`.
-    pub fn inspect_text(&self) -> ClientResult<String> {
-        self.text(&Request::Inspect, "INSPECT")
-    }
-
     /// Liveness/readiness summary as `key=value` text (the `HEALTH`
     /// verb): `status=ready|degraded|draining` plus supporting detail. A
     /// router rolls every shard's replica set into one fleet answer.

@@ -187,12 +187,34 @@ impl<H> ConnHandle<H> {
 }
 
 /// Bind `addr` (port 0 for an ephemeral test port) and spawn the acceptor
-/// plus `config.workers` worker threads serving `handler`.
+/// plus `config.workers` worker threads serving `handler`. Refuses,
+/// before binding, a queue that would turn every connection away: a
+/// capacity of 0, or a soft watermark outside `1..queue_capacity`.
 pub fn serve<H: Handler>(
     addr: impl ToSocketAddrs,
     config: ConnConfig,
     handler: H,
 ) -> std::io::Result<ConnHandle<H>> {
+    let capacity = config.queue_capacity;
+    let refusal = if capacity == 0 {
+        Some("queue capacity 0 is out of range: it must be at least 1".to_string())
+    } else {
+        config
+            .queue_soft_watermark
+            .filter(|soft| !(1..capacity).contains(soft))
+            .map(|soft| {
+                format!(
+                    "soft queue watermark {soft} is out of range: it must be at least 1 \
+                     and below the queue capacity {capacity}"
+                )
+            })
+    };
+    if let Some(message) = refusal {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            message,
+        ));
+    }
     let listener = TcpListener::bind(addr)?;
     let workers = config.workers.max(1);
     let core = Arc::new(Core {

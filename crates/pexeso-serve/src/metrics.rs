@@ -8,9 +8,11 @@
 //! exposition (`# TYPE`/`# HELP`, `_bucket`/`_sum`/`_count` series and
 //! p50/p99 gauges) behind the `METRICS` verb — the one counter plane of
 //! both daemon tiers, written through [`PromText`] and scrapeable by a
-//! stock Prometheus. The in-repo [`validate_prometheus`] checker keeps
-//! the format honest without a new dependency; [`stat_value`] reads one
-//! sample back.
+//! stock Prometheus. A shard daemon's scrape also carries its index
+//! shape ([`render_inspection_prometheus`]: one labelled sample per
+//! partition, no second text rendering). The in-repo
+//! [`validate_prometheus`] checker keeps the format honest without a new
+//! dependency; [`stat_value`] reads one sample back.
 //!
 //! The daemon also keeps a [`SlowQueryLog`]: a small slowest-N ring of
 //! traced requests (fed by the `--metrics-sample-rate` sampler) dumped by
@@ -24,6 +26,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pexeso_core::hist::{self, bucket_upper_bound, AtomicHistogram, HistSnapshot, NUM_BUCKETS};
+use pexeso_core::inspect::{IndexInspection, PartitionInspection};
 
 use crate::cache::CacheStats;
 use crate::conn::{lock_unpoisoned, ConnCounters};
@@ -65,7 +68,7 @@ pub struct ServerMetrics {
     pub search: EndpointMetrics,
     pub topk: EndpointMetrics,
     pub info: EndpointMetrics,
-    /// METRICS/SLOW/INSPECT/HEALTH.
+    /// METRICS/SLOW/HEALTH.
     pub admin: EndpointMetrics,
     pub reload: EndpointMetrics,
     /// Delta APPLY latency (ingest → published snapshot) rides on this
@@ -420,38 +423,62 @@ impl PromText {
     }
 }
 
-/// The introspection plane's Prometheus families: structural index
-/// gauges plus the two cell-shape histograms, appended to the `METRICS`
-/// scrape by the daemon (per generation — the underlying walk is
+/// The index-shape families of the `METRICS` scrape: per partition
+/// (label `partition="i"`) the structural gauges and the pivot-spread
+/// width, and over every partition the two cell-shape histograms and the
+/// delta overlay's depth. A whole-deployment total is their `sum()`.
+/// Appended by the shard daemon per generation (the underlying walk is
 /// memoised snapshot-side). Passes [`validate_prometheus`].
-pub fn render_inspection_prometheus(insp: &pexeso_core::inspect::IndexInspection) -> String {
+pub fn render_inspection_prometheus(insp: &IndexInspection) -> String {
+    type Pick = fn(&PartitionInspection) -> u64;
     let mut out = PromText::with_capacity(2048);
-    let (columns, deleted, vectors, cells, postings) = insp.totals();
-    out.gauge(
-        "pexeso_index_columns",
-        "Columns indexed across every partition (tombstoned included).",
-        columns as f64,
+    for (name, help, pick) in [
+        (
+            "pexeso_index_columns",
+            "Columns indexed, per partition (tombstoned included).",
+            (|p| p.columns) as Pick,
+        ),
+        (
+            "pexeso_index_deleted_columns",
+            "Tombstoned columns awaiting compaction, per partition.",
+            |p| p.deleted_columns,
+        ),
+        (
+            "pexeso_index_vectors",
+            "Repository vectors indexed, per partition.",
+            |p| p.vectors,
+        ),
+        (
+            "pexeso_index_cells",
+            "Non-empty leaf cells of the repository grid, per partition.",
+            |p| p.cells,
+        ),
+        (
+            "pexeso_index_postings",
+            "Inverted-index postings entries, per partition.",
+            |p| p.postings,
+        ),
+    ] {
+        let samples = insp.partitions.iter().map(pick).enumerate();
+        out.labelled(name, help, "gauge", "partition", samples);
+    }
+    let spread = "pexeso_index_pivot_spread";
+    out.family(
+        spread,
+        "Narrowest, widest and mean pivot coordinate width, per partition.",
+        "gauge",
     );
-    out.gauge(
-        "pexeso_index_deleted_columns",
-        "Tombstoned columns awaiting compaction.",
-        deleted as f64,
-    );
-    out.gauge(
-        "pexeso_index_vectors",
-        "Repository vectors indexed across every partition.",
-        vectors as f64,
-    );
-    out.gauge(
-        "pexeso_index_cells",
-        "Non-empty leaf cells of the repository grid.",
-        cells as f64,
-    );
-    out.gauge(
-        "pexeso_index_postings",
-        "Total inverted-index postings entries.",
-        postings as f64,
-    );
+    for (i, p) in insp.partitions.iter().enumerate() {
+        if let Some(w) = p.pivot_width() {
+            for (stat, value) in [("min", w.min), ("max", w.max), ("mean", w.mean)] {
+                out.sample(
+                    spread,
+                    &[("partition", &i), ("stat", &stat)],
+                    f64::from(value),
+                );
+            }
+        }
+    }
     out.gauge(
         "pexeso_index_delta_vectors",
         "Vectors living in the delta overlay (unindexed by the base).",
@@ -1015,23 +1042,56 @@ mod tests {
 
     #[test]
     fn inspection_prometheus_renders_valid() {
-        use pexeso_core::inspect::{IndexInspection, PartitionInspection};
+        use pexeso_core::inspect::PivotSpread;
         let mut insp = IndexInspection::default();
-        insp.partitions.push(PartitionInspection {
-            columns: 10,
-            vectors: 100,
-            cells: 7,
-            postings: 12,
-            ..Default::default()
-        });
-        insp.delta_columns = 2;
+        for columns in [10, 3] {
+            insp.partitions.push(PartitionInspection {
+                columns,
+                vectors: 100,
+                cells: 7,
+                postings: 12,
+                ..Default::default()
+            });
+        }
+        insp.partitions[1].pivot_spread = vec![
+            PivotSpread {
+                min: 0.0,
+                max: 1.0,
+                mean: 0.5,
+            },
+            PivotSpread {
+                min: 1.0,
+                max: 4.0,
+                mean: 2.0,
+            },
+        ];
         insp.delta_vectors = 20;
         let text = render_inspection_prometheus(&insp);
         validate_prometheus(&text).unwrap();
         assert!(text.contains("# TYPE pexeso_index_columns gauge"));
-        assert!(text.contains("pexeso_index_columns 10"));
-        assert!(text.contains("pexeso_index_delta_vectors 20"));
         assert!(text.contains("# TYPE pexeso_index_postings_length histogram"));
+        for (series, value) in [
+            ("pexeso_index_columns{partition=\"0\"}", 10.0),
+            ("pexeso_index_columns{partition=\"1\"}", 3.0),
+            ("pexeso_index_delta_vectors", 20.0),
+            (
+                "pexeso_index_pivot_spread{partition=\"1\",stat=\"min\"}",
+                1.0,
+            ),
+            (
+                "pexeso_index_pivot_spread{partition=\"1\",stat=\"max\"}",
+                3.0,
+            ),
+            (
+                "pexeso_index_pivot_spread{partition=\"1\",stat=\"mean\"}",
+                2.0,
+            ),
+        ] {
+            assert_eq!(stat_value(&text, series), Some(value), "{series}");
+        }
+        // No unlabelled totals, and no spread for a partition without pivots.
+        assert_eq!(stat_value(&text, "pexeso_index_columns"), None);
+        assert!(!text.contains("pivot_spread{partition=\"0\""), "{text}");
     }
 
     /// Offer an uncorrelated entry of `us` microseconds.

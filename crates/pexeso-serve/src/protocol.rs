@@ -37,12 +37,11 @@
 //! | `ApplyDelta` | `APPLY` | 6 | shard: `opt u32` |
 //! | `Metrics` | `METRICS` | 8 | — |
 //! | `SlowLog` | `SLOW` | 9 | — |
-//! | `Inspect` | `INSPECT` | 10 | — |
 //! | `Health` | `HEALTH` | 11 | — |
 //! | `Drain` | `DRAIN` | 12 | addr: `str`, drained: `bool` |
 //!
-//! Verb bytes 3 (`STATS`) and 7 (`BATCH`) are retired: they decode as
-//! `unknown verb`.
+//! Verb bytes 3 (`STATS`), 7 (`BATCH`) and 10 (`INSPECT`) are retired:
+//! they decode as `unknown verb`.
 //!
 //! *query* = [`Query`]'s fields and the query column in wire order:
 //! metric (`str`, empty = `None`), τ (tag `0` absolute \| `1` ratio,
@@ -62,7 +61,7 @@
 //! |---|---|---|
 //! | `INFO` | 0 | dim `u32`, generation `u64`, index version `u64`, partitions `u32`, disk bytes `u64` |
 //! | `HITS` | 1 | *hits* |
-//! | `TEXT` | 2 | text: `str` (answers METRICS/SLOW/INSPECT/HEALTH/DRAIN) |
+//! | `TEXT` | 2 | text: `str` (answers METRICS/SLOW/HEALTH/DRAIN) |
 //! | `RELOADED` | 3 | generation `u64`, partitions `u32` |
 //! | `SHUTTING_DOWN` | 4 | — |
 //! | `APPLIED` | 6 | generation `u64`, delta columns `u64`, tombstones `u64` |
@@ -110,9 +109,6 @@ const VERB_APPLY: u8 = 6;
 const VERB_METRICS: u8 = 8;
 /// Dump the slow-query log (slowest traced requests + phase trees).
 const VERB_SLOW: u8 = 9;
-/// Index-statistics inspection (per-partition shape, postings and
-/// cell-occupancy histograms, delta overlay depth) as text.
-const VERB_INSPECT: u8 = 10;
 /// Readiness/health probe (ready/degraded/draining, generation, queue
 /// facts; the router rolls shard replica health into one answer).
 const VERB_HEALTH: u8 = 11;
@@ -200,9 +196,6 @@ pub enum Request {
     /// `None`. A shard daemon ignores the field (it owns exactly one
     /// deployment).
     ApplyDelta { shard: Option<u32> },
-    /// Index-statistics inspection as `key=value` text (per-partition
-    /// shape, postings/cell-occupancy histograms, delta overlay depth).
-    Inspect,
     /// Readiness probe — `status=ready|degraded|draining` plus
     /// generation and queue facts; the router answers with the fleet
     /// roll-up.
@@ -284,7 +277,7 @@ pub struct HitsReply {
 pub enum Reply {
     Info(InfoReply),
     Hits(HitsReply),
-    /// The body of a text verb: METRICS, SLOW, INSPECT, HEALTH, DRAIN.
+    /// The body of a text verb: METRICS, SLOW, HEALTH, DRAIN.
     Text {
         text: String,
     },
@@ -749,7 +742,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Query { query, vectors } => put_query(&mut w, query, vectors),
         Request::Metrics => w.u8(VERB_METRICS),
         Request::SlowLog => w.u8(VERB_SLOW),
-        Request::Inspect => w.u8(VERB_INSPECT),
         Request::Health => w.u8(VERB_HEALTH),
         Request::Drain { addr, drained } => {
             w.u8(VERB_DRAIN);
@@ -794,7 +786,6 @@ pub fn decode_request(payload: &[u8]) -> WireResult<Request> {
         }
         VERB_METRICS => Request::Metrics,
         VERB_SLOW => Request::SlowLog,
-        VERB_INSPECT => Request::Inspect,
         VERB_HEALTH => Request::Health,
         VERB_DRAIN => Request::Drain {
             addr: r.str(4096)?,
@@ -1014,7 +1005,6 @@ mod tests {
             Request::ApplyDelta { shard: None },
             Request::Metrics,
             Request::SlowLog,
-            Request::Inspect,
             Request::Health,
             Request::Drain {
                 addr: "a:1".into(),
@@ -1275,7 +1265,6 @@ mod tests {
              50585356 08 06  01 02000000;
              50585356 08 08;
              50585356 08 09;
-             50585356 08 0a;
              50585356 08 0b;
              50585356 08 0c  03000000 613a31  01;",
         );
@@ -1424,8 +1413,9 @@ mod tests {
             };
             assert_eq!(msg, format!("unknown reply kind {kind}"));
         }
-        // So are the retired verbs 3 and 7, under this build's own version.
-        for verb in [3u8, 7] {
+        // So are the retired verbs 3, 7 and 10, under this build's own
+        // version.
+        for verb in [3u8, 7, 10] {
             let mut bytes = encode_request(&Request::Info);
             bytes[5] = verb;
             let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {

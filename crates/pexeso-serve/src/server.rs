@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pexeso_core::error::Result;
+use pexeso_core::error::{PexesoError, Result};
 use pexeso_core::fault;
 use pexeso_core::inspect::IndexInspection;
 use pexeso_core::log::{self as plog, LogLevel, Value};
@@ -39,7 +39,8 @@ use crate::snapshot::{Snapshot, SnapshotCell};
 pub struct ServeConfig {
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Accepted connections waiting for a worker before BUSY kicks in.
+    /// Accepted connections waiting for a worker before BUSY kicks in
+    /// (at least 1).
     pub queue_capacity: usize,
     /// Total result-cache entries (0 disables caching).
     pub cache_capacity: usize,
@@ -49,8 +50,9 @@ pub struct ServeConfig {
     /// Soft queue watermark: when the connection queue reaches this
     /// length, every other new connection is shed with a typed
     /// [`Reply::Shed`] — degradation begins *before* the hard
-    /// `queue_capacity` limit turns everyone away with BUSY. `None`
-    /// disables early shedding (hard limit only).
+    /// `queue_capacity` limit turns everyone away with BUSY, so it lies
+    /// in `1..queue_capacity`. `None` disables early shedding (hard limit
+    /// only).
     pub queue_soft_watermark: Option<usize>,
     /// Write timeout for the one-frame BUSY/SHED rejection on the
     /// acceptor thread. A slow-reading (or malicious) rejected peer must
@@ -58,7 +60,7 @@ pub struct ServeConfig {
     pub reject_write_timeout: Duration,
     /// Fraction of *untraced* search/topk requests the server traces on
     /// its own initiative to feed the slow-query log (`0.0` = never,
-    /// `1.0` = every one). Sampling is a deterministic 1-in-N counter,
+    /// `1.0` = every one; nothing outside `[0, 1]`). Sampling is a deterministic 1-in-N counter,
     /// not a coin flip, so a test at rate 1.0 sees every request and a
     /// production daemon at 0.01 pays the trace cost on exactly one
     /// request in a hundred. Client-requested traces are always honoured
@@ -87,13 +89,11 @@ impl Default for ServeConfig {
 /// Result-cache shards.
 const CACHE_SHARDS: usize = 8;
 
-/// The 1-in-N sampling stride a rate maps to: `0` = never, else trace
-/// every `N`-th untraced request.
+/// The 1-in-N sampling stride a rate in `[0, 1]` maps to: `0` = never,
+/// else trace every `N`-th untraced request.
 fn sample_stride(rate: f64) -> u64 {
-    if rate.is_nan() || rate <= 0.0 {
+    if rate == 0.0 {
         0
-    } else if rate >= 1.0 {
-        1
     } else {
         (1.0 / rate).round() as u64
     }
@@ -112,9 +112,9 @@ pub struct ShardHandler {
     /// sampler (`sample_stride` of the configured rate; 0 = off).
     sample_seq: AtomicU64,
     sample_every: u64,
-    /// The `INSPECT` walk is a full pass over every resident partition;
-    /// memoise it per generation so repeated scrapes (text verb and the
-    /// Prometheus gauges) pay it once per publish.
+    /// The index-shape walk behind METRICS' `pexeso_index_*` families is
+    /// a full pass over every resident partition; memoise it per
+    /// generation so repeated scrapes pay it once per publish.
     inspection: Mutex<Option<(u64, Arc<IndexInspection>)>>,
 }
 
@@ -124,11 +124,18 @@ pub struct Server;
 impl Server {
     /// Open `index_dir` as the first snapshot, bind `addr` (use port 0 for
     /// an ephemeral test port), and spawn the acceptor + worker threads.
+    /// A sample rate outside `[0, 1]` (NaN included) is refused first.
     pub fn start(
         index_dir: &Path,
         addr: impl ToSocketAddrs,
         config: ServeConfig,
     ) -> Result<ServerHandle> {
+        let rate = config.metrics_sample_rate;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(PexesoError::InvalidParameter(format!(
+                "metrics sample rate {rate} is out of range: it must be in [0, 1]"
+            )));
+        }
         let snapshot = SnapshotCell::open(index_dir)?;
         let conn = ConnConfig {
             component: "serve",
@@ -166,7 +173,7 @@ impl Handler for ShardHandler {
                 QueryMode::Topk(_) => &m.topk,
             },
             Request::Info => &m.info,
-            Request::Metrics | Request::Inspect | Request::Health | Request::SlowLog => &m.admin,
+            Request::Metrics | Request::Health | Request::SlowLog => &m.admin,
             Request::Reload { .. } => &m.reload,
             Request::ApplyDelta { .. } => &m.apply,
             Request::Drain { .. } | Request::Shutdown => return None,
@@ -197,17 +204,11 @@ impl Handler for ShardHandler {
                     &self.cache.stats(),
                     &snap,
                 );
-                // The introspection plane rides the same scrape: structural
-                // index gauges + cell-shape histograms per generation.
+                // The index shape rides the same scrape: per-partition
+                // gauges + cell-shape histograms, walked once per generation.
                 text.push_str(&crate::metrics::render_inspection_prometheus(
                     &self.inspection_of(&snap),
                 ));
-                Reply::Text { text }
-            }
-            Request::Inspect => {
-                let snap = self.snapshot.current();
-                let mut text = format!("generation={}\n", snap.generation());
-                text.push_str(&self.inspection_of(&snap).render_text());
                 Reply::Text { text }
             }
             Request::Health => Reply::Text {
@@ -256,7 +257,7 @@ impl Handler for ShardHandler {
                 // clear them so fresh queries see the new overlay. The fault
                 // point arms a deterministic window for kill-mid-APPLY tests.
                 match fault::check("serve.apply")
-                    .map_err(pexeso_core::error::PexesoError::Io)
+                    .map_err(PexesoError::Io)
                     .and_then(|()| self.snapshot.apply_delta())
                 {
                     Ok(fresh) => {
@@ -467,13 +468,41 @@ fn log_query_done(query: &Query, cached: bool, hits: usize, generation: u64, lat
 mod tests {
     use super::*;
 
+    /// A sample rate outside `[0, 1]` is refused before the deployment is
+    /// even opened (here it does not exist); 0 and 1 get as far as that.
+    #[test]
+    fn a_sample_rate_outside_the_unit_interval_is_refused() {
+        let missing =
+            std::env::temp_dir().join(format!("pexeso_no_deployment_{}", std::process::id()));
+        let start = |rate: f64| {
+            let config = ServeConfig {
+                metrics_sample_rate: rate,
+                ..ServeConfig::default()
+            };
+            match Server::start(&missing, "127.0.0.1:0", config) {
+                Ok(_) => panic!("served a missing deployment"),
+                Err(e) => e.to_string(),
+            }
+        };
+        for rate in [f64::NAN, -1.0, 1.5, 7.0] {
+            let err = start(rate);
+            assert!(
+                err.contains(&format!(
+                    "metrics sample rate {rate} is out of range: it must be in [0, 1]"
+                )),
+                "{err}"
+            );
+        }
+        for rate in [0.0, 1.0] {
+            let err = start(rate);
+            assert!(!err.contains("sample rate"), "{err}");
+        }
+    }
+
     #[test]
     fn sample_stride_maps_rates_to_strides() {
         assert_eq!(sample_stride(0.0), 0, "0 disables sampling");
-        assert_eq!(sample_stride(-1.0), 0, "negative rates disable");
-        assert_eq!(sample_stride(f64::NAN), 0, "NaN disables");
         assert_eq!(sample_stride(1.0), 1, "1.0 samples everything");
-        assert_eq!(sample_stride(2.5), 1, ">1 clamps to everything");
         assert_eq!(sample_stride(0.5), 2);
         assert_eq!(sample_stride(0.01), 100);
         assert_eq!(sample_stride(0.001), 1000);

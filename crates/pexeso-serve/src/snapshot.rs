@@ -130,7 +130,8 @@ impl Snapshot {
     /// Structural statistics of the whole served deployment — every
     /// resident partition walked read-only, its dropped columns counted
     /// off its dead mask, plus the delta overlay's depth — for the
-    /// `INSPECT` verb (see [`pexeso_core::inspect`]).
+    /// `pexeso_index_*` families of the METRICS scrape (see
+    /// [`pexeso_core::inspect`]).
     pub fn inspect(&self) -> pexeso_core::inspect::IndexInspection {
         let partitions = self.units.iter().zip(&self.dead).map(|(unit, dead)| {
             pexeso_core::inspect::PartitionInspection {
@@ -141,9 +142,7 @@ impl Snapshot {
         let overlay = self.lake.overlay();
         pexeso_core::inspect::IndexInspection {
             partitions: partitions.collect(),
-            delta_columns: overlay.n_delta_columns() as u64,
             delta_vectors: overlay.n_delta_vectors() as u64,
-            delta_tombstones: overlay.n_tombstones() as u64,
             delta_records: overlay.n_records() as u64,
         }
     }
@@ -248,6 +247,7 @@ impl SnapshotCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pexeso_core::inspect::PartitionInspection;
     use pexeso_core::prelude::*;
 
     #[test]
@@ -335,8 +335,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// INSPECT counts the base columns a dropped table owns, from the
-    /// moment the drop is applied.
+    /// The inspection counts the base columns a dropped table owns, from
+    /// the moment the drop is applied.
     #[test]
     fn inspect_counts_the_columns_of_a_dropped_table() {
         let dir = std::env::temp_dir().join(format!("pexeso_snap_inspect_{}", std::process::id()));
@@ -359,14 +359,15 @@ mod tests {
         .unwrap();
         LakeManifest::new("test", 2).write(&dir).unwrap();
         let cell = SnapshotCell::open(&dir).unwrap();
-        assert_eq!(cell.current().inspect().totals().1, 0);
+        let sum = |snap: &Snapshot, pick: fn(&PartitionInspection) -> u64| {
+            snap.inspect().partitions.iter().map(pick).sum::<u64>()
+        };
+        assert_eq!(sum(&cell.current(), |p| p.deleted_columns), 0);
 
         pexeso_delta::drop_tables(&dir, &["a".to_string()]).unwrap();
-        let inspection = cell.apply_delta().unwrap().inspect();
-        assert_eq!(inspection.totals().0, 5);
-        assert_eq!(inspection.totals().1, 3);
-        let text = inspection.render_text();
-        assert!(text.contains("\ndeleted_columns=3\n"), "{text}");
+        let snap = cell.apply_delta().unwrap();
+        assert_eq!(sum(&snap, |p| p.columns), 5);
+        assert_eq!(sum(&snap, |p| p.deleted_columns), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

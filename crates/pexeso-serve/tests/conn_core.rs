@@ -3,7 +3,8 @@
 //! version, frames over the cap in either direction), shutdown and panic
 //! isolation, pinned once here instead of once per daemon.
 
-use std::net::TcpStream;
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -21,7 +22,7 @@ use pexeso_serve::{ClientError, ServeClient};
 /// Echoes a query frame back as an empty exact `HITS` whose generation is
 /// the column's dimension (through the shared `answer_query` plumbing),
 /// answers `METRICS` with the core's counters
-/// and `INSPECT` with a text one byte too long to frame, and — when armed
+/// and `SLOW` with a text one byte too long to frame, and — when armed
 /// — panics on its first request.
 #[derive(Default)]
 struct Echo {
@@ -54,7 +55,7 @@ impl Handler for Echo {
                 out.counter("errors", "Request errors.", load(&self.endpoint.errors));
                 Reply::Text { text: out.finish() }
             }
-            Request::Inspect => Reply::Text {
+            Request::SlowLog => Reply::Text {
                 text: "x".repeat(MAX_FRAME_BYTES as usize),
             },
             Request::Shutdown => Reply::ShuttingDown,
@@ -205,6 +206,40 @@ fn soft_band_sheds_every_other_arrival_and_busy_stays_reachable() {
     handle.shutdown();
 }
 
+/// A queue that would turn every connection away — no capacity, or a
+/// soft watermark that sheds from an empty queue or never before BUSY —
+/// is refused before the core binds: the address is held by another
+/// listener, so a bind would have failed with `AddrInUse` instead.
+#[test]
+fn a_queue_that_turns_every_connection_away_is_refused_before_binding() {
+    let held = TcpListener::bind("127.0.0.1:0").unwrap();
+    let below = "is out of range: it must be at least 1 and below the queue capacity";
+    for (queue_capacity, soft, refusal) in [
+        (
+            0,
+            None,
+            "queue capacity 0 is out of range: it must be at least 1".to_string(),
+        ),
+        (8, Some(0), format!("soft queue watermark 0 {below} 8")),
+        (8, Some(8), format!("soft queue watermark 8 {below} 8")),
+        (1, Some(1), format!("soft queue watermark 1 {below} 1")),
+    ] {
+        let config = ConnConfig {
+            component: "conntest",
+            workers: 1,
+            queue_capacity,
+            queue_soft_watermark: soft,
+            read_timeout: None,
+            reject_write_timeout: Duration::from_millis(100),
+        };
+        let Err(err) = serve(held.local_addr().unwrap(), config, Echo::default()) else {
+            panic!("queue {queue_capacity}, soft {soft:?} was served");
+        };
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert_eq!(err.to_string(), refusal);
+    }
+}
+
 #[test]
 fn queue_wait_is_charged_to_the_first_request_only() {
     let handle = start(1, 8, None, Echo::default());
@@ -286,7 +321,7 @@ fn the_retired_stats_verb_gets_one_refusal_naming_it_then_a_hang_up() {
 fn a_reply_over_the_frame_cap_becomes_a_typed_error_on_a_live_connection() {
     let handle = start(1, 8, None, Echo::default());
     let mut peer = Peer::connect(&handle);
-    match peer.call(&Request::Inspect) {
+    match peer.call(&Request::SlowLog) {
         Reply::Err { message } => assert!(message.contains("exceeds the frame cap"), "{message}"),
         other => panic!("expected a typed error, got {other:?}"),
     }

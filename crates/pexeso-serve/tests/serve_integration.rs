@@ -828,38 +828,60 @@ fn inspect_health_and_correlated_slow_log_over_loopback() {
     let handle = Server::start(&dir, "127.0.0.1:0", config).unwrap();
     let client = ServeClient::connect(handle.addr()).unwrap();
 
-    // INSPECT: the structural statistics of the live snapshot, stamped
-    // with the generation that produced them.
-    let inspect = client.inspect_text().unwrap();
-    assert!(inspect.starts_with("generation=1\n"), "{inspect}");
-    for key in [
-        "partitions=",
-        "columns=8",
-        "vectors=",
-        "cells=",
-        "postings_len.p50=",
-        "partition0.pivot_spread.mean=",
-        "delta_columns=0",
-    ] {
-        assert!(inspect.contains(key), "missing {key} in:\n{inspect}");
-    }
-    for line in inspect.lines() {
-        assert_eq!(
-            line.matches('=').count(),
-            1,
-            "one key=value per line: {line}"
-        );
-    }
-
-    // The same numbers ride the METRICS exposition as gauges and
-    // histograms, and the whole exposition stays schema-valid.
+    // METRICS carries the index shape of the live snapshot: every
+    // partition's structural gauges and pivot-spread width as one
+    // labelled sample each, and the two cell-shape histograms over every
+    // partition, all equal to the snapshot's own inspection.
     let metrics = scrape(&client);
-    for family in [
-        "pexeso_index_columns 8",
-        "pexeso_index_vectors",
-        "# TYPE pexeso_index_postings_length histogram",
+    let inspection = SnapshotCell::open(&dir).unwrap().current().inspect();
+    assert!(inspection.partitions.len() > 1);
+    let once = |series: &str| {
+        let lines = metrics
+            .lines()
+            .filter(|l| l.rsplit_once(' ').is_some_and(|(s, _)| s == series));
+        assert_eq!(lines.count(), 1, "{series} in:\n{metrics}");
+        stat_value(&metrics, series)
+    };
+    for (i, p) in inspection.partitions.iter().enumerate() {
+        let width = p.pivot_width().unwrap();
+        for (name, value) in [
+            ("columns", p.columns as f64),
+            ("deleted_columns", p.deleted_columns as f64),
+            ("vectors", p.vectors as f64),
+            ("cells", p.cells as f64),
+            ("postings", p.postings as f64),
+        ] {
+            let series = format!("pexeso_index_{name}{{partition=\"{i}\"}}");
+            assert_eq!(once(&series), Some(value), "{series}");
+        }
+        for (stat, value) in [("min", width.min), ("max", width.max), ("mean", width.mean)] {
+            let series = format!("pexeso_index_pivot_spread{{partition=\"{i}\",stat=\"{stat}\"}}");
+            assert_eq!(once(&series), Some(f64::from(value)), "{series}");
+        }
+    }
+    let columns = |i: usize| {
+        stat_value(
+            &metrics,
+            &format!("pexeso_index_columns{{partition=\"{i}\"}}"),
+        )
+    };
+    let total: f64 = (0..inspection.partitions.len())
+        .map(|i| columns(i).unwrap())
+        .sum();
+    assert_eq!(total, 8.0);
+    assert_eq!(
+        stat_value(&metrics, "pexeso_index_columns"),
+        None,
+        "no unlabelled total"
+    );
+    for (name, hist) in [
+        ("postings_length", inspection.postings_len()),
+        ("cell_occupancy", inspection.cell_occupancy()),
     ] {
-        assert!(metrics.contains(family), "missing {family} in:\n{metrics}");
+        let series = format!("pexeso_index_{name}_count");
+        assert_eq!(once(&series), Some(hist.count as f64), "{series}");
+        let series = format!("pexeso_index_{name}_sum");
+        assert_eq!(once(&series), Some(hist.sum as f64), "{series}");
     }
 
     // HEALTH: an idle daemon is ready; DRAIN is refused (router verb).

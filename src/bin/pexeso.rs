@@ -7,7 +7,7 @@
 //! pexeso compact --index <index-dir> [--partitions N] [--policy seq|par|par:N]
 //! pexeso serve   --index <index-dir> [--addr 127.0.0.1:7878 | --port <p>] [--workers 4] [--queue 64] [--soft-queue <n>] [--cache 4096] [--metrics-sample-rate 0.01] [--slow-log 8] [--log <level>] [--fault-profile <spec>]
 //! pexeso query   (--index <index-dir> | --addr <host:port>[,<host:port>...]) --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k <k>] [--policy ...] [--budget <n>] [--deadline-ms <ms>] [--trace] [--explain]
-//! pexeso query   --addr <host:port> --metrics | --slow | --health | --inspect | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
+//! pexeso query   --addr <host:port> --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown
 //! pexeso shard-plan  --index <index-dir> --shards <n>
 //! pexeso shard-split --index <index-dir> --shards <n> --out <dir>
 //! pexeso router  --map <shardmap.txt> [--addr 127.0.0.1:7900 | --port <p>] [--workers 4] [--queue 64] [--log <level>]
@@ -51,10 +51,11 @@
 //! against a daemon the server-side trace is requested over the wire and
 //! merged with the client's attempt timeline. `query --metrics` scrapes
 //! every counter of a daemon or router as Prometheus text (p50/p99
-//! gauges included), `query --slow` dumps the slow-query log,
+//! gauges included; a daemon adds its index shape per partition),
+//! `query --slow` dumps the slow-query log,
 //! and `serve --metrics-sample-rate` self-samples traces into that log.
 //! `query --explain` runs the query with the plan plane on and prints the
-//! candidate funnel; `query --inspect` dumps index statistics; `query --health`
+//! candidate funnel; `query --health`
 //! reports readiness (a router rolls its shards into one fleet answer,
 //! steerable with `--drain`/`--undrain`). `serve --log`/`router --log`
 //! turn on JSON-lines structured logging on stderr; traced and explained
@@ -150,7 +151,6 @@ const QUERY_FLAGS: &[FlagSpec] = &[
     switch("metrics"),
     switch("slow"),
     switch("health"),
-    switch("inspect"),
     switch("reload"),
     switch("apply"),
     switch("shutdown"),
@@ -186,7 +186,7 @@ fn usage_text(cmd: &str) -> &'static str {
         }
         "query" => {
             "pexeso query (--index <index-dir> | --addr <host:port>[,<host:port>...]) --query <csv> [--column <name>] [--tau 0.06] [--t 0.5 | --k <k>] [--policy seq|par|par:N] [--budget <max-distances>] [--deadline-ms <ms>] [--trace] [--explain]\n\
-             pexeso query --addr <host:port> --metrics | --slow | --health | --inspect | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
+             pexeso query --addr <host:port> --metrics | --slow | --health | --drain <replica> | --undrain <replica> | --reload [--reload-dir <dir>] | --apply [--shard N] | --shutdown"
         }
         "shard-plan" => "pexeso shard-plan --index <index-dir> --shards <n>",
         "shard-split" => "pexeso shard-split --index <index-dir> --shards <n> --out <dir>",
@@ -793,7 +793,6 @@ fn cmd_query(flags: &HashMap<String, String>) -> CliResult<()> {
         "metrics",
         "slow",
         "health",
-        "inspect",
         "drain",
         "undrain",
         "shutdown",
@@ -934,8 +933,6 @@ fn run_admin_verb(
         }
     } else if flags.contains_key("health") {
         client.health_text().map_err(|e| e.to_string())?
-    } else if flags.contains_key("inspect") {
-        client.inspect_text().map_err(|e| e.to_string())?
     } else if let Some(replica) = flags.get("drain") {
         client.drain(replica, true).map_err(|e| e.to_string())?
     } else if let Some(replica) = flags.get("undrain") {

@@ -179,10 +179,18 @@ fn local_and_served_queries_print_the_same_answer() {
         assert_eq!(funnel(&local), funnel(&served), "{local}\n{served}");
     }
 
-    let inspect = run(&["query", "--addr", &daemon.addr, "--inspect"]);
-    assert!(inspect.contains("generation="), "{inspect}");
+    // The index shape rides METRICS; the INSPECT verb is retired.
+    let metrics = run(&["query", "--addr", &daemon.addr, "--metrics"]);
+    assert!(
+        metrics.contains("pexeso_index_vectors{partition=\"0\"} "),
+        "{metrics}"
+    );
+    let retired = pexeso(&["query", "--addr", &daemon.addr, "--inspect"]);
+    assert_eq!(retired.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&retired.stderr);
+    assert!(stderr.contains("unknown flag --inspect"), "{stderr}");
     // An admin verb needs a daemon or router to ask.
-    let refused = pexeso(&["query", "--index", idx_s, "--inspect"]);
+    let refused = pexeso(&["query", "--index", idx_s, "--metrics"]);
     assert_eq!(refused.status.code(), Some(1));
     drop(daemon);
     std::fs::remove_dir_all(&root).ok();
