@@ -6,17 +6,19 @@
 //! at step `|Q| − T + 1` — the case the cheapest-first schedule and the
 //! by-live-column cell enumeration exist for. Each run prints ms per run,
 //! the distance computations and a wall-clock per distance computation, so
-//! kernel work can be separated from loop bookkeeping when tuning; the
-//! second also prints what the schedule saves before any distance is
-//! computed: the candidate rows under the first `|Q| − T + 1` query vectors
-//! in input order and in schedule order, read off the blocked output.
+//! kernel work can be separated from loop bookkeeping when tuning, and the
+//! candidate ⟨query vector, cell⟩ pairs the apex bound excluded before the
+//! scan (`apex_excluded_pairs`). The second also prints what the schedule
+//! saves before any distance is computed: the candidate rows under the
+//! first `|Q| − T + 1` query vectors in input order and in schedule order,
+//! read off the blocked output before the apex bound drops any cell.
 //!
 //! Run with: `cargo run --release -p pexeso-bench --example verify_profile`
 
 use pexeso::prelude::*;
 use pexeso_core::block::{block, quick_browse, BlockOutput};
 use pexeso_core::grid::{GridParams, HierarchicalGrid};
-use pexeso_core::invindex::InvertedIndex;
+use pexeso_core::invindex::{InvertedIndex, SimplexBase};
 use pexeso_core::mapping::MappedVectors;
 use pexeso_core::pivot::select_pivots;
 use pexeso_core::util::FastMap;
@@ -93,7 +95,8 @@ fn prepare(lake: Vec<Vec<Vec<f32>>>, query_vecs: Vec<Vec<f32>>) -> Prepared {
     let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
     let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
     let vec_col = columns.vector_to_column();
-    let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col).unwrap();
+    let base = SimplexBase::of(&pivots, &metric);
+    let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col, base).unwrap();
     let mut stats = SearchStats::new();
     let mut seeded = FastMap::default();
     let handled = quick_browse(&hgq, &inv, &mut seeded, &mut stats);
@@ -152,6 +155,7 @@ fn profile(label: &str, p: &Prepared, t_abs: usize, flags: LemmaFlags) -> Search
     println!("{label}:");
     println!("  ms per run: {:.3}", per_rep.as_secs_f64() * 1e3);
     println!("  distance_computations: {}", last.distance_computations);
+    println!("  apex_excluded_pairs: {}", last.apex_excluded);
     println!(
         "  ns per distance computation (incl. loop): {:.2}",
         per_rep.as_nanos() as f64 / last.distance_computations as f64
@@ -219,7 +223,7 @@ fn main() {
         cost[*q as usize] = cells
             .iter()
             .filter_map(|&cell| clustered_lake.inv.postings(cell))
-            .map(|postings| postings.vecs.len())
+            .map(|postings| postings.len())
             .sum();
     }
     let head = N_QUERY - t_abs + 1;

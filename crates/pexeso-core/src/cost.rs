@@ -250,7 +250,7 @@ fn bounds_range(
             let Some(postings) = inv.postings(cell) else {
                 continue;
             };
-            for &col in &postings.cols {
+            for &col in postings.cols {
                 let c = col as usize;
                 if c < lo || c >= hi || skip(col) {
                     continue;

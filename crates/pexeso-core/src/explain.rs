@@ -79,7 +79,8 @@ pub struct ExplainReport {
     /// The candidate funnel, outermost stage first.
     pub stages: Vec<FunnelStage>,
     /// Human-readable scalar decisions (quick-browse, budget outcome,
-    /// definite-match counts, the top-k seed, …).
+    /// definite-match counts, the candidate pairs the apex bound
+    /// excluded, the top-k seed, …).
     pub decisions: Vec<String>,
 }
 
@@ -129,6 +130,7 @@ impl ExplainReport {
             "lemma5/6_cell_matches={} lemma2_definite_rows={}",
             stats.cell_pairs_matched, stats.lemma2_matched
         ));
+        decisions.push(format!("apex_excluded_pairs={}", stats.apex_excluded));
         decisions.push(format!(
             "distance_computations={} mapping_distances={}",
             stats.distance_computations, stats.mapping_distances

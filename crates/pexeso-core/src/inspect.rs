@@ -80,7 +80,7 @@ impl PartitionInspection {
         let mut postings = 0u64;
         for (_key, cell) in inv.iter_cells() {
             postings_len.record(cell.cols.len() as u64);
-            cell_occupancy.record(cell.vecs.len() as u64);
+            cell_occupancy.record(cell.len() as u64);
             postings += cell.cols.len() as u64;
         }
         let mut mins = vec![f32::INFINITY; num_pivots];
@@ -171,7 +171,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let inv = InvertedIndex::build(&params, &mapped, &[0, 0, 1]).unwrap();
+        let inv = InvertedIndex::build(&params, &mapped, &[0, 0, 1], None).unwrap();
         (inv, mapped)
     }
 

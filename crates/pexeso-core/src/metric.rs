@@ -75,6 +75,17 @@ pub trait Metric: Send + Sync + Clone + 'static {
 
     /// Short stable name for diagnostics and persistence validation.
     fn name(&self) -> &'static str;
+
+    /// Whether the space is Euclidean, so that a vector's distances to the
+    /// pivots fix its n-simplex apex (Connor et al., "Supermetric search",
+    /// *Information Systems* 80, 2019), whose distance to another apex is
+    /// an exact lower bound on the distance of the two vectors. The
+    /// inverted index then keeps an apex box per leaf cell and the scan
+    /// skips a cell whose box lies beyond τ ([`crate::invindex`]). False
+    /// unless a metric says otherwise.
+    fn simplex_projection(&self) -> bool {
+        false
+    }
 }
 
 /// Euclidean (L2) distance. `max_dist_unit` = 2 for unit vectors.
@@ -98,6 +109,10 @@ impl Metric for Euclidean {
 
     fn name(&self) -> &'static str {
         "euclidean"
+    }
+
+    fn simplex_projection(&self) -> bool {
+        true
     }
 }
 

@@ -72,8 +72,11 @@ pub fn save_index<M: Metric>(index: &PexesoIndex<M>, path: &Path) -> Result<()> 
 
 fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Vec<u8> {
     let store = index.columns().store();
-    let mapped = index.rv_mapped();
-    let floats = store.raw_data().len() + mapped.raw_data().len();
+    // The index holds its mapped coordinates cell by cell; the file keeps
+    // them in vector-id order.
+    let mapped = index.inverted_index().mapped_by_vector();
+    let num_pivots = index.pivots().len();
+    let floats = store.raw_data().len() + mapped.len();
     let mut w = Enc::with_capacity(4 * floats + 4096);
     w.bytes(MAGIC);
     w.str(index.metric().name());
@@ -109,9 +112,9 @@ fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Vec<u8> {
     w.u64(store.len() as u64);
     w.f32s(store.raw_data());
 
-    w.u32(mapped.num_pivots() as u32);
-    w.u64(mapped.len() as u64);
-    w.f32s(mapped.raw_data());
+    w.u32(num_pivots as u32);
+    w.u64(store.len() as u64);
+    w.f32s(&mapped);
 
     let checksum = crc32c(w.as_bytes());
     w.u32(checksum);
@@ -283,7 +286,14 @@ mod tests {
         let a = index.execute(&q, &query).unwrap();
         let b = loaded.execute(&q, &query).unwrap();
         assert_eq!(a.hits, b.hits);
+        assert_eq!(a.stats.distance_computations, b.stats.distance_computations);
         assert_eq!(index.columns().columns(), loaded.columns().columns());
+        // The load lays out the same cell-major rows and apex boxes, and
+        // saving it again writes the same bytes (mapped coordinates in
+        // vector-id order).
+        assert_eq!(index.inverted_index(), loaded.inverted_index());
+        assert!(loaded.inverted_index().apex().is_some());
+        assert_eq!(encode_index(&loaded), std::fs::read(&path).unwrap());
         std::fs::remove_file(&path).ok();
     }
 

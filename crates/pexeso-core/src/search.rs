@@ -16,7 +16,7 @@ use crate::cost::{column_match_bounds, topk_seed};
 use crate::error::{PexesoError, Result};
 use crate::grid::{compute_leaf_keys, GridParams, HierarchicalGrid};
 use crate::inspect::PartitionInspection;
-use crate::invindex::InvertedIndex;
+use crate::invindex::{InvertedIndex, SimplexBase};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -62,9 +62,9 @@ pub struct PexesoIndex<M: Metric> {
     grid_params: GridParams,
     pivots: Vec<Vec<f32>>,
     columns: ColumnSet,
-    rv_mapped: MappedVectors,
-    vec_col: Vec<u32>,
     hgrv: HierarchicalGrid,
+    /// The postings and the cell-major rows: each vector's column and
+    /// pivot coordinates live here and nowhere else.
     inv: InvertedIndex,
     build_time: Duration,
 }
@@ -106,16 +106,19 @@ impl<M: Metric> PexesoIndex<M> {
             )?,
         };
         let grid_params = GridParams::new(pivots.len(), levels, span)?;
-        let vec_col = columns.vector_to_column();
-        let (hgrv, inv) = rv_structures(&grid_params, &rv_mapped, &vec_col, options.exec)?;
+        let (hgrv, inv) = rv_structures(
+            &grid_params,
+            &rv_mapped,
+            &columns,
+            SimplexBase::of(&pivots, &metric),
+            options.exec,
+        )?;
         Ok(Self {
             metric,
             options,
             grid_params,
             pivots,
             columns,
-            rv_mapped,
-            vec_col,
             hgrv,
             inv,
             build_time: started.elapsed(),
@@ -192,10 +195,13 @@ impl<M: Metric> PexesoIndex<M> {
         Ok((query_mapped, blocked))
     }
 
-    /// Append a new column online (Section III-E: O((|P|+m)·|s|) for the
-    /// pivot mapping and grid insertions, O(1) per posting). The appended
+    /// Append a new column online. The pivot mapping and the grid
+    /// insertions cost O((|P|+m)·|s|) (Section III-E), but the inverted
+    /// index lays its cell-major rows out again, which costs O(|RV|) per
+    /// column rather than the paper's O(1) per posting. The appended
     /// vectors must map inside the existing pivot-space span (guaranteed
-    /// for unit-normalised data); otherwise the index must be rebuilt.
+    /// for unit-normalised data); otherwise nothing is appended and the
+    /// index must be rebuilt.
     pub fn append_column<'a>(
         &mut self,
         table_name: &str,
@@ -203,25 +209,36 @@ impl<M: Metric> PexesoIndex<M> {
         external_id: u64,
         vectors: impl IntoIterator<Item = &'a [f32]>,
     ) -> Result<ColumnId> {
+        let vectors: Vec<&[f32]> = vectors.into_iter().collect();
+        let dim = self.columns.dim();
+        if let Some(v) = vectors.iter().find(|v| v.len() != dim) {
+            return Err(PexesoError::DimensionMismatch {
+                expected: dim,
+                got: v.len(),
+            });
+        }
+        let mut mapped = Vec::with_capacity(vectors.len() * self.pivots.len());
+        for v in &vectors {
+            mapped.extend(self.pivots.iter().map(|p| self.metric.dist(v, p)));
+        }
+        if mapped.iter().any(|&c| c > self.grid_params.span) {
+            return Err(PexesoError::InvalidParameter(format!(
+                "appended vector maps outside the pivot space (> {}); rebuild the index",
+                self.grid_params.span
+            )));
+        }
         let col_id = self
             .columns
             .add_column(table_name, column_name, external_id, vectors)?;
-        let meta = self.columns.column(col_id).clone();
-        for vid in meta.vector_range() {
-            let v = self.columns.store().get_raw(vid as usize);
-            let mapped: Vec<f32> = self.pivots.iter().map(|p| self.metric.dist(v, p)).collect();
-            if mapped.iter().any(|&c| c > self.grid_params.span) {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "appended vector maps outside the pivot space (> {}); rebuild the index",
-                    self.grid_params.span
-                )));
-            }
-            self.rv_mapped.push(&mapped)?;
-            let leaf = self.grid_params.leaf_key(&mapped);
+        let first = self.columns.column(col_id).start;
+        let keys: Vec<_> = mapped
+            .chunks_exact(self.pivots.len())
+            .map(|coords| self.grid_params.leaf_key(coords))
+            .collect();
+        for (vid, &leaf) in (first..).zip(&keys) {
             self.hgrv.insert(leaf, vid);
-            self.inv.append_vector(leaf, col_id.0, vid)?;
-            self.vec_col.push(col_id.0);
         }
+        self.inv.append_column(col_id.0, &keys, &mapped)?;
         Ok(col_id)
     }
 
@@ -233,8 +250,8 @@ impl<M: Metric> PexesoIndex<M> {
         PartitionInspection::derive(
             &self.inv,
             self.columns.n_columns() as u64,
-            self.rv_mapped.len() as u64,
-            self.rv_mapped.iter(),
+            self.columns.n_vectors() as u64,
+            self.inv.rows().mapped.iter(),
             self.pivots.len(),
         )
     }
@@ -259,12 +276,19 @@ impl<M: Metric> PexesoIndex<M> {
             }
         };
         let meta = self.columns.column(column);
+        let store = self.columns.store();
+        let column_mapped: Vec<Vec<f32>> = meta
+            .vector_range()
+            .map(|v| {
+                let x = store.get_raw(v as usize);
+                self.pivots.iter().map(|p| self.metric.dist(x, p)).collect()
+            })
+            .collect();
         let mut out = Vec::new();
         for q in 0..query.len() {
             let qmap = qm.get(q);
             let qv = query.get_raw(q);
-            for v in meta.vector_range() {
-                let xm = self.rv_mapped.get(v as usize);
+            for (v, xm) in meta.vector_range().zip(&column_mapped) {
                 if lemmas::lemma1_filter(qmap, xm, tau) {
                     continue;
                 }
@@ -319,19 +343,22 @@ impl<M: Metric> PexesoIndex<M> {
         &self.inv
     }
 
+    /// The repository vectors' pivot coordinates **in the inverted
+    /// index's cell-major row order**, not in vector-id order: row `r`
+    /// belongs to vector `inverted_index().rows().vid[r]`. Order-free uses
+    /// (a keys-only `HG_RV`, coordinate ranges) can take them as they are;
+    /// [`InvertedIndex::mapped_by_vector`] gives the id order.
     pub fn rv_mapped(&self) -> &MappedVectors {
-        &self.rv_mapped
+        self.inv.rows().mapped
     }
 
-    /// Estimated resident size of the *index structures* in bytes (grid +
-    /// inverted index + mapped vectors + pivots + vec→col map), excluding
-    /// the raw table-repository vectors, matching the paper's index-size
-    /// accounting (Fig. 6b).
+    /// Resident size of the *index structures* in bytes — the grid, the
+    /// inverted index (whose rows hold each vector's column and pivot
+    /// coordinates) and the pivots — excluding the raw table-repository
+    /// vectors, matching the paper's index-size accounting (Fig. 6b).
     pub fn index_bytes(&self) -> usize {
         self.hgrv.approx_bytes()
             + self.inv.approx_bytes()
-            + self.rv_mapped.raw_data().len() * 4
-            + self.vec_col.len() * 4
             + self.pivots.iter().map(|p| p.len() * 4).sum::<usize>()
     }
 
@@ -358,17 +385,19 @@ impl<M: Metric> PexesoIndex<M> {
             )));
         }
         let started = Instant::now();
-        let vec_col = columns.vector_to_column();
-        let (hgrv, inv) =
-            rv_structures(&grid_params, &rv_mapped, &vec_col, ExecPolicy::Sequential)?;
+        let (hgrv, inv) = rv_structures(
+            &grid_params,
+            &rv_mapped,
+            &columns,
+            SimplexBase::of(&pivots, &metric),
+            ExecPolicy::Sequential,
+        )?;
         Ok(Self {
             metric,
             options,
             grid_params,
             pivots,
             columns,
-            rv_mapped,
-            vec_col,
             hgrv,
             inv,
             build_time: started.elapsed(),
@@ -377,11 +406,13 @@ impl<M: Metric> PexesoIndex<M> {
 }
 
 /// `HG_RV` (keys only) and the inverted index, both from one pass of leaf
-/// keys over the mapped repository vectors.
+/// keys over the mapped repository vectors (in vector-id order), which the
+/// index takes into its cell-major rows.
 fn rv_structures(
     grid_params: &GridParams,
     rv_mapped: &MappedVectors,
-    vec_col: &[u32],
+    columns: &ColumnSet,
+    base: Option<SimplexBase>,
     policy: ExecPolicy,
 ) -> Result<(HierarchicalGrid, InvertedIndex)> {
     if rv_mapped.num_pivots() != grid_params.num_pivots {
@@ -393,7 +424,7 @@ fn rv_structures(
     let keys = compute_leaf_keys(grid_params, rv_mapped, policy);
     Ok((
         HierarchicalGrid::from_leaf_keys(grid_params.clone(), &keys, false),
-        InvertedIndex::from_leaf_keys(&keys, vec_col)?,
+        InvertedIndex::from_leaf_keys(&keys, &columns.vector_to_column(), rv_mapped, base)?,
     ))
 }
 
@@ -451,8 +482,8 @@ impl<M: Metric> IndexUnit for PexesoIndex<M> {
         };
         let ctx = VerifyContext {
             columns: &self.columns,
-            vec_col: &self.vec_col,
-            rv_mapped: &self.rv_mapped,
+            vec_col: &[],
+            rv_mapped: self.inv.rows().mapped,
             inv: &self.inv,
             metric: &self.metric,
             query: vectors,
@@ -628,13 +659,19 @@ mod tests {
         .unwrap()
     }
 
-    /// One pass of leaf keys builds the same `HG_RV` and postings as the
-    /// grid and the inverted index built each on their own, under either
-    /// policy and on reassembly from the persisted parts.
+    /// One pass of leaf keys builds the same `HG_RV`, postings and
+    /// cell-major rows as the grid and the inverted index built each on
+    /// their own, under every policy and on reassembly from the persisted
+    /// parts (whose mapped coordinates are in vector-id order).
     #[test]
     fn shared_leaf_keys_build_the_same_grid_and_postings() {
         let (columns, _) = instance(11, 40, 30, 1);
-        for exec in [ExecPolicy::Sequential, ExecPolicy::Fixed { threads: 3 }] {
+        let mut built = Vec::new();
+        for exec in [
+            ExecPolicy::Sequential,
+            ExecPolicy::Fixed { threads: 3 },
+            ExecPolicy::auto(),
+        ] {
             let options = IndexOptions {
                 num_pivots: 4,
                 levels: Some(4),
@@ -644,15 +681,18 @@ mod tests {
             };
             let index = PexesoIndex::build(columns.clone(), Euclidean, options).unwrap();
             let params = index.grid_params().clone();
-            let hgrv =
-                HierarchicalGrid::build_keys_only(params.clone(), index.rv_mapped()).unwrap();
-            let inv = InvertedIndex::build(&params, index.rv_mapped(), &index.vec_col).unwrap();
+            let by_id = MappedVectors::from_raw(4, index.inv.mapped_by_vector()).unwrap();
+            let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &by_id).unwrap();
+            let base = SimplexBase::of(&index.pivots, &Euclidean);
+            assert!(base.is_some(), "four random pivots span a simplex");
+            let inv =
+                InvertedIndex::build(&params, &by_id, &columns.vector_to_column(), base).unwrap();
             assert_eq!(index.hgrv, hgrv);
             assert_eq!(index.inv, inv);
             let reassembled = PexesoIndex::from_parts(
                 index.columns.clone(),
                 index.pivots.clone(),
-                index.rv_mapped.clone(),
+                by_id,
                 index.options.clone(),
                 params,
                 Euclidean,
@@ -660,7 +700,9 @@ mod tests {
             .unwrap();
             assert_eq!(reassembled.hgrv, hgrv);
             assert_eq!(reassembled.inv, inv);
+            built.push(inv);
         }
+        assert!(built.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]

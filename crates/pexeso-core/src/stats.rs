@@ -30,7 +30,9 @@ pub struct SearchStats {
     /// the query vector) when the cell was entered — including rows behind
     /// the row that then matches the column in that cell, which a
     /// stop-at-first-match walk would not have looked at. Rows of dead
-    /// columns are never put to Lemma 1, so the count follows the schedule:
+    /// columns, and of cells the apex bound excluded
+    /// ([`SearchStats::apex_excluded`]), are never put to Lemma 1, so the
+    /// count follows the schedule:
     /// the sooner the columns die, the fewer rows are left to reject, and a
     /// lower count beside fewer distance computations means less work, not
     /// a weaker filter.
@@ -47,6 +49,11 @@ pub struct SearchStats {
     pub matching_pairs: u64,
     /// Candidate pairs emitted directly by quick browsing.
     pub quick_browse_pairs: u64,
+    /// Candidate pairs verification never entered: the cell's apex box
+    /// lies beyond τ of the query vector's apex (the n-simplex bound,
+    /// [`crate::invindex`]; Euclidean only), so the cell holds no vector
+    /// within τ. Counted once per scan, before any shard runs.
+    pub apex_excluded: u64,
     /// Columns skipped mid-verification because they reached T.
     pub early_joinable: u64,
     /// Columns pruned mid-verification by Lemma 7 — under `T` in a
@@ -89,6 +96,7 @@ impl SearchStats {
         self.candidate_pairs += other.candidate_pairs;
         self.matching_pairs += other.matching_pairs;
         self.quick_browse_pairs += other.quick_browse_pairs;
+        self.apex_excluded += other.apex_excluded;
         self.early_joinable += other.early_joinable;
         self.lemma7_pruned += other.lemma7_pruned;
         self.topk_pruned += other.topk_pruned;

@@ -1,7 +1,7 @@
 //! Verification: Algorithm 2 over the inverted index.
 //!
 //! Matching pairs increment the match map directly; candidate pairs scan
-//! the vectors of their leaf cells, filtering with Lemma 1, accepting with
+//! the rows of their leaf cells, filtering with Lemma 1, accepting with
 //! Lemma 2, and paying an exact distance computation only for the
 //! survivors. Two early-termination rules apply per column:
 //!
@@ -21,8 +21,8 @@
 //! scheduled query vector that matched it. Generations only grow and never
 //! reach `u32::MAX`, so `state[c] >= gen` — one load, one compare — says
 //! "dead, or already matched by this query vector": the only two reasons to
-//! skip a row. A dropped column therefore costs no distance computation
-//! and no Lemma 1 test; once every column is dead the scan stops.
+//! skip a row. A dropped column therefore costs no distance computation;
+//! once every column is dead the scan stops.
 //!
 //! ## Schedule
 //!
@@ -36,50 +36,57 @@
 //! walks its candidate cells at full width. So the scan takes the query
 //! vectors cheapest first. The schedule is built once per scan, before
 //! any shard runs: each query vector's cells are resolved to their
-//! postings (the cell map is hit once per ⟨vector, cell⟩ pair) and the
-//! vector's cost is the number of repository rows in its candidate cells,
-//! `Σ postings.vecs.len()`. Costs are of **whole cells, never of a
-//! shard's window of them**, so every shard of every [`ExecPolicy`] steps
-//! through the same vectors in the same order — the budget cut and every
-//! counter stay policy-independent. Steps are sorted by `(cost, id)`; the
-//! id breaks ties so that equal costs cannot make the order (and with it
-//! the counters) depend on the sort. The live set only shrinks, so the
+//! ordinals (the cell map is hit once per ⟨vector, cell⟩ pair), a
+//! candidate cell whose apex box lies beyond `τ` of the vector's apex is
+//! dropped (the n-simplex bound of [`crate::invindex`], Euclidean only;
+//! counted in [`SearchStats::apex_excluded`]), and the vector's cost is
+//! the number of repository rows in the candidate cells that remain.
+//! Costs are of **whole cells, never of a shard's window of them**, so
+//! every shard of every [`ExecPolicy`] steps through the same vectors in
+//! the same order — the budget cut and every counter stay
+//! policy-independent. Steps are sorted by `(cost, id)`; the id breaks
+//! ties so that equal costs cannot make the order (and with it the
+//! counters) depend on the sort. The live set only shrinks, so the
 //! expensive vectors meet the fewest live columns.
 //!
 //! ## The candidate scan: two stages per cell
 //!
-//! A candidate cell's `vecs` are walked as one flat slice, not as column
-//! groups (groups average barely more than one vector, so per-group
-//! bookkeeping costs more than the distance tests it guards).
+//! The inverted index stores its rows cell by cell, each row with its
+//! vector id, column and pivot coordinates side by side
+//! ([`crate::invindex`]), so a candidate cell is a contiguous run of rows,
+//! walked as one flat run, not as column groups (groups average barely
+//! more than one row, so per-group bookkeeping costs more than the
+//! distance tests it guards).
 //!
-//! 1. **Filter.** Two compaction passes over a buffer reused across
-//!    cells. The first collects the rows of columns whose state word says
-//!    live and unmatched, by one of two enumerations that produce the same
-//!    rows in the same order. *By row*: take each vector's column from
-//!    `vec_col` and keep the row if the column qualifies — no
+//! 1. **Filter.** One compaction pass into a buffer of row indexes reused
+//!    across cells, by one of two enumerations that keep the same rows in
+//!    the same order. *By row*: read each row's column and coordinates in
+//!    order and keep the row if its column's state word says live and
+//!    unmatched and, when Lemma 1 is on, the lemma cannot reject it — no
 //!    data-dependent branch (every row is written, the cursor advances by
-//!    `n += pass`), so a dead column's row costs two small loads. *By live
-//!    column*: once few columns are left the shard keeps their slots as an
-//!    ascending list, and a cell with many more rows than the list has
-//!    entries is enumerated by binary-searching its ascending `cols` for
-//!    each listed column and copying that column's vectors — the dead
-//!    rows are never looked at. The second pass applies a branch-free
-//!    Lemma 1 to the rows that remain, so a dead column's mapped
-//!    coordinates are never touched.
-//! 2. **Test.** Lemma 2 / [`Metric::dist_le`] over the survivors, rows
-//!    prefetched four ahead. The state word is re-checked, so once a row
-//!    matches, the column's remaining survivors in the cell are skipped —
-//!    exactly the rows a per-column first-match `break` would skip.
+//!    `n += keep`). *By live column*: once few columns are left the shard
+//!    keeps their slots as an ascending list, and a cell with many more
+//!    rows than the list has entries is enumerated by binary-searching its
+//!    ascending `cols` for each listed column and putting that column
+//!    group's rows to Lemma 1 — the dead rows are never looked at.
+//! 2. **Test.** Lemma 2 / [`Metric::dist_le`] over the survivors, the
+//!    repository vector fetched by the row's vector id and prefetched
+//!    [`PREFETCH_AHEAD`] survivors ahead. The state word is re-checked, so
+//!    once a row matches, the column's remaining survivors in the cell are
+//!    skipped — exactly the rows a per-column first-match `break` would
+//!    skip.
 //!
 //! ## Complete Lemma 7
 //!
 //! Blocking is lossless: every repository vector within `τ` of query
-//! vector `q` lies in one of `q`'s matching or candidate cells. So after
-//! `q`'s cells are scanned, **every** live column that did not match `q` —
-//! visited in a candidate cell or not — has a definite mismatch. Charging all of them lets Lemma 7 fire for columns the query
-//! vector never reaches, needs no record of which columns were seen, and
-//! ends the scan as soon as no live column remains. A query vector with no
-//! candidate cell at all costs nothing and is scheduled first.
+//! vector `q` lies in one of `q`'s matching or candidate cells, and a
+//! candidate cell the apex bound drops holds none. So after `q`'s cells
+//! are scanned, **every** live column that did not match `q` — visited in
+//! a candidate cell or not — has a definite mismatch. Charging all of them
+//! lets Lemma 7 fire for columns the query vector never reaches, needs no
+//! record of which columns were seen, and ends the scan as soon as no live
+//! column remains. A query vector with no candidate cell at all costs
+//! nothing and is scheduled first.
 //!
 //! ## Top-k: the same scan, `t` never, slack from the seed
 //!
@@ -102,10 +109,10 @@
 //! column id space into contiguous ranges, runs the identical scan per
 //! shard, and concatenates shard results in range order — making
 //! [`ExecPolicy::Parallel`] output (and every [`SearchStats`] counter)
-//! byte-identical to [`ExecPolicy::Sequential`]. A cell's `cols` and `vecs`
-//! are ascending and columns own contiguous vector-id ranges, so a shard
-//! takes its part of a cell as a sub-slice found by binary search; the
-//! inner loops carry no range check. Exact distances go through the
+//! byte-identical to [`ExecPolicy::Sequential`]. A cell's `cols` are
+//! ascending and each column's rows contiguous, so a shard takes its part
+//! of a cell as the row range of the column groups a binary search finds;
+//! the inner loops carry no range check. Exact distances go through the
 //! early-exit [`Metric::dist_le`] kernel, which answers `d ≤ τ` without a
 //! `sqrt` and usually without touching every dimension.
 
@@ -117,7 +124,7 @@ use crate::config::{ExecPolicy, LemmaFlags};
 use crate::cost::ColumnMatchBounds;
 use crate::exec;
 use crate::grid::CellKey;
-use crate::invindex::{CellPostings, InvertedIndex};
+use crate::invindex::{Apex, ApexBoxes, CellPostings, InvertedIndex, Rows};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -128,12 +135,13 @@ use crate::vector::VectorStore;
 /// Everything verification needs to resolve a candidate pair.
 pub struct VerifyContext<'a, M: Metric> {
     pub columns: &'a ColumnSet,
-    /// Flat vector id → column id map, one entry per repository vector.
-    /// The candidate scan resolves every visited vector's column through
-    /// it (cells are walked as flat vector lists, not column groups), so
-    /// it must cover exactly the vectors of `columns`.
+    /// Not read by the scan, which takes every row's column from the
+    /// inverted index's cell-major rows. Kept only because the benchmark
+    /// ladder builds a context from outside; it goes with that caller.
     pub vec_col: &'a [u32],
-    /// Mapped repository vectors (for Lemma 1/2 checks).
+    /// Not read by the scan, which takes every row's pivot coordinates
+    /// from the inverted index's cell-major rows. Kept, like `vec_col`,
+    /// for the benchmark ladder.
     pub rv_mapped: &'a MappedVectors,
     pub inv: &'a InvertedIndex,
     pub metric: &'a M,
@@ -201,10 +209,10 @@ pub(crate) fn scan<M: Metric>(
     policy: ExecPolicy,
     budget: Option<&BudgetGuard>,
 ) -> (VerifyOutcome, Option<Exceeded>) {
-    debug_assert_eq!(ctx.vec_col.len(), ctx.columns.n_vectors());
     let n_cols = ctx.columns.n_columns();
     let threads = policy.effective_threads();
-    let schedule = Schedule::build(ctx.inv, blocked, ctx.query.len());
+    let schedule = Schedule::build(ctx.inv, blocked, ctx.query_mapped, ctx.tau);
+    stats.apex_excluded += schedule.excluded;
     if budget.is_some() || threads <= 1 || n_cols < 2 {
         return verify_range(ctx, &schedule, 0..n_cols, slack, stats, budget);
     }
@@ -248,18 +256,27 @@ struct Step {
 
 /// The order one scan takes the query vectors in — cheapest candidate
 /// cells first, see the module header — with every cell resolved to its
-/// postings. Shared by all shards of the scan.
-struct Schedule<'a> {
+/// ordinal and the candidate cells the apex bound rules out dropped.
+/// Shared by all shards of the scan.
+struct Schedule {
     steps: Vec<Step>,
-    cells: Vec<&'a CellPostings>,
+    cells: Vec<u32>,
+    /// Candidate pairs the apex bound dropped.
+    excluded: u64,
 }
 
-impl<'a> Schedule<'a> {
-    fn build(inv: &'a InvertedIndex, blocked: &BlockOutput, n_q: usize) -> Self {
-        let mut cells: Vec<&CellPostings> = Vec::new();
+impl Schedule {
+    fn build(
+        inv: &InvertedIndex,
+        blocked: &BlockOutput,
+        query_mapped: &MappedVectors,
+        tau: f32,
+    ) -> Self {
+        let mut cells: Vec<u32> = Vec::new();
+        let mut excluded = 0u64;
         // A vector blocking found no cell for keeps its empty step: it
         // still charges every live column a mismatch.
-        let mut steps: Vec<Step> = (0..n_q as u32)
+        let mut steps: Vec<Step> = (0..query_mapped.len() as u32)
             .map(|q| Step {
                 cost: 0,
                 q,
@@ -267,23 +284,38 @@ impl<'a> Schedule<'a> {
                 candidates: 0..0,
             })
             .collect();
-        let mut resolve = |keys: &[CellKey]| {
+        // Resolve keys to ordinals, dropping the cells `apex` (a query
+        // vector's apex with the index's boxes) rules out.
+        let mut resolve = |keys: &[CellKey], apex: Option<(&ApexBoxes, Apex)>| {
             let start = cells.len();
-            cells.extend(keys.iter().filter_map(|&key| inv.postings(key)));
+            for c in keys.iter().filter_map(|&key| inv.cell_of(key)) {
+                if apex.is_some_and(|(boxes, q)| boxes.excludes(c, &q, tau)) {
+                    excluded += 1;
+                } else {
+                    cells.push(c);
+                }
+            }
             start..cells.len()
         };
         for (q, keys) in &blocked.matching {
-            steps[*q as usize].matching = resolve(keys);
+            steps[*q as usize].matching = resolve(keys, None);
         }
         for (q, keys) in &blocked.candidates {
-            steps[*q as usize].candidates = resolve(keys);
+            let apex = inv
+                .apex()
+                .map(|boxes| (boxes, boxes.query(query_mapped.get(*q as usize))));
+            steps[*q as usize].candidates = resolve(keys, apex);
         }
         for step in &mut steps {
-            let rows = |p: &&CellPostings| p.vecs.len() as u64;
+            let rows = |&c: &u32| inv.cell(c).len() as u64;
             step.cost = cells[step.candidates.clone()].iter().map(rows).sum();
         }
         steps.sort_unstable_by_key(|step| (step.cost, step.q));
-        Self { steps, cells }
+        Self {
+            steps,
+            cells,
+            excluded,
+        }
     }
 }
 
@@ -300,6 +332,14 @@ const DEAD: u32 = u32::MAX;
 /// each, 2 cores): never listing 2.74 ms, ratio 4 2.47, 8 2.44, 16 2.48 —
 /// flat from 4 to 16, so the middle one.
 const LISTED_RATIO: usize = 8;
+
+/// How many survivors ahead stage 2 prefetches the repository vector of.
+/// Measured with `verify_profile`'s exact-count scan at the benchmark
+/// lake's shape (114 k vectors of 48 dims in 6,000 columns, 19 query
+/// vectors; best of 40 runs per try, tries interleaved, 2 vCPUs): 4 ahead
+/// 15.5 ms, 8 14.0, 12 13.6, 16 13.4, 24 13.7 — the terminable scan was
+/// flat (1.06–1.12 ms) — so 4 loses ≈ 12 % and 12 to 24 are one plateau.
+const PREFETCH_AHEAD: usize = 12;
 
 /// Per-column state of one shard's scan, indexed by shard-local slot.
 struct ShardColumns {
@@ -391,50 +431,69 @@ fn id_window(ids: &[u32], lo: u32, hi: u32) -> Range<usize> {
     }
 }
 
-/// First pass of stage 1, by row: every row of `vids` (the shard's window
-/// of a cell's vectors) whose column is live and not yet matched by this
-/// query vector, as `(vector id, shard-local column slot)` at the front of
-/// `buf`, in cell order. No data-dependent branch — every row is written,
-/// the write cursor advances only past rows that stay. Returns how many
-/// stayed; `buf` must hold `vids.len()` rows.
+/// Lemma 1's operands for one query vector: its pivot coordinates and `τ`.
+type Lemma1<'q> = Option<(&'q [f32], f32)>;
+
+/// Stage 1 by row over the contiguous rows `window` (the shard's window of
+/// a cell): every row whose column is live and not yet matched by this
+/// query vector and that Lemma 1 (when on) cannot reject, as a row index
+/// at the front of `buf`, in row order. One pass, no data-dependent branch
+/// — every row is written, the write cursor advances only past rows that
+/// stay. Returns how many stayed and how many live rows Lemma 1 rejected;
+/// `buf` must hold `window.len()` rows.
 fn live_rows_scanned(
-    vids: &[u32],
-    vec_col: &[u32],
+    window: Range<usize>,
+    rows: &Rows<'_>,
     c_lo: u32,
     state: &[u32],
     gen: u32,
-    buf: &mut [(u32, u32)],
-) -> usize {
-    let mut live = 0usize;
-    for &vid in vids {
-        let c = vec_col[vid as usize] - c_lo;
-        buf[live] = (vid, c);
-        live += usize::from(state[c as usize] < gen);
+    lemma1: Lemma1<'_>,
+    buf: &mut [u32],
+) -> (usize, u64) {
+    let cols = &rows.col[window.clone()];
+    let mut kept = 0usize;
+    let Some((qm, tau)) = lemma1 else {
+        for (r, &col) in window.zip(cols) {
+            buf[kept] = r as u32;
+            kept += usize::from(state[(col - c_lo) as usize] < gen);
+        }
+        return (kept, 0);
+    };
+    let k = qm.len();
+    let coords = &rows.mapped.raw_data()[window.start * k..window.end * k];
+    let mut rejected = 0u64;
+    for ((r, &col), x) in window.zip(cols).zip(coords.chunks_exact(k)) {
+        let live = state[(col - c_lo) as usize] < gen;
+        let far = lemmas::lemma1_filter(qm, x, tau);
+        buf[kept] = r as u32;
+        kept += usize::from(live & !far);
+        rejected += u64::from(live & far);
     }
-    live
+    (kept, rejected)
 }
 
-/// First pass of stage 1, by live column: the same rows in the same order
-/// as [`live_rows_scanned`] over the shard's window of `postings`, found
-/// by probing the cell's ascending `cols` for each slot of `listed` (the
-/// shard's ascending live list, which may hold slots that died since) and
-/// copying that column's vectors. Each probe resumes behind the previous
-/// one. `buf` must hold the window's rows.
+/// Stage 1 by live column: the same rows in the same order, with the same
+/// Lemma 1 count, as [`live_rows_scanned`] over the rows of the column
+/// groups `groups` of `postings`, found by probing the groups' ascending
+/// columns for each slot of `listed` (the shard's ascending live list,
+/// which may hold slots that died since) and putting that group's rows to
+/// Lemma 1. Each probe resumes behind the previous one. `buf` must hold the
+/// groups' rows.
 fn live_rows_listed(
-    postings: &CellPostings,
+    postings: &CellPostings<'_>,
+    groups: Range<usize>,
+    rows: &Rows<'_>,
     listed: &[u32],
-    c_lo: u32,
-    state: &[u32],
-    gen: u32,
-    buf: &mut [(u32, u32)],
-) -> usize {
+    (c_lo, state, gen): (u32, &[u32], u32),
+    lemma1: Lemma1<'_>,
+    buf: &mut [u32],
+) -> (usize, u64) {
     debug_assert!(
-        postings.cols.windows(2).all(|w| w[0] < w[1])
-            && postings.vecs.windows(2).all(|w| w[0] < w[1]),
-        "a cell's cols and vecs are ascending"
+        postings.cols.windows(2).all(|w| w[0] < w[1]),
+        "a cell's cols are ascending"
     );
-    let cols = &postings.cols;
-    let (mut live, mut from) = (0usize, 0usize);
+    let cols = &postings.cols[groups.clone()];
+    let (mut kept, mut rejected, mut from) = (0usize, 0u64, 0usize);
     for &c in listed {
         if state[c as usize] >= gen {
             continue;
@@ -445,63 +504,52 @@ fn live_rows_listed(
             break;
         }
         if cols[from] == col {
-            for &vid in postings.vectors_of(from) {
-                buf[live] = (vid, c);
-                live += 1;
+            for r in postings.rows_of(groups.start + from) {
+                let far = lemma1
+                    .is_some_and(|(qm, tau)| lemmas::lemma1_filter(qm, rows.mapped.get(r), tau));
+                buf[kept] = r as u32;
+                kept += usize::from(!far);
+                rejected += u64::from(far);
             }
         }
     }
-    live
+    (kept, rejected)
 }
 
-/// Stage 1 of the candidate scan over one cell's rows `rows` (the shard's
-/// window of `postings.vecs`): two compaction passes over `buf`. The first
-/// keeps the rows of live columns not yet matched by this query vector —
-/// by live column when the shard's list is [`LISTED_RATIO`] times shorter
-/// than the window, else by row; the second, when Lemma 1 is on, keeps
-/// those it cannot reject, so the mapped coordinates of a dead column's
-/// rows are never loaded. Returns the survivors `(vector id, shard-local
-/// column slot)` in cell order and the number of rows Lemma 1 rejected.
-fn filter_cell<'a>(
-    postings: &CellPostings,
-    rows: Range<usize>,
-    vec_col: &[u32],
+/// Stage 1 of the candidate scan over the column groups `groups` of
+/// `postings` (the shard's window of the cell): one compaction pass into
+/// `buf` keeping the rows of live columns not yet matched by this query
+/// vector that Lemma 1 (when on) cannot reject — by live column when the
+/// shard's list is [`LISTED_RATIO`] times shorter than the window's rows,
+/// else by row. Returns the surviving row indexes in row order and the
+/// number of live rows Lemma 1 rejected.
+fn filter_cell<'b>(
+    postings: &CellPostings<'_>,
+    groups: Range<usize>,
+    rows: &Rows<'_>,
     shard: &ShardColumns,
     gen: u32,
-    lemma1: Option<(&[f32], &MappedVectors, f32)>,
-    buf: &'a mut Vec<(u32, u32)>,
-) -> (&'a [(u32, u32)], u64) {
-    // Grown to the largest cell seen, never shrunk.
-    if buf.len() < rows.len() {
-        buf.resize(rows.len(), (0, 0));
+    lemma1: Lemma1<'_>,
+    buf: &'b mut Vec<u32>,
+) -> (&'b [u32], u64) {
+    let window = postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
+    // Grown to the largest window seen, never shrunk.
+    if buf.len() < window.len() {
+        buf.resize(window.len(), 0);
     }
-    let live = match &shard.listed {
-        Some(listed) if listed.len() * LISTED_RATIO <= rows.len() => {
-            live_rows_listed(postings, listed, shard.c_lo, &shard.state, gen, buf)
-        }
-        _ => live_rows_scanned(
-            &postings.vecs[rows],
-            vec_col,
-            shard.c_lo,
-            &shard.state,
-            gen,
+    let (kept, rejected) = match &shard.listed {
+        Some(listed) if listed.len() * LISTED_RATIO <= window.len() => live_rows_listed(
+            postings,
+            groups,
+            rows,
+            listed,
+            (shard.c_lo, &shard.state, gen),
+            lemma1,
             buf,
         ),
+        _ => live_rows_scanned(window, rows, shard.c_lo, &shard.state, gen, lemma1, buf),
     };
-    let Some((qm, rv_mapped, tau)) = lemma1 else {
-        return (&buf[..live], 0);
-    };
-    let mut kept = 0usize;
-    for i in 0..live {
-        let row = buf[i];
-        buf[kept] = row;
-        kept += usize::from(!lemmas::lemma1_filter(
-            qm,
-            rv_mapped.get(row.0 as usize),
-            tau,
-        ));
-    }
-    (&buf[..kept], (live - kept) as u64)
+    (&buf[..kept], rejected)
 }
 
 /// The Algorithm 2 scan restricted to columns in `cols`, one step per
@@ -512,7 +560,7 @@ fn filter_cell<'a>(
 /// verify loop's natural checkpoint — and a trip ends the scan there.
 fn verify_range<M: Metric>(
     ctx: &VerifyContext<'_, M>,
-    schedule: &Schedule<'_>,
+    schedule: &Schedule,
     cols: Range<usize>,
     slack: u32,
     stats: &mut SearchStats,
@@ -530,14 +578,8 @@ fn verify_range<M: Metric>(
             }
         }
     }
-    // The shard's window in column-id space and — columns own contiguous,
-    // ascending vector-id ranges — in vector-id space.
+    // The shard's window in column-id space.
     let (c_lo, c_hi) = (lo as u32, hi as u32);
-    let first_vector = |c: usize| match ctx.columns.columns().get(c) {
-        Some(meta) => meta.start,
-        None => ctx.columns.n_vectors() as u32,
-    };
-    let (v_lo, v_hi) = (first_vector(lo), first_vector(hi));
     let mut shard = ShardColumns {
         c_lo,
         live: state.iter().filter(|&&s| s != DEAD).count(),
@@ -558,8 +600,9 @@ fn verify_range<M: Metric>(
     let lemma1 = ctx.flags.lemma1_vector_filter;
     let lemma2 = ctx.flags.lemma2_vector_match;
     let store = ctx.columns.store();
-    // Stage-1 buffer, reused across cells.
-    let mut cell_buf: Vec<(u32, u32)> = Vec::new();
+    let rows = ctx.inv.rows();
+    // Stage-1 buffer of row indexes, reused across cells.
+    let mut cell_buf: Vec<u32> = Vec::new();
 
     debug_assert!(
         schedule.steps.len() < u32::MAX as usize,
@@ -579,8 +622,9 @@ fn verify_range<M: Metric>(
         let q = scheduled.q as usize;
 
         // 1. Matching pairs: all postings columns of the cells match q.
-        for postings in &schedule.cells[scheduled.matching.clone()] {
-            for &col in &postings.cols[id_window(&postings.cols, c_lo, c_hi)] {
+        for &cell in &schedule.cells[scheduled.matching.clone()] {
+            let postings = ctx.inv.cell(cell);
+            for &col in &postings.cols[id_window(postings.cols, c_lo, c_hi)] {
                 let c = col as usize - lo;
                 if shard.state[c] < gen {
                     shard.record_match(c, gen, stats);
@@ -591,40 +635,41 @@ fn verify_range<M: Metric>(
         // 2. Candidate pairs: verify cell contents.
         let qm = ctx.query_mapped.get(q);
         let qv = ctx.query.get_raw(q);
-        for postings in &schedule.cells[scheduled.candidates.clone()] {
+        for &cell in &schedule.cells[scheduled.candidates.clone()] {
             // Stage 1: drop rows of dead or already-matched columns
             // and rows Lemma 1 rejects.
+            let postings = ctx.inv.cell(cell);
             let (survivors, rejected) = filter_cell(
-                postings,
-                id_window(&postings.vecs, v_lo, v_hi),
-                ctx.vec_col,
+                &postings,
+                id_window(postings.cols, c_lo, c_hi),
+                &rows,
                 &shard,
                 gen,
-                lemma1.then_some((qm, ctx.rv_mapped, ctx.tau)),
+                lemma1.then_some((qm, ctx.tau)),
                 &mut cell_buf,
             );
             stats.lemma1_filtered += rejected;
 
             // Stage 2: Lemma 2, then the exact test. A column matched
             // by an earlier survivor of this cell is skipped.
-            for (i, &(vid, c)) in survivors.iter().enumerate() {
-                // Hide the gather latency of an upcoming row behind
+            for (i, &r) in survivors.iter().enumerate() {
+                // Hide the gather latency of an upcoming vector behind
                 // the tests before it (semantics-free).
-                if let Some(&(ahead, _)) = survivors.get(i + 4) {
-                    crate::kernel::prefetch(store.get_raw(ahead as usize));
+                if let Some(&ahead) = survivors.get(i + PREFETCH_AHEAD) {
+                    crate::kernel::prefetch(store.get_raw(rows.vid[ahead as usize] as usize));
                 }
-                let c = c as usize;
+                let r = r as usize;
+                let c = (rows.col[r] - c_lo) as usize;
                 if shard.state[c] >= gen {
                     continue;
                 }
-                let is_match = if lemma2
-                    && lemmas::lemma2_match(qm, ctx.rv_mapped.get(vid as usize), ctx.tau)
-                {
+                let is_match = if lemma2 && lemmas::lemma2_match(qm, rows.mapped.get(r), ctx.tau) {
                     stats.lemma2_matched += 1;
                     true
                 } else {
                     stats.distance_computations += 1;
-                    ctx.metric.dist_le(qv, store.get_raw(vid as usize), ctx.tau)
+                    ctx.metric
+                        .dist_le(qv, store.get_raw(rows.vid[r] as usize), ctx.tau)
                 };
                 if is_match {
                     shard.record_match(c, gen, stats);
@@ -703,6 +748,7 @@ mod tests {
     use crate::block::{block, quick_browse};
     use crate::config::LemmaFlags;
     use crate::grid::{GridParams, HierarchicalGrid};
+    use crate::invindex::SimplexBase;
     use crate::metric::Euclidean;
     use crate::util::FastMap;
     use rand::rngs::StdRng;
@@ -786,7 +832,13 @@ mod tests {
         let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
         let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col).unwrap();
+        let inv = InvertedIndex::build(
+            &params,
+            &rv_mapped,
+            &vec_col,
+            SimplexBase::of(&pivots, &metric),
+        )
+        .unwrap();
 
         let mut stats = SearchStats::new();
         let (handled, seeded) = if with_quick_browse {
@@ -843,6 +895,7 @@ mod tests {
     /// early-termination and lemma counters.
     #[test]
     fn parallel_verify_is_byte_identical() {
+        let mut excluded = 0;
         for seed in 0..4u64 {
             let (query, columns) = random_instance(seed * 7 + 1, 13, 25, 9);
             let metric = Euclidean;
@@ -860,7 +913,13 @@ mod tests {
             let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
             let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
             let vec_col = columns.vector_to_column();
-            let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col).unwrap();
+            let inv = InvertedIndex::build(
+                &params,
+                &rv_mapped,
+                &vec_col,
+                SimplexBase::of(&pivots, &metric),
+            )
+            .unwrap();
             for tau in [0.1f32, 0.4, 0.8] {
                 for t_abs in [1usize, 4, query.len() + 1] {
                     let mut stats = SearchStats::new();
@@ -889,6 +948,7 @@ mod tests {
                     };
                     let mut seq_stats = SearchStats::new();
                     let seq = verify_with(&ctx, &blocked, &mut seq_stats, ExecPolicy::Sequential);
+                    excluded += seq_stats.apex_excluded;
                     // `Fixed` bypasses the adaptive clamp, so real thread
                     // fan-out is exercised even on single-core hosts where
                     // `Parallel` plans down to the inline path.
@@ -911,11 +971,17 @@ mod tests {
                             assert_eq!(seq_stats.lemma7_pruned, par_stats.lemma7_pruned);
                             assert_eq!(seq_stats.lemma1_filtered, par_stats.lemma1_filtered);
                             assert_eq!(seq_stats.lemma2_matched, par_stats.lemma2_matched);
+                            assert_eq!(seq_stats.apex_excluded, par_stats.apex_excluded);
+                            assert_eq!(seq_stats, par_stats);
                         }
                     }
                 }
             }
         }
+        assert!(
+            excluded > 0,
+            "the apex bound must drop some candidate pairs"
+        );
     }
 
     #[test]
@@ -1031,7 +1097,13 @@ mod tests {
         let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
         let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col).unwrap();
+        let inv = InvertedIndex::build(
+            &params,
+            &rv_mapped,
+            &vec_col,
+            SimplexBase::of(&pivots, &metric),
+        )
+        .unwrap();
         let mut stats = SearchStats::new();
         let mut seeded = FastMap::default();
         let handled = quick_browse(&hgq, &inv, &mut seeded, &mut stats);
@@ -1259,7 +1331,13 @@ mod tests {
         let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
         let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col).unwrap();
+        let inv = InvertedIndex::build(
+            &params,
+            &rv_mapped,
+            &vec_col,
+            SimplexBase::of(&pivots, &metric),
+        )
+        .unwrap();
         let mut stats = SearchStats::new();
         let blocked = block(
             &hgq,
@@ -1365,7 +1443,7 @@ mod tests {
 
         let run = |query: VectorStore| {
             let s = blocked_setup(query, columns.clone(), 0.25);
-            let schedule = Schedule::build(&s.inv, &s.blocked, n_q);
+            let schedule = Schedule::build(&s.inv, &s.blocked, &s.q_mapped, s.tau);
             let mut costs: Vec<u64> = schedule.steps.iter().map(|step| step.cost).collect();
             let order: Vec<u32> = schedule.steps.iter().map(|step| step.q).collect();
             assert!(costs.windows(2).all(|w| w[0] <= w[1]), "cheapest first");
@@ -1399,37 +1477,55 @@ mod tests {
         assert!(forward_stats.distance_computations > 0);
     }
 
-    /// Both first passes of stage 1 produce the same `(vid, slot)` rows in
-    /// the same order, for a shard window that cuts the cell, listed
-    /// columns absent from the cell, listed columns that died or matched
-    /// since the list was made, and every state in between.
+    /// Both enumerations of stage 1 keep the same rows in the same order
+    /// and reject the same number by Lemma 1, for a shard window that cuts
+    /// the cell, listed columns absent from the cell, listed columns that
+    /// died or matched since the list was made, and every state in
+    /// between, with Lemma 1 on and off.
     #[test]
     fn both_stage1_enumerations_agree() {
-        // 16 columns of 3 vectors each; the cell holds some rows of some.
-        let vec_col: Vec<u32> = (0..48u32).map(|v| v / 3).collect();
+        // 16 columns of 3 vectors each; the cell holds some rows of some,
+        // as rows 0..12 of the index.
+        let row_vid: Vec<u32> = vec![6, 8, 9, 15, 16, 17, 24, 28, 29, 36, 38, 47];
+        let row_col: Vec<u32> = row_vid.iter().map(|v| v / 3).collect();
+        let mut rng = StdRng::seed_from_u64(9);
+        let coords: Vec<f32> = (0..row_vid.len() * 2)
+            .map(|_| rng.gen_range(0.0f32..1.0))
+            .collect();
+        let mapped = MappedVectors::from_raw(2, coords).unwrap();
+        let rows = Rows {
+            vid: &row_vid,
+            col: &row_col,
+            mapped: &mapped,
+        };
         let postings = CellPostings {
-            cols: vec![2, 3, 5, 8, 9, 12, 15],
-            offsets: vec![0, 2, 3, 6, 7, 9, 11, 12],
-            vecs: vec![6, 8, 9, 15, 16, 17, 24, 28, 29, 36, 38, 47],
+            cols: &[2, 3, 5, 8, 9, 12, 15],
+            offsets: &[0, 2, 3, 6, 7, 9, 11, 12],
         };
         let gen = 5u32;
-        let enumerate = |c_lo: u32, c_hi: u32, state: &[u32], listed: &[u32]| {
-            let rows = id_window(&postings.vecs, c_lo * 3, c_hi * 3);
-            let mut scanned = vec![(0u32, 0u32); rows.len()];
-            let n = live_rows_scanned(
-                &postings.vecs[rows.clone()],
-                &vec_col,
-                c_lo,
-                state,
-                gen,
-                &mut scanned,
-            );
+        let enumerate = |c_lo: u32, c_hi: u32, state: &[u32], listed: &[u32], l1: Lemma1<'_>| {
+            let groups = id_window(postings.cols, c_lo, c_hi);
+            let window =
+                postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
+            let mut scanned = vec![0u32; window.len()];
+            let (n, scanned_rejected) =
+                live_rows_scanned(window.clone(), &rows, c_lo, state, gen, l1, &mut scanned);
             scanned.truncate(n);
-            let mut probed = vec![(0u32, 0u32); rows.len()];
-            let n = live_rows_listed(&postings, listed, c_lo, state, gen, &mut probed);
+            let mut probed = vec![0u32; window.len()];
+            let (n, probed_rejected) = live_rows_listed(
+                &postings,
+                groups,
+                &rows,
+                listed,
+                (c_lo, state, gen),
+                l1,
+                &mut probed,
+            );
             probed.truncate(n);
-            assert_eq!(scanned, probed, "window {c_lo}..{c_hi} state {state:?}");
-            scanned
+            let what = format!("window {c_lo}..{c_hi} state {state:?} lemma1 {l1:?}");
+            assert_eq!(scanned, probed, "{what}");
+            assert_eq!(scanned_rejected, probed_rejected, "{what}");
+            (scanned, scanned_rejected)
         };
 
         // Window 3..10 cuts columns 2, 12 and 15 off the cell. Slots: 0 (col
@@ -1437,12 +1533,18 @@ mod tests {
         // vector; 3 (col 6) long dead, unlisted; 4 (col 7) live, absent;
         // 5 (col 8) matched by an earlier one; 6 (col 9) dead since listing.
         let state = [0, 0, gen, DEAD, 2, 3, DEAD];
-        let rows = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6]);
-        assert_eq!(rows, vec![(9, 0), (24, 5)]);
+        let (kept, rejected) = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6], None);
+        assert_eq!(kept, vec![2, 6]);
+        assert_eq!(rejected, 0);
+        // A query vector Lemma 1 puts beyond reach of every row.
+        let far = [5.0f32, 5.0];
+        let (kept, rejected) = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6], Some((&far, 0.5)));
+        assert!(kept.is_empty());
+        assert_eq!(rejected, 2);
 
-        // Every window, with states and lists drawn at random: a listed
-        // slot may be dead, an unlisted one never live.
-        let mut rng = StdRng::seed_from_u64(9);
+        // Every window, with states, lists and query vectors drawn at
+        // random: a listed slot may be dead, an unlisted one never live.
+        let mut rejections = 0;
         for _ in 0..500 {
             let c_lo = rng.gen_range(0u32..16);
             let c_hi = rng.gen_range(c_lo..17);
@@ -1457,8 +1559,11 @@ mod tests {
                     word
                 })
                 .collect();
-            enumerate(c_lo, c_hi, &state, &listed);
+            let qm = [rng.gen_range(0.0f32..1.0), rng.gen_range(0.0f32..1.0)];
+            enumerate(c_lo, c_hi, &state, &listed, None);
+            rejections += enumerate(c_lo, c_hi, &state, &listed, Some((&qm, 0.3))).1;
         }
+        assert!(rejections > 0, "Lemma 1 must reject some rows");
     }
 
     /// In exact-count mode (`T > |Q|`) nothing terminates early, so every

@@ -162,3 +162,45 @@ fn angular_metric_end_to_end() {
         expected.iter().map(|h| h.column.0).collect::<Vec<_>>()
     );
 }
+
+/// Appending keeps the inverted index's cell-major rows consistent: they
+/// equal the rows an inverted index built over the grown lake with the
+/// same pivots lays out, apex boxes included, and every row holds its own
+/// vector's column and pivot coordinates.
+#[test]
+fn append_keeps_the_cell_major_rows_consistent() {
+    use pexeso_core::invindex::{InvertedIndex, SimplexBase};
+    use pexeso_core::mapping::MappedVectors;
+    let dim = 10;
+    let mut index = PexesoIndex::build(
+        make_columns(dim, 6, 12, 40),
+        Euclidean,
+        IndexOptions::default(),
+    )
+    .unwrap();
+    for c in 6..9u64 {
+        let vecs = column_vecs(dim, 9, 40 + c);
+        let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+        index.append_column("t", &format!("c{c}"), c, refs).unwrap();
+    }
+    let columns = index.columns();
+    let pivots = index.pivots();
+    let by_id = MappedVectors::build(columns.store(), pivots, &Euclidean, None).unwrap();
+    let rebuilt = InvertedIndex::build(
+        index.grid_params(),
+        &by_id,
+        &columns.vector_to_column(),
+        SimplexBase::of(pivots, &Euclidean),
+    )
+    .unwrap();
+    let inv = index.inverted_index();
+    assert_eq!(inv, &rebuilt);
+    assert!(inv.apex().is_some());
+    let rows = inv.rows();
+    let vec_col = columns.vector_to_column();
+    for (r, &v) in rows.vid.iter().enumerate() {
+        assert_eq!(rows.col[r], vec_col[v as usize]);
+        assert_eq!(rows.mapped.get(r), by_id.get(v as usize));
+    }
+    assert_eq!(rows.vid.len(), columns.n_vectors());
+}

@@ -122,13 +122,14 @@ pub struct RouterServer;
 impl RouterServer {
     /// Read the shard map at `map_path`, build the router, bind `addr`
     /// (port 0 for an ephemeral test port), and spawn the acceptor +
-    /// worker threads.
+    /// worker threads. A queue that would turn every connection away is
+    /// refused first, before the map is read, as
+    /// [`pexeso_core::error::PexesoError::InvalidParameter`].
     pub fn start(
         map_path: &Path,
         addr: impl ToSocketAddrs,
         config: RouterServeConfig,
     ) -> Result<RouterServerHandle> {
-        let router = load_router(map_path, &config.client)?;
         let conn = ConnConfig {
             component: "router",
             workers: config.workers,
@@ -137,6 +138,8 @@ impl RouterServer {
             read_timeout: config.read_timeout,
             reject_write_timeout: config.reject_write_timeout,
         };
+        conn.validate()?;
+        let router = load_router(map_path, &config.client)?;
         let handler = RouterHandler {
             router: RwLock::new(Arc::new(router)),
             map_path: map_path.to_path_buf(),

@@ -715,6 +715,28 @@ fn a_router_with_no_queue_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The same refusal comes before the shard map is read: a router over a
+/// map that does not exist is refused as an invalid parameter, not as an
+/// I/O error.
+#[test]
+fn a_router_with_no_queue_is_refused_before_its_map_is_read() {
+    let dir = tempdir("no_queue_no_map");
+    let missing = dir.join(SHARD_MAP_FILE);
+    let config = RouterServeConfig {
+        queue_capacity: 0,
+        ..RouterServeConfig::default()
+    };
+    match RouterServer::start(&missing, "127.0.0.1:0", config) {
+        Err(PexesoError::InvalidParameter(message)) => assert!(
+            message.contains("queue capacity 0 is out of range"),
+            "{message}"
+        ),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("a router with no queue was served"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn explain_through_the_router_changes_nothing_and_merges() {
     let dir = tempdir("explain_src");

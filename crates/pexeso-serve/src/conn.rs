@@ -26,6 +26,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pexeso_core::config::ExecPolicy;
+use pexeso_core::error::PexesoError;
 use pexeso_core::fault;
 use pexeso_core::hist::AtomicHistogram;
 use pexeso_core::log::{self as plog, LogLevel, Value};
@@ -52,6 +53,33 @@ pub struct ConnConfig {
     pub read_timeout: Option<Duration>,
     /// Write timeout for the one-frame BUSY/SHED rejection.
     pub reject_write_timeout: Duration,
+}
+
+impl ConnConfig {
+    /// Refuse a queue that would turn every connection away — a capacity
+    /// of 0, or a soft watermark outside `1..queue_capacity` — as an
+    /// invalid parameter. Both daemons call this before they load what
+    /// they serve, so a bad setting is reported at once and as what it is.
+    pub fn validate(&self) -> pexeso_core::error::Result<()> {
+        self.refusal().map_or(Ok(()), |message| {
+            Err(PexesoError::InvalidParameter(message))
+        })
+    }
+
+    fn refusal(&self) -> Option<String> {
+        let capacity = self.queue_capacity;
+        if capacity == 0 {
+            return Some("queue capacity 0 is out of range: it must be at least 1".to_string());
+        }
+        self.queue_soft_watermark
+            .filter(|soft| !(1..capacity).contains(soft))
+            .map(|soft| {
+                format!(
+                    "soft queue watermark {soft} is out of range: it must be at least 1 \
+                     and below the queue capacity {capacity}"
+                )
+            })
+    }
 }
 
 /// Backpressure counters and the queue-wait histogram: written here,
@@ -188,28 +216,14 @@ impl<H> ConnHandle<H> {
 
 /// Bind `addr` (port 0 for an ephemeral test port) and spawn the acceptor
 /// plus `config.workers` worker threads serving `handler`. Refuses,
-/// before binding, a queue that would turn every connection away: a
-/// capacity of 0, or a soft watermark outside `1..queue_capacity`.
+/// before binding, a queue that would turn every connection away (see
+/// [`ConnConfig::validate`]) as `InvalidInput`.
 pub fn serve<H: Handler>(
     addr: impl ToSocketAddrs,
     config: ConnConfig,
     handler: H,
 ) -> std::io::Result<ConnHandle<H>> {
-    let capacity = config.queue_capacity;
-    let refusal = if capacity == 0 {
-        Some("queue capacity 0 is out of range: it must be at least 1".to_string())
-    } else {
-        config
-            .queue_soft_watermark
-            .filter(|soft| !(1..capacity).contains(soft))
-            .map(|soft| {
-                format!(
-                    "soft queue watermark {soft} is out of range: it must be at least 1 \
-                     and below the queue capacity {capacity}"
-                )
-            })
-    };
-    if let Some(message) = refusal {
+    if let Some(message) = config.refusal() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             message,

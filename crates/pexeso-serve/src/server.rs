@@ -124,7 +124,9 @@ pub struct Server;
 impl Server {
     /// Open `index_dir` as the first snapshot, bind `addr` (use port 0 for
     /// an ephemeral test port), and spawn the acceptor + worker threads.
-    /// A sample rate outside `[0, 1]` (NaN included) is refused first.
+    /// A sample rate outside `[0, 1]` (NaN included) and a queue that
+    /// would turn every connection away are refused first, before the
+    /// deployment is loaded, as [`PexesoError::InvalidParameter`].
     pub fn start(
         index_dir: &Path,
         addr: impl ToSocketAddrs,
@@ -136,7 +138,6 @@ impl Server {
                 "metrics sample rate {rate} is out of range: it must be in [0, 1]"
             )));
         }
-        let snapshot = SnapshotCell::open(index_dir)?;
         let conn = ConnConfig {
             component: "serve",
             workers: config.workers,
@@ -145,6 +146,8 @@ impl Server {
             read_timeout: config.read_timeout,
             reject_write_timeout: config.reject_write_timeout,
         };
+        conn.validate()?;
+        let snapshot = SnapshotCell::open(index_dir)?;
         let handler = ShardHandler {
             cache: ShardedCache::new(config.cache_capacity, CACHE_SHARDS),
             metrics: ServerMetrics::default(),

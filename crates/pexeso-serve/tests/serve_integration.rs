@@ -917,3 +917,27 @@ fn inspect_health_and_correlated_slow_log_over_loopback() {
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A queue that would turn every connection away is refused before the
+/// deployment is loaded, as an invalid parameter: on a directory that does
+/// not exist the refusal is still `InvalidParameter`, not an I/O error.
+#[test]
+fn a_refused_queue_is_an_invalid_parameter_before_any_load() {
+    let dir = tempdir("refused_queue");
+    let missing = dir.join("missing");
+    for (queue_capacity, queue_soft_watermark) in [(0, None), (8, Some(8))] {
+        let config = ServeConfig {
+            queue_capacity,
+            queue_soft_watermark,
+            ..ServeConfig::default()
+        };
+        match Server::start(&missing, "127.0.0.1:0", config) {
+            Err(pexeso_core::error::PexesoError::InvalidParameter(message)) => {
+                assert!(message.contains("is out of range"), "{message}")
+            }
+            Err(other) => panic!("queue {queue_capacity}: {other}"),
+            Ok(_) => panic!("queue {queue_capacity} was served"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -267,3 +267,37 @@ fn cli_refuses_embedding_dimensions_below_four() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A daemon queue that would turn every connection away is a bad setting,
+/// reported as one before anything is loaded: on an index or a shard map
+/// that does not exist, `serve` and `router` print `invalid parameter:`,
+/// not an I/O error from the load.
+#[test]
+fn a_refused_daemon_queue_is_an_invalid_parameter_before_any_load() {
+    use std::process::Command;
+    let missing = std::env::temp_dir().join(format!("pexeso_rob_queue_{}", std::process::id()));
+    let missing = missing.to_str().unwrap();
+    for args in [
+        vec!["serve", "--index", missing, "--queue", "0"],
+        vec![
+            "serve",
+            "--index",
+            missing,
+            "--queue",
+            "8",
+            "--soft-queue",
+            "8",
+        ],
+        vec!["router", "--map", missing, "--queue", "0"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pexeso"))
+            .args(&args)
+            .args(["--addr", "127.0.0.1:0"])
+            .output()
+            .expect("spawn pexeso");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("invalid parameter: "), "{args:?}: {stderr}");
+        assert!(stderr.contains("is out of range"), "{args:?}: {stderr}");
+    }
+}
