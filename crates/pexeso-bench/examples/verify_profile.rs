@@ -47,9 +47,11 @@ fn unit(rng: &mut StdRng) -> Vec<f32> {
 }
 
 /// A vector around cluster `k`'s centre, far enough from its neighbours
-/// (≈ 0.2) that only a copy matches at τ = 0.12.
+/// (≈ 0.2) that only a copy matches at τ = 0.12. Its angle on the circle
+/// varies by up to ±0.1 rad, which the pivots (in the circle's plane)
+/// see, so the row bound has rows of a candidate cell to reject.
 fn clustered(rng: &mut StdRng, k: usize) -> Vec<f32> {
-    let angle = 0.4 * k as f32;
+    let angle = 0.4 * k as f32 + rng.gen_range(-0.1f32..0.1);
     let mut v = vec![0.0f32; DIM];
     (v[0], v[1]) = (angle.cos(), angle.sin());
     v.iter_mut()
@@ -154,6 +156,7 @@ fn profile(label: &str, p: &Prepared, t_abs: usize, flags: LemmaFlags) -> Search
     let per_rep = started.elapsed() / reps;
     println!("{label}:");
     println!("  ms per run: {:.3}", per_rep.as_secs_f64() * 1e3);
+    println!("  lemma1_filtered: {}", last.lemma1_filtered);
     println!("  distance_computations: {}", last.distance_computations);
     println!("  apex_excluded_pairs: {}", last.apex_excluded);
     println!(

@@ -96,14 +96,17 @@ impl GridParams {
 
     /// Leaf-level key of a mapped vector. Coordinates are clamped into the
     /// span so boundary values (coord == span) land in the last cell.
+    ///
+    /// The saturating `as u8` truncates toward zero and sends NaN and
+    /// everything below 1 to 0, so it equals `floor` then `clamp` for every
+    /// input — without `floor`, a libm call on baseline x86-64.
     pub fn leaf_key(&self, mapped: &[f32]) -> CellKey {
         debug_assert_eq!(mapped.len(), self.num_pivots);
         let cells = (1u32 << self.levels) as f32;
+        let last = ((1u32 << self.levels) - 1) as u8;
         let mut idx = [0u8; MAX_PIVOTS];
         for (i, &c) in mapped.iter().enumerate() {
-            let raw = (c / self.span * cells).floor();
-            let clamped = raw.clamp(0.0, cells - 1.0);
-            idx[i] = clamped as u8;
+            idx[i] = ((c / self.span * cells) as u8).min(last);
         }
         CellKey::pack(&idx[..self.num_pivots])
     }
@@ -309,32 +312,6 @@ impl HierarchicalGrid {
         }
         for &child in self.children_of(key, level) {
             self.collect_vectors(child, level + 1, out);
-        }
-    }
-
-    /// Insert one vector's leaf cell (index maintenance, Section III-E:
-    /// appending a column costs O((|P|+m)·|s|)). Creates any missing
-    /// ancestor links; `vector_id` is recorded only for vectors-retaining
-    /// grids.
-    pub fn insert(&mut self, leaf: CellKey, vector_id: u32) {
-        let entry = self.leaf_vectors.entry(leaf).or_default();
-        if self.with_vectors {
-            entry.push(vector_id);
-        }
-        // Walk up, linking child → parent until an existing link is found.
-        let m = self.params.levels;
-        let mut child = leaf;
-        for level in (1..m).rev() {
-            let parent = child.parent();
-            let children = self.children[level - 1].entry(parent).or_default();
-            match children.binary_search(&child) {
-                Ok(_) => return, // the rest of the path already exists
-                Err(pos) => children.insert(pos, child),
-            }
-            child = parent;
-        }
-        if let Err(pos) = self.root_children.binary_search(&child) {
-            self.root_children.insert(pos, child);
         }
     }
 

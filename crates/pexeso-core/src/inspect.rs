@@ -7,8 +7,9 @@
 //! populated (postings-length and occupancy histograms — the shape that
 //! decides how well the blocking phase prunes), how spread out the pivot
 //! coordinates are, and how deep the live delta overlay has grown since
-//! the base build. All of it is derived by one read-only walk over the
-//! resident structures; nothing here is sampled or approximate.
+//! the base build. The cell shape is derived by one read-only walk over
+//! the resident structures, and the pivot spread is taken when the index
+//! lays its rows out; nothing here is sampled or approximate.
 //!
 //! The histograms reuse the log-bucketed [`crate::hist`] layout so the
 //! serve tier can expose them through the same Prometheus rendering as
@@ -64,16 +65,43 @@ pub struct IndexInspection {
     pub delta_records: u64,
 }
 
+impl PivotSpread {
+    /// The spread of each of `num_pivots` pivots over `coords`, each
+    /// vector's pivot coordinates in turn.
+    pub fn of<'a>(coords: impl Iterator<Item = &'a [f32]>, num_pivots: usize) -> Vec<Self> {
+        let mut mins = vec![f32::INFINITY; num_pivots];
+        let mut maxs = vec![f32::NEG_INFINITY; num_pivots];
+        let mut sums = vec![0f64; num_pivots];
+        let mut n = 0u64;
+        for coords in coords {
+            n += 1;
+            for (p, &c) in coords.iter().enumerate() {
+                mins[p] = mins[p].min(c);
+                maxs[p] = maxs[p].max(c);
+                sums[p] += c as f64;
+            }
+        }
+        (0..num_pivots)
+            .map(|p| Self {
+                min: if n == 0 { 0.0 } else { mins[p] },
+                max: if n == 0 { 0.0 } else { maxs[p] },
+                mean: if n == 0 {
+                    0.0
+                } else {
+                    (sums[p] / n as f64) as f32
+                },
+            })
+            .collect()
+    }
+}
+
 impl PartitionInspection {
     /// Derive the statistics of one partition by walking its inverted
-    /// index and mapped coordinates. `mapped_iter` yields each vector's
-    /// pivot-space coordinates.
-    pub fn derive<'a>(
+    /// index; the pivot spread is the one the index took at layout.
+    pub fn derive(
         inv: &crate::invindex::InvertedIndex,
         num_columns: u64,
         num_vectors: u64,
-        mapped_iter: impl Iterator<Item = &'a [f32]>,
-        num_pivots: usize,
     ) -> Self {
         let postings_len = AtomicHistogram::new();
         let cell_occupancy = AtomicHistogram::new();
@@ -83,29 +111,6 @@ impl PartitionInspection {
             cell_occupancy.record(cell.len() as u64);
             postings += cell.cols.len() as u64;
         }
-        let mut mins = vec![f32::INFINITY; num_pivots];
-        let mut maxs = vec![f32::NEG_INFINITY; num_pivots];
-        let mut sums = vec![0f64; num_pivots];
-        let mut n = 0u64;
-        for coords in mapped_iter {
-            n += 1;
-            for (p, &c) in coords.iter().enumerate() {
-                mins[p] = mins[p].min(c);
-                maxs[p] = maxs[p].max(c);
-                sums[p] += c as f64;
-            }
-        }
-        let pivot_spread = (0..num_pivots)
-            .map(|p| PivotSpread {
-                min: if n == 0 { 0.0 } else { mins[p] },
-                max: if n == 0 { 0.0 } else { maxs[p] },
-                mean: if n == 0 {
-                    0.0
-                } else {
-                    (sums[p] / n as f64) as f32
-                },
-            })
-            .collect();
         Self {
             columns: num_columns,
             deleted_columns: 0,
@@ -114,7 +119,7 @@ impl PartitionInspection {
             postings,
             postings_len: postings_len.snapshot(),
             cell_occupancy: cell_occupancy.snapshot(),
-            pivot_spread,
+            pivot_spread: inv.pivot_spread().to_vec(),
         }
     }
 
@@ -159,7 +164,7 @@ mod tests {
     use crate::invindex::InvertedIndex;
     use crate::mapping::MappedVectors;
 
-    fn tiny_index() -> (InvertedIndex, MappedVectors) {
+    fn tiny_index() -> InvertedIndex {
         // Two pivots, one-level grid over span 4: cell width 4/2 = 2.
         let params = GridParams::new(2, 1, 4.0).unwrap();
         let mapped = MappedVectors::from_raw(
@@ -171,14 +176,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let inv = InvertedIndex::build(&params, &mapped, &[0, 0, 1], None).unwrap();
-        (inv, mapped)
+        InvertedIndex::build(&params, &mapped, &[0, 0, 1], None).unwrap()
     }
 
     #[test]
     fn partition_inspection_counts_cells_and_postings() {
-        let (inv, mapped) = tiny_index();
-        let p = PartitionInspection::derive(&inv, 2, 3, mapped.iter(), 2);
+        let p = PartitionInspection::derive(&tiny_index(), 2, 3);
         assert_eq!(p.columns, 2);
         assert_eq!(p.deleted_columns, 0);
         assert_eq!(p.vectors, 3);
@@ -196,8 +199,7 @@ mod tests {
 
     #[test]
     fn merged_histograms_and_pivot_width() {
-        let (inv, mapped) = tiny_index();
-        let p = PartitionInspection::derive(&inv, 2, 3, mapped.iter(), 2);
+        let p = PartitionInspection::derive(&tiny_index(), 2, 3);
         // Pivot 0 spans [0.5, 3.0], pivot 1 [0.4, 0.5].
         let w = p.pivot_width().unwrap();
         assert!((w.min - 0.1).abs() < 1e-6, "{w:?}");

@@ -11,12 +11,17 @@
 //! cell: a cell's rows are one contiguous range, grouped by column in
 //! ascending order. Columns own contiguous, ascending vector-id ranges, so
 //! within a cell the rows also ascend by vector id. Each row keeps its
-//! vector id, its column id and its pivot coordinates side by side, in
-//! three parallel arrays, so the candidate scan (`verify.rs`) reads a
-//! candidate cell's columns and coordinates as contiguous runs instead of
-//! gathering them by vector id across the whole partition. These arrays
-//! *are* the index's vector → column map and mapped coordinates: nothing
-//! is held twice.
+//! vector id, its column id and |P| coordinates side by side, in three
+//! parallel arrays, so the candidate scan (`verify.rs`) reads a candidate
+//! cell's columns and coordinates as contiguous runs instead of gathering
+//! them by vector id across the whole partition. These arrays *are* the
+//! index's vector → column map: nothing is held twice.
+//!
+//! A row's coordinates are its **apex** (below) when the index keeps apex
+//! boxes, else its pivot coordinates. The pivot coordinates of an index
+//! with apexes are not resident: what needs them again (an index file, a
+//! new column) maps the vectors afresh, and the per-pivot spread the
+//! introspection plane reports is taken at layout.
 //!
 //! The postings are flat CSR arrays. The cell map gives a cell's ordinal
 //! (cells are numbered by ascending key); cell `c`'s column groups are
@@ -24,33 +29,43 @@
 //! `group_col[g]` with rows `group_row[g]..group_row[g + 1]`. A
 //! [`CellPostings`] is the view of one cell.
 //!
-//! ## Apex boxes
+//! ## Apexes and apex boxes
 //!
 //! In a Euclidean space the distances of a vector to the |P| pivots fix
 //! its **apex**: its position relative to the pivots' simplex, with a last
 //! coordinate for its height above the pivots' span (Connor et al.,
 //! "Supermetric search", *Information Systems* 80, 2019). The Euclidean
 //! distance of two apexes is an exact lower bound on the distance of the
-//! vectors, and a tighter one than any single pivot's (Lemma 1). The index
-//! keeps one axis-aligned box around the apexes of each cell's rows; when
-//! a query vector's apex lies beyond `τ` of a candidate cell's box, no row
-//! of the cell can match it, and the scan never enters the cell.
+//! vectors, and a tighter one than any single pivot's (Lemma 1); with one
+//! apex's height negated it is an upper bound, a tighter one than Lemma 2.
+//! The index keeps one axis-aligned box around the apexes of each cell's
+//! rows; when a query vector's apex lies beyond `τ` of a candidate cell's
+//! box, no row of the cell can match it, and the scan never enters the
+//! cell. Within a cell, the scan tests each row's own apex the same way
+//! ([`crate::lemmas::simplex_filter`], [`crate::lemmas::simplex_match`]).
 //!
-//! Apexes are computed in `f64` from the stored `f32` pivot coordinates,
-//! which carry rounding error. Each box is widened by how far that error
-//! can move a row's apex — the per-coordinate error Lemma 1's `EPS` covers,
-//! taken at the cell's largest coordinates — and a query vector's apex is
-//! the interval its own coordinates allow. The last coordinate is a square
-//! root, which turns an error of `ε` near zero (a row on the pivots' span)
-//! into one of `√ε`, so its bounds are widened under the root. A metric
-//! without [`Metric::simplex_projection`], or pivots that are (nearly)
-//! affinely dependent, get no boxes, and nothing is excluded.
+//! Apexes are computed once, in `f64`, from the `f32` pivot coordinates
+//! (at build and at load, in the one pass that also takes the boxes), and
+//! stored as `f32`. The pivot coordinates carry rounding error. Each box is
+//! widened by how far that error can move a row's apex — the
+//! per-coordinate error Lemma 1's `EPS` covers, taken at the cell's
+//! largest coordinates — and a query vector's apex is the interval its
+//! own coordinates allow. The last coordinate is a square root, which
+//! turns an error of `ε` near zero (a row on the pivots' span) into one of
+//! `√ε`, so its bounds are widened under the root. Each cell also keeps one
+//! number for its rows: how far any stored row apex can lie from the true
+//! one, the same error plus the `f32` rounding of the stored apex, with the
+//! height's share taken at the cell's least squared height (the root
+//! moves most there). A metric without [`Metric::simplex_projection`], or
+//! pivots that are (nearly) affinely dependent, get no apexes: the rows
+//! keep their pivot coordinates, and nothing is excluded.
 
 use std::ops::Range;
 
 use crate::config::{ExecPolicy, MAX_PIVOTS};
 use crate::error::{PexesoError, Result};
 use crate::grid::{compute_leaf_keys, CellKey, GridParams};
+use crate::inspect::PivotSpread;
 use crate::lemmas::EPS;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -99,8 +114,10 @@ pub struct Rows<'a> {
     pub vid: &'a [u32],
     /// Column id of each row.
     pub col: &'a [u32],
-    /// Pivot coordinates of each row.
-    pub mapped: &'a MappedVectors,
+    /// |P| coordinates of each row: its apex — the |P| − 1 base
+    /// coordinates, then the height — when the index keeps apex boxes
+    /// ([`InvertedIndex::apex`] is `Some`), else its pivot coordinates.
+    pub coords: &'a MappedVectors,
 }
 
 /// The inverted index: leaf cell → column postings, over cell-major rows.
@@ -116,14 +133,18 @@ pub struct InvertedIndex {
     group_row: Vec<u32>,
     row_vid: Vec<u32>,
     row_col: Vec<u32>,
-    row_mapped: MappedVectors,
+    /// Per row, its apex or its pivot coordinates (see [`Rows::coords`]).
+    row_coords: MappedVectors,
     apex: Option<ApexBoxes>,
+    /// Per pivot, the spread of the pivot coordinates, taken at layout.
+    spread: Vec<PivotSpread>,
 }
 
 impl InvertedIndex {
     /// Build from the mapped repository vectors (in vector-id order) and
     /// the flat vector→column map. With a simplex `base` (see
-    /// [`SimplexBase::of`]) every cell also gets its apex box.
+    /// [`SimplexBase::of`]) every row holds its apex and every cell gets
+    /// its apex box.
     pub fn build(
         params: &GridParams,
         mapped: &MappedVectors,
@@ -181,6 +202,7 @@ impl InvertedIndex {
             cell_row[c + 1] += cell_row[c];
         }
         let k = mapped.num_pivots();
+        let spread = PivotSpread::of(mapped.iter(), k);
         let mut next = cell_row.clone();
         let (mut row_vid, mut row_col) = (vec![0u32; n], vec![0u32; n]);
         let mut coords = vec![0.0f32; n * k];
@@ -190,7 +212,6 @@ impl InvertedIndex {
             (row_vid[r], row_col[r]) = (vid as u32, vec_col[vid]);
             coords[r * k..(r + 1) * k].copy_from_slice(from);
         }
-        let row_mapped = MappedVectors::from_raw(k, coords)?;
         // A new column group wherever the column changes within a cell.
         let mut cell_groups = Vec::with_capacity(n_cells + 1);
         let (mut group_col, mut group_row) = (Vec::new(), Vec::new());
@@ -207,7 +228,7 @@ impl InvertedIndex {
         group_row.push(n as u32);
         let apex = base
             .filter(|b| b.n == k)
-            .map(|base| ApexBoxes::build(base, &row_mapped, &cell_row));
+            .map(|base| ApexBoxes::build(base, &mut coords, &cell_row));
         Ok(Self {
             cells,
             cell_groups,
@@ -215,46 +236,10 @@ impl InvertedIndex {
             group_row,
             row_vid,
             row_col,
-            row_mapped,
+            row_coords: MappedVectors::from_raw(k, coords)?,
             apex,
+            spread,
         })
-    }
-
-    /// Add the vectors of a new column — `keys` and `mapped` (|P|
-    /// coordinates each) in id order, ids following every row held, a
-    /// column id above every column held. The rows are laid out again from
-    /// vector-id order, so this costs O(|RV|) per column, not the paper's
-    /// O(1) per posting: the cell-major arrays keep no room to insert into.
-    pub fn append_column(&mut self, col: u32, keys: &[CellKey], mapped: &[f32]) -> Result<()> {
-        if let Some(&last) = self.row_col.iter().max() {
-            if last >= col {
-                return Err(PexesoError::InvalidParameter(format!(
-                    "append_column requires a new, larger column id (have {last}, got {col})"
-                )));
-            }
-        }
-        let n = self.row_vid.len();
-        let mut key_of = vec![CellKey(0); self.num_cells()];
-        for (&key, &c) in &self.cells {
-            key_of[c as usize] = key;
-        }
-        let mut id_keys = vec![CellKey(0); n];
-        let mut vec_col = vec![0u32; n];
-        for (c, &key) in key_of.iter().enumerate() {
-            for r in self.cell(c as u32).rows() {
-                let v = self.row_vid[r] as usize;
-                id_keys[v] = key;
-                vec_col[v] = self.row_col[r];
-            }
-        }
-        id_keys.extend_from_slice(keys);
-        vec_col.resize(n + keys.len(), col);
-        let mut id_mapped = self.mapped_by_vector();
-        id_mapped.extend_from_slice(mapped);
-        let id_mapped = MappedVectors::from_raw(self.row_mapped.num_pivots(), id_mapped)?;
-        let base = self.apex.as_ref().map(|a| a.base.clone());
-        *self = Self::from_leaf_keys(&id_keys, &vec_col, &id_mapped, base)?;
-        Ok(())
     }
 
     /// The ordinal of a leaf cell, if it is non-empty.
@@ -304,19 +289,28 @@ impl InvertedIndex {
         Rows {
             vid: &self.row_vid,
             col: &self.row_col,
-            mapped: &self.row_mapped,
+            coords: &self.row_coords,
         }
     }
 
     /// The rows' pivot coordinates in vector-id order (what an index file
-    /// stores).
-    pub fn mapped_by_vector(&self) -> Vec<f32> {
-        let k = self.row_mapped.num_pivots();
-        let mut out = vec![0.0f32; self.row_mapped.raw_data().len()];
-        for (&v, coords) in self.row_vid.iter().zip(self.row_mapped.iter()) {
+    /// stores), or `None` when the rows hold apexes instead.
+    pub fn mapped_by_vector(&self) -> Option<MappedVectors> {
+        if self.apex.is_some() {
+            return None;
+        }
+        let k = self.row_coords.num_pivots();
+        let mut out = vec![0.0f32; self.row_coords.raw_data().len()];
+        for (&v, coords) in self.row_vid.iter().zip(self.row_coords.iter()) {
             out[v as usize * k..(v as usize + 1) * k].copy_from_slice(coords);
         }
-        out
+        Some(MappedVectors::from_raw(k, out).expect("whole rows of |P| coordinates"))
+    }
+
+    /// Per pivot, the spread of the repository's pivot coordinates, taken
+    /// when the rows were laid out.
+    pub fn pivot_spread(&self) -> &[PivotSpread] {
+        &self.spread
     }
 
     /// The cells' apex boxes, when the metric and the pivots allow them.
@@ -327,14 +321,15 @@ impl InvertedIndex {
 
     /// Resident size in bytes (Fig. 6b index-size accounting): every map
     /// entry and array element held, the rows' vector ids, columns and
-    /// pivot coordinates included.
+    /// coordinates, the apex boxes and the pivot spread included.
     pub fn approx_bytes(&self) -> usize {
         let words = self.cell_groups.len()
             + self.group_col.len()
             + self.group_row.len()
             + self.row_vid.len()
             + self.row_col.len()
-            + self.row_mapped.raw_data().len();
+            + self.row_coords.raw_data().len()
+            + self.spread.len() * 3;
         self.cells.len() * (std::mem::size_of::<CellKey>() + 4)
             + words * 4
             + self.apex.as_ref().map_or(0, ApexBoxes::approx_bytes)
@@ -350,6 +345,9 @@ const COORD_ERR: f64 = EPS as f64;
 const MIN_ALTITUDE: f64 = 1e-3;
 /// Added to every interval end for the `f64` arithmetic itself.
 const F64_SLOP: f64 = 1e-12;
+/// Relative error of rounding an `f64` to the nearest `f32` (one unit
+/// in the last place, twice the least bound).
+const F32_ROUNDING: f64 = f32::EPSILON as f64;
 
 /// The n-simplex the pivots span, reduced to what apexes need: each of the
 /// first `n − 1` apex coordinates is an affine function of the squared
@@ -493,21 +491,31 @@ fn sq_err(d: f64) -> f64 {
 /// A vector's apex, one interval per coordinate.
 #[derive(Debug, Clone, Copy)]
 pub struct Apex {
-    lo: [f64; MAX_PIVOTS],
-    hi: [f64; MAX_PIVOTS],
+    pub(crate) lo: [f64; MAX_PIVOTS],
+    pub(crate) hi: [f64; MAX_PIVOTS],
 }
 
-/// `$f::<N>` for the runtime pivot count `$n` (one of the listed `N`).
+/// `$f::<N>(args…)` for the runtime pivot count `$n`, `N` one of
+/// 1..=[`MAX_PIVOTS`]: with `N` known at compile time, the loops over a
+/// row's coordinates unroll.
 macro_rules! by_pivots {
-    ($n:expr, $f:ident, $($k:literal)*) => {
+    ($n:expr, $f:ident($($arg:expr),* $(,)?)) => {
+        by_pivots!(@arms $n, $f, ($($arg),*), 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
+    };
+    (@arms $n:expr, $f:ident, $args:tt, $($k:literal)*) => {
         match $n {
-            $($k => $f::<$k> as fn(&SimplexBase, &[f32]) -> Extent,)*
-            n => unreachable!("{n} pivots: a simplex base has at most MAX_PIVOTS"),
+            $($k => by_pivots!(@call $f::<$k> $args),)*
+            n => unreachable!("{n} pivots: at most MAX_PIVOTS"),
         }
     };
+    (@call $f:ident::<$k:literal> ($($arg:expr),*)) => {
+        $f::<$k>($($arg),*)
+    };
 }
+pub(crate) use by_pivots;
 
-/// One axis-aligned box per cell around its rows' apexes (see the module
+/// One axis-aligned box per cell around its rows' apexes, and one bound
+/// per cell on the error of its rows' stored apexes (see the module
 /// header).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApexBoxes {
@@ -515,49 +523,71 @@ pub struct ApexBoxes {
     /// Per cell, |P| lower then |P| upper bounds, rounded outwards to
     /// `f32`.
     bounds: Vec<f32>,
+    /// Per cell, how far the stored apex of any of its rows can lie from
+    /// the row's true apex (Euclidean norm), rounded up to `f32`.
+    slack: Vec<f32>,
 }
 
 impl ApexBoxes {
-    /// Boxes over the cells whose rows are `cell_row[c]..cell_row[c + 1]`.
-    /// Each row contributes its computed apex; the cell's box is then
-    /// widened once for the error any of its rows' coordinates can carry,
-    /// taken at the cell's largest coordinates. The linear coordinates
-    /// move by at most `E_j`, so a row's squared height `r = d₀² − Σ aⱼ²`
-    /// moves by at most `R = err(d₀) + Σ (2·|aⱼ| + E_j)·E_j`, and the
-    /// height's bounds are the roots of the cell's least and greatest `r`
-    /// widened by `R` (the root is monotone).
-    fn build(base: SimplexBase, rows: &MappedVectors, cell_row: &[u32]) -> Self {
+    /// Boxes over the cells whose rows are `cell_row[c]..cell_row[c + 1]`,
+    /// computed from the rows' pivot coordinates in `coords`, which are
+    /// left holding the rows' apexes. Each row contributes its computed
+    /// apex; the cell's box is then widened once for the error any of its
+    /// rows' coordinates can carry, taken at the cell's largest
+    /// coordinates. The linear coordinates move by at most `E_j`, so a
+    /// row's squared height `r = d₀² − Σ aⱼ²` moves by at most
+    /// `R = err(d₀) + Σ (2·|aⱼ| + E_j)·E_j`, and the height's bounds are
+    /// the roots of the cell's least and greatest `r` widened by `R` (the
+    /// root is monotone).
+    ///
+    /// The cell's slack: a stored linear coordinate is off by at most `E_j`
+    /// plus its `f32` rounding. The stored height `√max(r, 0)` is off from
+    /// the true one by at most `R / (√(r + R) + √r)` above and
+    /// `R / (√r + √(r − R))` below; both shrink as `r` grows, so the cell's
+    /// least `r` (taken as at least 0 above and at least `R` below, where
+    /// each is `√R`) bounds every row's.
+    fn build(base: SimplexBase, coords: &mut [f32], cell_row: &[u32]) -> Self {
         let n = base.n;
-        let extent = by_pivots!(
-            n,
-            cell_extent,
-            1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-        );
-        let mut bounds = Vec::with_capacity((cell_row.len() - 1) * 2 * n);
+        let n_cells = cell_row.len() - 1;
+        let mut bounds = Vec::with_capacity(n_cells * 2 * n);
+        let mut slack = Vec::with_capacity(n_cells);
         for cell in cell_row.windows(2) {
-            let rows = &rows.raw_data()[cell[0] as usize * n..cell[1] as usize * n];
+            let rows = &mut coords[cell[0] as usize * n..cell[1] as usize * n];
             let Extent {
                 mut lo,
                 mut hi,
                 far,
-            } = extent(&base, rows);
+            } = by_pivots!(n, cell_extent(&base, rows));
             let (mut err, mut e) = ([0.0f64; MAX_PIVOTS], [0.0f64; MAX_PIVOTS]);
             for k in 0..n {
                 err[k] = sq_err(far[k]);
             }
             base.widening(&err[..n], &mut e[..n - 1]);
             let mut reach = err[0] + F64_SLOP;
+            let mut row_err2 = 0.0f64;
             for j in 0..n - 1 {
-                reach += (2.0 * lo[j].abs().max(hi[j].abs()) + e[j]) * e[j];
+                let most = lo[j].abs().max(hi[j].abs());
+                reach += (2.0 * most + e[j]) * e[j];
+                row_err2 += (e[j] + most * F32_ROUNDING).powi(2);
                 lo[j] -= e[j];
                 hi[j] += e[j];
             }
-            lo[n - 1] = (lo[n - 1] - reach).max(0.0).sqrt();
-            hi[n - 1] = (hi[n - 1] + reach).max(0.0).sqrt();
+            let (least, most) = (lo[n - 1], hi[n - 1]);
+            let (r0, r1) = (least.max(0.0), least.max(reach));
+            let above = reach / ((r0 + reach).sqrt() + r0.sqrt());
+            let below = reach / (r1.sqrt() + (r1 - reach).sqrt());
+            let height_err = above.max(below) + most.max(0.0).sqrt() * F32_ROUNDING + F64_SLOP;
+            slack.push(round_up((row_err2 + height_err * height_err).sqrt()));
+            lo[n - 1] = (least - reach).max(0.0).sqrt();
+            hi[n - 1] = (most + reach).max(0.0).sqrt();
             bounds.extend(lo[..n].iter().map(|&x| round_down(x)));
             bounds.extend(hi[..n].iter().map(|&x| round_up(x)));
         }
-        Self { base, bounds }
+        Self {
+            base,
+            bounds,
+            slack,
+        }
     }
 
     /// The apex of a query vector with pivot coordinates `mapped`.
@@ -583,8 +613,25 @@ impl ApexBoxes {
         gap2 > reach * reach
     }
 
+    /// The squared distances the row bounds of [`crate::lemmas`] compare
+    /// with for the rows of cell `c` at `tau`, widened by the cell's slack
+    /// and by `EPS` (the rounding of the exact distance test): a row whose
+    /// apex lies farther than the first from a query vector's apex is
+    /// beyond `tau` ([`crate::lemmas::simplex_filter`]), and one whose
+    /// reflected apex lies within the second is within it
+    /// ([`crate::lemmas::simplex_match`]; negative when nothing is).
+    #[inline]
+    pub fn row_reach(&self, c: u32, tau: f32) -> (f64, f64) {
+        let slack = self.slack[c as usize] as f64;
+        let beyond = tau as f64 + EPS as f64 + slack;
+        let within = tau as f64 - EPS as f64 - slack;
+        let within2 = if within >= 0.0 { within * within } else { -1.0 };
+        (beyond * beyond, within2)
+    }
+
     fn approx_bytes(&self) -> usize {
-        self.bounds.len() * 4 + (self.base.coef.len() + self.base.offset.len()) * 8
+        (self.bounds.len() + self.slack.len()) * 4
+            + (self.base.coef.len() + self.base.offset.len()) * 8
     }
 }
 
@@ -596,11 +643,12 @@ struct Extent {
     far: [f64; MAX_PIVOTS],
 }
 
-/// The [`Extent`] of `coords`, rows of `N` pivot coordinates. With `N`
-/// known at compile time the per-row loops unroll: on 53 k clustered rows
-/// of 3 pivots this took 0.55 ms, against 1.5 ms for the same loops over
-/// a runtime |P|.
-fn cell_extent<const N: usize>(base: &SimplexBase, coords: &[f32]) -> Extent {
+/// The [`Extent`] of `coords`, rows of `N` pivot coordinates, each
+/// overwritten with its apex: the `N − 1` linear coordinates and the
+/// height `√max(r, 0)`, rounded to `f32`. With `N` known at compile time
+/// the per-row loops unroll: on 53 k clustered rows of 3 pivots this took
+/// 0.55 ms, against 1.5 ms for the same loops over a runtime |P|.
+fn cell_extent<const N: usize>(base: &SimplexBase, coords: &mut [f32]) -> Extent {
     let (mut coef, mut offset) = ([[0.0f64; N]; N], [0.0f64; N]);
     for j in 0..N - 1 {
         coef[j].copy_from_slice(&base.coef[j * N..(j + 1) * N]);
@@ -611,7 +659,7 @@ fn cell_extent<const N: usize>(base: &SimplexBase, coords: &[f32]) -> Extent {
         hi: [f64::NEG_INFINITY; MAX_PIVOTS],
         far: [0.0; MAX_PIVOTS],
     };
-    for row in coords.chunks_exact(N) {
+    for row in coords.chunks_exact_mut(N) {
         let mut sq = [0.0f64; N];
         for k in 0..N {
             let d = row[k] as f64;
@@ -627,9 +675,11 @@ fn cell_extent<const N: usize>(base: &SimplexBase, coords: &[f32]) -> Extent {
             height -= a * a;
             out.lo[j] = out.lo[j].min(a);
             out.hi[j] = out.hi[j].max(a);
+            row[j] = a as f32;
         }
         out.lo[N - 1] = out.lo[N - 1].min(height);
         out.hi[N - 1] = out.hi[N - 1].max(height);
+        row[N - 1] = height.max(0.0).sqrt() as f32;
     }
     out
 }
@@ -738,10 +788,10 @@ mod tests {
         for (r, &v) in rows.vid.iter().enumerate() {
             assert!(!std::mem::replace(&mut seen[v as usize], true), "row {r}");
             assert_eq!(rows.col[r], vec_col[v as usize]);
-            assert_eq!(rows.mapped.get(r), mapped.get(v as usize));
+            assert_eq!(rows.coords.get(r), mapped.get(v as usize));
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(inv.mapped_by_vector(), mapped.raw_data());
+        assert_eq!(inv.pivot_spread(), PivotSpread::of(mapped.iter(), 2));
         let mut covered = 0;
         for (&key, p) in inv.iter_cells() {
             assert_eq!(p.offsets.len(), p.cols.len() + 1);
@@ -750,27 +800,13 @@ mod tests {
                 assert!(!p.rows_of(i).is_empty());
                 for r in p.rows_of(i) {
                     assert_eq!(rows.col[r], p.cols[i]);
-                    assert_eq!(params.leaf_key(rows.mapped.get(r)), key);
+                    assert_eq!(params.leaf_key(rows.coords.get(r)), key);
                 }
             }
             assert!(vids(&inv, p.rows()).windows(2).all(|w| w[0] < w[1]));
             covered += p.len();
         }
         assert_eq!(covered, n);
-    }
-
-    #[test]
-    fn append_column_lays_the_rows_out_as_a_fresh_build() {
-        let params = GridParams::new(1, 3, 8.0).unwrap();
-        let all = mapped_from(&[&[0.5], &[6.5], &[1.5], &[0.7], &[6.6], &[3.2]]);
-        let vec_col = [0, 0, 1, 1, 2, 2];
-        let fresh = InvertedIndex::build(&params, &all, &vec_col, None).unwrap();
-        let head = MappedVectors::from_raw(1, all.raw_data()[..4].to_vec()).unwrap();
-        let mut grown = InvertedIndex::build(&params, &head, &vec_col[..4], None).unwrap();
-        let keys = [params.leaf_key(&[6.6]), params.leaf_key(&[3.2])];
-        grown.append_column(2, &keys, &[6.6, 3.2]).unwrap();
-        assert_eq!(grown, fresh);
-        assert!(grown.append_column(2, &keys[..1], &[6.6]).is_err());
     }
 
     #[test]

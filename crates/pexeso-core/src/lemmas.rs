@@ -1,6 +1,12 @@
-//! Lemmas 1–6 as pure predicates (Section III-A/B).
+//! Lemmas 1–6 as pure predicates (Section III-A/B), and the n-simplex row
+//! bounds that take the place of Lemmas 1 and 2 on a Euclidean index.
 //!
-//! All predicates operate in the pivot space. Filtering predicates may only
+//! Lemmas 1–6 operate in the pivot space. The n-simplex bounds (Connor et
+//! al., "Supermetric search", 2019) operate on apexes
+//! ([`crate::invindex`]): the apex distance is an exact lower bound on the
+//! Euclidean distance, and at least as tight as Lemma 1 on every pivot;
+//! with one apex reflected through the pivots' span it is an upper bound,
+//! at least as tight as Lemma 2. Filtering predicates may only
 //! return `true` when the pair is *provably* non-matching; matching
 //! predicates may only return `true` when the pair is *provably* matching.
 //! A small epsilon guards against f32 rounding at cell boundaries: filters
@@ -9,6 +15,7 @@
 //! overall algorithm exact.
 
 use crate::grid::CellBounds;
+use crate::invindex::Apex;
 
 /// Safety margin for boundary comparisons in pivot space.
 pub(crate) const EPS: f32 = 1e-5;
@@ -39,6 +46,55 @@ pub fn lemma2_match(q_mapped: &[f32], x_mapped: &[f32], tau: f32) -> bool {
         .iter()
         .zip(x_mapped.iter())
         .any(|(q, x)| q + x <= tau - EPS)
+}
+
+/// n-simplex filtering, Lemma 1's counterpart on apexes: `q` cannot match
+/// the row whose stored apex is `x` if `x` lies farther than `√reach2`
+/// from `q`'s apex interval. `reach2` is the cell's first
+/// [`crate::invindex::ApexBoxes::row_reach`]: `τ + EPS`, widened for how
+/// far a stored apex can lie from the true one. Returns `true` when `x` is
+/// safely pruned. A NaN coordinate never prunes.
+///
+/// A branch-free fold like Lemma 1's, in `f64` so that its own rounding
+/// stays far below the widening. The gaps are selects, not `f64::max`,
+/// which would spend instructions on NaN operands: a NaN gap selects 0.
+#[inline]
+pub fn simplex_filter(q: &Apex, x: &[f32], reach2: f64) -> bool {
+    let mut gap2 = 0.0f64;
+    for ((&lo, &hi), &x) in q.lo.iter().zip(&q.hi).zip(x) {
+        let (below, above) = (lo - x as f64, x as f64 - hi);
+        let gap = if below > above { below } else { above };
+        let gap = if gap > 0.0 { gap } else { 0.0 };
+        gap2 += gap * gap;
+    }
+    gap2 > reach2
+}
+
+/// n-simplex matching, Lemma 2's counterpart on apexes: `q` surely matches
+/// the row whose stored apex is `x` if the farthest point of `q`'s apex
+/// interval from `x`, with the two heights on opposite sides of the
+/// pivots' span, lies within `√within2` of it — the cell's second
+/// [`crate::invindex::ApexBoxes::row_reach`], `τ − EPS` narrowed by the
+/// same widening. Returns `true` when the match is certain.
+///
+/// The heights alone usually rule a match out (two vectors seldom both lie
+/// within `τ` of the pivots' span), so they are tested first.
+#[inline]
+pub fn simplex_match(q: &Apex, x: &[f32], within2: f64) -> bool {
+    let Some((&height, linear)) = x.split_last() else {
+        return false;
+    };
+    let heights = q.hi[linear.len()] + height as f64;
+    let mut far2 = heights * heights;
+    if far2 > within2 {
+        return false;
+    }
+    for ((&lo, &hi), &x) in q.lo.iter().zip(&q.hi).zip(linear) {
+        let x = x as f64;
+        let far = (x - lo).abs().max((hi - x).abs());
+        far2 += far * far;
+    }
+    far2 <= within2
 }
 
 /// Lemma 3 (vector-cell filtering): no vector in the target cell `c` can

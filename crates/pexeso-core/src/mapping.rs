@@ -1,9 +1,10 @@
 //! Pivot mapping: original metric space → pivot space.
 //!
-//! A vector `x` maps to `x' = [d(x, p₁), …, d(x, p_|P|)]`. Mapped vectors of
-//! the whole repository are kept resident (flat arena) because verification
-//! uses them for the O(|P|) Lemma 1/2 checks before paying an O(dim)
-//! distance computation.
+//! A vector `x` maps to `x' = [d(x, p₁), …, d(x, p_|P|)]`. The inverted
+//! index keeps what the repository's mapped vectors give verification —
+//! the pivot coordinates themselves, or on a Euclidean index the n-simplex
+//! apexes computed from them — because its O(|P|) row bounds come before
+//! an O(dim) distance computation.
 //!
 //! Mapping is embarrassingly parallel (each vector's row is independent),
 //! so [`MappedVectors::build_with`] shards the vectors across an

@@ -65,16 +65,20 @@ fn selection_from_tag(t: u8) -> Result<PivotSelection> {
 /// one — readers see the old index or the new one, never a fragment.
 pub fn save_index<M: Metric>(index: &PexesoIndex<M>, path: &Path) -> Result<()> {
     let tmp = path.with_extension("pex.tmp");
-    std::fs::write(&tmp, encode_index(index))?;
+    std::fs::write(&tmp, encode_index(index)?)?;
     std::fs::rename(&tmp, path)?;
     Ok(())
 }
 
-fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Vec<u8> {
+fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Result<Vec<u8>> {
     let store = index.columns().store();
-    // The index holds its mapped coordinates cell by cell; the file keeps
-    // them in vector-id order.
-    let mapped = index.inverted_index().mapped_by_vector();
+    let rv_mapped = match index.inverted_index().mapped_by_vector() {
+        Some(mapped) => mapped,
+        // Rows that hold apexes keep no pivot coordinates: map afresh, in
+        // vector-id order — the same bits the build mapped.
+        None => index.map_repository(index.options().exec)?,
+    };
+    let mapped = rv_mapped.raw_data();
     let num_pivots = index.pivots().len();
     let floats = store.raw_data().len() + mapped.len();
     let mut w = Enc::with_capacity(4 * floats + 4096);
@@ -114,11 +118,11 @@ fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Vec<u8> {
 
     w.u32(num_pivots as u32);
     w.u64(store.len() as u64);
-    w.f32s(&mapped);
+    w.f32s(mapped);
 
     let checksum = crc32c(w.as_bytes());
     w.u32(checksum);
-    w.into_bytes()
+    Ok(w.into_bytes())
 }
 
 /// Load an index from `path`, validating magic, metric, structure, and
@@ -227,7 +231,7 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
         return Err(PexesoError::Corrupt("checksum mismatch".into()));
     }
 
-    PexesoIndex::from_parts(columns, pivots, rv_mapped, options, grid_params, metric)
+    PexesoIndex::from_saved_parts(columns, pivots, rv_mapped, options, grid_params, metric)
 }
 
 #[cfg(test)]
@@ -293,7 +297,10 @@ mod tests {
         // vector-id order).
         assert_eq!(index.inverted_index(), loaded.inverted_index());
         assert!(loaded.inverted_index().apex().is_some());
-        assert_eq!(encode_index(&loaded), std::fs::read(&path).unwrap());
+        assert_eq!(
+            encode_index(&loaded).unwrap(),
+            std::fs::read(&path).unwrap()
+        );
         std::fs::remove_file(&path).ok();
     }
 

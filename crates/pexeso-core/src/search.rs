@@ -7,6 +7,7 @@
 //! index's own [`Queryable::execute`] included. Results are exact —
 //! identical to the naive scan — for every lemma-flag combination.
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::block::{block_with, quick_browse, BlockOutput};
@@ -64,8 +65,11 @@ pub struct PexesoIndex<M: Metric> {
     columns: ColumnSet,
     hgrv: HierarchicalGrid,
     /// The postings and the cell-major rows: each vector's column and
-    /// pivot coordinates live here and nowhere else.
+    /// apex (or pivot coordinates) live here and nowhere else.
     inv: InvertedIndex,
+    /// [`PexesoIndex::rv_mapped`], mapped on first use; not part of the
+    /// index.
+    rv_mapped: OnceLock<MappedVectors>,
     build_time: Duration,
 }
 
@@ -121,6 +125,7 @@ impl<M: Metric> PexesoIndex<M> {
             columns,
             hgrv,
             inv,
+            rv_mapped: OnceLock::new(),
             build_time: started.elapsed(),
         })
     }
@@ -195,13 +200,13 @@ impl<M: Metric> PexesoIndex<M> {
         Ok((query_mapped, blocked))
     }
 
-    /// Append a new column online. The pivot mapping and the grid
-    /// insertions cost O((|P|+m)·|s|) (Section III-E), but the inverted
-    /// index lays its cell-major rows out again, which costs O(|RV|) per
-    /// column rather than the paper's O(1) per posting. The appended
-    /// vectors must map inside the existing pivot-space span (guaranteed
-    /// for unit-normalised data); otherwise nothing is appended and the
-    /// index must be rebuilt.
+    /// Append a new column online. The vectors must map inside the
+    /// existing pivot-space span (guaranteed for unit-normalised data);
+    /// otherwise nothing is appended and the index must be rebuilt. The
+    /// index keeps no pivot coordinates where its rows hold apexes, so
+    /// `HG_RV` and the inverted index are laid out again from a fresh
+    /// mapping of every vector: O(|RV|) per column, not the paper's
+    /// O((|P|+m)·|s|).
     pub fn append_column<'a>(
         &mut self,
         table_name: &str,
@@ -210,18 +215,12 @@ impl<M: Metric> PexesoIndex<M> {
         vectors: impl IntoIterator<Item = &'a [f32]>,
     ) -> Result<ColumnId> {
         let vectors: Vec<&[f32]> = vectors.into_iter().collect();
-        let dim = self.columns.dim();
-        if let Some(v) = vectors.iter().find(|v| v.len() != dim) {
-            return Err(PexesoError::DimensionMismatch {
-                expected: dim,
-                got: v.len(),
-            });
-        }
-        let mut mapped = Vec::with_capacity(vectors.len() * self.pivots.len());
+        let mut added = VectorStore::new(self.columns.dim());
         for v in &vectors {
-            mapped.extend(self.pivots.iter().map(|p| self.metric.dist(v, p)));
+            added.push(v)?;
         }
-        if mapped.iter().any(|&c| c > self.grid_params.span) {
+        let mapped = MappedVectors::build(&added, &self.pivots, &self.metric, None)?;
+        if mapped.max_coord() > self.grid_params.span {
             return Err(PexesoError::InvalidParameter(format!(
                 "appended vector maps outside the pivot space (> {}); rebuild the index",
                 self.grid_params.span
@@ -230,29 +229,39 @@ impl<M: Metric> PexesoIndex<M> {
         let col_id = self
             .columns
             .add_column(table_name, column_name, external_id, vectors)?;
-        let first = self.columns.column(col_id).start;
-        let keys: Vec<_> = mapped
-            .chunks_exact(self.pivots.len())
-            .map(|coords| self.grid_params.leaf_key(coords))
-            .collect();
-        for (vid, &leaf) in (first..).zip(&keys) {
-            self.hgrv.insert(leaf, vid);
-        }
-        self.inv.append_column(col_id.0, &keys, &mapped)?;
+        (self.hgrv, self.inv) = rv_structures(
+            &self.grid_params,
+            &self.map_repository(self.options.exec)?,
+            &self.columns,
+            SimplexBase::of(&self.pivots, &self.metric),
+            self.options.exec,
+        )?;
+        self.rv_mapped = OnceLock::new();
         Ok(col_id)
+    }
+
+    /// Every repository vector's pivot coordinates, in vector-id order,
+    /// mapped afresh: bit for bit what the build mapped
+    /// ([`MappedVectors::build_with`] is the same for every policy).
+    pub(crate) fn map_repository(&self, policy: ExecPolicy) -> Result<MappedVectors> {
+        MappedVectors::build_with(
+            self.columns.store(),
+            &self.pivots,
+            &self.metric,
+            None,
+            policy,
+        )
     }
 
     /// Structural statistics of this index — column/vector counts, cell
     /// histograms, pivot spread — for the introspection plane (see
-    /// [`crate::inspect`]). One read-only walk over the inverted index
-    /// and mapped coordinates.
+    /// [`crate::inspect`]). One read-only walk over the inverted index,
+    /// whose pivot spread was taken at layout.
     pub fn inspect(&self) -> PartitionInspection {
         PartitionInspection::derive(
             &self.inv,
             self.columns.n_columns() as u64,
             self.columns.n_vectors() as u64,
-            self.inv.rows().mapped.iter(),
-            self.pivots.len(),
         )
     }
 
@@ -346,15 +355,32 @@ impl<M: Metric> PexesoIndex<M> {
     /// The repository vectors' pivot coordinates **in the inverted
     /// index's cell-major row order**, not in vector-id order: row `r`
     /// belongs to vector `inverted_index().rows().vid[r]`. Order-free uses
-    /// (a keys-only `HG_RV`, coordinate ranges) can take them as they are;
-    /// [`InvertedIndex::mapped_by_vector`] gives the id order.
+    /// (a keys-only `HG_RV`, coordinate ranges) can take them as they are.
+    ///
+    /// Where the rows hold apexes (a Euclidean index) the index does not
+    /// hold them: the first call maps every vector afresh,
+    /// O(|RV|·|P|·dim), and keeps the result, which
+    /// [`PexesoIndex::index_bytes`] does not count. No query reads them.
     pub fn rv_mapped(&self) -> &MappedVectors {
-        self.inv.rows().mapped
+        if self.inv.apex().is_none() {
+            return self.inv.rows().coords;
+        }
+        self.rv_mapped.get_or_init(|| {
+            let by_id = self
+                .map_repository(ExecPolicy::Sequential)
+                .expect("an index's pivots match its vectors");
+            let k = by_id.num_pivots();
+            let mut coords = Vec::with_capacity(by_id.raw_data().len());
+            for &v in self.inv.rows().vid {
+                coords.extend_from_slice(by_id.get(v as usize));
+            }
+            MappedVectors::from_raw(k, coords).expect("whole rows of |P| coordinates")
+        })
     }
 
     /// Resident size of the *index structures* in bytes — the grid, the
-    /// inverted index (whose rows hold each vector's column and pivot
-    /// coordinates) and the pivots — excluding the raw table-repository
+    /// inverted index (whose rows hold each vector's column and apex or
+    /// pivot coordinates) and the pivots — excluding the raw table-repository
     /// vectors, matching the paper's index-size accounting (Fig. 6b).
     pub fn index_bytes(&self) -> usize {
         self.hgrv.approx_bytes()
@@ -367,8 +393,37 @@ impl<M: Metric> PexesoIndex<M> {
         self.columns.store().raw_data().len() * 4
     }
 
-    /// Reassemble from persisted parts (grid and inverted index are rebuilt
-    /// deterministically from the mapped vectors).
+    /// Reassemble from the parts of a file [`crate::persist::save_index`]
+    /// wrote. Its pivot coordinates are what the build mapped, so the grid
+    /// and the inverted index are rebuilt deterministically from them, a
+    /// Euclidean index's rows taking their apexes, and a save maps them
+    /// afresh.
+    pub(crate) fn from_saved_parts(
+        columns: ColumnSet,
+        pivots: Vec<Vec<f32>>,
+        rv_mapped: MappedVectors,
+        options: IndexOptions,
+        grid_params: GridParams,
+        metric: M,
+    ) -> Result<Self> {
+        let base = SimplexBase::of(&pivots, &metric);
+        Self::assemble(
+            columns,
+            pivots,
+            rv_mapped,
+            options,
+            grid_params,
+            metric,
+            base,
+        )
+    }
+
+    /// Reassemble from parts whose pivot coordinates need not be what
+    /// mapping the vectors gives (a hand-written index file): the rows
+    /// keep them as given, so the index filters rows by Lemmas 1 and 2
+    /// and a save writes them back unchanged (what pins the file layout
+    /// byte for byte in `persist.rs`).
+    #[cfg(test)]
     pub(crate) fn from_parts(
         columns: ColumnSet,
         pivots: Vec<Vec<f32>>,
@@ -376,6 +431,26 @@ impl<M: Metric> PexesoIndex<M> {
         options: IndexOptions,
         grid_params: GridParams,
         metric: M,
+    ) -> Result<Self> {
+        Self::assemble(
+            columns,
+            pivots,
+            rv_mapped,
+            options,
+            grid_params,
+            metric,
+            None,
+        )
+    }
+
+    fn assemble(
+        columns: ColumnSet,
+        pivots: Vec<Vec<f32>>,
+        rv_mapped: MappedVectors,
+        options: IndexOptions,
+        grid_params: GridParams,
+        metric: M,
+        base: Option<SimplexBase>,
     ) -> Result<Self> {
         if rv_mapped.len() != columns.n_vectors() {
             return Err(PexesoError::Corrupt(format!(
@@ -389,7 +464,7 @@ impl<M: Metric> PexesoIndex<M> {
             &grid_params,
             &rv_mapped,
             &columns,
-            SimplexBase::of(&pivots, &metric),
+            base,
             ExecPolicy::Sequential,
         )?;
         Ok(Self {
@@ -400,6 +475,7 @@ impl<M: Metric> PexesoIndex<M> {
             columns,
             hgrv,
             inv,
+            rv_mapped: OnceLock::new(),
             build_time: started.elapsed(),
         })
     }
@@ -483,7 +559,7 @@ impl<M: Metric> IndexUnit for PexesoIndex<M> {
         let ctx = VerifyContext {
             columns: &self.columns,
             vec_col: &[],
-            rv_mapped: self.inv.rows().mapped,
+            rv_mapped: self.inv.rows().coords,
             inv: &self.inv,
             metric: &self.metric,
             query: vectors,
@@ -681,7 +757,7 @@ mod tests {
             };
             let index = PexesoIndex::build(columns.clone(), Euclidean, options).unwrap();
             let params = index.grid_params().clone();
-            let by_id = MappedVectors::from_raw(4, index.inv.mapped_by_vector()).unwrap();
+            let by_id = index.map_repository(ExecPolicy::Sequential).unwrap();
             let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &by_id).unwrap();
             let base = SimplexBase::of(&index.pivots, &Euclidean);
             assert!(base.is_some(), "four random pivots span a simplex");
@@ -689,7 +765,7 @@ mod tests {
                 InvertedIndex::build(&params, &by_id, &columns.vector_to_column(), base).unwrap();
             assert_eq!(index.hgrv, hgrv);
             assert_eq!(index.inv, inv);
-            let reassembled = PexesoIndex::from_parts(
+            let reassembled = PexesoIndex::from_saved_parts(
                 index.columns.clone(),
                 index.pivots.clone(),
                 by_id,

@@ -23,21 +23,25 @@ pub struct SearchStats {
     pub distance_computations: u64,
     /// Distances computed while pivot-mapping the query column.
     pub mapping_distances: u64,
-    /// Target vectors discarded by Lemma 1 during verification. The
-    /// threshold scan filters a candidate cell before it tests any row of
-    /// it, so this counts every Lemma-1-rejected row of every column that
-    /// was live (not joinable, pruned, tombstoned or already matched by
-    /// the query vector) when the cell was entered — including rows behind
-    /// the row that then matches the column in that cell, which a
-    /// stop-at-first-match walk would not have looked at. Rows of dead
-    /// columns, and of cells the apex bound excluded
-    /// ([`SearchStats::apex_excluded`]), are never put to Lemma 1, so the
+    /// Target vectors discarded by the row bound during verification: on
+    /// a Euclidean index whose rows hold apexes, by the n-simplex lower
+    /// bound (which implies Lemma 1), elsewhere by Lemma 1 itself (see
+    /// [`crate::verify`]). The threshold scan filters a candidate cell
+    /// before it tests any row of it, so this counts every rejected row of
+    /// every column that was live (not joinable, pruned, tombstoned or
+    /// already matched by the query vector) when the cell was entered —
+    /// including rows behind the row that then matches the column in that
+    /// cell, which a stop-at-first-match walk would not have looked at.
+    /// Rows of dead columns, and of cells the apex bound excluded
+    /// ([`SearchStats::apex_excluded`]), are never put to the bound, so the
     /// count follows the schedule:
     /// the sooner the columns die, the fewer rows are left to reject, and a
     /// lower count beside fewer distance computations means less work, not
     /// a weaker filter.
     pub lemma1_filtered: u64,
-    /// Target vectors accepted by Lemma 2 during verification.
+    /// Target vectors accepted without a distance computation during
+    /// verification: by the reflected n-simplex bound where the rows hold
+    /// apexes, by Lemma 2 elsewhere.
     pub lemma2_matched: u64,
     /// Cell pairs pruned by Lemma 4 / vectors-cell prunes by Lemma 3.
     pub cell_pairs_filtered: u64,

@@ -1,9 +1,9 @@
 //! Verification: Algorithm 2 over the inverted index.
 //!
 //! Matching pairs increment the match map directly; candidate pairs scan
-//! the rows of their leaf cells, filtering with Lemma 1, accepting with
-//! Lemma 2, and paying an exact distance computation only for the
-//! survivors. Two early-termination rules apply per column:
+//! the rows of their leaf cells, filtering and accepting each row by the
+//! row bound (below), and paying an exact distance computation only for
+//! the survivors. Two early-termination rules apply per column:
 //!
 //! * **joinable-skip** — once a column's match count reaches `T`, it is
 //!   joinable and never touched again;
@@ -52,29 +52,45 @@
 //! ## The candidate scan: two stages per cell
 //!
 //! The inverted index stores its rows cell by cell, each row with its
-//! vector id, column and pivot coordinates side by side
-//! ([`crate::invindex`]), so a candidate cell is a contiguous run of rows,
-//! walked as one flat run, not as column groups (groups average barely
-//! more than one row, so per-group bookkeeping costs more than the
-//! distance tests it guards).
+//! vector id, column and coordinates side by side ([`crate::invindex`]),
+//! so a candidate cell is a contiguous run of rows, walked as one flat
+//! run, not as column groups (groups average barely more than one row, so
+//! per-group bookkeeping costs more than the distance tests it guards).
 //!
 //! 1. **Filter.** One compaction pass into a buffer of row indexes reused
 //!    across cells, by one of two enumerations that keep the same rows in
 //!    the same order. *By row*: read each row's column and coordinates in
 //!    order and keep the row if its column's state word says live and
-//!    unmatched and, when Lemma 1 is on, the lemma cannot reject it — no
-//!    data-dependent branch (every row is written, the cursor advances by
-//!    `n += keep`). *By live column*: once few columns are left the shard
-//!    keeps their slots as an ascending list, and a cell with many more
-//!    rows than the list has entries is enumerated by binary-searching its
-//!    ascending `cols` for each listed column and putting that column
-//!    group's rows to Lemma 1 — the dead rows are never looked at.
-//! 2. **Test.** Lemma 2 / [`Metric::dist_le`] over the survivors, the
-//!    repository vector fetched by the row's vector id and prefetched
-//!    [`PREFETCH_AHEAD`] survivors ahead. The state word is re-checked, so
-//!    once a row matches, the column's remaining survivors in the cell are
-//!    skipped — exactly the rows a per-column first-match `break` would
-//!    skip.
+//!    unmatched and, when the filter is on
+//!    ([`LemmaFlags::lemma1_vector_filter`]), the row bound cannot reject
+//!    it — no data-dependent branch (every row is written, the cursor
+//!    advances by `n += keep`). *By live column*: once few columns are
+//!    left the shard keeps their slots as an ascending list, and a cell
+//!    with many more rows than the list has entries is enumerated by
+//!    binary-searching its ascending `cols` for each listed column and
+//!    putting that column group's rows to the row bound — the dead rows
+//!    are never looked at.
+//! 2. **Test.** The row bound's match test (when
+//!    [`LemmaFlags::lemma2_vector_match`] is on), then
+//!    [`Metric::dist_le`], over the survivors, the repository vector
+//!    fetched by the row's vector id and prefetched [`PREFETCH_AHEAD`]
+//!    survivors ahead. The state word is re-checked, so once a row
+//!    matches, the column's remaining survivors in the cell are skipped —
+//!    exactly the rows a per-column first-match `break` would skip.
+//!
+//! ## The row bound
+//!
+//! On an index whose rows hold apexes (Euclidean, pivots with a simplex
+//! base), a row is rejected when its apex lies beyond `τ` of the query
+//! vector's apex interval ([`lemmas::simplex_filter`]: the exact n-simplex
+//! lower bound, which implies Lemma 1) and accepted when its apex,
+//! reflected through the pivots' span, lies within `τ` of every point of
+//! that interval ([`lemmas::simplex_match`], the upper bound, which
+//! implies Lemma 2). Both are widened by the cell's slack — how far a
+//! stored apex can lie from the true one — and by `EPS`
+//! ([`ApexBoxes::row_reach`], worked out once per cell). Every other index
+//! filters and accepts by Lemmas 1 and 2 over pivot coordinates. The
+//! rejections are counted in [`SearchStats::lemma1_filtered`] either way.
 //!
 //! ## Complete Lemma 7
 //!
@@ -124,7 +140,7 @@ use crate::config::{ExecPolicy, LemmaFlags};
 use crate::cost::ColumnMatchBounds;
 use crate::exec;
 use crate::grid::CellKey;
-use crate::invindex::{Apex, ApexBoxes, CellPostings, InvertedIndex, Rows};
+use crate::invindex::{by_pivots, Apex, ApexBoxes, CellPostings, InvertedIndex, Rows};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -336,9 +352,13 @@ const LISTED_RATIO: usize = 8;
 /// How many survivors ahead stage 2 prefetches the repository vector of.
 /// Measured with `verify_profile`'s exact-count scan at the benchmark
 /// lake's shape (114 k vectors of 48 dims in 6,000 columns, 19 query
-/// vectors; best of 40 runs per try, tries interleaved, 2 vCPUs): 4 ahead
-/// 15.5 ms, 8 14.0, 12 13.6, 16 13.4, 24 13.7 — the terminable scan was
-/// flat (1.06–1.12 ms) — so 4 loses ≈ 12 % and 12 to 24 are one plateau.
+/// vectors; each try the best of 40 runs, 2 vCPUs). With Lemma 1 rows:
+/// 4 ahead 15.5 ms, 8 14.0, 12 13.6, 16 13.4, 24 13.7 (tries
+/// interleaved). With apex rows, which leave ≈ 45 % fewer survivors, 16
+/// interleaved tries each: best 9.82, 9.11, 9.22, 8.97, 8.99 ms and
+/// median 11.46, 9.91, 9.88, 9.98, 10.33 ms — the terminable scan flat
+/// (0.99–1.03 ms best) — so 4 still loses ≈ 8–15 % and 8 to 16 are one
+/// plateau.
 const PREFETCH_AHEAD: usize = 12;
 
 /// Per-column state of one shard's scan, indexed by shard-local slot.
@@ -431,40 +451,91 @@ fn id_window(ids: &[u32], lo: u32, hi: u32) -> Range<usize> {
     }
 }
 
-/// Lemma 1's operands for one query vector: its pivot coordinates and `τ`.
-type Lemma1<'q> = Option<(&'q [f32], f32)>;
+/// The bounds one query vector puts on the rows of one cell: on an index
+/// whose rows hold apexes, the n-simplex bounds at the cell's
+/// [`ApexBoxes::row_reach`]; otherwise Lemmas 1 and 2 over pivot
+/// coordinates.
+#[derive(Debug, Clone, Copy)]
+enum RowBound<'q> {
+    Pivot {
+        qm: &'q [f32],
+        tau: f32,
+    },
+    Simplex {
+        q: &'q Apex,
+        reach2: f64,
+        within2: f64,
+    },
+}
+
+impl RowBound<'_> {
+    /// Stage 1: whether the row with coordinates `x` surely lies beyond τ.
+    #[inline(always)]
+    fn rejects(&self, x: &[f32]) -> bool {
+        match *self {
+            Self::Pivot { qm, tau } => lemmas::lemma1_filter(qm, x, tau),
+            Self::Simplex { q, reach2, .. } => lemmas::simplex_filter(q, x, reach2),
+        }
+    }
+
+    /// Stage 2: whether the row with coordinates `x` surely lies within τ.
+    #[inline(always)]
+    fn accepts(&self, x: &[f32]) -> bool {
+        match *self {
+            Self::Pivot { qm, tau } => lemmas::lemma2_match(qm, x, tau),
+            Self::Simplex { q, within2, .. } => lemmas::simplex_match(q, x, within2),
+        }
+    }
+}
 
 /// Stage 1 by row over the contiguous rows `window` (the shard's window of
 /// a cell): every row whose column is live and not yet matched by this
-/// query vector and that Lemma 1 (when on) cannot reject, as a row index
-/// at the front of `buf`, in row order. One pass, no data-dependent branch
-/// — every row is written, the write cursor advances only past rows that
-/// stay. Returns how many stayed and how many live rows Lemma 1 rejected;
-/// `buf` must hold `window.len()` rows.
+/// query vector and that the row bound (when on) cannot reject, as a row
+/// index at the front of `buf`, in row order. One pass, no data-dependent
+/// branch — every row is written, the write cursor advances only past rows
+/// that stay. Returns how many stayed and how many live rows the bound
+/// rejected; `buf` must hold `window.len()` rows.
 fn live_rows_scanned(
     window: Range<usize>,
     rows: &Rows<'_>,
     c_lo: u32,
     state: &[u32],
     gen: u32,
-    lemma1: Lemma1<'_>,
+    bound: Option<RowBound<'_>>,
     buf: &mut [u32],
 ) -> (usize, u64) {
-    let cols = &rows.col[window.clone()];
-    let mut kept = 0usize;
-    let Some((qm, tau)) = lemma1 else {
+    let Some(bound) = bound else {
+        let cols = &rows.col[window.clone()];
+        let mut kept = 0usize;
         for (r, &col) in window.zip(cols) {
             buf[kept] = r as u32;
             kept += usize::from(state[(col - c_lo) as usize] < gen);
         }
         return (kept, 0);
     };
-    let k = qm.len();
-    let coords = &rows.mapped.raw_data()[window.start * k..window.end * k];
-    let mut rejected = 0u64;
-    for ((r, &col), x) in window.zip(cols).zip(coords.chunks_exact(k)) {
+    by_pivots!(
+        rows.coords.num_pivots(),
+        bounded_rows(window, rows, (c_lo, state, gen), bound, buf)
+    )
+}
+
+/// [`live_rows_scanned`] with the row bound on, over rows of `N`
+/// coordinates: with the width known, the bound's loop unrolls (on the
+/// benchmark lake's shape, |P| = 3, stage 1 took ≈ 10 % less time than
+/// over a runtime width).
+fn bounded_rows<const N: usize>(
+    window: Range<usize>,
+    rows: &Rows<'_>,
+    (c_lo, state, gen): (u32, &[u32], u32),
+    bound: RowBound<'_>,
+    buf: &mut [u32],
+) -> (usize, u64) {
+    let cols = &rows.col[window.clone()];
+    let (coords, _) = rows.coords.raw_data()[window.start * N..window.end * N].as_chunks::<N>();
+    let (mut kept, mut rejected) = (0usize, 0u64);
+    for ((r, &col), x) in window.zip(cols).zip(coords) {
         let live = state[(col - c_lo) as usize] < gen;
-        let far = lemmas::lemma1_filter(qm, x, tau);
+        let far = bound.rejects(x);
         buf[kept] = r as u32;
         kept += usize::from(live & !far);
         rejected += u64::from(live & far);
@@ -473,19 +544,19 @@ fn live_rows_scanned(
 }
 
 /// Stage 1 by live column: the same rows in the same order, with the same
-/// Lemma 1 count, as [`live_rows_scanned`] over the rows of the column
+/// rejection count, as [`live_rows_scanned`] over the rows of the column
 /// groups `groups` of `postings`, found by probing the groups' ascending
 /// columns for each slot of `listed` (the shard's ascending live list,
 /// which may hold slots that died since) and putting that group's rows to
-/// Lemma 1. Each probe resumes behind the previous one. `buf` must hold the
-/// groups' rows.
+/// the row bound. Each probe resumes behind the previous one. `buf` must
+/// hold the groups' rows.
 fn live_rows_listed(
     postings: &CellPostings<'_>,
     groups: Range<usize>,
     rows: &Rows<'_>,
     listed: &[u32],
     (c_lo, state, gen): (u32, &[u32], u32),
-    lemma1: Lemma1<'_>,
+    bound: Option<RowBound<'_>>,
     buf: &mut [u32],
 ) -> (usize, u64) {
     debug_assert!(
@@ -505,8 +576,7 @@ fn live_rows_listed(
         }
         if cols[from] == col {
             for r in postings.rows_of(groups.start + from) {
-                let far = lemma1
-                    .is_some_and(|(qm, tau)| lemmas::lemma1_filter(qm, rows.mapped.get(r), tau));
+                let far = bound.is_some_and(|b| b.rejects(rows.coords.get(r)));
                 buf[kept] = r as u32;
                 kept += usize::from(!far);
                 rejected += u64::from(far);
@@ -519,17 +589,17 @@ fn live_rows_listed(
 /// Stage 1 of the candidate scan over the column groups `groups` of
 /// `postings` (the shard's window of the cell): one compaction pass into
 /// `buf` keeping the rows of live columns not yet matched by this query
-/// vector that Lemma 1 (when on) cannot reject — by live column when the
-/// shard's list is [`LISTED_RATIO`] times shorter than the window's rows,
-/// else by row. Returns the surviving row indexes in row order and the
-/// number of live rows Lemma 1 rejected.
+/// vector that the row bound (when on) cannot reject — by live column when
+/// the shard's list is [`LISTED_RATIO`] times shorter than the window's
+/// rows, else by row. Returns the surviving row indexes in row order and
+/// the number of live rows the bound rejected.
 fn filter_cell<'b>(
     postings: &CellPostings<'_>,
     groups: Range<usize>,
     rows: &Rows<'_>,
     shard: &ShardColumns,
     gen: u32,
-    lemma1: Lemma1<'_>,
+    bound: Option<RowBound<'_>>,
     buf: &'b mut Vec<u32>,
 ) -> (&'b [u32], u64) {
     let window = postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
@@ -544,10 +614,10 @@ fn filter_cell<'b>(
             rows,
             listed,
             (shard.c_lo, &shard.state, gen),
-            lemma1,
+            bound,
             buf,
         ),
-        _ => live_rows_scanned(window, rows, shard.c_lo, &shard.state, gen, lemma1, buf),
+        _ => live_rows_scanned(window, rows, shard.c_lo, &shard.state, gen, bound, buf),
     };
     (&buf[..kept], rejected)
 }
@@ -635,9 +705,17 @@ fn verify_range<M: Metric>(
         // 2. Candidate pairs: verify cell contents.
         let qm = ctx.query_mapped.get(q);
         let qv = ctx.query.get_raw(q);
+        let apex = ctx.inv.apex().map(|boxes| (boxes, boxes.query(qm)));
         for &cell in &schedule.cells[scheduled.candidates.clone()] {
+            let bound = match &apex {
+                Some((boxes, q)) => {
+                    let (reach2, within2) = boxes.row_reach(cell, ctx.tau);
+                    RowBound::Simplex { q, reach2, within2 }
+                }
+                None => RowBound::Pivot { qm, tau: ctx.tau },
+            };
             // Stage 1: drop rows of dead or already-matched columns
-            // and rows Lemma 1 rejects.
+            // and rows the bound rejects.
             let postings = ctx.inv.cell(cell);
             let (survivors, rejected) = filter_cell(
                 &postings,
@@ -645,13 +723,14 @@ fn verify_range<M: Metric>(
                 &rows,
                 &shard,
                 gen,
-                lemma1.then_some((qm, ctx.tau)),
+                lemma1.then_some(bound),
                 &mut cell_buf,
             );
             stats.lemma1_filtered += rejected;
 
-            // Stage 2: Lemma 2, then the exact test. A column matched
-            // by an earlier survivor of this cell is skipped.
+            // Stage 2: the bound's match test, then the exact test. A
+            // column matched by an earlier survivor of this cell is
+            // skipped.
             for (i, &r) in survivors.iter().enumerate() {
                 // Hide the gather latency of an upcoming vector behind
                 // the tests before it (semantics-free).
@@ -663,7 +742,7 @@ fn verify_range<M: Metric>(
                 if shard.state[c] >= gen {
                     continue;
                 }
-                let is_match = if lemma2 && lemmas::lemma2_match(qm, rows.mapped.get(r), ctx.tau) {
+                let is_match = if lemma2 && bound.accepts(rows.coords.get(r)) {
                     stats.lemma2_matched += 1;
                     true
                 } else {
@@ -746,7 +825,7 @@ pub(crate) fn ranked(outcome: &VerifyOutcome, slack: u32, k: usize) -> Vec<(u32,
 mod tests {
     use super::*;
     use crate::block::{block, quick_browse};
-    use crate::config::LemmaFlags;
+    use crate::config::{LemmaFlags, MAX_PIVOTS};
     use crate::grid::{GridParams, HierarchicalGrid};
     use crate::invindex::SimplexBase;
     use crate::metric::Euclidean;
@@ -1478,10 +1557,11 @@ mod tests {
     }
 
     /// Both enumerations of stage 1 keep the same rows in the same order
-    /// and reject the same number by Lemma 1, for a shard window that cuts
-    /// the cell, listed columns absent from the cell, listed columns that
-    /// died or matched since the list was made, and every state in
-    /// between, with Lemma 1 on and off.
+    /// and reject the same number by the row bound, for a shard window
+    /// that cuts the cell, listed columns absent from the cell, listed
+    /// columns that died or matched since the list was made, and every
+    /// state in between, with no bound, Lemma 1 over pivot coordinates and
+    /// the n-simplex bound over apex rows.
     #[test]
     fn both_stage1_enumerations_agree() {
         // 16 columns of 3 vectors each; the cell holds some rows of some,
@@ -1492,41 +1572,42 @@ mod tests {
         let coords: Vec<f32> = (0..row_vid.len() * 2)
             .map(|_| rng.gen_range(0.0f32..1.0))
             .collect();
-        let mapped = MappedVectors::from_raw(2, coords).unwrap();
+        let coords = MappedVectors::from_raw(2, coords).unwrap();
         let rows = Rows {
             vid: &row_vid,
             col: &row_col,
-            mapped: &mapped,
+            coords: &coords,
         };
         let postings = CellPostings {
             cols: &[2, 3, 5, 8, 9, 12, 15],
             offsets: &[0, 2, 3, 6, 7, 9, 11, 12],
         };
         let gen = 5u32;
-        let enumerate = |c_lo: u32, c_hi: u32, state: &[u32], listed: &[u32], l1: Lemma1<'_>| {
-            let groups = id_window(postings.cols, c_lo, c_hi);
-            let window =
-                postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
-            let mut scanned = vec![0u32; window.len()];
-            let (n, scanned_rejected) =
-                live_rows_scanned(window.clone(), &rows, c_lo, state, gen, l1, &mut scanned);
-            scanned.truncate(n);
-            let mut probed = vec![0u32; window.len()];
-            let (n, probed_rejected) = live_rows_listed(
-                &postings,
-                groups,
-                &rows,
-                listed,
-                (c_lo, state, gen),
-                l1,
-                &mut probed,
-            );
-            probed.truncate(n);
-            let what = format!("window {c_lo}..{c_hi} state {state:?} lemma1 {l1:?}");
-            assert_eq!(scanned, probed, "{what}");
-            assert_eq!(scanned_rejected, probed_rejected, "{what}");
-            (scanned, scanned_rejected)
-        };
+        let enumerate =
+            |c_lo: u32, c_hi: u32, state: &[u32], listed: &[u32], l1: Option<RowBound<'_>>| {
+                let groups = id_window(postings.cols, c_lo, c_hi);
+                let window =
+                    postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
+                let mut scanned = vec![0u32; window.len()];
+                let (n, scanned_rejected) =
+                    live_rows_scanned(window.clone(), &rows, c_lo, state, gen, l1, &mut scanned);
+                scanned.truncate(n);
+                let mut probed = vec![0u32; window.len()];
+                let (n, probed_rejected) = live_rows_listed(
+                    &postings,
+                    groups,
+                    &rows,
+                    listed,
+                    (c_lo, state, gen),
+                    l1,
+                    &mut probed,
+                );
+                probed.truncate(n);
+                let what = format!("window {c_lo}..{c_hi} state {state:?} bound {l1:?}");
+                assert_eq!(scanned, probed, "{what}");
+                assert_eq!(scanned_rejected, probed_rejected, "{what}");
+                (scanned, scanned_rejected)
+            };
 
         // Window 3..10 cuts columns 2, 12 and 15 off the cell. Slots: 0 (col
         // 3) live; 1 (col 4) live, absent; 2 (col 5) matched by this query
@@ -1536,15 +1617,28 @@ mod tests {
         let (kept, rejected) = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6], None);
         assert_eq!(kept, vec![2, 6]);
         assert_eq!(rejected, 0);
-        // A query vector Lemma 1 puts beyond reach of every row.
+        // A query vector either bound puts beyond reach of every row.
         let far = [5.0f32, 5.0];
-        let (kept, rejected) = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6], Some((&far, 0.5)));
-        assert!(kept.is_empty());
-        assert_eq!(rejected, 2);
+        let far_apex = Apex {
+            lo: [5.0; MAX_PIVOTS],
+            hi: [5.5; MAX_PIVOTS],
+        };
+        for bound in [
+            RowBound::Pivot { qm: &far, tau: 0.5 },
+            RowBound::Simplex {
+                q: &far_apex,
+                reach2: 0.25,
+                within2: -1.0,
+            },
+        ] {
+            let (kept, rejected) = enumerate(3, 10, &state, &[0, 1, 2, 4, 5, 6], Some(bound));
+            assert!(kept.is_empty());
+            assert_eq!(rejected, 2);
+        }
 
         // Every window, with states, lists and query vectors drawn at
         // random: a listed slot may be dead, an unlisted one never live.
-        let mut rejections = 0;
+        let (mut rejections, mut apex_rejections) = (0, 0);
         for _ in 0..500 {
             let c_lo = rng.gen_range(0u32..16);
             let c_hi = rng.gen_range(c_lo..17);
@@ -1560,10 +1654,29 @@ mod tests {
                 })
                 .collect();
             let qm = [rng.gen_range(0.0f32..1.0), rng.gen_range(0.0f32..1.0)];
+            let mut apex = Apex {
+                lo: [0.0; MAX_PIVOTS],
+                hi: [0.0; MAX_PIVOTS],
+            };
+            for j in 0..2 {
+                apex.lo[j] = rng.gen_range(0.0f64..1.0);
+                apex.hi[j] = apex.lo[j] + rng.gen_range(0.0f64..0.05);
+            }
             enumerate(c_lo, c_hi, &state, &listed, None);
-            rejections += enumerate(c_lo, c_hi, &state, &listed, Some((&qm, 0.3))).1;
+            let pivot = RowBound::Pivot { qm: &qm, tau: 0.3 };
+            rejections += enumerate(c_lo, c_hi, &state, &listed, Some(pivot)).1;
+            let simplex = RowBound::Simplex {
+                q: &apex,
+                reach2: 0.09,
+                within2: -1.0,
+            };
+            apex_rejections += enumerate(c_lo, c_hi, &state, &listed, Some(simplex)).1;
         }
         assert!(rejections > 0, "Lemma 1 must reject some rows");
+        assert!(
+            apex_rejections > 0,
+            "the simplex bound must reject some rows"
+        );
     }
 
     /// In exact-count mode (`T > |Q|`) nothing terminates early, so every

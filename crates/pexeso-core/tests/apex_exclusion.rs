@@ -1,13 +1,20 @@
-//! The apex-box exclusion is exact: a candidate cell the n-simplex bound
-//! drops holds no vector within τ of the query vector, on random Euclidean
-//! lakes built to stress it — rows on the pivots' span (where the last
-//! apex coordinate is a square root near zero), nearly collinear pivots,
-//! duplicate vectors, and τ equal to the distance of one query vector to
-//! one row — and every answer equals the brute-force oracle. Metrics
-//! without the projection get no boxes and exclude nothing.
+//! The n-simplex bounds are exact. A candidate cell the apex-box bound
+//! drops holds no vector within τ of the query vector, a row the row
+//! bound rejects is not within τ, and a row the reflected bound accepts
+//! is — on random Euclidean lakes built to stress them: rows on the
+//! pivots' span (where the last apex coordinate is a square root near
+//! zero), nearly collinear pivots, duplicate vectors, query vectors
+//! 1e-5…1e-2 from a row with τ their exact distance, and pivot
+//! coordinates off by as much as the bounds allow for — and every answer
+//! equals the brute-force oracle. Metrics without the projection get no
+//! apexes: their rows keep pivot coordinates, and nothing is excluded.
 
 use proptest::prelude::*;
 
+use pexeso_core::grid::GridParams;
+use pexeso_core::inspect::PivotSpread;
+use pexeso_core::invindex::{InvertedIndex, SimplexBase};
+use pexeso_core::lemmas::{simplex_filter, simplex_match};
 use pexeso_core::mapping::MappedVectors;
 use pexeso_core::metric::{Angular, Chebyshev, Manhattan};
 use pexeso_core::oracle;
@@ -146,6 +153,99 @@ fn excluded_pairs_hold_no_match(
     excluded
 }
 
+/// Up to this much off the exact distance: how far the index lets a
+/// stored pivot coordinate stray (Lemma 1's `EPS`, 1e-5), less the `f32`
+/// rounding of the sum.
+const COORD_NOISE: f32 = 0.9e-5;
+
+/// `v`'s pivot coordinates as an index may hold them: each exact (`f64`)
+/// distance moved by up to [`COORD_NOISE`].
+fn rough_map(v: &[f32], pivots: &[Vec<f32>], rng: &mut StdRng) -> Vec<f32> {
+    pivots
+        .iter()
+        .map(|p| {
+            let exact: f64 = v
+                .iter()
+                .zip(p)
+                .map(|(&a, &b)| (a as f64 - b as f64).powi(2))
+                .sum::<f64>()
+                .sqrt();
+            (exact as f32 + rng.gen_range(-COORD_NOISE..COORD_NOISE)).max(0.0)
+        })
+        .collect()
+}
+
+/// The row bounds against the exact test, over every row of every cell
+/// (not only the candidates blocking hands the scan), for every query
+/// vector at the lake's τ and at the exact distance to its nearest row.
+/// The index is laid out from pivot coordinates off by up to
+/// [`COORD_NOISE`], the query vectors' too. Returns how many rows the lower
+/// bound rejected and the upper bound accepted.
+fn row_bounds_hold(
+    index: &PexesoIndex<Euclidean>,
+    query: &VectorStore,
+    tau: f32,
+    seed: u64,
+) -> (u64, u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let store = index.columns().store();
+    let pivots = index.pivots();
+    let rough: Vec<f32> = store
+        .iter()
+        .flat_map(|v| rough_map(v, pivots, &mut rng))
+        .collect();
+    let rough = MappedVectors::from_raw(pivots.len(), rough).unwrap();
+    let Some(base) = SimplexBase::of(pivots, &Euclidean) else {
+        return (0, 0);
+    };
+    let params = GridParams {
+        span: index.grid_params().span + 1e-3,
+        ..index.grid_params().clone()
+    };
+    let vec_col = index.columns().vector_to_column();
+    let inv = InvertedIndex::build(&params, &rough, &vec_col, Some(base)).unwrap();
+    let boxes = inv.apex().expect("a base gives apexes");
+    let rows = inv.rows();
+    let (mut rejected, mut accepted) = (0, 0);
+    for q in query.iter() {
+        let apex = boxes.query(&rough_map(q, pivots, &mut rng));
+        let nearest = store
+            .iter()
+            .map(|x| Euclidean.dist(q, x))
+            .fold(f32::INFINITY, f32::min);
+        for tau in [tau, nearest] {
+            for (&key, postings) in inv.iter_cells() {
+                let cell = inv.cell_of(key).unwrap();
+                let (beyond, within) = boxes.row_reach(cell, tau);
+                for r in postings.rows() {
+                    let x = store.get_raw(rows.vid[r] as usize);
+                    let coords = rows.coords.get(r);
+                    let matches = Euclidean.dist_le(q, x, tau);
+                    if simplex_filter(&apex, coords, beyond) {
+                        rejected += 1;
+                        assert!(
+                            !matches,
+                            "row {r} (vector {}) rejected at tau {tau}, but lies at {}",
+                            rows.vid[r],
+                            Euclidean.dist(q, x)
+                        );
+                    }
+                    if simplex_match(&apex, coords, within) {
+                        accepted += 1;
+                        assert!(
+                            matches,
+                            "row {r} (vector {}) accepted at tau {tau}, but lies at {}",
+                            rows.vid[r],
+                            Euclidean.dist(q, x)
+                        );
+                    }
+                }
+            }
+        }
+    }
+    (rejected, accepted)
+}
+
 fn counts_of(hits: &[GlobalHit]) -> Vec<(u64, u32)> {
     hits.iter()
         .map(|h| (h.external_id, h.match_count))
@@ -221,6 +321,86 @@ proptest! {
             prop_assert_eq!(stats.apex_excluded, 0);
         }
     }
+
+    #[test]
+    fn row_bounds_are_exact(
+        seed in 0u64..1_000_000,
+        shape in 0u8..3,
+        n_cols in 3usize..10,
+        pivots in 2usize..5,
+        selection in 0u8..3,
+    ) {
+        let shape = [Shape::Spread, Shape::Plane, Shape::Strip][shape as usize];
+        let pivots = match shape {
+            Shape::Spread => pivots,
+            _ => pivots.min(3),
+        };
+        let selection = [PivotSelection::Pca, PivotSelection::Random, PivotSelection::FarthestFirst]
+            [selection as usize];
+        let (columns, query, tau) = lake(seed, shape, n_cols);
+        let index = PexesoIndex::build(columns, Euclidean, options(pivots, 3, selection, seed))
+            .unwrap();
+        row_bounds_hold(&index, &query, tau, seed);
+    }
+}
+
+/// The row bounds do decide rows, on every shape of lake: some rows are
+/// rejected, and some accepted without a distance computation.
+#[test]
+fn row_bounds_reject_and_accept_rows() {
+    for (shape, pivots) in [(Shape::Spread, 4), (Shape::Plane, 3), (Shape::Strip, 3)] {
+        let (mut rejected, mut accepted) = (0, 0);
+        for seed in 0..8u64 {
+            let (columns, query, _) = lake(seed, shape, 30);
+            let index = PexesoIndex::build(
+                columns,
+                Euclidean,
+                options(pivots, 3, PivotSelection::Pca, seed),
+            )
+            .unwrap();
+            for tau in [0.05f32, 0.3, 1.2] {
+                let (r, a) = row_bounds_hold(&index, &query, tau, seed);
+                (rejected, accepted) = (rejected + r, accepted + a);
+            }
+        }
+        assert!(
+            rejected > 0 && accepted > 0,
+            "{shape:?}: {rejected} {accepted}"
+        );
+    }
+}
+
+/// What the apex rows leave unchanged: a Euclidean index's rows hold
+/// apexes and a Manhattan index's its pivot coordinates, `rv_mapped()` is
+/// a fresh mapping in row order for both, and the pivot spread
+/// `inspect()` reports is that of a fresh mapping.
+#[test]
+fn apex_rows_leave_the_pivot_surfaces_unchanged() {
+    fn check<M: Metric>(metric: M, apexes: bool) {
+        let (columns, _, _) = lake(5, Shape::Spread, 20);
+        let index = PexesoIndex::build(
+            columns,
+            metric.clone(),
+            options(3, 3, PivotSelection::Pca, 5),
+        )
+        .unwrap();
+        let by_id =
+            MappedVectors::build(index.columns().store(), index.pivots(), &metric, None).unwrap();
+        let inv = index.inverted_index();
+        assert_eq!(inv.apex().is_some(), apexes, "{}", metric.name());
+        let rows = inv.rows();
+        for (r, &v) in rows.vid.iter().enumerate() {
+            assert_eq!(index.rv_mapped().get(r), by_id.get(v as usize));
+            assert_eq!(rows.coords.get(r) == by_id.get(v as usize), !apexes);
+        }
+        assert_eq!(index.rv_mapped().len(), by_id.len());
+        assert_eq!(
+            index.inspect().pivot_spread,
+            PivotSpread::of(by_id.iter(), by_id.num_pivots())
+        );
+    }
+    check(Euclidean, true);
+    check(Manhattan, false);
 }
 
 /// The bound does prune: on lakes in general position it drops candidate

@@ -200,7 +200,7 @@ fn append_keeps_the_cell_major_rows_consistent() {
     let vec_col = columns.vector_to_column();
     for (r, &v) in rows.vid.iter().enumerate() {
         assert_eq!(rows.col[r], vec_col[v as usize]);
-        assert_eq!(rows.mapped.get(r), by_id.get(v as usize));
+        assert_eq!(index.rv_mapped().get(r), by_id.get(v as usize));
     }
     assert_eq!(rows.vid.len(), columns.n_vectors());
 }

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 
+use pexeso_core::config::MAX_LEVELS;
 use pexeso_core::grid::{CellKey, GridParams};
 use pexeso_core::hist::{
     bucket_index, bucket_upper_bound, bucket_width, AtomicHistogram, NUM_BUCKETS,
@@ -65,6 +66,41 @@ proptest! {
                 );
             }
             key = key.parent();
+        }
+    }
+
+    /// `leaf_key` equals the `floor`-then-`clamp` formula it replaced, for
+    /// every `f32` bit pattern (NaN, ±0.0, negatives, infinities, values at
+    /// or past the span) and for values near the span's cell edges, at
+    /// every level 1..=MAX_LEVELS.
+    #[test]
+    fn leaf_key_equals_floor_then_clamp(
+        bits in proptest::collection::vec(0u32..u32::MAX, 4),
+        near in proptest::collection::vec(-0.5f32..2.5, 4),
+        levels in 1usize..=MAX_LEVELS,
+        span in 0.5f32..4.0,
+    ) {
+        let params = GridParams::new(4, levels, span).unwrap();
+        let floor_then_clamp = |coords: &[f32]| -> CellKey {
+            let cells = (1u32 << levels) as f32;
+            let idx: Vec<u8> = coords
+                .iter()
+                .map(|&c| (c / span * cells).floor().clamp(0.0, cells - 1.0) as u8)
+                .collect();
+            CellKey::pack(&idx)
+        };
+        let special = [f32::NAN, -0.0, 0.0, -1.0, span, span * 2.0, f32::INFINITY, f32::NEG_INFINITY];
+        let edge = span / (1u32 << levels) as f32;
+        let coords: Vec<Vec<f32>> = vec![
+            bits.iter().map(|&b| f32::from_bits(b)).collect(),
+            near.iter().map(|&c| c * span).collect(),
+            // Multiples of the leaf width and their neighbours.
+            (0..4).map(|i| edge * (bits[i] % 300) as f32).collect(),
+            (0..4).map(|i| (edge * (bits[i] % 300) as f32).next_down()).collect(),
+            (0..4).map(|i| special[bits[i] as usize % special.len()]).collect(),
+        ];
+        for c in &coords {
+            prop_assert_eq!(params.leaf_key(c), floor_then_clamp(c), "{:?}", c);
         }
     }
 
