@@ -225,8 +225,7 @@ fn main() {
     for (q, cells) in &clustered_lake.blocked.candidates {
         cost[*q as usize] = cells
             .iter()
-            .filter_map(|&cell| clustered_lake.inv.postings(cell))
-            .map(|postings| postings.len())
+            .map(|&cell| clustered_lake.inv.cell(cell).len())
             .sum();
     }
     let head = N_QUERY - t_abs + 1;

@@ -7,39 +7,57 @@
 //! The output is the paper's two pair sets: *matching pairs* (no
 //! verification needed) and *candidate pairs* (verified by
 //! [`crate::verify`]).
+//!
+//! Every cell of a grid is a range of its sorted leaves ([`crate::grid`]),
+//! so the output names `HG_RV`'s leaves by **ordinal**, which is the
+//! inverted index's cell ordinal: a subtree Lemma 6 accepts is one range
+//! of them, and verification needs no lookup. `HG_RV` is walked in
+//! ascending order, so each query vector's matching cells, and its
+//! candidate cells, come out in ascending ordinal order — the order of
+//! their rows in memory.
 
 //! ## Parallel blocking
 //!
 //! Every query vector lies in exactly one leaf of `HG_Q`, hence under
 //! exactly one level-1 root child. [`block_with`] shards the root children
 //! across an [`ExecPolicy`]'s threads; the per-shard accumulators are
-//! therefore disjoint in query-vector keys and merge without conflicts,
+//! therefore disjoint in query vectors and merge without conflicts,
 //! keeping the output byte-identical to the sequential traversal.
 
 use crate::config::{ExecPolicy, LemmaFlags};
 use crate::exec;
-use crate::grid::{CellKey, HierarchicalGrid};
+use crate::grid::{Cell, HierarchicalGrid};
 use crate::invindex::InvertedIndex;
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::stats::SearchStats;
-use crate::util::{FastMap, FastSet};
+use crate::util::FastMap;
 
-/// Blocking output: per query vector, the leaf cells it surely matches and
-/// the leaf cells it must be verified against. Sorted by query vector id.
-#[derive(Debug, Clone, Default)]
+/// Blocking output: per query vector, the leaf cells of `HG_RV` it surely
+/// matches and the leaf cells it must be verified against, as leaf
+/// ordinals, ascending. Sorted by query vector id; a vector with no cell
+/// is left out.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BlockOutput {
-    pub matching: Vec<(u32, Vec<CellKey>)>,
-    pub candidates: Vec<(u32, Vec<CellKey>)>,
+    pub matching: Vec<(u32, Vec<u32>)>,
+    pub candidates: Vec<(u32, Vec<u32>)>,
+    /// Leaf count of the `HG_RV` the ordinals index: verification refuses
+    /// the output against an inverted index with another.
+    pub rv_leaves: usize,
 }
 
-/// Mutable accumulators of the traversal (kept separate from the grids so
-/// the recursion can borrow children slices without cloning them).
+/// What [`quick_browse`] returns: it emitted every ⟨query vector, leaf⟩
+/// pair whose two leaves share a key, and [`block`] given it skips them.
+#[derive(Debug, Clone, Copy)]
+pub struct QuickBrowsed;
+
+/// Per-shard accumulators of the traversal, one list per query vector,
+/// and per level a buffer for a cell's `HG_RV` children, which are made
+/// once and paired with each `HG_Q` child.
 struct Acc {
-    matching: FastMap<u32, Vec<CellKey>>,
-    candidates: FastMap<u32, Vec<CellKey>>,
-    scratch_leaves: Vec<CellKey>,
-    scratch_vectors: Vec<u32>,
+    matching: Vec<Vec<u32>>,
+    candidates: Vec<Vec<u32>>,
+    t_children: Vec<Vec<Cell>>,
 }
 
 struct Cfg<'a> {
@@ -48,36 +66,38 @@ struct Cfg<'a> {
     query_mapped: &'a MappedVectors,
     tau: f32,
     flags: LemmaFlags,
-    quick_browsed: Option<&'a FastSet<CellKey>>,
+    quick_browsed: bool,
 }
 
 /// Quick browsing (Section III-C): every leaf cell of `HG_Q` that also
 /// exists in `HG_RV` refers to the same space region, so its query vectors
 /// and the target cell can never be separated by Lemma 3/4 — emit them as
-/// candidates immediately and let the traversal skip the identical-key pair.
-/// Returns the set of handled query-leaf keys.
+/// candidates immediately and let the traversal skip the identical-key
+/// pair. One merge walk over the two sorted leaf arrays, the index's
+/// side advanced by binary search.
 pub fn quick_browse(
     hgq: &HierarchicalGrid,
     inv: &InvertedIndex,
-    candidates: &mut FastMap<u32, Vec<CellKey>>,
+    candidates: &mut FastMap<u32, Vec<u32>>,
     stats: &mut SearchStats,
-) -> FastSet<CellKey> {
-    let mut handled = FastSet::default();
-    for key in hgq.leaf_keys() {
-        if inv.contains(key) {
-            handled.insert(key);
-            for &q in hgq.leaf_vectors(key) {
-                candidates.entry(q).or_default().push(key);
+) -> QuickBrowsed {
+    let rv = inv.grid().leaves();
+    let mut j = 0;
+    for (i, key) in hgq.leaves().iter().enumerate() {
+        j += rv[j..].partition_point(|k| k < key);
+        if rv.get(j) == Some(key) {
+            for &q in hgq.leaf_vectors(i as u32) {
+                candidates.entry(q).or_default().push(j as u32);
                 stats.quick_browse_pairs += 1;
             }
         }
     }
-    handled
+    QuickBrowsed
 }
 
-/// Run Algorithm 1 over the two grids single-threaded. `quick_browsed` carries the keys
-/// already handled by [`quick_browse`] (pass `None` to disable skipping).
-/// Pre-seeded candidate pairs may be supplied via `seed_candidates`.
+/// Run Algorithm 1 over the two grids single-threaded. `quick_browsed`
+/// says [`quick_browse`] ran (pass `None` to disable skipping); its
+/// candidate pairs are supplied via `seed_candidates`.
 #[allow(clippy::too_many_arguments)]
 pub fn block(
     hgq: &HierarchicalGrid,
@@ -85,8 +105,8 @@ pub fn block(
     query_mapped: &MappedVectors,
     tau: f32,
     flags: LemmaFlags,
-    quick_browsed: Option<&FastSet<CellKey>>,
-    seed_candidates: FastMap<u32, Vec<CellKey>>,
+    quick_browsed: Option<&QuickBrowsed>,
+    seed_candidates: FastMap<u32, Vec<u32>>,
     stats: &mut SearchStats,
 ) -> BlockOutput {
     block_with(
@@ -111,8 +131,8 @@ pub fn block_with(
     query_mapped: &MappedVectors,
     tau: f32,
     flags: LemmaFlags,
-    quick_browsed: Option<&FastSet<CellKey>>,
-    mut seed_candidates: FastMap<u32, Vec<CellKey>>,
+    quick_browsed: Option<&QuickBrowsed>,
+    seed_candidates: FastMap<u32, Vec<u32>>,
     stats: &mut SearchStats,
     policy: ExecPolicy,
 ) -> BlockOutput {
@@ -127,107 +147,82 @@ pub fn block_with(
         query_mapped,
         tau,
         flags,
-        quick_browsed,
+        quick_browsed: quick_browsed.is_some(),
     };
-    let roots = hgq.root_children();
+    let q_roots: Vec<Cell> = hgq.children(&hgq.root(), 0).collect();
+    let t_roots: Vec<Cell> = hgrv.children(&hgrv.root(), 0).collect();
 
     // Traverse shards of root children; each query vector lives under one
-    // root child, so shard accumulators have disjoint query keys.
-    let shards = exec::map_ranges_min(policy, roots.len(), 2, |range| {
+    // root child, so shards fill disjoint lists.
+    let n_q = query_mapped.len();
+    let shards = exec::map_ranges_min(policy, q_roots.len(), 2, |range| {
         let mut acc = Acc {
-            matching: FastMap::default(),
-            candidates: FastMap::default(),
-            scratch_leaves: Vec::new(),
-            scratch_vectors: Vec::new(),
+            matching: vec![Vec::new(); n_q],
+            candidates: vec![Vec::new(); n_q],
+            t_children: vec![Vec::new(); hgq.params().levels],
         };
         let mut shard_stats = SearchStats::new();
-        for &q_child in &roots[range] {
-            for &t_child in hgrv.root_children() {
+        for q_child in &q_roots[range] {
+            for t_child in &t_roots {
                 descend(&cfg, &mut acc, q_child, t_child, 1, &mut shard_stats);
             }
         }
         (acc, shard_stats)
     });
 
-    let mut matching: FastMap<u32, Vec<CellKey>> = FastMap::default();
-    let mut traversed: FastMap<u32, Vec<CellKey>> = FastMap::default();
-    for (acc, shard_stats) in shards {
+    let (mut matching, mut candidates) = (vec![Vec::new(); n_q], vec![Vec::new(); n_q]);
+    for (mut acc, shard_stats) in shards {
         stats.merge(&shard_stats);
-        for (q, cells) in acc.matching {
-            debug_assert!(
-                !matching.contains_key(&q),
-                "query vector split across shards"
-            );
-            matching.insert(q, cells);
-        }
-        for (q, cells) in acc.candidates {
-            debug_assert!(
-                !traversed.contains_key(&q),
-                "query vector split across shards"
-            );
-            traversed.insert(q, cells);
+        for q in 0..n_q {
+            matching[q].append(&mut acc.matching[q]);
+            candidates[q].append(&mut acc.candidates[q]);
         }
     }
-    // Per query vector: quick-browse seeds first, then traversal output —
-    // the order the sequential algorithm produced when it started from the
-    // seeded map.
-    for (q, cells) in traversed {
-        seed_candidates.entry(q).or_default().extend(cells);
+    // The traversal skipped the quick-browsed leaf of each vector: put it
+    // in its place.
+    for (q, cells) in seed_candidates {
+        let list = &mut candidates[q as usize];
+        for c in cells {
+            list.insert(list.partition_point(|&x| x < c), c);
+        }
     }
 
-    let finalize = |map: FastMap<u32, Vec<CellKey>>| -> Vec<(u32, Vec<CellKey>)> {
-        let mut v: Vec<(u32, Vec<CellKey>)> = map.into_iter().collect();
-        v.sort_unstable_by_key(|(q, _)| *q);
-        v
+    let pairs = |lists: &[Vec<u32>]| lists.iter().map(|c| c.len() as u64).sum::<u64>();
+    stats.matching_pairs += pairs(&matching);
+    stats.candidate_pairs += pairs(&candidates);
+    let finalize = |lists: Vec<Vec<u32>>| -> Vec<(u32, Vec<u32>)> {
+        let nonempty = lists.into_iter().enumerate().filter(|(_, c)| !c.is_empty());
+        nonempty.map(|(q, c)| (q as u32, c)).collect()
     };
-    let out = BlockOutput {
+    BlockOutput {
         matching: finalize(matching),
-        candidates: finalize(seed_candidates),
-    };
-    stats.matching_pairs += out
-        .matching
-        .iter()
-        .map(|(_, c)| c.len() as u64)
-        .sum::<u64>();
-    stats.candidate_pairs += out
-        .candidates
-        .iter()
-        .map(|(_, c)| c.len() as u64)
-        .sum::<u64>();
-    out
+        candidates: finalize(candidates),
+        rv_leaves: hgrv.leaves().len(),
+    }
 }
 
 fn descend(
     cfg: &Cfg<'_>,
     acc: &mut Acc,
-    q_key: CellKey,
-    t_key: CellKey,
+    q_cell: &Cell,
+    t_cell: &Cell,
     level: usize,
     stats: &mut SearchStats,
 ) {
     let m = cfg.hgq.params().levels;
     if level == m {
-        leaf_pair(cfg, acc, q_key, t_key, stats);
+        leaf_pair(cfg, acc, q_cell, t_cell, stats);
         return;
     }
-    let q_bounds = cfg.hgq.params().bounds(q_key, level);
-    let t_bounds = cfg.hgrv.params().bounds(t_key, level);
+    let q_bounds = cfg.hgq.bounds(q_cell, level);
+    let t_bounds = cfg.hgrv.bounds(t_cell, level);
 
     if cfg.flags.lemma56_cell_match && lemmas::lemma6_cell_cell_match(&q_bounds, &t_bounds, cfg.tau)
     {
         stats.cell_pairs_matched += 1;
-        // Every query vector under q_key matches every leaf under t_key.
-        acc.scratch_leaves.clear();
-        cfg.hgrv
-            .collect_leaves(t_key, level, &mut acc.scratch_leaves);
-        acc.scratch_vectors.clear();
-        cfg.hgq
-            .collect_vectors(q_key, level, &mut acc.scratch_vectors);
-        for &q in &acc.scratch_vectors {
-            acc.matching
-                .entry(q)
-                .or_default()
-                .extend_from_slice(&acc.scratch_leaves);
+        // Every query vector under q_cell matches every leaf under t_cell.
+        for &q in cfg.hgq.vectors(q_cell.leaves.clone()) {
+            acc.matching[q as usize].extend(t_cell.leaves.clone());
         }
         return;
     }
@@ -239,40 +234,36 @@ fn descend(
     }
     // Children are expanded on both grids simultaneously (block nested
     // loop style, each grid scanned once).
-    for &qc in cfg.hgq.children_of(q_key, level) {
-        for &tc in cfg.hgrv.children_of(t_key, level) {
-            descend(cfg, acc, qc, tc, level + 1, stats);
+    let mut t_children = std::mem::take(&mut acc.t_children[level]);
+    t_children.clear();
+    t_children.extend(cfg.hgrv.children(t_cell, level));
+    for qc in cfg.hgq.children(q_cell, level) {
+        for tc in &t_children {
+            descend(cfg, acc, &qc, tc, level + 1, stats);
         }
     }
+    acc.t_children[level] = t_children;
 }
 
-fn leaf_pair(
-    cfg: &Cfg<'_>,
-    acc: &mut Acc,
-    q_key: CellKey,
-    t_key: CellKey,
-    stats: &mut SearchStats,
-) {
-    if q_key == t_key {
-        if let Some(handled) = cfg.quick_browsed {
-            if handled.contains(&q_key) {
-                return; // already emitted as candidates by quick browsing
-            }
-        }
+fn leaf_pair(cfg: &Cfg<'_>, acc: &mut Acc, q_cell: &Cell, t_cell: &Cell, stats: &mut SearchStats) {
+    let (q_leaf, t_leaf) = (q_cell.leaves.start, t_cell.leaves.start);
+    if cfg.quick_browsed && cfg.hgq.leaves()[q_leaf as usize] == cfg.hgrv.leaves()[t_leaf as usize]
+    {
+        return; // already emitted as candidates by quick browsing
     }
-    let t_bounds = cfg.hgrv.params().bounds(t_key, cfg.hgrv.params().levels);
-    for &q in cfg.hgq.leaf_vectors(q_key) {
+    let t_bounds = cfg.hgrv.bounds(t_cell, cfg.hgrv.params().levels);
+    for &q in cfg.hgq.vectors(q_cell.leaves.clone()) {
         let qm = cfg.query_mapped.get(q as usize);
         if cfg.flags.lemma56_cell_match && lemmas::lemma5_vector_cell_match(qm, &t_bounds, cfg.tau)
         {
             stats.cell_pairs_matched += 1;
-            acc.matching.entry(q).or_default().push(t_key);
+            acc.matching[q as usize].push(t_leaf);
         } else if cfg.flags.lemma34_cell_filter
             && lemmas::lemma3_vector_cell_filter(qm, &t_bounds, cfg.tau)
         {
             stats.cell_pairs_filtered += 1;
         } else {
-            acc.candidates.entry(q).or_default().push(t_key);
+            acc.candidates[q as usize].push(t_leaf);
         }
     }
 }
@@ -335,16 +326,24 @@ mod tests {
         }
     }
 
+    impl Setup {
+        /// The `HG_RV` leaf ordinal of target `ti`.
+        fn leaf_of(&self, ti: usize) -> u32 {
+            let key = self.params.leaf_key(self.tmapped.get(ti));
+            self.hgrv.leaves().binary_search(&key).unwrap() as u32
+        }
+    }
+
     /// Coverage invariant: every true match (d(q,x) ≤ τ) appears either in
     /// a matching pair or in a candidate pair of q covering x's leaf cell.
     fn check_coverage(s: &Setup, out: &BlockOutput, tau: f32) {
         use std::collections::HashMap as Map;
-        let matching: Map<u32, HashSet<CellKey>> = out
+        let matching: Map<u32, HashSet<u32>> = out
             .matching
             .iter()
             .map(|(q, c)| (*q, c.iter().copied().collect()))
             .collect();
-        let candidates: Map<u32, HashSet<CellKey>> = out
+        let candidates: Map<u32, HashSet<u32>> = out
             .candidates
             .iter()
             .map(|(q, c)| (*q, c.iter().copied().collect()))
@@ -353,7 +352,7 @@ mod tests {
             for ti in 0..s.targets.len() {
                 let d = Euclidean.dist(s.query.get_raw(qi), s.targets.get_raw(ti));
                 if d <= tau {
-                    let leaf = s.params.leaf_key(s.tmapped.get(ti));
+                    let leaf = s.leaf_of(ti);
                     let in_match = matching
                         .get(&(qi as u32))
                         .is_some_and(|c| c.contains(&leaf));
@@ -367,21 +366,22 @@ mod tests {
                 }
             }
         }
+        // Each vector's cells ascend: the order of their rows.
+        for (_, cells) in out.matching.iter().chain(&out.candidates) {
+            assert!(cells.windows(2).all(|w| w[0] < w[1]), "{cells:?}");
+        }
     }
 
     /// Matching-pair soundness: every vector in a matched cell really is
     /// within τ of the query vector.
     fn check_matching_sound(s: &Setup, out: &BlockOutput, tau: f32) {
-        let mut by_leaf: FastMap<CellKey, Vec<usize>> = FastMap::default();
+        let mut by_leaf = vec![Vec::new(); s.hgrv.leaves().len()];
         for ti in 0..s.targets.len() {
-            by_leaf
-                .entry(s.params.leaf_key(s.tmapped.get(ti)))
-                .or_default()
-                .push(ti);
+            by_leaf[s.leaf_of(ti) as usize].push(ti);
         }
         for (q, cells) in &out.matching {
-            for cell in cells {
-                for &ti in by_leaf.get(cell).into_iter().flatten() {
+            for &cell in cells {
+                for &ti in &by_leaf[cell as usize] {
                     let d = Euclidean.dist(s.query.get_raw(*q as usize), s.targets.get_raw(ti));
                     assert!(d <= tau + 1e-4, "matching pair contains non-match (d={d})");
                 }
@@ -489,9 +489,15 @@ mod tests {
             let set: HashSet<_> = cells.iter().collect();
             assert_eq!(set.len(), cells.len(), "duplicate candidate pair");
         }
-        if !handled.is_empty() {
-            assert!(stats.quick_browse_pairs > 0);
-        }
+        // One pair per query vector whose leaf `HG_RV` also has.
+        let shared = (0..s.query.len())
+            .filter(|&q| {
+                let key = s.params.leaf_key(s.qmapped.get(q));
+                s.hgrv.leaves().binary_search(&key).is_ok()
+            })
+            .count();
+        assert_eq!(stats.quick_browse_pairs, shared as u64);
+        assert!(shared > 0, "the instance shares a leaf");
     }
 
     #[test]

@@ -247,10 +247,7 @@ fn bounds_range(
     for (q, cells) in &blocked.matching {
         let gen = q + 1;
         for &cell in cells {
-            let Some(postings) = inv.postings(cell) else {
-                continue;
-            };
-            for &col in postings.cols {
+            for &col in inv.cell(cell).cols {
                 let c = col as usize;
                 if c < lo || c >= hi || skip(col) {
                     continue;

@@ -106,7 +106,7 @@ impl PartitionInspection {
         let postings_len = AtomicHistogram::new();
         let cell_occupancy = AtomicHistogram::new();
         let mut postings = 0u64;
-        for (_key, cell) in inv.iter_cells() {
+        for cell in (0..inv.num_cells() as u32).map(|c| inv.cell(c)) {
             postings_len.record(cell.cols.len() as u64);
             cell_occupancy.record(cell.len() as u64);
             postings += cell.cols.len() as u64;

@@ -3,7 +3,11 @@
 //!
 //! Keys are the non-empty leaf cells of `HG_RV`; each key holds a postings
 //! list of the columns with at least one vector in that cell, **sorted by
-//! column id** (the document-at-a-time access order).
+//! column id** (the document-at-a-time access order). The index owns
+//! `HG_RV`: a keys-only [`HierarchicalGrid`], whose sorted leaves are the
+//! cells, so a cell's ordinal is its leaf ordinal (cells are numbered by
+//! ascending key, which is Morton order, [`crate::grid`]). Blocking emits
+//! ordinals, and no key is looked up.
 //!
 //! ## Cell-major rows
 //!
@@ -23,8 +27,7 @@
 //! new column) maps the vectors afresh, and the per-pivot spread the
 //! introspection plane reports is taken at layout.
 //!
-//! The postings are flat CSR arrays. The cell map gives a cell's ordinal
-//! (cells are numbered by ascending key); cell `c`'s column groups are
+//! The postings are flat CSR arrays: cell `c`'s column groups are
 //! `cell_groups[c]..cell_groups[c + 1]`, and group `g` is column
 //! `group_col[g]` with rows `group_row[g]..group_row[g + 1]`. A
 //! [`CellPostings`] is the view of one cell.
@@ -64,12 +67,11 @@ use std::ops::Range;
 
 use crate::config::{ExecPolicy, MAX_PIVOTS};
 use crate::error::{PexesoError, Result};
-use crate::grid::{compute_leaf_keys, CellKey, GridParams};
+use crate::grid::{by_pivots, compute_leaf_keys, group_by_leaf, GridParams, HierarchicalGrid};
 use crate::inspect::PivotSpread;
 use crate::lemmas::EPS;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
-use crate::util::FastMap;
 
 /// Postings of one leaf cell: a view into the index's CSR arrays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +125,8 @@ pub struct Rows<'a> {
 /// The inverted index: leaf cell → column postings, over cell-major rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InvertedIndex {
-    /// Leaf cell → ordinal, by ascending key.
-    cells: FastMap<CellKey, u32>,
+    /// `HG_RV`, keys only: leaf `c` is cell `c`.
+    grid: HierarchicalGrid,
     /// Per cell, its first column group; one sentinel at the end.
     cell_groups: Vec<u32>,
     /// Per column group, its column id.
@@ -151,66 +153,47 @@ impl InvertedIndex {
         vec_col: &[u32],
         base: Option<SimplexBase>,
     ) -> Result<Self> {
-        let keys = compute_leaf_keys(params, mapped, ExecPolicy::Sequential);
-        Self::from_leaf_keys(&keys, vec_col, mapped, base)
+        Self::build_with(params, mapped, vec_col, base, ExecPolicy::Sequential)
     }
 
-    /// Build from the leaf key, column and pivot coordinates of every
-    /// vector, all in vector-id order. Cells are numbered by ascending key
-    /// and their rows placed in id order, so the arrays are the same
-    /// whichever policy computed the keys.
-    pub(crate) fn from_leaf_keys(
-        keys: &[CellKey],
-        vec_col: &[u32],
+    /// [`InvertedIndex::build`], the leaf keys computed under `policy`.
+    /// Cells are numbered by ascending key and their rows placed in id
+    /// order, so the arrays are the same for every policy.
+    pub(crate) fn build_with(
+        params: &GridParams,
         mapped: &MappedVectors,
+        vec_col: &[u32],
         base: Option<SimplexBase>,
+        policy: ExecPolicy,
     ) -> Result<Self> {
-        let n = keys.len();
-        if vec_col.len() != n || mapped.len() != n {
+        if mapped.num_pivots() != params.num_pivots {
+            return Err(PexesoError::DimensionMismatch {
+                expected: params.num_pivots,
+                got: mapped.num_pivots(),
+            });
+        }
+        let n = mapped.len();
+        if vec_col.len() != n {
             return Err(PexesoError::Corrupt(format!(
-                "{n} leaf keys but vec_col has {} and the mapping {} vectors",
-                vec_col.len(),
-                mapped.len()
+                "{n} mapped vectors but vec_col has {}",
+                vec_col.len()
             )));
         }
         debug_assert!(
             vec_col.windows(2).all(|w| w[0] <= w[1]),
             "columns own contiguous, ascending vector-id ranges"
         );
-        // Ordinals by first appearance, then renumbered by ascending key.
-        let mut cells: FastMap<CellKey, u32> = FastMap::default();
-        let mut cell_of: Vec<u32> = Vec::with_capacity(n);
-        for &key in keys {
-            let next = cells.len() as u32;
-            cell_of.push(*cells.entry(key).or_insert(next));
-        }
-        let mut sorted: Vec<(CellKey, u32)> = cells.iter().map(|(&k, &o)| (k, o)).collect();
-        sorted.sort_unstable();
-        let mut rank = vec![0u32; sorted.len()];
-        for (r, &(key, first)) in sorted.iter().enumerate() {
-            rank[first as usize] = r as u32;
-            cells.insert(key, r as u32);
-        }
-        // Counting sort of the vectors into their cells, id order kept.
-        let n_cells = sorted.len();
-        let mut cell_row = vec![0u32; n_cells + 1];
-        for c in &mut cell_of {
-            *c = rank[*c as usize];
-            cell_row[*c as usize + 1] += 1;
-        }
-        for c in 0..n_cells {
-            cell_row[c + 1] += cell_row[c];
-        }
+        // The vectors grouped by leaf are the rows: cell `c`'s are
+        // `cell_row[c]..cell_row[c + 1]`, in id order.
+        let keys = compute_leaf_keys(params, mapped, policy);
+        let (leaves, cell_row, row_vid) = group_by_leaf(&keys);
+        let n_cells = leaves.len();
         let k = mapped.num_pivots();
         let spread = PivotSpread::of(mapped.iter(), k);
-        let mut next = cell_row.clone();
-        let (mut row_vid, mut row_col) = (vec![0u32; n], vec![0u32; n]);
-        let mut coords = vec![0.0f32; n * k];
-        for (vid, (&c, from)) in cell_of.iter().zip(mapped.iter()).enumerate() {
-            let r = next[c as usize] as usize;
-            next[c as usize] += 1;
-            (row_vid[r], row_col[r]) = (vid as u32, vec_col[vid]);
-            coords[r * k..(r + 1) * k].copy_from_slice(from);
+        let row_col: Vec<u32> = row_vid.iter().map(|&v| vec_col[v as usize]).collect();
+        let mut coords = Vec::with_capacity(n * k);
+        for &v in &row_vid {
+            coords.extend_from_slice(mapped.get(v as usize));
         }
         // A new column group wherever the column changes within a cell.
         let mut cell_groups = Vec::with_capacity(n_cells + 1);
@@ -230,7 +213,7 @@ impl InvertedIndex {
             .filter(|b| b.n == k)
             .map(|base| ApexBoxes::build(base, &mut coords, &cell_row));
         Ok(Self {
-            cells,
+            grid: HierarchicalGrid::from_leaves(params.clone(), leaves, None),
             cell_groups,
             group_col,
             group_row,
@@ -242,10 +225,10 @@ impl InvertedIndex {
         })
     }
 
-    /// The ordinal of a leaf cell, if it is non-empty.
+    /// `HG_RV`: the cells' keys, ascending, and the levels above them.
     #[inline]
-    pub fn cell_of(&self, key: CellKey) -> Option<u32> {
-        self.cells.get(&key).copied()
+    pub fn grid(&self) -> &HierarchicalGrid {
+        &self.grid
     }
 
     /// Postings of the cell with ordinal `c`.
@@ -259,28 +242,9 @@ impl InvertedIndex {
         }
     }
 
-    /// Postings of a leaf cell, if non-empty.
-    #[inline]
-    pub fn postings(&self, key: CellKey) -> Option<CellPostings<'_>> {
-        self.cell_of(key).map(|c| self.cell(c))
-    }
-
-    /// Whether the cell exists (has at least one vector).
-    #[inline]
-    pub fn contains(&self, key: CellKey) -> bool {
-        self.cells.contains_key(&key)
-    }
-
     /// Number of non-empty leaf cells.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Every non-empty leaf cell with its postings, arbitrary order —
-    /// introspection walks this to histogram postings lengths and cell
-    /// occupancy without exposing the map itself.
-    pub fn iter_cells(&self) -> impl Iterator<Item = (&CellKey, CellPostings<'_>)> {
-        self.cells.iter().map(|(key, &c)| (key, self.cell(c)))
+        self.grid.leaves().len()
     }
 
     /// The rows, cell by cell.
@@ -319,8 +283,8 @@ impl InvertedIndex {
         self.apex.as_ref()
     }
 
-    /// Resident size in bytes (Fig. 6b index-size accounting): every map
-    /// entry and array element held, the rows' vector ids, columns and
+    /// Resident size in bytes (Fig. 6b index-size accounting): every array
+    /// element held — `HG_RV`'s keys, the rows' vector ids, columns and
     /// coordinates, the apex boxes and the pivot spread included.
     pub fn approx_bytes(&self) -> usize {
         let words = self.cell_groups.len()
@@ -330,9 +294,7 @@ impl InvertedIndex {
             + self.row_col.len()
             + self.row_coords.raw_data().len()
             + self.spread.len() * 3;
-        self.cells.len() * (std::mem::size_of::<CellKey>() + 4)
-            + words * 4
-            + self.apex.as_ref().map_or(0, ApexBoxes::approx_bytes)
+        self.grid.approx_bytes() + words * 4 + self.apex.as_ref().map_or(0, ApexBoxes::approx_bytes)
     }
 }
 
@@ -494,25 +456,6 @@ pub struct Apex {
     pub(crate) lo: [f64; MAX_PIVOTS],
     pub(crate) hi: [f64; MAX_PIVOTS],
 }
-
-/// `$f::<N>(args…)` for the runtime pivot count `$n`, `N` one of
-/// 1..=[`MAX_PIVOTS`]: with `N` known at compile time, the loops over a
-/// row's coordinates unroll.
-macro_rules! by_pivots {
-    ($n:expr, $f:ident($($arg:expr),* $(,)?)) => {
-        by_pivots!(@arms $n, $f, ($($arg),*), 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16)
-    };
-    (@arms $n:expr, $f:ident, $args:tt, $($k:literal)*) => {
-        match $n {
-            $($k => by_pivots!(@call $f::<$k> $args),)*
-            n => unreachable!("{n} pivots: at most MAX_PIVOTS"),
-        }
-    };
-    (@call $f:ident::<$k:literal> ($($arg:expr),*)) => {
-        $f::<$k>($($arg),*)
-    };
-}
-pub(crate) use by_pivots;
 
 /// One axis-aligned box per cell around its rows' apexes, and one bound
 /// per cell on the error of its rows' stored apexes (see the module
@@ -707,6 +650,7 @@ fn round_up(x: f64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::CellKey;
     use crate::metric::{Euclidean, Manhattan};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -719,6 +663,12 @@ mod tests {
 
     fn vids(inv: &InvertedIndex, rows: Range<usize>) -> &[u32] {
         &inv.rows().vid[rows]
+    }
+
+    /// The postings of the cell with leaf `key`, if it is non-empty.
+    fn postings(inv: &InvertedIndex, key: CellKey) -> Option<CellPostings<'_>> {
+        let c = inv.grid().leaves().binary_search(&key).ok()?;
+        Some(inv.cell(c as u32))
     }
 
     #[test]
@@ -741,13 +691,13 @@ mod tests {
         assert_eq!(inv.num_cells(), 4);
 
         let cell0 = params.leaf_key(&[0.5]);
-        let p = inv.postings(cell0).unwrap();
+        let p = postings(&inv, cell0).unwrap();
         assert_eq!(p.cols, &[0, 1]);
         assert_eq!(vids(&inv, p.rows_of(0)), &[0, 1]);
         assert_eq!(vids(&inv, p.rows_of(1)), &[3]);
 
         let cell1 = params.leaf_key(&[1.5]);
-        let p1 = inv.postings(cell1).unwrap();
+        let p1 = postings(&inv, cell1).unwrap();
         assert_eq!(p1.cols, &[1, 3]);
         assert_eq!(vids(&inv, p1.rows_of(0)), &[2]);
         assert_eq!(vids(&inv, p1.rows_of(1)), &[6]);
@@ -761,8 +711,8 @@ mod tests {
         let params = GridParams::new(1, 2, 4.0).unwrap();
         let mapped = mapped_from(&[&[0.5]]);
         let inv = InvertedIndex::build(&params, &mapped, &[0], None).unwrap();
-        assert!(inv.postings(params.leaf_key(&[3.5])).is_none());
-        assert!(inv.contains(params.leaf_key(&[0.5])));
+        assert!(postings(&inv, params.leaf_key(&[3.5])).is_none());
+        assert!(postings(&inv, params.leaf_key(&[0.5])).is_some());
     }
 
     #[test]
@@ -793,7 +743,8 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
         assert_eq!(inv.pivot_spread(), PivotSpread::of(mapped.iter(), 2));
         let mut covered = 0;
-        for (&key, p) in inv.iter_cells() {
+        for (c, &key) in inv.grid().leaves().iter().enumerate() {
+            let p = inv.cell(c as u32);
             assert_eq!(p.offsets.len(), p.cols.len() + 1);
             assert!(p.cols.windows(2).all(|w| w[0] < w[1]));
             for i in 0..p.cols.len() {

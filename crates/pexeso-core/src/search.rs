@@ -1,7 +1,7 @@
 //! The PEXESO index and search entry points (Algorithm 3).
 //!
 //! [`PexesoIndex::build`] runs the offline phase: pivot selection, pivot
-//! mapping, `HG_RV` construction, and the inverted index.
+//! mapping, and the inverted index, which holds `HG_RV`.
 //! [`IndexUnit::answer`] runs the online phase — map the query column,
 //! build `HG_Q`, quick-browse, block, verify — for every backend, the
 //! index's own [`Queryable::execute`] included. Results are exact —
@@ -15,7 +15,7 @@ use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, Tau};
 use crate::cost::{column_match_bounds, topk_seed};
 use crate::error::{PexesoError, Result};
-use crate::grid::{compute_leaf_keys, GridParams, HierarchicalGrid};
+use crate::grid::{GridParams, HierarchicalGrid};
 use crate::inspect::PartitionInspection;
 use crate::invindex::{InvertedIndex, SimplexBase};
 use crate::lemmas;
@@ -63,9 +63,8 @@ pub struct PexesoIndex<M: Metric> {
     grid_params: GridParams,
     pivots: Vec<Vec<f32>>,
     columns: ColumnSet,
-    hgrv: HierarchicalGrid,
-    /// The postings and the cell-major rows: each vector's column and
-    /// apex (or pivot coordinates) live here and nowhere else.
+    /// `HG_RV`, the postings and the cell-major rows: each vector's column
+    /// and apex (or pivot coordinates) live here and nowhere else.
     inv: InvertedIndex,
     /// [`PexesoIndex::rv_mapped`], mapped on first use; not part of the
     /// index.
@@ -110,10 +109,10 @@ impl<M: Metric> PexesoIndex<M> {
             )?,
         };
         let grid_params = GridParams::new(pivots.len(), levels, span)?;
-        let (hgrv, inv) = rv_structures(
+        let inv = InvertedIndex::build_with(
             &grid_params,
             &rv_mapped,
-            &columns,
+            &columns.vector_to_column(),
             SimplexBase::of(&pivots, &metric),
             options.exec,
         )?;
@@ -123,7 +122,6 @@ impl<M: Metric> PexesoIndex<M> {
             grid_params,
             pivots,
             columns,
-            hgrv,
             inv,
             rv_mapped: OnceLock::new(),
             build_time: started.elapsed(),
@@ -173,7 +171,7 @@ impl<M: Metric> PexesoIndex<M> {
                 self.grid_params.span
             )));
         }
-        let hgq = HierarchicalGrid::build_with(self.grid_params.clone(), &query_mapped, exec)?;
+        let hgq = HierarchicalGrid::build(self.grid_params.clone(), &query_mapped)?;
         // Mapping phase = pivot mapping + span check + HG_Q build: all the
         // per-query work before the dual-grid traversal starts.
         stats.mapping_time = map_start.elapsed();
@@ -187,7 +185,7 @@ impl<M: Metric> PexesoIndex<M> {
         };
         let blocked = block_with(
             &hgq,
-            &self.hgrv,
+            self.inv.grid(),
             &query_mapped,
             tau_abs,
             opts.flags,
@@ -204,7 +202,7 @@ impl<M: Metric> PexesoIndex<M> {
     /// existing pivot-space span (guaranteed for unit-normalised data);
     /// otherwise nothing is appended and the index must be rebuilt. The
     /// index keeps no pivot coordinates where its rows hold apexes, so
-    /// `HG_RV` and the inverted index are laid out again from a fresh
+    /// the inverted index, `HG_RV` included, is laid out again from a fresh
     /// mapping of every vector: O(|RV|) per column, not the paper's
     /// O((|P|+m)·|s|).
     pub fn append_column<'a>(
@@ -229,10 +227,10 @@ impl<M: Metric> PexesoIndex<M> {
         let col_id = self
             .columns
             .add_column(table_name, column_name, external_id, vectors)?;
-        (self.hgrv, self.inv) = rv_structures(
+        self.inv = InvertedIndex::build_with(
             &self.grid_params,
             &self.map_repository(self.options.exec)?,
-            &self.columns,
+            &self.columns.vector_to_column(),
             SimplexBase::of(&self.pivots, &self.metric),
             self.options.exec,
         )?;
@@ -267,7 +265,8 @@ impl<M: Metric> PexesoIndex<M> {
 
     /// All (query vector, target vector) matching pairs between the query
     /// and one column — the mapping PEXESO presents with each result table.
-    /// Uses Lemma 1/2 filtering; exact.
+    /// Uses Lemma 1/2 filtering; exact. `query_mapped`, when given, must be
+    /// the query's pivot coordinates: one row of |P| per query vector.
     pub fn match_pairs(
         &self,
         query: &VectorStore,
@@ -275,9 +274,27 @@ impl<M: Metric> PexesoIndex<M> {
         column: ColumnId,
         tau: Tau,
     ) -> Result<Vec<(u32, VectorId)>> {
+        self.validate_query(query)?;
         let tau = tau.resolve(&self.metric, self.columns.dim())?;
+        if column.0 as usize >= self.columns.n_columns() {
+            return Err(PexesoError::InvalidParameter(format!(
+                "column {} not in an index of {} columns",
+                column.0,
+                self.columns.n_columns()
+            )));
+        }
         let owned;
         let qm = match query_mapped {
+            Some(m) if m.len() != query.len() || m.num_pivots() != self.pivots.len() => {
+                return Err(PexesoError::InvalidParameter(format!(
+                    "query mapping of {} vectors × {} pivots for a query of {} vectors \
+                     and an index of {} pivots",
+                    m.len(),
+                    m.num_pivots(),
+                    query.len(),
+                    self.pivots.len()
+                )));
+            }
             Some(m) => m,
             None => {
                 owned = MappedVectors::build(query, &self.pivots, &self.metric, None)?;
@@ -314,7 +331,8 @@ impl<M: Metric> PexesoIndex<M> {
         Ok(out)
     }
 
-    /// Exact joinability ratio of one column (no early termination).
+    /// Exact joinability ratio of one column (no early termination);
+    /// refuses what [`PexesoIndex::match_pairs`] refuses.
     pub fn joinability(&self, query: &VectorStore, column: ColumnId, tau: Tau) -> Result<f64> {
         let pairs = self.match_pairs(query, None, column, tau)?;
         let mut matched = vec![false; query.len()];
@@ -378,14 +396,13 @@ impl<M: Metric> PexesoIndex<M> {
         })
     }
 
-    /// Resident size of the *index structures* in bytes — the grid, the
-    /// inverted index (whose rows hold each vector's column and apex or
-    /// pivot coordinates) and the pivots — excluding the raw table-repository
+    /// Resident size of the *index structures* in bytes — the inverted
+    /// index (`HG_RV`'s sorted leaf keys and level bounds, the postings,
+    /// and the rows that hold each vector's column and apex or pivot
+    /// coordinates) and the pivots — excluding the raw table-repository
     /// vectors, matching the paper's index-size accounting (Fig. 6b).
     pub fn index_bytes(&self) -> usize {
-        self.hgrv.approx_bytes()
-            + self.inv.approx_bytes()
-            + self.pivots.iter().map(|p| p.len() * 4).sum::<usize>()
+        self.inv.approx_bytes() + self.pivots.iter().map(|p| p.len() * 4).sum::<usize>()
     }
 
     /// Size of the raw vector data (repository storage).
@@ -460,48 +477,19 @@ impl<M: Metric> PexesoIndex<M> {
             )));
         }
         let started = Instant::now();
-        let (hgrv, inv) = rv_structures(
-            &grid_params,
-            &rv_mapped,
-            &columns,
-            base,
-            ExecPolicy::Sequential,
-        )?;
+        let inv =
+            InvertedIndex::build(&grid_params, &rv_mapped, &columns.vector_to_column(), base)?;
         Ok(Self {
             metric,
             options,
             grid_params,
             pivots,
             columns,
-            hgrv,
             inv,
             rv_mapped: OnceLock::new(),
             build_time: started.elapsed(),
         })
     }
-}
-
-/// `HG_RV` (keys only) and the inverted index, both from one pass of leaf
-/// keys over the mapped repository vectors (in vector-id order), which the
-/// index takes into its cell-major rows.
-fn rv_structures(
-    grid_params: &GridParams,
-    rv_mapped: &MappedVectors,
-    columns: &ColumnSet,
-    base: Option<SimplexBase>,
-    policy: ExecPolicy,
-) -> Result<(HierarchicalGrid, InvertedIndex)> {
-    if rv_mapped.num_pivots() != grid_params.num_pivots {
-        return Err(PexesoError::DimensionMismatch {
-            expected: grid_params.num_pivots,
-            got: rv_mapped.num_pivots(),
-        });
-    }
-    let keys = compute_leaf_keys(grid_params, rv_mapped, policy);
-    Ok((
-        HierarchicalGrid::from_leaf_keys(grid_params.clone(), &keys, false),
-        InvertedIndex::from_leaf_keys(&keys, &columns.vector_to_column(), rv_mapped, base)?,
-    ))
 }
 
 /// The one engine: every backend answers for one index through
@@ -763,7 +751,7 @@ mod tests {
             assert!(base.is_some(), "four random pivots span a simplex");
             let inv =
                 InvertedIndex::build(&params, &by_id, &columns.vector_to_column(), base).unwrap();
-            assert_eq!(index.hgrv, hgrv);
+            assert_eq!(index.inv.grid(), &hgrv);
             assert_eq!(index.inv, inv);
             let reassembled = PexesoIndex::from_saved_parts(
                 index.columns.clone(),
@@ -774,7 +762,7 @@ mod tests {
                 Euclidean,
             )
             .unwrap();
-            assert_eq!(reassembled.hgrv, hgrv);
+            assert_eq!(reassembled.inv.grid(), &hgrv);
             assert_eq!(reassembled.inv, inv);
             built.push(inv);
         }
@@ -885,6 +873,157 @@ mod tests {
             let expected_jn = matched.iter().filter(|&&m| m).count() as f64 / query.len() as f64;
             assert!((jn - expected_jn).abs() < 1e-12);
         }
+    }
+
+    /// An index, a query and its mapping for the input checks of
+    /// `match_pairs` and `joinability`.
+    fn pairs_fixture() -> (PexesoIndex<Euclidean>, VectorStore, MappedVectors) {
+        let (columns, query) = instance(6, 6, 12, 6);
+        let index = build(columns, 3, 4);
+        let mapped = MappedVectors::build(&query, index.pivots(), &Euclidean, None).unwrap();
+        (index, query, mapped)
+    }
+
+    #[test]
+    fn joinability_of_an_empty_query_is_refused() {
+        let (index, _, _) = pairs_fixture();
+        let empty = VectorStore::new(16);
+        let tau = Tau::Ratio(0.25);
+        assert!(matches!(
+            index.joinability(&empty, ColumnId(2), tau),
+            Err(PexesoError::EmptyInput(_))
+        ));
+    }
+
+    #[test]
+    fn match_pairs_of_an_unknown_column_is_refused() {
+        let (index, query, _) = pairs_fixture();
+        for unknown in [ColumnId(6), ColumnId(u32::MAX)] {
+            assert!(matches!(
+                index.joinability(&query, unknown, Tau::Ratio(0.25)),
+                Err(PexesoError::InvalidParameter(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_query_mapping_with_fewer_rows_is_refused() {
+        let (index, query, mapped) = pairs_fixture();
+        let fewer = MappedVectors::from_raw(3, mapped.raw_data()[..3 * 5].to_vec()).unwrap();
+        assert!(matches!(
+            index.match_pairs(&query, Some(&fewer), ColumnId(2), Tau::Ratio(0.25)),
+            Err(PexesoError::InvalidParameter(_))
+        ));
+    }
+
+    /// Two of the three pivot coordinates: Lemmas 1 and 2 would compare
+    /// them with the first two of each row's three.
+    #[test]
+    fn a_query_mapping_of_another_pivot_count_is_refused() {
+        let (index, query, mapped) = pairs_fixture();
+        let two: Vec<f32> = mapped.iter().flat_map(|m| m[..2].to_vec()).collect();
+        let two = MappedVectors::from_raw(2, two).unwrap();
+        assert!(matches!(
+            index.match_pairs(&query, Some(&two), ColumnId(2), Tau::Ratio(0.25)),
+            Err(PexesoError::InvalidParameter(_))
+        ));
+        // The well-formed call still answers, with the mapping or without.
+        let tau = Tau::Ratio(0.25);
+        assert_eq!(
+            index
+                .match_pairs(&query, Some(&mapped), ColumnId(2), tau)
+                .unwrap(),
+            index.match_pairs(&query, None, ColumnId(2), tau).unwrap()
+        );
+    }
+
+    /// A narrower query with a mapping of the right shape: nothing but the
+    /// width check stands between it and the distance kernel, which would
+    /// read past the query vector.
+    #[test]
+    fn a_query_of_another_width_is_refused() {
+        let (index, query, mapped) = pairs_fixture();
+        let mut narrow = VectorStore::new(8);
+        for v in query.iter() {
+            narrow.push(&v[..8]).unwrap();
+        }
+        assert!(matches!(
+            index.match_pairs(&narrow, Some(&mapped), ColumnId(2), Tau::Ratio(0.25)),
+            Err(PexesoError::DimensionMismatch { .. })
+        ));
+    }
+
+    /// The benchmark ladder and the differential suite block through a
+    /// keys-only grid built from `rv_mapped()` and verify through the
+    /// index's inverted index, whose cells the blocked ordinals name: that
+    /// grid must have the index's sorted leaf keys, and blocking through it
+    /// must give what blocking through the index's own `HG_RV` gives —
+    /// for apex rows and pivot-coordinate rows, built, loaded from a file
+    /// and after `append_column`.
+    #[test]
+    fn a_keys_only_grid_of_rv_mapped_is_the_index_grid() {
+        use crate::block::{block, quick_browse};
+        use crate::metric::Manhattan;
+        use crate::persist::{load_index, save_index};
+
+        fn check<M: Metric>(index: &PexesoIndex<M>, query: &VectorStore, what: &str) {
+            let (params, inv) = (index.grid_params().clone(), index.inverted_index());
+            let hgrv =
+                HierarchicalGrid::build_keys_only(params.clone(), index.rv_mapped()).unwrap();
+            assert_eq!(hgrv.leaves(), inv.grid().leaves(), "{what}");
+            let mapped = MappedVectors::build(query, index.pivots(), index.metric(), None).unwrap();
+            let hgq = HierarchicalGrid::build(params, &mapped).unwrap();
+            let tau = Tau::Ratio(0.2)
+                .resolve(index.metric(), query.dim())
+                .unwrap();
+            let run = |grid: &HierarchicalGrid| {
+                let mut stats = SearchStats::new();
+                let mut seeded = FastMap::default();
+                let handled = quick_browse(&hgq, inv, &mut seeded, &mut stats);
+                let flags = LemmaFlags::all();
+                let out = block(
+                    &hgq,
+                    grid,
+                    &mapped,
+                    tau,
+                    flags,
+                    Some(&handled),
+                    seeded,
+                    &mut stats,
+                );
+                (out, stats.candidate_pairs, stats.matching_pairs)
+            };
+            let own = run(inv.grid());
+            assert_eq!(own, run(&hgrv), "{what}");
+            assert!(own.1 > 0 && own.0.rv_leaves == inv.num_cells(), "{what}");
+        }
+
+        fn each<M: Metric + Clone>(metric: M, apex: bool) {
+            let (columns, query) = instance(12, 30, 20, 12);
+            let options = IndexOptions {
+                num_pivots: 3,
+                levels: Some(4),
+                seed: 7,
+                ..Default::default()
+            };
+            let index = PexesoIndex::build(columns, metric.clone(), options).unwrap();
+            assert_eq!(index.inverted_index().apex().is_some(), apex);
+            check(&index, &query, "built");
+            let path = std::env::temp_dir().join(format!(
+                "pexeso_keys_only_grid_{}_{}.pex",
+                metric.name(),
+                std::process::id()
+            ));
+            save_index(&index, &path).unwrap();
+            let mut loaded = load_index(&path, metric).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            check(&loaded, &query, "loaded");
+            let extra: Vec<&[f32]> = query.iter().take(5).collect();
+            loaded.append_column("t", "extra", 99, extra).unwrap();
+            check(&loaded, &query, "appended");
+        }
+        each(Euclidean, true);
+        each(Manhattan, false);
     }
 
     #[test]

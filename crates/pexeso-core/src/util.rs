@@ -1,13 +1,12 @@
-//! Small internal utilities: a fast non-cryptographic hasher for the hot
-//! cell-key maps.
+//! Small internal utilities: a fast non-cryptographic hasher for the
+//! integer-keyed maps of the search path (quick browsing's candidate
+//! seeds, keyed by query vector).
 //!
-//! The blocking traversal and inverted-index lookups hash `u128` cell keys
-//! millions of times per search; the standard library's SipHash is the
-//! dominant cost there. This FxHash-style multiply-xor hasher is not
-//! HashDoS-resistant, which is fine: keys are derived from our own grid
-//! geometry, not attacker input.
+//! The standard library's SipHash costs more than the work such a map
+//! guards. This FxHash-style multiply-xor hasher is not HashDoS-resistant,
+//! which is fine: keys are our own ids, not attacker input.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -64,8 +63,6 @@ impl Hasher for FastHasher {
 
 /// HashMap with the fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastHasher>>;
-/// HashSet with the fast hasher.
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FastHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -35,9 +35,9 @@
 //! them die together at step `|Q| − T + 1`, and every step before that
 //! walks its candidate cells at full width. So the scan takes the query
 //! vectors cheapest first. The schedule is built once per scan, before
-//! any shard runs: each query vector's cells are resolved to their
-//! ordinals (the cell map is hit once per ⟨vector, cell⟩ pair), a
-//! candidate cell whose apex box lies beyond `τ` of the vector's apex is
+//! any shard runs. Blocking names each query vector's cells by ordinal,
+//! ascending, which is the order of their rows, so no cell is looked up:
+//! a candidate cell whose apex box lies beyond `τ` of the vector's apex is
 //! dropped (the n-simplex bound of [`crate::invindex`], Euclidean only;
 //! counted in [`SearchStats::apex_excluded`]), and the vector's cost is
 //! the number of repository rows in the candidate cells that remain.
@@ -139,8 +139,8 @@ use crate::column::{ColumnId, ColumnSet};
 use crate::config::{ExecPolicy, LemmaFlags};
 use crate::cost::ColumnMatchBounds;
 use crate::exec;
-use crate::grid::CellKey;
-use crate::invindex::{by_pivots, Apex, ApexBoxes, CellPostings, InvertedIndex, Rows};
+use crate::grid::by_pivots;
+use crate::invindex::{Apex, ApexBoxes, CellPostings, InvertedIndex, Rows};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -227,6 +227,11 @@ pub(crate) fn scan<M: Metric>(
 ) -> (VerifyOutcome, Option<Exceeded>) {
     let n_cols = ctx.columns.n_columns();
     let threads = policy.effective_threads();
+    assert_eq!(
+        blocked.rv_leaves,
+        ctx.inv.num_cells(),
+        "blocked against another index's HG_RV"
+    );
     let schedule = Schedule::build(ctx.inv, blocked, ctx.query_mapped, ctx.tau);
     stats.apex_excluded += schedule.excluded;
     if budget.is_some() || threads <= 1 || n_cols < 2 {
@@ -265,14 +270,14 @@ struct Step {
     /// The query vector's id.
     q: u32,
     /// Its matching and candidate cells, as ranges of [`Schedule::cells`],
-    /// each in blocking's order.
+    /// each ascending.
     matching: Range<usize>,
     candidates: Range<usize>,
 }
 
 /// The order one scan takes the query vectors in — cheapest candidate
-/// cells first, see the module header — with every cell resolved to its
-/// ordinal and the candidate cells the apex bound rules out dropped.
+/// cells first, see the module header — with the candidate cells the apex
+/// bound rules out dropped.
 /// Shared by all shards of the scan.
 struct Schedule {
     steps: Vec<Step>,
@@ -300,11 +305,11 @@ impl Schedule {
                 candidates: 0..0,
             })
             .collect();
-        // Resolve keys to ordinals, dropping the cells `apex` (a query
-        // vector's apex with the index's boxes) rules out.
-        let mut resolve = |keys: &[CellKey], apex: Option<(&ApexBoxes, Apex)>| {
+        // Keep the cells `apex` (a query vector's apex with the index's
+        // boxes) does not rule out.
+        let mut keep = |ordinals: &[u32], apex: Option<(&ApexBoxes, Apex)>| {
             let start = cells.len();
-            for c in keys.iter().filter_map(|&key| inv.cell_of(key)) {
+            for &c in ordinals {
                 if apex.is_some_and(|(boxes, q)| boxes.excludes(c, &q, tau)) {
                     excluded += 1;
                 } else {
@@ -313,14 +318,14 @@ impl Schedule {
             }
             start..cells.len()
         };
-        for (q, keys) in &blocked.matching {
-            steps[*q as usize].matching = resolve(keys, None);
+        for (q, ordinals) in &blocked.matching {
+            steps[*q as usize].matching = keep(ordinals, None);
         }
-        for (q, keys) in &blocked.candidates {
+        for (q, ordinals) in &blocked.candidates {
             let apex = inv
                 .apex()
                 .map(|boxes| (boxes, boxes.query(query_mapped.get(*q as usize))));
-            steps[*q as usize].candidates = resolve(keys, apex);
+            steps[*q as usize].candidates = keep(ordinals, apex);
         }
         for step in &mut steps {
             let rows = |&c: &u32| inv.cell(c).len() as u64;
@@ -1153,6 +1158,23 @@ mod tests {
         }
     }
 
+    /// Blocked ordinals name the leaves of the grid they were blocked
+    /// against: the scan refuses them from a grid with another leaf count
+    /// than the index's.
+    #[test]
+    #[should_panic(expected = "blocked against another index's HG_RV")]
+    fn scan_refuses_pairs_blocked_against_another_grid() {
+        let mut s = topk_setup(3, 0.3);
+        s.blocked.rv_leaves += 1;
+        let mut stats = SearchStats::new();
+        verify_with(
+            &s.ctx(2, None),
+            &s.blocked,
+            &mut stats,
+            ExecPolicy::Sequential,
+        );
+    }
+
     fn topk_setup(seed: u64, tau: f32) -> TopkSetup {
         let (query, columns) = random_instance(seed, 14, 22, 9);
         blocked_setup(query, columns, tau)
@@ -1480,7 +1502,7 @@ mod tests {
         let (near, far) = (0usize, 1usize);
         for (_, cells) in s.blocked.candidates.iter().chain(&s.blocked.matching) {
             for &cell in cells {
-                let reached = s.inv.postings(cell).is_some_and(|p| p.cols.contains(&1));
+                let reached = s.inv.cell(cell).cols.contains(&1);
                 assert!(!reached, "the far column must be out of the query's reach");
             }
         }

@@ -133,8 +133,8 @@ fn excluded_pairs_hold_no_match(
     let mut excluded = 0;
     for (qi, q) in query.iter().enumerate() {
         let apex = boxes.query(mapped.get(qi));
-        for (&key, postings) in inv.iter_cells() {
-            let cell = inv.cell_of(key).unwrap();
+        for cell in 0..inv.num_cells() as u32 {
+            let postings = inv.cell(cell);
             if !boxes.excludes(cell, &apex, tau) {
                 continue;
             }
@@ -143,7 +143,7 @@ fn excluded_pairs_hold_no_match(
                 let x = store.get_raw(rows.vid[r] as usize);
                 assert!(
                     !Euclidean.dist_le(q, x, tau),
-                    "cell {key:?} excluded for query vector {qi}, but holds vector {} at {} <= {tau}",
+                    "cell {cell} excluded for query vector {qi}, but holds vector {} at {} <= {tau}",
                     rows.vid[r],
                     Euclidean.dist(q, x)
                 );
@@ -214,8 +214,8 @@ fn row_bounds_hold(
             .map(|x| Euclidean.dist(q, x))
             .fold(f32::INFINITY, f32::min);
         for tau in [tau, nearest] {
-            for (&key, postings) in inv.iter_cells() {
-                let cell = inv.cell_of(key).unwrap();
+            for cell in 0..inv.num_cells() as u32 {
+                let postings = inv.cell(cell);
                 let (beyond, within) = boxes.row_reach(cell, tau);
                 for r in postings.rows() {
                     let x = store.get_raw(rows.vid[r] as usize);

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use pexeso_core::config::MAX_LEVELS;
-use pexeso_core::grid::{CellKey, GridParams};
+use pexeso_core::grid::{CellKey, GridParams, HierarchicalGrid};
 use pexeso_core::hist::{
     bucket_index, bucket_upper_bound, bucket_width, AtomicHistogram, NUM_BUCKETS,
 };
@@ -55,9 +55,9 @@ proptest! {
         let pivots: Vec<Vec<f32>> = (0..3).map(|i| unit_vec(dim, 31 + i)).collect();
         let mapped: Vec<f32> = pivots.iter().map(|p| Euclidean.dist(&v, p)).collect();
         let params = GridParams::new(3, levels, 2.0 + 1e-4).unwrap();
-        let mut key = params.leaf_key(&mapped);
+        let leaf = params.leaf_key(&mapped);
         for level in (1..=levels).rev() {
-            let b = params.bounds(key, level);
+            let b = params.bounds(params.ancestor(leaf, level), level);
             for (i, &mc) in mapped.iter().enumerate().take(3) {
                 prop_assert!(
                     b.lower[i] <= mc + 1e-4 && mc <= b.upper[i] + 1e-4,
@@ -65,14 +65,64 @@ proptest! {
                     level, i, mapped[i], b.lower[i], b.upper[i]
                 );
             }
-            key = key.parent();
         }
     }
 
-    /// `leaf_key` equals the `floor`-then-`clamp` formula it replaced, for
-    /// every `f32` bit pattern (NaN, ±0.0, negatives, infinities, values at
-    /// or past the span) and for values near the span's cell edges, at
-    /// every level 1..=MAX_LEVELS.
+    /// The Morton layout: at every level 1..=m, the level's cells of the
+    /// sorted leaves ascend, so each cell is one contiguous range of them;
+    /// a cell's bounds contain its vectors and nest in its parent's.
+    #[test]
+    fn every_cell_is_a_range_of_the_sorted_leaves(
+        seed in 0u64..10_000,
+        n in 1usize..=6,
+        levels in 1usize..=MAX_LEVELS,
+        count in 1usize..300,
+    ) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let span = 2.0f32;
+        // Clustered near a few centres, so cells at every level hold
+        // several leaves.
+        let centres: Vec<f32> = (0..3 * n).map(|_| rng.gen_range(0.0..span)).collect();
+        let flat: Vec<f32> = (0..count)
+            .flat_map(|v| {
+                let c = (v % 3) * n;
+                (0..n).map(|i| (centres[c + i] + rng.gen_range(-0.1f32..0.1)).clamp(0.0, span)).collect::<Vec<_>>()
+            })
+            .collect();
+        let mapped = MappedVectors::from_raw(n, flat).unwrap();
+        let params = GridParams::new(n, levels, span).unwrap();
+        let grid = HierarchicalGrid::build_keys_only(params.clone(), &mapped).unwrap();
+        let leaves = grid.leaves();
+        prop_assert!(leaves.windows(2).all(|w| w[0] < w[1]));
+        for level in 1..=levels {
+            let cells: Vec<CellKey> = leaves.iter().map(|&k| params.ancestor(k, level)).collect();
+            prop_assert!(cells.windows(2).all(|w| w[0] <= w[1]), "level {} cells interleave", level);
+        }
+        for v in 0..count {
+            let coords = mapped.get(v);
+            let leaf = params.leaf_key(coords);
+            prop_assert!(leaves.binary_search(&leaf).is_ok());
+            for level in 1..=levels {
+                let b = params.bounds(params.ancestor(leaf, level), level);
+                for (i, &c) in coords.iter().enumerate() {
+                    prop_assert!(b.lower[i] <= c && (c < b.upper[i] || c == span), "level {} pivot {}", level, i);
+                }
+                if level > 1 {
+                    let pb = params.bounds(params.ancestor(leaf, level - 1), level - 1);
+                    for i in 0..n {
+                        prop_assert!(pb.lower[i] <= b.lower[i] && b.upper[i] <= pb.upper[i]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `leaf_key` equals the interleave of the `floor`-then-`clamp`
+    /// indices, for every `f32` bit pattern (NaN, ±0.0, negatives,
+    /// infinities, values at or past the span) and for values near the
+    /// span's cell edges, at every level 1..=MAX_LEVELS.
     #[test]
     fn leaf_key_equals_floor_then_clamp(
         bits in proptest::collection::vec(0u32..u32::MAX, 4),
@@ -87,7 +137,7 @@ proptest! {
                 .iter()
                 .map(|&c| (c / span * cells).floor().clamp(0.0, cells - 1.0) as u8)
                 .collect();
-            CellKey::pack(&idx)
+            CellKey::pack(&idx, levels)
         };
         let special = [f32::NAN, -0.0, 0.0, -1.0, span, span * 2.0, f32::INFINITY, f32::NEG_INFINITY];
         let edge = span / (1u32 << levels) as f32;
@@ -104,14 +154,25 @@ proptest! {
         }
     }
 
-    /// Cell-key pack/unpack/parent arithmetic is consistent.
+    /// Cell-key pack/unpack arithmetic is consistent, and a leaf's
+    /// level-`l` ancestor holds the top `l` bits of every index.
     #[test]
-    fn cell_key_arithmetic(indices in proptest::collection::vec(0u8..=255, 1..16)) {
-        let key = CellKey::pack(&indices);
-        prop_assert_eq!(key.unpack(indices.len()), indices.clone());
-        let parent = key.parent().unpack(indices.len());
-        for (p, i) in parent.iter().zip(indices.iter()) {
-            prop_assert_eq!(*p, i >> 1);
+    fn cell_key_arithmetic(
+        indices in proptest::collection::vec(0u8..=255, 1..=16),
+        levels in 1usize..=MAX_LEVELS,
+    ) {
+        let n = indices.len();
+        let indices: Vec<u8> = indices.iter().map(|&i| (i as u16 & ((1 << levels) - 1)) as u8).collect();
+        let key = CellKey::pack(&indices, levels);
+        prop_assert_eq!(&key.unpack(n, levels)[..n], &indices[..]);
+        // Nothing above the `n·levels` bits the key has.
+        prop_assert_eq!(key.0.checked_shr((n * levels) as u32).unwrap_or(0), 0);
+        let params = GridParams::new(n, levels, 1.0).unwrap();
+        for level in 1..=levels {
+            let cell = params.ancestor(key, level).unpack(n, level);
+            for (c, i) in cell.iter().zip(indices.iter()) {
+                prop_assert_eq!(*c, i >> (levels - level));
+            }
         }
     }
 
