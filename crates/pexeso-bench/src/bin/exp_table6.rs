@@ -79,8 +79,7 @@ fn run_dataset(w: &Workload, n_queries: usize) {
     let mapped =
         MappedVectors::build(w.embedded.columns.store(), &pivots, &Euclidean, None).expect("map");
     let span = 2.0f32.max(mapped.max_coord()) + 1e-4;
-    let choice = analyze_levels(&w.embedded.columns, &mapped, &pivots, &Euclidean, span, 42)
-        .expect("cost analysis");
+    let choice = analyze_levels(&mapped, span, 42).expect("cost analysis");
     println!(
         "cost model at |P|={bp}: fractional m = {:.2}, chosen m = {} (empirical optimum m = {bm})\n",
         choice.fractional_m, choice.chosen_m

@@ -20,14 +20,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::block::{block, BlockOutput};
-use crate::column::ColumnSet;
 use crate::config::{ExecPolicy, LemmaFlags, MAX_LEVELS};
 use crate::error::Result;
 use crate::exec;
 use crate::grid::{GridParams, HierarchicalGrid};
 use crate::invindex::InvertedIndex;
 use crate::mapping::MappedVectors;
-use crate::metric::Metric;
 use crate::pdf::Pdf;
 use crate::stats::SearchStats;
 use crate::util::FastMap;
@@ -138,14 +136,7 @@ pub struct LevelChoice {
 }
 
 /// Analyse the expected cost across m = 1..=MAX_LEVELS.
-pub fn analyze_levels<M: Metric>(
-    columns: &ColumnSet,
-    rv_mapped: &MappedVectors,
-    _pivots: &[Vec<f32>],
-    _metric: &M,
-    span: f32,
-    seed: u64,
-) -> Result<LevelChoice> {
+pub fn analyze_levels(rv_mapped: &MappedVectors, span: f32, seed: u64) -> Result<LevelChoice> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc0571e5);
 
     // Workload: sampled repository vectors re-used as queries (option 1 in
@@ -170,7 +161,6 @@ pub fn analyze_levels<M: Metric>(
     let rv_sample = MappedVectors::from_raw(k, rv_data)?;
 
     let pdfs = PivotSpacePdfs::build(rv_mapped, span);
-    let _ = columns; // columns reserved for future workload-shaping
 
     let mut costs = Vec::with_capacity(MAX_LEVELS);
     for m in 1..=MAX_LEVELS {
@@ -211,7 +201,7 @@ pub struct ColumnMatchBounds {
 }
 
 /// Compute [`ColumnMatchBounds`] with one walk over the matching cells'
-/// postings. Deleted columns get 0. The column space is sharded across the
+/// rows. Deleted columns get 0. The column space is sharded across the
 /// policy's threads exactly like verification, so the result is identical
 /// for every policy. `_n_q` is not read; the parameter stays for the
 /// benchmark ladder's call.
@@ -240,14 +230,15 @@ fn bounds_range(
 ) -> Vec<u32> {
     let (lo, hi) = (cols.start, cols.end);
     let mut lower = vec![0u32; hi - lo];
-    // Generation stamps, one per query vector (gen = q + 1): a column in
-    // several of one vector's matching cells counts once.
+    // Generation stamps, one per query vector (gen = q + 1): a column with
+    // several rows in one vector's matching cells counts once.
     let mut stamp = vec![0u32; hi - lo];
     let skip = |col: u32| -> bool { deleted.is_some_and(|d| d[col as usize]) };
+    let row_col = inv.rows().col;
     for (q, cells) in &blocked.matching {
         let gen = q + 1;
         for &cell in cells {
-            for &col in inv.cell(cell).cols {
+            for &col in &row_col[inv.cell(cell)] {
                 let c = col as usize;
                 if c < lo || c >= hi || skip(col) {
                     continue;
@@ -293,20 +284,14 @@ pub fn topk_seed(bounds: &ColumnMatchBounds, k: usize) -> Option<(u32, u32)> {
 }
 
 /// Choose the grid depth for index construction.
-pub fn choose_levels<M: Metric>(
-    columns: &ColumnSet,
-    rv_mapped: &MappedVectors,
-    pivots: &[Vec<f32>],
-    metric: &M,
-    span: f32,
-    seed: u64,
-) -> Result<usize> {
-    Ok(analyze_levels(columns, rv_mapped, pivots, metric, span, seed)?.chosen_m)
+pub fn choose_levels(rv_mapped: &MappedVectors, span: f32, seed: u64) -> Result<usize> {
+    Ok(analyze_levels(rv_mapped, span, seed)?.chosen_m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnSet;
     use crate::metric::Euclidean;
     use rand::Rng;
 
@@ -330,19 +315,19 @@ mod tests {
         columns
     }
 
-    fn setup(seed: u64) -> (ColumnSet, MappedVectors, Vec<Vec<f32>>, f32) {
+    fn setup(seed: u64) -> (MappedVectors, f32) {
         let columns = random_columns(seed, 20, 40);
         let pivots: Vec<Vec<f32>> = (0..3)
             .map(|i| columns.store().get_raw(i * 11).to_vec())
             .collect();
         let mapped = MappedVectors::build(columns.store(), &pivots, &Euclidean, None).unwrap();
         let span = 2.0f32.max(mapped.max_coord()) + 1e-4;
-        (columns, mapped, pivots, span)
+        (mapped, span)
     }
 
     #[test]
     fn pdfs_nmax_bounds_actual_counts() {
-        let (_, mapped, _, span) = setup(1);
+        let (mapped, span) = setup(1);
         let pdfs = PivotSpacePdfs::build(&mapped, span);
         let tau = 0.1 * span;
         // For a sample of query points, N̂ must upper-bound the true number
@@ -365,8 +350,8 @@ mod tests {
 
     #[test]
     fn analyze_levels_returns_legal_choice() {
-        let (columns, mapped, pivots, span) = setup(2);
-        let choice = analyze_levels(&columns, &mapped, &pivots, &Euclidean, span, 7).unwrap();
+        let (mapped, span) = setup(2);
+        let choice = analyze_levels(&mapped, span, 7).unwrap();
         assert_eq!(choice.costs.len(), MAX_LEVELS);
         assert!((1..=MAX_LEVELS).contains(&choice.chosen_m));
         assert!(choice.fractional_m > 0.0);
@@ -375,9 +360,9 @@ mod tests {
 
     #[test]
     fn choice_is_deterministic() {
-        let (columns, mapped, pivots, span) = setup(3);
-        let a = choose_levels(&columns, &mapped, &pivots, &Euclidean, span, 9).unwrap();
-        let b = choose_levels(&columns, &mapped, &pivots, &Euclidean, span, 9).unwrap();
+        let (mapped, span) = setup(3);
+        let a = choose_levels(&mapped, span, 9).unwrap();
+        let b = choose_levels(&mapped, span, 9).unwrap();
         assert_eq!(a, b);
     }
 

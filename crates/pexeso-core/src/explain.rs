@@ -158,7 +158,11 @@ impl ExplainReport {
 
     /// Merge another report into this one, stage-wise by name (the
     /// router folds shard reports this way). Prune reasons merge by
-    /// name too; unmatched stages/reasons are appended.
+    /// name too; unmatched stages/reasons are appended. Decisions merge
+    /// by the key of their first field, field by field: counts add up,
+    /// `topk_seed=` lists concatenate in merge order, the first tripped
+    /// `outcome=` stays, and any other value (`quick_browse=on`) is the
+    /// first report's.
     pub fn merge(&mut self, other: &ExplainReport) {
         for stage in &other.stages {
             if let Some(mine) = self.stages.iter_mut().find(|s| s.name == stage.name) {
@@ -176,8 +180,14 @@ impl ExplainReport {
             }
         }
         for d in &other.decisions {
-            if !self.decisions.contains(d) {
-                self.decisions.push(d.clone());
+            let key = decision_key(d);
+            match self
+                .decisions
+                .iter_mut()
+                .find(|mine| decision_key(mine) == key)
+            {
+                Some(mine) => *mine = merge_decision(mine, d),
+                None => self.decisions.push(d.clone()),
             }
         }
     }
@@ -209,10 +219,41 @@ impl ExplainReport {
     }
 }
 
+/// The key of a decision line: that of its first `key=value` field.
+fn decision_key(line: &str) -> &str {
+    line.split(['=', ' ']).next().unwrap_or(line)
+}
+
+/// Two decision lines of one key, merged field by field (see
+/// [`ExplainReport::merge`]).
+fn merge_decision(mine: &str, theirs: &str) -> String {
+    // An outcome is one value, spaces and all.
+    if decision_key(mine) == "outcome" {
+        let tripped = if mine == "outcome=exact" {
+            theirs
+        } else {
+            mine
+        };
+        return tripped.to_string();
+    }
+    let fields = mine.split(' ').zip(theirs.split(' ')).map(|(a, b)| {
+        let (Some((key, x)), Some((_, y))) = (a.split_once('='), b.split_once('=')) else {
+            return a.to_string();
+        };
+        match (key, x.parse::<u64>(), y.parse::<u64>()) {
+            ("topk_seed", ..) => format!("{key}={x},{y}"),
+            (_, Ok(x), Ok(y)) => format!("{key}={}", x + y),
+            _ => a.to_string(),
+        }
+    });
+    fields.collect::<Vec<_>>().join(" ")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{JoinThreshold, Tau};
+    use crate::query::Exceeded;
 
     fn stats() -> SearchStats {
         SearchStats {
@@ -274,7 +315,36 @@ mod tests {
         assert_eq!(a.stages[0].input, 2 * single_input);
         assert_eq!(a.stages[2].output, 5);
         assert_eq!(a.stages[2].pruned, vec![("lemma7".to_string(), 12)]);
-        let seeds = |d: &&String| d.starts_with("topk_seed=");
-        assert_eq!(a.decisions.iter().filter(seeds).count(), 2);
+        // One line per decision: counts summed, seeds in merge order.
+        assert_eq!(a.decisions.len(), b.decisions.len());
+        assert!(a.decisions.contains(&"topk_seed=2,none".to_string()));
+        assert!(a
+            .decisions
+            .contains(&"distance_computations=80 mapping_distances=0".to_string()));
+        assert!(a
+            .decisions
+            .contains(&"quick_browse=on seeded_pairs=4".to_string()));
+    }
+
+    /// The first tripped outcome survives a merge, whichever side it is on.
+    #[test]
+    fn merge_keeps_the_first_tripped_outcome() {
+        let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.5));
+        let report = |outcome| ExplainReport::from_stats(&q, &stats(), 1, outcome, &[None]);
+        let tripped = |e: Exceeded| format!("outcome=exceeded({e})");
+        let (first, second) = (Exceeded::DistanceComputations, Exceeded::Deadline);
+        let mut a = report(QueryOutcome::Exact);
+        a.merge(&report(QueryOutcome::Exceeded(first)));
+        a.merge(&report(QueryOutcome::Exceeded(second)));
+        a.merge(&report(QueryOutcome::Exact));
+        let outcomes: Vec<&String> = a
+            .decisions
+            .iter()
+            .filter(|d| d.starts_with("outcome="))
+            .collect();
+        assert_eq!(outcomes, [&tripped(first)]);
+        assert!(a
+            .decisions
+            .contains(&"early_joinable_columns=4".to_string()));
     }
 }

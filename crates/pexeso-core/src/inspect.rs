@@ -106,10 +106,13 @@ impl PartitionInspection {
         let postings_len = AtomicHistogram::new();
         let cell_occupancy = AtomicHistogram::new();
         let mut postings = 0u64;
-        for cell in (0..inv.num_cells() as u32).map(|c| inv.cell(c)) {
-            postings_len.record(cell.cols.len() as u64);
+        let row_col = inv.rows().col;
+        for cell in (0..inv.num_cells() as u32).map(|c| &row_col[inv.cell(c)]) {
+            // A cell's columns are the runs of equal ids over its rows.
+            let columns = cell.chunk_by(|a, b| a == b).count() as u64;
+            postings_len.record(columns);
             cell_occupancy.record(cell.len() as u64);
-            postings += cell.cols.len() as u64;
+            postings += columns;
         }
         Self {
             columns: num_columns,
@@ -160,9 +163,16 @@ impl IndexInspection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridParams;
+    use crate::column::ColumnSet;
+    use crate::config::{ExecPolicy, IndexOptions};
+    use crate::grid::{CellKey, GridParams};
     use crate::invindex::InvertedIndex;
     use crate::mapping::MappedVectors;
+    use crate::metric::Euclidean;
+    use crate::search::PexesoIndex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn tiny_index() -> InvertedIndex {
         // Two pivots, one-level grid over span 4: cell width 4/2 = 2.
@@ -195,6 +205,47 @@ mod tests {
         assert_eq!(p.pivot_spread.len(), 2);
         let s0 = &p.pivot_spread[0];
         assert!((s0.min - 0.5).abs() < 1e-6 && (s0.max - 3.0).abs() < 1e-6);
+    }
+
+    /// `postings` counts each ⟨leaf cell, column⟩ pair once: what a
+    /// brute-force count over every vector's leaf key and column gives.
+    #[test]
+    fn postings_count_distinct_leaf_column_pairs() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let dim = 8;
+        let mut columns = ColumnSet::new(dim);
+        let centres: Vec<Vec<f32>> = (0..10)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
+            .collect();
+        for c in 0..30 {
+            // Three columns cluster around each centre, so a cell holds
+            // several rows of a column and several columns.
+            let centre = &centres[c as usize / 3];
+            let vecs: Vec<Vec<f32>> = (0..20)
+                .map(|_| {
+                    centre
+                        .iter()
+                        .map(|x| x + rng.gen_range(-0.05f32..0.05))
+                        .collect()
+                })
+                .collect();
+            let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+            columns.add_column("t", &format!("c{c}"), c, refs).unwrap();
+        }
+        let index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
+        let mapped = index.map_repository(ExecPolicy::Sequential).unwrap();
+        let vec_col = index.columns().vector_to_column();
+        let pairs: HashSet<(CellKey, u32)> = (0..mapped.len())
+            .map(|v| (index.grid_params().leaf_key(mapped.get(v)), vec_col[v]))
+            .collect();
+        let p = index.inspect();
+        assert_eq!(p.postings, pairs.len() as u64);
+        assert_eq!(p.postings_len.sum, p.postings);
+        assert!(
+            p.postings < p.vectors,
+            "a column must have two rows in a cell"
+        );
+        assert!(p.postings > p.cells, "a cell must hold two columns");
     }
 
     #[test]

@@ -27,10 +27,10 @@
 //! new column) maps the vectors afresh, and the per-pivot spread the
 //! introspection plane reports is taken at layout.
 //!
-//! The postings are flat CSR arrays: cell `c`'s column groups are
-//! `cell_groups[c]..cell_groups[c + 1]`, and group `g` is column
-//! `group_col[g]` with rows `group_row[g]..group_row[g + 1]`. A
-//! [`CellPostings`] is the view of one cell.
+//! The rows are the postings: cell `c`'s rows are
+//! `cell_row[c]..cell_row[c + 1]` ([`InvertedIndex::cell`]), and its
+//! postings list is the runs of equal column ids over them, one run per
+//! column, ascending. Nothing lists the columns a second time.
 //!
 //! ## Apexes and apex boxes
 //!
@@ -73,41 +73,6 @@ use crate::lemmas::EPS;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
 
-/// Postings of one leaf cell: a view into the index's CSR arrays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellPostings<'a> {
-    /// Column ids present in the cell, ascending.
-    pub cols: &'a [u32],
-    /// `offsets[i]..offsets[i + 1]` are the rows of `cols[i]` (indexes into
-    /// [`InvertedIndex::rows`]); `offsets.len() == cols.len() + 1`.
-    pub offsets: &'a [u32],
-}
-
-impl CellPostings<'_> {
-    /// The cell's rows.
-    #[inline]
-    pub fn rows(&self) -> Range<usize> {
-        self.offsets[0] as usize..self.offsets[self.cols.len()] as usize
-    }
-
-    /// Number of rows (repository vectors) in the cell.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.rows().len()
-    }
-
-    /// Whether the cell has no rows (never true of a cell in the index).
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// The rows of the `i`-th column of this cell.
-    #[inline]
-    pub fn rows_of(&self, i: usize) -> Range<usize> {
-        self.offsets[i] as usize..self.offsets[i + 1] as usize
-    }
-}
-
 /// The index's rows, cell by cell: entry `r` of each array describes row
 /// `r`.
 #[derive(Debug, Clone, Copy)]
@@ -127,12 +92,8 @@ pub struct Rows<'a> {
 pub struct InvertedIndex {
     /// `HG_RV`, keys only: leaf `c` is cell `c`.
     grid: HierarchicalGrid,
-    /// Per cell, its first column group; one sentinel at the end.
-    cell_groups: Vec<u32>,
-    /// Per column group, its column id.
-    group_col: Vec<u32>,
-    /// Per column group, its first row; one sentinel (the row count).
-    group_row: Vec<u32>,
+    /// Per cell, its first row; one sentinel (the row count).
+    cell_row: Vec<u32>,
     row_vid: Vec<u32>,
     row_col: Vec<u32>,
     /// Per row, its apex or its pivot coordinates (see [`Rows::coords`]).
@@ -144,7 +105,9 @@ pub struct InvertedIndex {
 
 impl InvertedIndex {
     /// Build from the mapped repository vectors (in vector-id order) and
-    /// the flat vector→column map. With a simplex `base` (see
+    /// the flat vector→column map, which must be non-decreasing (columns
+    /// own contiguous, ascending vector-id ranges; anything else is
+    /// [`PexesoError::InvalidParameter`]). With a simplex `base` (see
     /// [`SimplexBase::of`]) every row holds its apex and every cell gets
     /// its apex box.
     pub fn build(
@@ -179,15 +142,19 @@ impl InvertedIndex {
                 vec_col.len()
             )));
         }
-        debug_assert!(
-            vec_col.windows(2).all(|w| w[0] <= w[1]),
-            "columns own contiguous, ascending vector-id ranges"
-        );
+        // Every reader of a cell's columns relies on their runs ascending.
+        if let Some(at) = vec_col.windows(2).position(|w| w[0] > w[1]) {
+            return Err(PexesoError::InvalidParameter(format!(
+                "the vector → column map must be non-decreasing: vector {} is in column {} after column {}",
+                at + 1,
+                vec_col[at + 1],
+                vec_col[at]
+            )));
+        }
         // The vectors grouped by leaf are the rows: cell `c`'s are
         // `cell_row[c]..cell_row[c + 1]`, in id order.
         let keys = compute_leaf_keys(params, mapped, policy);
         let (leaves, cell_row, row_vid) = group_by_leaf(&keys);
-        let n_cells = leaves.len();
         let k = mapped.num_pivots();
         let spread = PivotSpread::of(mapped.iter(), k);
         let row_col: Vec<u32> = row_vid.iter().map(|&v| vec_col[v as usize]).collect();
@@ -195,28 +162,12 @@ impl InvertedIndex {
         for &v in &row_vid {
             coords.extend_from_slice(mapped.get(v as usize));
         }
-        // A new column group wherever the column changes within a cell.
-        let mut cell_groups = Vec::with_capacity(n_cells + 1);
-        let (mut group_col, mut group_row) = (Vec::new(), Vec::new());
-        for c in 0..n_cells {
-            cell_groups.push(group_col.len() as u32);
-            for r in cell_row[c]..cell_row[c + 1] {
-                if r == cell_row[c] || row_col[r as usize] != row_col[r as usize - 1] {
-                    group_col.push(row_col[r as usize]);
-                    group_row.push(r);
-                }
-            }
-        }
-        cell_groups.push(group_col.len() as u32);
-        group_row.push(n as u32);
         let apex = base
             .filter(|b| b.n == k)
             .map(|base| ApexBoxes::build(base, &mut coords, &cell_row));
         Ok(Self {
             grid: HierarchicalGrid::from_leaves(params.clone(), leaves, None),
-            cell_groups,
-            group_col,
-            group_row,
+            cell_row,
             row_vid,
             row_col,
             row_coords: MappedVectors::from_raw(k, coords)?,
@@ -231,15 +182,11 @@ impl InvertedIndex {
         &self.grid
     }
 
-    /// Postings of the cell with ordinal `c`.
+    /// The rows of the cell with ordinal `c`: its postings are the runs of
+    /// equal `rows().col` over them, ascending.
     #[inline]
-    pub fn cell(&self, c: u32) -> CellPostings<'_> {
-        let groups =
-            self.cell_groups[c as usize] as usize..self.cell_groups[c as usize + 1] as usize;
-        CellPostings {
-            cols: &self.group_col[groups.clone()],
-            offsets: &self.group_row[groups.start..=groups.end],
-        }
+    pub fn cell(&self, c: u32) -> Range<usize> {
+        self.cell_row[c as usize] as usize..self.cell_row[c as usize + 1] as usize
     }
 
     /// Number of non-empty leaf cells.
@@ -284,12 +231,11 @@ impl InvertedIndex {
     }
 
     /// Resident size in bytes (Fig. 6b index-size accounting): every array
-    /// element held — `HG_RV`'s keys, the rows' vector ids, columns and
-    /// coordinates, the apex boxes and the pivot spread included.
+    /// element held — `HG_RV`'s keys, each cell's first row, the rows'
+    /// vector ids, columns and coordinates, the apex boxes and the pivot
+    /// spread included.
     pub fn approx_bytes(&self) -> usize {
-        let words = self.cell_groups.len()
-            + self.group_col.len()
-            + self.group_row.len()
+        let words = self.cell_row.len()
             + self.row_vid.len()
             + self.row_col.len()
             + self.row_coords.raw_data().len()
@@ -650,8 +596,12 @@ fn round_up(x: f64) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnSet;
+    use crate::config::IndexOptions;
     use crate::grid::CellKey;
     use crate::metric::{Euclidean, Manhattan};
+    use crate::persist::{load_index, save_index};
+    use crate::search::PexesoIndex;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -661,14 +611,50 @@ mod tests {
         MappedVectors::from_raw(k, flat).unwrap()
     }
 
-    fn vids(inv: &InvertedIndex, rows: Range<usize>) -> &[u32] {
-        &inv.rows().vid[rows]
+    /// The postings of the cell with leaf `key`, if it is non-empty: the
+    /// runs of equal columns over its rows, each column with its rows'
+    /// vector ids.
+    fn postings(inv: &InvertedIndex, key: CellKey) -> Option<Vec<(u32, Vec<u32>)>> {
+        let c = inv.grid().leaves().binary_search(&key).ok()?;
+        let rows = inv.rows();
+        let mut runs: Vec<(u32, Vec<u32>)> = Vec::new();
+        for r in inv.cell(c as u32) {
+            match runs.last_mut() {
+                Some((col, vids)) if *col == rows.col[r] => vids.push(rows.vid[r]),
+                _ => runs.push((rows.col[r], vec![rows.vid[r]])),
+            }
+        }
+        Some(runs)
     }
 
-    /// The postings of the cell with leaf `key`, if it is non-empty.
-    fn postings(inv: &InvertedIndex, key: CellKey) -> Option<CellPostings<'_>> {
-        let c = inv.grid().leaves().binary_search(&key).ok()?;
-        Some(inv.cell(c as u32))
+    /// Every vector of `vec_col` is exactly one row, with its own column;
+    /// the cells' rows follow each other, none empty; and within a cell
+    /// the columns run ascending (`row_col` non-decreasing) and vector ids
+    /// ascend within a column's run — what every reader of a cell's
+    /// postings relies on.
+    fn assert_rows_grouped(inv: &InvertedIndex, vec_col: &[u32]) {
+        let rows = inv.rows();
+        assert_eq!(rows.vid.len(), vec_col.len());
+        let mut seen = vec![false; vec_col.len()];
+        for (r, &v) in rows.vid.iter().enumerate() {
+            assert!(!std::mem::replace(&mut seen[v as usize], true), "row {r}");
+            assert_eq!(rows.col[r], vec_col[v as usize], "row {r}");
+        }
+        let mut next = 0;
+        for c in 0..inv.num_cells() as u32 {
+            let cell = inv.cell(c);
+            assert!(cell.start == next && !cell.is_empty(), "cell {c}: {cell:?}");
+            next = cell.end;
+            for r in cell.start + 1..cell.end {
+                let (before, col) = (rows.col[r - 1], rows.col[r]);
+                assert!(before <= col, "cell {c}: column {before} before {col}");
+                assert!(
+                    before < col || rows.vid[r - 1] < rows.vid[r],
+                    "cell {c}, column {col}: ids out of order"
+                );
+            }
+        }
+        assert_eq!(next, vec_col.len());
     }
 
     #[test]
@@ -692,15 +678,11 @@ mod tests {
 
         let cell0 = params.leaf_key(&[0.5]);
         let p = postings(&inv, cell0).unwrap();
-        assert_eq!(p.cols, &[0, 1]);
-        assert_eq!(vids(&inv, p.rows_of(0)), &[0, 1]);
-        assert_eq!(vids(&inv, p.rows_of(1)), &[3]);
+        assert_eq!(p, [(0, vec![0, 1]), (1, vec![3])]);
 
         let cell1 = params.leaf_key(&[1.5]);
         let p1 = postings(&inv, cell1).unwrap();
-        assert_eq!(p1.cols, &[1, 3]);
-        assert_eq!(vids(&inv, p1.rows_of(0)), &[2]);
-        assert_eq!(vids(&inv, p1.rows_of(1)), &[6]);
+        assert_eq!(p1, [(1, vec![2]), (3, vec![6])]);
         // Cells are numbered by ascending key, rows laid out cell by cell.
         assert_eq!(inv.rows().vid, &[0, 1, 3, 2, 6, 4, 5, 7]);
         assert_eq!(inv.rows().col, &[0, 0, 1, 1, 3, 2, 2, 3]);
@@ -722,8 +704,20 @@ mod tests {
         assert!(InvertedIndex::build(&params, &mapped, &[0], None).is_err());
     }
 
+    /// A vector → column map that is not non-decreasing is refused: every
+    /// reader of a cell's postings binary-searches its columns.
+    #[test]
+    fn unsorted_columns_are_refused() {
+        let params = GridParams::new(1, 2, 4.0).unwrap();
+        let mapped = mapped_from(&[&[0.5], &[0.6], &[3.5]]);
+        let err = InvertedIndex::build(&params, &mapped, &[0, 1, 0], None).unwrap_err();
+        assert!(matches!(err, PexesoError::InvalidParameter(_)), "{err}");
+        assert!(InvertedIndex::build(&params, &mapped, &[0, 1, 1], None).is_ok());
+    }
+
     /// Every vector is exactly one row, with its own column and pivot
-    /// coordinates; each cell's groups cover its rows, ascending.
+    /// coordinates, and each cell's rows run column by column: for a
+    /// built index, a loaded one (apex rows) and after `append_column`.
     #[test]
     fn rows_are_a_permutation_of_the_vectors() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -733,31 +727,41 @@ mod tests {
         let mapped = MappedVectors::from_raw(2, coords).unwrap();
         let vec_col: Vec<u32> = (0..n as u32).map(|v| v / 7).collect();
         let inv = InvertedIndex::build(&params, &mapped, &vec_col, None).unwrap();
+        assert_rows_grouped(&inv, &vec_col);
         let rows = inv.rows();
-        let mut seen = vec![false; n];
         for (r, &v) in rows.vid.iter().enumerate() {
-            assert!(!std::mem::replace(&mut seen[v as usize], true), "row {r}");
-            assert_eq!(rows.col[r], vec_col[v as usize]);
             assert_eq!(rows.coords.get(r), mapped.get(v as usize));
         }
-        assert!(seen.iter().all(|&s| s));
         assert_eq!(inv.pivot_spread(), PivotSpread::of(mapped.iter(), 2));
-        let mut covered = 0;
         for (c, &key) in inv.grid().leaves().iter().enumerate() {
-            let p = inv.cell(c as u32);
-            assert_eq!(p.offsets.len(), p.cols.len() + 1);
-            assert!(p.cols.windows(2).all(|w| w[0] < w[1]));
-            for i in 0..p.cols.len() {
-                assert!(!p.rows_of(i).is_empty());
-                for r in p.rows_of(i) {
-                    assert_eq!(rows.col[r], p.cols[i]);
-                    assert_eq!(params.leaf_key(rows.coords.get(r)), key);
-                }
+            for r in inv.cell(c as u32) {
+                assert_eq!(params.leaf_key(rows.coords.get(r)), key);
             }
-            assert!(vids(&inv, p.rows()).windows(2).all(|w| w[0] < w[1]));
-            covered += p.len();
         }
-        assert_eq!(covered, n);
+
+        let mut columns = ColumnSet::new(8);
+        for c in 0..12 {
+            let vecs: Vec<Vec<f32>> = (0..5 + c % 4).map(|_| unit(&mut rng, 8)).collect();
+            let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
+            columns
+                .add_column("t", &format!("c{c}"), c as u64, refs)
+                .unwrap();
+        }
+        let mut index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("pexeso_invindex_rows_{}.pex", std::process::id()));
+        save_index(&index, &path).unwrap();
+        let loaded = load_index(&path, Euclidean).unwrap();
+        std::fs::remove_file(&path).ok();
+        for index in [&index, &loaded] {
+            assert!(index.inverted_index().apex().is_some());
+            assert_rows_grouped(index.inverted_index(), &index.columns().vector_to_column());
+        }
+        let added: Vec<Vec<f32>> = (0..9).map(|_| unit(&mut rng, 8)).collect();
+        index
+            .append_column("t", "added", 99, added.iter().map(|v| v.as_slice()))
+            .unwrap();
+        assert_rows_grouped(index.inverted_index(), &index.columns().vector_to_column());
     }
 
     #[test]
@@ -766,8 +770,7 @@ mod tests {
         let one = InvertedIndex::build(&params, &mapped_from(&[&[0.5]]), &[0], None).unwrap();
         let two =
             InvertedIndex::build(&params, &mapped_from(&[&[0.5], &[0.6]]), &[0, 0], None).unwrap();
-        // A second row in the same cell and group: its id, column and
-        // coordinate.
+        // A second row in the same cell: its id, column and coordinate.
         assert_eq!(two.approx_bytes() - one.approx_bytes(), 12);
     }
 

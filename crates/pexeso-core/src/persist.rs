@@ -2,9 +2,11 @@
 //!
 //! Out-of-core search (Section IV) stores one index per partition on disk
 //! and loads them one at a time. The format keeps the expensive artefacts —
-//! raw vectors, pivots, and mapped vectors — and rebuilds the hierarchical
-//! grid and inverted index deterministically on load (both are O(|RV|)
-//! hash-map constructions, far cheaper than re-mapping).
+//! raw vectors, pivots, and mapped vectors — and rebuilds the inverted
+//! index, `HG_RV` included, deterministically on load: one leaf key per
+//! vector, a sort of the vectors into cell-major rows and, for a Euclidean
+//! index, each row's apex — arithmetic on |P| coordinates per vector, far
+//! cheaper than re-mapping (|P| distances in the full dimension).
 //!
 //! Layout ([`crate::codec`] primitives, little-endian):
 //!

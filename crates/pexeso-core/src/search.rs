@@ -63,8 +63,9 @@ pub struct PexesoIndex<M: Metric> {
     grid_params: GridParams,
     pivots: Vec<Vec<f32>>,
     columns: ColumnSet,
-    /// `HG_RV`, the postings and the cell-major rows: each vector's column
-    /// and apex (or pivot coordinates) live here and nowhere else.
+    /// `HG_RV` and the cell-major rows, which are the postings: each
+    /// vector's column and apex (or pivot coordinates) live here and
+    /// nowhere else.
     inv: InvertedIndex,
     /// [`PexesoIndex::rv_mapped`], mapped on first use; not part of the
     /// index.
@@ -99,14 +100,7 @@ impl<M: Metric> PexesoIndex<M> {
             + 1e-4;
         let levels = match options.levels {
             Some(m) => m,
-            None => crate::cost::choose_levels(
-                &columns,
-                &rv_mapped,
-                &pivots,
-                &metric,
-                span,
-                options.seed,
-            )?,
+            None => crate::cost::choose_levels(&rv_mapped, span, options.seed)?,
         };
         let grid_params = GridParams::new(pivots.len(), levels, span)?;
         let inv = InvertedIndex::build_with(
@@ -397,9 +391,9 @@ impl<M: Metric> PexesoIndex<M> {
     }
 
     /// Resident size of the *index structures* in bytes — the inverted
-    /// index (`HG_RV`'s sorted leaf keys and level bounds, the postings,
-    /// and the rows that hold each vector's column and apex or pivot
-    /// coordinates) and the pivots — excluding the raw table-repository
+    /// index (`HG_RV`'s sorted leaf keys and level bounds, each cell's
+    /// first row, and the rows that hold each vector's column and apex or
+    /// pivot coordinates) and the pivots — excluding the raw table-repository
     /// vectors, matching the paper's index-size accounting (Fig. 6b).
     pub fn index_bytes(&self) -> usize {
         self.inv.approx_bytes() + self.pivots.iter().map(|p| p.len() * 4).sum::<usize>()

@@ -54,8 +54,8 @@
 //! The inverted index stores its rows cell by cell, each row with its
 //! vector id, column and coordinates side by side ([`crate::invindex`]),
 //! so a candidate cell is a contiguous run of rows, walked as one flat
-//! run, not as column groups (groups average barely more than one row, so
-//! per-group bookkeeping costs more than the distance tests it guards).
+//! run. A cell's rows are also its postings: its columns are the runs of
+//! equal column ids over them, ascending.
 //!
 //! 1. **Filter.** One compaction pass into a buffer of row indexes reused
 //!    across cells, by one of two enumerations that keep the same rows in
@@ -67,9 +67,9 @@
 //!    advances by `n += keep`). *By live column*: once few columns are
 //!    left the shard keeps their slots as an ascending list, and a cell
 //!    with many more rows than the list has entries is enumerated by
-//!    binary-searching its ascending `cols` for each listed column and
-//!    putting that column group's rows to the row bound — the dead rows
-//!    are never looked at.
+//!    binary-searching its rows' ascending columns for each listed column
+//!    and putting that column's run of rows to the row bound — the dead
+//!    rows are never looked at.
 //! 2. **Test.** The row bound's match test (when
 //!    [`LemmaFlags::lemma2_vector_match`] is on), then
 //!    [`Metric::dist_le`], over the survivors, the repository vector
@@ -125,10 +125,10 @@
 //! column id space into contiguous ranges, runs the identical scan per
 //! shard, and concatenates shard results in range order — making
 //! [`ExecPolicy::Parallel`] output (and every [`SearchStats`] counter)
-//! byte-identical to [`ExecPolicy::Sequential`]. A cell's `cols` are
-//! ascending and each column's rows contiguous, so a shard takes its part
-//! of a cell as the row range of the column groups a binary search finds;
-//! the inner loops carry no range check. Exact distances go through the
+//! byte-identical to [`ExecPolicy::Sequential`]. A cell's rows run column
+//! by column, ascending, so a shard takes its part of a cell as the one
+//! range of rows a binary search over their columns finds; the inner
+//! loops carry no range check. Exact distances go through the
 //! early-exit [`Metric::dist_le`] kernel, which answers `d ≤ τ` without a
 //! `sqrt` and usually without touching every dimension.
 
@@ -140,7 +140,7 @@ use crate::config::{ExecPolicy, LemmaFlags};
 use crate::cost::ColumnMatchBounds;
 use crate::exec;
 use crate::grid::by_pivots;
-use crate::invindex::{Apex, ApexBoxes, CellPostings, InvertedIndex, Rows};
+use crate::invindex::{Apex, ApexBoxes, InvertedIndex, Rows};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -347,7 +347,7 @@ const DEAD: u32 = u32::MAX;
 /// live column instead of by row: a shard starts listing its live slots
 /// once `live × 8 ≤ width`, and a cell is probed through the list when
 /// `listed × 8 ≤ rows` in the shard's window of it. A probe is a binary
-/// search over the cell's `cols` against two loads per row, so the list
+/// search over the window's columns against two loads per row, so the list
 /// has to be several times shorter than the cell to win. Measured on the
 /// benchmark's `wdc_threshold` (`query_p50_ms`, three alternating 25 s runs
 /// each, 2 cores): never listing 2.74 ms, ratio 4 2.47, 8 2.44, 16 2.48 —
@@ -444,14 +444,16 @@ impl ShardColumns {
     }
 }
 
-/// The part of an ascending id slice that falls in `lo..hi`.
+/// The rows of `cell` whose column (in `cols`, the rows' columns) falls in
+/// `lo..hi`: one range, as a cell's columns ascend.
 #[inline]
-fn id_window(ids: &[u32], lo: u32, hi: u32) -> Range<usize> {
+fn id_window(cols: &[u32], cell: Range<usize>, lo: u32, hi: u32) -> Range<usize> {
+    let ids = &cols[cell.clone()];
     match (ids.first(), ids.last()) {
-        (Some(&first), Some(&last)) if first >= lo && last < hi => 0..ids.len(),
+        (Some(&first), Some(&last)) if first >= lo && last < hi => cell,
         _ => {
-            let a = ids.partition_point(|&id| id < lo);
-            a..a + ids[a..].partition_point(|&id| id < hi)
+            let a = cell.start + ids.partition_point(|&id| id < lo);
+            a..a + cols[a..cell.end].partition_point(|&id| id < hi)
         }
     }
 }
@@ -549,26 +551,25 @@ fn bounded_rows<const N: usize>(
 }
 
 /// Stage 1 by live column: the same rows in the same order, with the same
-/// rejection count, as [`live_rows_scanned`] over the rows of the column
-/// groups `groups` of `postings`, found by probing the groups' ascending
+/// rejection count, as [`live_rows_scanned`] over the rows `window` (the
+/// shard's window of a cell), found by probing the window's ascending
 /// columns for each slot of `listed` (the shard's ascending live list,
-/// which may hold slots that died since) and putting that group's rows to
-/// the row bound. Each probe resumes behind the previous one. `buf` must
-/// hold the groups' rows.
+/// which may hold slots that died since) and putting that column's run of
+/// rows to the row bound. Each probe resumes behind the previous one.
+/// `buf` must hold `window.len()` rows.
 fn live_rows_listed(
-    postings: &CellPostings<'_>,
-    groups: Range<usize>,
+    window: Range<usize>,
     rows: &Rows<'_>,
     listed: &[u32],
     (c_lo, state, gen): (u32, &[u32], u32),
     bound: Option<RowBound<'_>>,
     buf: &mut [u32],
 ) -> (usize, u64) {
+    let cols = &rows.col[window.clone()];
     debug_assert!(
-        postings.cols.windows(2).all(|w| w[0] < w[1]),
-        "a cell's cols are ascending"
+        cols.windows(2).all(|w| w[0] <= w[1]),
+        "a cell's columns ascend"
     );
-    let cols = &postings.cols[groups.clone()];
     let (mut kept, mut rejected, mut from) = (0usize, 0u64, 0usize);
     for &c in listed {
         if state[c as usize] >= gen {
@@ -576,46 +577,43 @@ fn live_rows_listed(
         }
         let col = c_lo + c;
         from += cols[from..].partition_point(|&other| other < col);
+        while from < cols.len() && cols[from] == col {
+            let r = window.start + from;
+            let far = bound.is_some_and(|b| b.rejects(rows.coords.get(r)));
+            buf[kept] = r as u32;
+            kept += usize::from(!far);
+            rejected += u64::from(far);
+            from += 1;
+        }
         if from == cols.len() {
             break;
-        }
-        if cols[from] == col {
-            for r in postings.rows_of(groups.start + from) {
-                let far = bound.is_some_and(|b| b.rejects(rows.coords.get(r)));
-                buf[kept] = r as u32;
-                kept += usize::from(!far);
-                rejected += u64::from(far);
-            }
         }
     }
     (kept, rejected)
 }
 
-/// Stage 1 of the candidate scan over the column groups `groups` of
-/// `postings` (the shard's window of the cell): one compaction pass into
-/// `buf` keeping the rows of live columns not yet matched by this query
-/// vector that the row bound (when on) cannot reject — by live column when
-/// the shard's list is [`LISTED_RATIO`] times shorter than the window's
-/// rows, else by row. Returns the surviving row indexes in row order and
-/// the number of live rows the bound rejected.
+/// Stage 1 of the candidate scan over the rows `window` (the shard's
+/// window of a cell): one compaction pass into `buf` keeping the rows of
+/// live columns not yet matched by this query vector that the row bound
+/// (when on) cannot reject — by live column when the shard's list is
+/// [`LISTED_RATIO`] times shorter than the window, else by row. Returns
+/// the surviving row indexes in row order and the number of live rows the
+/// bound rejected.
 fn filter_cell<'b>(
-    postings: &CellPostings<'_>,
-    groups: Range<usize>,
+    window: Range<usize>,
     rows: &Rows<'_>,
     shard: &ShardColumns,
     gen: u32,
     bound: Option<RowBound<'_>>,
     buf: &'b mut Vec<u32>,
 ) -> (&'b [u32], u64) {
-    let window = postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
     // Grown to the largest window seen, never shrunk.
     if buf.len() < window.len() {
         buf.resize(window.len(), 0);
     }
     let (kept, rejected) = match &shard.listed {
         Some(listed) if listed.len() * LISTED_RATIO <= window.len() => live_rows_listed(
-            postings,
-            groups,
+            window,
             rows,
             listed,
             (shard.c_lo, &shard.state, gen),
@@ -696,10 +694,10 @@ fn verify_range<M: Metric>(
         let gen = step as u32 + 1;
         let q = scheduled.q as usize;
 
-        // 1. Matching pairs: all postings columns of the cells match q.
+        // 1. Matching pairs: every column of the cells matches q (the
+        //    state word skips a column's later rows).
         for &cell in &schedule.cells[scheduled.matching.clone()] {
-            let postings = ctx.inv.cell(cell);
-            for &col in &postings.cols[id_window(postings.cols, c_lo, c_hi)] {
+            for &col in &rows.col[id_window(rows.col, ctx.inv.cell(cell), c_lo, c_hi)] {
                 let c = col as usize - lo;
                 if shard.state[c] < gen {
                     shard.record_match(c, gen, stats);
@@ -721,10 +719,8 @@ fn verify_range<M: Metric>(
             };
             // Stage 1: drop rows of dead or already-matched columns
             // and rows the bound rejects.
-            let postings = ctx.inv.cell(cell);
             let (survivors, rejected) = filter_cell(
-                &postings,
-                id_window(postings.cols, c_lo, c_hi),
+                id_window(rows.col, ctx.inv.cell(cell), c_lo, c_hi),
                 &rows,
                 &shard,
                 gen,
@@ -1502,7 +1498,7 @@ mod tests {
         let (near, far) = (0usize, 1usize);
         for (_, cells) in s.blocked.candidates.iter().chain(&s.blocked.matching) {
             for &cell in cells {
-                let reached = s.inv.cell(cell).cols.contains(&1);
+                let reached = s.inv.rows().col[s.inv.cell(cell)].contains(&1);
                 assert!(!reached, "the far column must be out of the query's reach");
             }
         }
@@ -1600,30 +1596,17 @@ mod tests {
             col: &row_col,
             coords: &coords,
         };
-        let postings = CellPostings {
-            cols: &[2, 3, 5, 8, 9, 12, 15],
-            offsets: &[0, 2, 3, 6, 7, 9, 11, 12],
-        };
         let gen = 5u32;
         let enumerate =
             |c_lo: u32, c_hi: u32, state: &[u32], listed: &[u32], l1: Option<RowBound<'_>>| {
-                let groups = id_window(postings.cols, c_lo, c_hi);
-                let window =
-                    postings.offsets[groups.start] as usize..postings.offsets[groups.end] as usize;
+                let window = id_window(&row_col, 0..row_vid.len(), c_lo, c_hi);
                 let mut scanned = vec![0u32; window.len()];
                 let (n, scanned_rejected) =
                     live_rows_scanned(window.clone(), &rows, c_lo, state, gen, l1, &mut scanned);
                 scanned.truncate(n);
                 let mut probed = vec![0u32; window.len()];
-                let (n, probed_rejected) = live_rows_listed(
-                    &postings,
-                    groups,
-                    &rows,
-                    listed,
-                    (c_lo, state, gen),
-                    l1,
-                    &mut probed,
-                );
+                let (n, probed_rejected) =
+                    live_rows_listed(window, &rows, listed, (c_lo, state, gen), l1, &mut probed);
                 probed.truncate(n);
                 let what = format!("window {c_lo}..{c_hi} state {state:?} bound {l1:?}");
                 assert_eq!(scanned, probed, "{what}");

@@ -134,12 +134,11 @@ fn excluded_pairs_hold_no_match(
     for (qi, q) in query.iter().enumerate() {
         let apex = boxes.query(mapped.get(qi));
         for cell in 0..inv.num_cells() as u32 {
-            let postings = inv.cell(cell);
             if !boxes.excludes(cell, &apex, tau) {
                 continue;
             }
             excluded += 1;
-            for r in postings.rows() {
+            for r in inv.cell(cell) {
                 let x = store.get_raw(rows.vid[r] as usize);
                 assert!(
                     !Euclidean.dist_le(q, x, tau),
@@ -215,9 +214,8 @@ fn row_bounds_hold(
             .fold(f32::INFINITY, f32::min);
         for tau in [tau, nearest] {
             for cell in 0..inv.num_cells() as u32 {
-                let postings = inv.cell(cell);
                 let (beyond, within) = boxes.row_reach(cell, tau);
-                for r in postings.rows() {
+                for r in inv.cell(cell) {
                     let x = store.get_raw(rows.vid[r] as usize);
                     let coords = rows.coords.get(r);
                     let matches = Euclidean.dist_le(q, x, tau);

@@ -801,6 +801,69 @@ fn routed_explain_columns_stage_ends_at_the_routed_answer() {
     }
 }
 
+/// A routed EXPLAIN lists each decision once: every count is the sum of
+/// the shards' own reports, each shard queried directly, and the top-k
+/// seeds are the shards' in shard order.
+#[test]
+fn routed_explain_sums_the_shards_decisions() {
+    let dir = tempdir("explain_sum_src");
+    let (columns, query) = workload(117, 12, "s");
+    deploy(&dir, &columns, "euclidean");
+    let (daemons, router) = start_cluster(&dir, 3, "explain_sum");
+    let key = |d: &str| d.split(['=', ' ']).next().unwrap().to_string();
+    for q in [
+        Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(2)),
+        Query::topk(Tau::Ratio(0.2), 3),
+    ] {
+        let q = q.with_explain(true);
+        let shards: Vec<Vec<String>> = daemons
+            .iter()
+            .map(|d| {
+                let client = ServeClient::connect(d.addr()).unwrap();
+                let resp = client.execute(&q, &query).unwrap();
+                resp.explain.expect("explained").decisions
+            })
+            .collect();
+        assert!(
+            shards.windows(2).any(|w| w[0] != w[1]),
+            "the shards must decide differently: {shards:#?}"
+        );
+        let routed = router.execute(&q, &query).unwrap();
+        let routed = routed.explain.expect("explained").decisions;
+        let mut keys: Vec<String> = routed.iter().map(|d| key(d)).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), routed.len(), "{routed:#?}");
+        assert_eq!(routed.len(), shards[0].len(), "{routed:#?}");
+        for line in &routed {
+            let own: Vec<&String> = shards
+                .iter()
+                .map(|report| report.iter().find(|d| key(d) == key(line)).unwrap())
+                .collect();
+            for (i, field) in line.split(' ').enumerate() {
+                let (name, value) = field.split_once('=').unwrap();
+                let values: Vec<&str> = own
+                    .iter()
+                    .map(|d| d.split(' ').nth(i).unwrap().split_once('=').unwrap().1)
+                    .collect();
+                match name {
+                    "topk_seed" => assert_eq!(value, values.join(","), "{line}"),
+                    "outcome" | "quick_browse" => {
+                        assert!(values.iter().all(|v| *v == value), "{line}: {values:?}")
+                    }
+                    _ => {
+                        let sum: u64 = values.iter().map(|v| v.parse::<u64>().unwrap()).sum();
+                        assert_eq!(value.parse::<u64>().unwrap(), sum, "{line}: {values:?}");
+                    }
+                }
+            }
+        }
+    }
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
 /// Compaction and split read a deployment's columns through the same
 /// reader, which refuses a repeated external id before anything is
 /// written.
