@@ -9,7 +9,7 @@
 //! | `lwdc`  | LWDC       | like swdc, several× larger, disk-resident | 48 |
 
 use pexeso::pipeline::{embed_query, embed_synthetic_lake, EmbeddedLake, EmbeddedQuery};
-use pexeso_embed::{Embedder, SemanticEmbedder};
+use pexeso_embed::SemanticEmbedder;
 use pexeso_lake::generator::{GenTable, GeneratorConfig, SyntheticLake};
 
 /// A fully prepared workload: generated lake, its embedder (which owns the
@@ -102,9 +102,4 @@ impl Workload {
 
 fn q_seed(i: usize) -> u64 {
     0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1)
-}
-
-/// Embed a query with a *different* embedder (ablation helper).
-pub fn embed_query_with(embedder: &dyn Embedder, gen: &GenTable) -> EmbeddedQuery {
-    embed_query(embedder, gen.key_values())
 }

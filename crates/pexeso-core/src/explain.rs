@@ -7,11 +7,18 @@
 //! phase took; this module reports *why* the work was what it was: how
 //! many candidates each stage admitted and which lemma killed how many.
 //!
-//! An [`ExplainReport`] is a pure function of the query's final
-//! [`SearchStats`] (plus the seed count of each unit's top-k scan), so
-//! the explain-off path costs nothing and explain-on provably cannot
-//! change results: the differential suite in `tests/explain.rs` pins
-//! hits and stats byte-identical either way.
+//! An [`ExplainReport`] is its inputs: the query's mode and quick-browse
+//! flag, the [`FunnelCounters`] of the work (the [`SearchStats`]
+//! counters without their timings, plus each unit's top-k seed), the
+//! answer's hit count and its outcome. Its stages, decisions and
+//! [`ExplainReport::render`] are computed from those, so the explain-off
+//! path costs nothing and explain-on provably cannot change results: the
+//! differential suite in `tests/explain.rs` pins hits and stats
+//! byte-identical either way. Answers merge by adding their counters
+//! ([`FunnelCounters::merge`]); the report is built once, where the
+//! answer is final — the wire carries the counters, and a daemon's
+//! client or a router builds the report from the hits and outcome it
+//! ends up with.
 //!
 //! ## Funnel semantics
 //!
@@ -27,6 +34,59 @@
 
 use crate::query::{Query, QueryMode, QueryOutcome};
 use crate::stats::SearchStats;
+
+/// Declares [`FunnelCounters`] with one `u64` per listed [`SearchStats`]
+/// counter (same name), and the conversions, which follow the list's
+/// order — the order the wire carries them in.
+macro_rules! funnel_counters {
+    ($($count:ident),+ $(,)?) => {
+        /// The work an [`ExplainReport`] describes: the [`SearchStats`]
+        /// counters it prints, without the timings, so two reports of the
+        /// same work compare equal, plus the seed each unit's top-k scan
+        /// started from.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct FunnelCounters {
+            $(pub $count: u64,)+
+            /// The seed count each unit's top-k scan started from (`None`
+            /// = unseeded), in unit order.
+            pub topk_seeds: Vec<Option<u32>>,
+        }
+
+        impl FunnelCounters {
+            /// How many counters [`FunnelCounters::counts`] lists.
+            pub const COUNTS: usize = [$(stringify!($count)),+].len();
+
+            /// The counters of `stats`, and the units' top-k seeds.
+            pub fn of(stats: &SearchStats, topk_seeds: Vec<Option<u32>>) -> Self {
+                Self { $($count: stats.$count,)+ topk_seeds }
+            }
+
+            /// The counters, in order.
+            pub fn counts(&self) -> [u64; Self::COUNTS] {
+                [$(self.$count),+]
+            }
+
+            /// The inverse of [`FunnelCounters::counts`].
+            pub fn from_counts(counts: [u64; Self::COUNTS], topk_seeds: Vec<Option<u32>>) -> Self {
+                let [$($count),+] = counts;
+                Self { $($count,)+ topk_seeds }
+            }
+
+            /// Add another answer's work: counters add up, seeds
+            /// concatenate in merge order.
+            pub fn merge(&mut self, other: FunnelCounters) {
+                $(self.$count += other.$count;)+
+                self.topk_seeds.extend(other.topk_seeds);
+            }
+        }
+    };
+}
+
+funnel_counters! {
+    candidate_pairs, matching_pairs, cell_pairs_filtered, cell_pairs_matched,
+    quick_browse_pairs, apex_excluded, lemma1_filtered, lemma2_matched,
+    distance_computations, mapping_distances, early_joinable, lemma7_pruned,
+}
 
 /// One stage of the candidate funnel. `input = output + Σ pruned`
 /// always holds (see the [module docs](self)).
@@ -46,22 +106,14 @@ pub struct FunnelStage {
 }
 
 impl FunnelStage {
-    fn derive(name: &str, unit: &str, output: u64, pruned: Vec<(String, u64)>) -> Self {
-        let input = output + pruned.iter().map(|(_, n)| *n).sum::<u64>();
+    fn derive(name: &str, unit: &str, output: u64, reason: &str, pruned: u64) -> Self {
         Self {
             name: name.to_string(),
             unit: unit.to_string(),
-            input,
-            pruned,
+            input: output + pruned,
+            pruned: vec![(reason.to_string(), pruned)],
             output,
         }
-    }
-
-    /// The last stage: the `hits` columns answered plus the columns
-    /// Lemma 7 pruned. A router re-derives it for its merged answer.
-    pub fn columns(hits: u64, stats: &SearchStats) -> Self {
-        let pruned = vec![("lemma7".to_string(), stats.lemma7_pruned)];
-        Self::derive("columns", "columns", hits, pruned)
     }
 
     /// Whether this stage's arithmetic balances.
@@ -70,131 +122,111 @@ impl FunnelStage {
     }
 }
 
-/// The full explain answer for one query: the candidate funnel and the
-/// scalar decisions.
-#[derive(Debug, Clone, PartialEq)]
+/// The explain answer for one query: the inputs the candidate funnel and
+/// the scalar decisions are computed from (see the [module docs](self)).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExplainReport {
-    /// `threshold` or `topk`.
-    pub mode: String,
-    /// The candidate funnel, outermost stage first.
-    pub stages: Vec<FunnelStage>,
-    /// Human-readable scalar decisions (quick-browse, budget outcome,
-    /// definite-match counts, the candidate pairs the apex bound
-    /// excluded, the top-k seed, …).
-    pub decisions: Vec<String>,
+    /// Whether the query ranked the top-k (else it ran to a threshold).
+    pub topk: bool,
+    /// Whether the query asked for quick browsing.
+    pub quick_browse: bool,
+    /// The work the answer cost.
+    pub counters: FunnelCounters,
+    /// Columns in the answer.
+    pub hits: u64,
+    /// The answer's outcome.
+    pub outcome: QueryOutcome,
 }
 
 impl ExplainReport {
-    /// Build the report from a query's final stats and, for top-k, the
-    /// seed count each unit's scan started from (`None` = unseeded), in
-    /// unit order. Pure: calling this (or not) can never change hits or
-    /// stats, which is exactly what the explain differential tests pin.
-    pub fn from_stats(
-        query: &Query,
-        stats: &SearchStats,
-        hits: u64,
-        outcome: QueryOutcome,
-        topk_seeds: &[Option<u32>],
-    ) -> Self {
-        let (mode, is_topk) = match query.mode {
-            QueryMode::Threshold(_) => ("threshold", false),
-            QueryMode::Topk(_) => ("topk", true),
-        };
-        let stages = vec![
+    /// The report on an answer of `hits` columns with `outcome` to
+    /// `query`, whose work `counters` holds. Pure: building it (or not)
+    /// can never change hits or stats, which is exactly what the explain
+    /// differential tests pin.
+    pub fn new(query: &Query, counters: FunnelCounters, hits: u64, outcome: QueryOutcome) -> Self {
+        Self {
+            topk: matches!(query.mode, QueryMode::Topk(_)),
+            quick_browse: query.options.quick_browse,
+            counters,
+            hits,
+            outcome,
+        }
+    }
+
+    /// `threshold` or `topk`.
+    pub fn mode(&self) -> &'static str {
+        if self.topk {
+            "topk"
+        } else {
+            "threshold"
+        }
+    }
+
+    /// The candidate funnel, outermost stage first: `block`, `verify`,
+    /// `columns`.
+    pub fn stages(&self) -> Vec<FunnelStage> {
+        let c = &self.counters;
+        vec![
             FunnelStage::derive(
                 "block",
                 "pairs",
-                stats.candidate_pairs + stats.matching_pairs,
-                vec![("lemma3/4".to_string(), stats.cell_pairs_filtered)],
+                c.candidate_pairs + c.matching_pairs,
+                "lemma3/4",
+                c.cell_pairs_filtered,
             ),
             FunnelStage::derive(
                 "verify",
                 "rows",
-                stats.lemma2_matched + stats.distance_computations,
-                vec![("lemma1".to_string(), stats.lemma1_filtered)],
+                c.lemma2_matched + c.distance_computations,
+                "lemma1",
+                c.lemma1_filtered,
             ),
-            FunnelStage::columns(hits, stats),
-        ];
+            FunnelStage::derive("columns", "columns", self.hits, "lemma7", c.lemma7_pruned),
+        ]
+    }
 
-        let mut decisions = Vec::new();
-        decisions.push(format!(
-            "quick_browse={} seeded_pairs={}",
-            if query.options.quick_browse {
-                "on"
-            } else {
-                "off"
-            },
-            stats.quick_browse_pairs
-        ));
-        decisions.push(format!(
-            "lemma5/6_cell_matches={} lemma2_definite_rows={}",
-            stats.cell_pairs_matched, stats.lemma2_matched
-        ));
-        decisions.push(format!("apex_excluded_pairs={}", stats.apex_excluded));
-        decisions.push(format!(
-            "distance_computations={} mapping_distances={}",
-            stats.distance_computations, stats.mapping_distances
-        ));
-        if is_topk {
-            let seeds: Vec<String> = topk_seeds
+    /// Human-readable scalar decisions (quick-browse, definite-match
+    /// counts, the candidate pairs the apex bound excluded, the distance
+    /// counts, the top-k seed or the early-joinable columns, the outcome),
+    /// one line each.
+    pub fn decisions(&self) -> Vec<String> {
+        let c = &self.counters;
+        let quick_browse = if self.quick_browse { "on" } else { "off" };
+        let mut decisions = vec![
+            format!(
+                "quick_browse={quick_browse} seeded_pairs={}",
+                c.quick_browse_pairs
+            ),
+            format!(
+                "lemma5/6_cell_matches={} lemma2_definite_rows={}",
+                c.cell_pairs_matched, c.lemma2_matched
+            ),
+            format!("apex_excluded_pairs={}", c.apex_excluded),
+            format!(
+                "distance_computations={} mapping_distances={}",
+                c.distance_computations, c.mapping_distances
+            ),
+        ];
+        if self.topk {
+            let seeds: Vec<String> = c
+                .topk_seeds
                 .iter()
                 .map(|seed| seed.map_or("none".to_string(), |count| count.to_string()))
                 .collect();
             decisions.push(format!("topk_seed={}", seeds.join(",")));
         } else {
-            decisions.push(format!("early_joinable_columns={}", stats.early_joinable));
+            decisions.push(format!("early_joinable_columns={}", c.early_joinable));
         }
-        decisions.push(match outcome {
+        decisions.push(match self.outcome {
             QueryOutcome::Exact => "outcome=exact".to_string(),
             QueryOutcome::Exceeded(e) => format!("outcome=exceeded({e})"),
         });
-
-        Self {
-            mode: mode.to_string(),
-            stages,
-            decisions,
-        }
-    }
-
-    /// Merge another report into this one, stage-wise by name (the
-    /// router folds shard reports this way). Prune reasons merge by
-    /// name too; unmatched stages/reasons are appended. Decisions merge
-    /// by the key of their first field, field by field: counts add up,
-    /// `topk_seed=` lists concatenate in merge order, the first tripped
-    /// `outcome=` stays, and any other value (`quick_browse=on`) is the
-    /// first report's.
-    pub fn merge(&mut self, other: &ExplainReport) {
-        for stage in &other.stages {
-            if let Some(mine) = self.stages.iter_mut().find(|s| s.name == stage.name) {
-                mine.input += stage.input;
-                mine.output += stage.output;
-                for (reason, n) in &stage.pruned {
-                    if let Some((_, mine_n)) = mine.pruned.iter_mut().find(|(r, _)| r == reason) {
-                        *mine_n += n;
-                    } else {
-                        mine.pruned.push((reason.clone(), *n));
-                    }
-                }
-            } else {
-                self.stages.push(stage.clone());
-            }
-        }
-        for d in &other.decisions {
-            let key = decision_key(d);
-            match self
-                .decisions
-                .iter_mut()
-                .find(|mine| decision_key(mine) == key)
-            {
-                Some(mine) => *mine = merge_decision(mine, d),
-                None => self.decisions.push(d.clone()),
-            }
-        }
+        decisions
     }
 
     /// Whether every stage's arithmetic balances.
     pub fn consistent(&self) -> bool {
-        self.stages.iter().all(FunnelStage::consistent)
+        self.stages().iter().all(FunnelStage::consistent)
     }
 
     /// Render the report as an indented text funnel (what
@@ -202,9 +234,9 @@ impl ExplainReport {
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(out, "EXPLAIN ({})", self.mode);
+        let _ = writeln!(out, "EXPLAIN ({})", self.mode());
         let _ = writeln!(out, "  funnel:");
-        for s in &self.stages {
+        for s in self.stages() {
             let mut line = format!("    {:<8} [{}] in={}", s.name, s.unit, s.input);
             for (reason, n) in &s.pruned {
                 let _ = write!(line, "  {reason}=-{n}");
@@ -212,41 +244,11 @@ impl ExplainReport {
             let _ = writeln!(out, "{line}  out={}", s.output);
         }
         let _ = writeln!(out, "  decisions:");
-        for d in &self.decisions {
+        for d in self.decisions() {
             let _ = writeln!(out, "    {d}");
         }
         out
     }
-}
-
-/// The key of a decision line: that of its first `key=value` field.
-fn decision_key(line: &str) -> &str {
-    line.split(['=', ' ']).next().unwrap_or(line)
-}
-
-/// Two decision lines of one key, merged field by field (see
-/// [`ExplainReport::merge`]).
-fn merge_decision(mine: &str, theirs: &str) -> String {
-    // An outcome is one value, spaces and all.
-    if decision_key(mine) == "outcome" {
-        let tripped = if mine == "outcome=exact" {
-            theirs
-        } else {
-            mine
-        };
-        return tripped.to_string();
-    }
-    let fields = mine.split(' ').zip(theirs.split(' ')).map(|(a, b)| {
-        let (Some((key, x)), Some((_, y))) = (a.split_once('='), b.split_once('=')) else {
-            return a.to_string();
-        };
-        match (key, x.parse::<u64>(), y.parse::<u64>()) {
-            ("topk_seed", ..) => format!("{key}={x},{y}"),
-            (_, Ok(x), Ok(y)) => format!("{key}={}", x + y),
-            _ => a.to_string(),
-        }
-    });
-    fields.collect::<Vec<_>>().join(" ")
 }
 
 #[cfg(test)]
@@ -271,80 +273,103 @@ mod tests {
         }
     }
 
+    fn report(
+        query: &Query,
+        hits: u64,
+        outcome: QueryOutcome,
+        seeds: &[Option<u32>],
+    ) -> ExplainReport {
+        ExplainReport::new(
+            query,
+            FunnelCounters::of(&stats(), seeds.to_vec()),
+            hits,
+            outcome,
+        )
+    }
+
     #[test]
     fn threshold_funnel_balances_and_mirrors_stats() {
         let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.5));
-        let r = ExplainReport::from_stats(&q, &stats(), 11, QueryOutcome::Exact, &[None]);
+        let r = report(&q, 11, QueryOutcome::Exact, &[None]);
         assert!(r.consistent());
-        assert_eq!(r.mode, "threshold");
-        let block = &r.stages[0];
+        assert_eq!(r.mode(), "threshold");
+        let stages = r.stages();
+        let block = &stages[0];
         assert_eq!(block.output, 24); // candidate + matching pairs
         assert_eq!(block.pruned, vec![("lemma3/4".to_string(), 7)]);
         assert_eq!(block.input, 31);
-        let verify = &r.stages[1];
+        let verify = &stages[1];
         assert_eq!(verify.output, 45); // lemma2 + distance rows
         assert_eq!(verify.pruned, vec![("lemma1".to_string(), 10)]);
-        let cols = &r.stages[2];
+        let cols = &stages[2];
         assert_eq!(cols.output, 11);
         assert_eq!(cols.pruned, vec![("lemma7".to_string(), 6)]);
-        assert!(r.decisions.iter().any(|d| d.contains("outcome=exact")));
-        assert!(!r.decisions.iter().any(|d| d.contains("topk_seed")));
+        let decisions = r.decisions();
+        assert!(decisions.iter().any(|d| d.contains("outcome=exact")));
+        assert!(!decisions.iter().any(|d| d.contains("topk_seed")));
     }
 
     #[test]
     fn topk_funnel_prunes_by_lemma7_and_prints_the_seeds() {
         let q = Query::topk(Tau::Ratio(0.05), 3);
-        let seeds = [Some(4), None];
-        let r = ExplainReport::from_stats(&q, &stats(), 3, QueryOutcome::Exact, &seeds);
+        let r = report(&q, 3, QueryOutcome::Exact, &[Some(4), None]);
         assert!(r.consistent());
-        assert_eq!(r.stages[2].pruned, vec![("lemma7".to_string(), 6)]);
+        assert_eq!(r.stages()[2].pruned, vec![("lemma7".to_string(), 6)]);
         let rendered = r.render();
         assert!(rendered.contains("EXPLAIN (topk)"));
         assert!(rendered.contains("lemma7=-6"));
         assert!(rendered.contains("topk_seed=4,none"));
     }
 
+    /// The rendered funnel, byte for byte.
     #[test]
-    fn merge_is_stagewise() {
+    fn render_is_pinned() {
         let q = Query::topk(Tau::Ratio(0.05), 3);
-        let mut a = ExplainReport::from_stats(&q, &stats(), 3, QueryOutcome::Exact, &[Some(2)]);
-        let b = ExplainReport::from_stats(&q, &stats(), 2, QueryOutcome::Exact, &[None]);
-        let single_input = a.stages[0].input;
-        a.merge(&b);
-        assert!(a.consistent());
-        assert_eq!(a.stages[0].input, 2 * single_input);
-        assert_eq!(a.stages[2].output, 5);
-        assert_eq!(a.stages[2].pruned, vec![("lemma7".to_string(), 12)]);
-        // One line per decision: counts summed, seeds in merge order.
-        assert_eq!(a.decisions.len(), b.decisions.len());
-        assert!(a.decisions.contains(&"topk_seed=2,none".to_string()));
-        assert!(a
-            .decisions
-            .contains(&"distance_computations=80 mapping_distances=0".to_string()));
-        assert!(a
-            .decisions
-            .contains(&"quick_browse=on seeded_pairs=4".to_string()));
+        let r = report(
+            &q,
+            3,
+            QueryOutcome::Exceeded(Exceeded::DistanceComputations),
+            &[Some(4), None],
+        );
+        let want = format!(
+            "EXPLAIN (topk)
+  funnel:
+    block    [pairs] in=31  lemma3/4=-7  out=24
+    verify   [rows] in=55  lemma1=-10  out=45
+    columns  [columns] in=9  lemma7=-6  out=3
+  decisions:
+    quick_browse=on seeded_pairs=2
+    lemma5/6_cell_matches=3 lemma2_definite_rows=5
+    apex_excluded_pairs=0
+    distance_computations=40 mapping_distances=0
+    topk_seed=4,none
+    outcome=exceeded({})
+",
+            Exceeded::DistanceComputations
+        );
+        assert_eq!(r.render(), want);
     }
 
-    /// The first tripped outcome survives a merge, whichever side it is on.
+    /// Merged counters report the sum: counts add up, seeds concatenate
+    /// in merge order, and the report is built once on the merged answer.
     #[test]
-    fn merge_keeps_the_first_tripped_outcome() {
-        let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.5));
-        let report = |outcome| ExplainReport::from_stats(&q, &stats(), 1, outcome, &[None]);
-        let tripped = |e: Exceeded| format!("outcome=exceeded({e})");
-        let (first, second) = (Exceeded::DistanceComputations, Exceeded::Deadline);
-        let mut a = report(QueryOutcome::Exact);
-        a.merge(&report(QueryOutcome::Exceeded(first)));
-        a.merge(&report(QueryOutcome::Exceeded(second)));
-        a.merge(&report(QueryOutcome::Exact));
-        let outcomes: Vec<&String> = a
-            .decisions
-            .iter()
-            .filter(|d| d.starts_with("outcome="))
-            .collect();
-        assert_eq!(outcomes, [&tripped(first)]);
-        assert!(a
-            .decisions
-            .contains(&"early_joinable_columns=4".to_string()));
+    fn merged_counters_add_up() {
+        let q = Query::topk(Tau::Ratio(0.05), 3);
+        let mut counters = FunnelCounters::of(&stats(), vec![Some(2)]);
+        counters.merge(FunnelCounters::of(&stats(), vec![None]));
+        let mut doubled = stats();
+        doubled.merge(&stats());
+        assert_eq!(counters, FunnelCounters::of(&doubled, vec![Some(2), None]));
+        let r = ExplainReport::new(&q, counters, 5, QueryOutcome::Exact);
+        assert!(r.consistent());
+        let single = report(&q, 3, QueryOutcome::Exact, &[None]);
+        assert_eq!(r.stages()[0].input, 2 * single.stages()[0].input);
+        assert_eq!(r.stages()[2].output, 5);
+        assert_eq!(r.stages()[2].pruned, vec![("lemma7".to_string(), 12)]);
+        let decisions = r.decisions();
+        assert_eq!(decisions.len(), single.decisions().len());
+        assert!(decisions.contains(&"topk_seed=2,none".to_string()));
+        assert!(decisions.contains(&"distance_computations=80 mapping_distances=0".to_string()));
+        assert!(decisions.contains(&"quick_browse=on seeded_pairs=4".to_string()));
     }
 }

@@ -119,7 +119,7 @@ pub mod prelude {
         ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, PivotSelection, Tau,
     };
     pub use crate::error::{PexesoError, Result};
-    pub use crate::explain::{ExplainReport, FunnelStage};
+    pub use crate::explain::{ExplainReport, FunnelCounters, FunnelStage};
     pub use crate::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
     pub use crate::outofcore::{GlobalHit, LakeManifest, PartitionedLake, ResidentPartitions};
     pub use crate::partition::{PartitionConfig, PartitionMethod};

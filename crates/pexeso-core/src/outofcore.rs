@@ -39,6 +39,7 @@ use crate::column::{ColumnId, ColumnSet};
 use crate::config::IndexOptions;
 use crate::error::{PexesoError, Result};
 use crate::exec;
+use crate::explain::{ExplainReport, FunnelCounters};
 use crate::inspect::PartitionInspection;
 use crate::metric::{with_metric, Metric};
 use crate::partition::{partition_columns, sub_column_set, PartitionConfig};
@@ -610,7 +611,8 @@ pub(crate) fn merge_answers(
         crate::trace::QueryTrace::new(root)
     });
     let explain = query.explain.then(|| {
-        crate::explain::ExplainReport::from_stats(query, &stats, hits.len() as u64, outcome, &seeds)
+        let counters = FunnelCounters::of(&stats, seeds);
+        ExplainReport::new(query, counters, hits.len() as u64, outcome)
     });
     QueryResponse {
         hits,
@@ -627,9 +629,9 @@ pub(crate) fn merge_answers(
 /// `k = 0` with the very same reply.
 pub fn empty_topk_response(query: &Query) -> QueryResponse {
     let stats = SearchStats::new();
-    let explain = query.explain.then(|| {
-        crate::explain::ExplainReport::from_stats(query, &stats, 0, QueryOutcome::Exact, &[])
-    });
+    let explain = query
+        .explain
+        .then(|| ExplainReport::new(query, FunnelCounters::default(), 0, QueryOutcome::Exact));
     QueryResponse {
         hits: Vec::new(),
         stats,

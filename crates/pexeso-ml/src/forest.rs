@@ -86,11 +86,6 @@ impl RandomForest {
         }
     }
 
-    /// Predictions for many rows.
-    pub fn predict_all(&self, features: &[Vec<f32>]) -> Vec<f32> {
-        features.iter().map(|r| self.predict(r)).collect()
-    }
-
     /// Mean impurity-decrease importance per feature.
     pub fn importances(&self) -> Vec<f64> {
         if self.trees.is_empty() {

@@ -29,6 +29,15 @@
 //! their range (the common case) the filter removes nothing and no
 //! re-ask ever happens: ask = k, one round trip per shard.
 //!
+//! ## EXPLAIN
+//!
+//! A shard's reply carries the counters of its EXPLAIN funnel, not a
+//! finished report. The router adds up the counters (and concatenates
+//! the top-k seeds) of every ask of every shard, then builds one
+//! [`ExplainReport`] from them and the routed hits and outcome — so the
+//! routed funnel counts exactly the work the routed stats count, re-asks
+//! included, and its `columns` stage ends at the routed answer.
+//!
 //! ## Failure semantics
 //!
 //! A shard whose every replica is unreachable is a **typed refusal**
@@ -43,7 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use pexeso_core::error::{PexesoError, Result};
-use pexeso_core::explain::{ExplainReport, FunnelStage};
+use pexeso_core::explain::{ExplainReport, FunnelCounters};
 use pexeso_core::hist::{AtomicHistogram, HistSnapshot};
 use pexeso_core::log::{self as plog, LogLevel, Value};
 use pexeso_core::outofcore::GlobalHit;
@@ -80,7 +89,9 @@ struct ShardAnswer {
     stats: SearchStats,
     outcome: QueryOutcome,
     trace: Option<QueryTrace>,
-    explain: Option<ExplainReport>,
+    /// EXPLAIN funnel counters summed over every ask (zero unless the
+    /// query asked for a report).
+    funnel: FunnelCounters,
     /// Offset of this shard's first attempt on the router clock (µs).
     start_us: u64,
     duration_us: u64,
@@ -292,6 +303,7 @@ impl Router {
         let shard = &self.shards[idx];
         let start_us = started.elapsed().as_micros() as u64;
         let mut stats = SearchStats::new();
+        let mut funnel = FunnelCounters::default();
         let mut outcome = QueryOutcome::Exact;
         let mut reasks = 0u64;
         let mut filtered = 0u64;
@@ -300,7 +312,7 @@ impl Router {
             QueryMode::Threshold(_) => 0,
         };
         let mut ask = k;
-        let (hits, trace, explain) = loop {
+        let (hits, trace) = loop {
             let mut attempt = query.clone();
             if let QueryMode::Topk(_) = query.mode {
                 attempt.mode = QueryMode::Topk(ask);
@@ -318,6 +330,9 @@ impl Router {
             let removed = raw_len - hits.len();
             filtered += removed as u64;
             stats.merge(&resp.stats);
+            if let Some(report) = resp.explain.take() {
+                funnel.merge(report.counters);
+            }
             fold_outcome(
                 &mut outcome,
                 match resp.outcome {
@@ -337,7 +352,7 @@ impl Router {
                 || removed <= ask - k
                 || outcome != QueryOutcome::Exact;
             if done {
-                break (hits, resp.trace.take(), resp.explain.take());
+                break (hits, resp.trace.take());
             }
             ask = k + removed;
             reasks += 1;
@@ -350,7 +365,7 @@ impl Router {
             stats,
             outcome,
             trace,
-            explain,
+            funnel,
             start_us,
             duration_us: started.elapsed().as_micros() as u64 - start_us,
             reasks,
@@ -428,18 +443,13 @@ impl Router {
         let mut hits = Vec::new();
         let mut outcome = QueryOutcome::Exact;
         let mut shard_spans = Vec::new();
-        let mut explain: Option<ExplainReport> = None;
+        let mut funnel = FunnelCounters::default();
         let mut slowest: Option<(u32, u64)> = None;
-        for (i, mut answer) in answers.into_iter().enumerate() {
+        for (i, answer) in answers.into_iter().enumerate() {
             if slowest.is_none_or(|(_, d)| answer.duration_us > d) {
                 slowest = Some((i as u32, answer.duration_us));
             }
-            if let Some(shard_explain) = answer.explain.take() {
-                match &mut explain {
-                    Some(acc) => acc.merge(&shard_explain),
-                    None => explain = Some(shard_explain),
-                }
-            }
+            funnel.merge(answer.funnel);
             if query.trace.enabled() {
                 let mut span =
                     TraceSpan::new(format!("shard/{i}"), answer.start_us, answer.duration_us)
@@ -471,15 +481,11 @@ impl Router {
             }
             QueryMode::Topk(k) => rank_topk_hits(hits, k),
         };
-        // Each shard's `columns` stage ends at its own answer (its top-k
-        // list, entries the range filter dropped included); the routed one
-        // ends at the merged answer.
-        if let Some(stage) = explain
-            .as_mut()
-            .and_then(|report| report.stages.iter_mut().find(|s| s.name == "columns"))
-        {
-            *stage = FunnelStage::columns(hits.len() as u64, &stats);
-        }
+        // One report, built on the routed answer: the shards' counters
+        // summed, the merged hit count and outcome.
+        let explain = query
+            .explain
+            .then(|| ExplainReport::new(query, funnel, hits.len() as u64, outcome));
         stats.total_time = started.elapsed();
         let trace = merge_start.map(|m| {
             let mut root = TraceSpan::new("router", 0, stats.total_time.as_micros() as u64)

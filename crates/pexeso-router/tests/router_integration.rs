@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use pexeso_core::column::ColumnSet;
 use pexeso_core::config::{ExecPolicy, IndexOptions, JoinThreshold, PivotSelection, Tau};
 use pexeso_core::error::PexesoError;
+use pexeso_core::explain::ExplainReport;
 use pexeso_core::metric::Euclidean;
 use pexeso_core::outofcore::{GlobalHit, LakeManifest, PartitionedLake};
 use pexeso_core::partition::{PartitionConfig, PartitionMethod};
@@ -763,7 +764,8 @@ fn explain_through_the_router_changes_nothing_and_merges() {
         let report = on.explain.expect("requested report travels back merged");
         assert!(report.consistent(), "merged funnel must balance");
         // The merged funnel keeps the canonical stage order.
-        let names: Vec<&str> = report.stages.iter().map(|s| s.name.as_str()).collect();
+        let stages = report.stages();
+        let names: Vec<&str> = stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["block", "verify", "columns"]);
     }
     for d in daemons {
@@ -793,7 +795,8 @@ fn routed_explain_columns_stage_ends_at_the_routed_answer() {
     assert_eq!(resp.hits.len(), 2);
     assert!(shard_hits > resp.hits.len(), "shards answered {shard_hits}");
     let report = resp.explain.expect("explained");
-    let columns = report.stages.iter().find(|s| s.name == "columns").unwrap();
+    let stages = report.stages();
+    let columns = stages.iter().find(|s| s.name == "columns").unwrap();
     assert_eq!(columns.output, resp.hits.len() as u64);
     assert!(report.consistent(), "{}", report.render());
     for d in daemons {
@@ -821,7 +824,7 @@ fn routed_explain_sums_the_shards_decisions() {
             .map(|d| {
                 let client = ServeClient::connect(d.addr()).unwrap();
                 let resp = client.execute(&q, &query).unwrap();
-                resp.explain.expect("explained").decisions
+                resp.explain.expect("explained").decisions()
             })
             .collect();
         assert!(
@@ -829,7 +832,7 @@ fn routed_explain_sums_the_shards_decisions() {
             "the shards must decide differently: {shards:#?}"
         );
         let routed = router.execute(&q, &query).unwrap();
-        let routed = routed.explain.expect("explained").decisions;
+        let routed = routed.explain.expect("explained").decisions();
         let mut keys: Vec<String> = routed.iter().map(|d| key(d)).collect();
         keys.sort();
         keys.dedup();
@@ -858,6 +861,152 @@ fn routed_explain_sums_the_shards_decisions() {
                 }
             }
         }
+    }
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// The count a report's decision lines give `key` (`key=N` in one line).
+fn decision_count(report: &ExplainReport, key: &str) -> u64 {
+    let prefix = format!("{key}=");
+    let counts: Vec<u64> = report
+        .decisions()
+        .iter()
+        .flat_map(|line| line.split(' '))
+        .filter_map(|field| field.strip_prefix(prefix.as_str()))
+        .map(|n| n.parse().unwrap())
+        .collect();
+    assert_eq!(counts.len(), 1, "{key} in {}", report.render());
+    counts[0]
+}
+
+/// A re-asked shard's funnel counts every ask: one daemon serves the
+/// whole lake under a two-range map, so a top-1 reply loses its head to
+/// the range filter and the router asks again. The routed report's
+/// distance count is the routed stats', re-asks included.
+#[test]
+fn routed_explain_counts_every_reask() {
+    let dir = tempdir("explain_reask_src");
+    let (columns, query) = workload(51, 12, "s");
+    deploy(&dir, &columns, "euclidean");
+    let daemon = Server::start(&dir, "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = daemon.addr().to_string();
+    let map = ShardMap::new(vec![
+        ShardSpec {
+            lo: 0,
+            hi: 6,
+            replicas: vec![addr.clone()],
+        },
+        ShardSpec {
+            lo: 6,
+            hi: u64::MAX,
+            replicas: vec![addr],
+        },
+    ])
+    .unwrap();
+    let router = Router::new(
+        map,
+        RouterConfig {
+            client: fast_client(),
+        },
+    )
+    .unwrap();
+    let q = Query::topk(Tau::Ratio(0.05), 1).with_explain(true);
+    let traced = router
+        .execute(&q.clone().with_trace(TraceLevel::Phases), &query)
+        .unwrap();
+    let reasks: u64 = traced
+        .trace
+        .expect("traced")
+        .root
+        .children
+        .iter()
+        .flat_map(|shard| &shard.counters)
+        .filter(|(name, _)| name == "reasks")
+        .map(|(_, n)| n)
+        .sum();
+    assert!(reasks > 0, "the map must make the router re-ask");
+    let resp = router.execute(&q, &query).unwrap();
+    let report = resp.explain.expect("explained");
+    assert!(report.consistent(), "{}", report.render());
+    assert_eq!(
+        decision_count(&report, "distance_computations"),
+        resp.stats.distance_computations,
+        "{}",
+        report.render()
+    );
+    daemon.shutdown();
+}
+
+/// The routed `columns` stage prunes what the shards' Lemma 7 pruned:
+/// its count is the sum of the shards' own, each queried directly.
+#[test]
+fn routed_explain_columns_stage_counts_the_shards_lemma7() {
+    let dir = tempdir("explain_l7_src");
+    let (columns, query) = workload(121, 12, "l");
+    deploy(&dir, &columns, "euclidean");
+    let (daemons, router) = start_cluster(&dir, 3, "explain_l7");
+    let q = Query::threshold(Tau::Ratio(0.05), JoinThreshold::Ratio(0.5)).with_explain(true);
+    let lemma7 = |report: ExplainReport| report.stages()[2].pruned.clone();
+    let shards: u64 = daemons
+        .iter()
+        .map(|d| {
+            let client = ServeClient::connect(d.addr()).unwrap();
+            lemma7(
+                client
+                    .execute(&q, &query)
+                    .unwrap()
+                    .explain
+                    .expect("explained"),
+            )[0]
+            .1
+        })
+        .sum();
+    assert!(shards > 0, "the shards must prune by Lemma 7");
+    let routed = router
+        .execute(&q, &query)
+        .unwrap()
+        .explain
+        .expect("explained");
+    assert_eq!(lemma7(routed), [("lemma7".to_string(), shards)]);
+    for d in daemons {
+        d.shutdown();
+    }
+}
+
+/// Under a distance budget the router sweeps the shards in order and
+/// stops at the first trip; the routed report prints that one outcome
+/// and counts the distances the routed stats count.
+#[test]
+fn routed_explain_under_a_distance_budget() {
+    let dir = tempdir("explain_budget_src");
+    let (columns, query) = workload(119, 12, "b");
+    deploy(&dir, &columns, "euclidean");
+    let (daemons, router) = start_cluster(&dir, 3, "explain_budget");
+    for q in [
+        Query::threshold(Tau::Ratio(0.2), JoinThreshold::Count(2)),
+        Query::topk(Tau::Ratio(0.2), 3),
+    ] {
+        let q = q.with_max_distance_computations(1).with_explain(true);
+        let resp = router.execute(&q, &query).unwrap();
+        let QueryOutcome::Exceeded(tripped) = resp.outcome else {
+            panic!("a budget of one distance did not trip: {q:?}");
+        };
+        let report = resp.explain.expect("explained");
+        let outcomes: Vec<String> = report
+            .decisions()
+            .into_iter()
+            .filter(|d| d.starts_with("outcome="))
+            .collect();
+        assert_eq!(outcomes, [format!("outcome=exceeded({tripped})")]);
+        assert_eq!(
+            decision_count(&report, "distance_computations"),
+            resp.stats.distance_computations,
+            "{}",
+            report.render()
+        );
+        assert!(report.consistent(), "{}", report.render());
     }
     for d in daemons {
         d.shutdown();

@@ -17,6 +17,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pexeso_core::error::PexesoError;
+use pexeso_core::explain::ExplainReport;
 use pexeso_core::outofcore::GlobalHit;
 use pexeso_core::query::{Exceeded, Query, QueryOutcome, QueryResponse, Queryable};
 use pexeso_core::stats::SearchStats;
@@ -295,7 +296,7 @@ impl ServeClient {
             Reply::DeadlineExpired { .. } => return Ok(expired_in_queue()),
             other => return Err(unexpected("SEARCH/TOPK", &other)),
         };
-        unwrap_hits_reply(reply)
+        unwrap_hits_reply(query, reply)
     }
 
     /// The body of a text verb's reply.
@@ -432,12 +433,15 @@ pub fn hits_reply(requested: &Query, generation: u64, resp: QueryResponse) -> Hi
             distance_computations: resp.stats.distance_computations,
         }),
         trace: resp.trace.filter(|_| requested.trace.enabled()),
-        explain: resp.explain.map(Box::new),
+        explain: resp.explain.map(|report| Box::new(report.counters)),
     }
 }
 
-/// Convert one wire `HITS` entry into the unified response + metadata.
-fn unwrap_hits_reply(reply: HitsReply) -> ClientResult<(QueryResponse, RemoteMeta)> {
+/// Convert one wire `HITS` entry answering `query` into the unified
+/// response + metadata. The EXPLAIN report is built here, from the
+/// funnel counters the reply carries, `query`, and the reply's hits and
+/// outcome.
+fn unwrap_hits_reply(query: &Query, reply: HitsReply) -> ClientResult<(QueryResponse, RemoteMeta)> {
     let meta = RemoteMeta {
         generation: reply.generation,
         cached: reply.cached,
@@ -445,7 +449,7 @@ fn unwrap_hits_reply(reply: HitsReply) -> ClientResult<(QueryResponse, RemoteMet
     let ext = reply.ext.ok_or_else(|| {
         ClientError::Protocol("server answered a query without the outcome extension".into())
     })?;
-    let hits = reply
+    let hits: Vec<GlobalHit> = reply
         .hits
         .into_iter()
         .map(|h| GlobalHit {
@@ -470,13 +474,16 @@ fn unwrap_hits_reply(reply: HitsReply) -> ClientResult<(QueryResponse, RemoteMet
         stats.verify_time = phase("verify");
         stats.total_time = trace.root.duration();
     }
+    let explain = reply
+        .explain
+        .map(|c| ExplainReport::new(query, *c, hits.len() as u64, ext.outcome));
     Ok((
         QueryResponse {
             hits,
             stats,
             outcome: ext.outcome,
             trace: reply.trace,
-            explain: reply.explain.map(|report| *report),
+            explain,
         },
         meta,
     ))

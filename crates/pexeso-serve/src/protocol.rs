@@ -14,7 +14,7 @@
 //! closes. Backpressure is explicit — an overloaded server answers a
 //! connection with a [`Reply::Busy`] frame instead of queueing unboundedly.
 //!
-//! There is exactly one layout, `PROTOCOL_VERSION`. A request stamped
+//! There is exactly one layout, `PROTOCOL_VERSION` (9). A request stamped
 //! with any other version is refused with one `Malformed` naming both
 //! versions (the daemon answers `ERR` and hangs up): router, shards and
 //! clients are deployed from one build. A decoder accepts exactly the
@@ -73,16 +73,19 @@
 //! *hits* = generation `u64`, cached `bool`, ext: `opt` (outcome `u8`,
 //! distance computations `u64`), hit count `u32` + hits (external id
 //! `u64`, table `str`, column `str`, match count `u32`), trace: `opt` span
-//! tree, explain: `opt` report. The four refusal kinds (248–251) keep
-//! their bytes and layouts across versions, so a peer of any build can
-//! read a refusal.
+//! tree, explain: `opt` funnel counters (the 12 `u64`s of
+//! [`FunnelCounters::counts`], then the top-k seed count `u32` + seeds,
+//! each an `opt u32`). The client builds the EXPLAIN report from them,
+//! the query it sent and the reply's hits and outcome. The four refusal
+//! kinds (248–251) keep their bytes and layouts across versions, so a
+//! peer of any build can read a refusal.
 
 use std::io::{Read, Write};
 use std::time::Duration;
 
 use pexeso_core::codec::{fnv64, read_len_prefix, Dec, DecodeError, Enc, MAX_NAME_BYTES};
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
-use pexeso_core::explain::{ExplainReport, FunnelStage};
+use pexeso_core::explain::FunnelCounters;
 use pexeso_core::outofcore::GlobalHit;
 use pexeso_core::query::{Exceeded, Query, QueryBudget, QueryMode, QueryOutcome};
 use pexeso_core::search::SearchOptions;
@@ -94,7 +97,7 @@ pub const MAGIC: &[u8; 4] = b"PXSV";
 /// The one protocol version this build speaks: every request frame is
 /// stamped with it and [`decode_request`] refuses any other. Bump it with
 /// any layout change (`golden_frames` pins the bytes).
-pub(crate) const PROTOCOL_VERSION: u8 = 8;
+pub(crate) const PROTOCOL_VERSION: u8 = 9;
 /// Hard cap on a single frame; anything larger is treated as garbage
 /// framing rather than a legitimate request.
 pub const MAX_FRAME_BYTES: u32 = 64 << 20;
@@ -265,11 +268,12 @@ pub struct HitsReply {
     /// trace. Cached replies carry no trace — traced requests bypass the
     /// result cache so the tree always describes *this* execution.
     pub trace: Option<QueryTrace>,
-    /// Server-side EXPLAIN funnel, present iff the request asked for
-    /// one. Like traces, explain-requesting queries bypass the result
-    /// cache so the funnel always describes *this* execution. Boxed so
-    /// the common explain-free reply doesn't pay the report's footprint.
-    pub explain: Option<Box<ExplainReport>>,
+    /// The counters of the server-side EXPLAIN funnel, present iff the
+    /// request asked for one. Like traces, explain-requesting queries
+    /// bypass the result cache so the funnel always describes *this*
+    /// execution. Boxed so the common explain-free reply doesn't pay the
+    /// counters' footprint.
+    pub explain: Option<Box<FunnelCounters>>,
 }
 
 /// A server reply.
@@ -590,77 +594,35 @@ fn take_trace(r: &mut Dec) -> WireResult<QueryTrace> {
     })
 }
 
-/// Size limits for decoding an EXPLAIN report: anything larger is
-/// treated as garbage, like an oversized trace tree.
-const MAX_EXPLAIN_STAGES: u32 = 64;
-const MAX_EXPLAIN_REASONS: u32 = 64;
-const MAX_EXPLAIN_DECISIONS: u32 = 256;
+/// Cap on the top-k seeds of one EXPLAIN funnel (one per unit a scan
+/// ran on): anything longer is treated as garbage, like an oversized
+/// trace tree.
+const MAX_TOPK_SEEDS: u32 = 1 << 16;
 
-fn put_explain(w: &mut Enc, e: &ExplainReport) {
-    w.str(&e.mode);
-    w.u32(e.stages.len() as u32);
-    for s in &e.stages {
-        w.str(&s.name);
-        w.str(&s.unit);
-        w.u64(s.input);
-        w.u32(s.pruned.len() as u32);
-        for (reason, n) in &s.pruned {
-            w.str(reason);
-            w.u64(*n);
-        }
-        w.u64(s.output);
+fn put_funnel(w: &mut Enc, c: &FunnelCounters) {
+    for n in c.counts() {
+        w.u64(n);
     }
-    w.u32(e.decisions.len() as u32);
-    for d in &e.decisions {
-        w.str(d);
+    w.u32(c.topk_seeds.len() as u32);
+    for seed in &c.topk_seeds {
+        w.opt(*seed, Enc::u32);
     }
 }
 
-fn take_explain(r: &mut Dec) -> WireResult<ExplainReport> {
-    let mode = r.str(64)?;
-    let n_stages = r.u32()?;
-    if n_stages > MAX_EXPLAIN_STAGES {
-        return Err(WireError::Malformed("too many explain stages".into()));
+fn take_funnel(r: &mut Dec) -> WireResult<FunnelCounters> {
+    let mut counts = [0; FunnelCounters::COUNTS];
+    for n in &mut counts {
+        *n = r.u64()?;
     }
-    let mut stages = Vec::with_capacity(n_stages as usize);
-    for _ in 0..n_stages {
-        let name = r.str(256)?;
-        let unit = r.str(256)?;
-        let input = r.u64()?;
-        let n_pruned = r.u32()?;
-        if n_pruned > MAX_EXPLAIN_REASONS {
-            return Err(WireError::Malformed(
-                "too many explain prune reasons".into(),
-            ));
-        }
-        let mut pruned = Vec::with_capacity(n_pruned as usize);
-        for _ in 0..n_pruned {
-            let reason = r.str(256)?;
-            let n = r.u64()?;
-            pruned.push((reason, n));
-        }
-        let output = r.u64()?;
-        stages.push(FunnelStage {
-            name,
-            unit,
-            input,
-            pruned,
-            output,
-        });
+    let n_seeds = r.u32()?;
+    if n_seeds > MAX_TOPK_SEEDS {
+        return Err(WireError::Malformed("too many top-k seeds".into()));
     }
-    let n_decisions = r.u32()?;
-    if n_decisions > MAX_EXPLAIN_DECISIONS {
-        return Err(WireError::Malformed("too many explain decisions".into()));
+    let mut seeds = Vec::new();
+    for _ in 0..n_seeds {
+        seeds.push(r.opt(Dec::u32)?);
     }
-    let mut decisions = Vec::with_capacity(n_decisions as usize);
-    for _ in 0..n_decisions {
-        decisions.push(r.str(4096)?);
-    }
-    Ok(ExplainReport {
-        mode,
-        stages,
-        decisions,
-    })
+    Ok(FunnelCounters::from_counts(counts, seeds))
 }
 
 fn put_outcome(w: &mut Enc, outcome: QueryOutcome) {
@@ -696,7 +658,7 @@ fn put_hits_body(w: &mut Enc, h: &HitsReply) {
         w.u32(hit.match_count);
     }
     w.opt(h.trace.as_ref(), put_trace);
-    w.opt(h.explain.as_deref(), put_explain);
+    w.opt(h.explain.as_deref(), put_funnel);
 }
 
 fn take_hits_body(r: &mut Dec) -> WireResult<HitsReply> {
@@ -724,7 +686,7 @@ fn take_hits_body(r: &mut Dec) -> WireResult<HitsReply> {
         hits,
         ext,
         trace: r.opt(take_trace)?,
-        explain: r.opt(take_explain)?.map(Box::new),
+        explain: r.opt(take_funnel)?.map(Box::new),
     })
 }
 
@@ -1025,17 +987,13 @@ mod tests {
         )
     }
 
-    fn sample_explain() -> ExplainReport {
-        ExplainReport {
-            mode: "topk".into(),
-            stages: vec![FunnelStage {
-                name: "block".into(),
-                unit: "pairs".into(),
-                input: 100,
-                output: 60,
-                pruned: vec![("lemma3/4".into(), 40)],
-            }],
-            decisions: vec!["quick_browse=off".into()],
+    fn sample_funnel() -> FunnelCounters {
+        FunnelCounters {
+            candidate_pairs: 60,
+            cell_pairs_filtered: 40,
+            distance_computations: 777,
+            topk_seeds: vec![Some(3), None],
+            ..FunnelCounters::default()
         }
     }
 
@@ -1060,7 +1018,7 @@ mod tests {
     }
 
     /// All 10 reply kinds, the hits-shaped ones with and without the
-    /// extension, a trace and an explain report. The first of each kind
+    /// extension, a trace and the explain funnel. The first of each kind
     /// is its golden frame.
     fn sample_replies() -> Vec<Reply> {
         let full = HitsReply {
@@ -1070,7 +1028,7 @@ mod tests {
                 distance_computations: 777,
             }),
             trace: Some(sample_trace()),
-            explain: Some(Box::new(sample_explain())),
+            explain: Some(Box::new(sample_funnel())),
             ..sample_hits()
         };
         vec![
@@ -1085,7 +1043,7 @@ mod tests {
             Reply::Hits(sample_hits()),
             // Explain alone, and a trace alone.
             Reply::Hits(HitsReply {
-                explain: Some(Box::new(sample_explain())),
+                explain: Some(Box::new(sample_funnel())),
                 ..sample_hits()
             }),
             Reply::Hits(HitsReply {
@@ -1253,20 +1211,20 @@ mod tests {
         check(
             sample_requests().iter().map(encode_request),
             5,
-            "50585356 08 00;
-             50585356 08 01  00 0700000000000000  09000000 6575636c696465616e  01 8fc2753d
+            "50585356 09 00;
+             50585356 09 01  00 0700000000000000  09000000 6575636c696465616e  01 8fc2753d
                 02 06000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
                 0b 00 01 3930000000000000 01 fa00000000000000  02  01 efbeadde00000000  01;
-             50585356 08 02  0a00000000000000  09000000 6575636c696465616e  01 8fc2753d
+             50585356 09 02  0a00000000000000  09000000 6575636c696465616e  01 8fc2753d
                 01 04000000  02000000  02000000 0000803f 000000c0 0000003f 0000803e
                 0f 01 00 00  00  00  00;
-             50585356 08 04  02000000 2f64;
-             50585356 08 05;
-             50585356 08 06  01 02000000;
-             50585356 08 08;
-             50585356 08 09;
-             50585356 08 0b;
-             50585356 08 0c  03000000 613a31  01;",
+             50585356 09 04  02000000 2f64;
+             50585356 09 05;
+             50585356 09 06  01 02000000;
+             50585356 09 08;
+             50585356 09 09;
+             50585356 09 0b;
+             50585356 09 0c  03000000 613a31  01;",
         );
         check(
             sample_replies().iter().map(encode_reply),
@@ -1277,10 +1235,10 @@ mod tests {
                 01  05000000 7175657279 0000000000000000 7800000000000000
                     01000000 02000000 6463 2900000000000000
                     01000000 03000000 6d6170 0000000000000000 1e00000000000000 00000000 00000000
-                01  04000000 746f706b
-                    01000000 05000000 626c6f636b 05000000 7061697273 6400000000000000
-                        01000000 08000000 6c656d6d61332f34 2800000000000000 3c00000000000000
-                    01000000 10000000 717569636b5f62726f7773653d6f6666;
+                01  3c00000000000000 0000000000000000 2800000000000000 0000000000000000
+                    0000000000000000 0000000000000000 0000000000000000 0000000000000000
+                    0903000000000000 0000000000000000 0000000000000000 0000000000000000
+                    02000000 01 03000000 00;
              02  03000000 613d31;
              03  0200000000000000 03000000;
              06  0500000000000000 0700000000000000 0200000000000000;
@@ -1297,14 +1255,14 @@ mod tests {
     fn other_versions_are_refused() {
         for req in &sample_requests() {
             let mut bytes = encode_request(req);
-            for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 9, 255] {
+            for version in [0u8, 1, 2, 3, 4, 5, 6, 7, 8, 255] {
                 bytes[4] = version;
                 let Err(WireError::Malformed(msg)) = decode_request(&bytes) else {
                     panic!("version {version} of {req:?} decoded");
                 };
                 assert_eq!(
                     msg,
-                    format!("protocol version {version} unsupported (this build speaks 8)")
+                    format!("protocol version {version} unsupported (this build speaks 9)")
                 );
             }
         }
@@ -1327,26 +1285,40 @@ mod tests {
         assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
     }
 
+    /// The writer is trusting, the reader is not: a funnel with more
+    /// top-k seeds than MAX_TOPK_SEEDS encodes but must not decode.
     #[test]
-    fn explain_codec_rejects_absurd_cardinality() {
-        // The writer is trusting, the reader is not: a report with more
-        // stages than MAX_EXPLAIN_STAGES encodes but must not decode.
-        let mut report = sample_explain();
-        report.stages = (0..=MAX_EXPLAIN_STAGES)
-            .map(|i| FunnelStage {
-                name: format!("stage/{i}"),
-                unit: "rows".into(),
-                input: 1,
-                output: 1,
-                pruned: Vec::new(),
-            })
-            .collect();
-        let reply = Reply::Hits(HitsReply {
-            explain: Some(Box::new(report)),
+    fn a_seed_list_over_its_cap_is_malformed() {
+        let explained = |seeds: u32| {
+            encode_reply(&Reply::Hits(HitsReply {
+                explain: Some(Box::new(FunnelCounters {
+                    topk_seeds: vec![Some(1); seeds as usize],
+                    ..sample_funnel()
+                })),
+                ..sample_hits()
+            }))
+        };
+        assert!(decode_reply(&explained(MAX_TOPK_SEEDS)).is_ok());
+        let Err(WireError::Malformed(msg)) = decode_reply(&explained(MAX_TOPK_SEEDS + 1)) else {
+            panic!("an over-long seed list decoded");
+        };
+        assert_eq!(msg, "too many top-k seeds");
+    }
+
+    /// Cut anywhere, an explained HITS reply is refused as malformed:
+    /// the funnel's counters and seeds are all read, never inferred.
+    #[test]
+    fn every_truncation_of_an_explained_hits_reply_is_refused() {
+        let bytes = encode_reply(&Reply::Hits(HitsReply {
+            explain: Some(Box::new(sample_funnel())),
             ..sample_hits()
-        });
-        let bytes = encode_reply(&reply);
-        assert!(matches!(decode_reply(&bytes), Err(WireError::Malformed(_))));
+        }));
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(decode_reply(&bytes[..cut]), Err(WireError::Malformed(_))),
+                "{cut}-byte prefix decoded"
+            );
+        }
     }
 
     #[test]

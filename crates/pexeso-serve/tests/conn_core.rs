@@ -302,7 +302,7 @@ fn one_refusal_then_a_hang_up(at: usize, value: u8, refusal: &str) {
 
 #[test]
 fn another_protocol_version_gets_one_refusal_naming_both_then_a_hang_up() {
-    one_refusal_then_a_hang_up(4, 7, "protocol version 7 unsupported (this build speaks 8)");
+    one_refusal_then_a_hang_up(4, 8, "protocol version 8 unsupported (this build speaks 9)");
 }
 
 /// Verb 7 (a parent build's `BATCH`) is an unknown verb like any other.

@@ -4,16 +4,21 @@
 //! cut or corrupted frame decodes canonically or not at all, and the
 //! daemon's [`admit_query`] changes a decoded query only where it means
 //! to — the `Query` a backend executes behind a daemon is the `Query` the
-//! caller built.
+//! caller built. An explained `HITS` reply, whatever its funnel counters
+//! and seeds, survives the trip back unchanged, and no cut of it decodes.
 
 use std::time::Duration;
 
 use pexeso_core::config::{ExecPolicy, JoinThreshold, LemmaFlags, Tau};
-use pexeso_core::query::Query;
+use pexeso_core::explain::FunnelCounters;
+use pexeso_core::query::{Exceeded, Query, QueryOutcome};
 use pexeso_core::trace::TraceLevel;
 use pexeso_core::vector::VectorStore;
 use pexeso_serve::conn::{admit_query, clamp_policy, MAX_REQUEST_THREADS};
-use pexeso_serve::protocol::{decode_request, encode_request, Request};
+use pexeso_serve::protocol::{
+    decode_reply, decode_request, encode_reply, encode_request, HitsExt, HitsReply, Reply, Request,
+    WireHit,
+};
 use pexeso_serve::wire_request;
 use proptest::prelude::*;
 
@@ -248,6 +253,51 @@ proptest! {
         bytes[at] = value;
         if let Ok(decoded) = decode_request(&bytes) {
             prop_assert_eq!(encode_request(&decoded), bytes);
+        }
+    }
+
+    /// HITS reply with the explain slot filled → frame bytes → reply:
+    /// the very counters, seeds, hits and outcome come back, and every
+    /// cut of the frame is refused.
+    #[test]
+    fn explained_hits_reply_roundtrips(
+        counts in collection::vec(0u64..u64::MAX, FunnelCounters::COUNTS),
+        seeds in collection::vec((0u8..2, 0u32..u32::MAX), 0usize..40),
+        n_hits in 0u64..4,
+        outcome in 0u8..3,
+        distance_computations in 0u64..1_000_000,
+        generation in 0u64..u64::MAX,
+    ) {
+        let funnel = FunnelCounters::from_counts(
+            counts.try_into().unwrap(),
+            seeds.into_iter().map(|(some, n)| (some != 0).then_some(n)).collect(),
+        );
+        let reply = Reply::Hits(HitsReply {
+            generation,
+            cached: false,
+            hits: (0..n_hits)
+                .map(|i| WireHit {
+                    external_id: i,
+                    table_name: format!("t{i}"),
+                    column_name: "key".into(),
+                    match_count: i as u32,
+                })
+                .collect(),
+            ext: Some(HitsExt {
+                outcome: [
+                    QueryOutcome::Exact,
+                    QueryOutcome::Exceeded(Exceeded::DistanceComputations),
+                    QueryOutcome::Exceeded(Exceeded::Deadline),
+                ][outcome as usize],
+                distance_computations,
+            }),
+            trace: None,
+            explain: Some(Box::new(funnel)),
+        });
+        let bytes = encode_reply(&reply);
+        prop_assert_eq!(decode_reply(&bytes).unwrap(), reply);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_reply(&bytes[..cut]).is_err(), "a {}-byte prefix decoded", cut);
         }
     }
 }

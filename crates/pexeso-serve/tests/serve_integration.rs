@@ -911,7 +911,7 @@ fn inspect_health_and_correlated_slow_log_over_loopback() {
         .unwrap();
     let report = resp.explain.expect("requested report travels back");
     assert!(report.consistent());
-    assert_eq!(report.mode, "threshold");
+    assert_eq!(report.mode(), "threshold");
 
     drop(client);
     handle.shutdown();

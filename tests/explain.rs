@@ -231,18 +231,19 @@ fn explain_never_changes_results_across_backends() {
 fn check_funnel(name: &str, q: &Query, resp: &QueryResponse) {
     let report = resp.explain.as_ref().unwrap();
     assert!(report.consistent(), "{name} funnel unbalanced for {q:?}");
-    assert_eq!(report.stages.len(), 3, "{name} stage count");
-    let block = &report.stages[0];
+    let stages = report.stages();
+    assert_eq!(stages.len(), 3, "{name} stage count");
+    let block = &stages[0];
     assert_eq!(
         (block.name.as_str(), block.unit.as_str()),
         ("block", "pairs")
     );
-    let verify = &report.stages[1];
+    let verify = &stages[1];
     assert_eq!(
         (verify.name.as_str(), verify.unit.as_str()),
         ("verify", "rows")
     );
-    let columns = &report.stages[2];
+    let columns = &stages[2];
     assert_eq!(
         (columns.name.as_str(), columns.unit.as_str()),
         ("columns", "columns")
@@ -277,17 +278,15 @@ fn check_funnel(name: &str, q: &Query, resp: &QueryResponse) {
         QueryMode::Threshold(_) => "threshold",
         QueryMode::Topk(_) => "topk",
     };
-    assert_eq!(report.mode, mode);
+    assert_eq!(report.mode(), mode);
     // Both modes prune columns by Lemma 7: under T, or under the seed.
     assert_eq!(
         columns.pruned,
         vec![("lemma7".to_string(), s.lemma7_pruned)],
         "{name} {mode} column prunes"
     );
-    let seed_lines = report
-        .decisions
-        .iter()
-        .filter(|d| d.starts_with("topk_seed="));
+    let decisions = report.decisions();
+    let seed_lines = decisions.iter().filter(|d| d.starts_with("topk_seed="));
     assert_eq!(
         seed_lines.count(),
         usize::from(mode == "topk"),
@@ -309,9 +308,10 @@ fn explain_funnel_mirrors_search_stats() {
         for (name, backend) in backends.as_dyn() {
             let resp = run(backend, &explained, &query_vecs);
             if name == "serve" {
-                // The wire reply carries only the distance counter, so
-                // the counter-level cross-check happens against the
-                // resident backend's report instead.
+                // The wire reply carries the funnel's counters but, of
+                // the stats, only the distance counter, so the
+                // counter-level cross-check happens against the resident
+                // backend's report instead.
                 let report = resp.explain.as_ref().unwrap();
                 assert!(report.consistent(), "serve funnel unbalanced for {q:?}");
                 assert_eq!(
