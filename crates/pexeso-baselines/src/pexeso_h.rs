@@ -62,7 +62,7 @@ impl<'a, M: Metric> PexesoHIndex<'a, M> {
         let grid_params = GridParams::new(pivots.len(), levels, span)?;
         let hgrv = HierarchicalGrid::build(grid_params.clone(), &rv_mapped)?;
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(&grid_params, &rv_mapped, &vec_col, None)?;
+        let (inv, _) = InvertedIndex::build(&grid_params, &rv_mapped, &vec_col, None)?;
         Ok(Self {
             columns,
             metric,

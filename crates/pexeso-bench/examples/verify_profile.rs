@@ -98,7 +98,9 @@ fn prepare(lake: Vec<Vec<Vec<f32>>>, query_vecs: Vec<Vec<f32>>) -> Prepared {
     let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
     let vec_col = columns.vector_to_column();
     let base = SimplexBase::of(&pivots, &metric);
-    let inv = InvertedIndex::build(&params, &rv_mapped, &vec_col, base).unwrap();
+    let (inv, order) = InvertedIndex::build(&params, &rv_mapped, &vec_col, base).unwrap();
+    // The scan reads row `r`'s vector at `r`.
+    let columns = columns.in_order(order).unwrap();
     let mut stats = SearchStats::new();
     let mut seeded = FastMap::default();
     let handled = quick_browse(&hgq, &inv, &mut seeded, &mut stats);

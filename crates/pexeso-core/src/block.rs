@@ -468,7 +468,7 @@ mod tests {
         let s = setup(4, 10, 100, 3);
         let tau = 0.4;
         let vec_col: Vec<u32> = (0..s.targets.len() as u32).collect(); // 1 col per vector
-        let inv = InvertedIndex::build(&s.params, &s.tmapped, &vec_col, None).unwrap();
+        let (inv, _) = InvertedIndex::build(&s.params, &s.tmapped, &vec_col, None).unwrap();
 
         let mut stats = SearchStats::new();
         let mut seeded = FastMap::default();
@@ -550,7 +550,7 @@ mod tests {
         let s = setup(9, 14, 120, 3);
         let tau = 0.4;
         let vec_col: Vec<u32> = (0..s.targets.len() as u32).collect();
-        let inv = InvertedIndex::build(&s.params, &s.tmapped, &vec_col, None).unwrap();
+        let (inv, _) = InvertedIndex::build(&s.params, &s.tmapped, &vec_col, None).unwrap();
         let run = |policy: ExecPolicy| {
             let mut stats = SearchStats::new();
             let mut seeded = FastMap::default();

@@ -337,6 +337,20 @@ impl<'a> Dec<'a> {
     }
 }
 
+/// The rows of `width` `f32`s that `bytes` holds back to back (as
+/// [`Enc::f32s`] wrote them), in the order `rows` lists their indexes.
+/// Panics when an index names no whole row.
+pub fn f32_rows(bytes: &[u8], width: usize, rows: &[u32]) -> Vec<f32> {
+    let row_bytes = width * 4;
+    let mut out = Vec::with_capacity(rows.len() * width);
+    for &row in rows {
+        let at = row as usize * row_bytes;
+        let floats = bytes[at..at + row_bytes].chunks_exact(4);
+        out.extend(floats.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+    }
+    out
+}
+
 /// Read a `u32` length prefix from a stream. `Ok(None)` is a clean end of
 /// stream before its first byte; an end inside it is a [`DecodeError`],
 /// any other I/O failure stays an I/O error.

@@ -1,13 +1,27 @@
 //! Columns over the vector arena.
 //!
 //! The repository `R` is a [`ColumnSet`]: a [`VectorStore`] plus column
-//! metadata. Each column owns a **contiguous** range of vector ids, enforced
-//! by the builder API, which lets the inverted index address vectors with
-//! plain `u32` offsets and makes `vector → column` resolution a flat lookup.
+//! metadata. Each column owns a **contiguous** range of vector ids,
+//! enforced by the builder API, which makes `vector id → column`
+//! resolution a flat lookup and gives every vector a stable position in
+//! its column (`id − start`, what an index file and a join mapping
+//! address it by).
+//!
+//! Ids are contiguous in the file and in a freshly built set, not in an
+//! index's set. A set holds its vectors in **id order** or in an order of
+//! its choosing: a [`crate::search::PexesoIndex`] holds them in the
+//! inverted index's row order (cell, then column, then id), so that the
+//! candidate scan reads a cell's vectors in sequence. Such a set keeps
+//! each vector's id ([`ColumnSet::vector_ids`]); a column is then the group
+//! of vectors whose ids fall in its range, and [`ColumnSet::store`] is in
+//! the set's order. Whatever reads vectors by id takes
+//! [`ColumnSet::id_ordered`] or [`ColumnSet::positions`] first.
+
+use std::borrow::Cow;
 
 use crate::codec::MAX_NAME_BYTES;
 use crate::error::{PexesoError, Result};
-use crate::vector::{VectorId, VectorStore};
+use crate::vector::VectorStore;
 
 /// Handle to a column inside a [`ColumnSet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,6 +55,9 @@ impl ColumnMeta {
 pub struct ColumnSet {
     store: VectorStore,
     columns: Vec<ColumnMeta>,
+    /// The id of each vector of `store`, in its order; `None` while that
+    /// is id order.
+    ids: Option<Vec<u32>>,
 }
 
 impl ColumnSet {
@@ -49,6 +66,7 @@ impl ColumnSet {
         Self {
             store: VectorStore::new(dim),
             columns: Vec::new(),
+            ids: None,
         }
     }
 
@@ -79,6 +97,9 @@ impl ColumnSet {
         }
         if len == 0 {
             return Err(PexesoError::EmptyInput("column with zero vectors"));
+        }
+        if let Some(ids) = &mut self.ids {
+            ids.extend(start..start + len);
         }
         let id = ColumnId(self.columns.len() as u32);
         self.columns.push(ColumnMeta {
@@ -112,6 +133,8 @@ impl ColumnSet {
         &self.columns
     }
 
+    /// The vectors, in the set's order: by id unless
+    /// [`ColumnSet::vector_ids`] says otherwise.
     pub fn store(&self) -> &VectorStore {
         &self.store
     }
@@ -121,48 +144,145 @@ impl ColumnSet {
         &mut self.store
     }
 
-    /// Vector of a given id.
-    #[inline]
-    pub fn vector(&self, id: VectorId) -> &[f32] {
-        self.store.get(id)
+    /// The id of each vector of [`ColumnSet::store`], in its order, or
+    /// `None` when that is id order.
+    pub fn vector_ids(&self) -> Option<&[u32]> {
+        self.ids.as_deref()
     }
 
-    /// Build the flat `vector index → column index` map used by
-    /// verification. O(|RV|) time and 4 bytes per vector.
+    /// Where each vector id is held: entry `id` is its index in
+    /// [`ColumnSet::store`]. O(|RV|).
+    pub fn positions(&self) -> Vec<u32> {
+        let n = self.n_vectors() as u32;
+        match &self.ids {
+            None => (0..n).collect(),
+            Some(ids) => {
+                let mut at = vec![0u32; ids.len()];
+                for (p, &id) in (0..n).zip(ids) {
+                    at[id as usize] = p;
+                }
+                at
+            }
+        }
+    }
+
+    /// The set in id order: borrowed when it is, else a copy.
+    pub fn id_ordered(&self) -> Cow<'_, ColumnSet> {
+        match self.ids {
+            None => Cow::Borrowed(self),
+            Some(_) => Cow::Owned(self.clone().into_id_order()),
+        }
+    }
+
+    /// The set in id order, reordered in place.
+    pub fn into_id_order(mut self) -> Self {
+        if self.ids.is_some() {
+            self.store.permute(&self.positions());
+            self.ids = None;
+        }
+        self
+    }
+
+    /// The set with its vectors held in the order `ids` lists them: entry
+    /// `p` is the id of the vector held at `p`. `ids` must name every
+    /// vector once.
+    pub fn in_order(self, ids: Vec<u32>) -> Result<Self> {
+        check_permutation(&ids, self.n_vectors())?;
+        let mut by_id = self.into_id_order();
+        by_id.store.permute(&ids);
+        Ok(Self {
+            ids: Some(ids),
+            ..by_id
+        })
+    }
+
+    /// Per vector of [`ColumnSet::store`], in its order, the index of its
+    /// column. O(|RV|) time and 4 bytes per vector.
     pub fn vector_to_column(&self) -> Vec<u32> {
-        let mut map = vec![0u32; self.n_vectors()];
-        for (ci, col) in self.columns.iter().enumerate() {
-            for v in col.vector_range() {
-                map[v as usize] = ci as u32;
-            }
+        let by_id = column_map(&self.columns, self.n_vectors());
+        match &self.ids {
+            None => by_id,
+            Some(ids) => ids.iter().map(|&id| by_id[id as usize]).collect(),
         }
-        map
     }
 
-    /// Reassemble from parts, validating range contiguity and bounds.
+    /// Reassemble from parts in id order, validating range contiguity and
+    /// bounds.
     pub fn from_parts(store: VectorStore, columns: Vec<ColumnMeta>) -> Result<Self> {
-        let mut expected_start = 0u32;
-        for c in &columns {
-            if c.start != expected_start || c.len == 0 {
-                return Err(PexesoError::Corrupt(format!(
-                    "column '{}' has range {}..{} but expected start {}",
-                    c.column_name,
-                    c.start,
-                    c.start + c.len,
-                    expected_start
-                )));
-            }
-            expected_start = c.start + c.len;
-        }
-        if expected_start as usize != store.len() {
+        check_ranges(&columns, store.len())?;
+        Ok(Self {
+            store,
+            columns,
+            ids: None,
+        })
+    }
+
+    /// Reassemble from a store held in the order `ids` lists (see
+    /// [`ColumnSet::in_order`]), validating like [`ColumnSet::from_parts`].
+    pub(crate) fn from_ordered_parts(
+        store: VectorStore,
+        columns: Vec<ColumnMeta>,
+        ids: Vec<u32>,
+    ) -> Result<Self> {
+        check_ranges(&columns, store.len())?;
+        check_permutation(&ids, store.len())?;
+        Ok(Self {
+            store,
+            columns,
+            ids: Some(ids),
+        })
+    }
+}
+
+/// Validate that `columns` own contiguous, non-empty id ranges that cover
+/// `0..n` exactly.
+pub(crate) fn check_ranges(columns: &[ColumnMeta], n: usize) -> Result<()> {
+    let mut expected_start = 0u32;
+    for c in columns {
+        if c.start != expected_start || c.len == 0 {
             return Err(PexesoError::Corrupt(format!(
-                "columns cover {} vectors but store holds {}",
-                expected_start,
-                store.len()
+                "column '{}' has range {}..{} but expected start {}",
+                c.column_name,
+                c.start,
+                c.start + c.len,
+                expected_start
             )));
         }
-        Ok(Self { store, columns })
+        expected_start = c.start + c.len;
     }
+    if expected_start as usize != n {
+        return Err(PexesoError::Corrupt(format!(
+            "columns cover {expected_start} vectors but store holds {n}"
+        )));
+    }
+    Ok(())
+}
+
+/// The column of each of the `n` vector ids `columns` cover (validated by
+/// [`check_ranges`]).
+pub(crate) fn column_map(columns: &[ColumnMeta], n: usize) -> Vec<u32> {
+    let mut map = vec![0u32; n];
+    for (ci, col) in columns.iter().enumerate() {
+        map[col.vector_range().start as usize..col.vector_range().end as usize].fill(ci as u32);
+    }
+    map
+}
+
+/// Refuse an order that does not name each of `n` ids once.
+fn check_permutation(ids: &[u32], n: usize) -> Result<()> {
+    let mut seen = vec![false; n];
+    let named_once = ids.len() == n
+        && ids.iter().all(|&id| {
+            seen.get_mut(id as usize)
+                .is_some_and(|s| !std::mem::replace(s, true))
+        });
+    if !named_once {
+        return Err(PexesoError::InvalidParameter(format!(
+            "an order of {} ids does not name each of {n} vectors once",
+            ids.len()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

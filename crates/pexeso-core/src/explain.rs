@@ -72,6 +72,13 @@ macro_rules! funnel_counters {
                 Self { $($count,)+ topk_seeds }
             }
 
+            /// Copy the counters into `stats` (its timings untouched): a
+            /// remote answer's stats carry every counter the reply
+            /// carries.
+            pub fn fill(&self, stats: &mut SearchStats) {
+                $(stats.$count = self.$count;)+
+            }
+
             /// Add another answer's work: counters add up, seeds
             /// concatenate in merge order.
             pub fn merge(&mut self, other: FunnelCounters) {

@@ -211,9 +211,7 @@ pub(crate) fn compute_leaf_keys(
 /// distinct leaves, where each leaf's ids start (then the id count), and
 /// the ids, leaf by leaf and ascending within a leaf.
 pub(crate) fn group_by_leaf(keys: &[CellKey]) -> (Vec<CellKey>, Vec<u32>, Vec<u32>) {
-    let mut ids: Vec<u32> = (0..keys.len() as u32).collect();
-    // Stable, so equal keys keep id order.
-    ids.sort_by_key(|&v| keys[v as usize]);
+    let ids = sorted_ids(keys);
     let (mut leaves, mut offsets) = (Vec::new(), Vec::new());
     for (at, &v) in ids.iter().enumerate() {
         let key = keys[v as usize];
@@ -224,6 +222,41 @@ pub(crate) fn group_by_leaf(keys: &[CellKey]) -> (Vec<CellKey>, Vec<u32>, Vec<u3
     }
     offsets.push(ids.len() as u32);
     (leaves, offsets, ids)
+}
+
+/// The ids `0..keys.len()` sorted by key, equal keys in id order: an LSD
+/// radix sort over the key's bits up to the highest one set, in as few
+/// stable counting passes of at most 16 bits as cover them. A key has
+/// m·|P| bits (12 on the benchmark's lake), so this is one pass, ≈ 9 ns
+/// per vector on 28.5k keys against ≈ 35 ns for a stable comparison sort.
+fn sorted_ids(keys: &[CellKey]) -> Vec<u32> {
+    let bits = 128 - keys.iter().fold(0u128, |all, k| all | k.0).leading_zeros();
+    let mut ids: Vec<u32> = (0..keys.len() as u32).collect();
+    if bits == 0 {
+        return ids;
+    }
+    let passes = bits.div_ceil(16);
+    let width = bits.div_ceil(passes);
+    let mut sorted = vec![0u32; keys.len()];
+    let mut next = vec![0usize; 1 << width];
+    for pass in 0..passes {
+        let digit = |v: u32| (keys[v as usize].0 >> (pass * width)) as usize & ((1 << width) - 1);
+        next.fill(0);
+        for &v in &ids {
+            next[digit(v)] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        for &v in &ids {
+            let d = digit(v);
+            sorted[next[d]] = v;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut ids, &mut sorted);
+    }
+    ids
 }
 
 /// A non-empty cell met in a descent: its leaves, as a range of leaf
@@ -399,6 +432,28 @@ impl HierarchicalGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The radix sort is the stable comparison sort, for keys of every
+        /// width from 1 to 128 bits, drawn with duplicates.
+        #[test]
+        fn sorted_ids_equal_the_stable_comparison_sort(
+            bits in 1u32..=128,
+            words in collection::vec((0u64..u64::MAX, 0u64..u64::MAX), 1..40),
+            picks in collection::vec(0usize..1000, 0..300),
+        ) {
+            let mask = u128::MAX >> (128 - bits);
+            let pool: Vec<CellKey> = words
+                .iter()
+                .map(|&(hi, lo)| CellKey((((hi as u128) << 64) | lo as u128) & mask))
+                .collect();
+            let keys: Vec<CellKey> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+            let mut expected: Vec<u32> = (0..keys.len() as u32).collect();
+            expected.sort_by_key(|&v| keys[v as usize]);
+            prop_assert_eq!(sorted_ids(&keys), expected);
+        }
+    }
 
     fn mapped(coords: &[&[f32]]) -> MappedVectors {
         let k = coords[0].len();

@@ -164,7 +164,7 @@ impl IndexInspection {
 mod tests {
     use super::*;
     use crate::column::ColumnSet;
-    use crate::config::{ExecPolicy, IndexOptions};
+    use crate::config::IndexOptions;
     use crate::grid::{CellKey, GridParams};
     use crate::invindex::InvertedIndex;
     use crate::mapping::MappedVectors;
@@ -186,7 +186,9 @@ mod tests {
             ],
         )
         .unwrap();
-        InvertedIndex::build(&params, &mapped, &[0, 0, 1], None).unwrap()
+        InvertedIndex::build(&params, &mapped, &[0, 0, 1], None)
+            .unwrap()
+            .0
     }
 
     #[test]
@@ -233,7 +235,7 @@ mod tests {
             columns.add_column("t", &format!("c{c}"), c, refs).unwrap();
         }
         let index = PexesoIndex::build(columns, Euclidean, IndexOptions::default()).unwrap();
-        let mapped = index.map_repository(ExecPolicy::Sequential).unwrap();
+        let mapped = index.rv_mapped();
         let vec_col = index.columns().vector_to_column();
         let pairs: HashSet<(CellKey, u32)> = (0..mapped.len())
             .map(|v| (index.grid_params().leaf_key(mapped.get(v)), vec_col[v]))

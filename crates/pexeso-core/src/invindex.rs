@@ -15,11 +15,17 @@
 //! cell: a cell's rows are one contiguous range, grouped by column in
 //! ascending order. Columns own contiguous, ascending vector-id ranges, so
 //! within a cell the rows also ascend by vector id. Each row keeps its
-//! vector id, its column id and |P| coordinates side by side, in three
-//! parallel arrays, so the candidate scan (`verify.rs`) reads a candidate
-//! cell's columns and coordinates as contiguous runs instead of gathering
-//! them by vector id across the whole partition. These arrays *are* the
-//! index's vector → column map: nothing is held twice.
+//! column id and |P| coordinates side by side, in two parallel arrays, so
+//! the candidate scan (`verify.rs`) reads a candidate cell's columns and
+//! coordinates as contiguous runs instead of gathering them by vector id
+//! across the whole partition. These arrays *are* the index's vector →
+//! column map: nothing is held twice.
+//!
+//! The build returns the rows' order — each row's vector id — and keeps no
+//! copy of it: a [`crate::search::PexesoIndex`] holds its vectors in that
+//! order, each with its id ([`crate::column::ColumnSet::in_order`]), so
+//! row `r`'s vector is the `r`-th of its column set and the scan reads a
+//! cell's vectors in sequence too.
 //!
 //! A row's coordinates are its **apex** (below) when the index keeps apex
 //! boxes, else its pivot coordinates. The pivot coordinates of an index
@@ -69,16 +75,17 @@ use crate::config::{ExecPolicy, MAX_PIVOTS};
 use crate::error::{PexesoError, Result};
 use crate::grid::{by_pivots, compute_leaf_keys, group_by_leaf, GridParams, HierarchicalGrid};
 use crate::inspect::PivotSpread;
+use crate::kernel::{round_down, round_up};
 use crate::lemmas::EPS;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
 
 /// The index's rows, cell by cell: entry `r` of each array describes row
-/// `r`.
+/// `r`. The rows' vectors are an index's vectors: a
+/// [`crate::search::PexesoIndex`] holds its [`crate::column::ColumnSet`]
+/// in row order, with each row's vector id.
 #[derive(Debug, Clone, Copy)]
 pub struct Rows<'a> {
-    /// Vector id of each row.
-    pub vid: &'a [u32],
     /// Column id of each row.
     pub col: &'a [u32],
     /// |P| coordinates of each row: its apex — the |P| − 1 base
@@ -94,7 +101,6 @@ pub struct InvertedIndex {
     grid: HierarchicalGrid,
     /// Per cell, its first row; one sentinel (the row count).
     cell_row: Vec<u32>,
-    row_vid: Vec<u32>,
     row_col: Vec<u32>,
     /// Per row, its apex or its pivot coordinates (see [`Rows::coords`]).
     row_coords: MappedVectors,
@@ -109,13 +115,15 @@ impl InvertedIndex {
     /// own contiguous, ascending vector-id ranges; anything else is
     /// [`PexesoError::InvalidParameter`]). With a simplex `base` (see
     /// [`SimplexBase::of`]) every row holds its apex and every cell gets
-    /// its apex box.
+    /// its apex box. Returns the index and each row's vector id, the order
+    /// to hold the vectors in ([`crate::column::ColumnSet::in_order`]):
+    /// the index keeps no copy of it.
     pub fn build(
         params: &GridParams,
         mapped: &MappedVectors,
         vec_col: &[u32],
         base: Option<SimplexBase>,
-    ) -> Result<Self> {
+    ) -> Result<(Self, Vec<u32>)> {
         Self::build_with(params, mapped, vec_col, base, ExecPolicy::Sequential)
     }
 
@@ -128,7 +136,7 @@ impl InvertedIndex {
         vec_col: &[u32],
         base: Option<SimplexBase>,
         policy: ExecPolicy,
-    ) -> Result<Self> {
+    ) -> Result<(Self, Vec<u32>)> {
         if mapped.num_pivots() != params.num_pivots {
             return Err(PexesoError::DimensionMismatch {
                 expected: params.num_pivots,
@@ -165,15 +173,15 @@ impl InvertedIndex {
         let apex = base
             .filter(|b| b.n == k)
             .map(|base| ApexBoxes::build(base, &mut coords, &cell_row));
-        Ok(Self {
+        let inv = Self {
             grid: HierarchicalGrid::from_leaves(params.clone(), leaves, None),
             cell_row,
-            row_vid,
             row_col,
             row_coords: MappedVectors::from_raw(k, coords)?,
             apex,
             spread,
-        })
+        };
+        Ok((inv, row_vid))
     }
 
     /// `HG_RV`: the cells' keys, ascending, and the levels above them.
@@ -198,24 +206,9 @@ impl InvertedIndex {
     #[inline]
     pub fn rows(&self) -> Rows<'_> {
         Rows {
-            vid: &self.row_vid,
             col: &self.row_col,
             coords: &self.row_coords,
         }
-    }
-
-    /// The rows' pivot coordinates in vector-id order (what an index file
-    /// stores), or `None` when the rows hold apexes instead.
-    pub fn mapped_by_vector(&self) -> Option<MappedVectors> {
-        if self.apex.is_some() {
-            return None;
-        }
-        let k = self.row_coords.num_pivots();
-        let mut out = vec![0.0f32; self.row_coords.raw_data().len()];
-        for (&v, coords) in self.row_vid.iter().zip(self.row_coords.iter()) {
-            out[v as usize * k..(v as usize + 1) * k].copy_from_slice(coords);
-        }
-        Some(MappedVectors::from_raw(k, out).expect("whole rows of |P| coordinates"))
     }
 
     /// Per pivot, the spread of the repository's pivot coordinates, taken
@@ -232,11 +225,10 @@ impl InvertedIndex {
 
     /// Resident size in bytes (Fig. 6b index-size accounting): every array
     /// element held — `HG_RV`'s keys, each cell's first row, the rows'
-    /// vector ids, columns and coordinates, the apex boxes and the pivot
-    /// spread included.
+    /// columns and coordinates, the apex boxes and the pivot spread
+    /// included.
     pub fn approx_bytes(&self) -> usize {
         let words = self.cell_row.len()
-            + self.row_vid.len()
             + self.row_col.len()
             + self.row_coords.raw_data().len()
             + self.spread.len() * 3;
@@ -401,6 +393,25 @@ fn sq_err(d: f64) -> f64 {
 pub struct Apex {
     pub(crate) lo: [f64; MAX_PIVOTS],
     pub(crate) hi: [f64; MAX_PIVOTS],
+}
+
+impl Apex {
+    /// The squared distance, in `f64`, from the interval to the stored
+    /// apex `x` (as many coordinates as the apex has): what the exact
+    /// n-simplex bound ([`crate::lemmas::simplex_filter`]) compares. A NaN
+    /// coordinate's gap counts as 0. The gaps are selects, not `f64::max`,
+    /// which would spend instructions on NaN operands.
+    #[inline]
+    pub fn gap2(&self, x: &[f32]) -> f64 {
+        let mut gap2 = 0.0f64;
+        for ((&lo, &hi), &x) in self.lo.iter().zip(&self.hi).zip(x) {
+            let (below, above) = (lo - x as f64, x as f64 - hi);
+            let gap = if below > above { below } else { above };
+            let gap = if gap > 0.0 { gap } else { 0.0 };
+            gap2 += gap * gap;
+        }
+        gap2
+    }
 }
 
 /// One axis-aligned box per cell around its rows' apexes, and one bound
@@ -573,26 +584,6 @@ fn cell_extent<const N: usize>(base: &SimplexBase, coords: &mut [f32]) -> Extent
     out
 }
 
-/// The largest `f32` not above `x`.
-fn round_down(x: f64) -> f32 {
-    let y = x as f32;
-    if y as f64 > x {
-        y.next_down()
-    } else {
-        y
-    }
-}
-
-/// The smallest `f32` not below `x`.
-fn round_up(x: f64) -> f32 {
-    let y = x as f32;
-    if (y as f64) < x {
-        y.next_up()
-    } else {
-        y
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,30 +604,31 @@ mod tests {
 
     /// The postings of the cell with leaf `key`, if it is non-empty: the
     /// runs of equal columns over its rows, each column with its rows'
-    /// vector ids.
-    fn postings(inv: &InvertedIndex, key: CellKey) -> Option<Vec<(u32, Vec<u32>)>> {
+    /// vector ids (`vids`, per row).
+    fn postings(inv: &InvertedIndex, vids: &[u32], key: CellKey) -> Option<Vec<(u32, Vec<u32>)>> {
         let c = inv.grid().leaves().binary_search(&key).ok()?;
         let rows = inv.rows();
         let mut runs: Vec<(u32, Vec<u32>)> = Vec::new();
         for r in inv.cell(c as u32) {
             match runs.last_mut() {
-                Some((col, vids)) if *col == rows.col[r] => vids.push(rows.vid[r]),
-                _ => runs.push((rows.col[r], vec![rows.vid[r]])),
+                Some((col, ids)) if *col == rows.col[r] => ids.push(vids[r]),
+                _ => runs.push((rows.col[r], vec![vids[r]])),
             }
         }
         Some(runs)
     }
 
-    /// Every vector of `vec_col` is exactly one row, with its own column;
-    /// the cells' rows follow each other, none empty; and within a cell
-    /// the columns run ascending (`row_col` non-decreasing) and vector ids
-    /// ascend within a column's run — what every reader of a cell's
-    /// postings relies on.
-    fn assert_rows_grouped(inv: &InvertedIndex, vec_col: &[u32]) {
+    /// Every vector of `vec_col` (by id) is exactly one row of `vids` (per
+    /// row, its vector id), with its own column; the cells' rows follow
+    /// each other, none empty; and within a cell the columns run ascending
+    /// (`row_col` non-decreasing) and vector ids ascend within a column's
+    /// run — what every reader of a cell's postings relies on.
+    fn assert_rows_grouped(inv: &InvertedIndex, vids: &[u32], vec_col: &[u32]) {
         let rows = inv.rows();
-        assert_eq!(rows.vid.len(), vec_col.len());
+        assert_eq!(vids.len(), vec_col.len());
+        assert_eq!(rows.col.len(), vec_col.len());
         let mut seen = vec![false; vec_col.len()];
-        for (r, &v) in rows.vid.iter().enumerate() {
+        for (r, &v) in vids.iter().enumerate() {
             assert!(!std::mem::replace(&mut seen[v as usize], true), "row {r}");
             assert_eq!(rows.col[r], vec_col[v as usize], "row {r}");
         }
@@ -649,7 +641,7 @@ mod tests {
                 let (before, col) = (rows.col[r - 1], rows.col[r]);
                 assert!(before <= col, "cell {c}: column {before} before {col}");
                 assert!(
-                    before < col || rows.vid[r - 1] < rows.vid[r],
+                    before < col || vids[r - 1] < vids[r],
                     "cell {c}, column {col}: ids out of order"
                 );
             }
@@ -673,18 +665,18 @@ mod tests {
             &[7.5], // v7, col 3
         ]);
         let vec_col = vec![0, 0, 1, 1, 2, 2, 3, 3];
-        let inv = InvertedIndex::build(&params, &mapped, &vec_col, None).unwrap();
+        let (inv, vids) = InvertedIndex::build(&params, &mapped, &vec_col, None).unwrap();
         assert_eq!(inv.num_cells(), 4);
 
         let cell0 = params.leaf_key(&[0.5]);
-        let p = postings(&inv, cell0).unwrap();
+        let p = postings(&inv, &vids, cell0).unwrap();
         assert_eq!(p, [(0, vec![0, 1]), (1, vec![3])]);
 
         let cell1 = params.leaf_key(&[1.5]);
-        let p1 = postings(&inv, cell1).unwrap();
+        let p1 = postings(&inv, &vids, cell1).unwrap();
         assert_eq!(p1, [(1, vec![2]), (3, vec![6])]);
         // Cells are numbered by ascending key, rows laid out cell by cell.
-        assert_eq!(inv.rows().vid, &[0, 1, 3, 2, 6, 4, 5, 7]);
+        assert_eq!(vids, &[0, 1, 3, 2, 6, 4, 5, 7]);
         assert_eq!(inv.rows().col, &[0, 0, 1, 1, 3, 2, 2, 3]);
     }
 
@@ -692,9 +684,9 @@ mod tests {
     fn missing_cell_is_none() {
         let params = GridParams::new(1, 2, 4.0).unwrap();
         let mapped = mapped_from(&[&[0.5]]);
-        let inv = InvertedIndex::build(&params, &mapped, &[0], None).unwrap();
-        assert!(postings(&inv, params.leaf_key(&[3.5])).is_none());
-        assert!(postings(&inv, params.leaf_key(&[0.5])).is_some());
+        let (inv, vids) = InvertedIndex::build(&params, &mapped, &[0], None).unwrap();
+        assert!(postings(&inv, &vids, params.leaf_key(&[3.5])).is_none());
+        assert!(postings(&inv, &vids, params.leaf_key(&[0.5])).is_some());
     }
 
     #[test]
@@ -726,10 +718,10 @@ mod tests {
         let coords: Vec<f32> = (0..n * 2).map(|_| rng.gen_range(0.0f32..2.0)).collect();
         let mapped = MappedVectors::from_raw(2, coords).unwrap();
         let vec_col: Vec<u32> = (0..n as u32).map(|v| v / 7).collect();
-        let inv = InvertedIndex::build(&params, &mapped, &vec_col, None).unwrap();
-        assert_rows_grouped(&inv, &vec_col);
+        let (inv, vids) = InvertedIndex::build(&params, &mapped, &vec_col, None).unwrap();
+        assert_rows_grouped(&inv, &vids, &vec_col);
         let rows = inv.rows();
-        for (r, &v) in rows.vid.iter().enumerate() {
+        for (r, &v) in vids.iter().enumerate() {
             assert_eq!(rows.coords.get(r), mapped.get(v as usize));
         }
         assert_eq!(inv.pivot_spread(), PivotSpread::of(mapped.iter(), 2));
@@ -753,25 +745,40 @@ mod tests {
         save_index(&index, &path).unwrap();
         let loaded = load_index(&path, Euclidean).unwrap();
         std::fs::remove_file(&path).ok();
+        let grouped = |index: &PexesoIndex<Euclidean>| {
+            let columns = index.columns();
+            let vids = columns
+                .vector_ids()
+                .expect("an index holds its rows' order");
+            let by_id = columns.id_ordered().vector_to_column();
+            assert_rows_grouped(index.inverted_index(), vids, &by_id);
+            // Row `r`'s vector is held at `r`.
+            assert_eq!(
+                columns.vector_to_column(),
+                index.inverted_index().rows().col
+            );
+        };
         for index in [&index, &loaded] {
             assert!(index.inverted_index().apex().is_some());
-            assert_rows_grouped(index.inverted_index(), &index.columns().vector_to_column());
+            grouped(index);
         }
+        assert_eq!(index.columns(), loaded.columns());
         let added: Vec<Vec<f32>> = (0..9).map(|_| unit(&mut rng, 8)).collect();
         index
             .append_column("t", "added", 99, added.iter().map(|v| v.as_slice()))
             .unwrap();
-        assert_rows_grouped(index.inverted_index(), &index.columns().vector_to_column());
+        grouped(&index);
     }
 
     #[test]
     fn approx_bytes_counts_every_row() {
         let params = GridParams::new(1, 1, 4.0).unwrap();
-        let one = InvertedIndex::build(&params, &mapped_from(&[&[0.5]]), &[0], None).unwrap();
-        let two =
+        let (one, _) = InvertedIndex::build(&params, &mapped_from(&[&[0.5]]), &[0], None).unwrap();
+        let (two, _) =
             InvertedIndex::build(&params, &mapped_from(&[&[0.5], &[0.6]]), &[0, 0], None).unwrap();
-        // A second row in the same cell: its id, column and coordinate.
-        assert_eq!(two.approx_bytes() - one.approx_bytes(), 12);
+        // A second row in the same cell: its column and coordinate (its
+        // vector id is the column set's).
+        assert_eq!(two.approx_bytes() - one.approx_bytes(), 8);
     }
 
     fn unit(rng: &mut StdRng, dim: usize) -> Vec<f32> {

@@ -1,8 +1,9 @@
-//! SIMD distance kernels with runtime dispatch and a scalar ground truth.
+//! SIMD kernels with runtime dispatch and a scalar ground truth.
 //!
 //! Every distance in the system — verification, pivot mapping, the
 //! oracle in tests — funnels through the handful of inner loops in this
-//! module. Three tiers implement each loop:
+//! module, and so does stage 1 of the candidate scan
+//! ([`simplex_rows`], below). Two tiers implement each loop:
 //!
 //! * **scalar** — always compiled, the portable ground truth. The
 //!   accumulation is eight independent f32 lanes (elements `i`,
@@ -15,14 +16,15 @@
 //!   epilogue stores the register into `[f32; 8]` and reduces with the
 //!   scalar combiner. No FMA is used — fusing would change rounding and
 //!   break the tier-agreement contract below.
-//! * **NEON** (`aarch64`) — two 128-bit registers model the same eight
-//!   lanes with the same epilogue.
+//!
+//! Other targets (aarch64 included) run the scalar tier: it is
+//! bit-identical by the contract below, so only speed differs there.
 //!
 //! ## Exact agreement
 //!
 //! For finite, non-NaN inputs every tier returns **bit-identical** results:
 //! same lanes, same operations, same combination order. The differential
-//! suite (`tests/simd_differential.rs`) pins each SIMD tier against the
+//! suite (`tests/simd_differential.rs`) pins the AVX2 tier against the
 //! scalar one across all metrics, unaligned lengths, and edge values
 //! (zeros, subnormals, `±f32::MAX`). This is what lets the exactness
 //! contract of [`crate::metric::Metric::dist_le`] survive the dispatch:
@@ -37,6 +39,18 @@
 //! keep the canonical reduction for the fall-through result, without
 //! affecting the boolean answer.
 //!
+//! ## Stage 1 of the candidate scan
+//!
+//! [`simplex_rows`] puts a candidate cell's rows to the n-simplex row
+//! bound and to the live-column test, eight rows per step, and packs the
+//! survivors' row indexes. The bound runs in `f32` lanes against an
+//! `f32` copy of the query vector's apex interval, rounded outward, and a
+//! reach inflated for the rounding of the lanes' arithmetic
+//! ([`SimplexLanes`]), so a row it rejects is one the exact bound
+//! ([`crate::lemmas::simplex_filter`]) rejects too. Both tiers perform the
+//! same operations per row in the same order and keep the same rows in
+//! the same order.
+//!
 //! ## Dispatch
 //!
 //! The tier is detected once per process ([`tier`]) with
@@ -45,6 +59,10 @@
 //! scalar tier — CI runs the whole workspace both ways.
 
 use std::sync::OnceLock;
+
+use crate::config::MAX_PIVOTS;
+use crate::grid::by_pivots;
+use crate::invindex::Apex;
 
 /// Canonical accumulator width: eight independent f32 lanes.
 pub(crate) const LANES: usize = 8;
@@ -69,9 +87,6 @@ pub enum Tier {
     /// 256-bit AVX2 loops (x86-64, runtime-detected).
     #[cfg(target_arch = "x86_64")]
     Avx2,
-    /// 128-bit NEON loop pairs (aarch64).
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 impl Tier {
@@ -81,8 +96,6 @@ impl Tier {
             Tier::Scalar => "scalar",
             #[cfg(target_arch = "x86_64")]
             Tier::Avx2 => "avx2",
-            #[cfg(target_arch = "aarch64")]
-            Tier::Neon => "neon",
         }
     }
 }
@@ -109,10 +122,6 @@ fn detect_tier() -> Tier {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         return Tier::Avx2;
-    }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        return Tier::Neon;
     }
     Tier::Scalar
 }
@@ -306,6 +315,219 @@ pub fn angular_parts_scalar(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
     (sum8(&dot) + dot_t, sum8(&na) + na_t, sum8(&nb) + nb_t)
 }
 
+/// The largest `f32` not above `x`.
+pub(crate) fn round_down(x: f64) -> f32 {
+    let y = x as f32;
+    if y as f64 > x {
+        y.next_down()
+    } else {
+        y
+    }
+}
+
+/// The smallest `f32` not below `x`.
+pub(crate) fn round_up(x: f64) -> f32 {
+    let y = x as f32;
+    if (y as f64) < x {
+        y.next_up()
+    } else {
+        y
+    }
+}
+
+/// One query vector's n-simplex row bound for one cell, in `f32` lanes:
+/// a row whose apex lies farther than `√reach2` from the interval
+/// `lo..=hi` is beyond τ. Built from the exact (`f64`) bound so that it
+/// rejects no row the exact bound keeps:
+///
+/// * the interval is the query vector's apex interval rounded outward,
+///   so a row's gap to it is never larger than to the exact one;
+/// * a row's squared gap is computed with |P| + 2 roundings on any lane —
+///   one subtraction and one square per coordinate (the selects are
+///   exact), and |P| − 1 additions of non-negative terms — each off by a
+///   factor of at most `1 + f32::EPSILON / 2`, so the computed value is at
+///   most `(1 + f32::EPSILON)^(|P| + 2)` times the exact one;
+/// * `reach2` is the exact reach times that factor, plus
+///   `f32::MIN_POSITIVE` for the absolute error of results that underflow,
+///   rounded up.
+///
+/// So when the lanes say "beyond" the exact squared gap exceeds the exact
+/// reach. The widening is a few parts in ten million of the reach: on the
+/// benchmark's lake (seed 13) the lanes reject exactly the rows the exact
+/// bound rejects.
+#[derive(Debug, Clone, Copy)]
+pub struct SimplexLanes {
+    lo: [f32; MAX_PIVOTS],
+    hi: [f32; MAX_PIVOTS],
+    reach2: f32,
+    /// Coordinates per row, |P|.
+    n: usize,
+    /// `(1 + f32::EPSILON)^(|P| + 2)`.
+    widen: f64,
+}
+
+impl SimplexLanes {
+    /// The bound of the query vector with apex interval `apex`, over rows
+    /// of `n` coordinates, at the exact squared reach `reach2` (see
+    /// [`crate::invindex::ApexBoxes::row_reach`]).
+    pub fn new(apex: &Apex, n: usize, reach2: f64) -> Self {
+        assert!((1..=MAX_PIVOTS).contains(&n), "{n} coordinates per row");
+        let mut lanes = Self {
+            lo: [0.0; MAX_PIVOTS],
+            hi: [0.0; MAX_PIVOTS],
+            reach2: 0.0,
+            n,
+            widen: (1.0 + f32::EPSILON as f64).powi(n as i32 + 2),
+        };
+        for j in 0..n {
+            lanes.lo[j] = round_down(apex.lo[j]);
+            lanes.hi[j] = round_up(apex.hi[j]);
+        }
+        lanes.at(reach2)
+    }
+
+    /// The same interval at another exact squared reach.
+    #[inline]
+    pub fn at(self, reach2: f64) -> Self {
+        Self {
+            reach2: round_up(reach2 * self.widen + f32::MIN_POSITIVE as f64),
+            ..self
+        }
+    }
+
+    /// Whether the row with apex `x` (|P| coordinates) lies beyond the
+    /// reach: the scalar ground truth of one lane of [`simplex_rows`].
+    #[inline(always)]
+    pub fn rejects(&self, x: &[f32]) -> bool {
+        debug_assert_eq!(x.len(), self.n);
+        let mut gap2 = 0.0f32;
+        for ((&lo, &hi), &x) in self.lo.iter().zip(&self.hi).zip(x) {
+            let (below, above) = (lo - x, x - hi);
+            // Selects, as in the SIMD tier: a NaN gap counts as 0.
+            let gap = if below > above { below } else { above };
+            let gap = if gap > 0.0 { gap } else { 0.0 };
+            gap2 += gap * gap;
+        }
+        gap2 > self.reach2
+    }
+}
+
+/// The column state a row must pass to survive stage 1: the row's column
+/// `c` is live and not yet matched by the query vector in hand when
+/// `state[c − c_lo] < gen` (the scan's state word, see `verify.rs`).
+#[derive(Debug, Clone, Copy)]
+pub struct LiveColumns<'a> {
+    pub c_lo: u32,
+    pub state: &'a [u32],
+    pub gen: u32,
+}
+
+impl LiveColumns<'_> {
+    /// Whether a row of column `col` is live. Panics when `col` lies
+    /// outside `c_lo..c_lo + state.len()`.
+    #[inline(always)]
+    fn admits(&self, col: u32) -> bool {
+        self.state[col.wrapping_sub(self.c_lo) as usize] < self.gen
+    }
+}
+
+/// Stage 1 of the candidate scan over `cols.len()` consecutive rows, the
+/// first of which is row `first`: `cols` holds their columns and `coords`
+/// their apexes, |P| = `bound`'s width per row. Every row whose column
+/// `live` admits and that `bound` cannot reject is written, as a row
+/// index, to the front of `buf`, in row order. Returns how many stayed
+/// and how many rows of live columns the bound rejected. `buf` must hold
+/// `cols.len()` entries; what follows the survivors is unspecified. Panics
+/// when a column lies outside `live`'s window.
+pub fn simplex_rows(
+    coords: &[f32],
+    cols: &[u32],
+    first: u32,
+    live: LiveColumns<'_>,
+    bound: &SimplexLanes,
+    buf: &mut [u32],
+) -> (usize, u64) {
+    check_rows(coords, cols, bound, buf);
+    match tier() {
+        #[cfg(target_arch = "x86_64")]
+        Tier::Avx2 => by_pivots!(
+            bound.n,
+            simplex_rows_avx2(coords, cols, first, live, bound, buf)
+        ),
+        Tier::Scalar => by_pivots!(
+            bound.n,
+            simplex_rows_by_row(coords, cols, first, live, bound, buf)
+        ),
+    }
+}
+
+/// [`simplex_rows`], scalar tier.
+pub fn simplex_rows_scalar(
+    coords: &[f32],
+    cols: &[u32],
+    first: u32,
+    live: LiveColumns<'_>,
+    bound: &SimplexLanes,
+    buf: &mut [u32],
+) -> (usize, u64) {
+    check_rows(coords, cols, bound, buf);
+    by_pivots!(
+        bound.n,
+        simplex_rows_by_row(coords, cols, first, live, bound, buf)
+    )
+}
+
+/// The shape [`simplex_rows`] requires of its slices, which the AVX2 tier
+/// reads without bounds checks.
+fn check_rows(coords: &[f32], cols: &[u32], bound: &SimplexLanes, buf: &[u32]) {
+    assert_eq!(
+        coords.len(),
+        cols.len() * bound.n,
+        "|P| coordinates per row"
+    );
+    assert!(buf.len() >= cols.len(), "room for every row");
+}
+
+/// The scalar tier of [`simplex_rows`] over rows of `N` coordinates, from
+/// row `first`: one row at a time, no data-dependent branch — every row
+/// is written, the cursor advances past the rows that stay. The AVX2
+/// tier runs it on the rows after its last full step of eight.
+#[inline(always)]
+fn simplex_rows_by_row<const N: usize>(
+    coords: &[f32],
+    cols: &[u32],
+    first: u32,
+    live: LiveColumns<'_>,
+    bound: &SimplexLanes,
+    buf: &mut [u32],
+) -> (usize, u64) {
+    let (coords, _) = coords.as_chunks::<N>();
+    let (mut kept, mut rejected) = (0usize, 0u64);
+    for ((r, &col), x) in (first..).zip(cols).zip(coords) {
+        let live = live.admits(col);
+        let far = bound.rejects(x);
+        buf[kept] = r;
+        kept += usize::from(live & !far);
+        rejected += u64::from(live & far);
+    }
+    (kept, rejected)
+}
+
+#[cfg(target_arch = "x86_64")]
+fn simplex_rows_avx2<const N: usize>(
+    coords: &[f32],
+    cols: &[u32],
+    first: u32,
+    live: LiveColumns<'_>,
+    bound: &SimplexLanes,
+    buf: &mut [u32],
+) -> (usize, u64) {
+    // SAFETY: Tier::Avx2 is only ever detected when the CPU reports AVX2
+    // support at runtime, and `check_rows` has checked the slices'
+    // lengths; `tests/simd_differential.rs` pins it to the scalar tier.
+    unsafe { avx2::simplex_rows::<N>(coords, cols, first, live, bound, buf) }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 tier
 // ---------------------------------------------------------------------------
@@ -495,204 +717,115 @@ mod avx2 {
             reduce_sum(nb) + nb_t,
         )
     }
-}
 
-// ---------------------------------------------------------------------------
-// NEON tier
-// ---------------------------------------------------------------------------
+    /// For each 4-bit mask, the lanes it sets, ascending, then zeros: the
+    /// offsets that pack four rows' survivors to the front.
+    const PACK4: [[u32; 4]; 16] = {
+        let mut table = [[0u32; 4]; 16];
+        let mut mask = 0;
+        while mask < 16 {
+            let (mut lane, mut at) = (0, 0);
+            while lane < 4 {
+                if mask & (1 << lane) != 0 {
+                    table[mask][at] = lane as u32;
+                    at += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
+        }
+        table
+    };
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::*;
-    use std::arch::aarch64::*;
-
-    /// Store both 128-bit accumulators as the canonical eight lanes and
-    /// combine with the scalar epilogue.
+    /// Write `first + PACK4[mask]` at `buf[kept..kept + 4]` and advance
+    /// `kept` past the rows `mask` keeps.
+    ///
+    /// # Safety
+    ///
+    /// `kept + 4 <= buf.len()`, and the CPU supports SSE2.
     #[inline(always)]
-    unsafe fn reduce_sum(acc0: float32x4_t, acc1: float32x4_t) -> f32 {
-        let mut lanes = [0.0f32; LANES];
-        vst1q_f32(lanes.as_mut_ptr(), acc0);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc1);
-        sum8(&lanes)
+    unsafe fn pack4(mask: u32, first: u32, buf: &mut [u32], kept: &mut usize) {
+        debug_assert!(*kept + 4 <= buf.len());
+        let lanes = _mm_loadu_si128(PACK4[mask as usize].as_ptr().cast());
+        let rows = _mm_add_epi32(_mm_set1_epi32(first as i32), lanes);
+        _mm_storeu_si128(buf.as_mut_ptr().add(*kept).cast(), rows);
+        *kept += mask.count_ones() as usize;
     }
 
-    #[inline(always)]
-    unsafe fn reduce_max(acc0: float32x4_t, acc1: float32x4_t) -> f32 {
-        let mut lanes = [0.0f32; LANES];
-        vst1q_f32(lanes.as_mut_ptr(), acc0);
-        vst1q_f32(lanes.as_mut_ptr().add(4), acc1);
-        max8(&lanes)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-        let blocks = a.len() / LANES;
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        for i in 0..blocks {
-            let o = i * LANES;
-            let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(o)), vld1q_f32(b.as_ptr().add(o)));
-            let d1 = vsubq_f32(
-                vld1q_f32(a.as_ptr().add(o + 4)),
-                vld1q_f32(b.as_ptr().add(o + 4)),
+    /// [`super::simplex_rows`] over rows of `N` coordinates, eight rows a
+    /// step: each row's apex coordinates gathered into lanes, the bound
+    /// evaluated with the scalar tier's operations in its order, the
+    /// column's state word gathered and compared, and the survivors of
+    /// each half-step packed by [`PACK4`]. A step writes at most four
+    /// entries past its survivors and never past its own eight rows, so
+    /// `buf` needs no slack. Rows after the last full step take the scalar
+    /// path.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2, `coords` holds `N` coordinates per entry of
+    /// `cols` and `buf` at least as many entries as `cols` (what
+    /// `check_rows` asserts). A column outside `live`'s window panics
+    /// before its state word is read.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn simplex_rows<const N: usize>(
+        coords: &[f32],
+        cols: &[u32],
+        first: u32,
+        live: LiveColumns<'_>,
+        bound: &SimplexLanes,
+        buf: &mut [u32],
+    ) -> (usize, u64) {
+        let steps = cols.len() / LANES;
+        let n = N as i32;
+        let strided = _mm256_setr_epi32(0, n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n, 7 * n);
+        let reach2 = _mm256_set1_ps(bound.reach2);
+        let zero = _mm256_setzero_ps();
+        let c_lo = _mm256_set1_epi32(live.c_lo as i32);
+        let last_slot = _mm256_set1_epi32(live.state.len().wrapping_sub(1) as i32);
+        // `state < gen` unsigned, as a signed compare with the sign bits
+        // flipped.
+        let sign = _mm256_set1_epi32(i32::MIN);
+        let gen = _mm256_set1_epi32((live.gen ^ (1 << 31)) as i32);
+        let (mut kept, mut rejected) = (0usize, 0u64);
+        for step in 0..steps {
+            let row0 = step * LANES;
+            let at = coords.as_ptr().add(row0 * N);
+            let mut gap2 = zero;
+            for j in 0..N {
+                let x = _mm256_i32gather_ps::<4>(at.add(j), strided);
+                let below = _mm256_sub_ps(_mm256_set1_ps(bound.lo[j]), x);
+                let above = _mm256_sub_ps(x, _mm256_set1_ps(bound.hi[j]));
+                let gap = _mm256_blendv_ps(above, below, _mm256_cmp_ps::<_CMP_GT_OQ>(below, above));
+                let gap = _mm256_and_ps(gap, _mm256_cmp_ps::<_CMP_GT_OQ>(gap, zero));
+                gap2 = _mm256_add_ps(gap2, _mm256_mul_ps(gap, gap));
+            }
+            let far = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_GT_OQ>(gap2, reach2));
+            let slot = _mm256_sub_epi32(_mm256_loadu_si256(cols.as_ptr().add(row0).cast()), c_lo);
+            let in_window = _mm256_cmpeq_epi32(_mm256_min_epu32(slot, last_slot), slot);
+            assert!(
+                !live.state.is_empty() && _mm256_movemask_epi8(in_window) == -1,
+                "a column outside the shard's window"
             );
-            acc0 = vaddq_f32(acc0, vmulq_f32(d0, d0));
-            acc1 = vaddq_f32(acc1, vmulq_f32(d1, d1));
+            let state = _mm256_i32gather_epi32::<4>(live.state.as_ptr().cast(), slot);
+            let admitted = _mm256_cmpgt_epi32(gen, _mm256_xor_si256(state, sign));
+            let keep = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_andnot_si256(far, admitted)));
+            let beyond = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_and_si256(far, admitted)));
+            rejected += u64::from(beyond.count_ones());
+            let row0 = first + row0 as u32;
+            pack4(keep as u32 & 0xf, row0, buf, &mut kept);
+            pack4(keep as u32 >> 4, row0 + 4, buf, &mut kept);
         }
-        reduce_sum(acc0, acc1) + l2_tail(a, b, blocks * LANES)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn l2_le(a: &[f32], b: &[f32], tau: f32) -> bool {
-        let bound = inflated_sq_bound(tau);
-        let blocks = a.len() / LANES;
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i < blocks {
-            let check_at = (i + SIMD_EXIT_BLOCK / LANES).min(blocks);
-            while i < check_at {
-                let o = i * LANES;
-                let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(o)), vld1q_f32(b.as_ptr().add(o)));
-                let d1 = vsubq_f32(
-                    vld1q_f32(a.as_ptr().add(o + 4)),
-                    vld1q_f32(b.as_ptr().add(o + 4)),
-                );
-                acc0 = vaddq_f32(acc0, vmulq_f32(d0, d0));
-                acc1 = vaddq_f32(acc1, vmulq_f32(d1, d1));
-                i += 1;
-            }
-            if i < blocks && (reduce_sum(acc0, acc1) as f64) > bound {
-                return false;
-            }
-        }
-        (reduce_sum(acc0, acc1) + l2_tail(a, b, blocks * LANES)).sqrt() <= tau
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn l1(a: &[f32], b: &[f32]) -> f32 {
-        let blocks = a.len() / LANES;
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        for i in 0..blocks {
-            let o = i * LANES;
-            let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(o)), vld1q_f32(b.as_ptr().add(o)));
-            let d1 = vsubq_f32(
-                vld1q_f32(a.as_ptr().add(o + 4)),
-                vld1q_f32(b.as_ptr().add(o + 4)),
-            );
-            acc0 = vaddq_f32(acc0, vabsq_f32(d0));
-            acc1 = vaddq_f32(acc1, vabsq_f32(d1));
-        }
-        reduce_sum(acc0, acc1) + l1_tail(a, b, blocks * LANES)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn l1_le(a: &[f32], b: &[f32], tau: f32) -> bool {
-        let bound = inflated_bound(tau);
-        let blocks = a.len() / LANES;
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        let mut i = 0;
-        while i < blocks {
-            let check_at = (i + SIMD_EXIT_BLOCK / LANES).min(blocks);
-            while i < check_at {
-                let o = i * LANES;
-                let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(o)), vld1q_f32(b.as_ptr().add(o)));
-                let d1 = vsubq_f32(
-                    vld1q_f32(a.as_ptr().add(o + 4)),
-                    vld1q_f32(b.as_ptr().add(o + 4)),
-                );
-                acc0 = vaddq_f32(acc0, vabsq_f32(d0));
-                acc1 = vaddq_f32(acc1, vabsq_f32(d1));
-                i += 1;
-            }
-            if i < blocks && (reduce_sum(acc0, acc1) as f64) > bound {
-                return false;
-            }
-        }
-        reduce_sum(acc0, acc1) + l1_tail(a, b, blocks * LANES) <= tau
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn linf(a: &[f32], b: &[f32]) -> f32 {
-        let blocks = a.len() / LANES;
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        for i in 0..blocks {
-            let o = i * LANES;
-            let d0 = vsubq_f32(vld1q_f32(a.as_ptr().add(o)), vld1q_f32(b.as_ptr().add(o)));
-            let d1 = vsubq_f32(
-                vld1q_f32(a.as_ptr().add(o + 4)),
-                vld1q_f32(b.as_ptr().add(o + 4)),
-            );
-            acc0 = vmaxq_f32(acc0, vabsq_f32(d0));
-            acc1 = vmaxq_f32(acc1, vabsq_f32(d1));
-        }
-        reduce_max(acc0, acc1).max(linf_tail(a, b, blocks * LANES))
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn linf_le(a: &[f32], b: &[f32], tau: f32) -> bool {
-        let blocks = a.len() / LANES;
-        let tau4 = vdupq_n_f32(tau);
-        for i in 0..blocks {
-            let o = i * LANES;
-            let d0 = vabsq_f32(vsubq_f32(
-                vld1q_f32(a.as_ptr().add(o)),
-                vld1q_f32(b.as_ptr().add(o)),
-            ));
-            let d1 = vabsq_f32(vsubq_f32(
-                vld1q_f32(a.as_ptr().add(o + 4)),
-                vld1q_f32(b.as_ptr().add(o + 4)),
-            ));
-            // `|d| <= tau` per lane; any zero lane (including NaN) fails.
-            let ok0 = vcleq_f32(d0, tau4);
-            let ok1 = vcleq_f32(d1, tau4);
-            if vminvq_u32(vandq_u32(ok0, ok1)) == 0 {
-                return false;
-            }
-        }
-        a[blocks * LANES..]
-            .iter()
-            .zip(b[blocks * LANES..].iter())
-            .all(|(x, y)| (x - y).abs() <= tau)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub unsafe fn angular_parts(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
-        let blocks = a.len() / LANES;
-        let mut dot0 = vdupq_n_f32(0.0);
-        let mut dot1 = vdupq_n_f32(0.0);
-        let mut na0 = vdupq_n_f32(0.0);
-        let mut na1 = vdupq_n_f32(0.0);
-        let mut nb0 = vdupq_n_f32(0.0);
-        let mut nb1 = vdupq_n_f32(0.0);
-        for i in 0..blocks {
-            let o = i * LANES;
-            let x0 = vld1q_f32(a.as_ptr().add(o));
-            let x1 = vld1q_f32(a.as_ptr().add(o + 4));
-            let y0 = vld1q_f32(b.as_ptr().add(o));
-            let y1 = vld1q_f32(b.as_ptr().add(o + 4));
-            dot0 = vaddq_f32(dot0, vmulq_f32(x0, y0));
-            dot1 = vaddq_f32(dot1, vmulq_f32(x1, y1));
-            na0 = vaddq_f32(na0, vmulq_f32(x0, x0));
-            na1 = vaddq_f32(na1, vmulq_f32(x1, x1));
-            nb0 = vaddq_f32(nb0, vmulq_f32(y0, y0));
-            nb1 = vaddq_f32(nb1, vmulq_f32(y1, y1));
-        }
-        let (mut dot_t, mut na_t, mut nb_t) = (0.0f32, 0.0f32, 0.0f32);
-        for i in blocks * LANES..a.len() {
-            let (x, y) = (a[i], b[i]);
-            dot_t += x * y;
-            na_t += x * x;
-            nb_t += y * y;
-        }
-        (
-            reduce_sum(dot0, dot1) + dot_t,
-            reduce_sum(na0, na1) + na_t,
-            reduce_sum(nb0, nb1) + nb_t,
-        )
+        let done = steps * LANES;
+        let (tail_kept, tail_rejected) = simplex_rows_by_row::<N>(
+            &coords[done * N..],
+            &cols[done..],
+            first + done as u32,
+            live,
+            bound,
+            &mut buf[kept..],
+        );
+        (kept + tail_kept, rejected + tail_rejected)
     }
 }
 
@@ -707,10 +840,6 @@ macro_rules! dispatch {
             // SAFETY: Tier::Avx2 is only ever detected when the CPU
             // reports AVX2 support at runtime.
             Tier::Avx2 => unsafe { avx2::$simd($($arg),*) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: Tier::Neon is only ever detected when the CPU
-            // reports NEON support at runtime.
-            Tier::Neon => unsafe { neon::$simd($($arg),*) },
             Tier::Scalar => $scalar($($arg),*),
         }
     };
@@ -769,10 +898,11 @@ pub fn angular_parts(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
 }
 
 /// Best-effort hint to pull the first cache lines of `row` towards L1
-/// before a kernel reads it. Verification gathers candidate rows in
-/// postings order (random access), so hinting the *next* row while the
-/// current one is verified hides much of the miss latency. Purely a
-/// scheduling hint — no architectural effect — and a no-op off x86-64.
+/// before a kernel reads it. Stage 2 of the candidate scan reads a cell's
+/// survivors in row order but with the gaps stage 1 leaves, so hinting a
+/// survivor a few ahead while the current one is verified hides much of
+/// the miss latency. Purely a scheduling hint — no architectural effect —
+/// and a no-op off x86-64.
 #[inline(always)]
 pub fn prefetch(row: &[f32]) {
     #[cfg(target_arch = "x86_64")]

@@ -55,19 +55,12 @@ pub fn lemma2_match(q_mapped: &[f32], x_mapped: &[f32], tau: f32) -> bool {
 /// far a stored apex can lie from the true one. Returns `true` when `x` is
 /// safely pruned. A NaN coordinate never prunes.
 ///
-/// A branch-free fold like Lemma 1's, in `f64` so that its own rounding
-/// stays far below the widening. The gaps are selects, not `f64::max`,
-/// which would spend instructions on NaN operands: a NaN gap selects 0.
+/// This is the exact bound, in `f64`. The scan evaluates it in `f32`
+/// lanes, widened so that it prunes no row this one keeps
+/// ([`crate::kernel::SimplexLanes`]).
 #[inline]
 pub fn simplex_filter(q: &Apex, x: &[f32], reach2: f64) -> bool {
-    let mut gap2 = 0.0f64;
-    for ((&lo, &hi), &x) in q.lo.iter().zip(&q.hi).zip(x) {
-        let (below, above) = (lo - x as f64, x as f64 - hi);
-        let gap = if below > above { below } else { above };
-        let gap = if gap > 0.0 { gap } else { 0.0 };
-        gap2 += gap * gap;
-    }
-    gap2 > reach2
+    q.gap2(x) > reach2
 }
 
 /// n-simplex matching, Lemma 2's counterpart on apexes: `q` surely matches

@@ -31,8 +31,8 @@
 //! `dist_batch` is the default everywhere, one inlined `dist` per row.
 //!
 //! The arithmetic itself lives in [`crate::kernel`]: explicit SIMD inner
-//! loops (AVX2 on x86-64, NEON on aarch64, runtime-detected) over an
-//! always-compiled eight-lane scalar ground truth, every tier
+//! loops (AVX2 on x86-64, runtime-detected) over an always-compiled
+//! eight-lane scalar ground truth, which every other target runs, every tier
 //! bit-identical for finite inputs. See the kernel module docs for the
 //! exact-agreement contract and the `PEXESO_FORCE_SCALAR` escape hatch.
 

@@ -46,6 +46,8 @@ pub fn match_counts<M: Metric>(
         });
     }
     let tau = tau.resolve(metric, columns.dim())?;
+    // Read by id, whatever order the set holds its vectors in.
+    let columns = columns.id_ordered();
     let counts = columns
         .columns()
         .iter()

@@ -8,6 +8,12 @@
 //! index, each row's apex — arithmetic on |P| coordinates per vector, far
 //! cheaper than re-mapping (|P| distances in the full dimension).
 //!
+//! The file holds vectors and mapped vectors in id order, column by
+//! column; an index holds its vectors in row order. A save writes each
+//! vector at its id, and a load reads the mapped vectors first, lays out
+//! the rows, then decodes the vectors straight into row order — one pass,
+//! one copy. Files do not depend on the order an index holds.
+//!
 //! Layout ([`crate::codec`] primitives, little-endian):
 //!
 //! ```text
@@ -28,8 +34,8 @@
 
 use std::path::Path;
 
-use crate::codec::{crc32c, Dec, Enc, MAX_NAME_BYTES};
-use crate::column::{ColumnMeta, ColumnSet};
+use crate::codec::{crc32c, f32_rows, Dec, Enc, MAX_NAME_BYTES};
+use crate::column::ColumnMeta;
 use crate::config::{IndexOptions, PivotSelection};
 use crate::error::{PexesoError, Result};
 use crate::grid::GridParams;
@@ -74,15 +80,13 @@ pub fn save_index<M: Metric>(index: &PexesoIndex<M>, path: &Path) -> Result<()> 
 
 fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Result<Vec<u8>> {
     let store = index.columns().store();
-    let rv_mapped = match index.inverted_index().mapped_by_vector() {
-        Some(mapped) => mapped,
-        // Rows that hold apexes keep no pivot coordinates: map afresh, in
-        // vector-id order — the same bits the build mapped.
-        None => index.map_repository(index.options().exec)?,
-    };
-    let mapped = rv_mapped.raw_data();
+    // Rows that hold apexes keep no pivot coordinates: map afresh — the
+    // same bits the build mapped.
+    let mapped = index.row_mapping(index.options().exec)?;
+    // Vectors and coordinates are written in id order.
+    let positions = index.columns().positions();
     let num_pivots = index.pivots().len();
-    let floats = store.raw_data().len() + mapped.len();
+    let floats = store.raw_data().len() + mapped.raw_data().len();
     let mut w = Enc::with_capacity(4 * floats + 4096);
     w.bytes(MAGIC);
     w.str(index.metric().name());
@@ -116,11 +120,15 @@ fn encode_index<M: Metric>(index: &PexesoIndex<M>) -> Result<Vec<u8>> {
     }
 
     w.u64(store.len() as u64);
-    w.f32s(store.raw_data());
+    for &p in &positions {
+        w.f32s(store.get_raw(p as usize));
+    }
 
     w.u32(num_pivots as u32);
     w.u64(store.len() as u64);
-    w.f32s(mapped);
+    for &p in &positions {
+        w.f32s(mapped.get(p as usize));
+    }
 
     let checksum = crc32c(w.as_bytes());
     w.u32(checksum);
@@ -203,11 +211,14 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
     }
 
     let n_vecs = r.u64()? as usize;
-    let n_floats = n_vecs.checked_mul(dim).ok_or_else(|| {
-        PexesoError::Corrupt(format!("vector count {n_vecs} x dim {dim} overflows"))
-    })?;
-    let store = VectorStore::from_raw(dim, r.f32_vec(n_floats)?)?;
-    let columns = ColumnSet::from_parts(store, metas)?;
+    let n_bytes = n_vecs
+        .checked_mul(dim)
+        .and_then(|floats| floats.checked_mul(4))
+        .ok_or_else(|| {
+            PexesoError::Corrupt(format!("vector count {n_vecs} x dim {dim} overflows"))
+        })?;
+    // Decoded once the rows are laid out, straight into row order.
+    let vectors = r.bytes(n_bytes)?;
 
     let mk = r.u32()? as usize;
     let mn = r.u64()? as usize;
@@ -233,12 +244,21 @@ pub fn load_index<M: Metric>(path: &Path, metric: M) -> Result<PexesoIndex<M>> {
         return Err(PexesoError::Corrupt("checksum mismatch".into()));
     }
 
-    PexesoIndex::from_saved_parts(columns, pivots, rv_mapped, options, grid_params, metric)
+    PexesoIndex::from_saved_parts(
+        metas,
+        |order| VectorStore::from_raw(dim, f32_rows(vectors, dim, order)),
+        pivots,
+        rv_mapped,
+        options,
+        grid_params,
+        metric,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnSet;
     use crate::config::{JoinThreshold, Tau};
     use crate::metric::{Euclidean, Manhattan};
     use crate::query::{Query, Queryable};
@@ -303,6 +323,35 @@ mod tests {
             encode_index(&loaded).unwrap(),
             std::fs::read(&path).unwrap()
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// An index holds its vectors in row order, a file holds them by id:
+    /// a save writes each column's vectors in id order, a load lays them
+    /// out in row order again — the same order, the same vectors — and
+    /// saving the loaded index writes the bytes it was loaded from.
+    #[test]
+    fn a_row_ordered_index_saves_the_bytes_it_loaded() {
+        let (index, _) = build_small(9);
+        let ids = index.columns().vector_ids().expect("held in row order");
+        assert!(
+            ids.windows(2).any(|w| w[0] > w[1]),
+            "the fixture's rows must not be in id order"
+        );
+        let path = tmpfile("row_order.pex");
+        save_index(&index, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let by_id = index.columns().id_ordered();
+        let mut vectors = Enc::new();
+        vectors.f32s(by_id.store().raw_data());
+        let vectors = vectors.into_bytes();
+        assert!(
+            bytes.windows(vectors.len()).any(|w| w == vectors),
+            "the file holds the vectors in id order"
+        );
+        let loaded = load_index(&path, Euclidean).unwrap();
+        assert_eq!(loaded.columns(), index.columns());
+        assert_eq!(encode_index(&loaded).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
     }
 

@@ -7,11 +7,12 @@
 //! index's own [`Queryable::execute`] included. Results are exact —
 //! identical to the naive scan — for every lemma-flag combination.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::block::{block_with, quick_browse, BlockOutput};
-use crate::column::{ColumnId, ColumnSet};
+use crate::column::{check_ranges, column_map, ColumnId, ColumnMeta, ColumnSet};
 use crate::config::{ExecPolicy, IndexOptions, JoinThreshold, LemmaFlags, Tau};
 use crate::cost::{column_match_bounds, topk_seed};
 use crate::error::{PexesoError, Result};
@@ -62,6 +63,9 @@ pub struct PexesoIndex<M: Metric> {
     options: IndexOptions,
     grid_params: GridParams,
     pivots: Vec<Vec<f32>>,
+    /// The vectors, held in the inverted index's row order: row `r`'s
+    /// vector is `columns.store().get_raw(r)`, and its id
+    /// `columns.vector_ids()[r]`.
     columns: ColumnSet,
     /// `HG_RV` and the cell-major rows, which are the postings: each
     /// vector's column and apex (or pivot coordinates) live here and
@@ -75,13 +79,16 @@ pub struct PexesoIndex<M: Metric> {
 
 impl<M: Metric> PexesoIndex<M> {
     /// Offline construction. When `options.levels` is `None` the grid depth
-    /// is chosen by the cost model of Section III-E.
+    /// is chosen by the cost model of Section III-E. The columns may be in
+    /// any order (another index's, say): the build takes them by id, so
+    /// the index depends on their ids and vectors only.
     pub fn build(columns: ColumnSet, metric: M, options: IndexOptions) -> Result<Self> {
         options.validate()?;
         if columns.n_columns() == 0 {
             return Err(PexesoError::EmptyInput("repository with zero columns"));
         }
         let started = Instant::now();
+        let columns = columns.into_id_order();
         let pivots = select_pivots_with(
             columns.store(),
             &metric,
@@ -103,13 +110,14 @@ impl<M: Metric> PexesoIndex<M> {
             None => crate::cost::choose_levels(&rv_mapped, span, options.seed)?,
         };
         let grid_params = GridParams::new(pivots.len(), levels, span)?;
-        let inv = InvertedIndex::build_with(
+        let (inv, order) = InvertedIndex::build_with(
             &grid_params,
             &rv_mapped,
             &columns.vector_to_column(),
             SimplexBase::of(&pivots, &metric),
             options.exec,
         )?;
+        let columns = columns.in_order(order)?;
         Ok(Self {
             metric,
             options,
@@ -218,31 +226,44 @@ impl<M: Metric> PexesoIndex<M> {
                 self.grid_params.span
             )));
         }
-        let col_id = self
-            .columns
-            .add_column(table_name, column_name, external_id, vectors)?;
-        self.inv = InvertedIndex::build_with(
+        let mut columns = self.columns.id_ordered().into_owned();
+        let col_id = columns.add_column(table_name, column_name, external_id, vectors)?;
+        let (inv, order) = InvertedIndex::build_with(
             &self.grid_params,
-            &self.map_repository(self.options.exec)?,
-            &self.columns.vector_to_column(),
+            &MappedVectors::build_with(
+                columns.store(),
+                &self.pivots,
+                &self.metric,
+                None,
+                self.options.exec,
+            )?,
+            &columns.vector_to_column(),
             SimplexBase::of(&self.pivots, &self.metric),
             self.options.exec,
         )?;
+        self.columns = columns.in_order(order)?;
+        self.inv = inv;
         self.rv_mapped = OnceLock::new();
         Ok(col_id)
     }
 
-    /// Every repository vector's pivot coordinates, in vector-id order,
-    /// mapped afresh: bit for bit what the build mapped
-    /// ([`MappedVectors::build_with`] is the same for every policy).
-    pub(crate) fn map_repository(&self, policy: ExecPolicy) -> Result<MappedVectors> {
-        MappedVectors::build_with(
+    /// Every repository vector's pivot coordinates in row order: the
+    /// rows' own where they hold pivot coordinates, else mapped afresh
+    /// under `policy` — bit for bit what the build mapped
+    /// ([`MappedVectors::build_with`] maps each vector alone, the same for
+    /// every policy).
+    pub(crate) fn row_mapping(&self, policy: ExecPolicy) -> Result<Cow<'_, MappedVectors>> {
+        if self.inv.apex().is_none() {
+            return Ok(Cow::Borrowed(self.inv.rows().coords));
+        }
+        let mapped = MappedVectors::build_with(
             self.columns.store(),
             &self.pivots,
             &self.metric,
             None,
             policy,
-        )
+        )?;
+        Ok(Cow::Owned(mapped))
     }
 
     /// Structural statistics of this index — column/vector counts, cell
@@ -297,26 +318,25 @@ impl<M: Metric> PexesoIndex<M> {
         };
         let meta = self.columns.column(column);
         let store = self.columns.store();
-        let column_mapped: Vec<Vec<f32>> = meta
+        let positions = self.columns.positions();
+        let vectors: Vec<&[f32]> = meta
             .vector_range()
-            .map(|v| {
-                let x = store.get_raw(v as usize);
-                self.pivots.iter().map(|p| self.metric.dist(x, p)).collect()
-            })
+            .map(|v| store.get_raw(positions[v as usize] as usize))
+            .collect();
+        let column_mapped: Vec<Vec<f32>> = vectors
+            .iter()
+            .map(|x| self.pivots.iter().map(|p| self.metric.dist(x, p)).collect())
             .collect();
         let mut out = Vec::new();
         for q in 0..query.len() {
             let qmap = qm.get(q);
             let qv = query.get_raw(q);
-            for (v, xm) in meta.vector_range().zip(&column_mapped) {
+            for ((v, xm), x) in meta.vector_range().zip(&column_mapped).zip(&vectors) {
                 if lemmas::lemma1_filter(qmap, xm, tau) {
                     continue;
                 }
-                let is_match = lemmas::lemma2_match(qmap, xm, tau)
-                    || self
-                        .metric
-                        .dist(qv, self.columns.store().get_raw(v as usize))
-                        <= tau;
+                let is_match =
+                    lemmas::lemma2_match(qmap, xm, tau) || self.metric.dist(qv, x) <= tau;
                 if is_match {
                     out.push((q as u32, VectorId(v)));
                 }
@@ -366,8 +386,8 @@ impl<M: Metric> PexesoIndex<M> {
 
     /// The repository vectors' pivot coordinates **in the inverted
     /// index's cell-major row order**, not in vector-id order: row `r`
-    /// belongs to vector `inverted_index().rows().vid[r]`. Order-free uses
-    /// (a keys-only `HG_RV`, coordinate ranges) can take them as they are.
+    /// belongs to the vector `columns()` holds at `r`. Order-free uses (a
+    /// keys-only `HG_RV`, coordinate ranges) can take them as they are.
     ///
     /// Where the rows hold apexes (a Euclidean index) the index does not
     /// hold them: the first call maps every vector afresh,
@@ -378,25 +398,21 @@ impl<M: Metric> PexesoIndex<M> {
             return self.inv.rows().coords;
         }
         self.rv_mapped.get_or_init(|| {
-            let by_id = self
-                .map_repository(ExecPolicy::Sequential)
-                .expect("an index's pivots match its vectors");
-            let k = by_id.num_pivots();
-            let mut coords = Vec::with_capacity(by_id.raw_data().len());
-            for &v in self.inv.rows().vid {
-                coords.extend_from_slice(by_id.get(v as usize));
-            }
-            MappedVectors::from_raw(k, coords).expect("whole rows of |P| coordinates")
+            self.row_mapping(ExecPolicy::Sequential)
+                .expect("an index's pivots match its vectors")
+                .into_owned()
         })
     }
 
     /// Resident size of the *index structures* in bytes — the inverted
     /// index (`HG_RV`'s sorted leaf keys and level bounds, each cell's
     /// first row, and the rows that hold each vector's column and apex or
-    /// pivot coordinates) and the pivots — excluding the raw table-repository
-    /// vectors, matching the paper's index-size accounting (Fig. 6b).
+    /// pivot coordinates), each row's vector id and the pivots —
+    /// excluding the raw table-repository vectors, matching the paper's
+    /// index-size accounting (Fig. 6b).
     pub fn index_bytes(&self) -> usize {
-        self.inv.approx_bytes() + self.pivots.iter().map(|p| p.len() * 4).sum::<usize>()
+        let ids = self.columns.vector_ids().map_or(0, <[u32]>::len);
+        self.inv.approx_bytes() + ids * 4 + self.pivots.iter().map(|p| p.len() * 4).sum::<usize>()
     }
 
     /// Size of the raw vector data (repository storage).
@@ -405,12 +421,15 @@ impl<M: Metric> PexesoIndex<M> {
     }
 
     /// Reassemble from the parts of a file [`crate::persist::save_index`]
-    /// wrote. Its pivot coordinates are what the build mapped, so the grid
-    /// and the inverted index are rebuilt deterministically from them, a
-    /// Euclidean index's rows taking their apexes, and a save maps them
-    /// afresh.
+    /// wrote: the columns' metadata, the vectors (`vectors(order)` reads
+    /// them in the order `order` lists their ids) and their pivot
+    /// coordinates in id order. Those are what the build mapped, so the
+    /// grid and the inverted index are rebuilt deterministically from
+    /// them, a Euclidean index's rows taking their apexes, and the vectors
+    /// are read once, straight into row order.
     pub(crate) fn from_saved_parts(
-        columns: ColumnSet,
+        metas: Vec<ColumnMeta>,
+        vectors: impl FnOnce(&[u32]) -> Result<VectorStore>,
         pivots: Vec<Vec<f32>>,
         rv_mapped: MappedVectors,
         options: IndexOptions,
@@ -419,7 +438,8 @@ impl<M: Metric> PexesoIndex<M> {
     ) -> Result<Self> {
         let base = SimplexBase::of(&pivots, &metric);
         Self::assemble(
-            columns,
+            metas,
+            vectors,
             pivots,
             rv_mapped,
             options,
@@ -443,8 +463,14 @@ impl<M: Metric> PexesoIndex<M> {
         grid_params: GridParams,
         metric: M,
     ) -> Result<Self> {
+        let columns = columns.into_id_order();
         Self::assemble(
-            columns,
+            columns.columns().to_vec(),
+            |order| {
+                let mut store = columns.store().clone();
+                store.permute(order);
+                Ok(store)
+            },
             pivots,
             rv_mapped,
             options,
@@ -454,8 +480,10 @@ impl<M: Metric> PexesoIndex<M> {
         )
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn assemble(
-        columns: ColumnSet,
+        metas: Vec<ColumnMeta>,
+        vectors: impl FnOnce(&[u32]) -> Result<VectorStore>,
         pivots: Vec<Vec<f32>>,
         rv_mapped: MappedVectors,
         options: IndexOptions,
@@ -463,16 +491,13 @@ impl<M: Metric> PexesoIndex<M> {
         metric: M,
         base: Option<SimplexBase>,
     ) -> Result<Self> {
-        if rv_mapped.len() != columns.n_vectors() {
-            return Err(PexesoError::Corrupt(format!(
-                "mapped vectors {} != repository vectors {}",
-                rv_mapped.len(),
-                columns.n_vectors()
-            )));
-        }
+        let n = rv_mapped.len();
+        check_ranges(&metas, n)?;
         let started = Instant::now();
-        let inv =
-            InvertedIndex::build(&grid_params, &rv_mapped, &columns.vector_to_column(), base)?;
+        let (inv, order) =
+            InvertedIndex::build(&grid_params, &rv_mapped, &column_map(&metas, n), base)?;
+        let store = vectors(&order)?;
+        let columns = ColumnSet::from_ordered_parts(store, metas, order)?;
         Ok(Self {
             metric,
             options,
@@ -627,6 +652,8 @@ pub fn naive_search<M: Metric>(
     }
     let tau = tau.resolve(metric, columns.dim())?;
     let t_abs = t.resolve(query.len())?;
+    // Read by id, whatever order the set holds its vectors in.
+    let columns = columns.id_ordered();
     let mut stats = SearchStats::new();
     let start = Instant::now();
     let mut hits = Vec::new();
@@ -739,16 +766,24 @@ mod tests {
             };
             let index = PexesoIndex::build(columns.clone(), Euclidean, options).unwrap();
             let params = index.grid_params().clone();
-            let by_id = index.map_repository(ExecPolicy::Sequential).unwrap();
+            let by_id =
+                MappedVectors::build(columns.store(), &index.pivots, &Euclidean, None).unwrap();
             let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &by_id).unwrap();
             let base = SimplexBase::of(&index.pivots, &Euclidean);
             assert!(base.is_some(), "four random pivots span a simplex");
-            let inv =
+            let (inv, order) =
                 InvertedIndex::build(&params, &by_id, &columns.vector_to_column(), base).unwrap();
             assert_eq!(index.inv.grid(), &hgrv);
             assert_eq!(index.inv, inv);
+            let rows = columns.clone().in_order(order).unwrap();
+            assert_eq!(index.columns, rows);
             let reassembled = PexesoIndex::from_saved_parts(
-                index.columns.clone(),
+                columns.columns().to_vec(),
+                |order| {
+                    let mut store = columns.store().clone();
+                    store.permute(order);
+                    Ok(store)
+                },
                 index.pivots.clone(),
                 by_id,
                 index.options.clone(),
@@ -758,6 +793,7 @@ mod tests {
             .unwrap();
             assert_eq!(reassembled.inv.grid(), &hgrv);
             assert_eq!(reassembled.inv, inv);
+            assert_eq!(reassembled.columns, rows);
             built.push(inv);
         }
         assert!(built.windows(2).all(|w| w[0] == w[1]));

@@ -103,6 +103,34 @@ impl VectorStore {
         }
     }
 
+    /// Reorder in place so that index `p` holds the vector that was at
+    /// `order[p]`, which must name every index once: cycle by cycle, each
+    /// vector moved once, with no second copy of the store.
+    pub fn permute(&mut self, order: &[u32]) {
+        assert_eq!(order.len(), self.len(), "an order of every vector");
+        let dim = self.dim;
+        let mut moved = vec![false; order.len()];
+        let mut held = vec![0.0f32; dim];
+        for start in 0..order.len() {
+            if moved[start] {
+                continue;
+            }
+            held.copy_from_slice(self.get_raw(start));
+            let mut at = start;
+            loop {
+                moved[at] = true;
+                let from = order[at] as usize;
+                if from == start {
+                    self.data[at * dim..(at + 1) * dim].copy_from_slice(&held);
+                    break;
+                }
+                self.data
+                    .copy_within(from * dim..(from + 1) * dim, at * dim);
+                at = from;
+            }
+        }
+    }
+
     /// Raw flat data (persistence).
     pub fn raw_data(&self) -> &[f32] {
         &self.data

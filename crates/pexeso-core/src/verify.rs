@@ -52,41 +52,47 @@
 //! ## The candidate scan: two stages per cell
 //!
 //! The inverted index stores its rows cell by cell, each row with its
-//! vector id, column and coordinates side by side ([`crate::invindex`]),
-//! so a candidate cell is a contiguous run of rows, walked as one flat
-//! run. A cell's rows are also its postings: its columns are the runs of
-//! equal column ids over them, ascending.
+//! column and coordinates side by side ([`crate::invindex`]), and the
+//! index holds the rows' vectors in the same order ([`crate::column`]): a
+//! candidate cell is a contiguous run of rows, walked as one flat run, and
+//! row `r`'s vector is the `r`-th of [`VerifyContext::columns`]. A cell's
+//! rows are also its postings: its columns are the runs of equal column
+//! ids over them, ascending.
 //!
 //! 1. **Filter.** One compaction pass into a buffer of row indexes reused
 //!    across cells, by one of two enumerations that keep the same rows in
-//!    the same order. *By row*: read each row's column and coordinates in
-//!    order and keep the row if its column's state word says live and
-//!    unmatched and, when the filter is on
-//!    ([`LemmaFlags::lemma1_vector_filter`]), the row bound cannot reject
-//!    it — no data-dependent branch (every row is written, the cursor
+//!    the same order. *By row*: keep each row whose column's state word
+//!    says live and unmatched and, when the filter is on
+//!    ([`LemmaFlags::lemma1_vector_filter`]), that the row bound cannot
+//!    reject — on apex rows through the stage-1 kernel
+//!    ([`kernel::simplex_rows`]: eight rows a step, the bound in `f32`
+//!    lanes, survivors packed by a lookup table), otherwise one row at a
+//!    time with no data-dependent branch (every row is written, the cursor
 //!    advances by `n += keep`). *By live column*: once few columns are
 //!    left the shard keeps their slots as an ascending list, and a cell
 //!    with many more rows than the list has entries is enumerated by
 //!    binary-searching its rows' ascending columns for each listed column
-//!    and putting that column's run of rows to the row bound — the dead
-//!    rows are never looked at.
+//!    and putting that column's run of rows to the same row bound — the
+//!    dead rows are never looked at.
 //! 2. **Test.** The row bound's match test (when
 //!    [`LemmaFlags::lemma2_vector_match`] is on), then
-//!    [`Metric::dist_le`], over the survivors, the repository vector
-//!    fetched by the row's vector id and prefetched [`PREFETCH_AHEAD`]
-//!    survivors ahead. The state word is re-checked, so once a row
-//!    matches, the column's remaining survivors in the cell are skipped —
-//!    exactly the rows a per-column first-match `break` would skip.
+//!    [`Metric::dist_le`], over the survivors, each survivor's vector read
+//!    at its row: a cell's survivors are read in ascending order from one
+//!    stretch of the store, each prefetched a dozen survivors ahead. The
+//!    state word is re-checked, so once a row matches, the column's
+//!    remaining survivors in the cell are skipped — exactly the rows a
+//!    per-column first-match `break` would skip.
 //!
 //! ## The row bound
 //!
 //! On an index whose rows hold apexes (Euclidean, pivots with a simplex
 //! base), a row is rejected when its apex lies beyond `τ` of the query
-//! vector's apex interval ([`lemmas::simplex_filter`]: the exact n-simplex
-//! lower bound, which implies Lemma 1) and accepted when its apex,
-//! reflected through the pivots' span, lies within `τ` of every point of
-//! that interval ([`lemmas::simplex_match`], the upper bound, which
-//! implies Lemma 2). Both are widened by the cell's slack — how far a
+//! vector's apex interval (the n-simplex lower bound, which implies
+//! Lemma 1, evaluated in `f32` lanes widened so that it rejects no row the
+//! exact bound [`lemmas::simplex_filter`] keeps: [`SimplexLanes`]) and
+//! accepted when its apex, reflected through the pivots' span, lies
+//! within `τ` of every point of that interval ([`lemmas::simplex_match`],
+//! the upper bound, which implies Lemma 2). Both are widened by the cell's slack — how far a
 //! stored apex can lie from the true one — and by `EPS`
 //! ([`ApexBoxes::row_reach`], worked out once per cell). Every other index
 //! filters and accepts by Lemmas 1 and 2 over pivot coordinates. The
@@ -141,6 +147,7 @@ use crate::cost::ColumnMatchBounds;
 use crate::exec;
 use crate::grid::by_pivots;
 use crate::invindex::{Apex, ApexBoxes, InvertedIndex, Rows};
+use crate::kernel::{self, LiveColumns, SimplexLanes};
 use crate::lemmas;
 use crate::mapping::MappedVectors;
 use crate::metric::Metric;
@@ -150,6 +157,9 @@ use crate::vector::VectorStore;
 
 /// Everything verification needs to resolve a candidate pair.
 pub struct VerifyContext<'a, M: Metric> {
+    /// The repository, its vectors held in `inv`'s row order (as a
+    /// [`crate::search::PexesoIndex`] holds them): stage 2 reads row `r`'s
+    /// vector at `r`.
     pub columns: &'a ColumnSet,
     /// Not read by the scan, which takes every row's column from the
     /// inverted index's cell-major rows. Kept only because the benchmark
@@ -231,6 +241,11 @@ pub(crate) fn scan<M: Metric>(
         blocked.rv_leaves,
         ctx.inv.num_cells(),
         "blocked against another index's HG_RV"
+    );
+    assert_eq!(
+        ctx.columns.n_vectors(),
+        ctx.inv.rows().col.len(),
+        "one vector per row"
     );
     let schedule = Schedule::build(ctx.inv, blocked, ctx.query_mapped, ctx.tau);
     stats.apex_excluded += schedule.excluded;
@@ -354,16 +369,15 @@ const DEAD: u32 = u32::MAX;
 /// flat from 4 to 16, so the middle one.
 const LISTED_RATIO: usize = 8;
 
-/// How many survivors ahead stage 2 prefetches the repository vector of.
-/// Measured with `verify_profile`'s exact-count scan at the benchmark
-/// lake's shape (114 k vectors of 48 dims in 6,000 columns, 19 query
-/// vectors; each try the best of 40 runs, 2 vCPUs). With Lemma 1 rows:
-/// 4 ahead 15.5 ms, 8 14.0, 12 13.6, 16 13.4, 24 13.7 (tries
-/// interleaved). With apex rows, which leave ≈ 45 % fewer survivors, 16
-/// interleaved tries each: best 9.82, 9.11, 9.22, 8.97, 8.99 ms and
-/// median 11.46, 9.91, 9.88, 9.98, 10.33 ms — the terminable scan flat
-/// (0.99–1.03 ms best) — so 4 still loses ≈ 8–15 % and 8 to 16 are one
-/// plateau.
+/// How many survivors ahead stage 2 prefetches the vector of. Stage 2
+/// reads a cell's survivors in row order, but stage 1 leaves gaps between
+/// them that the hardware prefetcher does not bridge. Measured with the
+/// vectors held in row order (2 vCPUs, avx2): `bench run --workload
+/// wdc_threshold --seconds 20 --trace 0`, 4 rotations of the parent and
+/// this scan with and without the prefetch, `query_p50_ms` median 1.18
+/// with it, 1.37 without (parent 1.49); `verify_profile`'s flat scan, 20
+/// interleaved runs, median 2.78 ms at 12 ahead and without, best 1.69
+/// (12), 1.77 (4), 1.79 (24) and 1.79 ms (without).
 const PREFETCH_AHEAD: usize = 12;
 
 /// Per-column state of one shard's scan, indexed by shard-local slot.
@@ -460,8 +474,9 @@ fn id_window(cols: &[u32], cell: Range<usize>, lo: u32, hi: u32) -> Range<usize>
 
 /// The bounds one query vector puts on the rows of one cell: on an index
 /// whose rows hold apexes, the n-simplex bounds at the cell's
-/// [`ApexBoxes::row_reach`]; otherwise Lemmas 1 and 2 over pivot
-/// coordinates.
+/// [`ApexBoxes::row_reach`] — the filter in `f32` lanes
+/// ([`SimplexLanes`]), the match test exact; otherwise Lemmas 1 and 2 over
+/// pivot coordinates.
 #[derive(Debug, Clone, Copy)]
 enum RowBound<'q> {
     Pivot {
@@ -469,8 +484,8 @@ enum RowBound<'q> {
         tau: f32,
     },
     Simplex {
+        lanes: SimplexLanes,
         q: &'q Apex,
-        reach2: f64,
         within2: f64,
     },
 }
@@ -479,9 +494,9 @@ impl RowBound<'_> {
     /// Stage 1: whether the row with coordinates `x` surely lies beyond τ.
     #[inline(always)]
     fn rejects(&self, x: &[f32]) -> bool {
-        match *self {
-            Self::Pivot { qm, tau } => lemmas::lemma1_filter(qm, x, tau),
-            Self::Simplex { q, reach2, .. } => lemmas::simplex_filter(q, x, reach2),
+        match self {
+            Self::Pivot { qm, tau } => lemmas::lemma1_filter(qm, x, *tau),
+            Self::Simplex { lanes, .. } => lanes.rejects(x),
         }
     }
 
@@ -527,9 +542,9 @@ fn live_rows_scanned(
 }
 
 /// [`live_rows_scanned`] with the row bound on, over rows of `N`
-/// coordinates: with the width known, the bound's loop unrolls (on the
-/// benchmark lake's shape, |P| = 3, stage 1 took ≈ 10 % less time than
-/// over a runtime width).
+/// coordinates: the n-simplex bound through the stage-1 kernel
+/// ([`kernel::simplex_rows`], eight rows a step), Lemma 1 one row at a
+/// time with the width known, so that its loop unrolls.
 fn bounded_rows<const N: usize>(
     window: Range<usize>,
     rows: &Rows<'_>,
@@ -538,7 +553,12 @@ fn bounded_rows<const N: usize>(
     buf: &mut [u32],
 ) -> (usize, u64) {
     let cols = &rows.col[window.clone()];
-    let (coords, _) = rows.coords.raw_data()[window.start * N..window.end * N].as_chunks::<N>();
+    let coords = &rows.coords.raw_data()[window.start * N..window.end * N];
+    if let RowBound::Simplex { lanes, .. } = &bound {
+        let live = LiveColumns { c_lo, state, gen };
+        return kernel::simplex_rows(coords, cols, window.start as u32, live, lanes, buf);
+    }
+    let (coords, _) = coords.as_chunks::<N>();
     let (mut kept, mut rejected) = (0usize, 0u64);
     for ((r, &col), x) in window.zip(cols).zip(coords) {
         let live = state[(col - c_lo) as usize] < gen;
@@ -708,12 +728,16 @@ fn verify_range<M: Metric>(
         // 2. Candidate pairs: verify cell contents.
         let qm = ctx.query_mapped.get(q);
         let qv = ctx.query.get_raw(q);
-        let apex = ctx.inv.apex().map(|boxes| (boxes, boxes.query(qm)));
+        let apex = ctx.inv.apex().map(|boxes| {
+            let q = boxes.query(qm);
+            (boxes, SimplexLanes::new(&q, qm.len(), 0.0), q)
+        });
         for &cell in &schedule.cells[scheduled.candidates.clone()] {
             let bound = match &apex {
-                Some((boxes, q)) => {
+                Some((boxes, lanes, q)) => {
                     let (reach2, within2) = boxes.row_reach(cell, ctx.tau);
-                    RowBound::Simplex { q, reach2, within2 }
+                    let lanes = lanes.at(reach2);
+                    RowBound::Simplex { lanes, q, within2 }
                 }
                 None => RowBound::Pivot { qm, tau: ctx.tau },
             };
@@ -733,10 +757,10 @@ fn verify_range<M: Metric>(
             // column matched by an earlier survivor of this cell is
             // skipped.
             for (i, &r) in survivors.iter().enumerate() {
-                // Hide the gather latency of an upcoming vector behind
-                // the tests before it (semantics-free).
+                // Hide the latency of an upcoming vector behind the tests
+                // before it (semantics-free).
                 if let Some(&ahead) = survivors.get(i + PREFETCH_AHEAD) {
-                    crate::kernel::prefetch(store.get_raw(rows.vid[ahead as usize] as usize));
+                    kernel::prefetch(store.get_raw(ahead as usize));
                 }
                 let r = r as usize;
                 let c = (rows.col[r] - c_lo) as usize;
@@ -748,8 +772,7 @@ fn verify_range<M: Metric>(
                     true
                 } else {
                     stats.distance_computations += 1;
-                    ctx.metric
-                        .dist_le(qv, store.get_raw(rows.vid[r] as usize), ctx.tau)
+                    ctx.metric.dist_le(qv, store.get_raw(r), ctx.tau)
                 };
                 if is_match {
                     shard.record_match(c, gen, stats);
@@ -912,13 +935,15 @@ mod tests {
         let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
         let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(
+        let (inv, order) = InvertedIndex::build(
             &params,
             &rv_mapped,
             &vec_col,
             SimplexBase::of(&pivots, &metric),
         )
         .unwrap();
+        // The scan reads row `r`'s vector at `r`.
+        let laid = columns.clone().in_order(order).unwrap();
 
         let mut stats = SearchStats::new();
         let (handled, seeded) = if with_quick_browse {
@@ -939,7 +964,7 @@ mod tests {
             &mut stats,
         );
         let ctx = VerifyContext {
-            columns,
+            columns: &laid,
             vec_col: &vec_col,
             rv_mapped: &rv_mapped,
             inv: &inv,
@@ -993,13 +1018,14 @@ mod tests {
             let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
             let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
             let vec_col = columns.vector_to_column();
-            let inv = InvertedIndex::build(
+            let (inv, order) = InvertedIndex::build(
                 &params,
                 &rv_mapped,
                 &vec_col,
                 SimplexBase::of(&pivots, &metric),
             )
             .unwrap();
+            let laid = columns.clone().in_order(order).unwrap();
             for tau in [0.1f32, 0.4, 0.8] {
                 for t_abs in [1usize, 4, query.len() + 1] {
                     let mut stats = SearchStats::new();
@@ -1014,7 +1040,7 @@ mod tests {
                         &mut stats,
                     );
                     let ctx = VerifyContext {
-                        columns: &columns,
+                        columns: &laid,
                         vec_col: &vec_col,
                         rv_mapped: &rv_mapped,
                         inv: &inv,
@@ -1122,6 +1148,7 @@ mod tests {
     /// Full small-pipeline scaffolding for the top-k tests: grids,
     /// inverted index, blocked pairs and a ready [`VerifyContext`] input.
     struct TopkSetup {
+        /// In the index's row order.
         columns: ColumnSet,
         query: VectorStore,
         rv_mapped: MappedVectors,
@@ -1194,13 +1221,15 @@ mod tests {
         let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
         let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(
+        let (inv, order) = InvertedIndex::build(
             &params,
             &rv_mapped,
             &vec_col,
             SimplexBase::of(&pivots, &metric),
         )
         .unwrap();
+        // The scan reads row `r`'s vector at `r`.
+        let laid = columns.clone().in_order(order).unwrap();
         let mut stats = SearchStats::new();
         let mut seeded = FastMap::default();
         let handled = quick_browse(&hgq, &inv, &mut seeded, &mut stats);
@@ -1215,7 +1244,7 @@ mod tests {
             &mut stats,
         );
         TopkSetup {
-            columns,
+            columns: laid,
             query,
             rv_mapped,
             q_mapped,
@@ -1227,7 +1256,8 @@ mod tests {
     }
 
     fn naive_counts(s: &TopkSetup) -> Vec<u32> {
-        s.columns
+        let columns = s.columns.id_ordered();
+        columns
             .columns()
             .iter()
             .map(|col| {
@@ -1235,7 +1265,7 @@ mod tests {
                     .iter()
                     .filter(|q| {
                         col.vector_range().any(|v| {
-                            Euclidean.dist(q, s.columns.store().get_raw(v as usize)) <= s.tau
+                            Euclidean.dist(q, columns.store().get_raw(v as usize)) <= s.tau
                         })
                     })
                     .count() as u32
@@ -1428,13 +1458,15 @@ mod tests {
         let hgrv = HierarchicalGrid::build_keys_only(params.clone(), &rv_mapped).unwrap();
         let hgq = HierarchicalGrid::build(params.clone(), &q_mapped).unwrap();
         let vec_col = columns.vector_to_column();
-        let inv = InvertedIndex::build(
+        let (inv, order) = InvertedIndex::build(
             &params,
             &rv_mapped,
             &vec_col,
             SimplexBase::of(&pivots, &metric),
         )
         .unwrap();
+        // The scan reads row `r`'s vector at `r`.
+        let laid = columns.clone().in_order(order).unwrap();
         let mut stats = SearchStats::new();
         let blocked = block(
             &hgq,
@@ -1447,7 +1479,7 @@ mod tests {
             &mut stats,
         );
         let ctx = VerifyContext {
-            columns: &columns,
+            columns: &laid,
             vec_col: &vec_col,
             rv_mapped: &rv_mapped,
             inv: &inv,
@@ -1592,7 +1624,6 @@ mod tests {
             .collect();
         let coords = MappedVectors::from_raw(2, coords).unwrap();
         let rows = Rows {
-            vid: &row_vid,
             col: &row_col,
             coords: &coords,
         };
@@ -1631,8 +1662,8 @@ mod tests {
         for bound in [
             RowBound::Pivot { qm: &far, tau: 0.5 },
             RowBound::Simplex {
+                lanes: SimplexLanes::new(&far_apex, 2, 0.25),
                 q: &far_apex,
-                reach2: 0.25,
                 within2: -1.0,
             },
         ] {
@@ -1671,8 +1702,8 @@ mod tests {
             let pivot = RowBound::Pivot { qm: &qm, tau: 0.3 };
             rejections += enumerate(c_lo, c_hi, &state, &listed, Some(pivot)).1;
             let simplex = RowBound::Simplex {
+                lanes: SimplexLanes::new(&apex, 2, 0.09),
                 q: &apex,
-                reach2: 0.09,
                 within2: -1.0,
             };
             apex_rejections += enumerate(c_lo, c_hi, &state, &listed, Some(simplex)).1;

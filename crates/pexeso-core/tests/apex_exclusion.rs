@@ -14,7 +14,8 @@ use proptest::prelude::*;
 use pexeso_core::grid::GridParams;
 use pexeso_core::inspect::PivotSpread;
 use pexeso_core::invindex::{InvertedIndex, SimplexBase};
-use pexeso_core::lemmas::{simplex_filter, simplex_match};
+use pexeso_core::kernel::{self, LiveColumns, SimplexLanes};
+use pexeso_core::lemmas::simplex_match;
 use pexeso_core::mapping::MappedVectors;
 use pexeso_core::metric::{Angular, Chebyshev, Manhattan};
 use pexeso_core::oracle;
@@ -128,8 +129,8 @@ fn excluded_pairs_hold_no_match(
         return 0;
     };
     let mapped = MappedVectors::build(query, index.pivots(), &Euclidean, None).unwrap();
+    // Row `r`'s vector is held at `r`.
     let store = index.columns().store();
-    let rows = inv.rows();
     let mut excluded = 0;
     for (qi, q) in query.iter().enumerate() {
         let apex = boxes.query(mapped.get(qi));
@@ -139,11 +140,10 @@ fn excluded_pairs_hold_no_match(
             }
             excluded += 1;
             for r in inv.cell(cell) {
-                let x = store.get_raw(rows.vid[r] as usize);
+                let x = store.get_raw(r);
                 assert!(
                     !Euclidean.dist_le(q, x, tau),
-                    "cell {cell} excluded for query vector {qi}, but holds vector {} at {} <= {tau}",
-                    rows.vid[r],
+                    "cell {cell} excluded for query vector {qi}, but holds row {r} at {} <= {tau}",
                     Euclidean.dist(q, x)
                 );
             }
@@ -178,8 +178,12 @@ fn rough_map(v: &[f32], pivots: &[Vec<f32>], rng: &mut StdRng) -> Vec<f32> {
 /// (not only the candidates blocking hands the scan), for every query
 /// vector at the lake's τ and at the exact distance to its nearest row.
 /// The index is laid out from pivot coordinates off by up to
-/// [`COORD_NOISE`], the query vectors' too. Returns how many rows the lower
-/// bound rejected and the upper bound accepted.
+/// [`COORD_NOISE`], the query vectors' too. Rows are rejected through the
+/// stage-1 kernel ([`kernel::simplex_rows`], every column live), and each
+/// row's `f32` test ([`SimplexLanes::rejects`], the kernel's lanes) keeps
+/// the row at the tightest reach the exact bound allows, its own `f64`
+/// squared gap. Returns how many rows the lower bound rejected and the
+/// upper bound accepted.
 fn row_bounds_hold(
     index: &PexesoIndex<Euclidean>,
     query: &VectorStore,
@@ -187,7 +191,8 @@ fn row_bounds_hold(
     seed: u64,
 ) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let store = index.columns().store();
+    let columns = index.columns().id_ordered();
+    let store = columns.store();
     let pivots = index.pivots();
     let rough: Vec<f32> = store
         .iter()
@@ -201,10 +206,18 @@ fn row_bounds_hold(
         span: index.grid_params().span + 1e-3,
         ..index.grid_params().clone()
     };
-    let vec_col = index.columns().vector_to_column();
-    let inv = InvertedIndex::build(&params, &rough, &vec_col, Some(base)).unwrap();
+    let vec_col = columns.vector_to_column();
+    let (inv, vids) = InvertedIndex::build(&params, &rough, &vec_col, Some(base)).unwrap();
     let boxes = inv.apex().expect("a base gives apexes");
     let rows = inv.rows();
+    let n = pivots.len();
+    let state = vec![0u32; columns.n_columns()];
+    let live = LiveColumns {
+        c_lo: 0,
+        state: &state,
+        gen: 1,
+    };
+    let mut buf = vec![0u32; vids.len()];
     let (mut rejected, mut accepted) = (0, 0);
     for q in query.iter() {
         let apex = boxes.query(&rough_map(q, pivots, &mut rng));
@@ -215,16 +228,34 @@ fn row_bounds_hold(
         for tau in [tau, nearest] {
             for cell in 0..inv.num_cells() as u32 {
                 let (beyond, within) = boxes.row_reach(cell, tau);
-                for r in inv.cell(cell) {
-                    let x = store.get_raw(rows.vid[r] as usize);
+                let window = inv.cell(cell);
+                let lanes = SimplexLanes::new(&apex, n, beyond);
+                let coords = &rows.coords.raw_data()[window.start * n..window.end * n];
+                let (kept, far) = kernel::simplex_rows(
+                    coords,
+                    &rows.col[window.clone()],
+                    window.start as u32,
+                    live,
+                    &lanes,
+                    &mut buf,
+                );
+                assert_eq!(kept as u64 + far, window.len() as u64);
+                let mut survivors = buf[..kept].iter().map(|&r| r as usize).peekable();
+                for r in window {
+                    let x = store.get_raw(vids[r] as usize);
                     let coords = rows.coords.get(r);
                     let matches = Euclidean.dist_le(q, x, tau);
-                    if simplex_filter(&apex, coords, beyond) {
+                    assert!(
+                        !lanes.at(apex.gap2(coords)).rejects(coords),
+                        "row {r} rejected at its exact squared gap {}",
+                        apex.gap2(coords)
+                    );
+                    if survivors.next_if_eq(&r).is_none() {
                         rejected += 1;
                         assert!(
                             !matches,
                             "row {r} (vector {}) rejected at tau {tau}, but lies at {}",
-                            rows.vid[r],
+                            vids[r],
                             Euclidean.dist(q, x)
                         );
                     }
@@ -233,11 +264,12 @@ fn row_bounds_hold(
                         assert!(
                             matches,
                             "row {r} (vector {}) accepted at tau {tau}, but lies at {}",
-                            rows.vid[r],
+                            vids[r],
                             Euclidean.dist(q, x)
                         );
                     }
                 }
+                assert!(survivors.next().is_none(), "survivors in row order");
             }
         }
     }
@@ -382,19 +414,20 @@ fn apex_rows_leave_the_pivot_surfaces_unchanged() {
             options(3, 3, PivotSelection::Pca, 5),
         )
         .unwrap();
-        let by_id =
+        // The index holds its vectors in row order.
+        let by_row =
             MappedVectors::build(index.columns().store(), index.pivots(), &metric, None).unwrap();
         let inv = index.inverted_index();
         assert_eq!(inv.apex().is_some(), apexes, "{}", metric.name());
         let rows = inv.rows();
-        for (r, &v) in rows.vid.iter().enumerate() {
-            assert_eq!(index.rv_mapped().get(r), by_id.get(v as usize));
-            assert_eq!(rows.coords.get(r) == by_id.get(v as usize), !apexes);
+        for r in 0..by_row.len() {
+            assert_eq!(index.rv_mapped().get(r), by_row.get(r));
+            assert_eq!(rows.coords.get(r) == by_row.get(r), !apexes);
         }
-        assert_eq!(index.rv_mapped().len(), by_id.len());
+        assert_eq!(index.rv_mapped().len(), by_row.len());
         assert_eq!(
             index.inspect().pivot_spread,
-            PivotSpread::of(by_id.iter(), by_id.num_pivots())
+            PivotSpread::of(by_row.iter(), by_row.num_pivots())
         );
     }
     check(Euclidean, true);

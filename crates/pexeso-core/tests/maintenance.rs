@@ -183,10 +183,10 @@ fn append_keeps_the_cell_major_rows_consistent() {
         let refs: Vec<&[f32]> = vecs.iter().map(|v| v.as_slice()).collect();
         index.append_column("t", &format!("c{c}"), c, refs).unwrap();
     }
-    let columns = index.columns();
+    let columns = index.columns().id_ordered();
     let pivots = index.pivots();
     let by_id = MappedVectors::build(columns.store(), pivots, &Euclidean, None).unwrap();
-    let rebuilt = InvertedIndex::build(
+    let (rebuilt, vids) = InvertedIndex::build(
         index.grid_params(),
         &by_id,
         &columns.vector_to_column(),
@@ -196,11 +196,17 @@ fn append_keeps_the_cell_major_rows_consistent() {
     let inv = index.inverted_index();
     assert_eq!(inv, &rebuilt);
     assert!(inv.apex().is_some());
+    // The index holds row `r`'s vector at `r`, with its id.
+    assert_eq!(index.columns().vector_ids(), Some(&vids[..]));
+    assert_eq!(
+        index.columns(),
+        &columns.clone().into_owned().in_order(vids.clone()).unwrap()
+    );
     let rows = inv.rows();
     let vec_col = columns.vector_to_column();
-    for (r, &v) in rows.vid.iter().enumerate() {
+    for (r, &v) in vids.iter().enumerate() {
         assert_eq!(rows.col[r], vec_col[v as usize]);
         assert_eq!(index.rv_mapped().get(r), by_id.get(v as usize));
     }
-    assert_eq!(rows.vid.len(), columns.n_vectors());
+    assert_eq!(vids.len(), columns.n_vectors());
 }

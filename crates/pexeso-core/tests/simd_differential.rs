@@ -2,7 +2,7 @@
 //! truth.
 //!
 //! The kernel contract (see `pexeso_core::kernel`) is *exact agreement*:
-//! on whatever tier the host dispatches to (AVX2, NEON, or scalar), every
+//! on whatever tier the host dispatches to (AVX2 or scalar), every
 //! entry point returns bit-identical results to its always-compiled
 //! scalar counterpart — same lane-wise accumulation, same canonical
 //! reduction. These tests drive the dispatched entries against the
@@ -15,7 +15,10 @@
 //! configurations so the SIMD tiers are genuinely exercised where the
 //! hardware allows.
 
-use pexeso_core::kernel;
+use pexeso_core::grid::GridParams;
+use pexeso_core::invindex::{ApexBoxes, InvertedIndex, SimplexBase};
+use pexeso_core::kernel::{self, LiveColumns, SimplexLanes};
+use pexeso_core::mapping::MappedVectors;
 use pexeso_core::metric::{Angular, Chebyshev, Euclidean, Manhattan, Metric};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -209,4 +212,84 @@ fn dist_batch_matches_per_row_dist_bitwise() {
         check!(Chebyshev);
         check!(Angular);
     }
+}
+
+/// Row coordinates the stage-1 kernel must carry like the scalar tier:
+/// NaN, the infinities, subnormals, signed zeros and the largest finite
+/// magnitudes.
+const STAGE1_EDGES: &[f32] = &[
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::from_bits(1),
+    -f32::from_bits(1),
+    0.0,
+    -0.0,
+    f32::MAX,
+    -f32::MAX,
+];
+
+/// The apex boxes of a small Euclidean index over `n` random pivots: what
+/// turns a query vector's pivot coordinates into its apex interval.
+fn apex_boxes(rng: &mut StdRng, n: usize) -> ApexBoxes {
+    let dim = n + 3;
+    let pivots: Vec<Vec<f32>> = (0..n).map(|_| random_vec(rng, dim)).collect();
+    let base = SimplexBase::of(&pivots, &Euclidean).expect("random pivots span a simplex");
+    let rows: Vec<f32> = (0..4 * n).map(|_| rng.gen_range(0.0f32..4.0)).collect();
+    let mapped = MappedVectors::from_raw(n, rows).unwrap();
+    let params = GridParams::new(n, 1, 8.0).unwrap();
+    let (inv, _) = InvertedIndex::build(&params, &mapped, &[0; 4], Some(base)).unwrap();
+    inv.apex().expect("a base gives apexes").clone()
+}
+
+/// Stage 1 of the candidate scan on the dispatched tier keeps the same
+/// rows in the same order, and counts the same rejections, as the scalar
+/// tier: for |P| = 1..=16, every window length from 0 to 17 (one step of
+/// eight rows, two, and every tail), columns dead, matched and live, and
+/// row and query coordinates sprinkled with NaN, ±∞, subnormals and ±0.
+#[test]
+fn stage1_kernel_matches_scalar() {
+    let mut rng = StdRng::seed_from_u64(0x57A6E1);
+    let mut kept_some = 0;
+    for n in 1..=16usize {
+        let boxes = apex_boxes(&mut rng, n);
+        for len in 0..=17usize {
+            for _ in 0..6 {
+                let coord = |rng: &mut StdRng| {
+                    if rng.gen_range(0u32..5) == 0 {
+                        STAGE1_EDGES[rng.gen_range(0..STAGE1_EDGES.len())]
+                    } else {
+                        rng.gen_range(-2.0f32..2.0)
+                    }
+                };
+                let coords: Vec<f32> = (0..len * n).map(|_| coord(&mut rng)).collect();
+                let q: Vec<f32> = (0..n).map(|_| coord(&mut rng).abs()).collect();
+                let lanes = SimplexLanes::new(&boxes.query(&q), n, rng.gen_range(0.0f64..6.0));
+                let gen = [0, 3, u32::MAX - 1][rng.gen_range(0..3usize)];
+                let state: Vec<u32> = (0..5)
+                    .map(|_| [0, gen.saturating_sub(1), gen, u32::MAX][rng.gen_range(0..4usize)])
+                    .collect();
+                let c_lo = 7u32;
+                let cols: Vec<u32> = (0..len).map(|_| c_lo + rng.gen_range(0u32..5)).collect();
+                let live = LiveColumns {
+                    c_lo,
+                    state: &state,
+                    gen,
+                };
+                let first = rng.gen_range(0u32..1000);
+                let mut got = vec![u32::MAX; len];
+                let mut want = vec![u32::MAX; len];
+                let (k, r) = kernel::simplex_rows(&coords, &cols, first, live, &lanes, &mut got);
+                let (ks, rs) =
+                    kernel::simplex_rows_scalar(&coords, &cols, first, live, &lanes, &mut want);
+                assert_eq!((k, r), (ks, rs), "n={n} len={len}");
+                assert_eq!(got[..k], want[..ks], "n={n} len={len}");
+                kept_some += usize::from(k > 0 && r > 0);
+            }
+        }
+    }
+    assert!(
+        kept_some > 100,
+        "the sweep must keep and reject rows: {kept_some}"
+    );
 }

@@ -161,7 +161,7 @@ pub fn read_lake_columns(
     for i in 0..base.num_partitions() {
         let unit = load_base_unit(base, &manifest.metric, i)?;
         options.get_or_insert_with(|| unit.options().clone());
-        let cs = unit.columns();
+        let cs = unit.columns().id_ordered();
         for meta in cs.columns() {
             if state.dropped_tables.contains(&meta.table_name) {
                 dropped += 1;

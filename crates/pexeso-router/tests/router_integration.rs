@@ -964,11 +964,11 @@ fn routed_explain_columns_stage_counts_the_shards_lemma7() {
         })
         .sum();
     assert!(shards > 0, "the shards must prune by Lemma 7");
-    let routed = router
-        .execute(&q, &query)
-        .unwrap()
-        .explain
-        .expect("explained");
+    let resp = router.execute(&q, &query).unwrap();
+    // The routed stats carry the funnel's counters, not only the
+    // distance count.
+    assert_eq!(resp.stats.lemma7_pruned, shards);
+    let routed = resp.explain.expect("explained");
     assert_eq!(lemma7(routed), [("lemma7".to_string(), shards)]);
     for d in daemons {
         d.shutdown();

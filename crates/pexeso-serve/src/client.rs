@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use pexeso_core::error::PexesoError;
-use pexeso_core::explain::ExplainReport;
+use pexeso_core::explain::{ExplainReport, FunnelCounters};
 use pexeso_core::outofcore::GlobalHit;
 use pexeso_core::query::{Exceeded, Query, QueryOutcome, QueryResponse, Queryable};
 use pexeso_core::stats::SearchStats;
@@ -422,8 +422,15 @@ fn expired_in_queue() -> (QueryResponse, RemoteMeta) {
 /// The `HITS` entry a daemon answers `requested` with from an executed
 /// response — the daemon half of `unwrap_hits_reply` below. Only a trace
 /// the decoded query asked for travels back: one the daemon's sampler
-/// added exists for the slow-query log and never changes the reply.
+/// added exists for the slow-query log and never changes the reply. The
+/// funnel counters always do, so that a remote `resp.stats` carries every
+/// counter whether or not the query asked for EXPLAIN (and explaining
+/// changes no stats); the top-k seeds travel only with a report.
 pub fn hits_reply(requested: &Query, generation: u64, resp: QueryResponse) -> HitsReply {
+    let counters = match resp.explain {
+        Some(report) => report.counters,
+        None => FunnelCounters::of(&resp.stats, Vec::new()),
+    };
     HitsReply {
         generation,
         cached: false,
@@ -433,7 +440,7 @@ pub fn hits_reply(requested: &Query, generation: u64, resp: QueryResponse) -> Hi
             distance_computations: resp.stats.distance_computations,
         }),
         trace: resp.trace.filter(|_| requested.trace.enabled()),
-        explain: resp.explain.map(|report| Box::new(report.counters)),
+        explain: Some(Box::new(counters)),
     }
 }
 
@@ -463,6 +470,10 @@ fn unwrap_hits_reply(query: &Query, reply: HitsReply) -> ClientResult<(QueryResp
         distance_computations: ext.distance_computations,
         ..SearchStats::new()
     };
+    // An executed answer carries every funnel counter; a cached one none.
+    if let Some(counters) = &reply.explain {
+        counters.fill(&mut stats);
+    }
     // A requested trace doubles as the wire carrier for the per-phase
     // timings: rehydrate the `SearchStats` phase durations from the
     // server's span tree so client-side consumers (Table VI tooling)
@@ -476,6 +487,7 @@ fn unwrap_hits_reply(query: &Query, reply: HitsReply) -> ClientResult<(QueryResp
     }
     let explain = reply
         .explain
+        .filter(|_| query.explain)
         .map(|c| ExplainReport::new(query, *c, hits.len() as u64, ext.outcome));
     Ok((
         QueryResponse {

@@ -75,8 +75,11 @@
 //! `u64`, table `str`, column `str`, match count `u32`), trace: `opt` span
 //! tree, explain: `opt` funnel counters (the 12 `u64`s of
 //! [`FunnelCounters::counts`], then the top-k seed count `u32` + seeds,
-//! each an `opt u32`). The client builds the EXPLAIN report from them,
-//! the query it sent and the reply's hits and outcome. The four refusal
+//! each an `opt u32`), present in every executed answer (the seeds only
+//! when the query asked for EXPLAIN). The client fills the response's
+//! stats from them and, for a query that asked, builds the EXPLAIN
+//! report from them, the query it sent and the reply's hits and outcome.
+//! The four refusal
 //! kinds (248–251) keep their bytes and layouts across versions, so a
 //! peer of any build can read a refusal.
 
@@ -268,11 +271,11 @@ pub struct HitsReply {
     /// trace. Cached replies carry no trace — traced requests bypass the
     /// result cache so the tree always describes *this* execution.
     pub trace: Option<QueryTrace>,
-    /// The counters of the server-side EXPLAIN funnel, present iff the
-    /// request asked for one. Like traces, explain-requesting queries
-    /// bypass the result cache so the funnel always describes *this*
-    /// execution. Boxed so the common explain-free reply doesn't pay the
-    /// counters' footprint.
+    /// The counters of the server-side funnel, present in every executed
+    /// answer and absent from a cached one; the top-k seeds are filled
+    /// only when the request asked for EXPLAIN. Like traces,
+    /// explain-requesting queries bypass the result cache so the funnel
+    /// always describes *this* execution.
     pub explain: Option<Box<FunnelCounters>>,
 }
 
