@@ -1,34 +1,54 @@
-//! Blocking: the dual-grid traversal of Algorithm 1, plus quick browsing.
+//! Blocking: Algorithm 1 as one flat pass over `HG_RV`'s leaves, plus
+//! quick browsing.
 //!
-//! `HG_Q` and `HG_RV` are built with the same number of levels; the
-//! traversal descends both in lockstep, pruning pairs with Lemma 4,
-//! accepting whole subtrees with Lemma 6, and classifying
-//! ⟨query vector, leaf cell⟩ pairs at the leaves with Lemmas 3 and 5.
-//! The output is the paper's two pair sets: *matching pairs* (no
-//! verification needed) and *candidate pairs* (verified by
-//! [`crate::verify`]).
+//! For each query vector `q`, the pass tests every leaf of `HG_RV` once,
+//! in ascending ordinal order: if Lemma 5 holds the pair is a *matching
+//! pair* (no verification needed), else if Lemma 3 holds it is filtered,
+//! else it is a *candidate pair* for [`crate::verify`]. The pair quick
+//! browsing emitted (`q`'s own leaf) is a candidate, untested.
 //!
-//! Every cell of a grid is a range of its sorted leaves ([`crate::grid`]),
-//! so the output names `HG_RV`'s leaves by **ordinal**, which is the
-//! inverted index's cell ordinal: a subtree Lemma 6 accepts is one range
-//! of them, and verification needs no lookup. `HG_RV` is walked in
-//! ascending order, so each query vector's matching cells, and its
-//! candidate cells, come out in ascending ordinal order — the order of
-//! their rows in memory.
-
+//! The paper descends `HG_Q` and `HG_RV` in lockstep so that the
+//! cell-cell Lemmas 4 and 6 prune or accept whole subtrees. They decide
+//! nothing the vector-cell lemmas would not. Take a leaf `ℓ` under a cell
+//! `c` and a query vector `q` in a cell `cq`: if Lemma 4 prunes ⟨cq, c⟩,
+//! then on the separating pivot `ℓ.lower ≥ c.lower > cq.upper + τ + EPS ≥
+//! q + τ + EPS` (or the mirror image below), so Lemma 3 prunes ⟨q, ℓ⟩;
+//! if Lemma 6 accepts ⟨cq, c⟩, then on its pivot `ℓ.upper ≤ c.upper ≤
+//! τ − cq.upper − EPS ≤ τ − q − EPS`, so Lemma 5 accepts ⟨q, ℓ⟩. The
+//! interior levels only save tests, and a lake's few non-empty leaves lie
+//! close together: on the benchmark's lake (|P| = 3, m = 4, 120–170 of
+//! 4,096 leaves a partition) the descent took about as many steps as the
+//! pass, each dearer.
+//!
+//! ## Cost
+//!
+//! |Q| · leaves · |P| comparisons, as table lookups. Per query vector the
+//! pass tabulates, for each pivot and each of its `2^m` cell indices,
+//! whether Lemma 5 or Lemma 3 holds on that pivot; a leaf is then |P|
+//! lookups by the cell indices [`HierarchicalGrid`] keeps beside its key.
+//! The leaf edges are [`GridParams::bounds`]' `f32` expressions and the
+//! query's side is the lemmas' own, so each verdict is bit-identical to
+//! the lemmas over `GridParams::bounds(leaf, m)`. Every pair is counted
+//! once: the candidate (quick browsing's included), matching and
+//! filtered pairs add up to |Q| · leaves.
+//!
+//! The output names `HG_RV`'s leaves by **ordinal**, the inverted index's
+//! cell ordinal, ascending per query vector — the order of their rows.
+//!
 //! ## Parallel blocking
 //!
-//! Every query vector lies in exactly one leaf of `HG_Q`, hence under
-//! exactly one level-1 root child. [`block_with`] shards the root children
-//! across an [`ExecPolicy`]'s threads; the per-shard accumulators are
-//! therefore disjoint in query vectors and merge without conflicts,
-//! keeping the output byte-identical to the sequential traversal.
+//! [`block_with`] shards the query vectors across an [`ExecPolicy`]'s
+//! threads, a shard only where it holds `MIN_PAIRS_PER_SHARD` pairs. The
+//! shards fill disjoint lists and concatenate in order, so the output is
+//! byte-identical to the sequential pass.
+
+use std::ops::Range;
 
 use crate::config::{ExecPolicy, LemmaFlags};
 use crate::exec;
-use crate::grid::{Cell, HierarchicalGrid};
+use crate::grid::{by_pivots, GridParams, HierarchicalGrid};
 use crate::invindex::InvertedIndex;
-use crate::lemmas;
+use crate::lemmas::EPS;
 use crate::mapping::MappedVectors;
 use crate::stats::SearchStats;
 use crate::util::FastMap;
@@ -47,34 +67,27 @@ pub struct BlockOutput {
 }
 
 /// What [`quick_browse`] returns: it emitted every ⟨query vector, leaf⟩
-/// pair whose two leaves share a key, and [`block`] given it skips them.
+/// pair whose two leaves share a key, and [`block`] given it takes them
+/// as candidates without testing them.
 #[derive(Debug, Clone, Copy)]
 pub struct QuickBrowsed;
 
-/// Per-shard accumulators of the traversal, one list per query vector,
-/// and per level a buffer for a cell's `HG_RV` children, which are made
-/// once and paired with each `HG_Q` child.
-struct Acc {
-    matching: Vec<Vec<u32>>,
-    candidates: Vec<Vec<u32>>,
-    t_children: Vec<Vec<Cell>>,
-}
+/// ⟨query vector, leaf⟩ pairs a shard of the pass must hold before a
+/// thread is spawned for it: a pair costs a few ns, so this is about a
+/// millisecond of work, the break-even [`exec`] assumes.
+const MIN_PAIRS_PER_SHARD: usize = 1 << 18;
 
-struct Cfg<'a> {
-    hgq: &'a HierarchicalGrid,
-    hgrv: &'a HierarchicalGrid,
-    query_mapped: &'a MappedVectors,
-    tau: f32,
-    flags: LemmaFlags,
-    quick_browsed: bool,
-}
+/// Verdict bits of a table entry: Lemma 5 holds on the pivot.
+const MATCH: u8 = 1;
+/// Lemma 3 holds on the pivot.
+const FILTER: u8 = 2;
 
 /// Quick browsing (Section III-C): every leaf cell of `HG_Q` that also
 /// exists in `HG_RV` refers to the same space region, so its query vectors
-/// and the target cell can never be separated by Lemma 3/4 — emit them as
-/// candidates immediately and let the traversal skip the identical-key
-/// pair. One merge walk over the two sorted leaf arrays, the index's
-/// side advanced by binary search.
+/// and the target cell can never be separated by Lemma 3 — emit them as
+/// candidates immediately and let the pass skip the identical-key pair.
+/// One merge walk over the two sorted leaf arrays, the index's side
+/// advanced by binary search.
 pub fn quick_browse(
     hgq: &HierarchicalGrid,
     inv: &InvertedIndex,
@@ -95,9 +108,9 @@ pub fn quick_browse(
     QuickBrowsed
 }
 
-/// Run Algorithm 1 over the two grids single-threaded. `quick_browsed`
-/// says [`quick_browse`] ran (pass `None` to disable skipping); its
-/// candidate pairs are supplied via `seed_candidates`.
+/// Run Algorithm 1 single-threaded. `quick_browsed` says [`quick_browse`]
+/// ran (pass `None` when it did not); its candidate pairs are supplied via
+/// `seed_candidates`.
 #[allow(clippy::too_many_arguments)]
 pub fn block(
     hgq: &HierarchicalGrid,
@@ -122,8 +135,10 @@ pub fn block(
     )
 }
 
-/// [`block`] with explicit parallelism over the `HG_Q` root children.
-/// Output is identical for every policy.
+/// [`block`] with explicit parallelism over the query vectors. Output is
+/// identical for every policy. `hgq` is `query_mapped`'s grid; the pass
+/// reads the query vectors' coordinates, and `HG_Q` only through the
+/// pairs quick browsing took from it.
 #[allow(clippy::too_many_arguments)]
 pub fn block_with(
     hgq: &HierarchicalGrid,
@@ -136,144 +151,156 @@ pub fn block_with(
     stats: &mut SearchStats,
     policy: ExecPolicy,
 ) -> BlockOutput {
-    debug_assert_eq!(
-        hgq.params().levels,
-        hgrv.params().levels,
-        "grids must share m"
+    debug_assert_eq!(hgq.params(), hgrv.params(), "grids must share params");
+    debug_assert!(
+        quick_browsed.is_some() || seed_candidates.is_empty(),
+        "seed candidates come from quick browsing"
     );
-    let cfg = Cfg {
-        hgq,
-        hgrv,
+    let n_q = query_mapped.len();
+    let n_leaves = hgrv.leaves().len();
+    let mut seeds = vec![Vec::new(); n_q];
+    for (q, mut cells) in seed_candidates {
+        cells.sort_unstable();
+        seeds[q as usize] = cells;
+    }
+    let pass = Pass {
+        params: hgrv.params(),
+        indices: hgrv.leaf_indices(),
+        n_leaves: n_leaves as u32,
         query_mapped,
         tau,
         flags,
-        quick_browsed: quick_browsed.is_some(),
+        seeds: &seeds,
     };
-    let q_roots: Vec<Cell> = hgq.children(&hgq.root(), 0).collect();
-    let t_roots: Vec<Cell> = hgrv.children(&hgrv.root(), 0).collect();
-
-    // Traverse shards of root children; each query vector lives under one
-    // root child, so shards fill disjoint lists.
-    let n_q = query_mapped.len();
-    let shards = exec::map_ranges_min(policy, q_roots.len(), 2, |range| {
-        let mut acc = Acc {
-            matching: vec![Vec::new(); n_q],
-            candidates: vec![Vec::new(); n_q],
-            t_children: vec![Vec::new(); hgq.params().levels],
-        };
-        let mut shard_stats = SearchStats::new();
-        for q_child in &q_roots[range] {
-            for t_child in &t_roots {
-                descend(&cfg, &mut acc, q_child, t_child, 1, &mut shard_stats);
-            }
-        }
-        (acc, shard_stats)
+    let min_q = MIN_PAIRS_PER_SHARD.div_ceil(n_leaves.max(1));
+    let shards = exec::map_ranges_min(policy, n_q, min_q, |range| {
+        by_pivots!(pass.params.num_pivots, run_pass(&pass, range))
     });
 
-    let (mut matching, mut candidates) = (vec![Vec::new(); n_q], vec![Vec::new(); n_q]);
-    for (mut acc, shard_stats) in shards {
-        stats.merge(&shard_stats);
-        for q in 0..n_q {
-            matching[q].append(&mut acc.matching[q]);
-            candidates[q].append(&mut acc.candidates[q]);
-        }
-    }
-    // The traversal skipped the quick-browsed leaf of each vector: put it
-    // in its place.
-    for (q, cells) in seed_candidates {
-        let list = &mut candidates[q as usize];
-        for c in cells {
-            list.insert(list.partition_point(|&x| x < c), c);
-        }
-    }
-
-    let pairs = |lists: &[Vec<u32>]| lists.iter().map(|c| c.len() as u64).sum::<u64>();
-    stats.matching_pairs += pairs(&matching);
-    stats.candidate_pairs += pairs(&candidates);
-    let finalize = |lists: Vec<Vec<u32>>| -> Vec<(u32, Vec<u32>)> {
-        let nonempty = lists.into_iter().enumerate().filter(|(_, c)| !c.is_empty());
-        nonempty.map(|(q, c)| (q as u32, c)).collect()
+    let mut out = BlockOutput {
+        rv_leaves: n_leaves,
+        ..BlockOutput::default()
     };
-    BlockOutput {
-        matching: finalize(matching),
-        candidates: finalize(candidates),
-        rv_leaves: hgrv.leaves().len(),
+    for (matching, candidates, shard_stats) in shards {
+        stats.merge(&shard_stats);
+        out.matching.extend(matching);
+        out.candidates.extend(candidates);
+    }
+    out
+}
+
+/// What every shard of the pass reads.
+struct Pass<'a> {
+    params: &'a GridParams,
+    indices: &'a [u8],
+    n_leaves: u32,
+    query_mapped: &'a MappedVectors,
+    tau: f32,
+    flags: LemmaFlags,
+    /// Per query vector, the leaves quick browsing emitted, ascending.
+    seeds: &'a [Vec<u32>],
+}
+
+/// Each query vector's matching and candidate lists (non-empty ones only)
+/// and the shard's counters.
+type ShardOut = (Vec<(u32, Vec<u32>)>, Vec<(u32, Vec<u32>)>, SearchStats);
+
+/// The pass over the query vectors `range`, with `N` = |P| pivots.
+fn run_pass<const N: usize>(pass: &Pass<'_>, range: Range<usize>) -> ShardOut {
+    let (mut matching, mut candidates, mut stats) = (Vec::new(), Vec::new(), SearchStats::new());
+    let mut table = [[0u8; 256]; N];
+    let n_leaves = pass.n_leaves as usize;
+    let mut lists = Lists {
+        matching: vec![0; n_leaves],
+        candidates: vec![0; n_leaves],
+        n_matching: 0,
+        n_candidates: 0,
+    };
+    for q in range {
+        tabulate(pass, pass.query_mapped.get(q), &mut table);
+        (lists.n_matching, lists.n_candidates) = (0, 0);
+        let mut from = 0;
+        for &seed in pass.seeds[q].iter().chain([&pass.n_leaves]) {
+            classify(&table, pass.indices, from..seed, &mut lists);
+            if seed < pass.n_leaves {
+                lists.candidates[lists.n_candidates] = seed;
+                lists.n_candidates += 1;
+            }
+            from = seed + 1;
+        }
+        let m = &lists.matching[..lists.n_matching];
+        let c = &lists.candidates[..lists.n_candidates];
+        stats.cell_pairs_matched += m.len() as u64;
+        stats.cell_pairs_filtered += (n_leaves - m.len() - c.len()) as u64;
+        stats.matching_pairs += m.len() as u64;
+        stats.candidate_pairs += c.len() as u64;
+        if !m.is_empty() {
+            matching.push((q as u32, m.to_vec()));
+        }
+        if !c.is_empty() {
+            candidates.push((q as u32, c.to_vec()));
+        }
+    }
+    (matching, candidates, stats)
+}
+
+/// One query vector's matching and candidate leaves, the first `n_*` of
+/// each buffer (one slot per leaf, so every leaf is written without a
+/// branch).
+struct Lists {
+    matching: Vec<u32>,
+    candidates: Vec<u32>,
+    n_matching: usize,
+    n_candidates: usize,
+}
+
+/// Fill `table[i][x]` with the verdict bits for query coordinates `qm`
+/// and the leaves whose cell index on pivot `i` is `x`: [`MATCH`] when the
+/// leaf's upper edge lies within `τ − q − EPS` (Lemma 5), [`FILTER`] when
+/// the leaf lies outside `[q − τ − EPS, q + τ + EPS]` (Lemma 3). A lemma
+/// the flags turn off sets no bit.
+fn tabulate<const N: usize>(pass: &Pass<'_>, qm: &[f32], table: &mut [[u8; 256]; N]) {
+    let (m, tau, flags) = (pass.params.levels, pass.tau, pass.flags);
+    for (row, &q) in table.iter_mut().zip(qm) {
+        let edge = tau - q;
+        let (below, above) = (q - tau - EPS, q + tau + EPS);
+        for (x, verdict) in row[..1 << m].iter_mut().enumerate() {
+            let (lower, upper) = pass.params.axis_bounds(x as u8, m);
+            let matches = flags.lemma56_cell_match && edge > 0.0 && upper <= edge - EPS;
+            let filters = flags.lemma34_cell_filter && (lower > above || upper < below);
+            *verdict = (u8::from(matches) * MATCH) | (u8::from(filters) * FILTER);
+        }
     }
 }
 
-fn descend(
-    cfg: &Cfg<'_>,
-    acc: &mut Acc,
-    q_cell: &Cell,
-    t_cell: &Cell,
-    level: usize,
-    stats: &mut SearchStats,
+/// Classify the leaves `leaves` by `table`: Lemma 5 on any pivot makes a
+/// matching pair, else Lemma 3 on any pivot filters the pair, else it is
+/// a candidate. Each leaf is written to both lists and kept by the one
+/// its verdict names.
+fn classify<const N: usize>(
+    table: &[[u8; 256]; N],
+    indices: &[u8],
+    leaves: Range<u32>,
+    lists: &mut Lists,
 ) {
-    let m = cfg.hgq.params().levels;
-    if level == m {
-        leaf_pair(cfg, acc, q_cell, t_cell, stats);
-        return;
-    }
-    let q_bounds = cfg.hgq.bounds(q_cell, level);
-    let t_bounds = cfg.hgrv.bounds(t_cell, level);
-
-    if cfg.flags.lemma56_cell_match && lemmas::lemma6_cell_cell_match(&q_bounds, &t_bounds, cfg.tau)
-    {
-        stats.cell_pairs_matched += 1;
-        // Every query vector under q_cell matches every leaf under t_cell.
-        for &q in cfg.hgq.vectors(q_cell.leaves.clone()) {
-            acc.matching[q as usize].extend(t_cell.leaves.clone());
-        }
-        return;
-    }
-    if cfg.flags.lemma34_cell_filter
-        && lemmas::lemma4_cell_cell_filter(&q_bounds, &t_bounds, cfg.tau)
-    {
-        stats.cell_pairs_filtered += 1;
-        return;
-    }
-    // Children are expanded on both grids simultaneously (block nested
-    // loop style, each grid scanned once).
-    let mut t_children = std::mem::take(&mut acc.t_children[level]);
-    t_children.clear();
-    t_children.extend(cfg.hgrv.children(t_cell, level));
-    for qc in cfg.hgq.children(q_cell, level) {
-        for tc in &t_children {
-            descend(cfg, acc, &qc, tc, level + 1, stats);
-        }
-    }
-    acc.t_children[level] = t_children;
-}
-
-fn leaf_pair(cfg: &Cfg<'_>, acc: &mut Acc, q_cell: &Cell, t_cell: &Cell, stats: &mut SearchStats) {
-    let (q_leaf, t_leaf) = (q_cell.leaves.start, t_cell.leaves.start);
-    if cfg.quick_browsed && cfg.hgq.leaves()[q_leaf as usize] == cfg.hgrv.leaves()[t_leaf as usize]
-    {
-        return; // already emitted as candidates by quick browsing
-    }
-    let t_bounds = cfg.hgrv.bounds(t_cell, cfg.hgrv.params().levels);
-    for &q in cfg.hgq.vectors(q_cell.leaves.clone()) {
-        let qm = cfg.query_mapped.get(q as usize);
-        if cfg.flags.lemma56_cell_match && lemmas::lemma5_vector_cell_match(qm, &t_bounds, cfg.tau)
-        {
-            stats.cell_pairs_matched += 1;
-            acc.matching[q as usize].push(t_leaf);
-        } else if cfg.flags.lemma34_cell_filter
-            && lemmas::lemma3_vector_cell_filter(qm, &t_bounds, cfg.tau)
-        {
-            stats.cell_pairs_filtered += 1;
-        } else {
-            acc.candidates[q as usize].push(t_leaf);
-        }
+    let cells = indices[leaves.start as usize * N..leaves.end as usize * N].chunks_exact(N);
+    for (c, idx) in leaves.zip(cells) {
+        let verdict = (0..N).fold(0, |v, i| v | table[i][idx[i] as usize]);
+        let matches = verdict & MATCH != 0;
+        lists.matching[lists.n_matching] = c;
+        lists.n_matching += usize::from(matches);
+        lists.candidates[lists.n_candidates] = c;
+        lists.n_candidates += usize::from(verdict == 0);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::GridParams;
+    use crate::lemmas;
     use crate::metric::{Euclidean, Metric};
     use crate::vector::VectorStore;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::HashSet;
@@ -598,5 +625,121 @@ mod tests {
         let b = run();
         assert_eq!(a.matching, b.matching);
         assert_eq!(a.candidates, b.candidates);
+    }
+
+    /// A coordinate on the pivot axis near the cell boundary `k·w`: on
+    /// it, `EPS` or half of it to either side, or anywhere in the span.
+    fn near_boundary(rng: &mut StdRng, w: f32, cells: u32, span: f32) -> f32 {
+        let offsets = [0.0, EPS, -EPS, EPS / 2.0, -EPS / 2.0, 2.0 * EPS, -2.0 * EPS];
+        if rng.gen_range(0u32..5) == 0 {
+            return rng.gen_range(0.0..span);
+        }
+        let k = rng.gen_range(0..=cells) as f32;
+        (k * w + offsets[rng.gen_range(0..offsets.len())]).clamp(0.0, span)
+    }
+
+    /// The flags of bit pattern `bits`: all sixteen combinations.
+    fn flags_of(bits: u8) -> LemmaFlags {
+        LemmaFlags {
+            lemma1_vector_filter: bits & 1 != 0,
+            lemma2_vector_match: bits & 2 != 0,
+            lemma34_cell_filter: bits & 4 != 0,
+            lemma56_cell_match: bits & 8 != 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The pass classifies every ⟨query vector, leaf⟩ pair as Lemma 5
+        /// then Lemma 3 over `GridParams::bounds(leaf, m)` do, the
+        /// quick-browsed pair aside; its counters add up to |Q| · leaves;
+        /// and three threads give what one does. Query coordinates and τ
+        /// sit on cell boundaries and `EPS` off them, where a comparison
+        /// that drops `EPS` decides otherwise.
+        #[test]
+        fn flat_pass_equals_brute_force_classification(
+            n in 1usize..=4,
+            m in 1usize..=6,
+            nt in 1usize..160,
+            nq in 1usize..12,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let span = 2.0f32;
+            let params = GridParams::new(n, m, span).unwrap();
+            let (w, cells) = (params.cell_width(m), 1u32 << m);
+            let coords = |count: usize, rng: &mut StdRng| {
+                let flat = (0..count * n).map(|_| near_boundary(rng, w, cells, span)).collect();
+                MappedVectors::from_raw(n, flat).unwrap()
+            };
+            let tmapped = coords(nt, &mut rng);
+            let qmapped = coords(nq, &mut rng);
+            let tau = if rng.gen_range(0u32..3) == 0 {
+                rng.gen_range(0.0..span / 2.0)
+            } else {
+                let offsets = [0.0, EPS / 2.0, -EPS / 2.0, 1.5 * EPS, -1.5 * EPS];
+                (rng.gen_range(0..4u32) as f32 * w + offsets[rng.gen_range(0..offsets.len())]).max(0.0)
+            };
+            let vec_col: Vec<u32> = (0..nt as u32).collect();
+            let (inv, _) = InvertedIndex::build(&params, &tmapped, &vec_col, None).unwrap();
+            let hgq = HierarchicalGrid::build(params.clone(), &qmapped).unwrap();
+            let leaves = inv.grid().leaves();
+            for bits in 0..16u8 {
+                let flags = flags_of(bits);
+                for quick in [false, true] {
+                    let run = |policy: ExecPolicy| {
+                        let mut stats = SearchStats::new();
+                        let mut seeded = FastMap::default();
+                        let handled = quick.then(|| quick_browse(&hgq, &inv, &mut seeded, &mut stats));
+                        let out = block_with(
+                            &hgq, inv.grid(), &qmapped, tau, flags, handled.as_ref(), seeded,
+                            &mut stats, policy,
+                        );
+                        (out, stats)
+                    };
+                    let (out, stats) = run(ExecPolicy::Sequential);
+                    let (mut matching, mut candidates) = (Vec::new(), Vec::new());
+                    for q in 0..nq {
+                        let qm = qmapped.get(q);
+                        let own = params.leaf_key(qm);
+                        let (mut mq, mut cq) = (Vec::new(), Vec::new());
+                        for (c, &key) in leaves.iter().enumerate() {
+                            let b = params.bounds(key, m);
+                            if quick && key == own {
+                                cq.push(c as u32);
+                            } else if flags.lemma56_cell_match
+                                && lemmas::lemma5_vector_cell_match(qm, &b, tau)
+                            {
+                                mq.push(c as u32);
+                            } else if !(flags.lemma34_cell_filter
+                                && lemmas::lemma3_vector_cell_filter(qm, &b, tau))
+                            {
+                                cq.push(c as u32);
+                            }
+                        }
+                        if !mq.is_empty() {
+                            matching.push((q as u32, mq));
+                        }
+                        if !cq.is_empty() {
+                            candidates.push((q as u32, cq));
+                        }
+                    }
+                    let case = format!("flags {bits:04b} quick {quick} tau {tau}");
+                    prop_assert_eq!(&out.matching, &matching, "{}", case);
+                    prop_assert_eq!(&out.candidates, &candidates, "{}", case);
+                    prop_assert_eq!(out.rv_leaves, leaves.len());
+                    prop_assert_eq!(
+                        stats.candidate_pairs + stats.matching_pairs + stats.cell_pairs_filtered,
+                        (nq * leaves.len()) as u64,
+                        "{}", case
+                    );
+                    prop_assert_eq!(stats.cell_pairs_matched, stats.matching_pairs);
+                    let (par, par_stats) = run(ExecPolicy::Fixed { threads: 3 });
+                    prop_assert_eq!(&par, &out, "{}", case);
+                    prop_assert_eq!(&par_stats, &stats, "{}", case);
+                }
+            }
+        }
     }
 }

@@ -78,6 +78,9 @@ fn crc32c_hw() -> bool {
 /// # Safety
 ///
 /// The CPU must support SSE4.2.
+// SAFETY: needs SSE4.2 (`crc32c_hw`); any slice is valid. CI's both tiers
+// run `crc32c_hardware_path_equals_table_path` and
+// `simd_differential.rs::crc32c_matches_a_bitwise_reference`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 unsafe fn crc32c_sse42(bytes: &[u8]) -> u32 {

@@ -83,9 +83,12 @@ pub struct LemmaFlags {
     pub lemma1_vector_filter: bool,
     /// Lemma 2: vector-level pivot matching during verification.
     pub lemma2_vector_match: bool,
-    /// Lemmas 3 & 4: vector-cell and cell-cell filtering during blocking.
+    /// Lemma 3: vector-cell filtering during blocking. The name keeps the
+    /// paper's pairing with the cell-cell Lemma 4, which blocking does
+    /// not test: it decides nothing Lemma 3 does not ([`crate::block`]).
     pub lemma34_cell_filter: bool,
-    /// Lemmas 5 & 6: vector-cell and cell-cell matching during blocking.
+    /// Lemma 5: vector-cell matching during blocking (Lemma 6, the
+    /// cell-cell form, likewise implied).
     pub lemma56_cell_match: bool,
 }
 

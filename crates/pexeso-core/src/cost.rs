@@ -190,7 +190,7 @@ pub fn analyze_levels(rv_mapped: &MappedVectors, span: f32, seed: u64) -> Result
 
 /// Cheap per-column lower bounds on the number of matching query
 /// records, derived from the blocking output alone (no exact distances):
-/// `lower[S]` counts query vectors whose *matching* cells (Lemma 5/6)
+/// `lower[S]` counts query vectors whose *matching* cells (Lemma 5)
 /// contain column `S` — each is a definite match, so the exact count is at
 /// least `lower[S]`. [`topk_seed`] turns them into the threshold a top-k
 /// scan starts from.

@@ -1,7 +1,7 @@
 //! EXPLAIN: the query's pruning funnel, reported.
 //!
 //! PEXESO's contribution is a cascade of pruning stages — grid blocking
-//! (Lemmas 3–6), inverted-index verification (Lemmas 1/2), and
+//! (Lemmas 3 and 5), inverted-index verification (Lemmas 1/2), and
 //! column-level early termination (Lemma 7, under `T` or under a top-k
 //! seed). The trace plane ([`crate::trace`]) reports how *long* each
 //! phase took; this module reports *why* the work was what it was: how
@@ -22,8 +22,10 @@
 //!
 //! ## Funnel semantics
 //!
-//! Stages count in their own unit — `pairs` (⟨query vector, cell⟩
-//! blocking decisions), `rows` (candidate target vectors examined
+//! Stages count in their own unit — `pairs` (⟨query vector, leaf cell⟩
+//! blocking decisions: every query vector meets every leaf of a unit's
+//! `HG_RV` once, so the block stage's input is |Q| · leaves summed over
+//! the units), `rows` (candidate target vectors examined
 //! during verification), `columns` (final answer granularity). Within
 //! every stage the arithmetic is exact **by construction**:
 //! `input = output + Σ pruned`, where each pruned entry equals the
@@ -178,7 +180,7 @@ impl ExplainReport {
                 "block",
                 "pairs",
                 c.candidate_pairs + c.matching_pairs,
-                "lemma3/4",
+                "lemma3",
                 c.cell_pairs_filtered,
             ),
             FunnelStage::derive(
@@ -205,7 +207,7 @@ impl ExplainReport {
                 c.quick_browse_pairs
             ),
             format!(
-                "lemma5/6_cell_matches={} lemma2_definite_rows={}",
+                "lemma5_cell_matches={} lemma2_definite_rows={}",
                 c.cell_pairs_matched, c.lemma2_matched
             ),
             format!("apex_excluded_pairs={}", c.apex_excluded),
@@ -303,7 +305,7 @@ mod tests {
         let stages = r.stages();
         let block = &stages[0];
         assert_eq!(block.output, 24); // candidate + matching pairs
-        assert_eq!(block.pruned, vec![("lemma3/4".to_string(), 7)]);
+        assert_eq!(block.pruned, vec![("lemma3".to_string(), 7)]);
         assert_eq!(block.input, 31);
         let verify = &stages[1];
         assert_eq!(verify.output, 45); // lemma2 + distance rows
@@ -341,12 +343,12 @@ mod tests {
         let want = format!(
             "EXPLAIN (topk)
   funnel:
-    block    [pairs] in=31  lemma3/4=-7  out=24
+    block    [pairs] in=31  lemma3=-7  out=24
     verify   [rows] in=55  lemma1=-10  out=45
     columns  [columns] in=9  lemma7=-6  out=3
   decisions:
     quick_browse=on seeded_pairs=2
-    lemma5/6_cell_matches=3 lemma2_definite_rows=5
+    lemma5_cell_matches=3 lemma2_definite_rows=5
     apex_excluded_pairs=0
     distance_computations=40 mapping_distances=0
     topk_seed=4,none

@@ -1,7 +1,10 @@
 //! Hierarchical grids over the pivot space (Section III-B).
 //!
-//! The pivot space `[0, span]^|P|` is cut into `2^(|P|·l)` cells at level
-//! `l ∈ [1..m]`. Only non-empty cells are materialised.
+//! The pivot space `[0, span]^|P|` is cut into `2^(|P|·m)` leaf cells, `2^m`
+//! per pivot. Only non-empty leaves are materialised, and no level above
+//! them is: blocking classifies every ⟨query vector, leaf⟩ pair directly
+//! ([`crate::block`]), so the interior cells of the paper's tree would
+//! only be walked, never needed.
 //!
 //! ## Key layout
 //!
@@ -13,15 +16,14 @@
 //! level-`l` cell holding a leaf is the top `l·|P|` bits of the leaf's key
 //! ([`GridParams::ancestor`]), a key of `l` levels in the same layout.
 //!
-//! The level-1 bits come first so that sorting the leaf keys sorts by
-//! level-1 cell, then by level-2 cell within it, and so on: **every cell at
-//! every level is one contiguous range of the sorted leaves.** A grid is
-//! therefore that sorted array — a cell's children are the sub-ranges that
-//! share the next |P| bits, Lemma 6 accepts a whole range — and a leaf's
-//! ordinal in it is the inverted index's cell ordinal (`HG_RV`'s leaves
-//! *are* the inverted index's cells, [`crate::invindex`]).
-
-use std::ops::Range;
+//! A grid is its leaf keys in Morton order, which is what quick browsing's
+//! merge walk over two grids needs and the inverted index's cell order: a
+//! leaf's ordinal in the array is its cell ordinal (`HG_RV`'s leaves *are*
+//! the inverted index's cells, [`crate::invindex`]), and the leaves of one
+//! coarse cell, with their rows, lie next to each other. Beside each key
+//! the grid keeps the leaf's per-pivot cell indices, |P| bytes, unpacked
+//! once when the grid is built or loaded: blocking reads a leaf's bounds
+//! from them.
 
 use crate::config::{ExecPolicy, MAX_LEVELS, MAX_PIVOTS};
 use crate::error::{PexesoError, Result};
@@ -166,24 +168,24 @@ impl GridParams {
 
     /// Bounds of the cell with `key` at `level`.
     pub fn bounds(&self, key: CellKey, level: usize) -> CellBounds {
-        self.index_bounds(&key.unpack(self.num_pivots, level), level)
-    }
-
-    /// Bounds of the cell at `level` with per-pivot indices `idx`.
-    #[inline]
-    fn index_bounds(&self, idx: &[u8; MAX_PIVOTS], level: usize) -> CellBounds {
-        let w = self.cell_width(level);
+        let idx = key.unpack(self.num_pivots, level);
         let mut b = CellBounds {
             lower: [0.0; MAX_PIVOTS],
             upper: [0.0; MAX_PIVOTS],
             n: self.num_pivots,
         };
-        for i in 0..self.num_pivots {
-            let idx = idx[i] as f32;
-            b.lower[i] = idx * w;
-            b.upper[i] = (idx + 1.0) * w;
+        for (i, &x) in idx[..self.num_pivots].iter().enumerate() {
+            (b.lower[i], b.upper[i]) = self.axis_bounds(x, level);
         }
         b
+    }
+
+    /// The lower and upper edge, on any pivot's axis, of the level-`level`
+    /// cells whose index on that axis is `idx`.
+    #[inline]
+    pub(crate) fn axis_bounds(&self, idx: u8, level: usize) -> (f32, f32) {
+        let (w, idx) = (self.cell_width(level), idx as f32);
+        (idx * w, (idx + 1.0) * w)
     }
 }
 
@@ -259,28 +261,16 @@ fn sorted_ids(keys: &[CellKey]) -> Vec<u32> {
     ids
 }
 
-/// A non-empty cell met in a descent: its leaves, as a range of leaf
-/// ordinals, its children, as a range of the next level's cells, and its
-/// per-pivot indices at its level.
-#[derive(Debug, Clone)]
-pub(crate) struct Cell {
-    pub leaves: Range<u32>,
-    children: Range<u32>,
-    idx: [u8; MAX_PIVOTS],
-}
-
-/// A sparse hierarchical grid: its non-empty leaves, sorted, which makes
-/// every cell a range of them (see the module header). `HG_Q` also holds
-/// the vector ids of each leaf; `HG_RV` keeps them in the inverted index.
+/// A sparse grid: its non-empty leaves, sorted (see the module header),
+/// and each leaf's per-pivot cell indices. `HG_Q` also holds the vector
+/// ids of each leaf; `HG_RV` keeps them in the inverted index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchicalGrid {
     params: GridParams,
     /// Non-empty leaf keys, ascending; a leaf's position is its ordinal.
     leaves: Vec<CellKey>,
-    /// `cells[l − 1]` for `l ∈ [1, m − 1]`: each non-empty level-`l` cell,
-    /// ascending, as its first leaf ordinal and its first child's index at
-    /// level `l + 1` (a leaf ordinal at `l + 1 = m`); then one sentinel.
-    cells: Vec<Vec<[u32; 2]>>,
+    /// Leaf `c`'s cell index on pivot `i` is `indices[c·|P| + i]`.
+    indices: Vec<u8>,
     /// Leaf `c`'s vector ids are `ids[offsets[c]..offsets[c + 1]]`; both
     /// empty when built keys-only.
     offsets: Vec<u32>,
@@ -321,30 +311,16 @@ impl HierarchicalGrid {
         vectors: Option<(Vec<u32>, Vec<u32>)>,
     ) -> Self {
         debug_assert!(leaves.windows(2).all(|w| w[0] < w[1]));
-        // Whether leaf `i` starts a level-`l` cell.
-        let starts = |l: usize, i: usize| {
-            i == 0 || params.ancestor(leaves[i], l) != params.ancestor(leaves[i - 1], l)
-        };
-        let cells = (1..params.levels)
-            .map(|level| {
-                // `children` counts the level-(level + 1) cells that start
-                // before leaf `i`: the first child of a cell starting at `i`.
-                let (mut cells, mut children) = (Vec::new(), 0u32);
-                for i in 0..leaves.len() {
-                    if starts(level, i) {
-                        cells.push([i as u32, children]);
-                    }
-                    children += starts(level + 1, i) as u32;
-                }
-                cells.push([leaves.len() as u32, children]);
-                cells
-            })
+        let n = params.num_pivots;
+        let indices = leaves
+            .iter()
+            .flat_map(|key| key.unpack(n, params.levels).into_iter().take(n))
             .collect();
         let (offsets, ids) = vectors.unwrap_or_default();
         Self {
             params,
             leaves,
-            cells,
+            indices,
             offsets,
             ids,
         }
@@ -359,73 +335,26 @@ impl HierarchicalGrid {
         &self.leaves
     }
 
+    /// Every leaf's per-pivot cell indices, leaf by leaf: leaf `c`'s are
+    /// `leaf_indices()[c·|P|..(c + 1)·|P|]`, the indices its key packs.
+    #[inline]
+    pub(crate) fn leaf_indices(&self) -> &[u8] {
+        &self.indices
+    }
+
     /// Vector ids in leaf `c`, ascending. Requires a vectors-retaining
     /// grid.
     pub fn leaf_vectors(&self, c: u32) -> &[u32] {
-        self.vectors(c..c + 1)
-    }
-
-    /// Vector ids in the leaves `leaves` (a cell), leaf by leaf: one slice.
-    #[inline]
-    pub(crate) fn vectors(&self, leaves: Range<u32>) -> &[u32] {
         debug_assert!(!self.offsets.is_empty(), "grid built keys-only");
-        &self.ids[self.offsets[leaves.start as usize] as usize
-            ..self.offsets[leaves.end as usize] as usize]
-    }
-
-    /// The root: level 0, every leaf.
-    pub(crate) fn root(&self) -> Cell {
-        let n = self.leaves.len() as u32;
-        let level1 = self.cells.first().map_or(n, |c| c.len() as u32 - 1);
-        Cell {
-            leaves: 0..n,
-            children: 0..level1,
-            idx: [0; MAX_PIVOTS],
-        }
-    }
-
-    /// The non-empty children of `cell`, a cell at `level` (the root is
-    /// level 0), ascending: the sub-ranges of its leaves that share the
-    /// next |P| key bits, each with its indices carried down one level.
-    pub(crate) fn children<'a>(
-        &'a self,
-        cell: &Cell,
-        level: usize,
-    ) -> impl Iterator<Item = Cell> + 'a {
-        let (p, parent) = (&self.params, cell.idx);
-        let next: &[[u32; 2]] = self.cells.get(level).map_or(&[], Vec::as_slice);
-        cell.children.clone().map(move |j| {
-            let (leaves, children) = match next.get(j as usize..j as usize + 2) {
-                Some([a, b]) => (a[0]..b[0], a[1]..b[1]),
-                _ => (j..j + 1, 0..0),
-            };
-            // The level-(level + 1) bits of any leaf under the child.
-            let group = p.ancestor(self.leaves[leaves.start as usize], level + 1).0;
-            let mut idx = parent;
-            for (i, x) in idx[..p.num_pivots].iter_mut().enumerate() {
-                *x = *x << 1 | ((group >> i) & 1) as u8;
-            }
-            Cell {
-                leaves,
-                children,
-                idx,
-            }
-        })
-    }
-
-    /// Bounds of `cell`, a cell at `level`.
-    #[inline]
-    pub(crate) fn bounds(&self, cell: &Cell, level: usize) -> CellBounds {
-        self.params.index_bounds(&cell.idx, level)
+        &self.ids[self.offsets[c as usize] as usize..self.offsets[c as usize + 1] as usize]
     }
 
     /// Estimated resident size in bytes (index-size experiments, Fig. 6b):
-    /// every key and word held.
+    /// every key, index byte and word held.
     pub fn approx_bytes(&self) -> usize {
-        let words = self.cells.iter().map(|c| c.len() * 2).sum::<usize>()
-            + self.offsets.len()
-            + self.ids.len();
-        self.leaves.len() * std::mem::size_of::<CellKey>() + words * 4
+        self.leaves.len() * std::mem::size_of::<CellKey>()
+            + self.indices.len()
+            + (self.offsets.len() + self.ids.len()) * 4
     }
 }
 
@@ -512,34 +441,26 @@ mod tests {
         }
     }
 
-    /// Every cell of the descent: its bounds are those of its key, and its
-    /// leaves are the leaves under it.
-    fn walk(g: &HierarchicalGrid, cell: &Cell, level: usize, leaves_seen: &mut Vec<u32>) {
+    /// Every leaf's indices are the ones its key packs, every vector is in
+    /// exactly one leaf, and the leaf's bounds hold it.
+    fn check_leaves(g: &HierarchicalGrid, mapped: &MappedVectors) {
         let p = g.params();
-        if level > 0 {
-            let key = p.ancestor(g.leaves()[cell.leaves.start as usize], level);
-            for c in cell.leaves.clone() {
-                assert_eq!(p.ancestor(g.leaves()[c as usize], level), key);
+        let n = p.num_pivots;
+        assert_eq!(g.leaf_indices().len(), g.leaves().len() * n);
+        let mut seen = vec![false; mapped.len()];
+        for (c, key) in g.leaves().iter().enumerate() {
+            let idx = &g.leaf_indices()[c * n..(c + 1) * n];
+            assert_eq!(idx, &key.unpack(n, p.levels)[..n]);
+            let b = p.bounds(*key, p.levels);
+            for &v in g.leaf_vectors(c as u32) {
+                assert!(!std::mem::replace(&mut seen[v as usize], true));
+                assert_eq!(p.leaf_key(mapped.get(v as usize)), *key);
+                for (i, &x) in mapped.get(v as usize).iter().enumerate() {
+                    assert!(b.lower[i] <= x && (x < b.upper[i] || x == p.span));
+                }
             }
-            let (b, want) = (g.bounds(cell, level), p.bounds(key, level));
-            assert_eq!((b.lower, b.upper), (want.lower, want.upper));
         }
-        if level == p.levels {
-            leaves_seen.extend(cell.leaves.clone());
-            return;
-        }
-        let children: Vec<Cell> = g.children(cell, level).collect();
-        assert_eq!(
-            children.first().map(|c| c.leaves.start),
-            Some(cell.leaves.start)
-        );
-        assert_eq!(children.last().map(|c| c.leaves.end), Some(cell.leaves.end));
-        assert!(children
-            .windows(2)
-            .all(|w| w[0].leaves.end == w[1].leaves.start));
-        for child in &children {
-            walk(g, child, level + 1, leaves_seen);
-        }
+        assert!(seen.into_iter().all(|s| s), "a vector in no leaf");
     }
 
     #[test]
@@ -549,41 +470,36 @@ mod tests {
         let m = mapped(&[&[0.5, 0.5], &[0.6, 0.4], &[3.5, 3.5], &[2.5, 0.5]]);
         let g = HierarchicalGrid::build(p, &m).unwrap();
         assert_eq!(g.leaves().len(), 3, "two vectors share a leaf");
-        assert_eq!(g.children(&g.root(), 0).count(), 3);
-        let mut leaves = Vec::new();
-        walk(&g, &g.root(), 0, &mut leaves);
-        assert_eq!(leaves, vec![0, 1, 2]);
-        let total: usize = leaves.iter().map(|&c| g.leaf_vectors(c).len()).sum();
-        assert_eq!(total, 4, "all vectors reachable through the tree");
+        assert_eq!(g.leaf_indices(), &[0, 0, 2, 0, 3, 3]);
+        assert_eq!(g.leaf_vectors(0), &[0, 1]);
+        check_leaves(&g, &m);
     }
 
     #[test]
     fn a_subtree_is_a_range_of_leaves() {
         let p = GridParams::new(1, 3, 8.0).unwrap();
         let m = mapped(&[&[0.5], &[1.5], &[2.5], &[7.5]]);
-        let g = HierarchicalGrid::build(p, &m).unwrap();
-        // Root child covering [0,4) should contain 3 leaves / 3 vectors.
-        let low_root = g.children(&g.root(), 0).next().unwrap();
-        assert_eq!(low_root.leaves, 0..3);
-        assert_eq!(g.vectors(low_root.leaves), &[0, 1, 2]);
-        let mut leaves = Vec::new();
-        walk(&g, &g.root(), 0, &mut leaves);
-        assert_eq!(leaves, vec![0, 1, 2, 3]);
+        let g = HierarchicalGrid::build(p.clone(), &m).unwrap();
+        // The level-1 cell covering [0,4) holds the first 3 leaves.
+        let low: Vec<bool> = g
+            .leaves()
+            .iter()
+            .map(|&k| p.ancestor(k, 1).0 == 0)
+            .collect();
+        assert_eq!(low, [true, true, true, false]);
+        check_leaves(&g, &m);
     }
 
     #[test]
-    fn random_grids_walk_every_leaf_once() {
+    fn random_grids_hold_every_vector_once() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(5);
         for (n, m) in [(1, 1), (3, 4), (5, 6), (16, 8), (2, 8)] {
             let p = GridParams::new(n, m, 2.0).unwrap();
             let flat: Vec<f32> = (0..200 * n).map(|_| rng.gen_range(0.0f32..2.0)).collect();
-            let g = HierarchicalGrid::build(p, &MappedVectors::from_raw(n, flat).unwrap()).unwrap();
-            let mut leaves = Vec::new();
-            walk(&g, &g.root(), 0, &mut leaves);
-            assert_eq!(leaves, (0..g.leaves().len() as u32).collect::<Vec<_>>());
-            assert_eq!(g.vectors(g.root().leaves).len(), 200);
+            let mapped = MappedVectors::from_raw(n, flat).unwrap();
+            check_leaves(&HierarchicalGrid::build(p, &mapped).unwrap(), &mapped);
         }
     }
 
@@ -593,6 +509,7 @@ mod tests {
         let m = mapped(&[&[0.5], &[3.5]]);
         let g = HierarchicalGrid::build_keys_only(p, &m).unwrap();
         assert_eq!(g.leaves().len(), 2);
+        assert_eq!(g.leaf_indices(), &[0, 3]);
         assert!(g.ids.is_empty());
     }
 
@@ -601,12 +518,9 @@ mod tests {
         let p = GridParams::new(2, 1, 4.0).unwrap();
         let m = mapped(&[&[0.5, 0.5], &[3.5, 3.5]]);
         let g = HierarchicalGrid::build(p, &m).unwrap();
-        let roots: Vec<Cell> = g.children(&g.root(), 0).collect();
-        assert_eq!(roots.len(), 2);
-        for r in &roots {
-            assert_eq!(r.leaves.len(), 1);
-            assert!(!g.leaf_vectors(r.leaves.start).is_empty());
-        }
+        assert_eq!(g.leaves().len(), 2);
+        assert_eq!(g.leaf_indices(), &[0, 0, 1, 1]);
+        check_leaves(&g, &m);
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl InvertedIndex {
         Ok((inv, row_vid))
     }
 
-    /// `HG_RV`: the cells' keys, ascending, and the levels above them.
+    /// `HG_RV`: the cells' keys, ascending, and their per-pivot indices.
     #[inline]
     pub fn grid(&self) -> &HierarchicalGrid {
         &self.grid

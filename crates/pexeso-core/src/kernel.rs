@@ -540,6 +540,8 @@ mod avx2 {
     /// Store the 256-bit accumulator and combine with the canonical
     /// scalar epilogue, so the reduction order matches the scalar tier
     /// bit-for-bit.
+    // SAFETY: needs AVX2, as its `avx2` callers do; reached by
+    // `simd_differential.rs::distances_match_scalar_bitwise`.
     #[inline(always)]
     unsafe fn reduce_sum(acc: __m256) -> f32 {
         let mut lanes = [0.0f32; LANES];
@@ -547,6 +549,8 @@ mod avx2 {
         sum8(&lanes)
     }
 
+    // SAFETY: needs AVX2, as its `avx2` callers do; reached by
+    // `simd_differential.rs::distances_match_scalar_bitwise`.
     #[inline(always)]
     unsafe fn reduce_max(acc: __m256) -> f32 {
         let mut lanes = [0.0f32; LANES];
@@ -555,6 +559,8 @@ mod avx2 {
     }
 
     /// `|x|` by clearing the sign bit — bitwise identical to `f32::abs`.
+    // SAFETY: needs AVX2, as its `avx2` callers do; reached by
+    // `simd_differential.rs::distances_match_scalar_bitwise`.
     #[inline(always)]
     unsafe fn abs(x: __m256) -> __m256 {
         _mm256_andnot_ps(_mm256_set1_ps(-0.0), x)
@@ -565,6 +571,8 @@ mod avx2 {
     /// inflated f64 bound's `1e-6` margin absorbs, so a `> bound` verdict
     /// from this sum still proves the true distance exceeds `tau`. The
     /// fall-through result path must keep [`reduce_sum`].
+    // SAFETY: needs AVX2, as its `avx2` callers do; reached by
+    // `simd_differential.rs::threshold_tests_match_scalar_at_boundaries`.
     #[inline(always)]
     unsafe fn check_sum(acc: __m256) -> f32 {
         let lo = _mm256_castps256_ps128(acc);
@@ -575,6 +583,8 @@ mod avx2 {
         _mm_cvtss_f32(s)
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::distances_match_scalar_bitwise`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
         let blocks = a.len() / LANES;
@@ -590,6 +600,8 @@ mod avx2 {
         reduce_sum(acc) + l2_tail(a, b, blocks * LANES)
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::threshold_tests_match_scalar_at_boundaries`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l2_le(a: &[f32], b: &[f32], tau: f32) -> bool {
         let bound = inflated_sq_bound(tau);
@@ -614,6 +626,8 @@ mod avx2 {
         (reduce_sum(acc) + l2_tail(a, b, blocks * LANES)).sqrt() <= tau
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::distances_match_scalar_bitwise`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l1(a: &[f32], b: &[f32]) -> f32 {
         let blocks = a.len() / LANES;
@@ -629,6 +643,8 @@ mod avx2 {
         reduce_sum(acc) + l1_tail(a, b, blocks * LANES)
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::threshold_tests_match_scalar_at_boundaries`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn l1_le(a: &[f32], b: &[f32], tau: f32) -> bool {
         let bound = inflated_bound(tau);
@@ -653,6 +669,8 @@ mod avx2 {
         reduce_sum(acc) + l1_tail(a, b, blocks * LANES) <= tau
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::distances_match_scalar_bitwise`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn linf(a: &[f32], b: &[f32]) -> f32 {
         let blocks = a.len() / LANES;
@@ -668,6 +686,8 @@ mod avx2 {
         reduce_max(acc).max(linf_tail(a, b, blocks * LANES))
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::threshold_tests_match_scalar_at_boundaries`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn linf_le(a: &[f32], b: &[f32], tau: f32) -> bool {
         let blocks = a.len() / LANES;
@@ -690,6 +710,8 @@ mod avx2 {
             .all(|(x, y)| (x - y).abs() <= tau)
     }
 
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and `a.len() == b.len()`; CI's both
+    // tiers run `simd_differential.rs::distances_match_scalar_bitwise`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn angular_parts(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
         let blocks = a.len() / LANES;
@@ -743,6 +765,8 @@ mod avx2 {
     /// # Safety
     ///
     /// `kept + 4 <= buf.len()`, and the CPU supports SSE2.
+    // SAFETY: needs SSE2 (AVX2 here) and `kept + 4 <= buf.len()`; reached by
+    // `simd_differential.rs::stage1_kernel_matches_scalar`.
     #[inline(always)]
     unsafe fn pack4(mask: u32, first: u32, buf: &mut [u32], kept: &mut usize) {
         debug_assert!(*kept + 4 <= buf.len());
@@ -767,6 +791,8 @@ mod avx2 {
     /// `cols` and `buf` at least as many entries as `cols` (what
     /// `check_rows` asserts). A column outside `live`'s window panics
     /// before its state word is read.
+    // SAFETY: needs AVX2 (`Tier::Avx2`) and the lengths `check_rows` asserts;
+    // CI's both tiers run `simd_differential.rs::stage1_kernel_matches_scalar`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn simplex_rows<const N: usize>(
         coords: &[f32],

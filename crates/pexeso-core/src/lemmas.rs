@@ -1,7 +1,11 @@
-//! Lemmas 1–6 as pure predicates (Section III-A/B), and the n-simplex row
-//! bounds that take the place of Lemmas 1 and 2 on a Euclidean index.
+//! Lemmas 1, 2, 3 and 5 as pure predicates (Section III-A/B), and the
+//! n-simplex row bounds that take the place of Lemmas 1 and 2 on a
+//! Euclidean index.
 //!
-//! Lemmas 1–6 operate in the pivot space. The n-simplex bounds (Connor et
+//! The lemmas operate in the pivot space. The paper's cell-cell Lemmas 4
+//! and 6 decide nothing on a leaf that Lemmas 3 and 5 do not decide for
+//! each of its query vectors, so blocking tests those alone
+//! ([`crate::block`]). The n-simplex bounds (Connor et
 //! al., "Supermetric search", 2019) operate on apexes
 //! ([`crate::invindex`]): the apex distance is an exact lower bound on the
 //! Euclidean distance, and at least as tight as Lemma 1 on every pivot;
@@ -104,20 +108,6 @@ pub fn lemma3_vector_cell_filter(q_mapped: &[f32], c: &CellBounds, tau: f32) -> 
     false
 }
 
-/// Lemma 4 (cell-cell filtering): no pair (query vector in `cq`, target
-/// vector in `c`) can match if `c` is disjoint from
-/// `SQR(cq.center, τ + cq.len/2)` — per dimension, `[cq.lowᵢ − τ, cq.upᵢ + τ]`.
-#[inline]
-pub fn lemma4_cell_cell_filter(cq: &CellBounds, c: &CellBounds, tau: f32) -> bool {
-    debug_assert_eq!(cq.n, c.n);
-    for i in 0..c.n {
-        if c.lower[i] > cq.upper[i] + tau + EPS || c.upper[i] < cq.lower[i] - tau - EPS {
-            return true;
-        }
-    }
-    false
-}
-
 /// Lemma 5 (vector-cell matching): every vector in target cell `c` matches
 /// `q` if some pivot dimension `i` has `c.upperᵢ ≤ τ − d(q,pᵢ)` (the cell
 /// lies inside the rectangle query region `RQR(q', pᵢ, τ)`).
@@ -127,21 +117,6 @@ pub fn lemma5_vector_cell_match(q_mapped: &[f32], c: &CellBounds, tau: f32) -> b
     for (i, &q) in q_mapped.iter().enumerate().take(c.n) {
         let edge = tau - q;
         if edge > 0.0 && c.upper[i] <= edge - EPS {
-            return true;
-        }
-    }
-    false
-}
-
-/// Lemma 6 (cell-cell matching): every (query vector in `cq`, target vector
-/// in `c`) pair matches if some pivot dimension `i` has
-/// `cq.upperᵢ + c.upperᵢ ≤ τ` (the cell lies inside the *minimum* RQR of
-/// all query vectors in `cq`, whose edge is `τ − max_q d(q,pᵢ) ≥ τ − cq.upperᵢ`).
-#[inline]
-pub fn lemma6_cell_cell_match(cq: &CellBounds, c: &CellBounds, tau: f32) -> bool {
-    debug_assert_eq!(cq.n, c.n);
-    for i in 0..c.n {
-        if cq.upper[i] + c.upper[i] <= tau - EPS {
             return true;
         }
     }
@@ -191,15 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn lemma4_cell_pair_pruned() {
-        let cq = bounds(&[0.0, 0.0], &[1.0, 1.0]);
-        let far = bounds(&[3.0, 3.0], &[4.0, 4.0]);
-        let near = bounds(&[1.5, 1.5], &[2.0, 2.0]);
-        assert!(lemma4_cell_cell_filter(&cq, &far, 1.0));
-        assert!(!lemma4_cell_cell_filter(&cq, &near, 1.0));
-    }
-
-    #[test]
     fn lemma5_cell_inside_rqr_matches() {
         let c = bounds(&[0.0, 0.0], &[0.2, 9.0]);
         // dim 0: tau - d(q,p0) = 0.5 - 0.2 = 0.3 >= upper 0.2 -> match.
@@ -208,14 +174,6 @@ mod tests {
         assert!(!lemma5_vector_cell_match(&[0.4, 3.0], &c, 0.5));
         // Negative edge length: no RQR for that pivot.
         assert!(!lemma5_vector_cell_match(&[0.9, 3.0], &c, 0.5));
-    }
-
-    #[test]
-    fn lemma6_cell_cell_match_needs_small_sums() {
-        let cq = bounds(&[0.0, 0.0], &[0.1, 5.0]);
-        let c = bounds(&[0.0, 0.0], &[0.2, 7.0]);
-        assert!(lemma6_cell_cell_match(&cq, &c, 0.5));
-        assert!(!lemma6_cell_cell_match(&cq, &c, 0.25));
     }
 
     /// Soundness fuzz: on random unit vectors, Lemma 1 must never prune a
@@ -262,18 +220,6 @@ mod tests {
                 }
                 if lemma5_vector_cell_match(qm, &cb, tau) {
                     assert!(d <= tau + 1e-4, "lemma5 matched the cell of a non-match");
-                }
-                // Cell-cell versions with the query's own leaf cell.
-                let qkey = params.leaf_key(qm);
-                let qb = params.bounds(qkey, 3);
-                if d <= tau {
-                    assert!(
-                        !lemma4_cell_cell_filter(&qb, &cb, tau),
-                        "lemma4 pruned a match"
-                    );
-                }
-                if lemma6_cell_cell_match(&qb, &cb, tau) {
-                    assert!(d <= tau + 1e-4, "lemma6 matched a non-match");
                 }
             }
         }

@@ -17,8 +17,9 @@
 //! * [`pivot`] — PCA-based pivot selection (plus random / farthest-first);
 //! * [`mapping`] — pivot mapping into `|P|`-dimensional pivot space;
 //! * [`grid`] — sparse hierarchical grids over the pivot space;
-//! * [`lemmas`] — the six filtering/matching predicates;
-//! * [`block`] — Algorithm 1: dual-grid traversal + quick browsing;
+//! * [`lemmas`] — the filtering/matching predicates;
+//! * [`block`] — Algorithm 1 as one flat pass over the leaf cells
+//!   (Lemmas 5 and 3 per ⟨query vector, leaf⟩) + quick browsing;
 //! * [`invindex`] + [`verify`] — Algorithm 2: inverted-index verification
 //!   with joinable-skip and Lemma 7 early termination;
 //! * [`search`] — Algorithm 3 and the [`search::PexesoIndex`] it runs on:

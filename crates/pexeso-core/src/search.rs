@@ -146,9 +146,9 @@ impl<M: Metric> PexesoIndex<M> {
 
     /// The shared online prologue of every search entry point: map the
     /// query into pivot space, validate against the grid span, build
-    /// `HG_Q`, quick-browse (when enabled), and run the dual-grid
-    /// blocking. Populates `stats.mapping_distances`, the blocking
-    /// counters, and `stats.block_time`.
+    /// `HG_Q`, quick-browse (when enabled), and run blocking's flat pass
+    /// over `HG_RV`'s leaves. Populates `stats.mapping_distances`, the
+    /// blocking counters, and `stats.block_time`.
     fn map_and_block(
         &self,
         query: &VectorStore,
@@ -175,7 +175,7 @@ impl<M: Metric> PexesoIndex<M> {
         }
         let hgq = HierarchicalGrid::build(self.grid_params.clone(), &query_mapped)?;
         // Mapping phase = pivot mapping + span check + HG_Q build: all the
-        // per-query work before the dual-grid traversal starts.
+        // per-query work before blocking starts.
         stats.mapping_time = map_start.elapsed();
         let block_start = Instant::now();
         let (handled, seeded) = if opts.quick_browse {
@@ -289,9 +289,28 @@ impl<M: Metric> PexesoIndex<M> {
         column: ColumnId,
         tau: Tau,
     ) -> Result<Vec<(u32, VectorId)>> {
+        let mut pairs = self.match_pairs_many(query, query_mapped, &[column], tau)?;
+        Ok(pairs.pop().expect("one list per column"))
+    }
+
+    /// [`PexesoIndex::match_pairs`] for each of `columns`, in order. The
+    /// query is mapped, and each vector id's place in the row-ordered
+    /// store found, once for all of them: O(|RV|) plus the pairs' work,
+    /// not O(|RV|) per column. Refuses what `match_pairs` refuses for any
+    /// of them.
+    pub fn match_pairs_many(
+        &self,
+        query: &VectorStore,
+        query_mapped: Option<&MappedVectors>,
+        columns: &[ColumnId],
+        tau: Tau,
+    ) -> Result<Vec<Vec<(u32, VectorId)>>> {
         self.validate_query(query)?;
         let tau = tau.resolve(&self.metric, self.columns.dim())?;
-        if column.0 as usize >= self.columns.n_columns() {
+        if let Some(column) = columns
+            .iter()
+            .find(|c| c.0 as usize >= self.columns.n_columns())
+        {
             return Err(PexesoError::InvalidParameter(format!(
                 "column {} not in an index of {} columns",
                 column.0,
@@ -316,33 +335,36 @@ impl<M: Metric> PexesoIndex<M> {
                 &owned
             }
         };
-        let meta = self.columns.column(column);
         let store = self.columns.store();
         let positions = self.columns.positions();
-        let vectors: Vec<&[f32]> = meta
-            .vector_range()
-            .map(|v| store.get_raw(positions[v as usize] as usize))
-            .collect();
-        let column_mapped: Vec<Vec<f32>> = vectors
-            .iter()
-            .map(|x| self.pivots.iter().map(|p| self.metric.dist(x, p)).collect())
-            .collect();
-        let mut out = Vec::new();
-        for q in 0..query.len() {
-            let qmap = qm.get(q);
-            let qv = query.get_raw(q);
-            for ((v, xm), x) in meta.vector_range().zip(&column_mapped).zip(&vectors) {
-                if lemmas::lemma1_filter(qmap, xm, tau) {
-                    continue;
-                }
-                let is_match =
-                    lemmas::lemma2_match(qmap, xm, tau) || self.metric.dist(qv, x) <= tau;
-                if is_match {
-                    out.push((q as u32, VectorId(v)));
+        let pairs_of = |column: ColumnId| {
+            let meta = self.columns.column(column);
+            let vectors: Vec<&[f32]> = meta
+                .vector_range()
+                .map(|v| store.get_raw(positions[v as usize] as usize))
+                .collect();
+            let column_mapped: Vec<Vec<f32>> = vectors
+                .iter()
+                .map(|x| self.pivots.iter().map(|p| self.metric.dist(x, p)).collect())
+                .collect();
+            let mut out = Vec::new();
+            for q in 0..query.len() {
+                let qmap = qm.get(q);
+                let qv = query.get_raw(q);
+                for ((v, xm), x) in meta.vector_range().zip(&column_mapped).zip(&vectors) {
+                    if lemmas::lemma1_filter(qmap, xm, tau) {
+                        continue;
+                    }
+                    let is_match =
+                        lemmas::lemma2_match(qmap, xm, tau) || self.metric.dist(qv, x) <= tau;
+                    if is_match {
+                        out.push((q as u32, VectorId(v)));
+                    }
                 }
             }
-        }
-        Ok(out)
+            out
+        };
+        Ok(columns.iter().map(|&column| pairs_of(column)).collect())
     }
 
     /// Exact joinability ratio of one column (no early termination);
@@ -903,6 +925,40 @@ mod tests {
             let expected_jn = matched.iter().filter(|&&m| m).count() as f64 / query.len() as f64;
             assert!((jn - expected_jn).abs() < 1e-12);
         }
+    }
+
+    /// One call over several columns answers what one call per column
+    /// does, in the order asked (a column twice included), and refuses a
+    /// list with an unknown column.
+    #[test]
+    fn match_pairs_of_many_columns_equal_the_per_column_pairs() {
+        let (columns, query) = instance(6, 6, 12, 6);
+        let index = build(columns, 3, 4);
+        let tau = Tau::Ratio(0.6);
+        let asked = [
+            ColumnId(4),
+            ColumnId(0),
+            ColumnId(5),
+            ColumnId(0),
+            ColumnId(2),
+        ];
+        let many = index.match_pairs_many(&query, None, &asked, tau).unwrap();
+        assert_eq!(many.len(), asked.len());
+        for (&col, pairs) in asked.iter().zip(&many) {
+            assert_eq!(pairs, &index.match_pairs(&query, None, col, tau).unwrap());
+        }
+        assert!(
+            many.iter().any(|p| !p.is_empty()),
+            "the instance has matches"
+        );
+        assert!(index
+            .match_pairs_many(&query, None, &[], tau)
+            .unwrap()
+            .is_empty());
+        assert!(matches!(
+            index.match_pairs_many(&query, None, &[ColumnId(1), ColumnId(6)], tau),
+            Err(PexesoError::InvalidParameter(_))
+        ));
     }
 
     /// An index, a query and its mapping for the input checks of

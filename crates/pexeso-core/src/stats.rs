@@ -43,9 +43,12 @@ pub struct SearchStats {
     /// verification: by the reflected n-simplex bound where the rows hold
     /// apexes, by Lemma 2 elsewhere.
     pub lemma2_matched: u64,
-    /// Cell pairs pruned by Lemma 4 / vectors-cell prunes by Lemma 3.
+    /// ⟨query vector, leaf cell⟩ pairs blocking filtered by Lemma 3. Every
+    /// pair is tested once ([`crate::block`]), so this, the matching and
+    /// the candidate pairs add up to |Q| · leaves per unit.
     pub cell_pairs_filtered: u64,
-    /// Cell pairs fully matched by Lemma 6 / vector-cell by Lemma 5.
+    /// ⟨query vector, leaf cell⟩ pairs blocking matched by Lemma 5: the
+    /// matching pairs, each counted once.
     pub cell_pairs_matched: u64,
     /// ⟨query vector, leaf cell⟩ candidate pairs produced by blocking.
     pub candidate_pairs: u64,

@@ -293,3 +293,33 @@ fn stage1_kernel_matches_scalar() {
         "the sweep must keep and reject rows: {kept_some}"
     );
 }
+
+/// CRC32C one bit at a time (RFC 3720's reflected polynomial), the
+/// reference the dispatched `codec::crc32c` — the SSE4.2 instruction where
+/// the CPU has it, else the slicing-by-8 tables — must equal.
+fn crc32c_bitwise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0x82f6_3b78
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+#[test]
+fn crc32c_matches_a_bitwise_reference() {
+    use pexeso_core::codec::crc32c;
+    assert_eq!(crc32c(b"123456789"), 0xe306_9283);
+    let mut rng = StdRng::seed_from_u64(0xc3c);
+    // Every tail length of the 8-byte word loop, and longer inputs.
+    for len in (0..=40).chain([63, 64, 65, 255, 1000]) {
+        let bytes: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+        assert_eq!(crc32c(&bytes), crc32c_bitwise(&bytes), "len {len}");
+    }
+}

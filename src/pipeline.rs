@@ -445,8 +445,8 @@ pub fn join_mapping<M: Metric>(
     tau: Tau,
 ) -> Result<JoinMapping> {
     let mut mapping = JoinMapping::new(query.n_rows);
-    for &col in hit_columns {
-        let pairs = index.match_pairs(query.store(), None, col, tau)?;
+    let per_column = index.match_pairs_many(query.store(), None, hit_columns, tau)?;
+    for (&col, pairs) in hit_columns.iter().zip(per_column) {
         let meta = index.columns().column(col);
         let prov = &lake.provenance[meta.external_id as usize];
         for (q_vec, vid) in pairs {

@@ -261,7 +261,7 @@ fn check_funnel(name: &str, q: &Query, resp: &QueryResponse) {
     );
     assert_eq!(
         block.pruned,
-        vec![("lemma3/4".to_string(), s.cell_pairs_filtered)],
+        vec![("lemma3".to_string(), s.cell_pairs_filtered)],
         "{name} block prunes"
     );
     assert_eq!(
@@ -322,6 +322,15 @@ fn explain_funnel_mirrors_search_stats() {
                 continue;
             }
             check_funnel(name, q, &resp);
+            if name == "index" {
+                // Blocking meets every ⟨query vector, leaf⟩ pair once.
+                let leaves = backends.index.inverted_index().num_cells();
+                assert_eq!(
+                    resp.explain.as_ref().unwrap().stages()[0].input,
+                    (query_vecs.len() * leaves) as u64,
+                    "index block stage input is |Q| · leaves for {q:?}"
+                );
+            }
             if name == "resident" {
                 resident_report = resp.explain.clone();
             }
